@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 from .catalog import entries, get
 from .geometry import FDConfig
@@ -26,12 +27,19 @@ from .suites import SUITE_ORDER, run_suites
 
 def _default_seed() -> int:
     env = os.environ.get("FRAMELIFT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return 42
+    return 42 if env is None else int(env)
+
+
+def _report_path_problem(path: str) -> Optional[str]:
+    """Why the JSON report could not be written to ``path``, or None."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.path.isdir(folder):
+        return f"directory {folder} does not exist"
+    if not os.access(folder, os.W_OK):
+        return f"directory {folder} is not writable"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +105,17 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else _default_seed()
+    try:
+        seed = args.seed if args.seed is not None else _default_seed()
+    except ValueError:
+        print(f"error: FRAMELIFT_SEED must be an integer, got {os.environ['FRAMELIFT_SEED']!r}",
+              file=sys.stderr)
+        return 2
+    if args.json:
+        problem = _report_path_problem(args.json)
+        if problem is not None:
+            print(f"error: cannot write the report to {args.json}: {problem}", file=sys.stderr)
+            return 2
 
     results = []
     for e in selected:

@@ -61,9 +61,3 @@ def g_skew_endo_field(
 
     return EndomorphismField(eval=ev)
 
-
-def symmetric_endo_value(M: ChartManifold, p: Array, rng: np.random.Generator) -> Array:
-    """A single g-self-adjoint endomorphism value at p."""
-    dim = M.dim
-    K = rng.standard_normal((dim, dim))
-    return np.linalg.solve(metric_eval(M, p), 0.5 * (K + K.T))

@@ -96,11 +96,6 @@ def frame_orthonormality_defect(M: ChartManifold, u: Frame) -> float:
     return float(np.max(np.abs(u.columns.T @ g @ u.columns - np.eye(M.dim))))
 
 
-def zero_frame_tangent(u: Frame) -> FrameTangent:
-    n = u.base.size
-    return FrameTangent(u, np.zeros(n), np.zeros((n, n)))
-
-
 # ---------------------------------------------------------------------------
 # lifts, vertical vectors, Mok metric
 # ---------------------------------------------------------------------------
@@ -162,14 +157,24 @@ def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> f
 def mok_gram(
     M: ChartManifold, basis: Sequence[FrameTangent], cfg: FDConfig = DEFAULT_FD
 ) -> Array:
-    G = np.zeros((len(basis), len(basis)))
-    for i, s in enumerate(basis):
-        for j, t in enumerate(basis):
-            if j < i:
-                G[i, j] = G[j, i]
-            else:
-                G[i, j] = mok_metric(M, s, t, cfg)
-    return G
+    """Mok Gram matrix of tangents attached to one frame, in one pass.
+
+    With X the base rates (rows) and W_a = Edot_a + Gamma(xdot_a) E, which
+    is V_a E for the vertical part V_a, G = X g X^T + sum_i W g W^T with i
+    running over the frame columns.  The metric and the Christoffel symbols
+    are evaluated once, and the inverse in ``vertical_part`` cancels.
+    Raises ValueError when the tangents are attached to different frames.
+    """
+    u = basis[0].at
+    for t in basis[1:]:
+        _same_frame(u, t.at)
+    g = metric_eval(M, u.base)
+    gamma = christoffel(M, u.base, cfg)
+    X = np.array([t.base_rate for t in basis])
+    W = np.array([t.frame_rate for t in basis]) + np.einsum(
+        "kij,ai,jl->akl", gamma, X, u.columns)
+    G = X @ g @ X.T + np.einsum("aki,kl,bli->ab", W, g, W)
+    return 0.5 * (G + G.T)
 
 
 def mok_orthonormalize(
@@ -313,16 +318,30 @@ class FrameChart:
 
     # -- tangent conversions ----------------------------------------------
 
-    def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
+    def chart_to_tangents(self, q: Array, qdots: Array,
+                          cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
+        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q).
+
+        The frame, exp(A), the reference frame and its derivative are
+        computed once; each row costs one expm_frechet.
+        """
         x, a = self.split(q)
-        xdot, adot = self.split(qdot)
         A = self.skew_from_coords(a)
         expA = scipy.linalg.expm(A)
+        ref = self.reference(x)
         dref = self.reference_derivative(x, cfg)
-        Edot = np.einsum("kij,k->ij", dref, xdot) @ expA
-        Adot = self.skew_from_coords(adot)
-        Edot += self.reference(x) @ scipy.linalg.expm_frechet(A, Adot, compute_expm=False)
-        return FrameTangent(self.decode(q), xdot, Edot)
+        u = Frame(x, ref @ expA)
+        out = []
+        for qdot in np.atleast_2d(qdots):
+            xdot, adot = self.split(qdot)
+            Edot = np.einsum("kij,k->ij", dref, xdot) @ expA
+            Adot = self.skew_from_coords(adot)
+            Edot += ref @ scipy.linalg.expm_frechet(A, Adot, compute_expm=False)
+            out.append(FrameTangent(u, xdot, Edot))
+        return out
+
+    def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
+        return self.chart_to_tangents(q, qdot, cfg)[0]
 
     def tangent_to_chart(self, t: FrameTangent, cfg: FDConfig = DEFAULT_FD,
                          tol: float = 1e-6) -> Array:
@@ -371,9 +390,13 @@ class LMChart:
     def encode(self, u: Frame) -> Array:
         return self.join(u.base, u.columns)
 
+    def chart_to_tangents(self, q: Array, qdots: Array,
+                          cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
+        u = self.decode(q)
+        return [FrameTangent(u, *self.split(qdot)) for qdot in np.atleast_2d(qdots)]
+
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
-        xdot, Edot = self.split(qdot)
-        return FrameTangent(self.decode(q), xdot, Edot)
+        return self.chart_to_tangents(q, qdot, cfg)[0]
 
     def tangent_to_chart(self, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
         return self.join(t.base_rate, t.frame_rate)
@@ -400,19 +423,8 @@ def om_chart_decode(a: Array, x: Array, chart: FrameChart) -> Frame:
 
 def induced_metric_on_chart(chart, q: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
     """Mok metric expressed in the chart coordinates of the total space."""
-    q = np.asarray(q, dtype=float)
-    m = chart.dim
-    tangents = []
-    for k in range(m):
-        qdot = np.zeros(m)
-        qdot[k] = 1.0
-        tangents.append(chart.chart_to_tangent(q, qdot, cfg))
-    M = chart.manifold
-    G = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            G[i, j] = G[j, i] = mok_metric(M, tangents[i], tangents[j], cfg)
-    return G
+    tangents = chart.chart_to_tangents(q, np.eye(chart.dim), cfg)
+    return mok_gram(chart.manifold, tangents, cfg)
 
 
 def total_space_manifold(chart, cfg: FDConfig = DEFAULT_FD) -> ChartManifold:

@@ -391,13 +391,6 @@ def reference_frame(M: ChartManifold, p: Array) -> Array:
     return np.column_stack([e.components for e in orthonormal_basis(M, p)])
 
 
-def reference_frame_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """d_k of the reference frame, D[k] = (dim, dim) matrix."""
-    if M.orthonormal_frame_derivative is not None:
-        return np.asarray(M.orthonormal_frame_derivative(p), dtype=float)
-    return central_diff(lambda q: reference_frame(M, q), p, cfg.step_h)
-
-
 def orthonormality_defect(M: ChartManifold, p: Array, basis: Sequence[TangentVector]) -> float:
     g = metric_eval(M, p)
     E = np.column_stack([e.components for e in basis])
@@ -429,9 +422,3 @@ def skew_defect(M: ChartManifold, p: Array, P: Array) -> float:
     A = g @ P
     return float(np.max(np.abs(A + A.T)))
 
-
-def make_g_skew(M: ChartManifold, p: Array, K: Array) -> Array:
-    """g-skew endomorphism g^{-1} K from an antisymmetric matrix K."""
-    g = metric_eval(M, p)
-    K = np.asarray(K, dtype=float)
-    return np.linalg.solve(g, 0.5 * (K - K.T))

@@ -37,7 +37,7 @@ from .frames import (
     LMChart,
     fundamental_vertical,
     horizontal_lift_frame,
-    mok_metric,
+    mok_gram,
     mok_orthonormalize,
     skew_basis,
 )
@@ -614,10 +614,7 @@ def lift_conformality_measurement(
     W_on = mok_orthonormalize(phi.source, H_basis, cfg)
     imgs = [lift_differential_fd(geom, w, cfg, check_tangency=False) for w in W_on]
     m = len(imgs)
-    G = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            G[i, j] = G[j, i] = mok_metric(phi.target, imgs[i], imgs[j], cfg)
+    G = mok_gram(phi.target, imgs, cfg)
     Lam = float(np.trace(G) / m)
     defect = float(np.max(np.abs(G - Lam * np.eye(m))))
     return Lam, defect

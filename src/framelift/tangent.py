@@ -8,7 +8,7 @@ the kernel/orthogonal distributions of that second differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -128,14 +128,6 @@ def sasaki_mok_tm(
     Ks = connection_map_K(M, s, cfg).components
     Kt = connection_map_K(M, t, cfg).components
     return float(s.base_rate @ g @ t.base_rate + Ks @ g @ Kt)
-
-
-def sasaki_gram(M: ChartManifold, basis: Sequence[TMTangent], cfg: FDConfig = DEFAULT_FD) -> Array:
-    G = np.zeros((len(basis), len(basis)))
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            G[i, j] = G[j, i] = sasaki_mok_tm(M, basis[i], basis[j], cfg)
-    return G
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,20 @@ class TestVerify:
         proc = run_cli(["verify", "E1", "--suite", "core", "--h", "1e-3", "--h2", "1e-5"])
         assert proc.returncode == 2
 
+    def test_missing_report_directory_exit_2_before_running(self, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        proc = run_cli(["verify", "all", "--json", str(path)])
+        assert proc.returncode == 2
+        assert str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_non_integer_env_seed_exit_2_with_reason(self):
+        proc = run_cli(["verify", "E1", "--suite", "core"], env_extra={"FRAMELIFT_SEED": "abc"})
+        assert proc.returncode == 2
+        assert "FRAMELIFT_SEED" in proc.stderr and "'abc'" in proc.stderr
+        assert proc.stdout == ""
+
     def test_warped_theorems_exit_1(self):
         # the warped entry is a genuine counterexample to the two-sided
         # conformality expectation, so its theorem suite reports failure

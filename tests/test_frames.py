@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from framelift.catalog import euclidean_chart, sphere_chart
+from framelift.adapted import adapted_chart
+from framelift.catalog import euclidean_chart, get, sphere_chart
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import (
     Frame,
@@ -16,6 +17,7 @@ from framelift.frames import (
     horizontal_lift_frame,
     induced_metric_on_chart,
     lc_connection_formula,
+    mok_gram,
     mok_metric,
     mok_norm,
     om_chart,
@@ -26,6 +28,7 @@ from framelift.frames import (
     vertical_part,
 )
 from framelift.geometry import TangentVector, metric_eval, sample_points
+from framelift.submersion import derive_geometry
 
 R1 = euclidean_chart(1)
 R2 = euclidean_chart(2)
@@ -304,3 +307,64 @@ class TestRightInvariance:
         uk = Frame(p, u.columns @ Q)
         sk = FrameTangent(uk, s.base_rate, s.frame_rate @ Q)
         assert abs(mok_metric(S2, s, s) - mok_metric(S2, sk, sk)) < 1e-12
+
+
+def bundle_chart_point(example, bundle):
+    """A bundle chart over the source of a catalog example and a point off the identity frame."""
+    phi = get(example).phi
+    M = phi.source
+    rng = np.random.default_rng(11)
+    x = sample_points(M, 12, 1)[0]
+    if bundle == "L":
+        chart = LMChart(M)
+        E = reference_frame(M, x) @ (np.eye(M.dim) + 0.3 * rng.standard_normal((M.dim, M.dim)))
+        return chart, chart.join(x, E)
+    chart = om_chart(M) if bundle == "O" else adapted_chart(M, derive_geometry(phi).horizontal)
+    return chart, chart.join(x, 0.4 * rng.standard_normal(len(chart.basis)))
+
+
+EXAMPLE_BUNDLES = [(e, b) for e in ("E1", "E2", "E3", "E4", "E5") for b in ("L", "O", "D")]
+
+
+class TestOnePassAssembly:
+    @pytest.mark.parametrize("example,bundle", EXAMPLE_BUNDLES)
+    def test_induced_metric_matches_pairwise_mok_metric(self, example, bundle):
+        chart, q = bundle_chart_point(example, bundle)
+        G = induced_metric_on_chart(chart, q)
+        m = chart.dim
+        tangents = [chart.chart_to_tangent(q, e) for e in np.eye(m)]
+        ref = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i, m):
+                ref[i, j] = ref[j, i] = mok_metric(chart.manifold, tangents[i], tangents[j])
+        assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("example,bundle", EXAMPLE_BUNDLES)
+    def test_tangent_rows_match_central_differences_of_decode(self, example, bundle):
+        chart, q = bundle_chart_point(example, bundle)
+        h = 1e-6
+        for k, t in enumerate(chart.chart_to_tangents(q, np.eye(chart.dim))):
+            dq = np.zeros(chart.dim)
+            dq[k] = h
+            up, down = chart.decode(q + dq), chart.decode(q - dq)
+            assert np.max(np.abs(t.base_rate - (up.base - down.base) / (2 * h))) < 1e-7
+            assert np.max(np.abs(t.frame_rate - (up.columns - down.columns) / (2 * h))) < 1e-7
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_tangent_rows_share_the_decoded_frame(self, bundle):
+        chart, q = bundle_chart_point("E3", bundle)
+        tangents = chart.chart_to_tangents(q, np.eye(chart.dim))
+        u = chart.decode(q)
+        assert all(t.at is tangents[0].at for t in tangents)
+        assert np.array_equal(tangents[0].at.base, u.base)
+        assert np.array_equal(tangents[0].at.columns, u.columns)
+
+    def test_gram_rejects_tangents_at_different_frames(self):
+        p = np.array([0.2, 0.1])
+        u = on_frame(S2, p)
+        v = Frame(p, u.columns @ np.diag([1.0, -1.0]))
+        s = fundamental_vertical(np.eye(2), u)
+        t = fundamental_vertical(np.eye(2), v)
+        assert mok_gram(S2, [s, s]).shape == (2, 2)
+        with pytest.raises(ValueError):
+            mok_gram(S2, [s, t])
