@@ -23,8 +23,10 @@ from .geometry import (
     TangentVector,
     VectorField,
     central_diff,
-    constant_field,
+    christoffel,
+    christoffel_contract,
     covariant_derivative,
+    directional_diff,
     gram_schmidt,
     metric_eval,
     skew_defect,
@@ -190,32 +192,41 @@ def S_tensor(
     return TangentVector(p, out)
 
 
+def _S_endos(
+    M: ChartManifold, D: DistributionSpec, xs: Sequence[Array], p: Array,
+    cfg: FDConfig = DEFAULT_FD,
+) -> list[Array]:
+    """S_x at p for each x in ``xs``, from P(p) and Gamma(p) evaluated once.
+
+    Column j of S_x is Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With
+    nabla_x(P e_j) = (d_x P) e_j + Gamma_x P e_j and d_x Pc = -d_x P this is
+    Pc (d_x P + Gamma_x P) + P (Gamma_x Pc - d_x P), where d_x P is the
+    central difference of the projector along x that ``S_tensor`` takes.
+    """
+    P = D.projector(p)
+    Pc = np.eye(P.shape[0]) - P
+    gamma = christoffel(M, p, cfg)
+    out = []
+    for x in xs:
+        dP = directional_diff(D.projector, p, x, cfg.step_h)
+        Gx = christoffel_contract(gamma, np.asarray(x, dtype=float))
+        out.append(Pc @ (dP + Gx @ P) + P @ (Gx @ Pc - dP))
+    return out
+
+
 def S_endo(
     M: ChartManifold, D: DistributionSpec, x: Array, p: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """S_x as an endomorphism value at p (columns S_x applied to coordinates)."""
-    Xf = constant_field(x)
-    cols = []
-    n = p.size
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        cols.append(S_tensor(M, D, Xf, constant_field(ej), p, cfg).components)
-    return np.column_stack(cols)
+    return _S_endos(M, D, [x], p, cfg)[0]
 
 
 def S_components(
     M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
 ) -> Array:
     """S[k, i, j] = (S_{d_i} d_j)^k at p."""
-    n = p.size
-    S = np.zeros((n, n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
-        S[:, i, :] = S_endo(M, D, ei, p, cfg)
-    return S
+    return np.stack(_S_endos(M, D, np.eye(p.size), p, cfg), axis=1)
 
 
 def torsion_TD(
@@ -239,8 +250,6 @@ def adapted_christoffel(
 
     Not symmetric in (i, j): the adapted connection has torsion.
     """
-    from .geometry import christoffel
-
     return christoffel(M, p, cfg) - S_components(M, D, p, cfg)
 
 
@@ -333,12 +342,15 @@ def W_endo(
     g-self-adjoint and positive definite (identity plus a Gram matrix), so
     always invertible; reduces to the identity when D is parallel.
     """
-    g = metric_eval(M, p)
-    S_list = [S_endo(M, D, e.components, p, cfg) for e in onb]
+    S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
+    return _W_matrix(metric_eval(M, p), S_list, onb)
+
+
+def _W_matrix(g: Array, S_list: Sequence[Array], onb: Sequence[TangentVector]) -> Array:
+    """W as a chart matrix from S_{e_i} over the g-orthonormal basis ``onb``."""
     n = len(onb)
     G = np.zeros((n, n))
     for i in range(n):
-        Si_cols = S_list[i]
         for j in range(i, n):
             val = 0.0
             for e in onb:
@@ -370,14 +382,13 @@ def L_P_apply(
     b = block_decompose(nP, D, p)
     nPm = b.off1 + b.off2
     vec = RP @ x
-    for e in onb:
-        Se = S_endo(M, D, e.components, p, cfg)
+    S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
+    for e, Se in zip(onb, S_list):
         coef = 0.0
         for f in onb:
             coef += float((nPm @ f.components) @ g @ (Se @ f.components))
         vec = vec + m_term_sign * coef * e.components
-    W = W_endo(M, D, p, onb, cfg)
-    return W_inverse_apply(W, vec)
+    return W_inverse_apply(_W_matrix(g, S_list, onb), vec)
 
 
 # ---------------------------------------------------------------------------

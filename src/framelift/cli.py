@@ -7,9 +7,14 @@ Commands:
       [--json PATH]
 
 Exit status: 0 when every asserted check passes, 1 when any asserted check
-fails or is inconclusive, 2 on a configuration error.  Audit rows are
-informational and never affect the status.  The environment variable
-FRAMELIFT_SEED overrides the default seed.
+fails or is inconclusive, 2 on a configuration error, including a sample
+point or a difference stencil that leaves a chart during the run.  Audit
+rows are informational and never affect the status.  The environment
+variable FRAMELIFT_SEED overrides the default seed.
+
+``main`` lets that run-time ``DomainError`` propagate, so an in-process
+caller can tell it from a failed check; ``run``, the process entry point,
+turns it into exit status 2 and a message on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import sys
 from typing import Optional
 
 from .catalog import entries, get
-from .geometry import FDConfig
+from .geometry import DomainError, FDConfig
 from .reporting import reports_to_json, summarize
 from .suites import SUITE_ORDER, run_suites
 
@@ -119,7 +124,11 @@ def cmd_verify(args) -> int:
 
     results = []
     for e in selected:
-        results.extend(run_suites(e, suites, cfg, seed, args.samples))
+        for s in suites:
+            try:
+                results.extend(run_suites(e, [s], cfg, seed, args.samples))
+            except DomainError as exc:
+                raise DomainError(f"{e.id} suite {s}: {exc}") from exc
 
     width = max((len(r.name) for r in results), default=20)
     for r in results:
@@ -150,5 +159,14 @@ def main(argv=None) -> int:
     return 2
 
 
+def run(argv=None) -> int:
+    """Process entry point: ``main``, with a run-time DomainError as exit status 2."""
+    try:
+        return main(argv)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -43,7 +43,7 @@ from .frames import (
 )
 from .adapted import (
     DistributionSpec,
-    S_endo,
+    S_components,
     W_endo,
     W_inverse_apply,
     adapted_chart,
@@ -53,10 +53,6 @@ from .adapted import (
     od_tangency_residual,
     torsion_TD,
 )
-
-# frames of pushed-forward horizontal vectors live on L(N); keep the name
-LiftedFrame = Frame
-
 
 @dataclass(frozen=True)
 class SubmersionSpec:
@@ -257,14 +253,7 @@ def A_Y_endo(
     Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
     if np.max(np.abs(Pi_V @ Y.components - Y.components)) > 1e-6 * (1 + np.linalg.norm(Y.components)):
         raise ValueError("A_Y requires a vertical argument")
-    n = phi.source.dim
-    cols = []
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        Sj = S_endo(phi.source, geom.horizontal, ej, p, cfg)
-        cols.append(Sj @ Y.components)
-    A = np.column_stack(cols)  # A[:, j] = S_{e_j} Y
+    A = S_components(phi.source, geom.horizontal, p, cfg) @ Y.components  # A[:, j] = S_{e_j} Y
     return Pi_H @ A @ Pi_H
 
 
@@ -402,7 +391,7 @@ def adapted_endo_field(
 # the lift to frame bundles
 # ---------------------------------------------------------------------------
 
-def lift_map(geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD) -> LiftedFrame:
+def lift_map(geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD) -> Frame:
     """Push the first k frame vectors forward: a frame on the target."""
     phi = geom.phi
     if od_membership_defect(phi.source, geom.horizontal, u) > 1e-6:

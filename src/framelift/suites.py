@@ -23,6 +23,7 @@ from .geometry import (
     gram_schmidt,
     lie_bracket,
     metric_eval,
+    norm,
     orthonormal_basis,
     sample_points,
 )
@@ -107,11 +108,6 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng([seed, *tags])
 
 
-def _norm(M, p, v) -> float:
-    g = metric_eval(M, p)
-    return float(np.sqrt(max(v @ g @ v, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # core chart calculus
 # ---------------------------------------------------------------------------
@@ -150,14 +146,14 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
             br = lie_bracket(X, Y, p, cfg).components
             tf = covariant_derivative(M, X, Y, p, cfg).components - covariant_derivative(M, Y, X, p, cfg).components - br
-            torsion = max(torsion, _norm(M, p, tf))
+            torsion = max(torsion, norm(M, p, tf))
 
             onb = orthonormal_basis(M, p)
             x, y, z = (rng.standard_normal(M.dim) for _ in range(3))
             bx = curvature(M, TangentVector(p, x), TangentVector(p, y), TangentVector(p, z), cfg).components
             by = curvature(M, TangentVector(p, y), TangentVector(p, z), TangentVector(p, x), cfg).components
             bz = curvature(M, TangentVector(p, z), TangentVector(p, x), TangentVector(p, y), cfg).components
-            bianchi = max(bianchi, _norm(M, p, bx + by + bz))
+            bianchi = max(bianchi, norm(M, p, bx + by + bz))
 
             if exact:
                 from .geometry import central_diff
@@ -536,7 +532,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         g = metric_eval(M, p)
         Ytop = VectorField(eval=lambda q: D.projector(q) @ (np.ones(M.dim) + 0.3 * q))
         nd = nabla_D(M, D, X, Ytop, p, cfg).components
-        preserve = max(preserve, _norm(M, p, Pic @ nd))
+        preserve = max(preserve, norm(M, p, Pic @ nd))
         Y = polynomial_vector_field(M.dim, rng)
         Z = polynomial_vector_field(M.dim, rng)
 
@@ -584,7 +580,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             for b in range(a + 1, len(hb)):
                 td = torsion_TD(M, D, constant_field(hb[a].components),
                                 constant_field(hb[b].components), p, cfg)
-                integ = max(integ, _norm(M, p, td.components))
+                integ = max(integ, norm(M, p, td.components))
     if entry.h_integrable:
         out.append(make_check(f"{entry.id}.adapted.torsion_integrable",
                               "adapted torsion vanishes on the distribution",

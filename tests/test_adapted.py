@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import framelift.adapted as adapted_module
 from framelift.adapted import (
     BlockDecomposition,
     DistributionSpec,
     L_P_apply,
+    S_components,
     S_endo,
     S_tensor,
     W_endo,
@@ -37,7 +39,7 @@ from framelift.geometry import (
     metric_eval,
     sample_points,
 )
-from framelift.submersion import derive_geometry
+from framelift.submersion import A_Y_endo, derive_geometry
 
 R3 = euclidean_chart(3)
 
@@ -171,6 +173,93 @@ class TestDifferenceTensor:
         x, y, z = rng.standard_normal((3, 3))
         Sx = S_endo(M3, D3, x, p)
         assert abs(float((Sx @ y) @ g @ z) + float(y @ g @ (Sx @ z))) < 1e-8
+
+
+def _example_distribution(eid: str):
+    phi = get(eid).phi
+    geom = derive_geometry(phi)
+    return phi.source, geom.horizontal, geom
+
+
+class TestBatchedS:
+    """S_endo / S_components / A_Y_endo against the field-level S_tensor."""
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_columns_match_the_definition(self, eid):
+        M, D, _ = _example_distribution(eid)
+        rng = np.random.default_rng(40)
+        n = M.dim
+        for p in sample_points(M, 40, 3):
+            for x in [np.zeros(n), *rng.standard_normal((2, n))]:
+                Sx = S_endo(M, D, x, p)
+                ref = np.column_stack([
+                    S_tensor(M, D, constant_field(x), constant_field(e), p).components
+                    for e in np.eye(n)])
+                assert np.max(np.abs(Sx - ref)) <= 1e-9 * (1.0 + np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_components_are_the_rows_of_S_endo(self, eid):
+        M, D, _ = _example_distribution(eid)
+        for p in sample_points(M, 41, 2):
+            S = S_components(M, D, p)
+            for i, e in enumerate(np.eye(M.dim)):
+                assert np.array_equal(S[:, i, :], S_endo(M, D, e, p))
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_A_Y_matches_the_per_column_loop(self, eid):
+        M, D, geom = _example_distribution(eid)
+        rng = np.random.default_rng(42)
+        for p in sample_points(M, 42, 2):
+            Pi = D.projector(p)
+            Y = (np.eye(M.dim) - Pi) @ rng.standard_normal(M.dim)
+            loop = np.column_stack([S_endo(M, D, e, p) @ Y for e in np.eye(M.dim)])
+            got = A_Y_endo(geom, TangentVector(p, Y))
+            assert np.max(np.abs(got - Pi @ loop @ Pi)) <= 1e-12
+
+
+class TestSCallCount:
+    """One S_x batch costs one Christoffel and one projector stencil per row."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"christoffel": 0, "projector": 0}
+        christoffel = adapted_module.christoffel
+        projector = DistributionSpec.projector
+
+        def counting_christoffel(*args, **kwargs):
+            tally["christoffel"] += 1
+            return christoffel(*args, **kwargs)
+
+        def counting_projector(self, p):
+            tally["projector"] += 1
+            return projector(self, p)
+
+        monkeypatch.setattr(adapted_module, "christoffel", counting_christoffel)
+        monkeypatch.setattr(DistributionSpec, "projector", counting_projector)
+        return tally
+
+    def test_S_components(self, counts):
+        p = sample_points(M3, 43, 1)[0]
+        S_components(M3, D3, p)
+        assert counts == {"christoffel": 1, "projector": 2 * M3.dim + 1}
+
+    def test_W_endo(self, counts):
+        p = sample_points(M3, 44, 1)[0]
+        u = adapted_frame(M3, D3, p)
+        onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
+        counts.update(christoffel=0, projector=0)
+        W_endo(M3, D3, p, onb)
+        assert counts == {"christoffel": 1, "projector": 2 * M3.dim + 1}
+
+    def test_L_P_apply_assembles_S_once(self, counts):
+        p = sample_points(M3, 45, 1)[0]
+        u = adapted_frame(M3, D3, p)
+        onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
+        P = EndomorphismField(eval=lambda q: np.outer(q, [1.0, 0.0, -1.0]))
+        counts.update(christoffel=0, projector=0)
+        L_P_apply(M3, D3, P, np.array([0.3, -0.2, 0.4]), p, onb)
+        # S over the basis once; block_decompose reads P(p) once more
+        assert counts == {"christoffel": 1, "projector": 2 * M3.dim + 2}
 
 
 class TestTorsion:

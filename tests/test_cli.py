@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from framelift.cli import main
+from framelift.geometry import DomainError
 from framelift.reporting import strip_wall_times
 
 
@@ -70,6 +71,17 @@ class TestVerify:
         assert "FRAMELIFT_SEED" in proc.stderr and "'abc'" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("extra, where", [
+        (["--h", "0.3", "--h2", "0.5"], "stencil leaves chart domain"),
+        (["--seed", "5"], "outside chart domain of S2(1/2)"),
+    ])
+    def test_domain_error_during_run_exit_2_with_message(self, extra, where):
+        # seed 5 samples E3's target box outside the domain of S2(1/2)
+        proc = run_cli(["verify", "E3", "--suite", "core", *extra])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "E3 suite core" in proc.stderr and where in proc.stderr
+
     def test_warped_theorems_exit_1(self):
         # the warped entry is a genuine counterexample to the two-sided
         # conformality expectation, so its theorem suite reports failure
@@ -121,6 +133,11 @@ class TestInProcess:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "(audit)" in out
+
+    def test_main_lets_a_domain_error_through(self, capsys):
+        # in-process callers tell a point outside the chart from a failed check
+        with pytest.raises(DomainError, match="E3 suite core"):
+            main(["verify", "E3", "--suite", "core", "--seed", "5"])
 
     def test_report_schema(self, tmp_path, capsys):
         path = tmp_path / "r.json"
