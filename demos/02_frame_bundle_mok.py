@@ -64,17 +64,17 @@ Y = polynomial_vector_field(2, rng)
 P = polynomial_endo_field(2, rng)
 Q = polynomial_endo_field(2, rng)
 lm = LMChart(S2)
+brackets = {}
 for case, inputs, label in (
     ("hh", (X, Y), "[X^h, Y^h] = [X,Y]^h - R(X,Y)*"),
     ("hv", (X, Q), "[X^h, Q*]  = (nabla_X Q)*"),
     ("vv", (P, Q), "[P*, Q*]   = -[P,Q]*"),
 ):
-    res = bracket_residual(S2, lm, case, inputs, u)
-    print(f"bracket {case}: {label:<38s} residual {res:.2e}")
-res_wrong = bracket_residual(S2, lm, "hv", (X, Q), u, variant="literal")
-print(f"(the opposite sign for the hv bracket misses by {res_wrong:.2f})")
+    brackets[case] = bracket_residual(S2, lm, case, inputs, u)
+    print(f"bracket {case}: {label:<38s} residual {brackets[case]['resolved']:.2e}")
+print(f"(the opposite sign for the hv bracket misses by {brackets['hv']['literal']:.2f})")
 
 print("\nconnection formulas against the oracle:")
 for row in connection_audit(S2, "L", u, dict(X=X, Y=Y, P=P, Q=Q)):
-    mark = "  " if row["variant"] == "resolved" else "  [displayed reading]"
-    print(f"  L({row['case']}) {row['variant']:<9s} residual {row['residual']:.2e}{mark}")
+    mark = "  " if row["asserted"] else "  [displayed reading]"
+    print(f"  L({row['case']}) {row['reading']:<9s} residual {row['residual']:.2e}{mark}")

@@ -63,10 +63,9 @@ print(np.linalg.inv(u.columns) @ W @ u.columns)
 print("\n== the curvature relation ==")
 rng = np.random.default_rng(2)
 x, y, z = rng.standard_normal((3, 2))
-print("residual with the tensorial derivative convention:",
-      curvature_relation_residual(M, D, x, y, z, p, convention="standard"))
-print("residual with the displayed third-term convention:",
-      curvature_relation_residual(M, D, x, y, z, p, convention="display"))
+rel = curvature_relation_residual(M, D, x, y, z, p)
+print("residual with the tensorial derivative convention:", rel["standard"])
+print("residual with the displayed third-term convention:", rel["display"])
 
 print("\n== the adapted horizontal lift ==")
 x = rng.standard_normal(2)

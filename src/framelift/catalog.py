@@ -33,7 +33,6 @@ def euclidean_chart(n: int, half_width: float = 1.5, name: str = "") -> ChartMan
         domain_predicate=lambda p: bool(np.all(np.abs(p) < 10.0)),
         domain_sampler=box_sampler([-half_width] * n, [half_width] * n),
         orthonormal_frame=lambda p: eye.copy(),
-        orthonormal_frame_derivative=lambda p: np.zeros((n, n, n)),
         name=name or f"R^{n}",
     )
 
@@ -63,14 +62,6 @@ def sphere_chart(n: int, scale: float = 1.0, box: float = 0.6, name: str = "") -
     def frame(p: Array) -> Array:
         return np.eye(n) / np.sqrt(conf(p))
 
-    def dframe(p: Array) -> Array:
-        w = 1.0 + float(p @ p)
-        out = np.zeros((n, n, n))
-        for k in range(n):
-            # d_k of w / sqrt(s) times the identity
-            out[k] = (2.0 * p[k] / np.sqrt(s)) * np.eye(n)
-        return out
-
     return ChartManifold(
         dim=n,
         metric_field=metric,
@@ -78,7 +69,6 @@ def sphere_chart(n: int, scale: float = 1.0, box: float = 0.6, name: str = "") -
         domain_predicate=lambda p: bool(p @ p < 4.0),
         domain_sampler=box_sampler([-box] * n, [box] * n),
         orthonormal_frame=frame,
-        orthonormal_frame_derivative=dframe,
         name=name or f"S^{n}(stereo, scale={scale})",
     )
 
@@ -110,12 +100,6 @@ def product_sphere_circle_chart(box: float = 0.5, name: str = "S2xS1") -> ChartM
         E[0, 0] = E[1, 1] = c
         return E
 
-    def dframe(p: Array) -> Array:
-        out = np.zeros((n, n, n))
-        for k in range(2):
-            out[k, 0, 0] = out[k, 1, 1] = p[k]
-        return out
-
     return ChartManifold(
         dim=n,
         metric_field=metric,
@@ -123,7 +107,6 @@ def product_sphere_circle_chart(box: float = 0.5, name: str = "S2xS1") -> ChartM
         domain_predicate=lambda p: bool(p[0] ** 2 + p[1] ** 2 < 4.0),
         domain_sampler=box_sampler([-box, -box, -1.0], [box, box, 1.0]),
         orthonormal_frame=frame,
-        orthonormal_frame_derivative=dframe,
         name=name,
     )
 
@@ -142,11 +125,6 @@ def warped_plane_chart(name: str = "warped") -> ChartManifold:
     def frame(p: Array) -> Array:
         return np.diag([1.0, np.exp(-p[0])])
 
-    def dframe(p: Array) -> Array:
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = -np.exp(-p[0])
-        return out
-
     return ChartManifold(
         dim=2,
         metric_field=metric,
@@ -154,7 +132,6 @@ def warped_plane_chart(name: str = "warped") -> ChartManifold:
         domain_predicate=lambda p: bool(abs(p[0]) < 3.0),
         domain_sampler=box_sampler([-0.5, -1.0], [0.5, 1.0]),
         orthonormal_frame=frame,
-        orthonormal_frame_derivative=dframe,
         name=name,
     )
 

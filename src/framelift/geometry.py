@@ -74,8 +74,6 @@ class ChartManifold:
         Exact reference orthonormal frame field p -> (dim, dim) matrix whose
         columns are g-orthonormal.  Defaults to Gram-Schmidt of the
         coordinate basis.
-    orthonormal_frame_derivative : callable, optional
-        p -> (dim, dim, dim) array D[k] = d_k of the reference frame.
     """
 
     dim: int
@@ -84,7 +82,6 @@ class ChartManifold:
     domain_predicate: Callable[[Array], bool] = _always
     domain_sampler: Optional[Callable[[int, int], Array]] = None
     orthonormal_frame: Optional[Callable[[Array], Array]] = None
-    orthonormal_frame_derivative: Optional[Callable[[Array], Array]] = None
     name: str = ""
 
     def contains(self, p: Array) -> bool:
@@ -332,23 +329,22 @@ def curvature(
 
 def curvature_R_P(
     M: ChartManifold,
+    p: Array,
     P: Array,
-    X: TangentVector,
     onb: Sequence[TangentVector],
     cfg: FDConfig = DEFAULT_FD,
-) -> TangentVector:
-    """R_P(X) = sum_i R(e_i, P(e_i)) X over a g-orthonormal basis.
+) -> Array:
+    """R_P = sum_i R(e_i, P(e_i)) over a g-orthonormal basis, as an endomorphism value at p.
 
-    ``P`` is the endomorphism value (matrix) at the base point of X.
+    ``P`` is the endomorphism value (matrix) at p.
     """
-    p = X.base
     if orthonormality_defect(M, p, onb) > cfg.tol_exact * 100:
         raise ValueError("basis is not g-orthonormal at the base point")
     R = curvature_tensor(M, p, cfg)
-    out = np.zeros(M.dim)
+    out = np.zeros((M.dim, M.dim))
     for e in onb:
-        out += np.einsum("ijkl,i,j,k->l", R, e.components, P @ e.components, X.components)
-    return TangentVector(p, out)
+        out += np.einsum("ijkl,i,j->lk", R, e.components, P @ e.components)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,11 @@ from .frames import (
     LMChart,
     fundamental_vertical,
     horizontal_lift_frame,
+    induced_metric_on_chart,
     mok_gram,
     mok_orthonormalize,
     skew_basis,
+    total_space_manifold,
 )
 from .adapted import (
     DistributionSpec,
@@ -259,22 +261,27 @@ def A_Y_endo(
 
 def A_identity_residual(
     geom: SubmersionGeometry, X: TangentVector, Y: TangentVector,
-    cfg: FDConfig = DEFAULT_FD, sign: float = -1.0,
-) -> float:
+    cfg: FDConfig = DEFAULT_FD,
+) -> dict[str, float]:
     """Residual of phi_* A_Y(X) = sign * Pi_phi(X, Y) for horizontal X, vertical Y.
 
-    The identity holds with ``sign=-1`` under the definitions used here
-    (A via the difference tensor, the second fundamental form via the
-    pullback connection); ``sign=+1`` is kept for diagnostics.
+    The identity holds with sign -1 ("asserted") under the definitions used
+    here (A via the difference tensor, the second fundamental form via the
+    pullback connection); the printed sign +1 ("printed") is kept for
+    diagnostics.  Both come from one evaluation of J, A_Y and the second
+    fundamental form.
     """
     phi = geom.phi
     p = X.base
     J = differential_matrix(phi, p, cfg)
     lhs = J @ (A_Y_endo(geom, Y, cfg) @ X.components)
-    rhs = sign * second_fundamental_form(phi, X, Y, cfg)
+    sff = second_fundamental_form(phi, X, Y, cfg)
     gN = metric_eval(phi.target, phi.value(p))
-    d = lhs - rhs
-    return float(np.sqrt(max(d @ gN @ d, 0.0)))
+    out = {}
+    for reading, sign in (("asserted", -1.0), ("printed", +1.0)):
+        d = lhs - sign * sff
+        out[reading] = float(np.sqrt(max(d @ gN @ d, 0.0)))
+    return out
 
 
 def Pi_X_endo(
@@ -752,8 +759,6 @@ def lift_tension_direct(
     tangent to the image of the lift differential, and of the normal
     remainder.  Expensive; intended for low-dimensional examples only.
     """
-    from .frames import induced_metric_on_chart, total_space_manifold
-
     phi = geom.phi
     M, D = phi.source, geom.horizontal
     src_chart = adapted_chart(M, D)

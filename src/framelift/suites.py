@@ -15,10 +15,12 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    central_diff,
     christoffel,
     constant_field,
     covariant_derivative,
     curvature,
+    directional_diff,
     endo_inner,
     gram_schmidt,
     lie_bracket,
@@ -38,7 +40,6 @@ from .frames import (
     mok_metric,
     mok_norm,
     om_chart,
-    om_chart_encode,
     reference_frame,
     total_space_manifold,
     vertical_part,
@@ -96,6 +97,7 @@ from .tangent import (
     tm_distributions,
     tm_distributions_displayed_h,
     tm_horizontal_lift,
+    tm_kernel_constant_extension,
     tm_split,
     tm_vertical_lift,
 )
@@ -137,7 +139,6 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             def gYZ(q):
                 return np.array([float(Y.eval(q) @ metric_eval(M, q) @ Z.eval(q))])
 
-            from .geometry import directional_diff
             lhs = directional_diff(gYZ, p, X.eval(p), cfg.step_h)[0]
             nXY = covariant_derivative(M, X, Y, p, cfg).components
             nXZ = covariant_derivative(M, X, Z, p, cfg).components
@@ -156,7 +157,6 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             bianchi = max(bianchi, norm(M, p, bx + by + bz))
 
             if exact:
-                from .geometry import central_diff
                 fd = central_diff(M.metric_field, p, cfg.step_h)
                 dg_agree = max(dg_agree, float(np.max(np.abs(fd - M.metric_derivative(p)))))
 
@@ -277,8 +277,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         for h in tm_distributions_displayed_h(phi, Z, cfg, geom=geom):
             for v in Vb:
                 disp_gap = max(disp_gap, abs(sasaki_mok_tm(M, v, h, cfg)))
-        Vc, _ = tm_distributions(phi, Z, cfg, geom=geom, extension="constant")
-        for v in Vc:
+        for v in tm_kernel_constant_extension(phi, Z, cfg, geom=geom):
             img = phi_second_differential_fd(phi, v, cfg)
             const_ext_gap = max(const_ext_gap, float(np.max(np.abs(img.base_rate))),
                                 float(np.max(np.abs(img.fiber_rate))))
@@ -369,7 +368,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         # orthonormal chart round trip
         a = 0.4 * rng.standard_normal(len(chart.basis))
         u2 = chart.decode(chart.join(p, a))
-        a2 = om_chart_encode(u2, chart)
+        _, a2 = chart.split(chart.encode(u2))
         roundtrip = max(roundtrip, float(np.max(np.abs(a - a2))))
     out.append(make_check(f"{entry.id}.frame.decomposition_exact",
                           "t = (pi_* t)^h + V(t)*", decomp, cfg.tol_exact,
@@ -396,14 +395,15 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         ("vv", (P, Q), "[P*, Q*] = -[P,Q]*"),
     ):
         worst = 0.0
-        for p in pts:
-            u = Frame(p, reference_frame(M, p))
-            worst = max(worst, bracket_residual(M, lm, case, inputs, u, cfg))
+        lit = 0.0
+        for i, p in enumerate(pts):
+            res = bracket_residual(M, lm, case, inputs, Frame(p, reference_frame(M, p)), cfg)
+            worst = max(worst, res["resolved"])
+            if "literal" in res and i < 2:
+                lit = max(lit, res["literal"])
         out.append(make_check(f"{entry.id}.frame.bracket.{case}", ident, worst,
                               cfg.tol_fd2, samples=samples, wall_ms=sw.lap_ms()))
         if case == "hv":
-            lit = max(bracket_residual(M, lm, case, inputs, Frame(p, reference_frame(M, p)),
-                                       cfg, variant="literal") for p in pts[:2])
             out.append(make_check(f"{entry.id}.frame.bracket.hv_literal_sign",
                                   "[X^h, Q*] = -(nabla_X Q)* (diagnostic)", lit,
                                   cfg.tol_fd2, kind="audit", wall_ms=sw.lap_ms()))
@@ -420,7 +420,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             u = Frame(p, reference_frame(M, p))
             for row in connection_audit(M, bundle, u, fields, cfg):
                 key = row["case"]
-                d = tracked if row["variant"] == "resolved" else tracked_lit
+                d = tracked if row["asserted"] else tracked_lit
                 d[key] = max(d.get(key, 0.0), row["residual"])
         for case, worst in tracked.items():
             out.append(make_check(f"{entry.id}.frame.connection.{bundle}.{case}",
@@ -451,7 +451,6 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     def gAB(qq):
         return np.array([float(A.eval(qq) @ metric_eval(total, qq) @ B.eval(qq))])
 
-    from .geometry import directional_diff
     C = polynomial_vector_field(total.dim, rngt, exact_jacobian=False)
     lhs = directional_diff(gAB, q, C.eval(q), cfg.step_h2)[0]
     nCA = covariant_derivative(total, C, A, q, cfg_total).components
@@ -476,7 +475,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         tag = "best" if row["best_match"] else "alt"
         out.append(make_check(
             f"{entry.id}.frame.adapted_connection.{row['case']}.{tag}",
-            row["variant"], row["residual"], cfg.tol_fd2, kind="audit", wall_ms=sw.lap_ms()))
+            row["reading"], row["residual"], cfg.tol_fd2, kind="audit", wall_ms=sw.lap_ms()))
     return out
 
 
@@ -539,7 +538,6 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         def gYZ(q):
             return np.array([float(Y.eval(q) @ metric_eval(M, q) @ Z.eval(q))])
 
-        from .geometry import directional_diff
         lhs = directional_diff(gYZ, p, X.eval(p), cfg.step_h)[0]
         a = nabla_D(M, D, X, Y, p, cfg).components
         b = nabla_D(M, D, X, Z, p, cfg).components
@@ -595,8 +593,9 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     rel_disp = 0.0
     for p in pts[:3]:
         x, y, z = (rng.standard_normal(M.dim) for _ in range(3))
-        rel = max(rel, curvature_relation_residual(M, D, x, y, z, p, cfg, convention="standard"))
-        rel_disp = max(rel_disp, curvature_relation_residual(M, D, x, y, z, p, cfg, convention="display"))
+        res = curvature_relation_residual(M, D, x, y, z, p, cfg)
+        rel = max(rel, res["standard"])
+        rel_disp = max(rel_disp, res["display"])
     out.append(make_check(f"{entry.id}.adapted.curvature_relation",
                           "R = RD + antisymmetrized nabla S + S_torsion + [S,S]",
                           rel, cfg.tol_fd2, samples=3, wall_ms=sw.lap_ms()))
@@ -672,7 +671,6 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     split_id = 0.0
     for p in pts:
         if phi.jacobian is not None:
-            from .geometry import central_diff
             fd = central_diff(phi.map, p, cfg.step_h).T
             jd = max(jd, float(np.max(np.abs(fd - phi.jacobian(p)))))
         Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
@@ -717,8 +715,9 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         sym = max(sym, float(np.sqrt(max((v1 - v2) @ gN @ (v1 - v2), 0.0))))
         for X in horizontal_basis(geom, p):
             for Y in vertical_basis(geom, p):
-                aid = max(aid, A_identity_residual(geom, X, Y, cfg, sign=-1.0))
-                aid_plus = max(aid_plus, A_identity_residual(geom, X, Y, cfg, sign=+1.0))
+                res = A_identity_residual(geom, X, Y, cfg)
+                aid = max(aid, res["asserted"])
+                aid_plus = max(aid_plus, res["printed"])
         X = TangentVector(p, rng.standard_normal(M.dim))
         pix = max(pix, float(np.max(np.abs(Pi_X_endo(geom, X, cfg) - Pi_X_endo_alt(geom, X, cfg)))))
     out.append(make_check(f"{entry.id}.lift.second_fundamental_symmetric",

@@ -8,7 +8,7 @@ the kernel/orthogonal distributions of that second differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,8 +31,10 @@ from .submersion import (
     SubmersionGeometry,
     derive_geometry,
     differential_matrix,
+    horizontal_basis,
     second_fundamental_form,
     splitting_projectors,
+    vertical_basis,
 )
 
 
@@ -203,44 +205,41 @@ def _horizontal_extension(geom: SubmersionGeometry, x_val: Array, cfg: FDConfig)
     return VectorField(eval=ev)
 
 
+def _kernel_basis(
+    geom: SubmersionGeometry, Z: TMPoint, cfg: FDConfig,
+    extend: Callable[[Array], VectorField],
+) -> list[TMTangent]:
+    """Vertical lifts of vertical vectors, then their horizontal lifts
+    corrected by the horizontal part of nabla_Z of ``extend(e)``."""
+    M = geom.phi.source
+    p = Z.base
+    _, Pi_H = splitting_projectors(geom.phi, p, cfg)
+    Zvec = constant_field(Z.fiber)
+    out = [tm_vertical_lift(e, Z) for e in vertical_basis(geom, p)]
+    for e in vertical_basis(geom, p):
+        nab = covariant_derivative(M, Zvec, extend(e.components), p, cfg)
+        corr = TangentVector(p, Pi_H @ nab.components)
+        out.append(tm_horizontal_lift(M, e, Z, cfg) + tm_vertical_lift(corr, Z))
+    return out
+
+
 def tm_distributions(
     phi: SubmersionSpec, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
     geom: Optional[SubmersionGeometry] = None,
-    extension: str = "projected",
 ) -> tuple[list[TMTangent], list[TMTangent]]:
     """Kernel basis and Sasaki-orthogonal complement for the tangent-bundle map.
 
     The kernel combines vertical lifts of vertical vectors with horizontal
     lifts corrected by the horizontal part of nabla_Z of a vertical
-    extension.  ``extension="projected"`` extends each vertical vector by
-    composing the vertical projector with its constant extension (which
-    keeps the extension vertical, the reading under which the kernel
-    property is an identity); ``extension="constant"`` uses the bare
-    constant extension, kept for diagnostics.  The complement is computed
-    as the Sasaki-orthogonal complement of the kernel.
+    extension: the vertical projector composed with the constant extension,
+    which keeps the extension vertical, the reading under which the kernel
+    property is an identity.  The complement is computed as the
+    Sasaki-orthogonal complement of the kernel.
     """
-    from .submersion import horizontal_basis, vertical_basis
-
     geom = geom if geom is not None else derive_geometry(phi, cfg)
     M = phi.source
-    p = Z.base
     n = M.dim
-    _, Pi_H = splitting_projectors(phi, p, cfg)
-    Zvec = constant_field(Z.fiber)
-
-    V_basis: list[TMTangent] = []
-    for e in vertical_basis(geom, p):
-        V_basis.append(tm_vertical_lift(e, Z))
-    for e in vertical_basis(geom, p):
-        if extension == "projected":
-            ext = _vertical_extension(geom, e.components, cfg)
-        elif extension == "constant":
-            ext = constant_field(e.components)
-        else:
-            raise ValueError(f"unknown extension {extension!r}")
-        nab = covariant_derivative(M, Zvec, ext, p, cfg)
-        corr = TangentVector(p, Pi_H @ nab.components)
-        V_basis.append(tm_horizontal_lift(M, e, Z, cfg) + tm_vertical_lift(corr, Z))
+    V_basis = _kernel_basis(geom, Z, cfg, lambda x: _vertical_extension(geom, x, cfg))
 
     # orthogonal complement of the kernel inside the 2n-dimensional fiber
     G = _sasaki_chart_gram(M, Z, cfg)
@@ -265,6 +264,16 @@ def tm_distributions(
     return V_basis, H_basis
 
 
+def tm_kernel_constant_extension(
+    phi: SubmersionSpec, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
+    geom: Optional[SubmersionGeometry] = None,
+) -> list[TMTangent]:
+    """The kernel formula of ``tm_distributions`` under the bare constant
+    extension of each vertical vector, kept for diagnostics."""
+    geom = geom if geom is not None else derive_geometry(phi, cfg)
+    return _kernel_basis(geom, Z, cfg, constant_field)
+
+
 def tm_distributions_displayed_h(
     phi: SubmersionSpec, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
     geom: Optional[SubmersionGeometry] = None,
@@ -275,8 +284,6 @@ def tm_distributions_displayed_h(
     the horizontal lift of the vertical part of nabla_Z of a horizontal
     extension.
     """
-    from .submersion import horizontal_basis
-
     geom = geom if geom is not None else derive_geometry(phi, cfg)
     M = phi.source
     p = Z.base

@@ -143,7 +143,7 @@ def test_criterion_02_bracket_formulas():
         w = 0.0
         for p in sample_points(S2, SEED, 10):
             u = Frame(p, reference_frame(S2, p))
-            w = max(w, bracket_residual(S2, chart, case, inputs, u, CFG))
+            w = max(w, bracket_residual(S2, chart, case, inputs, u, CFG)["resolved"])
         worst[case] = w
     ok = all(w < 5e-4 for w in worst.values())
     report(2, "bracket formulas", ok,
@@ -169,8 +169,10 @@ def test_criterion_03_connection_formulas():
             u = Frame(p, reference_frame(M, p))
             for case, inputs in (("hh", (X, Y)), ("hv", (X, Q)),
                                  ("vh", (P, Y)), ("vv", (P, Q))):
-                worst = max(worst, connection_residual(M, chart, "L", case, inputs, u, CFG))
-            worst = max(worst, connection_residual(M, ochart, "O", "vv", (Ps, Qs), u, CFG))
+                worst = max(worst, connection_residual(
+                    M, chart, "L", case, inputs, u, CFG)["resolved"])
+            worst = max(worst, connection_residual(
+                M, ochart, "O", "vv", (Ps, Qs), u, CFG)["resolved"])
 
     # the adapted-bundle displays are audited, never asserted
     from framelift.adapted import adapted_connection_audit
@@ -186,7 +188,7 @@ def test_criterion_03_connection_formulas():
     rows = adapted_connection_audit(e.phi.source, geom.horizontal, u,
                                     dict(X=Xa, Y=Ya, P=Pa, Q=Qa), CFG)
     assert rows and any(r["best_match"] for r in rows)
-    best = {r["case"]: f"{r['variant']} [{r['residual']:.2g}]"
+    best = {r["case"]: f"{r['reading']} [{r['residual']:.2g}]"
             for r in rows if r["best_match"]}
     ok = worst < 5e-4
     report(3, "connection formulas", ok,

@@ -12,10 +12,10 @@ from framelift.adapted import (
     W_endo,
     W_inverse_apply,
     adapted_chart,
+    adapted_connection_audit,
     adapted_frame,
     adapted_horizontal_lift,
     block_decompose,
-    curvature_RD,
     curvature_RD_tensor,
     curvature_relation_residual,
     m_projection,
@@ -39,7 +39,7 @@ from framelift.geometry import (
     metric_eval,
     sample_points,
 )
-from framelift.submersion import A_Y_endo, derive_geometry
+from framelift.submersion import A_Y_endo, adapted_endo_field, derive_geometry
 
 R3 = euclidean_chart(3)
 
@@ -311,10 +311,11 @@ class TestCurvatureRelation:
         rng = np.random.default_rng(9)
         p = sample_points(e2.phi.source, 11, 1)[0]
         x, y, z = rng.standard_normal((3, 3))
-        RD = curvature_RD(e2.phi.source, geom.horizontal, x, y, z, p)
+        RD = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(e2.phi.source, geom.horizontal, p),
+                       x, y, z)
         R = curvature(e2.phi.source, TangentVector(p, x), TangentVector(p, y),
                       TangentVector(p, z))
-        assert np.max(np.abs(RD.components - R.components)) < 5e-4
+        assert np.max(np.abs(RD - R.components)) < 5e-4
 
     def test_flat_relation(self):
         # with zero ambient curvature the relation balances the S-terms
@@ -324,7 +325,7 @@ class TestCurvatureRelation:
         p = np.array([0.1, 0.2, -0.1])
         x, y, z = rng.standard_normal((3, 3))
         assert curvature_relation_residual(e1.phi.source, geom.horizontal,
-                                           x, y, z, p) < 5e-4
+                                           x, y, z, p)["standard"] < 5e-4
 
     @pytest.mark.parametrize("eid", ["E2", "E3", "E4"])
     def test_relation_standard_convention(self, eid):
@@ -334,13 +335,51 @@ class TestCurvatureRelation:
         for p in sample_points(e.phi.source, 12, 2):
             x, y, z = rng.standard_normal((3, e.phi.source.dim))
             assert curvature_relation_residual(
-                e.phi.source, geom.horizontal, x, y, z, p, convention="standard") < 5e-4
+                e.phi.source, geom.horizontal, x, y, z, p)["standard"] < 5e-4
 
     def test_display_convention_fails_on_warped(self):
         rng = np.random.default_rng(12)
         p = np.array([0.2, 0.3])
         x, y, z = rng.standard_normal((3, 2))
-        assert curvature_relation_residual(M4, D4, x, y, z, p, convention="display") > 0.01
+        res = curvature_relation_residual(M4, D4, x, y, z, p)
+        assert res["display"] > 0.01
+        assert res["standard"] < 5e-4
+
+
+class TestOneEvaluationPerReading:
+    """Diagnostic readings come from the evaluation the asserted reading uses."""
+
+    def count(self, monkeypatch, name):
+        tally = []
+        real = getattr(adapted_module, name)
+
+        def counting(*args, **kwargs):
+            tally.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adapted_module, name, counting)
+        return tally
+
+    def test_curvature_relation_assembles_RD_once(self, monkeypatch):
+        calls = self.count(monkeypatch, "curvature_RD_tensor")
+        rng = np.random.default_rng(21)
+        x, y, z = rng.standard_normal((3, 2))
+        res = curvature_relation_residual(M4, D4, x, y, z, np.array([0.1, -0.2]))
+        assert len(calls) == 1
+        assert set(res) == {"standard", "display"}
+
+    def test_adapted_audit_runs_the_oracle_once_per_case(self, monkeypatch):
+        calls = self.count(monkeypatch, "lc_total_space_oracle")
+        rng = np.random.default_rng(22)
+        p = sample_points(M3, 46, 1)[0]
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
+                      P=adapted_endo_field(GEOM3, top=0.8 * J),
+                      Q=adapted_endo_field(GEOM3, top=-1.3 * J))
+        rows = adapted_connection_audit(M3, D3, adapted_frame(M3, D3, p), fields)
+        assert len(calls) == 4
+        assert [r["case"] for r in rows] == ["hh"] * 2 + ["hv"] * 3 + ["vh"] * 2 + ["vv"]
+        assert sum(r["best_match"] for r in rows) == 4
 
 
 class TestW:
@@ -398,7 +437,7 @@ class TestLP:
         J[0, 1], J[1, 0] = -1.0, 1.0
         P = EndomorphismField(eval=lambda q: J.copy())
         out = L_P_apply(R3, D, P, np.array([1.0, -1.0, 0.5]), p, onb)
-        assert np.max(np.abs(out)) < 1e-9
+        assert max(np.max(np.abs(v)) for v in out.values()) < 1e-9
 
     def test_reduces_to_R_P_when_S_vanishes(self):
         e2 = get("E2")
@@ -407,18 +446,19 @@ class TestLP:
         p = sample_points(M, 15, 1)[0]
         u = adapted_frame(M, D, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(3)]
-        from framelift.frames import curvature_R_P_endo
+        from framelift.geometry import curvature_R_P
         from framelift.submersion import adapted_endo_field
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         P = adapted_endo_field(geom, top=J)
         x = np.array([0.5, 0.2, -0.3])
-        got = L_P_apply(M, D, P, x, p, onb)
-        expect = curvature_R_P_endo(M, p, P.eval(p), onb) @ x
+        got = L_P_apply(M, D, P, x, p, onb)["printed"]
+        expect = curvature_R_P(M, p, P.eval(p), onb) @ x
         assert np.max(np.abs(got - expect)) < 1e-6
 
     def test_componentwise_reassembly(self):
         # the operator agrees with assembling its pieces by hand on E4
-        from framelift.frames import curvature_R_P_endo, endo_covariant_derivative
+        from framelift.frames import endo_covariant_derivative
+        from framelift.geometry import curvature_R_P
         p = np.array([0.2, 0.4])
         u = adapted_frame(M4, D4, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(2)]
@@ -426,8 +466,8 @@ class TestLP:
         Sfield = EndomorphismField(eval=lambda q: S_endo(M4, D4, np.array([1.0, 0.0]), q))
         P = Sfield  # any smooth g-skew field with nonzero m-part derivative
         x = np.array([0.7, -0.2])
-        got = L_P_apply(M4, D4, P, x, p, onb, m_term_sign=-1.0)
-        RP = curvature_R_P_endo(M4, p, P.eval(p), onb)
+        got = L_P_apply(M4, D4, P, x, p, onb)["printed"]
+        RP = curvature_R_P(M4, p, P.eval(p), onb)
         nP = endo_covariant_derivative(M4, P, x, p)
         b = block_decompose(nP, D4, p)
         nPm = b.off1 + b.off2

@@ -58,16 +58,6 @@ class TestChartData:
                 assert np.max(np.abs(E.T @ g @ E - np.eye(M.dim))) < 1e-12
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
-    def test_frame_derivatives_match_fd(self, eid):
-        e = get(eid)
-        for M in (e.phi.source, e.phi.target):
-            if M.orthonormal_frame_derivative is None:
-                continue
-            for p in sample_points(M, 52, 3):
-                fd = central_diff(M.orthonormal_frame, p, 1e-5)
-                assert np.max(np.abs(fd - M.orthonormal_frame_derivative(p))) < 1e-6
-
-    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_samples_stay_in_both_domains(self, eid):
         e = get(eid)
         for p in sample_points(e.phi.source, 53, 30):

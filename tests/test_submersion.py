@@ -199,13 +199,13 @@ class TestAEndomorphism:
             p = entry_point(eid)
             for X in horizontal_basis(GEOM[eid], p):
                 for Y in vertical_basis(GEOM[eid], p):
-                    assert A_identity_residual(GEOM[eid], X, Y, sign=-1.0) < 5e-4
+                    assert A_identity_residual(GEOM[eid], X, Y)["asserted"] < 5e-4
 
     def test_printed_sign_fails_on_hopf(self):
         p = entry_point("E3")
         X = horizontal_basis(GEOM["E3"], p)[0]
         Y = vertical_basis(GEOM["E3"], p)[0]
-        assert A_identity_residual(GEOM["E3"], X, Y, sign=+1.0) > 0.1
+        assert A_identity_residual(GEOM["E3"], X, Y)["printed"] > 0.1
 
     def test_rejects_horizontal_argument(self):
         p = entry_point("E3")
