@@ -32,40 +32,50 @@ class CheckReport:
     wall_ms: float = 0.0
 
 
-def make_check(
-    name: str,
-    identity: str,
-    residual: float,
-    tolerance: float,
-    kind: str = "assert",
-    samples: int = 1,
-    wall_ms: float = 0.0,
-    inconclusive: bool = False,
-    invert: bool = False,
-) -> CheckReport:
-    """Build a report; ``invert`` asserts the residual EXCEEDS the tolerance."""
-    if inconclusive:
-        status = "inconclusive"
-    elif invert:
-        status = "pass" if residual > tolerance else "fail"
-    else:
-        status = "pass" if residual < tolerance else "fail"
-    return CheckReport(
-        name=name, identity=identity, residual=float(residual),
-        tolerance=float(tolerance), status=status, kind=kind,
-        samples=samples, wall_ms=float(wall_ms),
-    )
+class Checks:
+    """The rows of one suite, accumulated evaluation by evaluation.
 
+    ``see(key, *values)`` folds one evaluation into the worst residual of
+    row ``key``; a NaN among the values sticks, so the row fails.  ``row``
+    emits that row as a CheckReport named ``<prefix>.<key>``, whose
+    ``samples`` is the number of ``see`` calls for the key and whose
+    ``wall_ms`` is the time since the previous row.  ``reports`` lists the
+    emitted rows in order.
+    """
 
-class Stopwatch:
-    def __init__(self):
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.reports: list[CheckReport] = []
+        self._seen: dict[str, tuple[float, int]] = {}
         self._last = time.perf_counter()
 
-    def lap_ms(self) -> float:
+    def see(self, key: str, *values: float) -> None:
+        worst, count = self._seen.get(key, (0.0, 0))
+        for v in values:
+            v = float(v)
+            if v > worst or v != v:  # a NaN replaces the worst, and nothing replaces a NaN
+                worst = v
+        self._seen[key] = (worst, count + 1)
+
+    def row(self, key: str, identity: str, tolerance: float, kind: str = "assert",
+            invert: bool = False, inconclusive: bool = False) -> CheckReport:
+        """Emit row ``key``; ``invert`` asserts the residual EXCEEDS the tolerance."""
+        residual, samples = self._seen.pop(key, (0.0, 0))
+        if inconclusive:
+            status = "inconclusive"
+        elif invert:
+            status = "pass" if residual > tolerance else "fail"
+        else:
+            status = "pass" if residual < tolerance else "fail"
         now = time.perf_counter()
-        out = (now - self._last) * 1000.0
+        report = CheckReport(
+            name=f"{self.prefix}.{key}", identity=identity, residual=residual,
+            tolerance=float(tolerance), status=status, kind=kind, samples=samples,
+            wall_ms=(now - self._last) * 1000.0,
+        )
         self._last = now
-        return out
+        self.reports.append(report)
+        return report
 
 
 def _fmt(x: float) -> float:

@@ -215,8 +215,9 @@ def _kernel_basis(
     p = Z.base
     _, Pi_H = splitting_projectors(geom.phi, p, cfg)
     Zvec = constant_field(Z.fiber)
-    out = [tm_vertical_lift(e, Z) for e in vertical_basis(geom, p)]
-    for e in vertical_basis(geom, p):
+    vb = vertical_basis(geom, p)
+    out = [tm_vertical_lift(e, Z) for e in vb]
+    for e in vb:
         nab = covariant_derivative(M, Zvec, extend(e.components), p, cfg)
         corr = TangentVector(p, Pi_H @ nab.components)
         out.append(tm_horizontal_lift(M, e, Z, cfg) + tm_vertical_lift(corr, Z))
