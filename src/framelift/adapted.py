@@ -464,7 +464,7 @@ def adapted_connection_audit(
 
     Every row is diagnostic (asserted=False): the displays mix symbols and
     lift types, so plausible readings are evaluated against one oracle
-    evaluation per case and the best-matching reading is flagged per case.
+    evaluation per point and the best-matching reading is flagged per case.
     """
     chart = adapted_chart(M, D)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
@@ -493,22 +493,23 @@ def adapted_connection_audit(
     RD_endo = np.einsum("ijkl,i,j->lk", RDxy, xval, yval)
 
     rows: list[dict] = []
+    oracle = dict(zip(("hh", "hv", "vh", "vv"), lc_total_space_oracle(
+        chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q, cfg)))
 
-    def case_rows(case, A_field, B_field, readings):
-        oracle = lc_total_space_oracle(chart, A_field, B_field, q, cfg)
+    def case_rows(case, readings):
         for reading, rhs in readings:
             rows.append({
                 "bundle": "O(D)",
                 "case": case,
                 "reading": reading,
-                "residual": mok_norm(M, oracle - rhs, cfg),
+                "residual": mok_norm(M, oracle[case] - rhs, cfg),
                 "asserted": False,
             })
 
     # hh: nabla_{X^{h,D}} Y^{h,D}
     nab = covariant_derivative(M, X, Y, p, cfg).components
     nabD = nabla_D(M, D, X, Y, p, cfg).components
-    case_rows("hh", hX, hY, [
+    case_rows("hh", [
         ("(nabla_X Y)^{h,D} - 1/2 RD(X,Y)*",
          lift_D(nab) + (-0.5) * fundamental_vertical(RD_endo, u)),
         ("(nablaD_X Y)^{h,D} - 1/2 RD(X,Y)*",
@@ -519,7 +520,7 @@ def adapted_connection_audit(
     LQ = L_P_apply(M, D, Q, xval, p, onb, cfg)
     nQ = fundamental_vertical(nabla_D_endo(xval, Q), u)
     half_LQp = 0.5 * lift_D(LQ["flipped"])
-    case_rows("hv", hX, vQ, [
+    case_rows("hv", [
         ("1/2 L-_Q(X)^{h,D} + (nablaD_X Q)* (printed m-sign)",
          0.5 * lift_D(LQ["printed"]) + nQ),
         ("1/2 L+_Q(X)^{h,D} + (nablaD_X Q)* (flipped m-sign)", half_LQp + nQ),
@@ -528,13 +529,13 @@ def adapted_connection_audit(
 
     # vh: nabla_{P*} Y^{h,D}
     LP = L_P_apply(M, D, P, yval, p, onb, cfg)
-    case_rows("vh", vP, hY, [
+    case_rows("vh", [
         ("1/2 L-_P(Y)^{h,D} (printed m-sign)", 0.5 * lift_D(LP["printed"])),
         ("1/2 L+_P(Y)^{h,D} (flipped m-sign)", 0.5 * lift_D(LP["flipped"])),
     ])
 
     # vv: nabla_{P*} Q*
-    case_rows("vv", vP, vQ, [
+    case_rows("vv", [
         ("-1/2 [P,Q]*", fundamental_vertical(-0.5 * (Pval @ Qval - Qval @ Pval), u)),
     ])
 

@@ -10,7 +10,7 @@ identity used elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .geometry import (
     christoffel,
     christoffel_contract,
     covariant_derivative,
+    covariant_derivatives,
     curvature_R_P,
     curvature_tensor,
     directional_diff,
@@ -432,27 +433,24 @@ def total_space_manifold(chart, cfg: FDConfig = DEFAULT_FD) -> ChartManifold:
 
 def lc_total_space_oracle(
     chart,
-    A_field: Callable[[Array], Array],
-    B_field: Callable[[Array], Array],
+    pairs: Sequence[tuple[Callable[[Array], Array], Callable[[Array], Array]]],
     q: Array,
     cfg: FDConfig = DEFAULT_FD,
-) -> FrameTangent:
-    """Levi-Civita covariant derivative nabla_A B on the total space.
+) -> list[FrameTangent]:
+    """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair.
 
-    ``A_field`` and ``B_field`` give chart-coordinate rates as functions of
-    the chart point.  Everything is brute force: the induced metric is
-    differenced at step_h2 because its entries already contain one level of
-    derived quantities.
+    Each field gives chart-coordinate rates as a function of the chart
+    point.  Everything is brute force: the induced metric is differenced at
+    step_h2 because its entries already contain one level of derived
+    quantities.  Its Christoffel symbols are built once per point q and
+    contracted for every pair.
     """
     total = total_space_manifold(chart, cfg)
-    cfg_total = FDConfig(
-        step_h=cfg.step_h2, step_h2=cfg.step_h2,
-        tol_exact=cfg.tol_exact, tol_fd1=cfg.tol_fd1, tol_fd2=cfg.tol_fd2,
+    out = covariant_derivatives(
+        total, [(VectorField(eval=A), VectorField(eval=B)) for A, B in pairs], q,
+        replace(cfg, step_h=cfg.step_h2),
     )
-    out = covariant_derivative(
-        total, VectorField(eval=A_field), VectorField(eval=B_field), q, cfg_total
-    )
-    return chart.chart_to_tangent(q, out.components, cfg)
+    return chart.chart_to_tangents(q, np.array([v.components for v in out]), cfg)
 
 
 def fd_bracket_on_chart(
@@ -639,6 +637,15 @@ def bracket_residual(
             for name, rhs in bracket_rhs(M, case, inputs, u, cfg).items()}
 
 
+def _connection_residuals(M, chart, bundle, cases, u, cfg) -> list[dict[str, float]]:
+    q = chart.encode(u)
+    oracles = lc_total_space_oracle(
+        chart, [_case_fields(chart, case, inputs, cfg) for case, inputs in cases], q, cfg)
+    return [{name: mok_norm(M, oracle - rhs, cfg)
+             for name, rhs in lc_connection_formula(M, bundle, case, inputs, u, cfg).items()}
+            for (case, inputs), oracle in zip(cases, oracles)]
+
+
 def connection_residual(
     M: ChartManifold,
     chart,
@@ -652,11 +659,7 @@ def connection_residual(
 
     The oracle runs once for all readings.
     """
-    A, B = _case_fields(chart, case, inputs, cfg)
-    q = chart.encode(u)
-    oracle = lc_total_space_oracle(chart, A, B, q, cfg)
-    return {name: mok_norm(M, oracle - rhs, cfg)
-            for name, rhs in lc_connection_formula(M, bundle, case, inputs, u, cfg).items()}
+    return _connection_residuals(M, chart, bundle, [(case, inputs)], u, cfg)[0]
 
 
 def connection_audit(
@@ -669,15 +672,15 @@ def connection_audit(
     """Audit table comparing the connection formulas against the oracle.
 
     ``fields`` supplies X, Y (vector fields) and P, Q (endomorphism fields,
-    g-skew for O(M)).  One oracle evaluation per case yields a row for each
-    reading; the "literal" hv/vh rows are unasserted diagnostics.
+    g-skew for O(M)).  One oracle evaluation per point yields a row for each
+    reading of each case; the "literal" hv/vh rows are unasserted diagnostics.
     """
     chart = LMChart(M) if bundle == "L" else om_chart(M)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
     cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
     rows = []
-    for case, inputs in cases:
-        for reading, res in connection_residual(M, chart, bundle, case, inputs, u, cfg).items():
+    for (case, _), residuals in zip(cases, _connection_residuals(M, chart, bundle, cases, u, cfg)):
+        for reading, res in residuals.items():
             rows.append({
                 "bundle": bundle,
                 "case": case,

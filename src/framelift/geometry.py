@@ -259,26 +259,35 @@ def field_derivative(X: VectorField, p: Array, v: Array, h: float) -> Array:
     return directional_diff(X.eval, p, v, h)
 
 
-def covariant_derivative(
+def covariant_derivatives(
     M: ChartManifold,
-    X: VectorField,
-    Y: VectorField,
+    pairs: Sequence[tuple[VectorField, VectorField]],
     p: Array,
     cfg: FDConfig = DEFAULT_FD,
     step: Optional[float] = None,
-) -> TangentVector:
-    """(nabla_X Y)(p) for the Levi-Civita connection.
+) -> list[TangentVector]:
+    """(nabla_X Y)(p) for the Levi-Civita connection, one per (X, Y) pair.
 
-    ``step`` overrides the difference step for the field derivative, for
-    fields that are themselves finite-difference results.
+    The Christoffel symbols at p are evaluated once and contracted for
+    every pair.  ``step`` overrides the difference step for the field
+    derivative, for fields that are themselves finite-difference results.
     """
     p = _check_domain(M, p)
     h = cfg.step_h if step is None else step
-    x = np.asarray(X.eval(p), dtype=float)
-    y = np.asarray(Y.eval(p), dtype=float)
-    dY = field_derivative(Y, p, x, h)
     gamma = christoffel(M, p, cfg)
-    return TangentVector(p, dY + np.einsum("kij,i,j->k", gamma, x, y))
+    out = []
+    for X, Y in pairs:
+        x = np.asarray(X.eval(p), dtype=float)
+        y = np.asarray(Y.eval(p), dtype=float)
+        dY = field_derivative(Y, p, x, h)
+        out.append(TangentVector(p, dY + np.einsum("kij,i,j->k", gamma, x, y)))
+    return out
+
+
+def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Array,
+                         cfg: FDConfig = DEFAULT_FD, step: Optional[float] = None) -> TangentVector:
+    """(nabla_X Y)(p): the one-pair case of ``covariant_derivatives``."""
+    return covariant_derivatives(M, [(X, Y)], p, cfg, step)[0]
 
 
 def lie_bracket(

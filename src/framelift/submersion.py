@@ -675,7 +675,7 @@ def classify(
     for p in points:
         lam, defect = dilatation(phi, p, cfg, geom)
         lam_list.append(lam)
-        conf_defect = max(conf_defect, defect)
+        conf_defect = np.maximum(conf_defect, defect)
 
         basis = full_adapted_basis(geom, p)
         y = phi.value(p)
@@ -683,9 +683,9 @@ def classify(
         for i in range(len(basis)):
             for j in range(i, len(basis)):
                 val = second_fundamental_form(phi, basis[i], basis[j], cfg)
-                tg_defect = max(tg_defect, float(np.sqrt(max(val @ gy @ val, 0.0))))
+                tg_defect = np.maximum(tg_defect, float(np.sqrt(max(val @ gy @ val, 0.0))))
 
-        fib_defect = max(fib_defect, fiber_second_fundamental_defect(geom, p, cfg))
+        fib_defect = np.maximum(fib_defect, fiber_second_fundamental_defect(geom, p, cfg))
 
         hb = horizontal_basis(geom, p)
         for a in range(len(hb)):
@@ -696,7 +696,7 @@ def classify(
                     p, cfg,
                 )
                 gp = metric_eval(phi.source, p)
-                integ_defect = max(
+                integ_defect = np.maximum(
                     integ_defect,
                     float(np.sqrt(max(td.components @ gp @ td.components, 0.0))),
                 )
@@ -733,14 +733,14 @@ def classify(
         u = adapted_frame(phi.source, geom.horizontal, p)
         Lam, defect = lift_conformality_measurement(geom, u, cfg)
         Lams.append(Lam)
-        lift_defect = max(lift_defect, defect)
-        vs_base = max(vs_base, abs(Lam - dilatation(phi, p, cfg, geom)[0]))
+        lift_defect = np.maximum(lift_defect, defect)
+        vs_base = np.maximum(vs_base, abs(Lam - dilatation(phi, p, cfg, geom)[0]))
     rep.lift_lambda_samples = Lams
     rep.lift_lambda_std = float(np.std(Lams))
     rep.lift_defect_measured = lift_defect
     rep.lift_lambda_vs_base_max = vs_base
     spread = float(np.max(Lams) - np.min(Lams)) if Lams else 0.0
-    rep.lift_conformal_measured = decide(max(lift_defect, spread), cfg)
+    rep.lift_conformal_measured = decide(np.maximum(lift_defect, spread), cfg)
     if None not in (rep.lift_conformal_measured, rep.lift_conformal_predicted):
         rep.verdicts_agree = rep.lift_conformal_measured == rep.lift_conformal_predicted
     return rep

@@ -8,6 +8,8 @@ run there.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .geometry import (
@@ -19,6 +21,7 @@ from .geometry import (
     christoffel,
     constant_field,
     covariant_derivative,
+    covariant_derivatives,
     curvature,
     directional_diff,
     endo_inner,
@@ -378,15 +381,14 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # oracle self-consistency on the orthonormal-bundle total space
     p = pts[0]
     total = total_space_manifold(chart, cfg)
-    cfg_total = FDConfig(step_h=cfg.step_h2, step_h2=cfg.step_h2,
-                         tol_exact=cfg.tol_exact, tol_fd1=cfg.tol_fd1, tol_fd2=cfg.tol_fd2)
+    cfg_total = replace(cfg, step_h=cfg.step_h2)
     q = chart.join(p, np.zeros(len(chart.basis)))
     rngt = _rng(seed, 6)
-    A = polynomial_vector_field(total.dim, rngt, exact_jacobian=False)
-    B = polynomial_vector_field(total.dim, rngt, exact_jacobian=False)
+    A, B, C = (polynomial_vector_field(total.dim, rngt, exact_jacobian=False) for _ in range(3))
+    nAB, nBA, nCA, nCB = (v.components for v in covariant_derivatives(
+        total, [(A, B), (B, A), (C, A), (C, B)], q, cfg_total))
     br = lie_bracket(A, B, q, cfg_total, step=cfg.step_h2).components
-    tf = (covariant_derivative(total, A, B, q, cfg_total).components
-          - covariant_derivative(total, B, A, q, cfg_total).components - br)
+    tf = nAB - nBA - br
     Gq = metric_eval(total, q)
     _single(checks, "oracle_torsion_free", "total-space oracle connection is torsion free",
             np.sqrt(max(tf @ Gq @ tf, 0.0)), cfg.tol_fd2)
@@ -394,10 +396,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     def gAB(qq):
         return np.array([float(A.eval(qq) @ metric_eval(total, qq) @ B.eval(qq))])
 
-    C = polynomial_vector_field(total.dim, rngt, exact_jacobian=False)
     lhs = directional_diff(gAB, q, C.eval(q), cfg.step_h2)[0]
-    nCA = covariant_derivative(total, C, A, q, cfg_total).components
-    nCB = covariant_derivative(total, C, B, q, cfg_total).components
     _single(checks, "oracle_metric_compatible",
             "total-space oracle connection preserves the induced metric",
             abs(lhs - float(nCA @ Gq @ B.eval(q)) - float(A.eval(q) @ Gq @ nCB)), cfg.tol_fd2 * 10)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import framelift.frames as frames_module
-from framelift.adapted import adapted_chart
+from framelift.adapted import adapted_chart, adapted_frame
 from framelift.catalog import euclidean_chart, get, sphere_chart
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import (
@@ -17,6 +17,7 @@ from framelift.frames import (
     horizontal_lift_frame,
     induced_metric_on_chart,
     lc_connection_formula,
+    lc_total_space_oracle,
     mok_gram,
     mok_metric,
     mok_norm,
@@ -320,13 +321,36 @@ class TestOneEvaluationPerCase:
         calls = self.count(monkeypatch, "lc_total_space_oracle")
         rows = connection_audit(S2, bundle, on_frame(S2, np.array([0.2, -0.1])),
                                 dict(X=X, Y=Y, P=P, Q=Q))
-        assert len(calls) == 4
+        assert len(calls) == 1  # one oracle call serves all four cases
         readings = {}
         for r in rows:
             readings.setdefault(r["case"], []).append(r["reading"])
         assert readings == {"hh": ["resolved"], "hv": ["resolved", "literal"],
                             "vh": ["resolved", "literal"], "vv": ["resolved"]}
         assert all(r["asserted"] == (r["reading"] == "resolved") for r in rows)
+
+    @pytest.mark.parametrize("bundle", ["L(M)", "O(M)", "O(D)"])
+    def test_batched_oracle_equals_one_pair_calls(self, bundle):
+        e = get("E3")
+        M = e.phi.source
+        p = sample_points(M, 42, 1)[0]
+        if bundle == "L(M)":
+            chart, u = LMChart(M), on_frame(M, p)
+        elif bundle == "O(M)":
+            chart, u = om_chart(M), on_frame(M, p)
+        else:
+            D = derive_geometry(e.phi).horizontal
+            chart, u = adapted_chart(M, D), adapted_frame(M, D, p)
+        q = chart.encode(u)
+        rng = np.random.default_rng(23)
+        pairs = [tuple(polynomial_vector_field(chart.dim, rng, exact_jacobian=False).eval
+                       for _ in range(2)) for _ in range(4)]
+        batched = lc_total_space_oracle(chart, pairs, q)
+        assert len(batched) == 4
+        for pair, t in zip(pairs, batched):
+            [one] = lc_total_space_oracle(chart, [pair], q)
+            assert np.array_equal(t.base_rate, one.base_rate)
+            assert np.array_equal(t.frame_rate, one.frame_rate)
 
     def test_bracket_readings_share_one_fd_bracket(self, monkeypatch):
         rng = np.random.default_rng(20)

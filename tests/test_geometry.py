@@ -12,6 +12,7 @@ from framelift.geometry import (
     christoffel,
     coordinate_field,
     covariant_derivative,
+    covariant_derivatives,
     curvature,
     curvature_R_P,
     endo_inner,
@@ -127,6 +128,21 @@ class TestCovariantDerivative:
         b = covariant_derivative(S2, Xs, Y, p).components
         assert np.max(np.abs(a - b)) < 1e-8
 
+
+    @pytest.mark.parametrize("step", [None, 1e-4])
+    def test_batched_equals_one_pair_calls(self, step):
+        rng = np.random.default_rng(24)
+        p = np.array([0.3, -0.4])
+        fields = [polynomial_vector_field(2, rng, exact_jacobian=exact)
+                  for exact in (True, False, True, False)]
+        pairs = [(fields[0], fields[1]), (fields[1], fields[0]),
+                 (fields[2], fields[3]), (fields[3], fields[2])]
+        batched = covariant_derivatives(S2, pairs, p, step=step)
+        assert len(batched) == len(pairs)
+        for (X, Y), v in zip(pairs, batched):
+            one = covariant_derivative(S2, X, Y, p, step=step)
+            assert np.array_equal(v.base, one.base)
+            assert np.array_equal(v.components, one.components)
 
 class TestCurvature:
     def test_flat_zero(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import framelift.submersion as submersion_module
 from framelift.adapted import adapted_frame, adapted_horizontal_lift
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
@@ -528,6 +529,28 @@ class TestClassify:
         assert rep.lift_conformal_predicted is False
         assert rep.lift_conformal_measured is True
         assert rep.verdicts_agree is False
+
+    @pytest.mark.parametrize("name, defect, flag", [
+        ("dilatation", "conformal_defect", "horizontally_conformal"),
+        ("fiber_second_fundamental_defect", "fibers_defect", "fibers_totally_geodesic"),
+        ("lift_conformality_measurement", "lift_defect_measured", "lift_conformal_measured"),
+    ])
+    def test_nan_at_a_later_point_is_inconclusive(self, monkeypatch, name, defect, flag):
+        e = E["E1"]
+        pts = sample_points(e.phi.source, 39, 3)
+        real = getattr(submersion_module, name)
+
+        def nan_at_second_point(*args, **kwargs):
+            out = real(*args, **kwargs)
+            p = args[1].base if isinstance(args[1], Frame) else args[1]
+            if not np.array_equal(p, pts[1]):
+                return out
+            return (out[0], np.nan) if isinstance(out, tuple) else np.nan
+
+        monkeypatch.setattr(submersion_module, name, nan_at_second_point)
+        rep = classify(e.phi, pts, geom=GEOM["E1"])
+        assert np.isnan(getattr(rep, defect))
+        assert getattr(rep, flag) is None
 
 
 class TestLiftTensionDirect:

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+import framelift.geometry as geometry
 import framelift.suites as suites
-from framelift.catalog import get
-from framelift.geometry import DEFAULT_FD
+from framelift.adapted import adapted_connection_audit, adapted_frame
+from framelift.catalog import get, sphere_chart
+from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
+from framelift.frames import Frame, connection_audit, reference_frame
+from framelift.geometry import DEFAULT_FD, sample_points
+from framelift.submersion import adapted_endo_field, derive_geometry
 from framelift.reporting import Checks
 
 NAN = float("nan")
@@ -100,3 +105,51 @@ def test_tangent_suite_differences_each_kernel_vector_once(monkeypatch, eid):
     monkeypatch.setattr(suites, "phi_second_differential_fd", counting)
     suites.suite_tangent(get(eid), samples=3)
     assert len(calls) == 12
+
+
+class TestOneTotalSpaceChristoffelPerPoint:
+    """The oracle differences the induced metric into Christoffel symbols once per point."""
+
+    @pytest.fixture
+    def total_calls(self, monkeypatch):
+        real = geometry.christoffel
+        calls = []
+
+        def counting(M, p, cfg=DEFAULT_FD):
+            if M.name.startswith("total["):
+                calls.append(M.name)
+            return real(M, p, cfg)
+
+        monkeypatch.setattr(geometry, "christoffel", counting)
+        return calls
+
+    @pytest.mark.parametrize("bundle", ["L", "O"])
+    def test_connection_audit(self, total_calls, bundle):
+        S2 = sphere_chart(2)
+        rng = np.random.default_rng(25)
+        X, Y = polynomial_vector_field(2, rng), polynomial_vector_field(2, rng)
+        if bundle == "L":
+            P, Q = polynomial_endo_field(2, rng), polynomial_endo_field(2, rng)
+        else:
+            P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
+        p = np.array([0.2, -0.1])
+        connection_audit(S2, bundle, Frame(p, reference_frame(S2, p)), dict(X=X, Y=Y, P=P, Q=Q))
+        assert len(total_calls) == 1
+
+    def test_adapted_connection_audit(self, total_calls):
+        e = get("E3")
+        M, geom = e.phi.source, derive_geometry(e.phi)
+        rng = np.random.default_rng(26)
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
+                      P=adapted_endo_field(geom, top=0.8 * J),
+                      Q=adapted_endo_field(geom, top=-1.3 * J))
+        p = sample_points(M, 46, 1)[0]
+        adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields)
+        assert len(total_calls) == 1
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_frame_suite(self, total_calls, eid):
+        # 3 points x 2 bundles, 1 adapted audit point, 1 self-consistency point
+        suites.suite_frame(get(eid), samples=3)
+        assert len(total_calls) == 8
