@@ -451,7 +451,7 @@ def adapted_horizontal_field_on_chart(
     def field(q: Array) -> Array:
         u = chart.decode(q)
         t = adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u, cfg)
-        return chart.tangent_to_chart(t, cfg)
+        return chart.tangent_to_chart(q, t, cfg)
 
     return field
 

@@ -235,9 +235,9 @@ def offdiag_skew_basis(n: int, k: int) -> list[Array]:
 class FrameChart:
     """Chart (x, a) on a subbundle of O(M): u = E_ref(x) exp(A(a)).
 
-    ``basis`` spans the allowed skew directions: all of so(n) for O(M),
-    the block-diagonal subalgebra for a bundle adapted to a distribution.
-    Valid near a = 0; all checks in this package are pointwise and local.
+    ``basis`` spans the allowed skew directions: all of so(n) for O(M), the
+    block-diagonal subalgebra for an adapted bundle.  Valid near a = 0.  Both
+    tangent conversions read the chart Jacobian J(q) built by ``jacobian``.
     """
 
     def __init__(
@@ -311,49 +311,46 @@ class FrameChart:
 
     # -- tangent conversions ----------------------------------------------
 
-    def chart_to_tangents(self, q: Array, qdots: Array,
-                          cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
-        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q).
+    def jacobian(self, q: Array, cfg: FDConfig = DEFAULT_FD) -> tuple[Frame, Array, Array]:
+        """decode(q) and J(q): the (xdot, Edot) images of the dim coordinate directions.
 
-        The frame, exp(A), the reference frame and its derivative are
-        computed once; each row costs one expm_frechet.
+        Jx is dim x n, JE is dim x n x n.  The n base rows of JE are
+        dE_ref exp(A); the skew rows are E_ref L(A, B_j), one expm_frechet
+        each.  exp(A), the reference frame and its derivative are computed once.
         """
         x, a = self.split(q)
         A = self.skew_from_coords(a)
         expA = scipy.linalg.expm(A)
         ref = self.reference(x)
-        dref = self.reference_derivative(x, cfg)
-        u = Frame(x, ref @ expA)
-        out = []
-        for qdot in np.atleast_2d(qdots):
-            xdot, adot = self.split(qdot)
-            Edot = np.einsum("kij,k->ij", dref, xdot) @ expA
-            Adot = self.skew_from_coords(adot)
-            Edot += ref @ scipy.linalg.expm_frechet(A, Adot, compute_expm=False)
-            out.append(FrameTangent(u, xdot, Edot))
-        return out
+        skew = [ref @ scipy.linalg.expm_frechet(A, B, compute_expm=False) for B in self.basis]
+        JE = np.concatenate([self.reference_derivative(x, cfg) @ expA,
+                             np.reshape(skew, (-1,) + A.shape)])
+        return Frame(x, ref @ expA), np.eye(self.dim, x.size), JE
+
+    def chart_to_tangents(self, q: Array, qdots: Array,
+                          cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
+        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q): qdots @ J."""
+        u, Jx, JE = self.jacobian(q, cfg)
+        # row by row, so that a row's tangent does not depend on the batch it came in
+        return [FrameTangent(u, qdot @ Jx, np.tensordot(qdot, JE, axes=1))
+                for qdot in np.atleast_2d(qdots)]
 
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
         return self.chart_to_tangents(q, qdot, cfg)[0]
 
-    def tangent_to_chart(self, t: FrameTangent, cfg: FDConfig = DEFAULT_FD,
+    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD,
                          tol: float = 1e-6) -> Array:
-        """Chart rates of a frame tangent; errors if not tangent to the chart."""
-        u = t.at
-        q = self.encode(u)
-        x, a = self.split(q)
-        A = self.skew_from_coords(a)
-        expA = scipy.linalg.expm(A)
-        dref = self.reference_derivative(x, cfg)
-        rhs = t.frame_rate - np.einsum("kij,k->ij", dref, t.base_rate) @ expA
-        ref = self.reference(x)
-        cols = [
-            (ref @ scipy.linalg.expm_frechet(A, B, compute_expm=False)).ravel()
-            for B in self.basis
-        ]
-        Mcols = np.column_stack(cols) if cols else np.zeros((rhs.size, 0))
-        adot, *_ = np.linalg.lstsq(Mcols, rhs.ravel(), rcond=None)
-        resid = np.linalg.norm(Mcols @ adot - rhs.ravel())
+        """Chart rates at q of a frame tangent at decode(q), by least squares against J.
+
+        Errors if t is attached to another frame or is not tangent to the chart.
+        """
+        u, _, JE = self.jacobian(q, cfg)
+        _same_frame(u, t.at)
+        n = self.manifold.dim
+        rhs = (t.frame_rate - np.tensordot(t.base_rate, JE[:n], axes=1)).ravel()
+        Mcols = JE[n:].reshape(len(self.basis), n * n).T
+        adot, *_ = np.linalg.lstsq(Mcols, rhs, rcond=None)
+        resid = np.linalg.norm(Mcols @ adot - rhs)
         scale = 1.0 + np.linalg.norm(t.base_rate) + np.linalg.norm(t.frame_rate)
         if resid > tol * scale:
             raise ValueError(f"tangent is not tangent to chart {self.name} (residual {resid:.3g})")
@@ -391,7 +388,8 @@ class LMChart:
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
         return self.chart_to_tangents(q, qdot, cfg)[0]
 
-    def tangent_to_chart(self, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
+    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
+        _same_frame(self.decode(q), t.at)
         return self.join(t.base_rate, t.frame_rate)
 
 
@@ -478,7 +476,7 @@ def horizontal_field_on_chart(chart, X: VectorField, cfg: FDConfig = DEFAULT_FD)
     def field(q: Array) -> Array:
         u = chart.decode(q)
         t = horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u, cfg)
-        return chart.tangent_to_chart(t, cfg)
+        return chart.tangent_to_chart(q, t, cfg)
 
     return field
 
@@ -489,7 +487,7 @@ def vertical_field_on_chart(chart, P: EndomorphismField, cfg: FDConfig = DEFAULT
     def field(q: Array) -> Array:
         u = chart.decode(q)
         t = fundamental_vertical(P.eval(u.base), u)
-        return chart.tangent_to_chart(t, cfg)
+        return chart.tangent_to_chart(q, t, cfg)
 
     return field
 

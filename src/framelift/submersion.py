@@ -708,7 +708,8 @@ def classify(
     rep.dilatation_samples = lam_list
     rep.dilatation_std = float(np.std(lam_list))
     rep.horizontally_conformal = decide(conf_defect, cfg)
-    rep.dilatation_constant = rep.dilatation_std < cfg.tol_fd1 * (1.0 + float(np.mean(lam_list)))
+    if not np.isnan(rep.dilatation_std):  # also NaN whenever the mean is
+        rep.dilatation_constant = rep.dilatation_std < cfg.tol_fd1 * (1.0 + float(np.mean(lam_list)))
     rep.totally_geodesic_defect = tg_defect
     rep.totally_geodesic = decide(tg_defect, cfg)
     rep.fibers_defect = fib_defect
@@ -719,11 +720,11 @@ def classify(
     rep.harmonic = decide(rep.tension_max, cfg)
     if None not in (rep.horizontally_conformal, rep.harmonic):
         rep.harmonic_morphism = rep.horizontally_conformal and rep.harmonic
-    if None not in (rep.horizontally_conformal, rep.totally_geodesic):
+    if None not in (rep.horizontally_conformal, rep.totally_geodesic, rep.dilatation_constant):
         rep.lift_conformal_predicted = (
             rep.horizontally_conformal and rep.dilatation_constant and rep.totally_geodesic
         )
-    if None not in (rep.harmonic_morphism, rep.totally_geodesic):
+    if None not in (rep.harmonic_morphism, rep.totally_geodesic, rep.dilatation_constant):
         rep.lift_harmonic_morphism_predicted = (
             rep.harmonic_morphism and rep.totally_geodesic and rep.dilatation_constant
         )

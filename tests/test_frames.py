@@ -1,9 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framelift.frames as frames_module
-from framelift.adapted import adapted_chart, adapted_frame
+from framelift.adapted import (
+    adapted_chart,
+    adapted_connection_audit,
+    adapted_frame,
+    adapted_horizontal_field_on_chart,
+)
 from framelift.catalog import euclidean_chart, get, sphere_chart
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import (
@@ -13,7 +22,9 @@ from framelift.frames import (
     bracket_residual,
     connection_audit,
     connection_residual,
+    FrameChart,
     fundamental_vertical,
+    horizontal_field_on_chart,
     horizontal_lift_frame,
     induced_metric_on_chart,
     lc_connection_formula,
@@ -24,10 +35,11 @@ from framelift.frames import (
     om_chart,
     reference_frame,
     skew_basis,
+    vertical_field_on_chart,
     vertical_part,
 )
 from framelift.geometry import TangentVector, metric_eval, sample_points
-from framelift.submersion import derive_geometry
+from framelift.submersion import adapted_endo_field, derive_geometry
 
 R1 = euclidean_chart(1)
 R2 = euclidean_chart(2)
@@ -438,3 +450,130 @@ class TestOnePassAssembly:
         assert mok_gram(S2, [s, s]).shape == (2, 2)
         with pytest.raises(ValueError):
             mok_gram(S2, [s, t])
+
+
+class TestChartConversions:
+    """Both conversions read one chart Jacobian J(q) and invert each other."""
+
+    @pytest.mark.parametrize("example,bundle", EXAMPLE_BUNDLES)
+    def test_tangent_to_chart_inverts_chart_to_tangents(self, example, bundle):
+        chart, q = bundle_chart_point(example, bundle)
+        Q = np.random.default_rng(31).standard_normal((4, chart.dim))
+        for rates, t in zip(Q, chart.chart_to_tangents(q, Q)):
+            assert np.max(np.abs(chart.tangent_to_chart(q, t) - rates)) < 1e-10
+
+    @pytest.mark.parametrize("example", ["E1", "E2", "E3", "E4", "E5"])
+    def test_rejects_a_symmetric_frame_rate_on_om(self, example):
+        chart, q = bundle_chart_point(example, "O")
+        u = chart.decode(q)
+        S = np.random.default_rng(32).standard_normal((chart.manifold.dim,) * 2)
+        t = FrameTangent(u, np.zeros(u.base.size), u.columns @ (S + S.T))
+        with pytest.raises(ValueError, match="not tangent"):
+            chart.tangent_to_chart(q, t)
+
+    @pytest.mark.parametrize("example,bundle", EXAMPLE_BUNDLES)
+    def test_rejects_a_tangent_at_another_frame(self, example, bundle):
+        chart, q = bundle_chart_point(example, bundle)
+        n = chart.manifold.dim
+        rates = np.random.default_rng(33).standard_normal(chart.dim)
+        moved_base, moved_frame = q.copy(), q.copy()
+        moved_base[:n] += 0.01
+        moved_frame[n:] += 0.01
+        # E4's O(D) chart has no fibre coordinate to move
+        for other in [moved_base] + ([moved_frame] if chart.dim > n else []):
+            with pytest.raises(ValueError, match="different frames"):
+                chart.tangent_to_chart(q, chart.chart_to_tangent(other, rates))
+
+
+class TestNoReencoding:
+    """The chart fields convert at their own q; only an audit's entry frame is encoded."""
+
+    def count(self, monkeypatch, owner, name):
+        tally = []
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            tally.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return tally
+
+    def test_chart_fields_call_neither_encode_nor_logm(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        om, q_om = bundle_chart_point("E3", "O")
+        od, q_od = bundle_chart_point("E3", "D")
+        M = om.manifold
+        D = derive_geometry(get("E3").phi).horizontal
+        fields = [
+            (horizontal_field_on_chart(om, polynomial_vector_field(M.dim, rng)), q_om),
+            (vertical_field_on_chart(om, g_skew_endo_field(M, rng)), q_om),
+            (adapted_horizontal_field_on_chart(od, M, D, polynomial_vector_field(M.dim, rng)),
+             q_od),
+        ]
+        encodes = self.count(monkeypatch, FrameChart, "encode")
+        logms = self.count(monkeypatch, frames_module.scipy.linalg, "logm")
+        for field, q in fields:
+            assert field(q).shape == q.shape
+        assert encodes == [] and logms == []
+
+    def test_connection_audit_encodes_once(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        fields = dict(X=polynomial_vector_field(2, rng), Y=polynomial_vector_field(2, rng),
+                      P=g_skew_endo_field(S2, rng), Q=g_skew_endo_field(S2, rng))
+        encodes = self.count(monkeypatch, FrameChart, "encode")
+        connection_audit(S2, "O", on_frame(S2, np.array([0.2, -0.1])), fields)
+        assert len(encodes) == 1
+
+    def test_adapted_connection_audit_encodes_once(self, monkeypatch):
+        geom = derive_geometry(get("E3").phi)
+        M, D = geom.phi.source, geom.horizontal
+        rng = np.random.default_rng(36)
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
+                      P=adapted_endo_field(geom, top=0.8 * J),
+                      Q=adapted_endo_field(geom, top=-1.3 * J))
+        encodes = self.count(monkeypatch, FrameChart, "encode")
+        adapted_connection_audit(M, D, adapted_frame(M, D, sample_points(M, 46, 1)[0]), fields)
+        assert len(encodes) == 1
+
+
+@functools.cache
+def skew_chart(example, bundle):
+    phi = get(example).phi
+    if bundle == "O":
+        return om_chart(phi.source)
+    return adapted_chart(phi.source, derive_geometry(phi).horizontal)
+
+
+@st.composite
+def skew_chart_points(draw):
+    """An O(M) or O(D) chart of E1-E5 and a point (x, a) on it with |a| < 1."""
+    chart = skew_chart(draw(st.sampled_from(["E1", "E2", "E3", "E4", "E5"])),
+                       draw(st.sampled_from(["O", "D"])))
+    x = sample_points(chart.manifold, draw(st.integers(0, 10**6)), 1)[0]
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(chart.basis),
+                               max_size=len(chart.basis))))
+    return chart, chart.join(x, 0.99 * a / max(1.0, float(np.linalg.norm(a))))
+
+
+class TestChartJacobianProperties:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(skew_chart_points())
+    def test_jacobian_rows_are_central_differences_of_decode(self, chart_point):
+        chart, q = chart_point
+        u, Jx, JE = chart.jacobian(q)
+        assert np.array_equal(u.columns, chart.decode(q).columns)
+        h = 1e-6
+        for k in range(chart.dim):
+            dq = np.zeros(chart.dim)
+            dq[k] = h
+            up, down = chart.decode(q + dq), chart.decode(q - dq)
+            assert np.max(np.abs(Jx[k] - (up.base - down.base) / (2 * h))) < 1e-7
+            assert np.max(np.abs(JE[k] - (up.columns - down.columns) / (2 * h))) < 1e-7
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(skew_chart_points())
+    def test_encode_inverts_decode(self, chart_point):
+        chart, q = chart_point
+        assert np.max(np.abs(chart.encode(chart.decode(q)) - q)) < 1e-10

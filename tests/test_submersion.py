@@ -552,6 +552,22 @@ class TestClassify:
         assert np.isnan(getattr(rep, defect))
         assert getattr(rep, flag) is None
 
+    def test_nan_dilatation_leaves_the_constancy_and_predictions_open(self, monkeypatch):
+        e = E["E1"]
+        pts = sample_points(e.phi.source, 39, 3)
+        real = submersion_module.dilatation
+
+        def nan_lambda_at_second_point(phi, p, *args, **kwargs):
+            lam, defect = real(phi, p, *args, **kwargs)
+            return (np.nan if np.array_equal(p, pts[1]) else lam), defect
+
+        monkeypatch.setattr(submersion_module, "dilatation", nan_lambda_at_second_point)
+        rep = classify(e.phi, pts, geom=GEOM["E1"])
+        assert np.isnan(rep.dilatation_std)
+        assert rep.dilatation_constant is None
+        assert rep.lift_conformal_predicted is None
+        assert rep.lift_harmonic_morphism_predicted is None
+
 
 class TestLiftTensionDirect:
     def test_flat_projection_values(self):
