@@ -52,15 +52,16 @@ from .frames import (
 class DistributionSpec:
     """A rank-k distribution via its g-orthogonal projector field.
 
-    ``spanning_fields`` (k fields spanning D) and ``complement_fields``
-    (n-k fields spanning the orthogonal complement) are required wherever a
-    smooth adapted frame field is built; the catalog always provides them.
+    ``seed_frame`` maps p to an (n, n) matrix whose first k columns span D
+    and whose other n-k columns span its orthogonal complement.  It is
+    required wherever a smooth adapted frame field is built; the catalog
+    always provides it.  One adapted frame costs one seed frame, so a
+    derivative of the whole frame along one direction costs two.
     """
 
     rank: int
     projector_field: Callable[[Array], Array]
-    spanning_fields: Optional[Sequence[VectorField]] = None
-    complement_fields: Optional[Sequence[VectorField]] = None
+    seed_frame: Optional[Callable[[Array], Array]] = None
 
     def projector(self, p: Array) -> Array:
         return np.asarray(self.projector_field(p), dtype=float)
@@ -84,14 +85,14 @@ def projector_defects(M: ChartManifold, D: DistributionSpec, p: Array) -> dict:
 def adapted_frame(M: ChartManifold, D: DistributionSpec, p: Array) -> Frame:
     """Orthonormal frame whose first k columns span D, the rest its complement.
 
-    Gram-Schmidt of the distribution's spanning fields, so the frame varies
-    smoothly with p when the fields do.
+    Gram-Schmidt of the columns of ``D.seed_frame(p)``, so the frame varies
+    smoothly with p when the seed frame does.  Callers that differentiate
+    the frame take one stencil of the whole frame per direction and read
+    their columns from it.
     """
-    if D.spanning_fields is None or D.complement_fields is None:
-        raise ValueError("adapted frame requires spanning and complement fields")
-    seeds = [np.asarray(f.eval(p), dtype=float) for f in D.spanning_fields]
-    seeds += [np.asarray(f.eval(p), dtype=float) for f in D.complement_fields]
-    basis = gram_schmidt(M, p, seeds)
+    if D.seed_frame is None:
+        raise ValueError("adapted frame requires a seed frame")
+    basis = gram_schmidt(M, p, list(np.asarray(D.seed_frame(p), dtype=float).T))
     return Frame(p, np.column_stack([e.components for e in basis]))
 
 
@@ -197,18 +198,18 @@ def S_tensor(
 
 def _S_endos(
     M: ChartManifold, D: DistributionSpec, xs: Sequence[Array], p: Array,
-    cfg: FDConfig = DEFAULT_FD,
+    cfg: FDConfig = DEFAULT_FD, gamma: Optional[Array] = None,
 ) -> list[Array]:
     """S_x at p for each x in ``xs``, from P(p) and Gamma(p) evaluated once.
 
-    Column j of S_x is Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With
+    ``gamma`` is Gamma(p) when the caller already holds it.  Column j of S_x is Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With
     nabla_x(P e_j) = (d_x P) e_j + Gamma_x P e_j and d_x Pc = -d_x P this is
     Pc (d_x P + Gamma_x P) + P (Gamma_x Pc - d_x P), where d_x P is the
     central difference of the projector along x that ``S_tensor`` takes.
     """
     P = D.projector(p)
     Pc = np.eye(P.shape[0]) - P
-    gamma = christoffel(M, p, cfg)
+    gamma = christoffel(M, p, cfg) if gamma is None else gamma
     out = []
     for x in xs:
         dP = directional_diff(D.projector, p, x, cfg.step_h)
@@ -246,23 +247,33 @@ def torsion_TD(
     return TangentVector(p, b.components - a.components)
 
 
-def adapted_christoffel(
-    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
-) -> Array:
-    """Coordinate coefficients GD[k, i, j] = (nabla^D_{d_i} d_j)^k.
+def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, cfg: FDConfig) -> Array:
+    """GD(q) and S(q) stacked, from one Christoffel evaluation.
 
-    Not symmetric in (i, j): the adapted connection has torsion.
+    GD[k, i, j] = (nabla^D_{d_i} d_j)^k = Gamma - S are the adapted
+    connection's coefficients; not symmetric in (i, j), as it has torsion.
     """
-    return christoffel(M, p, cfg) - S_components(M, D, p, cfg)
+    gamma = christoffel(M, q, cfg)
+    S = np.stack(_S_endos(M, D, np.eye(q.size), q, cfg, gamma), axis=1)
+    return np.stack([gamma - S, S])
+
+
+def _GD_S_jet(
+    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig
+) -> tuple[Array, Array]:
+    """(GD, S) at p and its central differences over step_h2, one stencil for both."""
+    return _GD_S(M, D, p, cfg), central_diff(lambda q: _GD_S(M, D, q, cfg), p, cfg.step_h2)
 
 
 def curvature_RD_tensor(
-    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
+    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
+    jet: Optional[tuple[Array, Array]] = None,
 ) -> Array:
-    """Curvature of the adapted connection, RD[i, j, k, l], from GD and d(GD)."""
-    GD = adapted_christoffel(M, D, p, cfg)
-    dGD = central_diff(lambda q: adapted_christoffel(M, D, q, cfg), p, cfg.step_h2)
-    term_a = np.transpose(dGD, (0, 2, 3, 1))
+    """Curvature of the adapted connection, RD[i, j, k, l], from GD and d(GD).
+
+    ``jet`` is ``_GD_S_jet(M, D, p, cfg)`` when the caller already holds it."""
+    (GD, _), d_pair = _GD_S_jet(M, D, p, cfg) if jet is None else jet
+    term_a = np.transpose(d_pair[:, 0], (0, 2, 3, 1))
     term_b = term_a.swapaxes(0, 1)
     quad_a = np.einsum("lim,mjk->ijkl", GD, GD)
     quad_b = quad_a.swapaxes(0, 1)
@@ -271,6 +282,7 @@ def curvature_RD_tensor(
 
 def nabla_D_S(
     M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
+    jet: Optional[tuple[Array, Array]] = None,
 ) -> dict[str, Array]:
     """Components of (nabla^D_{d_m} S)_{d_i} d_j, indexed [m, k, i, j], by reading.
 
@@ -278,13 +290,11 @@ def nabla_D_S(
     third correction term S_Y(nabla^D_X Z) by S_X(nabla^D_Y Z), the reading
     in which the defining display is sometimes typeset.  Both come from one
     evaluation of S, GD and dS; the full curvature relation check
-    adjudicates between them.
+    adjudicates between them.  ``jet`` is as in ``curvature_RD_tensor``.
     """
-    S = S_components(M, D, p, cfg)
-    GD = adapted_christoffel(M, D, p, cfg)
-    dS = central_diff(lambda q: S_components(M, D, q, cfg), p, cfg.step_h2)
+    (GD, S), d_pair = _GD_S_jet(M, D, p, cfg) if jet is None else jet
     # [m, k, i, j] = d_m S^k_ij plus the two corrections both readings share
-    shared = dS + np.einsum("kma,aij->mkij", GD, S) - np.einsum("kaj,ami->mkij", S, GD)
+    shared = d_pair[:, 1] + np.einsum("kma,aij->mkij", GD, S) - np.einsum("kaj,ami->mkij", S, GD)
     return {
         "standard": shared - np.einsum("kia,amj->mkij", S, GD),
         "display": shared - np.einsum("kma,aij->mkij", S, GD),
@@ -299,20 +309,21 @@ def curvature_relation_residual(
     """Residual of R = RD + (nabla S) terms + S_{T^D} + [S_X, S_Y] at p, by reading.
 
     One evaluation of R, RD, S and nabla^D S gives the residual under each
-    ``nabla_D_S`` reading.
+    ``nabla_D_S`` reading; RD and nabla^D S share one stencil of (GD, S).
     """
     lhs = np.einsum("ijkl,i,j,k->l", curvature_tensor(M, p, cfg), x, y, z)
-    RD_xyz = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(M, D, p, cfg), x, y, z)
+    jet = _GD_S_jet(M, D, p, cfg)
+    RD_xyz = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(M, D, p, cfg, jet), x, y, z)
 
-    Sx = S_endo(M, D, x, p, cfg)
-    Sy = S_endo(M, D, y, p, cfg)
+    gamma = christoffel(M, p, cfg)
+    Sx, Sy = _S_endos(M, D, [x, y], p, cfg, gamma)
     td = Sy @ x - Sx @ y  # T^D(x, y) = -S_x y + S_y x
-    S_td_z = S_endo(M, D, td, p, cfg) @ z
+    S_td_z = _S_endos(M, D, [td], p, cfg, gamma)[0] @ z
     comm_z = (Sx @ Sy - Sy @ Sx) @ z
 
     g = metric_eval(M, p)
     out = {}
-    for reading, NS in nabla_D_S(M, D, p, cfg).items():
+    for reading, NS in nabla_D_S(M, D, p, cfg, jet).items():
         d = lhs - (RD_xyz + np.einsum("mkij,m,i,j->k", NS, x, y, z)
                    - np.einsum("mkij,m,i,j->k", NS, y, x, z) + S_td_z + comm_z)
         out[reading] = float(np.sqrt(max(d @ g @ d, 0.0)))

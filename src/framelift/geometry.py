@@ -269,16 +269,21 @@ def covariant_derivatives(
     """(nabla_X Y)(p) for the Levi-Civita connection, one per (X, Y) pair.
 
     The Christoffel symbols at p are evaluated once and contracted for
-    every pair.  ``step`` overrides the difference step for the field
-    derivative, for fields that are themselves finite-difference results.
+    every pair, and each distinct field (by identity of its ``eval``) is
+    evaluated at p once.  ``step`` overrides the difference step for the
+    field derivative, for fields that are themselves finite-difference
+    results.
     """
     p = _check_domain(M, p)
     h = cfg.step_h if step is None else step
     gamma = christoffel(M, p, cfg)
+    at_p: dict[int, Array] = {}  # this call's field values at p, keyed by id(field.eval)
     out = []
     for X, Y in pairs:
-        x = np.asarray(X.eval(p), dtype=float)
-        y = np.asarray(Y.eval(p), dtype=float)
+        for F in (X, Y):
+            if id(F.eval) not in at_p:
+                at_p[id(F.eval)] = np.asarray(F.eval(p), dtype=float)
+        x, y = at_p[id(X.eval)], at_p[id(Y.eval)]
         dY = field_derivative(Y, p, x, h)
         out.append(TangentVector(p, dY + np.einsum("kij,i,j->k", gamma, x, y)))
     return out

@@ -96,12 +96,17 @@ def differential(phi: SubmersionSpec, X: TangentVector, cfg: FDConfig = DEFAULT_
 def splitting_projectors(
     phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
 ) -> tuple[Array, Array]:
-    """(Pi_V, Pi_H): g-orthogonal projectors onto ker d(phi) and its complement."""
+    """(Pi_V, Pi_H): g-orthogonal projectors onto ker d(phi) and its complement.
+
+    d(phi) is rank deficient when the smallest eigenvalue of the k x k SPD
+    matrix J g^-1 J^T is not above k eps times its largest.
+    """
     J = differential_matrix(phi, p, cfg)
     g = metric_eval(phi.source, p)
     A = np.linalg.solve(g, J.T)          # columns span the horizontal space
     JA = J @ A
-    if np.linalg.matrix_rank(JA) < phi.target.dim:
+    eig = np.linalg.eigvalsh(JA)  # ascending
+    if not eig[0] > JA.shape[0] * np.finfo(float).eps * eig[-1]:
         raise ValueError("differential is rank deficient at the sample point")
     Pi_H = A @ np.linalg.solve(JA, J)
     Pi_V = np.eye(phi.source.dim) - Pi_H
@@ -129,41 +134,28 @@ class SubmersionGeometry:
 
 
 def derive_geometry(phi: SubmersionSpec, cfg: FDConfig = DEFAULT_FD) -> SubmersionGeometry:
-    """Build the horizontal DistributionSpec (projector plus smooth frames)."""
-    n, k = phi.source.dim, phi.target.dim
+    """Build the horizontal DistributionSpec: the projector and the seed frame.
+
+    The seed frame at q is g^-1 J^T (one solve) followed by the kernel fields.
+    """
+    k = phi.target.dim
 
     def projector(q: Array) -> Array:
         return splitting_projectors(phi, q, cfg)[1]
 
-    def h_field(a: int) -> VectorField:
-        def ev(q: Array, a=a) -> Array:
-            J = differential_matrix(phi, q, cfg)
-            g = metric_eval(phi.source, q)
-            return np.linalg.solve(g, J.T)[:, a]
-        return VectorField(eval=ev)
+    def seed_frame(q: Array) -> Array:
+        J = differential_matrix(phi, q, cfg)
+        g = metric_eval(phi.source, q)
+        if phi.vertical_fields is not None:
+            vertical = [np.asarray(f.eval(q), dtype=float) for f in phi.vertical_fields]
+        else:
+            # project the last n-k coordinate directions; adequate only when
+            # they stay independent over the sampling region
+            vertical = list(splitting_projectors(phi, q, cfg)[0][:, k:].T)
+        return np.column_stack([np.linalg.solve(g, J.T), *vertical])
 
-    spanning = [h_field(a) for a in range(k)]
-    if phi.vertical_fields is not None:
-        complement = list(phi.vertical_fields)
-    else:
-        # project a fixed coordinate selection; adequate only when the
-        # projected fields stay independent over the sampling region
-        def v_field(j: int) -> VectorField:
-            def ev(q: Array, j=j) -> Array:
-                e = np.zeros(n)
-                e[j] = 1.0
-                return splitting_projectors(phi, q, cfg)[0] @ e
-            return VectorField(eval=ev)
-        complement = [v_field(j) for j in range(n - k, n)]
-    return SubmersionGeometry(
-        phi=phi,
-        horizontal=DistributionSpec(
-            rank=k,
-            projector_field=projector,
-            spanning_fields=spanning,
-            complement_fields=complement,
-        ),
-    )
+    horizontal = DistributionSpec(rank=k, projector_field=projector, seed_frame=seed_frame)
+    return SubmersionGeometry(phi=phi, horizontal=horizontal)
 
 
 def horizontal_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
@@ -246,42 +238,64 @@ def second_fundamental_form(
     return first - J @ nab.components
 
 
+def A_Y_endos(
+    geom: SubmersionGeometry, ys: Sequence[Array], p: Array, cfg: FDConfig = DEFAULT_FD,
+) -> list[Array]:
+    """A_Y, an endomorphism of the horizontal space, for each vertical Y in ``ys``.
+
+    One S and one projector pair at p serve the whole batch.
+    """
+    phi = geom.phi
+    Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
+    S = S_components(phi.source, geom.horizontal, p, cfg)
+    out = []
+    for y in ys:
+        if np.max(np.abs(Pi_V @ y - y)) > 1e-6 * (1 + np.linalg.norm(y)):
+            raise ValueError("A_Y requires a vertical argument")
+        out.append(Pi_H @ (S @ y) @ Pi_H)  # (S @ y)[:, j] = S_{e_j} Y
+    return out
+
+
 def A_Y_endo(
     geom: SubmersionGeometry, Y: TangentVector, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """A_Y(X) = S_X Y for vertical Y, as an endomorphism of the horizontal space."""
+    """A_Y(X) = S_X Y for vertical Y: the one-Y case of ``A_Y_endos``."""
+    return A_Y_endos(geom, [Y.components], Y.base, cfg)[0]
+
+
+def A_identity_residuals(
+    geom: SubmersionGeometry, xs: Sequence[Array], ys: Sequence[Array], p: Array,
+    cfg: FDConfig = DEFAULT_FD,
+) -> list[dict[str, float]]:
+    """Residuals of phi_* A_Y(X) = sign * Pi_phi(X, Y), horizontal X, vertical Y.
+
+    One dict per (x, y) pair, x-major.  The identity holds with sign -1
+    ("asserted") under the definitions used here (A via the difference
+    tensor, the second fundamental form via the pullback connection); the
+    printed sign +1 ("printed") is kept for diagnostics.  Both come from
+    one evaluation of J, A_Y and the second fundamental form; every A_Y
+    comes from one ``A_Y_endos`` batch.
+    """
     phi = geom.phi
-    p = Y.base
-    Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
-    if np.max(np.abs(Pi_V @ Y.components - Y.components)) > 1e-6 * (1 + np.linalg.norm(Y.components)):
-        raise ValueError("A_Y requires a vertical argument")
-    A = S_components(phi.source, geom.horizontal, p, cfg) @ Y.components  # A[:, j] = S_{e_j} Y
-    return Pi_H @ A @ Pi_H
+    J = differential_matrix(phi, p, cfg)
+    gN = metric_eval(phi.target, phi.value(p))
+    A = A_Y_endos(geom, ys, p, cfg)
+    out = []
+    for x in xs:
+        for y, A_y in zip(ys, A):
+            lhs = J @ (A_y @ x)
+            sff = second_fundamental_form(phi, TangentVector(p, x), TangentVector(p, y), cfg)
+            out.append({reading: float(np.sqrt(max(d @ gN @ d, 0.0)))
+                        for reading, d in (("asserted", lhs + sff), ("printed", lhs - sff))})
+    return out
 
 
 def A_identity_residual(
     geom: SubmersionGeometry, X: TangentVector, Y: TangentVector,
     cfg: FDConfig = DEFAULT_FD,
 ) -> dict[str, float]:
-    """Residual of phi_* A_Y(X) = sign * Pi_phi(X, Y) for horizontal X, vertical Y.
-
-    The identity holds with sign -1 ("asserted") under the definitions used
-    here (A via the difference tensor, the second fundamental form via the
-    pullback connection); the printed sign +1 ("printed") is kept for
-    diagnostics.  Both come from one evaluation of J, A_Y and the second
-    fundamental form.
-    """
-    phi = geom.phi
-    p = X.base
-    J = differential_matrix(phi, p, cfg)
-    lhs = J @ (A_Y_endo(geom, Y, cfg) @ X.components)
-    sff = second_fundamental_form(phi, X, Y, cfg)
-    gN = metric_eval(phi.target, phi.value(p))
-    out = {}
-    for reading, sign in (("asserted", -1.0), ("printed", +1.0)):
-        d = lhs - sign * sff
-        out[reading] = float(np.sqrt(max(d @ gN @ d, 0.0)))
-    return out
+    """The one-pair case of ``A_identity_residuals``."""
+    return A_identity_residuals(geom, [X.components], [Y.components], X.base, cfg)[0]
 
 
 def Pi_X_endo(
@@ -342,35 +356,36 @@ def pushforward_endo(
     return J @ P0 @ L
 
 
-def horizontal_frame_fields(geom: SubmersionGeometry) -> list[VectorField]:
-    """The adapted orthonormal frame columns as smooth vector fields."""
+def _frame_jet(
+    geom: SubmersionGeometry, p: Array, dirs: Sequence[int], cfg: FDConfig,
+    of: Callable[[Array, Array], Array] = lambda q, E: E,
+) -> tuple[Array, Array, dict[int, Array]]:
+    """(E, Gamma, dF) at p: the adapted frame E, the source Christoffel symbols
+    and, for each a in ``dirs``, the derivative dF[a] along E[:, a] of the
+    matrix field F(q) = of(q, E(q)).  One stencil of F per direction.
+    """
     M, D = geom.phi.source, geom.horizontal
-
-    def column(a: int) -> VectorField:
-        return VectorField(eval=lambda q, a=a: adapted_frame(M, D, q).columns[:, a])
-
-    return [column(a) for a in range(M.dim)]
+    E = adapted_frame(M, D, p).columns
+    dF = {a: directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), p, E[:, a],
+                              cfg.step_h) for a in dirs}
+    return E, christoffel(M, p, cfg), dF
 
 
 def div_bot(
     geom: SubmersionGeometry, C_field: Callable[[Array], Array], p: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of a horizontal endo field."""
-    phi = geom.phi
-    Pi_V, _ = splitting_projectors(phi, p, cfg)
-    frame_fields = horizontal_frame_fields(geom)
-    out = np.zeros(phi.source.dim)
-    for a in range(geom.rank):
-        ea = frame_fields[a]
+    """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of a horizontal endo field.
 
-        def Ce(q: Array, ea=ea) -> Array:
-            return np.asarray(C_field(q), dtype=float) @ np.asarray(ea.eval(q), dtype=float)
-
-        nab = covariant_derivative(
-            phi.source, constant_field(ea.eval(p)), VectorField(eval=Ce), p, cfg
-        )
-        out += Pi_V @ nab.components
+    One Christoffel evaluation and one stencil of C E per horizontal e_A.
+    """
+    Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
+    E, gamma, dCE = _frame_jet(geom, p, range(geom.rank), cfg,
+                               lambda q, Eq: np.asarray(C_field(q), dtype=float) @ Eq)
+    C = np.asarray(C_field(p), dtype=float)
+    out = np.zeros(geom.phi.source.dim)
+    for a, d in dCE.items():
+        out += Pi_V @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], C @ E[:, a]))
     return out
 
 
@@ -490,12 +505,11 @@ def lift_distributions(
     Wm = W_endo(M, D, p, onb, cfg)
     g = metric_eval(M, p)
 
+    Ep = adapted_frame(M, D, p).columns
     V_basis: list[FrameTangent] = []
-    for e in vertical_basis(geom, p):
-        A = A_Y_endo(geom, e, cfg)
-        V_basis.append(
-            adapted_horizontal_lift(M, D, e, u, cfg) + fundamental_vertical(A, u)
-        )
+    for j, A in enumerate(A_Y_endos(geom, Ep[:, k:].T, p, cfg)):
+        V_basis.append(adapted_horizontal_lift(M, D, TangentVector(p, Ep[:, k + j]), u, cfg)
+                       + fundamental_vertical(A, u))
     for b in skew_basis(n - k):
         blk = np.zeros((n, n))
         blk[k:, k:] = b
@@ -503,8 +517,8 @@ def lift_distributions(
         V_basis.append(fundamental_vertical(E @ blk @ E.T @ g, u))
 
     H_basis: list[FrameTangent] = []
-    for e in horizontal_basis(geom, p):
-        w = W_inverse_apply(Wm, e.components)
+    for a in range(k):
+        w = W_inverse_apply(Wm, Ep[:, a])
         H_basis.append(adapted_horizontal_lift(M, D, TangentVector(p, w), u, cfg))
     for c in skew_basis(k):
         C_field = adapted_endo_field(geom, top=c)
@@ -520,36 +534,39 @@ def lift_distributions(
 def mean_curvature_fibers(
     geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> TangentVector:
-    """Mean curvature of the fiber through p: horizontal trace over vertical frame."""
+    """Mean curvature of the fiber through p: horizontal trace over vertical frame.
+
+    One Christoffel evaluation and one frame stencil per vertical direction.
+    """
     phi = geom.phi
     _, Pi_H = splitting_projectors(phi, p, cfg)
-    frame_fields = horizontal_frame_fields(geom)
+    E, gamma, dE = _frame_jet(geom, p, range(geom.rank, phi.source.dim), cfg)
     out = np.zeros(phi.source.dim)
-    for a in range(geom.rank, phi.source.dim):
-        ea = frame_fields[a]
-        nab = covariant_derivative(phi.source, constant_field(ea.eval(p)), ea, p, cfg)
-        out += Pi_H @ nab.components
+    for a, d in dE.items():
+        out += Pi_H @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], E[:, a]))
     return TangentVector(p, out)
 
 
 def fiber_second_fundamental_defect(
     geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> float:
-    """Max horizontal norm of the fibers' second fundamental form at p."""
+    """Max horizontal norm of the fibers' second fundamental form at p.
+
+    One Christoffel evaluation and one frame stencil per vertical direction.
+    """
     phi = geom.phi
+    n = phi.source.dim
     gN_ = metric_eval(phi.source, p)
     _, Pi_H = splitting_projectors(phi, p, cfg)
-    frame_fields = horizontal_frame_fields(geom)
+    E, gamma, dE = _frame_jet(geom, p, range(geom.rank, n), cfg)
+
+    def nabla(a: int, b: int) -> Array:  # nabla_{e_a} e_b
+        return dE[a][:, b] + np.einsum("kij,i,j->k", gamma, E[:, a], E[:, b])
+
     worst = 0.0
-    for a in range(geom.rank, phi.source.dim):
-        for b in range(a, phi.source.dim):
-            na = covariant_derivative(
-                phi.source, constant_field(frame_fields[a].eval(p)), frame_fields[b], p, cfg
-            ).components
-            nb = covariant_derivative(
-                phi.source, constant_field(frame_fields[b].eval(p)), frame_fields[a], p, cfg
-            ).components
-            B = Pi_H @ (0.5 * (na + nb))
+    for a in range(geom.rank, n):
+        for b in range(a, n):
+            B = Pi_H @ (0.5 * (nabla(a, b) + nabla(b, a)))
             worst = max(worst, float(np.sqrt(max(B @ gN_ @ B, 0.0))))
     return worst
 
@@ -558,20 +575,23 @@ def tension_field(
     phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
     geom: Optional[SubmersionGeometry] = None,
 ) -> Array:
-    """Tension field at p: the trace of the second fundamental form."""
+    """Tension field at p: the trace of the second fundamental form.
+
+    sum_a nabla^phi_{e_a}(phi_* e_a) - phi_*(nabla_{e_a} e_a), from one
+    Christoffel evaluation on each side and one stencil of the stacked
+    (J E, E) per frame direction.
+    """
     geom = geom if geom is not None else derive_geometry(phi, cfg)
-    frame_fields = horizontal_frame_fields(geom)
+    k = phi.target.dim
+    E, gamma, dF = _frame_jet(geom, p, range(phi.source.dim), cfg,
+                              lambda q, Eq: np.vstack([differential_matrix(phi, q, cfg) @ Eq, Eq]))
     J = differential_matrix(phi, p, cfg)
-    out = np.zeros(phi.target.dim)
-    for ef in frame_fields:
-        e_val = TangentVector(p, ef.eval(p))
-
-        def pushed(q: Array, ef=ef) -> Array:
-            return differential_matrix(phi, q, cfg) @ np.asarray(ef.eval(q), dtype=float)
-
-        out += pullback_connection(phi, e_val, pushed, cfg)
-        nab = covariant_derivative(phi.source, constant_field(e_val.components), ef, p, cfg)
-        out -= J @ nab.components
+    gammaN = christoffel(phi.target, phi.value(p), cfg)
+    out = np.zeros(k)
+    for a, d in dF.items():
+        Je = J @ E[:, a]
+        out += d[:k, a] + christoffel_contract(gammaN, Je) @ Je
+        out -= J @ (d[k:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], E[:, a]))
     return out
 
 
@@ -680,6 +700,7 @@ def classify(
         basis = full_adapted_basis(geom, p)
         y = phi.value(p)
         gy = gN(y)
+        gp = metric_eval(phi.source, p)
         for i in range(len(basis)):
             for j in range(i, len(basis)):
                 val = second_fundamental_form(phi, basis[i], basis[j], cfg)
@@ -687,7 +708,7 @@ def classify(
 
         fib_defect = np.maximum(fib_defect, fiber_second_fundamental_defect(geom, p, cfg))
 
-        hb = horizontal_basis(geom, p)
+        hb = basis[:geom.rank]
         for a in range(len(hb)):
             for b in range(a + 1, len(hb)):
                 td = torsion_TD(
@@ -695,7 +716,6 @@ def classify(
                     constant_field(hb[a].components), constant_field(hb[b].components),
                     p, cfg,
                 )
-                gp = metric_eval(phi.source, p)
                 integ_defect = np.maximum(
                     integ_defect,
                     float(np.sqrt(max(td.components @ gp @ td.components, 0.0))),
@@ -730,12 +750,12 @@ def classify(
         )
 
     Lams, lift_defect, vs_base = [], 0.0, 0.0
-    for p in points:
+    for p, lam in zip(points, lam_list):
         u = adapted_frame(phi.source, geom.horizontal, p)
         Lam, defect = lift_conformality_measurement(geom, u, cfg)
         Lams.append(Lam)
         lift_defect = np.maximum(lift_defect, defect)
-        vs_base = np.maximum(vs_base, abs(Lam - dilatation(phi, p, cfg, geom)[0]))
+        vs_base = np.maximum(vs_base, abs(Lam - lam))
     rep.lift_lambda_samples = Lams
     rep.lift_lambda_std = float(np.std(Lams))
     rep.lift_defect_measured = lift_defect

@@ -64,8 +64,8 @@ from .adapted import (
     torsion_TD,
 )
 from .submersion import (
-    A_identity_residual,
-    A_Y_endo,
+    A_identity_residuals,
+    A_Y_endos,
     Pi_X_endo,
     Pi_X_endo_alt,
     adapted_endo_field,
@@ -594,8 +594,8 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         v1 = second_fundamental_form(phi, TangentVector(p, x), TangentVector(p, y), cfg)
         v2 = second_fundamental_form(phi, TangentVector(p, y), TangentVector(p, x), cfg)
         checks.see("second_fundamental_symmetric", norm(phi.target, phi.value(p), v1 - v2))
-        readings = [A_identity_residual(geom, X, Y, cfg)
-                    for X in horizontal_basis(geom, p) for Y in vertical_basis(geom, p)]
+        E = adapted_frame(M, D, p).columns
+        readings = A_identity_residuals(geom, E[:, :k].T, E[:, k:].T, p, cfg)
         checks.see("a_identity", *(r["asserted"] for r in readings))
         checks.see("a_identity_printed_sign", *(r["printed"] for r in readings))
         X = TangentVector(p, rng.standard_normal(M.dim))
@@ -624,16 +624,17 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # divergence duality
     for p in few:
+        E = adapted_frame(M, D, p).columns
+        onb = [TangentVector(p, E[:, i]) for i in range(M.dim)]
+        A = A_Y_endos(geom, E[:, k:].T, p, cfg)
+        g = metric_eval(M, p)
         for trial in range(5):
             C0 = rng.standard_normal((k, k))
             C_field = adapted_endo_field(geom, top=C0)
             d = div_bot(geom, C_field.eval, p, cfg)
-            Xv = vertical_basis(geom, p)[trial % (M.dim - k)]
-            A = A_Y_endo(geom, Xv, cfg)
-            onb = [TangentVector(p, adapted_frame(M, D, p).columns[:, i]) for i in range(M.dim)]
-            val = endo_inner(M, p, A, C_field.eval(p), onb)
-            g = metric_eval(M, p)
-            checks.see("div_duality", abs(val + float(Xv.components @ g @ d)))
+            j = trial % (M.dim - k)
+            val = endo_inner(M, p, A[j], C_field.eval(p), onb)
+            checks.see("div_duality", abs(val + float(E[:, k + j] @ g @ d)))
     checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2)
 
     # the lifted frame

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import framelift.adapted as adapted_module
+import framelift.geometry as geometry_module
 from framelift.adapted import (
     BlockDecomposition,
     DistributionSpec,
@@ -30,12 +31,16 @@ from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
 from framelift.frames import fundamental_vertical, horizontal_lift_frame, mok_metric
 from framelift.geometry import (
+    DEFAULT_FD,
     EndomorphismField,
     TangentVector,
     VectorField,
+    central_diff,
+    christoffel,
     constant_field,
     coordinate_field,
     curvature,
+    curvature_tensor,
     metric_eval,
     sample_points,
 )
@@ -50,8 +55,7 @@ def flat_parallel_distribution(k: int, n: int) -> DistributionSpec:
     return DistributionSpec(
         rank=k,
         projector_field=lambda q: P.copy(),
-        spanning_fields=[coordinate_field(i, n) for i in range(k)],
-        complement_fields=[coordinate_field(i, n) for i in range(k, n)],
+        seed_frame=lambda p: np.eye(n),
     )
 
 
@@ -380,6 +384,61 @@ class TestOneEvaluationPerReading:
         assert len(calls) == 1  # one oracle call serves all four cases
         assert [r["case"] for r in rows] == ["hh"] * 2 + ["hv"] * 3 + ["vh"] * 2 + ["vv"]
         assert sum(r["best_match"] for r in rows) == 4
+
+
+class TestCurvatureRelationStencil:
+    """RD and nabla^D S read one central stencil of the stacked (GD, S)."""
+
+    @staticmethod
+    def separate_stencils(M, D, x, y, z, p, cfg=DEFAULT_FD):
+        """The relation residual with GD and S differenced on separate stencils."""
+        def GD_at(q):
+            return christoffel(M, q, cfg) - S_components(M, D, q, cfg)
+
+        GD, S = GD_at(p), S_components(M, D, p, cfg)
+        dGD = central_diff(GD_at, p, cfg.step_h2)
+        dS = central_diff(lambda q: S_components(M, D, q, cfg), p, cfg.step_h2)
+        term_a = np.transpose(dGD, (0, 2, 3, 1))
+        quad_a = np.einsum("lim,mjk->ijkl", GD, GD)
+        RD = term_a - term_a.swapaxes(0, 1) + quad_a - quad_a.swapaxes(0, 1)
+        shared = dS + np.einsum("kma,aij->mkij", GD, S) - np.einsum("kaj,ami->mkij", S, GD)
+        readings = {"standard": shared - np.einsum("kia,amj->mkij", S, GD),
+                    "display": shared - np.einsum("kma,aij->mkij", S, GD)}
+        lhs = np.einsum("ijkl,i,j,k->l", curvature_tensor(M, p, cfg), x, y, z)
+        RD_xyz = np.einsum("ijkl,i,j,k->l", RD, x, y, z)
+        Sx, Sy = S_endo(M, D, x, p, cfg), S_endo(M, D, y, p, cfg)
+        S_td_z = S_endo(M, D, Sy @ x - Sx @ y, p, cfg) @ z
+        comm_z = (Sx @ Sy - Sy @ Sx) @ z
+        g = metric_eval(M, p)
+        out = {}
+        for reading, NS in readings.items():
+            d = lhs - (RD_xyz + np.einsum("mkij,m,i,j->k", NS, x, y, z)
+                       - np.einsum("mkij,m,i,j->k", NS, y, x, z) + S_td_z + comm_z)
+            out[reading] = float(np.sqrt(max(d @ g @ d, 0.0)))
+        return out
+
+    def test_values_equal_the_separate_stencils(self):
+        rng = np.random.default_rng(47)
+        for p in sample_points(M3, 47, 2):
+            x, y, z = rng.standard_normal((3, M3.dim))
+            got = curvature_relation_residual(M3, D3, x, y, z, p)
+            ref = self.separate_stencils(M3, D3, x, y, z, p)
+            assert set(got) == set(ref)
+            assert all(np.array_equal(got[r], ref[r]) for r in ref)
+
+    def test_halves_the_christoffel_calls_on_E3(self, monkeypatch):
+        tally = []
+        for module in (adapted_module, geometry_module):
+            def counting(*args, real=module.christoffel, **kwargs):
+                tally.append(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "christoffel", counting)
+        x, y, z = np.random.default_rng(48).standard_normal((3, M3.dim))
+        curvature_relation_residual(M3, D3, x, y, z, sample_points(M3, 48, 1)[0])
+        # separate stencils: 1 + 2n for R, 2 + 4n for RD, 3 + 2n for nabla^D S
+        # and 3 for S_x, S_y and S_{T^D}, i.e. 9 + 8n = 33 at n = 3
+        assert len(tally) <= (9 + 8 * M3.dim) // 2
 
 
 class TestW:

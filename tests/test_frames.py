@@ -364,6 +364,28 @@ class TestOneEvaluationPerCase:
             assert np.array_equal(t.base_rate, one.base_rate)
             assert np.array_equal(t.frame_rate, one.frame_rate)
 
+    def test_each_field_is_evaluated_once_at_the_centre(self):
+        e = get("E3")
+        M = e.phi.source
+        chart = om_chart(M)
+        q = chart.encode(on_frame(M, sample_points(M, 42, 1)[0]))
+        rng = np.random.default_rng(24)
+        centre_calls = {}
+
+        def counted(name):
+            f = polynomial_vector_field(chart.dim, rng, exact_jacobian=False).eval
+
+            def field(x):
+                if np.array_equal(x, q):
+                    centre_calls[name] = centre_calls.get(name, 0) + 1
+                return f(x)
+
+            return field
+
+        hX, hY, vP, vQ = (counted(name) for name in ("hX", "hY", "vP", "vQ"))
+        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q)
+        assert centre_calls == {"hX": 1, "hY": 1, "vP": 1, "vQ": 1}
+
     def test_bracket_readings_share_one_fd_bracket(self, monkeypatch):
         rng = np.random.default_rng(20)
         X = polynomial_vector_field(2, rng)

@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
 
+import framelift.adapted as adapted_module
 import framelift.submersion as submersion_module
 from framelift.adapted import adapted_frame, adapted_horizontal_lift
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
 from framelift.frames import Frame, fundamental_vertical, mok_metric, mok_norm
+import framelift.geometry as geometry_module
 from framelift.geometry import (
     TangentVector,
+    VectorField,
     constant_field,
     metric_eval,
     sample_points,
 )
 from framelift.submersion import (
     A_identity_residual,
+    A_identity_residuals,
     A_Y_endo,
+    A_Y_endos,
     Pi_X_endo,
     Pi_X_endo_alt,
     SubmersionSpec,
@@ -25,6 +30,7 @@ from framelift.submersion import (
     differential_matrix,
     dilatation,
     div_bot,
+    fiber_second_fundamental_defect,
     horizontal_basis,
     lift_conformality_measurement,
     lift_differential_fd,
@@ -577,3 +583,137 @@ class TestLiftTensionDirect:
         assert res["tangential"] < 1e-6
         assert abs(res["ambient"] - 1.0 / np.sqrt(2.0)) < 1e-4
         assert abs(res["normal"] - res["ambient"]) < 1e-6
+
+
+# A submersion with a two-dimensional kernel, so that per-column costs show:
+# (x, y, z) -> x + 0.3 y^2 on flat R^3.  Its fibers bend in y, so A != 0.
+LINE = SubmersionSpec(
+    source=euclidean_chart(3), target=euclidean_chart(1),
+    map=lambda p: np.array([p[0] + 0.3 * p[1] ** 2]),
+    jacobian=lambda p: np.array([[1.0, 0.6 * p[1], 0.0]]),
+    vertical_fields=[VectorField(eval=lambda p: np.array([-0.6 * p[1], 1.0, 0.0])),
+                     constant_field(np.array([0.0, 0.0, 1.0]))],
+    name="line",
+)
+GEOM_LINE = derive_geometry(LINE)
+
+
+def rows_jacobian(rows):
+    return SubmersionSpec(source=euclidean_chart(3), target=euclidean_chart(2),
+                          map=lambda p: np.array(rows) @ p,
+                          jacobian=lambda p: np.array(rows, dtype=float))
+
+
+class TestSplittingRankCheck:
+    """The rank check reads Cholesky pivots of J g^-1 J^T, not a second SVD."""
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],      # exactly deficient
+        [[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]],     # singular-value ratio of JA ~1e-18
+    ])
+    def test_rank_deficient_differential_raises(self, rows):
+        with pytest.raises(ValueError, match="rank deficient"):
+            splitting_projectors(rows_jacobian(rows), np.array([0.1, 0.2, 0.3]))
+
+    def test_catalog_points_pass_without_matrix_rank(self, monkeypatch):
+        def no_matrix_rank(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_matrix_rank)
+        for eid, e in E.items():
+            for p in sample_points(e.phi.source, 17, 4):
+                Pi_V, Pi_H = splitting_projectors(e.phi, p)
+                assert np.max(np.abs(Pi_V + Pi_H - np.eye(p.size))) < 1e-12
+        with pytest.raises(ValueError, match="rank deficient"):
+            splitting_projectors(rows_jacobian([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                                 np.zeros(3))
+
+
+class TestSeedFrame:
+    def test_without_vertical_fields_the_kernel_is_projected(self):
+        # the last n-k coordinate directions, projected onto the kernel
+        phi = SubmersionSpec(source=euclidean_chart(3), target=euclidean_chart(2),
+                             map=lambda p: p[:2].copy(), jacobian=lambda p: np.eye(2, 3))
+        p = np.array([0.1, 0.2, 0.3])
+        E = adapted_frame(phi.source, derive_geometry(phi).horizontal, p).columns
+        assert np.array_equal(E, np.eye(3))
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Tally the calls of ``name`` made through any of ``modules``."""
+    tally = []
+    for module in modules:
+        def counting(*args, real=getattr(module, name), **kwargs):
+            tally.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return tally
+
+
+class TestPerPointCosts:
+    """One adapted frame stencil per direction, one Christoffel, one S per point."""
+
+    def christoffel_calls(self, monkeypatch):
+        return count_calls(monkeypatch, "christoffel", geometry_module, adapted_module,
+                           submersion_module)
+
+    @pytest.mark.parametrize("fn", [fiber_second_fundamental_defect, mean_curvature_fibers])
+    @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
+    def test_fiber_operators_take_one_frame_stencil_per_vertical_direction(
+            self, monkeypatch, fn, geom):
+        M = geom.phi.source
+        p = sample_points(M, 18, 1)[0]
+        frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
+        christoffels = self.christoffel_calls(monkeypatch)
+        fn(geom, p)
+        assert len(frames) == 1 + 2 * (M.dim - geom.rank)
+        assert len(christoffels) == 1
+
+    def test_div_bot_evaluates_christoffel_once(self, monkeypatch):
+        geom = GEOM["E3"]
+        p = sample_points(geom.phi.source, 19, 1)[0]
+        C_field = adapted_endo_field(geom, top=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        christoffels = self.christoffel_calls(monkeypatch)
+        div_bot(geom, C_field.eval, p)
+        assert len(christoffels) == 1  # one per horizontal direction before
+
+    @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
+    def test_lift_distributions_assembles_S_once(self, monkeypatch, geom):
+        M = geom.phi.source
+        p = sample_points(M, 20, 1)[0]
+        u = adapted_frame(M, geom.horizontal, p)
+        calls = count_calls(monkeypatch, "S_components", submersion_module)
+        lift_distributions(geom, u)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("geom", [*GEOM.values(), GEOM_LINE],
+                             ids=[*GEOM, "line"])
+    def test_batched_A_equals_the_one_case(self, geom):
+        M = geom.phi.source
+        rng = np.random.default_rng(21)
+        for p in sample_points(M, 21, 2):
+            Pi_V, _ = splitting_projectors(geom.phi, p)
+            ys = [Pi_V @ v for v in rng.standard_normal((3, M.dim))]
+            batch = A_Y_endos(geom, ys, p)
+            for y, A in zip(ys, batch):
+                assert np.array_equal(A, A_Y_endo(geom, TangentVector(p, y)))
+        if geom is GEOM_LINE:
+            assert np.max(np.abs(batch[0])) > 1e-3  # the fibers bend, so A != 0
+
+    def test_batched_A_identity_equals_the_one_pair_calls(self):
+        geom = GEOM_LINE
+        p = sample_points(geom.phi.source, 22, 1)[0]
+        E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
+        batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p)
+        one = [A_identity_residual(geom, TangentVector(p, E[:, 0]), TangentVector(p, E[:, j]))
+               for j in (1, 2)]
+        assert batch == one
+        assert max(r["asserted"] for r in batch) < 5e-4
+
+    def test_rejects_a_horizontal_argument_in_a_batch(self):
+        geom = GEOM["E3"]
+        p = sample_points(geom.phi.source, 23, 1)[0]
+        E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
+        with pytest.raises(ValueError, match="vertical"):
+            A_Y_endos(geom, [E[:, 2], E[:, 0]], p)
