@@ -101,7 +101,7 @@ def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame) -> flo
     k = D.rank
     g = metric_eval(M, u.base)
     P = D.projector(u.base)
-    Pc = D.complement(u.base)
+    Pc = np.eye(u.base.size) - P
     return float(max(
         np.max(np.abs(u.columns.T @ g @ u.columns - np.eye(u.base.size))),
         np.max(np.abs(Pc @ u.columns[:, :k])) if k > 0 else 0.0,
@@ -177,7 +177,8 @@ def nabla_D(
     """Adapted connection: project, differentiate, project back on each block."""
     top = covariant_derivative(M, X, _projected_field(D, Y, True), p, cfg)
     bot = covariant_derivative(M, X, _projected_field(D, Y, False), p, cfg)
-    out = D.projector(p) @ top.components + D.complement(p) @ bot.components
+    P = D.projector(p)
+    out = P @ top.components + (np.eye(P.shape[0]) - P) @ bot.components
     return TangentVector(p, out)
 
 
@@ -192,7 +193,8 @@ def S_tensor(
     """
     top = covariant_derivative(M, X, _projected_field(D, Y, True), p, cfg)
     bot = covariant_derivative(M, X, _projected_field(D, Y, False), p, cfg)
-    out = D.complement(p) @ top.components + D.projector(p) @ bot.components
+    P = D.projector(p)
+    out = (np.eye(P.shape[0]) - P) @ top.components + P @ bot.components
     return TangentVector(p, out)
 
 

@@ -232,12 +232,50 @@ def offdiag_skew_basis(n: int, k: int) -> list[Array]:
     return out
 
 
+def _exp_frechet_skew(A: Array, basis: Sequence[Array]) -> tuple[Array, Array]:
+    """exp(A) and the Frechet derivatives L(A, B_j) of exp for a real skew A, from one eigh.
+
+    With 1j A = U diag(mu) U*, A = U diag(lam) U* for lam = -1j mu, and
+    L(A, B) = U (F o U* B U) U* with F the divided differences of exp at the
+    lam (Daleckii-Krein; Higham, *Functions of Matrices*, 2008, ch. 3).  The
+    form F_kl = exp((lam_k + lam_l)/2) sinc((mu_k - mu_l)/2) is exact at
+    repeated eigenvalues, where F_kk = exp(lam_k).  exp(A) takes the same
+    operations whatever the basis, so it does not depend on it; an empty
+    basis skips the Frechet rows.
+    """
+    mu, U = np.linalg.eigh(1j * A)
+    Uh = U.conj().T
+    expA = ((U * np.exp(-1j * mu)) @ Uh).real
+    if len(basis) == 0:
+        return expA, np.zeros((0,) + A.shape)
+    F = np.exp(-0.5j * (mu[:, None] + mu[None, :])) * np.sinc(
+        (mu[:, None] - mu[None, :]) / (2.0 * np.pi))
+    B = np.reshape(basis, (-1,) + A.shape)
+    return expA, (U @ (F * (Uh @ B @ U)) @ Uh).real
+
+
+def _log_rotation(R: Array, tol: float) -> Array:
+    """Principal log of a rotation from one complex Schur factorisation R = Z T Z*.
+
+    R is normal, so T is diagonal up to roundoff and log R = Z log(diag T) Z*.
+    A half-turn has no unique principal log: raises ValueError when an
+    eigenvalue angle of R is within ``tol`` of pi.
+    """
+    T, Z = scipy.linalg.schur(R, output="complex")
+    d = np.diag(T)
+    if np.max(np.abs(np.angle(d))) > np.pi - tol:
+        raise ValueError("frame rotation has an eigenvalue angle at pi: no unique principal log")
+    return (Z * np.log(d)) @ Z.conj().T
+
+
 class FrameChart:
     """Chart (x, a) on a subbundle of O(M): u = E_ref(x) exp(A(a)).
 
     ``basis`` spans the allowed skew directions: all of so(n) for O(M), the
     block-diagonal subalgebra for an adapted bundle.  Valid near a = 0.  Both
     tangent conversions read the chart Jacobian J(q) built by ``jacobian``.
+    exp(A), its Frechet derivatives and the log in ``encode`` are closed
+    forms for skew A, one eigendecomposition or Schur factorisation each.
     """
 
     def __init__(
@@ -284,20 +322,21 @@ class FrameChart:
 
     def decode(self, q: Array) -> Frame:
         x, a = self.split(q)
-        E = self.reference(x) @ scipy.linalg.expm(self.skew_from_coords(a))
-        return Frame(x, E)
+        expA, _ = _exp_frechet_skew(self.skew_from_coords(a), ())
+        return Frame(x, self.reference(x) @ expA)
 
     def encode(self, u: Frame, tol: float = 1e-8) -> Array:
         """Chart coordinates of a frame; errors if u is not reachable.
 
-        Requires u orthonormal (up to ``tol``) and the rotation within the
-        span of the chart's skew directions, with principal log below the
-        injectivity cutoff.
+        Requires u orthonormal for this chart and its rotation R from the
+        reference frame within the span of the chart's skew directions, with
+        every eigenvalue angle of R below pi - ``tol`` (a half-turn has no
+        unique principal log).  The log comes from one Schur factorisation.
         """
         R = np.linalg.solve(self.reference(u.base), u.columns)
         if np.max(np.abs(R.T @ R - np.eye(self.manifold.dim))) > 1e-6:
             raise ValueError("frame is not orthonormal for this chart")
-        A = scipy.linalg.logm(R)
+        A = _log_rotation(R, tol)
         if np.max(np.abs(A.imag)) > tol:
             raise ValueError("matrix log did not converge to a real rotation")
         A = A.real
@@ -305,7 +344,7 @@ class FrameChart:
         a = self.coords_from_skew(A)
         if np.max(np.abs(self.skew_from_coords(a) - A)) > tol:
             raise ValueError("frame rotation leaves the chart's skew directions")
-        if np.max(np.abs(scipy.linalg.expm(A) - R)) > 1e-6:
+        if np.max(np.abs(_exp_frechet_skew(A, ())[0] - R)) > 1e-6:
             raise ValueError("matrix log inconsistent with the frame rotation")
         return self.join(u.base, a)
 
@@ -315,16 +354,14 @@ class FrameChart:
         """decode(q) and J(q): the (xdot, Edot) images of the dim coordinate directions.
 
         Jx is dim x n, JE is dim x n x n.  The n base rows of JE are
-        dE_ref exp(A); the skew rows are E_ref L(A, B_j), one expm_frechet
-        each.  exp(A), the reference frame and its derivative are computed once.
+        dE_ref exp(A); the skew rows are E_ref L(A, B_j), all of them and
+        exp(A) from one eigendecomposition of A.  The reference frame and its
+        derivative are computed once.
         """
         x, a = self.split(q)
-        A = self.skew_from_coords(a)
-        expA = scipy.linalg.expm(A)
+        expA, frechet = _exp_frechet_skew(self.skew_from_coords(a), self.basis)
         ref = self.reference(x)
-        skew = [ref @ scipy.linalg.expm_frechet(A, B, compute_expm=False) for B in self.basis]
-        JE = np.concatenate([self.reference_derivative(x, cfg) @ expA,
-                             np.reshape(skew, (-1,) + A.shape)])
+        JE = np.concatenate([self.reference_derivative(x, cfg) @ expA, ref @ frechet])
         return Frame(x, ref @ expA), np.eye(self.dim, x.size), JE
 
     def chart_to_tangents(self, q: Array, qdots: Array,

@@ -222,7 +222,8 @@ class TestBatchedS:
 
 
 class TestSCallCount:
-    """One S_x batch costs one Christoffel and one projector stencil per row."""
+    """One S_x batch costs one Christoffel and one projector stencil per row;
+    an O(D) membership check reads the projector once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -264,6 +265,12 @@ class TestSCallCount:
         L_P_apply(M3, D3, P, np.array([0.3, -0.2, 0.4]), p, onb)
         # S over the basis once; block_decompose reads P(p) once more
         assert counts == {"christoffel": 1, "projector": 2 * M3.dim + 2}
+
+    def test_od_membership_defect_reads_the_projector_once(self, counts):
+        u = adapted_frame(M3, D3, sample_points(M3, 47, 1)[0])
+        counts.update(christoffel=0, projector=0)
+        od_membership_defect(M3, D3, u)
+        assert counts["projector"] == 1
 
 
 class TestTorsion:

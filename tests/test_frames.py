@@ -32,6 +32,8 @@ from framelift.frames import (
     mok_gram,
     mok_metric,
     mok_norm,
+    block_skew_basis,
+    offdiag_skew_basis,
     om_chart,
     reference_frame,
     skew_basis,
@@ -535,9 +537,10 @@ class TestNoReencoding:
         ]
         encodes = self.count(monkeypatch, FrameChart, "encode")
         logms = self.count(monkeypatch, frames_module.scipy.linalg, "logm")
+        log_rotations = self.count(monkeypatch, frames_module, "_log_rotation")
         for field, q in fields:
             assert field(q).shape == q.shape
-        assert encodes == [] and logms == []
+        assert encodes == [] and logms == [] and log_rotations == []
 
     def test_connection_audit_encodes_once(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -599,3 +602,115 @@ class TestChartJacobianProperties:
     def test_encode_inverts_decode(self, chart_point):
         chart, q = chart_point
         assert np.max(np.abs(chart.encode(chart.decode(q)) - q)) < 1e-10
+
+
+@st.composite
+def skew_points(draw):
+    """A in so(n) or a block subalgebra (n = 2, 3, 4) with coordinates |a| < 2, and the basis."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(0, n - 1))
+    basis = skew_basis(n) if k == 0 else block_skew_basis(n, k)
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(basis),
+                               max_size=len(basis))))
+    a = 1.99 * a / max(1.0, float(np.linalg.norm(a)))
+    return sum((c * B for c, B in zip(a, basis)), np.zeros((n, n))), basis
+
+
+def two_plane(n, *angles):
+    """Rotation generator turning the planes (0, 1), (2, 3), ... by the given angles."""
+    A = np.zeros((n, n))
+    for i, theta in enumerate(angles):
+        A[2 * i, 2 * i + 1], A[2 * i + 1, 2 * i] = -theta, theta
+    return A
+
+
+class TestSkewClosedForms:
+    """exp, its Frechet rows and the rotation log from one factorisation, against SciPy."""
+
+    def check_against_scipy(self, A, basis):
+        expA, L = frames_module._exp_frechet_skew(A, basis)
+        assert np.max(np.abs(expA - scipy.linalg.expm(A))) < 1e-13
+        assert L.shape == (len(basis),) + A.shape
+        for B, LB in zip(basis, L):
+            assert np.max(np.abs(LB - scipy.linalg.expm_frechet(A, B, compute_expm=False))) < 1e-13
+        log = frames_module._log_rotation(expA, 1e-8)
+        assert np.max(np.abs(log - A)) < 1e-12
+        assert np.max(np.abs(log - scipy.linalg.logm(expA))) < 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(skew_points())
+    def test_match_scipy(self, skew_point):
+        self.check_against_scipy(*skew_point)
+
+    @pytest.mark.parametrize("A", [np.zeros((3, 3)), two_plane(3, 0.7), two_plane(4, 0.9, 0.9),
+                                   two_plane(4, 1.9, 1.9)],
+                             ids=["zero", "one_plane_n3", "equal_angles_n4",
+                                  "equal_large_angles_n4"])
+    def test_repeated_eigenvalues(self, A):
+        self.check_against_scipy(A, skew_basis(A.shape[0]))
+
+    def test_exp_does_not_depend_on_the_basis(self):
+        A = two_plane(3, 0.4) + 0.3 * skew_basis(3)[2]
+        alone, none = frames_module._exp_frechet_skew(A, ())
+        with_rows, _ = frames_module._exp_frechet_skew(A, skew_basis(3))
+        assert np.array_equal(alone, with_rows) and none.shape == (0, 3, 3)
+
+
+class TestNoScipyMatrixFunctions:
+    """The chart's exp, Frechet rows and log come from one factorisation, not scipy.linalg."""
+
+    @pytest.fixture
+    def eighs(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy matrix function called")
+
+        for name in ("expm", "expm_frechet", "logm"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
+        tally = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            tally.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return tally
+
+    @pytest.mark.parametrize("example", ["E1", "E2", "E3", "E4", "E5"])
+    @pytest.mark.parametrize("bundle", ["O", "D"])
+    def test_jacobian_decode_and_encode(self, eighs, example, bundle):
+        chart = skew_chart(example, bundle)
+        x = sample_points(chart.manifold, 48, 1)[0]
+        q = chart.join(x, 0.3 * np.ones(len(chart.basis)))
+        u, _, _ = chart.jacobian(q)
+        assert len(eighs) == 1
+        assert np.array_equal(chart.decode(q).columns, u.columns)
+        assert np.max(np.abs(chart.encode(u) - q)) < 1e-12
+
+
+class TestEncodeRejections:
+    def test_half_turn_raises(self):
+        chart = skew_chart("E3", "O")
+        x = sample_points(chart.manifold, 49, 1)[0]
+        a = np.zeros(len(chart.basis))
+        a[0] = np.pi
+        with pytest.raises(ValueError, match="eigenvalue angle at pi"):
+            chart.encode(chart.decode(chart.join(x, a)))
+
+    def test_three_radians_round_trip(self):
+        chart = skew_chart("E3", "O")
+        x = sample_points(chart.manifold, 49, 1)[0]
+        a = np.zeros(len(chart.basis))
+        a[0] = 3.0
+        q = chart.join(x, a)
+        assert np.max(np.abs(chart.encode(chart.decode(q)) - q)) < 1e-10
+
+    def test_rotation_mixing_the_blocks_raises(self):
+        chart = skew_chart("E3", "D")
+        M = chart.manifold
+        x = sample_points(M, 50, 1)[0]
+        k = derive_geometry(get("E3").phi).horizontal.rank
+        mix = scipy.linalg.expm(0.3 * offdiag_skew_basis(M.dim, k)[0])
+        u = Frame(x, chart.reference(x) @ mix)
+        with pytest.raises(ValueError, match="leaves the chart's skew directions"):
+            chart.encode(u)
