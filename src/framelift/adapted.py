@@ -25,6 +25,7 @@ from .geometry import (
     central_diff,
     christoffel,
     christoffel_contract,
+    column_gram,
     covariant_derivative,
     curvature_R_P,
     curvature_tensor,
@@ -351,16 +352,9 @@ def W_endo(
 
 def _W_matrix(g: Array, S_list: Sequence[Array], onb: Sequence[TangentVector]) -> Array:
     """W as a chart matrix from S_{e_i} over the g-orthonormal basis ``onb``."""
-    n = len(onb)
-    G = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = 0.0
-            for e in onb:
-                val += float((S_list[i] @ e.components) @ g @ (S_list[j] @ e.components))
-            G[i, j] = G[j, i] = val
     E = np.column_stack([e.components for e in onb])
-    return E @ (np.eye(n) + G) @ np.linalg.inv(E)
+    G = column_gram(g, np.asarray(S_list) @ E)  # G[i, j] = <S_{e_i} | S_{e_j}>
+    return E @ (np.eye(len(onb)) + G) @ np.linalg.inv(E)
 
 
 def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
@@ -385,16 +379,11 @@ def L_P_apply(
     b = block_decompose(nP, D, p)
     nPm = b.off1 + b.off2
     signs = {"printed": -1.0, "flipped": +1.0}
-    vecs = dict.fromkeys(signs, RP @ x)
     S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
-    for e, Se in zip(onb, S_list):
-        coef = 0.0
-        for f in onb:
-            coef += float((nPm @ f.components) @ g @ (Se @ f.components))
-        for name, sign in signs.items():
-            vecs[name] = vecs[name] + sign * coef * e.components
+    E = np.column_stack([e.components for e in onb])
+    m_part = E @ column_gram(g, [nPm @ E], np.asarray(S_list) @ E)[0]  # sum_i <nPm | S_{e_i}> e_i
     W = _W_matrix(g, S_list, onb)
-    return {name: W_inverse_apply(W, vec) for name, vec in vecs.items()}
+    return {name: W_inverse_apply(W, RP @ x + sign * m_part) for name, sign in signs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +398,20 @@ def adapted_horizontal_lift(
 
     Tangent to O(D) at adapted frames (checked by ``od_tangency_residual``).
     """
+    return _adapted_horizontal_lifts(M, D, [X], u, cfg)[0]
+
+
+def _adapted_horizontal_lifts(
+    M: ChartManifold, D: DistributionSpec, Xs: Sequence[TangentVector], u: Frame,
+    cfg: FDConfig = DEFAULT_FD,
+) -> list[FrameTangent]:
+    """``adapted_horizontal_lift`` of each X in ``Xs`` at u, with one O(D)
+    membership check and every S_X from one ``_S_endos`` batch."""
     if od_membership_defect(M, D, u) > 1e-6:
         raise ValueError("frame is not adapted to the distribution")
-    Sx = S_endo(M, D, X.components, u.base, cfg)
-    return horizontal_lift_frame(M, X, u, cfg) + fundamental_vertical(Sx, u)
+    S = _S_endos(M, D, [X.components for X in Xs], u.base, cfg)
+    return [horizontal_lift_frame(M, X, u, cfg) + fundamental_vertical(Sx, u)
+            for X, Sx in zip(Xs, S)]
 
 
 def od_constraints(M: ChartManifold, D: DistributionSpec, k: int):
@@ -460,13 +459,9 @@ def adapted_horizontal_field_on_chart(
     cfg: FDConfig = DEFAULT_FD,
 ):
     """Chart field of the adapted horizontal lift of X (tangent to O(D))."""
-
-    def field(q: Array) -> Array:
-        u = chart.decode(q)
-        t = adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u, cfg)
-        return chart.tangent_to_chart(q, t, cfg)
-
-    return field
+    return lambda q: chart._rates_of(
+        q, lambda u: adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u, cfg),
+        cfg)
 
 
 def adapted_connection_audit(

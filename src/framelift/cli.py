@@ -8,13 +8,17 @@ Commands:
 
 Exit status: 0 when every asserted check passes, 1 when any asserted check
 fails or is inconclusive, 2 on a configuration error, including a sample
-point or a difference stencil that leaves a chart during the run.  Audit
+point or a difference stencil that leaves a chart during the run, and on
+any other exception, so that a crash never reads as a failed check.  Audit
 rows are informational and never affect the status.  The environment
 variable FRAMELIFT_SEED overrides the default seed.
 
-``main`` lets that run-time ``DomainError`` propagate, so an in-process
-caller can tell it from a failed check; ``run``, the process entry point,
-turns it into exit status 2 and a message on stderr.
+``main`` lets an exception raised inside a suite propagate, so an
+in-process caller can tell it from a failed check: a ``DomainError`` gets
+the example and the suite prefixed to its message, any other exception a
+``unit`` attribute (example id, suite).  ``run``, the process entry point,
+turns every exception into exit status 2 and a message on stderr, after
+the traceback for any exception other than a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from typing import Optional
 
 from .catalog import entries, get
@@ -129,6 +134,9 @@ def cmd_verify(args) -> int:
                 results.extend(run_suites(e, [s], cfg, seed, args.samples))
             except DomainError as exc:
                 raise DomainError(f"{e.id} suite {s}: {exc}") from exc
+            except Exception as exc:
+                exc.unit = (e.id, s)
+                raise
 
     width = max((len(r.name) for r in results), default=20)
     for r in results:
@@ -160,11 +168,16 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """Process entry point: ``main``, with a run-time DomainError as exit status 2."""
+    """Process entry point: ``main``, with any exception as exit status 2, never 1."""
     try:
         return main(argv)
-    except DomainError as exc:
+    except DomainError as exc:  # its message names the example and the suite
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a defect: keep its traceback, then say where it struck
+        traceback.print_exc()
+        where = "{} suite {}: ".format(*exc.unit) if hasattr(exc, "unit") else ""
+        print(f"error: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

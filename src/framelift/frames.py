@@ -27,6 +27,7 @@ from .geometry import (
     central_diff,
     christoffel,
     christoffel_contract,
+    column_gram,
     covariant_derivative,
     covariant_derivatives,
     curvature_R_P,
@@ -35,6 +36,7 @@ from .geometry import (
     lie_bracket,
     metric_eval,
     orthonormal_basis,
+    orthonormalizer,
     reference_frame,
 )
 
@@ -151,43 +153,41 @@ def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> f
     return float(np.sqrt(max(mok_metric(M, t, t, cfg), 0.0)))
 
 
+def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
+               cfg: FDConfig = DEFAULT_FD) -> Array:
+    """Gram matrix of tangents (X_a, Edot_a) to the bundle of n x m frames at (x, E).
+
+    G = X g X^T + sum_i W g W^T over the m columns, W_a = Edot_a + Gamma(X_a) E
+    = V_a E for the vertical part V_a (whose inverse cancels): the Mok metric
+    for m = n, the Sasaki-Mok metric on TM for the one column E = Z.
+    """
+    g = metric_eval(M, x)
+    W = Edot + np.einsum("kij,ai,jl->akl", christoffel(M, x, cfg), X, E)
+    G = X @ g @ X.T + column_gram(g, W)
+    return 0.5 * (G + G.T)
+
+
 def mok_gram(
     M: ChartManifold, basis: Sequence[FrameTangent], cfg: FDConfig = DEFAULT_FD
 ) -> Array:
-    """Mok Gram matrix of tangents attached to one frame, in one pass.
-
-    With X the base rates (rows) and W_a = Edot_a + Gamma(xdot_a) E, which
-    is V_a E for the vertical part V_a, G = X g X^T + sum_i W g W^T with i
-    running over the frame columns.  The metric and the Christoffel symbols
-    are evaluated once, and the inverse in ``vertical_part`` cancels.
-    Raises ValueError when the tangents are attached to different frames.
-    """
+    """Mok Gram matrix of tangents attached to one frame, in one pass (``_lift_gram``).
+    Raises ValueError when the tangents are attached to different frames."""
     u = basis[0].at
     for t in basis[1:]:
         _same_frame(u, t.at)
-    g = metric_eval(M, u.base)
-    gamma = christoffel(M, u.base, cfg)
-    X = np.array([t.base_rate for t in basis])
-    W = np.array([t.frame_rate for t in basis]) + np.einsum(
-        "kij,ai,jl->akl", gamma, X, u.columns)
-    G = X @ g @ X.T + np.einsum("aki,kl,bli->ab", W, g, W)
-    return 0.5 * (G + G.T)
+    return _lift_gram(M, u.base, u.columns, np.array([t.base_rate for t in basis]),
+                      np.array([t.frame_rate for t in basis]), cfg)
 
 
 def mok_orthonormalize(
     M: ChartManifold, basis: Sequence[FrameTangent], cfg: FDConfig = DEFAULT_FD
 ) -> list[FrameTangent]:
-    """Gram-Schmidt in the Mok metric, deterministic in the given order."""
-    out: list[FrameTangent] = []
-    for t in basis:
-        w = t
-        for e in out:
-            w = w - mok_metric(M, w, e, cfg) * e
-        n = mok_norm(M, w, cfg)
-        if n < 1e-12:
-            raise ValueError("mok_orthonormalize: degenerate input")
-        out.append((1.0 / n) * w)
-    return out
+    """Gram-Schmidt in the Mok metric, deterministic in the given order: one
+    ``mok_gram`` and its ``orthonormalizer``, which raises on a degenerate input."""
+    C = orthonormalizer(mok_gram(M, basis, cfg))
+    X = np.array([t.base_rate for t in basis])
+    F = np.array([t.frame_rate for t in basis])
+    return [FrameTangent(basis[0].at, c @ X, np.tensordot(c, F, axes=1)) for c in C]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,13 @@ class FrameChart:
 
         Errors if t is attached to another frame or is not tangent to the chart.
         """
+        return self._rates_of(q, lambda _u: t, cfg, tol)
+
+    def _rates_of(self, q: Array, tangent_at: Callable[[Frame], FrameTangent],
+                  cfg: FDConfig = DEFAULT_FD, tol: float = 1e-6) -> Array:
+        """Chart rates at q of ``tangent_at(u)``, u = decode(q); one ``jacobian(q)`` gives u and J."""
         u, _, JE = self.jacobian(q, cfg)
+        t = tangent_at(u)
         _same_frame(u, t.at)
         n = self.manifold.dim
         rhs = (t.frame_rate - np.tensordot(t.base_rate, JE[:n], axes=1)).ravel()
@@ -428,6 +434,11 @@ class LMChart:
     def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
         _same_frame(self.decode(q), t.at)
         return self.join(t.base_rate, t.frame_rate)
+
+    def _rates_of(self, q: Array, tangent_at: Callable[[Frame], FrameTangent],
+                  cfg: FDConfig = DEFAULT_FD) -> Array:
+        """Chart rates at q of ``tangent_at(decode(q))``; decoding is a reshape here."""
+        return self.tangent_to_chart(q, tangent_at(self.decode(q)), cfg)
 
 
 def om_chart(M: ChartManifold, name: str = "O(M)") -> FrameChart:
@@ -509,24 +520,13 @@ def fd_bracket_on_chart(
 def horizontal_field_on_chart(chart, X: VectorField, cfg: FDConfig = DEFAULT_FD):
     """Chart-coordinate field q -> rates of the horizontal lift of X."""
     M = chart.manifold
-
-    def field(q: Array) -> Array:
-        u = chart.decode(q)
-        t = horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u, cfg)
-        return chart.tangent_to_chart(q, t, cfg)
-
-    return field
+    return lambda q: chart._rates_of(
+        q, lambda u: horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u, cfg), cfg)
 
 
 def vertical_field_on_chart(chart, P: EndomorphismField, cfg: FDConfig = DEFAULT_FD):
     """Chart-coordinate field of the fundamental vertical field of P."""
-
-    def field(q: Array) -> Array:
-        u = chart.decode(q)
-        t = fundamental_vertical(P.eval(u.base), u)
-        return chart.tangent_to_chart(q, t, cfg)
-
-    return field
+    return lambda q: chart._rates_of(q, lambda u: fundamental_vertical(P.eval(u.base), u), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -365,40 +365,58 @@ def curvature_R_P(
 # frames and endomorphism inner product
 # ---------------------------------------------------------------------------
 
+def column_gram(g: Array, A: Array, B: Optional[Array] = None) -> Array:
+    """G[a, b] = sum_i g(A_a[:, i], B_b[:, i]) for stacks A, B (default A) of n x m matrices.
+
+    Pairs matrices column by column under g: <P | Q> over a frame E is A = P E,
+    B = Q E; the vertical part of the Mok (m = n) and Sasaki-Mok (m = 1) metrics.
+    """
+    return np.einsum("aki,kl,bli->ab", A, g, A if B is None else B)
+
+
+def orthonormalizer(B: Array) -> Array:
+    """Lower-triangular C with C B C^T = I, for the Gram matrix B of a list.
+
+    C = L^-1 for the Cholesky factor B = L L^T: row a of C combines the first
+    a + 1 entries into the a-th Gram-Schmidt vector, and diag(L)^2 holds each
+    entry's squared residual against the ones before it (Golub & Van Loan,
+    *Matrix Computations*, sections 4.2 and 5.2).  Raises ValueError on a
+    degenerate list: a residual at most 1e-6 of its entry's norm, below what
+    the factor resolves.
+    """
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        raise ValueError("degenerate list: its Gram matrix is not positive definite") from None
+    d = L.diagonal()
+    if (d * d <= 1e-12 * B.diagonal()).any():
+        raise ValueError("degenerate list: an entry lies in the span of the ones before it")
+    return np.linalg.inv(L) * np.tri(len(L))  # inv leaves roundoff above the diagonal
+
+
 def gram_schmidt(M: ChartManifold, p: Array, seed_basis: Sequence[Array]) -> list[TangentVector]:
     """g-orthonormalize a linearly independent list of vectors at p.
 
-    Deterministic given the input order; raises on a degenerate seed.
+    Deterministic given the input order; raises ValueError on a degenerate
+    seed (see ``orthonormalizer``).
     """
     p = _check_domain(M, p)
-    g = metric_eval(M, p)
-    out: list[Array] = []
-    scale = 0.0
-    for v in seed_basis:
-        w = np.asarray(v, dtype=float).copy()
-        scale = max(scale, float(np.linalg.norm(w)))
-        for e in out:
-            w = w - (e @ g @ w) * e
-        n2 = float(w @ g @ w)
-        if n2 <= (1e-12 * max(scale, 1.0)) ** 2:
-            raise ValueError("gram_schmidt: seed basis is degenerate")
-        out.append(w / np.sqrt(n2))
-    return [TangentVector(p, e) for e in out]
+    V = np.array(seed_basis, dtype=float)
+    return [TangentVector(p, e) for e in orthonormalizer(V @ metric_eval(M, p) @ V.T) @ V]
 
 
 def orthonormal_basis(M: ChartManifold, p: Array) -> list[TangentVector]:
-    """Reference g-orthonormal basis at p (exact frame field if available)."""
-    if M.orthonormal_frame is not None:
-        E = np.asarray(M.orthonormal_frame(p), dtype=float)
-        return [TangentVector(p, E[:, i]) for i in range(M.dim)]
-    return gram_schmidt(M, p, list(np.eye(M.dim)))
+    """Reference g-orthonormal basis at p: the columns of ``reference_frame``."""
+    E = reference_frame(M, p)
+    return [TangentVector(p, E[:, i]) for i in range(M.dim)]
 
 
 def reference_frame(M: ChartManifold, p: Array) -> Array:
-    """Reference orthonormal frame as a matrix of column vectors."""
+    """Reference orthonormal frame as a matrix of column vectors (exact frame
+    field if available, else the coordinate basis orthonormalised)."""
     if M.orthonormal_frame is not None:
         return np.asarray(M.orthonormal_frame(p), dtype=float)
-    return np.column_stack([e.components for e in orthonormal_basis(M, p)])
+    return orthonormalizer(metric_eval(M, p)).T
 
 
 def orthonormality_defect(M: ChartManifold, p: Array, basis: Sequence[TangentVector]) -> float:
@@ -419,11 +437,8 @@ def endo_inner(
     Basis-independent (equals tr(P^T g Q g^{-1})), which the property suite
     checks by feeding two different orthonormal bases.
     """
-    g = metric_eval(M, p)
-    total = 0.0
-    for e in onb:
-        total += float((P @ e.components) @ g @ (Q @ e.components))
-    return total
+    E = np.column_stack([e.components for e in onb])
+    return float(column_gram(metric_eval(M, p), [P @ E], [Q @ E])[0, 0])
 
 
 def skew_defect(M: ChartManifold, p: Array, P: Array) -> float:

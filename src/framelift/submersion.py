@@ -9,7 +9,7 @@ classification driven by those objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,8 +28,8 @@ from .geometry import (
     constant_field,
     covariant_derivative,
     directional_diff,
-    gram_schmidt,
     metric_eval,
+    orthonormalizer,
 )
 from .frames import (
     Frame,
@@ -48,9 +48,9 @@ from .adapted import (
     S_components,
     W_endo,
     W_inverse_apply,
+    _adapted_horizontal_lifts,
     adapted_chart,
     adapted_frame,
-    adapted_horizontal_lift,
     od_membership_defect,
     od_tangency_residual,
     torsion_TD,
@@ -506,28 +506,23 @@ def lift_distributions(
     g = metric_eval(M, p)
 
     Ep = adapted_frame(M, D, p).columns
-    V_basis: list[FrameTangent] = []
-    for j, A in enumerate(A_Y_endos(geom, Ep[:, k:].T, p, cfg)):
-        V_basis.append(adapted_horizontal_lift(M, D, TangentVector(p, Ep[:, k + j]), u, cfg)
-                       + fundamental_vertical(A, u))
+    C_fields = [adapted_endo_field(geom, top=c) for c in skew_basis(k)]
+    # adapted lifts of the verticals, of the W-preimages of the horizontals and
+    # of the W-preimages of the divergences, in that order, from one S batch
+    lifts = _adapted_horizontal_lifts(M, D, [TangentVector(p, x) for x in [
+        *Ep[:, k:].T, *(W_inverse_apply(Wm, Ep[:, a]) for a in range(k)),
+        *(W_inverse_apply(Wm, div_bot(geom, C.eval, p, cfg)) for C in C_fields)]], u, cfg)
+
+    V_basis = [lift + fundamental_vertical(A, u)
+               for lift, A in zip(lifts, A_Y_endos(geom, Ep[:, k:].T, p, cfg))]
+    E = u.columns
     for b in skew_basis(n - k):
         blk = np.zeros((n, n))
         blk[k:, k:] = b
-        E = u.columns
         V_basis.append(fundamental_vertical(E @ blk @ E.T @ g, u))
 
-    H_basis: list[FrameTangent] = []
-    for a in range(k):
-        w = W_inverse_apply(Wm, Ep[:, a])
-        H_basis.append(adapted_horizontal_lift(M, D, TangentVector(p, w), u, cfg))
-    for c in skew_basis(k):
-        C_field = adapted_endo_field(geom, top=c)
-        d = div_bot(geom, C_field.eval, p, cfg)
-        w = W_inverse_apply(Wm, d)
-        H_basis.append(
-            adapted_horizontal_lift(M, D, TangentVector(p, w), u, cfg)
-            + fundamental_vertical(C_field.eval(p), u)
-        )
+    H_basis = lifts[n - k:n] + [lift + fundamental_vertical(C.eval(p), u)
+                                for lift, C in zip(lifts[n:], C_fields)]
     return V_basis, H_basis
 
 
@@ -797,23 +792,16 @@ def lift_tension_direct(
     m = src_chart.dim
 
     def on_frame(q: Array) -> Array:
-        G = induced_metric_on_chart(src_chart, q, cfg)
-        chart_like = ChartManifold(dim=m, metric_field=lambda _q: G)
-        basis = gram_schmidt(chart_like, q, list(np.eye(m)))
-        return np.column_stack([e.components for e in basis])
+        # columns: the coordinate basis orthonormalised in the induced metric
+        return orthonormalizer(induced_metric_on_chart(src_chart, q, cfg)).T
 
+    cfg_total = replace(cfg, step_h=cfg.step_h2)
     E0 = on_frame(q0)
     J_F = central_diff(F, q0, cfg.step_h).T  # (tgt_dim, m)
     y0 = F(q0)
-    gamma_tgt = christoffel(
-        tgt_total, y0,
-        FDConfig(step_h=cfg.step_h2, step_h2=cfg.step_h2,
-                 tol_exact=cfg.tol_exact, tol_fd1=cfg.tol_fd1, tol_fd2=cfg.tol_fd2),
-    )
+    gamma_tgt = christoffel(tgt_total, y0, cfg_total)
 
     tau = np.zeros(tgt_chart.dim)
-    cfg_total = FDConfig(step_h=cfg.step_h2, step_h2=cfg.step_h2,
-                         tol_exact=cfg.tol_exact, tol_fd1=cfg.tol_fd1, tol_fd2=cfg.tol_fd2)
     for i in range(m):
         Ei_val = E0[:, i]
 

@@ -24,8 +24,9 @@ from .geometry import (
     covariant_derivative,
     constant_field,
     metric_eval,
+    orthonormalizer,
 )
-from .frames import FrameTangent, vertical_part
+from .frames import FrameTangent, _lift_gram, vertical_part
 from .submersion import (
     SubmersionSpec,
     SubmersionGeometry,
@@ -234,35 +235,21 @@ def tm_distributions(
     lifts corrected by the horizontal part of nabla_Z of a vertical
     extension: the vertical projector composed with the constant extension,
     which keeps the extension vertical, the reading under which the kernel
-    property is an identity.  The complement is computed as the
-    Sasaki-orthogonal complement of the kernel.
+    property is an identity.  The complement is the null space of V^T G, G
+    the Sasaki-Mok Gram matrix of the 2n chart directions, orthonormalised.
     """
     geom = geom if geom is not None else derive_geometry(phi, cfg)
     M = phi.source
     n = M.dim
     V_basis = _kernel_basis(geom, Z, cfg, lambda x: _vertical_extension(geom, x, cfg))
 
-    # orthogonal complement of the kernel inside the 2n-dimensional fiber
-    G = _sasaki_chart_gram(M, Z, cfg)
-    Vmat = np.column_stack([np.concatenate([v.base_rate, v.fiber_rate]) for v in V_basis])
-    proj = Vmat @ np.linalg.solve(Vmat.T @ G @ Vmat, Vmat.T @ G)
-    H_basis: list[TMTangent] = []
-    count = 0
-    for idx in range(2 * n):
-        if count == 2 * n - len(V_basis):
-            break
-        cand = np.zeros(2 * n)
-        cand[idx] = 1.0
-        cand = cand - proj @ cand
-        for h in H_basis:
-            hv = np.concatenate([h.base_rate, h.fiber_rate])
-            cand = cand - (hv @ G @ cand) * hv
-        nrm = float(np.sqrt(max(cand @ G @ cand, 0.0)))
-        if nrm > 1e-8:
-            cand /= nrm
-            H_basis.append(TMTangent(Z, cand[:n], cand[n:]))
-            count += 1
-    return V_basis, H_basis
+    # the chart directions d_x (base rates) and d_Z (fiber rates) lifted at the column Z
+    I = np.eye(2 * n)
+    G = _lift_gram(M, Z.base, Z.fiber[:, None], I[:, :n], I[:, n:, None], cfg)
+    Vmat = np.array([np.concatenate([v.base_rate, v.fiber_rate]) for v in V_basis])
+    N = np.linalg.svd(Vmat @ G)[2][len(V_basis):]  # rows span the null space of V^T G
+    H = orthonormalizer(N @ G @ N.T) @ N
+    return V_basis, [TMTangent(Z, h[:n], h[n:]) for h in H]
 
 
 def tm_kernel_constant_extension(
@@ -299,16 +286,6 @@ def tm_distributions_displayed_h(
         corr = TangentVector(p, Pi_V @ nab.components)
         out.append(tm_vertical_lift(e, Z) + tm_horizontal_lift(M, corr, Z, cfg))
     return out
-
-
-def _sasaki_chart_gram(M: ChartManifold, Z: TMPoint, cfg: FDConfig) -> Array:
-    """Sasaki-Mok metric as a 2n x 2n matrix in the (base_rate, fiber_rate) chart."""
-    n = M.dim
-    g = metric_eval(M, Z.base)
-    gamma = christoffel(M, Z.base, cfg)
-    GZ = np.einsum("kij,j->ki", gamma, Z.fiber)  # K = fiber_rate + GZ @ base_rate
-    B = np.block([[np.eye(n), np.zeros((n, n))], [GZ, np.eye(n)]])
-    return B.T @ np.block([[g, np.zeros((n, n))], [np.zeros((n, n)), g]]) @ B
 
 
 # ---------------------------------------------------------------------------

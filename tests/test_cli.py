@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from framelift.cli import main
+from framelift.cli import main, run
 from framelift.geometry import DomainError
 from framelift.reporting import strip_wall_times
 
@@ -138,6 +138,27 @@ class TestInProcess:
         # in-process callers tell a point outside the chart from a failed check
         with pytest.raises(DomainError, match="E3 suite core"):
             main(["verify", "E3", "--suite", "core", "--seed", "5"])
+
+    @pytest.fixture
+    def crashing_core(self, monkeypatch):
+        import framelift.suites as suites
+
+        def crash(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(suites.SUITES, "core", crash)
+
+    def test_run_maps_a_suite_crash_to_exit_2(self, crashing_core, capsys):
+        # exit 1 means "a check failed"; a crash must not read as one
+        assert run(["verify", "E1", "--suite", "core"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.endswith("\nerror: E1 suite core: ValueError: boom\n")
+
+    def test_main_lets_a_suite_crash_through_unchanged(self, crashing_core):
+        with pytest.raises(ValueError, match="^boom$") as info:
+            main(["verify", "E1", "--suite", "core"])
+        assert type(info.value) is ValueError and info.value.unit == ("E1", "core")
 
     def test_report_schema(self, tmp_path, capsys):
         path = tmp_path / "r.json"

@@ -12,6 +12,7 @@ from framelift.adapted import (
     adapted_connection_audit,
     adapted_frame,
     adapted_horizontal_field_on_chart,
+    adapted_horizontal_lift,
 )
 from framelift.catalog import euclidean_chart, get, sphere_chart
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
@@ -541,6 +542,32 @@ class TestNoReencoding:
         for field, q in fields:
             assert field(q).shape == q.shape
         assert encodes == [] and logms == [] and log_rotations == []
+
+    def test_chart_fields_decode_once_through_the_jacobian(self, monkeypatch):
+        # each evaluation builds its tangent at the frame jacobian(q) returns,
+        # which is the frame decode(q) gives: the rates are unchanged
+        rng = np.random.default_rng(37)
+        om, q_om = bundle_chart_point("E3", "O")
+        od, q_od = bundle_chart_point("E3", "D")
+        M = om.manifold
+        D = derive_geometry(get("E3").phi).horizontal
+        X, P = polynomial_vector_field(M.dim, rng), g_skew_endo_field(M, rng)
+        cases = [
+            (horizontal_field_on_chart(om, X), om, q_om,
+             lambda u: horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u)),
+            (vertical_field_on_chart(om, P), om, q_om,
+             lambda u: fundamental_vertical(P.eval(u.base), u)),
+            (adapted_horizontal_field_on_chart(od, M, D, X), od, q_od,
+             lambda u: adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u)),
+        ]
+        expected = [chart.tangent_to_chart(q, lift(chart.decode(q)))
+                    for _, chart, q, lift in cases]
+        jacobians = self.count(monkeypatch, FrameChart, "jacobian")
+        decodes = self.count(monkeypatch, FrameChart, "decode")
+        for (field, _, q, _), rates in zip(cases, expected):
+            jacobians.clear()
+            assert np.array_equal(field(q), rates)
+            assert len(jacobians) == 1 and decodes == []
 
     def test_connection_audit_encodes_once(self, monkeypatch):
         rng = np.random.default_rng(35)

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelift.catalog import euclidean_chart, sphere_chart, warped_plane_chart
 from framelift.fields import polynomial_vector_field
 from framelift.geometry import (
     DEFAULT_FD,
+    ChartManifold,
     DomainError,
     FDConfig,
     TangentVector,
     VectorField,
     christoffel,
+    column_gram,
     coordinate_field,
     covariant_derivative,
     covariant_derivatives,
@@ -21,6 +25,7 @@ from framelift.geometry import (
     lie_bracket,
     metric_eval,
     orthonormal_basis,
+    orthonormalizer,
     sample_points,
 )
 
@@ -283,6 +288,86 @@ class TestEndoInner:
         a = endo_inner(S2, p, P, Q, onb1)
         b = endo_inner(S2, p, P, Q, onb2)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_basis_independent_property(self, seed, n):
+        # <P | Q> = tr(P^T g Q g^-1) over any g-orthonormal basis
+        rng = np.random.default_rng(seed)
+        M, g = random_metric(rng, n)
+        p = np.zeros(n)
+        P, Q = rng.standard_normal((2, n, n))
+        seeds = list(3.0 * np.eye(n) + 0.5 * rng.standard_normal((n, n)))
+        expected = np.trace(P.T @ g @ Q @ np.linalg.inv(g))
+        scale = max(1.0, abs(expected))
+        for onb in (orthonormal_basis(M, p), gram_schmidt(M, p, seeds)):
+            assert abs(endo_inner(M, p, P, Q, onb) - expected) < 1e-12 * scale * n
+
+
+def random_metric(rng, n):
+    """A constant, well-conditioned metric on R^n as a chart."""
+    A = rng.standard_normal((n, n))
+    g = np.eye(n) + 0.3 * A @ A.T / n
+    return ChartManifold(dim=n, metric_field=lambda _p: g), g
+
+
+def modified_gram_schmidt(V, g):
+    """Reference: g-orthonormalise the rows of V one at a time."""
+    out = []
+    for v in V:
+        w = v.copy()
+        for e in out:
+            w = w - (e @ g @ w) * e
+        out.append(w / np.sqrt(w @ g @ w))
+    return np.array(out)
+
+
+@st.composite
+def seed_lists(draw):
+    """A metric on R^n and m <= n rows, kept away from degeneracy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    M, g = random_metric(rng, n)
+    return M, g, 3.0 * np.eye(m, n) + 0.5 * rng.standard_normal((m, n))
+
+
+class TestColumnGram:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
+    def test_matches_the_column_loop(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        _, g = random_metric(rng, n)
+        A, B = rng.standard_normal((3, n, m)), rng.standard_normal((2, n, m))
+        loop = np.array([[sum(a[:, i] @ g @ b[:, i] for i in range(m)) for b in B] for a in A])
+        assert np.max(np.abs(column_gram(g, A, B) - loop)) < 1e-12 * max(1.0, np.max(np.abs(loop)))
+        assert np.array_equal(column_gram(g, A), column_gram(g, A, A))
+
+
+class TestOrthonormalizer:
+    """C B C^T = I from the Cholesky factor of the Gram matrix B, in the list's order."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(seed_lists())
+    def test_whitens_the_gram_matrix_and_matches_gram_schmidt(self, case):
+        _, g, V = case
+        B = V @ g @ V.T
+        C = orthonormalizer(B)
+        assert np.array_equal(C, np.tril(C))
+        assert np.max(np.abs(C @ B @ C.T - np.eye(len(V)))) < 1e-12
+        assert np.max(np.abs(C @ V - modified_gram_schmidt(V, g))) < 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(seed_lists(), st.integers(0, 2**32 - 1))
+    def test_raises_on_a_rank_deficient_list(self, case, seed):
+        M, g, V = case
+        rng = np.random.default_rng(seed)
+        # append a combination of the rows (the zero row when the list is one row)
+        V = np.vstack([V, rng.standard_normal(len(V)) @ V * (len(V) > 1)])
+        with pytest.raises(ValueError, match="degenerate"):
+            orthonormalizer(V @ g @ V.T)
+        with pytest.raises(ValueError, match="degenerate"):
+            gram_schmidt(M, np.zeros(M.dim), list(V))
 
 
 class TestSampling:

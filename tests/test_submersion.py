@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import framelift.adapted as adapted_module
+import framelift.frames as frames_module
 import framelift.submersion as submersion_module
-from framelift.adapted import adapted_frame, adapted_horizontal_lift
+from framelift.adapted import W_endo, W_inverse_apply, adapted_frame, adapted_horizontal_lift
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
-from framelift.frames import Frame, fundamental_vertical, mok_metric, mok_norm
+from framelift.frames import Frame, fundamental_vertical, mok_metric, mok_norm, skew_basis
 import framelift.geometry as geometry_module
 from framelift.geometry import (
     TangentVector,
@@ -686,6 +687,44 @@ class TestPerPointCosts:
         calls = count_calls(monkeypatch, "S_components", submersion_module)
         lift_distributions(geom, u)
         assert len(calls) == 1
+
+    def test_lift_distributions_checks_membership_once_and_batches_S(self, monkeypatch):
+        # E3 (n = 3, k = 2) lifts 1 vertical, 2 horizontal and 1 divergence
+        # direction: one Christoffel per horizontal part, one for the S batch,
+        # and one each in W, A and div
+        geom = GEOM["E3"]
+        M = geom.phi.source
+        u = adapted_frame(M, geom.horizontal, sample_points(M, 20, 1)[0])
+        christoffels = count_calls(monkeypatch, "christoffel", geometry_module, frames_module,
+                                   adapted_module, submersion_module)
+        memberships = count_calls(monkeypatch, "od_membership_defect", adapted_module)
+        lift_distributions(geom, u)
+        assert len(christoffels) == 4 + 1 + 3
+        assert len(memberships) == 1
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_lift_distributions_equal_the_per_vector_lifts(self, eid):
+        # one S batch at u gives bit for bit what a lift per vector gives
+        geom = GEOM[eid]
+        M, D = geom.phi.source, geom.horizontal
+        p = sample_points(M, 24, 1)[0]
+        u = adapted_frame(M, D, p)
+        n, k = M.dim, geom.rank
+        Ep = u.columns
+        Wm = W_endo(M, D, p, [TangentVector(p, e) for e in Ep.T])
+        lift = lambda x: adapted_horizontal_lift(M, D, TangentVector(p, x), u)
+        Vb, Hb = lift_distributions(geom, u)
+        expect_V = [lift(Ep[:, k + j]) + fundamental_vertical(A, u)
+                    for j, A in enumerate(A_Y_endos(geom, Ep[:, k:].T, p))]
+        expect_H = [lift(W_inverse_apply(Wm, Ep[:, a])) for a in range(k)]
+        for c in skew_basis(k):
+            C = adapted_endo_field(geom, top=c)
+            expect_H.append(lift(W_inverse_apply(Wm, div_bot(geom, C.eval, p)))
+                            + fundamental_vertical(C.eval(p), u))
+        assert len(Hb) == len(expect_H)
+        for got, want in zip(Vb[:n - k] + Hb, expect_V + expect_H):
+            assert np.array_equal(got.base_rate, want.base_rate)
+            assert np.array_equal(got.frame_rate, want.frame_rate)
 
     @pytest.mark.parametrize("geom", [*GEOM.values(), GEOM_LINE],
                              ids=[*GEOM, "line"])

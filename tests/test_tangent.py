@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelift.catalog import euclidean_chart, get, sphere_chart
 from framelift.fields import polynomial_vector_field
+import framelift.frames as frames_module
 from framelift.frames import Frame, fundamental_vertical, horizontal_lift_frame, mok_metric, reference_frame
 from framelift.geometry import (
     TangentVector,
@@ -182,6 +185,21 @@ class TestSecondDifferential:
         X = TangentVector(p, np.array([0.0, 1.0]))
         out = phi_second_differential_formula(e4.phi, "horizontal", X, Z)
         assert np.max(np.abs(out.fiber_rate)) > 0.5
+
+
+class TestSasakiGram:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(st.sampled_from(["E1", "E2", "E3", "E4", "E5"]), st.integers(0, 2**32 - 1))
+    def test_one_column_lift_gram_is_pairwise_sasaki_mok(self, eid, seed):
+        # the Mok lift Gram on frames of the single column Z is the Sasaki-Mok metric
+        M = get(eid).phi.source
+        rng = np.random.default_rng(seed)
+        Z = TMPoint(sample_points(M, seed % 1000, 1)[0], rng.standard_normal(M.dim))
+        X, F = rng.standard_normal((2, 4, M.dim))
+        G = frames_module._lift_gram(M, Z.base, Z.fiber[:, None], X, F[:, :, None])
+        ts = [TMTangent(Z, x, f) for x, f in zip(X, F)]
+        pairwise = np.array([[sasaki_mok_tm(M, s, t) for t in ts] for s in ts])
+        assert np.max(np.abs(G - pairwise)) < 1e-12 * max(1.0, np.max(np.abs(pairwise)))
 
 
 class TestDistributions:
