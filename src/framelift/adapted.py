@@ -32,6 +32,7 @@ from .geometry import (
     directional_diff,
     gram_schmidt,
     metric_eval,
+    per_point,
     skew_defect,
 )
 from .frames import (
@@ -265,7 +266,8 @@ def _GD_S_jet(
     M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig
 ) -> tuple[Array, Array]:
     """(GD, S) at p and its central differences over step_h2, one stencil for both."""
-    return _GD_S(M, D, p, cfg), central_diff(lambda q: _GD_S(M, D, q, cfg), p, cfg.step_h2)
+    GD_S = per_point(lambda q: _GD_S(M, D, q, cfg))
+    return GD_S(p), central_diff(GD_S, p, cfg.step_h2)
 
 
 def curvature_RD_tensor(
@@ -361,29 +363,44 @@ def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
     return np.linalg.solve(W_matrix, np.asarray(v, dtype=float))
 
 
+def L_P_applies(
+    M: ChartManifold, D: DistributionSpec,
+    pairs: Sequence[tuple[EndomorphismField, Array]], p: Array,
+    onb: Sequence[TangentVector], cfg: FDConfig = DEFAULT_FD,
+) -> list[dict[str, Array]]:
+    """L_P(x) = W^{-1}( R_P(x) + sign * sum_i <(nabla_x P)_m | S_{e_i}> e_i ), by m-sign,
+    for each (P, x) pair.
+
+    The defining display carries sign -1 ("printed"); the total-space
+    oracle on the adapted bundle matches the connection lines only with +1
+    ("flipped"; see the adapted connection audit).  Both come from one
+    assembly of R_P, nabla_x P, S and W, and every pair shares one
+    curvature tensor, one S batch and one W.
+    """
+    g = metric_eval(M, p)
+    RPs = curvature_R_P(M, p, np.array([np.asarray(P.eval(p), dtype=float) for P, _ in pairs]),
+                        onb, cfg)
+    signs = {"printed": -1.0, "flipped": +1.0}
+    S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
+    E = np.column_stack([e.components for e in onb])
+    SE = np.asarray(S_list) @ E
+    W = _W_matrix(g, S_list, onb)
+    out = []
+    for (P, x), RP in zip(pairs, RPs):
+        b = block_decompose(endo_covariant_derivative(M, P, x, p, cfg), D, p)
+        # sum_i <(nabla_x P)_m | S_{e_i}> e_i
+        m_part = E @ column_gram(g, [(b.off1 + b.off2) @ E], SE)[0]
+        out.append({name: W_inverse_apply(W, RP @ x + sign * m_part) for name, sign in signs.items()})
+    return out
+
+
 def L_P_apply(
     M: ChartManifold, D: DistributionSpec, P: EndomorphismField,
     x: Array, p: Array, onb: Sequence[TangentVector],
     cfg: FDConfig = DEFAULT_FD,
 ) -> dict[str, Array]:
-    """L_P(x) = W^{-1}( R_P(x) + sign * sum_i <(nabla_x P)_m | S_{e_i}> e_i ), by m-sign.
-
-    The defining display carries sign -1 ("printed"); the total-space
-    oracle on the adapted bundle matches the connection lines only with +1
-    ("flipped"; see the adapted connection audit).  Both come from one
-    assembly of R_P, nabla_x P, S and W.
-    """
-    g = metric_eval(M, p)
-    RP = curvature_R_P(M, p, np.asarray(P.eval(p), dtype=float), onb, cfg)
-    nP = endo_covariant_derivative(M, P, x, p, cfg)
-    b = block_decompose(nP, D, p)
-    nPm = b.off1 + b.off2
-    signs = {"printed": -1.0, "flipped": +1.0}
-    S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
-    E = np.column_stack([e.components for e in onb])
-    m_part = E @ column_gram(g, [nPm @ E], np.asarray(S_list) @ E)[0]  # sum_i <nPm | S_{e_i}> e_i
-    W = _W_matrix(g, S_list, onb)
-    return {name: W_inverse_apply(W, RP @ x + sign * m_part) for name, sign in signs.items()}
+    """L_P(x) by m-sign: the one-pair case of ``L_P_applies``."""
+    return L_P_applies(M, D, [(P, x)], p, onb, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +466,7 @@ def adapted_chart(M: ChartManifold, D: DistributionSpec, name: str = "O(D)") -> 
     return FrameChart(
         M,
         basis=block_skew_basis(M.dim, D.rank),
-        reference=lambda x: adapted_frame(M, D, x).columns,
+        reference=per_point(lambda x: adapted_frame(M, D, x).columns),
         name=name,
     )
 
@@ -524,8 +541,8 @@ def adapted_connection_audit(
          lift_D(nabD) + (-0.5) * fundamental_vertical(RD_endo, u)),
     ])
 
-    # hv: nabla_{X^{h,D}} Q*, with both m-term signs inside L
-    LQ = L_P_apply(M, D, Q, xval, p, onb, cfg)
+    # hv: nabla_{X^{h,D}} Q*, with both m-term signs inside L; vh reads L_P(Y)
+    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, cfg)
     nQ = fundamental_vertical(nabla_D_endo(xval, Q), u)
     half_LQp = 0.5 * lift_D(LQ["flipped"])
     case_rows("hv", [
@@ -536,7 +553,6 @@ def adapted_connection_audit(
     ])
 
     # vh: nabla_{P*} Y^{h,D}
-    LP = L_P_apply(M, D, P, yval, p, onb, cfg)
     case_rows("vh", [
         ("1/2 L-_P(Y)^{h,D} (printed m-sign)", 0.5 * lift_D(LP["printed"])),
         ("1/2 L+_P(Y)^{h,D} (flipped m-sign)", 0.5 * lift_D(LP["flipped"])),

@@ -23,16 +23,26 @@ from .submersion import SubmersionSpec
 # chart builders
 # ---------------------------------------------------------------------------
 
+def _norm2(p: Array) -> Array:
+    """|p|^2 for each point of p (..., dim), rounded as the dot product p @ p."""
+    return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
+
+
+def _stack(p: Array, value: Array) -> Array:
+    """A fresh copy of the constant ``value`` for each point of p (..., dim)."""
+    return np.zeros(p.shape[:-1] + value.shape) + value
+
+
 def euclidean_chart(n: int, half_width: float = 1.5, name: str = "") -> ChartManifold:
     eye = np.eye(n)
 
     return ChartManifold(
         dim=n,
-        metric_field=lambda p: eye.copy(),
-        metric_derivative=lambda p: np.zeros((n, n, n)),
-        domain_predicate=lambda p: bool(np.all(np.abs(p) < 10.0)),
+        metric_field=lambda p: _stack(p, eye),
+        metric_derivative=lambda p: np.zeros(p.shape[:-1] + (n, n, n)),
+        domain_predicate=lambda p: (abs(p) < 10.0).all(-1),
         domain_sampler=box_sampler([-half_width] * n, [half_width] * n),
-        orthonormal_frame=lambda p: eye.copy(),
+        orthonormal_frame=lambda p: _stack(p, eye),
         name=name or f"R^{n}",
     )
 
@@ -45,28 +55,28 @@ def sphere_chart(n: int, scale: float = 1.0, box: float = 0.6, name: str = "") -
     one half.
     """
     s = 4.0 * scale
+    eye = np.eye(n)
 
-    def conf(p: Array) -> float:
-        return s / (1.0 + float(p @ p)) ** 2
+    def conf(p: Array) -> Array:
+        return s / (1.0 + _norm2(p)) ** 2
 
     def metric(p: Array) -> Array:
-        return conf(p) * np.eye(n)
+        return conf(p)[..., None, None] * eye
 
     def dmetric(p: Array) -> Array:
-        w = 1.0 + float(p @ p)
-        out = np.zeros((n, n, n))
-        for k in range(n):
-            out[k] = (-4.0 * s * p[k] / w**3) * np.eye(n)
-        return out
+        w = 1.0 + _norm2(p)
+        # out[..., k, :, :] = (-4 s p_k / w^3) times the identity; w * w * w rounds
+        # the same for one point and for many, where w ** 3 may not
+        return (-4.0 * s * p / (w * w * w)[..., None])[..., None, None] * eye
 
     def frame(p: Array) -> Array:
-        return np.eye(n) / np.sqrt(conf(p))
+        return eye / np.sqrt(conf(p))[..., None, None]
 
     return ChartManifold(
         dim=n,
         metric_field=metric,
         metric_derivative=dmetric,
-        domain_predicate=lambda p: bool(p @ p < 4.0),
+        domain_predicate=lambda p: _norm2(p) < 4.0,
         domain_sampler=box_sampler([-box] * n, [box] * n),
         orthonormal_frame=frame,
         name=name or f"S^{n}(stereo, scale={scale})",
@@ -76,35 +86,33 @@ def sphere_chart(n: int, scale: float = 1.0, box: float = 0.6, name: str = "") -
 def product_sphere_circle_chart(box: float = 0.5, name: str = "S2xS1") -> ChartManifold:
     """Product of the unit 2-sphere (stereographic) with a unit circle angle."""
     n = 3
+    eye = np.eye(n)
 
-    def conf(p: Array) -> float:
-        r2 = float(p[0] ** 2 + p[1] ** 2)
-        return 4.0 / (1.0 + r2) ** 2
+    def r2(p: Array) -> Array:
+        return p[..., 0] ** 2 + p[..., 1] ** 2
 
     def metric(p: Array) -> Array:
-        g = np.eye(n)
-        g[0, 0] = g[1, 1] = conf(p)
+        g = _stack(p, eye)
+        g[..., 0, 0] = g[..., 1, 1] = 4.0 / (1.0 + r2(p)) ** 2
         return g
 
     def dmetric(p: Array) -> Array:
-        r2 = float(p[0] ** 2 + p[1] ** 2)
-        w = 1.0 + r2
-        out = np.zeros((n, n, n))
+        w = 1.0 + r2(p)
+        out = np.zeros(p.shape[:-1] + (n, n, n))
         for k in range(2):
-            out[k, 0, 0] = out[k, 1, 1] = -16.0 * p[k] / w**3
+            out[..., k, 0, 0] = out[..., k, 1, 1] = -16.0 * p[..., k] / (w * w * w)
         return out
 
     def frame(p: Array) -> Array:
-        E = np.eye(n)
-        c = 1.0 / np.sqrt(conf(p))
-        E[0, 0] = E[1, 1] = c
+        E = _stack(p, eye)
+        E[..., 0, 0] = E[..., 1, 1] = 1.0 / np.sqrt(4.0 / (1.0 + r2(p)) ** 2)
         return E
 
     return ChartManifold(
         dim=n,
         metric_field=metric,
         metric_derivative=dmetric,
-        domain_predicate=lambda p: bool(p[0] ** 2 + p[1] ** 2 < 4.0),
+        domain_predicate=lambda p: r2(p) < 4.0,
         domain_sampler=box_sampler([-box, -box, -1.0], [box, box, 1.0]),
         orthonormal_frame=frame,
         name=name,
@@ -114,24 +122,24 @@ def product_sphere_circle_chart(box: float = 0.5, name: str = "S2xS1") -> ChartM
 def warped_plane_chart(name: str = "warped") -> ChartManifold:
     """Plane with metric diag(1, e^{2t}) in coordinates (t, s)."""
 
-    def metric(p: Array) -> Array:
-        return np.diag([1.0, np.exp(2.0 * p[0])])
-
-    def dmetric(p: Array) -> Array:
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = 2.0 * np.exp(2.0 * p[0])
+    def diag(p: Array, second: Array) -> Array:
+        out = np.zeros(p.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = second
         return out
 
-    def frame(p: Array) -> Array:
-        return np.diag([1.0, np.exp(-p[0])])
+    def dmetric(p: Array) -> Array:
+        out = np.zeros(p.shape[:-1] + (2, 2, 2))
+        out[..., 0, 1, 1] = 2.0 * np.exp(2.0 * p[..., 0])
+        return out
 
     return ChartManifold(
         dim=2,
-        metric_field=metric,
+        metric_field=lambda p: diag(p, np.exp(2.0 * p[..., 0])),
         metric_derivative=dmetric,
-        domain_predicate=lambda p: bool(abs(p[0]) < 3.0),
+        domain_predicate=lambda p: abs(p[..., 0]) < 3.0,
         domain_sampler=box_sampler([-0.5, -1.0], [0.5, 1.0]),
-        orthonormal_frame=frame,
+        orthonormal_frame=lambda p: diag(p, np.exp(-p[..., 0])),
         name=name,
     )
 

@@ -43,7 +43,11 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class Frame:
-    """A frame of the tangent space at ``base``: column i of ``columns`` is u_i."""
+    """A frame of the tangent space at ``base``: column i of ``columns`` is u_i.
+
+    A chart Jacobian over points with leading axes (``FrameChart.jacobian``)
+    gives a stack of frames: base (..., n) and columns (..., n, n).
+    """
 
     base: Array
     columns: Array
@@ -51,11 +55,11 @@ class Frame:
     def __post_init__(self):
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "columns", np.asarray(self.columns, dtype=float))
-        if self.columns.shape != (self.base.size, self.base.size):
+        if self.base.ndim == 0 or self.columns.shape != self.base.shape + self.base.shape[-1:]:
             raise ValueError("frame matrix must be square of the chart dimension")
 
     def vector(self, i: int) -> Array:
-        return self.columns[:, i]
+        return self.columns[..., :, i]
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,8 @@ class FrameTangent:
 
 
 def _same_frame(u: Frame, v: Frame, tol: float = 1e-9) -> None:
+    if u is v:  # tangents from one chart Jacobian share its Frame
+        return
     if np.max(np.abs(u.base - v.base)) > tol or np.max(np.abs(u.columns - v.columns)) > tol:
         raise ValueError("frame tangents are attached to different frames")
 
@@ -159,12 +165,13 @@ def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
 
     G = X g X^T + sum_i W g W^T over the m columns, W_a = Edot_a + Gamma(X_a) E
     = V_a E for the vertical part V_a (whose inverse cancels): the Mok metric
-    for m = n, the Sasaki-Mok metric on TM for the one column E = Z.
+    for m = n, the Sasaki-Mok metric on TM for the one column E = Z.  Every
+    argument may carry the leading axes of points x (..., n); so does G.
     """
     g = metric_eval(M, x)
-    W = Edot + np.einsum("kij,ai,jl->akl", christoffel(M, x, cfg), X, E)
-    G = X @ g @ X.T + column_gram(g, W)
-    return 0.5 * (G + G.T)
+    W = Edot + np.einsum("...kij,...ai,...jl->...akl", christoffel(M, x, cfg), X, E)
+    G = X @ g @ X.swapaxes(-1, -2) + column_gram(g, W)
+    return 0.5 * (G + G.swapaxes(-1, -2))
 
 
 def mok_gram(
@@ -235,6 +242,9 @@ def offdiag_skew_basis(n: int, k: int) -> list[Array]:
 def _exp_frechet_skew(A: Array, basis: Sequence[Array]) -> tuple[Array, Array]:
     """exp(A) and the Frechet derivatives L(A, B_j) of exp for a real skew A, from one eigh.
 
+    A may be a stack (..., n, n); exp(A) is then (..., n, n) and the rows
+    (..., len(basis), n, n).
+
     With 1j A = U diag(mu) U*, A = U diag(lam) U* for lam = -1j mu, and
     L(A, B) = U (F o U* B U) U* with F the divided differences of exp at the
     lam (Daleckii-Krein; Higham, *Functions of Matrices*, 2008, ch. 3).  The
@@ -244,13 +254,14 @@ def _exp_frechet_skew(A: Array, basis: Sequence[Array]) -> tuple[Array, Array]:
     basis skips the Frechet rows.
     """
     mu, U = np.linalg.eigh(1j * A)
-    Uh = U.conj().T
-    expA = ((U * np.exp(-1j * mu)) @ Uh).real
+    Uh = U.conj().swapaxes(-1, -2)
+    expA = ((U * np.exp(-1j * mu)[..., None, :]) @ Uh).real
     if len(basis) == 0:
-        return expA, np.zeros((0,) + A.shape)
-    F = np.exp(-0.5j * (mu[:, None] + mu[None, :])) * np.sinc(
-        (mu[:, None] - mu[None, :]) / (2.0 * np.pi))
-    B = np.reshape(basis, (-1,) + A.shape)
+        return expA, np.zeros(A.shape[:-2] + (0,) + A.shape[-2:])
+    F = np.exp(-0.5j * (mu[..., :, None] + mu[..., None, :])) * np.sinc(
+        (mu[..., :, None] - mu[..., None, :]) / (2.0 * np.pi))
+    B = np.reshape(basis, (-1,) + A.shape[-2:])
+    U, Uh, F = U[..., None, :, :], Uh[..., None, :, :], F[..., None, :, :]
     return expA, (U @ (F * (Uh @ B @ U)) @ Uh).real
 
 
@@ -295,22 +306,21 @@ class FrameChart:
 
     def split(self, q: Array) -> tuple[Array, Array]:
         q = np.asarray(q, dtype=float)
-        return q[: self.manifold.dim], q[self.manifold.dim :]
+        return q[..., : self.manifold.dim], q[..., self.manifold.dim :]
 
     def join(self, x: Array, a: Array) -> Array:
-        return np.concatenate([np.asarray(x, dtype=float), np.asarray(a, dtype=float)])
+        return np.concatenate([np.asarray(x, dtype=float), np.asarray(a, dtype=float)], axis=-1)
 
     def skew_from_coords(self, a: Array) -> Array:
-        A = np.zeros((self.manifold.dim, self.manifold.dim))
-        for c, B in zip(a, self.basis):
-            A += c * B
-        return A
+        n = self.manifold.dim
+        return (a @ np.reshape(self.basis, (-1, n * n))).reshape(a.shape[:-1] + (n, n))
 
     def coords_from_skew(self, A: Array) -> Array:
         # the E_ij - E_ji basis is Frobenius-orthogonal with norm^2 = 2
         return np.array([np.tensordot(A, B) / 2.0 for B in self.basis])
 
     def reference(self, x: Array) -> Array:
+        """Reference frame at base points x (..., n); a callable ``reference`` must take them too."""
         if self._reference is not None:
             return np.asarray(self._reference(x), dtype=float)
         return reference_frame(self.manifold, x)
@@ -356,13 +366,15 @@ class FrameChart:
         Jx is dim x n, JE is dim x n x n.  The n base rows of JE are
         dE_ref exp(A); the skew rows are E_ref L(A, B_j), all of them and
         exp(A) from one eigendecomposition of A.  The reference frame and its
-        derivative are computed once.
+        derivative are computed once.  Points q (..., dim) give a stack of
+        frames and JE (..., dim, n, n); Jx is the same at every point.
         """
         x, a = self.split(q)
         expA, frechet = _exp_frechet_skew(self.skew_from_coords(a), self.basis)
         ref = self.reference(x)
-        JE = np.concatenate([self.reference_derivative(x, cfg) @ expA, ref @ frechet])
-        return Frame(x, ref @ expA), np.eye(self.dim, x.size), JE
+        JE = np.concatenate([self.reference_derivative(x, cfg) @ expA[..., None, :, :],
+                             ref[..., None, :, :] @ frechet], axis=-3)
+        return Frame(x, ref @ expA), np.eye(self.dim, x.shape[-1]), JE
 
     def chart_to_tangents(self, q: Array, qdots: Array,
                           cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
@@ -411,7 +423,7 @@ class LMChart:
     def split(self, q: Array) -> tuple[Array, Array]:
         n = self.manifold.dim
         q = np.asarray(q, dtype=float)
-        return q[:n], q[n:].reshape(n, n)
+        return q[..., :n], q[..., n:].reshape(q.shape[:-1] + (n, n))
 
     def join(self, x: Array, E: Array) -> Array:
         return np.concatenate([np.asarray(x, dtype=float), np.asarray(E, dtype=float).ravel()])
@@ -423,13 +435,13 @@ class LMChart:
     def encode(self, u: Frame) -> Array:
         return self.join(u.base, u.columns)
 
-    def chart_to_tangents(self, q: Array, qdots: Array,
-                          cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
-        u = self.decode(q)
-        return [FrameTangent(u, *self.split(qdot)) for qdot in np.atleast_2d(qdots)]
+    def jacobian(self, q: Array, cfg: FDConfig = DEFAULT_FD) -> tuple[Frame, Array, Array]:
+        """decode(q) and the constant J: the chart rates are (xdot, vec(Edot)) themselves."""
+        n = self.manifold.dim
+        return self.decode(q), np.eye(self.dim, n), np.eye(self.dim)[:, n:].reshape(self.dim, n, n)
 
-    def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
-        return self.chart_to_tangents(q, qdot, cfg)[0]
+    chart_to_tangents = FrameChart.chart_to_tangents
+    chart_to_tangent = FrameChart.chart_to_tangent
 
     def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
         _same_frame(self.decode(q), t.at)
@@ -450,24 +462,26 @@ def om_chart(M: ChartManifold, name: str = "O(M)") -> FrameChart:
 # ---------------------------------------------------------------------------
 
 def induced_metric_on_chart(chart, q: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """Mok metric expressed in the chart coordinates of the total space."""
-    tangents = chart.chart_to_tangents(q, np.eye(chart.dim), cfg)
-    return mok_gram(chart.manifold, tangents, cfg)
+    """Mok metric in the chart coordinates of the total space at points q (..., dim).
+
+    The Mok Gram (``_lift_gram``) of the coordinate directions, read straight
+    from the chart Jacobian: row a of J is the tangent of direction a.
+    """
+    u, Jx, JE = chart.jacobian(q, cfg)
+    return _lift_gram(chart.manifold, u.base, u.columns, Jx, JE, cfg)
 
 
 def total_space_manifold(chart, cfg: FDConfig = DEFAULT_FD) -> ChartManifold:
     """The frame-bundle total space as a ChartManifold with the induced metric."""
     base = chart.manifold
 
-    def predicate(q: Array) -> bool:
-        x = np.asarray(q[: base.dim], dtype=float)
-        if not base.contains(x):
-            return False
+    def predicate(q: Array) -> Array:
+        x, fibre = chart.split(q)
         if isinstance(chart, LMChart):
-            _, E = chart.split(q)
-            return abs(np.linalg.det(E)) > 1e-8
-        _, a = chart.split(q)
-        return float(np.linalg.norm(a)) < 2.0
+            inside = abs(np.linalg.det(fibre)) > 1e-8
+        else:
+            inside = np.linalg.norm(fibre, axis=-1) < 2.0
+        return base.domain_predicate(x) & inside
 
     return ChartManifold(
         dim=chart.dim,

@@ -1,10 +1,15 @@
 """Chart-level Riemannian calculus.
 
 A manifold is represented by a single coordinate chart carrying a metric
-field.  Points are plain coordinate vectors, and every geometric operator
-(Levi-Civita connection, curvature, Lie brackets, orthonormal frames) is
-evaluated pointwise, with second-order central differences wherever an
-exact derivative is not supplied.
+field.  Points are coordinate vectors and may carry leading axes
+(..., dim): the metric, its derivative, the Christoffel symbols and the
+reference frame are then evaluated for the whole stack in one call, with
+the value axes after the point axes.  A finite-difference stencil is such
+a stack, so ``central_diff`` evaluates all 2 dim points of a derivative in
+one call of its function.  One point (dim,) runs the same code as a stack.
+The other operators (connection, curvature, Lie brackets, Gram-Schmidt)
+act at one point, with second-order central differences wherever an exact
+derivative is not supplied.
 """
 
 from __future__ import annotations
@@ -57,23 +62,28 @@ def _always(_p: Array) -> bool:
 class ChartManifold:
     """A coordinate chart with a Riemannian metric field.
 
+    The four point fields take points with leading axes, p of shape
+    (..., dim), and return their value per point with the same leading
+    axes: the finite-difference kernels call them once on a whole stencil.
+    A stack's rows equal row-by-row calls bit for bit.
+
     Parameters
     ----------
     dim : int
         Chart dimension.
     metric_field : callable
-        Point -> symmetric positive-definite (dim, dim) matrix g_ij.
+        Points (..., dim) -> symmetric positive-definite g_ij, (..., dim, dim).
     metric_derivative : callable, optional
-        Point -> (dim, dim, dim) array D[k, i, j] = d_k g_ij.  When given it
-        is used instead of differencing ``metric_field``.
+        Points -> D[..., k, i, j] = d_k g_ij, (..., dim, dim, dim).  When
+        given it is used instead of differencing ``metric_field``.
     domain_predicate : callable
-        Point -> bool, True on the chart domain.
+        Points -> bool per point, shape (...), True on the chart domain.
     domain_sampler : callable, optional
         (seed, count) -> (count, dim) array of interior points.
     orthonormal_frame : callable, optional
-        Exact reference orthonormal frame field p -> (dim, dim) matrix whose
-        columns are g-orthonormal.  Defaults to Gram-Schmidt of the
-        coordinate basis.
+        Exact reference orthonormal frame field, points -> (..., dim, dim)
+        matrices whose columns are g-orthonormal.  Defaults to Gram-Schmidt
+        of the coordinate basis.
     """
 
     dim: int
@@ -85,7 +95,9 @@ class ChartManifold:
     name: str = ""
 
     def contains(self, p: Array) -> bool:
-        return bool(self.domain_predicate(np.asarray(p, dtype=float)))
+        """True when every point of p (..., dim) lies on the chart domain."""
+        inside = self.domain_predicate(np.asarray(p, dtype=float))
+        return bool(inside.all() if isinstance(inside, np.ndarray) else inside)
 
 
 @dataclass(frozen=True)
@@ -136,15 +148,32 @@ def constant_field(v: Array) -> VectorField:
 # finite differences
 # ---------------------------------------------------------------------------
 
+def _stencil(p: Array, h: float) -> Array:
+    """The points p +- h e_k of central differences at points p (..., dim): (2, ..., dim, dim)."""
+    step = h * np.eye(p.shape[-1])
+    p = p[..., None, :]
+    return np.stack([p + step, p - step])
+
+
 def central_diff(f: Callable[[Array], Array], p: Array, h: float) -> Array:
-    """Stack of central differences d_k f, shape (dim,) + f(p).shape."""
-    p = np.asarray(p, dtype=float)
-    rows = []
-    for k in range(p.size):
-        dp = np.zeros_like(p)
-        dp[k] = h
-        rows.append((np.asarray(f(p + dp)) - np.asarray(f(p - dp))) / (2.0 * h))
-    return np.stack(rows, axis=0)
+    """Central differences d_k f at points p (..., dim), shape (..., dim) + f's value shape.
+
+    f is called once, on the whole stencil (``_stencil``), so it must take
+    points with leading axes; wrap a function of one point in ``per_point``.
+    """
+    fs = np.asarray(f(_stencil(np.asarray(p, dtype=float), h)))
+    return (fs[0] - fs[1]) / (2.0 * h)
+
+
+def per_point(f: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """f, a function of one point (dim,), looped over the leading axes of its argument."""
+
+    def looped(ps: Array) -> Array:
+        ps = np.asarray(ps, dtype=float)
+        rows = [np.asarray(f(p)) for p in ps.reshape(-1, ps.shape[-1])]
+        return np.reshape(rows, ps.shape[:-1] + rows[0].shape)
+
+    return looped
 
 
 def directional_diff(f: Callable[[Array], Array], p: Array, v: Array, h: float) -> Array:
@@ -160,19 +189,17 @@ def directional_diff(f: Callable[[Array], Array], p: Array, v: Array, h: float) 
 
 def _check_domain(M: ChartManifold, p: Array) -> Array:
     p = np.asarray(p, dtype=float)
-    if p.shape != (M.dim,):
-        raise ValueError(f"point has shape {p.shape}, expected ({M.dim},)")
+    if p.shape[-1:] != (M.dim,):
+        raise ValueError(f"point has shape {p.shape}, expected (..., {M.dim})")
     if not M.contains(p):
         raise DomainError(f"point {p} outside chart domain of {M.name or 'manifold'}")
     return p
 
 
 def _check_stencil(M: ChartManifold, p: Array, h: float) -> None:
-    for k in range(M.dim):
-        dp = np.zeros(M.dim)
-        dp[k] = h
-        if not (M.contains(p + dp) and M.contains(p - dp)):
-            raise DomainError("finite-difference stencil leaves chart domain")
+    """One domain check of the whole central-difference stencil at points p."""
+    if not M.contains(_stencil(np.asarray(p, dtype=float), h)):
+        raise DomainError("finite-difference stencil leaves chart domain")
 
 
 def sample_points(M: ChartManifold, seed: int, count: int) -> Array:
@@ -201,13 +228,13 @@ def box_sampler(lo: Sequence[float], hi: Sequence[float]) -> Callable[[int, int]
 # ---------------------------------------------------------------------------
 
 def metric_eval(M: ChartManifold, p: Array) -> Array:
-    """Metric components g_ij at p (symmetric positive definite)."""
+    """Metric components g_ij at points p (..., dim), symmetric positive definite."""
     p = _check_domain(M, p)
     return np.asarray(M.metric_field(p), dtype=float)
 
 
 def metric_derivative_eval(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """d_k g_ij at p, exact when supplied, else central differences."""
+    """d_k g_ij at points p, [..., k, i, j]: exact when supplied, else central differences."""
     if M.metric_derivative is not None:
         return np.asarray(M.metric_derivative(p), dtype=float)
     _check_stencil(M, p, cfg.step_h)
@@ -223,17 +250,18 @@ def norm(M: ChartManifold, p: Array, x: Array) -> float:
 
 
 def christoffel(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """Levi-Civita Christoffel symbols, G[k, i, j] = Gamma^k_ij.
+    """Levi-Civita Christoffel symbols at points p (..., dim), G[..., k, i, j] = Gamma^k_ij.
 
     Symmetric in (i, j) by construction.
     """
-    p = _check_domain(M, p)
+    p = np.asarray(p, dtype=float)
     g = metric_eval(M, p)
     dg = metric_derivative_eval(M, p, cfg)
     ginv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_mi - d_m g_ij)
-    bracket = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
-    return 0.5 * np.einsum("km,mij->kij", ginv, bracket)
+    d_i = dg.swapaxes(-3, -2)  # [m, i, j] = d_i g_mj
+    bracket = d_i + d_i.swapaxes(-2, -1) - dg
+    return 0.5 * np.einsum("...km,...mij->...kij", ginv, bracket)
 
 
 def christoffel_contract(gamma: Array, x: Array) -> Array:
@@ -242,7 +270,8 @@ def christoffel_contract(gamma: Array, x: Array) -> Array:
 
 
 def christoffel_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """d_m Gamma^k_ij by central differences, D[m, k, i, j].
+    """d_m Gamma^k_ij by central differences, D[m, k, i, j]: one ``christoffel``
+    call on the whole stencil.
 
     Uses step_h when the metric derivative is exact (the symbols are then
     analytic) and step_h2 otherwise.
@@ -350,14 +379,16 @@ def curvature_R_P(
 ) -> Array:
     """R_P = sum_i R(e_i, P(e_i)) over a g-orthonormal basis, as an endomorphism value at p.
 
-    ``P`` is the endomorphism value (matrix) at p.
+    ``P`` is the endomorphism value (matrix) at p, or a stack (..., n, n) of
+    them, all served by one curvature tensor.
     """
     if orthonormality_defect(M, p, onb) > cfg.tol_exact * 100:
         raise ValueError("basis is not g-orthonormal at the base point")
     R = curvature_tensor(M, p, cfg)
-    out = np.zeros((M.dim, M.dim))
+    P = np.asarray(P, dtype=float)
+    out = np.zeros(P.shape)
     for e in onb:
-        out += np.einsum("ijkl,i,j->lk", R, e.components, P @ e.components)
+        out += np.einsum("ijkl,i,...j->...lk", R, e.components, P @ e.components)
     return out
 
 
@@ -370,12 +401,14 @@ def column_gram(g: Array, A: Array, B: Optional[Array] = None) -> Array:
 
     Pairs matrices column by column under g: <P | Q> over a frame E is A = P E,
     B = Q E; the vertical part of the Mok (m = n) and Sasaki-Mok (m = 1) metrics.
+    Leading axes of g (..., n, n), A (..., a, n, m) and B broadcast.
     """
-    return np.einsum("aki,kl,bli->ab", A, g, A if B is None else B)
+    return np.einsum("...aki,...kl,...bli->...ab", A, g, A if B is None else B)
 
 
 def orthonormalizer(B: Array) -> Array:
-    """Lower-triangular C with C B C^T = I, for the Gram matrix B of a list.
+    """Lower-triangular C with C B C^T = I, for the Gram matrix B of a list
+    (or for each of a stack of them, B of shape (..., m, m)).
 
     C = L^-1 for the Cholesky factor B = L L^T: row a of C combines the first
     a + 1 entries into the a-th Gram-Schmidt vector, and diag(L)^2 holds each
@@ -388,10 +421,10 @@ def orthonormalizer(B: Array) -> Array:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         raise ValueError("degenerate list: its Gram matrix is not positive definite") from None
-    d = L.diagonal()
-    if (d * d <= 1e-12 * B.diagonal()).any():
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    if (d * d <= 1e-12 * np.diagonal(B, axis1=-2, axis2=-1)).any():
         raise ValueError("degenerate list: an entry lies in the span of the ones before it")
-    return np.linalg.inv(L) * np.tri(len(L))  # inv leaves roundoff above the diagonal
+    return np.linalg.inv(L) * np.tri(L.shape[-1])  # inv leaves roundoff above the diagonal
 
 
 def gram_schmidt(M: ChartManifold, p: Array, seed_basis: Sequence[Array]) -> list[TangentVector]:
@@ -412,11 +445,11 @@ def orthonormal_basis(M: ChartManifold, p: Array) -> list[TangentVector]:
 
 
 def reference_frame(M: ChartManifold, p: Array) -> Array:
-    """Reference orthonormal frame as a matrix of column vectors (exact frame
-    field if available, else the coordinate basis orthonormalised)."""
+    """Reference orthonormal frame at points p (..., dim) as matrices of column vectors
+    (exact frame field if available, else the coordinate basis orthonormalised)."""
     if M.orthonormal_frame is not None:
         return np.asarray(M.orthonormal_frame(p), dtype=float)
-    return orthonormalizer(metric_eval(M, p)).T
+    return orthonormalizer(metric_eval(M, p)).swapaxes(-1, -2)
 
 
 def orthonormality_defect(M: ChartManifold, p: Array, basis: Sequence[TangentVector]) -> float:

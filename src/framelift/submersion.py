@@ -30,6 +30,7 @@ from .geometry import (
     directional_diff,
     metric_eval,
     orthonormalizer,
+    per_point,
 )
 from .frames import (
     Frame,
@@ -81,7 +82,7 @@ def differential_matrix(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_F
     """Jacobian d(phi) at p, shape (target_dim, source_dim)."""
     if phi.jacobian is not None:
         return np.asarray(phi.jacobian(p), dtype=float)
-    return central_diff(phi.map, p, cfg.step_h).T
+    return central_diff(per_point(phi.map), p, cfg.step_h).T
 
 
 def differential(phi: SubmersionSpec, X: TangentVector, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
@@ -372,21 +373,38 @@ def _frame_jet(
 
 
 def div_bot(
-    geom: SubmersionGeometry, C_field: Callable[[Array], Array], p: Array,
-    cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, top: Array, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of a horizontal endo field.
+    """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of the horizontal endo
+    field C = ``adapted_endo_field(geom, top=top)``.
 
-    One Christoffel evaluation and one stencil of C E per horizontal e_A.
+    One Christoffel evaluation and one stencil of C E per horizontal e_A; each
+    stencil point forms C from the adapted frame it has already built.
     """
+    M = geom.phi.source
+    blk = _block_coefficients(M.dim, geom.rank, top, None)
     Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
     E, gamma, dCE = _frame_jet(geom, p, range(geom.rank), cfg,
-                               lambda q, Eq: np.asarray(C_field(q), dtype=float) @ Eq)
-    C = np.asarray(C_field(p), dtype=float)
-    out = np.zeros(geom.phi.source.dim)
+                               lambda q, Eq: _adapted_endo(M, blk, q, Eq) @ Eq)
+    C = _adapted_endo(M, blk, p, E)
+    out = np.zeros(M.dim)
     for a, d in dCE.items():
         out += Pi_V @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], C @ E[:, a]))
     return out
+
+
+def _block_coefficients(n: int, k: int, top: Optional[Array], bot: Optional[Array]) -> Array:
+    blk = np.zeros((n, n))
+    if top is not None:
+        blk[:k, :k] = np.asarray(top, dtype=float)
+    if bot is not None:
+        blk[k:, k:] = np.asarray(bot, dtype=float)
+    return blk
+
+
+def _adapted_endo(M: ChartManifold, blk: Array, q: Array, E: Array) -> Array:
+    """E blk E^{-1} at q for the orthonormal frame E at q, where E^{-1} = E^T g."""
+    return E @ blk @ E.T @ metric_eval(M, q)
 
 
 def adapted_endo_field(
@@ -394,19 +412,8 @@ def adapted_endo_field(
 ) -> EndomorphismField:
     """Endomorphism field with constant block coefficients in the adapted frame."""
     M, D = geom.phi.source, geom.horizontal
-    n, k = M.dim, D.rank
-    blk = np.zeros((n, n))
-    if top is not None:
-        blk[:k, :k] = np.asarray(top, dtype=float)
-    if bot is not None:
-        blk[k:, k:] = np.asarray(bot, dtype=float)
-
-    def ev(q: Array) -> Array:
-        E = adapted_frame(M, D, q).columns
-        g = metric_eval(M, q)
-        return E @ blk @ E.T @ g  # E^{-1} = E^T g for an orthonormal frame
-
-    return EndomorphismField(eval=ev)
+    blk = _block_coefficients(M.dim, D.rank, top, bot)
+    return EndomorphismField(eval=lambda q: _adapted_endo(M, blk, q, adapted_frame(M, D, q).columns))
 
 
 # ---------------------------------------------------------------------------
@@ -503,26 +510,24 @@ def lift_distributions(
     n, k = M.dim, D.rank
     onb = [TangentVector(p, u.columns[:, i]) for i in range(n)]
     Wm = W_endo(M, D, p, onb, cfg)
-    g = metric_eval(M, p)
 
     Ep = adapted_frame(M, D, p).columns
-    C_fields = [adapted_endo_field(geom, top=c) for c in skew_basis(k)]
+    tops = skew_basis(k)
     # adapted lifts of the verticals, of the W-preimages of the horizontals and
     # of the W-preimages of the divergences, in that order, from one S batch
     lifts = _adapted_horizontal_lifts(M, D, [TangentVector(p, x) for x in [
         *Ep[:, k:].T, *(W_inverse_apply(Wm, Ep[:, a]) for a in range(k)),
-        *(W_inverse_apply(Wm, div_bot(geom, C.eval, p, cfg)) for C in C_fields)]], u, cfg)
+        *(W_inverse_apply(Wm, div_bot(geom, c, p, cfg)) for c in tops)]], u, cfg)
 
     V_basis = [lift + fundamental_vertical(A, u)
                for lift, A in zip(lifts, A_Y_endos(geom, Ep[:, k:].T, p, cfg))]
-    E = u.columns
-    for b in skew_basis(n - k):
-        blk = np.zeros((n, n))
-        blk[k:, k:] = b
-        V_basis.append(fundamental_vertical(E @ blk @ E.T @ g, u))
+    V_basis += [
+        fundamental_vertical(_adapted_endo(M, _block_coefficients(n, k, None, b), p, u.columns), u)
+        for b in skew_basis(n - k)]
 
-    H_basis = lifts[n - k:n] + [lift + fundamental_vertical(C.eval(p), u)
-                                for lift, C in zip(lifts[n:], C_fields)]
+    H_basis = lifts[n - k:n] + [
+        lift + fundamental_vertical(_adapted_endo(M, _block_coefficients(n, k, c, None), p, Ep), u)
+        for lift, c in zip(lifts[n:], tops)]
     return V_basis, H_basis
 
 
@@ -599,7 +604,7 @@ def tension_conformal_display(
     n = phi.source.dim
     g = metric_eval(phi.source, p)
     dlnlam = central_diff(
-        lambda q: np.array([np.log(dilatation(phi, q, cfg, geom)[0])]), p, cfg.step_h
+        per_point(lambda q: np.array([np.log(dilatation(phi, q, cfg, geom)[0])])), p, cfg.step_h
     )[:, 0]
     grad = np.linalg.solve(g, dlnlam)
     J = differential_matrix(phi, p, cfg)
@@ -797,7 +802,7 @@ def lift_tension_direct(
 
     cfg_total = replace(cfg, step_h=cfg.step_h2)
     E0 = on_frame(q0)
-    J_F = central_diff(F, q0, cfg.step_h).T  # (tgt_dim, m)
+    J_F = central_diff(per_point(F), q0, cfg.step_h).T  # (tgt_dim, m)
     y0 = F(q0)
     gamma_tgt = christoffel(tgt_total, y0, cfg_total)
 

@@ -30,6 +30,7 @@ from .geometry import (
     metric_eval,
     norm,
     orthonormal_basis,
+    per_point,
     sample_points,
 )
 from .frames import (
@@ -567,7 +568,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # differential: exact Jacobian against central differences
     for p in pts:
         if phi.jacobian is not None:
-            fd = central_diff(phi.map, p, cfg.step_h).T
+            fd = central_diff(per_point(phi.map), p, cfg.step_h).T
             checks.see("jacobian_vs_fd", np.max(np.abs(fd - phi.jacobian(p))))
         Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
         J = differential_matrix(phi, p, cfg)
@@ -631,7 +632,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         for trial in range(5):
             C0 = rng.standard_normal((k, k))
             C_field = adapted_endo_field(geom, top=C0)
-            d = div_bot(geom, C_field.eval, p, cfg)
+            d = div_bot(geom, C0, p, cfg)
             j = trial % (M.dim - k)
             val = endo_inner(M, p, A[j], C_field.eval(p), onb)
             checks.see("div_duality", abs(val + float(E[:, k + j] @ g @ d)))

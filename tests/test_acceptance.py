@@ -258,8 +258,9 @@ def test_criterion_06_divergence_lemma():
         g = metric_eval(M, p)
         vb = vertical_basis(geom, p)
         for trial in range(5):
-            C = adapted_endo_field(geom, top=rng.standard_normal((k, k)))
-            d = div_bot(geom, C.eval, p, CFG)
+            top = rng.standard_normal((k, k))
+            C = adapted_endo_field(geom, top=top)
+            d = div_bot(geom, top, p, CFG)
             X = vb[trial % len(vb)]
             x = rng.standard_normal(M.dim)
             Xr = TangentVector(p, (np.eye(M.dim) - D.projector(p)) @ x)

@@ -42,6 +42,7 @@ from framelift.geometry import (
     curvature,
     curvature_tensor,
     metric_eval,
+    per_point,
     sample_points,
 )
 from framelift.submersion import A_Y_endo, adapted_endo_field, derive_geometry
@@ -403,8 +404,8 @@ class TestCurvatureRelationStencil:
             return christoffel(M, q, cfg) - S_components(M, D, q, cfg)
 
         GD, S = GD_at(p), S_components(M, D, p, cfg)
-        dGD = central_diff(GD_at, p, cfg.step_h2)
-        dS = central_diff(lambda q: S_components(M, D, q, cfg), p, cfg.step_h2)
+        dGD = central_diff(per_point(GD_at), p, cfg.step_h2)
+        dS = central_diff(per_point(lambda q: S_components(M, D, q, cfg)), p, cfg.step_h2)
         term_a = np.transpose(dGD, (0, 2, 3, 1))
         quad_a = np.einsum("lim,mjk->ijkl", GD, GD)
         RD = term_a - term_a.swapaxes(0, 1) + quad_a - quad_a.swapaxes(0, 1)

@@ -1,0 +1,281 @@
+"""Points with leading axes: one call per stencil, equal to the calls per point."""
+
+import dataclasses
+import functools
+import types
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import framelift.adapted as adapted_module
+import framelift.frames as frames_module
+import framelift.geometry as geometry_module
+import framelift.submersion as submersion_module
+from framelift.adapted import (
+    L_P_applies,
+    L_P_apply,
+    adapted_chart,
+    adapted_connection_audit,
+    adapted_frame,
+)
+from framelift.catalog import entries, get
+from framelift.fields import polynomial_vector_field
+from framelift.frames import (
+    Frame,
+    LMChart,
+    induced_metric_on_chart,
+    om_chart,
+    total_space_manifold,
+)
+from framelift.geometry import (
+    DomainError,
+    TangentVector,
+    central_diff,
+    christoffel,
+    christoffel_derivative,
+    metric_eval,
+    per_point,
+    reference_frame,
+    sample_points,
+)
+from framelift.submersion import _frame_jet, adapted_endo_field, derive_geometry, div_bot
+
+EXAMPLES = ["E1", "E2", "E3", "E4", "E5"]
+CHARTS = {M.name: M for e in entries() for M in (e.phi.source, e.phi.target)}
+
+
+def rows_of(f, ps):
+    """f called on each point of the stack ps, restacked."""
+    return np.array([f(p) for p in ps.reshape(-1, ps.shape[-1])]).reshape(
+        ps.shape[:-1] + np.shape(f(ps.reshape(-1, ps.shape[-1])[0])))
+
+
+class TestCatalogFields:
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)], ids=["k_n", "stencil"])
+    def test_stack_equals_rows_bit_for_bit(self, name, shape):
+        M = CHARTS[name]
+        ps = sample_points(M, 61, int(np.prod(shape))).reshape(shape + (M.dim,))
+        for field in (M.metric_field, M.metric_derivative, M.orthonormal_frame,
+                      M.domain_predicate):
+            assert np.array_equal(field(ps), rows_of(field, ps))
+
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_predicate_reads_each_point(self, name):
+        M = CHARTS[name]
+        ps = sample_points(M, 62, 3)
+        ps[1] = 50.0  # outside every catalog chart
+        assert list(M.domain_predicate(ps)) == [True, False, True]
+        assert not M.contains(ps) and M.contains(ps[[0, 2]])
+
+
+class TestStencil:
+    def test_central_diff_on_a_stack_equals_the_rows(self):
+        M = CHARTS["S3"]
+        ps = sample_points(M, 63, 4)
+        batched = central_diff(M.metric_field, ps, 1e-5)
+        assert np.array_equal(batched, rows_of(lambda p: central_diff(M.metric_field, p, 1e-5), ps))
+
+    def test_per_point_loops_over_leading_axes(self):
+        f = per_point(lambda p: np.outer(p, p[:2]))
+        ps = np.arange(18.0).reshape(3, 2, 3)
+        assert np.array_equal(f(ps), rows_of(lambda p: np.outer(p, p[:2]), ps))
+
+    def test_a_point_outside_raises_from_one_predicate_call(self):
+        S2 = CHARTS["S2"]
+        calls = []
+
+        def counting(p):
+            calls.append(np.shape(p))
+            return S2.domain_predicate(p)
+
+        M = dataclasses.replace(S2, domain_predicate=counting)
+        h = 1e-5
+        p = np.array([2.0 - h / 2, 0.0])  # inside; only p + h e_0 leaves the chart
+        assert M.contains(p)
+        calls.clear()
+        with pytest.raises(DomainError, match="stencil"):
+            christoffel_derivative(M, p)
+        assert calls == [(2, 2, 2)]
+
+    def test_total_space_stencil_leaving_the_chart_raises(self):
+        chart = om_chart(get("E3").phi.source)
+        x = sample_points(chart.manifold, 64, 1)[0]
+        a = np.zeros(len(chart.basis))
+        a[0] = 2.0 - 1e-5  # |a| < 2, but the step_h2 stencil crosses it
+        total = total_space_manifold(chart)
+        assert total.contains(chart.join(x, a))
+        with pytest.raises(DomainError, match="stencil"):
+            christoffel(total, chart.join(x, a), dataclasses.replace(geometry_module.DEFAULT_FD,
+                                                                      step_h=1e-4))
+
+
+@functools.cache
+def bundle_chart(example, bundle):
+    phi = get(example).phi
+    if bundle == "L":
+        return LMChart(phi.source)
+    if bundle == "O":
+        return om_chart(phi.source)
+    return adapted_chart(phi.source, derive_geometry(phi).horizontal)
+
+
+def bundle_points(chart, seed, count):
+    """count points (x, fibre) of a bundle chart away from its edges."""
+    M = chart.manifold
+    rng = np.random.default_rng(seed)
+    xs = sample_points(M, seed, count)
+    if isinstance(chart, LMChart):
+        E = reference_frame(M, xs) @ (np.eye(M.dim) + 0.3 * rng.standard_normal((count, M.dim, M.dim)))
+        return np.concatenate([xs, E.reshape(count, -1)], axis=1)
+    return np.concatenate([xs, 0.4 * rng.standard_normal((count, len(chart.basis)))], axis=1)
+
+
+def assert_close_rows(batched, rows):
+    assert batched.shape == rows.shape
+    assert np.max(np.abs(batched - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+
+class TestBatchedKernels:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(st.sampled_from(sorted(CHARTS)), st.integers(0, 10**6), st.integers(1, 6))
+    def test_christoffel(self, name, seed, count):
+        M = CHARTS[name]
+        ps = sample_points(M, seed, count)
+        ps = ps[M.domain_predicate(ps)]
+        assume(len(ps) > 0)
+        assert_close_rows(christoffel(M, ps), rows_of(lambda p: christoffel(M, p), ps))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(st.sampled_from(EXAMPLES), st.sampled_from(["L", "O", "D"]),
+           st.integers(0, 10**6), st.integers(1, 4))
+    def test_induced_metric(self, example, bundle, seed, count):
+        chart = bundle_chart(example, bundle)
+        qs = bundle_points(chart, seed, count)
+        assert_close_rows(induced_metric_on_chart(chart, qs),
+                          rows_of(lambda q: induced_metric_on_chart(chart, q), qs))
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_induced_metric_on_a_stencil_stack(self, bundle):
+        chart = bundle_chart("E3", bundle)
+        q = bundle_points(chart, 65, 1)[0]
+        stencil = geometry_module._stencil(q, 1e-4)
+        assert_close_rows(induced_metric_on_chart(chart, stencil),
+                          rows_of(lambda p: induced_metric_on_chart(chart, p), stencil))
+
+
+def count_calls(monkeypatch, module, name):
+    tally = []
+
+    def counting(*args, real=getattr(module, name), **kwargs):
+        tally.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return tally
+
+
+class TestOneInducedMetricPerStencil:
+    @pytest.mark.parametrize("example", EXAMPLES)
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_total_space_christoffel_evaluates_the_metric_twice(self, monkeypatch, example, bundle):
+        chart = bundle_chart(example, bundle)
+        q = bundle_points(chart, 66, 1)[0]
+        calls = count_calls(monkeypatch, frames_module, "induced_metric_on_chart")
+        christoffel(total_space_manifold(chart), q,
+                    dataclasses.replace(geometry_module.DEFAULT_FD, step_h=1e-4))
+        assert len(calls) == 2  # q, then the whole 2 dim-point stencil
+
+
+E3_GEOM = derive_geometry(get("E3").phi)
+J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+class TestLPairs:
+    def fields(self):
+        rng = np.random.default_rng(67)
+        return dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
+                    P=adapted_endo_field(E3_GEOM, top=0.8 * J2),
+                    Q=adapted_endo_field(E3_GEOM, top=-1.3 * J2))
+
+    def test_pairs_equal_one_call_per_pair(self):
+        M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
+        f = self.fields()
+        u = adapted_frame(M, D, sample_points(M, 68, 1)[0])
+        p = u.base
+        onb = [TangentVector(p, e) for e in u.columns.T]
+        pairs = [(f["Q"], f["X"].eval(p)), (f["P"], f["Y"].eval(p))]
+        for got, (P, x) in zip(L_P_applies(M, D, pairs, p, onb), pairs):
+            want = L_P_apply(M, D, P, x, p, onb)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_audit_builds_one_curvature_tensor_S_batch_and_W(self, monkeypatch):
+        M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
+        inside = []
+        counts = {"curvature_tensor": 0, "_S_endos": 0, "_W_matrix": 0}
+
+        def in_L(fn):
+            def wrapped(*args, **kwargs):
+                inside.append(1)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += bool(inside)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(adapted_module, "L_P_applies", in_L(adapted_module.L_P_applies))
+        monkeypatch.setattr(geometry_module, "curvature_tensor",
+                            counted("curvature_tensor", geometry_module.curvature_tensor))
+        for name in ("_S_endos", "_W_matrix"):
+            monkeypatch.setattr(adapted_module, name, counted(name, getattr(adapted_module, name)))
+        u = adapted_frame(M, D, sample_points(M, 46, 1)[0])
+        adapted_connection_audit(M, D, u, self.fields())
+        assert counts == {"curvature_tensor": 1, "_S_endos": 1, "_W_matrix": 1}
+
+
+class TestDivBot:
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_equals_the_opaque_field_stencil(self, example):
+        # the stencil built C(q) from its own adapted frame before; the frame is the same
+        geom = derive_geometry(get(example).phi)
+        M, k = geom.phi.source, geom.rank
+        p = sample_points(M, 69, 1)[0]
+        top = np.random.default_rng(70).standard_normal((k, k))
+        C = adapted_endo_field(geom, top=top)
+        Pi_V, _ = submersion_module.splitting_projectors(geom.phi, p)
+        E, gamma, dCE = _frame_jet(geom, p, range(k), geometry_module.DEFAULT_FD,
+                                   lambda q, Eq: C.eval(q) @ Eq)
+        want = np.zeros(M.dim)
+        for a, d in dCE.items():
+            want += Pi_V @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], C.eval(p) @ E[:, a]))
+        assert np.array_equal(div_bot(geom, top, p), want)
+
+    def test_builds_one_adapted_frame_per_stencil_point(self, monkeypatch):
+        M, k = E3_GEOM.phi.source, E3_GEOM.rank
+        p = sample_points(M, 71, 1)[0]
+        frames = count_calls(monkeypatch, submersion_module, "adapted_frame")
+        div_bot(E3_GEOM, J2, p)
+        assert len(frames) == 1 + 2 * k
+
+
+class TestSameFrame:
+    def test_one_frame_object_is_not_compared(self):
+        u = types.SimpleNamespace(base=None, columns=None)  # any comparison would raise
+        frames_module._same_frame(u, u)
+        with pytest.raises(TypeError):
+            frames_module._same_frame(u, types.SimpleNamespace(base=None, columns=None))
+
+    def test_a_stack_of_frames(self):
+        M = CHARTS["S3"]
+        xs = sample_points(M, 72, 4)
+        u = Frame(xs, reference_frame(M, xs))
+        assert u.vector(1).shape == (4, 3)
+        assert np.array_equal(metric_eval(M, xs), rows_of(lambda x: metric_eval(M, x), xs))

@@ -71,10 +71,10 @@ class TestDifferential:
         assert np.allclose(out.components, [2.0, 4.0])
 
     def test_fd_vs_exact_jacobian_hopf(self):
-        from framelift.geometry import central_diff
+        from framelift.geometry import central_diff, per_point
         phi = E["E3"].phi
         for p in sample_points(phi.source, 22, 5):
-            fd = central_diff(phi.map, p, 1e-5).T
+            fd = central_diff(per_point(phi.map), p, 1e-5).T
             assert np.max(np.abs(fd - phi.jacobian(p))) < 1e-6
 
 
@@ -282,14 +282,12 @@ class TestDivergenceDuality:
     def test_constant_flat(self):
         geom = GEOM["E1"]
         p = np.array([0.2, -0.2, 0.4])
-        C = adapted_endo_field(geom, top=np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert np.max(np.abs(div_bot(geom, C.eval, p))) < 1e-8
+        assert np.max(np.abs(div_bot(geom, np.array([[0.0, -1.0], [1.0, 0.0]]), p))) < 1e-8
 
     def test_product_constant_blocks(self):
         geom = GEOM["E2"]
         p = entry_point("E2")
-        C = adapted_endo_field(geom, top=np.array([[0.3, -1.0], [1.0, 0.2]]))
-        assert np.max(np.abs(div_bot(geom, C.eval, p))) < 1e-7
+        assert np.max(np.abs(div_bot(geom, np.array([[0.3, -1.0], [1.0, 0.2]]), p))) < 1e-7
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_duality(self, eid):
@@ -304,8 +302,9 @@ class TestDivergenceDuality:
             onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
             g = metric_eval(M, p)
             for _ in range(5):
-                C = adapted_endo_field(geom, top=rng.standard_normal((k, k)))
-                d = div_bot(geom, C.eval, p)
+                top = rng.standard_normal((k, k))
+                C = adapted_endo_field(geom, top=top)
+                d = div_bot(geom, top, p)
                 X = vertical_basis(geom, p)[0]
                 A = A_Y_endo(geom, X)
                 val = endo_inner(M, p, A, C.eval(p), onb)
@@ -674,9 +673,8 @@ class TestPerPointCosts:
     def test_div_bot_evaluates_christoffel_once(self, monkeypatch):
         geom = GEOM["E3"]
         p = sample_points(geom.phi.source, 19, 1)[0]
-        C_field = adapted_endo_field(geom, top=np.array([[0.0, 1.0], [-1.0, 0.0]]))
         christoffels = self.christoffel_calls(monkeypatch)
-        div_bot(geom, C_field.eval, p)
+        div_bot(geom, np.array([[0.0, 1.0], [-1.0, 0.0]]), p)
         assert len(christoffels) == 1  # one per horizontal direction before
 
     @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
@@ -719,7 +717,7 @@ class TestPerPointCosts:
         expect_H = [lift(W_inverse_apply(Wm, Ep[:, a])) for a in range(k)]
         for c in skew_basis(k):
             C = adapted_endo_field(geom, top=c)
-            expect_H.append(lift(W_inverse_apply(Wm, div_bot(geom, C.eval, p)))
+            expect_H.append(lift(W_inverse_apply(Wm, div_bot(geom, c, p)))
                             + fundamental_vertical(C.eval(p), u))
         assert len(Hb) == len(expect_H)
         for got, want in zip(Vb[:n - k] + Hb, expect_V + expect_H):
