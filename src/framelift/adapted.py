@@ -30,8 +30,8 @@ from .geometry import (
     curvature_R_P,
     curvature_tensor,
     directional_diff,
-    gram_schmidt,
     metric_eval,
+    orthonormalizer,
     per_point,
     skew_defect,
 )
@@ -57,8 +57,13 @@ class DistributionSpec:
     ``seed_frame`` maps p to an (n, n) matrix whose first k columns span D
     and whose other n-k columns span its orthogonal complement.  It is
     required wherever a smooth adapted frame field is built; the catalog
-    always provides it.  One adapted frame costs one seed frame, so a
-    derivative of the whole frame along one direction costs two.
+    always provides it.
+
+    Both fields take points with leading axes, p of shape (..., n), and
+    return (..., n, n), as the fields of a ``ChartManifold`` do; a stack's
+    rows equal row-by-row calls bit for bit.  A difference stencil of the
+    projector or of the adapted frame is then one call: the derivatives of
+    the whole frame along m directions cost one seed frame at 2m points.
     """
 
     rank: int
@@ -70,7 +75,7 @@ class DistributionSpec:
 
     def complement(self, p: Array) -> Array:
         P = self.projector(p)
-        return np.eye(P.shape[0]) - P
+        return np.eye(P.shape[-1]) - P
 
 
 def projector_defects(M: ChartManifold, D: DistributionSpec, p: Array) -> dict:
@@ -85,17 +90,21 @@ def projector_defects(M: ChartManifold, D: DistributionSpec, p: Array) -> dict:
 
 
 def adapted_frame(M: ChartManifold, D: DistributionSpec, p: Array) -> Frame:
-    """Orthonormal frame whose first k columns span D, the rest its complement.
+    """Orthonormal frame whose first k columns span D, the rest its complement,
+    at points p (..., n): a stack of frames for a stack of points.
 
-    Gram-Schmidt of the columns of ``D.seed_frame(p)``, so the frame varies
-    smoothly with p when the seed frame does.  Callers that differentiate
-    the frame take one stencil of the whole frame per direction and read
-    their columns from it.
+    Gram-Schmidt of the columns of ``D.seed_frame(p)``, one ``orthonormalizer``
+    over the stack of their Gram matrices, so the frame varies smoothly with
+    p when the seed frame does.  Callers that differentiate the frame take
+    one stencil of the whole frame over their directions and read their
+    columns from it.
     """
     if D.seed_frame is None:
         raise ValueError("adapted frame requires a seed frame")
-    basis = gram_schmidt(M, p, list(np.asarray(D.seed_frame(p), dtype=float).T))
-    return Frame(p, np.column_stack([e.components for e in basis]))
+    p = np.asarray(p, dtype=float)
+    V = np.asarray(D.seed_frame(p), dtype=float).swapaxes(-1, -2)  # rows: the seed vectors
+    E = orthonormalizer(V @ metric_eval(M, p) @ V.swapaxes(-1, -2)) @ V  # rows: the frame
+    return Frame(p, E.swapaxes(-1, -2))
 
 
 def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame) -> float:
@@ -203,23 +212,22 @@ def S_tensor(
 def _S_endos(
     M: ChartManifold, D: DistributionSpec, xs: Sequence[Array], p: Array,
     cfg: FDConfig = DEFAULT_FD, gamma: Optional[Array] = None,
-) -> list[Array]:
-    """S_x at p for each x in ``xs``, from P(p) and Gamma(p) evaluated once.
+) -> Array:
+    """S_x at p for each x in ``xs``, stacked (len(xs), n, n): P(p) and Gamma(p)
+    evaluated once and the projector once on the stencil of every x.
 
     ``gamma`` is Gamma(p) when the caller already holds it.  Column j of S_x is Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With
     nabla_x(P e_j) = (d_x P) e_j + Gamma_x P e_j and d_x Pc = -d_x P this is
     Pc (d_x P + Gamma_x P) + P (Gamma_x Pc - d_x P), where d_x P is the
     central difference of the projector along x that ``S_tensor`` takes.
     """
+    xs = np.asarray(xs, dtype=float).reshape(-1, np.shape(p)[-1])
     P = D.projector(p)
-    Pc = np.eye(P.shape[0]) - P
+    Pc = np.eye(P.shape[-1]) - P
     gamma = christoffel(M, p, cfg) if gamma is None else gamma
-    out = []
-    for x in xs:
-        dP = directional_diff(D.projector, p, x, cfg.step_h)
-        Gx = christoffel_contract(gamma, np.asarray(x, dtype=float))
-        out.append(Pc @ (dP + Gx @ P) + P @ (Gx @ Pc - dP))
-    return out
+    dP = directional_diff(D.projector, p, xs, cfg.step_h)
+    Gx = christoffel_contract(gamma, xs)
+    return Pc @ (dP + Gx @ P) + P @ (Gx @ Pc - dP)
 
 
 def S_endo(
@@ -466,7 +474,7 @@ def adapted_chart(M: ChartManifold, D: DistributionSpec, name: str = "O(D)") -> 
     return FrameChart(
         M,
         basis=block_skew_basis(M.dim, D.rank),
-        reference=per_point(lambda x: adapted_frame(M, D, x).columns),
+        reference=lambda x: adapted_frame(M, D, x).columns,
         name=name,
     )
 

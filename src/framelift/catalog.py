@@ -15,23 +15,15 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Array, ChartManifold, VectorField, box_sampler
+from .geometry import (
+    Array, ChartManifold, VectorField, _norm2, _stack, box_sampler, coordinate_field,
+)
 from .submersion import SubmersionSpec
 
 
 # ---------------------------------------------------------------------------
 # chart builders
 # ---------------------------------------------------------------------------
-
-def _norm2(p: Array) -> Array:
-    """|p|^2 for each point of p (..., dim), rounded as the dot product p @ p."""
-    return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
-
-
-def _stack(p: Array, value: Array) -> Array:
-    """A fresh copy of the constant ``value`` for each point of p (..., dim)."""
-    return np.zeros(p.shape[:-1] + value.shape) + value
-
 
 def euclidean_chart(n: int, half_width: float = 1.5, name: str = "") -> ChartManifold:
     eye = np.eye(n)
@@ -153,9 +145,14 @@ def line_chart(name: str = "R") -> ChartManifold:
 # ---------------------------------------------------------------------------
 
 def _stereo_inverse_s3(x: Array) -> Array:
-    """Chart point in R^3 to the unit 3-sphere in R^4 (projection from the north pole)."""
-    w = 1.0 + float(x @ x)
-    return np.concatenate([2.0 * x, [float(x @ x) - 1.0]]) / w
+    """Chart points (..., 3) to the unit 3-sphere in R^4 (projection from the north pole).
+
+    Unpacking x.T puts the coordinate axis first (numpy scalars at one point)
+    and the closing .T restores the leading axes; so do the Hopf helpers below.
+    """
+    x1, x2, x3 = x.T
+    r2 = x1 * x1 + x2 * x2 + x3 * x3
+    return (np.array([2.0 * x1, 2.0 * x2, 2.0 * x3, r2 - 1.0]) / (1.0 + r2)).T
 
 
 def _stereo_inverse_s3_jac(x: Array) -> Array:
@@ -199,23 +196,47 @@ def _stereo_s2_jac(m: Array) -> Array:
     ])
 
 
+def _hopf_parts(x: Array) -> tuple[Array, ...]:
+    """(u, v, cr, ci) at points x (..., 3) with the coordinate axis first:
+    hopf_map(x) = u + i v = a / b and 1/b = cr + i ci.
+
+    The sphere point (z1, z2) = (a, b) / (1 + |x|^2), with a = 2(x1 + i x2) and
+    b = 2 x3 + i s, s = |x|^2 - 1, maps to m with m1 + i m2 = 2 z1 conj(z2) and
+    1 - m3 = 2|z2|^2, whose stereographic image (m1 + i m2) / (1 - m3) is
+    z1 / z2 = a conj(b) / |b|^2.  Real arithmetic per component, so a stack's
+    rows round as single points do.
+    """
+    x1, x2, x3 = x.T
+    s = x1 * x1 + x2 * x2 + x3 * x3 - 1.0
+    d = 4.0 * x3 * x3 + s * s  # |b|^2
+    return (2.0 * (2.0 * x1 * x3 + x2 * s) / d, 2.0 * (2.0 * x2 * x3 - x1 * s) / d,
+            2.0 * x3 / d, -s / d)
+
+
 def hopf_map(x: Array) -> Array:
-    return _stereo_s2(_hopf_ambient(_stereo_inverse_s3(x)))
+    """The Hopf map in the two stereographic charts, at points x (..., 3)."""
+    u, v, _, _ = _hopf_parts(x)
+    return np.array([u, v]).T
 
 
 def hopf_jacobian(x: Array) -> Array:
-    P = _stereo_inverse_s3(x)
-    m = _hopf_ambient(P)
-    return _stereo_s2_jac(m) @ _hopf_ambient_jac(P) @ _stereo_inverse_s3_jac(x)
+    """d(a / b) = (da - (a / b) db) / b with da = (2, 2i, 0) and db = 2i x + 2 e_3,
+    as the real (..., 2, 3) matrix of rows Re and Im."""
+    u, v, cr, ci = _hopf_parts(x)
+    x1, x2, x3 = x.T
+    re = (2.0 + 2.0 * v * x1, 2.0 * v * x2, 2.0 * v * x3 - 2.0 * u)  # da - f db, by column
+    im = (-2.0 * u * x1, 2.0 - 2.0 * u * x2, -2.0 * u * x3 - 2.0 * v)
+    rows = [t * cr - w * ci for t, w in zip(re, im)] + [t * ci + w * cr for t, w in zip(re, im)]
+    return np.array(rows).T.reshape(x.shape[:-1] + (2, 3))
 
 
 def hopf_vertical_field() -> VectorField:
     """The fiber direction of the Hopf map pulled into the stereographic chart."""
 
     def ev(x: Array) -> Array:
-        P = _stereo_inverse_s3(x)
-        V = np.array([-P[1], P[0], -P[3], P[2]])  # multiplication by i upstairs
-        return (V[:3] + x * V[3]) / (1.0 - P[3])
+        p1, p2, p3, p4 = _stereo_inverse_s3(x).T
+        # V = i P = (-p2, p1, -p4, p3) upstairs, pushed down the stereographic chart
+        return ((np.array([-p2, p1, -p4]) + x.T * p3) / (1.0 - p4)).T
 
     return VectorField(eval=ev)
 
@@ -248,12 +269,6 @@ class CatalogEntry:
             )
 
 
-def _coordinate_project_field(i: int, n: int) -> VectorField:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return VectorField(eval=lambda p, e=e: e.copy(), jacobian=lambda p: np.zeros((n, n)))
-
-
 def _build_entries() -> list[CatalogEntry]:
     out = []
 
@@ -265,9 +280,9 @@ def _build_entries() -> list[CatalogEntry]:
         id="E1",
         phi=SubmersionSpec(
             source=src, target=tgt,
-            map=lambda p: p[:2].copy(),
-            jacobian=lambda p: J1.copy(),
-            vertical_fields=[_coordinate_project_field(2, 3)],
+            map=lambda p: p[..., :2].copy(),
+            jacobian=lambda p: _stack(p, J1),
+            vertical_fields=[coordinate_field(2, 3)],
             name="flat-projection",
         ),
         expected_lambda=1.0, totally_geodesic=True, fibers_totally_geodesic=True,
@@ -284,9 +299,9 @@ def _build_entries() -> list[CatalogEntry]:
         id="E2",
         phi=SubmersionSpec(
             source=src, target=tgt,
-            map=lambda p: p[:2].copy(),
-            jacobian=lambda p: J2.copy(),
-            vertical_fields=[_coordinate_project_field(2, 3)],
+            map=lambda p: p[..., :2].copy(),
+            jacobian=lambda p: _stack(p, J2),
+            vertical_fields=[coordinate_field(2, 3)],
             name="product",
         ),
         expected_lambda=1.0, totally_geodesic=True, fibers_totally_geodesic=True,
@@ -321,9 +336,9 @@ def _build_entries() -> list[CatalogEntry]:
         id="E4",
         phi=SubmersionSpec(
             source=src, target=tgt,
-            map=lambda p: p[:1].copy(),
-            jacobian=lambda p: J4.copy(),
-            vertical_fields=[_coordinate_project_field(1, 2)],
+            map=lambda p: p[..., :1].copy(),
+            jacobian=lambda p: _stack(p, J4),
+            vertical_fields=[coordinate_field(1, 2)],
             name="warped",
         ),
         expected_lambda=1.0, totally_geodesic=False, fibers_totally_geodesic=False,
@@ -341,9 +356,9 @@ def _build_entries() -> list[CatalogEntry]:
         id="E5",
         phi=SubmersionSpec(
             source=src, target=tgt,
-            map=lambda p: c * p[:2],
-            jacobian=lambda p: J5.copy(),
-            vertical_fields=[_coordinate_project_field(2, 3)],
+            map=lambda p: c * p[..., :2],
+            jacobian=lambda p: _stack(p, J5),
+            vertical_fields=[coordinate_field(2, 3)],
             name="homothety-projection",
         ),
         expected_lambda=c * c, totally_geodesic=True, fibers_totally_geodesic=True,

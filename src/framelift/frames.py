@@ -37,6 +37,7 @@ from .geometry import (
     metric_eval,
     orthonormal_basis,
     orthonormalizer,
+    per_point,
     reference_frame,
 )
 
@@ -145,13 +146,14 @@ def mok_metric(
     """Diagonal (Mok) metric on the frame bundle.
 
     Horizontal and vertical parts are orthogonal; two vertical vectors pair
-    as sum_i g(V_s u_i, V_t u_i) over the frame columns.
+    as sum_i g(V_s u_i, V_t u_i) over the frame columns.  A tangent paired
+    with itself (``mok_norm``) has its vertical part evaluated once.
     """
     _same_frame(s.at, t.at)
     u = s.at
     g = metric_eval(M, u.base)
     vs = vertical_part(M, s, cfg) @ u.columns
-    vt = vertical_part(M, t, cfg) @ u.columns
+    vt = vs if t is s else vertical_part(M, t, cfg) @ u.columns
     return float(s.base_rate @ g @ t.base_rate + np.einsum("ki,kl,li->", vs, g, vt))
 
 
@@ -552,7 +554,7 @@ def endo_covariant_derivative(
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """(nabla_x Q) at p as a matrix: directional derivative plus [Gamma_x, Q]."""
-    dQ = directional_diff(Q.eval, p, x, cfg.step_h)
+    dQ = directional_diff(per_point(Q.eval), p, x, cfg.step_h)
     gamma = christoffel(M, p, cfg)
     gx = christoffel_contract(gamma, x)
     Qp = np.asarray(Q.eval(p), dtype=float)

@@ -2,14 +2,16 @@
 
 A manifold is represented by a single coordinate chart carrying a metric
 field.  Points are coordinate vectors and may carry leading axes
-(..., dim): the metric, its derivative, the Christoffel symbols and the
-reference frame are then evaluated for the whole stack in one call, with
-the value axes after the point axes.  A finite-difference stencil is such
-a stack, so ``central_diff`` evaluates all 2 dim points of a derivative in
-one call of its function.  One point (dim,) runs the same code as a stack.
-The other operators (connection, curvature, Lie brackets, Gram-Schmidt)
-act at one point, with second-order central differences wherever an exact
-derivative is not supplied.
+(..., dim): the metric, its derivative, the Christoffel symbols, the
+reference frame and the orthonormaliser of a stack of Gram matrices are
+then evaluated for the whole stack in one call, with the value axes after
+the point axes.  A finite-difference stencil is such a stack, so
+``central_diff`` evaluates all 2 dim points of a derivative, and
+``directional_diff`` the 2 m points of m directional derivatives, in one
+call of its function.  One point (dim,) runs the same code as a stack.
+The connection, curvature and Lie brackets act at one point, with
+second-order central differences wherever an exact derivative is not
+supplied.
 """
 
 from __future__ import annotations
@@ -132,16 +134,20 @@ class EndomorphismField:
     eval: Callable[[Array], Array]
 
 
+def _stack(p: Array, value: Array) -> Array:
+    """A fresh copy of the constant ``value`` for each point of p (..., dim)."""
+    return np.zeros(p.shape[:-1] + value.shape) + value
+
+
 def coordinate_field(i: int, dim: int) -> VectorField:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return VectorField(eval=lambda p, e=e: e.copy(), jacobian=lambda p: np.zeros((dim, dim)))
+    return constant_field(np.eye(dim)[i])
 
 
 def constant_field(v: Array) -> VectorField:
+    """The field with components v at every point, for points with leading axes too."""
     v = np.asarray(v, dtype=float)
-    n = v.size
-    return VectorField(eval=lambda p: v.copy(), jacobian=lambda p: np.zeros((n, n)))
+    zero = np.zeros((v.size, v.size))
+    return VectorField(eval=lambda p: _stack(p, v), jacobian=lambda p: _stack(p, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +176,33 @@ def per_point(f: Callable[[Array], Array]) -> Callable[[Array], Array]:
 
     def looped(ps: Array) -> Array:
         ps = np.asarray(ps, dtype=float)
-        rows = [np.asarray(f(p)) for p in ps.reshape(-1, ps.shape[-1])]
-        return np.reshape(rows, ps.shape[:-1] + rows[0].shape)
+        rows = np.array([f(p) for p in ps.reshape(-1, ps.shape[-1])])
+        return rows.reshape(ps.shape[:-1] + rows.shape[1:])
 
     return looped
 
 
 def directional_diff(f: Callable[[Array], Array], p: Array, v: Array, h: float) -> Array:
-    """Derivative of f along v at p, linear in v (direction is normalized)."""
+    """Derivative of f at p along each direction of v (..., dim), linear in v.
+
+    Each direction is normalised to a step of length h and its difference
+    rescaled by its norm; a zero direction gives zeros.  f is called once,
+    on the stencil (2, ..., dim) of every direction, so it must take points
+    with leading axes; wrap a function of one point in ``per_point``.  The
+    result has v's leading axes followed by f's value shape.
+    """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros_like(np.asarray(f(p), dtype=float))
-    u = v / norm
-    return norm * (np.asarray(f(p + h * u)) - np.asarray(f(p - h * u))) / (2.0 * h)
+    norm = np.sqrt(_norm2(v))
+    hu = h * (v / np.where(norm > 0.0, norm, 1.0)[..., None])
+    fs = np.asarray(f(p + np.array([hu, -hu])))
+    norm = norm.reshape(norm.shape + (1,) * (fs.ndim - v.ndim))
+    return norm * (fs[0] - fs[1]) / (2.0 * h)
+
+
+def _norm2(p: Array) -> Array:
+    """|p|^2 for each vector of p (..., dim), rounded as the dot product p @ p."""
+    return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
 
 
 def _check_domain(M: ChartManifold, p: Array) -> Array:
@@ -265,8 +283,9 @@ def christoffel(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array
 
 
 def christoffel_contract(gamma: Array, x: Array) -> Array:
-    """Matrix (Gamma_x)^k_j = Gamma^k_ij x^i, acting on tangent components."""
-    return np.einsum("kij,i->kj", gamma, x)
+    """Matrix (Gamma_x)^k_j = Gamma^k_ij x^i, acting on tangent components; one
+    per vector of x (..., dim)."""
+    return np.einsum("kij,...i->...kj", gamma, x)
 
 
 def christoffel_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
@@ -285,7 +304,7 @@ def field_derivative(X: VectorField, p: Array, v: Array, h: float) -> Array:
     """Derivative of the components of X along v (exact Jacobian if present)."""
     if X.jacobian is not None:
         return np.asarray(X.jacobian(p), dtype=float) @ v
-    return directional_diff(X.eval, p, v, h)
+    return directional_diff(per_point(X.eval), p, v, h)
 
 
 def covariant_derivatives(

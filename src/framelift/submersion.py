@@ -65,6 +65,12 @@ class SubmersionSpec:
     replaced by central differences otherwise.  ``vertical_fields`` are
     smooth fields spanning the kernel of the differential; the catalog
     always provides them.
+
+    ``map``, ``jacobian`` and the fields' ``eval`` take points with leading
+    axes, p of shape (..., source_dim), and return their value per point with
+    the same leading axes, as the fields of a ``ChartManifold`` do: a
+    difference stencil of the splitting is one call.  A stack's rows equal
+    row-by-row calls bit for bit.
     """
 
     source: ChartManifold
@@ -79,10 +85,10 @@ class SubmersionSpec:
 
 
 def differential_matrix(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """Jacobian d(phi) at p, shape (target_dim, source_dim)."""
+    """Jacobian d(phi) at points p (..., source_dim), shape (..., target_dim, source_dim)."""
     if phi.jacobian is not None:
         return np.asarray(phi.jacobian(p), dtype=float)
-    return central_diff(per_point(phi.map), p, cfg.step_h).T
+    return central_diff(phi.map, p, cfg.step_h).swapaxes(-1, -2)
 
 
 def differential(phi: SubmersionSpec, X: TangentVector, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
@@ -94,21 +100,28 @@ def differential(phi: SubmersionSpec, X: TangentVector, cfg: FDConfig = DEFAULT_
     return TangentVector(phi.value(p), J @ X.components)
 
 
+def _horizontal_span(phi: SubmersionSpec, p: Array, cfg: FDConfig) -> tuple[Array, Array]:
+    """(J, A) at points p: the differential and A = g^-1 J^T, whose columns span
+    the horizontal space."""
+    J = differential_matrix(phi, p, cfg)
+    return J, np.linalg.solve(metric_eval(phi.source, p), J.swapaxes(-1, -2))
+
+
 def splitting_projectors(
     phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
 ) -> tuple[Array, Array]:
-    """(Pi_V, Pi_H): g-orthogonal projectors onto ker d(phi) and its complement.
+    """(Pi_V, Pi_H): g-orthogonal projectors onto ker d(phi) and its complement,
+    at points p (..., n), each (..., n, n).
 
     d(phi) is rank deficient when the smallest eigenvalue of the k x k SPD
-    matrix J g^-1 J^T is not above k eps times its largest.
+    matrix J g^-1 J^T is not above k eps times its largest; any such point
+    of the stack raises.
     """
-    J = differential_matrix(phi, p, cfg)
-    g = metric_eval(phi.source, p)
-    A = np.linalg.solve(g, J.T)          # columns span the horizontal space
+    J, A = _horizontal_span(phi, p, cfg)
     JA = J @ A
     eig = np.linalg.eigvalsh(JA)  # ascending
-    if not eig[0] > JA.shape[0] * np.finfo(float).eps * eig[-1]:
-        raise ValueError("differential is rank deficient at the sample point")
+    if not (eig[..., 0] > JA.shape[-1] * np.finfo(float).eps * eig[..., -1]).all():
+        raise ValueError("differential is rank deficient at a sample point")
     Pi_H = A @ np.linalg.solve(JA, J)
     Pi_V = np.eye(phi.source.dim) - Pi_H
     return Pi_V, Pi_H
@@ -116,9 +129,7 @@ def splitting_projectors(
 
 def horizontal_lift_matrix(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
     """Right inverse of d(phi) with image in the horizontal space."""
-    J = differential_matrix(phi, p, cfg)
-    g = metric_eval(phi.source, p)
-    A = np.linalg.solve(g, J.T)
+    J, A = _horizontal_span(phi, p, cfg)
     return A @ np.linalg.inv(J @ A)
 
 
@@ -138,6 +149,7 @@ def derive_geometry(phi: SubmersionSpec, cfg: FDConfig = DEFAULT_FD) -> Submersi
     """Build the horizontal DistributionSpec: the projector and the seed frame.
 
     The seed frame at q is g^-1 J^T (one solve) followed by the kernel fields.
+    Both take points with leading axes, as ``SubmersionSpec`` does.
     """
     k = phi.target.dim
 
@@ -145,15 +157,14 @@ def derive_geometry(phi: SubmersionSpec, cfg: FDConfig = DEFAULT_FD) -> Submersi
         return splitting_projectors(phi, q, cfg)[1]
 
     def seed_frame(q: Array) -> Array:
-        J = differential_matrix(phi, q, cfg)
-        g = metric_eval(phi.source, q)
+        _, A = _horizontal_span(phi, q, cfg)
         if phi.vertical_fields is not None:
-            vertical = [np.asarray(f.eval(q), dtype=float) for f in phi.vertical_fields]
+            vertical = [np.asarray(f.eval(q), dtype=float)[..., None] for f in phi.vertical_fields]
         else:
             # project the last n-k coordinate directions; adequate only when
             # they stay independent over the sampling region
-            vertical = list(splitting_projectors(phi, q, cfg)[0][:, k:].T)
-        return np.column_stack([np.linalg.solve(g, J.T), *vertical])
+            vertical = [splitting_projectors(phi, q, cfg)[0][..., k:]]
+        return np.concatenate([A, *vertical], axis=-1)
 
     horizontal = DistributionSpec(rank=k, projector_field=projector, seed_frame=seed_frame)
     return SubmersionGeometry(phi=phi, horizontal=horizontal)
@@ -186,14 +197,10 @@ def dilatation(
     exactly when the map is horizontally conformal at p.
     """
     geom = geom if geom is not None else derive_geometry(phi, cfg)
-    basis = horizontal_basis(geom, p)
-    J = differential_matrix(phi, p, cfg)
-    gN = metric_eval(phi.target, phi.value(p))
-    k = len(basis)
-    G = np.zeros((k, k))
-    for a in range(k):
-        for b in range(k):
-            G[a, b] = (J @ basis[a].components) @ gN @ (J @ basis[b].components)
+    k = geom.rank
+    E_H = adapted_frame(phi.source, geom.horizontal, p).columns[:, :k]
+    JE = differential_matrix(phi, p, cfg) @ E_H
+    G = JE.T @ metric_eval(phi.target, phi.value(p)) @ JE  # Gram of the pushed-forward E_H
     lam = float(np.trace(G) / k)
     defect = float(np.max(np.abs(G - lam * np.eye(k))))
     if lam <= 0:
@@ -212,7 +219,7 @@ def pullback_connection(
     """
     p = X.base
     h = cfg.step_h if step is None else step
-    dW = directional_diff(W, p, X.components, h)
+    dW = directional_diff(per_point(W), p, X.components, h)
     J = differential_matrix(phi, p, cfg)
     y = phi.value(p)
     gammaN = christoffel(phi.target, y, cfg)
@@ -363,13 +370,15 @@ def _frame_jet(
 ) -> tuple[Array, Array, dict[int, Array]]:
     """(E, Gamma, dF) at p: the adapted frame E, the source Christoffel symbols
     and, for each a in ``dirs``, the derivative dF[a] along E[:, a] of the
-    matrix field F(q) = of(q, E(q)).  One stencil of F per direction.
+    matrix field F(q) = of(q, E(q)).  One stencil of F for all directions:
+    ``of`` takes points q (..., n) and frames E (..., n, n).
     """
     M, D = geom.phi.source, geom.horizontal
     E = adapted_frame(M, D, p).columns
-    dF = {a: directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), p, E[:, a],
-                              cfg.step_h) for a in dirs}
-    return E, christoffel(M, p, cfg), dF
+    dirs = list(dirs)
+    dF = directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), p, E[:, dirs].T,
+                          cfg.step_h)
+    return E, christoffel(M, p, cfg), dict(zip(dirs, dF))
 
 
 def div_bot(
@@ -378,8 +387,8 @@ def div_bot(
     """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of the horizontal endo
     field C = ``adapted_endo_field(geom, top=top)``.
 
-    One Christoffel evaluation and one stencil of C E per horizontal e_A; each
-    stencil point forms C from the adapted frame it has already built.
+    One Christoffel evaluation and one stencil of C E over the horizontal e_A;
+    each stencil point forms C from the adapted frame it has already built.
     """
     M = geom.phi.source
     blk = _block_coefficients(M.dim, geom.rank, top, None)
@@ -403,8 +412,8 @@ def _block_coefficients(n: int, k: int, top: Optional[Array], bot: Optional[Arra
 
 
 def _adapted_endo(M: ChartManifold, blk: Array, q: Array, E: Array) -> Array:
-    """E blk E^{-1} at q for the orthonormal frame E at q, where E^{-1} = E^T g."""
-    return E @ blk @ E.T @ metric_eval(M, q)
+    """E blk E^{-1} at points q for the orthonormal frames E there, where E^{-1} = E^T g."""
+    return E @ blk @ E.swapaxes(-1, -2) @ metric_eval(M, q)
 
 
 def adapted_endo_field(
@@ -536,7 +545,7 @@ def mean_curvature_fibers(
 ) -> TangentVector:
     """Mean curvature of the fiber through p: horizontal trace over vertical frame.
 
-    One Christoffel evaluation and one frame stencil per vertical direction.
+    One Christoffel evaluation and one frame stencil over the vertical directions.
     """
     phi = geom.phi
     _, Pi_H = splitting_projectors(phi, p, cfg)
@@ -552,7 +561,7 @@ def fiber_second_fundamental_defect(
 ) -> float:
     """Max horizontal norm of the fibers' second fundamental form at p.
 
-    One Christoffel evaluation and one frame stencil per vertical direction.
+    One Christoffel evaluation and one frame stencil over the vertical directions.
     """
     phi = geom.phi
     n = phi.source.dim
@@ -579,12 +588,13 @@ def tension_field(
 
     sum_a nabla^phi_{e_a}(phi_* e_a) - phi_*(nabla_{e_a} e_a), from one
     Christoffel evaluation on each side and one stencil of the stacked
-    (J E, E) per frame direction.
+    (J E, E) over the frame directions.
     """
     geom = geom if geom is not None else derive_geometry(phi, cfg)
     k = phi.target.dim
-    E, gamma, dF = _frame_jet(geom, p, range(phi.source.dim), cfg,
-                              lambda q, Eq: np.vstack([differential_matrix(phi, q, cfg) @ Eq, Eq]))
+    E, gamma, dF = _frame_jet(
+        geom, p, range(phi.source.dim), cfg,
+        lambda q, Eq: np.concatenate([differential_matrix(phi, q, cfg) @ Eq, Eq], axis=-2))
     J = differential_matrix(phi, p, cfg)
     gammaN = christoffel(phi.target, phi.value(p), cfg)
     out = np.zeros(k)
@@ -814,9 +824,9 @@ def lift_tension_direct(
             return on_frame(q)[:, i]
 
         def pushed(q: Array, Ei_field=Ei_field) -> Array:
-            return directional_diff(F, q, Ei_field(q), cfg.step_h)
+            return directional_diff(per_point(F), q, Ei_field(q), cfg.step_h)
 
-        dW = directional_diff(pushed, q0, Ei_val, cfg.step_h2)
+        dW = directional_diff(per_point(pushed), q0, Ei_val, cfg.step_h2)
         tau += dW + christoffel_contract(gamma_tgt, J_F @ Ei_val) @ pushed(q0)
         nab = covariant_derivative(
             src_total, constant_field(Ei_val), VectorField(eval=Ei_field), q0, cfg_total

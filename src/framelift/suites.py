@@ -149,7 +149,7 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             def gYZ(q):
                 return np.array([float(Y.eval(q) @ metric_eval(M, q) @ Z.eval(q))])
 
-            lhs = directional_diff(gYZ, p, X.eval(p), cfg.step_h)[0]
+            lhs = directional_diff(per_point(gYZ), p, X.eval(p), cfg.step_h)[0]
             nXY = covariant_derivative(M, X, Y, p, cfg).components
             nXZ = covariant_derivative(M, X, Z, p, cfg).components
             g = metric_eval(M, p)
@@ -397,7 +397,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     def gAB(qq):
         return np.array([float(A.eval(qq) @ metric_eval(total, qq) @ B.eval(qq))])
 
-    lhs = directional_diff(gAB, q, C.eval(q), cfg.step_h2)[0]
+    lhs = directional_diff(per_point(gAB), q, C.eval(q), cfg.step_h2)[0]
     _single(checks, "oracle_metric_compatible",
             "total-space oracle connection preserves the induced metric",
             abs(lhs - float(nCA @ Gq @ B.eval(q)) - float(A.eval(q) @ Gq @ nCB)), cfg.tol_fd2 * 10)
@@ -464,7 +464,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         def gYZ(q):
             return np.array([float(Y.eval(q) @ metric_eval(M, q) @ Z.eval(q))])
 
-        lhs = directional_diff(gYZ, p, X.eval(p), cfg.step_h)[0]
+        lhs = directional_diff(per_point(gYZ), p, X.eval(p), cfg.step_h)[0]
         a = nabla_D(M, D, X, Y, p, cfg).components
         b = nabla_D(M, D, X, Z, p, cfg).components
         checks.see("connection_metric_compatible",
@@ -568,7 +568,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # differential: exact Jacobian against central differences
     for p in pts:
         if phi.jacobian is not None:
-            fd = central_diff(per_point(phi.map), p, cfg.step_h).T
+            fd = central_diff(phi.map, p, cfg.step_h).T
             checks.see("jacobian_vs_fd", np.max(np.abs(fd - phi.jacobian(p))))
         Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
         J = differential_matrix(phi, p, cfg)

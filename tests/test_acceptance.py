@@ -48,6 +48,7 @@ from framelift.geometry import (
     lie_bracket,
     metric_eval,
     orthonormal_basis,
+    per_point,
     sample_points,
 )
 from framelift.reporting import strip_wall_times
@@ -100,7 +101,7 @@ def test_criterion_01_core_calculus():
             def gYZ(q):
                 return np.array([float(Y.eval(q) @ metric_eval(M, q) @ Z.eval(q))])
 
-            lhs = directional_diff(gYZ, p, X.eval(p), CFG.step_h)[0]
+            lhs = directional_diff(per_point(gYZ), p, X.eval(p), CFG.step_h)[0]
             g = metric_eval(M, p)
             nXY = covariant_derivative(M, X, Y, p, CFG).components
             nXZ = covariant_derivative(M, X, Z, p, CFG).components

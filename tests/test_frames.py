@@ -146,6 +146,22 @@ class TestMokMetric:
             t = FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2)))
             assert mok_metric(S2, t, t) > 0
 
+    def test_norm_evaluates_the_vertical_part_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        u = on_frame(S2, np.array([0.3, -0.1]))
+        t = FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2)))
+        twin = FrameTangent(u, t.base_rate.copy(), t.frame_rate.copy())
+        want = float(np.sqrt(mok_metric(S2, t, twin)))  # two evaluations, same arithmetic
+        calls = []
+
+        def counting(*args, real=frames_module.vertical_part, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(frames_module, "vertical_part", counting)
+        assert mok_norm(S2, t) == want
+        assert len(calls) == 1
+
 
 class TestOMChart:
     def test_zero_coordinates_give_reference(self):

@@ -20,7 +20,19 @@ from framelift.adapted import (
     adapted_connection_audit,
     adapted_frame,
 )
-from framelift.catalog import entries, get
+from framelift.catalog import (
+    _hopf_ambient,
+    _hopf_ambient_jac,
+    _stereo_inverse_s3,
+    _stereo_inverse_s3_jac,
+    _stereo_s2,
+    _stereo_s2_jac,
+    entries,
+    euclidean_chart,
+    get,
+    hopf_jacobian,
+    hopf_map,
+)
 from framelift.fields import polynomial_vector_field
 from framelift.frames import (
     Frame,
@@ -35,12 +47,20 @@ from framelift.geometry import (
     central_diff,
     christoffel,
     christoffel_derivative,
+    directional_diff,
     metric_eval,
     per_point,
     reference_frame,
     sample_points,
 )
-from framelift.submersion import _frame_jet, adapted_endo_field, derive_geometry, div_bot
+from framelift.submersion import (
+    SubmersionSpec,
+    _frame_jet,
+    adapted_endo_field,
+    derive_geometry,
+    div_bot,
+    splitting_projectors,
+)
 
 EXAMPLES = ["E1", "E2", "E3", "E4", "E5"]
 CHARTS = {M.name: M for e in entries() for M in (e.phi.source, e.phi.target)}
@@ -258,12 +278,12 @@ class TestDivBot:
             want += Pi_V @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], C.eval(p) @ E[:, a]))
         assert np.array_equal(div_bot(geom, top, p), want)
 
-    def test_builds_one_adapted_frame_per_stencil_point(self, monkeypatch):
-        M, k = E3_GEOM.phi.source, E3_GEOM.rank
+    def test_builds_one_adapted_frame_per_stencil(self, monkeypatch):
+        M = E3_GEOM.phi.source
         p = sample_points(M, 71, 1)[0]
         frames = count_calls(monkeypatch, submersion_module, "adapted_frame")
         div_bot(E3_GEOM, J2, p)
-        assert len(frames) == 1 + 2 * k
+        assert len(frames) == 2  # at p, then the whole stencil over the k directions
 
 
 class TestSameFrame:
@@ -279,3 +299,102 @@ class TestSameFrame:
         u = Frame(xs, reference_frame(M, xs))
         assert u.vector(1).shape == (4, 3)
         assert np.array_equal(metric_eval(M, xs), rows_of(lambda x: metric_eval(M, x), xs))
+
+
+GEOMS = {eid: derive_geometry(get(eid).phi) for eid in EXAMPLES}
+
+
+def stencil_points(M, seed):
+    """Six sample points of M as a (2, 3, n) stack, the shape of a stencil over 3 directions."""
+    return sample_points(M, seed, 6).reshape(2, 3, M.dim)
+
+
+class TestSplittingStack:
+    """The splitting path takes stacks: a stack's rows equal row-by-row calls bit for bit."""
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_submersion_fields(self, example):
+        phi = get(example).phi
+        ps = stencil_points(phi.source, 73)
+        for f in (phi.map, phi.jacobian, *(V.eval for V in phi.vertical_fields)):
+            assert np.array_equal(f(ps), rows_of(f, ps))
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_projectors_seed_frame_and_adapted_frame(self, example):
+        geom = GEOMS[example]
+        M, D = geom.phi.source, geom.horizontal
+        ps = stencil_points(M, 74)
+        for part in (0, 1):
+            f = lambda q: splitting_projectors(geom.phi, q)[part]  # noqa: E731
+            assert np.array_equal(f(ps), rows_of(f, ps))
+        for f in (D.projector, D.seed_frame, lambda q: adapted_frame(M, D, q).columns):
+            assert np.array_equal(f(ps), rows_of(f, ps))
+        u = adapted_frame(M, D, ps)
+        assert np.array_equal(u.base, ps) and u.columns.shape == ps.shape + (M.dim,)
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_directional_diff_over_stacked_directions(self, example):
+        geom = GEOMS[example]
+        M, D = geom.phi.source, geom.horizontal
+        p = sample_points(M, 75, 1)[0]
+        vs = np.random.default_rng(76).standard_normal((4, M.dim))
+        vs[2] = 0.0
+        calls = []
+
+        def projector(q):
+            calls.append(np.shape(q))
+            return D.projector(q)
+
+        got = directional_diff(projector, p, vs, 1e-5)
+        assert calls == [(2, 4, M.dim)]  # one call on the whole stencil
+        want = np.array([directional_diff(D.projector, p, v, 1e-5) for v in vs])
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[2], np.zeros((M.dim, M.dim)))
+
+    def test_one_rank_deficient_point_raises(self):
+        # J = [[1, 0, 0], [0, y, 0]] loses rank where y = 0
+        phi = SubmersionSpec(
+            source=euclidean_chart(3), target=euclidean_chart(2),
+            map=lambda p: np.stack([p[..., 0], 0.5 * p[..., 1] ** 2], axis=-1),
+            jacobian=lambda p: np.eye(2, 3) * np.stack(
+                [np.ones(p.shape[:-1]), p[..., 1]], axis=-1)[..., :, None])
+        ps = np.array([[0.1, 0.5, 0.2], [0.3, 0.0, -0.1], [0.2, -0.4, 0.3]])
+        for p in ps[[0, 2]]:
+            splitting_projectors(phi, p)
+        splitting_projectors(phi, ps[[0, 2]])
+        with pytest.raises(ValueError, match="rank deficient"):
+            splitting_projectors(phi, ps)
+
+    @pytest.mark.parametrize("vertical_fields", [[], None], ids=["empty", "projected"])
+    def test_k_equals_n_builds_its_seed_frame(self, vertical_fields):
+        # the plane scaling of TestDilatation::test_composition_law: no kernel
+        R2 = euclidean_chart(2)
+        scale = SubmersionSpec(source=R2, target=euclidean_chart(2, half_width=3.5),
+                               map=lambda p: 2.0 * p,
+                               jacobian=lambda p: np.zeros(p.shape[:-1] + (1, 1)) + 2.0 * np.eye(2),
+                               vertical_fields=vertical_fields)
+        D = derive_geometry(scale).horizontal
+        ps = stencil_points(R2, 77)
+        assert D.seed_frame(ps).shape == (2, 3, 2, 2)
+        assert np.array_equal(D.seed_frame(ps), rows_of(D.seed_frame, ps))
+        assert np.array_equal(adapted_frame(R2, D, ps[0, 0]).columns, np.eye(2))
+
+
+def hopf_composite(x):
+    return _stereo_s2(_hopf_ambient(_stereo_inverse_s3(x)))
+
+
+def hopf_composite_jacobian(x):
+    P = _stereo_inverse_s3(x)
+    return _stereo_s2_jac(_hopf_ambient(P)) @ _hopf_ambient_jac(P) @ _stereo_inverse_s3_jac(x)
+
+
+class TestHopfQuotient:
+    """hopf_map is z1/z2 in closed form; it equals the chart composite it replaced."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3))
+    def test_equals_the_composite(self, x):
+        x = np.array(x)
+        assert np.max(np.abs(hopf_map(x) - hopf_composite(x))) <= 1e-14
+        assert np.max(np.abs(hopf_jacobian(x) - hopf_composite_jacobian(x))) <= 1e-14

@@ -53,6 +53,11 @@ E = {eid: get(eid) for eid in ("E1", "E2", "E3", "E4", "E5")}
 GEOM = {eid: derive_geometry(e.phi) for eid, e in E.items()}
 
 
+def stacked(p, value):
+    """A copy of the constant ``value`` for each point of p (..., dim)."""
+    return np.zeros(np.shape(p)[:-1] + (1,) * value.ndim) + value
+
+
 def entry_point(eid, seed=21, idx=0):
     return sample_points(E[eid].phi.source, seed, idx + 1)[idx]
 
@@ -71,10 +76,10 @@ class TestDifferential:
         assert np.allclose(out.components, [2.0, 4.0])
 
     def test_fd_vs_exact_jacobian_hopf(self):
-        from framelift.geometry import central_diff, per_point
+        from framelift.geometry import central_diff
         phi = E["E3"].phi
         for p in sample_points(phi.source, 22, 5):
-            fd = central_diff(per_point(phi.map), p, 1e-5).T
+            fd = central_diff(phi.map, p, 1e-5).T
             assert np.max(np.abs(fd - phi.jacobian(p))) < 1e-6
 
 
@@ -121,12 +126,11 @@ class TestDilatation:
         R3 = euclidean_chart(3)
         R2a = euclidean_chart(2)
         R2b = euclidean_chart(2, half_width=3.5)
-        proj = SubmersionSpec(source=R3, target=R2a, map=lambda p: p[:2].copy(),
-                              jacobian=lambda p: np.array([[1.0, 0.0, 0.0],
-                                                           [0.0, 1.0, 0.0]]),
+        proj = SubmersionSpec(source=R3, target=R2a, map=lambda p: p[..., :2].copy(),
+                              jacobian=lambda p: stacked(p, np.eye(2, 3)),
                               vertical_fields=[constant_field(np.array([0.0, 0.0, 1.0]))])
         scale = SubmersionSpec(source=R2a, target=R2b, map=lambda p: 2.0 * p,
-                               jacobian=lambda p: 2.0 * np.eye(2),
+                               jacobian=lambda p: stacked(p, 2.0 * np.eye(2)),
                                vertical_fields=[])
         p = np.array([0.2, -0.4, 0.6])
         lam_proj, _ = dilatation(proj, p)
@@ -589,9 +593,11 @@ class TestLiftTensionDirect:
 # (x, y, z) -> x + 0.3 y^2 on flat R^3.  Its fibers bend in y, so A != 0.
 LINE = SubmersionSpec(
     source=euclidean_chart(3), target=euclidean_chart(1),
-    map=lambda p: np.array([p[0] + 0.3 * p[1] ** 2]),
-    jacobian=lambda p: np.array([[1.0, 0.6 * p[1], 0.0]]),
-    vertical_fields=[VectorField(eval=lambda p: np.array([-0.6 * p[1], 1.0, 0.0])),
+    map=lambda p: p[..., :1] + 0.3 * p[..., 1:2] ** 2,
+    jacobian=lambda p: (stacked(p, np.eye(1, 3)) + 0.6 * p[..., 1, None, None]
+                        * np.array([[0.0, 1.0, 0.0]])),
+    vertical_fields=[VectorField(eval=lambda p: stacked(p, np.array([0.0, 1.0, 0.0]))
+                                 - 0.6 * p[..., 1:2] * np.array([1.0, 0.0, 0.0])),
                      constant_field(np.array([0.0, 0.0, 1.0]))],
     name="line",
 )
@@ -600,8 +606,8 @@ GEOM_LINE = derive_geometry(LINE)
 
 def rows_jacobian(rows):
     return SubmersionSpec(source=euclidean_chart(3), target=euclidean_chart(2),
-                          map=lambda p: np.array(rows) @ p,
-                          jacobian=lambda p: np.array(rows, dtype=float))
+                          map=lambda p: p @ np.array(rows).T,
+                          jacobian=lambda p: stacked(p, np.array(rows, dtype=float)))
 
 
 class TestSplittingRankCheck:
@@ -633,7 +639,8 @@ class TestSeedFrame:
     def test_without_vertical_fields_the_kernel_is_projected(self):
         # the last n-k coordinate directions, projected onto the kernel
         phi = SubmersionSpec(source=euclidean_chart(3), target=euclidean_chart(2),
-                             map=lambda p: p[:2].copy(), jacobian=lambda p: np.eye(2, 3))
+                             map=lambda p: p[..., :2].copy(),
+                             jacobian=lambda p: stacked(p, np.eye(2, 3)))
         p = np.array([0.1, 0.2, 0.3])
         E = adapted_frame(phi.source, derive_geometry(phi).horizontal, p).columns
         assert np.array_equal(E, np.eye(3))
@@ -652,7 +659,7 @@ def count_calls(monkeypatch, name, *modules):
 
 
 class TestPerPointCosts:
-    """One adapted frame stencil per direction, one Christoffel, one S per point."""
+    """One adapted frame stencil over all directions, one Christoffel, one S per point."""
 
     def christoffel_calls(self, monkeypatch):
         return count_calls(monkeypatch, "christoffel", geometry_module, adapted_module,
@@ -660,14 +667,14 @@ class TestPerPointCosts:
 
     @pytest.mark.parametrize("fn", [fiber_second_fundamental_defect, mean_curvature_fibers])
     @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
-    def test_fiber_operators_take_one_frame_stencil_per_vertical_direction(
+    def test_fiber_operators_take_one_frame_stencil_over_the_vertical_directions(
             self, monkeypatch, fn, geom):
         M = geom.phi.source
         p = sample_points(M, 18, 1)[0]
         frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
         christoffels = self.christoffel_calls(monkeypatch)
         fn(geom, p)
-        assert len(frames) == 1 + 2 * (M.dim - geom.rank)
+        assert len(frames) == 2
         assert len(christoffels) == 1
 
     def test_div_bot_evaluates_christoffel_once(self, monkeypatch):

@@ -13,6 +13,7 @@ from framelift.geometry import (
     covariant_derivative,
     directional_diff,
     metric_eval,
+    per_point,
     sample_points,
 )
 from framelift.submersion import derive_geometry
@@ -90,7 +91,7 @@ class TestLifts:
         Zf = polynomial_vector_field(2, rng, exact_jacobian=False)
         for p in sample_points(S2, 3, 10):
             x = rng.standard_normal(2)
-            zr = directional_diff(Zf.eval, p, x, 1e-5)
+            zr = directional_diff(per_point(Zf.eval), p, x, 1e-5)
             t = TMTangent(TMPoint(p, Zf.eval(p)), x, zr)
             got = connection_map_K(S2, t).components
             expect = covariant_derivative(S2, VectorField(eval=lambda q: x), Zf, p).components
