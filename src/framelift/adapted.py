@@ -27,6 +27,7 @@ from .geometry import (
     christoffel_contract,
     column_gram,
     covariant_derivative,
+    covariant_derivatives,
     curvature_R_P,
     curvature_tensor,
     directional_diff,
@@ -108,15 +109,15 @@ def adapted_frame(M: ChartManifold, D: DistributionSpec, p: Array) -> Frame:
 
 
 def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame) -> float:
-    """How far a frame is from O(D): orthonormal, adapted to the splitting."""
-    k = D.rank
+    """How far a frame (the worst of a stack) is from O(D): orthonormal, adapted to the splitting."""
+    k, n = D.rank, u.base.shape[-1]
     g = metric_eval(M, u.base)
     P = D.projector(u.base)
-    Pc = np.eye(u.base.size) - P
+    E = u.columns
     return float(max(
-        np.max(np.abs(u.columns.T @ g @ u.columns - np.eye(u.base.size))),
-        np.max(np.abs(Pc @ u.columns[:, :k])) if k > 0 else 0.0,
-        np.max(np.abs(P @ u.columns[:, k:])) if k < u.base.size else 0.0,
+        np.max(np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(n))),
+        np.max(np.abs((np.eye(n) - P) @ E[..., :k])) if k > 0 else 0.0,
+        np.max(np.abs(P @ E[..., k:])) if k < n else 0.0,
     ))
 
 
@@ -176,9 +177,19 @@ def g_block_projection(D: DistributionSpec, p: Array, P_value: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 def _projected_field(D: DistributionSpec, Y: VectorField, top: bool) -> VectorField:
-    if top:
-        return VectorField(eval=lambda q: D.projector(q) @ np.asarray(Y.eval(q), dtype=float))
-    return VectorField(eval=lambda q: D.complement(q) @ np.asarray(Y.eval(q), dtype=float))
+    part = D.projector if top else D.complement
+    return VectorField(eval=lambda q: (part(q) @ np.asarray(Y.eval(q), dtype=float)[..., None])[..., 0])
+
+
+def _projected_derivatives(
+    M: ChartManifold, D: DistributionSpec, X: VectorField, Y: VectorField,
+    p: Array, cfg: FDConfig,
+) -> tuple[Array, Array, Array]:
+    """nabla_X of D's and of the complement's part of Y at p, from one
+    ``covariant_derivatives`` call, and the projector P(p)."""
+    top, bot = covariant_derivatives(
+        M, [(X, _projected_field(D, Y, True)), (X, _projected_field(D, Y, False))], p, cfg)
+    return top.components, bot.components, D.projector(p)
 
 
 def nabla_D(
@@ -186,11 +197,8 @@ def nabla_D(
     p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> TangentVector:
     """Adapted connection: project, differentiate, project back on each block."""
-    top = covariant_derivative(M, X, _projected_field(D, Y, True), p, cfg)
-    bot = covariant_derivative(M, X, _projected_field(D, Y, False), p, cfg)
-    P = D.projector(p)
-    out = P @ top.components + (np.eye(P.shape[0]) - P) @ bot.components
-    return TangentVector(p, out)
+    top, bot, P = _projected_derivatives(M, D, X, Y, p, cfg)
+    return TangentVector(p, P @ top + (np.eye(P.shape[0]) - P) @ bot)
 
 
 def S_tensor(
@@ -202,32 +210,32 @@ def S_tensor(
     Equals (nabla_X Y_top)_perp + (nabla_X Y_perp)_top; tensorial in both
     arguments, g-skew in the second pair sense, and swaps D with D_perp.
     """
-    top = covariant_derivative(M, X, _projected_field(D, Y, True), p, cfg)
-    bot = covariant_derivative(M, X, _projected_field(D, Y, False), p, cfg)
-    P = D.projector(p)
-    out = (np.eye(P.shape[0]) - P) @ top.components + P @ bot.components
-    return TangentVector(p, out)
+    top, bot, P = _projected_derivatives(M, D, X, Y, p, cfg)
+    return TangentVector(p, (np.eye(P.shape[0]) - P) @ top + P @ bot)
 
 
 def _S_endos(
     M: ChartManifold, D: DistributionSpec, xs: Sequence[Array], p: Array,
     cfg: FDConfig = DEFAULT_FD, gamma: Optional[Array] = None,
 ) -> Array:
-    """S_x at p for each x in ``xs``, stacked (len(xs), n, n): P(p) and Gamma(p)
+    """S_x at p for each x in ``xs``, stacked (len(xs), ..., n, n): P(p) and Gamma(p)
     evaluated once and the projector once on the stencil of every x.
 
-    ``gamma`` is Gamma(p) when the caller already holds it.  Column j of S_x is Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With
-    nabla_x(P e_j) = (d_x P) e_j + Gamma_x P e_j and d_x Pc = -d_x P this is
-    Pc (d_x P + Gamma_x P) + P (Gamma_x Pc - d_x P), where d_x P is the
-    central difference of the projector along x that ``S_tensor`` takes.
+    For points p (..., n) each x is a direction per point.  ``gamma`` is
+    Gamma(p) when the caller already holds it.  Column j of S_x is
+    Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With nabla_x(P e_j) = (d_x P) e_j
+    + Gamma_x P e_j and d_x Pc = -d_x P this is Pc (d_x P + Gamma_x P) +
+    P (Gamma_x Pc - d_x P), where d_x P is the central difference of the
+    projector along x that ``S_tensor`` takes.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1, np.shape(p)[-1])
-    P = D.projector(p)
+    p = np.asarray(p, dtype=float)
+    xs = np.moveaxis(np.asarray(xs, dtype=float), 0, -2)  # (..., len(xs), n)
+    P = D.projector(p)[..., None, :, :]
     Pc = np.eye(P.shape[-1]) - P
     gamma = christoffel(M, p, cfg) if gamma is None else gamma
-    dP = directional_diff(D.projector, p, xs, cfg.step_h)
-    Gx = christoffel_contract(gamma, xs)
-    return Pc @ (dP + Gx @ P) + P @ (Gx @ Pc - dP)
+    dP = directional_diff(D.projector, p[..., None, :], xs, cfg.step_h)
+    Gx = christoffel_contract(gamma[..., None, :, :, :], xs)
+    return np.moveaxis(Pc @ (dP + Gx @ P) + P @ (Gx @ Pc - dP), -3, 0)
 
 
 def S_endo(
@@ -252,11 +260,12 @@ def torsion_TD(
     """Torsion of the adapted connection: -S_X Y + S_Y X.
 
     Restricted to two D-arguments it is (minus) an integrability tensor of
-    D, and likewise for the complement.
+    D, and likewise for the complement.  S is tensorial, so this reads X
+    and Y at p only: S_y x - S_x y from one ``_S_endos`` batch.
     """
-    a = S_tensor(M, D, X, Y, p, cfg)
-    b = S_tensor(M, D, Y, X, p, cfg)
-    return TangentVector(p, b.components - a.components)
+    x, y = (np.asarray(F.eval(p), dtype=float) for F in (X, Y))
+    Sx, Sy = _S_endos(M, D, [x, y], p, cfg)
+    return TangentVector(p, Sy @ x - Sx @ y)
 
 
 def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, cfg: FDConfig) -> Array:
@@ -431,7 +440,7 @@ def _adapted_horizontal_lifts(
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
     """``adapted_horizontal_lift`` of each X in ``Xs`` at u, with one O(D)
-    membership check and every S_X from one ``_S_endos`` batch."""
+    membership check and every S_X from one ``_S_endos`` batch; u may be a stack."""
     if od_membership_defect(M, D, u) > 1e-6:
         raise ValueError("frame is not adapted to the distribution")
     S = _S_endos(M, D, [X.components for X in Xs], u.base, cfg)
@@ -483,7 +492,7 @@ def adapted_horizontal_field_on_chart(
     chart: FrameChart, M: ChartManifold, D: DistributionSpec, X: VectorField,
     cfg: FDConfig = DEFAULT_FD,
 ):
-    """Chart field of the adapted horizontal lift of X (tangent to O(D))."""
+    """Chart field q (..., dim) -> rates of the adapted horizontal lift of X (tangent to O(D))."""
     return lambda q: chart._rates_of(
         q, lambda u: adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u, cfg),
         cfg)

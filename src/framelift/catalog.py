@@ -227,7 +227,8 @@ def hopf_jacobian(x: Array) -> Array:
     re = (2.0 + 2.0 * v * x1, 2.0 * v * x2, 2.0 * v * x3 - 2.0 * u)  # da - f db, by column
     im = (-2.0 * u * x1, 2.0 - 2.0 * u * x2, -2.0 * u * x3 - 2.0 * v)
     rows = [t * cr - w * ci for t, w in zip(re, im)] + [t * ci + w * cr for t, w in zip(re, im)]
-    return np.array(rows).T.reshape(x.shape[:-1] + (2, 3))
+    # C order, so that a stacked J @ y rounds each row as at one point
+    return np.ascontiguousarray(np.array(rows).T).reshape(x.shape[:-1] + (2, 3))
 
 
 def hopf_vertical_field() -> VectorField:

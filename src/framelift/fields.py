@@ -2,7 +2,8 @@
 
 Low-order polynomial coefficients drawn from a seeded generator give
 analytic vector and endomorphism fields that exercise every derivative
-path without chart-boundary trouble.
+path without chart-boundary trouble.  Every field takes points with
+leading axes (..., dim), as ``geometry.VectorField`` requires.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ def polynomial_vector_field(
     c2 = 0.5 * (c2 + c2.transpose(0, 2, 1))
 
     def ev(p: Array) -> Array:
-        return c0 + c1 @ p + 0.5 * np.einsum("ijk,j,k->i", c2, p, p)
+        return c0 + (c1 @ p[..., None])[..., 0] + 0.5 * np.einsum("ijk,...j,...k->...i", c2, p, p)
 
     def jac(p: Array) -> Array:
-        return c1 + np.einsum("ijk,k->ij", c2, p)
+        return c1 + np.einsum("ijk,...k->...ij", c2, p)
 
     return VectorField(eval=ev, jacobian=jac if exact_jacobian else None)
 
@@ -41,7 +42,7 @@ def polynomial_endo_field(
     c1 = scale * rng.standard_normal((dim, dim, dim))
 
     def ev(p: Array) -> Array:
-        return c0 + np.einsum("ijk,k->ij", c1, p)
+        return c0 + np.einsum("ijk,...k->...ij", c1, p)
 
     return EndomorphismField(eval=ev)
 
@@ -55,8 +56,8 @@ def g_skew_endo_field(
     k1 = scale * rng.standard_normal((dim, dim, dim))
 
     def ev(p: Array) -> Array:
-        K = k0 + np.einsum("ijk,k->ij", k1, p)
-        K = 0.5 * (K - K.T)
+        K = k0 + np.einsum("ijk,...k->...ij", k1, p)
+        K = 0.5 * (K - K.swapaxes(-1, -2))
         return np.linalg.solve(metric_eval(M, p), K)
 
     return EndomorphismField(eval=ev)

@@ -37,7 +37,6 @@ from .geometry import (
     metric_eval,
     orthonormal_basis,
     orthonormalizer,
-    per_point,
     reference_frame,
 )
 
@@ -109,7 +108,7 @@ def _same_frame(u: Frame, v: Frame, tol: float = 1e-9) -> None:
 def horizontal_lift_frame(
     M: ChartManifold, X: TangentVector, u: Frame, cfg: FDConfig = DEFAULT_FD
 ) -> FrameTangent:
-    """Horizontal lift of X at the frame u: parallel transport of the columns."""
+    """Horizontal lift of X at the frame u, or at a stack of them: parallel transport of the columns."""
     if not np.array_equal(np.asarray(X.base, dtype=float), u.base):
         raise ValueError("vector and frame are based at different points")
     gamma = christoffel(M, u.base, cfg)
@@ -121,10 +120,10 @@ def fundamental_vertical(P_value: Array, u: Frame) -> FrameTangent:
     """Vertical vector generated by the endomorphism value P at the frame u.
 
     Generated by the flow u -> u exp(t u^{-1} P u); in chart coordinates the
-    frame rate is simply P E.
+    frame rate is simply P E.  A stack of frames takes a stack of values.
     """
     P_value = np.asarray(P_value, dtype=float)
-    return FrameTangent(u, np.zeros(u.base.size), P_value @ u.columns)
+    return FrameTangent(u, np.zeros(u.base.shape), P_value @ u.columns)
 
 
 def vertical_part(
@@ -399,18 +398,22 @@ class FrameChart:
 
     def _rates_of(self, q: Array, tangent_at: Callable[[Frame], FrameTangent],
                   cfg: FDConfig = DEFAULT_FD, tol: float = 1e-6) -> Array:
-        """Chart rates at q of ``tangent_at(u)``, u = decode(q); one ``jacobian(q)`` gives u and J."""
+        """Chart rates at points q (..., dim) of ``tangent_at(u)``, u = decode(q), from one
+        ``jacobian(q)``: least squares against J's near-orthonormal skew rows by one stacked
+        normal-equations ``solve``.  Raises if any point's tangent is not tangent to the chart."""
         u, _, JE = self.jacobian(q, cfg)
         t = tangent_at(u)
         _same_frame(u, t.at)
         n = self.manifold.dim
-        rhs = (t.frame_rate - np.tensordot(t.base_rate, JE[:n], axes=1)).ravel()
-        Mcols = JE[n:].reshape(len(self.basis), n * n).T
-        adot, *_ = np.linalg.lstsq(Mcols, rhs, rcond=None)
-        resid = np.linalg.norm(Mcols @ adot - rhs)
-        scale = 1.0 + np.linalg.norm(t.base_rate) + np.linalg.norm(t.frame_rate)
-        if resid > tol * scale:
-            raise ValueError(f"tangent is not tangent to chart {self.name} (residual {resid:.3g})")
+        rhs = t.frame_rate - np.einsum("...a,...aij->...ij", t.base_rate, JE[..., :n, :, :])
+        rhs = rhs.reshape(rhs.shape[:-2] + (n * n,))
+        A = JE[..., n:, :, :].reshape(JE.shape[:-3] + (len(self.basis), n * n))
+        adot = np.linalg.solve(A @ A.swapaxes(-1, -2), A @ rhs[..., None])[..., 0]
+        resid = np.linalg.norm((adot[..., None, :] @ A)[..., 0, :] - rhs, axis=-1)
+        scale = 1.0 + np.linalg.norm(t.base_rate, axis=-1) + np.linalg.norm(t.frame_rate, axis=(-2, -1))
+        if (resid > tol * scale).any():
+            raise ValueError(f"tangent is not tangent to chart {self.name} "
+                             f"(residual {np.max(resid):.3g})")
         return self.join(t.base_rate, adot)
 
 
@@ -428,7 +431,8 @@ class LMChart:
         return q[..., :n], q[..., n:].reshape(q.shape[:-1] + (n, n))
 
     def join(self, x: Array, E: Array) -> Array:
-        return np.concatenate([np.asarray(x, dtype=float), np.asarray(E, dtype=float).ravel()])
+        E = np.asarray(E, dtype=float)
+        return np.concatenate([np.asarray(x, dtype=float), E.reshape(E.shape[:-2] + (-1,))], axis=-1)
 
     def decode(self, q: Array) -> Frame:
         x, E = self.split(q)
@@ -534,7 +538,7 @@ def fd_bracket_on_chart(
 # ---------------------------------------------------------------------------
 
 def horizontal_field_on_chart(chart, X: VectorField, cfg: FDConfig = DEFAULT_FD):
-    """Chart-coordinate field q -> rates of the horizontal lift of X."""
+    """Chart-coordinate field q (..., dim) -> rates of the horizontal lift of X."""
     M = chart.manifold
     return lambda q: chart._rates_of(
         q, lambda u: horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u, cfg), cfg)
@@ -553,10 +557,10 @@ def endo_covariant_derivative(
     M: ChartManifold, Q: EndomorphismField, x: Array, p: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """(nabla_x Q) at p as a matrix: directional derivative plus [Gamma_x, Q]."""
-    dQ = directional_diff(per_point(Q.eval), p, x, cfg.step_h)
-    gamma = christoffel(M, p, cfg)
-    gx = christoffel_contract(gamma, x)
+    """(nabla_x Q) at p as a matrix: directional derivative plus [Gamma_x, Q]; a stack
+    for points p (..., n) and directions x (..., n), from one stencil of Q."""
+    dQ = directional_diff(Q.eval, p, x, cfg.step_h)
+    gx = christoffel_contract(christoffel(M, p, cfg), x)
     Qp = np.asarray(Q.eval(p), dtype=float)
     return dQ + gx @ Qp - Qp @ gx
 
@@ -651,22 +655,14 @@ def bracket_rhs(
     raise ValueError(f"unknown case {case!r}")
 
 
-def _case_fields(chart, case: str, inputs: tuple, cfg: FDConfig):
-    if case in ("hh",):
-        A = horizontal_field_on_chart(chart, inputs[0], cfg)
-        B = horizontal_field_on_chart(chart, inputs[1], cfg)
-    elif case == "hv":
-        A = horizontal_field_on_chart(chart, inputs[0], cfg)
-        B = vertical_field_on_chart(chart, inputs[1], cfg)
-    elif case == "vh":
-        A = vertical_field_on_chart(chart, inputs[0], cfg)
-        B = horizontal_field_on_chart(chart, inputs[1], cfg)
-    elif case == "vv":
-        A = vertical_field_on_chart(chart, inputs[0], cfg)
-        B = vertical_field_on_chart(chart, inputs[1], cfg)
-    else:
+def _case_fields(chart, cases: Sequence[tuple[str, tuple]], cfg: FDConfig) -> list[tuple]:
+    """The chart fields (A, B) of each (case, inputs).  A field that several
+    cases share is built once, so the oracle evaluates and differences it once."""
+    for case in {case for case, _ in cases} - {"hh", "hv", "vh", "vv"}:
         raise ValueError(f"unknown case {case!r}")
-    return A, B
+    lift = {"h": horizontal_field_on_chart, "v": vertical_field_on_chart}
+    made = {(kind, id(F)): lift[kind](chart, F, cfg) for case, AB in cases for kind, F in zip(case, AB)}
+    return [tuple(made[kind, id(F)] for kind, F in zip(case, AB)) for case, AB in cases]
 
 
 def bracket_residual(
@@ -681,7 +677,7 @@ def bracket_residual(
 
     The finite-difference bracket is taken once for all readings.
     """
-    A, B = _case_fields(chart, case, inputs, cfg)
+    [(A, B)] = _case_fields(chart, [(case, inputs)], cfg)
     q = chart.encode(u)
     fd = fd_bracket_on_chart(chart, A, B, q, cfg)
     return {name: mok_norm(M, fd - rhs, cfg)
@@ -691,7 +687,7 @@ def bracket_residual(
 def _connection_residuals(M, chart, bundle, cases, u, cfg) -> list[dict[str, float]]:
     q = chart.encode(u)
     oracles = lc_total_space_oracle(
-        chart, [_case_fields(chart, case, inputs, cfg) for case, inputs in cases], q, cfg)
+        chart, _case_fields(chart, cases, cfg), q, cfg)
     return [{name: mok_norm(M, oracle - rhs, cfg)
              for name, rhs in lc_connection_formula(M, bundle, case, inputs, u, cfg).items()}
             for (case, inputs), oracle in zip(cases, oracles)]

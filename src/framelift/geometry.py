@@ -3,15 +3,14 @@
 A manifold is represented by a single coordinate chart carrying a metric
 field.  Points are coordinate vectors and may carry leading axes
 (..., dim): the metric, its derivative, the Christoffel symbols, the
-reference frame and the orthonormaliser of a stack of Gram matrices are
-then evaluated for the whole stack in one call, with the value axes after
-the point axes.  A finite-difference stencil is such a stack, so
-``central_diff`` evaluates all 2 dim points of a derivative, and
-``directional_diff`` the 2 m points of m directional derivatives, in one
-call of its function.  One point (dim,) runs the same code as a stack.
-The connection, curvature and Lie brackets act at one point, with
-second-order central differences wherever an exact derivative is not
-supplied.
+reference frame, the orthonormaliser and every vector and endomorphism
+field are then evaluated for the whole stack in one call, with the value
+axes after the point axes.  A finite-difference stencil is such a stack,
+so ``central_diff`` evaluates all 2 dim points of a derivative, and
+``directional_diff`` a field along all its m directions, in one call.
+One point (dim,) runs the same code as a stack.  The connection,
+curvature and Lie brackets act at one point, with second-order central
+differences wherever an exact derivative is not supplied.
 """
 
 from __future__ import annotations
@@ -118,10 +117,12 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A vector field given by its component function, with optional exact Jacobian."""
+    """A vector field given by its component function, with optional exact Jacobian
+    J[..., i, j] = d_j X^i.  Both take points (..., n), as a ``ChartManifold``'s
+    fields do; a stack's rows equal row-by-row calls bit for bit."""
 
     eval: Callable[[Array], Array]
-    jacobian: Optional[Callable[[Array], Array]] = None  # J[i, j] = d_j X^i
+    jacobian: Optional[Callable[[Array], Array]] = None
 
     def at(self, p: Array) -> TangentVector:
         return TangentVector(p, self.eval(p))
@@ -129,7 +130,7 @@ class VectorField:
 
 @dataclass(frozen=True)
 class EndomorphismField:
-    """A field of endomorphisms of the tangent bundle (mixed (1,1) tensors)."""
+    """A field of endomorphisms (mixed (1,1) tensors), (..., n) -> (..., n, n) as for ``VectorField``."""
 
     eval: Callable[[Array], Array]
 
@@ -165,14 +166,23 @@ def central_diff(f: Callable[[Array], Array], p: Array, h: float) -> Array:
     """Central differences d_k f at points p (..., dim), shape (..., dim) + f's value shape.
 
     f is called once, on the whole stencil (``_stencil``), so it must take
-    points with leading axes; wrap a function of one point in ``per_point``.
+    points with leading axes.
     """
-    fs = np.asarray(f(_stencil(np.asarray(p, dtype=float), h)))
+    fs = _on_stencil(f, _stencil(np.asarray(p, dtype=float), h))
     return (fs[0] - fs[1]) / (2.0 * h)
 
 
+def _on_stencil(f: Callable[[Array], Array], pts: Array) -> Array:
+    """f at the stencil points pts (2, ..., dim); raises unless its value keeps their axes."""
+    fs = np.asarray(f(pts))
+    if fs.shape[: pts.ndim - 1] != pts.shape[:-1]:
+        raise ValueError(f"f gave {fs.shape} on points {pts.shape}: it must take leading axes")
+    return fs
+
+
 def per_point(f: Callable[[Array], Array]) -> Callable[[Array], Array]:
-    """f, a function of one point (dim,), looped over the leading axes of its argument."""
+    """f, a function of one point (dim,), looped over the leading axes of its argument;
+    left for ``adapted._GD_S_jet`` and ``submersion.tension_conformal_display``."""
 
     def looped(ps: Array) -> Array:
         ps = np.asarray(ps, dtype=float)
@@ -188,14 +198,14 @@ def directional_diff(f: Callable[[Array], Array], p: Array, v: Array, h: float) 
     Each direction is normalised to a step of length h and its difference
     rescaled by its norm; a zero direction gives zeros.  f is called once,
     on the stencil (2, ..., dim) of every direction, so it must take points
-    with leading axes; wrap a function of one point in ``per_point``.  The
-    result has v's leading axes followed by f's value shape.
+    with leading axes.  The result has v's leading axes followed by f's
+    value shape.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     norm = np.sqrt(_norm2(v))
     hu = h * (v / np.where(norm > 0.0, norm, 1.0)[..., None])
-    fs = np.asarray(f(p + np.array([hu, -hu])))
+    fs = _on_stencil(f, p + np.array([hu, -hu]))
     norm = norm.reshape(norm.shape + (1,) * (fs.ndim - v.ndim))
     return norm * (fs[0] - fs[1]) / (2.0 * h)
 
@@ -284,8 +294,8 @@ def christoffel(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array
 
 def christoffel_contract(gamma: Array, x: Array) -> Array:
     """Matrix (Gamma_x)^k_j = Gamma^k_ij x^i, acting on tangent components; one
-    per vector of x (..., dim)."""
-    return np.einsum("kij,...i->...kj", gamma, x)
+    per vector of x (..., dim), for symbols at one point or per point (..., dim, dim, dim)."""
+    return np.einsum("...kij,...i->...kj", gamma, x)
 
 
 def christoffel_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
@@ -301,10 +311,11 @@ def christoffel_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_F
 
 
 def field_derivative(X: VectorField, p: Array, v: Array, h: float) -> Array:
-    """Derivative of the components of X along v (exact Jacobian if present)."""
+    """Derivative of the components of X along each direction of v (..., dim): one
+    Jacobian, or one difference stencil of X over every direction."""
     if X.jacobian is not None:
-        return np.asarray(X.jacobian(p), dtype=float) @ v
-    return directional_diff(per_point(X.eval), p, v, h)
+        return (np.asarray(X.jacobian(p), dtype=float) @ np.asarray(v, dtype=float)[..., None])[..., 0]
+    return directional_diff(X.eval, p, v, h)
 
 
 def covariant_derivatives(
@@ -317,24 +328,24 @@ def covariant_derivatives(
     """(nabla_X Y)(p) for the Levi-Civita connection, one per (X, Y) pair.
 
     The Christoffel symbols at p are evaluated once and contracted for
-    every pair, and each distinct field (by identity of its ``eval``) is
-    evaluated at p once.  ``step`` overrides the difference step for the
+    every pair, each distinct field (by identity of its ``eval``) is
+    evaluated at p once, and each distinct Y is differenced once, along the
+    X of all its pairs.  ``step`` overrides the difference step for the
     field derivative, for fields that are themselves finite-difference
     results.
     """
     p = _check_domain(M, p)
     h = cfg.step_h if step is None else step
     gamma = christoffel(M, p, cfg)
-    at_p: dict[int, Array] = {}  # this call's field values at p, keyed by id(field.eval)
-    out = []
-    for X, Y in pairs:
-        for F in (X, Y):
-            if id(F.eval) not in at_p:
-                at_p[id(F.eval)] = np.asarray(F.eval(p), dtype=float)
-        x, y = at_p[id(X.eval)], at_p[id(Y.eval)]
-        dY = field_derivative(Y, p, x, h)
-        out.append(TangentVector(p, dY + np.einsum("kij,i,j->k", gamma, x, y)))
-    return out
+    at_p = {id(F.eval): F for pair in pairs for F in pair}  # this call's fields by id(eval)
+    at_p = {key: np.asarray(F.eval(p), dtype=float) for key, F in at_p.items()}
+    dY: dict[int, Array] = {}
+    for Y in {id(Y.eval): Y for _, Y in pairs}.values():
+        idx = [i for i, (_, Yi) in enumerate(pairs) if Yi.eval is Y.eval]
+        xs = np.array([at_p[id(pairs[i][0].eval)] for i in idx])
+        dY.update(zip(idx, field_derivative(Y, p, xs, h)))
+    return [TangentVector(p, dY[i] + np.einsum("kij,i,j->k", gamma, at_p[id(X.eval)], at_p[id(Y.eval)]))
+            for i, (X, Y) in enumerate(pairs)]
 
 
 def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Array,
@@ -350,7 +361,8 @@ def lie_bracket(
     cfg: FDConfig = DEFAULT_FD,
     step: Optional[float] = None,
 ) -> TangentVector:
-    """[X, Y](p) = dY(X) - dX(Y), by central differences of the components."""
+    """[X, Y](p) = dY(X) - dX(Y), by central differences of the components: two
+    field values at p and one stencil of each field."""
     p = np.asarray(p, dtype=float)
     h = cfg.step_h if step is None else step
     x = np.asarray(X.eval(p), dtype=float)

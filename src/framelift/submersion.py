@@ -27,6 +27,7 @@ from .geometry import (
     christoffel_contract,
     constant_field,
     covariant_derivative,
+    covariant_derivatives,
     directional_diff,
     metric_eval,
     orthonormalizer,
@@ -214,16 +215,16 @@ def pullback_connection(
 ) -> Array:
     """Pullback covariant derivative of a field along phi.
 
-    W maps source points to target tangent components; the result is
-    dW(X) + Gamma^N_(phi_* X) W at phi(p).
+    W maps source points (..., n) to target tangent components; the result is
+    dW(X) + Gamma^N_(phi_* X) W at phi(p), from one stencil of W (X may be a stack).
     """
     p = X.base
     h = cfg.step_h if step is None else step
-    dW = directional_diff(per_point(W), p, X.components, h)
+    dW = directional_diff(W, p, X.components, h)
     J = differential_matrix(phi, p, cfg)
-    y = phi.value(p)
-    gammaN = christoffel(phi.target, y, cfg)
-    return dW + christoffel_contract(gammaN, J @ X.components) @ np.asarray(W(p), dtype=float)
+    gx = christoffel_contract(christoffel(phi.target, phi.value(p), cfg),
+                              (J @ X.components[..., None])[..., 0])
+    return dW + (gx @ np.asarray(W(p), dtype=float)[..., None])[..., 0]
 
 
 def second_fundamental_form(
@@ -238,7 +239,7 @@ def second_fundamental_form(
     Yf = constant_field(Y.components)
 
     def pushed(q: Array) -> Array:
-        return differential_matrix(phi, q, cfg) @ np.asarray(Yf.eval(q), dtype=float)
+        return (differential_matrix(phi, q, cfg) @ Yf.eval(q)[..., None])[..., 0]
 
     first = pullback_connection(phi, X, pushed, cfg)
     nab = covariant_derivative(phi.source, constant_field(X.components), Yf, p, cfg)
@@ -341,7 +342,7 @@ def Pi_X_endo_alt(
         Yf = VectorField(eval=lambda q, e=ej: splitting_projectors(phi, q, cfg)[1] @ e)
 
         def pushed(q: Array, Yf=Yf) -> Array:
-            return differential_matrix(phi, q, cfg) @ Yf.eval(q)
+            return (differential_matrix(phi, q, cfg) @ Yf.eval(q)[..., None])[..., 0]
 
         first = L @ pullback_connection(phi, X, pushed, cfg)
         nab = covariant_derivative(phi.source, constant_field(X.components), Yf, p, cfg)
@@ -440,7 +441,7 @@ def lift_map(geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD) -> 
 
 def lift_map_raw(phi: SubmersionSpec, k: int, x: Array, E: Array, cfg: FDConfig) -> tuple[Array, Array]:
     J = differential_matrix(phi, x, cfg)
-    return phi.value(x), J @ E[:, :k]
+    return phi.value(x), J @ E[..., :, :k]
 
 
 def lift_differential_fd(
@@ -808,29 +809,26 @@ def lift_tension_direct(
 
     def on_frame(q: Array) -> Array:
         # columns: the coordinate basis orthonormalised in the induced metric
-        return orthonormalizer(induced_metric_on_chart(src_chart, q, cfg)).T
+        return orthonormalizer(induced_metric_on_chart(src_chart, q, cfg)).swapaxes(-1, -2)
 
     cfg_total = replace(cfg, step_h=cfg.step_h2)
     E0 = on_frame(q0)
-    J_F = central_diff(per_point(F), q0, cfg.step_h).T  # (tgt_dim, m)
+    J_F = central_diff(F, q0, cfg.step_h).T  # (tgt_dim, m)
     y0 = F(q0)
     gamma_tgt = christoffel(tgt_total, y0, cfg_total)
 
+    E_fields = [VectorField(eval=lambda q, i=i: on_frame(q)[..., :, i]) for i in range(m)]
+    nabs = covariant_derivatives(
+        src_total, [(constant_field(E0[:, i]), Ei) for i, Ei in enumerate(E_fields)], q0, cfg_total)
     tau = np.zeros(tgt_chart.dim)
-    for i in range(m):
+    for i, (Ei, nab) in enumerate(zip(E_fields, nabs)):
         Ei_val = E0[:, i]
 
-        def Ei_field(q: Array, i=i) -> Array:
-            return on_frame(q)[:, i]
+        def pushed(q: Array, Ei=Ei) -> Array:
+            return directional_diff(F, q, Ei.eval(q), cfg.step_h)
 
-        def pushed(q: Array, Ei_field=Ei_field) -> Array:
-            return directional_diff(per_point(F), q, Ei_field(q), cfg.step_h)
-
-        dW = directional_diff(per_point(pushed), q0, Ei_val, cfg.step_h2)
+        dW = directional_diff(pushed, q0, Ei_val, cfg.step_h2)
         tau += dW + christoffel_contract(gamma_tgt, J_F @ Ei_val) @ pushed(q0)
-        nab = covariant_derivative(
-            src_total, constant_field(Ei_val), VectorField(eval=Ei_field), q0, cfg_total
-        )
         tau -= J_F @ nab.components
 
     G_tgt = induced_metric_on_chart(tgt_chart, y0, cfg)

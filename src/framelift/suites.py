@@ -30,7 +30,6 @@ from .geometry import (
     metric_eval,
     norm,
     orthonormal_basis,
-    per_point,
     sample_points,
 )
 from .frames import (
@@ -126,6 +125,11 @@ def _single(checks: Checks, key: str, identity: str, residual: float, tolerance:
     checks.row(key, identity, tolerance, **kw)
 
 
+def _pairing(M, Y: VectorField, Z: VectorField, q):
+    """g(Y, Z) at points q (..., dim), rounded as y @ g @ z at each point."""
+    return (Y.eval(q)[..., None, :] @ metric_eval(M, q) @ Z.eval(q)[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # core chart calculus
 # ---------------------------------------------------------------------------
@@ -146,18 +150,15 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             Y = polynomial_vector_field(M.dim, rng)
             Z = polynomial_vector_field(M.dim, rng)
 
-            def gYZ(q):
-                return np.array([float(Y.eval(q) @ metric_eval(M, q) @ Z.eval(q))])
-
-            lhs = directional_diff(per_point(gYZ), p, X.eval(p), cfg.step_h)[0]
-            nXY = covariant_derivative(M, X, Y, p, cfg).components
-            nXZ = covariant_derivative(M, X, Z, p, cfg).components
+            lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), p, X.eval(p), cfg.step_h)
+            nXY, nXZ, nYX = (v.components for v in covariant_derivatives(
+                M, [(X, Y), (X, Z), (Y, X)], p, cfg))
             g = metric_eval(M, p)
             checks.see(f"metric_compatibility.{tag}",
                        abs(lhs - float(nXY @ g @ Z.eval(p)) - float(Y.eval(p) @ g @ nXZ)))
 
             br = lie_bracket(X, Y, p, cfg).components
-            tf = covariant_derivative(M, X, Y, p, cfg).components - covariant_derivative(M, Y, X, p, cfg).components - br
+            tf = nXY - nYX - br
             checks.see(f"torsion_free.{tag}", norm(M, p, tf))
 
             x, y, z = (rng.standard_normal(M.dim) for _ in range(3))
@@ -394,10 +395,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     _single(checks, "oracle_torsion_free", "total-space oracle connection is torsion free",
             np.sqrt(max(tf @ Gq @ tf, 0.0)), cfg.tol_fd2)
 
-    def gAB(qq):
-        return np.array([float(A.eval(qq) @ metric_eval(total, qq) @ B.eval(qq))])
-
-    lhs = directional_diff(per_point(gAB), q, C.eval(q), cfg.step_h2)[0]
+    lhs = directional_diff(lambda qq: _pairing(total, A, B, qq), q, C.eval(q), cfg.step_h2)
     _single(checks, "oracle_metric_compatible",
             "total-space oracle connection preserves the induced metric",
             abs(lhs - float(nCA @ Gq @ B.eval(q)) - float(A.eval(q) @ Gq @ nCB)), cfg.tol_fd2 * 10)
@@ -455,23 +453,20 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         X = polynomial_vector_field(M.dim, rng)
         Pic = D.complement(p)
         g = metric_eval(M, p)
-        Ytop = VectorField(eval=lambda q: D.projector(q) @ (np.ones(M.dim) + 0.3 * q))
+        Ytop = VectorField(eval=lambda q: (D.projector(q) @ (1.0 + 0.3 * q)[..., None])[..., 0])
         nd = nabla_D(M, D, X, Ytop, p, cfg).components
         checks.see("connection_preserves_blocks", norm(M, p, Pic @ nd))
         Y = polynomial_vector_field(M.dim, rng)
         Z = polynomial_vector_field(M.dim, rng)
 
-        def gYZ(q):
-            return np.array([float(Y.eval(q) @ metric_eval(M, q) @ Z.eval(q))])
-
-        lhs = directional_diff(per_point(gYZ), p, X.eval(p), cfg.step_h)[0]
+        lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), p, X.eval(p), cfg.step_h)
         a = nabla_D(M, D, X, Y, p, cfg).components
         b = nabla_D(M, D, X, Z, p, cfg).components
         checks.see("connection_metric_compatible",
                    abs(lhs - float(a @ g @ Z.eval(p)) - float(Y.eval(p) @ g @ b)))
 
         # tensoriality: rescale fields by functions equal to 1 at p
-        f = lambda q: 1.0 + (q - p) @ np.arange(1.0, M.dim + 1.0)
+        f = lambda q: 1.0 + ((q - p)[..., None, :] @ np.arange(1.0, M.dim + 1.0)[:, None])[..., 0]
         Xs = VectorField(eval=lambda q: f(q) * X.eval(q))
         Ys = VectorField(eval=lambda q: f(q) * Y.eval(q))
         s1 = S_tensor(M, D, X, Y, p, cfg).components

@@ -21,7 +21,7 @@ from .geometry import (
     VectorField,
     christoffel,
     christoffel_contract,
-    covariant_derivative,
+    covariant_derivatives,
     constant_field,
     metric_eval,
     orthonormalizer,
@@ -187,23 +187,10 @@ def phi_second_differential_formula(
 # kernel and orthogonal distributions of the second differential
 # ---------------------------------------------------------------------------
 
-def _vertical_extension(geom: SubmersionGeometry, x_val: Array, cfg: FDConfig) -> VectorField:
-    """Extend a vertical vector as projector times its constant extension."""
-    phi = geom.phi
-
-    def ev(q: Array) -> Array:
-        return splitting_projectors(phi, q, cfg)[0] @ x_val
-
-    return VectorField(eval=ev)
-
-
-def _horizontal_extension(geom: SubmersionGeometry, x_val: Array, cfg: FDConfig) -> VectorField:
-    phi = geom.phi
-
-    def ev(q: Array) -> Array:
-        return splitting_projectors(phi, q, cfg)[1] @ x_val
-
-    return VectorField(eval=ev)
+def _extension(geom: SubmersionGeometry, x_val: Array, cfg: FDConfig, part: int) -> VectorField:
+    """Extend a vector as the vertical (part 0) or horizontal (part 1) projector
+    times its constant extension."""
+    return VectorField(eval=lambda q: splitting_projectors(geom.phi, q, cfg)[part] @ x_val)
 
 
 def _kernel_basis(
@@ -218,8 +205,8 @@ def _kernel_basis(
     Zvec = constant_field(Z.fiber)
     vb = vertical_basis(geom, p)
     out = [tm_vertical_lift(e, Z) for e in vb]
-    for e in vb:
-        nab = covariant_derivative(M, Zvec, extend(e.components), p, cfg)
+    for e, nab in zip(vb, covariant_derivatives(M, [(Zvec, extend(e.components)) for e in vb],
+                                                p, cfg)):
         corr = TangentVector(p, Pi_H @ nab.components)
         out.append(tm_horizontal_lift(M, e, Z, cfg) + tm_vertical_lift(corr, Z))
     return out
@@ -241,7 +228,7 @@ def tm_distributions(
     geom = geom if geom is not None else derive_geometry(phi, cfg)
     M = phi.source
     n = M.dim
-    V_basis = _kernel_basis(geom, Z, cfg, lambda x: _vertical_extension(geom, x, cfg))
+    V_basis = _kernel_basis(geom, Z, cfg, lambda x: _extension(geom, x, cfg, 0))
 
     # the chart directions d_x (base rates) and d_Z (fiber rates) lifted at the column Z
     I = np.eye(2 * n)
@@ -277,12 +264,10 @@ def tm_distributions_displayed_h(
     p = Z.base
     Pi_V, _ = splitting_projectors(phi, p, cfg)
     Zvec = constant_field(Z.fiber)
-    out: list[TMTangent] = []
-    for e in horizontal_basis(geom, p):
-        out.append(tm_horizontal_lift(M, e, Z, cfg))
-    for e in horizontal_basis(geom, p):
-        ext = _horizontal_extension(geom, e.components, cfg)
-        nab = covariant_derivative(M, Zvec, ext, p, cfg)
+    hb = horizontal_basis(geom, p)
+    out = [tm_horizontal_lift(M, e, Z, cfg) for e in hb]
+    for e, nab in zip(hb, covariant_derivatives(
+            M, [(Zvec, _extension(geom, e.components, cfg, 1)) for e in hb], p, cfg)):
         corr = TangentVector(p, Pi_V @ nab.components)
         out.append(tm_vertical_lift(e, Z) + tm_horizontal_lift(M, corr, Z, cfg))
     return out

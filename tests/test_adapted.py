@@ -261,7 +261,7 @@ class TestSCallCount:
         p = sample_points(M3, 45, 1)[0]
         u = adapted_frame(M3, D3, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
-        P = EndomorphismField(eval=lambda q: np.outer(q, [1.0, 0.0, -1.0]))
+        P = EndomorphismField(eval=lambda q: q[..., :, None] * np.array([1.0, 0.0, -1.0]))
         counts.update(christoffel=0, projector=0)
         L_P_apply(M3, D3, P, np.array([0.3, -0.2, 0.4]), p, onb)
         # S over the basis once; block_decompose reads P(p) once more
@@ -502,7 +502,7 @@ class TestLP:
         onb = [TangentVector(p, np.eye(3)[:, i]) for i in range(3)]
         J = np.zeros((3, 3))
         J[0, 1], J[1, 0] = -1.0, 1.0
-        P = EndomorphismField(eval=lambda q: J.copy())
+        P = EndomorphismField(eval=lambda q: np.zeros(q.shape[:-1] + J.shape) + J)
         out = L_P_apply(R3, D, P, np.array([1.0, -1.0, 0.5]), p, onb)
         assert max(np.max(np.abs(v)) for v in out.values()) < 1e-9
 

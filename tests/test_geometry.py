@@ -114,7 +114,7 @@ class TestCovariantDerivative:
 
     def test_flat_linear_field(self):
         # nabla_{d1} (x1 d2) = d2
-        Y = VectorField(eval=lambda q: np.array([0.0, q[0]]))
+        Y = VectorField(eval=lambda q: np.stack([0.0 * q[..., 0], q[..., 0]], axis=-1))
         out = covariant_derivative(R2, coordinate_field(0, 2), Y, np.array([0.7, -0.2]))
         assert np.allclose(out.components, [0.0, 1.0], atol=1e-10)
 
@@ -221,7 +221,7 @@ class TestLieBracket:
 
     def test_linear_field(self):
         # [x1 d2, d1] = -d2
-        X = VectorField(eval=lambda q: np.array([0.0, q[0]]))
+        X = VectorField(eval=lambda q: np.stack([0.0 * q[..., 0], q[..., 0]], axis=-1))
         out = lie_bracket(X, coordinate_field(0, 2), np.array([0.5, -0.1]))
         assert np.allclose(out.components, [0.0, -1.0], atol=1e-9)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import types
 
 import numpy as np
@@ -10,15 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import framelift.adapted as adapted_module
+import framelift.catalog as catalog_module
+import framelift.fields as fields_module
 import framelift.frames as frames_module
 import framelift.geometry as geometry_module
 import framelift.submersion as submersion_module
+import framelift.tangent as tangent_module
 from framelift.adapted import (
     L_P_applies,
     L_P_apply,
+    S_tensor,
     adapted_chart,
     adapted_connection_audit,
     adapted_frame,
+    adapted_horizontal_field_on_chart,
+    torsion_TD,
 )
 from framelift.catalog import (
     _hopf_ambient,
@@ -32,22 +39,31 @@ from framelift.catalog import (
     get,
     hopf_jacobian,
     hopf_map,
+    hopf_vertical_field,
 )
-from framelift.fields import polynomial_vector_field
+from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import (
     Frame,
+    FrameTangent,
     LMChart,
+    horizontal_field_on_chart,
     induced_metric_on_chart,
+    lc_total_space_oracle,
     om_chart,
     total_space_manifold,
+    vertical_field_on_chart,
 )
 from framelift.geometry import (
     DomainError,
     TangentVector,
+    VectorField,
     central_diff,
     christoffel,
     christoffel_derivative,
+    constant_field,
+    coordinate_field,
     directional_diff,
+    lie_bracket,
     metric_eval,
     per_point,
     reference_frame,
@@ -398,3 +414,215 @@ class TestHopfQuotient:
         x = np.array(x)
         assert np.max(np.abs(hopf_map(x) - hopf_composite(x))) <= 1e-14
         assert np.max(np.abs(hopf_jacobian(x) - hopf_composite_jacobian(x))) <= 1e-14
+
+
+def on_base(example, *fields):
+    """(points, function) for each field function of fields on the example's source chart."""
+    ps = stencil_points(get(example).phi.source, 83)
+    return [(ps, f) for F in fields for f in (F.eval, getattr(F, "jacobian", None)) if f is not None]
+
+
+def on_bundle(example, bundle, field):
+    """(points, field) for a chart field on a bundle chart of the example."""
+    chart = bundle_chart(example, bundle)
+    return [(bundle_points(chart, 84, 6).reshape(2, 3, chart.dim), field(chart))]
+
+
+def skew_blocks(geom):
+    """Adapted endomorphism field, g-skew with a rotation in each block of size >= 2."""
+    n, k = geom.phi.source.dim, geom.rank
+    top, bot = np.zeros((k, k)), np.zeros((n - k, n - k))
+    if k >= 2:
+        top[:2, :2] = J2
+    if n - k >= 2:
+        bot[:2, :2] = -0.7 * J2
+    return adapted_endo_field(geom, top=top, bot=bot)
+
+
+def source_dim(example):
+    return get(example).phi.source.dim
+
+
+# Every field constructor in src, by module: (example, rng) -> [(points (2, 3, dim), field function)].
+# ``test_the_table_lists_every_public_field_constructor`` keeps the public ones complete.
+FIELD_CONSTRUCTORS = {
+    "geometry.constant_field": lambda ex, rng: on_base(
+        ex, constant_field(rng.standard_normal(source_dim(ex)))),
+    "geometry.coordinate_field": lambda ex, rng: on_base(ex, coordinate_field(1, source_dim(ex))),
+    "fields.polynomial_vector_field": lambda ex, rng: on_base(
+        ex, polynomial_vector_field(source_dim(ex), rng),
+        polynomial_vector_field(source_dim(ex), rng, exact_jacobian=False)),
+    "fields.polynomial_endo_field": lambda ex, rng: on_base(
+        ex, polynomial_endo_field(source_dim(ex), rng)),
+    "fields.g_skew_endo_field": lambda ex, rng: on_base(
+        ex, g_skew_endo_field(get(ex).phi.source, rng)),
+    "catalog.hopf_vertical_field": lambda ex, rng: on_base("E3", hopf_vertical_field()),
+    "submersion.adapted_endo_field": lambda ex, rng: on_base(ex, skew_blocks(GEOMS[ex])),
+    "adapted._projected_field": lambda ex, rng: on_base(ex, *(
+        adapted_module._projected_field(GEOMS[ex].horizontal,
+                                        polynomial_vector_field(source_dim(ex), rng), top)
+        for top in (True, False))),
+    "tangent._extension": lambda ex, rng: on_base(ex, *(tangent_module._extension(
+        GEOMS[ex], rng.standard_normal(source_dim(ex)), geometry_module.DEFAULT_FD, part)
+        for part in (0, 1))),
+    "frames.horizontal_field_on_chart": lambda ex, rng: [
+        case for bundle in ("L", "O") for case in on_bundle(ex, bundle, lambda chart: (
+            horizontal_field_on_chart(chart, polynomial_vector_field(source_dim(ex), rng))))],
+    "frames.vertical_field_on_chart": lambda ex, rng: [
+        *on_bundle(ex, "L", lambda chart: vertical_field_on_chart(
+            chart, polynomial_endo_field(source_dim(ex), rng))),
+        *on_bundle(ex, "O", lambda chart: vertical_field_on_chart(
+            chart, g_skew_endo_field(get(ex).phi.source, rng))),
+        *on_bundle(ex, "D", lambda chart: vertical_field_on_chart(chart, skew_blocks(GEOMS[ex])))],
+    "adapted.adapted_horizontal_field_on_chart": lambda ex, rng: on_bundle(
+        ex, "D", lambda chart: adapted_horizontal_field_on_chart(
+            chart, chart.manifold, GEOMS[ex].horizontal,
+            polynomial_vector_field(source_dim(ex), rng))),
+}
+
+
+class TestFieldStack:
+    """Every field takes stacks of points: a stack's rows equal row-by-row calls bit for bit."""
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    @pytest.mark.parametrize("constructor", sorted(FIELD_CONSTRUCTORS))
+    def test_stack_equals_rows_bit_for_bit(self, constructor, example):
+        cases = FIELD_CONSTRUCTORS[constructor](example, np.random.default_rng(85))
+        assert cases
+        for qs, f in cases:
+            got = f(qs)
+            assert got.shape[:3] == qs.shape[:2] + got.shape[2:3]
+            assert np.array_equal(got, rows_of(f, qs))
+
+    def test_the_table_lists_every_public_field_constructor(self):
+        found = set()
+        for module in (geometry_module, fields_module, catalog_module, frames_module,
+                       adapted_module, submersion_module, tangent_module):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                returns = inspect.signature(fn).return_annotation
+                if fn.__module__ == module.__name__ and not name.startswith("_") and (
+                        returns in ("VectorField", "EndomorphismField")
+                        or name.endswith("_field_on_chart")):
+                    found.add(f"{module.__name__.rpartition('.')[2]}.{name}")
+        assert found == {name for name in FIELD_CONSTRUCTORS if "._" not in name}
+
+    def test_polynomial_fields_keep_their_single_point_values(self):
+        M = get("E2").phi.source
+        n = M.dim
+        rng = np.random.default_rng(86)
+        X, P, K = (polynomial_vector_field(n, rng), polynomial_endo_field(n, rng),
+                   g_skew_endo_field(M, rng))
+        rng = np.random.default_rng(86)  # the same coefficients, drawn again
+        c0, c1, c2 = rng.standard_normal(n), 0.3 * rng.standard_normal((n, n)), \
+            0.3 * rng.standard_normal((n, n, n))
+        c2 = 0.5 * (c2 + c2.transpose(0, 2, 1))
+        d0, d1 = rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, n, n))
+        k0, k1 = rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, n, n))
+        for p in sample_points(M, 87, 5):
+            assert np.array_equal(X.eval(p), c0 + c1 @ p + 0.5 * np.einsum("ijk,j,k->i", c2, p, p))
+            assert np.array_equal(X.jacobian(p), c1 + np.einsum("ijk,k->ij", c2, p))
+            assert np.array_equal(P.eval(p), d0 + np.einsum("ijk,k->ij", d1, p))
+            Kp = k0 + np.einsum("ijk,k->ij", k1, p)
+            assert np.array_equal(K.eval(p), np.linalg.solve(metric_eval(M, p), 0.5 * (Kp - Kp.T)))
+
+    def test_a_function_of_one_point_raises_on_a_stencil(self):
+        p, v = np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="leading axes"):
+            directional_diff(lambda q: np.outer(q, q), p, v, 1e-5)
+        with pytest.raises(ValueError, match="leading axes"):
+            central_diff(lambda q: np.linalg.norm(q), p, 1e-5)
+
+
+class TestChartFieldStack:
+    @pytest.mark.parametrize("bundle", ["O", "D"])
+    def test_rates_of_raises_when_one_point_is_not_tangent(self, bundle):
+        chart = bundle_chart("E3", bundle)
+        qs = bundle_points(chart, 88, 3)
+
+        def tangent_at(u, bad=1):
+            rate = np.zeros(u.columns.shape)
+            rate[bad] = u.columns[bad]  # P = I: not skew, so off O(M) and O(D)
+            return FrameTangent(u, np.zeros(u.base.shape), rate)
+
+        with pytest.raises(ValueError, match="not tangent"):
+            chart._rates_of(qs, tangent_at)
+        with pytest.raises(ValueError, match="not tangent"):
+            chart._rates_of(qs[1], lambda u: tangent_at(u, ...))
+        assert np.array_equal(chart._rates_of(qs[[0, 2]], lambda u: tangent_at(u, [])),
+                              np.zeros((2, chart.dim)))
+
+    def test_lm_join_keeps_the_stack(self):
+        chart = bundle_chart("E2", "L")
+        qs = bundle_points(chart, 89, 6).reshape(2, 3, chart.dim)
+        u = chart.decode(qs)
+        assert np.array_equal(chart.join(u.base, u.columns), qs)
+        assert np.array_equal(chart.encode(chart.decode(qs[1, 2])), qs[1, 2])
+
+
+def counted(f, tally):
+    def counting(q):
+        tally.append(np.shape(q))
+        return f(q)
+    return counting
+
+
+class TestFieldCallCounts:
+    def test_oracle_of_four_pairs_makes_six_field_calls(self):
+        chart = bundle_chart("E3", "O")
+        M = chart.manifold
+        rng = np.random.default_rng(90)
+        calls = []
+        hX, hY = (counted(horizontal_field_on_chart(chart, polynomial_vector_field(3, rng)), calls)
+                  for _ in range(2))
+        vP, vQ = (counted(vertical_field_on_chart(chart, g_skew_endo_field(M, rng)), calls)
+                  for _ in range(2))
+        q = bundle_points(chart, 91, 1)[0]
+        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q)
+        # each field at q, then one stencil of hY and of vQ along both their directions
+        assert sorted(calls) == sorted([(chart.dim,)] * 4 + [(2, 2, chart.dim)] * 2)
+
+    @pytest.mark.parametrize("bundle", ["L", "O"])
+    def test_connection_audit_builds_each_chart_field_once(self, monkeypatch, bundle):
+        M = get("E2").phi.source
+        rng = np.random.default_rng(92)
+        skew = bundle == "O"
+        fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
+                      P=g_skew_endo_field(M, rng) if skew else polynomial_endo_field(3, rng),
+                      Q=g_skew_endo_field(M, rng) if skew else polynomial_endo_field(3, rng))
+        chart_class = frames_module.FrameChart if skew else frames_module.LMChart
+        calls = count_calls(monkeypatch, chart_class, "_rates_of")
+        p = sample_points(M, 93, 1)[0]
+        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields)
+        assert len(calls) == 6
+
+    def test_lie_bracket_makes_four_field_calls(self):
+        rng = np.random.default_rng(94)
+        calls = []
+        X, Y = (VectorField(eval=counted(polynomial_vector_field(3, rng, exact_jacobian=False).eval,
+                                         calls)) for _ in range(2))
+        lie_bracket(X, Y, np.array([0.1, -0.2, 0.3]))
+        assert calls == [(3,), (3,), (2, 3), (2, 3)]
+
+
+class TestTorsionBatch:
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_torsion_equals_the_difference_tensor_lines(self, example):
+        geom = GEOMS[example]
+        M, D = geom.phi.source, geom.horizontal
+        p = sample_points(M, 95, 1)[0]
+        rng = np.random.default_rng(96)
+        X, Y = (polynomial_vector_field(M.dim, rng) for _ in range(2))
+        want = S_tensor(M, D, Y, X, p).components - S_tensor(M, D, X, Y, p).components
+        assert np.max(np.abs(torsion_TD(M, D, X, Y, p).components - want)) < 1e-6
+
+
+class TestJacobianProducts:
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_stacked_products_equal_the_rows(self, example):
+        # a stack laid out unlike one point makes matmul round its rows differently
+        phi = get(example).phi
+        ps = stencil_points(phi.source, 97)
+        ys = np.random.default_rng(98).standard_normal(ps.shape)
+        product = lambda p, y: (phi.jacobian(p) @ y[..., None])[..., 0]  # noqa: E731
+        rows = np.array([product(p, y) for p, y in zip(ps.reshape(6, -1), ys.reshape(6, -1))])
+        assert np.array_equal(product(ps, ys), rows.reshape(ps.shape[:2] + rows.shape[1:]))

@@ -143,7 +143,7 @@ class TestPullbackConnection:
     def test_flat_target_is_directional_derivative(self):
         phi = E["E1"].phi
         p = np.array([0.3, -0.2, 0.5])
-        W = lambda q: np.array([q[0] ** 2, q[1] * q[2]])
+        W = lambda q: np.stack([q[..., 0] ** 2, q[..., 1] * q[..., 2]], axis=-1)
         X = TangentVector(p, np.array([1.0, 0.0, 2.0]))
         out = pullback_connection(phi, X, W)
         expect = np.array([2.0 * p[0] * 1.0, p[2] * 0.0 + p[1] * 2.0])
@@ -153,12 +153,12 @@ class TestPullbackConnection:
         phi = E["E3"].phi
         rng = np.random.default_rng(25)
         p = entry_point("E3")
-        W = lambda q: np.array([np.sin(q[0]), q[1] * q[2]])
-        f = lambda q: 1.0 + 0.5 * q[0] - 0.2 * q[1]
+        W = lambda q: np.stack([np.sin(q[..., 0]), q[..., 1] * q[..., 2]], axis=-1)
+        f = lambda q: 1.0 + 0.5 * q[..., 0] - 0.2 * q[..., 1]
         df = np.array([0.5, -0.2, 0.0])
         x = rng.standard_normal(3)
         X = TangentVector(p, x)
-        lhs = pullback_connection(phi, X, lambda q: f(q) * W(q))
+        lhs = pullback_connection(phi, X, lambda q: f(q)[..., None] * W(q))
         rhs = float(df @ x) * W(p) + f(p) * pullback_connection(phi, X, W)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
