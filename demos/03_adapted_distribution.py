@@ -55,8 +55,7 @@ print("block reassembly residual:",
 
 print("\n== the W endomorphism ==")
 u = adapted_frame(M, D, p)
-onb = [TangentVector(p, u.columns[:, i]) for i in range(2)]
-W = W_endo(M, D, p, onb)
+W = W_endo(M, D, u)
 print("W in the adapted orthonormal frame (closed form diag(1, 3)):")
 print(np.linalg.inv(u.columns) @ W @ u.columns)
 

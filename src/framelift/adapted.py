@@ -33,7 +33,6 @@ from .geometry import (
     directional_diff,
     metric_eval,
     orthonormalizer,
-    per_point,
     skew_defect,
 )
 from .frames import (
@@ -108,11 +107,14 @@ def adapted_frame(M: ChartManifold, D: DistributionSpec, p: Array) -> Frame:
     return Frame(p, E.swapaxes(-1, -2))
 
 
-def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame) -> float:
-    """How far a frame (the worst of a stack) is from O(D): orthonormal, adapted to the splitting."""
+def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame,
+                         P: Optional[Array] = None) -> float:
+    """How far a frame (the worst of a stack) is from O(D): orthonormal, adapted to the splitting.
+
+    ``P`` is the projector at u's base points when the caller already holds it."""
     k, n = D.rank, u.base.shape[-1]
     g = metric_eval(M, u.base)
-    P = D.projector(u.base)
+    P = D.projector(u.base) if P is None else P
     E = u.columns
     return float(max(
         np.max(np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(n))),
@@ -216,13 +218,14 @@ def S_tensor(
 
 def _S_endos(
     M: ChartManifold, D: DistributionSpec, xs: Sequence[Array], p: Array,
-    cfg: FDConfig = DEFAULT_FD, gamma: Optional[Array] = None,
+    cfg: FDConfig = DEFAULT_FD, gamma: Optional[Array] = None, P: Optional[Array] = None,
 ) -> Array:
     """S_x at p for each x in ``xs``, stacked (len(xs), ..., n, n): P(p) and Gamma(p)
     evaluated once and the projector once on the stencil of every x.
 
-    For points p (..., n) each x is a direction per point.  ``gamma`` is
-    Gamma(p) when the caller already holds it.  Column j of S_x is
+    For points p (..., n) each x is a direction per point, or one direction
+    for every point.  ``gamma`` is Gamma(p) and ``P`` is P(p) when the caller
+    already holds them.  Column j of S_x is
     Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With nabla_x(P e_j) = (d_x P) e_j
     + Gamma_x P e_j and d_x Pc = -d_x P this is Pc (d_x P + Gamma_x P) +
     P (Gamma_x Pc - d_x P), where d_x P is the central difference of the
@@ -230,7 +233,8 @@ def _S_endos(
     """
     p = np.asarray(p, dtype=float)
     xs = np.moveaxis(np.asarray(xs, dtype=float), 0, -2)  # (..., len(xs), n)
-    P = D.projector(p)[..., None, :, :]
+    xs = np.broadcast_to(xs, p.shape[:-1] + xs.shape[-2:])
+    P = (D.projector(p) if P is None else P)[..., None, :, :]
     Pc = np.eye(P.shape[-1]) - P
     gamma = christoffel(M, p, cfg) if gamma is None else gamma
     dP = directional_diff(D.projector, p[..., None, :], xs, cfg.step_h)
@@ -247,10 +251,13 @@ def S_endo(
 
 
 def S_components(
-    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
+    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
+    gamma: Optional[Array] = None,
 ) -> Array:
-    """S[k, i, j] = (S_{d_i} d_j)^k at p."""
-    return np.stack(_S_endos(M, D, np.eye(p.size), p, cfg), axis=1)
+    """S[..., k, i, j] = (S_{d_i} d_j)^k at points p (..., n), from one ``_S_endos``
+    batch; ``gamma`` is as there."""
+    n = np.shape(p)[-1]
+    return np.stack(list(_S_endos(M, D, np.eye(n), p, cfg, gamma)), axis=-2)
 
 
 def torsion_TD(
@@ -269,22 +276,23 @@ def torsion_TD(
 
 
 def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, cfg: FDConfig) -> Array:
-    """GD(q) and S(q) stacked, from one Christoffel evaluation.
+    """GD(q) and S(q) stacked (..., 2, n, n, n) at points q (..., n), from one
+    Christoffel evaluation.
 
     GD[k, i, j] = (nabla^D_{d_i} d_j)^k = Gamma - S are the adapted
     connection's coefficients; not symmetric in (i, j), as it has torsion.
     """
     gamma = christoffel(M, q, cfg)
-    S = np.stack(_S_endos(M, D, np.eye(q.size), q, cfg, gamma), axis=1)
-    return np.stack([gamma - S, S])
+    S = S_components(M, D, q, cfg, gamma)
+    return np.stack([gamma - S, S], axis=-4)
 
 
 def _GD_S_jet(
     M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig
 ) -> tuple[Array, Array]:
-    """(GD, S) at p and its central differences over step_h2, one stencil for both."""
-    GD_S = per_point(lambda q: _GD_S(M, D, q, cfg))
-    return GD_S(p), central_diff(GD_S, p, cfg.step_h2)
+    """(GD, S) at p and its central differences over step_h2: one ``_GD_S`` call on the
+    whole stencil."""
+    return _GD_S(M, D, p, cfg), central_diff(lambda q: _GD_S(M, D, q, cfg), p, cfg.step_h2)
 
 
 def curvature_RD_tensor(
@@ -356,28 +364,26 @@ def curvature_relation_residual(
 # the W endomorphism and L_P
 # ---------------------------------------------------------------------------
 
-def W_endo(
-    M: ChartManifold, D: DistributionSpec, p: Array,
-    onb: Sequence[TangentVector], cfg: FDConfig = DEFAULT_FD,
-) -> Array:
-    """W(X) = X + sum_i <S_{e_i} | S_X> e_i as a chart matrix at p.
+def W_endo(M: ChartManifold, D: DistributionSpec, u: Frame, cfg: FDConfig = DEFAULT_FD) -> Array:
+    """W(X) = X + sum_i <S_{e_i} | S_X> e_i as a chart matrix at u's base point, over the
+    g-orthonormal columns e_i of the frame u; (..., n, n) for a stack of frames.
 
     g-self-adjoint and positive definite (identity plus a Gram matrix), so
     always invertible; reduces to the identity when D is parallel.
     """
-    S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
-    return _W_matrix(metric_eval(M, p), S_list, onb)
+    S = _S_endos(M, D, np.moveaxis(u.columns, -1, 0), u.base, cfg)
+    return _W_matrix(metric_eval(M, u.base), S, u.columns)
 
 
-def _W_matrix(g: Array, S_list: Sequence[Array], onb: Sequence[TangentVector]) -> Array:
-    """W as a chart matrix from S_{e_i} over the g-orthonormal basis ``onb``."""
-    E = np.column_stack([e.components for e in onb])
-    G = column_gram(g, np.asarray(S_list) @ E)  # G[i, j] = <S_{e_i} | S_{e_j}>
-    return E @ (np.eye(len(onb)) + G) @ np.linalg.inv(E)
+def _W_matrix(g: Array, S: Array, E: Array) -> Array:
+    """W as a chart matrix from S_{e_i} (n, ..., n, n) over the g-orthonormal columns of E."""
+    G = column_gram(g, np.stack(list(S), axis=-3) @ E[..., None, :, :])  # G[i, j] = <S_{e_i} | S_{e_j}>
+    return E @ (np.eye(E.shape[-1]) + G) @ np.linalg.inv(E)
 
 
 def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
-    return np.linalg.solve(W_matrix, np.asarray(v, dtype=float))
+    """W^-1 v, for one W or a stack (..., n, n) with one v (..., n) each."""
+    return np.linalg.solve(W_matrix, np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def L_P_applies(
@@ -401,7 +407,7 @@ def L_P_applies(
     S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
     E = np.column_stack([e.components for e in onb])
     SE = np.asarray(S_list) @ E
-    W = _W_matrix(g, S_list, onb)
+    W = _W_matrix(g, S_list, E)
     out = []
     for (P, x), RP in zip(pairs, RPs):
         b = block_decompose(endo_covariant_derivative(M, P, x, p, cfg), D, p)
@@ -440,27 +446,31 @@ def _adapted_horizontal_lifts(
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
     """``adapted_horizontal_lift`` of each X in ``Xs`` at u, with one O(D)
-    membership check and every S_X from one ``_S_endos`` batch; u may be a stack."""
-    if od_membership_defect(M, D, u) > 1e-6:
+    membership check and every S_X from one ``_S_endos`` batch, both reading
+    one P(p); u may be a stack, each X then a vector per frame."""
+    P = D.projector(u.base)
+    if od_membership_defect(M, D, u, P) > 1e-6:
         raise ValueError("frame is not adapted to the distribution")
-    S = _S_endos(M, D, [X.components for X in Xs], u.base, cfg)
+    S = _S_endos(M, D, [X.components for X in Xs], u.base, cfg, P=P)
     return [horizontal_lift_frame(M, X, u, cfg) + fundamental_vertical(Sx, u)
             for X, Sx in zip(Xs, S)]
 
 
 def od_constraints(M: ChartManifold, D: DistributionSpec, k: int):
-    """O(D) membership constraints as a function of (x, E), for tangency tests."""
+    """O(D) membership constraints as a function of (x, E), for tangency tests; one
+    row of constraints per frame for a stack, x (..., n) and E (..., n, n)."""
 
     def constraints(x: Array, E: Array) -> Array:
+        n = x.shape[-1]
         g = metric_eval(M, x)
         P = D.projector(x)
-        Pc = np.eye(x.size) - P
-        parts = [(E.T @ g @ E - np.eye(x.size)).ravel()]
+        Pc = np.eye(n) - P
+        parts = [E.swapaxes(-1, -2) @ g @ E - np.eye(n)]
         if k > 0:
-            parts.append((Pc @ E[:, :k]).ravel())
-        if k < x.size:
-            parts.append((P @ E[:, k:]).ravel())
-        return np.concatenate(parts)
+            parts.append(Pc @ E[..., :, :k])
+        if k < n:
+            parts.append(P @ E[..., :, k:])
+        return np.concatenate([A.reshape(A.shape[:-2] + (-1,)) for A in parts], axis=-1)
 
     return constraints
 
@@ -469,13 +479,15 @@ def od_tangency_residual(
     M: ChartManifold, D: DistributionSpec, t: FrameTangent,
     cfg: FDConfig = DEFAULT_FD,
 ) -> float:
-    """Directional derivative of the O(D) membership constraints along t."""
+    """Directional derivative of the O(D) membership constraints along t, its largest
+    entry: one residual per frame of a stack.  The constraints are evaluated
+    once, on the two-point stencil of every frame."""
     c = od_constraints(M, D, D.rank)
     u = t.at
     h = cfg.step_h
-    plus = c(u.base + h * t.base_rate, u.columns + h * t.frame_rate)
-    minus = c(u.base - h * t.base_rate, u.columns - h * t.frame_rate)
-    return float(np.max(np.abs((plus - minus) / (2.0 * h))))
+    plus, minus = c(np.stack([u.base + h * t.base_rate, u.base - h * t.base_rate]),
+                    np.stack([u.columns + h * t.frame_rate, u.columns - h * t.frame_rate]))
+    return np.max(np.abs((plus - minus) / (2.0 * h)), axis=-1)
 
 
 def adapted_chart(M: ChartManifold, D: DistributionSpec, name: str = "O(D)") -> FrameChart:
@@ -519,9 +531,6 @@ def adapted_connection_audit(
     vP = vertical_field_on_chart(chart, P, cfg)
     vQ = vertical_field_on_chart(chart, Q, cfg)
 
-    def lift_D(vec: Array) -> FrameTangent:
-        return adapted_horizontal_lift(M, D, TangentVector(p, vec), u, cfg)
-
     def nabla_D_endo(x: Array, E: EndomorphismField) -> Array:
         nE = endo_covariant_derivative(M, E, x, p, cfg)
         return g_block_projection(D, p, nE)
@@ -548,31 +557,32 @@ def adapted_connection_audit(
                 "asserted": False,
             })
 
+    # the right-hand sides' vectors, lifted in one batch: nabla_X Y and nablaD_X Y
+    # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
+    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, cfg)
+    nab, nabD, LQm, LQp, LPm, LPp = _adapted_horizontal_lifts(M, D, [TangentVector(p, v) for v in (
+        covariant_derivative(M, X, Y, p, cfg).components, nabla_D(M, D, X, Y, p, cfg).components,
+        LQ["printed"], LQ["flipped"], LP["printed"], LP["flipped"])], u, cfg)
+
     # hh: nabla_{X^{h,D}} Y^{h,D}
-    nab = covariant_derivative(M, X, Y, p, cfg).components
-    nabD = nabla_D(M, D, X, Y, p, cfg).components
     case_rows("hh", [
-        ("(nabla_X Y)^{h,D} - 1/2 RD(X,Y)*",
-         lift_D(nab) + (-0.5) * fundamental_vertical(RD_endo, u)),
-        ("(nablaD_X Y)^{h,D} - 1/2 RD(X,Y)*",
-         lift_D(nabD) + (-0.5) * fundamental_vertical(RD_endo, u)),
+        ("(nabla_X Y)^{h,D} - 1/2 RD(X,Y)*", nab + (-0.5) * fundamental_vertical(RD_endo, u)),
+        ("(nablaD_X Y)^{h,D} - 1/2 RD(X,Y)*", nabD + (-0.5) * fundamental_vertical(RD_endo, u)),
     ])
 
-    # hv: nabla_{X^{h,D}} Q*, with both m-term signs inside L; vh reads L_P(Y)
-    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, cfg)
+    # hv: nabla_{X^{h,D}} Q*, with both m-term signs inside L
     nQ = fundamental_vertical(nabla_D_endo(xval, Q), u)
-    half_LQp = 0.5 * lift_D(LQ["flipped"])
+    half_LQp = 0.5 * LQp
     case_rows("hv", [
-        ("1/2 L-_Q(X)^{h,D} + (nablaD_X Q)* (printed m-sign)",
-         0.5 * lift_D(LQ["printed"]) + nQ),
+        ("1/2 L-_Q(X)^{h,D} + (nablaD_X Q)* (printed m-sign)", 0.5 * LQm + nQ),
         ("1/2 L+_Q(X)^{h,D} + (nablaD_X Q)* (flipped m-sign)", half_LQp + nQ),
         ("1/2 L+_Q(X)^{h,D}", half_LQp),
     ])
 
     # vh: nabla_{P*} Y^{h,D}
     case_rows("vh", [
-        ("1/2 L-_P(Y)^{h,D} (printed m-sign)", 0.5 * lift_D(LP["printed"])),
-        ("1/2 L+_P(Y)^{h,D} (flipped m-sign)", 0.5 * lift_D(LP["flipped"])),
+        ("1/2 L-_P(Y)^{h,D} (printed m-sign)", 0.5 * LPm),
+        ("1/2 L+_P(Y)^{h,D} (flipped m-sign)", 0.5 * LPp),
     ])
 
     # vv: nabla_{P*} Q*

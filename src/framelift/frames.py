@@ -45,8 +45,12 @@ from .geometry import (
 class Frame:
     """A frame of the tangent space at ``base``: column i of ``columns`` is u_i.
 
-    A chart Jacobian over points with leading axes (``FrameChart.jacobian``)
-    gives a stack of frames: base (..., n) and columns (..., n, n).
+    A stack of frames has base (..., n) and columns (..., n, n), as a chart
+    Jacobian over points with leading axes (``FrameChart.jacobian``) or
+    ``adapted_frame`` at a stack of points gives.  Every function of a frame
+    takes a stack under the contract the metrics and fields keep: a stack's
+    rows equal row-by-row calls, and a function that checks its frame
+    raises if any frame of the stack fails.  ``u[i]`` is the i-th frame.
     """
 
     base: Array
@@ -61,10 +65,17 @@ class Frame:
     def vector(self, i: int) -> Array:
         return self.columns[..., :, i]
 
+    def __getitem__(self, i) -> "Frame":
+        return Frame(self.base[i], self.columns[i])
+
 
 @dataclass(frozen=True)
 class FrameTangent:
-    """Tangent vector to the frame-bundle total space at ``at``."""
+    """Tangent vector to the frame-bundle total space at ``at``.
+
+    At a stack of frames the rates carry the same leading axes, one tangent
+    per frame; ``t[i]`` is the tangent at ``at[i]``.
+    """
 
     at: Frame
     base_rate: Array
@@ -92,6 +103,15 @@ class FrameTangent:
         return FrameTangent(self.at, c * self.base_rate, c * self.frame_rate)
 
     __rmul__ = __mul__
+
+    def __getitem__(self, i) -> "FrameTangent":
+        return FrameTangent(self.at[i], self.base_rate[i], self.frame_rate[i])
+
+    @staticmethod
+    def stack(ts: Sequence["FrameTangent"]) -> "FrameTangent":
+        """The tangents ts as one tangent at the stack of their frames, along a new first axis."""
+        return FrameTangent(Frame(np.stack([t.at.base for t in ts]), np.stack([t.at.columns for t in ts])),
+                            np.stack([t.base_rate for t in ts]), np.stack([t.frame_rate for t in ts]))
 
 
 def _same_frame(u: Frame, v: Frame, tol: float = 1e-9) -> None:
@@ -146,18 +166,20 @@ def mok_metric(
 
     Horizontal and vertical parts are orthogonal; two vertical vectors pair
     as sum_i g(V_s u_i, V_t u_i) over the frame columns.  A tangent paired
-    with itself (``mok_norm``) has its vertical part evaluated once.
+    with itself (``mok_norm``) has its vertical part evaluated once.  At a
+    stack of frames the value has the frames' leading shape.
     """
     _same_frame(s.at, t.at)
     u = s.at
     g = metric_eval(M, u.base)
     vs = vertical_part(M, s, cfg) @ u.columns
     vt = vs if t is s else vertical_part(M, t, cfg) @ u.columns
-    return float(s.base_rate @ g @ t.base_rate + np.einsum("ki,kl,li->", vs, g, vt))
+    return ((s.base_rate[..., None, :] @ g @ t.base_rate[..., :, None])[..., 0, 0]
+            + np.einsum("...ki,...kl,...li->...", vs, g, vt))
 
 
 def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> float:
-    return float(np.sqrt(max(mok_metric(M, t, t, cfg), 0.0)))
+    return np.sqrt(np.maximum(mok_metric(M, t, t, cfg), 0.0))
 
 
 def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
@@ -178,13 +200,14 @@ def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
 def mok_gram(
     M: ChartManifold, basis: Sequence[FrameTangent], cfg: FDConfig = DEFAULT_FD
 ) -> Array:
-    """Mok Gram matrix of tangents attached to one frame, in one pass (``_lift_gram``).
-    Raises ValueError when the tangents are attached to different frames."""
+    """Mok Gram matrix of tangents attached to one frame (or to one stack of frames,
+    (..., m, m)), in one pass (``_lift_gram``).  Raises ValueError when the
+    tangents are attached to different frames."""
     u = basis[0].at
     for t in basis[1:]:
         _same_frame(u, t.at)
-    return _lift_gram(M, u.base, u.columns, np.array([t.base_rate for t in basis]),
-                      np.array([t.frame_rate for t in basis]), cfg)
+    return _lift_gram(M, u.base, u.columns, np.stack([t.base_rate for t in basis], axis=-2),
+                      np.stack([t.frame_rate for t in basis], axis=-3), cfg)
 
 
 def mok_orthonormalize(
@@ -193,9 +216,13 @@ def mok_orthonormalize(
     """Gram-Schmidt in the Mok metric, deterministic in the given order: one
     ``mok_gram`` and its ``orthonormalizer``, which raises on a degenerate input."""
     C = orthonormalizer(mok_gram(M, basis, cfg))
-    X = np.array([t.base_rate for t in basis])
-    F = np.array([t.frame_rate for t in basis])
-    return [FrameTangent(basis[0].at, c @ X, np.tensordot(c, F, axes=1)) for c in C]
+    X = np.stack([t.base_rate for t in basis], axis=-2)
+    F = np.stack([t.frame_rate for t in basis], axis=-3)
+    F = F.reshape(F.shape[:-2] + (-1,))
+    # row a of C combines the tangents, one row at a time as for a single frame
+    return [FrameTangent(basis[0].at, (c @ X)[..., 0, :],
+                         (c @ F)[..., 0, :].reshape(basis[0].frame_rate.shape))
+            for c in (C[..., a, None, :] for a in range(len(basis)))]
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +593,10 @@ def endo_covariant_derivative(
 
 
 def curvature_endo(M: ChartManifold, p: Array, x: Array, y: Array,
-                   cfg: FDConfig = DEFAULT_FD) -> Array:
-    """R(x, y) as an endomorphism value at p."""
-    R = curvature_tensor(M, p, cfg)
+                   cfg: FDConfig = DEFAULT_FD, R: Optional[Array] = None) -> Array:
+    """R(x, y) as an endomorphism value at p; ``R`` is ``curvature_tensor(M, p)``
+    when the caller already holds it."""
+    R = curvature_tensor(M, p, cfg) if R is None else R
     return np.einsum("ijkl,i,j->lk", R, x, y)
 
 
@@ -579,6 +607,8 @@ def lc_connection_formula(
     inputs: tuple,
     u: Frame,
     cfg: FDConfig = DEFAULT_FD,
+    R: Optional[Array] = None,
+    onb: Optional[Sequence[TangentVector]] = None,
 ) -> dict[str, FrameTangent]:
     """Closed-form right-hand sides for the Mok Levi-Civita connection.
 
@@ -592,21 +622,23 @@ def lc_connection_formula(
     case and, for hv and vh, "literal", which moves the (nabla Q)* term from
     the hv to the vh line, the reading in which those display lines are
     usually typeset.  The total-space oracle adjudicates; the audit suite
-    asserts "resolved".
+    asserts "resolved".  ``R`` (the base curvature tensor at u's base point)
+    and ``onb`` (its orthonormal basis) are passed when the caller already
+    holds them, so the cases of one point share them.
     """
     p = u.base
-    onb = orthonormal_basis(M, p)
     if case == "hh":
         X, Y = inputs
         nab = covariant_derivative(M, X, Y, p, cfg)
-        Rxy = curvature_endo(M, p, X.eval(p), Y.eval(p), cfg)
+        Rxy = curvature_endo(M, p, X.eval(p), Y.eval(p), cfg, R)
         return {"resolved": horizontal_lift_frame(M, nab, u, cfg)
                 + (-0.5) * fundamental_vertical(Rxy, u)}
     if case in ("hv", "vh"):
         A, B = inputs
         E, v = (B, A.eval(p)) if case == "hv" else (A, B.eval(p))
         v = np.asarray(v, dtype=float)
-        RE = curvature_R_P(M, p, np.asarray(E.eval(p), dtype=float), onb, cfg)
+        onb = orthonormal_basis(M, p) if onb is None else onb
+        RE = curvature_R_P(M, p, np.asarray(E.eval(p), dtype=float), onb, cfg, R)
         base = 0.5 * horizontal_lift_frame(M, TangentVector(p, RE @ v), u, cfg)
         with_term = base + fundamental_vertical(endo_covariant_derivative(M, E, v, p, cfg), u)
         if case == "hv":
@@ -685,11 +717,14 @@ def bracket_residual(
 
 
 def _connection_residuals(M, chart, bundle, cases, u, cfg) -> list[dict[str, float]]:
+    """One oracle call for every case; the closed forms share one base curvature
+    tensor and orthonormal basis."""
     q = chart.encode(u)
     oracles = lc_total_space_oracle(
         chart, _case_fields(chart, cases, cfg), q, cfg)
+    R, onb = curvature_tensor(M, u.base, cfg), orthonormal_basis(M, u.base)
     return [{name: mok_norm(M, oracle - rhs, cfg)
-             for name, rhs in lc_connection_formula(M, bundle, case, inputs, u, cfg).items()}
+             for name, rhs in lc_connection_formula(M, bundle, case, inputs, u, cfg, R, onb).items()}
             for (case, inputs), oracle in zip(cases, oracles)]
 
 

@@ -180,18 +180,6 @@ def _on_stencil(f: Callable[[Array], Array], pts: Array) -> Array:
     return fs
 
 
-def per_point(f: Callable[[Array], Array]) -> Callable[[Array], Array]:
-    """f, a function of one point (dim,), looped over the leading axes of its argument;
-    left for ``adapted._GD_S_jet`` and ``submersion.tension_conformal_display``."""
-
-    def looped(ps: Array) -> Array:
-        ps = np.asarray(ps, dtype=float)
-        rows = np.array([f(p) for p in ps.reshape(-1, ps.shape[-1])])
-        return rows.reshape(ps.shape[:-1] + rows.shape[1:])
-
-    return looped
-
-
 def directional_diff(f: Callable[[Array], Array], p: Array, v: Array, h: float) -> Array:
     """Derivative of f at p along each direction of v (..., dim), linear in v.
 
@@ -407,15 +395,17 @@ def curvature_R_P(
     P: Array,
     onb: Sequence[TangentVector],
     cfg: FDConfig = DEFAULT_FD,
+    R: Optional[Array] = None,
 ) -> Array:
     """R_P = sum_i R(e_i, P(e_i)) over a g-orthonormal basis, as an endomorphism value at p.
 
     ``P`` is the endomorphism value (matrix) at p, or a stack (..., n, n) of
-    them, all served by one curvature tensor.
+    them, all served by one curvature tensor; ``R`` is ``curvature_tensor(M, p)``
+    when the caller already holds it.
     """
     if orthonormality_defect(M, p, onb) > cfg.tol_exact * 100:
         raise ValueError("basis is not g-orthonormal at the base point")
-    R = curvature_tensor(M, p, cfg)
+    R = curvature_tensor(M, p, cfg) if R is None else R
     P = np.asarray(P, dtype=float)
     out = np.zeros(P.shape)
     for e in onb:

@@ -31,7 +31,6 @@ from .geometry import (
     directional_diff,
     metric_eval,
     orthonormalizer,
-    per_point,
 )
 from .frames import (
     Frame,
@@ -182,11 +181,6 @@ def vertical_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
     return [TangentVector(p, E[:, a]) for a in range(geom.rank, geom.phi.source.dim)]
 
 
-def full_adapted_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
-    E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
-    return [TangentVector(p, E[:, a]) for a in range(geom.phi.source.dim)]
-
-
 def dilatation(
     phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
     geom: Optional[SubmersionGeometry] = None,
@@ -195,16 +189,18 @@ def dilatation(
 
     lambda is the mean of the horizontal Gram diagonal; the defect is the
     max deviation of the Gram matrix from lambda times the identity, zero
-    exactly when the map is horizontally conformal at p.
+    exactly when the map is horizontally conformal at p.  For points p
+    (..., n) both have the points' leading shape, from one adapted frame
+    stack; any point with lambda <= 0 raises.
     """
     geom = geom if geom is not None else derive_geometry(phi, cfg)
     k = geom.rank
-    E_H = adapted_frame(phi.source, geom.horizontal, p).columns[:, :k]
+    E_H = adapted_frame(phi.source, geom.horizontal, p).columns[..., :, :k]
     JE = differential_matrix(phi, p, cfg) @ E_H
-    G = JE.T @ metric_eval(phi.target, phi.value(p)) @ JE  # Gram of the pushed-forward E_H
-    lam = float(np.trace(G) / k)
-    defect = float(np.max(np.abs(G - lam * np.eye(k))))
-    if lam <= 0:
+    G = JE.swapaxes(-1, -2) @ metric_eval(phi.target, phi.value(p)) @ JE  # Gram of the pushed E_H
+    lam = np.trace(G, axis1=-2, axis2=-1) / k
+    defect = np.max(np.abs(G - lam[..., None, None] * np.eye(k)), axis=(-2, -1))
+    if not (lam > 0).all():
         raise ValueError("dilatation must be positive for a submersion")
     return lam, defect
 
@@ -252,16 +248,20 @@ def A_Y_endos(
 ) -> list[Array]:
     """A_Y, an endomorphism of the horizontal space, for each vertical Y in ``ys``.
 
-    One S and one projector pair at p serve the whole batch.
+    One S and one projector pair at p serve the whole batch.  For points p
+    (..., n) each y is a vector per point, and a Y that is not vertical at
+    any point raises.
     """
     phi = geom.phi
     Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
     S = S_components(phi.source, geom.horizontal, p, cfg)
     out = []
     for y in ys:
-        if np.max(np.abs(Pi_V @ y - y)) > 1e-6 * (1 + np.linalg.norm(y)):
+        y = np.asarray(y, dtype=float)
+        if (np.max(np.abs((Pi_V @ y[..., None])[..., 0] - y), axis=-1)
+                > 1e-6 * (1 + np.linalg.norm(y, axis=-1))).any():
             raise ValueError("A_Y requires a vertical argument")
-        out.append(Pi_H @ (S @ y) @ Pi_H)  # (S @ y)[:, j] = S_{e_j} Y
+        out.append(Pi_H @ (S @ y[..., None, :, None])[..., 0] @ Pi_H)  # [:, j] = S_{e_j} Y
     return out
 
 
@@ -372,34 +372,39 @@ def _frame_jet(
     """(E, Gamma, dF) at p: the adapted frame E, the source Christoffel symbols
     and, for each a in ``dirs``, the derivative dF[a] along E[:, a] of the
     matrix field F(q) = of(q, E(q)).  One stencil of F for all directions:
-    ``of`` takes points q (..., n) and frames E (..., n, n).
+    ``of`` takes points q (..., n) and frames E (..., n, n).  Points p
+    (..., n) give each value per point.
     """
     M, D = geom.phi.source, geom.horizontal
+    p = np.asarray(p, dtype=float)
     E = adapted_frame(M, D, p).columns
     dirs = list(dirs)
-    dF = directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), p, E[:, dirs].T,
-                          cfg.step_h)
-    return E, christoffel(M, p, cfg), dict(zip(dirs, dF))
+    dF = directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), p[..., None, :],
+                          E[..., :, dirs].swapaxes(-1, -2), cfg.step_h)
+    return E, christoffel(M, p, cfg), dict(zip(dirs, np.moveaxis(dF, -3, 0)))
 
 
 def div_bot(
     geom: SubmersionGeometry, top: Array, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of the horizontal endo
-    field C = ``adapted_endo_field(geom, top=top)``.
+    field C = ``adapted_endo_field(geom, top=top)``, at points p (..., n).
 
     One Christoffel evaluation and one stencil of C E over the horizontal e_A;
     each stencil point forms C from the adapted frame it has already built.
     """
     M = geom.phi.source
+    p = np.asarray(p, dtype=float)
     blk = _block_coefficients(M.dim, geom.rank, top, None)
     Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
     E, gamma, dCE = _frame_jet(geom, p, range(geom.rank), cfg,
                                lambda q, Eq: _adapted_endo(M, blk, q, Eq) @ Eq)
     C = _adapted_endo(M, blk, p, E)
-    out = np.zeros(M.dim)
+    out = np.zeros(p.shape)
     for a, d in dCE.items():
-        out += Pi_V @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], C @ E[:, a]))
+        e = E[..., :, a]
+        v = d[..., :, a] + np.einsum("...kij,...i,...j->...k", gamma, e, (C @ e[..., None])[..., 0])
+        out += (Pi_V @ v[..., None])[..., 0]
     return out
 
 
@@ -431,12 +436,12 @@ def adapted_endo_field(
 # ---------------------------------------------------------------------------
 
 def lift_map(geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD) -> Frame:
-    """Push the first k frame vectors forward: a frame on the target."""
+    """Push the first k frame vectors forward: a frame on the target (a stack for a stack)."""
     phi = geom.phi
     if od_membership_defect(phi.source, geom.horizontal, u) > 1e-6:
         raise ValueError("lift_map requires a frame adapted to the horizontal space")
     J = differential_matrix(phi, u.base, cfg)
-    return Frame(phi.value(u.base), J @ u.columns[:, : geom.rank])
+    return Frame(phi.value(u.base), J @ u.columns[..., :, : geom.rank])
 
 
 def lift_map_raw(phi: SubmersionSpec, k: int, x: Array, E: Array, cfg: FDConfig) -> tuple[Array, Array]:
@@ -448,20 +453,22 @@ def lift_differential_fd(
     geom: SubmersionGeometry, t: FrameTangent, cfg: FDConfig = DEFAULT_FD,
     check_tangency: bool = True,
 ) -> FrameTangent:
-    """Central-difference differential of the lift along a frame tangent."""
+    """Central-difference differential of the lift along a frame tangent, or along a
+    stack of them (``FrameTangent.stack`` puts many tangents at one frame in a
+    stack): one ``lift_map_raw`` call on the two-point stencil of every
+    tangent.  Any tangent of a stack that leaves O(D) raises."""
     phi = geom.phi
     if check_tangency:
         resid = od_tangency_residual(phi.source, geom.horizontal, t, cfg)
-        scale = 1.0 + np.linalg.norm(t.base_rate) + np.linalg.norm(t.frame_rate)
-        if resid > cfg.tol_fd1 * 100 * scale:
+        scale = 1.0 + np.linalg.norm(t.base_rate, axis=-1) + np.linalg.norm(t.frame_rate, axis=(-2, -1))
+        if (resid > cfg.tol_fd1 * 100 * scale).any():
             raise ValueError("input is not tangent to the adapted frame bundle")
     u = t.at
-    k = geom.rank
     h = cfg.step_h if phi.jacobian is not None else cfg.step_h2
-    yp, Fp = lift_map_raw(phi, k, u.base + h * t.base_rate, u.columns + h * t.frame_rate, cfg)
-    ym, Fm = lift_map_raw(phi, k, u.base - h * t.base_rate, u.columns - h * t.frame_rate, cfg)
-    at = lift_map(geom, u, cfg)
-    return FrameTangent(at, (yp - ym) / (2.0 * h), (Fp - Fm) / (2.0 * h))
+    (yp, ym), (Fp, Fm) = lift_map_raw(
+        phi, geom.rank, np.stack([u.base + h * t.base_rate, u.base - h * t.base_rate]),
+        np.stack([u.columns + h * t.frame_rate, u.columns - h * t.frame_rate]), cfg)
+    return FrameTangent(lift_map(geom, u, cfg), (yp - ym) / (2.0 * h), (Fp - Fm) / (2.0 * h))
 
 
 def lift_differential_formula(
@@ -512,25 +519,26 @@ def lift_distributions(
     directions corrected by the W-preimage of the divergence.  The A and C
     corrections enter with plus signs (see ``lift_differential_formula``:
     the corrected A-identity flips both, and the div-duality then closes
-    the cross orthogonality exactly as before).
+    the cross orthogonality exactly as before).  At a stack of frames each
+    basis tangent is a stack, one per frame.
     """
     phi = geom.phi
     M, D = phi.source, geom.horizontal
     p = u.base
     n, k = M.dim, D.rank
-    onb = [TangentVector(p, u.columns[:, i]) for i in range(n)]
-    Wm = W_endo(M, D, p, onb, cfg)
+    Wm = W_endo(M, D, u, cfg)
 
     Ep = adapted_frame(M, D, p).columns
+    verticals = np.moveaxis(Ep[..., :, k:], -1, 0)
     tops = skew_basis(k)
     # adapted lifts of the verticals, of the W-preimages of the horizontals and
     # of the W-preimages of the divergences, in that order, from one S batch
     lifts = _adapted_horizontal_lifts(M, D, [TangentVector(p, x) for x in [
-        *Ep[:, k:].T, *(W_inverse_apply(Wm, Ep[:, a]) for a in range(k)),
+        *verticals, *(W_inverse_apply(Wm, Ep[..., :, a]) for a in range(k)),
         *(W_inverse_apply(Wm, div_bot(geom, c, p, cfg)) for c in tops)]], u, cfg)
 
     V_basis = [lift + fundamental_vertical(A, u)
-               for lift, A in zip(lifts, A_Y_endos(geom, Ep[:, k:].T, p, cfg))]
+               for lift, A in zip(lifts, A_Y_endos(geom, verticals, p, cfg))]
     V_basis += [
         fundamental_vertical(_adapted_endo(M, _block_coefficients(n, k, None, b), p, u.columns), u)
         for b in skew_basis(n - k)]
@@ -610,13 +618,12 @@ def tension_conformal_display(
     geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Simplified tension for horizontally conformal maps:
-    -(n-2)/2 phi_* grad(ln lambda) - phi_*(H_fibers)."""
+    -(n-2)/2 phi_* grad(ln lambda) - phi_*(H_fibers), with one dilatation call
+    on the whole difference stencil."""
     phi = geom.phi
     n = phi.source.dim
     g = metric_eval(phi.source, p)
-    dlnlam = central_diff(
-        per_point(lambda q: np.array([np.log(dilatation(phi, q, cfg, geom)[0])])), p, cfg.step_h
-    )[:, 0]
+    dlnlam = central_diff(lambda q: np.log(dilatation(phi, q, cfg, geom)[0]), p, cfg.step_h)
     grad = np.linalg.solve(g, dlnlam)
     J = differential_matrix(phi, p, cfg)
     H = mean_curvature_fibers(geom, p, cfg)
@@ -633,17 +640,18 @@ def lift_conformality_measurement(
     """(Lambda, defect) of the lift at the frame u, measured directly.
 
     The orthogonal basis is Mok-orthonormalized, pushed through the
-    finite-difference lift differential, and its target Mok Gram matrix is
-    compared against Lambda times the identity.
+    finite-difference lift differential (one call for the whole basis), and
+    its target Mok Gram matrix is compared against Lambda times the
+    identity.  At a stack of frames both have the frames' leading shape.
     """
     phi = geom.phi
     _, H_basis = lift_distributions(geom, u, cfg)
     W_on = mok_orthonormalize(phi.source, H_basis, cfg)
-    imgs = [lift_differential_fd(geom, w, cfg, check_tangency=False) for w in W_on]
-    m = len(imgs)
-    G = mok_gram(phi.target, imgs, cfg)
-    Lam = float(np.trace(G) / m)
-    defect = float(np.max(np.abs(G - Lam * np.eye(m))))
+    m = len(W_on)
+    imgs = lift_differential_fd(geom, FrameTangent.stack(W_on), cfg, check_tangency=False)
+    G = mok_gram(phi.target, [imgs[a] for a in range(m)], cfg)
+    Lam = np.trace(G, axis1=-2, axis2=-1) / m
+    defect = np.max(np.abs(G - Lam[..., None, None] * np.eye(m)), axis=(-2, -1))
     return Lam, defect
 
 
@@ -697,18 +705,23 @@ def classify(
     cfg: FDConfig = DEFAULT_FD,
     geom: Optional[SubmersionGeometry] = None,
 ) -> ClassificationReport:
-    """Classify a submersion and measure its lift over the sample points."""
+    """Classify a submersion and measure its lift over the sample points.
+
+    The adapted frames, the dilatations and the lift's conformality are each
+    evaluated once on the stack of sample points."""
     geom = geom if geom is not None else derive_geometry(phi, cfg)
     rep = ClassificationReport(name=phi.name)
     gN = lambda y: metric_eval(phi.target, y)  # noqa: E731
+    points = np.asarray(points, dtype=float)
+    frames = adapted_frame(phi.source, geom.horizontal, points)
+    lams, defects = dilatation(phi, points, cfg, geom)
 
     lam_list, conf_defect, tg_defect, fib_defect, integ_defect, tension_norms = [], 0.0, 0.0, 0.0, 0.0, []
-    for p in points:
-        lam, defect = dilatation(phi, p, cfg, geom)
-        lam_list.append(lam)
+    for p, E, lam, defect in zip(points, frames.columns, lams, defects):
+        lam_list.append(float(lam))
         conf_defect = np.maximum(conf_defect, defect)
 
-        basis = full_adapted_basis(geom, p)
+        basis = [TangentVector(p, e) for e in E.T]
         y = phi.value(p)
         gy = gN(y)
         gp = metric_eval(phi.source, p)
@@ -761,10 +774,8 @@ def classify(
         )
 
     Lams, lift_defect, vs_base = [], 0.0, 0.0
-    for p, lam in zip(points, lam_list):
-        u = adapted_frame(phi.source, geom.horizontal, p)
-        Lam, defect = lift_conformality_measurement(geom, u, cfg)
-        Lams.append(Lam)
+    for Lam, defect, lam in zip(*lift_conformality_measurement(geom, frames, cfg), lam_list):
+        Lams.append(float(Lam))
         lift_defect = np.maximum(lift_defect, defect)
         vs_base = np.maximum(vs_base, abs(Lam - lam))
     rep.lift_lambda_samples = Lams

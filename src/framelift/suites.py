@@ -20,7 +20,6 @@ from .geometry import (
     central_diff,
     christoffel,
     constant_field,
-    covariant_derivative,
     covariant_derivatives,
     curvature,
     directional_diff,
@@ -51,6 +50,7 @@ from .adapted import (
     S_endo,
     S_tensor,
     W_endo,
+    _adapted_horizontal_lifts,
     adapted_connection_audit,
     adapted_frame,
     adapted_horizontal_lift,
@@ -86,7 +86,6 @@ from .submersion import (
     splitting_projectors,
     tension_conformal_display,
     tension_field,
-    vertical_basis,
 )
 from .tangent import (
     TMPoint,
@@ -127,7 +126,12 @@ def _single(checks: Checks, key: str, identity: str, residual: float, tolerance:
 
 def _pairing(M, Y: VectorField, Z: VectorField, q):
     """g(Y, Z) at points q (..., dim), rounded as y @ g @ z at each point."""
-    return (Y.eval(q)[..., None, :] @ metric_eval(M, q) @ Z.eval(q)[..., :, None])[..., 0, 0]
+    return _pairing_at(metric_eval(M, q), Y.eval(q), Z.eval(q))
+
+
+def _pairing_at(g, y, z):
+    """y @ g @ z for vectors y, z and metrics g with the same leading axes."""
+    return (y[..., None, :] @ g @ z[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,27 +515,30 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                "same relation with the displayed nabla-S convention (diagnostic)", cfg.tol_fd2,
                kind="audit")
 
-    # W endomorphism: defining identity and positivity
-    for p in pts:
-        u = adapted_frame(M, D, p)
-        onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
-        Wm = W_endo(M, D, p, onb, cfg)
-        g = metric_eval(M, p)
-        for _ in range(2):
-            x, y = rng.standard_normal((2, M.dim))
-            tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u, cfg)
-            ty = adapted_horizontal_lift(M, D, TangentVector(p, y), u, cfg)
-            checks.see("w_lemma", abs(float(x @ g @ (Wm @ y)) - mok_metric(M, tx, ty, cfg)))
-        E = u.columns
-        W_onb = np.linalg.inv(E) @ Wm @ E
-        checks.see("w_positive", 1.0 - np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.T))))
-        x = rng.standard_normal(M.dim)
-        t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, cfg)
-        Sx = S_endo(M, D, x, p, cfg)
-        t2 = horizontal_lift_frame(M, TangentVector(p, x), u, cfg) + fundamental_vertical(Sx, u)
-        checks.see("lift_difference_identity", np.max(np.abs(t.frame_rate - t2.frame_rate)),
-                   np.max(np.abs(t.base_rate - t2.base_rate)))
-        checks.see("lift_tangency", od_tangency_residual(M, D, t, cfg))
+    # W endomorphism: defining identity and positivity, evaluated once on the
+    # stack of adapted frames at the sample points; per point, the draws are
+    # two (x, y) pairs for the W lemma and one x for the lift identities
+    x1, y1, x2, y2, x = np.moveaxis(rng.standard_normal((len(pts), 5, M.dim)), 1, 0)
+    u = adapted_frame(M, D, pts)
+    Wm = W_endo(M, D, u, cfg)
+    g = metric_eval(M, pts)
+    tx1, ty1, tx2, ty2, t = _adapted_horizontal_lifts(
+        M, D, [TangentVector(pts, v) for v in (x1, y1, x2, y2, x)], u, cfg)
+    w_lemma = [np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(M, ta, tb, cfg))
+               for a, b, ta, tb in ((x1, y1, tx1, ty1), (x2, y2, tx2, ty2))]
+    W_onb = np.linalg.inv(u.columns) @ Wm @ u.columns
+    w_positive = 1.0 - np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.swapaxes(-1, -2))), axis=-1)
+    t2 = (horizontal_lift_frame(M, TangentVector(pts, x), u, cfg)
+          + fundamental_vertical(S_endo(M, D, x, pts, cfg), u))
+    frame_gap = np.max(np.abs(t.frame_rate - t2.frame_rate), axis=(-2, -1))
+    base_gap = np.max(np.abs(t.base_rate - t2.base_rate), axis=-1)
+    tangency = od_tangency_residual(M, D, t, cfg)
+    for i in range(len(pts)):
+        checks.see("w_lemma", w_lemma[0][i])
+        checks.see("w_lemma", w_lemma[1][i])
+        checks.see("w_positive", w_positive[i])
+        checks.see("lift_difference_identity", frame_gap[i], base_gap[i])
+        checks.see("lift_tangency", tangency[i])
     checks.row("w_lemma", "g(X, W Y) equals the Mok product of adapted lifts", cfg.tol_fd1)
     checks.row("w_positive", "W has eigenvalues at least 1", cfg.tol_exact * 100)
     checks.row("lift_difference_identity", "adapted lift = plain lift + (S_X)* exactly",
@@ -575,8 +582,8 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_exact * 1e3)
 
     # dilatation against the catalog value
-    for p in pts:
-        lam, defect = dilatation(phi, p, cfg, geom)
+    lams, defects = dilatation(phi, pts, cfg, geom)
+    for lam, defect in zip(lams, defects):
         checks.see("conformality_defect", defect)
         if entry.expected_lambda is not None:
             checks.see("dilatation_value", abs(lam - entry.expected_lambda))
@@ -634,13 +641,10 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2)
 
     # the lifted frame
-    for p in pts[:3]:
-        u = adapted_frame(M, D, p)
-        v = lift_map(geom, u, cfg)
-        gN = metric_eval(phi.target, v.base)
-        lam, _ = dilatation(phi, p, cfg, geom)
-        G = v.columns.T @ gN @ v.columns
-        checks.see("lifted_frame_gram", np.max(np.abs(G - lam * np.eye(k))))
+    v = lift_map(geom, adapted_frame(M, D, pts[:3]), cfg)
+    G = v.columns.swapaxes(-1, -2) @ metric_eval(phi.target, v.base) @ v.columns
+    for G_i, lam in zip(G, lams):
+        checks.see("lifted_frame_gram", np.max(np.abs(G_i - lam * np.eye(k))))
     checks.row("lifted_frame_gram", "lifted frame Gram equals the dilatation times identity",
                cfg.tol_fd1)
 
@@ -653,10 +657,8 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     for p in few:
         u = adapted_frame(M, D, p)
         g = metric_eval(M, p)
-        hb = horizontal_basis(geom, p)
-        vb = vertical_basis(geom, p)
-        x = sum(c * e.components for c, e in zip(rng.standard_normal(k), hb))
-        y = sum(c * e.components for c, e in zip(rng.standard_normal(M.dim - k), vb))
+        x = sum(c * e for c, e in zip(rng.standard_normal(k), u.columns[:, :k].T))
+        y = sum(c * e for c, e in zip(rng.standard_normal(M.dim - k), u.columns[:, k:].T))
         P0 = u.columns @ blk @ u.columns.T @ g
         for case, t, arg in (
             ("horizontal-of-H", adapted_horizontal_lift(M, D, TangentVector(p, x), u, cfg), x),
@@ -669,17 +671,18 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         checks.row(f"differential.{case}", "lift differential formula matches central differences",
                    cfg.tol_fd2)
 
-    # kernel / orthogonal distributions of the lift
+    # kernel / orthogonal distributions of the lift, evaluated once on the stack
+    # of adapted frames at the sample points
     n = M.dim
-    for p in few:
-        u = adapted_frame(M, D, p)
-        Vb, Hb = lift_distributions(geom, u, cfg)
-        checks.see("dimension_identity", 0.0 if (len(Vb), len(Hb)) == (
-            (n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2) else 1.0)
-        checks.see("kernel_distribution", *(mok_norm(phi.target, lift_differential_fd(
-            geom, v, cfg, check_tangency=False), cfg) for v in Vb))
-        checks.see("distribution_orthogonality",
-                   *(abs(mok_metric(M, v, h, cfg)) for v in Vb for h in Hb))
+    Vb, Hb = lift_distributions(geom, adapted_frame(M, D, few), cfg)
+    dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
+    kernel = mok_norm(phi.target, lift_differential_fd(
+        geom, FrameTangent.stack(Vb), cfg, check_tangency=False), cfg)  # (len(Vb), len(few))
+    cross = np.abs([mok_metric(M, v, h, cfg) for v in Vb for h in Hb])
+    for i in range(len(few)):
+        checks.see("dimension_identity", 0.0 if dims_ok else 1.0)
+        checks.see("kernel_distribution", *kernel[:, i])
+        checks.see("distribution_orthogonality", *cross[:, i])
     checks.row("kernel_distribution", "lift differential kills the kernel basis", cfg.tol_fd2)
     checks.row("distribution_orthogonality",
                "kernel and orthogonal bases have zero Mok cross Gram", cfg.tol_fd1)

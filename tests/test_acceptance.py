@@ -48,7 +48,6 @@ from framelift.geometry import (
     lie_bracket,
     metric_eval,
     orthonormal_basis,
-    per_point,
     sample_points,
 )
 from framelift.reporting import strip_wall_times
@@ -78,6 +77,7 @@ from framelift.tangent import (
     tm_split,
     tm_vertical_lift,
 )
+from looping import per_point
 
 CFG = FDConfig()
 SEED = 42
@@ -230,8 +230,7 @@ def test_criterion_05_w_lemma():
         M, D = e.phi.source, geom.horizontal
         for p in sample_points(M, SEED, 10):
             u = adapted_frame(M, D, p)
-            onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
-            W = W_endo(M, D, p, onb, CFG)
+            W = W_endo(M, D, u, CFG)
             g = metric_eval(M, p)
             x, y = rng.standard_normal((2, M.dim))
             tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)

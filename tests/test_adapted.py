@@ -42,10 +42,10 @@ from framelift.geometry import (
     curvature,
     curvature_tensor,
     metric_eval,
-    per_point,
     sample_points,
 )
 from framelift.submersion import A_Y_endo, adapted_endo_field, derive_geometry
+from looping import per_point
 
 R3 = euclidean_chart(3)
 
@@ -252,9 +252,8 @@ class TestSCallCount:
     def test_W_endo(self, counts):
         p = sample_points(M3, 44, 1)[0]
         u = adapted_frame(M3, D3, p)
-        onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
         counts.update(christoffel=0, projector=0)
-        W_endo(M3, D3, p, onb)
+        W_endo(M3, D3, u)
         assert counts == {"christoffel": 1, "projector": 2}
 
     def test_L_P_apply_assembles_S_once(self, counts):
@@ -455,16 +454,14 @@ class TestW:
         geom = derive_geometry(e1.phi)
         p = np.array([0.3, 0.1, 0.0])
         u = adapted_frame(e1.phi.source, geom.horizontal, p)
-        onb = [TangentVector(p, u.columns[:, i]) for i in range(3)]
-        W = W_endo(e1.phi.source, geom.horizontal, p, onb)
+        W = W_endo(e1.phi.source, geom.horizontal, u)
         assert np.allclose(W, np.eye(3), atol=1e-10)
 
     def test_warped_closed_form(self):
         # W = diag(1, 3) in the orthonormal frame (unit horizontal, unit vertical)
         p = np.array([0.4, -0.2])
         u = adapted_frame(M4, D4, p)
-        onb = [TangentVector(p, u.columns[:, i]) for i in range(2)]
-        W = W_endo(M4, D4, p, onb)
+        W = W_endo(M4, D4, u)
         W_onb = np.linalg.inv(u.columns) @ W @ u.columns
         assert np.allclose(W_onb, np.diag([1.0, 3.0]), atol=1e-8)
 
@@ -476,8 +473,7 @@ class TestW:
         rng = np.random.default_rng(13)
         for p in sample_points(M, 13, 3):
             u = adapted_frame(M, D, p)
-            onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
-            W = W_endo(M, D, p, onb)
+            W = W_endo(M, D, u)
             g = metric_eval(M, p)
             x, y = rng.standard_normal((2, M.dim))
             tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
@@ -487,8 +483,7 @@ class TestW:
     def test_positive_definite_and_inverse(self):
         p = sample_points(M3, 14, 1)[0]
         u = adapted_frame(M3, D3, p)
-        onb = [TangentVector(p, u.columns[:, i]) for i in range(3)]
-        W = W_endo(M3, D3, p, onb)
+        W = W_endo(M3, D3, u)
         W_onb = np.linalg.inv(u.columns) @ W @ u.columns
         assert float(np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.T)))) >= 1.0 - 1e-10
         v = np.array([0.3, -0.8, 0.5])
@@ -543,7 +538,7 @@ class TestLP:
             Se = S_endo(M4, D4, e.components, p)
             coef = sum(float((nPm @ f.components) @ g @ (Se @ f.components)) for f in onb)
             vec = vec - coef * e.components
-        W = W_endo(M4, D4, p, onb)
+        W = W_endo(M4, D4, u)
         assert np.max(np.abs(got - W_inverse_apply(W, vec))) < 1e-9
 
 

@@ -65,7 +65,6 @@ from framelift.geometry import (
     directional_diff,
     lie_bracket,
     metric_eval,
-    per_point,
     reference_frame,
     sample_points,
 )
@@ -77,6 +76,7 @@ from framelift.submersion import (
     div_bot,
     splitting_projectors,
 )
+from looping import per_point
 
 EXAMPLES = ["E1", "E2", "E3", "E4", "E5"]
 CHARTS = {M.name: M for e in entries() for M in (e.phi.source, e.phi.target)}
@@ -626,3 +626,168 @@ class TestJacobianProducts:
         product = lambda p, y: (phi.jacobian(p) @ y[..., None])[..., 0]  # noqa: E731
         rows = np.array([product(p, y) for p, y in zip(ps.reshape(6, -1), ys.reshape(6, -1))])
         assert np.array_equal(product(ps, ys), rows.reshape(ps.shape[:2] + rows.shape[1:]))
+
+
+def frame_stack(example, seed=99):
+    """Three adapted frames of the example, as one stack, and its geometry."""
+    geom = GEOMS[example]
+    return adapted_frame(geom.phi.source, geom.horizontal, sample_points(geom.phi.source, seed, 3)), geom
+
+
+def flat(value):
+    """The arrays of a function's value, in order: tangents by their frame and rates."""
+    if isinstance(value, FrameTangent):
+        return [*flat(value.at), value.base_rate, value.frame_rate]
+    if isinstance(value, Frame):
+        return [value.base, value.columns]
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in flat(v)]
+    return [np.asarray(value)]
+
+
+def lifted(geom, u, x):
+    """The adapted horizontal lift of x at u, for a frame or a stack."""
+    return adapted_module.adapted_horizontal_lift(geom.phi.source, geom.horizontal,
+                                                  TangentVector(u.base, x), u)
+
+
+def tangent_at(geom, u, x, P):
+    """X^h + P* at u, for a frame or a stack."""
+    M = geom.phi.source
+    return (frames_module.horizontal_lift_frame(M, TangentVector(u.base, x), u)
+            + frames_module.fundamental_vertical(P, u))
+
+
+def vectors(*shape):
+    return lambda geom, rng: rng.standard_normal((3, *shape, geom.phi.source.dim))
+
+
+def endos(*shape):
+    return lambda geom, rng: rng.standard_normal((3, *shape) + (geom.phi.source.dim,) * 2)
+
+
+# Every public function of a frame or a frame tangent, by module.  A function that
+# takes a stack of frames maps to (inputs, f): ``inputs`` draw per-frame arrays
+# (leading axis 3) and f(geom, u, *inputs) calls the function at the frame or stack
+# u.  A function that takes one frame maps to the reason.
+# ``test_the_table_lists_every_public_frame_function`` keeps the table complete.
+ONE_FRAME_AUDIT = ("audits one frame against the total-space oracle, which encodes u as one "
+                   "chart point; its closed forms differentiate fields at one point")
+FRAME_FUNCTIONS = {
+    "frames.horizontal_lift_frame": ([vectors()], lambda geom, u, x: frames_module.horizontal_lift_frame(
+        geom.phi.source, TangentVector(u.base, x), u)),
+    "frames.fundamental_vertical": ([endos()], lambda geom, u, P: frames_module.fundamental_vertical(P, u)),
+    "frames.vertical_part": ([vectors(), endos()], lambda geom, u, x, P: frames_module.vertical_part(
+        geom.phi.source, tangent_at(geom, u, x, P))),
+    "frames.mok_metric": ([vectors(), endos(), vectors(), endos()],
+                          lambda geom, u, x, P, y, Q: frames_module.mok_metric(
+                              geom.phi.source, tangent_at(geom, u, x, P), tangent_at(geom, u, y, Q))),
+    "frames.mok_norm": ([vectors(), endos()], lambda geom, u, x, P: frames_module.mok_norm(
+        geom.phi.source, tangent_at(geom, u, x, P))),
+    "frames.mok_gram": ([vectors(4), endos(4)], lambda geom, u, xs, Ps: frames_module.mok_gram(
+        geom.phi.source, [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
+    "frames.mok_orthonormalize": ([vectors(4), endos(4)], lambda geom, u, xs, Ps: frames_module.mok_orthonormalize(
+        geom.phi.source, [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
+    "adapted.W_endo": ([], lambda geom, u: adapted_module.W_endo(geom.phi.source, geom.horizontal, u)),
+    "adapted.adapted_horizontal_lift": ([vectors()], lifted),
+    "adapted.od_membership_defect": ([], lambda geom, u: adapted_module.od_membership_defect(
+        geom.phi.source, geom.horizontal, u)),
+    "adapted.od_tangency_residual": ([vectors()], lambda geom, u, x: adapted_module.od_tangency_residual(
+        geom.phi.source, geom.horizontal, lifted(geom, u, x))),
+    "submersion.lift_map": ([], lambda geom, u: submersion_module.lift_map(geom, u)),
+    "submersion.lift_differential_fd": ([vectors()], lambda geom, u, x: submersion_module.lift_differential_fd(
+        geom, lifted(geom, u, x))),
+    "submersion.lift_distributions": ([], lambda geom, u: submersion_module.lift_distributions(geom, u)),
+    "submersion.lift_conformality_measurement": ([], lambda geom, u: (
+        submersion_module.lift_conformality_measurement(geom, u))),
+    "frames.lc_connection_formula": ONE_FRAME_AUDIT,
+    "frames.bracket_rhs": ONE_FRAME_AUDIT,
+    "frames.bracket_residual": ONE_FRAME_AUDIT,
+    "frames.connection_residual": ONE_FRAME_AUDIT,
+    "frames.connection_audit": ONE_FRAME_AUDIT,
+    "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
+    "submersion.lift_differential_formula": (
+        "Pi_X_endo, pushforward_endo and second_fundamental_form take one point"),
+    "tangent.pi_i_differential": "the tangent-bundle lifts take one point",
+    "tangent.pi_i_differential_fd": "the tangent-bundle lifts take one point",
+}
+STACKED = sorted(name for name, case in FRAME_FUNCTIONS.items() if not isinstance(case, str))
+
+
+class TestFrameStack:
+    """Every function of a frame takes a stack of frames: a stack's rows equal row-by-row calls."""
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    @pytest.mark.parametrize("name", STACKED)
+    def test_stack_equals_rows(self, name, example):
+        draws, f = FRAME_FUNCTIONS[name]
+        u, geom = frame_stack(example)
+        rng = np.random.default_rng(100)
+        inputs = [draw(geom, rng) for draw in draws]
+        got = flat(f(geom, u, *inputs))
+        rows = [flat(f(geom, u[i], *(a[i] for a in inputs))) for i in range(3)]
+        if name == "adapted.od_membership_defect":  # the worst frame of the stack
+            assert got[0] == max(r[0] for r in rows)
+            return
+        assert len(got) == len(rows[0])
+        for j, a in enumerate(got):
+            assert np.array_equal(a, np.stack([r[j] for r in rows])), (name, j)
+
+    def test_the_table_lists_every_public_frame_function(self):
+        found = set()
+        for module in (geometry_module, fields_module, catalog_module, frames_module,
+                       adapted_module, submersion_module, tangent_module):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                annotations = [str(p.annotation) for p in inspect.signature(fn).parameters.values()]
+                if fn.__module__ == module.__name__ and not name.startswith("_") and any(
+                        a == "Frame" or "FrameTangent" in a for a in annotations):
+                    found.add(f"{module.__name__.rpartition('.')[2]}.{name}")
+        assert found == set(FRAME_FUNCTIONS)
+
+
+class TestFrameCallCounts:
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_lifts_check_membership_once_from_the_projector_they_share(self, monkeypatch, example):
+        u, geom = frame_stack(example, 101)
+        M, D = geom.phi.source, geom.horizontal
+        projector_at_u = []
+        geom = dataclasses.replace(geom, horizontal=dataclasses.replace(D, projector_field=lambda q: (
+            projector_at_u.append(np.shape(q) == u.base.shape), D.projector_field(q))[1]))
+        lifts = count_calls(monkeypatch, submersion_module, "_adapted_horizontal_lifts")
+        checks = [count_calls(monkeypatch, module, "od_membership_defect")
+                  for module in (adapted_module, submersion_module)]
+        submersion_module.lift_distributions(geom, u)
+        assert len(lifts) == sum(map(len, checks)) == 1
+        projector_at_u.clear()
+        adapted_module._adapted_horizontal_lifts(
+            M, geom.horizontal, [TangentVector(u.base, e) for e in np.moveaxis(u.columns, -1, 0)], u)
+        assert projector_at_u.count(True) == 1  # P(p) for the check and the S batch
+
+    def test_audit_lifts_its_right_hand_sides_in_one_batch(self, monkeypatch):
+        M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
+        u = adapted_frame(M, D, sample_points(M, 102, 1)[0])
+        at_u = []
+        real = adapted_module._adapted_horizontal_lifts
+
+        def counting(M, D, Xs, v, *args, **kwargs):
+            at_u.append(len(Xs)) if v is u else None  # the oracle's chart fields decode frames of their own
+            return real(M, D, Xs, v, *args, **kwargs)
+
+        monkeypatch.setattr(adapted_module, "_adapted_horizontal_lifts", counting)
+        adapted_connection_audit(M, D, u, TestLPairs().fields())
+        assert at_u == [6]
+
+    @pytest.mark.parametrize("bundle", ["L", "O"])
+    def test_connection_audit_builds_one_curvature_tensor(self, monkeypatch, bundle):
+        M = get("E2").phi.source
+        rng = np.random.default_rng(103)
+        endo = (lambda: g_skew_endo_field(M, rng)) if bundle == "O" else (
+            lambda: polynomial_endo_field(3, rng))
+        fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
+                      P=endo(), Q=endo())
+        calls = count_calls(monkeypatch, geometry_module, "curvature_tensor")
+        calls_here = count_calls(monkeypatch, frames_module, "curvature_tensor")
+        bases = count_calls(monkeypatch, frames_module, "orthonormal_basis")
+        p = sample_points(M, 104, 1)[0]
+        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields)
+        assert len(calls) + len(calls_here) == 1 and len(bases) == 1

@@ -13,7 +13,6 @@ from framelift.geometry import (
     covariant_derivative,
     directional_diff,
     metric_eval,
-    per_point,
     sample_points,
 )
 from framelift.submersion import derive_geometry
@@ -31,6 +30,7 @@ from framelift.tangent import (
     tm_split,
     tm_vertical_lift,
 )
+from looping import per_point
 
 R2 = euclidean_chart(2)
 S2 = sphere_chart(2)
