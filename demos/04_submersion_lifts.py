@@ -38,9 +38,9 @@ M, D = phi.source, geom.horizontal
 p = sample_points(M, 5, 1)[0]
 
 print("== the submersion ==")
-lam, defect = dilatation(phi, p, geom=geom)
+lam, defect = dilatation(geom, p)
 print(f"dilatation {lam:.9f} with conformality defect {defect:.2e}")
-tau = tension_field(phi, p, geom=geom)
+tau = tension_field(geom, p)
 gN = metric_eval(phi.target, phi.value(p))
 print(f"tension norm {float(np.sqrt(tau @ gN @ tau)):.2e} (harmonic)")
 H = mean_curvature_fibers(geom, p)

@@ -37,7 +37,7 @@ print(f"{'id':4s} {'lambda':>8s} {'conf':>5s} {'tot.geo':>8s} {'fibers':>7s} "
 for e in entries():
     geom = derive_geometry(e.phi)
     pts = sample_points(e.phi.source, 42, 4)
-    r = classify(e.phi, pts, geom=geom)
+    r = classify(geom, pts)
     lam = np.mean(r.dilatation_samples)
     Lam = np.mean(r.lift_lambda_samples)
     print(f"{e.id:4s} {lam:8.4f} {show(r.horizontally_conformal):>5s} "

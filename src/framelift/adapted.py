@@ -41,8 +41,8 @@ from .frames import (
     FrameTangent,
     block_skew_basis,
     endo_covariant_derivative,
+    _horizontal_lift,
     fundamental_vertical,
-    horizontal_lift_frame,
     lc_total_space_oracle,
     mok_norm,
     offdiag_skew_basis,
@@ -107,14 +107,11 @@ def adapted_frame(M: ChartManifold, D: DistributionSpec, p: Array) -> Frame:
     return Frame(p, E.swapaxes(-1, -2))
 
 
-def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame,
-                         P: Optional[Array] = None) -> float:
-    """How far a frame (the worst of a stack) is from O(D): orthonormal, adapted to the splitting.
-
-    ``P`` is the projector at u's base points when the caller already holds it."""
+def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame, P: Array) -> float:
+    """How far a frame (the worst of a stack) is from O(D): orthonormal, adapted to the
+    splitting of the projector values P at u's base points."""
     k, n = D.rank, u.base.shape[-1]
     g = metric_eval(M, u.base)
-    P = D.projector(u.base) if P is None else P
     E = u.columns
     return float(max(
         np.max(np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(n))),
@@ -218,14 +215,13 @@ def S_tensor(
 
 def _S_endos(
     M: ChartManifold, D: DistributionSpec, xs: Sequence[Array], p: Array,
-    cfg: FDConfig = DEFAULT_FD, gamma: Optional[Array] = None, P: Optional[Array] = None,
+    gamma: Array, P: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """S_x at p for each x in ``xs``, stacked (len(xs), ..., n, n): P(p) and Gamma(p)
-    evaluated once and the projector once on the stencil of every x.
+    """S_x at p for each x in ``xs``, stacked (len(xs), ..., n, n), from Gamma(p) and
+    P(p), ``gamma`` and ``P``, and one projector stencil over every x.
 
     For points p (..., n) each x is a direction per point, or one direction
-    for every point.  ``gamma`` is Gamma(p) and ``P`` is P(p) when the caller
-    already holds them.  Column j of S_x is
+    for every point.  Column j of S_x is
     Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With nabla_x(P e_j) = (d_x P) e_j
     + Gamma_x P e_j and d_x Pc = -d_x P this is Pc (d_x P + Gamma_x P) +
     P (Gamma_x Pc - d_x P), where d_x P is the central difference of the
@@ -234,9 +230,8 @@ def _S_endos(
     p = np.asarray(p, dtype=float)
     xs = np.moveaxis(np.asarray(xs, dtype=float), 0, -2)  # (..., len(xs), n)
     xs = np.broadcast_to(xs, p.shape[:-1] + xs.shape[-2:])
-    P = (D.projector(p) if P is None else P)[..., None, :, :]
+    P = P[..., None, :, :]
     Pc = np.eye(P.shape[-1]) - P
-    gamma = christoffel(M, p, cfg) if gamma is None else gamma
     dP = directional_diff(D.projector, p[..., None, :], xs, cfg.step_h)
     Gx = christoffel_contract(gamma[..., None, :, :, :], xs)
     return np.moveaxis(Pc @ (dP + Gx @ P) + P @ (Gx @ Pc - dP), -3, 0)
@@ -247,17 +242,15 @@ def S_endo(
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """S_x as an endomorphism value at p (columns S_x applied to coordinates)."""
-    return _S_endos(M, D, [x], p, cfg)[0]
+    return _S_endos(M, D, [x], p, christoffel(M, p, cfg), D.projector(p), cfg)[0]
 
 
 def S_components(
     M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
-    gamma: Optional[Array] = None,
 ) -> Array:
-    """S[..., k, i, j] = (S_{d_i} d_j)^k at points p (..., n), from one ``_S_endos``
-    batch; ``gamma`` is as there."""
-    n = np.shape(p)[-1]
-    return np.stack(list(_S_endos(M, D, np.eye(n), p, cfg, gamma)), axis=-2)
+    """S[..., k, i, j] = (S_{d_i} d_j)^k at points p (..., n), from one ``_S_endos`` batch."""
+    return np.stack(list(_S_endos(M, D, np.eye(np.shape(p)[-1]), p, christoffel(M, p, cfg),
+                                  D.projector(p), cfg)), axis=-2)
 
 
 def torsion_TD(
@@ -271,19 +264,19 @@ def torsion_TD(
     and Y at p only: S_y x - S_x y from one ``_S_endos`` batch.
     """
     x, y = (np.asarray(F.eval(p), dtype=float) for F in (X, Y))
-    Sx, Sy = _S_endos(M, D, [x, y], p, cfg)
+    Sx, Sy = _S_endos(M, D, [x, y], p, christoffel(M, p, cfg), D.projector(p), cfg)
     return TangentVector(p, Sy @ x - Sx @ y)
 
 
 def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, cfg: FDConfig) -> Array:
     """GD(q) and S(q) stacked (..., 2, n, n, n) at points q (..., n), from one
-    Christoffel evaluation.
+    Christoffel evaluation and one ``_S_endos`` batch over the coordinate directions.
 
     GD[k, i, j] = (nabla^D_{d_i} d_j)^k = Gamma - S are the adapted
     connection's coefficients; not symmetric in (i, j), as it has torsion.
     """
     gamma = christoffel(M, q, cfg)
-    S = S_components(M, D, q, cfg, gamma)
+    S = np.stack(list(_S_endos(M, D, np.eye(q.shape[-1]), q, gamma, D.projector(q), cfg)), axis=-2)
     return np.stack([gamma - S, S], axis=-4)
 
 
@@ -295,14 +288,10 @@ def _GD_S_jet(
     return _GD_S(M, D, p, cfg), central_diff(lambda q: _GD_S(M, D, q, cfg), p, cfg.step_h2)
 
 
-def curvature_RD_tensor(
-    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
-    jet: Optional[tuple[Array, Array]] = None,
-) -> Array:
-    """Curvature of the adapted connection, RD[i, j, k, l], from GD and d(GD).
-
-    ``jet`` is ``_GD_S_jet(M, D, p, cfg)`` when the caller already holds it."""
-    (GD, _), d_pair = _GD_S_jet(M, D, p, cfg) if jet is None else jet
+def curvature_RD_tensor(jet: tuple[Array, Array]) -> Array:
+    """Curvature of the adapted connection, RD[i, j, k, l], from GD and d(GD) in
+    ``jet = _GD_S_jet(M, D, p, cfg)``."""
+    (GD, _), d_pair = jet
     term_a = np.transpose(d_pair[:, 0], (0, 2, 3, 1))
     term_b = term_a.swapaxes(0, 1)
     quad_a = np.einsum("lim,mjk->ijkl", GD, GD)
@@ -310,19 +299,16 @@ def curvature_RD_tensor(
     return term_a - term_b + quad_a - quad_b
 
 
-def nabla_D_S(
-    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
-    jet: Optional[tuple[Array, Array]] = None,
-) -> dict[str, Array]:
+def nabla_D_S(jet: tuple[Array, Array]) -> dict[str, Array]:
     """Components of (nabla^D_{d_m} S)_{d_i} d_j, indexed [m, k, i, j], by reading.
 
     "standard" differentiates S as a (1,2) tensor; "display" replaces the
     third correction term S_Y(nabla^D_X Z) by S_X(nabla^D_Y Z), the reading
-    in which the defining display is sometimes typeset.  Both come from one
-    evaluation of S, GD and dS; the full curvature relation check
-    adjudicates between them.  ``jet`` is as in ``curvature_RD_tensor``.
+    in which the defining display is sometimes typeset.  Both come from the
+    S, GD and dS of one ``jet``, as in ``curvature_RD_tensor``; the full
+    curvature relation check adjudicates between them.
     """
-    (GD, S), d_pair = _GD_S_jet(M, D, p, cfg) if jet is None else jet
+    (GD, S), d_pair = jet
     # [m, k, i, j] = d_m S^k_ij plus the two corrections both readings share
     shared = d_pair[:, 1] + np.einsum("kma,aij->mkij", GD, S) - np.einsum("kaj,ami->mkij", S, GD)
     return {
@@ -343,17 +329,17 @@ def curvature_relation_residual(
     """
     lhs = np.einsum("ijkl,i,j,k->l", curvature_tensor(M, p, cfg), x, y, z)
     jet = _GD_S_jet(M, D, p, cfg)
-    RD_xyz = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(M, D, p, cfg, jet), x, y, z)
+    RD_xyz = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(jet), x, y, z)
 
-    gamma = christoffel(M, p, cfg)
-    Sx, Sy = _S_endos(M, D, [x, y], p, cfg, gamma)
+    gamma, P = christoffel(M, p, cfg), D.projector(p)
+    Sx, Sy = _S_endos(M, D, [x, y], p, gamma, P, cfg)
     td = Sy @ x - Sx @ y  # T^D(x, y) = -S_x y + S_y x
-    S_td_z = _S_endos(M, D, [td], p, cfg, gamma)[0] @ z
+    S_td_z = _S_endos(M, D, [td], p, gamma, P, cfg)[0] @ z
     comm_z = (Sx @ Sy - Sy @ Sx) @ z
 
     g = metric_eval(M, p)
     out = {}
-    for reading, NS in nabla_D_S(M, D, p, cfg, jet).items():
+    for reading, NS in nabla_D_S(jet).items():
         d = lhs - (RD_xyz + np.einsum("mkij,m,i,j->k", NS, x, y, z)
                    - np.einsum("mkij,m,i,j->k", NS, y, x, z) + S_td_z + comm_z)
         out[reading] = float(np.sqrt(max(d @ g @ d, 0.0)))
@@ -371,7 +357,8 @@ def W_endo(M: ChartManifold, D: DistributionSpec, u: Frame, cfg: FDConfig = DEFA
     g-self-adjoint and positive definite (identity plus a Gram matrix), so
     always invertible; reduces to the identity when D is parallel.
     """
-    S = _S_endos(M, D, np.moveaxis(u.columns, -1, 0), u.base, cfg)
+    S = _S_endos(M, D, np.moveaxis(u.columns, -1, 0), u.base, christoffel(M, u.base, cfg),
+                 D.projector(u.base), cfg)
     return _W_matrix(metric_eval(M, u.base), S, u.columns)
 
 
@@ -389,7 +376,7 @@ def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
 def L_P_applies(
     M: ChartManifold, D: DistributionSpec,
     pairs: Sequence[tuple[EndomorphismField, Array]], p: Array,
-    onb: Sequence[TangentVector], cfg: FDConfig = DEFAULT_FD,
+    onb: Sequence[TangentVector], R: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """L_P(x) = W^{-1}( R_P(x) + sign * sum_i <(nabla_x P)_m | S_{e_i}> e_i ), by m-sign,
     for each (P, x) pair.
@@ -397,14 +384,15 @@ def L_P_applies(
     The defining display carries sign -1 ("printed"); the total-space
     oracle on the adapted bundle matches the connection lines only with +1
     ("flipped"; see the adapted connection audit).  Both come from one
-    assembly of R_P, nabla_x P, S and W, and every pair shares one
-    curvature tensor, one S batch and one W.
+    assembly of R_P, nabla_x P, S and W, and every pair shares the curvature
+    tensor ``R = curvature_tensor(M, p)``, one S batch and one W.
     """
     g = metric_eval(M, p)
     RPs = curvature_R_P(M, p, np.array([np.asarray(P.eval(p), dtype=float) for P, _ in pairs]),
-                        onb, cfg)
+                        onb, R, cfg)
     signs = {"printed": -1.0, "flipped": +1.0}
-    S_list = _S_endos(M, D, [e.components for e in onb], p, cfg)
+    S_list = _S_endos(M, D, [e.components for e in onb], p, christoffel(M, p, cfg),
+                      D.projector(p), cfg)
     E = np.column_stack([e.components for e in onb])
     SE = np.asarray(S_list) @ E
     W = _W_matrix(g, S_list, E)
@@ -415,15 +403,6 @@ def L_P_applies(
         m_part = E @ column_gram(g, [(b.off1 + b.off2) @ E], SE)[0]
         out.append({name: W_inverse_apply(W, RP @ x + sign * m_part) for name, sign in signs.items()})
     return out
-
-
-def L_P_apply(
-    M: ChartManifold, D: DistributionSpec, P: EndomorphismField,
-    x: Array, p: Array, onb: Sequence[TangentVector],
-    cfg: FDConfig = DEFAULT_FD,
-) -> dict[str, Array]:
-    """L_P(x) by m-sign: the one-pair case of ``L_P_applies``."""
-    return L_P_applies(M, D, [(P, x)], p, onb, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +425,14 @@ def _adapted_horizontal_lifts(
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
     """``adapted_horizontal_lift`` of each X in ``Xs`` at u, with one O(D)
-    membership check and every S_X from one ``_S_endos`` batch, both reading
-    one P(p); u may be a stack, each X then a vector per frame."""
-    P = D.projector(u.base)
+    membership check and every S_X from one ``_S_endos`` batch; P(p) and
+    Gamma(p) are read once, for the check, the batch and the plain lifts
+    X^h.  u may be a stack, each X then a vector per frame."""
+    P, gamma = D.projector(u.base), christoffel(M, u.base, cfg)
     if od_membership_defect(M, D, u, P) > 1e-6:
         raise ValueError("frame is not adapted to the distribution")
-    S = _S_endos(M, D, [X.components for X in Xs], u.base, cfg, P=P)
-    return [horizontal_lift_frame(M, X, u, cfg) + fundamental_vertical(Sx, u)
-            for X, Sx in zip(Xs, S)]
+    S = _S_endos(M, D, [X.components for X in Xs], u.base, gamma, P, cfg)
+    return [_horizontal_lift(gamma, X, u) + fundamental_vertical(Sx, u) for X, Sx in zip(Xs, S)]
 
 
 def od_constraints(M: ChartManifold, D: DistributionSpec, k: int):
@@ -511,7 +490,7 @@ def adapted_horizontal_field_on_chart(
 
 
 def adapted_connection_audit(
-    M: ChartManifold, D: DistributionSpec, u: Frame, fields: dict,
+    M: ChartManifold, D: DistributionSpec, u: Frame, fields: dict, R: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Audit of the adapted-bundle connection displays against the O(D) oracle.
@@ -519,6 +498,7 @@ def adapted_connection_audit(
     Every row is diagnostic (asserted=False): the displays mix symbols and
     lift types, so plausible readings are evaluated against one oracle
     evaluation per point and the best-matching reading is flagged per case.
+    ``R`` is ``curvature_tensor(M, u.base)``, for the L_P lines.
     """
     chart = adapted_chart(M, D)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
@@ -540,7 +520,7 @@ def adapted_connection_audit(
     Pval = np.asarray(P.eval(p), dtype=float)
     Qval = np.asarray(Q.eval(p), dtype=float)
 
-    RDxy = curvature_RD_tensor(M, D, p, cfg)
+    RDxy = curvature_RD_tensor(_GD_S_jet(M, D, p, cfg))
     RD_endo = np.einsum("ijkl,i,j->lk", RDxy, xval, yval)
 
     rows: list[dict] = []
@@ -559,7 +539,7 @@ def adapted_connection_audit(
 
     # the right-hand sides' vectors, lifted in one batch: nabla_X Y and nablaD_X Y
     # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
-    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, cfg)
+    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, R, cfg)
     nab, nabD, LQm, LQp, LPm, LPp = _adapted_horizontal_lifts(M, D, [TangentVector(p, v) for v in (
         covariant_derivative(M, X, Y, p, cfg).components, nabla_D(M, D, X, Y, p, cfg).components,
         LQ["printed"], LQ["flipped"], LP["printed"], LP["flipped"])], u, cfg)

@@ -155,47 +155,6 @@ def _stereo_inverse_s3(x: Array) -> Array:
     return (np.array([2.0 * x1, 2.0 * x2, 2.0 * x3, r2 - 1.0]) / (1.0 + r2)).T
 
 
-def _stereo_inverse_s3_jac(x: Array) -> Array:
-    w = 1.0 + float(x @ x)
-    J = np.zeros((4, 3))
-    for i in range(3):
-        for j in range(3):
-            J[i, j] = 2.0 * (1.0 if i == j else 0.0) / w - 4.0 * x[i] * x[j] / w**2
-        J[3, i] = 4.0 * x[i] / w**2
-    return J
-
-
-def _hopf_ambient(P: Array) -> Array:
-    """Unit vector (2 Re z1 conj(z2), 2 Im z1 conj(z2), |z1|^2 - |z2|^2)."""
-    p1, p2, p3, p4 = P
-    return np.array([
-        2.0 * (p1 * p3 + p2 * p4),
-        2.0 * (p2 * p3 - p1 * p4),
-        p1 * p1 + p2 * p2 - p3 * p3 - p4 * p4,
-    ])
-
-
-def _hopf_ambient_jac(P: Array) -> Array:
-    p1, p2, p3, p4 = P
-    return np.array([
-        [2.0 * p3, 2.0 * p4, 2.0 * p1, 2.0 * p2],
-        [-2.0 * p4, 2.0 * p3, 2.0 * p2, -2.0 * p1],
-        [2.0 * p1, 2.0 * p2, -2.0 * p3, -2.0 * p4],
-    ])
-
-
-def _stereo_s2(m: Array) -> Array:
-    return m[:2] / (1.0 - m[2])
-
-
-def _stereo_s2_jac(m: Array) -> Array:
-    d = 1.0 - m[2]
-    return np.array([
-        [1.0 / d, 0.0, m[0] / d**2],
-        [0.0, 1.0 / d, m[1] / d**2],
-    ])
-
-
 def _hopf_parts(x: Array) -> tuple[Array, ...]:
     """(u, v, cr, ci) at points x (..., 3) with the coordinate axis first:
     hopf_map(x) = u + i v = a / b and 1/b = cr + i ci.

@@ -31,7 +31,6 @@ from .geometry import (
     covariant_derivative,
     covariant_derivatives,
     curvature_R_P,
-    curvature_tensor,
     directional_diff,
     lie_bracket,
     metric_eval,
@@ -129,11 +128,14 @@ def horizontal_lift_frame(
     M: ChartManifold, X: TangentVector, u: Frame, cfg: FDConfig = DEFAULT_FD
 ) -> FrameTangent:
     """Horizontal lift of X at the frame u, or at a stack of them: parallel transport of the columns."""
+    return _horizontal_lift(christoffel(M, u.base, cfg), X, u)
+
+
+def _horizontal_lift(gamma: Array, X: TangentVector, u: Frame) -> FrameTangent:
+    """``horizontal_lift_frame`` from the Christoffel symbols ``gamma`` at u's base points."""
     if not np.array_equal(np.asarray(X.base, dtype=float), u.base):
         raise ValueError("vector and frame are based at different points")
-    gamma = christoffel(M, u.base, cfg)
-    gx = christoffel_contract(gamma, X.components)
-    return FrameTangent(u, X.components.copy(), -gx @ u.columns)
+    return FrameTangent(u, X.components.copy(), -christoffel_contract(gamma, X.components) @ u.columns)
 
 
 def fundamental_vertical(P_value: Array, u: Frame) -> FrameTangent:
@@ -592,25 +594,16 @@ def endo_covariant_derivative(
     return dQ + gx @ Qp - Qp @ gx
 
 
-def curvature_endo(M: ChartManifold, p: Array, x: Array, y: Array,
-                   cfg: FDConfig = DEFAULT_FD, R: Optional[Array] = None) -> Array:
-    """R(x, y) as an endomorphism value at p; ``R`` is ``curvature_tensor(M, p)``
-    when the caller already holds it."""
-    R = curvature_tensor(M, p, cfg) if R is None else R
-    return np.einsum("ijkl,i,j->lk", R, x, y)
-
-
 def lc_connection_formula(
     M: ChartManifold,
     bundle: str,
-    case: str,
-    inputs: tuple,
+    cases: Sequence[tuple[str, tuple]],
     u: Frame,
+    R: Array,
     cfg: FDConfig = DEFAULT_FD,
-    R: Optional[Array] = None,
-    onb: Optional[Sequence[TangentVector]] = None,
-) -> dict[str, FrameTangent]:
-    """Closed-form right-hand sides for the Mok Levi-Civita connection.
+) -> list[dict[str, FrameTangent]]:
+    """Closed-form right-hand sides for the Mok Levi-Civita connection, one dict
+    per (case, inputs) of ``cases`` at the frame u.
 
     Cases (first argument differentiates the second):
       hh: nabla_{X^h} Y^h   = (nabla_X Y)^h - 1/2 R(X,Y)*
@@ -622,36 +615,39 @@ def lc_connection_formula(
     case and, for hv and vh, "literal", which moves the (nabla Q)* term from
     the hv to the vh line, the reading in which those display lines are
     usually typeset.  The total-space oracle adjudicates; the audit suite
-    asserts "resolved".  ``R`` (the base curvature tensor at u's base point)
-    and ``onb`` (its orthonormal basis) are passed when the caller already
-    holds them, so the cases of one point share them.
+    asserts "resolved".  Every case reads ``R = curvature_tensor(M, u.base)``
+    and one orthonormal basis at u's base point.
     """
     p = u.base
-    if case == "hh":
-        X, Y = inputs
-        nab = covariant_derivative(M, X, Y, p, cfg)
-        Rxy = curvature_endo(M, p, X.eval(p), Y.eval(p), cfg, R)
-        return {"resolved": horizontal_lift_frame(M, nab, u, cfg)
-                + (-0.5) * fundamental_vertical(Rxy, u)}
-    if case in ("hv", "vh"):
-        A, B = inputs
-        E, v = (B, A.eval(p)) if case == "hv" else (A, B.eval(p))
-        v = np.asarray(v, dtype=float)
-        onb = orthonormal_basis(M, p) if onb is None else onb
-        RE = curvature_R_P(M, p, np.asarray(E.eval(p), dtype=float), onb, cfg, R)
-        base = 0.5 * horizontal_lift_frame(M, TangentVector(p, RE @ v), u, cfg)
-        with_term = base + fundamental_vertical(endo_covariant_derivative(M, E, v, p, cfg), u)
-        if case == "hv":
-            return {"resolved": with_term, "literal": base}
-        return {"resolved": base, "literal": with_term}
-    if case == "vv":
-        P, Q = inputs
-        Pu = np.asarray(P.eval(p), dtype=float)
-        Qu = np.asarray(Q.eval(p), dtype=float)
-        if bundle == "L":
-            return {"resolved": fundamental_vertical(Qu @ Pu, u)}
-        return {"resolved": fundamental_vertical(-0.5 * (Pu @ Qu - Qu @ Pu), u)}
-    raise ValueError(f"unknown case {case!r}")
+    onb = orthonormal_basis(M, p)
+
+    def lines(case: str, inputs: tuple) -> dict[str, FrameTangent]:
+        if case == "hh":
+            X, Y = inputs
+            nab = covariant_derivative(M, X, Y, p, cfg)
+            Rxy = np.einsum("ijkl,i,j->lk", R, X.eval(p), Y.eval(p))
+            return {"resolved": horizontal_lift_frame(M, nab, u, cfg)
+                    + (-0.5) * fundamental_vertical(Rxy, u)}
+        if case in ("hv", "vh"):
+            A, B = inputs
+            E, v = (B, A.eval(p)) if case == "hv" else (A, B.eval(p))
+            v = np.asarray(v, dtype=float)
+            RE = curvature_R_P(M, p, np.asarray(E.eval(p), dtype=float), onb, R, cfg)
+            base = 0.5 * horizontal_lift_frame(M, TangentVector(p, RE @ v), u, cfg)
+            with_term = base + fundamental_vertical(endo_covariant_derivative(M, E, v, p, cfg), u)
+            if case == "hv":
+                return {"resolved": with_term, "literal": base}
+            return {"resolved": base, "literal": with_term}
+        if case == "vv":
+            P, Q = inputs
+            Pu = np.asarray(P.eval(p), dtype=float)
+            Qu = np.asarray(Q.eval(p), dtype=float)
+            if bundle == "L":
+                return {"resolved": fundamental_vertical(Qu @ Pu, u)}
+            return {"resolved": fundamental_vertical(-0.5 * (Pu @ Qu - Qu @ Pu), u)}
+        raise ValueError(f"unknown case {case!r}")
+
+    return [lines(case, inputs) for case, inputs in cases]
 
 
 def bracket_rhs(
@@ -659,6 +655,7 @@ def bracket_rhs(
     case: str,
     inputs: tuple,
     u: Frame,
+    R: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> dict[str, FrameTangent]:
     """Closed-form bracket identities on the frame bundle, by reading.
@@ -666,12 +663,14 @@ def bracket_rhs(
       hh: [X^h, Y^h] = [X,Y]^h - R(X,Y)*
       hv: [X^h, Q*]  = (nabla_X Q)*        ("literal" flips the sign)
       vv: [P*, Q*]   = -[P,Q]*
+
+    ``R = curvature_tensor(M, u.base)`` serves the hh line.
     """
     p = u.base
     if case == "hh":
         X, Y = inputs
         br = lie_bracket(X, Y, p, cfg)
-        Rxy = curvature_endo(M, p, X.eval(p), Y.eval(p), cfg)
+        Rxy = np.einsum("ijkl,i,j->lk", R, X.eval(p), Y.eval(p))
         return {"resolved": horizontal_lift_frame(M, br, u, cfg)
                 + (-1.0) * fundamental_vertical(Rxy, u)}
     if case == "hv":
@@ -703,45 +702,19 @@ def bracket_residual(
     case: str,
     inputs: tuple,
     u: Frame,
+    R: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> dict[str, float]:
     """Mok norm of (finite-difference bracket) - (closed-form right side), by reading.
 
-    The finite-difference bracket is taken once for all readings.
+    The finite-difference bracket is taken once for all readings; ``R`` is as
+    in ``bracket_rhs``.
     """
     [(A, B)] = _case_fields(chart, [(case, inputs)], cfg)
     q = chart.encode(u)
     fd = fd_bracket_on_chart(chart, A, B, q, cfg)
     return {name: mok_norm(M, fd - rhs, cfg)
-            for name, rhs in bracket_rhs(M, case, inputs, u, cfg).items()}
-
-
-def _connection_residuals(M, chart, bundle, cases, u, cfg) -> list[dict[str, float]]:
-    """One oracle call for every case; the closed forms share one base curvature
-    tensor and orthonormal basis."""
-    q = chart.encode(u)
-    oracles = lc_total_space_oracle(
-        chart, _case_fields(chart, cases, cfg), q, cfg)
-    R, onb = curvature_tensor(M, u.base, cfg), orthonormal_basis(M, u.base)
-    return [{name: mok_norm(M, oracle - rhs, cfg)
-             for name, rhs in lc_connection_formula(M, bundle, case, inputs, u, cfg, R, onb).items()}
-            for (case, inputs), oracle in zip(cases, oracles)]
-
-
-def connection_residual(
-    M: ChartManifold,
-    chart,
-    bundle: str,
-    case: str,
-    inputs: tuple,
-    u: Frame,
-    cfg: FDConfig = DEFAULT_FD,
-) -> dict[str, float]:
-    """Mok norm of (total-space oracle) - (closed-form connection formula), by reading.
-
-    The oracle runs once for all readings.
-    """
-    return _connection_residuals(M, chart, bundle, [(case, inputs)], u, cfg)[0]
+            for name, rhs in bracket_rhs(M, case, inputs, u, R, cfg).items()}
 
 
 def connection_audit(
@@ -749,25 +722,29 @@ def connection_audit(
     bundle: str,
     u: Frame,
     fields: dict,
+    R: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Audit table comparing the connection formulas against the oracle.
 
     ``fields`` supplies X, Y (vector fields) and P, Q (endomorphism fields,
-    g-skew for O(M)).  One oracle evaluation per point yields a row for each
-    reading of each case; the "literal" hv/vh rows are unasserted diagnostics.
+    g-skew for O(M)); ``R`` is ``curvature_tensor(M, u.base)``.  One oracle
+    call serves every case and one ``lc_connection_formula`` call gives their
+    closed forms; each reading of each case is a row, and the "literal" hv/vh
+    rows are unasserted diagnostics.
     """
     chart = LMChart(M) if bundle == "L" else om_chart(M)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
     cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
+    oracles = lc_total_space_oracle(chart, _case_fields(chart, cases, cfg), chart.encode(u), cfg)
     rows = []
-    for (case, _), residuals in zip(cases, _connection_residuals(M, chart, bundle, cases, u, cfg)):
-        for reading, res in residuals.items():
+    for (case, _), oracle, rhs in zip(cases, oracles, lc_connection_formula(M, bundle, cases, u, R, cfg)):
+        for reading, line in rhs.items():
             rows.append({
                 "bundle": bundle,
                 "case": case,
                 "reading": reading,
-                "residual": res,
+                "residual": mok_norm(M, oracle - line, cfg),
                 "asserted": reading == "resolved",
             })
     return rows

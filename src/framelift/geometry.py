@@ -394,18 +394,16 @@ def curvature_R_P(
     p: Array,
     P: Array,
     onb: Sequence[TangentVector],
+    R: Array,
     cfg: FDConfig = DEFAULT_FD,
-    R: Optional[Array] = None,
 ) -> Array:
     """R_P = sum_i R(e_i, P(e_i)) over a g-orthonormal basis, as an endomorphism value at p.
 
     ``P`` is the endomorphism value (matrix) at p, or a stack (..., n, n) of
-    them, all served by one curvature tensor; ``R`` is ``curvature_tensor(M, p)``
-    when the caller already holds it.
+    them, all served by ``R = curvature_tensor(M, p)``.
     """
     if orthonormality_defect(M, p, onb) > cfg.tol_exact * 100:
         raise ValueError("basis is not g-orthonormal at the base point")
-    R = curvature_tensor(M, p, cfg) if R is None else R
     P = np.asarray(P, dtype=float)
     out = np.zeros(P.shape)
     for e in onb:

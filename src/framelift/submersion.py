@@ -182,8 +182,7 @@ def vertical_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
 
 
 def dilatation(
-    phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
-    geom: Optional[SubmersionGeometry] = None,
+    geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[float, float]:
     """(lambda, defect): g_N(phi_* X, phi_* Y) = lambda g_M(X, Y) on horizontals.
 
@@ -193,8 +192,7 @@ def dilatation(
     (..., n) both have the points' leading shape, from one adapted frame
     stack; any point with lambda <= 0 raises.
     """
-    geom = geom if geom is not None else derive_geometry(phi, cfg)
-    k = geom.rank
+    phi, k = geom.phi, geom.rank
     E_H = adapted_frame(phi.source, geom.horizontal, p).columns[..., :, :k]
     JE = differential_matrix(phi, p, cfg) @ E_H
     G = JE.swapaxes(-1, -2) @ metric_eval(phi.target, phi.value(p)) @ JE  # Gram of the pushed E_H
@@ -297,14 +295,6 @@ def A_identity_residuals(
             out.append({reading: float(np.sqrt(max(d @ gN @ d, 0.0)))
                         for reading, d in (("asserted", lhs + sff), ("printed", lhs - sff))})
     return out
-
-
-def A_identity_residual(
-    geom: SubmersionGeometry, X: TangentVector, Y: TangentVector,
-    cfg: FDConfig = DEFAULT_FD,
-) -> dict[str, float]:
-    """The one-pair case of ``A_identity_residuals``."""
-    return A_identity_residuals(geom, [X.components], [Y.components], X.base, cfg)[0]
 
 
 def Pi_X_endo(
@@ -437,8 +427,8 @@ def adapted_endo_field(
 
 def lift_map(geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD) -> Frame:
     """Push the first k frame vectors forward: a frame on the target (a stack for a stack)."""
-    phi = geom.phi
-    if od_membership_defect(phi.source, geom.horizontal, u) > 1e-6:
+    phi, D = geom.phi, geom.horizontal
+    if od_membership_defect(phi.source, D, u, D.projector(u.base)) > 1e-6:
         raise ValueError("lift_map requires a frame adapted to the horizontal space")
     J = differential_matrix(phi, u.base, cfg)
     return Frame(phi.value(u.base), J @ u.columns[..., :, : geom.rank])
@@ -519,16 +509,16 @@ def lift_distributions(
     directions corrected by the W-preimage of the divergence.  The A and C
     corrections enter with plus signs (see ``lift_differential_formula``:
     the corrected A-identity flips both, and the div-duality then closes
-    the cross orthogonality exactly as before).  At a stack of frames each
-    basis tangent is a stack, one per frame.
+    the cross orthogonality exactly as before).  u is the adapted frame at
+    its base points, ``adapted_frame(M, D, p)``, whose columns the bases
+    read.  At a stack of frames each basis tangent is a stack, one per frame.
     """
     phi = geom.phi
     M, D = phi.source, geom.horizontal
-    p = u.base
+    p, Ep = u.base, u.columns
     n, k = M.dim, D.rank
     Wm = W_endo(M, D, u, cfg)
 
-    Ep = adapted_frame(M, D, p).columns
     verticals = np.moveaxis(Ep[..., :, k:], -1, 0)
     tops = skew_basis(k)
     # adapted lifts of the verticals, of the W-preimages of the horizontals and
@@ -540,7 +530,7 @@ def lift_distributions(
     V_basis = [lift + fundamental_vertical(A, u)
                for lift, A in zip(lifts, A_Y_endos(geom, verticals, p, cfg))]
     V_basis += [
-        fundamental_vertical(_adapted_endo(M, _block_coefficients(n, k, None, b), p, u.columns), u)
+        fundamental_vertical(_adapted_endo(M, _block_coefficients(n, k, None, b), p, Ep), u)
         for b in skew_basis(n - k)]
 
     H_basis = lifts[n - k:n] + [
@@ -590,8 +580,7 @@ def fiber_second_fundamental_defect(
 
 
 def tension_field(
-    phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
-    geom: Optional[SubmersionGeometry] = None,
+    geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Tension field at p: the trace of the second fundamental form.
 
@@ -599,7 +588,7 @@ def tension_field(
     Christoffel evaluation on each side and one stencil of the stacked
     (J E, E) over the frame directions.
     """
-    geom = geom if geom is not None else derive_geometry(phi, cfg)
+    phi = geom.phi
     k = phi.target.dim
     E, gamma, dF = _frame_jet(
         geom, p, range(phi.source.dim), cfg,
@@ -623,7 +612,7 @@ def tension_conformal_display(
     phi = geom.phi
     n = phi.source.dim
     g = metric_eval(phi.source, p)
-    dlnlam = central_diff(lambda q: np.log(dilatation(phi, q, cfg, geom)[0]), p, cfg.step_h)
+    dlnlam = central_diff(lambda q: np.log(dilatation(geom, q, cfg)[0]), p, cfg.step_h)
     grad = np.linalg.solve(g, dlnlam)
     J = differential_matrix(phi, p, cfg)
     H = mean_curvature_fibers(geom, p, cfg)
@@ -700,21 +689,20 @@ class ClassificationReport:
 
 
 def classify(
-    phi: SubmersionSpec,
+    geom: SubmersionGeometry,
     points: Sequence[Array],
     cfg: FDConfig = DEFAULT_FD,
-    geom: Optional[SubmersionGeometry] = None,
 ) -> ClassificationReport:
     """Classify a submersion and measure its lift over the sample points.
 
     The adapted frames, the dilatations and the lift's conformality are each
     evaluated once on the stack of sample points."""
-    geom = geom if geom is not None else derive_geometry(phi, cfg)
+    phi = geom.phi
     rep = ClassificationReport(name=phi.name)
     gN = lambda y: metric_eval(phi.target, y)  # noqa: E731
     points = np.asarray(points, dtype=float)
     frames = adapted_frame(phi.source, geom.horizontal, points)
-    lams, defects = dilatation(phi, points, cfg, geom)
+    lams, defects = dilatation(geom, points, cfg)
 
     lam_list, conf_defect, tg_defect, fib_defect, integ_defect, tension_norms = [], 0.0, 0.0, 0.0, 0.0, []
     for p, E, lam, defect in zip(points, frames.columns, lams, defects):
@@ -745,7 +733,7 @@ def classify(
                     float(np.sqrt(max(td.components @ gp @ td.components, 0.0))),
                 )
 
-        tau = tension_field(phi, p, cfg, geom)
+        tau = tension_field(geom, p, cfg)
         tension_norms.append(float(np.sqrt(max(tau @ gy @ tau, 0.0))))
 
     rep.conformal_defect = conf_defect

@@ -22,6 +22,7 @@ from .geometry import (
     constant_field,
     covariant_derivatives,
     curvature,
+    curvature_tensor,
     directional_diff,
     endo_inner,
     gram_schmidt,
@@ -74,7 +75,6 @@ from .submersion import (
     differential_matrix,
     dilatation,
     div_bot,
-    horizontal_basis,
     lift_differential_fd,
     lift_differential_formula,
     lift_distributions,
@@ -248,7 +248,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     n, k = M.dim, phi.target.dim
     for p in pts[: max(2, samples // 3)]:
         Z = TMPoint(p, 0.7 * rng.standard_normal(M.dim))
-        Vb, Hb = tm_distributions(phi, Z, cfg, geom=geom)
+        Vb, Hb = tm_distributions(geom, Z, cfg)
         checks.see("distribution_dimensions",
                    0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k) else 1.0)
         images = [phi_second_differential_fd(phi, v, cfg) for v in Vb]
@@ -258,11 +258,11 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         # displayed orthogonal-side formula, reported against the complement
         checks.see("displayed_h_vs_complement",
                    *(abs(sasaki_mok_tm(M, v, h, cfg))
-                     for h in tm_distributions_displayed_h(phi, Z, cfg, geom=geom) for v in Vb))
+                     for h in tm_distributions_displayed_h(geom, Z, cfg) for v in Vb))
         # both kernel bases start with the same vertical lifts; only the
         # corrected horizontal half differs
         half = len(Vb) // 2
-        const_ext = tm_kernel_constant_extension(phi, Z, cfg, geom=geom)[half:]
+        const_ext = tm_kernel_constant_extension(geom, Z, cfg)[half:]
         checks.see("kernel_constant_extension", *map(_tm_size, images[:half]),
                    *(_tm_size(phi_second_differential_fd(phi, v, cfg)) for v in const_ext))
     checks.row("kernel_distribution", "second differential kills the kernel basis", cfg.tol_fd2)
@@ -311,8 +311,9 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # structural identities at sampled frames
     chart = om_chart(M)
-    for p in pts:
-        u = Frame(p, reference_frame(M, p))
+    frames = Frame(pts, reference_frame(M, pts))
+    for i, p in enumerate(pts):
+        u = frames[i]
         x = rng.standard_normal(M.dim)
         P = rng.standard_normal((M.dim, M.dim))
         t = horizontal_lift_frame(M, TangentVector(p, x), u, cfg) + fundamental_vertical(P, u)
@@ -343,7 +344,9 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_exact * 100)
     checks.row("om_chart_roundtrip", "decode then encode returns the skew coordinates", 1e-10)
 
-    # bracket identities against the finite-difference bracket
+    # bracket identities against the finite-difference bracket; the base curvature
+    # tensor at each sample point serves its bracket, connection and adapted audits
+    Rs = [curvature_tensor(M, p, cfg) for p in pts]
     lm = LMChart(M)
     X = polynomial_vector_field(M.dim, rng)
     Y = polynomial_vector_field(M.dim, rng)
@@ -354,8 +357,8 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         ("hv", (X, Q), "[X^h, Q*] = (nabla_X Q)*"),
         ("vv", (P, Q), "[P*, Q*] = -[P,Q]*"),
     ):
-        for i, p in enumerate(pts):
-            res = bracket_residual(M, lm, case, inputs, Frame(p, reference_frame(M, p)), cfg)
+        for i in range(len(pts)):
+            res = bracket_residual(M, lm, case, inputs, frames[i], Rs[i], cfg)
             checks.see(f"bracket.{case}", res["resolved"])
             if "literal" in res and i < 2:
                 checks.see("bracket.hv_literal_sign", res["literal"])
@@ -369,8 +372,8 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Ps = g_skew_endo_field(M, rng)
     for bundle, fields in (("L", dict(X=X, Y=Y, P=P, Q=Q)),
                            ("O", dict(X=X, Y=Y, P=Ps, Q=Qs))):
-        for p in pts[: min(3, samples)]:
-            rows = connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields, cfg)
+        for i in range(min(3, samples)):
+            rows = connection_audit(M, bundle, frames[i], fields, Rs[i], cfg)
             for r in rows:
                 checks.see(f"connection.{bundle}.{r['case']}{'' if r['asserted'] else '_literal'}",
                            r["residual"])
@@ -414,7 +417,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Pa = adapted_endo_field(geom, top=0.8 * Ja)
     Qa = adapted_endo_field(geom, top=-1.3 * Ja)
     for r in adapted_connection_audit(M, geom.horizontal, u,
-                                      dict(X=X, Y=Y, P=Pa, Q=Qa), cfg):
+                                      dict(X=X, Y=Y, P=Pa, Q=Qa), Rs[0], cfg):
         _single(checks, f"adapted_connection.{r['case']}.{'best' if r['best_match'] else 'alt'}",
                 r["reading"], r["residual"], cfg.tol_fd2, kind="audit")
     return checks.reports
@@ -491,12 +494,14 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_fd1)
     checks.row("difference_skew", "g(S_X Y, Z) + g(Y, S_X Z) = 0", cfg.tol_fd1)
 
-    # torsion restricted to the distribution detects integrability
+    # torsion restricted to the distribution detects integrability, on the
+    # horizontal columns of the adapted frames at the sample points
+    u = adapted_frame(M, D, pts)
     integ = "torsion_integrable" if entry.h_integrable else "torsion_nonintegrable"
-    for p in few:
-        hb = horizontal_basis(geom, p)
-        checks.see(integ, *(norm(M, p, torsion_TD(M, D, constant_field(hb[a].components),
-                                                  constant_field(hb[b].components), p, cfg).components)
+    for i, p in enumerate(few):
+        hb = u.columns[i].T[:D.rank]
+        checks.see(integ, *(norm(M, p, torsion_TD(M, D, constant_field(hb[a]),
+                                                  constant_field(hb[b]), p, cfg).components)
                             for a in range(len(hb)) for b in range(a + 1, len(hb))))
     if entry.h_integrable:
         checks.row(integ, "adapted torsion vanishes on the distribution", cfg.tol_fd1)
@@ -519,7 +524,6 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # stack of adapted frames at the sample points; per point, the draws are
     # two (x, y) pairs for the W lemma and one x for the lift identities
     x1, y1, x2, y2, x = np.moveaxis(rng.standard_normal((len(pts), 5, M.dim)), 1, 0)
-    u = adapted_frame(M, D, pts)
     Wm = W_endo(M, D, u, cfg)
     g = metric_eval(M, pts)
     tx1, ty1, tx2, ty2, t = _adapted_horizontal_lifts(
@@ -582,7 +586,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_exact * 1e3)
 
     # dilatation against the catalog value
-    lams, defects = dilatation(phi, pts, cfg, geom)
+    lams, defects = dilatation(geom, pts, cfg)
     for lam, defect in zip(lams, defects):
         checks.see("conformality_defect", defect)
         if entry.expected_lambda is not None:
@@ -591,13 +595,15 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks.row("conformality_defect", "horizontal Gram matrix proportional to the identity",
                cfg.tol_fd1)
 
-    # second fundamental form symmetry, A-identity, Pi_X displays
-    for p in few:
+    # second fundamental form symmetry, A-identity, Pi_X displays; every block
+    # below reads the adapted frames at the first sample points from one stack
+    frames = adapted_frame(M, D, few)
+    for i, p in enumerate(few):
         x, y = rng.standard_normal((2, M.dim))
         v1 = second_fundamental_form(phi, TangentVector(p, x), TangentVector(p, y), cfg)
         v2 = second_fundamental_form(phi, TangentVector(p, y), TangentVector(p, x), cfg)
         checks.see("second_fundamental_symmetric", norm(phi.target, phi.value(p), v1 - v2))
-        E = adapted_frame(M, D, p).columns
+        E = frames.columns[i]
         readings = A_identity_residuals(geom, E[:, :k].T, E[:, k:].T, p, cfg)
         checks.see("a_identity", *(r["asserted"] for r in readings))
         checks.see("a_identity_printed_sign", *(r["printed"] for r in readings))
@@ -626,9 +632,9 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             np.max(np.abs(lhs - rhs)), cfg.tol_exact * 1e4)
 
     # divergence duality
-    for p in few:
-        E = adapted_frame(M, D, p).columns
-        onb = [TangentVector(p, E[:, i]) for i in range(M.dim)]
+    for i, p in enumerate(few):
+        E = frames.columns[i]
+        onb = [TangentVector(p, e) for e in E.T]
         A = A_Y_endos(geom, E[:, k:].T, p, cfg)
         g = metric_eval(M, p)
         for trial in range(5):
@@ -641,7 +647,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2)
 
     # the lifted frame
-    v = lift_map(geom, adapted_frame(M, D, pts[:3]), cfg)
+    v = lift_map(geom, frames[:3], cfg)
     G = v.columns.swapaxes(-1, -2) @ metric_eval(phi.target, v.base) @ v.columns
     for G_i, lam in zip(G, lams):
         checks.see("lifted_frame_gram", np.max(np.abs(G_i - lam * np.eye(k))))
@@ -654,8 +660,8 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         blk[0, 1], blk[1, 0] = 1.0, -1.0
     if M.dim - k >= 2:
         blk[k, k + 1], blk[k + 1, k] = 1.0, -1.0
-    for p in few:
-        u = adapted_frame(M, D, p)
+    for i, p in enumerate(few):
+        u = frames[i]
         g = metric_eval(M, p)
         x = sum(c * e for c, e in zip(rng.standard_normal(k), u.columns[:, :k].T))
         y = sum(c * e for c, e in zip(rng.standard_normal(M.dim - k), u.columns[:, k:].T))
@@ -674,7 +680,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # kernel / orthogonal distributions of the lift, evaluated once on the stack
     # of adapted frames at the sample points
     n = M.dim
-    Vb, Hb = lift_distributions(geom, adapted_frame(M, D, few), cfg)
+    Vb, Hb = lift_distributions(geom, frames, cfg)
     dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
     kernel = mok_norm(phi.target, lift_differential_fd(
         geom, FrameTangent.stack(Vb), cfg, check_tangency=False), cfg)  # (len(Vb), len(few))
@@ -701,7 +707,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     phi = entry.phi
     geom = derive_geometry(phi, cfg)
     pts = sample_points(phi.source, seed, max(3, samples // 2))
-    rep = classify(phi, pts, cfg, geom)
+    rep = classify(geom, pts, cfg)
 
     def verdict(key: str, identity: str, got, expect) -> None:
         checks.see(key, 0.0 if got is expect else 1.0)
@@ -760,7 +766,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     if entry.id == "E4":
         p0 = np.array([0.0, 0.25])
         y0 = phi.value(p0)
-        tn = norm(phi.target, y0, tension_field(phi, p0, cfg, geom))
+        tn = norm(phi.target, y0, tension_field(geom, p0, cfg))
         pushed = differential_matrix(phi, p0, cfg) @ mean_curvature_fibers(geom, p0, cfg).components
         _single(checks, "tension_norm_one", "tension norm equals 1 at the warped origin",
                 abs(tn - 1.0), 5e-3)
@@ -771,7 +777,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # the two tension displays agree on constant-dilatation entries
     if entry.expected_lambda is not None:
         for p in pts[:2]:
-            d = tension_field(phi, p, cfg, geom) - tension_conformal_display(geom, p, cfg)
+            d = tension_field(geom, p, cfg) - tension_conformal_display(geom, p, cfg)
             checks.see("tension_displays_agree", norm(phi.target, phi.value(p), d))
         checks.row("tension_displays_agree",
                    "trace form of the tension matches the conformal form", cfg.tol_fd2)

@@ -8,7 +8,7 @@ the kernel/orthogonal distributions of that second differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .frames import FrameTangent, _lift_gram, vertical_part
 from .submersion import (
     SubmersionSpec,
     SubmersionGeometry,
-    derive_geometry,
     differential_matrix,
     horizontal_basis,
     second_fundamental_form,
@@ -213,8 +212,7 @@ def _kernel_basis(
 
 
 def tm_distributions(
-    phi: SubmersionSpec, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
-    geom: Optional[SubmersionGeometry] = None,
+    geom: SubmersionGeometry, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[list[TMTangent], list[TMTangent]]:
     """Kernel basis and Sasaki-orthogonal complement for the tangent-bundle map.
 
@@ -225,8 +223,7 @@ def tm_distributions(
     property is an identity.  The complement is the null space of V^T G, G
     the Sasaki-Mok Gram matrix of the 2n chart directions, orthonormalised.
     """
-    geom = geom if geom is not None else derive_geometry(phi, cfg)
-    M = phi.source
+    M = geom.phi.source
     n = M.dim
     V_basis = _kernel_basis(geom, Z, cfg, lambda x: _extension(geom, x, cfg, 0))
 
@@ -240,18 +237,15 @@ def tm_distributions(
 
 
 def tm_kernel_constant_extension(
-    phi: SubmersionSpec, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
-    geom: Optional[SubmersionGeometry] = None,
+    geom: SubmersionGeometry, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
 ) -> list[TMTangent]:
     """The kernel formula of ``tm_distributions`` under the bare constant
     extension of each vertical vector, kept for diagnostics."""
-    geom = geom if geom is not None else derive_geometry(phi, cfg)
     return _kernel_basis(geom, Z, cfg, constant_field)
 
 
 def tm_distributions_displayed_h(
-    phi: SubmersionSpec, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
-    geom: Optional[SubmersionGeometry] = None,
+    geom: SubmersionGeometry, Z: TMPoint, cfg: FDConfig = DEFAULT_FD,
 ) -> list[TMTangent]:
     """The displayed orthogonal-side formula, reported for comparison only.
 
@@ -259,10 +253,9 @@ def tm_distributions_displayed_h(
     the horizontal lift of the vertical part of nabla_Z of a horizontal
     extension.
     """
-    geom = geom if geom is not None else derive_geometry(phi, cfg)
-    M = phi.source
+    M = geom.phi.source
     p = Z.base
-    Pi_V, _ = splitting_projectors(phi, p, cfg)
+    Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
     Zvec = constant_field(Z.fiber)
     hb = horizontal_basis(geom, p)
     out = [tm_horizontal_lift(M, e, Z, cfg) for e in hb]

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import framelift.adapted as adapted_module
+import framelift.frames as frames_module
 import framelift.geometry as geometry_module
 from framelift.adapted import (
     BlockDecomposition,
     DistributionSpec,
-    L_P_apply,
+    L_P_applies,
     S_components,
     S_endo,
     S_tensor,
@@ -256,21 +257,39 @@ class TestSCallCount:
         W_endo(M3, D3, u)
         assert counts == {"christoffel": 1, "projector": 2}
 
-    def test_L_P_apply_assembles_S_once(self, counts):
+    def test_L_P_applies_assembles_S_once(self, counts):
         p = sample_points(M3, 45, 1)[0]
         u = adapted_frame(M3, D3, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
         P = EndomorphismField(eval=lambda q: q[..., :, None] * np.array([1.0, 0.0, -1.0]))
+        R = curvature_tensor(M3, p)
         counts.update(christoffel=0, projector=0)
-        L_P_apply(M3, D3, P, np.array([0.3, -0.2, 0.4]), p, onb)
+        L_P_applies(M3, D3, [(P, np.array([0.3, -0.2, 0.4]))], p, onb, R)
         # S over the basis once; block_decompose reads P(p) once more
         assert counts == {"christoffel": 1, "projector": 3}
 
-    def test_od_membership_defect_reads_the_projector_once(self, counts):
+    def test_od_membership_defect_reads_no_projector(self, counts):
         u = adapted_frame(M3, D3, sample_points(M3, 47, 1)[0])
+        P = D3.projector(u.base)
         counts.update(christoffel=0, projector=0)
-        od_membership_defect(M3, D3, u)
-        assert counts["projector"] == 1
+        od_membership_defect(M3, D3, u, P)
+        assert counts["projector"] == 0  # the caller's P(p)
+
+    def test_adapted_lifts_read_christoffel_once(self, monkeypatch):
+        # a batch of 5 vectors at a stack of 10 frames: the S batch, the
+        # membership check and the plain lifts share one Gamma(p)
+        calls = []
+        for module in (geometry_module, frames_module, adapted_module):
+            def counting(*args, real=module.christoffel, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, "christoffel", counting)
+        pts = sample_points(M3, 48, 10)
+        u = adapted_frame(M3, D3, pts)
+        xs = np.random.default_rng(48).standard_normal((5, 10, 3))
+        calls.clear()
+        adapted_module._adapted_horizontal_lifts(M3, D3, [TangentVector(pts, x) for x in xs], u)
+        assert len(calls) == 1
 
 
 class TestTorsion:
@@ -322,7 +341,8 @@ class TestCurvatureRelation:
         rng = np.random.default_rng(9)
         p = sample_points(e2.phi.source, 11, 1)[0]
         x, y, z = rng.standard_normal((3, 3))
-        RD = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(e2.phi.source, geom.horizontal, p),
+        jet = adapted_module._GD_S_jet(e2.phi.source, geom.horizontal, p, DEFAULT_FD)
+        RD = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(jet),
                        x, y, z)
         R = curvature(e2.phi.source, TangentVector(p, x), TangentVector(p, y),
                       TangentVector(p, z))
@@ -387,7 +407,8 @@ class TestOneEvaluationPerReading:
         fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
                       P=adapted_endo_field(GEOM3, top=0.8 * J),
                       Q=adapted_endo_field(GEOM3, top=-1.3 * J))
-        rows = adapted_connection_audit(M3, D3, adapted_frame(M3, D3, p), fields)
+        rows = adapted_connection_audit(M3, D3, adapted_frame(M3, D3, p), fields,
+                                        curvature_tensor(M3, p))
         assert len(calls) == 1  # one oracle call serves all four cases
         assert [r["case"] for r in rows] == ["hh"] * 2 + ["hv"] * 3 + ["vh"] * 2 + ["vv"]
         assert sum(r["best_match"] for r in rows) == 4
@@ -498,7 +519,7 @@ class TestLP:
         J = np.zeros((3, 3))
         J[0, 1], J[1, 0] = -1.0, 1.0
         P = EndomorphismField(eval=lambda q: np.zeros(q.shape[:-1] + J.shape) + J)
-        out = L_P_apply(R3, D, P, np.array([1.0, -1.0, 0.5]), p, onb)
+        out = L_P_applies(R3, D, [(P, np.array([1.0, -1.0, 0.5]))], p, onb, curvature_tensor(R3, p))[0]
         assert max(np.max(np.abs(v)) for v in out.values()) < 1e-9
 
     def test_reduces_to_R_P_when_S_vanishes(self):
@@ -513,8 +534,9 @@ class TestLP:
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         P = adapted_endo_field(geom, top=J)
         x = np.array([0.5, 0.2, -0.3])
-        got = L_P_apply(M, D, P, x, p, onb)["printed"]
-        expect = curvature_R_P(M, p, P.eval(p), onb) @ x
+        R = curvature_tensor(M, p)
+        got = L_P_applies(M, D, [(P, x)], p, onb, R)[0]["printed"]
+        expect = curvature_R_P(M, p, P.eval(p), onb, R) @ x
         assert np.max(np.abs(got - expect)) < 1e-6
 
     def test_componentwise_reassembly(self):
@@ -528,8 +550,9 @@ class TestLP:
         Sfield = EndomorphismField(eval=lambda q: S_endo(M4, D4, np.array([1.0, 0.0]), q))
         P = Sfield  # any smooth g-skew field with nonzero m-part derivative
         x = np.array([0.7, -0.2])
-        got = L_P_apply(M4, D4, P, x, p, onb)["printed"]
-        RP = curvature_R_P(M4, p, P.eval(p), onb)
+        R = curvature_tensor(M4, p)
+        got = L_P_applies(M4, D4, [(P, x)], p, onb, R)[0]["printed"]
+        RP = curvature_R_P(M4, p, P.eval(p), onb, R)
         nP = endo_covariant_derivative(M4, P, x, p)
         b = block_decompose(nP, D4, p)
         nPm = b.off1 + b.off2
@@ -582,7 +605,7 @@ class TestAdaptedLift:
     def test_membership_defect(self):
         p = np.array([0.1, 0.6])
         u = adapted_frame(M4, D4, p)
-        assert od_membership_defect(M4, D4, u) < 1e-12
+        assert od_membership_defect(M4, D4, u, D4.projector(p)) < 1e-12
 
 
 class TestAlgebraSplit:
@@ -598,4 +621,4 @@ class TestAlgebraSplit:
         assert chart.dim == 3 + 1 + 0
         p = sample_points(M3, 19, 1)[0]
         u = chart.decode(chart.join(p, np.array([0.4])))
-        assert od_membership_defect(M3, D3, u) < 1e-10
+        assert od_membership_defect(M3, D3, u, D3.projector(u.base)) < 1e-10

@@ -76,7 +76,8 @@ class TestHopfMap:
     def test_lands_on_unit_direction_sphere(self):
         # the intermediate ambient image is a unit vector, so the chart
         # composition is well defined wherever sampled
-        from framelift.catalog import _hopf_ambient, _stereo_inverse_s3
+        from framelift.catalog import _stereo_inverse_s3
+        from hopf_composite import _hopf_ambient
         for p in sample_points(get("E3").phi.source, 55, 20):
             m = _hopf_ambient(_stereo_inverse_s3(p))
             assert abs(np.linalg.norm(m) - 1.0) < 1e-12
@@ -107,7 +108,7 @@ class TestHopfMap:
         e = get("E3")
         geom = derive_geometry(e.phi)
         for p in sample_points(e.phi.source, 59, 5):
-            lam, defect = dilatation(e.phi, p, geom=geom)
+            lam, defect = dilatation(geom, p)
             assert abs(lam - 1.0) < 1e-9
             assert defect < 1e-9
 

@@ -22,7 +22,6 @@ from framelift.frames import (
     LMChart,
     bracket_residual,
     connection_audit,
-    connection_residual,
     FrameChart,
     fundamental_vertical,
     horizontal_field_on_chart,
@@ -41,7 +40,7 @@ from framelift.frames import (
     vertical_field_on_chart,
     vertical_part,
 )
-from framelift.geometry import TangentVector, metric_eval, sample_points
+from framelift.geometry import TangentVector, curvature_tensor, metric_eval, sample_points
 from framelift.submersion import adapted_endo_field, derive_geometry
 
 R1 = euclidean_chart(1)
@@ -229,7 +228,8 @@ class TestBrackets:
         Q = polynomial_endo_field(2, rng)
         inputs = {"hh": (X, Y), "hv": (X, Q), "vv": (P, Q)}[case]
         u = on_frame(R2, np.array([0.2, 0.3]))
-        assert bracket_residual(R2, LMChart(R2), case, inputs, u)["resolved"] < 5e-4
+        R = curvature_tensor(R2, u.base)
+        assert bracket_residual(R2, LMChart(R2), case, inputs, u, R)["resolved"] < 5e-4
 
     @pytest.mark.parametrize("case", ["hh", "hv", "vv"])
     def test_sphere_residuals(self, case):
@@ -241,13 +241,14 @@ class TestBrackets:
         inputs = {"hh": (X, Y), "hv": (X, Q), "vv": (P, Q)}[case]
         for p in sample_points(S2, 7, 3):
             u = on_frame(S2, p)
-            assert bracket_residual(S2, LMChart(S2), case, inputs, u)["resolved"] < 5e-4
+            R = curvature_tensor(S2, p)
+            assert bracket_residual(S2, LMChart(S2), case, inputs, u, R)["resolved"] < 5e-4
 
     def test_hh_bracket_is_curvature_vertical(self):
         # coordinate fields commute, so the bracket of their lifts is the
         # pure vertical curvature term
         from framelift.geometry import coordinate_field
-        from framelift.frames import fd_bracket_on_chart, horizontal_field_on_chart, curvature_endo
+        from framelift.frames import fd_bracket_on_chart, horizontal_field_on_chart
 
         p = np.array([0.3, -0.2])
         u = on_frame(S2, p)
@@ -255,7 +256,7 @@ class TestBrackets:
         A = horizontal_field_on_chart(chart, coordinate_field(0, 2))
         B = horizontal_field_on_chart(chart, coordinate_field(1, 2))
         fd = fd_bracket_on_chart(chart, A, B, chart.encode(u))
-        R = curvature_endo(S2, p, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        R = np.einsum("ijkl,i,j->lk", curvature_tensor(S2, p), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         expect = fundamental_vertical(-R, u)
         assert mok_norm(S2, fd - expect) < 5e-4
         assert np.max(np.abs(fd.base_rate)) < 5e-4
@@ -265,14 +266,15 @@ class TestBrackets:
         from framelift.geometry import EndomorphismField
         P = EndomorphismField(eval=lambda q: np.eye(2))
         Q = EndomorphismField(eval=lambda q: 2.0 * np.eye(2))
-        assert bracket_residual(R2, LMChart(R2), "vv", (P, Q), u)["resolved"] < 1e-10
+        R = curvature_tensor(R2, u.base)
+        assert bracket_residual(R2, LMChart(R2), "vv", (P, Q), u, R)["resolved"] < 1e-10
 
     def test_hv_literal_sign_fails(self):
         rng = np.random.default_rng(7)
         X = polynomial_vector_field(2, rng)
         Q = polynomial_endo_field(2, rng)
         u = on_frame(S2, np.array([0.2, 0.2]))
-        res = bracket_residual(S2, LMChart(S2), "hv", (X, Q), u)
+        res = bracket_residual(S2, LMChart(S2), "hv", (X, Q), u, curvature_tensor(S2, u.base))
         assert res["literal"] > 0.01
         assert res["resolved"] < 5e-4
 
@@ -289,7 +291,8 @@ class TestConnectionFormulas:
         from framelift.geometry import covariant_derivative
         p = np.array([0.3, 0.1])
         u = on_frame(R2, p)
-        out = lc_connection_formula(R2, "L", "hh", (self.X, self.Y), u)["resolved"]
+        out = lc_connection_formula(R2, "L", [("hh", (self.X, self.Y))], u,
+                                    curvature_tensor(R2, p))[0]["resolved"]
         nab = covariant_derivative(R2, self.X, self.Y, p)
         expect = horizontal_lift_frame(R2, nab, u)
         assert mok_norm(R2, out - expect) < 1e-12
@@ -301,25 +304,28 @@ class TestConnectionFormulas:
         u = on_frame(chartM, p)
         rng = np.random.default_rng(9)
         P = g_skew_endo_field(chartM, rng)
-        out = lc_connection_formula(chartM, "O", "vv", (P, P), u)["resolved"]
+        out = lc_connection_formula(chartM, "O", [("vv", (P, P))], u,
+                                    curvature_tensor(chartM, p))[0]["resolved"]
         assert mok_norm(chartM, out) < 1e-12
 
+    def resolved(self, M, p, case):
+        """The audit's "resolved" residual of one case on L(M) at the reference frame at p."""
+        rows = connection_audit(M, "L", on_frame(M, p), dict(X=self.X, Y=self.Y, P=self.P, Q=self.Q),
+                                curvature_tensor(M, p))
+        [res] = [r["residual"] for r in rows if r["case"] == case and r["reading"] == "resolved"]
+        return res
+
     def test_lm_vv_matches_oracle_flat(self):
-        u = on_frame(R2, np.array([0.1, 0.4]))
-        res = connection_residual(R2, LMChart(R2), "L", "vv", (self.P, self.Q), u)
-        assert res["resolved"] < 5e-4
+        assert self.resolved(R2, np.array([0.1, 0.4]), "vv") < 5e-4
 
     @pytest.mark.parametrize("case", ["hh", "hv", "vh", "vv"])
     def test_all_cases_match_oracle_on_sphere(self, case):
-        p = np.array([0.25, -0.15])
-        u = on_frame(S2, p)
-        inputs = {"hh": (self.X, self.Y), "hv": (self.X, self.Q),
-                  "vh": (self.P, self.Y), "vv": (self.P, self.Q)}[case]
-        assert connection_residual(S2, LMChart(S2), "L", case, inputs, u)["resolved"] < 5e-4
+        assert self.resolved(S2, np.array([0.25, -0.15]), case) < 5e-4
 
     def test_audit_table_shape(self):
         u = on_frame(S2, np.array([0.2, 0.2]))
-        rows = connection_audit(S2, "L", u, dict(X=self.X, Y=self.Y, P=self.P, Q=self.Q))
+        rows = connection_audit(S2, "L", u, dict(X=self.X, Y=self.Y, P=self.P, Q=self.Q),
+                                curvature_tensor(S2, u.base))
         cases = {(r["case"], r["reading"]) for r in rows}
         assert ("hh", "resolved") in cases
         assert ("hv", "literal") in cases
@@ -350,8 +356,9 @@ class TestOneEvaluationPerCase:
         else:
             P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
         calls = self.count(monkeypatch, "lc_total_space_oracle")
-        rows = connection_audit(S2, bundle, on_frame(S2, np.array([0.2, -0.1])),
-                                dict(X=X, Y=Y, P=P, Q=Q))
+        p = np.array([0.2, -0.1])
+        rows = connection_audit(S2, bundle, on_frame(S2, p), dict(X=X, Y=Y, P=P, Q=Q),
+                                curvature_tensor(S2, p))
         assert len(calls) == 1  # one oracle call serves all four cases
         readings = {}
         for r in rows:
@@ -410,7 +417,8 @@ class TestOneEvaluationPerCase:
         X = polynomial_vector_field(2, rng)
         Q = polynomial_endo_field(2, rng)
         calls = self.count(monkeypatch, "fd_bracket_on_chart")
-        res = bracket_residual(S2, LMChart(S2), "hv", (X, Q), on_frame(S2, np.array([0.1, 0.3])))
+        p = np.array([0.1, 0.3])
+        res = bracket_residual(S2, LMChart(S2), "hv", (X, Q), on_frame(S2, p), curvature_tensor(S2, p))
         assert len(calls) == 1
         assert set(res) == {"resolved", "literal"}
 
@@ -590,7 +598,8 @@ class TestNoReencoding:
         fields = dict(X=polynomial_vector_field(2, rng), Y=polynomial_vector_field(2, rng),
                       P=g_skew_endo_field(S2, rng), Q=g_skew_endo_field(S2, rng))
         encodes = self.count(monkeypatch, FrameChart, "encode")
-        connection_audit(S2, "O", on_frame(S2, np.array([0.2, -0.1])), fields)
+        p = np.array([0.2, -0.1])
+        connection_audit(S2, "O", on_frame(S2, p), fields, curvature_tensor(S2, p))
         assert len(encodes) == 1
 
     def test_adapted_connection_audit_encodes_once(self, monkeypatch):
@@ -602,7 +611,8 @@ class TestNoReencoding:
                       P=adapted_endo_field(geom, top=0.8 * J),
                       Q=adapted_endo_field(geom, top=-1.3 * J))
         encodes = self.count(monkeypatch, FrameChart, "encode")
-        adapted_connection_audit(M, D, adapted_frame(M, D, sample_points(M, 46, 1)[0]), fields)
+        p = sample_points(M, 46, 1)[0]
+        adapted_connection_audit(M, D, adapted_frame(M, D, p), fields, curvature_tensor(M, p))
         assert len(encodes) == 1
 
 

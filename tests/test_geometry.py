@@ -19,6 +19,7 @@ from framelift.geometry import (
     covariant_derivatives,
     curvature,
     curvature_R_P,
+    curvature_tensor,
     endo_inner,
     gram_schmidt,
     inner,
@@ -185,13 +186,13 @@ class TestCurvatureRP:
         p = np.array([0.1, 0.2])
         onb = orthonormal_basis(R2, p)
         P = np.array([[0.0, -1.0], [1.0, 0.0]])
-        out = curvature_R_P(R2, p, P, onb) @ np.array([1.0, 1.0])
+        out = curvature_R_P(R2, p, P, onb, curvature_tensor(R2, p)) @ np.array([1.0, 1.0])
         assert np.max(np.abs(out)) < 1e-12
 
     def test_zero_endomorphism(self):
         p = np.array([0.2, -0.3])
         onb = orthonormal_basis(S2, p)
-        out = curvature_R_P(S2, p, np.zeros((2, 2)), onb) @ np.array([1.0, 0.0])
+        out = curvature_R_P(S2, p, np.zeros((2, 2)), onb, curvature_tensor(S2, p)) @ np.array([1.0, 0.0])
         assert np.max(np.abs(out)) < 1e-12
 
     def test_sphere_rotation_generator(self):
@@ -203,7 +204,7 @@ class TestCurvatureRP:
         Jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
         J = E @ Jmat @ E.T @ g
         X = TangentVector(p, np.array([0.7, -0.4]))
-        got = curvature_R_P(S2, p, J, onb) @ X.components
+        got = curvature_R_P(S2, p, J, onb, curvature_tensor(S2, p)) @ X.components
         expect = 2.0 * curvature(S2, onb[0], onb[1], X).components
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -211,7 +212,7 @@ class TestCurvatureRP:
         p = np.array([0.2, 0.0])
         bad = [TangentVector(p, np.array([1.0, 0.0])), TangentVector(p, np.array([1.0, 1.0]))]
         with pytest.raises(ValueError):
-            curvature_R_P(S2, p, np.eye(2), bad)
+            curvature_R_P(S2, p, np.eye(2), bad, curvature_tensor(S2, p))
 
 
 class TestLieBracket:

@@ -1,0 +1,143 @@
+"""One code path per function: no parameter stands in for a value the function
+would otherwise compute.
+
+A parameter that defaults to None and that the function tests against None
+(``x = f(...) if x is None else x``) gives the function two paths: one that
+computes a value and one that takes it from the caller.  The scan below finds
+every such parameter in ``src/framelift``.  A parameter counts when
+
+- its function tests it against None,
+- ``__init__`` stores it on ``self`` and its class tests that attribute, or
+- its function passes it on, unchanged, to a counted parameter of another
+  function of the package.
+
+Only the options in ``ALLOWED`` remain.  Each is a setting that callers choose,
+not a value that a caller may have computed already.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "framelift"
+
+STEP = ("the difference step, an option like the FDConfig beside it: the total-space "
+        "self-check differences fields that are themselves differences at step_h2")
+ALLOWED = {
+    "geometry.covariant_derivatives.step": STEP,
+    "geometry.covariant_derivative.step": STEP,
+    "geometry.lie_bracket.step": STEP,
+    "submersion.pullback_connection.step": STEP,
+    "geometry.column_gram.B": "the second stack of the pairing; by default a stack pairs with "
+                              "itself (the Gram matrices of W and of the Mok metric)",
+    "frames.FrameChart.basis": "the skew directions of the chart: all of so(n) on O(M), the "
+                               "block-diagonal subalgebra on O(D)",
+    "frames.FrameChart.reference": "the reference frame of the chart: the manifold's on O(M), "
+                                   "the adapted frame on O(D)",
+}
+
+
+def _none_defaults(fn: ast.FunctionDef) -> list[str]:
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [a.arg for a, d in pairs if isinstance(d, ast.Constant) and d.value is None]
+
+
+def _tested_against_none(tree: ast.AST) -> set[str]:
+    """The source of every ``x`` in ``x is None`` or ``x is not None`` in tree."""
+    return {ast.unparse(node.left) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value is None}
+
+
+def two_path_parameters(src: Path = SRC) -> set[str]:
+    """``module.function.parameter`` (``module.Class.parameter`` for ``__init__``) of
+    every parameter of the package that gives its function a second path."""
+    functions = {}  # qualified name -> (function node, its None-defaulted parameters)
+    counted = set()
+    for path in sorted(src.glob("*.py")):
+        module = ast.parse(path.read_text())
+        for top in module.body:
+            members = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):
+                members = [(f"{top.name}.{f.name}" if f.name != "__init__" else top.name, f)
+                           for f in top.body if isinstance(f, ast.FunctionDef)]
+            for name, fn in members:
+                qualified = f"{path.stem}.{name}"
+                params = _none_defaults(fn)
+                functions[qualified] = (fn, params)
+                tested = _tested_against_none(fn)
+                if fn.name == "__init__":  # an attribute that holds a parameter, tested by any method
+                    tested |= {a.value.id for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                               and isinstance(a.value, ast.Name) for t in a.targets
+                               if ast.unparse(t) in _tested_against_none(top)}
+                counted |= {f"{qualified}.{p}" for p in params if p in tested}
+
+    def callees(name):
+        return [q for q in functions if q.rpartition(".")[2] == name]
+
+    changed = True
+    while changed:  # a parameter passed on to a counted parameter counts too
+        changed = False
+        for qualified, (fn, params) in functions.items():
+            for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+                if not isinstance(call.func, ast.Name):
+                    continue
+                for callee in callees(call.func.id):
+                    target = functions[callee][0].args
+                    slots = [a.arg for a in target.posonlyargs + target.args]
+                    passed = list(zip(slots, call.args)) + [(k.arg, k.value) for k in call.keywords]
+                    for slot, value in passed:
+                        if not (isinstance(value, ast.Name) and value.id in params):
+                            continue
+                        mine = f"{qualified}.{value.id}"
+                        if f"{callee}.{slot}" in counted and mine not in counted:
+                            counted.add(mine)
+                            changed = True
+    return counted
+
+
+def test_no_parameter_stands_in_for_a_computed_value():
+    extra = sorted(two_path_parameters() - set(ALLOWED))
+    assert not extra, (
+        "each of these parameters defaults to None and is replaced by a computation when "
+        "absent; make it required or delete it: " + ", ".join(extra))
+
+
+def test_every_allowed_option_is_still_an_option():
+    assert set(ALLOWED) <= two_path_parameters()
+
+
+def test_the_scan_sees_each_kind_of_second_path(tmp_path):
+    (tmp_path / "m.py").write_text('''
+def direct(p, x=None):
+    x = f(p) if x is None else x
+
+def statement(p, x=None):
+    if x is None:
+        x = f(p)
+
+def forwards(p, y=None):
+    return direct(p, y)
+
+def by_keyword(p, z=None):
+    return statement(p, x=z)
+
+def required(p, x):
+    return direct(p, x)
+
+def plain(p, w=None):
+    return w
+
+class Chart:
+    def __init__(self, basis=None, name=None):
+        self._basis = basis
+        self.name = name
+
+    def frame(self):
+        return self._basis if self._basis is not None else 0
+''')
+    assert two_path_parameters(tmp_path) == {
+        "m.direct.x", "m.statement.x", "m.forwards.y", "m.by_keyword.z", "m.Chart.basis"}

@@ -19,7 +19,6 @@ import framelift.submersion as submersion_module
 import framelift.tangent as tangent_module
 from framelift.adapted import (
     L_P_applies,
-    L_P_apply,
     S_tensor,
     adapted_chart,
     adapted_connection_audit,
@@ -28,12 +27,6 @@ from framelift.adapted import (
     torsion_TD,
 )
 from framelift.catalog import (
-    _hopf_ambient,
-    _hopf_ambient_jac,
-    _stereo_inverse_s3,
-    _stereo_inverse_s3_jac,
-    _stereo_s2,
-    _stereo_s2_jac,
     entries,
     euclidean_chart,
     get,
@@ -62,6 +55,7 @@ from framelift.geometry import (
     christoffel_derivative,
     constant_field,
     coordinate_field,
+    curvature_tensor,
     directional_diff,
     lie_bracket,
     metric_eval,
@@ -76,6 +70,7 @@ from framelift.submersion import (
     div_bot,
     splitting_projectors,
 )
+from hopf_composite import hopf_composite, hopf_composite_jacobian
 from looping import per_point
 
 EXAMPLES = ["E1", "E2", "E3", "E4", "E5"]
@@ -243,11 +238,12 @@ class TestLPairs:
         p = u.base
         onb = [TangentVector(p, e) for e in u.columns.T]
         pairs = [(f["Q"], f["X"].eval(p)), (f["P"], f["Y"].eval(p))]
-        for got, (P, x) in zip(L_P_applies(M, D, pairs, p, onb), pairs):
-            want = L_P_apply(M, D, P, x, p, onb)
+        R = curvature_tensor(M, p)
+        for got, pair in zip(L_P_applies(M, D, pairs, p, onb, R), pairs):
+            [want] = L_P_applies(M, D, [pair], p, onb, R)
             assert all(np.array_equal(got[k], want[k]) for k in want)
 
-    def test_audit_builds_one_curvature_tensor_S_batch_and_W(self, monkeypatch):
+    def test_audit_builds_one_S_batch_and_W_and_no_curvature_tensor(self, monkeypatch):
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
         inside = []
         counts = {"curvature_tensor": 0, "_S_endos": 0, "_W_matrix": 0}
@@ -273,8 +269,9 @@ class TestLPairs:
         for name in ("_S_endos", "_W_matrix"):
             monkeypatch.setattr(adapted_module, name, counted(name, getattr(adapted_module, name)))
         u = adapted_frame(M, D, sample_points(M, 46, 1)[0])
-        adapted_connection_audit(M, D, u, self.fields())
-        assert counts == {"curvature_tensor": 1, "_S_endos": 1, "_W_matrix": 1}
+        adapted_connection_audit(M, D, u, self.fields(), curvature_tensor(M, u.base))
+        # the caller's curvature tensor serves every pair
+        assert counts == {"curvature_tensor": 0, "_S_endos": 1, "_W_matrix": 1}
 
 
 class TestDivBot:
@@ -394,15 +391,6 @@ class TestSplittingStack:
         assert D.seed_frame(ps).shape == (2, 3, 2, 2)
         assert np.array_equal(D.seed_frame(ps), rows_of(D.seed_frame, ps))
         assert np.array_equal(adapted_frame(R2, D, ps[0, 0]).columns, np.eye(2))
-
-
-def hopf_composite(x):
-    return _stereo_s2(_hopf_ambient(_stereo_inverse_s3(x)))
-
-
-def hopf_composite_jacobian(x):
-    P = _stereo_inverse_s3(x)
-    return _stereo_s2_jac(_hopf_ambient(P)) @ _hopf_ambient_jac(P) @ _stereo_inverse_s3_jac(x)
 
 
 class TestHopfQuotient:
@@ -592,7 +580,8 @@ class TestFieldCallCounts:
         chart_class = frames_module.FrameChart if skew else frames_module.LMChart
         calls = count_calls(monkeypatch, chart_class, "_rates_of")
         p = sample_points(M, 93, 1)[0]
-        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields)
+        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields,
+                                       curvature_tensor(M, p))
         assert len(calls) == 6
 
     def test_lie_bracket_makes_four_field_calls(self):
@@ -691,7 +680,7 @@ FRAME_FUNCTIONS = {
     "adapted.W_endo": ([], lambda geom, u: adapted_module.W_endo(geom.phi.source, geom.horizontal, u)),
     "adapted.adapted_horizontal_lift": ([vectors()], lifted),
     "adapted.od_membership_defect": ([], lambda geom, u: adapted_module.od_membership_defect(
-        geom.phi.source, geom.horizontal, u)),
+        geom.phi.source, geom.horizontal, u, geom.horizontal.projector(u.base))),
     "adapted.od_tangency_residual": ([vectors()], lambda geom, u, x: adapted_module.od_tangency_residual(
         geom.phi.source, geom.horizontal, lifted(geom, u, x))),
     "submersion.lift_map": ([], lambda geom, u: submersion_module.lift_map(geom, u)),
@@ -703,7 +692,6 @@ FRAME_FUNCTIONS = {
     "frames.lc_connection_formula": ONE_FRAME_AUDIT,
     "frames.bracket_rhs": ONE_FRAME_AUDIT,
     "frames.bracket_residual": ONE_FRAME_AUDIT,
-    "frames.connection_residual": ONE_FRAME_AUDIT,
     "frames.connection_audit": ONE_FRAME_AUDIT,
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
     "submersion.lift_differential_formula": (
@@ -774,20 +762,21 @@ class TestFrameCallCounts:
             return real(M, D, Xs, v, *args, **kwargs)
 
         monkeypatch.setattr(adapted_module, "_adapted_horizontal_lifts", counting)
-        adapted_connection_audit(M, D, u, TestLPairs().fields())
+        adapted_connection_audit(M, D, u, TestLPairs().fields(), curvature_tensor(M, u.base))
         assert at_u == [6]
 
     @pytest.mark.parametrize("bundle", ["L", "O"])
-    def test_connection_audit_builds_one_curvature_tensor(self, monkeypatch, bundle):
+    def test_connection_audit_builds_one_basis_and_no_curvature_tensor(self, monkeypatch, bundle):
         M = get("E2").phi.source
         rng = np.random.default_rng(103)
         endo = (lambda: g_skew_endo_field(M, rng)) if bundle == "O" else (
             lambda: polynomial_endo_field(3, rng))
         fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
                       P=endo(), Q=endo())
-        calls = count_calls(monkeypatch, geometry_module, "curvature_tensor")
-        calls_here = count_calls(monkeypatch, frames_module, "curvature_tensor")
-        bases = count_calls(monkeypatch, frames_module, "orthonormal_basis")
         p = sample_points(M, 104, 1)[0]
-        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields)
-        assert len(calls) + len(calls_here) == 1 and len(bases) == 1
+        R = curvature_tensor(M, p)
+        calls = count_calls(monkeypatch, geometry_module, "curvature_tensor")
+        bases = count_calls(monkeypatch, frames_module, "orthonormal_basis")
+        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields, R)
+        # the caller's curvature tensor serves every case
+        assert len(calls) == 0 and len(bases) == 1

@@ -17,7 +17,6 @@ from framelift.geometry import (
     sample_points,
 )
 from framelift.submersion import (
-    A_identity_residual,
     A_identity_residuals,
     A_Y_endo,
     A_Y_endos,
@@ -116,7 +115,7 @@ class TestDilatation:
     def test_values(self):
         for eid, expect in (("E1", 1.0), ("E2", 1.0), ("E3", 1.0), ("E4", 1.0), ("E5", 4.0)):
             for p in sample_points(E[eid].phi.source, 24, 4):
-                lam, defect = dilatation(E[eid].phi, p, geom=GEOM[eid])
+                lam, defect = dilatation(GEOM[eid], p)
                 assert abs(lam - expect) < 1e-8
                 assert defect < 1e-8
 
@@ -133,9 +132,9 @@ class TestDilatation:
                                jacobian=lambda p: stacked(p, 2.0 * np.eye(2)),
                                vertical_fields=[])
         p = np.array([0.2, -0.4, 0.6])
-        lam_proj, _ = dilatation(proj, p)
-        lam_scale, _ = dilatation(scale, p[:2])
-        lam_comp, _ = dilatation(E["E5"].phi, p, geom=GEOM["E5"])
+        lam_proj, _ = dilatation(derive_geometry(proj), p)
+        lam_scale, _ = dilatation(derive_geometry(scale), p[:2])
+        lam_comp, _ = dilatation(GEOM["E5"], p)
         assert abs(lam_comp - lam_proj * lam_scale) < 1e-6
 
 
@@ -211,13 +210,14 @@ class TestAEndomorphism:
             p = entry_point(eid)
             for X in horizontal_basis(GEOM[eid], p):
                 for Y in vertical_basis(GEOM[eid], p):
-                    assert A_identity_residual(GEOM[eid], X, Y)["asserted"] < 5e-4
+                    [res] = A_identity_residuals(GEOM[eid], [X.components], [Y.components], p)
+                    assert res["asserted"] < 5e-4
 
     def test_printed_sign_fails_on_hopf(self):
         p = entry_point("E3")
         X = horizontal_basis(GEOM["E3"], p)[0]
         Y = vertical_basis(GEOM["E3"], p)[0]
-        assert A_identity_residual(GEOM["E3"], X, Y)["printed"] > 0.1
+        assert A_identity_residuals(GEOM["E3"], [X.components], [Y.components], p)[0]["printed"] > 0.1
 
     def test_rejects_horizontal_argument(self):
         p = entry_point("E3")
@@ -426,27 +426,27 @@ class TestTension:
         ident = SubmersionSpec(source=R2, target=R2, map=lambda p: p.copy(),
                                vertical_fields=[])
         p = np.array([0.3, 0.1])
-        assert np.max(np.abs(tension_field(ident, p))) < 1e-8
+        assert np.max(np.abs(tension_field(derive_geometry(ident), p))) < 1e-8
 
     def test_hopf_harmonic(self):
         phi = E["E3"].phi
         gN = lambda y: metric_eval(phi.target, y)
         for p in sample_points(phi.source, 38, 3):
-            tau = tension_field(phi, p, geom=GEOM["E3"])
+            tau = tension_field(GEOM["E3"], p)
             g = gN(phi.value(p))
             assert float(np.sqrt(tau @ g @ tau)) < 5e-4
 
     def test_warped_norm_one(self):
         phi = E["E4"].phi
         p = np.array([0.0, 0.4])
-        tau = tension_field(phi, p, geom=GEOM["E4"])
+        tau = tension_field(GEOM["E4"], p)
         gN = metric_eval(phi.target, phi.value(p))
         assert abs(float(np.sqrt(tau @ gN @ tau)) - 1.0) < 5e-3
 
     def test_warped_equals_pushed_mean_curvature(self):
         phi = E["E4"].phi
         p = np.array([0.2, -0.3])
-        tau = tension_field(phi, p, geom=GEOM["E4"])
+        tau = tension_field(GEOM["E4"], p)
         H = mean_curvature_fibers(GEOM["E4"], p)
         J = differential_matrix(phi, p)
         assert np.max(np.abs(tau + J @ H.components)) < 5e-4
@@ -454,7 +454,7 @@ class TestTension:
     def test_displays_agree_on_constant_dilatation(self):
         for eid in ("E2", "E3", "E4", "E5"):
             p = entry_point(eid)
-            tau = tension_field(E[eid].phi, p, geom=GEOM[eid])
+            tau = tension_field(GEOM[eid], p)
             tau2 = tension_conformal_display(GEOM[eid], p)
             assert np.max(np.abs(tau - tau2)) < 5e-4
 
@@ -462,9 +462,9 @@ class TestTension:
         # same value from a rotated orthonormal frame: tensoriality of the trace
         phi = E["E3"].phi
         p = entry_point("E3")
-        tau = tension_field(phi, p, geom=GEOM["E3"])
+        tau = tension_field(GEOM["E3"], p)
         # second evaluation at a fresh derive (different internal sampling order)
-        tau2 = tension_field(phi, p, geom=derive_geometry(phi))
+        tau2 = tension_field(derive_geometry(phi), p)
         assert np.max(np.abs(tau - tau2)) < 5e-4
 
 
@@ -520,7 +520,7 @@ class TestClassify:
     def test_flags_match_catalog(self, eid):
         e = E[eid]
         pts = sample_points(e.phi.source, 39, 3)
-        rep = classify(e.phi, pts, geom=GEOM[eid])
+        rep = classify(GEOM[eid], pts)
         assert rep.horizontally_conformal is True
         assert rep.dilatation_constant is True
         assert rep.totally_geodesic is e.totally_geodesic
@@ -535,7 +535,7 @@ class TestClassify:
         # predicted non-conformal (not totally geodesic) yet measured conformal
         e = E["E4"]
         pts = sample_points(e.phi.source, 39, 3)
-        rep = classify(e.phi, pts, geom=GEOM["E4"])
+        rep = classify(GEOM["E4"], pts)
         assert rep.lift_conformal_predicted is False
         assert rep.lift_conformal_measured is True
         assert rep.verdicts_agree is False
@@ -560,7 +560,7 @@ class TestClassify:
             return np.where(at, np.nan, out)
 
         monkeypatch.setattr(submersion_module, name, nan_at_second_point)
-        rep = classify(e.phi, pts, geom=GEOM["E1"])
+        rep = classify(GEOM["E1"], pts)
         assert np.isnan(getattr(rep, defect))
         assert getattr(rep, flag) is None
 
@@ -569,12 +569,12 @@ class TestClassify:
         pts = sample_points(e.phi.source, 39, 3)
         real = submersion_module.dilatation
 
-        def nan_lambda_at_second_point(phi, p, *args, **kwargs):
-            lam, defect = real(phi, p, *args, **kwargs)
+        def nan_lambda_at_second_point(geom, p, *args, **kwargs):
+            lam, defect = real(geom, p, *args, **kwargs)
             return np.where(np.all(np.asarray(p) == pts[1], axis=-1), np.nan, lam), defect
 
         monkeypatch.setattr(submersion_module, "dilatation", nan_lambda_at_second_point)
-        rep = classify(e.phi, pts, geom=GEOM["E1"])
+        rep = classify(GEOM["E1"], pts)
         assert np.isnan(rep.dilatation_std)
         assert rep.dilatation_constant is None
         assert rep.lift_conformal_predicted is None
@@ -697,7 +697,7 @@ class TestPerPointCosts:
 
     def test_lift_distributions_checks_membership_once_and_batches_S(self, monkeypatch):
         # E3 (n = 3, k = 2) lifts 1 vertical, 2 horizontal and 1 divergence
-        # direction: one Christoffel per horizontal part, one for the S batch,
+        # direction: one Christoffel for the S batch and the horizontal parts,
         # and one each in W, A and div
         geom = GEOM["E3"]
         M = geom.phi.source
@@ -706,8 +706,18 @@ class TestPerPointCosts:
                                    adapted_module, submersion_module)
         memberships = count_calls(monkeypatch, "od_membership_defect", adapted_module)
         lift_distributions(geom, u)
-        assert len(christoffels) == 4 + 1 + 3
+        assert len(christoffels) == 1 + 3
         assert len(memberships) == 1
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_lift_distributions_read_their_frame_from_u(self, monkeypatch, eid):
+        # the only adapted frames are div_bot's two per so(k) direction
+        geom = GEOM[eid]
+        M = geom.phi.source
+        u = adapted_frame(M, geom.horizontal, sample_points(M, 25, 3))
+        frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
+        lift_distributions(geom, u)
+        assert len(frames) == 2 * len(skew_basis(geom.rank))
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_lift_distributions_equal_the_per_vector_lifts(self, eid):
@@ -752,8 +762,7 @@ class TestPerPointCosts:
         p = sample_points(geom.phi.source, 22, 1)[0]
         E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
         batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p)
-        one = [A_identity_residual(geom, TangentVector(p, E[:, 0]), TangentVector(p, E[:, j]))
-               for j in (1, 2)]
+        one = [A_identity_residuals(geom, [E[:, 0]], [E[:, j]], p)[0] for j in (1, 2)]
         assert batch == one
         assert max(r["asserted"] for r in batch) < 5e-4
 

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import framelift.adapted as adapted_module
+import framelift.frames as frames_module
 import framelift.geometry as geometry
 import framelift.suites as suites
 from framelift.adapted import adapted_connection_audit, adapted_frame
 from framelift.catalog import get, sphere_chart
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import Frame, connection_audit, reference_frame
-from framelift.geometry import DEFAULT_FD, sample_points
+from framelift.geometry import DEFAULT_FD, curvature_tensor, sample_points
 from framelift.submersion import adapted_endo_field, derive_geometry
 from framelift.reporting import Checks
 
@@ -133,7 +135,8 @@ class TestOneTotalSpaceChristoffelPerPoint:
         else:
             P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
         p = np.array([0.2, -0.1])
-        connection_audit(S2, bundle, Frame(p, reference_frame(S2, p)), dict(X=X, Y=Y, P=P, Q=Q))
+        connection_audit(S2, bundle, Frame(p, reference_frame(S2, p)), dict(X=X, Y=Y, P=P, Q=Q),
+                         curvature_tensor(S2, p))
         assert len(total_calls) == 1
 
     def test_adapted_connection_audit(self, total_calls):
@@ -145,7 +148,8 @@ class TestOneTotalSpaceChristoffelPerPoint:
                       P=adapted_endo_field(geom, top=0.8 * J),
                       Q=adapted_endo_field(geom, top=-1.3 * J))
         p = sample_points(M, 46, 1)[0]
-        adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields)
+        adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields,
+                                 curvature_tensor(M, p))
         assert len(total_calls) == 1
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
@@ -153,3 +157,20 @@ class TestOneTotalSpaceChristoffelPerPoint:
         # 3 points x 2 bundles, 1 adapted audit point, 1 self-consistency point
         suites.suite_frame(get(eid), samples=3)
         assert len(total_calls) == 8
+
+
+class TestOneCurvatureTensorPerPoint:
+    """The frame suite builds the base curvature tensor once per sample point and
+    hands it to the bracket, connection and adapted-connection closed forms."""
+
+    @pytest.mark.parametrize("eid", ["E2", "E3"])
+    def test_frame_suite(self, monkeypatch, eid):
+        seen = []
+        for module in (geometry, suites, adapted_module, frames_module):
+            if hasattr(module, "curvature_tensor"):
+                def counting(M, p, *args, real=module.curvature_tensor, **kwargs):
+                    seen.append(np.asarray(p, dtype=float).tobytes())
+                    return real(M, p, *args, **kwargs)
+                monkeypatch.setattr(module, "curvature_tensor", counting)
+        suites.suite_frame(get(eid))
+        assert len(seen) == len(set(seen)) == 10

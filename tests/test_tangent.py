@@ -212,7 +212,7 @@ class TestDistributions:
         n, k = e.phi.source.dim, e.phi.target.dim
         for p in sample_points(e.phi.source, 7, 2):
             Z = TMPoint(p, 0.5 * rng.standard_normal(n))
-            Vb, Hb = tm_distributions(e.phi, Z, geom=geom)
+            Vb, Hb = tm_distributions(geom, Z)
             assert (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
             for v in Vb:
                 img = phi_second_differential_fd(e.phi, v)
@@ -225,7 +225,7 @@ class TestDistributions:
         # kernel of the flat projection: vertical and horizontal lifts of e3
         e1 = get("E1")
         Z = TMPoint(np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6]))
-        Vb, _ = tm_distributions(e1.phi, Z)
+        Vb, _ = tm_distributions(derive_geometry(e1.phi), Z)
         mats = [np.concatenate([v.base_rate, v.fiber_rate]) for v in Vb]
         expect_a = np.concatenate([np.zeros(3), [0, 0, 1.0]])
         expect_b = np.concatenate([[0, 0, 1.0], np.zeros(3)])
