@@ -49,7 +49,7 @@ print("\n== torsion and block structure ==")
 td = torsion_TD(M, D, coordinate_field(0, 2), coordinate_field(1, 2), p)
 print("torsion of the two coordinate fields:", td.components,
       "(the two one-dimensional blocks are both integrable)")
-b = block_decompose(np.arange(4.0).reshape(2, 2), D, p)
+b = block_decompose(np.arange(4.0).reshape(2, 2), D.projector(p))
 print("block reassembly residual:",
       np.max(np.abs(b.reassemble() - np.arange(4.0).reshape(2, 2))))
 

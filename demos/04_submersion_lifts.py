@@ -16,7 +16,7 @@ from framelift.catalog import get
 from framelift.frames import fundamental_vertical, mok_metric, mok_norm
 from framelift.geometry import TangentVector, metric_eval, sample_points
 from framelift.submersion import (
-    A_Y_endo,
+    A_Y_endos,
     derive_geometry,
     dilatation,
     horizontal_basis,
@@ -36,14 +36,15 @@ phi = entry.phi
 geom = derive_geometry(phi)
 M, D = phi.source, geom.horizontal
 p = sample_points(M, 5, 1)[0]
+u = adapted_frame(M, D, p)
 
 print("== the submersion ==")
-lam, defect = dilatation(geom, p)
+lam, defect = dilatation(geom, u)
 print(f"dilatation {lam:.9f} with conformality defect {defect:.2e}")
 tau = tension_field(geom, p)
 gN = metric_eval(phi.target, phi.value(p))
 print(f"tension norm {float(np.sqrt(tau @ gN @ tau)):.2e} (harmonic)")
-H = mean_curvature_fibers(geom, p)
+H = mean_curvature_fibers(geom, u)
 g = metric_eval(M, p)
 print(f"fiber mean curvature {float(np.sqrt(H.components @ g @ H.components)):.2e} (geodesic fibers)")
 
@@ -54,7 +55,6 @@ print(f"mixed second fundamental form norm {float(np.sqrt(mixed @ gN @ mixed)):.
       "(not totally geodesic)")
 
 print("\n== the lifted frame ==")
-u = adapted_frame(M, D, p)
 v = lift_map(geom, u)
 print("image frame Gram matrix (orthonormal because the dilatation is 1):")
 print(v.columns.T @ gN @ v.columns)
@@ -69,7 +69,7 @@ t = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
 d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "horizontal-of-V", y, u)
 print(f"vertical input:            residual {mok_norm(phi.target, d):.2e}")
 print("  (the image is the pushforward of minus the A-endomorphism,")
-print("   A_Y =", np.array2string(A_Y_endo(geom, Y), precision=3), ")")
+print("   A_Y =", np.array2string(A_Y_endos(geom, [y], p)[0], precision=3), ")")
 blk = np.zeros((3, 3))
 blk[0, 1], blk[1, 0] = -1.0, 1.0
 P0 = u.columns @ blk @ u.columns.T @ g

@@ -25,11 +25,12 @@ from .geometry import (
     central_diff,
     christoffel,
     christoffel_contract,
+    christoffel_derivative,
     column_gram,
+    connection_curvature,
     covariant_derivative,
     covariant_derivatives,
     curvature_R_P,
-    curvature_tensor,
     directional_diff,
     metric_eval,
     orthonormalizer,
@@ -142,9 +143,9 @@ class BlockDecomposition:
         return self.top + self.bot + self.off1 + self.off2
 
 
-def block_decompose(P_value: Array, D: DistributionSpec, p: Array) -> BlockDecomposition:
+def block_decompose(P_value: Array, Pi: Array) -> BlockDecomposition:
+    """Blocks of the endomorphism value P_value for the value Pi of D's projector."""
     P_value = np.asarray(P_value, dtype=float)
-    Pi = D.projector(p)
     Pic = np.eye(P_value.shape[0]) - Pi
     return BlockDecomposition(
         top=Pi @ P_value @ Pi,
@@ -161,14 +162,8 @@ def m_projection(
     """Off-diagonal (block-mixing) part of a g-skew endomorphism value."""
     if skew_defect(M, p, P_value) > 1e-6:
         raise ValueError("m_projection expects a g-skew endomorphism")
-    b = block_decompose(P_value, D, p)
+    b = block_decompose(P_value, D.projector(p))
     return b.off1 + b.off2
-
-
-def g_block_projection(D: DistributionSpec, p: Array, P_value: Array) -> Array:
-    """Block-diagonal part of an endomorphism value."""
-    b = block_decompose(P_value, D, p)
-    return b.top + b.bot
 
 
 # ---------------------------------------------------------------------------
@@ -268,35 +263,32 @@ def torsion_TD(
     return TangentVector(p, Sy @ x - Sx @ y)
 
 
-def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, cfg: FDConfig) -> Array:
-    """GD(q) and S(q) stacked (..., 2, n, n, n) at points q (..., n), from one
-    Christoffel evaluation and one ``_S_endos`` batch over the coordinate directions.
+def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, gamma: Array, P: Array,
+          cfg: FDConfig) -> Array:
+    """GD(q) and S(q) stacked (..., 2, n, n, n) at points q (..., n), from Gamma(q) and
+    P(q), ``gamma`` and ``P``, and one ``_S_endos`` batch over the coordinate directions.
 
     GD[k, i, j] = (nabla^D_{d_i} d_j)^k = Gamma - S are the adapted
     connection's coefficients; not symmetric in (i, j), as it has torsion.
     """
-    gamma = christoffel(M, q, cfg)
-    S = np.stack(list(_S_endos(M, D, np.eye(q.shape[-1]), q, gamma, D.projector(q), cfg)), axis=-2)
+    S = np.stack(list(_S_endos(M, D, np.eye(q.shape[-1]), q, gamma, P, cfg)), axis=-2)
     return np.stack([gamma - S, S], axis=-4)
 
 
 def _GD_S_jet(
-    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig
+    M: ChartManifold, D: DistributionSpec, p: Array, gamma: Array, P: Array, cfg: FDConfig
 ) -> tuple[Array, Array]:
-    """(GD, S) at p and its central differences over step_h2: one ``_GD_S`` call on the
-    whole stencil."""
-    return _GD_S(M, D, p, cfg), central_diff(lambda q: _GD_S(M, D, q, cfg), p, cfg.step_h2)
+    """(GD, S) at p, from Gamma(p) and P(p), and its central differences over step_h2:
+    one ``_GD_S`` call on the whole stencil."""
+    return _GD_S(M, D, p, gamma, P, cfg), central_diff(
+        lambda q: _GD_S(M, D, q, christoffel(M, q, cfg), D.projector(q), cfg), p, cfg.step_h2)
 
 
 def curvature_RD_tensor(jet: tuple[Array, Array]) -> Array:
     """Curvature of the adapted connection, RD[i, j, k, l], from GD and d(GD) in
-    ``jet = _GD_S_jet(M, D, p, cfg)``."""
+    ``jet = _GD_S_jet(...)``."""
     (GD, _), d_pair = jet
-    term_a = np.transpose(d_pair[:, 0], (0, 2, 3, 1))
-    term_b = term_a.swapaxes(0, 1)
-    quad_a = np.einsum("lim,mjk->ijkl", GD, GD)
-    quad_b = quad_a.swapaxes(0, 1)
-    return term_a - term_b + quad_a - quad_b
+    return connection_curvature(GD, d_pair[:, 0])
 
 
 def nabla_D_S(jet: tuple[Array, Array]) -> dict[str, Array]:
@@ -325,13 +317,16 @@ def curvature_relation_residual(
     """Residual of R = RD + (nabla S) terms + S_{T^D} + [S_X, S_Y] at p, by reading.
 
     One evaluation of R, RD, S and nabla^D S gives the residual under each
-    ``nabla_D_S`` reading; RD and nabla^D S share one stencil of (GD, S).
+    ``nabla_D_S`` reading; RD and nabla^D S share one stencil of (GD, S).  Gamma(p)
+    serves R, the jet and every S: three Christoffel evaluations in all, with the
+    stencils of R and of the jet.
     """
-    lhs = np.einsum("ijkl,i,j,k->l", curvature_tensor(M, p, cfg), x, y, z)
-    jet = _GD_S_jet(M, D, p, cfg)
+    gamma, P = christoffel(M, p, cfg), D.projector(p)
+    R = connection_curvature(gamma, christoffel_derivative(M, p, cfg))
+    lhs = np.einsum("ijkl,i,j,k->l", R, x, y, z)
+    jet = _GD_S_jet(M, D, p, gamma, P, cfg)
     RD_xyz = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(jet), x, y, z)
 
-    gamma, P = christoffel(M, p, cfg), D.projector(p)
     Sx, Sy = _S_endos(M, D, [x, y], p, gamma, P, cfg)
     td = Sy @ x - Sx @ y  # T^D(x, y) = -S_x y + S_y x
     S_td_z = _S_endos(M, D, [td], p, gamma, P, cfg)[0] @ z
@@ -376,7 +371,7 @@ def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
 def L_P_applies(
     M: ChartManifold, D: DistributionSpec,
     pairs: Sequence[tuple[EndomorphismField, Array]], p: Array,
-    onb: Sequence[TangentVector], R: Array, cfg: FDConfig = DEFAULT_FD,
+    onb: Sequence[TangentVector], R: Array, P_D: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """L_P(x) = W^{-1}( R_P(x) + sign * sum_i <(nabla_x P)_m | S_{e_i}> e_i ), by m-sign,
     for each (P, x) pair.
@@ -384,21 +379,22 @@ def L_P_applies(
     The defining display carries sign -1 ("printed"); the total-space
     oracle on the adapted bundle matches the connection lines only with +1
     ("flipped"; see the adapted connection audit).  Both come from one
-    assembly of R_P, nabla_x P, S and W, and every pair shares the curvature
-    tensor ``R = curvature_tensor(M, p)``, one S batch and one W.
+    assembly of R_P, nabla_x P, S and W.  Every pair shares the curvature
+    tensor ``R = curvature_tensor(M, p)``, D's projector ``P_D = D.projector(p)``,
+    one Christoffel evaluation, one S batch and one W.
     """
     g = metric_eval(M, p)
     RPs = curvature_R_P(M, p, np.array([np.asarray(P.eval(p), dtype=float) for P, _ in pairs]),
                         onb, R, cfg)
     signs = {"printed": -1.0, "flipped": +1.0}
-    S_list = _S_endos(M, D, [e.components for e in onb], p, christoffel(M, p, cfg),
-                      D.projector(p), cfg)
+    gamma = christoffel(M, p, cfg)
+    S_list = _S_endos(M, D, [e.components for e in onb], p, gamma, P_D, cfg)
     E = np.column_stack([e.components for e in onb])
     SE = np.asarray(S_list) @ E
     W = _W_matrix(g, S_list, E)
     out = []
     for (P, x), RP in zip(pairs, RPs):
-        b = block_decompose(endo_covariant_derivative(M, P, x, p, cfg), D, p)
+        b = block_decompose(endo_covariant_derivative(P, x, p, gamma, cfg), P_D)
         # sum_i <(nabla_x P)_m | S_{e_i}> e_i
         m_part = E @ column_gram(g, [(b.off1 + b.off2) @ E], SE)[0]
         out.append({name: W_inverse_apply(W, RP @ x + sign * m_part) for name, sign in signs.items()})
@@ -511,16 +507,18 @@ def adapted_connection_audit(
     vP = vertical_field_on_chart(chart, P, cfg)
     vQ = vertical_field_on_chart(chart, Q, cfg)
 
+    gamma, P_D = christoffel(M, p, cfg), D.projector(p)
+
     def nabla_D_endo(x: Array, E: EndomorphismField) -> Array:
-        nE = endo_covariant_derivative(M, E, x, p, cfg)
-        return g_block_projection(D, p, nE)
+        b = block_decompose(endo_covariant_derivative(E, x, p, gamma, cfg), P_D)
+        return b.top + b.bot
 
     xval = np.asarray(X.eval(p), dtype=float)
     yval = np.asarray(Y.eval(p), dtype=float)
     Pval = np.asarray(P.eval(p), dtype=float)
     Qval = np.asarray(Q.eval(p), dtype=float)
 
-    RDxy = curvature_RD_tensor(_GD_S_jet(M, D, p, cfg))
+    RDxy = curvature_RD_tensor(_GD_S_jet(M, D, p, gamma, P_D, cfg))
     RD_endo = np.einsum("ijkl,i,j->lk", RDxy, xval, yval)
 
     rows: list[dict] = []
@@ -539,7 +537,7 @@ def adapted_connection_audit(
 
     # the right-hand sides' vectors, lifted in one batch: nabla_X Y and nablaD_X Y
     # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
-    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, R, cfg)
+    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, R, P_D, cfg)
     nab, nabD, LQm, LQp, LPm, LPp = _adapted_horizontal_lifts(M, D, [TangentVector(p, v) for v in (
         covariant_derivative(M, X, Y, p, cfg).components, nabla_D(M, D, X, Y, p, cfg).components,
         LQ["printed"], LQ["flipped"], LP["printed"], LP["flipped"])], u, cfg)

@@ -364,11 +364,16 @@ def curvature_tensor(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> 
     Assembled tensorially from Gamma and its central differences; no field
     extensions are involved.
     """
-    gamma = christoffel(M, p, cfg)
-    dgamma = christoffel_derivative(M, p, cfg)  # D[m, k, i, j]
-    term_a = np.transpose(dgamma, (0, 2, 3, 1))          # A[i,j,k,l] = d_i Gamma^l_jk
-    term_b = term_a.swapaxes(0, 1)                        # d_j Gamma^l_ik
-    quad_a = np.einsum("lim,mjk->ijkl", gamma, gamma)     # Gamma^l_im Gamma^m_jk
+    return connection_curvature(christoffel(M, p, cfg), christoffel_derivative(M, p, cfg))
+
+
+def connection_curvature(G: Array, dG: Array) -> Array:
+    """Curvature R[i, j, k, l] of the connection with coefficients G[k, i, j] =
+    (nabla_{d_i} d_j)^k and their derivatives dG[m, k, i, j] = d_m G^k_ij, with or
+    without torsion: the Levi-Civita curvature from Gamma, the adapted one from GD."""
+    term_a = np.transpose(dG, (0, 2, 3, 1))          # A[i,j,k,l] = d_i G^l_jk
+    term_b = term_a.swapaxes(0, 1)                   # d_j G^l_ik
+    quad_a = np.einsum("lim,mjk->ijkl", G, G)        # G^l_im G^m_jk
     quad_b = quad_a.swapaxes(0, 1)
     return term_a - term_b + quad_a - quad_b
 

@@ -26,7 +26,6 @@ from .geometry import (
     christoffel,
     christoffel_contract,
     constant_field,
-    covariant_derivative,
     covariant_derivatives,
     directional_diff,
     metric_eval,
@@ -49,12 +48,12 @@ from .adapted import (
     S_components,
     W_endo,
     W_inverse_apply,
+    _S_endos,
     _adapted_horizontal_lifts,
     adapted_chart,
     adapted_frame,
     od_membership_defect,
     od_tangency_residual,
-    torsion_TD,
 )
 
 @dataclass(frozen=True)
@@ -92,12 +91,12 @@ def differential_matrix(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_F
 
 
 def differential(phi: SubmersionSpec, X: TangentVector, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
-    """Pushforward of a tangent vector."""
+    """Pushforward of a tangent vector, or of a stack of them."""
     p = X.base
     if not phi.source.contains(p):
         raise ValueError("point outside source domain")
     J = differential_matrix(phi, p, cfg)
-    return TangentVector(phi.value(p), J @ X.components)
+    return TangentVector(phi.value(p), (J @ X.components[..., None])[..., 0])
 
 
 def _horizontal_span(phi: SubmersionSpec, p: Array, cfg: FDConfig) -> tuple[Array, Array]:
@@ -173,28 +172,33 @@ def derive_geometry(phi: SubmersionSpec, cfg: FDConfig = DEFAULT_FD) -> Submersi
 def horizontal_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
     """Orthonormal basis of the horizontal space at p (first k adapted columns)."""
     E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
-    return [TangentVector(p, E[:, a]) for a in range(geom.rank)]
+    return [TangentVector(p, E[..., :, a]) for a in range(geom.rank)]
 
 
 def vertical_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
     E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
-    return [TangentVector(p, E[:, a]) for a in range(geom.rank, geom.phi.source.dim)]
+    return [TangentVector(p, E[..., :, a]) for a in range(geom.rank, geom.phi.source.dim)]
+
+
+def _g_norm(g: Array, v: Array) -> Array:
+    """sqrt(max(v g v, 0)) for vectors v (..., n) and metrics g broadcasting with them."""
+    return np.sqrt(np.maximum((v[..., None, :] @ g @ v[..., :, None])[..., 0, 0], 0.0))
 
 
 def dilatation(
-    geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[float, float]:
     """(lambda, defect): g_N(phi_* X, phi_* Y) = lambda g_M(X, Y) on horizontals.
 
     lambda is the mean of the horizontal Gram diagonal; the defect is the
     max deviation of the Gram matrix from lambda times the identity, zero
-    exactly when the map is horizontally conformal at p.  For points p
-    (..., n) both have the points' leading shape, from one adapted frame
-    stack; any point with lambda <= 0 raises.
+    exactly when the map is horizontally conformal.  Read from the
+    horizontal columns of the adapted frame u, ``adapted_frame(M, D, p)``;
+    for a stack of frames both have the frames' leading shape, and any point
+    with lambda <= 0 raises.
     """
-    phi, k = geom.phi, geom.rank
-    E_H = adapted_frame(phi.source, geom.horizontal, p).columns[..., :, :k]
-    JE = differential_matrix(phi, p, cfg) @ E_H
+    phi, k, p = geom.phi, geom.rank, u.base
+    JE = differential_matrix(phi, p, cfg) @ u.columns[..., :, :k]
     G = JE.swapaxes(-1, -2) @ metric_eval(phi.target, phi.value(p)) @ JE  # Gram of the pushed E_H
     lam = np.trace(G, axis1=-2, axis2=-1) / k
     defect = np.max(np.abs(G - lam[..., None, None] * np.eye(k)), axis=(-2, -1))
@@ -221,24 +225,42 @@ def pullback_connection(
     return dW + (gx @ np.asarray(W(p), dtype=float)[..., None])[..., 0]
 
 
+def second_fundamental_tensor(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
+    """The second fundamental form nabla d(phi) at points p (..., n) as a tensor,
+
+        B[..., c, i, j] = d_i J^c_j + Gamma^N(J d_i, J d_j)^c - J^c_m Gamma^m_ij,
+
+    from one difference stencil of the differential J and one Christoffel
+    evaluation on each side.  Symmetric in (i, j) up to the difference error of
+    d_i J_j.  Every reader of nabla d(phi) contracts it: the form on vector
+    pairs, (Pi_phi)_X, the A-identity, the tension field and ``classify``.
+    """
+    p = np.asarray(p, dtype=float)
+    J = differential_matrix(phi, p, cfg)
+    dJ = central_diff(lambda q: differential_matrix(phi, q, cfg), p, cfg.step_h)  # [..., i, c, j]
+    gamma_N = christoffel(phi.target, phi.value(p), cfg)
+    pulled = J.swapaxes(-1, -2)[..., None, :, :] @ gamma_N @ J[..., None, :, :]
+    return (dJ.swapaxes(-3, -2) + pulled
+            - np.einsum("...cm,...mij->...cij", J, christoffel(phi.source, p, cfg)))
+
+
+def _bilinear(B: Array, x: Array, y: Array) -> Array:
+    """B(x, y)^c = B[c, i, j] x^i y^j for vectors x, y (..., n) broadcasting with B's points."""
+    return ((x[..., None, None, :] @ B) @ y[..., None, :, None])[..., 0, 0]
+
+
+def _metric_trace(B: Array, g: Array) -> Array:
+    """g^{ij} B[..., c, i, j]: the trace of B over the metric g."""
+    return np.einsum("...ij,...cij->...c", np.linalg.inv(g), B)
+
+
 def second_fundamental_form(
     phi: SubmersionSpec, X: TangentVector, Y: TangentVector,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Second fundamental form value at (X, Y), a target tangent vector.
-
-    Tensorial and symmetric; computed with constant-component extensions.
-    """
-    p = X.base
-    Yf = constant_field(Y.components)
-
-    def pushed(q: Array) -> Array:
-        return (differential_matrix(phi, q, cfg) @ Yf.eval(q)[..., None])[..., 0]
-
-    first = pullback_connection(phi, X, pushed, cfg)
-    nab = covariant_derivative(phi.source, constant_field(X.components), Yf, p, cfg)
-    J = differential_matrix(phi, p, cfg)
-    return first - J @ nab.components
+    """Second fundamental form value at (X, Y), a target tangent vector per point:
+    ``second_fundamental_tensor`` at X's base points contracted with X and Y."""
+    return _bilinear(second_fundamental_tensor(phi, X.base, cfg), X.components, Y.components)
 
 
 def A_Y_endos(
@@ -263,81 +285,68 @@ def A_Y_endos(
     return out
 
 
-def A_Y_endo(
-    geom: SubmersionGeometry, Y: TangentVector, cfg: FDConfig = DEFAULT_FD,
-) -> Array:
-    """A_Y(X) = S_X Y for vertical Y: the one-Y case of ``A_Y_endos``."""
-    return A_Y_endos(geom, [Y.components], Y.base, cfg)[0]
-
-
 def A_identity_residuals(
     geom: SubmersionGeometry, xs: Sequence[Array], ys: Sequence[Array], p: Array,
     cfg: FDConfig = DEFAULT_FD,
-) -> list[dict[str, float]]:
+) -> list[dict[str, Array]]:
     """Residuals of phi_* A_Y(X) = sign * Pi_phi(X, Y), horizontal X, vertical Y.
 
     One dict per (x, y) pair, x-major.  The identity holds with sign -1
     ("asserted") under the definitions used here (A via the difference
     tensor, the second fundamental form via the pullback connection); the
     printed sign +1 ("printed") is kept for diagnostics.  Both come from
-    one evaluation of J, A_Y and the second fundamental form; every A_Y
-    comes from one ``A_Y_endos`` batch.
+    one evaluation of J, of every A_Y (one ``A_Y_endos`` batch) and of the
+    second fundamental tensor, contracted for all pairs at once.  For points
+    p (..., n) each x and y is a vector per point, and so is each residual.
     """
     phi = geom.phi
     J = differential_matrix(phi, p, cfg)
     gN = metric_eval(phi.target, phi.value(p))
-    A = A_Y_endos(geom, ys, p, cfg)
-    out = []
-    for x in xs:
-        for y, A_y in zip(ys, A):
-            lhs = J @ (A_y @ x)
-            sff = second_fundamental_form(phi, TangentVector(p, x), TangentVector(p, y), cfg)
-            out.append({reading: float(np.sqrt(max(d @ gN @ d, 0.0)))
-                        for reading, d in (("asserted", lhs + sff), ("printed", lhs - sff))})
-    return out
+    A = np.asarray(A_Y_endos(geom, ys, p, cfg))  # (len(ys), ..., n, n)
+    x = np.asarray(xs, dtype=float)[:, None]  # (len(xs), 1, ..., n): pairs broadcast x-major
+    lhs = (J @ (A @ x[..., None]))[..., 0]
+    sff = _bilinear(second_fundamental_tensor(phi, p, cfg), x, np.asarray(ys, dtype=float))
+    asserted, printed = _g_norm(gN, lhs + sff), _g_norm(gN, lhs - sff)
+    return [{"asserted": a, "printed": b}
+            for a, b in zip(asserted.reshape(-1, *asserted.shape[2:]),
+                            printed.reshape(-1, *printed.shape[2:]))]
 
 
 def Pi_X_endo(
     geom: SubmersionGeometry, X: TangentVector, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """(Pi_phi)_X: the endomorphism of the horizontal space with
-    phi_*((Pi_phi)_X Y) = Pi_phi(X, Y)."""
-    phi = geom.phi
-    p = X.base
+    phi_*((Pi_phi)_X Y) = Pi_phi(X, Y), L B(X, Pi_H .) for the horizontal lift L
+    of d(phi); a stack for a stack of X."""
+    phi, p = geom.phi, X.base
     _, Pi_H = splitting_projectors(phi, p, cfg)
-    L = horizontal_lift_matrix(phi, p, cfg)
-    n = phi.source.dim
-    cols = []
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        val = second_fundamental_form(phi, X, TangentVector(p, Pi_H @ ej), cfg)
-        cols.append(L @ val)
-    return np.column_stack(cols) @ Pi_H
+    B_X = (X.components[..., None, None, :] @ second_fundamental_tensor(phi, p, cfg))[..., 0, :]
+    return horizontal_lift_matrix(phi, p, cfg) @ B_X @ Pi_H
 
 
 def Pi_X_endo_alt(
     geom: SubmersionGeometry, X: TangentVector, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Cross-check variant: lift(nabla^phi_X phi_* Y) - (nabla_X Y)^top."""
+    """Cross-check variant: lift(nabla^phi_X phi_* Y) - (nabla_X Y)^top for the fields
+    Y = Pi_H d_j, one ``pullback_connection`` and one stencil of Y per column j;
+    a stack for a stack of X."""
     phi = geom.phi
-    p = X.base
+    p, x = X.base, X.components
     _, Pi_H = splitting_projectors(phi, p, cfg)
     L = horizontal_lift_matrix(phi, p, cfg)
-    n = phi.source.dim
+    gx = christoffel_contract(christoffel(phi.source, p, cfg), x)
     cols = []
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        Yf = VectorField(eval=lambda q, e=ej: splitting_projectors(phi, q, cfg)[1] @ e)
+    for j in range(phi.source.dim):
+        def Y(q: Array, j=j) -> Array:
+            return splitting_projectors(phi, q, cfg)[1][..., :, j]
 
-        def pushed(q: Array, Yf=Yf) -> Array:
-            return (differential_matrix(phi, q, cfg) @ Yf.eval(q)[..., None])[..., 0]
+        def pushed(q: Array, Y=Y) -> Array:
+            return (differential_matrix(phi, q, cfg) @ Y(q)[..., None])[..., 0]
 
-        first = L @ pullback_connection(phi, X, pushed, cfg)
-        nab = covariant_derivative(phi.source, constant_field(X.components), Yf, p, cfg)
-        cols.append(first - Pi_H @ nab.components)
-    return np.column_stack(cols) @ Pi_H
+        first = L @ pullback_connection(phi, X, pushed, cfg)[..., None]
+        nab = directional_diff(Y, p, x, cfg.step_h)[..., None] + gx @ Y(p)[..., None]  # nabla_X Y
+        cols.append((first - Pi_H @ nab)[..., 0])
+    return np.stack(cols, axis=-1) @ Pi_H
 
 
 def pushforward_endo(
@@ -356,54 +365,50 @@ def pushforward_endo(
 
 
 def _frame_jet(
-    geom: SubmersionGeometry, p: Array, dirs: Sequence[int], cfg: FDConfig,
+    geom: SubmersionGeometry, u: Frame, dirs: Sequence[int], cfg: FDConfig,
     of: Callable[[Array, Array], Array] = lambda q, E: E,
-) -> tuple[Array, Array, dict[int, Array]]:
-    """(E, Gamma, dF) at p: the adapted frame E, the source Christoffel symbols
-    and, for each a in ``dirs``, the derivative dF[a] along E[:, a] of the
-    matrix field F(q) = of(q, E(q)).  One stencil of F for all directions:
-    ``of`` takes points q (..., n) and frames E (..., n, n).  Points p
-    (..., n) give each value per point.
-    """
+) -> tuple[Array, Array]:
+    """(Gamma, dF) at the adapted frames u: the source Christoffel symbols at u's base
+    points and dF[..., a, ...], the derivative along the column u[:, dirs[a]] of the
+    matrix field F(q) = of(q, E(q)) of the adapted frames E.  One stencil of F for
+    all directions: ``of`` takes points q (..., n) and frames E (..., n, n)."""
     M, D = geom.phi.source, geom.horizontal
-    p = np.asarray(p, dtype=float)
-    E = adapted_frame(M, D, p).columns
-    dirs = list(dirs)
-    dF = directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), p[..., None, :],
-                          E[..., :, dirs].swapaxes(-1, -2), cfg.step_h)
-    return E, christoffel(M, p, cfg), dict(zip(dirs, np.moveaxis(dF, -3, 0)))
+    dF = directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), u.base[..., None, :],
+                          u.columns[..., :, list(dirs)].swapaxes(-1, -2), cfg.step_h)
+    return christoffel(M, u.base, cfg), dF
 
 
 def div_bot(
-    geom: SubmersionGeometry, top: Array, p: Array, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, tops: Array, u: Frame, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of the horizontal endo
-    field C = ``adapted_endo_field(geom, top=top)``, at points p (..., n).
+    """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of the horizontal endo field
+    C = ``adapted_endo_field(geom, top=top)`` for each block of ``tops`` (T, k, k), at
+    the adapted frames u, ``adapted_frame(M, D, p)``: (T, ..., n).
 
-    One Christoffel evaluation and one stencil of C E over the horizontal e_A;
-    each stencil point forms C from the adapted frame it has already built.
+    Linear in top, so one Christoffel evaluation and one stencil of C E over the
+    horizontal e_A serve every block; each stencil point forms C from the adapted
+    frame it has already built.
     """
-    M = geom.phi.source
-    p = np.asarray(p, dtype=float)
-    blk = _block_coefficients(M.dim, geom.rank, top, None)
+    M, k = geom.phi.source, geom.rank
+    p, E = u.base, u.columns
+    blk = _block_coefficients(M.dim, k, tops, None)  # (T, n, n)
     Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
-    E, gamma, dCE = _frame_jet(geom, p, range(geom.rank), cfg,
-                               lambda q, Eq: _adapted_endo(M, blk, q, Eq) @ Eq)
-    C = _adapted_endo(M, blk, p, E)
-    out = np.zeros(p.shape)
-    for a, d in dCE.items():
-        e = E[..., :, a]
-        v = d[..., :, a] + np.einsum("...kij,...i,...j->...k", gamma, e, (C @ e[..., None])[..., 0])
-        out += (Pi_V @ v[..., None])[..., 0]
-    return out
+    gamma, dCE = _frame_jet(geom, u, range(k), cfg, lambda q, Eq: _adapted_endo(
+        M, blk, q[..., None, :], Eq[..., None, :, :]) @ Eq[..., None, :, :])
+    CE = _adapted_endo(M, blk, p[..., None, :], E[..., None, :, :]) @ E[..., None, :, :k]
+    # dCE[..., A, t, :, A] is the derivative of C e_A along e_A
+    v = (np.einsum("...atia->...ti", dCE[..., :k])
+         + np.einsum("...mij,...ia,...tja->...tm", gamma, E[..., :, :k], CE))
+    return np.moveaxis((Pi_V[..., None, :, :] @ v[..., None])[..., 0], -2, 0)
 
 
 def _block_coefficients(n: int, k: int, top: Optional[Array], bot: Optional[Array]) -> Array:
-    blk = np.zeros((n, n))
+    """The (n, n) block-diagonal coefficients, a stack of them for a stack of ``top`` blocks."""
+    blk = np.zeros(np.shape(top)[:-2] + (n, n))
     if top is not None:
-        blk[:k, :k] = np.asarray(top, dtype=float)
+        blk[..., :k, :k] = np.asarray(top, dtype=float)
     if bot is not None:
-        blk[k:, k:] = np.asarray(bot, dtype=float)
+        blk[..., k:, k:] = np.asarray(bot, dtype=float)
     return blk
 
 
@@ -430,8 +435,7 @@ def lift_map(geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD) -> 
     phi, D = geom.phi, geom.horizontal
     if od_membership_defect(phi.source, D, u, D.projector(u.base)) > 1e-6:
         raise ValueError("lift_map requires a frame adapted to the horizontal space")
-    J = differential_matrix(phi, u.base, cfg)
-    return Frame(phi.value(u.base), J @ u.columns[..., :, : geom.rank])
+    return Frame(*lift_map_raw(phi, geom.rank, u.base, u.columns, cfg))
 
 
 def lift_map_raw(phi: SubmersionSpec, k: int, x: Array, E: Array, cfg: FDConfig) -> tuple[Array, Array]:
@@ -464,7 +468,8 @@ def lift_differential_fd(
 def lift_differential_formula(
     geom: SubmersionGeometry, case: str, value, u: Frame, cfg: FDConfig = DEFAULT_FD,
 ) -> FrameTangent:
-    """Closed-form differential of the lift per input type.
+    """Closed-form differential of the lift per input type, at the frame u or at a
+    stack of frames with one value each.
 
       horizontal-of-H: X in the horizontal space ->
           (phi_* X)^h + (phi_*(Pi_phi)_X)*
@@ -480,20 +485,17 @@ def lift_differential_formula(
     phi = geom.phi
     p = u.base
     v = lift_map(geom, u, cfg)
-    N = phi.target
     if case == "horizontal-of-H":
         X = TangentVector(p, value)
-        img = differential(phi, X, cfg)
         push = pushforward_endo(geom, p, Pi_X_endo(geom, X, cfg), cfg)
-        return horizontal_lift_frame(N, img, v, cfg) + fundamental_vertical(push, v)
+        return (horizontal_lift_frame(phi.target, differential(phi, X, cfg), v, cfg)
+                + fundamental_vertical(push, v))
     if case == "horizontal-of-V":
-        Y = TangentVector(p, value)
-        push = pushforward_endo(geom, p, A_Y_endo(geom, Y, cfg), cfg)
+        push = pushforward_endo(geom, p, A_Y_endos(geom, [value], p, cfg)[0], cfg)
         return fundamental_vertical(-push, v)
     if case == "vertical":
-        P0 = np.asarray(value, dtype=float)
-        Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
-        top = Pi_H @ P0 @ Pi_H
+        _, Pi_H = splitting_projectors(phi, p, cfg)
+        top = Pi_H @ np.asarray(value, dtype=float) @ Pi_H
         return fundamental_vertical(pushforward_endo(geom, p, top, cfg), v)
     raise ValueError(f"unknown case {case!r}")
 
@@ -520,12 +522,12 @@ def lift_distributions(
     Wm = W_endo(M, D, u, cfg)
 
     verticals = np.moveaxis(Ep[..., :, k:], -1, 0)
-    tops = skew_basis(k)
+    tops = np.reshape(skew_basis(k), (-1, k, k))
     # adapted lifts of the verticals, of the W-preimages of the horizontals and
     # of the W-preimages of the divergences, in that order, from one S batch
     lifts = _adapted_horizontal_lifts(M, D, [TangentVector(p, x) for x in [
         *verticals, *(W_inverse_apply(Wm, Ep[..., :, a]) for a in range(k)),
-        *(W_inverse_apply(Wm, div_bot(geom, c, p, cfg)) for c in tops)]], u, cfg)
+        *W_inverse_apply(Wm, div_bot(geom, tops, u, cfg))]], u, cfg)
 
     V_basis = [lift + fundamental_vertical(A, u)
                for lift, A in zip(lifts, A_Y_endos(geom, verticals, p, cfg))]
@@ -539,84 +541,70 @@ def lift_distributions(
     return V_basis, H_basis
 
 
-def mean_curvature_fibers(
-    geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
-) -> TangentVector:
-    """Mean curvature of the fiber through p: horizontal trace over vertical frame.
+def fiber_second_fundamental_form(
+    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
+) -> Array:
+    """Second fundamental form of the fibres on the vertical columns e_a of the adapted
+    frames u, ``adapted_frame(M, D, p)``: F[..., a, b, :] = Pi_H (nabla_{e_a} e_b +
+    nabla_{e_b} e_a) / 2 for a, b < n - k.
 
-    One Christoffel evaluation and one frame stencil over the vertical directions.
+    One Christoffel evaluation and one frame stencil over the vertical
+    directions.  Built from the frame alone, not from ``second_fundamental_tensor``,
+    so that the tension checks compare two constructions.
     """
-    phi = geom.phi
-    _, Pi_H = splitting_projectors(phi, p, cfg)
-    E, gamma, dE = _frame_jet(geom, p, range(geom.rank, phi.source.dim), cfg)
-    out = np.zeros(phi.source.dim)
-    for a, d in dE.items():
-        out += Pi_H @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], E[:, a]))
-    return TangentVector(p, out)
+    k, n = geom.rank, geom.phi.source.dim
+    _, Pi_H = splitting_projectors(geom.phi, u.base, cfg)
+    gamma, dE = _frame_jet(geom, u, range(k, n), cfg)
+    E_V = u.columns[..., :, k:]
+    nab = (dE[..., :, :, k:].swapaxes(-1, -2)  # [..., a, b, :] = nabla_{e_a} e_b
+           + np.einsum("...mij,...ia,...jb->...abm", gamma, E_V, E_V))
+    return (Pi_H[..., None, None, :, :] @ (0.5 * (nab + nab.swapaxes(-2, -3)))[..., None])[..., 0]
+
+
+def mean_curvature_fibers(
+    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
+) -> TangentVector:
+    """Mean curvature of the fibres at the adapted frames u: the trace of
+    ``fiber_second_fundamental_form``."""
+    F = fiber_second_fundamental_form(geom, u, cfg)
+    return TangentVector(u.base, np.trace(F, axis1=-3, axis2=-2))
 
 
 def fiber_second_fundamental_defect(
-    geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
-) -> float:
-    """Max horizontal norm of the fibers' second fundamental form at p.
-
-    One Christoffel evaluation and one frame stencil over the vertical directions.
-    """
-    phi = geom.phi
-    n = phi.source.dim
-    gN_ = metric_eval(phi.source, p)
-    _, Pi_H = splitting_projectors(phi, p, cfg)
-    E, gamma, dE = _frame_jet(geom, p, range(geom.rank, n), cfg)
-
-    def nabla(a: int, b: int) -> Array:  # nabla_{e_a} e_b
-        return dE[a][:, b] + np.einsum("kij,i,j->k", gamma, E[:, a], E[:, b])
-
-    worst = 0.0
-    for a in range(geom.rank, n):
-        for b in range(a, n):
-            B = Pi_H @ (0.5 * (nabla(a, b) + nabla(b, a)))
-            worst = max(worst, float(np.sqrt(max(B @ gN_ @ B, 0.0))))
-    return worst
+    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
+) -> Array:
+    """Largest g-norm of ``fiber_second_fundamental_form`` at the adapted frames u,
+    over its entries a <= b; one value per frame."""
+    F = fiber_second_fundamental_form(geom, u, cfg)
+    a, b = np.triu_indices(F.shape[-2])
+    norms = _g_norm(metric_eval(geom.phi.source, u.base)[..., None, :, :], F[..., a, b, :])
+    return np.max(norms, axis=-1, initial=0.0)
 
 
 def tension_field(
     geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Tension field at p: the trace of the second fundamental form.
-
-    sum_a nabla^phi_{e_a}(phi_* e_a) - phi_*(nabla_{e_a} e_a), from one
-    Christoffel evaluation on each side and one stencil of the stacked
-    (J E, E) over the frame directions.
-    """
+    """Tension field at points p (..., n): the trace g^{ij} B_ij of the second
+    fundamental tensor B."""
     phi = geom.phi
-    k = phi.target.dim
-    E, gamma, dF = _frame_jet(
-        geom, p, range(phi.source.dim), cfg,
-        lambda q, Eq: np.concatenate([differential_matrix(phi, q, cfg) @ Eq, Eq], axis=-2))
-    J = differential_matrix(phi, p, cfg)
-    gammaN = christoffel(phi.target, phi.value(p), cfg)
-    out = np.zeros(k)
-    for a, d in dF.items():
-        Je = J @ E[:, a]
-        out += d[:k, a] + christoffel_contract(gammaN, Je) @ Je
-        out -= J @ (d[k:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], E[:, a]))
-    return out
+    return _metric_trace(second_fundamental_tensor(phi, p, cfg), metric_eval(phi.source, p))
 
 
 def tension_conformal_display(
     geom: SubmersionGeometry, p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Simplified tension for horizontally conformal maps:
-    -(n-2)/2 phi_* grad(ln lambda) - phi_*(H_fibers), with one dilatation call
-    on the whole difference stencil."""
+    -(n-2)/2 phi_* grad(ln lambda) - phi_*(H_fibers), at points p (..., n), with
+    one dilatation call on the adapted frames of the whole difference stencil."""
     phi = geom.phi
-    n = phi.source.dim
-    g = metric_eval(phi.source, p)
-    dlnlam = central_diff(lambda q: np.log(dilatation(geom, q, cfg)[0]), p, cfg.step_h)
-    grad = np.linalg.solve(g, dlnlam)
+    M, D = phi.source, geom.horizontal
+    p = np.asarray(p, dtype=float)
+    dlnlam = central_diff(lambda q: np.log(dilatation(geom, adapted_frame(M, D, q), cfg)[0]),
+                          p, cfg.step_h)
+    grad = np.linalg.solve(metric_eval(M, p), dlnlam[..., None])
+    H = mean_curvature_fibers(geom, adapted_frame(M, D, p), cfg).components
     J = differential_matrix(phi, p, cfg)
-    H = mean_curvature_fibers(geom, p, cfg)
-    return -0.5 * (n - 2) * (J @ grad) - J @ H.components
+    return (-0.5 * (M.dim - 2) * (J @ grad) - J @ H[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +632,19 @@ def lift_conformality_measurement(
     return Lam, defect
 
 
-def decide(residual: float, cfg: FDConfig = DEFAULT_FD,
-           hi: float = 0.01) -> Optional[bool]:
+FAILS_ABOVE = 0.01
+
+
+def decide(residual: float, cfg: FDConfig = DEFAULT_FD) -> Optional[bool]:
     """Three-way verdict: holds / fails / inconclusive (None).
 
-    Residual below 10 tol_fd2 means the property holds, above ``hi`` it
-    fails; anything between is flagged inconclusive so that silent
+    Residual below 10 tol_fd2 means the property holds, above ``FAILS_ABOVE``
+    it fails; anything between is flagged inconclusive so that silent
     misclassification is impossible.
     """
     if residual < 10.0 * cfg.tol_fd2:
         return True
-    if residual > hi:
+    if residual > FAILS_ABOVE:
         return False
     return None
 
@@ -695,57 +685,45 @@ def classify(
 ) -> ClassificationReport:
     """Classify a submersion and measure its lift over the sample points.
 
-    The adapted frames, the dilatations and the lift's conformality are each
-    evaluated once on the stack of sample points."""
-    phi = geom.phi
+    One adapted frame stack at the sample points serves every measurement;
+    the dilatations, the second fundamental tensor, the fibres' second
+    fundamental form, the torsion of D and the lift's conformality are each
+    evaluated once on it, and each defect is the worst over points and
+    frame pairs."""
+    phi, M, D, k = geom.phi, geom.phi.source, geom.horizontal, geom.rank
     rep = ClassificationReport(name=phi.name)
-    gN = lambda y: metric_eval(phi.target, y)  # noqa: E731
     points = np.asarray(points, dtype=float)
-    frames = adapted_frame(phi.source, geom.horizontal, points)
-    lams, defects = dilatation(geom, points, cfg)
+    frames = adapted_frame(M, D, points)
+    E = frames.columns
+    lams, defects = dilatation(geom, frames, cfg)
+    gy = metric_eval(phi.target, phi.value(points))
+    gp = metric_eval(M, points)
 
-    lam_list, conf_defect, tg_defect, fib_defect, integ_defect, tension_norms = [], 0.0, 0.0, 0.0, 0.0, []
-    for p, E, lam, defect in zip(points, frames.columns, lams, defects):
-        lam_list.append(float(lam))
-        conf_defect = np.maximum(conf_defect, defect)
+    # B(e_a, e_b) on the frame pairs a <= b, and the trace of B
+    B = second_fundamental_tensor(phi, points, cfg)
+    a, b = np.triu_indices(M.dim)
+    B_pairs = (E.swapaxes(-1, -2)[..., None, :, :] @ B @ E[..., None, :, :])[..., a, b]
+    tg_defect = np.max(_g_norm(gy, np.moveaxis(B_pairs, -1, 0)))
+    tension_norms = _g_norm(gy, _metric_trace(B, gp))
 
-        basis = [TangentVector(p, e) for e in E.T]
-        y = phi.value(p)
-        gy = gN(y)
-        gp = metric_eval(phi.source, p)
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                val = second_fundamental_form(phi, basis[i], basis[j], cfg)
-                tg_defect = np.maximum(tg_defect, float(np.sqrt(max(val @ gy @ val, 0.0))))
+    # torsion T^D(e_a, e_b) = S_{e_b} e_a - S_{e_a} e_b on the horizontal pairs a < b
+    S = _S_endos(M, D, np.moveaxis(E[..., :, :k], -1, 0), points,
+                 christoffel(M, points, cfg), D.projector(points), cfg)
+    SE = np.moveaxis(S @ E[..., :, :k], 0, -1)  # [..., :, b, a] = S_{e_a} e_b
+    a, b = np.triu_indices(k, 1)
+    integ_defect = np.max(_g_norm(gp, np.moveaxis(SE[..., a, b] - SE[..., b, a], -1, 0)),
+                          initial=0.0)
 
-        fib_defect = np.maximum(fib_defect, fiber_second_fundamental_defect(geom, p, cfg))
-
-        hb = basis[:geom.rank]
-        for a in range(len(hb)):
-            for b in range(a + 1, len(hb)):
-                td = torsion_TD(
-                    phi.source, geom.horizontal,
-                    constant_field(hb[a].components), constant_field(hb[b].components),
-                    p, cfg,
-                )
-                integ_defect = np.maximum(
-                    integ_defect,
-                    float(np.sqrt(max(td.components @ gp @ td.components, 0.0))),
-                )
-
-        tau = tension_field(geom, p, cfg)
-        tension_norms.append(float(np.sqrt(max(tau @ gy @ tau, 0.0))))
-
-    rep.conformal_defect = conf_defect
-    rep.dilatation_samples = lam_list
-    rep.dilatation_std = float(np.std(lam_list))
-    rep.horizontally_conformal = decide(conf_defect, cfg)
+    rep.conformal_defect = np.max(defects)
+    rep.dilatation_samples = lams.tolist()
+    rep.dilatation_std = float(np.std(lams))
+    rep.horizontally_conformal = decide(rep.conformal_defect, cfg)
     if not np.isnan(rep.dilatation_std):  # also NaN whenever the mean is
-        rep.dilatation_constant = rep.dilatation_std < cfg.tol_fd1 * (1.0 + float(np.mean(lam_list)))
+        rep.dilatation_constant = rep.dilatation_std < cfg.tol_fd1 * (1.0 + float(np.mean(lams)))
     rep.totally_geodesic_defect = tg_defect
     rep.totally_geodesic = decide(tg_defect, cfg)
-    rep.fibers_defect = fib_defect
-    rep.fibers_totally_geodesic = decide(fib_defect, cfg)
+    rep.fibers_defect = np.max(fiber_second_fundamental_defect(geom, frames, cfg))
+    rep.fibers_totally_geodesic = decide(rep.fibers_defect, cfg)
     rep.h_integrability_defect = integ_defect
     rep.h_integrable = decide(integ_defect, cfg)
     rep.tension_max = float(np.max(tension_norms))
@@ -761,17 +739,13 @@ def classify(
             rep.harmonic_morphism and rep.totally_geodesic and rep.dilatation_constant
         )
 
-    Lams, lift_defect, vs_base = [], 0.0, 0.0
-    for Lam, defect, lam in zip(*lift_conformality_measurement(geom, frames, cfg), lam_list):
-        Lams.append(float(Lam))
-        lift_defect = np.maximum(lift_defect, defect)
-        vs_base = np.maximum(vs_base, abs(Lam - lam))
-    rep.lift_lambda_samples = Lams
+    Lams, lift_defects = lift_conformality_measurement(geom, frames, cfg)
+    rep.lift_lambda_samples = Lams.tolist()
     rep.lift_lambda_std = float(np.std(Lams))
-    rep.lift_defect_measured = lift_defect
-    rep.lift_lambda_vs_base_max = vs_base
-    spread = float(np.max(Lams) - np.min(Lams)) if Lams else 0.0
-    rep.lift_conformal_measured = decide(np.maximum(lift_defect, spread), cfg)
+    rep.lift_defect_measured = np.max(lift_defects)
+    rep.lift_lambda_vs_base_max = np.max(np.abs(Lams - lams))
+    spread = float(np.max(Lams) - np.min(Lams))
+    rep.lift_conformal_measured = decide(np.maximum(rep.lift_defect_measured, spread), cfg)
     if None not in (rep.lift_conformal_measured, rep.lift_conformal_predicted):
         rep.verdicts_agree = rep.lift_conformal_measured == rep.lift_conformal_predicted
     return rep

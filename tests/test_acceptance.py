@@ -53,7 +53,7 @@ from framelift.geometry import (
 )
 from framelift.reporting import strip_wall_times
 from framelift.submersion import (
-    A_Y_endo,
+    A_Y_endos,
     adapted_endo_field,
     classify,
     derive_geometry,
@@ -260,12 +260,12 @@ def test_criterion_06_divergence_lemma():
         for trial in range(5):
             top = rng.standard_normal((k, k))
             C = adapted_endo_field(geom, top=top)
-            d = div_bot(geom, top, p, CFG)
+            [d] = div_bot(geom, top[None], u, CFG)
             X = vb[trial % len(vb)]
             x = rng.standard_normal(M.dim)
             Xr = TangentVector(p, (np.eye(M.dim) - D.projector(p)) @ x)
             for V in (X, Xr):
-                A = A_Y_endo(geom, V, CFG)
+                [A] = A_Y_endos(geom, [V.components], p, CFG)
                 val = endo_inner(M, p, A, C.eval(p), onb)
                 worst = max(worst, abs(val + float(V.components @ g @ d)))
     ok = worst < 5e-4
@@ -466,7 +466,7 @@ def test_criterion_11_harmonic_morphism_theorem():
     tau = tension_field(geom4, p0, CFG)
     gN = metric_eval(e4.phi.target, e4.phi.value(p0))
     tn = float(np.sqrt(max(tau @ gN @ tau, 0.0)))
-    H = mean_curvature_fibers(geom4, p0, CFG)
+    H = mean_curvature_fibers(geom4, adapted_frame(e4.phi.source, geom4.horizontal, p0), CFG)
     J = differential_matrix(e4.phi, p0, CFG)
     ph = J @ H.components
     hn = float(np.sqrt(max(ph @ gN @ ph, 0.0)))

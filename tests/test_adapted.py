@@ -45,7 +45,7 @@ from framelift.geometry import (
     metric_eval,
     sample_points,
 )
-from framelift.submersion import A_Y_endo, adapted_endo_field, derive_geometry
+from framelift.submersion import A_Y_endos, adapted_endo_field, derive_geometry
 from looping import per_point
 
 R3 = euclidean_chart(3)
@@ -87,14 +87,14 @@ class TestProjectors:
 class TestBlocks:
     def test_identity_blocks(self):
         D = flat_parallel_distribution(2, 3)
-        b = block_decompose(np.eye(3), D, np.zeros(3))
+        b = block_decompose(np.eye(3), D.projector(np.zeros(3)))
         assert np.allclose(b.top, np.diag([1.0, 1.0, 0.0]))
         assert np.allclose(b.bot, np.diag([0.0, 0.0, 1.0]))
         assert np.max(np.abs(b.off1)) == 0.0 and np.max(np.abs(b.off2)) == 0.0
 
     def test_projector_blocks(self):
         D = flat_parallel_distribution(2, 3)
-        b = block_decompose(D.projector(np.zeros(3)), D, np.zeros(3))
+        b = block_decompose(D.projector(np.zeros(3)), D.projector(np.zeros(3)))
         assert np.allclose(b.top, np.diag([1.0, 1.0, 0.0]))
         assert np.max(np.abs(b.bot)) == 0.0
 
@@ -102,7 +102,7 @@ class TestBlocks:
         rng = np.random.default_rng(0)
         for p in sample_points(M3, 3, 5):
             P = rng.standard_normal((3, 3))
-            b = block_decompose(P, D3, p)
+            b = block_decompose(P, D3.projector(p))
             assert np.max(np.abs(b.reassemble() - P)) < 1e-13
 
     def test_m_projection_properties(self):
@@ -115,7 +115,7 @@ class TestBlocks:
         # idempotent, skew, and block-diagonal input maps to zero
         assert np.max(np.abs(m_projection(M3, D3, p, m1) - m1)) < 1e-10
         assert np.max(np.abs(g @ m1 + (g @ m1).T)) < 1e-10
-        bd = block_decompose(skew, D3, p)
+        bd = block_decompose(skew, D3.projector(p))
         assert np.max(np.abs(m_projection(M3, D3, p, skew - bd.off1 - bd.off2))) < 1e-10
 
     def test_m_projection_rejects_non_skew(self):
@@ -188,7 +188,7 @@ def _example_distribution(eid: str):
 
 
 class TestBatchedS:
-    """S_endo / S_components / A_Y_endo against the field-level S_tensor."""
+    """S_endo / S_components / A_Y_endos against the field-level S_tensor."""
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_columns_match_the_definition(self, eid):
@@ -219,7 +219,7 @@ class TestBatchedS:
             Pi = D.projector(p)
             Y = (np.eye(M.dim) - Pi) @ rng.standard_normal(M.dim)
             loop = np.column_stack([S_endo(M, D, e, p) @ Y for e in np.eye(M.dim)])
-            got = A_Y_endo(geom, TangentVector(p, Y))
+            [got] = A_Y_endos(geom, [Y], p)
             assert np.max(np.abs(got - Pi @ loop @ Pi)) <= 1e-12
 
 
@@ -262,11 +262,13 @@ class TestSCallCount:
         u = adapted_frame(M3, D3, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
         P = EndomorphismField(eval=lambda q: q[..., :, None] * np.array([1.0, 0.0, -1.0]))
-        R = curvature_tensor(M3, p)
+        R, P_D = curvature_tensor(M3, p), D3.projector(p)
         counts.update(christoffel=0, projector=0)
-        L_P_applies(M3, D3, [(P, np.array([0.3, -0.2, 0.4]))], p, onb, R)
-        # S over the basis once; block_decompose reads P(p) once more
-        assert counts == {"christoffel": 1, "projector": 3}
+        L_P_applies(M3, D3, [(P, np.array([0.3, -0.2, 0.4])), (P, np.array([-0.1, 0.5, 0.2]))],
+                    p, onb, R, P_D)
+        # the projector stencil of the S batch; Gamma(p) serves S and every nabla_x P,
+        # and the caller's P(p) serves S and every block decomposition
+        assert counts == {"christoffel": 1, "projector": 1}
 
     def test_od_membership_defect_reads_no_projector(self, counts):
         u = adapted_frame(M3, D3, sample_points(M3, 47, 1)[0])
@@ -341,7 +343,8 @@ class TestCurvatureRelation:
         rng = np.random.default_rng(9)
         p = sample_points(e2.phi.source, 11, 1)[0]
         x, y, z = rng.standard_normal((3, 3))
-        jet = adapted_module._GD_S_jet(e2.phi.source, geom.horizontal, p, DEFAULT_FD)
+        jet = adapted_module._GD_S_jet(e2.phi.source, geom.horizontal, p, christoffel(e2.phi.source, p),
+                                       geom.horizontal.projector(p), DEFAULT_FD)
         RD = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(jet),
                        x, y, z)
         R = curvature(e2.phi.source, TangentVector(p, x), TangentVector(p, y),
@@ -468,6 +471,19 @@ class TestCurvatureRelationStencil:
         # and 3 for S_x, S_y and S_{T^D}, i.e. 9 + 8n = 33 at n = 3
         assert len(tally) <= (9 + 8 * M3.dim) // 2
 
+    def test_reads_christoffel_once_besides_its_two_stencils(self, monkeypatch):
+        tally = []
+        for module in (adapted_module, geometry_module):
+            def counting(*args, real=module.christoffel, **kwargs):
+                tally.append(np.shape(args[1]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "christoffel", counting)
+        x, y, z = np.random.default_rng(49).standard_normal((3, M3.dim))
+        curvature_relation_residual(M3, D3, x, y, z, sample_points(M3, 49, 1)[0])
+        # Gamma(p) serves R, the jet and every S; then the stencils of R and of the jet
+        assert sorted(tally) == [(2, 3, 3), (2, 3, 3), (3,)]
+
 
 class TestW:
     def test_parallel_identity(self):
@@ -519,7 +535,8 @@ class TestLP:
         J = np.zeros((3, 3))
         J[0, 1], J[1, 0] = -1.0, 1.0
         P = EndomorphismField(eval=lambda q: np.zeros(q.shape[:-1] + J.shape) + J)
-        out = L_P_applies(R3, D, [(P, np.array([1.0, -1.0, 0.5]))], p, onb, curvature_tensor(R3, p))[0]
+        out = L_P_applies(R3, D, [(P, np.array([1.0, -1.0, 0.5]))], p, onb, curvature_tensor(R3, p),
+                          D.projector(p))[0]
         assert max(np.max(np.abs(v)) for v in out.values()) < 1e-9
 
     def test_reduces_to_R_P_when_S_vanishes(self):
@@ -535,7 +552,7 @@ class TestLP:
         P = adapted_endo_field(geom, top=J)
         x = np.array([0.5, 0.2, -0.3])
         R = curvature_tensor(M, p)
-        got = L_P_applies(M, D, [(P, x)], p, onb, R)[0]["printed"]
+        got = L_P_applies(M, D, [(P, x)], p, onb, R, D.projector(p))[0]["printed"]
         expect = curvature_R_P(M, p, P.eval(p), onb, R) @ x
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -551,10 +568,10 @@ class TestLP:
         P = Sfield  # any smooth g-skew field with nonzero m-part derivative
         x = np.array([0.7, -0.2])
         R = curvature_tensor(M4, p)
-        got = L_P_applies(M4, D4, [(P, x)], p, onb, R)[0]["printed"]
+        got = L_P_applies(M4, D4, [(P, x)], p, onb, R, D4.projector(p))[0]["printed"]
         RP = curvature_R_P(M4, p, P.eval(p), onb, R)
-        nP = endo_covariant_derivative(M4, P, x, p)
-        b = block_decompose(nP, D4, p)
+        nP = endo_covariant_derivative(P, x, p, christoffel(M4, p))
+        b = block_decompose(nP, D4.projector(p))
         nPm = b.off1 + b.off2
         vec = RP @ x
         for e in onb:

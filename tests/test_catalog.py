@@ -104,11 +104,12 @@ class TestHopfMap:
     def test_riemannian_submersion_normalization(self):
         # unit tangent circles upstairs map isometrically onto the
         # half-radius sphere thanks to the quarter metric scaling
+        from framelift.adapted import adapted_frame
         from framelift.submersion import derive_geometry, dilatation
         e = get("E3")
         geom = derive_geometry(e.phi)
         for p in sample_points(e.phi.source, 59, 5):
-            lam, defect = dilatation(geom, p)
+            lam, defect = dilatation(geom, adapted_frame(e.phi.source, geom.horizontal, p))
             assert abs(lam - 1.0) < 1e-9
             assert defect < 1e-9
 

@@ -239,8 +239,9 @@ class TestLPairs:
         onb = [TangentVector(p, e) for e in u.columns.T]
         pairs = [(f["Q"], f["X"].eval(p)), (f["P"], f["Y"].eval(p))]
         R = curvature_tensor(M, p)
-        for got, pair in zip(L_P_applies(M, D, pairs, p, onb, R), pairs):
-            [want] = L_P_applies(M, D, [pair], p, onb, R)
+        P_D = D.projector(p)
+        for got, pair in zip(L_P_applies(M, D, pairs, p, onb, R, P_D), pairs):
+            [want] = L_P_applies(M, D, [pair], p, onb, R, P_D)
             assert all(np.array_equal(got[k], want[k]) for k in want)
 
     def test_audit_builds_one_S_batch_and_W_and_no_curvature_tensor(self, monkeypatch):
@@ -280,23 +281,23 @@ class TestDivBot:
         # the stencil built C(q) from its own adapted frame before; the frame is the same
         geom = derive_geometry(get(example).phi)
         M, k = geom.phi.source, geom.rank
-        p = sample_points(M, 69, 1)[0]
+        u = adapted_frame(M, geom.horizontal, sample_points(M, 69, 1)[0])
         top = np.random.default_rng(70).standard_normal((k, k))
         C = adapted_endo_field(geom, top=top)
-        Pi_V, _ = submersion_module.splitting_projectors(geom.phi, p)
-        E, gamma, dCE = _frame_jet(geom, p, range(k), geometry_module.DEFAULT_FD,
-                                   lambda q, Eq: C.eval(q) @ Eq)
-        want = np.zeros(M.dim)
-        for a, d in dCE.items():
-            want += Pi_V @ (d[:, a] + np.einsum("kij,i,j->k", gamma, E[:, a], C.eval(p) @ E[:, a]))
-        assert np.array_equal(div_bot(geom, top, p), want)
+        Pi_V, _ = submersion_module.splitting_projectors(geom.phi, u.base)
+        gamma, dCE = _frame_jet(geom, u, range(k), geometry_module.DEFAULT_FD,
+                                lambda q, Eq: C.eval(q) @ Eq)
+        E = u.columns[:, :k]
+        want = Pi_V @ (np.einsum("aia->i", dCE[..., :k])
+                       + np.einsum("mij,ia,ja->m", gamma, E, C.eval(u.base) @ E))
+        assert np.array_equal(div_bot(geom, top[None], u)[0], want)
 
     def test_builds_one_adapted_frame_per_stencil(self, monkeypatch):
         M = E3_GEOM.phi.source
-        p = sample_points(M, 71, 1)[0]
+        u = adapted_frame(M, E3_GEOM.horizontal, sample_points(M, 71, 1)[0])
         frames = count_calls(monkeypatch, submersion_module, "adapted_frame")
-        div_bot(E3_GEOM, J2, p)
-        assert len(frames) == 2  # at p, then the whole stencil over the k directions
+        div_bot(E3_GEOM, np.array([J2, 0.5 * J2]), u)
+        assert len(frames) == 1  # the whole stencil over the k directions, for every block
 
 
 class TestSameFrame:
@@ -625,6 +626,8 @@ def frame_stack(example, seed=99):
 
 def flat(value):
     """The arrays of a function's value, in order: tangents by their frame and rates."""
+    if isinstance(value, TangentVector):
+        return [value.base, value.components]
     if isinstance(value, FrameTangent):
         return [*flat(value.at), value.base_rate, value.frame_rate]
     if isinstance(value, Frame):
@@ -645,6 +648,27 @@ def tangent_at(geom, u, x, P):
     M = geom.phi.source
     return (frames_module.horizontal_lift_frame(M, TangentVector(u.base, x), u)
             + frames_module.fundamental_vertical(P, u))
+
+
+def vertical(geom, E, c):
+    """The vector with coefficients c[k:] in the vertical columns of the frames E."""
+    return (E[..., :, geom.rank:] @ c[..., geom.rank:, None])[..., 0]
+
+
+def horizontal(geom, E, c):
+    """The vector with coefficients c[:k] in the horizontal columns of the frames E."""
+    return (E[..., :, :geom.rank] @ c[..., :geom.rank, None])[..., 0]
+
+
+def lift_differential_cases(geom, u, x, c, P):
+    """The closed-form lift differential at u for each input type: x, the vertical
+    vector with coefficients c and the endomorphism P."""
+    return [submersion_module.lift_differential_formula(geom, case, value, u) for case, value in (
+        ("horizontal-of-H", x), ("horizontal-of-V", vertical(geom, u.columns, c)), ("vertical", P))]
+
+
+# two so(k) blocks by rank, the same at every frame
+TOPS = {k: np.random.default_rng(105).standard_normal((2, k, k)) for k in (1, 2)}
 
 
 def vectors(*shape):
@@ -689,13 +713,21 @@ FRAME_FUNCTIONS = {
     "submersion.lift_distributions": ([], lambda geom, u: submersion_module.lift_distributions(geom, u)),
     "submersion.lift_conformality_measurement": ([], lambda geom, u: (
         submersion_module.lift_conformality_measurement(geom, u))),
+    "submersion.lift_differential_formula": ([vectors(), vectors(), endos()], lift_differential_cases),
+    "submersion.dilatation": ([], lambda geom, u: submersion_module.dilatation(geom, u)),
+    "submersion.div_bot": ([], lambda geom, u: np.moveaxis(
+        submersion_module.div_bot(geom, TOPS[geom.rank], u), 0, -2)),
+    "submersion.fiber_second_fundamental_form": ([], lambda geom, u: (
+        submersion_module.fiber_second_fundamental_form(geom, u))),
+    "submersion.fiber_second_fundamental_defect": ([], lambda geom, u: (
+        submersion_module.fiber_second_fundamental_defect(geom, u))),
+    "submersion.mean_curvature_fibers": ([], lambda geom, u: (
+        submersion_module.mean_curvature_fibers(geom, u))),
     "frames.lc_connection_formula": ONE_FRAME_AUDIT,
     "frames.bracket_rhs": ONE_FRAME_AUDIT,
     "frames.bracket_residual": ONE_FRAME_AUDIT,
     "frames.connection_audit": ONE_FRAME_AUDIT,
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
-    "submersion.lift_differential_formula": (
-        "Pi_X_endo, pushforward_endo and second_fundamental_form take one point"),
     "tangent.pi_i_differential": "the tangent-bundle lifts take one point",
     "tangent.pi_i_differential_fd": "the tangent-bundle lifts take one point",
 }
@@ -780,3 +812,87 @@ class TestFrameCallCounts:
         frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields, R)
         # the caller's curvature tensor serves every case
         assert len(calls) == 0 and len(bases) == 1
+
+
+def horizontal_endo(geom, p, P):
+    """Pi_H P Pi_H at points p: an endomorphism of the horizontal space."""
+    _, Pi_H = splitting_projectors(geom.phi, p)
+    return Pi_H @ P @ Pi_H
+
+
+def frame_pairs(geom, p, f):
+    """f(xs, ys) for the horizontal and vertical columns of the adapted frames at p."""
+    E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
+    return f(np.moveaxis(E[..., :, :geom.rank], -1, 0), np.moveaxis(E[..., :, geom.rank:], -1, 0))
+
+
+# Every public submersion function of points (a parameter p, x or points, or a
+# TangentVector), by name.  One that takes a stack of points maps to (inputs, f):
+# ``inputs`` draw per-point arrays (leading axis 3) and f(geom, p, *inputs) calls the
+# function at the point or stack p.  One that takes one point maps to the reason.
+# ``test_the_table_lists_every_public_function_of_points`` keeps the table complete.
+POINT_FUNCTIONS = {
+    "submersion.differential_matrix": ([], lambda geom, p: submersion_module.differential_matrix(
+        geom.phi, p)),
+    "submersion.differential": ([vectors()], lambda geom, p, x: submersion_module.differential(
+        geom.phi, TangentVector(p, x))),
+    "submersion.splitting_projectors": ([], lambda geom, p: splitting_projectors(geom.phi, p)),
+    "submersion.horizontal_lift_matrix": ([], lambda geom, p: (
+        submersion_module.horizontal_lift_matrix(geom.phi, p))),
+    "submersion.horizontal_basis": ([], lambda geom, p: submersion_module.horizontal_basis(geom, p)),
+    "submersion.vertical_basis": ([], lambda geom, p: submersion_module.vertical_basis(geom, p)),
+    "submersion.pullback_connection": ([vectors()], lambda geom, p, x: (
+        submersion_module.pullback_connection(geom.phi, TangentVector(p, x), geom.phi.map))),
+    "submersion.second_fundamental_tensor": ([], lambda geom, p: (
+        submersion_module.second_fundamental_tensor(geom.phi, p))),
+    "submersion.second_fundamental_form": ([vectors(), vectors()], lambda geom, p, x, y: (
+        submersion_module.second_fundamental_form(geom.phi, TangentVector(p, x), TangentVector(p, y)))),
+    "submersion.A_Y_endos": ([], lambda geom, p: frame_pairs(
+        geom, p, lambda xs, ys: submersion_module.A_Y_endos(geom, ys, p))),
+    "submersion.A_identity_residuals": ([], lambda geom, p: frame_pairs(geom, p, lambda xs, ys: [
+        r[reading] for r in submersion_module.A_identity_residuals(geom, xs, ys, p)
+        for reading in ("asserted", "printed")])),
+    "submersion.Pi_X_endo": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo(
+        geom, TangentVector(p, x))),
+    "submersion.Pi_X_endo_alt": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo_alt(
+        geom, TangentVector(p, x))),
+    "submersion.pushforward_endo": ([endos()], lambda geom, p, P: submersion_module.pushforward_endo(
+        geom, p, horizontal_endo(geom, p, P))),
+    "submersion.tension_field": ([], lambda geom, p: submersion_module.tension_field(geom, p)),
+    "submersion.tension_conformal_display": ([], lambda geom, p: (
+        submersion_module.tension_conformal_display(geom, p))),
+    "submersion.lift_map_raw": ([endos()], lambda geom, p, E: submersion_module.lift_map_raw(
+        geom.phi, geom.rank, p, E, geometry_module.DEFAULT_FD)),
+    "submersion.lift_tension_direct": ("the ambient tension of the lift at one point of the "
+                                       "small example, through two total-space charts"),
+    "submersion.classify": "reduces its stack of sample points to one report",
+}
+STACKED_AT_POINTS = sorted(name for name, case in POINT_FUNCTIONS.items() if not isinstance(case, str))
+
+
+class TestPointStack:
+    """Every submersion function of points takes a stack: a stack's rows equal row-by-row calls."""
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    @pytest.mark.parametrize("name", STACKED_AT_POINTS)
+    def test_stack_equals_rows(self, name, example):
+        draws, f = POINT_FUNCTIONS[name]
+        geom = GEOMS[example]
+        ps = sample_points(geom.phi.source, 106, 3)
+        rng = np.random.default_rng(107)
+        inputs = [draw(geom, rng) for draw in draws]
+        got = flat(f(geom, ps, *inputs))
+        rows = [flat(f(geom, ps[i], *(a[i] for a in inputs))) for i in range(3)]
+        assert len(got) == len(rows[0])
+        for j, a in enumerate(got):
+            assert np.array_equal(a, np.stack([r[j] for r in rows])), (name, j)
+
+    def test_the_table_lists_every_public_function_of_points(self):
+        found = set()
+        for name, fn in inspect.getmembers(submersion_module, inspect.isfunction):
+            params = inspect.signature(fn).parameters.values()
+            if fn.__module__ == submersion_module.__name__ and not name.startswith("_") and any(
+                    p.name in ("p", "x", "x0", "points") or "TangentVector" in str(p.annotation)
+                    for p in params):
+                found.add(f"submersion.{name}")
+        assert found == set(POINT_FUNCTIONS)

@@ -13,12 +13,12 @@ from framelift.geometry import (
     TangentVector,
     VectorField,
     constant_field,
+    covariant_derivative,
     metric_eval,
     sample_points,
 )
 from framelift.submersion import (
     A_identity_residuals,
-    A_Y_endo,
     A_Y_endos,
     Pi_X_endo,
     Pi_X_endo_alt,
@@ -31,6 +31,7 @@ from framelift.submersion import (
     dilatation,
     div_bot,
     fiber_second_fundamental_defect,
+    fiber_second_fundamental_form,
     horizontal_basis,
     lift_conformality_measurement,
     lift_differential_fd,
@@ -42,6 +43,7 @@ from framelift.submersion import (
     pullback_connection,
     pushforward_endo,
     second_fundamental_form,
+    second_fundamental_tensor,
     splitting_projectors,
     tension_conformal_display,
     tension_field,
@@ -50,6 +52,11 @@ from framelift.submersion import (
 
 E = {eid: get(eid) for eid in ("E1", "E2", "E3", "E4", "E5")}
 GEOM = {eid: derive_geometry(e.phi) for eid, e in E.items()}
+
+
+def framed(geom, p):
+    """The adapted frame of the geometry at p."""
+    return adapted_frame(geom.phi.source, geom.horizontal, p)
 
 
 def stacked(p, value):
@@ -115,7 +122,7 @@ class TestDilatation:
     def test_values(self):
         for eid, expect in (("E1", 1.0), ("E2", 1.0), ("E3", 1.0), ("E4", 1.0), ("E5", 4.0)):
             for p in sample_points(E[eid].phi.source, 24, 4):
-                lam, defect = dilatation(GEOM[eid], p)
+                lam, defect = dilatation(GEOM[eid], framed(GEOM[eid], p))
                 assert abs(lam - expect) < 1e-8
                 assert defect < 1e-8
 
@@ -132,9 +139,9 @@ class TestDilatation:
                                jacobian=lambda p: stacked(p, 2.0 * np.eye(2)),
                                vertical_fields=[])
         p = np.array([0.2, -0.4, 0.6])
-        lam_proj, _ = dilatation(derive_geometry(proj), p)
-        lam_scale, _ = dilatation(derive_geometry(scale), p[:2])
-        lam_comp, _ = dilatation(GEOM["E5"], p)
+        geoms = [derive_geometry(proj), derive_geometry(scale), GEOM["E5"]]
+        lam_proj, lam_scale, lam_comp = (dilatation(geom, framed(geom, q))[0]
+                                         for geom, q in zip(geoms, (p, p[:2], p)))
         assert abs(lam_comp - lam_proj * lam_scale) < 1e-6
 
 
@@ -163,6 +170,20 @@ class TestPullbackConnection:
 
 
 class TestSecondFundamentalForm:
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_tensor_equals_the_pullback_connection_construction(self, eid):
+        # nabla d(phi)(X, Y) = nabla^phi_X (phi_* Y) - phi_*(nabla_X Y) for constant X, Y
+        phi = E[eid].phi
+        M = phi.source
+        rng = np.random.default_rng(28)
+        for p in sample_points(M, 28, 2):
+            x, y = rng.standard_normal((2, M.dim))
+            pushed = lambda q: differential_matrix(phi, q) @ y  # noqa: E731
+            nab = covariant_derivative(M, constant_field(x), constant_field(y), p).components
+            want = pullback_connection(phi, TangentVector(p, x), pushed) - differential_matrix(phi, p) @ nab
+            got = np.einsum("cij,i,j->c", second_fundamental_tensor(phi, p), x, y)
+            assert np.max(np.abs(got - want)) < 1e-6
+
     def test_flat_projection_zero(self):
         rng = np.random.default_rng(26)
         p = np.array([0.2, 0.0, -0.3])
@@ -203,7 +224,7 @@ class TestAEndomorphism:
         for eid in ("E1", "E2"):
             p = entry_point(eid)
             Y = vertical_basis(GEOM[eid], p)[0]
-            assert np.max(np.abs(A_Y_endo(GEOM[eid], Y))) < 1e-8
+            assert np.max(np.abs(A_Y_endos(GEOM[eid], [Y.components], p)[0])) < 1e-8
 
     def test_identity_with_corrected_sign(self):
         for eid in ("E2", "E3", "E4"):
@@ -223,7 +244,7 @@ class TestAEndomorphism:
         p = entry_point("E3")
         X = horizontal_basis(GEOM["E3"], p)[0]
         with pytest.raises(ValueError):
-            A_Y_endo(GEOM["E3"], X)
+            A_Y_endos(GEOM["E3"], [X.components], p)
 
 
 class TestPiXEndo:
@@ -285,13 +306,13 @@ class TestPushforward:
 class TestDivergenceDuality:
     def test_constant_flat(self):
         geom = GEOM["E1"]
-        p = np.array([0.2, -0.2, 0.4])
-        assert np.max(np.abs(div_bot(geom, np.array([[0.0, -1.0], [1.0, 0.0]]), p))) < 1e-8
+        u = framed(geom, np.array([0.2, -0.2, 0.4]))
+        assert np.max(np.abs(div_bot(geom, np.array([[[0.0, -1.0], [1.0, 0.0]]]), u))) < 1e-8
 
     def test_product_constant_blocks(self):
         geom = GEOM["E2"]
-        p = entry_point("E2")
-        assert np.max(np.abs(div_bot(geom, np.array([[0.3, -1.0], [1.0, 0.2]]), p))) < 1e-7
+        u = framed(geom, entry_point("E2"))
+        assert np.max(np.abs(div_bot(geom, np.array([[[0.3, -1.0], [1.0, 0.2]]]), u))) < 1e-7
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_duality(self, eid):
@@ -308,9 +329,9 @@ class TestDivergenceDuality:
             for _ in range(5):
                 top = rng.standard_normal((k, k))
                 C = adapted_endo_field(geom, top=top)
-                d = div_bot(geom, top, p)
+                [d] = div_bot(geom, top[None], u)
                 X = vertical_basis(geom, p)[0]
-                A = A_Y_endo(geom, X)
+                [A] = A_Y_endos(geom, [X.components], p)
                 val = endo_inner(M, p, A, C.eval(p), onb)
                 assert abs(val + float(X.components @ g @ d)) < 5e-4
 
@@ -447,7 +468,7 @@ class TestTension:
         phi = E["E4"].phi
         p = np.array([0.2, -0.3])
         tau = tension_field(GEOM["E4"], p)
-        H = mean_curvature_fibers(GEOM["E4"], p)
+        H = mean_curvature_fibers(GEOM["E4"], framed(GEOM["E4"], p))
         J = differential_matrix(phi, p)
         assert np.max(np.abs(tau + J @ H.components)) < 5e-4
 
@@ -468,22 +489,31 @@ class TestTension:
         assert np.max(np.abs(tau - tau2)) < 5e-4
 
 
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_metric_trace_equals_the_frame_trace(self, eid):
+        geom = GEOM[eid]
+        for p in sample_points(geom.phi.source, 40, 2):
+            E = framed(geom, p).columns
+            frame_trace = np.einsum("cij,ia,ja->c", second_fundamental_tensor(geom.phi, p), E, E)
+            assert np.max(np.abs(tension_field(geom, p) - frame_trace)) < 1e-9
+
+
 class TestMeanCurvature:
     def test_totally_geodesic_fibers_zero(self):
         for eid in ("E1", "E2", "E5"):
             p = entry_point(eid)
-            H = mean_curvature_fibers(GEOM[eid], p)
+            H = mean_curvature_fibers(GEOM[eid], framed(GEOM[eid], p))
             assert np.max(np.abs(H.components)) < 1e-7
 
     def test_hopf_minimal_fibers(self):
         p = entry_point("E3")
-        H = mean_curvature_fibers(GEOM["E3"], p)
+        H = mean_curvature_fibers(GEOM["E3"], framed(GEOM["E3"], p))
         g = metric_eval(E["E3"].phi.source, p)
         assert float(np.sqrt(H.components @ g @ H.components)) < 5e-4
 
     def test_warped_unit_norm(self):
         p = np.array([0.0, 0.2])
-        H = mean_curvature_fibers(GEOM["E4"], p)
+        H = mean_curvature_fibers(GEOM["E4"], framed(GEOM["E4"], p))
         g = metric_eval(E["E4"].phi.source, p)
         assert abs(float(np.sqrt(H.components @ g @ H.components)) - 1.0) < 1e-6
         # direction: minus the horizontal coordinate vector
@@ -569,9 +599,9 @@ class TestClassify:
         pts = sample_points(e.phi.source, 39, 3)
         real = submersion_module.dilatation
 
-        def nan_lambda_at_second_point(geom, p, *args, **kwargs):
-            lam, defect = real(geom, p, *args, **kwargs)
-            return np.where(np.all(np.asarray(p) == pts[1], axis=-1), np.nan, lam), defect
+        def nan_lambda_at_second_point(geom, u, *args, **kwargs):
+            lam, defect = real(geom, u, *args, **kwargs)
+            return np.where(np.all(u.base == pts[1], axis=-1), np.nan, lam), defect
 
         monkeypatch.setattr(submersion_module, "dilatation", nan_lambda_at_second_point)
         rep = classify(GEOM["E1"], pts)
@@ -667,24 +697,63 @@ class TestPerPointCosts:
         return count_calls(monkeypatch, "christoffel", geometry_module, adapted_module,
                            submersion_module)
 
-    @pytest.mark.parametrize("fn", [fiber_second_fundamental_defect, mean_curvature_fibers])
+    @pytest.mark.parametrize("fn", [fiber_second_fundamental_form,
+                                    fiber_second_fundamental_defect, mean_curvature_fibers])
     @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
     def test_fiber_operators_take_one_frame_stencil_over_the_vertical_directions(
             self, monkeypatch, fn, geom):
+        # the fibre kernel, and each reduction through one kernel call; the frame
+        # at p is the caller's
         M = geom.phi.source
-        p = sample_points(M, 18, 1)[0]
+        u = framed(geom, sample_points(M, 18, 1)[0])
         frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
         christoffels = self.christoffel_calls(monkeypatch)
-        fn(geom, p)
-        assert len(frames) == 2
+        kernels = count_calls(monkeypatch, "fiber_second_fundamental_form", submersion_module)
+        fn(geom, u)
+        assert len(frames) == 1
         assert len(christoffels) == 1
+        assert len(kernels) == (fn is not fiber_second_fundamental_form)
 
     def test_div_bot_evaluates_christoffel_once(self, monkeypatch):
         geom = GEOM["E3"]
-        p = sample_points(geom.phi.source, 19, 1)[0]
+        u = framed(geom, sample_points(geom.phi.source, 19, 1)[0])
         christoffels = self.christoffel_calls(monkeypatch)
-        div_bot(geom, np.array([[0.0, 1.0], [-1.0, 0.0]]), p)
-        assert len(christoffels) == 1  # one per horizontal direction before
+        frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
+        tops = np.random.default_rng(19).standard_normal((5, 2, 2))
+        div_bot(geom, tops, u)
+        assert len(christoffels) == 1  # one per horizontal direction and block before
+        assert len(frames) == 1  # the stencil, for every block
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_div_bot_blocks_equal_one_call_per_block(self, eid):
+        geom = GEOM[eid]
+        u = framed(geom, sample_points(geom.phi.source, 26, 3))
+        tops = np.random.default_rng(26).standard_normal((4, geom.rank, geom.rank))
+        batch = div_bot(geom, tops, u)
+        assert batch.shape == (4, 3, geom.phi.source.dim)
+        for top, d in zip(tops, batch):
+            assert np.array_equal(d, div_bot(geom, top[None], u)[0])
+        assert div_bot(geom, tops[:0], u).shape == (0, 3, geom.phi.source.dim)
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_classify_builds_one_frame_stack_and_one_second_fundamental_tensor(
+            self, monkeypatch, eid):
+        geom = GEOM[eid]
+        pts = sample_points(geom.phi.source, 27, 3)
+        at_points = []
+        real = submersion_module.adapted_frame
+
+        def counting(M, D, q):
+            at_points.append(np.shape(q) == pts.shape)
+            return real(M, D, q)
+
+        monkeypatch.setattr(submersion_module, "adapted_frame", counting)
+        tensors = count_calls(monkeypatch, "second_fundamental_tensor", submersion_module)
+        classify(geom, pts)
+        assert at_points.count(True) == 1
+        # the other frames are the stencils of the fibre kernel and of div_bot
+        assert at_points.count(False) == 2
+        assert len(tensors) == 1
 
     @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
     def test_lift_distributions_assembles_S_once(self, monkeypatch, geom):
@@ -711,13 +780,15 @@ class TestPerPointCosts:
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_lift_distributions_read_their_frame_from_u(self, monkeypatch, eid):
-        # the only adapted frames are div_bot's two per so(k) direction
+        # the only adapted frames are the stencil of the one div_bot call, for every
+        # so(k) direction
         geom = GEOM[eid]
         M = geom.phi.source
         u = adapted_frame(M, geom.horizontal, sample_points(M, 25, 3))
         frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
+        blocks = count_calls(monkeypatch, "div_bot", submersion_module)
         lift_distributions(geom, u)
-        assert len(frames) == 2 * len(skew_basis(geom.rank))
+        assert len(frames) == len(blocks) == 1
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_lift_distributions_equal_the_per_vector_lifts(self, eid):
@@ -736,7 +807,7 @@ class TestPerPointCosts:
         expect_H = [lift(W_inverse_apply(Wm, Ep[:, a])) for a in range(k)]
         for c in skew_basis(k):
             C = adapted_endo_field(geom, top=c)
-            expect_H.append(lift(W_inverse_apply(Wm, div_bot(geom, c, p)))
+            expect_H.append(lift(W_inverse_apply(Wm, div_bot(geom, c[None], u)[0]))
                             + fundamental_vertical(C.eval(p), u))
         assert len(Hb) == len(expect_H)
         for got, want in zip(Vb[:n - k] + Hb, expect_V + expect_H):
@@ -753,7 +824,7 @@ class TestPerPointCosts:
             ys = [Pi_V @ v for v in rng.standard_normal((3, M.dim))]
             batch = A_Y_endos(geom, ys, p)
             for y, A in zip(ys, batch):
-                assert np.array_equal(A, A_Y_endo(geom, TangentVector(p, y)))
+                assert np.array_equal(A, A_Y_endos(geom, [y], p)[0])
         if geom is GEOM_LINE:
             assert np.max(np.abs(batch[0])) > 1e-3  # the fibers bend, so A != 0
 
@@ -772,3 +843,24 @@ class TestPerPointCosts:
         E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
         with pytest.raises(ValueError, match="vertical"):
             A_Y_endos(geom, [E[:, 2], E[:, 0]], p)
+
+
+class TestOracleIndependence:
+    """The cross-checks of nabla d(phi) build their own values, not the tensor they audit."""
+
+    @pytest.mark.parametrize("eid", ["E3", "E4"])
+    def test_oracles_do_not_read_the_second_fundamental_tensor(self, monkeypatch, eid):
+        geom = GEOM[eid]
+        M, D = geom.phi.source, geom.horizontal
+        p = sample_points(M, 29, 1)[0]
+        u = framed(geom, p)
+        x = np.random.default_rng(29).standard_normal(M.dim)
+        tensors = count_calls(monkeypatch, "second_fundamental_tensor", submersion_module)
+        Pi_X_endo_alt(geom, TangentVector(p, x))
+        lift_differential_fd(geom, adapted_horizontal_lift(M, D, TangentVector(p, x), u))
+        fiber_second_fundamental_form(geom, u)
+        mean_curvature_fibers(geom, u)
+        assert len(tensors) == 0
+        tension_field(geom, p)
+        Pi_X_endo(geom, TangentVector(p, x))
+        assert len(tensors) == 2
