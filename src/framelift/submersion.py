@@ -328,25 +328,23 @@ def Pi_X_endo_alt(
     geom: SubmersionGeometry, X: TangentVector, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Cross-check variant: lift(nabla^phi_X phi_* Y) - (nabla_X Y)^top for the fields
-    Y = Pi_H d_j, one ``pullback_connection`` and one stencil of Y per column j;
-    a stack for a stack of X."""
-    phi = geom.phi
-    p, x = X.base, X.components
+    Y = Pi_H d_j, the columns of Pi_H, all at once: one stencil of Pi_H and J Pi_H and
+    one value of each at p; a stack for a stack of X."""
+    phi, p, x = geom.phi, X.base, X.components
+    n = phi.source.dim
+
+    def Y_and_pushed(q: Array) -> Array:
+        Pi_H = splitting_projectors(phi, q, cfg)[1]
+        return np.concatenate([Pi_H, differential_matrix(phi, q, cfg) @ Pi_H], axis=-2)
+
+    d = directional_diff(Y_and_pushed, p, x, cfg.step_h)
     _, Pi_H = splitting_projectors(phi, p, cfg)
-    L = horizontal_lift_matrix(phi, p, cfg)
+    J = differential_matrix(phi, p, cfg)
     gx = christoffel_contract(christoffel(phi.source, p, cfg), x)
-    cols = []
-    for j in range(phi.source.dim):
-        def Y(q: Array, j=j) -> Array:
-            return splitting_projectors(phi, q, cfg)[1][..., :, j]
-
-        def pushed(q: Array, Y=Y) -> Array:
-            return (differential_matrix(phi, q, cfg) @ Y(q)[..., None])[..., 0]
-
-        first = L @ pullback_connection(phi, X, pushed, cfg)[..., None]
-        nab = directional_diff(Y, p, x, cfg.step_h)[..., None] + gx @ Y(p)[..., None]  # nabla_X Y
-        cols.append((first - Pi_H @ nab)[..., 0])
-    return np.stack(cols, axis=-1) @ Pi_H
+    gxN = christoffel_contract(christoffel(phi.target, phi.value(p), cfg), (J @ x[..., None])[..., 0])
+    first = horizontal_lift_matrix(phi, p, cfg) @ (d[..., n:, :] + gxN @ J @ Pi_H)
+    nab = d[..., :n, :] + gx @ Pi_H
+    return (first - Pi_H @ nab) @ Pi_H
 
 
 def pushforward_endo(

@@ -68,6 +68,8 @@ from .submersion import (
     A_Y_endos,
     Pi_X_endo,
     Pi_X_endo_alt,
+    _adapted_endo,
+    _block_coefficients,
     _g_norm,
     adapted_endo_field,
     classify,
@@ -642,10 +644,10 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         A = A_Y_endos(geom, E[i][:, k:].T, p, cfg)
         g = metric_eval(M, p)
         tops = rng.standard_normal((5, k, k))
-        for trial, (C0, d) in enumerate(zip(tops, div_bot(geom, tops, frames[i], cfg))):
+        Cs = _adapted_endo(M, _block_coefficients(M.dim, k, tops, None), p, E[i])
+        for trial, (C, d) in enumerate(zip(Cs, div_bot(geom, tops, frames[i], cfg))):
             j = trial % (M.dim - k)
-            val = endo_inner(M, p, A[j], adapted_endo_field(geom, top=C0).eval(p), onb)
-            checks.see("div_duality", abs(val + float(E[i][:, k + j] @ g @ d)))
+            checks.see("div_duality", abs(endo_inner(M, p, A[j], C, onb) + float(E[i][:, k + j] @ g @ d)))
     checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2)
 
     # the lifted frame

@@ -172,3 +172,14 @@ class TestInProcess:
                                 "status", "kind", "samples", "wall_ms"}
             assert row["status"] in ("pass", "fail", "inconclusive")
             assert row["kind"] in ("assert", "audit")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the chart's matrix functions are numpy closed forms; scipy.linalg would
+    # roughly double the import time of every process
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, framelift.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

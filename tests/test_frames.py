@@ -561,7 +561,7 @@ class TestNoReencoding:
              q_od),
         ]
         encodes = self.count(monkeypatch, FrameChart, "encode")
-        logms = self.count(monkeypatch, frames_module.scipy.linalg, "logm")
+        logms = self.count(monkeypatch, scipy.linalg, "logm")
         log_rotations = self.count(monkeypatch, frames_module, "_log_rotation")
         for field, q in fields:
             assert field(q).shape == q.shape
@@ -701,6 +701,24 @@ class TestSkewClosedForms:
                                   "equal_large_angles_n4"])
     def test_repeated_eigenvalues(self, A):
         self.check_against_scipy(A, skew_basis(A.shape[0]))
+
+    # I + R is nearly singular here, so the Cayley transform is large
+    @pytest.mark.parametrize("A", [two_plane(2, 3.14), two_plane(3, 3.1), two_plane(4, 3.0, 3.0),
+                                   two_plane(4, 3.1, -3.1)],
+                             ids=["n2", "one_plane_n3", "equal_angles_n4", "opposite_angles_n4"])
+    def test_near_the_half_turn(self, A):
+        self.check_against_scipy(A, skew_basis(A.shape[0]))
+
+    @pytest.mark.parametrize("R", [-np.eye(2), np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]),
+                                   frames_module._exp_frechet_skew(two_plane(3, np.pi - 5e-9), ())[0],
+                                   frames_module._exp_frechet_skew(two_plane(4, 1.0, np.pi - 5e-9), ())[0]],
+                             ids=["half_turn_n2", "half_turn_n3", "reflection_n3",
+                                  "within_tol_n3", "within_tol_n4"])
+    def test_half_turn_within_tol_raises_value_error(self, R):
+        # I + R singular or an angle within tol of pi: a ValueError, not a LinAlgError
+        with pytest.raises(ValueError, match="eigenvalue angle at pi") as raised:
+            frames_module._log_rotation(R, 1e-8)
+        assert not isinstance(raised.value, np.linalg.LinAlgError)
 
     def test_exp_does_not_depend_on_the_basis(self):
         A = two_plane(3, 0.4) + 0.3 * skew_basis(3)[2]

@@ -12,8 +12,11 @@ import framelift.geometry as geometry_module
 from framelift.geometry import (
     TangentVector,
     VectorField,
+    christoffel,
+    christoffel_contract,
     constant_field,
     covariant_derivative,
+    directional_diff,
     metric_eval,
     sample_points,
 )
@@ -33,6 +36,7 @@ from framelift.submersion import (
     fiber_second_fundamental_defect,
     fiber_second_fundamental_form,
     horizontal_basis,
+    horizontal_lift_matrix,
     lift_conformality_measurement,
     lift_differential_fd,
     lift_differential_formula,
@@ -264,6 +268,32 @@ class TestPiXEndo:
             a = Pi_X_endo(GEOM[eid], X)
             b = Pi_X_endo_alt(GEOM[eid], X)
             assert np.max(np.abs(a - b)) < 5e-4
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_alt_display_equals_the_per_column_construction(self, eid):
+        # column j is lift(nabla^phi_X phi_* Y_j) - (nabla_X Y_j)^top for Y_j = Pi_H d_j,
+        # one pullback_connection per column; the batched stencil rounds J Pi_H as a
+        # matrix product, which the 1e-5 step amplifies to about 1e-11
+        phi = GEOM[eid].phi
+        n = phi.source.dim
+        rng = np.random.default_rng(31)
+        for p in sample_points(phi.source, 31, 2):
+            X = TangentVector(p, rng.standard_normal(n))
+            _, Pi_H = splitting_projectors(phi, p)
+            gx = christoffel_contract(christoffel(phi.source, p), X.components)
+            cols = []
+            for j in range(n):
+                def Y(q, j=j):
+                    return splitting_projectors(phi, q)[1][..., :, j]
+
+                def pushed(q, Y=Y):
+                    return (differential_matrix(phi, q) @ Y(q)[..., None])[..., 0]
+
+                nab = directional_diff(Y, p, X.components, 1e-5) + gx @ Y(p)
+                cols.append(horizontal_lift_matrix(phi, p) @ pullback_connection(phi, X, pushed)
+                            - Pi_H @ nab)
+            want = np.stack(cols, axis=-1) @ Pi_H
+            assert np.max(np.abs(Pi_X_endo_alt(GEOM[eid], X) - want)) < 1e-9
 
     def test_linearity(self):
         p = entry_point("E3")
@@ -713,6 +743,13 @@ class TestPerPointCosts:
         assert len(frames) == 1
         assert len(christoffels) == 1
         assert len(kernels) == (fn is not fiber_second_fundamental_form)
+
+    def test_Pi_X_endo_alt_reads_the_projector_on_one_stencil_and_at_p(self, monkeypatch):
+        geom = GEOM["E3"]
+        p = sample_points(geom.phi.source, 32, 3)
+        projectors = count_calls(monkeypatch, "splitting_projectors", submersion_module)
+        Pi_X_endo_alt(geom, TangentVector(p, np.ones_like(p)))
+        assert len(projectors) == 2  # the stencil for every column, and Pi_H(p)
 
     def test_div_bot_evaluates_christoffel_once(self, monkeypatch):
         geom = GEOM["E3"]
