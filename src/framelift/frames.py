@@ -163,13 +163,13 @@ def vertical_part(
 
 def mok_metric(
     M: ChartManifold, s: FrameTangent, t: FrameTangent, cfg: FDConfig = DEFAULT_FD
-) -> float:
-    """Diagonal (Mok) metric on the frame bundle.
+) -> Array:
+    """Diagonal (Mok) metric on the frame bundle: a scalar at one frame, one value
+    per frame, of the frames' leading shape, at a stack.
 
     Horizontal and vertical parts are orthogonal; two vertical vectors pair
     as sum_i g(V_s u_i, V_t u_i) over the frame columns.  A tangent paired
-    with itself (``mok_norm``) has its vertical part evaluated once.  At a
-    stack of frames the value has the frames' leading shape.
+    with itself (``mok_norm``) has its vertical part evaluated once.
     """
     _same_frame(s.at, t.at)
     u = s.at
@@ -180,7 +180,7 @@ def mok_metric(
             + np.einsum("...ki,...kl,...li->...", vs, g, vt))
 
 
-def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> float:
+def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
     return np.sqrt(np.maximum(mok_metric(M, t, t, cfg), 0.0))
 
 
@@ -351,7 +351,8 @@ class FrameChart:
 
     def coords_from_skew(self, A: Array) -> Array:
         # the E_ij - E_ji basis is Frobenius-orthogonal with norm^2 = 2
-        return np.array([np.tensordot(A, B) / 2.0 for B in self.basis])
+        n = self.manifold.dim
+        return A.reshape(A.shape[:-2] + (n * n,)) @ np.reshape(self.basis, (-1, n * n)).T / 2.0
 
     def reference(self, x: Array) -> Array:
         """Reference frame at base points x (..., n); a callable ``reference`` must take them too."""
@@ -376,9 +377,10 @@ class FrameChart:
         reference frame within the span of the chart's skew directions, with
         every eigenvalue angle of R below pi - ``tol`` (a half-turn has no
         unique principal log).  The log comes from the Cayley transform of R.
+        A stack of frames gives their points, and raises if any frame fails.
         """
         R = np.linalg.solve(self.reference(u.base), u.columns)
-        if np.max(np.abs(R.T @ R - np.eye(self.manifold.dim))) > 1e-6:
+        if np.max(np.abs(R.swapaxes(-1, -2) @ R - np.eye(self.manifold.dim))) > 1e-6:
             raise ValueError("frame is not orthonormal for this chart")
         A = _log_rotation(R, tol)
         a = self.coords_from_skew(A)
@@ -408,14 +410,15 @@ class FrameChart:
 
     def chart_to_tangents(self, q: Array, qdots: Array,
                           cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
-        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q): qdots @ J."""
+        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q): qdot @ J.
+        At points q (..., dim) a row has q's shape and gives one tangent per point, bit for bit."""
         u, Jx, JE = self.jacobian(q, cfg)
-        # row by row, so that a row's tangent does not depend on the batch it came in
-        return [FrameTangent(u, qdot @ Jx, np.tensordot(qdot, JE, axes=1))
-                for qdot in np.atleast_2d(qdots)]
+        JE = JE.reshape(JE.shape[:-2] + (-1,))
+        return [FrameTangent(u, qdot @ Jx, (qdot[..., None, :] @ JE)[..., 0, :].reshape(u.columns.shape))
+                for qdot in np.asarray(qdots, dtype=float)]
 
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
-        return self.chart_to_tangents(q, qdot, cfg)[0]
+        return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
 
     def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD,
                          tol: float = 1e-6) -> Array:
@@ -532,12 +535,13 @@ def lc_total_space_oracle(
     q: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
-    """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair.
+    """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair,
+    at chart points q (..., dim).
 
     Each field gives chart-coordinate rates as a function of the chart
     point.  Everything is brute force: the induced metric is differenced at
     step_h2 because its entries already contain one level of derived
-    quantities.  Its Christoffel symbols are built once per point q and
+    quantities.  Its Christoffel symbols are built once for the stack q and
     contracted for every pair.
     """
     total = total_space_manifold(chart, cfg)
@@ -555,7 +559,7 @@ def fd_bracket_on_chart(
     q: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> FrameTangent:
-    """Finite-difference Lie bracket [A, B] of two total-space fields."""
+    """Finite-difference Lie bracket [A, B] of two total-space fields at chart points q (..., dim)."""
     out = lie_bracket(
         VectorField(eval=A_field), VectorField(eval=B_field), q, cfg, step=cfg.step_h2
     )
@@ -603,7 +607,8 @@ def lc_connection_formula(
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, FrameTangent]]:
     """Closed-form right-hand sides for the Mok Levi-Civita connection, one dict
-    per (case, inputs) of ``cases`` at the frame u.
+    per (case, inputs) of ``cases`` at the frame u, or at a stack of frames with
+    ``R`` of the same leading axes.
 
     Cases (first argument differentiates the second):
       hh: nabla_{X^h} Y^h   = (nabla_X Y)^h - 1/2 R(X,Y)*
@@ -626,7 +631,7 @@ def lc_connection_formula(
         if case == "hh":
             X, Y = inputs
             nab = covariant_derivative(M, X, Y, p, cfg)
-            Rxy = np.einsum("ijkl,i,j->lk", R, X.eval(p), Y.eval(p))
+            Rxy = np.einsum("...ijkl,...i,...j->...lk", R, X.eval(p), Y.eval(p))
             return {"resolved": _horizontal_lift(gamma, nab, u)
                     + (-0.5) * fundamental_vertical(Rxy, u)}
         if case in ("hv", "vh"):
@@ -634,7 +639,7 @@ def lc_connection_formula(
             E, v = (B, A.eval(p)) if case == "hv" else (A, B.eval(p))
             v = np.asarray(v, dtype=float)
             RE = curvature_R_P(M, p, np.asarray(E.eval(p), dtype=float), onb, R, cfg)
-            base = 0.5 * _horizontal_lift(gamma, TangentVector(p, RE @ v), u)
+            base = 0.5 * _horizontal_lift(gamma, TangentVector(p, (RE @ v[..., None])[..., 0]), u)
             with_term = base + fundamental_vertical(endo_covariant_derivative(E, v, p, gamma, cfg), u)
             if case == "hv":
                 return {"resolved": with_term, "literal": base}
@@ -665,13 +670,13 @@ def bracket_rhs(
       hv: [X^h, Q*]  = (nabla_X Q)*        ("literal" flips the sign)
       vv: [P*, Q*]   = -[P,Q]*
 
-    ``R = curvature_tensor(M, u.base)`` serves the hh line.
+    ``R = curvature_tensor(M, u.base)`` serves the hh line; u may be a stack of frames.
     """
     p = u.base
     if case == "hh":
         X, Y = inputs
         br = lie_bracket(X, Y, p, cfg)
-        Rxy = np.einsum("ijkl,i,j->lk", R, X.eval(p), Y.eval(p))
+        Rxy = np.einsum("...ijkl,...i,...j->...lk", R, X.eval(p), Y.eval(p))
         return {"resolved": horizontal_lift_frame(M, br, u, cfg)
                 + (-1.0) * fundamental_vertical(Rxy, u)}
     if case == "hv":
@@ -706,12 +711,10 @@ def bracket_residual(
     u: Frame,
     R: Array,
     cfg: FDConfig = DEFAULT_FD,
-) -> dict[str, float]:
-    """Mok norm of (finite-difference bracket) - (closed-form right side), by reading.
-
-    The finite-difference bracket is taken once for all readings; ``R`` is as
-    in ``bracket_rhs``.
-    """
+) -> dict[str, Array]:
+    """Mok norm of (finite-difference bracket) - (closed-form right side), by reading,
+    one per frame of u.  The finite-difference bracket is taken once for all readings
+    and frames; ``R`` is as in ``bracket_rhs``."""
     [(A, B)] = _case_fields(chart, [(case, inputs)], cfg)
     q = chart.encode(u)
     fd = fd_bracket_on_chart(chart, A, B, q, cfg)
@@ -731,9 +734,10 @@ def connection_audit(
 
     ``fields`` supplies X, Y (vector fields) and P, Q (endomorphism fields,
     g-skew for O(M)); ``R`` is ``curvature_tensor(M, u.base)``.  One oracle
-    call serves every case and one ``lc_connection_formula`` call gives their
-    closed forms; each reading of each case is a row, and the "literal" hv/vh
-    rows are unasserted diagnostics.
+    call serves every case and frame, and one ``lc_connection_formula`` call
+    gives their closed forms; each reading of each case is a row, and the
+    "literal" hv/vh rows are unasserted diagnostics.  A row's residual has
+    one value per frame of u.
     """
     chart = LMChart(M) if bundle == "L" else om_chart(M)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]

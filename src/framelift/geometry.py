@@ -8,8 +8,8 @@ field are then evaluated for the whole stack in one call, with the value
 axes after the point axes.  A finite-difference stencil is such a stack,
 so ``central_diff`` evaluates all 2 dim points of a derivative, and
 ``directional_diff`` a field along all its m directions, in one call.
-One point (dim,) runs the same code as a stack.  The connection,
-curvature and Lie brackets act at one point, with second-order central
+One point (dim,) runs the same code as a stack, and so do the
+connection, curvature and Lie brackets, with second-order central
 differences wherever an exact derivative is not supplied.
 """
 
@@ -287,8 +287,8 @@ def christoffel_contract(gamma: Array, x: Array) -> Array:
 
 
 def christoffel_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """d_m Gamma^k_ij by central differences, D[m, k, i, j]: one ``christoffel``
-    call on the whole stencil.
+    """d_m Gamma^k_ij by central differences, D[..., m, k, i, j] at points p (..., dim):
+    one ``christoffel`` call on the whole stencil.
 
     Uses step_h when the metric derivative is exact (the symbols are then
     analytic) and step_h2 otherwise.
@@ -313,14 +313,15 @@ def covariant_derivatives(
     cfg: FDConfig = DEFAULT_FD,
     step: Optional[float] = None,
 ) -> list[TangentVector]:
-    """(nabla_X Y)(p) for the Levi-Civita connection, one per (X, Y) pair.
+    """(nabla_X Y)(p) for the Levi-Civita connection, one per (X, Y) pair, at
+    points p (..., dim).
 
     The Christoffel symbols at p are evaluated once and contracted for
     every pair, each distinct field (by identity of its ``eval``) is
     evaluated at p once, and each distinct Y is differenced once, along the
-    X of all its pairs.  ``step`` overrides the difference step for the
-    field derivative, for fields that are themselves finite-difference
-    results.
+    X of all its pairs at every point.  ``step`` overrides the difference
+    step for the field derivative, for fields that are themselves
+    finite-difference results.
     """
     p = _check_domain(M, p)
     h = cfg.step_h if step is None else step
@@ -332,7 +333,8 @@ def covariant_derivatives(
         idx = [i for i, (_, Yi) in enumerate(pairs) if Yi.eval is Y.eval]
         xs = np.array([at_p[id(pairs[i][0].eval)] for i in idx])
         dY.update(zip(idx, field_derivative(Y, p, xs, h)))
-    return [TangentVector(p, dY[i] + np.einsum("kij,i,j->k", gamma, at_p[id(X.eval)], at_p[id(Y.eval)]))
+    return [TangentVector(p, dY[i] + np.einsum("...kij,...i,...j->...k", gamma, at_p[id(X.eval)],
+                                               at_p[id(Y.eval)]))
             for i, (X, Y) in enumerate(pairs)]
 
 
@@ -359,7 +361,8 @@ def lie_bracket(
 
 
 def curvature_tensor(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """Curvature R[i, j, k, l] = (R(d_i, d_j) d_k)^l for R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y].
+    """Curvature R[..., i, j, k, l] = (R(d_i, d_j) d_k)^l for R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y],
+    at points p (..., dim).
 
     Assembled tensorially from Gamma and its central differences; no field
     extensions are involved.
@@ -370,11 +373,12 @@ def curvature_tensor(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> 
 def connection_curvature(G: Array, dG: Array) -> Array:
     """Curvature R[i, j, k, l] of the connection with coefficients G[k, i, j] =
     (nabla_{d_i} d_j)^k and their derivatives dG[m, k, i, j] = d_m G^k_ij, with or
-    without torsion: the Levi-Civita curvature from Gamma, the adapted one from GD."""
-    term_a = np.transpose(dG, (0, 2, 3, 1))          # A[i,j,k,l] = d_i G^l_jk
-    term_b = term_a.swapaxes(0, 1)                   # d_j G^l_ik
-    quad_a = np.einsum("lim,mjk->ijkl", G, G)        # G^l_im G^m_jk
-    quad_b = quad_a.swapaxes(0, 1)
+    without torsion: the Levi-Civita curvature from Gamma, the adapted one from GD.
+    Both may carry the leading axes of points; so does R."""
+    term_a = dG.swapaxes(-3, -2).swapaxes(-2, -1)    # A[i,j,k,l] = d_i G^l_jk
+    term_b = term_a.swapaxes(-4, -3)                 # d_j G^l_ik
+    quad_a = np.einsum("...lim,...mjk->...ijkl", G, G)  # G^l_im G^m_jk
+    quad_b = quad_a.swapaxes(-4, -3)
     return term_a - term_b + quad_a - quad_b
 
 
@@ -405,14 +409,16 @@ def curvature_R_P(
     """R_P = sum_i R(e_i, P(e_i)) over a g-orthonormal basis, as an endomorphism value at p.
 
     ``P`` is the endomorphism value (matrix) at p, or a stack (..., n, n) of
-    them, all served by ``R = curvature_tensor(M, p)``.
+    them, all served by ``R = curvature_tensor(M, p)``.  At points p (..., n)
+    the basis, R and P carry the same leading axes.
     """
     if orthonormality_defect(M, p, onb) > cfg.tol_exact * 100:
         raise ValueError("basis is not g-orthonormal at the base point")
     P = np.asarray(P, dtype=float)
     out = np.zeros(P.shape)
     for e in onb:
-        out += np.einsum("ijkl,i,...j->...lk", R, e.components, P @ e.components)
+        Pe = (P @ e.components[..., None])[..., 0]
+        out += np.einsum("...ijkl,...i,...j->...lk", R, e.components, Pe)
     return out
 
 
@@ -463,9 +469,9 @@ def gram_schmidt(M: ChartManifold, p: Array, seed_basis: Sequence[Array]) -> lis
 
 
 def orthonormal_basis(M: ChartManifold, p: Array) -> list[TangentVector]:
-    """Reference g-orthonormal basis at p: the columns of ``reference_frame``."""
+    """Reference g-orthonormal basis at points p (..., dim): the columns of ``reference_frame``."""
     E = reference_frame(M, p)
-    return [TangentVector(p, E[:, i]) for i in range(M.dim)]
+    return [TangentVector(p, E[..., :, i]) for i in range(M.dim)]
 
 
 def reference_frame(M: ChartManifold, p: Array) -> Array:
@@ -477,9 +483,10 @@ def reference_frame(M: ChartManifold, p: Array) -> Array:
 
 
 def orthonormality_defect(M: ChartManifold, p: Array, basis: Sequence[TangentVector]) -> float:
+    """max |E^T g E - I| over the basis columns E, the worst at points p (..., dim)."""
     g = metric_eval(M, p)
-    E = np.column_stack([e.components for e in basis])
-    return float(np.max(np.abs(E.T @ g @ E - np.eye(len(basis)))))
+    E = np.stack([e.components for e in basis], axis=-1)
+    return float(np.max(np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(len(basis)))))
 
 
 def endo_inner(

@@ -116,14 +116,17 @@ def splitting_projectors(
     matrix J g^-1 J^T is not above k eps times its largest; any such point
     of the stack raises.
     """
-    J, A = _horizontal_span(phi, p, cfg)
+    Pi_H = _horizontal_projector(*_horizontal_span(phi, p, cfg))
+    return np.eye(phi.source.dim) - Pi_H, Pi_H
+
+
+def _horizontal_projector(J: Array, A: Array) -> Array:
+    """Pi_H = A (J A)^-1 J from the span (J, A), with the rank check of ``splitting_projectors``."""
     JA = J @ A
     eig = np.linalg.eigvalsh(JA)  # ascending
     if not (eig[..., 0] > JA.shape[-1] * np.finfo(float).eps * eig[..., -1]).all():
         raise ValueError("differential is rank deficient at a sample point")
-    Pi_H = A @ np.linalg.solve(JA, J)
-    Pi_V = np.eye(phi.source.dim) - Pi_H
-    return Pi_V, Pi_H
+    return A @ np.linalg.solve(JA, J)
 
 
 def horizontal_lift_matrix(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
@@ -317,11 +320,11 @@ def Pi_X_endo(
 ) -> Array:
     """(Pi_phi)_X: the endomorphism of the horizontal space with
     phi_*((Pi_phi)_X Y) = Pi_phi(X, Y), L B(X, Pi_H .) for the horizontal lift L
-    of d(phi); a stack for a stack of X."""
+    of d(phi) = A (J A)^-1, with Pi_H from the same span; a stack for a stack of X."""
     phi, p = geom.phi, X.base
-    _, Pi_H = splitting_projectors(phi, p, cfg)
+    J, A = _horizontal_span(phi, p, cfg)
     B_X = (X.components[..., None, None, :] @ second_fundamental_tensor(phi, p, cfg))[..., 0, :]
-    return horizontal_lift_matrix(phi, p, cfg) @ B_X @ Pi_H
+    return A @ np.linalg.inv(J @ A) @ B_X @ _horizontal_projector(J, A)
 
 
 def Pi_X_endo_alt(
@@ -329,20 +332,21 @@ def Pi_X_endo_alt(
 ) -> Array:
     """Cross-check variant: lift(nabla^phi_X phi_* Y) - (nabla_X Y)^top for the fields
     Y = Pi_H d_j, the columns of Pi_H, all at once: one stencil of Pi_H and J Pi_H and
-    one value of each at p; a stack for a stack of X."""
+    one value of each at p, each from one span; a stack for a stack of X."""
     phi, p, x = geom.phi, X.base, X.components
     n = phi.source.dim
 
     def Y_and_pushed(q: Array) -> Array:
-        Pi_H = splitting_projectors(phi, q, cfg)[1]
-        return np.concatenate([Pi_H, differential_matrix(phi, q, cfg) @ Pi_H], axis=-2)
+        J, A = _horizontal_span(phi, q, cfg)
+        Pi_H = _horizontal_projector(J, A)
+        return np.concatenate([Pi_H, J @ Pi_H], axis=-2)
 
     d = directional_diff(Y_and_pushed, p, x, cfg.step_h)
-    _, Pi_H = splitting_projectors(phi, p, cfg)
-    J = differential_matrix(phi, p, cfg)
+    J, A = _horizontal_span(phi, p, cfg)
+    Pi_H = _horizontal_projector(J, A)
     gx = christoffel_contract(christoffel(phi.source, p, cfg), x)
     gxN = christoffel_contract(christoffel(phi.target, phi.value(p), cfg), (J @ x[..., None])[..., 0])
-    first = horizontal_lift_matrix(phi, p, cfg) @ (d[..., n:, :] + gxN @ J @ Pi_H)
+    first = A @ np.linalg.inv(J @ A) @ (d[..., n:, :] + gxN @ J @ Pi_H)
     nab = d[..., :n, :] + gx @ Pi_H
     return (first - Pi_H @ nab) @ Pi_H
 

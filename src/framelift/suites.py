@@ -346,9 +346,10 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_exact * 100)
     checks.row("om_chart_roundtrip", "decode then encode returns the skew coordinates", 1e-10)
 
-    # bracket identities against the finite-difference bracket; the base curvature
-    # tensor at each sample point serves its bracket, connection and adapted audits
-    Rs = [curvature_tensor(M, p, cfg) for p in pts]
+    # bracket identities against the finite-difference bracket, each on the stack of
+    # sample frames; the base curvature tensors at the sample points serve the bracket,
+    # connection and adapted audits
+    Rs = curvature_tensor(M, pts, cfg)
     lm = LMChart(M)
     X = polynomial_vector_field(M.dim, rng)
     Y = polynomial_vector_field(M.dim, rng)
@@ -359,26 +360,27 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         ("hv", (X, Q), "[X^h, Q*] = (nabla_X Q)*"),
         ("vv", (P, Q), "[P*, Q*] = -[P,Q]*"),
     ):
+        res = bracket_residual(M, lm, case, inputs, frames, Rs, cfg)
         for i in range(len(pts)):
-            res = bracket_residual(M, lm, case, inputs, frames[i], Rs[i], cfg)
-            checks.see(f"bracket.{case}", res["resolved"])
+            checks.see(f"bracket.{case}", res["resolved"][i])
             if "literal" in res and i < 2:
-                checks.see("bracket.hv_literal_sign", res["literal"])
+                checks.see("bracket.hv_literal_sign", res["literal"][i])
         checks.row(f"bracket.{case}", ident, cfg.tol_fd2)
         if case == "hv":
             checks.row("bracket.hv_literal_sign", "[X^h, Q*] = -(nabla_X Q)* (diagnostic)",
                        cfg.tol_fd2, kind="audit")
 
-    # connection formulas against the total-space oracle
+    # connection formulas against the total-space oracle, on the first three frames
     Qs = g_skew_endo_field(M, rng)
     Ps = g_skew_endo_field(M, rng)
+    few = min(3, samples)
     for bundle, fields in (("L", dict(X=X, Y=Y, P=P, Q=Q)),
                            ("O", dict(X=X, Y=Y, P=Ps, Q=Qs))):
-        for i in range(min(3, samples)):
-            rows = connection_audit(M, bundle, frames[i], fields, Rs[i], cfg)
+        rows = connection_audit(M, bundle, frames[:few], fields, Rs[:few], cfg)
+        for i in range(few):
             for r in rows:
                 checks.see(f"connection.{bundle}.{r['case']}{'' if r['asserted'] else '_literal'}",
-                           r["residual"])
+                           r["residual"][i])
         # asserted rows first, each group in case order
         for r in sorted(rows, key=lambda r: not r["asserted"]):
             if r["asserted"]:

@@ -26,6 +26,7 @@ from framelift.geometry import (
     lie_bracket,
     metric_eval,
     orthonormal_basis,
+    orthonormality_defect,
     orthonormalizer,
     sample_points,
 )
@@ -254,6 +255,30 @@ class TestGramSchmidt:
         basis = gram_schmidt(S2, p, list(rng.standard_normal((2, 2))))
         E = np.column_stack([e.components for e in basis])
         assert np.max(np.abs(E.T @ g @ E - np.eye(2))) < 1e-12
+
+
+# a constant metric whose reference frame is not diagonal
+SKEWED = np.array([[2.0, 1.0], [1.0, 3.0]])
+SKEWED_PLANE = ChartManifold(dim=2, metric_field=lambda p: np.zeros(p.shape[:-1] + (2, 2)) + SKEWED)
+
+
+class TestOrthonormalBasisStack:
+    def test_stack_reads_the_columns_of_each_reference_frame(self):
+        ps = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+        stacked = orthonormal_basis(SKEWED_PLANE, ps)
+        for i, e in enumerate(stacked):
+            assert np.array_equal(e.components,
+                                  np.array([orthonormal_basis(SKEWED_PLANE, p)[i].components for p in ps]))
+        assert np.allclose(stacked[0].components, [1.0 / np.sqrt(2.0), 0.0])
+        assert orthonormality_defect(SKEWED_PLANE, ps, stacked) < 1e-14
+
+    def test_defect_of_a_stack_is_its_worst_point(self):
+        ps = np.array([[0.1, 0.2], [-0.3, 0.4]])
+        onb = orthonormal_basis(SKEWED_PLANE, ps[1])
+        basis = [TangentVector(ps, np.stack([np.eye(2)[i], e.components])) for i, e in enumerate(onb)]
+        assert orthonormality_defect(SKEWED_PLANE, ps[1], onb) < 1e-14
+        # the coordinate basis at the first point is off by SKEWED - I, at most 2
+        assert orthonormality_defect(SKEWED_PLANE, ps, basis) == 2.0
 
 
 class TestEndoInner:

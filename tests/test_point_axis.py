@@ -16,6 +16,7 @@ import framelift.fields as fields_module
 import framelift.frames as frames_module
 import framelift.geometry as geometry_module
 import framelift.submersion as submersion_module
+import framelift.suites as suites_module
 import framelift.tangent as tangent_module
 from framelift.adapted import (
     L_P_applies,
@@ -55,10 +56,13 @@ from framelift.geometry import (
     christoffel_derivative,
     constant_field,
     coordinate_field,
+    covariant_derivatives,
+    curvature_R_P,
     curvature_tensor,
     directional_diff,
     lie_bracket,
     metric_eval,
+    orthonormal_basis,
     reference_frame,
     sample_points,
 )
@@ -679,6 +683,46 @@ def endos(*shape):
     return lambda geom, rng: rng.standard_normal((3, *shape) + (geom.phi.source.dim,) * 2)
 
 
+def audit_fields(geom, bundle):
+    """X, Y and P, Q (g-skew for O(M)) on the example's source, the same fields at every call."""
+    M = geom.phi.source
+    rng = np.random.default_rng(108)
+    endo = (lambda: g_skew_endo_field(M, rng)) if bundle == "O" else (
+        lambda: polynomial_endo_field(M.dim, rng))
+    return dict(X=polynomial_vector_field(M.dim, rng), Y=polynomial_vector_field(M.dim, rng),
+                P=endo(), Q=endo())
+
+
+def audit_cases(geom, bundle, names):
+    """(case, inputs) of each named case, on ``audit_fields``."""
+    f = audit_fields(geom, bundle)
+    inputs = {"hh": ("X", "Y"), "hv": ("X", "Q"), "vh": ("P", "Y"), "vv": ("P", "Q")}
+    return [(case, tuple(f[k] for k in inputs[case])) for case in names]
+
+
+def bracket_readings(geom, u, of):
+    """The readings of ``of`` (``bracket_rhs`` or ``bracket_residual``) for each bracket case at u."""
+    M = geom.phi.source
+    return [value for case, inputs in audit_cases(geom, "L", ("hh", "hv", "vv"))
+            for value in of(M, case, inputs, u, curvature_tensor(M, u.base)).values()]
+
+
+def connection_lines(geom, u):
+    """Every closed-form connection line at u, on L(M) and O(M)."""
+    M = geom.phi.source
+    return [t for bundle in ("L", "O") for d in frames_module.lc_connection_formula(
+        M, bundle, audit_cases(geom, bundle, ("hh", "hv", "vh", "vv")), u, curvature_tensor(M, u.base))
+        for t in d.values()]
+
+
+def connection_residuals(geom, u):
+    """The residual of every connection_audit row at u on L(M), and at the reference frames on O(M)."""
+    M = geom.phi.source
+    R = curvature_tensor(M, u.base)
+    return [r["residual"] for bundle, v in (("L", u), ("O", Frame(u.base, reference_frame(M, u.base))))
+            for r in frames_module.connection_audit(M, bundle, v, audit_fields(geom, bundle), R)]
+
+
 # Every public function of a frame or a frame tangent, by module.  A function that
 # takes a stack of frames maps to (inputs, f): ``inputs`` draw per-frame arrays
 # (leading axis 3) and f(geom, u, *inputs) calls the function at the frame or stack
@@ -723,10 +767,11 @@ FRAME_FUNCTIONS = {
         submersion_module.fiber_second_fundamental_defect(geom, u))),
     "submersion.mean_curvature_fibers": ([], lambda geom, u: (
         submersion_module.mean_curvature_fibers(geom, u))),
-    "frames.lc_connection_formula": ONE_FRAME_AUDIT,
-    "frames.bracket_rhs": ONE_FRAME_AUDIT,
-    "frames.bracket_residual": ONE_FRAME_AUDIT,
-    "frames.connection_audit": ONE_FRAME_AUDIT,
+    "frames.lc_connection_formula": ([], connection_lines),
+    "frames.bracket_rhs": ([], lambda geom, u: bracket_readings(geom, u, frames_module.bracket_rhs)),
+    "frames.bracket_residual": ([], lambda geom, u: bracket_readings(
+        geom, u, lambda M, *args: frames_module.bracket_residual(M, LMChart(M), *args))),
+    "frames.connection_audit": ([], connection_residuals),
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
     "tangent.pi_i_differential": "the tangent-bundle lifts take one point",
     "tangent.pi_i_differential_fd": "the tangent-bundle lifts take one point",
@@ -796,6 +841,17 @@ class TestFrameCallCounts:
         monkeypatch.setattr(adapted_module, "_adapted_horizontal_lifts", counting)
         adapted_connection_audit(M, D, u, TestLPairs().fields(), curvature_tensor(M, u.base))
         assert at_u == [6]
+
+    def test_frame_suite_runs_each_audit_once_on_its_stack_of_frames(self, monkeypatch):
+        # E3 at seed 42: the 3 bracket cases on all 10 frames, the 2 connection bundles on
+        # the first 3 and the adapted audit at 1, with one curvature tensor call for all
+        names = ("fd_bracket_on_chart", "lc_total_space_oracle", "curvature_tensor")
+        modules = (geometry_module, frames_module, adapted_module, suites_module)
+        tallies = {name: [count_calls(monkeypatch, module, name)
+                          for module in modules if hasattr(module, name)] for name in names}
+        suites_module.suite_frame(get("E3"), seed=42)
+        assert {name: sum(map(len, t)) for name, t in tallies.items()} == {
+            "fd_bracket_on_chart": 3, "lc_total_space_oracle": 3, "curvature_tensor": 1}
 
     @pytest.mark.parametrize("bundle", ["L", "O"])
     def test_connection_audit_builds_one_basis_and_no_curvature_tensor(self, monkeypatch, bundle):
@@ -870,13 +926,40 @@ POINT_FUNCTIONS = {
 STACKED_AT_POINTS = sorted(name for name, case in POINT_FUNCTIONS.items() if not isinstance(case, str))
 
 
+def calculus_pairs(M):
+    """(X, Y) pairs of fields with and without an exact Jacobian, one Y along two X."""
+    rng = np.random.default_rng(109)
+    X, Y, Z = (polynomial_vector_field(M.dim, rng, exact_jacobian=jac) for jac in (True, False, True))
+    return [(X, Y), (Z, Y), (Y, Z), (X, X)]
+
+
+def R_P_values(geom, p, P, Ps):
+    """R_P at p for one endomorphism value per point, and for a stack of 4 per point."""
+    M = geom.phi.source
+    onb, R = orthonormal_basis(M, p), curvature_tensor(M, p)
+    return [curvature_R_P(M, p, P, onb, R),
+            np.moveaxis(curvature_R_P(M, p, np.moveaxis(Ps, -3, 0), onb, R), 0, -3)]
+
+
+# The chart calculus that the frame audits run at their stack of base points, in the
+# form of POINT_FUNCTIONS, on the source chart of each example.
+CALCULUS_FUNCTIONS = {
+    "geometry.covariant_derivatives": ([], lambda geom, p: covariant_derivatives(
+        geom.phi.source, calculus_pairs(geom.phi.source), p)),
+    "geometry.curvature_tensor": ([], lambda geom, p: curvature_tensor(geom.phi.source, p)),
+    "geometry.curvature_R_P": ([endos(), endos(4)], R_P_values),
+    "geometry.orthonormal_basis": ([], lambda geom, p: orthonormal_basis(geom.phi.source, p)),
+}
+
+
 class TestPointStack:
-    """Every submersion function of points takes a stack: a stack's rows equal row-by-row calls."""
+    """Every submersion function of points, and the calculus of the frame audits, takes a
+    stack: a stack's rows equal row-by-row calls."""
 
     @pytest.mark.parametrize("example", EXAMPLES)
-    @pytest.mark.parametrize("name", STACKED_AT_POINTS)
+    @pytest.mark.parametrize("name", STACKED_AT_POINTS + sorted(CALCULUS_FUNCTIONS))
     def test_stack_equals_rows(self, name, example):
-        draws, f = POINT_FUNCTIONS[name]
+        draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS}[name]
         geom = GEOMS[example]
         ps = sample_points(geom.phi.source, 106, 3)
         rng = np.random.default_rng(107)

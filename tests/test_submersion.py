@@ -747,9 +747,20 @@ class TestPerPointCosts:
     def test_Pi_X_endo_alt_reads_the_projector_on_one_stencil_and_at_p(self, monkeypatch):
         geom = GEOM["E3"]
         p = sample_points(geom.phi.source, 32, 3)
-        projectors = count_calls(monkeypatch, "splitting_projectors", submersion_module)
+        projectors = count_calls(monkeypatch, "_horizontal_projector", submersion_module)
         Pi_X_endo_alt(geom, TangentVector(p, np.ones_like(p)))
         assert len(projectors) == 2  # the stencil for every column, and Pi_H(p)
+
+    def test_Pi_X_endo_builds_one_horizontal_span(self, monkeypatch):
+        geom = GEOM["E3"]
+        p = sample_points(geom.phi.source, 33, 5)
+        X = TangentVector(p, np.ones_like(p))
+        spans = count_calls(monkeypatch, "_horizontal_span", submersion_module)
+        Pi_X_endo(geom, X)
+        assert len(spans) == 1  # Pi_H and the lift A (J A)^-1 read one span
+        spans.clear()
+        Pi_X_endo_alt(geom, X)
+        assert len(spans) == 2  # the stencil for every column, and p
 
     def test_div_bot_evaluates_christoffel_once(self, monkeypatch):
         geom = GEOM["E3"]
