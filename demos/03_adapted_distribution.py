@@ -35,7 +35,7 @@ t0 = p[0]
 print("== the distribution ==")
 print("projector onto the horizontal line field:")
 print(D.projector(p))
-print("defects:", projector_defects(M, D, p))
+print("defects:", {k: float(v) for k, v in projector_defects(M, D, p).items()})
 
 print("\n== the difference tensor ==")
 S = S_tensor(M, D, coordinate_field(1, 2), coordinate_field(1, 2), p)

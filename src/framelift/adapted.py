@@ -80,13 +80,14 @@ class DistributionSpec:
 
 
 def projector_defects(M: ChartManifold, D: DistributionSpec, p: Array) -> dict:
-    """Idempotency, g-self-adjointness and trace defects of the projector."""
+    """Idempotency, g-self-adjointness and trace defects of the projector, one
+    value per point of a stack p (..., n)."""
     P = D.projector(p)
     g = metric_eval(M, p)
     return {
-        "idempotent": float(np.max(np.abs(P @ P - P))),
-        "self_adjoint": float(np.max(np.abs(g @ P - P.T @ g))),
-        "trace": abs(float(np.trace(P)) - D.rank),
+        "idempotent": np.max(np.abs(P @ P - P), axis=(-2, -1)),
+        "self_adjoint": np.max(np.abs(g @ P - P.swapaxes(-1, -2) @ g), axis=(-2, -1)),
+        "trace": np.abs(np.trace(P, axis1=-2, axis2=-1) - D.rank),
     }
 
 
@@ -144,9 +145,10 @@ class BlockDecomposition:
 
 
 def block_decompose(P_value: Array, Pi: Array) -> BlockDecomposition:
-    """Blocks of the endomorphism value P_value for the value Pi of D's projector."""
+    """Blocks of the endomorphism value P_value for the value Pi of D's projector,
+    or of a stack of values for a stack of projectors."""
     P_value = np.asarray(P_value, dtype=float)
-    Pic = np.eye(P_value.shape[0]) - Pi
+    Pic = np.eye(P_value.shape[-1]) - Pi
     return BlockDecomposition(
         top=Pi @ P_value @ Pi,
         bot=Pic @ P_value @ Pic,
@@ -159,8 +161,10 @@ def m_projection(
     M: ChartManifold, D: DistributionSpec, p: Array, P_value: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Off-diagonal (block-mixing) part of a g-skew endomorphism value."""
-    if skew_defect(M, p, P_value) > 1e-6:
+    """Off-diagonal (block-mixing) part of a g-skew endomorphism value, or of a
+    stack of values at a stack of points p; any value of the stack that is not
+    g-skew raises."""
+    if (skew_defect(M, p, P_value) > 1e-6).any():
         raise ValueError("m_projection expects a g-skew endomorphism")
     b = block_decompose(P_value, D.projector(p))
     return b.off1 + b.off2

@@ -155,10 +155,13 @@ def vertical_part(
 
     The decomposition is exact: V = (Edot + Gamma_xdot E) E^{-1}.
     """
-    u = t.at
-    gamma = christoffel(M, u.base, cfg)
+    return _vertical_part(christoffel(M, t.at.base, cfg), t)
+
+
+def _vertical_part(gamma: Array, t: FrameTangent) -> Array:
+    """``vertical_part`` from the Christoffel symbols ``gamma`` at t's base points."""
     gx = christoffel_contract(gamma, t.base_rate)
-    return (t.frame_rate + gx @ u.columns) @ np.linalg.inv(u.columns)
+    return (t.frame_rate + gx @ t.at.columns) @ np.linalg.inv(t.at.columns)
 
 
 def mok_metric(
@@ -168,14 +171,16 @@ def mok_metric(
     per frame, of the frames' leading shape, at a stack.
 
     Horizontal and vertical parts are orthogonal; two vertical vectors pair
-    as sum_i g(V_s u_i, V_t u_i) over the frame columns.  A tangent paired
-    with itself (``mok_norm``) has its vertical part evaluated once.
+    as sum_i g(V_s u_i, V_t u_i) over the frame columns.  One Christoffel
+    evaluation serves both vertical parts, and a tangent paired with itself
+    (``mok_norm``) has its vertical part evaluated once.
     """
     _same_frame(s.at, t.at)
     u = s.at
     g = metric_eval(M, u.base)
-    vs = vertical_part(M, s, cfg) @ u.columns
-    vt = vs if t is s else vertical_part(M, t, cfg) @ u.columns
+    gamma = christoffel(M, u.base, cfg)
+    vs = _vertical_part(gamma, s) @ u.columns
+    vt = vs if t is s else _vertical_part(gamma, t) @ u.columns
     return ((s.base_rate[..., None, :] @ g @ t.base_rate[..., :, None])[..., 0, 0]
             + np.einsum("...ki,...kl,...li->...", vs, g, vt))
 

@@ -505,9 +505,9 @@ def endo_inner(
     return float(column_gram(metric_eval(M, p), [P @ E], [Q @ E])[0, 0])
 
 
-def skew_defect(M: ChartManifold, p: Array, P: Array) -> float:
-    """How far the endomorphism value P is from being g-skew at p."""
-    g = metric_eval(M, p)
-    A = g @ P
-    return float(np.max(np.abs(A + A.T)))
+def skew_defect(M: ChartManifold, p: Array, P: Array) -> Array:
+    """How far the endomorphism value P is from being g-skew at p: one value per
+    point of a stack p (..., n) with values P (..., n, n)."""
+    A = metric_eval(M, p) @ P
+    return np.max(np.abs(A + A.swapaxes(-1, -2)), axis=(-2, -1))
 

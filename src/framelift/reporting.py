@@ -13,6 +13,8 @@ import json
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import FDConfig
 
 REPORT_VERSION = "1"
@@ -35,12 +37,16 @@ class CheckReport:
 class Checks:
     """The rows of one suite, accumulated evaluation by evaluation.
 
-    ``see(key, *values)`` folds one evaluation into the worst residual of
-    row ``key``; a NaN among the values sticks, so the row fails.  ``row``
-    emits that row as a CheckReport named ``<prefix>.<key>``, whose
-    ``samples`` is the number of ``see`` calls for the key and whose
-    ``wall_ms`` is the time since the previous row.  ``reports`` lists the
-    emitted rows in order.
+    ``see(key, *values)`` folds evaluations into the worst residual of row
+    ``key``.  Each value is a number or an array whose leading axis indexes
+    evaluations, one per sample point or frame of a stack; the values
+    broadcast together, so arrays of unequal length raise ValueError, and
+    numbers alone make one evaluation.  The fold is a maximum, so the order
+    of the evaluations does not matter, and a NaN at any index sticks, so
+    the row fails.  ``row`` emits that row as a CheckReport named
+    ``<prefix>.<key>``, whose ``samples`` is the number of evaluations seen
+    for the key and whose ``wall_ms`` is the time since the previous row.
+    ``reports`` lists the emitted rows in order.
     """
 
     def __init__(self, prefix: str):
@@ -49,13 +55,17 @@ class Checks:
         self._seen: dict[str, tuple[float, int]] = {}
         self._last = time.perf_counter()
 
-    def see(self, key: str, *values: float) -> None:
+    def see(self, key: str, *values) -> None:
         worst, count = self._seen.get(key, (0.0, 0))
+        shape = ()
         for v in values:
+            if isinstance(v, np.ndarray) and v.ndim:
+                shape = np.broadcast_shapes(shape, v.shape)
+                v = np.max(v, initial=worst)  # a NaN anywhere propagates
             v = float(v)
             if v > worst or v != v:  # a NaN replaces the worst, and nothing replaces a NaN
                 worst = v
-        self._seen[key] = (worst, count + 1)
+        self._seen[key] = (worst, count + (shape[0] if shape else 1))
 
     def row(self, key: str, identity: str, tolerance: float, kind: str = "assert",
             invert: bool = False, inconclusive: bool = False) -> CheckReport:

@@ -354,16 +354,17 @@ def Pi_X_endo_alt(
 def pushforward_endo(
     geom: SubmersionGeometry, p: Array, P0: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """phi_* P0 on the target, by conjugation with the horizontal isomorphism."""
+    """phi_* P0 on the target, by conjugation with the horizontal isomorphism: J P0 L
+    for the horizontal lift L = A (J A)^-1, with Pi_V = I - Pi_H from the same span."""
     phi = geom.phi
-    Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
+    J, A = _horizontal_span(phi, p, cfg)
+    Pi_H = _horizontal_projector(J, A)
+    Pi_V = np.eye(phi.source.dim) - Pi_H
     P0 = np.asarray(P0, dtype=float)
     scale = 1.0 + float(np.max(np.abs(P0)))
     if np.max(np.abs(P0 @ Pi_V)) > 1e-6 * scale or np.max(np.abs(Pi_V @ P0 @ Pi_H)) > 1e-6 * scale:
         raise ValueError("pushforward_endo expects an endomorphism of the horizontal space")
-    J = differential_matrix(phi, p, cfg)
-    L = horizontal_lift_matrix(phi, p, cfg)
-    return J @ P0 @ L
+    return J @ P0 @ (A @ np.linalg.inv(J @ A))
 
 
 def _frame_jet(

@@ -153,13 +153,27 @@ class TestMokMetric:
         want = float(np.sqrt(mok_metric(S2, t, twin)))  # two evaluations, same arithmetic
         calls = []
 
-        def counting(*args, real=frames_module.vertical_part, **kwargs):
+        def counting(*args, real=frames_module._vertical_part, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(frames_module, "vertical_part", counting)
+        monkeypatch.setattr(frames_module, "_vertical_part", counting)
         assert mok_norm(S2, t) == want
         assert len(calls) == 1
+
+    def test_metric_of_two_tangents_evaluates_christoffel_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        u = on_frame(S2, np.array([0.3, -0.1]))
+        s, t = (FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2))) for _ in range(2))
+        calls = []
+
+        def counting(*args, real=frames_module.christoffel, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(frames_module, "christoffel", counting)
+        mok_metric(S2, s, t)
+        assert len(calls) == 1  # one Gamma serves both vertical parts
 
 
 class TestOMChart:

@@ -952,14 +952,35 @@ CALCULUS_FUNCTIONS = {
 }
 
 
+def g_skew(M, p, K):
+    """The g-skew part of K at points p, (K - K^T)/2 raised by g^-1."""
+    return np.linalg.solve(metric_eval(M, p), 0.5 * (K - K.swapaxes(-1, -2)))
+
+
+# The projector algebra that the adapted suite runs at its stack of sample points, in
+# the form of POINT_FUNCTIONS, on the horizontal distribution of each example.
+PROJECTOR_FUNCTIONS = {
+    "geometry.skew_defect": ([endos()], lambda geom, p, K: geometry_module.skew_defect(
+        geom.phi.source, p, K)),
+    "adapted.projector_defects": ([], lambda geom, p: list(adapted_module.projector_defects(
+        geom.phi.source, geom.horizontal, p).values())),
+    "adapted.block_decompose": ([endos()], lambda geom, p, P: dataclasses.astuple(
+        adapted_module.block_decompose(P, geom.horizontal.projector(p)))),
+    "adapted.m_projection": ([endos()], lambda geom, p, K: adapted_module.m_projection(
+        geom.phi.source, geom.horizontal, p, g_skew(geom.phi.source, p, K))),
+}
+
+
 class TestPointStack:
-    """Every submersion function of points, and the calculus of the frame audits, takes a
-    stack: a stack's rows equal row-by-row calls."""
+    """Every submersion function of points, and the calculus of the frame audits and the
+    projector algebra of the adapted suite, takes a stack: a stack's rows equal row-by-row
+    calls."""
 
     @pytest.mark.parametrize("example", EXAMPLES)
-    @pytest.mark.parametrize("name", STACKED_AT_POINTS + sorted(CALCULUS_FUNCTIONS))
+    @pytest.mark.parametrize("name", STACKED_AT_POINTS + sorted(CALCULUS_FUNCTIONS)
+                             + sorted(PROJECTOR_FUNCTIONS))
     def test_stack_equals_rows(self, name, example):
-        draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS}[name]
+        draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS, **PROJECTOR_FUNCTIONS}[name]
         geom = GEOMS[example]
         ps = sample_points(geom.phi.source, 106, 3)
         rng = np.random.default_rng(107)
@@ -969,6 +990,13 @@ class TestPointStack:
         assert len(got) == len(rows[0])
         for j, a in enumerate(got):
             assert np.array_equal(a, np.stack([r[j] for r in rows])), (name, j)
+
+    def test_a_stack_of_g_skew_values_is_skew_at_every_point(self):
+        # a stack's transpose reverses every axis, pairing rows of different points
+        M = GEOMS["E3"].phi.source
+        ps = sample_points(M, 42, 3)
+        skew = g_skew(M, ps, np.random.default_rng(110).standard_normal((3, 3, 3)))
+        assert np.max(geometry_module.skew_defect(M, ps, skew)) < 1e-12
 
     def test_the_table_lists_every_public_function_of_points(self):
         found = set()

@@ -762,6 +762,15 @@ class TestPerPointCosts:
         Pi_X_endo_alt(geom, X)
         assert len(spans) == 2  # the stencil for every column, and p
 
+    def test_pushforward_endo_builds_one_horizontal_span(self, monkeypatch):
+        geom = GEOM["E3"]
+        p = sample_points(geom.phi.source, 34, 1)[0]
+        _, Pi_H = splitting_projectors(geom.phi, p)
+        P0 = Pi_H @ np.random.default_rng(34).standard_normal((3, 3)) @ Pi_H
+        spans = count_calls(monkeypatch, "_horizontal_span", submersion_module)
+        pushforward_endo(geom, p, P0)
+        assert len(spans) == 1  # Pi_V, Pi_H and the lift A (J A)^-1 read one span
+
     def test_div_bot_evaluates_christoffel_once(self, monkeypatch):
         geom = GEOM["E3"]
         u = framed(geom, sample_points(geom.phi.source, 19, 1)[0])

@@ -1,5 +1,8 @@
 """The check accumulator, and what the suites report through it."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,21 +52,59 @@ class TestChecks:
         r = Checks("E0.demo").row("a", "nothing seen", 1.0)
         assert (r.residual, r.samples) == (0.0, 0)
 
-    @pytest.mark.parametrize("calls", [
-        [(NAN,), (1e-9,)],
-        [(1e-9,), (NAN,)],
-        [(1e-9,), (NAN,), (2e-9,)],
-        [(1e-9, NAN, 2e-9)],
-        [(NAN, 1e-9)],
-    ], ids=["first", "later", "then-finite", "inside-one-call", "first-of-one-call"])
+    @pytest.mark.parametrize("calls, evaluations", [
+        ([(NAN,), (1e-9,)], 2),
+        ([(1e-9,), (NAN,)], 2),
+        ([(1e-9,), (NAN,), (2e-9,)], 3),
+        ([(1e-9, NAN, 2e-9)], 1),
+        ([(NAN, 1e-9)], 1),
+        ([(np.array([1e-9, NAN, 2e-9]),)], 3),
+        ([(np.array([NAN, 1e-9]),), (3e-9,)], 3),
+        ([(2e-9,), (np.array([1e-9, 1e-9]), np.array([3e-9, NAN]))], 3),
+        ([(np.array([NAN]),), (np.array([5.0, 1e-9]),)], 3),
+    ], ids=["first", "later", "then-finite", "inside-one-call", "first-of-one-call",
+            "inside-a-stack", "first-of-a-stack", "last-of-a-second-stack", "before-a-larger-stack"])
     @pytest.mark.parametrize("invert", [False, True])
-    def test_a_nan_sticks_and_fails_the_row(self, calls, invert):
+    def test_a_nan_sticks_and_fails_the_row(self, calls, evaluations, invert):
         checks = Checks("E0.demo")
         for values in calls:
             checks.see("a", *values)
         r = checks.row("a", "some identity", 1e-8, invert=invert)
         assert np.isnan(r.residual) and r.status == "fail"
-        assert r.samples == len(calls)
+        assert r.samples == evaluations
+
+    def test_a_stack_counts_one_evaluation_per_index_and_reports_its_max(self):
+        checks = Checks("E0.demo")
+        checks.see("a", np.array([1e-9, 4e-9, 2e-9]))
+        r = checks.row("a", "some identity", 1e-8)
+        assert (r.residual, r.samples, r.status) == (4e-9, 3, "pass")
+        assert type(r.residual) is float
+
+    def test_stacks_broadcast_per_evaluation(self):
+        checks = Checks("E0.demo")
+        checks.see("a", np.array([1e-9, 2e-9]), np.array([3e-9, 1e-9]), 5e-10)
+        checks.see("a", np.array([[1e-9], [6e-9]]))  # trailing axes are values of one evaluation
+        r = checks.row("a", "some identity", 1e-8)
+        assert (r.residual, r.samples) == (6e-9, 4)
+
+    def test_the_fold_is_order_free(self):
+        values = np.array([3e-9, -1.0, 7e-9, 2e-9])
+        stacked, one_by_one = Checks("E0.demo"), Checks("E0.demo")
+        stacked.see("a", values)
+        for v in values[::-1]:
+            one_by_one.see("a", v)
+        a, b = stacked.row("a", "x", 1.0), one_by_one.row("a", "x", 1.0)
+        assert (a.residual, a.samples) == (b.residual, b.samples) == (7e-9, 4)
+
+    def test_stacks_of_unequal_length_raise(self):
+        with pytest.raises(ValueError):
+            Checks("E0.demo").see("a", np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("values", [(1e-9,), (1e-9, 2e-9), (np.float64(1e-9), np.array(2e-9)), ()])
+    def test_numbers_alone_are_one_evaluation(self, values):
+        checks = Checks("E0.demo")
+        checks.see("a", *values)
+        assert checks.row("a", "x", 1.0).samples == 1
 
 
 def test_a_nan_at_a_later_sample_fails_its_suite_row(monkeypatch):
@@ -91,6 +132,67 @@ def test_samples_counts_the_evaluations_of_the_row(suite, name, expected):
     entry = get("E1")
     rows = {r.name: r for r in suites.SUITES[suite](entry, samples=10)}
     assert rows[f"E1.{suite}.{name}"].samples == expected
+
+
+def _fold_only(statements) -> bool:
+    """Whether every statement only feeds ``checks.see``: a call of it, or an ``if`` or
+    ``for`` whose branches hold nothing else."""
+    return all(
+        (isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)
+         and ast.unparse(s.value.func) == "checks.see")
+        or (isinstance(s, (ast.If, ast.For)) and _fold_only(s.body) and _fold_only(s.orelse))
+        for s in statements)
+
+
+def fold_only_loops(source: str) -> list[int]:
+    """The line of every ``for`` statement in source whose body only feeds ``checks.see``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.For) and _fold_only(node.body))
+
+
+def test_no_suite_loop_only_feeds_the_accumulator():
+    # a stacked result goes to one see call, which counts one evaluation per index
+    lines = fold_only_loops(Path(suites.__file__).read_text())
+    assert not lines, f"suites.py lines {lines}: pass the stack to checks.see instead of a loop"
+
+
+def test_the_loop_scan_sees_each_kind_of_fold_only_loop():
+    source = '''
+for i in range(3):
+    checks.see("a", res[i])
+for r in rows:
+    if r:
+        checks.see("b", r)
+    else:
+        checks.see("c", r)
+for i in range(2):
+    for r in rows:
+        checks.see("d", r[i])
+for p in pts:
+    v = f(p)
+    checks.see("e", v)
+for key in keys:
+    checks.row(key, "identity", 1.0)
+'''
+    assert fold_only_loops(source) == [2, 4, 9, 10]
+
+
+def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
+    # one E3 unit at seed 42; one point at a time, the block made 140 Christoffel
+    # evaluations in frames, 40 horizontal lifts and 30 Mok products
+    tallies = {}
+    for module, name in ((frames_module, "christoffel"), (suites, "horizontal_lift_frame"),
+                         (suites, "mok_metric")):
+        tally = tallies[name] = []
+
+        def counting(*args, real=getattr(module, name), tally=tally, **kwargs):
+            tally.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    suites.suite_frame(get("E3"), seed=42)
+    assert {name: len(t) for name, t in tallies.items()} == {
+        "christoffel": 56, "horizontal_lift_frame": 2, "mok_metric": 3}
 
 
 @pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
