@@ -3,7 +3,8 @@
 Low-order polynomial coefficients drawn from a seeded generator give
 analytic vector and endomorphism fields that exercise every derivative
 path without chart-boundary trouble.  Every field takes points with
-leading axes (..., dim), as ``geometry.VectorField`` requires.
+leading axes (..., dim), as ``geometry.VectorField`` requires; a vector
+field may carry its own coefficients at each point of a stack.
 """
 
 from __future__ import annotations
@@ -20,16 +21,24 @@ def polynomial_vector_field(
     exact_jacobian: bool = True,
 ) -> VectorField:
     """Quadratic polynomial field with optional exact Jacobian."""
-    c0 = rng.standard_normal(dim)
-    c1 = scale * rng.standard_normal((dim, dim))
-    c2 = scale * rng.standard_normal((dim, dim, dim))
-    c2 = 0.5 * (c2 + c2.transpose(0, 2, 1))
+    return _polynomial_vector_field(rng.standard_normal(dim + dim**2 + dim**3), dim, scale,
+                                    exact_jacobian)
+
+
+def _polynomial_vector_field(draws: Array, dim: int, scale: float = DEFAULT_SCALE,
+                             exact_jacobian: bool = True) -> VectorField:
+    """The field of the standard-normal draws (..., dim + dim^2 + dim^3).  Draws (N, ...) give
+    a field per point: row i of points (..., N, dim) uses draws i; stencil axes lead."""
+    c0 = draws[..., :dim]
+    c1 = scale * draws[..., dim:dim + dim**2].reshape(draws.shape[:-1] + (dim, dim))
+    c2 = scale * draws[..., dim + dim**2:].reshape(draws.shape[:-1] + (dim,) * 3)
+    c2 = 0.5 * (c2 + c2.swapaxes(-1, -2))
 
     def ev(p: Array) -> Array:
-        return c0 + (c1 @ p[..., None])[..., 0] + 0.5 * np.einsum("ijk,...j,...k->...i", c2, p, p)
+        return c0 + (c1 @ p[..., None])[..., 0] + 0.5 * np.einsum("...ijk,...j,...k->...i", c2, p, p)
 
     def jac(p: Array) -> Array:
-        return c1 + np.einsum("ijk,...k->...ij", c2, p)
+        return c1 + np.einsum("...ijk,...k->...ij", c2, p)
 
     return VectorField(eval=ev, jacobian=jac if exact_jacobian else None)
 

@@ -203,19 +203,35 @@ def _norm2(p: Array) -> Array:
     return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
 
 
+def _pairing_at(g: Array, y: Array, z: Array) -> Array:
+    """y @ g @ z for vectors y, z and metrics g with the same leading axes."""
+    return (y[..., None, :] @ g @ z[..., :, None])[..., 0, 0]
+
+
 def _check_domain(M: ChartManifold, p: Array) -> Array:
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (M.dim,):
         raise ValueError(f"point has shape {p.shape}, expected (..., {M.dim})")
     if not M.contains(p):
-        raise DomainError(f"point {p} outside chart domain of {M.name or 'manifold'}")
+        raise DomainError(f"{_first_outside(p, M.domain_predicate(p))} outside chart domain of "
+                          f"{M.name or 'manifold'}")
     return p
 
 
 def _check_stencil(M: ChartManifold, p: Array, h: float) -> None:
     """One domain check of the whole central-difference stencil at points p."""
-    if not M.contains(_stencil(np.asarray(p, dtype=float), h)):
-        raise DomainError("finite-difference stencil leaves chart domain")
+    p = np.asarray(p, dtype=float)
+    stencil = _stencil(p, h)
+    inside = np.asarray(M.domain_predicate(stencil))
+    if not inside.all():  # one predicate call, whose values also name the point
+        raise DomainError("finite-difference stencil leaves chart domain at " + _first_outside(
+            p, np.broadcast_to(inside, stencil.shape[:-1]).all(axis=(0, -1))))
+
+
+def _first_outside(p: Array, inside: Array) -> str:
+    """The first point of p (..., dim) not ``inside`` (...), with its index in a stack."""
+    i = np.argwhere(~np.broadcast_to(inside, p.shape[:-1]))[0]
+    return f"point {p[tuple(i)]}" + (f" (index {', '.join(map(str, i))})" if len(i) else "")
 
 
 def sample_points(M: ChartManifold, seed: int, count: int) -> Array:

@@ -17,11 +17,11 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _pairing_at,
     central_diff,
     christoffel,
     constant_field,
     covariant_derivatives,
-    curvature,
     curvature_tensor,
     directional_diff,
     endo_inner,
@@ -107,7 +107,12 @@ from .tangent import (
     tm_vertical_lift,
 )
 from .catalog import CatalogEntry
-from .fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
+from .fields import (
+    _polynomial_vector_field,
+    g_skew_endo_field,
+    polynomial_endo_field,
+    polynomial_vector_field,
+)
 from .reporting import CheckReport, Checks
 
 
@@ -115,9 +120,9 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng([seed, *tags])
 
 
-def _tm_size(t: TMTangent) -> float:
-    """Largest absolute entry of a tangent-bundle vector's two rates."""
-    return np.max(np.abs(np.concatenate([t.base_rate, t.fiber_rate])))
+def _tm_size(t: TMTangent):
+    """Largest absolute entry of a tangent-bundle vector's two rates, per point of a stack."""
+    return np.max(np.abs(np.concatenate([t.base_rate, t.fiber_rate], axis=-1)), axis=-1)
 
 
 def _single(checks: Checks, key: str, identity: str, residual, tolerance: float,
@@ -132,11 +137,6 @@ def _pairing(M, Y: VectorField, Z: VectorField, q):
     return _pairing_at(metric_eval(M, q), Y.eval(q), Z.eval(q))
 
 
-def _pairing_at(g, y, z):
-    """y @ g @ z for vectors y, z and metrics g with the same leading axes."""
-    return (y[..., None, :] @ g @ z[..., :, None])[..., 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # core chart calculus
 # ---------------------------------------------------------------------------
@@ -145,58 +145,46 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                seed: int = 42, samples: int = 10) -> list[CheckReport]:
     checks = Checks(f"{entry.id}.core")
     for M, tag in ((entry.phi.source, "src"), (entry.phi.target, "tgt")):
+        # every block once on the stack of sample points; per point, the draws are the
+        # coefficients of X, Y and Z, then the vectors x, y and z
         pts = sample_points(M, seed, samples)
-        rng = _rng(seed, 1)
+        n = M.dim
+        m = n + n * n + n ** 3
+        draws = _rng(seed, 1).standard_normal((len(pts), 3 * m + 3 * n))
+        X, Y, Z = (_polynomial_vector_field(draws[:, i * m:(i + 1) * m], n) for i in range(3))
+        x, y, z = np.split(draws[:, 3 * m:], 3, axis=-1)
         exact = M.metric_derivative is not None
-        tol_compat = 1e-8 if exact else cfg.tol_fd1
 
-        for p in pts:
-            gamma = christoffel(M, p, cfg)
-            checks.see(f"gamma_symmetry.{tag}", np.max(np.abs(gamma - gamma.transpose(0, 2, 1))))
-            X = polynomial_vector_field(M.dim, rng)
-            Y = polynomial_vector_field(M.dim, rng)
-            Z = polynomial_vector_field(M.dim, rng)
-
-            lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), p, X.eval(p), cfg.step_h)
-            nXY, nXZ, nYX = (v.components for v in covariant_derivatives(
-                M, [(X, Y), (X, Z), (Y, X)], p, cfg))
-            g = metric_eval(M, p)
-            checks.see(f"metric_compatibility.{tag}",
-                       abs(lhs - float(nXY @ g @ Z.eval(p)) - float(Y.eval(p) @ g @ nXZ)))
-
-            br = lie_bracket(X, Y, p, cfg).components
-            tf = nXY - nYX - br
-            checks.see(f"torsion_free.{tag}", norm(M, p, tf))
-
-            x, y, z = (rng.standard_normal(M.dim) for _ in range(3))
-            bx = curvature(M, TangentVector(p, x), TangentVector(p, y), TangentVector(p, z), cfg).components
-            by = curvature(M, TangentVector(p, y), TangentVector(p, z), TangentVector(p, x), cfg).components
-            bz = curvature(M, TangentVector(p, z), TangentVector(p, x), TangentVector(p, y), cfg).components
-            checks.see(f"bianchi_first.{tag}", norm(M, p, bx + by + bz))
-
-            if exact:
-                fd = central_diff(M.metric_field, p, cfg.step_h)
-                checks.see(f"metric_derivative_vs_fd.{tag}", np.max(np.abs(fd - M.metric_derivative(p))))
-
-        checks.row(f"gamma_symmetry.{tag}", "Gamma^k_ij = Gamma^k_ji", cfg.tol_exact)
-        checks.row(f"metric_compatibility.{tag}",
-                   "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)", tol_compat)
-        checks.row(f"torsion_free.{tag}", "nabla_X Y - nabla_Y X = [X, Y]", cfg.tol_fd1)
-        checks.row(f"bianchi_first.{tag}", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0", cfg.tol_fd1)
+        gamma = christoffel(M, pts, cfg)
+        _single(checks, f"gamma_symmetry.{tag}", "Gamma^k_ij = Gamma^k_ji",
+                np.max(np.abs(gamma - gamma.swapaxes(-1, -2)), axis=(-3, -2, -1)), cfg.tol_exact)
+        lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), pts, X.eval(pts), cfg.step_h)
+        nXY, nXZ, nYX = (v.components for v in covariant_derivatives(
+            M, [(X, Y), (X, Z), (Y, X)], pts, cfg))
+        g = metric_eval(M, pts)
+        _single(checks, f"metric_compatibility.{tag}", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
+                np.abs(lhs - _pairing_at(g, nXY, Z.eval(pts)) - _pairing_at(g, Y.eval(pts), nXZ)),
+                1e-8 if exact else cfg.tol_fd1)
+        _single(checks, f"torsion_free.{tag}", "nabla_X Y - nabla_Y X = [X, Y]",
+                _g_norm(g, nXY - nYX - lie_bracket(X, Y, pts, cfg).components), cfg.tol_fd1)
+        R = curvature_tensor(M, pts, cfg)
+        cyclic = sum(np.einsum("...ijkl,...i,...j,...k->...l", R, *xyz)
+                     for xyz in ((x, y, z), (y, z, x), (z, x, y)))
+        _single(checks, f"bianchi_first.{tag}", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0",
+                _g_norm(g, cyclic), cfg.tol_fd1)
         if exact:
-            checks.row(f"metric_derivative_vs_fd.{tag}",
-                       "supplied d_k g_ij matches central differences", cfg.tol_fd1)
+            _single(checks, f"metric_derivative_vs_fd.{tag}",
+                    "supplied d_k g_ij matches central differences", np.max(np.abs(
+                        central_diff(M.metric_field, pts, cfg.step_h) - M.metric_derivative(pts)),
+                        axis=(-3, -2, -1)), cfg.tol_fd1)
 
         # endomorphism inner product: basis independence
         p = pts[0]
         rng2 = _rng(seed, 2)
-        P = rng2.standard_normal((M.dim, M.dim))
-        Q = rng2.standard_normal((M.dim, M.dim))
-        onb1 = orthonormal_basis(M, p)
-        seeds = list(np.eye(M.dim)[::-1] + 0.1 * rng2.standard_normal((M.dim, M.dim)))
-        onb2 = gram_schmidt(M, p, seeds)
-        v1 = endo_inner(M, p, P, Q, onb1)
-        v2 = endo_inner(M, p, P, Q, onb2)
+        P, Q = rng2.standard_normal((2, n, n))
+        seeds = list(np.eye(n)[::-1] + 0.1 * rng2.standard_normal((n, n)))
+        v1, v2 = (endo_inner(M, p, P, Q, onb)
+                  for onb in (orthonormal_basis(M, p), gram_schmidt(M, p, seeds)))
         _single(checks, f"endo_inner_basis_independent.{tag}",
                 "<P|Q> equal over two orthonormal bases", abs(v1 - v2),
                 cfg.tol_exact * max(1.0, abs(v1)))
@@ -215,86 +203,81 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     geom = derive_geometry(phi, cfg)
     pts = sample_points(M, seed, samples)
     rng = _rng(seed, 3)
-
-    for p in pts:
-        Z = TMPoint(p, 0.7 * rng.standard_normal(M.dim))
-        x = rng.standard_normal(M.dim)
-        X = TangentVector(p, x)
-        v = tm_vertical_lift(X, Z)
-        h = tm_horizontal_lift(M, X, Z, cfg)
-        checks.see("lift_identities",
-                   np.max(np.abs(connection_map_K(M, v, cfg).components - x)),
-                   np.max(np.abs(connection_map_K(M, h, cfg).components)),
-                   np.max(np.abs(h.base_rate - x)),
-                   np.max(np.abs(v.base_rate)))
-        t = TMTangent(Z, rng.standard_normal(M.dim), rng.standard_normal(M.dim))
-        hh, vv = tm_split(M, t, cfg)
-        checks.see("splitting_exact", _tm_size(hh + vv - t))
-        checks.see("horizontal_vertical_orthogonal", abs(sasaki_mok_tm(M, h, v, cfg)))
-    checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact)
-    checks.row("splitting_exact", "t = (pi_* t)^h + (K t)^v", cfg.tol_exact)
-    checks.row("horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0", cfg.tol_exact)
-
-    # second differential: formula vs finite differences, both kinds
-    for kind in ("vertical", "horizontal"):
-        for p in pts:
-            Z = TMPoint(p, 0.7 * rng.standard_normal(M.dim))
-            X = TangentVector(p, rng.standard_normal(M.dim))
-            t = tm_vertical_lift(X, Z) if kind == "vertical" else tm_horizontal_lift(M, X, Z, cfg)
-            checks.see(f"second_differential.{kind}", _tm_size(
-                phi_second_differential_fd(phi, t, cfg)
-                - phi_second_differential_formula(phi, kind, X, Z, cfg)))
-        checks.row(f"second_differential.{kind}",
-                   "second differential formula matches central differences", cfg.tol_fd2)
-
-    # kernel/orthogonal distributions of the tangent-bundle map
     n, k = M.dim, phi.target.dim
+
+    # lifts and the splitting, once on the stack of sample points; per point, the
+    # draws are the fiber of Z, the vector x and the two rates of t
+    zf, x, base_rate, fiber_rate = np.split(rng.standard_normal((len(pts), 4 * n)), 4, axis=-1)
+    Z = TMPoint(pts, 0.7 * zf)
+    v = tm_vertical_lift(TangentVector(pts, x), Z)
+    h = tm_horizontal_lift(M, TangentVector(pts, x), Z, cfg)
+    checks.see("lift_identities", *(np.max(np.abs(d), axis=-1) for d in (
+        connection_map_K(M, v, cfg).components - x, connection_map_K(M, h, cfg).components,
+        h.base_rate - x, v.base_rate)))
+    checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact)
+    t = TMTangent(Z, base_rate, fiber_rate)
+    hh, vv = tm_split(M, t, cfg)
+    _single(checks, "splitting_exact", "t = (pi_* t)^h + (K t)^v", _tm_size(hh + vv - t),
+            cfg.tol_exact)
+    _single(checks, "horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0",
+            np.abs(sasaki_mok_tm(M, h, v, cfg)), cfg.tol_exact)
+
+    # second differential: formula vs finite differences, each kind once on the stack;
+    # per point, the draws are the fiber of Z and the vector X
+    for kind in ("vertical", "horizontal"):
+        zf, x = np.split(rng.standard_normal((len(pts), 2 * n)), 2, axis=-1)
+        Z = TMPoint(pts, 0.7 * zf)
+        X = TangentVector(pts, x)
+        t = tm_vertical_lift(X, Z) if kind == "vertical" else tm_horizontal_lift(M, X, Z, cfg)
+        _single(checks, f"second_differential.{kind}",
+                "second differential formula matches central differences",
+                _tm_size(phi_second_differential_fd(phi, t, cfg)
+                         - phi_second_differential_formula(phi, kind, X, Z, cfg)), cfg.tol_fd2)
+
+    # kernel/orthogonal distributions of the tangent-bundle map, point by point: the
+    # null space and the constant extension are per point
     for p in pts[: max(2, samples // 3)]:
-        Z = TMPoint(p, 0.7 * rng.standard_normal(M.dim))
+        Z = TMPoint(p, 0.7 * rng.standard_normal(n))
         Vb, Hb = tm_distributions(geom, Z, cfg)
         checks.see("distribution_dimensions",
                    0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k) else 1.0)
-        images = [phi_second_differential_fd(phi, v, cfg) for v in Vb]
-        checks.see("kernel_distribution", *map(_tm_size, images))
-        checks.see("distribution_orthogonality",
-                   *(abs(sasaki_mok_tm(M, v, h, cfg)) for v in Vb for h in Hb))
-        # displayed orthogonal-side formula, reported against the complement
-        checks.see("displayed_h_vs_complement",
-                   *(abs(sasaki_mok_tm(M, v, h, cfg))
-                     for h in tm_distributions_displayed_h(geom, Z, cfg) for v in Vb))
-        # both kernel bases start with the same vertical lifts; only the
-        # corrected horizontal half differs
+        # both kernel bases start with the same vertical lifts; only the corrected
+        # horizontal half differs
         half = len(Vb) // 2
         const_ext = tm_kernel_constant_extension(geom, Z, cfg)[half:]
-        checks.see("kernel_constant_extension", *map(_tm_size, images[:half]),
-                   *(_tm_size(phi_second_differential_fd(phi, v, cfg)) for v in const_ext))
+        sizes = _tm_size(phi_second_differential_fd(phi, TMTangent.stack(Vb + const_ext), cfg))
+        checks.see("kernel_distribution", *sizes[:len(Vb)])
+        checks.see("distribution_orthogonality", *np.abs(sasaki_mok_tm(
+            M, TMTangent.stack([v for v in Vb for _ in Hb]), TMTangent.stack(Hb * len(Vb)), cfg)))
+        # displayed orthogonal-side formula, reported against the complement
+        shown = tm_distributions_displayed_h(geom, Z, cfg)
+        checks.see("displayed_h_vs_complement", *np.abs(sasaki_mok_tm(
+            M, TMTangent.stack(Vb * len(shown)), TMTangent.stack([h for h in shown for _ in Vb]), cfg)))
+        checks.see("kernel_constant_extension", *sizes[:half], *sizes[len(Vb):])
     checks.row("kernel_distribution", "second differential kills the kernel basis", cfg.tol_fd2)
     checks.row("distribution_orthogonality", "kernel and complement are Sasaki-orthogonal",
                cfg.tol_fd1)
     checks.row("distribution_dimensions", "dim kernel = 2(n-k), dim complement = 2k", 0.5)
-    checks.row("displayed_h_vs_complement",
-               "displayed orthogonal-side formula vs kernel (diagnostic)", cfg.tol_fd2,
-               kind="audit")
-    checks.row("kernel_constant_extension",
-               "kernel formula under bare constant extension (diagnostic)", cfg.tol_fd2,
-               kind="audit")
+    checks.row("displayed_h_vs_complement", "displayed orthogonal-side formula vs kernel (diagnostic)",
+               cfg.tol_fd2, kind="audit")
+    checks.row("kernel_constant_extension", "kernel formula under bare constant extension (diagnostic)",
+               cfg.tol_fd2, kind="audit")
 
     # frame-to-tangent-bundle projections are Riemannian submersions
     p = pts[0]
     u = Frame(p, reference_frame(M, p))
     rngp = _rng(seed, 4)
-    for i in range(M.dim):
-        x = rngp.standard_normal(M.dim)
-        P = rngp.standard_normal((M.dim, M.dim))
-        t = horizontal_lift_frame(M, TangentVector(p, x), u, cfg) + fundamental_vertical(P, u)
+    for i in range(n):
+        x = rngp.standard_normal(n)
+        P = rngp.standard_normal((n, n))
+        th = horizontal_lift_frame(M, TangentVector(p, x), u, cfg)
+        t = th + fundamental_vertical(P, u)
         checks.see("frame_projection_differential",
                    _tm_size(pi_i_differential(M, t, i, cfg) - pi_i_differential_fd(M, t, i, cfg)))
-        th = horizontal_lift_frame(M, TangentVector(p, x), u, cfg)
         ti = pi_i_differential(M, th, i, cfg)
         checks.see("frame_projection_isometry",
                    abs(mok_metric(M, th, th, cfg) - sasaki_mok_tm(M, ti, ti, cfg)))
-    checks.row("frame_projection_differential", "column projection maps lifts to lifts",
-               cfg.tol_fd1)
+    checks.row("frame_projection_differential", "column projection maps lifts to lifts", cfg.tol_fd1)
     checks.row("frame_projection_isometry", "column projection is isometric on horizontals",
                cfg.tol_fd1)
     return checks.reports

@@ -3,12 +3,16 @@
 Horizontal and vertical lifts, the Dombrowski connection map K splitting
 TTM, the second differential of a submersion between tangent bundles, and
 the kernel/orthogonal distributions of that second differential.
+
+Points (x, Z) and the rates of tangents at them may carry leading axes
+(..., n): every function of points but the distributions, built at one
+point, takes such stacks, and a stack's rows equal row-by-row calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _pairing_at,
     christoffel,
     christoffel_contract,
     covariant_derivatives,
@@ -76,10 +81,11 @@ class TMTangent:
         return TMTangent(self.at, self.base_rate - other.base_rate,
                          self.fiber_rate - other.fiber_rate)
 
-    def __mul__(self, c: float) -> "TMTangent":
-        return TMTangent(self.at, c * self.base_rate, c * self.fiber_rate)
-
-    __rmul__ = __mul__
+    @staticmethod
+    def stack(ts: Sequence["TMTangent"]) -> "TMTangent":
+        """The tangents ts as one tangent at the stack of their points, along a new first axis."""
+        return TMTangent(TMPoint(np.stack([t.at.base for t in ts]), np.stack([t.at.fiber for t in ts])),
+                         np.stack([t.base_rate for t in ts]), np.stack([t.fiber_rate for t in ts]))
 
 
 def _same_tm_point(a: TMPoint, b: TMPoint, tol: float = 1e-9) -> None:
@@ -102,34 +108,35 @@ def tm_horizontal_lift(
         raise ValueError("vector and bundle point have different base points")
     gamma = christoffel(M, Z.base, cfg)
     return TMTangent(Z, X.components.copy(),
-                     -christoffel_contract(gamma, X.components) @ Z.fiber)
+                     -(christoffel_contract(gamma, X.components) @ Z.fiber[..., None])[..., 0])
 
 
 def connection_map_K(M: ChartManifold, t: TMTangent, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
     """Dombrowski connection map: K = fiber_rate + Gamma_{base_rate} Z."""
-    gamma = christoffel(M, t.at.base, cfg)
-    return TangentVector(
-        t.at.base, t.fiber_rate + christoffel_contract(gamma, t.base_rate) @ t.at.fiber
-    )
+    return TangentVector(t.at.base, _connection_map(christoffel(M, t.at.base, cfg), t))
+
+
+def _connection_map(gamma: Array, t: TMTangent) -> Array:
+    """The components of K(t) from the Christoffel symbols ``gamma`` at t's base points."""
+    return t.fiber_rate + (christoffel_contract(gamma, t.base_rate) @ t.at.fiber[..., None])[..., 0]
 
 
 def tm_split(M: ChartManifold, t: TMTangent, cfg: FDConfig = DEFAULT_FD) -> tuple[TMTangent, TMTangent]:
     """Exact splitting into horizontal and vertical lifts of pi_* t and K(t)."""
-    K = connection_map_K(M, t, cfg)
-    hor = tm_horizontal_lift(M, TangentVector(t.at.base, t.base_rate), t.at, cfg)
-    ver = tm_vertical_lift(K, t.at)
-    return hor, ver
+    return (tm_horizontal_lift(M, TangentVector(t.at.base, t.base_rate), t.at, cfg),
+            tm_vertical_lift(connection_map_K(M, t, cfg), t.at))
 
 
 def sasaki_mok_tm(
     M: ChartManifold, s: TMTangent, t: TMTangent, cfg: FDConfig = DEFAULT_FD
-) -> float:
-    """Sasaki-Mok metric: g(pi_* s, pi_* t) + g(K(s), K(t))."""
+) -> Array:
+    """Sasaki-Mok metric g(pi_* s, pi_* t) + g(K(s), K(t)), one value per point; one
+    Christoffel evaluation serves both connection maps."""
     _same_tm_point(s.at, t.at)
     g = metric_eval(M, s.at.base)
-    Ks = connection_map_K(M, s, cfg).components
-    Kt = connection_map_K(M, t, cfg).components
-    return float(s.base_rate @ g @ t.base_rate + Ks @ g @ Kt)
+    gamma = christoffel(M, s.at.base, cfg)
+    return (_pairing_at(g, s.base_rate, t.base_rate)
+            + _pairing_at(g, _connection_map(gamma, s), _connection_map(gamma, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,24 +146,20 @@ def sasaki_mok_tm(
 def tm_map(phi: SubmersionSpec, Z: TMPoint, cfg: FDConfig = DEFAULT_FD) -> TMPoint:
     """The induced map of tangent bundles: (x, Z) -> (phi(x), dphi Z)."""
     J = differential_matrix(phi, Z.base, cfg)
-    return TMPoint(phi.value(Z.base), J @ Z.fiber)
+    return TMPoint(phi.value(Z.base), (J @ Z.fiber[..., None])[..., 0])
 
 
 def phi_second_differential_fd(
     phi: SubmersionSpec, t: TMTangent, cfg: FDConfig = DEFAULT_FD
 ) -> TMTangent:
-    """Central-difference differential of the tangent-bundle map along t."""
+    """Central-difference differential of the tangent-bundle map along t: one
+    ``tm_map`` call on the two ends of every point's step."""
     Z = t.at
     h = cfg.step_h if phi.jacobian is not None else cfg.step_h2
-
-    def val(s: float) -> tuple[Array, Array]:
-        x = Z.base + s * t.base_rate
-        z = Z.fiber + s * t.fiber_rate
-        return phi.value(x), differential_matrix(phi, x, cfg) @ z
-
-    yp, zp = val(h)
-    ym, zm = val(-h)
-    return TMTangent(tm_map(phi, Z, cfg), (yp - ym) / (2.0 * h), (zp - zm) / (2.0 * h))
+    s = np.array([h, -h]).reshape((2,) + (1,) * Z.base.ndim)
+    ends = tm_map(phi, TMPoint(Z.base + s * t.base_rate, Z.fiber + s * t.fiber_rate), cfg)
+    return TMTangent(tm_map(phi, Z, cfg), (ends.base[0] - ends.base[1]) / (2.0 * h),
+                     (ends.fiber[0] - ends.fiber[1]) / (2.0 * h))
 
 
 def phi_second_differential_formula(
@@ -171,8 +174,8 @@ def phi_second_differential_formula(
     if not np.array_equal(X.base, Z.base):
         raise ValueError("vector and bundle point have different base points")
     J = differential_matrix(phi, Z.base, cfg)
-    img = tm_map(phi, Z, cfg)
-    pushed = TangentVector(img.base, J @ X.components)
+    img = TMPoint(phi.value(Z.base), (J @ Z.fiber[..., None])[..., 0])
+    pushed = TangentVector(img.base, (J @ X.components[..., None])[..., 0])
     if kind == "vertical":
         return tm_vertical_lift(pushed, img)
     if kind == "horizontal":
@@ -192,23 +195,22 @@ def _extension(geom: SubmersionGeometry, x_val: Array, cfg: FDConfig, part: int)
     return VectorField(eval=lambda q: splitting_projectors(geom.phi, q, cfg)[part] @ x_val)
 
 
-def _kernel_basis(
-    geom: SubmersionGeometry, Z: TMPoint, cfg: FDConfig,
+def _lifted_basis(
+    geom: SubmersionGeometry, Z: TMPoint, cfg: FDConfig, part: int,
     extend: Callable[[Array], VectorField],
 ) -> list[TMTangent]:
-    """Vertical lifts of vertical vectors, then their horizontal lifts
-    corrected by the horizontal part of nabla_Z of ``extend(e)``."""
-    M = geom.phi.source
-    p = Z.base
-    _, Pi_H = splitting_projectors(geom.phi, p, cfg)
-    Zvec = constant_field(Z.fiber)
-    vb = vertical_basis(geom, p)
-    out = [tm_vertical_lift(e, Z) for e in vb]
-    for e, nab in zip(vb, covariant_derivatives(M, [(Zvec, extend(e.components)) for e in vb],
-                                                p, cfg)):
-        corr = TangentVector(p, Pi_H @ nab.components)
-        out.append(tm_horizontal_lift(M, e, Z, cfg) + tm_vertical_lift(corr, Z))
-    return out
+    """Lifts of the vertical (part 0) or horizontal (part 1) basis e at Z's base point:
+    each e lifted that way, then each e lifted the other way plus that way's lift of
+    the other projection of nabla_Z ``extend(e)``."""
+    M, p = geom.phi.source, Z.base
+    basis = (vertical_basis, horizontal_basis)[part](geom, p)
+    Pi = splitting_projectors(geom.phi, p, cfg)[1 - part]
+    lifts = (lambda e: tm_vertical_lift(e, Z)), (lambda e: tm_horizontal_lift(M, e, Z, cfg))
+    same, other = lifts[part], lifts[1 - part]
+    nabs = covariant_derivatives(M, [(constant_field(Z.fiber), extend(e.components)) for e in basis],
+                                 p, cfg)
+    return [same(e) for e in basis] + [other(e) + same(TangentVector(p, Pi @ nab.components))
+                                       for e, nab in zip(basis, nabs)]
 
 
 def tm_distributions(
@@ -225,7 +227,7 @@ def tm_distributions(
     """
     M = geom.phi.source
     n = M.dim
-    V_basis = _kernel_basis(geom, Z, cfg, lambda x: _extension(geom, x, cfg, 0))
+    V_basis = _lifted_basis(geom, Z, cfg, 0, lambda x: _extension(geom, x, cfg, 0))
 
     # the chart directions d_x (base rates) and d_Z (fiber rates) lifted at the column Z
     I = np.eye(2 * n)
@@ -241,7 +243,7 @@ def tm_kernel_constant_extension(
 ) -> list[TMTangent]:
     """The kernel formula of ``tm_distributions`` under the bare constant
     extension of each vertical vector, kept for diagnostics."""
-    return _kernel_basis(geom, Z, cfg, constant_field)
+    return _lifted_basis(geom, Z, cfg, 0, constant_field)
 
 
 def tm_distributions_displayed_h(
@@ -253,17 +255,7 @@ def tm_distributions_displayed_h(
     the horizontal lift of the vertical part of nabla_Z of a horizontal
     extension.
     """
-    M = geom.phi.source
-    p = Z.base
-    Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
-    Zvec = constant_field(Z.fiber)
-    hb = horizontal_basis(geom, p)
-    out = [tm_horizontal_lift(M, e, Z, cfg) for e in hb]
-    for e, nab in zip(hb, covariant_derivatives(
-            M, [(Zvec, _extension(geom, e.components, cfg, 1)) for e in hb], p, cfg)):
-        corr = TangentVector(p, Pi_V @ nab.components)
-        out.append(tm_vertical_lift(e, Z) + tm_horizontal_lift(M, corr, Z, cfg))
-    return out
+    return _lifted_basis(geom, Z, cfg, 1, lambda x: _extension(geom, x, cfg, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +273,8 @@ def pi_i_differential(
     u = t.at
     Z = TMPoint(u.base, u.vector(i))
     hor = tm_horizontal_lift(M, TangentVector(u.base, t.base_rate), Z, cfg)
-    V = vertical_part(M, t, cfg)
-    ver = tm_vertical_lift(TangentVector(u.base, V @ u.vector(i)), Z)
+    ver = tm_vertical_lift(
+        TangentVector(u.base, (vertical_part(M, t, cfg) @ Z.fiber[..., None])[..., 0]), Z)
     return hor + ver
 
 
@@ -293,6 +285,5 @@ def pi_i_differential_fd(
     u = t.at
     h = cfg.step_h
     Z = TMPoint(u.base, u.vector(i))
-    base_rate = t.base_rate.copy()
-    fiber_rate = ((u.columns + h * t.frame_rate)[:, i] - (u.columns - h * t.frame_rate)[:, i]) / (2.0 * h)
-    return TMTangent(Z, base_rate, fiber_rate)
+    fiber_rate = ((u.columns + h * t.frame_rate) - (u.columns - h * t.frame_rate))[..., :, i] / (2.0 * h)
+    return TMTangent(Z, t.base_rate.copy(), fiber_rate)

@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from framelift.catalog import get
 from framelift.cli import main, run
-from framelift.geometry import DomainError
+from framelift.geometry import DomainError, sample_points
 from framelift.reporting import strip_wall_times
 
 
@@ -81,6 +84,20 @@ class TestVerify:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "E3 suite core" in proc.stderr and where in proc.stderr
+
+    def test_domain_error_on_a_stack_names_one_point_and_its_index(self):
+        # the core suite checks the whole stack of sample points at once; the message
+        # names the first point outside, and its place in the stack, not the stack
+        proc = run_cli(["verify", "E3", "--suite", "core", "--seed", "5"])
+        assert proc.returncode == 2
+        found = re.findall(r"point \[([^\]]*)\] \(index (\d+)\) outside chart domain of S2\(1/2\)",
+                           proc.stderr)
+        assert len(found) == 1 and proc.stderr.count("[") == 1
+        coords, index = found[0]
+        M = get("E3").phi.target
+        point = sample_points(M, 5, 10)[int(index)]
+        assert not M.contains(point) and M.contains(sample_points(M, 5, 10)[:int(index)])
+        assert np.allclose([float(c) for c in coords.split()], point, atol=1e-7)
 
     def test_warped_theorems_exit_1(self):
         # the warped entry is a genuine counterexample to the two-sided
@@ -183,3 +200,12 @@ def test_import_leaves_scipy_linalg_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_and_a_run_leave_scipy_unloaded():
+    # the library computes with numpy only; SciPy would cost every process its import
+    code = ("import sys, framelift.cli; framelift.cli.main(['verify', 'E1', '--suite', 'tangent']); "
+            "print('scipy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"

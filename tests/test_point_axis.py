@@ -35,7 +35,12 @@ from framelift.catalog import (
     hopf_map,
     hopf_vertical_field,
 )
-from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
+from framelift.fields import (
+    _polynomial_vector_field,
+    g_skew_endo_field,
+    polynomial_endo_field,
+    polynomial_vector_field,
+)
 from framelift.frames import (
     Frame,
     FrameTangent,
@@ -74,6 +79,7 @@ from framelift.submersion import (
     div_bot,
     splitting_projectors,
 )
+from framelift.tangent import TMPoint, TMTangent
 from hopf_composite import hopf_composite, hopf_composite_jacobian
 from looping import per_point
 
@@ -518,6 +524,24 @@ class TestFieldStack:
             Kp = k0 + np.einsum("ijk,k->ij", k1, p)
             assert np.array_equal(K.eval(p), np.linalg.solve(metric_eval(M, p), 0.5 * (Kp - Kp.T)))
 
+    @pytest.mark.parametrize("example", EXAMPLES)
+    @pytest.mark.parametrize("exact_jacobian", [True, False])
+    def test_per_point_coefficients_equal_one_field_per_row(self, example, exact_jacobian):
+        # row i of points (2, 4, 3, n) uses the coefficients of draw i; stencil axes lead
+        M = get(example).phi.source
+        n = M.dim
+        draws = np.random.default_rng(88).standard_normal((3, n + n**2 + n**3))
+        qs = sample_points(M, 89, 24).reshape(2, 4, 3, n)
+        F = _polynomial_vector_field(draws, n, exact_jacobian=exact_jacobian)
+        rows = [_polynomial_vector_field(d, n, exact_jacobian=exact_jacobian) for d in draws]
+        assert np.array_equal(F.eval(qs), np.stack([f.eval(qs[..., i, :]) for i, f in enumerate(rows)],
+                                                   axis=-2))
+        if exact_jacobian:
+            assert np.array_equal(F.jacobian(qs), np.stack(
+                [f.jacobian(qs[..., i, :]) for i, f in enumerate(rows)], axis=-3))
+        else:
+            assert F.jacobian is None and rows[0].jacobian is None
+
     def test_a_function_of_one_point_raises_on_a_stencil(self):
         p, v = np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="leading axes"):
@@ -629,13 +653,17 @@ def frame_stack(example, seed=99):
 
 
 def flat(value):
-    """The arrays of a function's value, in order: tangents by their frame and rates."""
+    """The arrays of a function's value, in order: tangents by their frame or point and rates."""
     if isinstance(value, TangentVector):
         return [value.base, value.components]
     if isinstance(value, FrameTangent):
         return [*flat(value.at), value.base_rate, value.frame_rate]
     if isinstance(value, Frame):
         return [value.base, value.columns]
+    if isinstance(value, TMTangent):
+        return [*flat(value.at), value.base_rate, value.fiber_rate]
+    if isinstance(value, TMPoint):
+        return [value.base, value.fiber]
     if isinstance(value, (list, tuple)):
         return [a for v in value for a in flat(v)]
     return [np.asarray(value)]
@@ -773,8 +801,12 @@ FRAME_FUNCTIONS = {
         geom, u, lambda M, *args: frames_module.bracket_residual(M, LMChart(M), *args))),
     "frames.connection_audit": ([], connection_residuals),
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
-    "tangent.pi_i_differential": "the tangent-bundle lifts take one point",
-    "tangent.pi_i_differential_fd": "the tangent-bundle lifts take one point",
+    "tangent.pi_i_differential": ([vectors(), endos()], lambda geom, u, x, P: [
+        tangent_module.pi_i_differential(geom.phi.source, tangent_at(geom, u, x, P), i)
+        for i in range(geom.phi.source.dim)]),
+    "tangent.pi_i_differential_fd": ([vectors(), endos()], lambda geom, u, x, P: [
+        tangent_module.pi_i_differential_fd(geom.phi.source, tangent_at(geom, u, x, P), i)
+        for i in range(geom.phi.source.dim)]),
 }
 STACKED = sorted(name for name, case in FRAME_FUNCTIONS.items() if not isinstance(case, str))
 
@@ -971,16 +1003,50 @@ PROJECTOR_FUNCTIONS = {
 }
 
 
+def tm_tangent(p, r):
+    """The tangent at (p, r[..., 0, :]) with base and fiber rates r[..., 1, :] and r[..., 2, :]."""
+    return TMTangent(TMPoint(p, r[..., 0, :]), r[..., 1, :], r[..., 2, :])
+
+
+ONE_TM_POINT = "builds a basis at one point: its null space and constant extension are per point"
+# Every public tangent-bundle function of points, in the form of POINT_FUNCTIONS, on the
+# source chart of each example.  ``test_the_table_lists_every_tangent_function_of_points``
+# keeps it complete.
+TANGENT_FUNCTIONS = {
+    "tangent.tm_vertical_lift": ([vectors(), vectors()], lambda geom, p, x, z: (
+        tangent_module.tm_vertical_lift(TangentVector(p, x), TMPoint(p, z)))),
+    "tangent.tm_horizontal_lift": ([vectors(), vectors()], lambda geom, p, x, z: (
+        tangent_module.tm_horizontal_lift(geom.phi.source, TangentVector(p, x), TMPoint(p, z)))),
+    "tangent.connection_map_K": ([vectors(3)], lambda geom, p, r: (
+        tangent_module.connection_map_K(geom.phi.source, tm_tangent(p, r)))),
+    "tangent.tm_split": ([vectors(3)], lambda geom, p, r: tangent_module.tm_split(
+        geom.phi.source, tm_tangent(p, r))),
+    "tangent.sasaki_mok_tm": ([vectors(3), vectors(2)], lambda geom, p, r, w: tangent_module.sasaki_mok_tm(
+        geom.phi.source, tm_tangent(p, r), TMTangent(TMPoint(p, r[..., 0, :]), w[..., 0, :], w[..., 1, :]))),
+    "tangent.tm_map": ([vectors()], lambda geom, p, z: tangent_module.tm_map(geom.phi, TMPoint(p, z))),
+    "tangent.phi_second_differential_fd": ([vectors(3)], lambda geom, p, r: (
+        tangent_module.phi_second_differential_fd(geom.phi, tm_tangent(p, r)))),
+    "tangent.phi_second_differential_formula": ([vectors(), vectors()], lambda geom, p, x, z: [
+        tangent_module.phi_second_differential_formula(geom.phi, kind, TangentVector(p, x), TMPoint(p, z))
+        for kind in ("vertical", "horizontal")]),
+    "tangent.tm_distributions": ONE_TM_POINT,
+    "tangent.tm_kernel_constant_extension": ONE_TM_POINT,
+    "tangent.tm_distributions_displayed_h": ONE_TM_POINT,
+}
+STACKED_IN_TM = sorted(name for name, case in TANGENT_FUNCTIONS.items() if not isinstance(case, str))
+
+
 class TestPointStack:
-    """Every submersion function of points, and the calculus of the frame audits and the
-    projector algebra of the adapted suite, takes a stack: a stack's rows equal row-by-row
-    calls."""
+    """Every submersion and tangent-bundle function of points, and the calculus of the frame
+    audits and the projector algebra of the adapted suite, takes a stack: a stack's rows
+    equal row-by-row calls."""
 
     @pytest.mark.parametrize("example", EXAMPLES)
     @pytest.mark.parametrize("name", STACKED_AT_POINTS + sorted(CALCULUS_FUNCTIONS)
-                             + sorted(PROJECTOR_FUNCTIONS))
+                             + sorted(PROJECTOR_FUNCTIONS) + STACKED_IN_TM)
     def test_stack_equals_rows(self, name, example):
-        draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS, **PROJECTOR_FUNCTIONS}[name]
+        draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS, **PROJECTOR_FUNCTIONS,
+                    **TANGENT_FUNCTIONS}[name]
         geom = GEOMS[example]
         ps = sample_points(geom.phi.source, 106, 3)
         rng = np.random.default_rng(107)
@@ -1007,3 +1073,12 @@ class TestPointStack:
                     for p in params):
                 found.add(f"submersion.{name}")
         assert found == set(POINT_FUNCTIONS)
+
+    def test_the_table_lists_every_tangent_function_of_points(self):
+        found = set()
+        for name, fn in inspect.getmembers(tangent_module, inspect.isfunction):
+            annotations = {str(p.annotation) for p in inspect.signature(fn).parameters.values()}
+            if fn.__module__ == tangent_module.__name__ and not name.startswith("_") and (
+                    annotations & {"TMPoint", "TMTangent", "TangentVector"}):
+                found.add(f"tangent.{name}")
+        assert found == set(TANGENT_FUNCTIONS)

@@ -108,17 +108,22 @@ class TestChecks:
 
 
 def test_a_nan_at_a_later_sample_fails_its_suite_row(monkeypatch):
+    # the core suite evaluates the symbols once on each chart's stack of sample points;
+    # a NaN at the second point of the source stack fails the source row only
     real = suites.christoffel
     calls = []
 
     def christoffel(M, p, cfg=DEFAULT_FD):
         calls.append(p)
         gamma = real(M, p, cfg)
-        return np.full_like(gamma, np.nan) if len(calls) == 2 else gamma
+        if len(calls) == 1:
+            gamma[1] = np.nan
+        return gamma
 
     monkeypatch.setattr(suites, "christoffel", christoffel)
     rows = {r.name: r for r in suites.suite_core(get("E1"), samples=3)}
     row = rows["E1.core.gamma_symmetry.src"]
+    assert [len(p) for p in calls] == [3, 3]
     assert np.isnan(row.residual) and row.status == "fail"
     assert rows["E1.core.gamma_symmetry.tgt"].status == "pass"
 
@@ -177,6 +182,60 @@ for key in keys:
     assert fold_only_loops(source) == [2, 4, 9, 10]
 
 
+def point_loops(source: str, function: str) -> list[int]:
+    """The line of every ``for`` statement in ``function`` of source whose iterable reads the
+    sample points ``pts``."""
+    fn = next(node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sorted(node.lineno for node in ast.walk(fn) if isinstance(node, ast.For) and any(
+        isinstance(name, ast.Name) and name.id == "pts" for name in ast.walk(node.iter)))
+
+
+@pytest.mark.parametrize("suite", ["suite_core", "suite_frame"])
+def test_suite_runs_no_loop_over_its_sample_points(suite):
+    lines = point_loops(Path(suites.__file__).read_text(), suite)
+    assert not lines, f"suites.py lines {lines}: run the block once on the stack of points"
+
+
+def test_the_point_loop_scan_sees_each_loop_over_the_sample_points():
+    source = '''
+def suite_demo():
+    for p in pts:
+        f(p)
+    for i, p in enumerate(pts[:3]):
+        f(p)
+    for M in manifolds:
+        for q in pts:
+            f(q)
+    for key in keys:
+        f(key)
+'''
+    assert point_loops(source, "suite_demo") == [3, 5, 8]
+
+
+def tally(monkeypatch, modules, name):
+    """Count the calls of ``name`` through each of its bindings in ``modules``."""
+    calls = []
+    for module in modules:
+        def counting(*args, real=getattr(module, name), **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_core_suite_runs_each_kernel_once_per_chart(monkeypatch):
+    # one E3 unit at seed 42; one point at a time, the suite built the curvature
+    # tensor 3 times per point (60 in all) and ran 20 covariant-derivative batches
+    calls = {name: tally(monkeypatch, (geometry, suites), name)
+             for name in ("curvature_tensor", "covariant_derivatives", "christoffel", "lie_bracket")}
+    suites.suite_core(get("E3"), seed=42)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "curvature_tensor": 2, "covariant_derivatives": 2, "lie_bracket": 2,
+        "christoffel": 2 * 4}  # the suite, the batch, and the curvature tensor's centre and stencil
+    assert [np.shape(args[1]) for args in calls["curvature_tensor"]] == [(10, 3), (10, 2)]
+
+
 def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
     # one E3 unit at seed 42; one point at a time, the block made 140 Christoffel
     # evaluations in frames, 40 horizontal lifts and 30 Mok products
@@ -197,18 +256,36 @@ def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
 
 @pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
 def test_tangent_suite_differences_each_kernel_vector_once(monkeypatch, eid):
-    # 2 kinds x 3 points for the second-differential rows, then at 2 points
-    # the 2 kernel vectors and the 1 corrected constant-extension vector
-    real = suites.phi_second_differential_fd
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(suites, "phi_second_differential_fd", counting)
+    # each kind once on the stack of the 3 second-differential points, then at each of
+    # 2 points one stack of its 2(n-k) kernel vectors and n-k corrected
+    # constant-extension vectors: 12 vectors, each differenced once
+    calls = tally(monkeypatch, [suites], "phi_second_differential_fd")
+    phi = get(eid).phi
     suites.suite_tangent(get(eid), samples=3)
-    assert len(calls) == 12
+    stacks = [t.base_rate.shape[:-1] for _, t, *_ in calls]
+    corank = phi.source.dim - phi.target.dim
+    assert stacks == [(3,), (3,), (3 * corank,), (3 * corank,)]
+    assert sum(np.prod(s) for s in stacks) == 12
+
+
+@pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
+def test_tangent_suite_pairs_each_table_in_one_sasaki_call(monkeypatch, eid):
+    # the lift block on the stack of 3 points; at each of 2 distribution points the
+    # kernel x complement and kernel x displayed tables; one frame-projection column each
+    calls = tally(monkeypatch, [suites], "sasaki_mok_tm")
+    n, k = get(eid).phi.source.dim, get(eid).phi.target.dim
+    suites.suite_tangent(get(eid), samples=3)
+    stacks = [s.base_rate.shape[:-1] for _, s, *_ in calls]
+    table = (2 * (n - k) * 2 * k,)
+    assert stacks == [(3,), table, table, table, table] + [()] * n
+
+
+@pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
+def test_tangent_suite_lifts_each_frame_projection_column_once(monkeypatch, eid):
+    # the horizontal lift of a column serves its differential and its isometry rows
+    lifts = tally(monkeypatch, [suites], "horizontal_lift_frame")
+    suites.suite_tangent(get(eid), seed=42)
+    assert len(lifts) == get(eid).phi.source.dim
 
 
 class TestOneTotalSpaceChristoffelPerPoint:

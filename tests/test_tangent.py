@@ -201,6 +201,9 @@ class TestSasakiGram:
         ts = [TMTangent(Z, x, f) for x, f in zip(X, F)]
         pairwise = np.array([[sasaki_mok_tm(M, s, t) for t in ts] for s in ts])
         assert np.max(np.abs(G - pairwise)) < 1e-12 * max(1.0, np.max(np.abs(pairwise)))
+        # the same table from one call on the stacks of its pairs
+        table = sasaki_mok_tm(M, TMTangent.stack([s for s in ts for _ in ts]), TMTangent.stack(ts * 4))
+        assert np.array_equal(table.reshape(4, 4), pairwise)
 
 
 class TestDistributions:
