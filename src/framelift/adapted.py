@@ -22,6 +22,7 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _g_norm,
     central_diff,
     christoffel,
     christoffel_contract,
@@ -341,7 +342,7 @@ def curvature_relation_residual(
     for reading, NS in nabla_D_S(jet).items():
         d = lhs - (RD_xyz + np.einsum("mkij,m,i,j->k", NS, x, y, z)
                    - np.einsum("mkij,m,i,j->k", NS, y, x, z) + S_td_z + comm_z)
-        out[reading] = float(np.sqrt(max(d @ g @ d, 0.0)))
+        out[reading] = float(_g_norm(g, d))
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import (
     Array, ChartManifold, VectorField, _norm2, _stack, box_sampler, coordinate_field,
 )
-from .submersion import SubmersionSpec
+from .submersion import SubmersionSpec, lift_conformal_rule
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def sphere_chart(n: int, scale: float = 1.0, box: float = 0.6, name: str = "") -
     )
 
 
-def product_sphere_circle_chart(box: float = 0.5, name: str = "S2xS1") -> ChartManifold:
+def product_sphere_circle_chart(name: str = "S2xS1") -> ChartManifold:
     """Product of the unit 2-sphere (stereographic) with a unit circle angle."""
     n = 3
     eye = np.eye(n)
@@ -105,7 +105,7 @@ def product_sphere_circle_chart(box: float = 0.5, name: str = "S2xS1") -> ChartM
         metric_field=metric,
         metric_derivative=dmetric,
         domain_predicate=lambda p: r2(p) < 4.0,
-        domain_sampler=box_sampler([-box, -box, -1.0], [box, box, 1.0]),
+        domain_sampler=box_sampler([-0.5, -0.5, -1.0], [0.5, 0.5, 1.0]),
         orthonormal_frame=frame,
         name=name,
     )
@@ -221,12 +221,11 @@ class CatalogEntry:
     description: str = ""
 
     def __post_init__(self):
+        # a catalog dilatation makes the map horizontally conformal with that constant
         lam_const = self.expected_lambda is not None
-        if self.lift_conformal != (lam_const and self.totally_geodesic):
-            raise ValueError(
-                f"entry {self.id}: lift_conformal flag inconsistent with "
-                "[constant dilatation and totally geodesic]"
-            )
+        if self.lift_conformal != lift_conformal_rule(lam_const, lam_const, self.totally_geodesic):
+            raise ValueError(f"entry {self.id}: lift_conformal flag inconsistent with the "
+                             "rule of submersion.lift_conformal_rule")
 
 
 def _build_entries() -> list[CatalogEntry]:

@@ -3,8 +3,7 @@
 Commands:
   framelift list
   framelift verify <example-id|all> [--suite NAME] [--h X] [--h2 X]
-      [--tol-exact X] [--tol-fd1 X] [--tol-fd2 X] [--samples N] [--seed N]
-      [--json PATH]
+      [--samples N] [--seed N] [--json PATH]
 
 Exit status: 0 when every asserted check passes, 1 when any asserted check
 fails or is inconclusive, 2 on a configuration error, including a sample
@@ -30,7 +29,7 @@ import traceback
 from typing import Optional
 
 from .catalog import entries, get
-from .geometry import DomainError, FDConfig
+from .geometry import DEFAULT_FD, DomainError, FDConfig
 from .reporting import reports_to_json, summarize
 from .suites import SUITE_ORDER, run_suites
 
@@ -63,11 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("example", help="catalog example id or 'all'")
     vp.add_argument("--suite", default="all",
                     help="core|tangent|frame|adapted|lift|theorems|all")
-    vp.add_argument("--h", type=float, default=None, help="first-level difference step")
-    vp.add_argument("--h2", type=float, default=None, help="second-level difference step")
-    vp.add_argument("--tol-exact", type=float, default=None)
-    vp.add_argument("--tol-fd1", type=float, default=None)
-    vp.add_argument("--tol-fd2", type=float, default=None)
+    vp.add_argument("--h", type=float, default=DEFAULT_FD.step_h, help="first-level difference step")
+    vp.add_argument("--h2", type=float, default=DEFAULT_FD.step_h2,
+                    help="second-level difference step")
     vp.add_argument("--samples", type=int, default=10)
     vp.add_argument("--seed", type=int, default=None)
     vp.add_argument("--json", default=None, help="write the machine-readable report here")
@@ -103,15 +100,8 @@ def cmd_verify(args) -> int:
         print("error: --samples must be positive", file=sys.stderr)
         return 2
 
-    base = FDConfig()
     try:
-        cfg = FDConfig(
-            step_h=args.h if args.h is not None else base.step_h,
-            step_h2=args.h2 if args.h2 is not None else base.step_h2,
-            tol_exact=args.tol_exact if args.tol_exact is not None else base.tol_exact,
-            tol_fd1=args.tol_fd1 if args.tol_fd1 is not None else base.tol_fd1,
-            tol_fd2=args.tol_fd2 if args.tol_fd2 is not None else base.tol_fd2,
-        )
+        cfg = FDConfig(step_h=args.h, step_h2=args.h2)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

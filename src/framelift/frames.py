@@ -23,6 +23,7 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _pairing_at,
     central_diff,
     christoffel,
     christoffel_contract,
@@ -114,10 +115,10 @@ class FrameTangent:
                             np.stack([t.base_rate for t in ts]), np.stack([t.frame_rate for t in ts]))
 
 
-def _same_frame(u: Frame, v: Frame, tol: float = 1e-9) -> None:
+def _same_frame(u: Frame, v: Frame) -> None:
     if u is v:  # tangents from one chart Jacobian share its Frame
         return
-    if np.max(np.abs(u.base - v.base)) > tol or np.max(np.abs(u.columns - v.columns)) > tol:
+    if np.max(np.abs(u.base - v.base)) > 1e-9 or np.max(np.abs(u.columns - v.columns)) > 1e-9:
         raise ValueError("frame tangents are attached to different frames")
 
 
@@ -182,7 +183,7 @@ def mok_metric(
     gamma = christoffel(M, u.base, cfg)
     vs = _vertical_part(gamma, s) @ u.columns
     vt = vs if t is s else _vertical_part(gamma, t) @ u.columns
-    return ((s.base_rate[..., None, :] @ g @ t.base_rate[..., :, None])[..., 0, 0]
+    return (_pairing_at(g, s.base_rate, t.base_rate)
             + np.einsum("...ki,...kl,...li->...", vs, g, vt))
 
 
@@ -376,21 +377,21 @@ class FrameChart:
         expA, _ = _exp_frechet_skew(self.skew_from_coords(a), ())
         return Frame(x, self.reference(x) @ expA)
 
-    def encode(self, u: Frame, tol: float = 1e-8) -> Array:
+    def encode(self, u: Frame) -> Array:
         """Chart coordinates of a frame; errors if u is not reachable.
 
         Requires u orthonormal for this chart and its rotation R from the
         reference frame within the span of the chart's skew directions, with
-        every eigenvalue angle of R below pi - ``tol`` (a half-turn has no
+        every eigenvalue angle of R below pi - 1e-8 (a half-turn has no
         unique principal log).  The log comes from the Cayley transform of R.
         A stack of frames gives their points, and raises if any frame fails.
         """
         R = np.linalg.solve(self.reference(u.base), u.columns)
         if np.max(np.abs(R.swapaxes(-1, -2) @ R - np.eye(self.manifold.dim))) > 1e-6:
             raise ValueError("frame is not orthonormal for this chart")
-        A = _log_rotation(R, tol)
+        A = _log_rotation(R, 1e-8)
         a = self.coords_from_skew(A)
-        if np.max(np.abs(self.skew_from_coords(a) - A)) > tol:
+        if np.max(np.abs(self.skew_from_coords(a) - A)) > 1e-8:
             raise ValueError("frame rotation leaves the chart's skew directions")
         if np.max(np.abs(_exp_frechet_skew(A, ())[0] - R)) > 1e-6:
             raise ValueError("matrix log inconsistent with the frame rotation")
@@ -426,16 +427,15 @@ class FrameChart:
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
         return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
 
-    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD,
-                         tol: float = 1e-6) -> Array:
+    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
         """Chart rates at q of a frame tangent at decode(q), by least squares against J.
 
         Errors if t is attached to another frame or is not tangent to the chart.
         """
-        return self._rates_of(q, lambda _u: t, cfg, tol)
+        return self._rates_of(q, lambda _u: t, cfg)
 
     def _rates_of(self, q: Array, tangent_at: Callable[[Frame], FrameTangent],
-                  cfg: FDConfig = DEFAULT_FD, tol: float = 1e-6) -> Array:
+                  cfg: FDConfig = DEFAULT_FD) -> Array:
         """Chart rates at points q (..., dim) of ``tangent_at(u)``, u = decode(q), from one
         ``jacobian(q)``: least squares against J's near-orthonormal skew rows by one stacked
         normal-equations ``solve``.  Raises if any point's tangent is not tangent to the chart."""
@@ -449,7 +449,7 @@ class FrameChart:
         adot = np.linalg.solve(A @ A.swapaxes(-1, -2), A @ rhs[..., None])[..., 0]
         resid = np.linalg.norm((adot[..., None, :] @ A)[..., 0, :] - rhs, axis=-1)
         scale = 1.0 + np.linalg.norm(t.base_rate, axis=-1) + np.linalg.norm(t.frame_rate, axis=(-2, -1))
-        if (resid > tol * scale).any():
+        if (resid > 1e-6 * scale).any():
             raise ValueError(f"tangent is not tangent to chart {self.name} "
                              f"(residual {np.max(resid):.3g})")
         return self.join(t.base_rate, adot)
@@ -535,6 +535,12 @@ def total_space_manifold(chart, cfg: FDConfig = DEFAULT_FD) -> ChartManifold:
     )
 
 
+def total_space_cfg(cfg: FDConfig) -> FDConfig:
+    """The config for differencing on a frame-bundle total space: its induced metric
+    already contains one level of derived quantities, so its step_h is step_h2."""
+    return replace(cfg, step_h=cfg.step_h2)
+
+
 def lc_total_space_oracle(
     chart,
     pairs: Sequence[tuple[Callable[[Array], Array], Callable[[Array], Array]]],
@@ -545,15 +551,14 @@ def lc_total_space_oracle(
     at chart points q (..., dim).
 
     Each field gives chart-coordinate rates as a function of the chart
-    point.  Everything is brute force: the induced metric is differenced at
-    step_h2 because its entries already contain one level of derived
-    quantities.  Its Christoffel symbols are built once for the stack q and
+    point.  Everything is brute force, differenced at ``total_space_cfg``'s
+    step.  The Christoffel symbols are built once for the stack q and
     contracted for every pair.
     """
     total = total_space_manifold(chart, cfg)
     out = covariant_derivatives(
         total, [(VectorField(eval=A), VectorField(eval=B)) for A, B in pairs], q,
-        replace(cfg, step_h=cfg.step_h2),
+        total_space_cfg(cfg),
     )
     return chart.chart_to_tangents(q, np.array([v.components for v in out]), cfg)
 
@@ -565,10 +570,9 @@ def fd_bracket_on_chart(
     q: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> FrameTangent:
-    """Finite-difference Lie bracket [A, B] of two total-space fields at chart points q (..., dim)."""
-    out = lie_bracket(
-        VectorField(eval=A_field), VectorField(eval=B_field), q, cfg, step=cfg.step_h2
-    )
+    """Finite-difference Lie bracket [A, B] of two total-space fields at chart points q (..., dim),
+    at ``total_space_cfg``'s step."""
+    out = lie_bracket(VectorField(eval=A_field), VectorField(eval=B_field), q, total_space_cfg(cfg))
     return chart.chart_to_tangent(q, out.components, cfg)
 
 

@@ -208,6 +208,11 @@ def _pairing_at(g: Array, y: Array, z: Array) -> Array:
     return (y[..., None, :] @ g @ z[..., :, None])[..., 0, 0]
 
 
+def _g_norm(g: Array, v: Array) -> Array:
+    """sqrt(max(v g v, 0)) for vectors v (..., n) and metrics g broadcasting with them."""
+    return np.sqrt(np.maximum(_pairing_at(g, v, v), 0.0))
+
+
 def _check_domain(M: ChartManifold, p: Array) -> Array:
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (M.dim,):
@@ -274,11 +279,11 @@ def metric_derivative_eval(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_F
 
 
 def inner(M: ChartManifold, p: Array, x: Array, y: Array) -> float:
-    return float(x @ metric_eval(M, p) @ y)
+    return float(_pairing_at(metric_eval(M, p), x, y))
 
 
 def norm(M: ChartManifold, p: Array, x: Array) -> float:
-    return float(np.sqrt(max(inner(M, p, x, x), 0.0)))
+    return float(_g_norm(metric_eval(M, p), x))
 
 
 def christoffel(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
@@ -327,7 +332,6 @@ def covariant_derivatives(
     pairs: Sequence[tuple[VectorField, VectorField]],
     p: Array,
     cfg: FDConfig = DEFAULT_FD,
-    step: Optional[float] = None,
 ) -> list[TangentVector]:
     """(nabla_X Y)(p) for the Levi-Civita connection, one per (X, Y) pair, at
     points p (..., dim).
@@ -335,12 +339,9 @@ def covariant_derivatives(
     The Christoffel symbols at p are evaluated once and contracted for
     every pair, each distinct field (by identity of its ``eval``) is
     evaluated at p once, and each distinct Y is differenced once, along the
-    X of all its pairs at every point.  ``step`` overrides the difference
-    step for the field derivative, for fields that are themselves
-    finite-difference results.
+    X of all its pairs at every point.
     """
     p = _check_domain(M, p)
-    h = cfg.step_h if step is None else step
     gamma = christoffel(M, p, cfg)
     at_p = {id(F.eval): F for pair in pairs for F in pair}  # this call's fields by id(eval)
     at_p = {key: np.asarray(F.eval(p), dtype=float) for key, F in at_p.items()}
@@ -348,16 +349,16 @@ def covariant_derivatives(
     for Y in {id(Y.eval): Y for _, Y in pairs}.values():
         idx = [i for i, (_, Yi) in enumerate(pairs) if Yi.eval is Y.eval]
         xs = np.array([at_p[id(pairs[i][0].eval)] for i in idx])
-        dY.update(zip(idx, field_derivative(Y, p, xs, h)))
+        dY.update(zip(idx, field_derivative(Y, p, xs, cfg.step_h)))
     return [TangentVector(p, dY[i] + np.einsum("...kij,...i,...j->...k", gamma, at_p[id(X.eval)],
                                                at_p[id(Y.eval)]))
             for i, (X, Y) in enumerate(pairs)]
 
 
 def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Array,
-                         cfg: FDConfig = DEFAULT_FD, step: Optional[float] = None) -> TangentVector:
+                         cfg: FDConfig = DEFAULT_FD) -> TangentVector:
     """(nabla_X Y)(p): the one-pair case of ``covariant_derivatives``."""
-    return covariant_derivatives(M, [(X, Y)], p, cfg, step)[0]
+    return covariant_derivatives(M, [(X, Y)], p, cfg)[0]
 
 
 def lie_bracket(
@@ -365,15 +366,14 @@ def lie_bracket(
     Y: VectorField,
     p: Array,
     cfg: FDConfig = DEFAULT_FD,
-    step: Optional[float] = None,
 ) -> TangentVector:
     """[X, Y](p) = dY(X) - dX(Y), by central differences of the components: two
     field values at p and one stencil of each field."""
     p = np.asarray(p, dtype=float)
-    h = cfg.step_h if step is None else step
     x = np.asarray(X.eval(p), dtype=float)
     y = np.asarray(Y.eval(p), dtype=float)
-    return TangentVector(p, field_derivative(Y, p, x, h) - field_derivative(X, p, y, h))
+    return TangentVector(p, field_derivative(Y, p, x, cfg.step_h)
+                         - field_derivative(X, p, y, cfg.step_h))
 
 
 def curvature_tensor(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:

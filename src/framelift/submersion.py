@@ -9,7 +9,7 @@ classification driven by those objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _g_norm,
     central_diff,
     christoffel,
     christoffel_contract,
@@ -41,6 +42,7 @@ from .frames import (
     mok_gram,
     mok_orthonormalize,
     skew_basis,
+    total_space_cfg,
     total_space_manifold,
 )
 from .adapted import (
@@ -183,11 +185,6 @@ def vertical_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
     return [TangentVector(p, E[..., :, a]) for a in range(geom.rank, geom.phi.source.dim)]
 
 
-def _g_norm(g: Array, v: Array) -> Array:
-    """sqrt(max(v g v, 0)) for vectors v (..., n) and metrics g broadcasting with them."""
-    return np.sqrt(np.maximum((v[..., None, :] @ g @ v[..., :, None])[..., 0, 0], 0.0))
-
-
 def dilatation(
     geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[float, float]:
@@ -212,7 +209,7 @@ def dilatation(
 
 def pullback_connection(
     phi: SubmersionSpec, X: TangentVector, W: Callable[[Array], Array],
-    cfg: FDConfig = DEFAULT_FD, step: Optional[float] = None,
+    cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Pullback covariant derivative of a field along phi.
 
@@ -220,8 +217,7 @@ def pullback_connection(
     dW(X) + Gamma^N_(phi_* X) W at phi(p), from one stencil of W (X may be a stack).
     """
     p = X.base
-    h = cfg.step_h if step is None else step
-    dW = directional_diff(W, p, X.components, h)
+    dW = directional_diff(W, p, X.components, cfg.step_h)
     J = differential_matrix(phi, p, cfg)
     gx = christoffel_contract(christoffel(phi.target, phi.value(p), cfg),
                               (J @ X.components[..., None])[..., 0])
@@ -635,6 +631,26 @@ def lift_conformality_measurement(
     return Lam, defect
 
 
+def lift_conformal_rule(horizontally_conformal: Optional[bool], dilatation_constant: Optional[bool],
+                        totally_geodesic: Optional[bool]) -> Optional[bool]:
+    """The prediction that the lift is conformal: horizontally conformal, constant
+    dilatation and totally geodesic; None when any flag is None.  ``classify`` calls it
+    with measured flags, ``CatalogEntry`` with the catalog's."""
+    if None in (horizontally_conformal, dilatation_constant, totally_geodesic):
+        return None
+    return horizontally_conformal and dilatation_constant and totally_geodesic
+
+
+def lift_harmonic_morphism_rule(harmonic_morphism: Optional[bool], totally_geodesic: Optional[bool],
+                                dilatation_constant: Optional[bool]) -> Optional[bool]:
+    """The prediction that the lift is a harmonic morphism: a harmonic morphism,
+    totally geodesic and of constant dilatation; None when any flag is None.
+    ``classify`` calls it with measured flags, ``suite_theorems`` with the catalog's."""
+    if None in (harmonic_morphism, totally_geodesic, dilatation_constant):
+        return None
+    return harmonic_morphism and totally_geodesic and dilatation_constant
+
+
 FAILS_ABOVE = 0.01
 
 
@@ -733,14 +749,10 @@ def classify(
     rep.harmonic = decide(rep.tension_max, cfg)
     if None not in (rep.horizontally_conformal, rep.harmonic):
         rep.harmonic_morphism = rep.horizontally_conformal and rep.harmonic
-    if None not in (rep.horizontally_conformal, rep.totally_geodesic, rep.dilatation_constant):
-        rep.lift_conformal_predicted = (
-            rep.horizontally_conformal and rep.dilatation_constant and rep.totally_geodesic
-        )
-    if None not in (rep.harmonic_morphism, rep.totally_geodesic, rep.dilatation_constant):
-        rep.lift_harmonic_morphism_predicted = (
-            rep.harmonic_morphism and rep.totally_geodesic and rep.dilatation_constant
-        )
+    rep.lift_conformal_predicted = lift_conformal_rule(
+        rep.horizontally_conformal, rep.dilatation_constant, rep.totally_geodesic)
+    rep.lift_harmonic_morphism_predicted = lift_harmonic_morphism_rule(
+        rep.harmonic_morphism, rep.totally_geodesic, rep.dilatation_constant)
 
     Lams, lift_defects = lift_conformality_measurement(geom, frames, cfg)
     rep.lift_lambda_samples = Lams.tolist()
@@ -787,7 +799,7 @@ def lift_tension_direct(
         # columns: the coordinate basis orthonormalised in the induced metric
         return orthonormalizer(induced_metric_on_chart(src_chart, q, cfg)).swapaxes(-1, -2)
 
-    cfg_total = replace(cfg, step_h=cfg.step_h2)
+    cfg_total = total_space_cfg(cfg)
     E0 = on_frame(q0)
     J_F = central_diff(F, q0, cfg.step_h).T  # (tgt_dim, m)
     y0 = F(q0)
@@ -813,13 +825,8 @@ def lift_tension_direct(
     b = span.T @ G_tgt @ tau
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     tang = span @ coef
-    normal = tau - tang
-
-    def tgt_norm(v: Array) -> float:
-        return float(np.sqrt(max(v @ G_tgt @ v, 0.0)))
-
     return {
-        "ambient": tgt_norm(tau),
-        "tangential": tgt_norm(tang),
-        "normal": tgt_norm(normal),
+        "ambient": float(_g_norm(G_tgt, tau)),
+        "tangential": float(_g_norm(G_tgt, tang)),
+        "normal": float(_g_norm(G_tgt, tau - tang)),
     }

@@ -8,8 +8,6 @@ run there.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .geometry import (
@@ -17,6 +15,7 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _g_norm,
     _pairing_at,
     central_diff,
     christoffel,
@@ -44,6 +43,7 @@ from .frames import (
     mok_norm,
     om_chart,
     reference_frame,
+    total_space_cfg,
     total_space_manifold,
     vertical_part,
 )
@@ -71,7 +71,6 @@ from .submersion import (
     _adapted_endo,
     _bilinear,
     _block_coefficients,
-    _g_norm,
     adapted_endo_field,
     classify,
     derive_geometry,
@@ -81,6 +80,7 @@ from .submersion import (
     lift_differential_fd,
     lift_differential_formula,
     lift_distributions,
+    lift_harmonic_morphism_rule,
     lift_map,
     lift_tension_direct,
     mean_curvature_fibers,
@@ -366,22 +366,23 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # oracle self-consistency on the orthonormal-bundle total space
     p = pts[0]
     total = total_space_manifold(chart, cfg)
-    cfg_total = replace(cfg, step_h=cfg.step_h2)
+    cfg_total = total_space_cfg(cfg)
     q = chart.join(p, np.zeros(len(chart.basis)))
     rngt = _rng(seed, 6)
     A, B, C = (polynomial_vector_field(total.dim, rngt, exact_jacobian=False) for _ in range(3))
     nAB, nBA, nCA, nCB = (v.components for v in covariant_derivatives(
         total, [(A, B), (B, A), (C, A), (C, B)], q, cfg_total))
-    br = lie_bracket(A, B, q, cfg_total, step=cfg.step_h2).components
+    br = lie_bracket(A, B, q, cfg_total).components
     tf = nAB - nBA - br
     Gq = metric_eval(total, q)
     _single(checks, "oracle_torsion_free", "total-space oracle connection is torsion free",
-            np.sqrt(max(tf @ Gq @ tf, 0.0)), cfg.tol_fd2)
+            _g_norm(Gq, tf), cfg.tol_fd2)
 
-    lhs = directional_diff(lambda qq: _pairing(total, A, B, qq), q, C.eval(q), cfg.step_h2)
+    lhs = directional_diff(lambda qq: _pairing(total, A, B, qq), q, C.eval(q), cfg_total.step_h)
     _single(checks, "oracle_metric_compatible",
             "total-space oracle connection preserves the induced metric",
-            abs(lhs - float(nCA @ Gq @ B.eval(q)) - float(A.eval(q) @ Gq @ nCB)), cfg.tol_fd2 * 10)
+            abs(lhs - _pairing_at(Gq, nCA, B.eval(q)) - _pairing_at(Gq, A.eval(q), nCB)),
+            cfg.tol_fd2 * 10)
 
     # adapted-bundle connection displays: diagnostic table
     geom = derive_geometry(phi, cfg)
@@ -447,7 +448,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         a = nabla_D(M, D, X, Y, p, cfg).components
         b = nabla_D(M, D, X, Z, p, cfg).components
         checks.see("connection_metric_compatible",
-                   abs(lhs - float(a @ g @ Z.eval(p)) - float(Y.eval(p) @ g @ b)))
+                   abs(lhs - _pairing_at(g, a, Z.eval(p)) - _pairing_at(g, Y.eval(p), b)))
 
         # tensoriality: rescale fields by functions equal to 1 at p
         f = lambda q: 1.0 + ((q - p)[..., None, :] @ np.arange(1.0, M.dim + 1.0)[:, None])[..., 0]
@@ -462,7 +463,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         y = rng.standard_normal(M.dim)
         x = rng.standard_normal(M.dim)
         Sx = S_endo(M, D, x, p, cfg)
-        checks.see("difference_skew", abs(float((Sx @ y) @ g @ z) + float(y @ g @ (Sx @ z))))
+        checks.see("difference_skew", abs(_pairing_at(g, Sx @ y, z) + _pairing_at(g, y, Sx @ z)))
     checks.row("connection_preserves_blocks", "adapted connection maps sections of D into D",
                cfg.tol_fd1)
     checks.row("connection_metric_compatible", "adapted connection preserves the metric",
@@ -618,7 +619,8 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         Cs = _adapted_endo(M, _block_coefficients(M.dim, k, tops, None), p, E[i])
         for trial, (C, d) in enumerate(zip(Cs, div_bot(geom, tops, frames[i], cfg))):
             j = trial % (M.dim - k)
-            checks.see("div_duality", abs(endo_inner(M, p, A[j], C, onb) + float(E[i][:, k + j] @ g @ d)))
+            checks.see("div_duality",
+                       abs(endo_inner(M, p, A[j], C, onb) + _pairing_at(g, E[i][:, k + j], d)))
     checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2)
 
     # the lifted frame
@@ -721,8 +723,8 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             rep.verdicts_agree, True)
 
     # harmonic morphism side
-    expected_lift_hm = entry.harmonic_morphism and entry.totally_geodesic and (
-        entry.expected_lambda is not None)
+    expected_lift_hm = lift_harmonic_morphism_rule(
+        entry.harmonic_morphism, entry.totally_geodesic, entry.expected_lambda is not None)
     verdict("lift_harmonic_morphism", "lift harmonic-morphism verdict via the characterization",
             rep.lift_harmonic_morphism_predicted, expected_lift_hm)
 
@@ -775,7 +777,7 @@ SUITES = {
     "theorems": suite_theorems,
 }
 
-SUITE_ORDER = ["core", "tangent", "frame", "adapted", "lift", "theorems"]
+SUITE_ORDER = list(SUITES)
 
 
 def run_suites(entry: CatalogEntry, suites: list[str], cfg: FDConfig = DEFAULT_FD,

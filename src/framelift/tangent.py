@@ -88,8 +88,8 @@ class TMTangent:
                          np.stack([t.base_rate for t in ts]), np.stack([t.fiber_rate for t in ts]))
 
 
-def _same_tm_point(a: TMPoint, b: TMPoint, tol: float = 1e-9) -> None:
-    if np.max(np.abs(a.base - b.base)) > tol or np.max(np.abs(a.fiber - b.fiber)) > tol:
+def _same_tm_point(a: TMPoint, b: TMPoint) -> None:
+    if np.max(np.abs(a.base - b.base)) > 1e-9 or np.max(np.abs(a.fiber - b.fiber)) > 1e-9:
         raise ValueError("tangent-bundle vectors at different points")
 
 

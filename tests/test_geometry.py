@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,10 +146,11 @@ class TestCovariantDerivative:
                   for exact in (True, False, True, False)]
         pairs = [(fields[0], fields[1]), (fields[1], fields[0]),
                  (fields[2], fields[3]), (fields[3], fields[2])]
-        batched = covariant_derivatives(S2, pairs, p, step=step)
+        cfg = DEFAULT_FD if step is None else replace(DEFAULT_FD, step_h=step)
+        batched = covariant_derivatives(S2, pairs, p, cfg)
         assert len(batched) == len(pairs)
         for (X, Y), v in zip(pairs, batched):
-            one = covariant_derivative(S2, X, Y, p, step=step)
+            one = covariant_derivative(S2, X, Y, p, cfg)
             assert np.array_equal(v.base, one.base)
             assert np.array_equal(v.components, one.components)
 

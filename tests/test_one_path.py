@@ -20,13 +20,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "framelift"
 
-STEP = ("the difference step, an option like the FDConfig beside it: the total-space "
-        "self-check differences fields that are themselves differences at step_h2")
 ALLOWED = {
-    "geometry.covariant_derivatives.step": STEP,
-    "geometry.covariant_derivative.step": STEP,
-    "geometry.lie_bracket.step": STEP,
-    "submersion.pullback_connection.step": STEP,
     "geometry.column_gram.B": "the second stack of the pairing; by default a stack pairs with "
                               "itself (the Gram matrices of W and of the Mok metric)",
     "frames.FrameChart.basis": "the skew directions of the chart: all of so(n) on O(M), the "

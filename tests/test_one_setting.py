@@ -1,0 +1,139 @@
+"""One home per setting: every difference step and tolerance comes from ``FDConfig``.
+
+Two scans of ``src/framelift`` keep it so:
+
+- no function has a ``step``, ``tol`` or ``scale`` parameter with a default, a
+  second place where a step or a tolerance could be set (``EXEMPT`` lists the
+  one geometric ``scale``);
+- every call to a package function or chart method that takes ``cfg`` passes
+  one.  A call that fell back to ``DEFAULT_FD`` would difference at the default
+  step whatever config the run was given, so a step sweep would read its row as
+  independent of h.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "framelift"
+
+SETTINGS = ("step", "tol", "scale")
+EXEMPT = {
+    "catalog.sphere_chart.scale": "the sphere's size, a geometric input with two values in use "
+                                  "(1 and 1/4), not a difference step or a tolerance",
+}
+
+
+def _members(module: ast.Module):
+    """(qualified name, function node, is a method) of every top-level function and method."""
+    for top in module.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top, False
+        elif isinstance(top, ast.ClassDef):
+            for f in top.body:
+                if isinstance(f, ast.FunctionDef):
+                    yield f"{top.name}.{f.name}", f, True
+
+
+def _modules(src: Path):
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
+def defaulted_settings(src: Path = SRC) -> set[str]:
+    """``module.function.parameter`` of every step, tol or scale parameter with a default."""
+    found = set()
+    for stem, module in _modules(src):
+        for name, fn, _ in _members(module):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found |= {f"{stem}.{name}.{a.arg}" for a in defaulted if a.arg in SETTINGS}
+    return found
+
+
+def calls_without_cfg(src: Path = SRC) -> list[str]:
+    """``module:line name`` of every call to a package function or method with a ``cfg``
+    parameter that passes none, by keyword or in its slot.
+
+    A name that a package class also declares as a callable field (``jacobian`` on
+    ``SubmersionSpec`` and ``VectorField``) is read as the method only on ``self`` or on
+    a name ending in ``chart``, the package's names for chart objects.
+    """
+    modules = _modules(src)
+    slots: dict[str, int] = {}  # name -> the highest positional slot of its cfg
+    fields = set()
+    for _, module in modules:
+        for name, fn, method in _members(module):
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args][int(method):]
+            if "cfg" in params:
+                short = name.rpartition(".")[2]
+                slots[short] = max(slots.get(short, 0), params.index("cfg"))
+        fields |= {item.target.id for cls in ast.walk(module) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body
+                   if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    missing = []
+    for stem, module in modules:
+        for call in (n for n in ast.walk(module) if isinstance(n, ast.Call)):
+            if isinstance(call.func, ast.Name):
+                name = call.func.id
+            elif isinstance(call.func, ast.Attribute):
+                name = call.func.attr
+                receiver = call.func.value
+                if name in fields and not (isinstance(receiver, ast.Name) and (
+                        receiver.id == "self" or receiver.id.endswith("chart"))):
+                    continue
+            else:
+                continue
+            if name not in slots:
+                continue
+            passed = (len(call.args) > slots[name]
+                      or any(isinstance(a, ast.Starred) for a in call.args)
+                      or any(k.arg in ("cfg", None) for k in call.keywords))
+            if not passed:
+                missing.append(f"{stem}:{call.lineno} {name}")
+    return missing
+
+
+def test_no_step_tol_or_scale_parameter_has_a_default():
+    extra = sorted(defaulted_settings() - set(EXEMPT))
+    assert not extra, ("a step or a tolerance is set by FDConfig alone, and a scale with one "
+                       "value in use is a constant: " + ", ".join(extra))
+
+
+def test_every_exempt_setting_is_still_a_parameter():
+    assert set(EXEMPT) <= defaulted_settings()
+
+
+def test_every_call_to_a_function_of_cfg_passes_cfg():
+    missing = calls_without_cfg()
+    assert not missing, "these calls would difference at DEFAULT_FD: " + ", ".join(missing)
+
+
+def test_the_scans_see_each_kind_of_setting_and_call(tmp_path):
+    (tmp_path / "m.py").write_text('''
+def f(p, cfg=DEFAULT_FD, step=None):
+    return p
+
+def g(p, cfg, tol=1e-9, *, scale=0.3, h=1.0):
+    return f(p)
+
+def passes(p, cfg):
+    return f(p, cfg), f(p, cfg=cfg), f(*p), f(p, **cfg)
+
+class Chart:
+    def jacobian(self, q, cfg=DEFAULT_FD):
+        return q
+
+    def rates(self, q, cfg=DEFAULT_FD):
+        return self.jacobian(q)
+
+class Spec:
+    jacobian: object = None
+
+def field_or_method(phi, chart, src_chart, cfg):
+    return phi.jacobian(1), chart.jacobian(1), src_chart.jacobian(1, cfg)
+
+later = lambda p: g(p)
+''')
+    assert defaulted_settings(tmp_path) == {"m.f.step", "m.g.tol", "m.g.scale"}
+    assert set(calls_without_cfg(tmp_path)) == {"m:6 f", "m:16 jacobian", "m:22 jacobian", "m:24 g"}

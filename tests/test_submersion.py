@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 import framelift.adapted as adapted_module
 import framelift.frames as frames_module
 import framelift.submersion as submersion_module
+import framelift.suites as suites_module
 from framelift.adapted import W_endo, W_inverse_apply, adapted_frame, adapted_horizontal_lift
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
@@ -37,10 +41,12 @@ from framelift.submersion import (
     fiber_second_fundamental_form,
     horizontal_basis,
     horizontal_lift_matrix,
+    lift_conformal_rule,
     lift_conformality_measurement,
     lift_differential_fd,
     lift_differential_formula,
     lift_distributions,
+    lift_harmonic_morphism_rule,
     lift_map,
     lift_tension_direct,
     mean_curvature_fibers,
@@ -53,6 +59,7 @@ from framelift.submersion import (
     tension_field,
     vertical_basis,
 )
+from framelift.suites import suite_theorems
 
 E = {eid: get(eid) for eid in ("E1", "E2", "E3", "E4", "E5")}
 GEOM = {eid: derive_geometry(e.phi) for eid, e in E.items()}
@@ -639,6 +646,41 @@ class TestClassify:
         assert rep.dilatation_constant is None
         assert rep.lift_conformal_predicted is None
         assert rep.lift_harmonic_morphism_predicted is None
+
+
+def _negated_rule(a, b, c):
+    """A lift rule with every decided verdict flipped."""
+    return None if None in (a, b, c) else not (a and b and c)
+
+
+class TestLiftRules:
+    @pytest.mark.parametrize("rule", [lift_conformal_rule, lift_harmonic_morphism_rule])
+    def test_truth_table(self, rule):
+        for flags in itertools.product((True, False, None), repeat=3):
+            want = None if None in flags else all(flags)
+            assert rule(*flags) is want, flags
+
+    def test_each_rule_is_the_one_that_catalog_classify_and_suite_read(self, monkeypatch):
+        # patching a rule's code changes every binding of it: the catalog validation,
+        # classify's prediction and suite_theorems' expectation all follow
+        e, geom = E["E1"], GEOM["E1"]
+        pts = sample_points(e.phi.source, 42, 3)
+        before = classify(geom, pts)
+        assert before.lift_conformal_predicted is True
+        assert before.lift_harmonic_morphism_predicted is True
+        row = "E1.theorems.lift_harmonic_morphism"
+        assert {r.name: r.status for r in suite_theorems(e, seed=42, samples=6)}[row] == "pass"
+
+        monkeypatch.setattr(lift_conformal_rule, "__code__", _negated_rule.__code__)
+        with pytest.raises(ValueError, match="lift_conformal"):
+            dataclasses.replace(e)
+        assert dataclasses.replace(e, lift_conformal=False).lift_conformal is False
+        assert classify(geom, pts).lift_conformal_predicted is False
+
+        monkeypatch.setattr(lift_harmonic_morphism_rule, "__code__", _negated_rule.__code__)
+        assert classify(geom, pts).lift_harmonic_morphism_predicted is False
+        monkeypatch.setattr(suites_module, "classify", lambda *args: before)  # the measured side fixed
+        assert {r.name: r.status for r in suite_theorems(e, seed=42, samples=6)}[row] == "fail"
 
 
 class TestLiftTensionDirect:
