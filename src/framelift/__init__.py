@@ -30,14 +30,7 @@ from .frames import (
     mok_metric,
     vertical_part,
 )
-from .tangent import (
-    TMPoint,
-    TMTangent,
-    connection_map_K,
-    sasaki_mok_tm,
-    tm_horizontal_lift,
-    tm_vertical_lift,
-)
+from .tangent import connection_map_K, tm_vertical_lift
 from .adapted import (
     DistributionSpec,
     S_tensor,

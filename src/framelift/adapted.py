@@ -111,16 +111,9 @@ def adapted_frame(M: ChartManifold, D: DistributionSpec, p: Array) -> Frame:
 
 
 def od_membership_defect(M: ChartManifold, D: DistributionSpec, u: Frame, P: Array) -> float:
-    """How far a frame (the worst of a stack) is from O(D): orthonormal, adapted to the
-    splitting of the projector values P at u's base points."""
-    k, n = D.rank, u.base.shape[-1]
-    g = metric_eval(M, u.base)
-    E = u.columns
-    return float(max(
-        np.max(np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(n))),
-        np.max(np.abs((np.eye(n) - P) @ E[..., :k])) if k > 0 else 0.0,
-        np.max(np.abs(P @ E[..., k:])) if k < n else 0.0,
-    ))
+    """How far a frame (the worst of a stack) is from O(D): the largest entry of its
+    ``od_constraints``, read at the projector values P at u's base points."""
+    return float(np.max(np.abs(_od_constraints(metric_eval(M, u.base), P, u.columns, D.rank))))
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +434,21 @@ def od_constraints(M: ChartManifold, D: DistributionSpec, k: int):
     row of constraints per frame for a stack, x (..., n) and E (..., n, n)."""
 
     def constraints(x: Array, E: Array) -> Array:
-        n = x.shape[-1]
-        g = metric_eval(M, x)
-        P = D.projector(x)
-        Pc = np.eye(n) - P
-        parts = [E.swapaxes(-1, -2) @ g @ E - np.eye(n)]
-        if k > 0:
-            parts.append(Pc @ E[..., :, :k])
-        if k < n:
-            parts.append(P @ E[..., :, k:])
-        return np.concatenate([A.reshape(A.shape[:-2] + (-1,)) for A in parts], axis=-1)
+        return _od_constraints(metric_eval(M, x), D.projector(x), E, k)
 
     return constraints
+
+
+def _od_constraints(g: Array, P: Array, E: Array, k: int) -> Array:
+    """The entries of E^T g E - I, (I - P) E_top and P E_bot, one row per frame E, for
+    metric and projector values g and P at the frames' base points."""
+    n = E.shape[-1]
+    parts = [E.swapaxes(-1, -2) @ g @ E - np.eye(n)]
+    if k > 0:
+        parts.append((np.eye(n) - P) @ E[..., :, :k])
+    if k < n:
+        parts.append(P @ E[..., :, k:])
+    return np.concatenate([A.reshape(A.shape[:-2] + (-1,)) for A in parts], axis=-1)
 
 
 def od_tangency_residual(

@@ -111,6 +111,10 @@ def cmd_verify(args) -> int:
         print(f"error: FRAMELIFT_SEED must be an integer, got {os.environ['FRAMELIFT_SEED']!r}",
               file=sys.stderr)
         return 2
+    if seed < 0:
+        source = "--seed" if args.seed is not None else "FRAMELIFT_SEED"
+        print(f"error: {source} must be non-negative, got {seed}", file=sys.stderr)
+        return 2
     if args.json:
         problem = _report_path_problem(args.json)
         if problem is not None:

@@ -5,7 +5,10 @@ matrix of frame columns; the orthonormal bundle O(M) is charted near a
 reference orthonormal frame field as (x, a) with u = E_ref(x) exp(A(a))
 for a skew matrix A.  A brute-force Levi-Civita oracle on the induced
 total-space metric audits every closed-form connection and bracket
-identity used elsewhere.
+identity used elsewhere.  The tangent bundle TM is the bundle of
+one-column frames: its point (x, Z) is the frame of the column Z, and the
+horizontal lift and the Mok metric here are its horizontal lift and
+Sasaki-Mok metric (``framelift.tangent``).
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ scipy = None  # no code here calls SciPy; perfbench/tracer.py patches this name
 
 @dataclass(frozen=True)
 class Frame:
-    """A frame of the tangent space at ``base``: column i of ``columns`` is u_i.
+    """m vectors of the tangent space at ``base``: column i of ``columns`` is u_i.
 
-    A stack of frames has base (..., n) and columns (..., n, n), as a chart
+    The columns are n x m for any m >= 1: m = n on L(M), O(M) and O(D), and
+    m = 1 on the tangent bundle, whose point (x, Z) is ``Frame(x, Z[..., None])``.
+    A stack of frames has base (..., n) and columns (..., n, m), as a chart
     Jacobian over points with leading axes (``FrameChart.jacobian``) or
     ``adapted_frame`` at a stack of points gives.  Every function of a frame
     takes a stack under the contract the metrics and fields keep: a stack's
@@ -60,8 +65,8 @@ class Frame:
     def __post_init__(self):
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "columns", np.asarray(self.columns, dtype=float))
-        if self.base.ndim == 0 or self.columns.shape != self.base.shape + self.base.shape[-1:]:
-            raise ValueError("frame matrix must be square of the chart dimension")
+        if self.base.ndim == 0 or self.columns.shape[:-1] != self.base.shape or not self.columns.shape[-1]:
+            raise ValueError("frame columns must have one row per chart dimension")
 
     def vector(self, i: int) -> Array:
         return self.columns[..., :, i]
@@ -155,15 +160,21 @@ def vertical_part(
 ) -> Array:
     """Endomorphism value V with t = horizontal lift of base_rate + V*.
 
-    The decomposition is exact: V = (Edot + Gamma_xdot E) E^{-1}.
+    The decomposition is exact: V = W E^{-1} for the vertical rate W.
     """
     return _vertical_part(christoffel(M, t.at.base, cfg), t)
 
 
 def _vertical_part(gamma: Array, t: FrameTangent) -> Array:
     """``vertical_part`` from the Christoffel symbols ``gamma`` at t's base points."""
-    gx = christoffel_contract(gamma, t.base_rate)
-    return (t.frame_rate + gx @ t.at.columns) @ np.linalg.inv(t.at.columns)
+    return _vertical_rate(gamma, t) @ np.linalg.inv(t.at.columns)
+
+
+def _vertical_rate(gamma: Array, t: FrameTangent) -> Array:
+    """W = Edot + Gamma_xdot E, zero on horizontal lifts, from the Christoffel symbols
+    ``gamma`` at t's base points: V E for the vertical part V on square frames, and the
+    connection map K(t) as its one column on the tangent bundle."""
+    return t.frame_rate + christoffel_contract(gamma, t.base_rate) @ t.at.columns
 
 
 def mok_metric(
@@ -172,19 +183,20 @@ def mok_metric(
     """Diagonal (Mok) metric on the frame bundle: a scalar at one frame, one value
     per frame, of the frames' leading shape, at a stack.
 
-    Horizontal and vertical parts are orthogonal; two vertical vectors pair
-    as sum_i g(V_s u_i, V_t u_i) over the frame columns.  One Christoffel
-    evaluation serves both vertical parts, and a tangent paired with itself
-    (``mok_norm``) has its vertical part evaluated once.
+    Horizontal and vertical parts are orthogonal; two vertical rates pair as
+    sum_i g(W_s u_i, W_t u_i) over the frame columns, which on one-column
+    frames is the Sasaki-Mok metric g(pi_* s, pi_* t) + g(K s, K t) of TM.
+    One Christoffel evaluation serves both vertical rates, and a tangent
+    paired with itself (``mok_norm``) has its vertical rate evaluated once.
     """
     _same_frame(s.at, t.at)
     u = s.at
     g = metric_eval(M, u.base)
     gamma = christoffel(M, u.base, cfg)
-    vs = _vertical_part(gamma, s) @ u.columns
-    vt = vs if t is s else _vertical_part(gamma, t) @ u.columns
+    ws = _vertical_rate(gamma, s).swapaxes(-1, -2)
+    wt = ws if t is s else _vertical_rate(gamma, t).swapaxes(-1, -2)
     return (_pairing_at(g, s.base_rate, t.base_rate)
-            + np.einsum("...ki,...kl,...li->...", vs, g, vt))
+            + _pairing_at(g[..., None, :, :], ws, wt).sum(axis=-1))
 
 
 def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
@@ -196,9 +208,9 @@ def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
     """Gram matrix of tangents (X_a, Edot_a) to the bundle of n x m frames at (x, E).
 
     G = X g X^T + sum_i W g W^T over the m columns, W_a = Edot_a + Gamma(X_a) E
-    = V_a E for the vertical part V_a (whose inverse cancels): the Mok metric
-    for m = n, the Sasaki-Mok metric on TM for the one column E = Z.  Every
-    argument may carry the leading axes of points x (..., n); so does G.
+    the vertical rate of ``mok_metric``: its table for m = n, and for the one
+    column E = Z the Sasaki-Mok table on TM.  Every argument may carry the
+    leading axes of points x (..., n); so does G.
     """
     g = metric_eval(M, x)
     W = Edot + np.einsum("...kij,...ai,...jl->...akl", christoffel(M, x, cfg), X, E)

@@ -44,8 +44,8 @@ class FDConfig:
     tol_fd2: float = 5e-4
 
     def __post_init__(self):
-        if self.step_h <= 0.0 or self.step_h2 <= 0.0:
-            raise ValueError("finite-difference steps must be positive")
+        if not (0.0 < self.step_h < np.inf and 0.0 < self.step_h2 < np.inf):  # also rejects NaN
+            raise ValueError("finite-difference steps must be positive and finite")
         if self.step_h2 < self.step_h:
             raise ValueError("step_h2 must be >= step_h")
         if not (0.0 <= self.tol_exact <= self.tol_fd1 <= self.tol_fd2):

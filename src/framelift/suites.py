@@ -91,17 +91,13 @@ from .submersion import (
     tension_field,
 )
 from .tangent import (
-    TMPoint,
-    TMTangent,
     connection_map_K,
     phi_second_differential_fd,
     phi_second_differential_formula,
     pi_i_differential,
     pi_i_differential_fd,
-    sasaki_mok_tm,
     tm_distributions,
     tm_distributions_displayed_h,
-    tm_horizontal_lift,
     tm_kernel_constant_extension,
     tm_split,
     tm_vertical_lift,
@@ -120,9 +116,9 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng([seed, *tags])
 
 
-def _tm_size(t: TMTangent):
+def _tm_size(t: FrameTangent):
     """Largest absolute entry of a tangent-bundle vector's two rates, per point of a stack."""
-    return np.max(np.abs(np.concatenate([t.base_rate, t.fiber_rate], axis=-1)), axis=-1)
+    return np.max(np.abs(np.concatenate([t.base_rate, t.frame_rate[..., 0]], axis=-1)), axis=-1)
 
 
 def _single(checks: Checks, key: str, identity: str, residual, tolerance: float,
@@ -208,27 +204,27 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # lifts and the splitting, once on the stack of sample points; per point, the
     # draws are the fiber of Z, the vector x and the two rates of t
     zf, x, base_rate, fiber_rate = np.split(rng.standard_normal((len(pts), 4 * n)), 4, axis=-1)
-    Z = TMPoint(pts, 0.7 * zf)
+    Z = Frame(pts, 0.7 * zf[..., None])
     v = tm_vertical_lift(TangentVector(pts, x), Z)
-    h = tm_horizontal_lift(M, TangentVector(pts, x), Z, cfg)
+    h = horizontal_lift_frame(M, TangentVector(pts, x), Z, cfg)
     checks.see("lift_identities", *(np.max(np.abs(d), axis=-1) for d in (
         connection_map_K(M, v, cfg).components - x, connection_map_K(M, h, cfg).components,
         h.base_rate - x, v.base_rate)))
     checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact)
-    t = TMTangent(Z, base_rate, fiber_rate)
+    t = FrameTangent(Z, base_rate, fiber_rate[..., None])
     hh, vv = tm_split(M, t, cfg)
     _single(checks, "splitting_exact", "t = (pi_* t)^h + (K t)^v", _tm_size(hh + vv - t),
             cfg.tol_exact)
     _single(checks, "horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0",
-            np.abs(sasaki_mok_tm(M, h, v, cfg)), cfg.tol_exact)
+            np.abs(mok_metric(M, h, v, cfg)), cfg.tol_exact)
 
     # second differential: formula vs finite differences, each kind once on the stack;
     # per point, the draws are the fiber of Z and the vector X
     for kind in ("vertical", "horizontal"):
         zf, x = np.split(rng.standard_normal((len(pts), 2 * n)), 2, axis=-1)
-        Z = TMPoint(pts, 0.7 * zf)
+        Z = Frame(pts, 0.7 * zf[..., None])
         X = TangentVector(pts, x)
-        t = tm_vertical_lift(X, Z) if kind == "vertical" else tm_horizontal_lift(M, X, Z, cfg)
+        t = tm_vertical_lift(X, Z) if kind == "vertical" else horizontal_lift_frame(M, X, Z, cfg)
         _single(checks, f"second_differential.{kind}",
                 "second differential formula matches central differences",
                 _tm_size(phi_second_differential_fd(phi, t, cfg)
@@ -237,7 +233,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # kernel/orthogonal distributions of the tangent-bundle map, point by point: the
     # null space and the constant extension are per point
     for p in pts[: max(2, samples // 3)]:
-        Z = TMPoint(p, 0.7 * rng.standard_normal(n))
+        Z = Frame(p, 0.7 * rng.standard_normal((n, 1)))
         Vb, Hb = tm_distributions(geom, Z, cfg)
         checks.see("distribution_dimensions",
                    0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k) else 1.0)
@@ -245,14 +241,14 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         # horizontal half differs
         half = len(Vb) // 2
         const_ext = tm_kernel_constant_extension(geom, Z, cfg)[half:]
-        sizes = _tm_size(phi_second_differential_fd(phi, TMTangent.stack(Vb + const_ext), cfg))
+        sizes = _tm_size(phi_second_differential_fd(phi, FrameTangent.stack(Vb + const_ext), cfg))
         checks.see("kernel_distribution", *sizes[:len(Vb)])
-        checks.see("distribution_orthogonality", *np.abs(sasaki_mok_tm(
-            M, TMTangent.stack([v for v in Vb for _ in Hb]), TMTangent.stack(Hb * len(Vb)), cfg)))
+        checks.see("distribution_orthogonality", *np.abs(mok_metric(
+            M, FrameTangent.stack([v for v in Vb for _ in Hb]), FrameTangent.stack(Hb * len(Vb)), cfg)))
         # displayed orthogonal-side formula, reported against the complement
         shown = tm_distributions_displayed_h(geom, Z, cfg)
-        checks.see("displayed_h_vs_complement", *np.abs(sasaki_mok_tm(
-            M, TMTangent.stack(Vb * len(shown)), TMTangent.stack([h for h in shown for _ in Vb]), cfg)))
+        checks.see("displayed_h_vs_complement", *np.abs(mok_metric(
+            M, FrameTangent.stack(Vb * len(shown)), FrameTangent.stack([h for h in shown for _ in Vb]), cfg)))
         checks.see("kernel_constant_extension", *sizes[:half], *sizes[len(Vb):])
     checks.row("kernel_distribution", "second differential kills the kernel basis", cfg.tol_fd2)
     checks.row("distribution_orthogonality", "kernel and complement are Sasaki-orthogonal",
@@ -276,7 +272,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                    _tm_size(pi_i_differential(M, t, i, cfg) - pi_i_differential_fd(M, t, i, cfg)))
         ti = pi_i_differential(M, th, i, cfg)
         checks.see("frame_projection_isometry",
-                   abs(mok_metric(M, th, th, cfg) - sasaki_mok_tm(M, ti, ti, cfg)))
+                   abs(mok_metric(M, th, th, cfg) - mok_metric(M, ti, ti, cfg)))
     checks.row("frame_projection_differential", "column projection maps lifts to lifts", cfg.tol_fd1)
     checks.row("frame_projection_isometry", "column projection is isometric on horizontals",
                cfg.tol_fd1)

@@ -28,6 +28,7 @@ from framelift.catalog import entries, euclidean_chart, get, sphere_chart
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import (
     Frame,
+    FrameTangent,
     LMChart,
     bracket_residual,
     connection_audit,
@@ -70,11 +71,9 @@ from framelift.submersion import (
     vertical_basis,
 )
 from framelift.tangent import (
-    TMPoint,
     connection_map_K,
     phi_second_differential_fd,
     phi_second_differential_formula,
-    tm_horizontal_lift,
     tm_split,
     tm_vertical_lift,
 )
@@ -280,33 +279,32 @@ def test_criterion_07_tangent_bundle_lemmas():
         phi = e.phi
         n = phi.source.dim
         for p in sample_points(phi.source, SEED, 5):
-            Z = TMPoint(p, 0.6 * rng.standard_normal(n))
+            Z = Frame(p, 0.6 * rng.standard_normal((n, 1)))
             X = TangentVector(p, rng.standard_normal(n))
             for kind in ("vertical", "horizontal"):
                 t = (tm_vertical_lift(X, Z) if kind == "vertical"
-                     else tm_horizontal_lift(phi.source, X, Z, CFG))
+                     else horizontal_lift_frame(phi.source, X, Z, CFG))
                 d = phi_second_differential_fd(phi, t, CFG) - phi_second_differential_formula(
                     phi, kind, X, Z, CFG)
                 worst = max(worst, float(np.max(np.abs(d.base_rate))),
-                            float(np.max(np.abs(d.fiber_rate))))
+                            float(np.max(np.abs(d.frame_rate))))
 
     flat = euclidean_chart(3)
     exact = 0.0
     for p in sample_points(flat, SEED, 5):
-        Z = TMPoint(p, rng.standard_normal(3))
+        Z = Frame(p, rng.standard_normal((3, 1)))
         x = rng.standard_normal(3)
         v = tm_vertical_lift(TangentVector(p, x), Z)
-        h = tm_horizontal_lift(flat, TangentVector(p, x), Z, CFG)
+        h = horizontal_lift_frame(flat, TangentVector(p, x), Z, CFG)
         exact = max(exact,
                     float(np.max(np.abs(connection_map_K(flat, v, CFG).components - x))),
                     float(np.max(np.abs(connection_map_K(flat, h, CFG).components))),
                     float(np.max(np.abs(h.base_rate - x))))
-        from framelift.tangent import TMTangent
-        t = TMTangent(Z, rng.standard_normal(3), rng.standard_normal(3))
+        t = FrameTangent(Z, rng.standard_normal(3), rng.standard_normal((3, 1)))
         hh, vv = tm_split(flat, t, CFG)
         rec = hh + vv
         exact = max(exact, float(np.max(np.abs(rec.base_rate - t.base_rate))),
-                    float(np.max(np.abs(rec.fiber_rate - t.fiber_rate))))
+                    float(np.max(np.abs(rec.frame_rate - t.frame_rate))))
     ok = worst < 5e-4 and exact < 1e-10
     report(7, "tangent bundle lemmas", ok,
            f"(second differential {worst:.3g}, flat identities {exact:.3g})")

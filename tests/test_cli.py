@@ -57,8 +57,13 @@ class TestVerify:
         assert proc.returncode == 2
 
     def test_bad_steps_exit_2(self):
-        proc = run_cli(["verify", "E1", "--suite", "core", "--h", "1e-3", "--h2", "1e-5"])
-        assert proc.returncode == 2
+        # NaN fails every comparison, so a NaN step once reached the suite and was
+        # reported as a sample point outside the chart
+        for steps in (["--h", "1e-3", "--h2", "1e-5"], ["--h", "nan"], ["--h", "inf", "--h2", "inf"]):
+            proc = run_cli(["verify", "E1", "--suite", "core", *steps])
+            assert proc.returncode == 2, steps
+            assert "step" in proc.stderr and "chart" not in proc.stderr, (steps, proc.stderr)
+            assert "Traceback" not in proc.stderr and proc.stdout == "", steps
 
     def test_missing_report_directory_exit_2_before_running(self, tmp_path):
         path = tmp_path / "missing" / "x.json"
@@ -72,6 +77,17 @@ class TestVerify:
         proc = run_cli(["verify", "E1", "--suite", "core"], env_extra={"FRAMELIFT_SEED": "abc"})
         assert proc.returncode == 2
         assert "FRAMELIFT_SEED" in proc.stderr and "'abc'" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args, env, source", [
+        (["--seed", "-1"], None, "--seed"),
+        ([], {"FRAMELIFT_SEED": "-3"}, "FRAMELIFT_SEED"),
+    ])
+    def test_negative_seed_exit_2_with_one_line(self, args, env, source):
+        proc = run_cli(["verify", "E1", "--suite", "core", *args], env_extra=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and source in proc.stderr and "non-negative" in proc.stderr
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("extra, where", [

@@ -146,6 +146,7 @@ class TestMokMetric:
             assert mok_metric(S2, t, t) > 0
 
     def test_norm_evaluates_the_vertical_part_once(self, monkeypatch):
+        # the Mok metric pairs the vertical rates W = V E of the vertical parts V
         rng = np.random.default_rng(3)
         u = on_frame(S2, np.array([0.3, -0.1]))
         t = FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2)))
@@ -153,11 +154,11 @@ class TestMokMetric:
         want = float(np.sqrt(mok_metric(S2, t, twin)))  # two evaluations, same arithmetic
         calls = []
 
-        def counting(*args, real=frames_module._vertical_part, **kwargs):
+        def counting(*args, real=frames_module._vertical_rate, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(frames_module, "_vertical_part", counting)
+        monkeypatch.setattr(frames_module, "_vertical_rate", counting)
         assert mok_norm(S2, t) == want
         assert len(calls) == 1
 

@@ -62,6 +62,14 @@ class TestFDConfig:
         with pytest.raises(ValueError):
             FDConfig(tol_exact=1.0, tol_fd1=1e-6)
 
+    @pytest.mark.parametrize("steps", [
+        {"step_h": np.nan}, {"step_h2": np.nan}, {"step_h": np.nan, "step_h2": np.nan},
+        {"step_h2": np.inf}, {"step_h": np.inf, "step_h2": np.inf}, {"step_h": -np.inf}, {"step_h": 0.0},
+    ])
+    def test_rejects_steps_that_are_not_positive_and_finite(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            FDConfig(**steps)
+
 
 class TestMetric:
     def test_flat_identity(self):

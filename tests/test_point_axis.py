@@ -79,7 +79,6 @@ from framelift.submersion import (
     div_bot,
     splitting_projectors,
 )
-from framelift.tangent import TMPoint, TMTangent
 from hopf_composite import hopf_composite, hopf_composite_jacobian
 from looping import per_point
 
@@ -660,10 +659,6 @@ def flat(value):
         return [*flat(value.at), value.base_rate, value.frame_rate]
     if isinstance(value, Frame):
         return [value.base, value.columns]
-    if isinstance(value, TMTangent):
-        return [*flat(value.at), value.base_rate, value.fiber_rate]
-    if isinstance(value, TMPoint):
-        return [value.base, value.fiber]
     if isinstance(value, (list, tuple)):
         return [a for v in value for a in flat(v)]
     return [np.asarray(value)]
@@ -839,7 +834,8 @@ class TestFrameStack:
                 if fn.__module__ == module.__name__ and not name.startswith("_") and any(
                         a == "Frame" or "FrameTangent" in a for a in annotations):
                     found.add(f"{module.__name__.rpartition('.')[2]}.{name}")
-        assert found == set(FRAME_FUNCTIONS)
+        # the tangent bundle's functions take one-column frames and have a table of their own
+        assert found == set(FRAME_FUNCTIONS) | set(TANGENT_FUNCTIONS)
 
 
 class TestFrameCallCounts:
@@ -1003,37 +999,46 @@ PROJECTOR_FUNCTIONS = {
 }
 
 
+def tm_point(p, z):
+    """The point (p, z) of the tangent bundle: the frame of the one column z."""
+    return Frame(p, z[..., None])
+
+
 def tm_tangent(p, r):
     """The tangent at (p, r[..., 0, :]) with base and fiber rates r[..., 1, :] and r[..., 2, :]."""
-    return TMTangent(TMPoint(p, r[..., 0, :]), r[..., 1, :], r[..., 2, :])
+    return FrameTangent(tm_point(p, r[..., 0, :]), r[..., 1, :], r[..., 2, :, None])
 
 
 ONE_TM_POINT = "builds a basis at one point: its null space and constant extension are per point"
 # Every public tangent-bundle function of points, in the form of POINT_FUNCTIONS, on the
 # source chart of each example.  ``test_the_table_lists_every_tangent_function_of_points``
-# keeps it complete.
+# keeps it complete; the column projections, functions of square frames, are in FRAME_FUNCTIONS.
 TANGENT_FUNCTIONS = {
     "tangent.tm_vertical_lift": ([vectors(), vectors()], lambda geom, p, x, z: (
-        tangent_module.tm_vertical_lift(TangentVector(p, x), TMPoint(p, z)))),
-    "tangent.tm_horizontal_lift": ([vectors(), vectors()], lambda geom, p, x, z: (
-        tangent_module.tm_horizontal_lift(geom.phi.source, TangentVector(p, x), TMPoint(p, z)))),
+        tangent_module.tm_vertical_lift(TangentVector(p, x), tm_point(p, z)))),
     "tangent.connection_map_K": ([vectors(3)], lambda geom, p, r: (
         tangent_module.connection_map_K(geom.phi.source, tm_tangent(p, r)))),
     "tangent.tm_split": ([vectors(3)], lambda geom, p, r: tangent_module.tm_split(
         geom.phi.source, tm_tangent(p, r))),
-    "tangent.sasaki_mok_tm": ([vectors(3), vectors(2)], lambda geom, p, r, w: tangent_module.sasaki_mok_tm(
-        geom.phi.source, tm_tangent(p, r), TMTangent(TMPoint(p, r[..., 0, :]), w[..., 0, :], w[..., 1, :]))),
-    "tangent.tm_map": ([vectors()], lambda geom, p, z: tangent_module.tm_map(geom.phi, TMPoint(p, z))),
+    "tangent.tm_map": ([vectors()], lambda geom, p, z: tangent_module.tm_map(geom.phi, tm_point(p, z))),
     "tangent.phi_second_differential_fd": ([vectors(3)], lambda geom, p, r: (
         tangent_module.phi_second_differential_fd(geom.phi, tm_tangent(p, r)))),
     "tangent.phi_second_differential_formula": ([vectors(), vectors()], lambda geom, p, x, z: [
-        tangent_module.phi_second_differential_formula(geom.phi, kind, TangentVector(p, x), TMPoint(p, z))
+        tangent_module.phi_second_differential_formula(geom.phi, kind, TangentVector(p, x), tm_point(p, z))
         for kind in ("vertical", "horizontal")]),
     "tangent.tm_distributions": ONE_TM_POINT,
     "tangent.tm_kernel_constant_extension": ONE_TM_POINT,
     "tangent.tm_distributions_displayed_h": ONE_TM_POINT,
 }
 STACKED_IN_TM = sorted(name for name, case in TANGENT_FUNCTIONS.items() if not isinstance(case, str))
+# The frame-bundle functions that serve the tangent bundle as the bundle of one-column frames:
+# the horizontal lift and the Mok metric, which is the Sasaki-Mok metric there.
+ONE_COLUMN_FUNCTIONS = {
+    "frames.horizontal_lift_frame@TM": ([vectors(), vectors()], lambda geom, p, x, z: (
+        frames_module.horizontal_lift_frame(geom.phi.source, TangentVector(p, x), tm_point(p, z)))),
+    "frames.mok_metric@TM": ([vectors(3), vectors(2)], lambda geom, p, r, w: frames_module.mok_metric(
+        geom.phi.source, tm_tangent(p, r), tm_tangent(p, np.concatenate([r[..., :1, :], w], axis=-2)))),
+}
 
 
 class TestPointStack:
@@ -1043,10 +1048,10 @@ class TestPointStack:
 
     @pytest.mark.parametrize("example", EXAMPLES)
     @pytest.mark.parametrize("name", STACKED_AT_POINTS + sorted(CALCULUS_FUNCTIONS)
-                             + sorted(PROJECTOR_FUNCTIONS) + STACKED_IN_TM)
+                             + sorted(PROJECTOR_FUNCTIONS) + STACKED_IN_TM + sorted(ONE_COLUMN_FUNCTIONS))
     def test_stack_equals_rows(self, name, example):
         draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS, **PROJECTOR_FUNCTIONS,
-                    **TANGENT_FUNCTIONS}[name]
+                    **TANGENT_FUNCTIONS, **ONE_COLUMN_FUNCTIONS}[name]
         geom = GEOMS[example]
         ps = sample_points(geom.phi.source, 106, 3)
         rng = np.random.default_rng(107)
@@ -1079,6 +1084,7 @@ class TestPointStack:
         for name, fn in inspect.getmembers(tangent_module, inspect.isfunction):
             annotations = {str(p.annotation) for p in inspect.signature(fn).parameters.values()}
             if fn.__module__ == tangent_module.__name__ and not name.startswith("_") and (
-                    annotations & {"TMPoint", "TMTangent", "TangentVector"}):
+                    annotations & {"Frame", "FrameTangent", "TangentVector"}):
                 found.add(f"tangent.{name}")
-        assert found == set(TANGENT_FUNCTIONS)
+        projections = {name for name in FRAME_FUNCTIONS if name.startswith("tangent.")}
+        assert found == set(TANGENT_FUNCTIONS) | projections

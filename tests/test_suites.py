@@ -271,21 +271,24 @@ def test_tangent_suite_differences_each_kernel_vector_once(monkeypatch, eid):
 @pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
 def test_tangent_suite_pairs_each_table_in_one_sasaki_call(monkeypatch, eid):
     # the lift block on the stack of 3 points; at each of 2 distribution points the
-    # kernel x complement and kernel x displayed tables; one frame-projection column each
-    calls = tally(monkeypatch, [suites], "sasaki_mok_tm")
+    # kernel x complement and kernel x displayed tables; one frame-projection column each.
+    # The Sasaki-Mok metric is the Mok metric on one-column frames (the tangent bundle)
+    calls = tally(monkeypatch, [suites], "mok_metric")
     n, k = get(eid).phi.source.dim, get(eid).phi.target.dim
     suites.suite_tangent(get(eid), samples=3)
-    stacks = [s.base_rate.shape[:-1] for _, s, *_ in calls]
+    stacks = [s.base_rate.shape[:-1] for _, s, *_ in calls if s.frame_rate.shape[-1] == 1]
     table = (2 * (n - k) * 2 * k,)
     assert stacks == [(3,), table, table, table, table] + [()] * n
 
 
 @pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
 def test_tangent_suite_lifts_each_frame_projection_column_once(monkeypatch, eid):
-    # the horizontal lift of a column serves its differential and its isometry rows
+    # the horizontal lift of a column serves its differential and its isometry rows; the
+    # lifts to the tangent bundle are lifts to one-column frames
     lifts = tally(monkeypatch, [suites], "horizontal_lift_frame")
     suites.suite_tangent(get(eid), seed=42)
-    assert len(lifts) == get(eid).phi.source.dim
+    n = get(eid).phi.source.dim
+    assert sum(u.columns.shape[-1] == n for _, _, u, *_ in lifts) == n
 
 
 class TestOneTotalSpaceChristoffelPerPoint:
