@@ -13,13 +13,11 @@ import numpy as np
 from framelift.catalog import sphere_chart
 from framelift.fields import polynomial_vector_field
 from framelift.geometry import (
-    TangentVector,
     christoffel,
     covariant_derivative,
-    curvature,
+    curvature_tensor,
     endo_inner,
     gram_schmidt,
-    inner,
     lie_bracket,
     metric_eval,
     orthonormal_basis,
@@ -51,12 +49,13 @@ print("torsion residual |nabla_X Y - nabla_Y X - [X,Y]| =",
       np.max(np.abs(nXY.components - nYX.components - br.components)))
 
 print("\n== curvature ==")
-e1, e2 = orthonormal_basis(S2, p)
-K = inner(S2, p, curvature(S2, e1, e2, e2).components, e1.components)
-print("sectional curvature of the unit sphere:", K)
+R = curvature_tensor(S2, p)  # R[i, j, k, l] = (R(d_i, d_j) d_k)^l
+e1, e2 = (e.components for e in orthonormal_basis(S2, p))
 g = metric_eval(S2, p)
+K = np.einsum("ijkl,i,j,k->l", R, e1, e2, e2) @ g @ e1
+print("sectional curvature of the unit sphere:", K)
 x, y, z = rng.standard_normal((3, 2))
-got = curvature(S2, TangentVector(p, x), TangentVector(p, y), TangentVector(p, z)).components
+got = np.einsum("ijkl,i,j,k->l", R, x, y, z)
 closed = float(y @ g @ z) * x - float(x @ g @ z) * y
 print("constant-curvature closed form residual:", np.max(np.abs(got - closed)))
 

@@ -22,7 +22,7 @@ Two measured facts deserve attention, and both are printed below:
 
 import numpy as np
 
-from framelift.catalog import entries
+from framelift.catalog import entries, get
 from framelift.geometry import sample_points
 from framelift.submersion import classify, derive_geometry, lift_tension_direct
 
@@ -58,9 +58,9 @@ Reading the table:
       dimensions; the verdict disagreement is reported, not hidden.
 """)
 
-e1 = entries()[0]
+e1 = get("E1")
 geom1 = derive_geometry(e1.phi)
-res = lift_tension_direct(geom1, np.array([0.2, -0.3, 0.4]))
+res = lift_tension_direct(geom1, np.array(e1.lift_tension_at))
 print("Direct tension of the flat-projection lift, computed with the")
 print("brute-force total-space machinery (4-dim source chart into the")
 print("6-dim frame-bundle chart):")

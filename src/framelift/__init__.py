@@ -13,7 +13,6 @@ from .geometry import (
     VectorField,
     christoffel,
     covariant_derivative,
-    curvature,
     curvature_R_P,
     endo_inner,
     gram_schmidt,

@@ -5,7 +5,9 @@ projection, the Hopf fibration of the round 3-sphere onto the half-radius
 2-sphere, a warped plane projecting onto its base line, and a homothety
 composed with a flat projection.  Each entry carries exact metric
 derivatives, an exact Jacobian, smooth vertical fields, expected flags,
-and a sampling box away from chart singularities.
+a sampling box away from chart singularities, and the point checks that the
+theorems suite makes on it: a vanishing tension, or a chart point at which
+to measure the tension or the lift's tension.
 """
 
 from __future__ import annotations
@@ -219,6 +221,11 @@ class CatalogEntry:
     lift_conformal: bool
     expected_big_lambda: Optional[float]
     description: str = ""
+    # point checks of suites.suite_theorems; the default adds no row
+    tension_zero: bool = False  # tau(phi) vanishes at every sample point
+    tension_unit_at: Optional[tuple[float, ...]] = None  # chart point with |tau| = 1 = |phi_* H|
+    lift_tension_at: Optional[tuple[float, ...]] = None  # chart point for lift_tension_direct
+    lift_tension_normal: Optional[float] = None  # its expected normal part, set with the point
 
     def __post_init__(self):
         # a catalog dilatation makes the map horizontally conformal with that constant
@@ -248,6 +255,10 @@ def _build_entries() -> list[CatalogEntry]:
         h_integrable=True, harmonic_morphism=True, lift_conformal=True,
         expected_big_lambda=1.0,
         description="orthogonal projection of flat 3-space onto a flat plane",
+        # the image of the lift is R^2 times a circle of radius sqrt(2) in the flat
+        # fibre of L(R^2), so the lift's tension is that circle's curvature vector:
+        # normal to the image, of norm 1/sqrt(2)
+        lift_tension_at=(0.2, -0.3, 0.4), lift_tension_normal=1.0 / np.sqrt(2.0),
     ))
 
     # E2: product projection of S^2 x S^1 onto S^2
@@ -285,6 +296,7 @@ def _build_entries() -> list[CatalogEntry]:
         h_integrable=False, harmonic_morphism=True, lift_conformal=False,
         expected_big_lambda=None,
         description="Hopf fibration of the round 3-sphere over the half-radius 2-sphere",
+        tension_zero=True,
     ))
 
     # E4: warped plane onto its base line
@@ -304,6 +316,7 @@ def _build_entries() -> list[CatalogEntry]:
         h_integrable=True, harmonic_morphism=False, lift_conformal=False,
         expected_big_lambda=None,
         description="warped product projecting onto the base; fibers are not minimal",
+        tension_unit_at=(0.0, 0.25),
     ))
 
     # E5: homothety (factor 2) composed with the flat projection

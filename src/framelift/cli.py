@@ -75,7 +75,7 @@ def cmd_list() -> int:
     for e in entries():
         lam = e.expected_lambda if e.expected_lambda is not None else "non-constant"
         print(f"{e.id}  {e.phi.name:22s} dilatation={lam!s:12s} "
-              f"lift_conformal={e.lift_conformal}  {e.description}")
+              f"lift_conformal={e.lift_conformal!s:5}  {e.description}")
     return 0
 
 

@@ -278,10 +278,6 @@ def metric_derivative_eval(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_F
     return central_diff(M.metric_field, p, cfg.step_h)
 
 
-def inner(M: ChartManifold, p: Array, x: Array, y: Array) -> float:
-    return float(_pairing_at(metric_eval(M, p), x, y))
-
-
 def norm(M: ChartManifold, p: Array, x: Array) -> float:
     return float(_g_norm(metric_eval(M, p), x))
 
@@ -396,22 +392,6 @@ def connection_curvature(G: Array, dG: Array) -> Array:
     quad_a = np.einsum("...lim,...mjk->...ijkl", G, G)  # G^l_im G^m_jk
     quad_b = quad_a.swapaxes(-4, -3)
     return term_a - term_b + quad_a - quad_b
-
-
-def curvature(
-    M: ChartManifold,
-    X: TangentVector,
-    Y: TangentVector,
-    Z: TangentVector,
-    cfg: FDConfig = DEFAULT_FD,
-) -> TangentVector:
-    """R(X, Y)Z at the common base point of the three vectors."""
-    p = X.base
-    if not (np.array_equal(p, Y.base) and np.array_equal(p, Z.base)):
-        raise ValueError("curvature arguments must share a base point")
-    R = curvature_tensor(M, p, cfg)
-    out = np.einsum("ijkl,i,j,k->l", R, X.components, Y.components, Z.components)
-    return TangentVector(p, out)
 
 
 def curvature_R_P(

@@ -725,11 +725,11 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             rep.lift_harmonic_morphism_predicted, expected_lift_hm)
 
     # tension magnitude expectations
-    if entry.id == "E3":
+    if entry.tension_zero:
         _single(checks, "tension_zero", "tension field vanishes for the Hopf fibration",
                 rep.tension_max, cfg.tol_fd2)
-    if entry.id == "E4":
-        p0 = np.array([0.0, 0.25])
+    if entry.tension_unit_at is not None:
+        p0 = np.array(entry.tension_unit_at)
         y0 = phi.value(p0)
         tn = norm(phi.target, y0, tension_field(geom, p0, cfg))
         H = mean_curvature_fibers(geom, adapted_frame(phi.source, geom.horizontal, p0), cfg)
@@ -747,12 +747,9 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         _single(checks, "tension_displays_agree", "trace form of the tension matches the conformal form",
                 _g_norm(metric_eval(phi.target, phi.value(two)), d), cfg.tol_fd2)
 
-    # direct total-space tension of the lift (small example only).  The image
-    # of the E1 lift is R^2 times a circle of radius sqrt(2) in the flat fibre
-    # of L(R^2), so the tension is that circle's curvature vector: normal to
-    # the image, of norm 1/sqrt(2)
-    if entry.id == "E1":
-        res = lift_tension_direct(geom, np.array([0.2, -0.3, 0.4]), cfg)
+    # direct total-space tension of the lift at one point (5-25 ms on any catalog entry)
+    if entry.lift_tension_at is not None:
+        res = lift_tension_direct(geom, np.array(entry.lift_tension_at), cfg)
         _single(checks, "lift_tension_direct",
                 "ambient tension of the lift into the full frame bundle", res["ambient"], 1e-3)
         _single(checks, "lift_tension_tangential",
@@ -760,7 +757,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                 kind="audit")
         _single(checks, "lift_tension_normal",
                 "normal component equals the image curvature (diagnostic)",
-                abs(res["normal"] - 1.0 / np.sqrt(2.0)), 1e-3, kind="audit")
+                abs(res["normal"] - entry.lift_tension_normal), 1e-3, kind="audit")
     return checks.reports
 
 

@@ -131,3 +131,30 @@ class TestChartBuilders:
             M = euclidean_chart(n)
             assert M.dim == n
             assert np.allclose(metric_eval(M, np.zeros(n)), np.eye(n))
+
+
+class TestPointChecks:
+    """The theorems suite's point checks are plain data on the entry whose row they make."""
+
+    SET_ON = {"tension_zero": ["E3"], "tension_unit_at": ["E4"],
+              "lift_tension_at": ["E1"], "lift_tension_normal": ["E1"]}
+
+    def test_each_is_set_on_the_entry_that_has_the_row(self):
+        fields = {f.name: f.default for f in dataclasses.fields(CatalogEntry)}
+        for name, ids in self.SET_ON.items():
+            assert [e.id for e in entries() if getattr(e, name) != fields[name]] == ids
+
+    def test_each_is_plain_python_data(self):
+        for e in entries():
+            assert isinstance(e.tension_zero, bool)
+            for point in (e.tension_unit_at, e.lift_tension_at):
+                assert point is None or (isinstance(point, tuple)
+                                         and all(type(c) is float for c in point))
+            assert e.lift_tension_normal is None or isinstance(e.lift_tension_normal, float)
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_points_lie_in_the_source_chart(self, eid):
+        e = get(eid)
+        for point in (e.tension_unit_at, e.lift_tension_at):
+            if point is not None:
+                assert len(point) == e.phi.source.dim and e.phi.source.contains(np.array(point))

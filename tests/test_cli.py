@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from framelift.catalog import get
+from framelift.catalog import entries, get
 from framelift.cli import main, run
 from framelift.geometry import DomainError, sample_points
 from framelift.reporting import strip_wall_times
@@ -31,6 +31,10 @@ class TestList:
         assert proc.returncode == 0
         for eid in ("E1", "E2", "E3", "E4", "E5"):
             assert eid in proc.stdout
+        # every description starts at the same column, after lift_conformal=True or =False
+        lines = proc.stdout.splitlines()
+        starts = {line.index(e.description) for line, e in zip(lines, entries(), strict=True)}
+        assert len(starts) == 1, proc.stdout
 
 
 class TestVerify:

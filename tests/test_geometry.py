@@ -19,12 +19,10 @@ from framelift.geometry import (
     coordinate_field,
     covariant_derivative,
     covariant_derivatives,
-    curvature,
     curvature_R_P,
     curvature_tensor,
     endo_inner,
     gram_schmidt,
-    inner,
     lie_bracket,
     metric_eval,
     orthonormal_basis,
@@ -163,34 +161,35 @@ class TestCovariantDerivative:
             assert np.array_equal(v.components, one.components)
 
 class TestCurvature:
+    """R(X, Y)Z contracted from the curvature tensor."""
+
     def test_flat_zero(self):
         p = np.array([0.1, -0.1, 0.2])
-        vs = [TangentVector(p, v) for v in np.random.default_rng(1).standard_normal((3, 3))]
-        out = curvature(R3, *vs)
-        assert np.max(np.abs(out.components)) < 1e-12
+        x, y, z = np.random.default_rng(1).standard_normal((3, 3))
+        out = np.einsum("ijkl,i,j,k->l", curvature_tensor(R3, p), x, y, z)
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_unit_sphere_sectional(self):
         # constant curvature +1: R(X,Y)Z = g(Y,Z)X - g(X,Z)Y
         p = np.array([0.3, -0.1])
-        e1, e2 = orthonormal_basis(S2, p)
-        val = curvature(S2, e1, e2, e2)
-        assert abs(inner(S2, p, val.components, e1.components) - 1.0) < 5e-4
+        e1, e2 = (e.components for e in orthonormal_basis(S2, p))
+        val = np.einsum("ijkl,i,j,k->l", curvature_tensor(S2, p), e1, e2, e2)
+        assert abs(val @ metric_eval(S2, p) @ e1 - 1.0) < 5e-4
 
     def test_constant_curvature_closed_form(self):
         rng = np.random.default_rng(2)
         p = np.array([0.2, 0.4])
         g = metric_eval(S2, p)
         x, y, z = rng.standard_normal((3, 2))
-        got = curvature(S2, TangentVector(p, x), TangentVector(p, y), TangentVector(p, z))
+        got = np.einsum("ijkl,i,j,k->l", curvature_tensor(S2, p), x, y, z)
         expect = float(y @ g @ z) * x - float(x @ g @ z) * y
-        assert np.max(np.abs(got.components - expect)) < 1e-6
+        assert np.max(np.abs(got - expect)) < 1e-6
 
     def test_antisymmetry(self):
         p = np.array([0.2, 0.4])
-        x = TangentVector(p, np.array([1.0, 2.0]))
-        z = TangentVector(p, np.array([-0.5, 0.3]))
-        out = curvature(S2, x, x, z)
-        assert np.max(np.abs(out.components)) < 1e-12
+        x, z = np.array([1.0, 2.0]), np.array([-0.5, 0.3])
+        out = np.einsum("ijkl,i,j,k->l", curvature_tensor(S2, p), x, x, z)
+        assert np.max(np.abs(out)) < 1e-12
 
 
 class TestCurvatureRP:
@@ -217,7 +216,8 @@ class TestCurvatureRP:
         J = E @ Jmat @ E.T @ g
         X = TangentVector(p, np.array([0.7, -0.4]))
         got = curvature_R_P(S2, p, J, onb, curvature_tensor(S2, p)) @ X.components
-        expect = 2.0 * curvature(S2, onb[0], onb[1], X).components
+        expect = 2.0 * np.einsum("ijkl,i,j,k->l", curvature_tensor(S2, p), onb[0].components,
+                                 onb[1].components, X.components)
         assert np.max(np.abs(got - expect)) < 1e-6
 
     def test_rejects_bad_basis(self):

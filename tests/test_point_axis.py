@@ -921,12 +921,8 @@ POINT_FUNCTIONS = {
     "submersion.differential": ([vectors()], lambda geom, p, x: submersion_module.differential(
         geom.phi, TangentVector(p, x))),
     "submersion.splitting_projectors": ([], lambda geom, p: splitting_projectors(geom.phi, p)),
-    "submersion.horizontal_lift_matrix": ([], lambda geom, p: (
-        submersion_module.horizontal_lift_matrix(geom.phi, p))),
     "submersion.horizontal_basis": ([], lambda geom, p: submersion_module.horizontal_basis(geom, p)),
     "submersion.vertical_basis": ([], lambda geom, p: submersion_module.vertical_basis(geom, p)),
-    "submersion.pullback_connection": ([vectors()], lambda geom, p, x: (
-        submersion_module.pullback_connection(geom.phi, TangentVector(p, x), geom.phi.map))),
     "submersion.second_fundamental_tensor": ([], lambda geom, p: (
         submersion_module.second_fundamental_tensor(geom.phi, p))),
     "submersion.second_fundamental_form": ([vectors(), vectors()], lambda geom, p, x, y: (
@@ -947,8 +943,8 @@ POINT_FUNCTIONS = {
         submersion_module.tension_conformal_display(geom, p))),
     "submersion.lift_map_raw": ([endos()], lambda geom, p, E: submersion_module.lift_map_raw(
         geom.phi, geom.rank, p, E, geometry_module.DEFAULT_FD)),
-    "submersion.lift_tension_direct": ("the ambient tension of the lift at one point of the "
-                                       "small example, through two total-space charts"),
+    "submersion.lift_tension_direct": ("the ambient tension of the lift at one point, "
+                                       "through two total-space charts"),
     "submersion.classify": "reduces its stack of sample points to one report",
 }
 STACKED_AT_POINTS = sorted(name for name, case in POINT_FUNCTIONS.items() if not isinstance(case, str))

@@ -40,7 +40,6 @@ from framelift.submersion import (
     fiber_second_fundamental_defect,
     fiber_second_fundamental_form,
     horizontal_basis,
-    horizontal_lift_matrix,
     lift_conformal_rule,
     lift_conformality_measurement,
     lift_differential_fd,
@@ -50,7 +49,6 @@ from framelift.submersion import (
     lift_map,
     lift_tension_direct,
     mean_curvature_fibers,
-    pullback_connection,
     pushforward_endo,
     second_fundamental_form,
     second_fundamental_tensor,
@@ -60,6 +58,7 @@ from framelift.submersion import (
     vertical_basis,
 )
 from framelift.suites import suite_theorems
+from pullback import horizontal_lift_matrix, pullback_connection
 
 E = {eid: get(eid) for eid in ("E1", "E2", "E3", "E4", "E5")}
 GEOM = {eid: derive_geometry(e.phi) for eid, e in E.items()}
