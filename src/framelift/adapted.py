@@ -30,7 +30,6 @@ from .geometry import (
     column_gram,
     connection_curvature,
     covariant_derivative,
-    covariant_derivatives,
     curvature_R_P,
     directional_diff,
     metric_eval,
@@ -168,29 +167,32 @@ def m_projection(
 # the adapted connection and its tensors
 # ---------------------------------------------------------------------------
 
-def _projected_field(D: DistributionSpec, Y: VectorField, top: bool) -> VectorField:
-    part = D.projector if top else D.complement
-    return VectorField(eval=lambda q: (part(q) @ np.asarray(Y.eval(q), dtype=float)[..., None])[..., 0])
-
-
 def _projected_derivatives(
     M: ChartManifold, D: DistributionSpec, X: VectorField, Y: VectorField,
     p: Array, cfg: FDConfig,
-) -> tuple[Array, Array, Array]:
-    """nabla_X of D's and of the complement's part of Y at p, from one
-    ``covariant_derivatives`` call, and the projector P(p)."""
-    top, bot = covariant_derivatives(
-        M, [(X, _projected_field(D, Y, True)), (X, _projected_field(D, Y, False))], p, cfg)
-    return top.components, bot.components, D.projector(p)
+) -> tuple[Array, Array]:
+    """nabla_X of D's and of the complement's part of Y at p, stacked (..., 2, n), and the
+    projectors P(p) and I - P(p), stacked (..., 2, n, n): d_X(part) + Gamma(X, part) of each,
+    as ``covariant_derivatives`` forms it, from P(p) and one stencil of both parts along X."""
+    def parts(q: Array) -> tuple[Array, Array]:
+        P = D.projector(q)
+        Ps = np.stack([P, np.eye(P.shape[-1]) - P], axis=-3)
+        return Ps, (Ps @ np.asarray(Y.eval(q), dtype=float)[..., None, :, None])[..., 0]
+
+    Ps, at_p = parts(p)
+    x = np.asarray(X.eval(p), dtype=float)
+    d = directional_diff(lambda q: parts(q)[1], p, x, cfg.step_h)
+    return d + np.einsum("...kij,...i,...aj->...ak", christoffel(M, p, cfg), x, at_p), Ps
 
 
 def nabla_D(
     M: ChartManifold, D: DistributionSpec, X: VectorField, Y: VectorField,
     p: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> TangentVector:
-    """Adapted connection: project, differentiate, project back on each block."""
-    top, bot, P = _projected_derivatives(M, D, X, Y, p, cfg)
-    return TangentVector(p, P @ top + (np.eye(P.shape[0]) - P) @ bot)
+    """Adapted connection: project, differentiate, project back on each block; at
+    points p (..., n) for fields that may carry coefficients per point."""
+    nab, Ps = _projected_derivatives(M, D, X, Y, p, cfg)
+    return TangentVector(p, (Ps @ nab[..., None]).sum(axis=-3)[..., 0])
 
 
 def S_tensor(
@@ -202,8 +204,8 @@ def S_tensor(
     Equals (nabla_X Y_top)_perp + (nabla_X Y_perp)_top; tensorial in both
     arguments, g-skew in the second pair sense, and swaps D with D_perp.
     """
-    top, bot, P = _projected_derivatives(M, D, X, Y, p, cfg)
-    return TangentVector(p, (np.eye(P.shape[0]) - P) @ top + P @ bot)
+    nab, Ps = _projected_derivatives(M, D, X, Y, p, cfg)
+    return TangentVector(p, (Ps[..., ::-1, :, :] @ nab[..., None]).sum(axis=-3)[..., 0])
 
 
 def _S_endos(
@@ -258,7 +260,7 @@ def torsion_TD(
     """
     x, y = (np.asarray(F.eval(p), dtype=float) for F in (X, Y))
     Sx, Sy = _S_endos(M, D, [x, y], p, christoffel(M, p, cfg), D.projector(p), cfg)
-    return TangentVector(p, Sy @ x - Sx @ y)
+    return TangentVector(p, (Sy @ x[..., None] - Sx @ y[..., None])[..., 0])
 
 
 def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, gamma: Array, P: Array,
@@ -276,21 +278,22 @@ def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, gamma: Array, P: Arra
 def _GD_S_jet(
     M: ChartManifold, D: DistributionSpec, p: Array, gamma: Array, P: Array, cfg: FDConfig
 ) -> tuple[Array, Array]:
-    """(GD, S) at p, from Gamma(p) and P(p), and its central differences over step_h2:
-    one ``_GD_S`` call on the whole stencil."""
-    return _GD_S(M, D, p, gamma, P, cfg), central_diff(
+    """((GD, S), (dGD, dS)) at points p (..., n), from Gamma(p) and P(p), with the central
+    differences over step_h2: one ``_GD_S`` call on the whole stencil."""
+    d_pair = central_diff(
         lambda q: _GD_S(M, D, q, christoffel(M, q, cfg), D.projector(q), cfg), p, cfg.step_h2)
+    return tuple(np.moveaxis(a, -4, 0) for a in (_GD_S(M, D, p, gamma, P, cfg), d_pair))
 
 
 def curvature_RD_tensor(jet: tuple[Array, Array]) -> Array:
-    """Curvature of the adapted connection, RD[i, j, k, l], from GD and d(GD) in
+    """Curvature of the adapted connection, RD[..., i, j, k, l], from GD and d(GD) in
     ``jet = _GD_S_jet(...)``."""
-    (GD, _), d_pair = jet
-    return connection_curvature(GD, d_pair[:, 0])
+    (GD, _), (dGD, _) = jet
+    return connection_curvature(GD, dGD)
 
 
 def nabla_D_S(jet: tuple[Array, Array]) -> dict[str, Array]:
-    """Components of (nabla^D_{d_m} S)_{d_i} d_j, indexed [m, k, i, j], by reading.
+    """Components of (nabla^D_{d_m} S)_{d_i} d_j, indexed [..., m, k, i, j], by reading.
 
     "standard" differentiates S as a (1,2) tensor; "display" replaces the
     third correction term S_Y(nabla^D_X Z) by S_X(nabla^D_Y Z), the reading
@@ -298,12 +301,12 @@ def nabla_D_S(jet: tuple[Array, Array]) -> dict[str, Array]:
     S, GD and dS of one ``jet``, as in ``curvature_RD_tensor``; the full
     curvature relation check adjudicates between them.
     """
-    (GD, S), d_pair = jet
-    # [m, k, i, j] = d_m S^k_ij plus the two corrections both readings share
-    shared = d_pair[:, 1] + np.einsum("kma,aij->mkij", GD, S) - np.einsum("kaj,ami->mkij", S, GD)
+    (GD, S), (_, dS) = jet
+    # [..., m, k, i, j] = d_m S^k_ij plus the two corrections both readings share
+    shared = dS + np.einsum("...kma,...aij->...mkij", GD, S) - np.einsum("...kaj,...ami->...mkij", S, GD)
     return {
-        "standard": shared - np.einsum("kia,amj->mkij", S, GD),
-        "display": shared - np.einsum("kma,aij->mkij", S, GD),
+        "standard": shared - np.einsum("...kia,...amj->...mkij", S, GD),
+        "display": shared - np.einsum("...kma,...aij->...mkij", S, GD),
     }
 
 
@@ -311,8 +314,9 @@ def curvature_relation_residual(
     M: ChartManifold, D: DistributionSpec,
     x: Array, y: Array, z: Array, p: Array,
     cfg: FDConfig = DEFAULT_FD,
-) -> dict[str, float]:
-    """Residual of R = RD + (nabla S) terms + S_{T^D} + [S_X, S_Y] at p, by reading.
+) -> dict[str, Array]:
+    """Residual of R = RD + (nabla S) terms + S_{T^D} + [S_X, S_Y] at p, by reading: one
+    per point of a stack p (..., n), with vectors x, y and z per point.
 
     One evaluation of R, RD, S and nabla^D S gives the residual under each
     ``nabla_D_S`` reading; RD and nabla^D S share one stencil of (GD, S).  Gamma(p)
@@ -321,21 +325,21 @@ def curvature_relation_residual(
     """
     gamma, P = christoffel(M, p, cfg), D.projector(p)
     R = connection_curvature(gamma, christoffel_derivative(M, p, cfg))
-    lhs = np.einsum("ijkl,i,j,k->l", R, x, y, z)
+    lhs = np.einsum("...ijkl,...i,...j,...k->...l", R, x, y, z)
     jet = _GD_S_jet(M, D, p, gamma, P, cfg)
-    RD_xyz = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(jet), x, y, z)
+    RD_xyz = np.einsum("...ijkl,...i,...j,...k->...l", curvature_RD_tensor(jet), x, y, z)
 
     Sx, Sy = _S_endos(M, D, [x, y], p, gamma, P, cfg)
-    td = Sy @ x - Sx @ y  # T^D(x, y) = -S_x y + S_y x
-    S_td_z = _S_endos(M, D, [td], p, gamma, P, cfg)[0] @ z
-    comm_z = (Sx @ Sy - Sy @ Sx) @ z
+    td = (Sy @ x[..., None] - Sx @ y[..., None])[..., 0]  # T^D(x, y) = -S_x y + S_y x
+    S_td_z = (_S_endos(M, D, [td], p, gamma, P, cfg)[0] @ z[..., None])[..., 0]
+    comm_z = ((Sx @ Sy - Sy @ Sx) @ z[..., None])[..., 0]
 
     g = metric_eval(M, p)
     out = {}
     for reading, NS in nabla_D_S(jet).items():
-        d = lhs - (RD_xyz + np.einsum("mkij,m,i,j->k", NS, x, y, z)
-                   - np.einsum("mkij,m,i,j->k", NS, y, x, z) + S_td_z + comm_z)
-        out[reading] = float(_g_norm(g, d))
+        d = lhs - (RD_xyz + np.einsum("...mkij,...m,...i,...j->...k", NS, x, y, z)
+                   - np.einsum("...mkij,...m,...i,...j->...k", NS, y, x, z) + S_td_z + comm_z)
+        out[reading] = _g_norm(g, d)
     return out
 
 

@@ -145,10 +145,11 @@ def coordinate_field(i: int, dim: int) -> VectorField:
 
 
 def constant_field(v: Array) -> VectorField:
-    """The field with components v at every point, for points with leading axes too."""
+    """The field with components v at every point, for points with leading axes too.  Values
+    v (N, dim) give a field per point, as in ``fields``: row i of points (..., N, dim) takes v[i]."""
     v = np.asarray(v, dtype=float)
-    zero = np.zeros((v.size, v.size))
-    return VectorField(eval=lambda p: _stack(p, v), jacobian=lambda p: _stack(p, zero))
+    return VectorField(eval=lambda p: np.zeros(p.shape) + v,
+                       jacobian=lambda p: np.zeros(p.shape + v.shape[-1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +492,15 @@ def endo_inner(
     P: Array,
     Q: Array,
     onb: Sequence[TangentVector],
-) -> float:
-    """<P | Q> = sum_i g(P e_i, Q e_i) over a g-orthonormal basis.
+) -> Array:
+    """<P | Q> = sum_i g(P e_i, Q e_i) over a g-orthonormal basis, at points p (..., n)
+    with a basis per point; P and Q (..., n, n) broadcast with the points.
 
     Basis-independent (equals tr(P^T g Q g^{-1})), which the property suite
     checks by feeding two different orthonormal bases.
     """
-    E = np.column_stack([e.components for e in onb])
-    return float(column_gram(metric_eval(M, p), [P @ E], [Q @ E])[0, 0])
+    E = np.stack([e.components for e in onb], axis=-1)
+    return column_gram(metric_eval(M, p), (P @ E)[..., None, :, :], (Q @ E)[..., None, :, :])[..., 0, 0]
 
 
 def skew_defect(M: ChartManifold, p: Array, P: Array) -> Array:

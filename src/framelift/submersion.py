@@ -262,7 +262,7 @@ def A_Y_endos(
 
 
 def A_identity_residuals(
-    geom: SubmersionGeometry, xs: Sequence[Array], ys: Sequence[Array], p: Array,
+    geom: SubmersionGeometry, xs: Sequence[Array], ys: Sequence[Array], p: Array, B: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """Residuals of phi_* A_Y(X) = sign * Pi_phi(X, Y), horizontal X, vertical Y.
@@ -271,9 +271,9 @@ def A_identity_residuals(
     ("asserted") under the definitions used here (A via the difference
     tensor, the second fundamental form via the pullback connection); the
     printed sign +1 ("printed") is kept for diagnostics.  Both come from
-    one evaluation of J, of every A_Y (one ``A_Y_endos`` batch) and of the
-    second fundamental tensor, contracted for all pairs at once.  For points
-    p (..., n) each x and y is a vector per point, and so is each residual.
+    one evaluation of J and of every A_Y (one ``A_Y_endos`` batch) and the caller's
+    B = ``second_fundamental_tensor(phi, p)``, contracted for all pairs at once.  For
+    points p (..., n) each x and y is a vector per point, and so is each residual.
     """
     phi = geom.phi
     J = differential_matrix(phi, p, cfg)
@@ -281,7 +281,7 @@ def A_identity_residuals(
     A = np.asarray(A_Y_endos(geom, ys, p, cfg))  # (len(ys), ..., n, n)
     x = np.asarray(xs, dtype=float)[:, None]  # (len(xs), 1, ..., n): pairs broadcast x-major
     lhs = (J @ (A @ x[..., None]))[..., 0]
-    sff = _bilinear(second_fundamental_tensor(phi, p, cfg), x, np.asarray(ys, dtype=float))
+    sff = _bilinear(B, x, np.asarray(ys, dtype=float))
     asserted, printed = _g_norm(gN, lhs + sff), _g_norm(gN, lhs - sff)
     return [{"asserted": a, "printed": b}
             for a, b in zip(asserted.reshape(-1, *asserted.shape[2:]),
@@ -289,14 +289,15 @@ def A_identity_residuals(
 
 
 def Pi_X_endo(
-    geom: SubmersionGeometry, X: TangentVector, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, X: TangentVector, B: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """(Pi_phi)_X: the endomorphism of the horizontal space with
     phi_*((Pi_phi)_X Y) = Pi_phi(X, Y), L B(X, Pi_H .) for the horizontal lift L
-    of d(phi) = A (J A)^-1, with Pi_H from the same span; a stack for a stack of X."""
+    of d(phi) = A (J A)^-1, with Pi_H from the same span; a stack for a stack of X.
+    ``B`` is ``second_fundamental_tensor(phi, X.base)``."""
     phi, p = geom.phi, X.base
     J, A = _horizontal_span(phi, p, cfg)
-    B_X = (X.components[..., None, None, :] @ second_fundamental_tensor(phi, p, cfg))[..., 0, :]
+    B_X = (X.components[..., None, None, :] @ B)[..., 0, :]
     return A @ np.linalg.inv(J @ A) @ B_X @ _horizontal_projector(J, A)
 
 
@@ -359,7 +360,8 @@ def div_bot(
 ) -> Array:
     """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of the horizontal endo field
     C = ``adapted_endo_field(geom, top=top)`` for each block of ``tops`` (T, k, k), at
-    the adapted frames u, ``adapted_frame(M, D, p)``: (T, ..., n).
+    the adapted frames u, ``adapted_frame(M, D, p)``: (T, ..., n).  Blocks (T, ..., k, k)
+    give a block per frame of a stack.
 
     Linear in top, so one Christoffel evaluation and one stencil of C E over the
     horizontal e_A serve every block; each stencil point forms C from the adapted
@@ -367,10 +369,10 @@ def div_bot(
     """
     M, k = geom.phi.source, geom.rank
     p, E = u.base, u.columns
-    blk = _block_coefficients(M.dim, k, tops, None)  # (T, n, n)
+    blk = np.moveaxis(_block_coefficients(M.dim, k, tops, None), 0, -3)  # (..., T, n, n)
     Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
     gamma, dCE = _frame_jet(geom, u, range(k), cfg, lambda q, Eq: _adapted_endo(
-        M, blk, q[..., None, :], Eq[..., None, :, :]) @ Eq[..., None, :, :])
+        M, blk[..., None, :, :, :], q[..., None, :], Eq[..., None, :, :]) @ Eq[..., None, :, :])
     CE = _adapted_endo(M, blk, p[..., None, :], E[..., None, :, :]) @ E[..., None, :, :k]
     # dCE[..., A, t, :, A] is the derivative of C e_A along e_A
     v = (np.einsum("...atia->...ti", dCE[..., :k])
@@ -463,7 +465,8 @@ def lift_differential_formula(
     v = lift_map(geom, u, cfg)
     if case == "horizontal-of-H":
         X = TangentVector(p, value)
-        push = pushforward_endo(geom, p, Pi_X_endo(geom, X, cfg), cfg)
+        push = pushforward_endo(geom, p, Pi_X_endo(geom, X, second_fundamental_tensor(phi, p, cfg),
+                                                   cfg), cfg)
         return (horizontal_lift_frame(phi.target, differential(phi, X, cfg), v, cfg)
                 + fundamental_vertical(push, v))
     if case == "horizontal-of-V":

@@ -430,69 +430,62 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_exact * 100)
     checks.row("m_projection", "block-mixing projection idempotent and skew", cfg.tol_exact * 100)
 
-    for p in few:
-        X = polynomial_vector_field(M.dim, rng)
-        Pic = D.complement(p)
-        g = metric_eval(M, p)
-        Ytop = VectorField(eval=lambda q: (D.projector(q) @ (1.0 + 0.3 * q)[..., None])[..., 0])
-        nd = nabla_D(M, D, X, Ytop, p, cfg).components
-        checks.see("connection_preserves_blocks", norm(M, p, Pic @ nd))
-        Y = polynomial_vector_field(M.dim, rng)
-        Z = polynomial_vector_field(M.dim, rng)
+    # the adapted connection and its difference tensor, once on the stack of the first
+    # sample points; per point, the draws are the coefficients of X, Y and Z, then the
+    # vectors z, y and x
+    n = M.dim
+    m = n + n * n + n ** 3
+    draws = rng.standard_normal((len(few), 3 * m + 3 * n))
+    X, Y, Z = (_polynomial_vector_field(draws[:, i * m:(i + 1) * m], n) for i in range(3))
+    z, y, x = np.split(draws[:, 3 * m:], 3, axis=-1)
+    g = metric_eval(M, few)
+    Ytop = VectorField(eval=lambda q: (D.projector(q) @ (1.0 + 0.3 * q)[..., None])[..., 0])
+    nd = nabla_D(M, D, X, Ytop, few, cfg).components
+    _single(checks, "connection_preserves_blocks", "adapted connection maps sections of D into D",
+            _g_norm(g, (D.complement(few) @ nd[..., None])[..., 0]), cfg.tol_fd1)
+    lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), few, X.eval(few), cfg.step_h)
+    a = nabla_D(M, D, X, Y, few, cfg).components
+    b = nabla_D(M, D, X, Z, few, cfg).components
+    _single(checks, "connection_metric_compatible", "adapted connection preserves the metric",
+            np.abs(lhs - _pairing_at(g, a, Z.eval(few)) - _pairing_at(g, Y.eval(few), b)), cfg.tol_fd1)
+    # tensoriality: rescale fields by functions equal to 1 at each point
+    f = lambda q: 1.0 + ((q - few)[..., None, :] @ np.arange(1.0, n + 1.0)[:, None])[..., 0]
+    Xs = VectorField(eval=lambda q: f(q) * X.eval(q))
+    Ys = VectorField(eval=lambda q: f(q) * Y.eval(q))
+    s1 = S_tensor(M, D, X, Y, few, cfg).components
+    s2 = S_tensor(M, D, Xs, Ys, few, cfg).components
+    _single(checks, "difference_tensorial", "difference tensor unchanged by unit-at-p rescalings",
+            np.max(np.abs(s1 - s2), axis=-1), cfg.tol_fd1)
+    # skew-symmetry of S in its last two slots
+    Sx = S_endo(M, D, x, few, cfg)
+    _single(checks, "difference_skew", "g(S_X Y, Z) + g(Y, S_X Z) = 0", np.abs(
+        _pairing_at(g, (Sx @ y[..., None])[..., 0], z) + _pairing_at(g, y, (Sx @ z[..., None])[..., 0])),
+        cfg.tol_fd1)
 
-        lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), p, X.eval(p), cfg.step_h)
-        a = nabla_D(M, D, X, Y, p, cfg).components
-        b = nabla_D(M, D, X, Z, p, cfg).components
-        checks.see("connection_metric_compatible",
-                   abs(lhs - _pairing_at(g, a, Z.eval(p)) - _pairing_at(g, Y.eval(p), b)))
-
-        # tensoriality: rescale fields by functions equal to 1 at p
-        f = lambda q: 1.0 + ((q - p)[..., None, :] @ np.arange(1.0, M.dim + 1.0)[:, None])[..., 0]
-        Xs = VectorField(eval=lambda q: f(q) * X.eval(q))
-        Ys = VectorField(eval=lambda q: f(q) * Y.eval(q))
-        s1 = S_tensor(M, D, X, Y, p, cfg).components
-        s2 = S_tensor(M, D, Xs, Ys, p, cfg).components
-        checks.see("difference_tensorial", np.max(np.abs(s1 - s2)))
-
-        # skew-symmetry of S in its last two slots
-        z = rng.standard_normal(M.dim)
-        y = rng.standard_normal(M.dim)
-        x = rng.standard_normal(M.dim)
-        Sx = S_endo(M, D, x, p, cfg)
-        checks.see("difference_skew", abs(_pairing_at(g, Sx @ y, z) + _pairing_at(g, y, Sx @ z)))
-    checks.row("connection_preserves_blocks", "adapted connection maps sections of D into D",
-               cfg.tol_fd1)
-    checks.row("connection_metric_compatible", "adapted connection preserves the metric",
-               cfg.tol_fd1)
-    checks.row("difference_tensorial", "difference tensor unchanged by unit-at-p rescalings",
-               cfg.tol_fd1)
-    checks.row("difference_skew", "g(S_X Y, Z) + g(Y, S_X Z) = 0", cfg.tol_fd1)
-
-    # torsion restricted to the distribution detects integrability, on the
-    # horizontal columns of the adapted frames at the sample points
+    # torsion restricted to the distribution detects integrability, on each pair of
+    # horizontal columns of the adapted frames at the first sample points; a zero per
+    # point counts the points when D has no pair
     u = adapted_frame(M, D, pts)
+    hb = u.columns[:len(few), :, :D.rank]
     integ = "torsion_integrable" if entry.h_integrable else "torsion_nonintegrable"
-    for i, p in enumerate(few):
-        hb = u.columns[i].T[:D.rank]
-        checks.see(integ, *(norm(M, p, torsion_TD(M, D, constant_field(hb[a]),
-                                                  constant_field(hb[b]), p, cfg).components)
-                            for a in range(len(hb)) for b in range(a + 1, len(hb))))
+    checks.see(integ, np.zeros(len(few)), *(_g_norm(g, torsion_TD(
+        M, D, constant_field(hb[..., i]), constant_field(hb[..., j]), few, cfg).components)
+        for i, j in zip(*np.triu_indices(D.rank, 1))))
     if entry.h_integrable:
         checks.row(integ, "adapted torsion vanishes on the distribution", cfg.tol_fd1)
     else:
         checks.row(integ, "adapted torsion detects non-integrability (> 0.1)", 0.1, invert=True)
 
-    # curvature relation between the two connections
-    for p in pts[:3]:
-        x, y, z = (rng.standard_normal(M.dim) for _ in range(3))
-        res = curvature_relation_residual(M, D, x, y, z, p, cfg)
-        checks.see("curvature_relation", res["standard"])
-        checks.see("curvature_relation_display_convention", res["display"])
-    checks.row("curvature_relation", "R = RD + antisymmetrized nabla S + S_torsion + [S,S]",
-               cfg.tol_fd2)
-    checks.row("curvature_relation_display_convention",
-               "same relation with the displayed nabla-S convention (diagnostic)", cfg.tol_fd2,
-               kind="audit")
+    # curvature relation between the two connections, once on the stack of the first
+    # three sample points; per point, the draws are x, y and z
+    three = pts[:3]
+    x, y, z = np.moveaxis(rng.standard_normal((len(three), 3, n)), 1, 0)
+    res = curvature_relation_residual(M, D, x, y, z, three, cfg)
+    _single(checks, "curvature_relation", "R = RD + antisymmetrized nabla S + S_torsion + [S,S]",
+            res["standard"], cfg.tol_fd2)
+    _single(checks, "curvature_relation_display_convention",
+            "same relation with the displayed nabla-S convention (diagnostic)", res["display"],
+            cfg.tol_fd2, kind="audit")
 
     # W endomorphism: defining identity and positivity, evaluated once on the
     # stack of adapted frames at the sample points; per point, the draws are
@@ -579,11 +572,11 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks.see("second_fundamental_symmetric", _g_norm(
         metric_eval(phi.target, phi.value(few)), _bilinear(B, x, y) - _bilinear(B, y, x)))
     readings = A_identity_residuals(geom, np.moveaxis(E[..., :, :k], -1, 0),
-                                    np.moveaxis(E[..., :, k:], -1, 0), few, cfg)
+                                    np.moveaxis(E[..., :, k:], -1, 0), few, B, cfg)
     checks.see("a_identity", *(r["asserted"] for r in readings))
     checks.see("a_identity_printed_sign", *(r["printed"] for r in readings))
     X = TangentVector(few, w)
-    displays = Pi_X_endo(geom, X, cfg) - Pi_X_endo_alt(geom, X, cfg)
+    displays = Pi_X_endo(geom, X, B, cfg) - Pi_X_endo_alt(geom, X, cfg)
     checks.see("pi_x_displays_agree", np.max(np.abs(displays), axis=(-2, -1)))
     checks.row("second_fundamental_symmetric",
                "second fundamental form symmetric in its arguments", cfg.tol_fd2)
@@ -606,18 +599,16 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     _single(checks, "pushforward_multiplicative", "pushforward respects composition",
             np.max(np.abs(lhs - rhs)), cfg.tol_exact * 1e4)
 
-    # divergence duality: five random blocks per point, one div_bot call for them
-    for i, p in enumerate(few):
-        onb = [TangentVector(p, e) for e in E[i].T]
-        A = A_Y_endos(geom, E[i][:, k:].T, p, cfg)
-        g = metric_eval(M, p)
-        tops = rng.standard_normal((5, k, k))
-        Cs = _adapted_endo(M, _block_coefficients(M.dim, k, tops, None), p, E[i])
-        for trial, (C, d) in enumerate(zip(Cs, div_bot(geom, tops, frames[i], cfg))):
-            j = trial % (M.dim - k)
-            checks.see("div_duality",
-                       abs(endo_inner(M, p, A[j], C, onb) + _pairing_at(g, E[i][:, k + j], d)))
-    checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2)
+    # divergence duality, once on the stack of adapted frames at the first sample points:
+    # five random blocks per point, block t against A of vertical column t mod (n - k)
+    tops = np.moveaxis(rng.standard_normal((len(few), 5, k, k)), 1, 0)
+    ys = np.moveaxis(E[..., :, k + np.arange(5) % (M.dim - k)], -1, 0)
+    Cs = _adapted_endo(M, _block_coefficients(M.dim, k, tops, None), few, E)
+    onb = [TangentVector(few, e) for e in np.moveaxis(E, -1, 0)]
+    duality = endo_inner(M, few, np.asarray(A_Y_endos(geom, ys, few, cfg)), Cs, onb) + _pairing_at(
+        metric_eval(M, few), ys, div_bot(geom, tops, frames, cfg))
+    _single(checks, "div_duality", "<A_X | C> = -g(X, vertical divergence of C)",
+            np.ravel(np.abs(duality)), cfg.tol_fd2)
 
     # the lifted frame
     v = lift_map(geom, frames[:3], cfg)

@@ -301,6 +301,15 @@ class TestDivBot:
                        + np.einsum("mij,ia,ja->m", gamma, E, C.eval(u.base) @ E))
         assert np.array_equal(div_bot(geom, top[None], u)[0], want)
 
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_blocks_per_frame_equal_one_call_per_frame(self, example):
+        u, geom = frame_stack(example)
+        tops = np.random.default_rng(111).standard_normal((4, 3, geom.rank, geom.rank))
+        got = div_bot(geom, tops, u)
+        assert got.shape == (4, 3, geom.phi.source.dim)
+        for i in range(3):
+            assert np.array_equal(got[:, i], div_bot(geom, tops[:, i], u[i]))
+
     def test_builds_one_adapted_frame_per_stencil(self, monkeypatch):
         M = E3_GEOM.phi.source
         u = adapted_frame(M, E3_GEOM.horizontal, sample_points(M, 71, 1)[0])
@@ -456,10 +465,6 @@ FIELD_CONSTRUCTORS = {
         ex, g_skew_endo_field(get(ex).phi.source, rng)),
     "catalog.hopf_vertical_field": lambda ex, rng: on_base("E3", hopf_vertical_field()),
     "submersion.adapted_endo_field": lambda ex, rng: on_base(ex, skew_blocks(GEOMS[ex])),
-    "adapted._projected_field": lambda ex, rng: on_base(ex, *(
-        adapted_module._projected_field(GEOMS[ex].horizontal,
-                                        polynomial_vector_field(source_dim(ex), rng), top)
-        for top in (True, False))),
     "tangent._extension": lambda ex, rng: on_base(ex, *(tangent_module._extension(
         GEOMS[ex], rng.standard_normal(source_dim(ex)), geometry_module.DEFAULT_FD, part)
         for part in (0, 1))),
@@ -930,10 +935,11 @@ POINT_FUNCTIONS = {
     "submersion.A_Y_endos": ([], lambda geom, p: frame_pairs(
         geom, p, lambda xs, ys: submersion_module.A_Y_endos(geom, ys, p))),
     "submersion.A_identity_residuals": ([], lambda geom, p: frame_pairs(geom, p, lambda xs, ys: [
-        r[reading] for r in submersion_module.A_identity_residuals(geom, xs, ys, p)
+        r[reading] for r in submersion_module.A_identity_residuals(
+            geom, xs, ys, p, submersion_module.second_fundamental_tensor(geom.phi, p))
         for reading in ("asserted", "printed")])),
     "submersion.Pi_X_endo": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo(
-        geom, TangentVector(p, x))),
+        geom, TangentVector(p, x), submersion_module.second_fundamental_tensor(geom.phi, p))),
     "submersion.Pi_X_endo_alt": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo_alt(
         geom, TangentVector(p, x))),
     "submersion.pushforward_endo": ([endos()], lambda geom, p, P: submersion_module.pushforward_endo(
@@ -995,6 +1001,55 @@ PROJECTOR_FUNCTIONS = {
 }
 
 
+def coefficients(geom, rng):
+    """The coefficients of a polynomial vector field at each of 3 points."""
+    n = geom.phi.source.dim
+    return rng.standard_normal((3, n + n**2 + n**3))
+
+
+def adapted_call(f):
+    """f(M, D, ...) on the horizontal distribution of the example, at the point or stack p."""
+    return lambda geom, p, *args: f(geom.phi.source, geom.horizontal, *args, p)
+
+
+def field_pair(f):
+    """f(M, D, X, Y, p) for the polynomial fields X, Y of coefficients per point."""
+    return lambda geom, p, cx, cy: f(geom.phi.source, geom.horizontal, *(
+        _polynomial_vector_field(c, geom.phi.source.dim) for c in (cx, cy)), p)
+
+
+def adapted_jet(geom, p):
+    """(GD, S) and its central differences at the point or stack p."""
+    M, D = geom.phi.source, geom.horizontal
+    return adapted_module._GD_S_jet(M, D, p, christoffel(M, p), D.projector(p),
+                                    geometry_module.DEFAULT_FD)
+
+
+# Every public adapted function of points (a parameter p, or the jet of a point), in the form
+# of POINT_FUNCTIONS, on the horizontal distribution of each example, and the endomorphism
+# inner product of the div-duality block; the projector algebra is in PROJECTOR_FUNCTIONS.
+# ``test_the_table_lists_every_adapted_function_of_points`` keeps it complete.
+ADAPTED_FUNCTIONS = {
+    "adapted.adapted_frame": ([], adapted_call(adapted_frame)),
+    "adapted.nabla_D": ([coefficients, coefficients], field_pair(adapted_module.nabla_D)),
+    "adapted.S_tensor": ([coefficients, coefficients], field_pair(S_tensor)),
+    "adapted.S_endo": ([vectors()], adapted_call(adapted_module.S_endo)),
+    "adapted.S_components": ([], adapted_call(adapted_module.S_components)),
+    "adapted.torsion_TD": ([vectors(), vectors()], lambda geom, p, x, y: torsion_TD(
+        geom.phi.source, geom.horizontal, constant_field(x), constant_field(y), p)),
+    "adapted.curvature_relation_residual": ([vectors(), vectors(), vectors()], lambda geom, p, *xyz: list(
+        adapted_module.curvature_relation_residual(geom.phi.source, geom.horizontal, *xyz, p).values())),
+    "adapted.curvature_RD_tensor": ([], lambda geom, p: adapted_module.curvature_RD_tensor(
+        adapted_jet(geom, p))),
+    "adapted.nabla_D_S": ([], lambda geom, p: list(
+        adapted_module.nabla_D_S(adapted_jet(geom, p)).values())),
+    "adapted.L_P_applies": "serves the adapted connection audit, which audits one frame",
+    "geometry.endo_inner": ([endos(), endos()], lambda geom, p, P, Q: geometry_module.endo_inner(
+        geom.phi.source, p, P, Q, orthonormal_basis(geom.phi.source, p))),
+}
+STACKED_ADAPTED = sorted(name for name, case in ADAPTED_FUNCTIONS.items() if not isinstance(case, str))
+
+
 def tm_point(p, z):
     """The point (p, z) of the tangent bundle: the frame of the one column z."""
     return Frame(p, z[..., None])
@@ -1038,15 +1093,16 @@ ONE_COLUMN_FUNCTIONS = {
 
 
 class TestPointStack:
-    """Every submersion and tangent-bundle function of points, and the calculus of the frame
-    audits and the projector algebra of the adapted suite, takes a stack: a stack's rows
+    """Every submersion, adapted and tangent-bundle function of points, and the calculus of the
+    frame audits and the projector algebra of the adapted suite, takes a stack: a stack's rows
     equal row-by-row calls."""
 
     @pytest.mark.parametrize("example", EXAMPLES)
     @pytest.mark.parametrize("name", STACKED_AT_POINTS + sorted(CALCULUS_FUNCTIONS)
-                             + sorted(PROJECTOR_FUNCTIONS) + STACKED_IN_TM + sorted(ONE_COLUMN_FUNCTIONS))
+                             + sorted(PROJECTOR_FUNCTIONS) + STACKED_ADAPTED + STACKED_IN_TM
+                             + sorted(ONE_COLUMN_FUNCTIONS))
     def test_stack_equals_rows(self, name, example):
-        draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS, **PROJECTOR_FUNCTIONS,
+        draws, f = {**POINT_FUNCTIONS, **CALCULUS_FUNCTIONS, **PROJECTOR_FUNCTIONS, **ADAPTED_FUNCTIONS,
                     **TANGENT_FUNCTIONS, **ONE_COLUMN_FUNCTIONS}[name]
         geom = GEOMS[example]
         ps = sample_points(geom.phi.source, 106, 3)
@@ -1074,6 +1130,18 @@ class TestPointStack:
                     for p in params):
                 found.add(f"submersion.{name}")
         assert found == set(POINT_FUNCTIONS)
+
+    def test_the_table_lists_every_adapted_function_of_points(self):
+        found = set()
+        for name, fn in inspect.getmembers(adapted_module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if fn.__module__ == adapted_module.__name__ and not name.startswith("_") and (
+                    params.keys() & {"p", "jet"}):
+                found.add(f"adapted.{name}")
+        tables = {**ADAPTED_FUNCTIONS, **PROJECTOR_FUNCTIONS}
+        # block_decompose is a function of projector values, not of points
+        listed = {name for name in tables if name.startswith("adapted.")}
+        assert found == listed - {"adapted.block_decompose"}
 
     def test_the_table_lists_every_tangent_function_of_points(self):
         found = set()

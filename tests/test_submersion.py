@@ -241,14 +241,16 @@ class TestAEndomorphism:
             p = entry_point(eid)
             for X in horizontal_basis(GEOM[eid], p):
                 for Y in vertical_basis(GEOM[eid], p):
-                    [res] = A_identity_residuals(GEOM[eid], [X.components], [Y.components], p)
+                    [res] = A_identity_residuals(GEOM[eid], [X.components], [Y.components], p,
+                                                 second_fundamental_tensor(E[eid].phi, p))
                     assert res["asserted"] < 5e-4
 
     def test_printed_sign_fails_on_hopf(self):
         p = entry_point("E3")
         X = horizontal_basis(GEOM["E3"], p)[0]
         Y = vertical_basis(GEOM["E3"], p)[0]
-        assert A_identity_residuals(GEOM["E3"], [X.components], [Y.components], p)[0]["printed"] > 0.1
+        B = second_fundamental_tensor(E["E3"].phi, p)
+        assert A_identity_residuals(GEOM["E3"], [X.components], [Y.components], p, B)[0]["printed"] > 0.1
 
     def test_rejects_horizontal_argument(self):
         p = entry_point("E3")
@@ -263,7 +265,8 @@ class TestPiXEndo:
         for eid in ("E1", "E2", "E5"):
             p = entry_point(eid)
             X = TangentVector(p, rng.standard_normal(3))
-            assert np.max(np.abs(Pi_X_endo(GEOM[eid], X))) < 1e-7
+            B = second_fundamental_tensor(E[eid].phi, p)
+            assert np.max(np.abs(Pi_X_endo(GEOM[eid], X, B))) < 1e-7
 
     def test_displays_agree(self):
         rng = np.random.default_rng(29)
@@ -271,7 +274,7 @@ class TestPiXEndo:
             p = entry_point(eid)
             n = E[eid].phi.source.dim
             X = TangentVector(p, rng.standard_normal(n))
-            a = Pi_X_endo(GEOM[eid], X)
+            a = Pi_X_endo(GEOM[eid], X, second_fundamental_tensor(E[eid].phi, p))
             b = Pi_X_endo_alt(GEOM[eid], X)
             assert np.max(np.abs(a - b)) < 5e-4
 
@@ -304,9 +307,10 @@ class TestPiXEndo:
     def test_linearity(self):
         p = entry_point("E3")
         x, y = np.random.default_rng(30).standard_normal((2, 3))
-        a = Pi_X_endo(GEOM["E3"], TangentVector(p, x))
-        b = Pi_X_endo(GEOM["E3"], TangentVector(p, y))
-        c = Pi_X_endo(GEOM["E3"], TangentVector(p, 2.0 * x - 0.5 * y))
+        B = second_fundamental_tensor(E["E3"].phi, p)
+        a = Pi_X_endo(GEOM["E3"], TangentVector(p, x), B)
+        b = Pi_X_endo(GEOM["E3"], TangentVector(p, y), B)
+        c = Pi_X_endo(GEOM["E3"], TangentVector(p, 2.0 * x - 0.5 * y), B)
         assert np.max(np.abs(c - (2.0 * a - 0.5 * b))) < 1e-6
 
 
@@ -797,7 +801,7 @@ class TestPerPointCosts:
         p = sample_points(geom.phi.source, 33, 5)
         X = TangentVector(p, np.ones_like(p))
         spans = count_calls(monkeypatch, "_horizontal_span", submersion_module)
-        Pi_X_endo(geom, X)
+        Pi_X_endo(geom, X, second_fundamental_tensor(geom.phi, p))
         assert len(spans) == 1  # Pi_H and the lift A (J A)^-1 read one span
         spans.clear()
         Pi_X_endo_alt(geom, X)
@@ -930,8 +934,9 @@ class TestPerPointCosts:
         geom = GEOM_LINE
         p = sample_points(geom.phi.source, 22, 1)[0]
         E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
-        batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p)
-        one = [A_identity_residuals(geom, [E[:, 0]], [E[:, j]], p)[0] for j in (1, 2)]
+        B = second_fundamental_tensor(geom.phi, p)
+        batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p, B)
+        one = [A_identity_residuals(geom, [E[:, 0]], [E[:, j]], p, B)[0] for j in (1, 2)]
         assert batch == one
         assert max(r["asserted"] for r in batch) < 5e-4
 
@@ -960,5 +965,8 @@ class TestOracleIndependence:
         mean_curvature_fibers(geom, u)
         assert len(tensors) == 0
         tension_field(geom, p)
-        Pi_X_endo(geom, TangentVector(p, x))
-        assert len(tensors) == 2
+        assert len(tensors) == 1
+        Pi_X_endo(geom, TangentVector(p, x), submersion_module.second_fundamental_tensor(geom.phi, p))
+        assert len(tensors) == 2  # the formula reads the caller's tensor
+        lift_differential_formula(geom, "horizontal-of-H", x, u)
+        assert len(tensors) == 3  # and builds its own once, for its Pi_X_endo

@@ -9,6 +9,7 @@ import pytest
 import framelift.adapted as adapted_module
 import framelift.frames as frames_module
 import framelift.geometry as geometry
+import framelift.submersion as submersion
 import framelift.suites as suites
 from framelift.adapted import adapted_connection_audit, adapted_frame
 from framelift.catalog import get, sphere_chart
@@ -184,14 +185,24 @@ for key in keys:
 
 def point_loops(source: str, function: str) -> list[int]:
     """The line of every ``for`` statement in ``function`` of source whose iterable reads the
-    sample points ``pts``."""
+    sample points ``pts``, or a name bound to a subscript of them (``few = pts[:5]``, and so on
+    transitively).  A name bound to a value computed at the points, such as the rows of an
+    audit there, holds no points and is not followed."""
     fn = next(node for node in ast.walk(ast.parse(source))
               if isinstance(node, ast.FunctionDef) and node.name == function)
+    points, grown = {"pts"}, True
+    while grown:
+        bound = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Subscript) and isinstance(node.value.value, ast.Name)
+                 and node.value.value.id in points
+                 for target in node.targets if isinstance(target, ast.Name)}
+        grown = not bound <= points
+        points |= bound
     return sorted(node.lineno for node in ast.walk(fn) if isinstance(node, ast.For) and any(
-        isinstance(name, ast.Name) and name.id == "pts" for name in ast.walk(node.iter)))
+        isinstance(name, ast.Name) and name.id in points for name in ast.walk(node.iter)))
 
 
-@pytest.mark.parametrize("suite", ["suite_core", "suite_frame"])
+@pytest.mark.parametrize("suite", ["suite_core", "suite_frame", "suite_adapted", "suite_lift"])
 def test_suite_runs_no_loop_over_its_sample_points(suite):
     lines = point_loops(Path(suites.__file__).read_text(), suite)
     assert not lines, f"suites.py lines {lines}: run the block once on the stack of points"
@@ -209,8 +220,17 @@ def suite_demo():
             f(q)
     for key in keys:
         f(key)
+    few = pts[:5]
+    for i, p in enumerate(few):
+        f(p)
+    two = few[:2]
+    for p in two:
+        f(p)
+    rows = audit(pts)
+    for r in rows:
+        f(r)
 '''
-    assert point_loops(source, "suite_demo") == [3, 5, 8]
+    assert point_loops(source, "suite_demo") == [3, 5, 8, 13, 16]
 
 
 def tally(monkeypatch, modules, name):
@@ -234,6 +254,24 @@ def test_core_suite_runs_each_kernel_once_per_chart(monkeypatch):
         "curvature_tensor": 2, "covariant_derivatives": 2, "lie_bracket": 2,
         "christoffel": 2 * 4}  # the suite, the batch, and the curvature tensor's centre and stencil
     assert [np.shape(args[1]) for args in calls["curvature_tensor"]] == [(10, 3), (10, 2)]
+
+
+@pytest.mark.parametrize("suite, expected", [("suite_adapted", 34), ("suite_lift", 34)])
+def test_adapted_and_lift_suites_split_each_stack_once(monkeypatch, suite, expected):
+    # one E3 unit at seed 42; one point at a time, the field, torsion and curvature-relation
+    # blocks of suite_adapted made 188 of its 199 splitting_projectors calls, and the
+    # div-duality block of suite_lift 20 of its 50
+    calls = tally(monkeypatch, (submersion, suites), "splitting_projectors")
+    getattr(suites, suite)(get("E3"), seed=42)
+    assert len(calls) == expected
+
+
+def test_lift_suite_builds_the_second_fundamental_tensor_once_per_owner(monkeypatch):
+    # one E3 unit at seed 42: the suite's block and the lift differential formula build it on
+    # the stack of the first sample points; it built it 4 times there
+    calls = tally(monkeypatch, (submersion, suites), "second_fundamental_tensor")
+    suites.suite_lift(get("E3"), seed=42)
+    assert [np.shape(args[1]) for args in calls] == [(5, 3), (5, 3)]
 
 
 def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
