@@ -10,7 +10,7 @@ horizontal lift all have closed forms to compare against.
 import numpy as np
 
 from framelift.adapted import (
-    S_endo,
+    S_components,
     S_tensor,
     W_endo,
     adapted_frame,
@@ -22,7 +22,7 @@ from framelift.adapted import (
     torsion_TD,
 )
 from framelift.catalog import get
-from framelift.geometry import TangentVector, coordinate_field, metric_eval
+from framelift.geometry import TangentVector, christoffel, christoffel_contract, coordinate_field
 from framelift.submersion import derive_geometry
 
 entry = get("E4")
@@ -38,15 +38,17 @@ print(D.projector(p))
 print("defects:", {k: float(v) for k, v in projector_defects(M, D, p).items()})
 
 print("\n== the difference tensor ==")
-S = S_tensor(M, D, coordinate_field(1, 2), coordinate_field(1, 2), p)
-print("S_ds ds =", S.components, "  closed form: (-e^{2t}, 0) =",
+S_ss = S_tensor(M, D, coordinate_field(1, 2), coordinate_field(1, 2), p)
+print("S_ds ds =", S_ss.components, "  closed form: (-e^{2t}, 0) =",
       (-np.exp(2 * t0), 0.0))
+# S as one array with the index layout of the Christoffel symbols, built once at p
+S = S_components(M, D, p, christoffel(M, p), D.projector(p))
 print("S as an endomorphism for the unit vertical direction:")
 e_s = np.array([0.0, np.exp(-t0)])
-print(S_endo(M, D, e_s, p))
+print(christoffel_contract(S, e_s))
 
 print("\n== torsion and block structure ==")
-td = torsion_TD(M, D, coordinate_field(0, 2), coordinate_field(1, 2), p)
+td = torsion_TD(coordinate_field(0, 2), coordinate_field(1, 2), p, S)
 print("torsion of the two coordinate fields:", td.components,
       "(the two one-dimensional blocks are both integrable)")
 b = block_decompose(np.arange(4.0).reshape(2, 2), D.projector(p))
@@ -55,14 +57,14 @@ print("block reassembly residual:",
 
 print("\n== the W endomorphism ==")
 u = adapted_frame(M, D, p)
-W = W_endo(M, D, u)
+W = W_endo(M, u, S)
 print("W in the adapted orthonormal frame (closed form diag(1, 3)):")
 print(np.linalg.inv(u.columns) @ W @ u.columns)
 
 print("\n== the curvature relation ==")
 rng = np.random.default_rng(2)
 x, y, z = rng.standard_normal((3, 2))
-rel = curvature_relation_residual(M, D, x, y, z, p)
+rel = curvature_relation_residual(M, D, x, y, z, p, S)
 print("residual with the tensorial derivative convention:", rel["standard"])
 print("residual with the displayed third-term convention:", rel["display"])
 

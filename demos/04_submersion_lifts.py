@@ -11,10 +11,10 @@ distribution are all computed and checked against central differences.
 
 import numpy as np
 
-from framelift.adapted import adapted_frame, adapted_horizontal_lift
+from framelift.adapted import S_components, adapted_frame, adapted_horizontal_lift
 from framelift.catalog import get
 from framelift.frames import fundamental_vertical, mok_metric, mok_norm
-from framelift.geometry import TangentVector, metric_eval, sample_points
+from framelift.geometry import TangentVector, christoffel, metric_eval, sample_points
 from framelift.submersion import (
     A_Y_endos,
     derive_geometry,
@@ -37,6 +37,7 @@ geom = derive_geometry(phi)
 M, D = phi.source, geom.horizontal
 p = sample_points(M, 5, 1)[0]
 u = adapted_frame(M, D, p)
+S = S_components(M, D, p, christoffel(M, p), D.projector(p))  # the difference tensor at p
 
 print("== the submersion ==")
 lam, defect = dilatation(geom, u)
@@ -62,23 +63,23 @@ print(v.columns.T @ gN @ v.columns)
 print("\n== the lift differential against central differences ==")
 x = X.components
 t = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
-d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "horizontal-of-H", x, u)
+d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "horizontal-of-H", x, u, S)
 print(f"horizontal input:          residual {mok_norm(phi.target, d):.2e}")
 y = Y.components
 t = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
-d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "horizontal-of-V", y, u)
+d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "horizontal-of-V", y, u, S)
 print(f"vertical input:            residual {mok_norm(phi.target, d):.2e}")
 print("  (the image is the pushforward of minus the A-endomorphism,")
-print("   A_Y =", np.array2string(A_Y_endos(geom, [y], p)[0], precision=3), ")")
+print("   A_Y =", np.array2string(A_Y_endos(geom, [y], p, S)[0], precision=3), ")")
 blk = np.zeros((3, 3))
 blk[0, 1], blk[1, 0] = -1.0, 1.0
 P0 = u.columns @ blk @ u.columns.T @ g
 t = fundamental_vertical(P0, u)
-d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "vertical", P0, u)
+d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "vertical", P0, u, S)
 print(f"fundamental vertical input: residual {mok_norm(phi.target, d):.2e}")
 
 print("\n== kernel and orthogonal distributions ==")
-Vb, Hb = lift_distributions(geom, u)
+Vb, Hb = lift_distributions(geom, u, S)
 print(f"dimensions: kernel {len(Vb)}, orthogonal {len(Hb)},",
       f"bundle {M.dim + 1}")
 worst = max(mok_norm(phi.target, lift_differential_fd(geom, w, check_tangency=False))
@@ -88,7 +89,7 @@ cross = max(abs(mok_metric(M, a, b)) for a in Vb for b in Hb)
 print(f"cross Gram block {cross:.2e}")
 
 print("\n== measured conformality of the lift ==")
-Lam, defect = lift_conformality_measurement(geom, u)
+Lam, defect = lift_conformality_measurement(geom, u, S)
 print(f"lift dilatation estimate {Lam:.4f} with defect {defect:.3f}")
 print("the defect is far above threshold: the Hopf lift is not conformal,")
 print("exactly because the mixed second fundamental form is nonzero.")

@@ -32,6 +32,7 @@ from .frames import (
 from .tangent import connection_map_K, tm_vertical_lift
 from .adapted import (
     DistributionSpec,
+    S_components,
     S_tensor,
     W_endo,
     adapted_horizontal_lift,

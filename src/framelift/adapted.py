@@ -2,7 +2,9 @@
 
 A rank-k distribution D is given by its g-orthogonal projector field.  The
 adapted connection preserves D and its complement; its difference tensor S
-from the Levi-Civita connection drives every frame-bundle lift identity.
+from the Levi-Civita connection drives every frame-bundle lift identity.  S
+is one array, ``S_components``, that the block owning the points builds once
+and every reader contracts.
 The adapted orthonormal bundle O(D) is charted like O(M) but with the skew
 coordinates restricted to the block-diagonal subalgebra so(k) + so(n-k).
 """
@@ -208,81 +210,60 @@ def S_tensor(
     return TangentVector(p, (Ps[..., ::-1, :, :] @ nab[..., None]).sum(axis=-3)[..., 0])
 
 
-def _S_endos(
-    M: ChartManifold, D: DistributionSpec, xs: Sequence[Array], p: Array,
-    gamma: Array, P: Array, cfg: FDConfig = DEFAULT_FD,
-) -> Array:
-    """S_x at p for each x in ``xs``, stacked (len(xs), ..., n, n), from Gamma(p) and
-    P(p), ``gamma`` and ``P``, and one projector stencil over every x.
-
-    For points p (..., n) each x is a direction per point, or one direction
-    for every point.  Column j of S_x is
-    Pc nabla_x(P e_j) + P nabla_x(Pc e_j).  With nabla_x(P e_j) = (d_x P) e_j
-    + Gamma_x P e_j and d_x Pc = -d_x P this is Pc (d_x P + Gamma_x P) +
-    P (Gamma_x Pc - d_x P), where d_x P is the central difference of the
-    projector along x that ``S_tensor`` takes.
-    """
-    p = np.asarray(p, dtype=float)
-    xs = np.moveaxis(np.asarray(xs, dtype=float), 0, -2)  # (..., len(xs), n)
-    xs = np.broadcast_to(xs, p.shape[:-1] + xs.shape[-2:])
-    P = P[..., None, :, :]
-    Pc = np.eye(P.shape[-1]) - P
-    dP = directional_diff(D.projector, p[..., None, :], xs, cfg.step_h)
-    Gx = christoffel_contract(gamma[..., None, :, :, :], xs)
-    return np.moveaxis(Pc @ (dP + Gx @ P) + P @ (Gx @ Pc - dP), -3, 0)
-
-
-def S_endo(
-    M: ChartManifold, D: DistributionSpec, x: Array, p: Array,
+def S_components(
+    M: ChartManifold, D: DistributionSpec, p: Array, gamma: Array, P: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """S_x as an endomorphism value at p (columns S_x applied to coordinates)."""
-    return _S_endos(M, D, [x], p, christoffel(M, p, cfg), D.projector(p), cfg)[0]
+    """S[..., k, i, j] = (S_{d_i} d_j)^k at points p (..., n), from Gamma(p) and P(p),
+    ``gamma`` and ``P``, and one stencil of D's projector along the n coordinate directions.
+
+    S has the index layout of Gamma, so S_x is ``christoffel_contract(S, x)`` for any
+    vector x.  Column j of S_{d_i} is Pc nabla_i(P e_j) + P nabla_i(Pc e_j).  With
+    nabla_i(P e_j) = (d_i P) e_j + Gamma_i P e_j and d_i Pc = -d_i P this is
+    Pc (d_i P + Gamma_i P) + P (Gamma_i Pc - d_i P), where d_i P is the central
+    difference of the projector that ``S_tensor`` takes.
+    """
+    G = gamma.swapaxes(-3, -2)  # [..., i, k, j] = (Gamma_i)^k_j
+    P = P[..., None, :, :]
+    Pc = np.eye(P.shape[-1]) - P
+    dP = central_diff(D.projector, p, cfg.step_h)
+    return (Pc @ (dP + G @ P) + P @ (G @ Pc - dP)).swapaxes(-3, -2)
 
 
-def S_components(
-    M: ChartManifold, D: DistributionSpec, p: Array, cfg: FDConfig = DEFAULT_FD,
-) -> Array:
-    """S[..., k, i, j] = (S_{d_i} d_j)^k at points p (..., n), from one ``_S_endos`` batch."""
-    return np.stack(list(_S_endos(M, D, np.eye(np.shape(p)[-1]), p, christoffel(M, p, cfg),
-                                  D.projector(p), cfg)), axis=-2)
-
-
-def torsion_TD(
-    M: ChartManifold, D: DistributionSpec, X: VectorField, Y: VectorField,
-    p: Array, cfg: FDConfig = DEFAULT_FD,
-) -> TangentVector:
-    """Torsion of the adapted connection: -S_X Y + S_Y X.
+def torsion_TD(X: VectorField, Y: VectorField, p: Array, S: Array) -> TangentVector:
+    """Torsion of the adapted connection: -S_X Y + S_Y X, from S = ``S_components`` at p.
 
     Restricted to two D-arguments it is (minus) an integrability tensor of
     D, and likewise for the complement.  S is tensorial, so this reads X
-    and Y at p only: S_y x - S_x y from one ``_S_endos`` batch.
+    and Y at p only.
     """
     x, y = (np.asarray(F.eval(p), dtype=float) for F in (X, Y))
-    Sx, Sy = _S_endos(M, D, [x, y], p, christoffel(M, p, cfg), D.projector(p), cfg)
-    return TangentVector(p, (Sy @ x[..., None] - Sx @ y[..., None])[..., 0])
+    return TangentVector(p, _torsion(S, x, y))
 
 
-def _GD_S(M: ChartManifold, D: DistributionSpec, q: Array, gamma: Array, P: Array,
-          cfg: FDConfig) -> Array:
-    """GD(q) and S(q) stacked (..., 2, n, n, n) at points q (..., n), from Gamma(q) and
-    P(q), ``gamma`` and ``P``, and one ``_S_endos`` batch over the coordinate directions.
+def _torsion(S: Array, x: Array, y: Array) -> Array:
+    """T^D(x, y) = S_y x - S_x y from S and vectors x, y at its points."""
+    return (christoffel_contract(S, y) @ x[..., None] - christoffel_contract(S, x) @ y[..., None])[..., 0]
+
+
+def _GD_S_jet(
+    M: ChartManifold, D: DistributionSpec, p: Array, gamma: Array, S: Array, cfg: FDConfig
+) -> tuple[Array, Array]:
+    """((GD, S), (dGD, dS)) at points p (..., n), from Gamma(p) and S(p), with the central
+    differences over step_h2: one Christoffel evaluation, one projector value and one
+    ``S_components`` on the whole stencil.
 
     GD[k, i, j] = (nabla^D_{d_i} d_j)^k = Gamma - S are the adapted
     connection's coefficients; not symmetric in (i, j), as it has torsion.
     """
-    S = np.stack(list(_S_endos(M, D, np.eye(q.shape[-1]), q, gamma, P, cfg)), axis=-2)
-    return np.stack([gamma - S, S], axis=-4)
+    def GD_S(gamma: Array, S: Array) -> Array:
+        return np.stack([gamma - S, S], axis=-4)
 
+    def at(q: Array) -> Array:
+        gamma_q = christoffel(M, q, cfg)
+        return GD_S(gamma_q, S_components(M, D, q, gamma_q, D.projector(q), cfg))
 
-def _GD_S_jet(
-    M: ChartManifold, D: DistributionSpec, p: Array, gamma: Array, P: Array, cfg: FDConfig
-) -> tuple[Array, Array]:
-    """((GD, S), (dGD, dS)) at points p (..., n), from Gamma(p) and P(p), with the central
-    differences over step_h2: one ``_GD_S`` call on the whole stencil."""
-    d_pair = central_diff(
-        lambda q: _GD_S(M, D, q, christoffel(M, q, cfg), D.projector(q), cfg), p, cfg.step_h2)
-    return tuple(np.moveaxis(a, -4, 0) for a in (_GD_S(M, D, p, gamma, P, cfg), d_pair))
+    return tuple(np.moveaxis(a, -4, 0) for a in (GD_S(gamma, S), central_diff(at, p, cfg.step_h2)))
 
 
 def curvature_RD_tensor(jet: tuple[Array, Array]) -> Array:
@@ -312,26 +293,26 @@ def nabla_D_S(jet: tuple[Array, Array]) -> dict[str, Array]:
 
 def curvature_relation_residual(
     M: ChartManifold, D: DistributionSpec,
-    x: Array, y: Array, z: Array, p: Array,
+    x: Array, y: Array, z: Array, p: Array, S: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> dict[str, Array]:
     """Residual of R = RD + (nabla S) terms + S_{T^D} + [S_X, S_Y] at p, by reading: one
     per point of a stack p (..., n), with vectors x, y and z per point.
 
-    One evaluation of R, RD, S and nabla^D S gives the residual under each
-    ``nabla_D_S`` reading; RD and nabla^D S share one stencil of (GD, S).  Gamma(p)
-    serves R, the jet and every S: three Christoffel evaluations in all, with the
-    stencils of R and of the jet.
+    One evaluation of R, RD and nabla^D S gives the residual under each
+    ``nabla_D_S`` reading; RD and nabla^D S share one stencil of (GD, S), whose
+    S at p is the caller's S = ``S_components`` at p, which every S term
+    contracts.  Gamma(p) serves R and the jet: three Christoffel evaluations in
+    all, with the stencils of R and of the jet.
     """
-    gamma, P = christoffel(M, p, cfg), D.projector(p)
+    gamma = christoffel(M, p, cfg)
     R = connection_curvature(gamma, christoffel_derivative(M, p, cfg))
     lhs = np.einsum("...ijkl,...i,...j,...k->...l", R, x, y, z)
-    jet = _GD_S_jet(M, D, p, gamma, P, cfg)
+    jet = _GD_S_jet(M, D, p, gamma, S, cfg)
     RD_xyz = np.einsum("...ijkl,...i,...j,...k->...l", curvature_RD_tensor(jet), x, y, z)
 
-    Sx, Sy = _S_endos(M, D, [x, y], p, gamma, P, cfg)
-    td = (Sy @ x[..., None] - Sx @ y[..., None])[..., 0]  # T^D(x, y) = -S_x y + S_y x
-    S_td_z = (_S_endos(M, D, [td], p, gamma, P, cfg)[0] @ z[..., None])[..., 0]
+    Sx, Sy = christoffel_contract(S, x), christoffel_contract(S, y)
+    S_td_z = (christoffel_contract(S, _torsion(S, x, y)) @ z[..., None])[..., 0]
     comm_z = ((Sx @ Sy - Sy @ Sx) @ z[..., None])[..., 0]
 
     g = metric_eval(M, p)
@@ -347,22 +328,22 @@ def curvature_relation_residual(
 # the W endomorphism and L_P
 # ---------------------------------------------------------------------------
 
-def W_endo(M: ChartManifold, D: DistributionSpec, u: Frame, cfg: FDConfig = DEFAULT_FD) -> Array:
+def W_endo(M: ChartManifold, u: Frame, S: Array) -> Array:
     """W(X) = X + sum_i <S_{e_i} | S_X> e_i as a chart matrix at u's base point, over the
-    g-orthonormal columns e_i of the frame u; (..., n, n) for a stack of frames.
+    g-orthonormal columns e_i of the frame u, from S = ``S_components`` at u's base
+    points; (..., n, n) for a stack of frames.
 
     g-self-adjoint and positive definite (identity plus a Gram matrix), so
     always invertible; reduces to the identity when D is parallel.
     """
-    S = _S_endos(M, D, np.moveaxis(u.columns, -1, 0), u.base, christoffel(M, u.base, cfg),
-                 D.projector(u.base), cfg)
-    return _W_matrix(metric_eval(M, u.base), S, u.columns)
-
-
-def _W_matrix(g: Array, S: Array, E: Array) -> Array:
-    """W as a chart matrix from S_{e_i} (n, ..., n, n) over the g-orthonormal columns of E."""
-    G = column_gram(g, np.stack(list(S), axis=-3) @ E[..., None, :, :])  # G[i, j] = <S_{e_i} | S_{e_j}>
+    E = u.columns
+    G = column_gram(metric_eval(M, u.base), _S_of_columns(S, E))  # G[i, j] = <S_{e_i} | S_{e_j}>
     return E @ (np.eye(E.shape[-1]) + G) @ np.linalg.inv(E)
+
+
+def _S_of_columns(S: Array, E: Array) -> Array:
+    """S_{e_i} E for each column e_i of the frames E (..., n, n), stacked (..., n, n, n)."""
+    return christoffel_contract(S[..., None, :, :, :], E.swapaxes(-1, -2)) @ E[..., None, :, :]
 
 
 def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
@@ -371,9 +352,8 @@ def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
 
 
 def L_P_applies(
-    M: ChartManifold, D: DistributionSpec,
-    pairs: Sequence[tuple[EndomorphismField, Array]], p: Array,
-    onb: Sequence[TangentVector], R: Array, P_D: Array, cfg: FDConfig = DEFAULT_FD,
+    M: ChartManifold, pairs: Sequence[tuple[EndomorphismField, Array]], p: Array,
+    onb: Sequence[TangentVector], R: Array, P_D: Array, S: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """L_P(x) = W^{-1}( R_P(x) + sign * sum_i <(nabla_x P)_m | S_{e_i}> e_i ), by m-sign,
     for each (P, x) pair.
@@ -383,22 +363,21 @@ def L_P_applies(
     ("flipped"; see the adapted connection audit).  Both come from one
     assembly of R_P, nabla_x P, S and W.  Every pair shares the curvature
     tensor ``R = curvature_tensor(M, p)``, D's projector ``P_D = D.projector(p)``,
-    one Christoffel evaluation, one S batch and one W.
+    ``S = S_components(...)`` at p, one Christoffel evaluation and one W.
     """
     g = metric_eval(M, p)
     RPs = curvature_R_P(M, p, np.array([np.asarray(P.eval(p), dtype=float) for P, _ in pairs]),
                         onb, R, cfg)
     signs = {"printed": -1.0, "flipped": +1.0}
     gamma = christoffel(M, p, cfg)
-    S_list = _S_endos(M, D, [e.components for e in onb], p, gamma, P_D, cfg)
-    E = np.column_stack([e.components for e in onb])
-    SE = np.asarray(S_list) @ E
-    W = _W_matrix(g, S_list, E)
+    u = Frame(p, np.column_stack([e.components for e in onb]))
+    SE = _S_of_columns(S, u.columns)
+    W = W_endo(M, u, S)
     out = []
     for (P, x), RP in zip(pairs, RPs):
         b = block_decompose(endo_covariant_derivative(P, x, p, gamma, cfg), P_D)
         # sum_i <(nabla_x P)_m | S_{e_i}> e_i
-        m_part = E @ column_gram(g, [(b.off1 + b.off2) @ E], SE)[0]
+        m_part = u.columns @ column_gram(g, [(b.off1 + b.off2) @ u.columns], SE)[0]
         out.append({name: W_inverse_apply(W, RP @ x + sign * m_part) for name, sign in signs.items()})
     return out
 
@@ -414,23 +393,25 @@ def adapted_horizontal_lift(
     """Horizontal lift for the adapted connection: X^h + (S_X)*.
 
     Tangent to O(D) at adapted frames (checked by ``od_tangency_residual``).
+    Builds S at u's base points itself: the O(D) chart fields call it at chart
+    stencil points, which no caller holds an S for.
     """
-    return _adapted_horizontal_lifts(M, D, [X], u, cfg)[0]
+    P, gamma = D.projector(u.base), christoffel(M, u.base, cfg)
+    return _adapted_horizontal_lifts(M, D, [X], u, gamma, P, S_components(M, D, u.base, gamma, P, cfg))[0]
 
 
 def _adapted_horizontal_lifts(
     M: ChartManifold, D: DistributionSpec, Xs: Sequence[TangentVector], u: Frame,
-    cfg: FDConfig = DEFAULT_FD,
+    gamma: Array, P: Array, S: Array,
 ) -> list[FrameTangent]:
-    """``adapted_horizontal_lift`` of each X in ``Xs`` at u, with one O(D)
-    membership check and every S_X from one ``_S_endos`` batch; P(p) and
-    Gamma(p) are read once, for the check, the batch and the plain lifts
-    X^h.  u may be a stack, each X then a vector per frame."""
-    P, gamma = D.projector(u.base), christoffel(M, u.base, cfg)
+    """``adapted_horizontal_lift`` of each X in ``Xs`` at u, with one O(D) membership
+    check, from Gamma, P and S at u's base points, ``gamma``, ``P`` and ``S``: the
+    check reads P, the plain lifts X^h read Gamma and each S_X contracts S.  u may
+    be a stack, each X then a vector per frame."""
     if od_membership_defect(M, D, u, P) > 1e-6:
         raise ValueError("frame is not adapted to the distribution")
-    S = _S_endos(M, D, [X.components for X in Xs], u.base, gamma, P, cfg)
-    return [_horizontal_lift(gamma, X, u) + fundamental_vertical(Sx, u) for X, Sx in zip(Xs, S)]
+    return [_horizontal_lift(gamma, X, u) + fundamental_vertical(christoffel_contract(S, X.components), u)
+            for X in Xs]
 
 
 def od_constraints(M: ChartManifold, D: DistributionSpec, k: int):
@@ -458,7 +439,7 @@ def _od_constraints(g: Array, P: Array, E: Array, k: int) -> Array:
 def od_tangency_residual(
     M: ChartManifold, D: DistributionSpec, t: FrameTangent,
     cfg: FDConfig = DEFAULT_FD,
-) -> float:
+) -> Array:
     """Directional derivative of the O(D) membership constraints along t, its largest
     entry: one residual per frame of a stack.  The constraints are evaluated
     once, on the two-point stencil of every frame."""
@@ -499,7 +480,8 @@ def adapted_connection_audit(
     Every row is diagnostic (asserted=False): the displays mix symbols and
     lift types, so plausible readings are evaluated against one oracle
     evaluation per point and the best-matching reading is flagged per case.
-    ``R`` is ``curvature_tensor(M, u.base)``, for the L_P lines.
+    ``R`` is ``curvature_tensor(M, u.base)``, for the L_P lines.  S at u's base point
+    is built once and serves L_P, the lifted right-hand sides and the RD jet.
     """
     chart = adapted_chart(M, D)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
@@ -513,6 +495,7 @@ def adapted_connection_audit(
     vQ = vertical_field_on_chart(chart, Q, cfg)
 
     gamma, P_D = christoffel(M, p, cfg), D.projector(p)
+    S = S_components(M, D, p, gamma, P_D, cfg)
 
     def nabla_D_endo(x: Array, E: EndomorphismField) -> Array:
         b = block_decompose(endo_covariant_derivative(E, x, p, gamma, cfg), P_D)
@@ -523,7 +506,7 @@ def adapted_connection_audit(
     Pval = np.asarray(P.eval(p), dtype=float)
     Qval = np.asarray(Q.eval(p), dtype=float)
 
-    RDxy = curvature_RD_tensor(_GD_S_jet(M, D, p, gamma, P_D, cfg))
+    RDxy = curvature_RD_tensor(_GD_S_jet(M, D, p, gamma, S, cfg))
     RD_endo = np.einsum("ijkl,i,j->lk", RDxy, xval, yval)
 
     rows: list[dict] = []
@@ -542,10 +525,10 @@ def adapted_connection_audit(
 
     # the right-hand sides' vectors, lifted in one batch: nabla_X Y and nablaD_X Y
     # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
-    LQ, LP = L_P_applies(M, D, [(Q, xval), (P, yval)], p, onb, R, P_D, cfg)
+    LQ, LP = L_P_applies(M, [(Q, xval), (P, yval)], p, onb, R, P_D, S, cfg)
     nab, nabD, LQm, LQp, LPm, LPp = _adapted_horizontal_lifts(M, D, [TangentVector(p, v) for v in (
         covariant_derivative(M, X, Y, p, cfg).components, nabla_D(M, D, X, Y, p, cfg).components,
-        LQ["printed"], LQ["flipped"], LP["printed"], LP["flipped"])], u, cfg)
+        LQ["printed"], LQ["flipped"], LP["printed"], LP["flipped"])], u, gamma, P_D, S)
 
     # hh: nabla_{X^{h,D}} Y^{h,D}
     case_rows("hh", [

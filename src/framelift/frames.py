@@ -167,14 +167,15 @@ def vertical_part(
 
 def _vertical_part(gamma: Array, t: FrameTangent) -> Array:
     """``vertical_part`` from the Christoffel symbols ``gamma`` at t's base points."""
-    return _vertical_rate(gamma, t) @ np.linalg.inv(t.at.columns)
+    return _vertical_rate(gamma, t.base_rate, t.at.columns, t.frame_rate) @ np.linalg.inv(t.at.columns)
 
 
-def _vertical_rate(gamma: Array, t: FrameTangent) -> Array:
-    """W = Edot + Gamma_xdot E, zero on horizontal lifts, from the Christoffel symbols
-    ``gamma`` at t's base points: V E for the vertical part V on square frames, and the
-    connection map K(t) as its one column on the tangent bundle."""
-    return t.frame_rate + christoffel_contract(gamma, t.base_rate) @ t.at.columns
+def _vertical_rate(gamma: Array, xdot: Array, E: Array, Edot: Array) -> Array:
+    """W = Edot + Gamma_xdot E of the tangent (xdot, Edot) at the frames E, zero on
+    horizontal lifts, from the Christoffel symbols ``gamma`` at the frames' base points:
+    V E for the vertical part V on square frames, and the connection map K as its one
+    column on the tangent bundle."""
+    return Edot + christoffel_contract(gamma, xdot) @ E
 
 
 def mok_metric(
@@ -193,8 +194,8 @@ def mok_metric(
     u = s.at
     g = metric_eval(M, u.base)
     gamma = christoffel(M, u.base, cfg)
-    ws = _vertical_rate(gamma, s).swapaxes(-1, -2)
-    wt = ws if t is s else _vertical_rate(gamma, t).swapaxes(-1, -2)
+    ws = _vertical_rate(gamma, s.base_rate, u.columns, s.frame_rate).swapaxes(-1, -2)
+    wt = ws if t is s else _vertical_rate(gamma, t.base_rate, u.columns, t.frame_rate).swapaxes(-1, -2)
     return (_pairing_at(g, s.base_rate, t.base_rate)
             + _pairing_at(g[..., None, :, :], ws, wt).sum(axis=-1))
 
@@ -213,7 +214,7 @@ def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
     leading axes of points x (..., n); so does G.
     """
     g = metric_eval(M, x)
-    W = Edot + np.einsum("...kij,...ai,...jl->...akl", christoffel(M, x, cfg), X, E)
+    W = _vertical_rate(christoffel(M, x, cfg)[..., None, :, :, :], X, E[..., None, :, :], Edot)
     G = X @ g @ X.swapaxes(-1, -2) + column_gram(g, W)
     return 0.5 * (G + G.swapaxes(-1, -2))
 

@@ -50,8 +50,8 @@ from .adapted import (
     S_components,
     W_endo,
     W_inverse_apply,
-    _S_endos,
     _adapted_horizontal_lifts,
+    _torsion,
     adapted_chart,
     adapted_frame,
     od_membership_defect,
@@ -181,7 +181,7 @@ def vertical_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
 
 def dilatation(
     geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
-) -> tuple[float, float]:
+) -> tuple[Array, Array]:
     """(lambda, defect): g_N(phi_* X, phi_* Y) = lambda g_M(X, Y) on horizontals.
 
     lambda is the mean of the horizontal Gram diagonal; the defect is the
@@ -240,17 +240,15 @@ def second_fundamental_form(
 
 
 def A_Y_endos(
-    geom: SubmersionGeometry, ys: Sequence[Array], p: Array, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, ys: Sequence[Array], p: Array, S: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[Array]:
     """A_Y, an endomorphism of the horizontal space, for each vertical Y in ``ys``.
 
-    One S and one projector pair at p serve the whole batch.  For points p
-    (..., n) each y is a vector per point, and a Y that is not vertical at
-    any point raises.
+    The caller's S = ``S_components`` of the horizontal distribution at p and one
+    projector pair at p serve the whole batch.  For points p (..., n) each y is a
+    vector per point, and a Y that is not vertical at any point raises.
     """
-    phi = geom.phi
-    Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
-    S = S_components(phi.source, geom.horizontal, p, cfg)
+    Pi_V, Pi_H = splitting_projectors(geom.phi, p, cfg)
     out = []
     for y in ys:
         y = np.asarray(y, dtype=float)
@@ -263,7 +261,7 @@ def A_Y_endos(
 
 def A_identity_residuals(
     geom: SubmersionGeometry, xs: Sequence[Array], ys: Sequence[Array], p: Array, B: Array,
-    cfg: FDConfig = DEFAULT_FD,
+    S: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """Residuals of phi_* A_Y(X) = sign * Pi_phi(X, Y), horizontal X, vertical Y.
 
@@ -271,14 +269,14 @@ def A_identity_residuals(
     ("asserted") under the definitions used here (A via the difference
     tensor, the second fundamental form via the pullback connection); the
     printed sign +1 ("printed") is kept for diagnostics.  Both come from
-    one evaluation of J and of every A_Y (one ``A_Y_endos`` batch) and the caller's
-    B = ``second_fundamental_tensor(phi, p)``, contracted for all pairs at once.  For
+    one evaluation of J and of every A_Y (one ``A_Y_endos`` batch of the caller's S) and
+    the caller's B = ``second_fundamental_tensor(phi, p)``, contracted for all pairs at once.  For
     points p (..., n) each x and y is a vector per point, and so is each residual.
     """
     phi = geom.phi
     J = differential_matrix(phi, p, cfg)
     gN = metric_eval(phi.target, phi.value(p))
-    A = np.asarray(A_Y_endos(geom, ys, p, cfg))  # (len(ys), ..., n, n)
+    A = np.asarray(A_Y_endos(geom, ys, p, S, cfg))  # (len(ys), ..., n, n)
     x = np.asarray(xs, dtype=float)[:, None]  # (len(xs), 1, ..., n): pairs broadcast x-major
     lhs = (J @ (A @ x[..., None]))[..., 0]
     sff = _bilinear(B, x, np.asarray(ys, dtype=float))
@@ -444,10 +442,11 @@ def lift_differential_fd(
 
 
 def lift_differential_formula(
-    geom: SubmersionGeometry, case: str, value, u: Frame, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, case: str, value, u: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> FrameTangent:
     """Closed-form differential of the lift per input type, at the frame u or at a
-    stack of frames with one value each.
+    stack of frames with one value each; S is ``S_components`` of the horizontal
+    distribution at u's base points, which the A-term contracts.
 
       horizontal-of-H: X in the horizontal space ->
           (phi_* X)^h + (phi_*(Pi_phi)_X)*
@@ -470,7 +469,7 @@ def lift_differential_formula(
         return (horizontal_lift_frame(phi.target, differential(phi, X, cfg), v, cfg)
                 + fundamental_vertical(push, v))
     if case == "horizontal-of-V":
-        push = pushforward_endo(geom, p, A_Y_endos(geom, [value], p, cfg)[0], cfg)
+        push = pushforward_endo(geom, p, A_Y_endos(geom, [value], p, S, cfg)[0], cfg)
         return fundamental_vertical(-push, v)
     if case == "vertical":
         _, Pi_H = splitting_projectors(phi, p, cfg)
@@ -480,7 +479,7 @@ def lift_differential_formula(
 
 
 def lift_distributions(
-    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, u: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[list[FrameTangent], list[FrameTangent]]:
     """Kernel and Mok-orthogonal bases of the lift differential at u.
 
@@ -492,24 +491,27 @@ def lift_distributions(
     the corrected A-identity flips both, and the div-duality then closes
     the cross orthogonality exactly as before).  u is the adapted frame at
     its base points, ``adapted_frame(M, D, p)``, whose columns the bases
-    read.  At a stack of frames each basis tangent is a stack, one per frame.
+    read, and S is ``S_components`` of D at u's base points, which W, the adapted
+    lifts and the A-corrections contract.  At a stack of frames each basis
+    tangent is a stack, one per frame.
     """
     phi = geom.phi
     M, D = phi.source, geom.horizontal
     p, Ep = u.base, u.columns
     n, k = M.dim, D.rank
-    Wm = W_endo(M, D, u, cfg)
+    Wm = W_endo(M, u, S)
 
     verticals = np.moveaxis(Ep[..., :, k:], -1, 0)
     tops = np.reshape(skew_basis(k), (-1, k, k))
     # adapted lifts of the verticals, of the W-preimages of the horizontals and
-    # of the W-preimages of the divergences, in that order, from one S batch
+    # of the W-preimages of the divergences, in that order, in one batch
     lifts = _adapted_horizontal_lifts(M, D, [TangentVector(p, x) for x in [
         *verticals, *(W_inverse_apply(Wm, Ep[..., :, a]) for a in range(k)),
-        *W_inverse_apply(Wm, div_bot(geom, tops, u, cfg))]], u, cfg)
+        *W_inverse_apply(Wm, div_bot(geom, tops, u, cfg))]], u,
+        christoffel(M, p, cfg), D.projector(p), S)
 
     V_basis = [lift + fundamental_vertical(A, u)
-               for lift, A in zip(lifts, A_Y_endos(geom, verticals, p, cfg))]
+               for lift, A in zip(lifts, A_Y_endos(geom, verticals, p, S, cfg))]
     V_basis += [
         fundamental_vertical(_adapted_endo(M, _block_coefficients(n, k, None, b), p, Ep), u)
         for b in skew_basis(n - k)]
@@ -591,17 +593,18 @@ def tension_conformal_display(
 # ---------------------------------------------------------------------------
 
 def lift_conformality_measurement(
-    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
-) -> tuple[float, float]:
+    geom: SubmersionGeometry, u: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
+) -> tuple[Array, Array]:
     """(Lambda, defect) of the lift at the frame u, measured directly.
 
-    The orthogonal basis is Mok-orthonormalized, pushed through the
-    finite-difference lift differential (one call for the whole basis), and
-    its target Mok Gram matrix is compared against Lambda times the
-    identity.  At a stack of frames both have the frames' leading shape.
+    The orthogonal basis of ``lift_distributions`` (from S, ``S_components`` at u's
+    base points) is Mok-orthonormalized, pushed through the finite-difference lift
+    differential (one call for the whole basis), and its target Mok Gram matrix is
+    compared against Lambda times the identity.  At a stack of frames both have
+    the frames' leading shape.
     """
     phi = geom.phi
-    _, H_basis = lift_distributions(geom, u, cfg)
+    _, H_basis = lift_distributions(geom, u, S, cfg)
     W_on = mok_orthonormalize(phi.source, H_basis, cfg)
     m = len(W_on)
     imgs = lift_differential_fd(geom, FrameTangent.stack(W_on), cfg, check_tangency=False)
@@ -705,12 +708,11 @@ def classify(
     tg_defect = np.max(_g_norm(gy, np.moveaxis(B_pairs, -1, 0)))
     tension_norms = _g_norm(gy, _metric_trace(B, gp))
 
-    # torsion T^D(e_a, e_b) = S_{e_b} e_a - S_{e_a} e_b on the horizontal pairs a < b
-    S = _S_endos(M, D, np.moveaxis(E[..., :, :k], -1, 0), points,
-                 christoffel(M, points, cfg), D.projector(points), cfg)
-    SE = np.moveaxis(S @ E[..., :, :k], 0, -1)  # [..., :, b, a] = S_{e_a} e_b
+    # torsion T^D(e_a, e_b) on the horizontal pairs a < b, from the S that the lift
+    # measurement reads too
+    S = S_components(M, D, points, christoffel(M, points, cfg), D.projector(points), cfg)
     a, b = np.triu_indices(k, 1)
-    integ_defect = np.max(_g_norm(gp, np.moveaxis(SE[..., a, b] - SE[..., b, a], -1, 0)),
+    integ_defect = np.max(_g_norm(gp, _torsion(S, *(np.moveaxis(E[..., :, c], -1, 0) for c in (a, b)))),
                           initial=0.0)
 
     rep.conformal_defect = np.max(defects)
@@ -734,7 +736,7 @@ def classify(
     rep.lift_harmonic_morphism_predicted = lift_harmonic_morphism_rule(
         rep.harmonic_morphism, rep.totally_geodesic, rep.dilatation_constant)
 
-    Lams, lift_defects = lift_conformality_measurement(geom, frames, cfg)
+    Lams, lift_defects = lift_conformality_measurement(geom, frames, S, cfg)
     rep.lift_lambda_samples = Lams.tolist()
     rep.lift_lambda_std = float(np.std(Lams))
     rep.lift_defect_measured = np.max(lift_defects)

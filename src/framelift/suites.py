@@ -19,6 +19,7 @@ from .geometry import (
     _pairing_at,
     central_diff,
     christoffel,
+    christoffel_contract,
     constant_field,
     covariant_derivatives,
     curvature_tensor,
@@ -48,7 +49,7 @@ from .frames import (
     vertical_part,
 )
 from .adapted import (
-    S_endo,
+    S_components,
     S_tensor,
     W_endo,
     _adapted_horizontal_lifts,
@@ -411,12 +412,17 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     few = pts[: max(3, samples // 2)]
     rng = _rng(seed, 7)
 
+    # the difference tensor S at the sample points, built once: every block below
+    # contracts it, at the first sample points its leading rows
+    gamma, Pi = christoffel(M, pts, cfg), D.projector(pts)
+    S = S_components(M, D, pts, gamma, Pi, cfg)
+
     # projector, blocks and m-projection, evaluated once on the stack of sample
     # points; per point, the draws are P and K
     d = projector_defects(M, D, pts)
     checks.see("projector_invariants", d["idempotent"], d["self_adjoint"], d["trace"])
     P, K = np.moveaxis(rng.standard_normal((len(pts), 2, M.dim, M.dim)), 1, 0)
-    b = block_decompose(P, D.projector(pts))
+    b = block_decompose(P, Pi)
     checks.see("block_reassembly", np.max(np.abs(b.reassemble() - P), axis=(-2, -1)))
     g = metric_eval(M, pts)
     m1 = m_projection(M, D, pts, np.linalg.solve(g, 0.5 * (K - K.swapaxes(-1, -2))), cfg)
@@ -457,7 +463,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     _single(checks, "difference_tensorial", "difference tensor unchanged by unit-at-p rescalings",
             np.max(np.abs(s1 - s2), axis=-1), cfg.tol_fd1)
     # skew-symmetry of S in its last two slots
-    Sx = S_endo(M, D, x, few, cfg)
+    Sx = christoffel_contract(S[:len(few)], x)
     _single(checks, "difference_skew", "g(S_X Y, Z) + g(Y, S_X Z) = 0", np.abs(
         _pairing_at(g, (Sx @ y[..., None])[..., 0], z) + _pairing_at(g, y, (Sx @ z[..., None])[..., 0])),
         cfg.tol_fd1)
@@ -469,7 +475,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     hb = u.columns[:len(few), :, :D.rank]
     integ = "torsion_integrable" if entry.h_integrable else "torsion_nonintegrable"
     checks.see(integ, np.zeros(len(few)), *(_g_norm(g, torsion_TD(
-        M, D, constant_field(hb[..., i]), constant_field(hb[..., j]), few, cfg).components)
+        constant_field(hb[..., i]), constant_field(hb[..., j]), few, S[:len(few)]).components)
         for i, j in zip(*np.triu_indices(D.rank, 1))))
     if entry.h_integrable:
         checks.row(integ, "adapted torsion vanishes on the distribution", cfg.tol_fd1)
@@ -480,7 +486,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # three sample points; per point, the draws are x, y and z
     three = pts[:3]
     x, y, z = np.moveaxis(rng.standard_normal((len(three), 3, n)), 1, 0)
-    res = curvature_relation_residual(M, D, x, y, z, three, cfg)
+    res = curvature_relation_residual(M, D, x, y, z, three, S[:len(three)], cfg)
     _single(checks, "curvature_relation", "R = RD + antisymmetrized nabla S + S_torsion + [S,S]",
             res["standard"], cfg.tol_fd2)
     _single(checks, "curvature_relation_display_convention",
@@ -491,16 +497,16 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # stack of adapted frames at the sample points; per point, the draws are
     # two (x, y) pairs for the W lemma and one x for the lift identities
     x1, y1, x2, y2, x = np.moveaxis(rng.standard_normal((len(pts), 5, M.dim)), 1, 0)
-    Wm = W_endo(M, D, u, cfg)
+    Wm = W_endo(M, u, S)
     g = metric_eval(M, pts)
     tx1, ty1, tx2, ty2, t = _adapted_horizontal_lifts(
-        M, D, [TangentVector(pts, v) for v in (x1, y1, x2, y2, x)], u, cfg)
+        M, D, [TangentVector(pts, v) for v in (x1, y1, x2, y2, x)], u, gamma, Pi, S)
     w_lemma = [np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(M, ta, tb, cfg))
                for a, b, ta, tb in ((x1, y1, tx1, ty1), (x2, y2, tx2, ty2))]
     W_onb = np.linalg.inv(u.columns) @ Wm @ u.columns
     w_positive = 1.0 - np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.swapaxes(-1, -2))), axis=-1)
     t2 = (horizontal_lift_frame(M, TangentVector(pts, x), u, cfg)
-          + fundamental_vertical(S_endo(M, D, x, pts, cfg), u))
+          + fundamental_vertical(christoffel_contract(S, x), u))
     frame_gap = np.max(np.abs(t.frame_rate - t2.frame_rate), axis=(-2, -1))
     base_gap = np.max(np.abs(t.base_rate - t2.base_rate), axis=-1)
     tangency = od_tangency_residual(M, D, t, cfg)
@@ -567,12 +573,14 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # are (x, y) for the symmetry and X for the displays
     frames = frames[:len(few)]
     E = frames.columns
+    gamma, Pi = christoffel(M, few, cfg), D.projector(few)
+    S = S_components(M, D, few, gamma, Pi, cfg)  # every S reader below contracts it
     x, y, w = np.moveaxis(rng.standard_normal((len(few), 3, M.dim)), 1, 0)
     B = second_fundamental_tensor(phi, few, cfg)
     checks.see("second_fundamental_symmetric", _g_norm(
         metric_eval(phi.target, phi.value(few)), _bilinear(B, x, y) - _bilinear(B, y, x)))
     readings = A_identity_residuals(geom, np.moveaxis(E[..., :, :k], -1, 0),
-                                    np.moveaxis(E[..., :, k:], -1, 0), few, B, cfg)
+                                    np.moveaxis(E[..., :, k:], -1, 0), few, B, S, cfg)
     checks.see("a_identity", *(r["asserted"] for r in readings))
     checks.see("a_identity_printed_sign", *(r["printed"] for r in readings))
     X = TangentVector(few, w)
@@ -605,7 +613,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     ys = np.moveaxis(E[..., :, k + np.arange(5) % (M.dim - k)], -1, 0)
     Cs = _adapted_endo(M, _block_coefficients(M.dim, k, tops, None), few, E)
     onb = [TangentVector(few, e) for e in np.moveaxis(E, -1, 0)]
-    duality = endo_inner(M, few, np.asarray(A_Y_endos(geom, ys, few, cfg)), Cs, onb) + _pairing_at(
+    duality = endo_inner(M, few, np.asarray(A_Y_endos(geom, ys, few, S, cfg)), Cs, onb) + _pairing_at(
         metric_eval(M, few), ys, div_bot(geom, tops, frames, cfg))
     _single(checks, "div_duality", "<A_X | C> = -g(X, vertical divergence of C)",
             np.ravel(np.abs(duality)), cfg.tol_fd2)
@@ -629,17 +637,17 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     y = (E[..., :, k:] @ coefficients[:, k:])[..., 0]
     P0 = E @ blk @ E.swapaxes(-1, -2) @ metric_eval(M, few)
     tx, ty = _adapted_horizontal_lifts(M, D, [TangentVector(few, x), TangentVector(few, y)],
-                                       frames, cfg)
+                                       frames, gamma, Pi, S)
     for case, t, arg in (("horizontal-of-H", tx, x), ("horizontal-of-V", ty, y),
                          ("vertical", fundamental_vertical(P0, frames), P0)):
-        d = lift_differential_fd(geom, t, cfg) - lift_differential_formula(geom, case, arg, frames, cfg)
+        d = lift_differential_fd(geom, t, cfg) - lift_differential_formula(geom, case, arg, frames, S, cfg)
         _single(checks, f"differential.{case}", "lift differential formula matches central differences",
                 mok_norm(phi.target, d, cfg), cfg.tol_fd2)
 
     # kernel / orthogonal distributions of the lift, evaluated once on the stack
     # of adapted frames at the sample points
     n = M.dim
-    Vb, Hb = lift_distributions(geom, frames, cfg)
+    Vb, Hb = lift_distributions(geom, frames, S, cfg)
     dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
     kernel = mok_norm(phi.target, lift_differential_fd(
         geom, FrameTangent.stack(Vb), cfg, check_tangency=False), cfg)  # (len(Vb), len(few))

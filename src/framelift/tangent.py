@@ -54,7 +54,8 @@ def tm_vertical_lift(X: TangentVector, Z: Frame) -> FrameTangent:
 def connection_map_K(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
     """Dombrowski connection map K(t) = Zdot + Gamma_xdot Z: the one column of the
     vertical rate that ``mok_metric`` pairs."""
-    return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base, cfg), t)[..., 0])
+    return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base, cfg), t.base_rate,
+                                                   t.at.columns, t.frame_rate)[..., 0])
 
 
 def tm_split(M: ChartManifold, t: FrameTangent,

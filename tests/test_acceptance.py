@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from framelift.adapted import (
-    S_endo,
+    S_components,
     W_endo,
     adapted_frame,
     adapted_horizontal_lift,
@@ -42,6 +42,7 @@ from framelift.geometry import (
     FDConfig,
     TangentVector,
     christoffel,
+    christoffel_contract,
     covariant_derivative,
     curvature_tensor,
     directional_diff,
@@ -194,6 +195,11 @@ def test_criterion_03_connection_formulas():
     assert worst < 5e-4
 
 
+def S_at(M, D, p):
+    """S_components of D at p, from Gamma(p) and P(p)."""
+    return S_components(M, D, p, christoffel(M, p, CFG), D.projector(p), CFG)
+
+
 def test_criterion_04_adapted_lemma():
     e = get("E4")
     geom = derive_geometry(e.phi, CFG)
@@ -206,7 +212,7 @@ def test_criterion_04_adapted_lemma():
         x = rng.standard_normal(2)
         t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
         t2 = horizontal_lift_frame(M, TangentVector(p, x), u, CFG) + fundamental_vertical(
-            S_endo(M, D, x, p, CFG), u)
+            christoffel_contract(S_at(M, D, p), x), u)
         ident = max(ident,
                     float(np.max(np.abs(t.frame_rate - t2.frame_rate))),
                     float(np.max(np.abs(t.base_rate - t2.base_rate))))
@@ -227,7 +233,7 @@ def test_criterion_05_w_lemma():
         M, D = e.phi.source, geom.horizontal
         for p in sample_points(M, SEED, 10):
             u = adapted_frame(M, D, p)
-            W = W_endo(M, D, u, CFG)
+            W = W_endo(M, u, S_at(M, D, p))
             g = metric_eval(M, p)
             x, y = rng.standard_normal((2, M.dim))
             tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
@@ -262,7 +268,7 @@ def test_criterion_06_divergence_lemma():
             x = rng.standard_normal(M.dim)
             Xr = TangentVector(p, (np.eye(M.dim) - D.projector(p)) @ x)
             for V in (X, Xr):
-                [A] = A_Y_endos(geom, [V.components], p, CFG)
+                [A] = A_Y_endos(geom, [V.components], p, S_at(M, D, p), CFG)
                 val = endo_inner(M, p, A, C.eval(p), onb)
                 worst = max(worst, abs(val + float(V.components @ g @ d)))
     ok = worst < 5e-4
@@ -325,12 +331,12 @@ def test_criterion_08_lift_differential_lemma():
                     zip(rng.standard_normal(k), horizontal_basis(geom, p)))
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
             d = lift_differential_fd(geom, t, CFG) - lift_differential_formula(
-                geom, "horizontal-of-H", x, u, CFG)
+                geom, "horizontal-of-H", x, u, S_at(M, D, p), CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u, CFG)
             d = lift_differential_fd(geom, t, CFG) - lift_differential_formula(
-                geom, "horizontal-of-V", y, u, CFG)
+                geom, "horizontal-of-V", y, u, S_at(M, D, p), CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
@@ -340,7 +346,7 @@ def test_criterion_08_lift_differential_lemma():
             P0 = u.columns @ blk @ u.columns.T @ g
             t = fundamental_vertical(P0, u)
             d = lift_differential_fd(geom, t, CFG) - lift_differential_formula(
-                geom, "vertical", P0, u, CFG)
+                geom, "vertical", P0, u, S_at(M, D, p), CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
     ok = worst < 5e-4
     report(8, "lift differential lemma", ok, f"(residual {worst:.3g})")
@@ -357,7 +363,7 @@ def test_criterion_09_lift_distributions():
         n, k = M.dim, geom.rank
         for p in sample_points(M, SEED, 2):
             u = adapted_frame(M, geom.horizontal, p)
-            Vb, Hb = lift_distributions(geom, u, CFG)
+            Vb, Hb = lift_distributions(geom, u, S_at(M, geom.horizontal, p), CFG)
             dims_ok = dims_ok and (len(Vb), len(Hb)) == (
                 (n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
             for v in Vb:

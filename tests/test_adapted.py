@@ -9,7 +9,6 @@ from framelift.adapted import (
     DistributionSpec,
     L_P_applies,
     S_components,
-    S_endo,
     S_tensor,
     W_endo,
     W_inverse_apply,
@@ -38,6 +37,7 @@ from framelift.geometry import (
     VectorField,
     central_diff,
     christoffel,
+    christoffel_contract,
     constant_field,
     coordinate_field,
     curvature_tensor,
@@ -48,6 +48,16 @@ from framelift.submersion import A_Y_endos, adapted_endo_field, derive_geometry
 from looping import per_point
 
 R3 = euclidean_chart(3)
+
+
+def S_at(M, D, p, cfg=DEFAULT_FD):
+    """S_components of D at the point or stack p, from Gamma(p) and P(p)."""
+    return S_components(M, D, p, christoffel(M, p, cfg), D.projector(p), cfg)
+
+
+def S_along(M, D, x, p, cfg=DEFAULT_FD):
+    """S_x at p: S_components contracted with x."""
+    return christoffel_contract(S_at(M, D, p, cfg), x)
 
 
 def flat_parallel_distribution(k: int, n: int) -> DistributionSpec:
@@ -164,7 +174,7 @@ class TestDifferenceTensor:
         rng = np.random.default_rng(5)
         for p in sample_points(M3, 6, 3):
             x = rng.standard_normal(3)
-            Sx = S_endo(M3, D3, x, p)
+            Sx = S_along(M3, D3, x, p)
             Pi = D3.projector(p)
             Pic = D3.complement(p)
             # S_x maps the distribution into the complement and back
@@ -176,7 +186,7 @@ class TestDifferenceTensor:
         p = sample_points(M3, 7, 1)[0]
         g = metric_eval(M3, p)
         x, y, z = rng.standard_normal((3, 3))
-        Sx = S_endo(M3, D3, x, p)
+        Sx = S_along(M3, D3, x, p)
         assert abs(float((Sx @ y) @ g @ z) + float(y @ g @ (Sx @ z))) < 1e-8
 
 
@@ -187,7 +197,7 @@ def _example_distribution(eid: str):
 
 
 class TestBatchedS:
-    """S_endo / S_components / A_Y_endos against the field-level S_tensor."""
+    """S_components, contracted along a vector, and A_Y_endos against the field-level S_tensor."""
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_columns_match_the_definition(self, eid):
@@ -196,7 +206,7 @@ class TestBatchedS:
         n = M.dim
         for p in sample_points(M, 40, 3):
             for x in [np.zeros(n), *rng.standard_normal((2, n))]:
-                Sx = S_endo(M, D, x, p)
+                Sx = S_along(M, D, x, p)
                 ref = np.column_stack([
                     S_tensor(M, D, constant_field(x), constant_field(e), p).components
                     for e in np.eye(n)])
@@ -204,11 +214,12 @@ class TestBatchedS:
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_components_are_the_rows_of_S_endo(self, eid):
+        # S has Gamma's index layout: S_{d_i} is S[:, i, :], the contraction along d_i
         M, D, _ = _example_distribution(eid)
         for p in sample_points(M, 41, 2):
-            S = S_components(M, D, p)
+            S = S_at(M, D, p)
             for i, e in enumerate(np.eye(M.dim)):
-                assert np.array_equal(S[:, i, :], S_endo(M, D, e, p))
+                assert np.array_equal(S[:, i, :], christoffel_contract(S, e))
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_A_Y_matches_the_per_column_loop(self, eid):
@@ -217,14 +228,14 @@ class TestBatchedS:
         for p in sample_points(M, 42, 2):
             Pi = D.projector(p)
             Y = (np.eye(M.dim) - Pi) @ rng.standard_normal(M.dim)
-            loop = np.column_stack([S_endo(M, D, e, p) @ Y for e in np.eye(M.dim)])
-            [got] = A_Y_endos(geom, [Y], p)
+            loop = np.column_stack([S_along(M, D, e, p) @ Y for e in np.eye(M.dim)])
+            [got] = A_Y_endos(geom, [Y], p, S_at(M, D, p))
             assert np.max(np.abs(got - Pi @ loop @ Pi)) <= 1e-12
 
 
 class TestSCallCount:
-    """One S_x batch costs one Christoffel, the projector at p and one projector
-    stencil over all its rows; an O(D) membership check reads the projector once."""
+    """S costs one projector stencil over the coordinate directions, from the caller's
+    Gamma(p) and P(p); its readers take S from their caller."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -246,28 +257,30 @@ class TestSCallCount:
 
     def test_S_components(self, counts):
         p = sample_points(M3, 43, 1)[0]
-        S_components(M3, D3, p)
-        assert counts == {"christoffel": 1, "projector": 2}
+        gamma, P = christoffel(M3, p), D3.projector(p)
+        counts.update(christoffel=0, projector=0)
+        S_components(M3, D3, p, gamma, P)
+        assert counts == {"christoffel": 0, "projector": 1}
 
     def test_W_endo(self, counts):
         p = sample_points(M3, 44, 1)[0]
         u = adapted_frame(M3, D3, p)
+        S = S_at(M3, D3, p)
         counts.update(christoffel=0, projector=0)
-        W_endo(M3, D3, u)
-        assert counts == {"christoffel": 1, "projector": 2}
+        W_endo(M3, u, S)
+        assert counts == {"christoffel": 0, "projector": 0}
 
-    def test_L_P_applies_assembles_S_once(self, counts):
+    def test_L_P_applies_takes_S_from_its_caller(self, counts):
         p = sample_points(M3, 45, 1)[0]
         u = adapted_frame(M3, D3, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
         P = EndomorphismField(eval=lambda q: q[..., :, None] * np.array([1.0, 0.0, -1.0]))
-        R, P_D = curvature_tensor(M3, p), D3.projector(p)
+        R, P_D, S = curvature_tensor(M3, p), D3.projector(p), S_at(M3, D3, p)
         counts.update(christoffel=0, projector=0)
-        L_P_applies(M3, D3, [(P, np.array([0.3, -0.2, 0.4])), (P, np.array([-0.1, 0.5, 0.2]))],
-                    p, onb, R, P_D)
-        # the projector stencil of the S batch; Gamma(p) serves S and every nabla_x P,
-        # and the caller's P(p) serves S and every block decomposition
-        assert counts == {"christoffel": 1, "projector": 1}
+        L_P_applies(M3, [(P, np.array([0.3, -0.2, 0.4])), (P, np.array([-0.1, 0.5, 0.2]))],
+                    p, onb, R, P_D, S)
+        # Gamma(p) serves every nabla_x P, and the caller's P(p) every block decomposition
+        assert counts == {"christoffel": 1, "projector": 0}
 
     def test_od_membership_defect_reads_no_projector(self, counts):
         u = adapted_frame(M3, D3, sample_points(M3, 47, 1)[0])
@@ -276,21 +289,23 @@ class TestSCallCount:
         od_membership_defect(M3, D3, u, P)
         assert counts["projector"] == 0  # the caller's P(p)
 
-    def test_adapted_lifts_read_christoffel_once(self, monkeypatch):
-        # a batch of 5 vectors at a stack of 10 frames: the S batch, the
-        # membership check and the plain lifts share one Gamma(p)
+    def test_adapted_lifts_read_the_callers_christoffel(self, monkeypatch):
+        # a batch of 5 vectors at a stack of 10 frames: the plain lifts read the
+        # caller's Gamma(p), the membership check its P(p) and every S_X its S
+        pts = sample_points(M3, 48, 10)
+        u = adapted_frame(M3, D3, pts)
+        gamma, P = christoffel(M3, pts), D3.projector(pts)
+        S = S_components(M3, D3, pts, gamma, P)
         calls = []
         for module in (geometry_module, frames_module, adapted_module):
             def counting(*args, real=module.christoffel, **kwargs):
                 calls.append(1)
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, "christoffel", counting)
-        pts = sample_points(M3, 48, 10)
-        u = adapted_frame(M3, D3, pts)
         xs = np.random.default_rng(48).standard_normal((5, 10, 3))
-        calls.clear()
-        adapted_module._adapted_horizontal_lifts(M3, D3, [TangentVector(pts, x) for x in xs], u)
-        assert len(calls) == 1
+        adapted_module._adapted_horizontal_lifts(M3, D3, [TangentVector(pts, x) for x in xs], u,
+                                                 gamma, P, S)
+        assert len(calls) == 0
 
 
 class TestTorsion:
@@ -299,7 +314,8 @@ class TestTorsion:
         rng = np.random.default_rng(7)
         X = polynomial_vector_field(3, rng)
         Y = polynomial_vector_field(3, rng)
-        out = torsion_TD(R3, D, X, Y, np.array([0.0, 0.1, 0.2]))
+        p = np.array([0.0, 0.1, 0.2])
+        out = torsion_TD(X, Y, p, S_at(R3, D, p))
         assert np.max(np.abs(out.components)) < 1e-9
 
     def test_matches_connection_torsion(self):
@@ -308,7 +324,7 @@ class TestTorsion:
         Y = polynomial_vector_field(2, rng)
         p = np.array([0.2, -0.1])
         from framelift.geometry import lie_bracket
-        td = torsion_TD(M4, D4, X, Y, p).components
+        td = torsion_TD(X, Y, p, S_at(M4, D4, p)).components
         alt = (nabla_D(M4, D4, X, Y, p).components
                - nabla_D(M4, D4, Y, X, p).components
                - lie_bracket(X, Y, p).components)
@@ -320,17 +336,16 @@ class TestTorsion:
         from framelift.submersion import horizontal_basis
         for p in sample_points(e2.phi.source, 9, 3):
             hb = horizontal_basis(geom, p)
-            td = torsion_TD(e2.phi.source, geom.horizontal,
-                            constant_field(hb[0].components),
-                            constant_field(hb[1].components), p)
+            td = torsion_TD(constant_field(hb[0].components), constant_field(hb[1].components), p,
+                            S_at(e2.phi.source, geom.horizontal, p))
             assert np.max(np.abs(td.components)) < 1e-6
 
     def test_hopf_horizontal_nonintegrable(self):
         from framelift.submersion import horizontal_basis
         p = sample_points(M3, 10, 1)[0]
         hb = horizontal_basis(GEOM3, p)
-        td = torsion_TD(M3, D3, constant_field(hb[0].components),
-                        constant_field(hb[1].components), p)
+        td = torsion_TD(constant_field(hb[0].components), constant_field(hb[1].components), p,
+                        S_at(M3, D3, p))
         g = metric_eval(M3, p)
         assert float(np.sqrt(td.components @ g @ td.components)) > 0.1
 
@@ -343,7 +358,7 @@ class TestCurvatureRelation:
         p = sample_points(e2.phi.source, 11, 1)[0]
         x, y, z = rng.standard_normal((3, 3))
         jet = adapted_module._GD_S_jet(e2.phi.source, geom.horizontal, p, christoffel(e2.phi.source, p),
-                                       geom.horizontal.projector(p), DEFAULT_FD)
+                                       S_at(e2.phi.source, geom.horizontal, p), DEFAULT_FD)
         RD = np.einsum("ijkl,i,j,k->l", curvature_RD_tensor(jet),
                        x, y, z)
         R = np.einsum("ijkl,i,j,k->l", curvature_tensor(e2.phi.source, p), x, y, z)
@@ -356,8 +371,8 @@ class TestCurvatureRelation:
         rng = np.random.default_rng(10)
         p = np.array([0.1, 0.2, -0.1])
         x, y, z = rng.standard_normal((3, 3))
-        assert curvature_relation_residual(e1.phi.source, geom.horizontal,
-                                           x, y, z, p)["standard"] < 5e-4
+        assert curvature_relation_residual(e1.phi.source, geom.horizontal, x, y, z, p,
+                                           S_at(e1.phi.source, geom.horizontal, p))["standard"] < 5e-4
 
     @pytest.mark.parametrize("eid", ["E2", "E3", "E4"])
     def test_relation_standard_convention(self, eid):
@@ -367,13 +382,14 @@ class TestCurvatureRelation:
         for p in sample_points(e.phi.source, 12, 2):
             x, y, z = rng.standard_normal((3, e.phi.source.dim))
             assert curvature_relation_residual(
-                e.phi.source, geom.horizontal, x, y, z, p)["standard"] < 5e-4
+                e.phi.source, geom.horizontal, x, y, z, p,
+                S_at(e.phi.source, geom.horizontal, p))["standard"] < 5e-4
 
     def test_display_convention_fails_on_warped(self):
         rng = np.random.default_rng(12)
         p = np.array([0.2, 0.3])
         x, y, z = rng.standard_normal((3, 2))
-        res = curvature_relation_residual(M4, D4, x, y, z, p)
+        res = curvature_relation_residual(M4, D4, x, y, z, p, S_at(M4, D4, p))
         assert res["display"] > 0.01
         assert res["standard"] < 5e-4
 
@@ -396,7 +412,8 @@ class TestOneEvaluationPerReading:
         calls = self.count(monkeypatch, "curvature_RD_tensor")
         rng = np.random.default_rng(21)
         x, y, z = rng.standard_normal((3, 2))
-        res = curvature_relation_residual(M4, D4, x, y, z, np.array([0.1, -0.2]))
+        p = np.array([0.1, -0.2])
+        res = curvature_relation_residual(M4, D4, x, y, z, p, S_at(M4, D4, p))
         assert len(calls) == 1
         assert set(res) == {"standard", "display"}
 
@@ -422,11 +439,11 @@ class TestCurvatureRelationStencil:
     def separate_stencils(M, D, x, y, z, p, cfg=DEFAULT_FD):
         """The relation residual with GD and S differenced on separate stencils."""
         def GD_at(q):
-            return christoffel(M, q, cfg) - S_components(M, D, q, cfg)
+            return christoffel(M, q, cfg) - S_at(M, D, q, cfg)
 
-        GD, S = GD_at(p), S_components(M, D, p, cfg)
+        GD, S = GD_at(p), S_at(M, D, p, cfg)
         dGD = central_diff(per_point(GD_at), p, cfg.step_h2)
-        dS = central_diff(per_point(lambda q: S_components(M, D, q, cfg)), p, cfg.step_h2)
+        dS = central_diff(per_point(lambda q: S_at(M, D, q, cfg)), p, cfg.step_h2)
         term_a = np.transpose(dGD, (0, 2, 3, 1))
         quad_a = np.einsum("lim,mjk->ijkl", GD, GD)
         RD = term_a - term_a.swapaxes(0, 1) + quad_a - quad_a.swapaxes(0, 1)
@@ -435,8 +452,8 @@ class TestCurvatureRelationStencil:
                     "display": shared - np.einsum("kma,aij->mkij", S, GD)}
         lhs = np.einsum("ijkl,i,j,k->l", curvature_tensor(M, p, cfg), x, y, z)
         RD_xyz = np.einsum("ijkl,i,j,k->l", RD, x, y, z)
-        Sx, Sy = S_endo(M, D, x, p, cfg), S_endo(M, D, y, p, cfg)
-        S_td_z = S_endo(M, D, Sy @ x - Sx @ y, p, cfg) @ z
+        Sx, Sy = christoffel_contract(S, x), christoffel_contract(S, y)
+        S_td_z = christoffel_contract(S, Sy @ x - Sx @ y) @ z
         comm_z = (Sx @ Sy - Sy @ Sx) @ z
         g = metric_eval(M, p)
         out = {}
@@ -450,7 +467,7 @@ class TestCurvatureRelationStencil:
         rng = np.random.default_rng(47)
         for p in sample_points(M3, 47, 2):
             x, y, z = rng.standard_normal((3, M3.dim))
-            got = curvature_relation_residual(M3, D3, x, y, z, p)
+            got = curvature_relation_residual(M3, D3, x, y, z, p, S_at(M3, D3, p))
             ref = self.separate_stencils(M3, D3, x, y, z, p)
             assert set(got) == set(ref)
             assert all(np.array_equal(got[r], ref[r]) for r in ref)
@@ -464,7 +481,10 @@ class TestCurvatureRelationStencil:
 
             monkeypatch.setattr(module, "christoffel", counting)
         x, y, z = np.random.default_rng(48).standard_normal((3, M3.dim))
-        curvature_relation_residual(M3, D3, x, y, z, sample_points(M3, 48, 1)[0])
+        p = sample_points(M3, 48, 1)[0]
+        S = S_at(M3, D3, p)
+        tally.clear()
+        curvature_relation_residual(M3, D3, x, y, z, p, S)
         # separate stencils: 1 + 2n for R, 2 + 4n for RD, 3 + 2n for nabla^D S
         # and 3 for S_x, S_y and S_{T^D}, i.e. 9 + 8n = 33 at n = 3
         assert len(tally) <= (9 + 8 * M3.dim) // 2
@@ -478,8 +498,12 @@ class TestCurvatureRelationStencil:
 
             monkeypatch.setattr(module, "christoffel", counting)
         x, y, z = np.random.default_rng(49).standard_normal((3, M3.dim))
-        curvature_relation_residual(M3, D3, x, y, z, sample_points(M3, 49, 1)[0])
-        # Gamma(p) serves R, the jet and every S; then the stencils of R and of the jet
+        p = sample_points(M3, 49, 1)[0]
+        S = S_at(M3, D3, p)
+        tally.clear()
+        curvature_relation_residual(M3, D3, x, y, z, p, S)
+        # Gamma(p) serves R and the jet, whose S at p is the caller's; then the
+        # stencils of R and of the jet
         assert sorted(tally) == [(2, 3, 3), (2, 3, 3), (3,)]
 
 
@@ -489,14 +513,14 @@ class TestW:
         geom = derive_geometry(e1.phi)
         p = np.array([0.3, 0.1, 0.0])
         u = adapted_frame(e1.phi.source, geom.horizontal, p)
-        W = W_endo(e1.phi.source, geom.horizontal, u)
+        W = W_endo(e1.phi.source, u, S_at(e1.phi.source, geom.horizontal, p))
         assert np.allclose(W, np.eye(3), atol=1e-10)
 
     def test_warped_closed_form(self):
         # W = diag(1, 3) in the orthonormal frame (unit horizontal, unit vertical)
         p = np.array([0.4, -0.2])
         u = adapted_frame(M4, D4, p)
-        W = W_endo(M4, D4, u)
+        W = W_endo(M4, u, S_at(M4, D4, p))
         W_onb = np.linalg.inv(u.columns) @ W @ u.columns
         assert np.allclose(W_onb, np.diag([1.0, 3.0]), atol=1e-8)
 
@@ -508,7 +532,7 @@ class TestW:
         rng = np.random.default_rng(13)
         for p in sample_points(M, 13, 3):
             u = adapted_frame(M, D, p)
-            W = W_endo(M, D, u)
+            W = W_endo(M, u, S_at(M, D, p))
             g = metric_eval(M, p)
             x, y = rng.standard_normal((2, M.dim))
             tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
@@ -518,7 +542,7 @@ class TestW:
     def test_positive_definite_and_inverse(self):
         p = sample_points(M3, 14, 1)[0]
         u = adapted_frame(M3, D3, p)
-        W = W_endo(M3, D3, u)
+        W = W_endo(M3, u, S_at(M3, D3, p))
         W_onb = np.linalg.inv(u.columns) @ W @ u.columns
         assert float(np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.T)))) >= 1.0 - 1e-10
         v = np.array([0.3, -0.8, 0.5])
@@ -533,8 +557,8 @@ class TestLP:
         J = np.zeros((3, 3))
         J[0, 1], J[1, 0] = -1.0, 1.0
         P = EndomorphismField(eval=lambda q: np.zeros(q.shape[:-1] + J.shape) + J)
-        out = L_P_applies(R3, D, [(P, np.array([1.0, -1.0, 0.5]))], p, onb, curvature_tensor(R3, p),
-                          D.projector(p))[0]
+        out = L_P_applies(R3, [(P, np.array([1.0, -1.0, 0.5]))], p, onb, curvature_tensor(R3, p),
+                          D.projector(p), S_at(R3, D, p))[0]
         assert max(np.max(np.abs(v)) for v in out.values()) < 1e-9
 
     def test_reduces_to_R_P_when_S_vanishes(self):
@@ -550,7 +574,7 @@ class TestLP:
         P = adapted_endo_field(geom, top=J)
         x = np.array([0.5, 0.2, -0.3])
         R = curvature_tensor(M, p)
-        got = L_P_applies(M, D, [(P, x)], p, onb, R, D.projector(p))[0]["printed"]
+        got = L_P_applies(M, [(P, x)], p, onb, R, D.projector(p), S_at(M, D, p))[0]["printed"]
         expect = curvature_R_P(M, p, P.eval(p), onb, R) @ x
         assert np.max(np.abs(got - expect)) < 1e-6
 
@@ -562,21 +586,21 @@ class TestLP:
         u = adapted_frame(M4, D4, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(2)]
         g = metric_eval(M4, p)
-        Sfield = EndomorphismField(eval=lambda q: S_endo(M4, D4, np.array([1.0, 0.0]), q))
+        Sfield = EndomorphismField(eval=lambda q: S_along(M4, D4, np.array([1.0, 0.0]), q))
         P = Sfield  # any smooth g-skew field with nonzero m-part derivative
         x = np.array([0.7, -0.2])
         R = curvature_tensor(M4, p)
-        got = L_P_applies(M4, D4, [(P, x)], p, onb, R, D4.projector(p))[0]["printed"]
+        got = L_P_applies(M4, [(P, x)], p, onb, R, D4.projector(p), S_at(M4, D4, p))[0]["printed"]
         RP = curvature_R_P(M4, p, P.eval(p), onb, R)
         nP = endo_covariant_derivative(P, x, p, christoffel(M4, p))
         b = block_decompose(nP, D4.projector(p))
         nPm = b.off1 + b.off2
         vec = RP @ x
         for e in onb:
-            Se = S_endo(M4, D4, e.components, p)
+            Se = S_along(M4, D4, e.components, p)
             coef = sum(float((nPm @ f.components) @ g @ (Se @ f.components)) for f in onb)
             vec = vec - coef * e.components
-        W = W_endo(M4, D4, u)
+        W = W_endo(M4, u, S_at(M4, D4, p))
         assert np.max(np.abs(got - W_inverse_apply(W, vec))) < 1e-9
 
 
@@ -598,7 +622,7 @@ class TestAdaptedLift:
             x = rng.standard_normal(2)
             t = adapted_horizontal_lift(M4, D4, TangentVector(p, x), u)
             t2 = horizontal_lift_frame(M4, TangentVector(p, x), u) + \
-                fundamental_vertical(S_endo(M4, D4, x, p), u)
+                fundamental_vertical(S_along(M4, D4, x, p), u)
             assert np.max(np.abs(t.frame_rate - t2.frame_rate)) == 0.0
 
     def test_tangency_on_warped(self):

@@ -20,6 +20,7 @@ import framelift.suites as suites_module
 import framelift.tangent as tangent_module
 from framelift.adapted import (
     L_P_applies,
+    S_components,
     S_tensor,
     adapted_chart,
     adapted_connection_audit,
@@ -58,6 +59,7 @@ from framelift.geometry import (
     VectorField,
     central_diff,
     christoffel,
+    christoffel_contract,
     christoffel_derivative,
     constant_field,
     coordinate_field,
@@ -84,6 +86,12 @@ from looping import per_point
 
 EXAMPLES = ["E1", "E2", "E3", "E4", "E5"]
 CHARTS = {M.name: M for e in entries() for M in (e.phi.source, e.phi.target)}
+
+
+def S_at(geom, p):
+    """S_components of the horizontal distribution at the point or stack p."""
+    M, D = geom.phi.source, geom.horizontal
+    return S_components(M, D, p, christoffel(M, p), D.projector(p))
 
 
 def rows_of(f, ps):
@@ -248,15 +256,16 @@ class TestLPairs:
         onb = [TangentVector(p, e) for e in u.columns.T]
         pairs = [(f["Q"], f["X"].eval(p)), (f["P"], f["Y"].eval(p))]
         R = curvature_tensor(M, p)
-        P_D = D.projector(p)
-        for got, pair in zip(L_P_applies(M, D, pairs, p, onb, R, P_D), pairs):
-            [want] = L_P_applies(M, D, [pair], p, onb, R, P_D)
+        P_D, S = D.projector(p), S_at(E3_GEOM, p)
+        for got, pair in zip(L_P_applies(M, pairs, p, onb, R, P_D, S), pairs):
+            [want] = L_P_applies(M, [pair], p, onb, R, P_D, S)
             assert all(np.array_equal(got[k], want[k]) for k in want)
 
     def test_audit_builds_one_S_batch_and_W_and_no_curvature_tensor(self, monkeypatch):
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
         inside = []
-        counts = {"curvature_tensor": 0, "_S_endos": 0, "_W_matrix": 0}
+        counts = {"curvature_tensor": 0, "S_components": 0, "W_endo": 0}
+        S_points = []
 
         def in_L(fn):
             def wrapped(*args, **kwargs):
@@ -276,12 +285,50 @@ class TestLPairs:
         monkeypatch.setattr(adapted_module, "L_P_applies", in_L(adapted_module.L_P_applies))
         monkeypatch.setattr(geometry_module, "curvature_tensor",
                             counted("curvature_tensor", geometry_module.curvature_tensor))
-        for name in ("_S_endos", "_W_matrix"):
-            monkeypatch.setattr(adapted_module, name, counted(name, getattr(adapted_module, name)))
+        monkeypatch.setattr(adapted_module, "W_endo", counted("W_endo", adapted_module.W_endo))
+        real_S, real_lift = adapted_module.S_components, adapted_module.adapted_horizontal_lift
+        in_lift = []
+
+        def S_components(M, D, p, *args):
+            counts["S_components"] += bool(inside)
+            if not in_lift:
+                S_points.append(np.array(p))
+            return real_S(M, D, p, *args)
+
+        def lift(*args):
+            in_lift.append(1)
+            try:
+                return real_lift(*args)
+            finally:
+                in_lift.pop()
+
+        monkeypatch.setattr(adapted_module, "S_components", S_components)
+        monkeypatch.setattr(adapted_module, "adapted_horizontal_lift", lift)
         u = adapted_frame(M, D, sample_points(M, 46, 1)[0])
         adapted_connection_audit(M, D, u, self.fields(), curvature_tensor(M, u.base))
-        # the caller's curvature tensor serves every pair
-        assert counts == {"curvature_tensor": 0, "_S_endos": 1, "_W_matrix": 1}
+        # the caller's curvature tensor and S serve every pair, with one W
+        assert counts == {"curvature_tensor": 0, "S_components": 0, "W_endo": 1}
+        # besides the chart fields' own lifts, one S at u serves L_P, the lifted
+        # right-hand sides and the jet, whose stencil is the other build
+        assert [np.array_equal(q, u.base) for q in S_points] == [True, False]
+
+
+class TestOneSPerBlock:
+    """A block builds S once on the points it owns and every reader contracts it."""
+
+    @pytest.mark.parametrize("suite, builds", [
+        # the sample stack and the curvature jet's stencil
+        ("suite_adapted", 2),
+        # the stack of the first sample points
+        ("suite_lift", 1),
+        # classify's stack, for the torsion and the lift measurement
+        ("suite_theorems", 1),
+    ])
+    def test_one_unit_on_E3(self, monkeypatch, suite, builds):
+        tallies = [count_calls(monkeypatch, module, "S_components")
+                   for module in (adapted_module, submersion_module, suites_module)]
+        getattr(suites_module, suite)(get("E3"), seed=42)
+        assert sum(map(len, tallies)) == builds
 
 
 class TestDivBot:
@@ -635,7 +682,7 @@ class TestTorsionBatch:
         rng = np.random.default_rng(96)
         X, Y = (polynomial_vector_field(M.dim, rng) for _ in range(2))
         want = S_tensor(M, D, Y, X, p).components - S_tensor(M, D, X, Y, p).components
-        assert np.max(np.abs(torsion_TD(M, D, X, Y, p).components - want)) < 1e-6
+        assert np.max(np.abs(torsion_TD(X, Y, p, S_at(geom, p)).components - want)) < 1e-6
 
 
 class TestJacobianProducts:
@@ -695,7 +742,8 @@ def horizontal(geom, E, c):
 def lift_differential_cases(geom, u, x, c, P):
     """The closed-form lift differential at u for each input type: x, the vertical
     vector with coefficients c and the endomorphism P."""
-    return [submersion_module.lift_differential_formula(geom, case, value, u) for case, value in (
+    S = S_at(geom, u.base)
+    return [submersion_module.lift_differential_formula(geom, case, value, u, S) for case, value in (
         ("horizontal-of-H", x), ("horizontal-of-V", vertical(geom, u.columns, c)), ("vertical", P))]
 
 
@@ -773,7 +821,7 @@ FRAME_FUNCTIONS = {
         geom.phi.source, [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
     "frames.mok_orthonormalize": ([vectors(4), endos(4)], lambda geom, u, xs, Ps: frames_module.mok_orthonormalize(
         geom.phi.source, [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
-    "adapted.W_endo": ([], lambda geom, u: adapted_module.W_endo(geom.phi.source, geom.horizontal, u)),
+    "adapted.W_endo": ([], lambda geom, u: adapted_module.W_endo(geom.phi.source, u, S_at(geom, u.base))),
     "adapted.adapted_horizontal_lift": ([vectors()], lifted),
     "adapted.od_membership_defect": ([], lambda geom, u: adapted_module.od_membership_defect(
         geom.phi.source, geom.horizontal, u, geom.horizontal.projector(u.base))),
@@ -782,9 +830,10 @@ FRAME_FUNCTIONS = {
     "submersion.lift_map": ([], lambda geom, u: submersion_module.lift_map(geom, u)),
     "submersion.lift_differential_fd": ([vectors()], lambda geom, u, x: submersion_module.lift_differential_fd(
         geom, lifted(geom, u, x))),
-    "submersion.lift_distributions": ([], lambda geom, u: submersion_module.lift_distributions(geom, u)),
+    "submersion.lift_distributions": ([], lambda geom, u: submersion_module.lift_distributions(
+        geom, u, S_at(geom, u.base))),
     "submersion.lift_conformality_measurement": ([], lambda geom, u: (
-        submersion_module.lift_conformality_measurement(geom, u))),
+        submersion_module.lift_conformality_measurement(geom, u, S_at(geom, u.base)))),
     "submersion.lift_differential_formula": ([vectors(), vectors(), endos()], lift_differential_cases),
     "submersion.dilatation": ([], lambda geom, u: submersion_module.dilatation(geom, u)),
     "submersion.div_bot": ([], lambda geom, u: np.moveaxis(
@@ -847,19 +896,16 @@ class TestFrameCallCounts:
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_lifts_check_membership_once_from_the_projector_they_share(self, monkeypatch, example):
         u, geom = frame_stack(example, 101)
-        M, D = geom.phi.source, geom.horizontal
+        D, S = geom.horizontal, S_at(geom, u.base)
         projector_at_u = []
         geom = dataclasses.replace(geom, horizontal=dataclasses.replace(D, projector_field=lambda q: (
             projector_at_u.append(np.shape(q) == u.base.shape), D.projector_field(q))[1]))
         lifts = count_calls(monkeypatch, submersion_module, "_adapted_horizontal_lifts")
         checks = [count_calls(monkeypatch, module, "od_membership_defect")
                   for module in (adapted_module, submersion_module)]
-        submersion_module.lift_distributions(geom, u)
+        submersion_module.lift_distributions(geom, u, S)
         assert len(lifts) == sum(map(len, checks)) == 1
-        projector_at_u.clear()
-        adapted_module._adapted_horizontal_lifts(
-            M, geom.horizontal, [TangentVector(u.base, e) for e in np.moveaxis(u.columns, -1, 0)], u)
-        assert projector_at_u.count(True) == 1  # P(p) for the check and the S batch
+        assert projector_at_u.count(True) == 1  # P(p) for the membership check
 
     def test_audit_lifts_its_right_hand_sides_in_one_batch(self, monkeypatch):
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
@@ -933,10 +979,10 @@ POINT_FUNCTIONS = {
     "submersion.second_fundamental_form": ([vectors(), vectors()], lambda geom, p, x, y: (
         submersion_module.second_fundamental_form(geom.phi, TangentVector(p, x), TangentVector(p, y)))),
     "submersion.A_Y_endos": ([], lambda geom, p: frame_pairs(
-        geom, p, lambda xs, ys: submersion_module.A_Y_endos(geom, ys, p))),
+        geom, p, lambda xs, ys: submersion_module.A_Y_endos(geom, ys, p, S_at(geom, p)))),
     "submersion.A_identity_residuals": ([], lambda geom, p: frame_pairs(geom, p, lambda xs, ys: [
         r[reading] for r in submersion_module.A_identity_residuals(
-            geom, xs, ys, p, submersion_module.second_fundamental_tensor(geom.phi, p))
+            geom, xs, ys, p, submersion_module.second_fundamental_tensor(geom.phi, p), S_at(geom, p))
         for reading in ("asserted", "printed")])),
     "submersion.Pi_X_endo": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo(
         geom, TangentVector(p, x), submersion_module.second_fundamental_tensor(geom.phi, p))),
@@ -1021,24 +1067,26 @@ def field_pair(f):
 def adapted_jet(geom, p):
     """(GD, S) and its central differences at the point or stack p."""
     M, D = geom.phi.source, geom.horizontal
-    return adapted_module._GD_S_jet(M, D, p, christoffel(M, p), D.projector(p),
+    return adapted_module._GD_S_jet(M, D, p, christoffel(M, p), S_at(geom, p),
                                     geometry_module.DEFAULT_FD)
 
 
 # Every public adapted function of points (a parameter p, or the jet of a point), in the form
-# of POINT_FUNCTIONS, on the horizontal distribution of each example, and the endomorphism
-# inner product of the div-duality block; the projector algebra is in PROJECTOR_FUNCTIONS.
+# of POINT_FUNCTIONS, on the horizontal distribution of each example, S_x as every reader
+# contracts it, and the endomorphism inner product of the div-duality block; the projector
+# algebra is in PROJECTOR_FUNCTIONS.
 # ``test_the_table_lists_every_adapted_function_of_points`` keeps it complete.
 ADAPTED_FUNCTIONS = {
     "adapted.adapted_frame": ([], adapted_call(adapted_frame)),
     "adapted.nabla_D": ([coefficients, coefficients], field_pair(adapted_module.nabla_D)),
     "adapted.S_tensor": ([coefficients, coefficients], field_pair(S_tensor)),
-    "adapted.S_endo": ([vectors()], adapted_call(adapted_module.S_endo)),
-    "adapted.S_components": ([], adapted_call(adapted_module.S_components)),
+    "adapted.S_components": ([], S_at),
+    "geometry.christoffel_contract@S": ([vectors()], lambda geom, p, x: christoffel_contract(S_at(geom, p), x)),
     "adapted.torsion_TD": ([vectors(), vectors()], lambda geom, p, x, y: torsion_TD(
-        geom.phi.source, geom.horizontal, constant_field(x), constant_field(y), p)),
+        constant_field(x), constant_field(y), p, S_at(geom, p))),
     "adapted.curvature_relation_residual": ([vectors(), vectors(), vectors()], lambda geom, p, *xyz: list(
-        adapted_module.curvature_relation_residual(geom.phi.source, geom.horizontal, *xyz, p).values())),
+        adapted_module.curvature_relation_residual(
+            geom.phi.source, geom.horizontal, *xyz, p, S_at(geom, p)).values())),
     "adapted.curvature_RD_tensor": ([], lambda geom, p: adapted_module.curvature_RD_tensor(
         adapted_jet(geom, p))),
     "adapted.nabla_D_S": ([], lambda geom, p: list(

@@ -8,7 +8,13 @@ import framelift.adapted as adapted_module
 import framelift.frames as frames_module
 import framelift.submersion as submersion_module
 import framelift.suites as suites_module
-from framelift.adapted import W_endo, W_inverse_apply, adapted_frame, adapted_horizontal_lift
+from framelift.adapted import (
+    S_components,
+    W_endo,
+    W_inverse_apply,
+    adapted_frame,
+    adapted_horizontal_lift,
+)
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
 from framelift.frames import Frame, fundamental_vertical, mok_metric, mok_norm, skew_basis
@@ -67,6 +73,12 @@ GEOM = {eid: derive_geometry(e.phi) for eid, e in E.items()}
 def framed(geom, p):
     """The adapted frame of the geometry at p."""
     return adapted_frame(geom.phi.source, geom.horizontal, p)
+
+
+def S_at(geom, p):
+    """S_components of the horizontal distribution at the point or stack p."""
+    M, D = geom.phi.source, geom.horizontal
+    return S_components(M, D, p, christoffel(M, p), D.projector(p))
 
 
 def stacked(p, value):
@@ -234,7 +246,7 @@ class TestAEndomorphism:
         for eid in ("E1", "E2"):
             p = entry_point(eid)
             Y = vertical_basis(GEOM[eid], p)[0]
-            assert np.max(np.abs(A_Y_endos(GEOM[eid], [Y.components], p)[0])) < 1e-8
+            assert np.max(np.abs(A_Y_endos(GEOM[eid], [Y.components], p, S_at(GEOM[eid], p))[0])) < 1e-8
 
     def test_identity_with_corrected_sign(self):
         for eid in ("E2", "E3", "E4"):
@@ -242,7 +254,8 @@ class TestAEndomorphism:
             for X in horizontal_basis(GEOM[eid], p):
                 for Y in vertical_basis(GEOM[eid], p):
                     [res] = A_identity_residuals(GEOM[eid], [X.components], [Y.components], p,
-                                                 second_fundamental_tensor(E[eid].phi, p))
+                                                 second_fundamental_tensor(E[eid].phi, p),
+                                                 S_at(GEOM[eid], p))
                     assert res["asserted"] < 5e-4
 
     def test_printed_sign_fails_on_hopf(self):
@@ -250,13 +263,14 @@ class TestAEndomorphism:
         X = horizontal_basis(GEOM["E3"], p)[0]
         Y = vertical_basis(GEOM["E3"], p)[0]
         B = second_fundamental_tensor(E["E3"].phi, p)
-        assert A_identity_residuals(GEOM["E3"], [X.components], [Y.components], p, B)[0]["printed"] > 0.1
+        assert A_identity_residuals(GEOM["E3"], [X.components], [Y.components], p, B,
+                                    S_at(GEOM["E3"], p))[0]["printed"] > 0.1
 
     def test_rejects_horizontal_argument(self):
         p = entry_point("E3")
         X = horizontal_basis(GEOM["E3"], p)[0]
         with pytest.raises(ValueError):
-            A_Y_endos(GEOM["E3"], [X.components], p)
+            A_Y_endos(GEOM["E3"], [X.components], p, S_at(GEOM["E3"], p))
 
 
 class TestPiXEndo:
@@ -371,7 +385,7 @@ class TestDivergenceDuality:
                 C = adapted_endo_field(geom, top=top)
                 [d] = div_bot(geom, top[None], u)
                 X = vertical_basis(geom, p)[0]
-                [A] = A_Y_endos(geom, [X.components], p)
+                [A] = A_Y_endos(geom, [X.components], p, S_at(geom, p))
                 val = endo_inner(M, p, A, C.eval(p), onb)
                 assert abs(val + float(X.components @ g @ d)) < 5e-4
 
@@ -418,12 +432,12 @@ class TestLiftDifferential:
                     zip(rng.standard_normal(k), horizontal_basis(geom, p)))
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
             d = lift_differential_fd(geom, t) - lift_differential_formula(
-                geom, "horizontal-of-H", x, u)
+                geom, "horizontal-of-H", x, u, S_at(geom, p))
             assert mok_norm(phi.target, d) < 5e-4
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
             d = lift_differential_fd(geom, t) - lift_differential_formula(
-                geom, "horizontal-of-V", y, u)
+                geom, "horizontal-of-V", y, u, S_at(geom, p))
             assert mok_norm(phi.target, d) < 5e-4
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
@@ -431,7 +445,7 @@ class TestLiftDifferential:
             P0 = u.columns @ blk @ u.columns.T @ g
             t = fundamental_vertical(P0, u)
             d = lift_differential_fd(geom, t) - lift_differential_formula(
-                geom, "vertical", P0, u)
+                geom, "vertical", P0, u, S_at(geom, p))
             assert mok_norm(phi.target, d) < 5e-4
 
     def test_totally_geodesic_pure_horizontal(self):
@@ -439,7 +453,7 @@ class TestLiftDifferential:
         p = np.array([0.4, -0.1, 0.2])
         u = adapted_frame(E["E1"].phi.source, geom.horizontal, p)
         x = np.array([1.0, 1.0, 0.0])
-        out = lift_differential_formula(geom, "horizontal-of-H", x, u)
+        out = lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p))
         assert np.max(np.abs(out.frame_rate)) < 1e-10
         assert np.allclose(out.base_rate, [1.0, 1.0])
 
@@ -448,7 +462,7 @@ class TestLiftDifferential:
         p = entry_point("E2")
         u = adapted_frame(E["E2"].phi.source, geom.horizontal, p)
         y = vertical_basis(geom, p)[0].components
-        out = lift_differential_formula(geom, "horizontal-of-V", y, u)
+        out = lift_differential_formula(geom, "horizontal-of-V", y, u, S_at(geom, p))
         assert mok_norm(E["E2"].phi.target, out) < 1e-8
 
     def test_fd_rejects_non_tangent(self):
@@ -470,7 +484,7 @@ class TestLiftDistributions:
         n, k = M.dim, geom.rank
         for p in sample_points(M, 37, 2):
             u = adapted_frame(M, geom.horizontal, p)
-            Vb, Hb = lift_distributions(geom, u)
+            Vb, Hb = lift_distributions(geom, u, S_at(geom, p))
             assert (len(Vb), len(Hb)) == (
                 (n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
             for v in Vb:
@@ -565,14 +579,14 @@ class TestConformalityMeasurement:
         for eid, expect in (("E1", 1.0), ("E2", 1.0), ("E5", 4.0)):
             p = entry_point(eid)
             u = adapted_frame(E[eid].phi.source, GEOM[eid].horizontal, p)
-            Lam, defect = lift_conformality_measurement(GEOM[eid], u)
+            Lam, defect = lift_conformality_measurement(GEOM[eid], u, S_at(GEOM[eid], p))
             assert abs(Lam - expect) < 1e-6
             assert defect < 1e-6
 
     def test_hopf_nonconformal(self):
         p = entry_point("E3")
         u = adapted_frame(E["E3"].phi.source, GEOM["E3"].horizontal, p)
-        Lam, defect = lift_conformality_measurement(GEOM["E3"], u)
+        Lam, defect = lift_conformality_measurement(GEOM["E3"], u, S_at(GEOM["E3"], p))
         assert defect > 0.01
 
     def test_warped_measures_conformal(self):
@@ -580,7 +594,7 @@ class TestConformalityMeasurement:
         # total geodesy: the measured lift dilatation is identically one
         p = entry_point("E4")
         u = adapted_frame(E["E4"].phi.source, GEOM["E4"].horizontal, p)
-        Lam, defect = lift_conformality_measurement(GEOM["E4"], u)
+        Lam, defect = lift_conformality_measurement(GEOM["E4"], u, S_at(GEOM["E4"], p))
         assert abs(Lam - 1.0) < 1e-9
         assert defect < 1e-9
 
@@ -858,26 +872,28 @@ class TestPerPointCosts:
         assert len(tensors) == 1
 
     @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
-    def test_lift_distributions_assembles_S_once(self, monkeypatch, geom):
+    def test_lift_distributions_read_the_callers_S(self, monkeypatch, geom):
         M = geom.phi.source
         p = sample_points(M, 20, 1)[0]
         u = adapted_frame(M, geom.horizontal, p)
-        calls = count_calls(monkeypatch, "S_components", submersion_module)
-        lift_distributions(geom, u)
-        assert len(calls) == 1
+        S = S_at(geom, p)
+        calls = count_calls(monkeypatch, "S_components", submersion_module, adapted_module)
+        lift_distributions(geom, u, S)
+        assert len(calls) == 0
 
     def test_lift_distributions_checks_membership_once_and_batches_S(self, monkeypatch):
         # E3 (n = 3, k = 2) lifts 1 vertical, 2 horizontal and 1 divergence
-        # direction: one Christoffel for the S batch and the horizontal parts,
-        # and one each in W, A and div
+        # direction in one batch: one Christoffel for their horizontal parts and
+        # one in div; W, A and every S_X contract the caller's S
         geom = GEOM["E3"]
         M = geom.phi.source
-        u = adapted_frame(M, geom.horizontal, sample_points(M, 20, 1)[0])
+        p = sample_points(M, 20, 1)[0]
+        u, S = adapted_frame(M, geom.horizontal, p), S_at(geom, p)
         christoffels = count_calls(monkeypatch, "christoffel", geometry_module, frames_module,
                                    adapted_module, submersion_module)
         memberships = count_calls(monkeypatch, "od_membership_defect", adapted_module)
-        lift_distributions(geom, u)
-        assert len(christoffels) == 1 + 3
+        lift_distributions(geom, u, S)
+        assert len(christoffels) == 1 + 1
         assert len(memberships) == 1
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
@@ -886,26 +902,27 @@ class TestPerPointCosts:
         # so(k) direction
         geom = GEOM[eid]
         M = geom.phi.source
-        u = adapted_frame(M, geom.horizontal, sample_points(M, 25, 3))
+        p = sample_points(M, 25, 3)
+        u, S = adapted_frame(M, geom.horizontal, p), S_at(geom, p)
         frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
         blocks = count_calls(monkeypatch, "div_bot", submersion_module)
-        lift_distributions(geom, u)
+        lift_distributions(geom, u, S)
         assert len(frames) == len(blocks) == 1
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_lift_distributions_equal_the_per_vector_lifts(self, eid):
-        # one S batch at u gives bit for bit what a lift per vector gives
+        # one batch at u gives bit for bit what a lift per vector gives
         geom = GEOM[eid]
         M, D = geom.phi.source, geom.horizontal
         p = sample_points(M, 24, 1)[0]
-        u = adapted_frame(M, D, p)
+        u, S = adapted_frame(M, D, p), S_at(geom, p)
         n, k = M.dim, geom.rank
         Ep = u.columns
-        Wm = W_endo(M, D, u)
+        Wm = W_endo(M, u, S)
         lift = lambda x: adapted_horizontal_lift(M, D, TangentVector(p, x), u)
-        Vb, Hb = lift_distributions(geom, u)
+        Vb, Hb = lift_distributions(geom, u, S)
         expect_V = [lift(Ep[:, k + j]) + fundamental_vertical(A, u)
-                    for j, A in enumerate(A_Y_endos(geom, Ep[:, k:].T, p))]
+                    for j, A in enumerate(A_Y_endos(geom, Ep[:, k:].T, p, S))]
         expect_H = [lift(W_inverse_apply(Wm, Ep[:, a])) for a in range(k)]
         for c in skew_basis(k):
             C = adapted_endo_field(geom, top=c)
@@ -924,9 +941,10 @@ class TestPerPointCosts:
         for p in sample_points(M, 21, 2):
             Pi_V, _ = splitting_projectors(geom.phi, p)
             ys = [Pi_V @ v for v in rng.standard_normal((3, M.dim))]
-            batch = A_Y_endos(geom, ys, p)
+            S = S_at(geom, p)
+            batch = A_Y_endos(geom, ys, p, S)
             for y, A in zip(ys, batch):
-                assert np.array_equal(A, A_Y_endos(geom, [y], p)[0])
+                assert np.array_equal(A, A_Y_endos(geom, [y], p, S)[0])
         if geom is GEOM_LINE:
             assert np.max(np.abs(batch[0])) > 1e-3  # the fibers bend, so A != 0
 
@@ -935,8 +953,9 @@ class TestPerPointCosts:
         p = sample_points(geom.phi.source, 22, 1)[0]
         E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
         B = second_fundamental_tensor(geom.phi, p)
-        batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p, B)
-        one = [A_identity_residuals(geom, [E[:, 0]], [E[:, j]], p, B)[0] for j in (1, 2)]
+        S = S_at(geom, p)
+        batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p, B, S)
+        one = [A_identity_residuals(geom, [E[:, 0]], [E[:, j]], p, B, S)[0] for j in (1, 2)]
         assert batch == one
         assert max(r["asserted"] for r in batch) < 5e-4
 
@@ -945,7 +964,7 @@ class TestPerPointCosts:
         p = sample_points(geom.phi.source, 23, 1)[0]
         E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
         with pytest.raises(ValueError, match="vertical"):
-            A_Y_endos(geom, [E[:, 2], E[:, 0]], p)
+            A_Y_endos(geom, [E[:, 2], E[:, 0]], p, S_at(geom, p))
 
 
 class TestOracleIndependence:
@@ -968,5 +987,5 @@ class TestOracleIndependence:
         assert len(tensors) == 1
         Pi_X_endo(geom, TangentVector(p, x), submersion_module.second_fundamental_tensor(geom.phi, p))
         assert len(tensors) == 2  # the formula reads the caller's tensor
-        lift_differential_formula(geom, "horizontal-of-H", x, u)
+        lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p))
         assert len(tensors) == 3  # and builds its own once, for its Pi_X_endo
