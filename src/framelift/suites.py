@@ -36,6 +36,7 @@ from .frames import (
     Frame,
     FrameTangent,
     LMChart,
+    _lift_gram,
     bracket_residual,
     connection_audit,
     fundamental_vertical,
@@ -98,8 +99,6 @@ from .tangent import (
     pi_i_differential,
     pi_i_differential_fd,
     tm_distributions,
-    tm_distributions_displayed_h,
-    tm_kernel_constant_extension,
     tm_split,
     tm_vertical_lift,
 )
@@ -232,22 +231,27 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                          - phi_second_differential_formula(phi, kind, X, Z, cfg)), cfg.tol_fd2)
 
     # kernel/orthogonal distributions of the tangent-bundle map, point by point: the
-    # null space and the constant extension are per point
-    for p in pts[: max(2, samples // 3)]:
+    # null space is per point.  S is built once on the distribution points
+    D = geom.horizontal
+    dpts = pts[: max(2, samples // 3)]
+    S = S_components(M, D, dpts, christoffel(M, dpts, cfg), D.projector(dpts), cfg)
+    I = np.eye(2 * n)
+    for p, S_p in zip(dpts, S):
         Z = Frame(p, 0.7 * rng.standard_normal((n, 1)))
-        Vb, Hb = tm_distributions(geom, Z, cfg)
-        checks.see("distribution_dimensions",
-                   0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k) else 1.0)
-        # both kernel bases start with the same vertical lifts; only the corrected
-        # horizontal half differs
+        Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p, cfg)
+        # the kernel vectors are independent: V^T G has full rank, G the Sasaki-Mok
+        # Gram matrix of the 2n chart directions
+        rates = np.array([np.concatenate([v.base_rate, v.frame_rate[:, 0]]) for v in Vb])
+        G = _lift_gram(M, p, Z.columns, I[:, :n], I[:, n:, None], cfg)
+        checks.see("distribution_dimensions", 0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
+                   and np.linalg.matrix_rank(rates @ G) == len(Vb) else 1.0)
+        # both kernel readings share the vertical lifts e^v; only the corrected half differs
         half = len(Vb) // 2
-        const_ext = tm_kernel_constant_extension(geom, Z, cfg)[half:]
         sizes = _tm_size(phi_second_differential_fd(phi, FrameTangent.stack(Vb + const_ext), cfg))
         checks.see("kernel_distribution", *sizes[:len(Vb)])
         checks.see("distribution_orthogonality", *np.abs(mok_metric(
             M, FrameTangent.stack([v for v in Vb for _ in Hb]), FrameTangent.stack(Hb * len(Vb)), cfg)))
         # displayed orthogonal-side formula, reported against the complement
-        shown = tm_distributions_displayed_h(geom, Z, cfg)
         checks.see("displayed_h_vs_complement", *np.abs(mok_metric(
             M, FrameTangent.stack(Vb * len(shown)), FrameTangent.stack([h for h in shown for _ in Vb]), cfg)))
         checks.see("kernel_constant_extension", *sizes[:half], *sizes[len(Vb):])

@@ -7,7 +7,10 @@ metric (``mok_metric``, the Sasaki-Mok metric on one column) serve TM.
 Here are the vertical lift, the Dombrowski connection map K splitting TTM,
 the second differential of a submersion between tangent bundles, the
 kernel/orthogonal distributions of that second differential, and the
-column projections of the frame bundle onto TM.
+column projections of the frame bundle onto TM.  The kernel at (x, Z) is
+spanned by e^v and e^h + (S_Z e)^v for vertical e, S the difference tensor
+of the horizontal distribution (``adapted.S_components``), which the caller
+builds at x and passes in.
 
 Points (x, Z) and the rates of tangents at them may carry leading axes
 (..., n): every function of points but the distributions, built at one
@@ -15,8 +18,6 @@ point, takes such stacks, and a stack's rows equal row-by-row calls.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -26,21 +27,25 @@ from .geometry import (
     DEFAULT_FD,
     FDConfig,
     TangentVector,
-    VectorField,
     christoffel,
-    covariant_derivatives,
-    constant_field,
+    christoffel_contract,
     orthonormalizer,
 )
-from .frames import Frame, FrameTangent, _lift_gram, _vertical_rate, horizontal_lift_frame, vertical_part
+from .frames import (
+    Frame,
+    FrameTangent,
+    _horizontal_lift,
+    _lift_gram,
+    _vertical_rate,
+    horizontal_lift_frame,
+    vertical_part,
+)
+from .adapted import adapted_frame
 from .submersion import (
     SubmersionSpec,
     SubmersionGeometry,
     differential_matrix,
-    horizontal_basis,
     second_fundamental_form,
-    splitting_projectors,
-    vertical_basis,
 )
 
 
@@ -114,73 +119,42 @@ def phi_second_differential_formula(
 # kernel and orthogonal distributions of the second differential
 # ---------------------------------------------------------------------------
 
-def _extension(geom: SubmersionGeometry, x_val: Array, cfg: FDConfig, part: int) -> VectorField:
-    """Extend a vector as the vertical (part 0) or horizontal (part 1) projector
-    times its constant extension."""
-    return VectorField(eval=lambda q: splitting_projectors(geom.phi, q, cfg)[part] @ x_val)
-
-
-def _lifted_basis(
-    geom: SubmersionGeometry, Z: Frame, cfg: FDConfig, part: int,
-    extend: Callable[[Array], VectorField],
-) -> list[FrameTangent]:
-    """Lifts of the vertical (part 0) or horizontal (part 1) basis e at Z's base point:
-    each e lifted that way, then each e lifted the other way plus that way's lift of
-    the other projection of nabla_Z ``extend(e)``."""
-    M, p = geom.phi.source, Z.base
-    basis = (vertical_basis, horizontal_basis)[part](geom, p)
-    Pi = splitting_projectors(geom.phi, p, cfg)[1 - part]
-    lifts = (lambda e: tm_vertical_lift(e, Z)), (lambda e: horizontal_lift_frame(M, e, Z, cfg))
-    same, other = lifts[part], lifts[1 - part]
-    nabs = covariant_derivatives(M, [(constant_field(Z.vector(0)), extend(e.components)) for e in basis],
-                                 p, cfg)
-    return [same(e) for e in basis] + [other(e) + same(TangentVector(p, Pi @ nab.components))
-                                       for e, nab in zip(basis, nabs)]
-
-
 def tm_distributions(
-    geom: SubmersionGeometry, Z: Frame, cfg: FDConfig = DEFAULT_FD,
-) -> tuple[list[FrameTangent], list[FrameTangent]]:
-    """Kernel basis and Sasaki-orthogonal complement for the tangent-bundle map.
+    geom: SubmersionGeometry, Z: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
+) -> tuple[list[FrameTangent], list[FrameTangent], list[FrameTangent], list[FrameTangent]]:
+    """(kernel, complement, kernel_constant_extension, displayed_h) of the tangent-bundle
+    map at the one-column frame Z, from S = ``S_components`` at Z's base point and one
+    adapted frame and one Christoffel evaluation there.
 
-    The kernel combines vertical lifts of vertical vectors with horizontal
-    lifts corrected by the horizontal part of nabla_Z of a vertical
-    extension: the vertical projector composed with the constant extension,
-    which keeps the extension vertical, the reading under which the kernel
-    property is an identity.  The complement is the null space of V^T G, G
-    the Sasaki-Mok Gram matrix of the 2n chart directions, orthonormalised.
+    S_Z swaps the vertical space V and the horizontal space H; for vertical e, S_Z e is
+    the horizontal part of nabla_Z of any vertical extension of e.  The kernel is
+    e^v, e^h + (S_Z e)^v over e in V; the complement is the null space of V^T G, G the
+    Sasaki-Mok Gram matrix of the 2n chart directions, orthonormalised.  Two diagnostic
+    readings: the kernel's corrected half under a bare constant extension,
+    e^h + (Pi_H Gamma_Z e)^v over e in V, and the displayed orthogonal-side formula
+    e^h, e^v + (S_Z e)^h over e in H.
     """
-    M = geom.phi.source
+    M, p, k = geom.phi.source, Z.base, geom.rank
     n = M.dim
-    V_basis = _lifted_basis(geom, Z, cfg, 0, lambda x: _extension(geom, x, cfg, 0))
+    E = adapted_frame(M, geom.horizontal, p).columns
+    gamma = christoffel(M, p, cfg)
+    SE = christoffel_contract(S, Z.vector(0)) @ E  # columns S_Z e over the adapted frame
+    # Pi_H Gamma_Z e: the first k coefficients of Gamma_Z e in the adapted frame
+    PGE = E[:, :k] @ np.linalg.solve(E, christoffel_contract(gamma, Z.vector(0)) @ E[:, k:])[:k]
+    ver, hor = ((lambda x: tm_vertical_lift(TangentVector(p, x), Z)),
+                (lambda x: _horizontal_lift(gamma, TangentVector(p, x), Z)))
+    V, H = E[:, k:].T, E[:, :k].T
+    kernel = [ver(e) for e in V] + [hor(e) + ver(s) for e, s in zip(V, SE[:, k:].T)]
+    constant = [hor(e) + ver(c) for e, c in zip(V, PGE.T)]
+    shown = [hor(e) for e in H] + [ver(e) + hor(s) for e, s in zip(H, SE[:, :k].T)]
 
     # the chart directions d_x (base rates) and d_Z (fiber rates) lifted at the column Z
     I = np.eye(2 * n)
-    G = _lift_gram(M, Z.base, Z.columns, I[:, :n], I[:, n:, None], cfg)
-    Vmat = np.array([np.concatenate([v.base_rate, v.frame_rate[:, 0]]) for v in V_basis])
-    N = np.linalg.svd(Vmat @ G)[2][len(V_basis):]  # rows span the null space of V^T G
-    H = orthonormalizer(N @ G @ N.T) @ N
-    return V_basis, [FrameTangent(Z, h[:n], h[n:, None]) for h in H]
-
-
-def tm_kernel_constant_extension(
-    geom: SubmersionGeometry, Z: Frame, cfg: FDConfig = DEFAULT_FD,
-) -> list[FrameTangent]:
-    """The kernel formula of ``tm_distributions`` under the bare constant
-    extension of each vertical vector, kept for diagnostics."""
-    return _lifted_basis(geom, Z, cfg, 0, constant_field)
-
-
-def tm_distributions_displayed_h(
-    geom: SubmersionGeometry, Z: Frame, cfg: FDConfig = DEFAULT_FD,
-) -> list[FrameTangent]:
-    """The displayed orthogonal-side formula, reported for comparison only.
-
-    Horizontal lifts of horizontal vectors, plus vertical lifts corrected by
-    the horizontal lift of the vertical part of nabla_Z of a horizontal
-    extension.
-    """
-    return _lifted_basis(geom, Z, cfg, 1, lambda x: _extension(geom, x, cfg, 1))
+    G = _lift_gram(M, p, Z.columns, I[:, :n], I[:, n:, None], cfg)
+    Vmat = np.array([np.concatenate([v.base_rate, v.frame_rate[:, 0]]) for v in kernel])
+    N = np.linalg.svd(Vmat @ G)[2][len(kernel):]  # rows span the null space of V^T G
+    C = orthonormalizer(N @ G @ N.T) @ N
+    return kernel, [FrameTangent(Z, c[:n], c[n:, None]) for c in C], constant, shown
 
 
 # ---------------------------------------------------------------------------

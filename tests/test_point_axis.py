@@ -214,6 +214,12 @@ class TestBatchedKernels:
                           rows_of(lambda p: induced_metric_on_chart(chart, p), stencil))
 
 
+# The modules of the package that bind functions of the kernels; a count through each
+# binding of a name is a count of every call of it.
+PACKAGE_MODULES = (geometry_module, fields_module, catalog_module, frames_module, adapted_module,
+                   submersion_module, tangent_module, suites_module)
+
+
 def count_calls(monkeypatch, module, name):
     tally = []
 
@@ -323,12 +329,26 @@ class TestOneSPerBlock:
         ("suite_lift", 1),
         # classify's stack, for the torsion and the lift measurement
         ("suite_theorems", 1),
+        # the distribution points
+        ("suite_tangent", 1),
     ])
     def test_one_unit_on_E3(self, monkeypatch, suite, builds):
         tallies = [count_calls(monkeypatch, module, "S_components")
                    for module in (adapted_module, submersion_module, suites_module)]
         getattr(suites_module, suite)(get("E3"), seed=42)
         assert sum(map(len, tallies)) == builds
+
+    def test_the_tangent_distributions_read_S(self, monkeypatch):
+        # one E3 unit at seed 42: the kernel's correction is S_Z e, so nothing differences
+        # an extension field.  Building each basis from a projected extension field, the
+        # unit made 9 covariant-derivative batches and 27 splitting_projectors calls; S
+        # takes the projector at the distribution points and on their stencil
+        tallies = {name: [count_calls(monkeypatch, module, name) for module in PACKAGE_MODULES
+                          if hasattr(module, name)]
+                   for name in ("covariant_derivatives", "splitting_projectors")}
+        suites_module.suite_tangent(get("E3"), seed=42)
+        assert {name: sum(map(len, t)) for name, t in tallies.items()} == {
+            "covariant_derivatives": 0, "splitting_projectors": 2}
 
 
 class TestDivBot:
@@ -512,9 +532,6 @@ FIELD_CONSTRUCTORS = {
         ex, g_skew_endo_field(get(ex).phi.source, rng)),
     "catalog.hopf_vertical_field": lambda ex, rng: on_base("E3", hopf_vertical_field()),
     "submersion.adapted_endo_field": lambda ex, rng: on_base(ex, skew_blocks(GEOMS[ex])),
-    "tangent._extension": lambda ex, rng: on_base(ex, *(tangent_module._extension(
-        GEOMS[ex], rng.standard_normal(source_dim(ex)), geometry_module.DEFAULT_FD, part)
-        for part in (0, 1))),
     "frames.horizontal_field_on_chart": lambda ex, rng: [
         case for bundle in ("L", "O") for case in on_bundle(ex, bundle, lambda chart: (
             horizontal_field_on_chart(chart, polynomial_vector_field(source_dim(ex), rng))))],
@@ -1108,7 +1125,7 @@ def tm_tangent(p, r):
     return FrameTangent(tm_point(p, r[..., 0, :]), r[..., 1, :], r[..., 2, :, None])
 
 
-ONE_TM_POINT = "builds a basis at one point: its null space and constant extension are per point"
+ONE_TM_POINT = "builds its bases at one point: the null space of the kernel's pairings is per point"
 # Every public tangent-bundle function of points, in the form of POINT_FUNCTIONS, on the
 # source chart of each example.  ``test_the_table_lists_every_tangent_function_of_points``
 # keeps it complete; the column projections, functions of square frames, are in FRAME_FUNCTIONS.
@@ -1126,8 +1143,6 @@ TANGENT_FUNCTIONS = {
         tangent_module.phi_second_differential_formula(geom.phi, kind, TangentVector(p, x), tm_point(p, z))
         for kind in ("vertical", "horizontal")]),
     "tangent.tm_distributions": ONE_TM_POINT,
-    "tangent.tm_kernel_constant_extension": ONE_TM_POINT,
-    "tangent.tm_distributions_displayed_h": ONE_TM_POINT,
 }
 STACKED_IN_TM = sorted(name for name, case in TANGENT_FUNCTIONS.items() if not isinstance(case, str))
 # The frame-bundle functions that serve the tangent bundle as the bundle of one-column frames:

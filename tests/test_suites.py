@@ -308,6 +308,26 @@ def test_tangent_suite_differences_each_kernel_vector_once(monkeypatch, eid):
 
 
 @pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
+def test_tangent_distribution_dimensions_fail_on_a_dependent_kernel(monkeypatch, eid):
+    # both lengths hold by construction; a kernel whose last vector repeats its first
+    # keeps them, so only its rank fails the row
+    real = suites.tm_distributions
+
+    def duplicating(*args):
+        kernel, *rest = real(*args)
+        return (kernel[:-1] + kernel[:1], *rest)
+
+    def dimensions_row():
+        row, = (r for r in suites.suite_tangent(get(eid), seed=42)
+                if r.name == f"{eid}.tangent.distribution_dimensions")
+        return row.residual, row.status
+
+    assert dimensions_row() == (0.0, "pass")
+    monkeypatch.setattr(suites, "tm_distributions", duplicating)
+    assert dimensions_row() == (1.0, "fail")
+
+
+@pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
 def test_tangent_suite_pairs_each_table_in_one_sasaki_call(monkeypatch, eid):
     # the lift block on the stack of 3 points; at each of 2 distribution points the
     # kernel x complement and kernel x displayed tables; one frame-projection column each.

@@ -19,12 +19,16 @@ from framelift.geometry import (
     TangentVector,
     VectorField,
     _pairing_at,
+    christoffel,
+    constant_field,
     covariant_derivative,
+    covariant_derivatives,
     directional_diff,
     metric_eval,
     sample_points,
 )
-from framelift.submersion import derive_geometry
+from framelift.adapted import S_components
+from framelift.submersion import derive_geometry, horizontal_basis, splitting_projectors, vertical_basis
 from framelift.tangent import (
     connection_map_K,
     phi_second_differential_fd,
@@ -250,6 +254,42 @@ class TestSasakiGram:
         assert np.array_equal(table.reshape(4, 4), pairwise)
 
 
+def distribution_S(geom, p):
+    """S = ``S_components`` at one point p, as a caller of ``tm_distributions`` builds it."""
+    M, D = geom.phi.source, geom.horizontal
+    return S_components(M, D, p, christoffel(M, p), D.projector(p))
+
+
+def field_level_bases(geom, Z):
+    """The kernel, its constant-extension reading and the displayed h-side by their
+    field-level definition: each basis vector e of V (part 0) or H (part 1) lifted that
+    way, then lifted the other way plus that way's lift of the other projection of
+    nabla_Z of an extension of e, differenced by ``covariant_derivatives``.  The
+    extension is Pi_part(q) e, or for the constant-extension reading the constant field e."""
+    M, p = geom.phi.source, Z.base
+
+    def projected(part):
+        return lambda x: VectorField(eval=lambda q: splitting_projectors(geom.phi, q)[part] @ x)
+
+    def lifted(part, extend):
+        basis = (vertical_basis, horizontal_basis)[part](geom, p)
+        Pi = splitting_projectors(geom.phi, p)[1 - part]
+        lifts = (lambda e: tm_vertical_lift(e, Z)), (lambda e: horizontal_lift_frame(M, e, Z))
+        same, other = lifts[part], lifts[1 - part]
+        nabs = covariant_derivatives(
+            M, [(constant_field(Z.vector(0)), extend(e.components)) for e in basis], p)
+        return [same(e) for e in basis] + [other(e) + same(TangentVector(p, Pi @ nab.components))
+                                           for e, nab in zip(basis, nabs)]
+
+    kernel = lifted(0, projected(0))
+    return kernel, lifted(0, constant_field)[len(kernel) // 2:], lifted(1, projected(1))
+
+
+def rates(basis):
+    """The rows (base rate, fiber rate) of a list of tangents to TM."""
+    return np.array([np.concatenate([t.base_rate, t.frame_rate[:, 0]]) for t in basis])
+
+
 class TestDistributions:
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_kernel_and_dims(self, eid):
@@ -259,8 +299,8 @@ class TestDistributions:
         n, k = e.phi.source.dim, e.phi.target.dim
         for p in sample_points(e.phi.source, 7, 2):
             Z = tm_point(p, 0.5 * rng.standard_normal(n))
-            Vb, Hb = tm_distributions(geom, Z)
-            assert (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
+            Vb, Hb, const_ext, shown = tm_distributions(geom, Z, distribution_S(geom, p))
+            assert (len(Vb), len(Hb), len(const_ext), len(shown)) == (2 * (n - k), 2 * k, n - k, 2 * k)
             for v in Vb:
                 img = phi_second_differential_fd(e.phi, v)
                 assert max(np.max(np.abs(img.base_rate)), np.max(np.abs(img.frame_rate[..., 0]))) < 5e-4
@@ -268,15 +308,27 @@ class TestDistributions:
                 for h in Hb:
                     assert abs(mok_metric(e.phi.source, v, h)) < 1e-6
 
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_bases_match_the_field_level_definition(self, eid):
+        # S_Z e for vertical e is the horizontal part of nabla_Z of a vertical extension,
+        # and for horizontal e the vertical part of nabla_Z of a horizontal one
+        geom = derive_geometry(get(eid).phi)
+        M = geom.phi.source
+        rng = np.random.default_rng(12)
+        for p in sample_points(M, 13, 3):
+            Z = tm_point(p, 0.7 * rng.standard_normal(M.dim))
+            Vb, _, const_ext, shown = tm_distributions(geom, Z, distribution_S(geom, p))
+            for got, want in zip((Vb, const_ext, shown), field_level_bases(geom, Z)):
+                assert np.max(np.abs(rates(got) - rates(want))) <= 1e-9 * np.max(np.abs(rates(want)))
+
     def test_flat_projection_kernel_structure(self):
         # kernel of the flat projection: vertical and horizontal lifts of e3
-        e1 = get("E1")
-        Z = tm_point(np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6]))
-        Vb, _ = tm_distributions(derive_geometry(e1.phi), Z)
-        mats = [np.concatenate([v.base_rate, v.frame_rate[..., 0]]) for v in Vb]
+        geom = derive_geometry(get("E1").phi)
+        p = np.array([0.1, 0.2, 0.3])
+        Vb, *_ = tm_distributions(geom, tm_point(p, np.array([0.4, 0.5, 0.6])), distribution_S(geom, p))
+        span = rates(Vb).T
         expect_a = np.concatenate([np.zeros(3), [0, 0, 1.0]])
         expect_b = np.concatenate([[0, 0, 1.0], np.zeros(3)])
-        span = np.column_stack(mats)
         for target in (expect_a, expect_b):
             coef, res, *_ = np.linalg.lstsq(span, target, rcond=None)
             assert np.max(np.abs(span @ coef - target)) < 1e-10
