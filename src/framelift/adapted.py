@@ -46,10 +46,10 @@ from .frames import (
     endo_covariant_derivative,
     _horizontal_lift,
     fundamental_vertical,
+    _case_fields,
     lc_total_space_oracle,
     mok_norm,
     offdiag_skew_basis,
-    vertical_field_on_chart,
 )
 
 
@@ -461,16 +461,6 @@ def adapted_chart(M: ChartManifold, D: DistributionSpec, name: str = "O(D)") -> 
     )
 
 
-def adapted_horizontal_field_on_chart(
-    chart: FrameChart, M: ChartManifold, D: DistributionSpec, X: VectorField,
-    cfg: FDConfig = DEFAULT_FD,
-):
-    """Chart field q (..., dim) -> rates of the adapted horizontal lift of X (tangent to O(D))."""
-    return lambda q: chart._rates_of(
-        q, lambda u: adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u, cfg),
-        cfg)
-
-
 def adapted_connection_audit(
     M: ChartManifold, D: DistributionSpec, u: Frame, fields: dict, R: Array,
     cfg: FDConfig = DEFAULT_FD,
@@ -481,18 +471,15 @@ def adapted_connection_audit(
     lift types, so plausible readings are evaluated against one oracle
     evaluation per point and the best-matching reading is flagged per case.
     ``R`` is ``curvature_tensor(M, u.base)``, for the L_P lines.  S at u's base point
-    is built once and serves L_P, the lifted right-hand sides and the RD jet.
+    is built once and serves L_P, the lifted right-hand sides and the RD jet; one
+    ``mok_norm`` of the stacked differences gives every residual.
     """
     chart = adapted_chart(M, D)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
     p = u.base
     onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
     q = chart.encode(u)
-
-    hX = adapted_horizontal_field_on_chart(chart, M, D, X, cfg)
-    hY = adapted_horizontal_field_on_chart(chart, M, D, Y, cfg)
-    vP = vertical_field_on_chart(chart, P, cfg)
-    vQ = vertical_field_on_chart(chart, Q, cfg)
+    cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
 
     gamma, P_D = christoffel(M, p, cfg), D.projector(p)
     S = S_components(M, D, p, gamma, P_D, cfg)
@@ -510,18 +497,14 @@ def adapted_connection_audit(
     RD_endo = np.einsum("ijkl,i,j->lk", RDxy, xval, yval)
 
     rows: list[dict] = []
-    oracle = dict(zip(("hh", "hv", "vh", "vv"), lc_total_space_oracle(
-        chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q, cfg)))
+    differences: list[FrameTangent] = []
+    oracle = dict(zip(("hh", "hv", "vh", "vv"), lc_total_space_oracle(chart, _case_fields(
+        M, cases, cfg, lambda M, X, v, cfg: adapted_horizontal_lift(M, D, X, v, cfg)), q, cfg)))
 
     def case_rows(case, readings):
         for reading, rhs in readings:
-            rows.append({
-                "bundle": "O(D)",
-                "case": case,
-                "reading": reading,
-                "residual": mok_norm(M, oracle[case] - rhs, cfg),
-                "asserted": False,
-            })
+            rows.append({"bundle": "O(D)", "case": case, "reading": reading, "asserted": False})
+            differences.append(oracle[case] - rhs)
 
     # the right-hand sides' vectors, lifted in one batch: nabla_X Y and nablaD_X Y
     # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
@@ -556,6 +539,8 @@ def adapted_connection_audit(
         ("-1/2 [P,Q]*", fundamental_vertical(-0.5 * (Pval @ Qval - Qval @ Pval), u)),
     ])
 
+    for r, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences), cfg)):
+        r["residual"] = residual
     best: dict = {}
     for r in rows:
         if r["case"] not in best or r["residual"] < best[r["case"]]["residual"]:

@@ -9,6 +9,13 @@ identity used elsewhere.  The tangent bundle TM is the bundle of
 one-column frames: its point (x, Z) is the frame of the column Z, and the
 horizontal lift and the Mok metric here are its horizontal lift and
 Sasaki-Mok metric (``framelift.tangent``).
+
+A field on the total space is a frame field, a function Frame ->
+FrameTangent that takes stacks of frames, as the horizontal lift, the
+fundamental vertical and the adapted horizontal lift are.  The oracle and
+the finite-difference bracket read such fields through two chart
+Jacobians per point set: J(q) at the points, and J on one stencil that
+serves every difference.
 """
 
 from __future__ import annotations
@@ -25,14 +32,17 @@ from .geometry import (
     EndomorphismField,
     FDConfig,
     TangentVector,
-    VectorField,
+    _check_domain,
+    _check_stencil,
+    _christoffel_from,
+    _difference,
+    _directional_stencil,
     _pairing_at,
     central_diff,
     christoffel,
     christoffel_contract,
     column_gram,
     covariant_derivative,
-    covariant_derivatives,
     curvature_R_P,
     directional_diff,
     lie_bracket,
@@ -432,10 +442,7 @@ class FrameChart:
                           cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
         """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q): qdot @ J.
         At points q (..., dim) a row has q's shape and gives one tangent per point, bit for bit."""
-        u, Jx, JE = self.jacobian(q, cfg)
-        JE = JE.reshape(JE.shape[:-2] + (-1,))
-        return [FrameTangent(u, qdot @ Jx, (qdot[..., None, :] @ JE)[..., 0, :].reshape(u.columns.shape))
-                for qdot in np.asarray(qdots, dtype=float)]
+        return self._tangents_at(self.jacobian(q, cfg), qdots)
 
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
         return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
@@ -445,15 +452,21 @@ class FrameChart:
 
         Errors if t is attached to another frame or is not tangent to the chart.
         """
-        return self._rates_of(q, lambda _u: t, cfg)
+        return self._rates_at(self.jacobian(q, cfg), t)
 
-    def _rates_of(self, q: Array, tangent_at: Callable[[Frame], FrameTangent],
-                  cfg: FDConfig = DEFAULT_FD) -> Array:
-        """Chart rates at points q (..., dim) of ``tangent_at(u)``, u = decode(q), from one
-        ``jacobian(q)``: least squares against J's near-orthonormal skew rows by one stacked
-        normal-equations ``solve``.  Raises if any point's tangent is not tangent to the chart."""
-        u, _, JE = self.jacobian(q, cfg)
-        t = tangent_at(u)
+    def _tangents_at(self, J: tuple, qdots: Array) -> list[FrameTangent]:
+        """``chart_to_tangents`` from the chart Jacobian J = jacobian(q) the caller holds."""
+        u, Jx, JE = J
+        JE = JE.reshape(JE.shape[:-2] + (-1,))
+        return [FrameTangent(u, qdot @ Jx, (qdot[..., None, :] @ JE)[..., 0, :].reshape(u.columns.shape))
+                for qdot in np.asarray(qdots, dtype=float)]
+
+    def _rates_at(self, J: tuple, t: FrameTangent) -> Array:
+        """Chart rates of the tangent t at the frames of the chart Jacobian J = jacobian(q),
+        points q (..., dim): least squares against J's near-orthonormal skew rows by one
+        stacked normal-equations ``solve``.  Raises if t is attached to other frames or if
+        any point's t is not tangent to the chart."""
+        u, _, JE = J
         _same_frame(u, t.at)
         n = self.manifold.dim
         rhs = t.frame_rate - np.einsum("...a,...aij->...ij", t.base_rate, JE[..., :n, :, :])
@@ -493,21 +506,21 @@ class LMChart:
         return self.join(u.base, u.columns)
 
     def jacobian(self, q: Array, cfg: FDConfig = DEFAULT_FD) -> tuple[Frame, Array, Array]:
-        """decode(q) and the constant J: the chart rates are (xdot, vec(Edot)) themselves."""
+        """decode(q) and the constant J: the chart rates are (xdot, vec(Edot)) themselves.
+        JE is a read-only view with q's leading axes, as a ``FrameChart``'s JE has them."""
         n = self.manifold.dim
-        return self.decode(q), np.eye(self.dim, n), np.eye(self.dim)[:, n:].reshape(self.dim, n, n)
+        JE = np.eye(self.dim)[:, n:].reshape(self.dim, n, n)
+        return self.decode(q), np.eye(self.dim, n), np.broadcast_to(JE, np.shape(q)[:-1] + JE.shape)
 
     chart_to_tangents = FrameChart.chart_to_tangents
     chart_to_tangent = FrameChart.chart_to_tangent
+    tangent_to_chart = FrameChart.tangent_to_chart
+    _tangents_at = FrameChart._tangents_at
 
-    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
-        _same_frame(self.decode(q), t.at)
+    def _rates_at(self, J: tuple, t: FrameTangent) -> Array:
+        """Chart rates of t at the frames of J = jacobian(q): (xdot, vec(Edot)) themselves."""
+        _same_frame(J[0], t.at)
         return self.join(t.base_rate, t.frame_rate)
-
-    def _rates_of(self, q: Array, tangent_at: Callable[[Frame], FrameTangent],
-                  cfg: FDConfig = DEFAULT_FD) -> Array:
-        """Chart rates at q of ``tangent_at(decode(q))``; decoding is a reshape here."""
-        return self.tangent_to_chart(q, tangent_at(self.decode(q)), cfg)
 
 
 def om_chart(M: ChartManifold, name: str = "O(M)") -> FrameChart:
@@ -556,53 +569,69 @@ def total_space_cfg(cfg: FDConfig) -> FDConfig:
 
 def lc_total_space_oracle(
     chart,
-    pairs: Sequence[tuple[Callable[[Array], Array], Callable[[Array], Array]]],
+    pairs: Sequence[tuple[Callable[[Frame], FrameTangent], Callable[[Frame], FrameTangent]]],
     q: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
-    """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair,
-    at chart points q (..., dim).
+    """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair
+    of frame fields (Frame -> FrameTangent, as the lifts are), at chart points q (..., dim).
 
-    Each field gives chart-coordinate rates as a function of the chart
-    point.  Everything is brute force, differenced at ``total_space_cfg``'s
-    step.  The Christoffel symbols are built once for the stack q and
-    contracted for every pair.
+    Brute force on the Mok metric G of ``induced_metric_on_chart``, differenced at
+    ``total_space_cfg``'s step h, from two chart Jacobians.  J(q) gives G(q), every
+    field's chart rates at q (``_rates_at``) and the read-back of the results.  J on one
+    stencil gives dG and each distinct B along each distinct A direction a: the points
+    q +- h e_k of ``central_diff`` and q +- h a/|a| of ``directional_diff``.  With Gamma
+    from ``geometry``'s one formula, nabla_A B = dB(a) + Gamma(a, b) is, bit for bit,
+    ``covariant_derivatives`` on ``total_space_manifold`` with the chart fields
+    q -> tangent_to_chart(q, F(decode(q))), and raises the same ``DomainError``s.
     """
-    total = total_space_manifold(chart, cfg)
-    out = covariant_derivatives(
-        total, [(VectorField(eval=A), VectorField(eval=B)) for A, B in pairs], q,
-        total_space_cfg(cfg),
-    )
-    return chart.chart_to_tangents(q, np.array([v.components for v in out]), cfg)
+    total, h = total_space_manifold(chart, cfg), total_space_cfg(cfg).step_h
+    q = _check_domain(total, q)
+    _check_stencil(total, q, h)
+    J = chart.jacobian(q, cfg)
+    fields = {id(F): F for pair in pairs for F in pair}  # each distinct field once
+    at_q = {key: _field_rates(chart, J, F) for key, F in fields.items()}
+    As, Bs = list(dict.fromkeys(id(A) for A, _ in pairs)), dict.fromkeys(id(B) for _, B in pairs)
+    K = chart.dim  # the stencil's first K directions are e_k, for dG; the rest the A directions
+    coords = np.broadcast_to(np.eye(K).reshape((K,) + (1,) * (q.ndim - 1) + (K,)), (K,) + q.shape)
+    pts, norm = _directional_stencil(q, np.concatenate([coords, [at_q[A] for A in As]]), h)
+    Js = chart.jacobian(pts, cfg)
+    (u, Jx, JE), us = J, Js[0][:, :K]
+    dG = _difference(_lift_gram(chart.manifold, us.base, us.columns, Jx, Js[2][:, :K], cfg), norm[:K], h)
+    gamma = _christoffel_from(_lift_gram(chart.manifold, u.base, u.columns, Jx, JE, cfg),
+                              np.moveaxis(dG, 0, -3))
+    dB = {key: _difference(_field_rates(chart, Js, fields[key], np.s_[:, K:]), norm[K:], h) for key in Bs}
+    return chart._tangents_at(J, np.array([
+        dB[id(B)][As.index(id(A))] + np.einsum("...kij,...i,...j->...k", gamma, at_q[id(A)], at_q[id(B)])
+        for A, B in pairs]))
 
 
 def fd_bracket_on_chart(
     chart,
-    A_field: Callable[[Array], Array],
-    B_field: Callable[[Array], Array],
+    A_field: Callable[[Frame], FrameTangent],
+    B_field: Callable[[Frame], FrameTangent],
     q: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> FrameTangent:
-    """Finite-difference Lie bracket [A, B] of two total-space fields at chart points q (..., dim),
-    at ``total_space_cfg``'s step."""
-    out = lie_bracket(VectorField(eval=A_field), VectorField(eval=B_field), q, total_space_cfg(cfg))
-    return chart.chart_to_tangent(q, out.components, cfg)
+    """Finite-difference Lie bracket [A, B] = dB(a) - dA(b) of two frame fields at chart
+    points q (..., dim), at ``total_space_cfg``'s step: ``lie_bracket`` on their chart rates,
+    from J(q) and one J on the stencil along a and b."""
+    h = total_space_cfg(cfg).step_h
+    q = np.asarray(q, dtype=float)
+    J = chart.jacobian(q, cfg)
+    a, b = _field_rates(chart, J, A_field), _field_rates(chart, J, B_field)
+    pts, norm = _directional_stencil(q, np.array([a, b]), h)
+    Js = chart.jacobian(pts, cfg)
+    dBa, dAb = (_difference(_field_rates(chart, Js, F, np.s_[:, i]), norm[i], h)
+                for i, F in enumerate((B_field, A_field)))
+    return chart._tangents_at(J, [dBa - dAb])[0]
 
 
-# ---------------------------------------------------------------------------
-# total-space realizations of the structural vector fields
-# ---------------------------------------------------------------------------
-
-def horizontal_field_on_chart(chart, X: VectorField, cfg: FDConfig = DEFAULT_FD):
-    """Chart-coordinate field q (..., dim) -> rates of the horizontal lift of X."""
-    M = chart.manifold
-    return lambda q: chart._rates_of(
-        q, lambda u: horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u, cfg), cfg)
-
-
-def vertical_field_on_chart(chart, P: EndomorphismField, cfg: FDConfig = DEFAULT_FD):
-    """Chart-coordinate field of the fundamental vertical field of P."""
-    return lambda q: chart._rates_of(q, lambda u: fundamental_vertical(P.eval(u.base), u), cfg)
+def _field_rates(chart, J: tuple, F: Callable[[Frame], FrameTangent], rows=...) -> Array:
+    """Chart rates of the frame field F at the frames of the chart Jacobian J, or at its ``rows``."""
+    u, Jx, JE = J
+    J = (u[rows], Jx, JE[rows])
+    return chart._rates_at(J, F(J[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +745,16 @@ def bracket_rhs(
     raise ValueError(f"unknown case {case!r}")
 
 
-def _case_fields(chart, cases: Sequence[tuple[str, tuple]], cfg: FDConfig) -> list[tuple]:
-    """The chart fields (A, B) of each (case, inputs).  A field that several
-    cases share is built once, so the oracle evaluates and differences it once."""
+def _case_fields(M: ChartManifold, cases: Sequence[tuple[str, tuple]], cfg: FDConfig,
+                 horizontal: Callable = horizontal_lift_frame) -> list[tuple]:
+    """The frame fields (A, B) of each (case, inputs): ``horizontal(M, X, u, cfg)`` of a
+    vector field ("h"), the fundamental vertical of an endomorphism field ("v").  A field
+    that several cases share is built once, so the oracle evaluates and differences it once."""
     for case in {case for case, _ in cases} - {"hh", "hv", "vh", "vv"}:
         raise ValueError(f"unknown case {case!r}")
-    lift = {"h": horizontal_field_on_chart, "v": vertical_field_on_chart}
-    made = {(kind, id(F)): lift[kind](chart, F, cfg) for case, AB in cases for kind, F in zip(case, AB)}
+    lift = {"h": lambda X: lambda u: horizontal(M, X.at(u.base), u, cfg),
+            "v": lambda P: lambda u: fundamental_vertical(P.eval(u.base), u)}
+    made = {(kind, id(F)): lift[kind](F) for case, AB in cases for kind, F in zip(case, AB)}
     return [tuple(made[kind, id(F)] for kind, F in zip(case, AB)) for case, AB in cases]
 
 
@@ -737,12 +769,12 @@ def bracket_residual(
 ) -> dict[str, Array]:
     """Mok norm of (finite-difference bracket) - (closed-form right side), by reading,
     one per frame of u.  The finite-difference bracket is taken once for all readings
-    and frames; ``R`` is as in ``bracket_rhs``."""
-    [(A, B)] = _case_fields(chart, [(case, inputs)], cfg)
-    q = chart.encode(u)
-    fd = fd_bracket_on_chart(chart, A, B, q, cfg)
-    return {name: mok_norm(M, fd - rhs, cfg)
-            for name, rhs in bracket_rhs(M, case, inputs, u, R, cfg).items()}
+    and frames, and one ``mok_norm`` measures the stack of their differences; ``R`` is
+    as in ``bracket_rhs``."""
+    [(A, B)] = _case_fields(M, [(case, inputs)], cfg)
+    fd = fd_bracket_on_chart(chart, A, B, chart.encode(u), cfg)
+    rhs = bracket_rhs(M, case, inputs, u, R, cfg)
+    return dict(zip(rhs, mok_norm(M, FrameTangent.stack([fd - line for line in rhs.values()]), cfg)))
 
 
 def connection_audit(
@@ -757,23 +789,22 @@ def connection_audit(
 
     ``fields`` supplies X, Y (vector fields) and P, Q (endomorphism fields,
     g-skew for O(M)); ``R`` is ``curvature_tensor(M, u.base)``.  One oracle
-    call serves every case and frame, and one ``lc_connection_formula`` call
-    gives their closed forms; each reading of each case is a row, and the
+    call serves every case and frame, one ``lc_connection_formula`` call
+    gives their closed forms and one ``mok_norm`` of the stacked differences
+    their residuals; each reading of each case is a row, and the
     "literal" hv/vh rows are unasserted diagnostics.  A row's residual has
     one value per frame of u.
     """
     chart = LMChart(M) if bundle == "L" else om_chart(M)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
     cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
-    oracles = lc_total_space_oracle(chart, _case_fields(chart, cases, cfg), chart.encode(u), cfg)
-    rows = []
+    oracles = lc_total_space_oracle(chart, _case_fields(M, cases, cfg), chart.encode(u), cfg)
+    rows, differences = [], []
     for (case, _), oracle, rhs in zip(cases, oracles, lc_connection_formula(M, bundle, cases, u, R, cfg)):
         for reading, line in rhs.items():
-            rows.append({
-                "bundle": bundle,
-                "case": case,
-                "reading": reading,
-                "residual": mok_norm(M, oracle - line, cfg),
-                "asserted": reading == "resolved",
-            })
+            rows.append({"bundle": bundle, "case": case, "reading": reading,
+                         "asserted": reading == "resolved"})
+            differences.append(oracle - line)
+    for row, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences), cfg)):
+        row["residual"] = residual
     return rows

@@ -190,12 +190,22 @@ def directional_diff(f: Callable[[Array], Array], p: Array, v: Array, h: float) 
     with leading axes.  The result has v's leading axes followed by f's
     value shape.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    pts, norm = _directional_stencil(np.asarray(p, dtype=float), np.asarray(v, dtype=float), h)
+    return _difference(_on_stencil(f, pts), norm, h)
+
+
+def _directional_stencil(p: Array, v: Array, h: float) -> tuple[Array, Array]:
+    """The points p +- h v/|v| (2, ..., dim) of ``directional_diff`` and the norms |v|
+    (...); a zero direction steps nowhere.  A unit e_k gives ``_stencil``'s points."""
     norm = np.sqrt(_norm2(v))
     hu = h * (v / np.where(norm > 0.0, norm, 1.0)[..., None])
-    fs = _on_stencil(f, p + np.array([hu, -hu]))
-    norm = norm.reshape(norm.shape + (1,) * (fs.ndim - v.ndim))
+    return p + np.array([hu, -hu]), norm
+
+
+def _difference(fs: Array, norm: Array, h: float) -> Array:
+    """|v| (f(p + h v/|v|) - f(p - h v/|v|)) / 2h from the values fs (2, ...) of f on
+    ``_directional_stencil``'s points; for |v| = 1 the quotient of ``central_diff``."""
+    norm = norm.reshape(norm.shape + (1,) * (fs.ndim - 1 - norm.ndim))
     return norm * (fs[0] - fs[1]) / (2.0 * h)
 
 
@@ -289,13 +299,16 @@ def christoffel(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array
     Symmetric in (i, j) by construction.
     """
     p = np.asarray(p, dtype=float)
-    g = metric_eval(M, p)
-    dg = metric_derivative_eval(M, p, cfg)
-    ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_mi - d_m g_ij)
+    return _christoffel_from(metric_eval(M, p), metric_derivative_eval(M, p, cfg))
+
+
+def _christoffel_from(g: Array, dg: Array) -> Array:
+    """Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_mi - d_m g_ij) from the metric g (..., n, n)
+    and its derivatives dg[..., k, i, j] = d_k g_ij: the one formula behind ``christoffel``
+    and the total-space oracle (``frames.lc_total_space_oracle``)."""
     d_i = dg.swapaxes(-3, -2)  # [m, i, j] = d_i g_mj
     bracket = d_i + d_i.swapaxes(-2, -1) - dg
-    return 0.5 * np.einsum("...km,...mij->...kij", ginv, bracket)
+    return 0.5 * np.einsum("...km,...mij->...kij", np.linalg.inv(g), bracket)
 
 
 def christoffel_contract(gamma: Array, x: Array) -> Array:

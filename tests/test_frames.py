@@ -11,7 +11,6 @@ from framelift.adapted import (
     adapted_chart,
     adapted_connection_audit,
     adapted_frame,
-    adapted_horizontal_field_on_chart,
     adapted_horizontal_lift,
 )
 from framelift.catalog import euclidean_chart, get, sphere_chart
@@ -23,8 +22,8 @@ from framelift.frames import (
     bracket_residual,
     connection_audit,
     FrameChart,
+    fd_bracket_on_chart,
     fundamental_vertical,
-    horizontal_field_on_chart,
     horizontal_lift_frame,
     induced_metric_on_chart,
     lc_connection_formula,
@@ -37,10 +36,20 @@ from framelift.frames import (
     om_chart,
     reference_frame,
     skew_basis,
-    vertical_field_on_chart,
+    total_space_cfg,
+    total_space_manifold,
     vertical_part,
 )
-from framelift.geometry import TangentVector, curvature_tensor, metric_eval, sample_points
+from framelift.geometry import (
+    DEFAULT_FD,
+    TangentVector,
+    VectorField,
+    covariant_derivatives,
+    curvature_tensor,
+    lie_bracket,
+    metric_eval,
+    sample_points,
+)
 from framelift.submersion import adapted_endo_field, derive_geometry
 
 R1 = euclidean_chart(1)
@@ -263,13 +272,12 @@ class TestBrackets:
         # coordinate fields commute, so the bracket of their lifts is the
         # pure vertical curvature term
         from framelift.geometry import coordinate_field
-        from framelift.frames import fd_bracket_on_chart, horizontal_field_on_chart
 
         p = np.array([0.3, -0.2])
         u = on_frame(S2, p)
         chart = LMChart(S2)
-        A = horizontal_field_on_chart(chart, coordinate_field(0, 2))
-        B = horizontal_field_on_chart(chart, coordinate_field(1, 2))
+        A, B = (lambda v, X=coordinate_field(i, 2): horizontal_lift_frame(S2, X.at(v.base), v)
+                for i in range(2))
         fd = fd_bracket_on_chart(chart, A, B, chart.encode(u))
         R = np.einsum("ijkl,i,j->lk", curvature_tensor(S2, p), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         expect = fundamental_vertical(-R, u)
@@ -382,22 +390,9 @@ class TestOneEvaluationPerCase:
                             "vh": ["resolved", "literal"], "vv": ["resolved"]}
         assert all(r["asserted"] == (r["reading"] == "resolved") for r in rows)
 
-    @pytest.mark.parametrize("bundle", ["L(M)", "O(M)", "O(D)"])
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
     def test_batched_oracle_equals_one_pair_calls(self, bundle):
-        e = get("E3")
-        M = e.phi.source
-        p = sample_points(M, 42, 1)[0]
-        if bundle == "L(M)":
-            chart, u = LMChart(M), on_frame(M, p)
-        elif bundle == "O(M)":
-            chart, u = om_chart(M), on_frame(M, p)
-        else:
-            D = derive_geometry(e.phi).horizontal
-            chart, u = adapted_chart(M, D), adapted_frame(M, D, p)
-        q = chart.encode(u)
-        rng = np.random.default_rng(23)
-        pairs = [tuple(polynomial_vector_field(chart.dim, rng, exact_jacobian=False).eval
-                       for _ in range(2)) for _ in range(4)]
+        chart, q, pairs = lift_pairs("E3", bundle, 42)
         batched = lc_total_space_oracle(chart, pairs, q)
         assert len(batched) == 4
         for pair, t in zip(pairs, batched):
@@ -406,24 +401,19 @@ class TestOneEvaluationPerCase:
             assert np.array_equal(t.frame_rate, one.frame_rate)
 
     def test_each_field_is_evaluated_once_at_the_centre(self):
-        e = get("E3")
-        M = e.phi.source
-        chart = om_chart(M)
-        q = chart.encode(on_frame(M, sample_points(M, 42, 1)[0]))
-        rng = np.random.default_rng(24)
+        chart, q, pairs = lift_pairs("E3", "O", 24)
         centre_calls = {}
 
-        def counted(name):
-            f = polynomial_vector_field(chart.dim, rng, exact_jacobian=False).eval
-
-            def field(x):
-                if np.array_equal(x, q):
+        def counted(name, F):
+            def field(u):
+                if u.base.shape == q.shape[:-1] + (chart.manifold.dim,):  # q's frame, not a stencil
                     centre_calls[name] = centre_calls.get(name, 0) + 1
-                return f(x)
+                return F(u)
 
             return field
 
-        hX, hY, vP, vQ = (counted(name) for name in ("hX", "hY", "vP", "vQ"))
+        (hX, hY), (_, vQ), (vP, _), _ = pairs
+        hX, hY, vP, vQ = (counted(name, F) for name, F in zip(("hX", "hY", "vP", "vQ"), (hX, hY, vP, vQ)))
         lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q)
         assert centre_calls == {"hX": 1, "hY": 1, "vP": 1, "vQ": 1}
 
@@ -436,6 +426,103 @@ class TestOneEvaluationPerCase:
         res = bracket_residual(S2, LMChart(S2), "hv", (X, Q), on_frame(S2, p), curvature_tensor(S2, p))
         assert len(calls) == 1
         assert set(res) == {"resolved", "literal"}
+
+
+def lift_pairs(example, bundle, seed, count=None):
+    """A bundle chart over the example's source, the chart point of the suite's frame at
+    its first sample point (or points of the first ``count``: reference frames, adapted
+    ones on O(D)) and the four case pairs of frame fields as the audits build them:
+    (X^h, Y^h), (X^h, Q*), (P*, Y^h), (P*, Q*), with the adapted lift and block-diagonal
+    g-skew P, Q on O(D), g-skew P, Q on O(M)."""
+    phi = get(example).phi
+    M = phi.source
+    rng = np.random.default_rng(seed)
+    pts = sample_points(M, seed, count or 1)[slice(None) if count else 0]
+    X, Y = polynomial_vector_field(M.dim, rng), polynomial_vector_field(M.dim, rng)
+    horizontal = horizontal_lift_frame
+    if bundle == "D":
+        geom = derive_geometry(phi)
+        D, k = geom.horizontal, geom.rank
+        chart, u = adapted_chart(M, D), adapted_frame(M, D, pts)
+        Ja = np.zeros((k, k))
+        if k >= 2:
+            Ja[0, 1], Ja[1, 0] = -1.0, 1.0
+        P, Q = adapted_endo_field(geom, top=0.8 * Ja), adapted_endo_field(geom, top=-1.3 * Ja)
+        horizontal = lambda M, X, v, cfg: adapted_horizontal_lift(M, D, X, v, cfg)  # noqa: E731
+    elif bundle == "O":
+        chart, u = om_chart(M), Frame(pts, reference_frame(M, pts))
+        P, Q = g_skew_endo_field(M, rng), g_skew_endo_field(M, rng)
+    else:
+        chart, u = LMChart(M), Frame(pts, reference_frame(M, pts))
+        P, Q = polynomial_endo_field(M.dim, rng), polynomial_endo_field(M.dim, rng)
+    cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
+    return chart, chart.encode(u), frames_module._case_fields(M, cases, DEFAULT_FD, horizontal)
+
+
+class TestGenericPathReference:
+    """The oracle and the FD bracket read the frame fields through two chart Jacobians;
+    ``covariant_derivatives`` and ``lie_bracket`` on the total-space chart, with the chart
+    fields q -> tangent_to_chart(q, F(decode(q))), stay their reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [42, 1])
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    @pytest.mark.parametrize("example", ["E1", "E2", "E3", "E4", "E5"])
+    def test_oracle_and_bracket_equal_the_generic_path(self, example, bundle, seed):
+        chart, q, pairs = lift_pairs(example, bundle, seed, count=3)
+        cfg_total = total_space_cfg(DEFAULT_FD)
+        rates = {id(F): VectorField(eval=lambda qq, F=F: chart.tangent_to_chart(qq, F(chart.decode(qq))))
+                 for pair in pairs for F in pair}
+        fields = [(rates[id(A)], rates[id(B)]) for A, B in pairs]
+        generic = chart.chart_to_tangents(q, [v.components for v in covariant_derivatives(
+            total_space_manifold(chart), fields, q, cfg_total)])
+        for got, ref in zip(lc_total_space_oracle(chart, pairs, q), generic):
+            assert np.array_equal(got.base_rate, ref.base_rate)
+            assert np.array_equal(got.frame_rate, ref.frame_rate)
+        for (A, B), (a, b) in zip(pairs, fields):
+            got = fd_bracket_on_chart(chart, A, B, q)
+            ref = chart.chart_to_tangent(q, lie_bracket(a, b, q, cfg_total).components)
+            assert np.array_equal(got.base_rate, ref.base_rate)
+            assert np.array_equal(got.frame_rate, ref.frame_rate)
+
+
+class TestTwoChartJacobians:
+    """Each point set goes through the chart once: J(q), and J on one joint stencil."""
+
+    def count(self, monkeypatch, chart):
+        tally = []
+        real = type(chart).jacobian
+
+        def counting(*args, **kwargs):
+            tally.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(type(chart), "jacobian", counting)
+        return tally
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_oracle_of_four_pairs(self, monkeypatch, bundle):
+        chart, q, pairs = lift_pairs("E3", bundle, 42, count=3)
+        calls = self.count(monkeypatch, chart)
+        lc_total_space_oracle(chart, pairs, q)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_fd_bracket(self, monkeypatch, bundle):
+        chart, q, pairs = lift_pairs("E3", bundle, 42, count=3)
+        for A, B in pairs:
+            calls = self.count(monkeypatch, chart)
+            fd_bracket_on_chart(chart, A, B, q)
+            assert len(calls) == 2
+            monkeypatch.undo()
+
+    def test_frame_suite_unit(self, monkeypatch):
+        # E3 at seed 42: the O(M) connection audit and the O(D) adapted audit, 2 each,
+        # and the oracle self-check's induced metric on the generic path, 4 (22 when
+        # each chart field read its own Jacobian)
+        from framelift import suites
+        calls = self.count(monkeypatch, om_chart(S2))
+        suites.suite_frame(get("E3"), seed=42)
+        assert len(calls) == 8
 
 
 class TestRightInvariance:
@@ -550,7 +637,7 @@ class TestChartConversions:
 
 
 class TestNoReencoding:
-    """The chart fields convert at their own q; only an audit's entry frame is encoded."""
+    """The frame fields are read at the chart Jacobian's frames; only an audit's entry frame is encoded."""
 
     def count(self, monkeypatch, owner, name):
         tally = []
@@ -563,50 +650,48 @@ class TestNoReencoding:
         monkeypatch.setattr(owner, name, counting)
         return tally
 
-    def test_chart_fields_call_neither_encode_nor_logm(self, monkeypatch):
+    def lift_cases(self):
+        """(frame field, chart, q, reference tangent at a frame) for X^h and P* on O(M) and
+        the adapted X^h on O(D), E3."""
         rng = np.random.default_rng(34)
         om, q_om = bundle_chart_point("E3", "O")
         od, q_od = bundle_chart_point("E3", "D")
         M = om.manifold
         D = derive_geometry(get("E3").phi).horizontal
-        fields = [
-            (horizontal_field_on_chart(om, polynomial_vector_field(M.dim, rng)), q_om),
-            (vertical_field_on_chart(om, g_skew_endo_field(M, rng)), q_om),
-            (adapted_horizontal_field_on_chart(od, M, D, polynomial_vector_field(M.dim, rng)),
-             q_od),
+        X, P = polynomial_vector_field(M.dim, rng), g_skew_endo_field(M, rng)
+        [(hX, vP)] = frames_module._case_fields(M, [("hv", (X, P))], DEFAULT_FD)
+        [(aX, _)] = frames_module._case_fields(
+            M, [("hv", (X, P))], DEFAULT_FD, lambda M, X, v, cfg: adapted_horizontal_lift(M, D, X, v, cfg))
+        return [
+            (hX, om, q_om, lambda u: horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u)),
+            (vP, om, q_om, lambda u: fundamental_vertical(P.eval(u.base), u)),
+            (aX, od, q_od, lambda u: adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u)),
         ]
+
+    def test_frame_fields_call_neither_encode_nor_logm(self, monkeypatch):
+        cases = self.lift_cases()
         encodes = self.count(monkeypatch, FrameChart, "encode")
         logms = self.count(monkeypatch, scipy.linalg, "logm")
         log_rotations = self.count(monkeypatch, frames_module, "_log_rotation")
-        for field, q in fields:
-            assert field(q).shape == q.shape
+        for field, chart, q, _ in cases:
+            assert frames_module._field_rates(chart, chart.jacobian(q), field).shape == q.shape
+            [t] = lc_total_space_oracle(chart, [(field, field)], q)
+            assert fd_bracket_on_chart(chart, field, field, q).frame_rate.shape == t.frame_rate.shape
         assert encodes == [] and logms == [] and log_rotations == []
 
-    def test_chart_fields_decode_once_through_the_jacobian(self, monkeypatch):
-        # each evaluation builds its tangent at the frame jacobian(q) returns,
-        # which is the frame decode(q) gives: the rates are unchanged
-        rng = np.random.default_rng(37)
-        om, q_om = bundle_chart_point("E3", "O")
-        od, q_od = bundle_chart_point("E3", "D")
-        M = om.manifold
-        D = derive_geometry(get("E3").phi).horizontal
-        X, P = polynomial_vector_field(M.dim, rng), g_skew_endo_field(M, rng)
-        cases = [
-            (horizontal_field_on_chart(om, X), om, q_om,
-             lambda u: horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u)),
-            (vertical_field_on_chart(om, P), om, q_om,
-             lambda u: fundamental_vertical(P.eval(u.base), u)),
-            (adapted_horizontal_field_on_chart(od, M, D, X), od, q_od,
-             lambda u: adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u)),
-        ]
-        expected = [chart.tangent_to_chart(q, lift(chart.decode(q)))
-                    for _, chart, q, lift in cases]
+    def test_frame_fields_are_read_at_the_jacobians_frame(self, monkeypatch):
+        # each field builds its tangent at the frame jacobian(q) returns, which is the
+        # frame decode(q) gives: the rates are unchanged, and nothing decodes
+        cases = self.lift_cases()
+        expected = [chart.tangent_to_chart(q, lift(chart.decode(q))) for _, chart, q, lift in cases]
         jacobians = self.count(monkeypatch, FrameChart, "jacobian")
         decodes = self.count(monkeypatch, FrameChart, "decode")
-        for (field, _, q, _), rates in zip(cases, expected):
+        for (field, chart, q, _), rates in zip(cases, expected):
             jacobians.clear()
-            assert np.array_equal(field(q), rates)
-            assert len(jacobians) == 1 and decodes == []
+            assert np.array_equal(frames_module._field_rates(chart, chart.jacobian(q), field), rates)
+            assert len(jacobians) == 1
+            lc_total_space_oracle(chart, [(field, field)], q)
+            assert len(jacobians) == 3 and decodes == []
 
     def test_connection_audit_encodes_once(self, monkeypatch):
         rng = np.random.default_rng(35)

@@ -25,7 +25,6 @@ from framelift.adapted import (
     adapted_chart,
     adapted_connection_audit,
     adapted_frame,
-    adapted_horizontal_field_on_chart,
     torsion_TD,
 )
 from framelift.catalog import (
@@ -46,12 +45,11 @@ from framelift.frames import (
     Frame,
     FrameTangent,
     LMChart,
-    horizontal_field_on_chart,
+    fd_bracket_on_chart,
     induced_metric_on_chart,
     lc_total_space_oracle,
     om_chart,
     total_space_manifold,
-    vertical_field_on_chart,
 )
 from framelift.geometry import (
     DomainError,
@@ -158,6 +156,17 @@ class TestStencil:
         with pytest.raises(DomainError, match="stencil"):
             christoffel(total, chart.join(x, a), dataclasses.replace(geometry_module.DEFAULT_FD,
                                                                       step_h=1e-4))
+
+    @pytest.mark.parametrize("a0,match", [(2.0 - 1e-5, "stencil"), (2.5, "outside chart domain")])
+    def test_oracle_raises_where_the_total_space_christoffel_raises(self, a0, match):
+        chart = om_chart(get("E3").phi.source)
+        q = chart.join(sample_points(chart.manifold, 64, 1)[0], np.eye(len(chart.basis))[0] * a0)
+        vP = lift_field(chart, "v", g_skew_endo_field(chart.manifold, np.random.default_rng(64)))
+        with pytest.raises(DomainError, match=match) as generic:
+            christoffel(total_space_manifold(chart), q, frames_module.total_space_cfg(geometry_module.DEFAULT_FD))
+        with pytest.raises(DomainError, match=match) as oracle:
+            lc_total_space_oracle(chart, [(vP, vP)], q)
+        assert str(oracle.value) == str(generic.value)
 
 
 @functools.cache
@@ -497,9 +506,20 @@ def on_base(example, *fields):
 
 
 def on_bundle(example, bundle, field):
-    """(points, field) for a chart field on a bundle chart of the example."""
+    """(points, chart rates) for the frame field ``field(chart)`` on a bundle chart of the
+    example, read at the chart Jacobian's frames as the oracle reads it."""
     chart = bundle_chart(example, bundle)
-    return [(bundle_points(chart, 84, 6).reshape(2, 3, chart.dim), field(chart))]
+    F = field(chart)
+    return [(bundle_points(chart, 84, 6).reshape(2, 3, chart.dim),
+             lambda q: frames_module._field_rates(chart, chart.jacobian(q), F))]
+
+
+def lift_field(chart, kind, F, horizontal=frames_module.horizontal_lift_frame):
+    """The frame field ``frames._case_fields`` makes of F: its horizontal lift for kind "h"
+    (``horizontal``), the fundamental vertical of an endomorphism field for "v"."""
+    case = kind + kind
+    return frames_module._case_fields(
+        chart.manifold, [(case, (F, F))], geometry_module.DEFAULT_FD, horizontal)[0][0]
 
 
 def skew_blocks(geom):
@@ -532,19 +552,19 @@ FIELD_CONSTRUCTORS = {
         ex, g_skew_endo_field(get(ex).phi.source, rng)),
     "catalog.hopf_vertical_field": lambda ex, rng: on_base("E3", hopf_vertical_field()),
     "submersion.adapted_endo_field": lambda ex, rng: on_base(ex, skew_blocks(GEOMS[ex])),
-    "frames.horizontal_field_on_chart": lambda ex, rng: [
+    "frames._case_fields(h)": lambda ex, rng: [
         case for bundle in ("L", "O") for case in on_bundle(ex, bundle, lambda chart: (
-            horizontal_field_on_chart(chart, polynomial_vector_field(source_dim(ex), rng))))],
-    "frames.vertical_field_on_chart": lambda ex, rng: [
-        *on_bundle(ex, "L", lambda chart: vertical_field_on_chart(
-            chart, polynomial_endo_field(source_dim(ex), rng))),
-        *on_bundle(ex, "O", lambda chart: vertical_field_on_chart(
-            chart, g_skew_endo_field(get(ex).phi.source, rng))),
-        *on_bundle(ex, "D", lambda chart: vertical_field_on_chart(chart, skew_blocks(GEOMS[ex])))],
-    "adapted.adapted_horizontal_field_on_chart": lambda ex, rng: on_bundle(
-        ex, "D", lambda chart: adapted_horizontal_field_on_chart(
-            chart, chart.manifold, GEOMS[ex].horizontal,
-            polynomial_vector_field(source_dim(ex), rng))),
+            lift_field(chart, "h", polynomial_vector_field(source_dim(ex), rng))))],
+    "frames._case_fields(v)": lambda ex, rng: [
+        *on_bundle(ex, "L", lambda chart: lift_field(
+            chart, "v", polynomial_endo_field(source_dim(ex), rng))),
+        *on_bundle(ex, "O", lambda chart: lift_field(
+            chart, "v", g_skew_endo_field(get(ex).phi.source, rng))),
+        *on_bundle(ex, "D", lambda chart: lift_field(chart, "v", skew_blocks(GEOMS[ex])))],
+    "frames._case_fields(adapted h)": lambda ex, rng: on_bundle(
+        ex, "D", lambda chart: lift_field(
+            chart, "h", polynomial_vector_field(source_dim(ex), rng),
+            lambda M, X, v, cfg: adapted_module.adapted_horizontal_lift(M, GEOMS[ex].horizontal, X, v, cfg))),
 }
 
 
@@ -620,7 +640,7 @@ class TestFieldStack:
 
 class TestChartFieldStack:
     @pytest.mark.parametrize("bundle", ["O", "D"])
-    def test_rates_of_raises_when_one_point_is_not_tangent(self, bundle):
+    def test_rates_at_raises_when_one_point_is_not_tangent(self, bundle):
         chart = bundle_chart("E3", bundle)
         qs = bundle_points(chart, 88, 3)
 
@@ -629,12 +649,15 @@ class TestChartFieldStack:
             rate[bad] = u.columns[bad]  # P = I: not skew, so off O(M) and O(D)
             return FrameTangent(u, np.zeros(u.base.shape), rate)
 
+        def rates_at(q, *bad):
+            J = chart.jacobian(q)
+            return chart._rates_at(J, tangent_at(J[0], *bad))
+
         with pytest.raises(ValueError, match="not tangent"):
-            chart._rates_of(qs, tangent_at)
+            rates_at(qs)
         with pytest.raises(ValueError, match="not tangent"):
-            chart._rates_of(qs[1], lambda u: tangent_at(u, ...))
-        assert np.array_equal(chart._rates_of(qs[[0, 2]], lambda u: tangent_at(u, [])),
-                              np.zeros((2, chart.dim)))
+            rates_at(qs[1], ...)
+        assert np.array_equal(rates_at(qs[[0, 2]], []), np.zeros((2, chart.dim)))
 
     def test_lm_join_keeps_the_stack(self):
         chart = bundle_chart("E2", "L")
@@ -651,23 +674,42 @@ def counted(f, tally):
     return counting
 
 
+def counted_frames(F, tally):
+    """The frame field F, noting the base shape of every frame it is called at."""
+    def counting(u):
+        tally.append(u.base.shape)
+        return F(u)
+    return counting
+
+
 class TestFieldCallCounts:
     def test_oracle_of_four_pairs_makes_six_field_calls(self):
         chart = bundle_chart("E3", "O")
         M = chart.manifold
         rng = np.random.default_rng(90)
         calls = []
-        hX, hY = (counted(horizontal_field_on_chart(chart, polynomial_vector_field(3, rng)), calls)
+        hX, hY = (counted_frames(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
                   for _ in range(2))
-        vP, vQ = (counted(vertical_field_on_chart(chart, g_skew_endo_field(M, rng)), calls)
+        vP, vQ = (counted_frames(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
                   for _ in range(2))
         q = bundle_points(chart, 91, 1)[0]
         lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q)
-        # each field at q, then one stencil of hY and of vQ along both their directions
-        assert sorted(calls) == sorted([(chart.dim,)] * 4 + [(2, 2, chart.dim)] * 2)
+        # each field at q's frame, then hY and vQ once on the stencil frames of both directions
+        assert sorted(calls) == sorted([(M.dim,)] * 4 + [(2, 2, M.dim)] * 2)
+
+    def test_fd_bracket_makes_four_field_calls(self):
+        chart = bundle_chart("E3", "O")
+        M = chart.manifold
+        rng = np.random.default_rng(90)
+        calls = []
+        A = counted_frames(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
+        B = counted_frames(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
+        fd_bracket_on_chart(chart, A, B, bundle_points(chart, 91, 1)[0])
+        # A and B at q's frame, B along a and A along b on the one stencil
+        assert calls == [(M.dim,), (M.dim,), (2, M.dim), (2, M.dim)]
 
     @pytest.mark.parametrize("bundle", ["L", "O"])
-    def test_connection_audit_builds_each_chart_field_once(self, monkeypatch, bundle):
+    def test_connection_audit_reads_each_frame_field_once(self, monkeypatch, bundle):
         M = get("E2").phi.source
         rng = np.random.default_rng(92)
         skew = bundle == "O"
@@ -675,7 +717,7 @@ class TestFieldCallCounts:
                       P=g_skew_endo_field(M, rng) if skew else polynomial_endo_field(3, rng),
                       Q=g_skew_endo_field(M, rng) if skew else polynomial_endo_field(3, rng))
         chart_class = frames_module.FrameChart if skew else frames_module.LMChart
-        calls = count_calls(monkeypatch, chart_class, "_rates_of")
+        calls = count_calls(monkeypatch, chart_class, "_rates_at")
         p = sample_points(M, 93, 1)[0]
         frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields,
                                        curvature_tensor(M, p))
@@ -816,6 +858,21 @@ def connection_residuals(geom, u):
             for r in frames_module.connection_audit(M, bundle, v, audit_fields(geom, bundle), R)]
 
 
+def od_oracle(geom, u, of):
+    """``of`` (``lc_total_space_oracle`` or ``fd_bracket_on_chart``) on the audits' four pairs
+    of frame fields on O(D), adapted lifts and block-diagonal verticals, at the chart
+    points of the adapted frames u."""
+    M, D = geom.phi.source, geom.horizontal
+    chart, f = adapted_chart(M, D), audit_fields(geom, "L")
+    P, Q = skew_blocks(geom), skew_blocks(geom)
+    pairs = frames_module._case_fields(
+        M, [("hh", (f["X"], f["Y"])), ("hv", (f["X"], Q)), ("vh", (P, f["Y"])), ("vv", (P, Q))],
+        geometry_module.DEFAULT_FD, lambda M, X, v, cfg: adapted_module.adapted_horizontal_lift(M, D, X, v, cfg))
+    if of is frames_module.lc_total_space_oracle:
+        return of(chart, pairs, chart.encode(u))
+    return [of(chart, A, B, chart.encode(u)) for A, B in pairs]
+
+
 # Every public function of a frame or a frame tangent, by module.  A function that
 # takes a stack of frames maps to (inputs, f): ``inputs`` draw per-frame arrays
 # (leading axis 3) and f(geom, u, *inputs) calls the function at the frame or stack
@@ -866,6 +923,8 @@ FRAME_FUNCTIONS = {
     "frames.bracket_residual": ([], lambda geom, u: bracket_readings(
         geom, u, lambda M, *args: frames_module.bracket_residual(M, LMChart(M), *args))),
     "frames.connection_audit": ([], connection_residuals),
+    "frames.lc_total_space_oracle": ([], lambda geom, u: od_oracle(geom, u, frames_module.lc_total_space_oracle)),
+    "frames.fd_bracket_on_chart": ([], lambda geom, u: od_oracle(geom, u, frames_module.fd_bracket_on_chart)),
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
     "tangent.pi_i_differential": ([vectors(), endos()], lambda geom, u, x, P: [
         tangent_module.pi_i_differential(geom.phi.source, tangent_at(geom, u, x, P), i)
