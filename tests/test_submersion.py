@@ -17,9 +17,17 @@ from framelift.adapted import (
 )
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
-from framelift.frames import Frame, fundamental_vertical, mok_metric, mok_norm, skew_basis
+from framelift.frames import (
+    Frame,
+    fundamental_vertical,
+    induced_metric_on_chart,
+    mok_metric,
+    mok_norm,
+    skew_basis,
+)
 import framelift.geometry as geometry_module
 from framelift.geometry import (
+    DomainError,
     TangentVector,
     VectorField,
     christoffel,
@@ -28,6 +36,7 @@ from framelift.geometry import (
     covariant_derivative,
     directional_diff,
     metric_eval,
+    orthonormalizer,
     sample_points,
 )
 from framelift.submersion import (
@@ -64,6 +73,7 @@ from framelift.submersion import (
     vertical_basis,
 )
 from framelift.suites import suite_theorems
+from lift_tension import lift_tension_by_columns
 from pullback import horizontal_lift_matrix, pullback_connection
 
 E = {eid: get(eid) for eid in ("E1", "E2", "E3", "E4", "E5")}
@@ -708,6 +718,66 @@ class TestLiftTensionDirect:
         assert res["tangential"] < 1e-6
         assert abs(res["ambient"] - 1.0 / np.sqrt(2.0)) < 1e-4
         assert abs(res["normal"] - res["ambient"]) < 1e-6
+
+    @pytest.mark.parametrize("eid, seed", [("E1", None)] + [(eid, seed) for eid in E for seed in (42, 1)],
+                             ids=lambda v: {None: "lift_tension_at"}.get(v, str(v)))
+    def test_equals_the_column_reference_bit_for_bit(self, eid, seed):
+        x0 = (np.array(E[eid].lift_tension_at) if seed is None
+              else sample_points(E[eid].phi.source, seed, 1)[0])
+        assert lift_tension_direct(GEOM[eid], x0) == lift_tension_by_columns(GEOM[eid], x0)
+
+    @pytest.mark.parametrize("eid", ["E1", "E3"])
+    def test_reads_the_chart_once_per_stencil(self, monkeypatch, eid):
+        # 4 chart Jacobians (the frame at q0, the metric and its stencil in christoffel,
+        # the frame on the outer stencil), 1 decode and 9 adapted frames; 19, 10 and 48
+        # at E1's catalog point when each column was its own field.  E1's frame there is
+        # the coordinate basis, so E3 checks that E_i is read at q0 +- h2 E0_i/|E0_i|.
+        geom = GEOM[eid]
+        x0 = np.array(E[eid].lift_tension_at) if eid == "E1" else entry_point(eid, seed=42)
+        h, h2 = geometry_module.DEFAULT_FD.step_h, geometry_module.DEFAULT_FD.step_h2
+        chart = adapted_module.adapted_chart(geom.phi.source, geom.horizontal)
+        q0 = chart.join(x0, np.zeros(chart.dim - x0.size))
+
+        def frame(q):
+            return orthonormalizer(induced_metric_on_chart(chart, q)).swapaxes(-1, -2)
+
+        def stencil(q, v, step):  # q +- step v/|v| for each row of v
+            hv = step * v / np.linalg.norm(v, axis=-1, keepdims=True)
+            return np.stack([q + hv, q - hv])
+
+        E0 = frame(q0)
+        outer = stencil(q0, E0.T, h2)  # row i of each side: where E_i is read
+        E_out = np.array([[frame(outer[s, i])[:, i] for i in range(chart.dim)] for s in range(2)])
+        want_jacobian = [q0, q0, stencil(q0, np.eye(chart.dim), h2), outer]
+        want_F = np.concatenate([q0[None], stencil(q0, np.eye(chart.dim), h).reshape(-1, chart.dim),
+                                 stencil(q0, E0.T, h).reshape(-1, chart.dim),
+                                 stencil(outer, E_out, h).reshape(-1, chart.dim)])
+        seen = {"jacobian": [], "decode": [], "adapted_frame": []}
+        for owner, name in ((frames_module.FrameChart, "jacobian"), (frames_module.FrameChart, "decode"),
+                            (adapted_module, "adapted_frame")):
+            def counting(*args, real=getattr(owner, name), name=name):
+                seen[name].append(args[2] if name == "adapted_frame" else args[1])
+                return real(*args)
+            monkeypatch.setattr(owner, name, counting)
+        lift_tension_direct(geom, x0)
+        assert [len(seen[k]) for k in ("jacobian", "decode", "adapted_frame")] == [4, 1, 9]
+        for got, want in zip(seen["jacobian"], want_jacobian):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        got_F = seen["decode"][0]
+        assert got_F.shape == want_F.shape
+        dist = np.linalg.norm(got_F[:, None, :] - want_F[None, :, :], axis=-1)
+        assert dist.min(axis=0).max() < 1e-13 and dist.min(axis=1).max() < 1e-13
+
+    def test_domain_error_matches_the_reference(self):
+        # the coordinate stencil at step_h2 of the total space leaves R3 along the fibre
+        # of E1, while the lift's stencils at step_h and the target stay inside
+        x0 = np.array([0.2, -0.3, 10.0 - 5e-5])
+        with pytest.raises(DomainError) as ref:
+            lift_tension_by_columns(GEOM["E1"], x0)
+        with pytest.raises(DomainError) as new:
+            lift_tension_direct(GEOM["E1"], x0)
+        assert str(new.value) == str(ref.value)
+        assert str(new.value).startswith("finite-difference stencil leaves chart domain")
 
 
 # A submersion with a two-dimensional kernel, so that per-column costs show:
