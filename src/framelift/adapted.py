@@ -34,6 +34,7 @@ from .geometry import (
     covariant_derivative,
     curvature_R_P,
     directional_diff,
+    metric_derivative_eval,
     metric_eval,
     orthonormalizer,
     skew_defect,
@@ -42,11 +43,13 @@ from .frames import (
     Frame,
     FrameChart,
     FrameTangent,
+    LMChart,
     block_skew_basis,
     endo_covariant_derivative,
     _horizontal_lift,
     fundamental_vertical,
     _case_fields,
+    gauss_projection,
     lc_total_space_oracle,
     mok_norm,
     offdiag_skew_basis,
@@ -410,6 +413,12 @@ def _adapted_horizontal_lifts(
     be a stack, each X then a vector per frame."""
     if od_membership_defect(M, D, u, P) > 1e-6:
         raise ValueError("frame is not adapted to the distribution")
+    return _S_lifts(Xs, u, gamma, S)
+
+
+def _S_lifts(Xs: Sequence[TangentVector], u: Frame, gamma: Array, S: Array) -> list[FrameTangent]:
+    """X^h + (S_X)* of each X in ``Xs`` at the frames u, adapted or not, from Gamma and S
+    at u's base points: the adapted horizontal lift, extended to all of L(M)."""
     return [_horizontal_lift(gamma, X, u) + fundamental_vertical(christoffel_contract(S, X.components), u)
             for X in Xs]
 
@@ -470,19 +479,23 @@ def adapted_connection_audit(
     Every row is diagnostic (asserted=False): the displays mix symbols and
     lift types, so plausible readings are evaluated against one oracle
     evaluation per point and the best-matching reading is flagged per case.
-    ``R`` is ``curvature_tensor(M, u.base)``, for the L_P lines.  S at u's base point
-    is built once and serves L_P, the lifted right-hand sides and the RD jet; one
-    ``mok_norm`` of the stacked differences gives every residual.
+    The O(D) oracle is the ``gauss_projection`` of the L(M) oracle on X^h + (S_X)*
+    (``_S_lifts``) and P*.  ``R`` is ``curvature_tensor(M, u.base)``, for the L_P
+    lines.  S at u's base point is built once and serves L_P, the lifted right-hand
+    sides and the RD jet; one ``mok_norm`` of the stacked differences gives every residual.
     """
-    chart = adapted_chart(M, D)
+    chart = LMChart(M)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
     p = u.base
     onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
-    q = chart.encode(u)
     cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
 
     gamma, P_D = christoffel(M, p, cfg), D.projector(p)
     S = S_components(M, D, p, gamma, P_D, cfg)
+
+    def extension(M: ChartManifold, X: TangentVector, v: Frame, cfg: FDConfig) -> FrameTangent:
+        gamma_v = christoffel(M, v.base, cfg)
+        return _S_lifts([X], v, gamma_v, S_components(M, D, v.base, gamma_v, D.projector(v.base), cfg))[0]
 
     def nabla_D_endo(x: Array, E: EndomorphismField) -> Array:
         b = block_decompose(endo_covariant_derivative(E, x, p, gamma, cfg), P_D)
@@ -498,8 +511,10 @@ def adapted_connection_audit(
 
     rows: list[dict] = []
     differences: list[FrameTangent] = []
-    oracle = dict(zip(("hh", "hv", "vh", "vv"), lc_total_space_oracle(chart, _case_fields(
-        M, cases, cfg, lambda M, X, v, cfg: adapted_horizontal_lift(M, D, X, v, cfg)), q, cfg)))
+    oracle = lc_total_space_oracle(chart, _case_fields(M, cases, cfg, extension), chart.encode(u), cfg)
+    oracle = dict(zip(("hh", "hv", "vh", "vv"), gauss_projection(
+        M, oracle, metric_eval(M, p), metric_derivative_eval(M, p, cfg), P_D,
+        central_diff(D.projector, p, cfg.step_h), D.rank)))
 
     def case_rows(case, readings):
         for reading, rhs in readings:

@@ -1,14 +1,14 @@
 """Frame bundles over a chart: Mok metric, lifts, and total-space oracles.
 
 The full frame bundle L(M) is charted as (x, E) with E the invertible
-matrix of frame columns; the orthonormal bundle O(M) is charted near a
-reference orthonormal frame field as (x, a) with u = E_ref(x) exp(A(a))
-for a skew matrix A.  A brute-force Levi-Civita oracle on the induced
-total-space metric audits every closed-form connection and bracket
-identity used elsewhere.  The tangent bundle TM is the bundle of
-one-column frames: its point (x, Z) is the frame of the column Z, and the
-horizontal lift and the Mok metric here are its horizontal lift and
-Sasaki-Mok metric (``framelift.tangent``).
+matrix of frame columns.  A brute-force Levi-Civita oracle on its induced
+total-space metric audits every closed-form connection and bracket identity
+used elsewhere, and on O(M) and O(D) its Mok-orthogonal tangential part
+(``gauss_projection``) does.  ``FrameChart`` charts O(M) near a reference
+orthonormal frame field as (x, a), u = E_ref(x) exp(A(a)) for a skew matrix
+A.  The tangent bundle TM is the bundle of one-column frames: its point
+(x, Z) is the frame of the column Z, and the horizontal lift and the Mok
+metric here are its horizontal lift and Sasaki-Mok metric (``framelift.tangent``).
 
 A field on the total space is a frame field, a function Frame ->
 FrameTangent that takes stacks of frames, as the horizontal lift, the
@@ -46,6 +46,7 @@ from .geometry import (
     curvature_R_P,
     directional_diff,
     lie_bracket,
+    metric_derivative_eval,
     metric_eval,
     orthonormal_basis,
     orthonormalizer,
@@ -223,8 +224,12 @@ def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
     column E = Z the Sasaki-Mok table on TM.  Every argument may carry the
     leading axes of points x (..., n); so does G.
     """
-    g = metric_eval(M, x)
-    W = _vertical_rate(christoffel(M, x, cfg)[..., None, :, :, :], X, E[..., None, :, :], Edot)
+    return _gram(metric_eval(M, x), christoffel(M, x, cfg), E, X, Edot)
+
+
+def _gram(g: Array, gamma: Array, E: Array, X: Array, Edot: Array) -> Array:
+    """``_lift_gram`` from the metric g and the Christoffel symbols gamma at the base points."""
+    W = _vertical_rate(gamma[..., None, :, :, :], X, E[..., None, :, :], Edot)
     G = X @ g @ X.swapaxes(-1, -2) + column_gram(g, W)
     return 0.5 * (G + G.swapaxes(-1, -2))
 
@@ -347,10 +352,11 @@ class FrameChart:
     """Chart (x, a) on a subbundle of O(M): u = E_ref(x) exp(A(a)).
 
     ``basis`` spans the allowed skew directions: all of so(n) for O(M), the
-    block-diagonal subalgebra for an adapted bundle.  Valid near a = 0.  Both
-    tangent conversions read the chart Jacobian J(q) built by ``jacobian``.
+    block-diagonal subalgebra for an adapted bundle.  Valid near a = 0.
     exp(A), its Frechet derivatives and the log in ``encode`` are closed
-    forms for skew A, one Hermitian eigendecomposition each.
+    forms for skew A, one Hermitian eigendecomposition each.  Two users are
+    left: the ``om_chart_roundtrip`` row tests the chart, and
+    ``submersion.lift_tension_direct`` differences the lift map on ``adapted_chart``.
     """
 
     def __init__(
@@ -420,7 +426,7 @@ class FrameChart:
             raise ValueError("matrix log inconsistent with the frame rotation")
         return self.join(u.base, a)
 
-    # -- tangent conversions ----------------------------------------------
+    # -- the chart Jacobian -----------------------------------------------
 
     def jacobian(self, q: Array, cfg: FDConfig = DEFAULT_FD) -> tuple[Frame, Array, Array]:
         """decode(q) and J(q): the (xdot, Edot) images of the dim coordinate directions.
@@ -437,48 +443,6 @@ class FrameChart:
         JE = np.concatenate([self.reference_derivative(x, cfg) @ expA[..., None, :, :],
                              ref[..., None, :, :] @ frechet], axis=-3)
         return Frame(x, ref @ expA), np.eye(self.dim, x.shape[-1]), JE
-
-    def chart_to_tangents(self, q: Array, qdots: Array,
-                          cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
-        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q): qdot @ J.
-        At points q (..., dim) a row has q's shape and gives one tangent per point, bit for bit."""
-        return self._tangents_at(self.jacobian(q, cfg), qdots)
-
-    def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
-        return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
-
-    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
-        """Chart rates at q of a frame tangent at decode(q), by least squares against J.
-
-        Errors if t is attached to another frame or is not tangent to the chart.
-        """
-        return self._rates_at(self.jacobian(q, cfg), t)
-
-    def _tangents_at(self, J: tuple, qdots: Array) -> list[FrameTangent]:
-        """``chart_to_tangents`` from the chart Jacobian J = jacobian(q) the caller holds."""
-        u, Jx, JE = J
-        JE = JE.reshape(JE.shape[:-2] + (-1,))
-        return [FrameTangent(u, qdot @ Jx, (qdot[..., None, :] @ JE)[..., 0, :].reshape(u.columns.shape))
-                for qdot in np.asarray(qdots, dtype=float)]
-
-    def _rates_at(self, J: tuple, t: FrameTangent) -> Array:
-        """Chart rates of the tangent t at the frames of the chart Jacobian J = jacobian(q),
-        points q (..., dim): least squares against J's near-orthonormal skew rows by one
-        stacked normal-equations ``solve``.  Raises if t is attached to other frames or if
-        any point's t is not tangent to the chart."""
-        u, _, JE = J
-        _same_frame(u, t.at)
-        n = self.manifold.dim
-        rhs = t.frame_rate - np.einsum("...a,...aij->...ij", t.base_rate, JE[..., :n, :, :])
-        rhs = rhs.reshape(rhs.shape[:-2] + (n * n,))
-        A = JE[..., n:, :, :].reshape(JE.shape[:-3] + (len(self.basis), n * n))
-        adot = np.linalg.solve(A @ A.swapaxes(-1, -2), A @ rhs[..., None])[..., 0]
-        resid = np.linalg.norm((adot[..., None, :] @ A)[..., 0, :] - rhs, axis=-1)
-        scale = 1.0 + np.linalg.norm(t.base_rate, axis=-1) + np.linalg.norm(t.frame_rate, axis=(-2, -1))
-        if (resid > 1e-6 * scale).any():
-            raise ValueError(f"tangent is not tangent to chart {self.name} "
-                             f"(residual {np.max(resid):.3g})")
-        return self.join(t.base_rate, adot)
 
 
 class LMChart:
@@ -512,10 +476,19 @@ class LMChart:
         JE = np.eye(self.dim)[:, n:].reshape(self.dim, n, n)
         return self.decode(q), np.eye(self.dim, n), np.broadcast_to(JE, np.shape(q)[:-1] + JE.shape)
 
-    chart_to_tangents = FrameChart.chart_to_tangents
-    chart_to_tangent = FrameChart.chart_to_tangent
-    tangent_to_chart = FrameChart.tangent_to_chart
-    _tangents_at = FrameChart._tangents_at
+    def chart_to_tangents(self, q: Array, qdots: Array, cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
+        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q)."""
+        return self._tangents_at((self.decode(q),), qdots)
+
+    def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
+        return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
+
+    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
+        return self._rates_at((self.decode(q),), t)
+
+    def _tangents_at(self, J: tuple, qdots: Array) -> list[FrameTangent]:
+        """Frame tangents at the frames of J = jacobian(q): each row of ``qdots`` split as (xdot, Edot)."""
+        return [FrameTangent(J[0], *self.split(qdot)) for qdot in np.asarray(qdots, dtype=float)]
 
     def _rates_at(self, J: tuple, t: FrameTangent) -> Array:
         """Chart rates of t at the frames of J = jacobian(q): (xdot, vec(Edot)) themselves."""
@@ -579,52 +552,90 @@ def lc_total_space_oracle(
     Brute force on the Mok metric G of ``induced_metric_on_chart``, differenced at
     ``total_space_cfg``'s step h, from two chart Jacobians.  J(q) gives G(q), every
     field's chart rates at q (``_rates_at``) and the read-back of the results.  J on one
-    stencil gives dG and each distinct B along each distinct A direction a: the points
-    q +- h e_k of ``central_diff`` and q +- h a/|a| of ``directional_diff``.  With Gamma
-    from ``geometry``'s one formula, nabla_A B = dB(a) + Gamma(a, b) is, bit for bit,
-    ``covariant_derivatives`` on ``total_space_manifold`` with the chart fields
-    q -> tangent_to_chart(q, F(decode(q))), and raises the same ``DomainError``s.
+    stencil gives dG and each distinct B along the distinct A directions it is paired
+    with: the points q +- h e_k of ``central_diff`` and q +- h a/|a| of
+    ``directional_diff``.  With Gamma from ``geometry``'s one formula, nabla_A B =
+    dB(a) + Gamma(a, b) is, bit for bit, ``covariant_derivatives`` on
+    ``total_space_manifold`` with the chart fields q -> tangent_to_chart(q, F(decode(q))),
+    and raises the same ``DomainError``s.  The audits run it on L(M) only.
     """
     total, h = total_space_manifold(chart, cfg), total_space_cfg(cfg).step_h
     q = _check_domain(total, q)
     _check_stencil(total, q, h)
     J = chart.jacobian(q, cfg)
-    fields = {id(F): F for pair in pairs for F in pair}  # each distinct field once
-    at_q = {key: _field_rates(chart, J, F) for key, F in fields.items()}
-    As, Bs = list(dict.fromkeys(id(A) for A, _ in pairs)), dict.fromkeys(id(B) for _, B in pairs)
-    K = chart.dim  # the stencil's first K directions are e_k, for dG; the rest the A directions
+    K = chart.dim  # the stencil's first K directions are e_k, for dG
     coords = np.broadcast_to(np.eye(K).reshape((K,) + (1,) * (q.ndim - 1) + (K,)), (K,) + q.shape)
-    pts, norm = _directional_stencil(q, np.concatenate([coords, [at_q[A] for A in As]]), h)
-    Js = chart.jacobian(pts, cfg)
+    at_q, dB, Js, norm = _field_differences(chart, J, [(B, A) for A, B in pairs], q, h, coords, cfg)
     (u, Jx, JE), us = J, Js[0][:, :K]
-    dG = _difference(_lift_gram(chart.manifold, us.base, us.columns, Jx, Js[2][:, :K], cfg), norm[:K], h)
+    dG = _difference(_lift_gram(chart.manifold, us.base, us.columns, Jx, Js[2][:, :K], cfg), norm, h)
     gamma = _christoffel_from(_lift_gram(chart.manifold, u.base, u.columns, Jx, JE, cfg),
                               np.moveaxis(dG, 0, -3))
-    dB = {key: _difference(_field_rates(chart, Js, fields[key], np.s_[:, K:]), norm[K:], h) for key in Bs}
     return chart._tangents_at(J, np.array([
-        dB[id(B)][As.index(id(A))] + np.einsum("...kij,...i,...j->...k", gamma, at_q[id(A)], at_q[id(B)])
+        dB[id(B), id(A)] + np.einsum("...kij,...i,...j->...k", gamma, at_q[id(A)], at_q[id(B)])
         for A, B in pairs]))
+
+
+def gauss_projection(
+    M: ChartManifold, ts: Sequence[FrameTangent], g: Array, dg: Array, P: Array, dP: Array, k: int,
+) -> list[FrameTangent]:
+    """Mok-orthogonal tangential parts on O(D) of the tangents ts to L(M) at frames u of O(D),
+    the orthonormal frames whose first k columns span D; O(M) is O(D) of D = TM (k = n,
+    P = I, dP = 0).  The rates C of the constraints E^T g E - I, (I - P) E_top and P E_bot
+    along each chart direction have the null space T_u O(D): its n + dim so(k) + dim
+    so(n-k) singular vectors N, from one SVD, give the projection N (N^T G N)^-1 N^T G for
+    L(M)'s Mok metric G.  The Levi-Civita connection of O(D) is the projection of L(M)'s
+    (the Gauss formula; do Carmo, *Riemannian Geometry*, ch. 6).  g, P and their
+    derivatives dg, dP [..., k, i, j] at u's base points serve every tangent.
+    """
+    lm, u = LMChart(M), ts[0].at
+    n = u.base.shape[-1]
+    xdot, Edot = lm.split(np.eye(lm.dim))  # row a: chart direction a as a tangent
+    gdot, Pdot = (np.einsum("ak,...kij->...aij", xdot, d) for d in (dg, dP))
+    g_, P_, E = g[..., None, :, :], P[..., None, :, :], u.columns[..., None, :, :]
+    A = Edot.swapaxes(-1, -2) @ g_ @ E
+    C = np.concatenate([A + A.swapaxes(-1, -2) + E.swapaxes(-1, -2) @ gdot @ E,
+                        (np.eye(n) - P_) @ Edot[..., :k] - Pdot @ E[..., :k],
+                        P_ @ Edot[..., k:] + Pdot @ E[..., k:]], axis=-1)
+    null = n + (k * (k - 1) + (n - k) * (n - k - 1)) // 2
+    N = np.linalg.svd(C.reshape(C.shape[:-2] + (-1,)), full_matrices=False)[0][..., -null:]
+    GN = _gram(g, _christoffel_from(g, dg), u.columns, xdot, Edot) @ N
+    Pi = N @ np.linalg.solve(N.swapaxes(-1, -2) @ GN, GN.swapaxes(-1, -2))
+    v = np.array([lm.join(t.base_rate, t.frame_rate) for t in ts])
+    return lm._tangents_at((u,), (Pi @ v[..., None])[..., 0])
 
 
 def fd_bracket_on_chart(
     chart,
-    A_field: Callable[[Frame], FrameTangent],
-    B_field: Callable[[Frame], FrameTangent],
+    pairs: Sequence[tuple[Callable[[Frame], FrameTangent], Callable[[Frame], FrameTangent]]],
     q: Array,
     cfg: FDConfig = DEFAULT_FD,
-) -> FrameTangent:
-    """Finite-difference Lie bracket [A, B] = dB(a) - dA(b) of two frame fields at chart
-    points q (..., dim), at ``total_space_cfg``'s step: ``lie_bracket`` on their chart rates,
-    from J(q) and one J on the stencil along a and b."""
-    h = total_space_cfg(cfg).step_h
+) -> list[FrameTangent]:
+    """Finite-difference Lie brackets [A, B] = dB(a) - dA(b), one per (A, B) pair of frame
+    fields, at chart points q (..., dim), at ``total_space_cfg``'s step: ``lie_bracket`` on
+    their chart rates, from J(q) and one J on the stencil along every field's rates."""
     q = np.asarray(q, dtype=float)
     J = chart.jacobian(q, cfg)
-    a, b = _field_rates(chart, J, A_field), _field_rates(chart, J, B_field)
-    pts, norm = _directional_stencil(q, np.array([a, b]), h)
-    Js = chart.jacobian(pts, cfg)
-    dBa, dAb = (_difference(_field_rates(chart, Js, F, np.s_[:, i]), norm[i], h)
-                for i, F in enumerate((B_field, A_field)))
-    return chart._tangents_at(J, [dBa - dAb])[0]
+    needs = [need for A, B in pairs for need in ((B, A), (A, B))]
+    _, d, _, _ = _field_differences(chart, J, needs, q, total_space_cfg(cfg).step_h, np.zeros((0,) + q.shape), cfg)
+    return chart._tangents_at(J, np.array([d[id(B), id(A)] - d[id(A), id(B)] for A, B in pairs]))
+
+
+def _field_differences(chart, J: tuple, needs: Sequence[tuple], q: Array, h: float, lead: Array,
+                       cfg: FDConfig) -> tuple[dict, dict, tuple, Array]:
+    """For (F, G) pairs of frame fields, F to be differenced along G: the chart rates at q of
+    each field, by id, at the frames of J = jacobian(q), each difference, by (id(F), id(G)),
+    from one J on the stencil of the ``lead`` directions (K, ..., dim) and of every G, each
+    F read once on its rows, and that J and the lead directions' norms."""
+    fields = {id(F): F for pair in needs for F in pair}
+    at_q = {key: _field_rates(chart, J, F) for key, F in fields.items()}
+    along = list(dict.fromkeys(id(G) for _, G in needs))
+    pts, norm = _directional_stencil(q, np.concatenate([lead, [at_q[key] for key in along]]), h)
+    Js, K, d = chart.jacobian(pts, cfg), len(lead), {}
+    for key in dict.fromkeys(id(F) for F, _ in needs):
+        rows = list(dict.fromkeys(K + along.index(id(G)) for F, G in needs if id(F) == key))
+        d.update(zip([(key, along[r - K]) for r in rows], _difference(
+            _field_rates(chart, Js, fields[key], np.s_[:, rows]), norm[rows], h)))
+    return at_q, d, Js, norm[:K]
 
 
 def _field_rates(chart, J: tuple, F: Callable[[Frame], FrameTangent], rows=...) -> Array:
@@ -761,25 +772,24 @@ def _case_fields(M: ChartManifold, cases: Sequence[tuple[str, tuple]], cfg: FDCo
 def bracket_residual(
     M: ChartManifold,
     chart,
-    case: str,
-    inputs: tuple,
+    cases: Sequence[tuple[str, tuple]],
     u: Frame,
     R: Array,
     cfg: FDConfig = DEFAULT_FD,
-) -> dict[str, Array]:
-    """Mok norm of (finite-difference bracket) - (closed-form right side), by reading,
-    one per frame of u.  The finite-difference bracket is taken once for all readings
-    and frames, and one ``mok_norm`` measures the stack of their differences; ``R`` is
-    as in ``bracket_rhs``."""
-    [(A, B)] = _case_fields(M, [(case, inputs)], cfg)
-    fd = fd_bracket_on_chart(chart, A, B, chart.encode(u), cfg)
-    rhs = bracket_rhs(M, case, inputs, u, R, cfg)
-    return dict(zip(rhs, mok_norm(M, FrameTangent.stack([fd - line for line in rhs.values()]), cfg)))
+) -> list[dict[str, Array]]:
+    """Mok norm of (finite-difference bracket) - (closed-form right side), by reading, for
+    each (case, inputs) of ``cases``: one value per frame of u.  One ``fd_bracket_on_chart``
+    call serves every case, reading and frame, and one ``mok_norm`` measures the stack of
+    their differences; ``R`` is as in ``bracket_rhs``."""
+    fds = fd_bracket_on_chart(chart, _case_fields(M, cases, cfg), chart.encode(u), cfg)
+    rhs = [bracket_rhs(M, case, inputs, u, R, cfg) for case, inputs in cases]
+    norms = iter(mok_norm(M, FrameTangent.stack([fd - line for fd, lines in zip(fds, rhs)
+                                                 for line in lines.values()]), cfg))
+    return [{reading: next(norms) for reading in lines} for lines in rhs]
 
 
 def connection_audit(
     M: ChartManifold,
-    bundle: str,
     u: Frame,
     fields: dict,
     R: Array,
@@ -787,24 +797,30 @@ def connection_audit(
 ) -> list[dict]:
     """Audit table comparing the connection formulas against the oracle.
 
-    ``fields`` supplies X, Y (vector fields) and P, Q (endomorphism fields,
-    g-skew for O(M)); ``R`` is ``curvature_tensor(M, u.base)``.  One oracle
-    call serves every case and frame, one ``lc_connection_formula`` call
-    gives their closed forms and one ``mok_norm`` of the stacked differences
-    their residuals; each reading of each case is a row, and the
-    "literal" hv/vh rows are unasserted diagnostics.  A row's residual has
-    one value per frame of u.
+    ``fields`` maps a bundle, "L" or "O", to its X, Y (vector fields) and P, Q
+    (endomorphism fields, g-skew on O(M)) at the orthonormal frames u; ``R`` is
+    ``curvature_tensor(M, u.base)``.  One L(M) oracle call serves every bundle,
+    case and frame, and O(M) takes its ``gauss_projection``.  Each reading of each
+    case is a row, bundle by bundle, its residual one value per frame from one
+    ``mok_norm``; the "literal" hv/vh rows are unasserted diagnostics.
     """
-    chart = LMChart(M) if bundle == "L" else om_chart(M)
-    X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
-    cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
-    oracles = lc_total_space_oracle(chart, _case_fields(M, cases, cfg), chart.encode(u), cfg)
+    chart = LMChart(M)
+    cases = {bundle: [("hh", (f["X"], f["Y"])), ("hv", (f["X"], f["Q"])), ("vh", (f["P"], f["Y"])),
+                      ("vv", (f["P"], f["Q"]))] for bundle, f in fields.items()}
+    values = iter(lc_total_space_oracle(chart, _case_fields(M, sum(cases.values(), []), cfg),
+                                        chart.encode(u), cfg))
+    oracles = {bundle: [next(values) for _ in bundle_cases] for bundle, bundle_cases in cases.items()}
+    if "O" in oracles:  # O(M) is O(D) of D = TM
+        oracles["O"] = gauss_projection(M, oracles["O"], metric_eval(M, u.base), metric_derivative_eval(
+            M, u.base, cfg), np.eye(M.dim), np.zeros((M.dim,) * 3), M.dim)
     rows, differences = [], []
-    for (case, _), oracle, rhs in zip(cases, oracles, lc_connection_formula(M, bundle, cases, u, R, cfg)):
-        for reading, line in rhs.items():
-            rows.append({"bundle": bundle, "case": case, "reading": reading,
-                         "asserted": reading == "resolved"})
-            differences.append(oracle - line)
+    for bundle, bundle_cases in cases.items():
+        lines = lc_connection_formula(M, bundle, bundle_cases, u, R, cfg)
+        for (case, _), oracle, rhs in zip(bundle_cases, oracles[bundle], lines):
+            for reading, line in rhs.items():
+                rows.append({"bundle": bundle, "case": case, "reading": reading,
+                             "asserted": reading == "resolved"})
+                differences.append(oracle - line)
     for row, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences), cfg)):
         row["residual"] = residual
     return rows

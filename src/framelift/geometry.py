@@ -441,9 +441,12 @@ def column_gram(g: Array, A: Array, B: Optional[Array] = None) -> Array:
 
     Pairs matrices column by column under g: <P | Q> over a frame E is A = P E,
     B = Q E; the vertical part of the Mok (m = n) and Sasaki-Mok (m = 1) metrics.
-    Leading axes of g (..., n, n), A (..., a, n, m) and B broadcast.
+    Leading axes of g (..., n, n), A (..., a, n, m) and B broadcast.  Contracted as
+    g B, then one matmul of the flattened stacks.
     """
-    return np.einsum("...aki,...kl,...bli->...ab", A, g, A if B is None else B)
+    A = np.asarray(A)
+    gB = g[..., None, :, :] @ (A if B is None else B)
+    return A.reshape(A.shape[:-2] + (-1,)) @ gB.reshape(gB.shape[:-2] + (-1,)).swapaxes(-1, -2)
 
 
 def orthonormalizer(B: Array) -> Array:

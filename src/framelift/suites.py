@@ -336,39 +336,35 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Y = polynomial_vector_field(M.dim, rng)
     Q = polynomial_endo_field(M.dim, rng)
     P = polynomial_endo_field(M.dim, rng)
-    for case, inputs, ident in (
-        ("hh", (X, Y), "[X^h, Y^h] = [X,Y]^h - R(X,Y)*"),
-        ("hv", (X, Q), "[X^h, Q*] = (nabla_X Q)*"),
-        ("vv", (P, Q), "[P*, Q*] = -[P,Q]*"),
-    ):
-        res = bracket_residual(M, lm, case, inputs, frames, Rs, cfg)
+    cases = (("hh", (X, Y), "[X^h, Y^h] = [X,Y]^h - R(X,Y)*"), ("hv", (X, Q), "[X^h, Q*] = (nabla_X Q)*"),
+             ("vv", (P, Q), "[P*, Q*] = -[P,Q]*"))
+    for (case, _, ident), res in zip(cases, bracket_residual(M, lm, [c[:2] for c in cases], frames, Rs, cfg)):
         _single(checks, f"bracket.{case}", ident, res["resolved"], cfg.tol_fd2)
         if case == "hv":
             _single(checks, "bracket.hv_literal_sign", "[X^h, Q*] = -(nabla_X Q)* (diagnostic)",
                     res["literal"][:2], cfg.tol_fd2, kind="audit")
 
-    # connection formulas against the total-space oracle, on the first three frames
+    # connection formulas against the total-space oracle, both bundles on the first three frames
     Qs = g_skew_endo_field(M, rng)
     Ps = g_skew_endo_field(M, rng)
     few = min(3, samples)
-    for bundle, fields in (("L", dict(X=X, Y=Y, P=P, Q=Q)),
-                           ("O", dict(X=X, Y=Y, P=Ps, Q=Qs))):
-        rows = connection_audit(M, bundle, frames[:few], fields, Rs[:few], cfg)
-        # asserted rows first, each group in case order
-        for r in sorted(rows, key=lambda r: not r["asserted"]):
-            if r["asserted"]:
-                _single(checks, f"connection.{bundle}.{r['case']}",
-                        "closed-form connection matches total-space oracle", r["residual"], cfg.tol_fd2)
-            else:
-                _single(checks, f"connection.{bundle}.{r['case']}_literal",
-                        "displayed hv/vh term placement (diagnostic)", r["residual"], cfg.tol_fd2,
-                        kind="audit")
+    rows = connection_audit(M, frames[:few], {"L": dict(X=X, Y=Y, P=P, Q=Q), "O": dict(X=X, Y=Y, P=Ps, Q=Qs)},
+                            Rs[:few], cfg)
+    # bundle by bundle, asserted rows first, each group in case order
+    for r in sorted(rows, key=lambda r: (r["bundle"], not r["asserted"])):
+        if r["asserted"]:
+            _single(checks, f"connection.{r['bundle']}.{r['case']}",
+                    "closed-form connection matches total-space oracle", r["residual"], cfg.tol_fd2)
+        else:
+            _single(checks, f"connection.{r['bundle']}.{r['case']}_literal",
+                    "displayed hv/vh term placement (diagnostic)", r["residual"], cfg.tol_fd2,
+                    kind="audit")
 
-    # oracle self-consistency on the orthonormal-bundle total space
+    # oracle self-consistency on the full frame bundle's total space
     p = pts[0]
-    total = total_space_manifold(chart, cfg)
+    total = total_space_manifold(lm, cfg)
     cfg_total = total_space_cfg(cfg)
-    q = chart.join(p, np.zeros(len(chart.basis)))
+    q = lm.encode(frames[0])
     rngt = _rng(seed, 6)
     A, B, C = (polynomial_vector_field(total.dim, rngt, exact_jacobian=False) for _ in range(3))
     nAB, nBA, nCA, nCB = (v.components for v in covariant_derivatives(

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +158,33 @@ class TestDeterminism:
         run_cli(["verify", "E1", "--suite", "core", "--seed", "5", "--json", str(path)],
                 env_extra={"FRAMELIFT_SEED": "123"})
         assert json.loads(path.read_text())["config"]["seed"] == 5
+
+
+class TestStepRobustness:
+    """The frame suite at larger second-level steps keeps every status that ``verify all
+    --seed 42`` records at the default step (the golden table); the oracle's O(D) fields
+    are defined on all of L(M), so its stencils never leave the fields' domain."""
+
+    GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_seed42.json"
+
+    @staticmethod
+    def statuses(rows):
+        """Status by (name, identity, kind); an audit row's name without the .best/.alt
+        ranking, which moves with the residuals, so per (case, reading)."""
+        out = {}
+        for r in rows:
+            name = re.sub(r"\.(best|alt)$", "", r["name"]) if r["kind"] == "audit" else r["name"]
+            out.setdefault((name, r["identity"], r["kind"]), []).append(r["status"])
+        return out
+
+    @pytest.mark.parametrize("h2", ["1e-3", "3e-3"])
+    def test_frame_suite_keeps_every_status(self, tmp_path, h2):
+        path = tmp_path / "frame.json"
+        proc = run_cli(["verify", "all", "--suite", "frame", "--seed", "42", "--h2", h2,
+                        "--json", str(path)])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        golden = [r for r in json.loads(self.GOLDEN.read_text())["rows"] if ".frame." in r["name"]]
+        assert self.statuses(json.loads(path.read_text())["results"]) == self.statuses(golden)
 
 
 class TestInProcess:

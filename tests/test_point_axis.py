@@ -22,7 +22,6 @@ from framelift.adapted import (
     L_P_applies,
     S_components,
     S_tensor,
-    adapted_chart,
     adapted_connection_audit,
     adapted_frame,
     torsion_TD,
@@ -48,7 +47,6 @@ from framelift.frames import (
     fd_bracket_on_chart,
     induced_metric_on_chart,
     lc_total_space_oracle,
-    om_chart,
     total_space_manifold,
 )
 from framelift.geometry import (
@@ -81,6 +79,7 @@ from framelift.submersion import (
 )
 from hopf_composite import hopf_composite, hopf_composite_jacobian
 from looping import per_point
+from skew_charts import adapted_chart, om_chart
 
 EXAMPLES = ["E1", "E2", "E3", "E4", "E5"]
 CHARTS = {M.name: M for e in entries() for M in (e.phi.source, e.phi.target)}
@@ -301,29 +300,29 @@ class TestLPairs:
         monkeypatch.setattr(geometry_module, "curvature_tensor",
                             counted("curvature_tensor", geometry_module.curvature_tensor))
         monkeypatch.setattr(adapted_module, "W_endo", counted("W_endo", adapted_module.W_endo))
-        real_S, real_lift = adapted_module.S_components, adapted_module.adapted_horizontal_lift
-        in_lift = []
+        real_S, real_oracle = adapted_module.S_components, adapted_module.lc_total_space_oracle
+        in_oracle = []
 
         def S_components(M, D, p, *args):
             counts["S_components"] += bool(inside)
-            if not in_lift:
+            if not in_oracle:
                 S_points.append(np.array(p))
             return real_S(M, D, p, *args)
 
-        def lift(*args):
-            in_lift.append(1)
+        def oracle(*args):
+            in_oracle.append(1)
             try:
-                return real_lift(*args)
+                return real_oracle(*args)
             finally:
-                in_lift.pop()
+                in_oracle.pop()
 
         monkeypatch.setattr(adapted_module, "S_components", S_components)
-        monkeypatch.setattr(adapted_module, "adapted_horizontal_lift", lift)
+        monkeypatch.setattr(adapted_module, "lc_total_space_oracle", oracle)
         u = adapted_frame(M, D, sample_points(M, 46, 1)[0])
         adapted_connection_audit(M, D, u, self.fields(), curvature_tensor(M, u.base))
         # the caller's curvature tensor and S serve every pair, with one W
         assert counts == {"curvature_tensor": 0, "S_components": 0, "W_endo": 1}
-        # besides the chart fields' own lifts, one S at u serves L_P, the lifted
+        # besides the oracle's fields' own lifts, one S at u serves L_P, the lifted
         # right-hand sides and the jet, whose stencil is the other build
         assert [np.array_equal(q, u.base) for q in S_points] == [True, False]
 
@@ -704,24 +703,40 @@ class TestFieldCallCounts:
         calls = []
         A = counted_frames(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
         B = counted_frames(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
-        fd_bracket_on_chart(chart, A, B, bundle_points(chart, 91, 1)[0])
+        fd_bracket_on_chart(chart, [(A, B)], bundle_points(chart, 91, 1)[0])
         # A and B at q's frame, B along a and A along b on the one stencil
-        assert calls == [(M.dim,), (M.dim,), (2, M.dim), (2, M.dim)]
+        assert calls == [(M.dim,), (M.dim,), (2, 1, M.dim), (2, 1, M.dim)]
 
-    @pytest.mark.parametrize("bundle", ["L", "O"])
-    def test_connection_audit_reads_each_frame_field_once(self, monkeypatch, bundle):
+    def test_fd_bracket_of_three_cases_makes_eight_field_calls(self):
+        # the frame suite's hh, hv and vv cases in one call: X^h, Y^h, Q* and P* once at
+        # q's frame and once on the stencil rows of the directions each is differenced
+        # along: Y^h along X^h; X^h along Y^h and Q*; Q* along X^h and P*; P* along Q*
+        chart = bundle_chart("E3", "L")
+        M = chart.manifold
+        rng = np.random.default_rng(90)
+        calls = []
+        hX, hY = (counted_frames(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
+                  for _ in range(2))
+        vQ, vP = (counted_frames(lift_field(chart, "v", polynomial_endo_field(3, rng)), calls)
+                  for _ in range(2))
+        fd_bracket_on_chart(chart, [(hX, hY), (hX, vQ), (vP, vQ)], bundle_points(chart, 91, 1)[0])
+        assert sorted(calls) == sorted([(M.dim,)] * 4 + [(2, 1, M.dim)] * 2 + [(2, 2, M.dim)] * 2)
+
+    @pytest.mark.parametrize("bundles,reads", [("L", 6), ("O", 6), ("LO", 9)], ids=["L", "O", "LO"])
+    def test_connection_audit_reads_each_frame_field_once(self, monkeypatch, bundles, reads):
+        # X^h, Y^h, P*, Q* of each bundle at q, and the B fields Y^h and Q* on the stencil;
+        # both bundles share X^h and Y^h.  Every read is on L(M): O(M) is its projection
         M = get("E2").phi.source
         rng = np.random.default_rng(92)
-        skew = bundle == "O"
-        fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
-                      P=g_skew_endo_field(M, rng) if skew else polynomial_endo_field(3, rng),
-                      Q=g_skew_endo_field(M, rng) if skew else polynomial_endo_field(3, rng))
-        chart_class = frames_module.FrameChart if skew else frames_module.LMChart
-        calls = count_calls(monkeypatch, chart_class, "_rates_at")
+        X, Y = polynomial_vector_field(3, rng), polynomial_vector_field(3, rng)
+        fields = {bundle: dict(X=X, Y=Y, P=g_skew_endo_field(M, rng) if bundle == "O" else polynomial_endo_field(3, rng),
+                               Q=g_skew_endo_field(M, rng) if bundle == "O" else polynomial_endo_field(3, rng))
+                  for bundle in bundles}
+        skew = count_calls(monkeypatch, frames_module.FrameChart, "jacobian")
+        calls = count_calls(monkeypatch, frames_module.LMChart, "_rates_at")
         p = sample_points(M, 93, 1)[0]
-        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields,
-                                       curvature_tensor(M, p))
-        assert len(calls) == 6
+        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), fields, curvature_tensor(M, p))
+        assert len(calls) == reads and skew == []
 
     def test_lie_bracket_makes_four_field_calls(self):
         rng = np.random.default_rng(94)
@@ -836,10 +851,13 @@ def audit_cases(geom, bundle, names):
 
 
 def bracket_readings(geom, u, of):
-    """The readings of ``of`` (``bracket_rhs`` or ``bracket_residual``) for each bracket case at u."""
-    M = geom.phi.source
-    return [value for case, inputs in audit_cases(geom, "L", ("hh", "hv", "vv"))
-            for value in of(M, case, inputs, u, curvature_tensor(M, u.base)).values()]
+    """The readings of ``of`` (``bracket_rhs``, a case at a time, or ``bracket_residual``, the
+    cases at once) for each bracket case at u."""
+    M, R = geom.phi.source, curvature_tensor(geom.phi.source, u.base)
+    cases = audit_cases(geom, "L", ("hh", "hv", "vv"))
+    readings = (of(M, LMChart(M), cases, u, R) if of is frames_module.bracket_residual
+                else [of(M, case, inputs, u, R) for case, inputs in cases])
+    return [value for lines in readings for value in lines.values()]
 
 
 def connection_lines(geom, u):
@@ -855,7 +873,14 @@ def connection_residuals(geom, u):
     M = geom.phi.source
     R = curvature_tensor(M, u.base)
     return [r["residual"] for bundle, v in (("L", u), ("O", Frame(u.base, reference_frame(M, u.base))))
-            for r in frames_module.connection_audit(M, bundle, v, audit_fields(geom, bundle), R)]
+            for r in frames_module.connection_audit(M, v, {bundle: audit_fields(geom, bundle)}, R)]
+
+
+def projected(geom, u, t):
+    """``gauss_projection`` of the tangent t at the adapted frames u onto O(D)."""
+    M, D, p = geom.phi.source, geom.horizontal, u.base
+    return frames_module.gauss_projection(M, [t], metric_eval(M, p), geometry_module.metric_derivative_eval(M, p),
+                                          D.projector(p), central_diff(D.projector, p, geometry_module.DEFAULT_FD.step_h), geom.rank)
 
 
 def od_oracle(geom, u, of):
@@ -868,9 +893,7 @@ def od_oracle(geom, u, of):
     pairs = frames_module._case_fields(
         M, [("hh", (f["X"], f["Y"])), ("hv", (f["X"], Q)), ("vh", (P, f["Y"])), ("vv", (P, Q))],
         geometry_module.DEFAULT_FD, lambda M, X, v, cfg: adapted_module.adapted_horizontal_lift(M, D, X, v, cfg))
-    if of is frames_module.lc_total_space_oracle:
-        return of(chart, pairs, chart.encode(u))
-    return [of(chart, A, B, chart.encode(u)) for A, B in pairs]
+    return of(chart, pairs, chart.encode(u))
 
 
 # Every public function of a frame or a frame tangent, by module.  A function that
@@ -920,11 +943,11 @@ FRAME_FUNCTIONS = {
         submersion_module.mean_curvature_fibers(geom, u))),
     "frames.lc_connection_formula": ([], connection_lines),
     "frames.bracket_rhs": ([], lambda geom, u: bracket_readings(geom, u, frames_module.bracket_rhs)),
-    "frames.bracket_residual": ([], lambda geom, u: bracket_readings(
-        geom, u, lambda M, *args: frames_module.bracket_residual(M, LMChart(M), *args))),
+    "frames.bracket_residual": ([], lambda geom, u: bracket_readings(geom, u, frames_module.bracket_residual)),
     "frames.connection_audit": ([], connection_residuals),
     "frames.lc_total_space_oracle": ([], lambda geom, u: od_oracle(geom, u, frames_module.lc_total_space_oracle)),
     "frames.fd_bracket_on_chart": ([], lambda geom, u: od_oracle(geom, u, frames_module.fd_bracket_on_chart)),
+    "frames.gauss_projection": ([vectors(), endos()], lambda geom, u, x, P: projected(geom, u, tangent_at(geom, u, x, P))),
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
     "tangent.pi_i_differential": ([vectors(), endos()], lambda geom, u, x, P: [
         tangent_module.pi_i_differential(geom.phi.source, tangent_at(geom, u, x, P), i)
@@ -998,15 +1021,19 @@ class TestFrameCallCounts:
         assert at_u == [6]
 
     def test_frame_suite_runs_each_audit_once_on_its_stack_of_frames(self, monkeypatch):
-        # E3 at seed 42: the 3 bracket cases on all 10 frames, the 2 connection bundles on
-        # the first 3 and the adapted audit at 1, with one curvature tensor call for all
-        names = ("fd_bracket_on_chart", "lc_total_space_oracle", "curvature_tensor")
+        # E3 at seed 42: the 3 bracket cases on all 10 frames in one FD-bracket call, the 2
+        # connection bundles on the first 3 in one audit and one oracle call, projected
+        # once onto O(M), and the adapted audit at 1, projected once onto O(D), with one
+        # curvature tensor call for all
+        names = ("fd_bracket_on_chart", "bracket_residual", "lc_total_space_oracle", "connection_audit",
+                 "gauss_projection", "curvature_tensor")
         modules = (geometry_module, frames_module, adapted_module, suites_module)
         tallies = {name: [count_calls(monkeypatch, module, name)
                           for module in modules if hasattr(module, name)] for name in names}
         suites_module.suite_frame(get("E3"), seed=42)
         assert {name: sum(map(len, t)) for name, t in tallies.items()} == {
-            "fd_bracket_on_chart": 3, "lc_total_space_oracle": 3, "curvature_tensor": 1}
+            "fd_bracket_on_chart": 1, "bracket_residual": 1, "lc_total_space_oracle": 2,
+            "connection_audit": 1, "gauss_projection": 2, "curvature_tensor": 1}
 
     @pytest.mark.parametrize("bundle", ["L", "O"])
     def test_connection_audit_builds_one_basis_and_no_curvature_tensor(self, monkeypatch, bundle):
@@ -1020,7 +1047,7 @@ class TestFrameCallCounts:
         R = curvature_tensor(M, p)
         calls = count_calls(monkeypatch, geometry_module, "curvature_tensor")
         bases = count_calls(monkeypatch, frames_module, "orthonormal_basis")
-        frames_module.connection_audit(M, bundle, Frame(p, reference_frame(M, p)), fields, R)
+        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), {bundle: fields}, R)
         # the caller's curvature tensor serves every case
         assert len(calls) == 0 and len(bases) == 1
 

@@ -278,7 +278,11 @@ def test_lift_suite_builds_the_second_fundamental_tensor_once_per_owner(monkeypa
 def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
     # one E3 unit at seed 42; one point at a time, the block made 140 Christoffel
     # evaluations in frames, 40 horizontal lifts and 30 Mok products; each audit takes
-    # the Mok norms of all its readings in one call (56 evaluations with one per reading)
+    # the Mok norms of all its readings in one call (56 evaluations with one per reading).
+    # In frames: the structural block 6, the one FD-bracket call of the three cases 7,
+    # the one connection audit of both bundles 8, the adapted audit's oracle and norm 3,
+    # and the self-check's 4 induced metrics on L(M) (38 with an audit per bundle and
+    # a bracket call per case)
     tallies = {}
     for module, name in ((frames_module, "christoffel"), (suites, "horizontal_lift_frame"),
                          (suites, "mok_metric")):
@@ -291,7 +295,7 @@ def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     suites.suite_frame(get("E3"), seed=42)
     assert {name: len(t) for name, t in tallies.items()} == {
-        "christoffel": 38, "horizontal_lift_frame": 2, "mok_metric": 3}
+        "christoffel": 28, "horizontal_lift_frame": 2, "mok_metric": 3}
 
 
 @pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
@@ -354,14 +358,18 @@ def test_tangent_suite_lifts_each_frame_projection_column_once(monkeypatch, eid)
 class TestOneTotalSpaceChristoffelPerPoint:
     """The oracle differences the induced metric into Christoffel symbols once per point,
     or once for a stack of points, through the one kernel ``geometry._christoffel_from``,
-    and reads the chart Jacobian twice: at the points and on one joint stencil."""
+    and reads the chart Jacobian twice: at the points and on one joint stencil.  Every
+    oracle runs on L(M); the O(M) and O(D) values are one ``gauss_projection`` each, whose
+    Mok metric reads the base Christoffel symbols from the caller's g and dg."""
 
     @pytest.fixture
     def total_calls(self, monkeypatch):
-        """Total-space Christoffel evaluations ("gamma": the oracle's kernel calls and
-        ``christoffel`` on a total space) and chart Jacobians ("jacobian", by chart)."""
+        """Christoffel evaluations ("gamma": the kernel calls of the oracle and of the
+        projection, and ``christoffel`` on a total space) and chart Jacobians ("jacobian",
+        by chart)."""
         calls = {"gamma": [], "jacobian": []}
         real, kernel = geometry.christoffel, frames_module._christoffel_from
+        projecting = []
 
         def counting(M, p, cfg=DEFAULT_FD):
             if M.name.startswith("total["):
@@ -369,9 +377,18 @@ class TestOneTotalSpaceChristoffelPerPoint:
             return real(M, p, cfg)
 
         def counting_kernel(g, dg):
-            calls["gamma"].append("oracle")
+            calls["gamma"].append("projection" if projecting else "oracle")
             return kernel(g, dg)
 
+        for module in (frames_module, adapted_module):
+            def projection(*args, real=module.gauss_projection):
+                projecting.append(1)
+                try:
+                    return real(*args)
+                finally:
+                    projecting.pop()
+
+            monkeypatch.setattr(module, "gauss_projection", projection)
         monkeypatch.setattr(geometry, "christoffel", counting)
         monkeypatch.setattr(frames_module, "_christoffel_from", counting_kernel)
         for chart_class in (frames_module.FrameChart, frames_module.LMChart):
@@ -392,9 +409,10 @@ class TestOneTotalSpaceChristoffelPerPoint:
         else:
             P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
         p = np.array([0.2, -0.1])
-        connection_audit(S2, bundle, Frame(p, reference_frame(S2, p)), dict(X=X, Y=Y, P=P, Q=Q),
+        connection_audit(S2, Frame(p, reference_frame(S2, p)), {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
                          curvature_tensor(S2, p))
-        assert total_calls == {"gamma": ["oracle"], "jacobian": [f"{bundle}(M)"] * 2}
+        assert total_calls == {"gamma": ["oracle"] + ["projection"] * (bundle == "O"),
+                               "jacobian": ["L(M)"] * 2}
 
     def test_adapted_connection_audit(self, total_calls):
         e = get("E3")
@@ -407,17 +425,17 @@ class TestOneTotalSpaceChristoffelPerPoint:
         p = sample_points(M, 46, 1)[0]
         adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields,
                                  curvature_tensor(M, p))
-        assert total_calls == {"gamma": ["oracle"], "jacobian": ["O(D)"] * 2}
+        assert total_calls == {"gamma": ["oracle", "projection"], "jacobian": ["L(M)"] * 2}
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_frame_suite(self, total_calls, eid):
-        # 2 bundles on the stack of 3 frames, 1 adapted audit point, 1 self-consistency
-        # point on the generic path; Jacobians: 2 per oracle call and per FD bracket (3
-        # cases on L(M)), and the self-consistency block's 4 induced metrics on O(M)
+        # one audit of both bundles on the stack of 3 frames, 1 adapted audit point, each
+        # projecting once, and 1 self-consistency point on the generic path; Jacobians, all
+        # on L(M): 2 per oracle call and for the one FD-bracket call of the 3 cases, and the
+        # self-consistency block's 4 induced metrics
         suites.suite_frame(get(eid), samples=3)
-        assert sorted(total_calls["gamma"]) == ["oracle"] * 3 + ["total[O(M)]"]
-        assert {name: total_calls["jacobian"].count(name) for name in set(total_calls["jacobian"])} == {
-            "L(M)": 8, "O(M)": 6, "O(D)": 2}
+        assert sorted(total_calls["gamma"]) == ["oracle"] * 2 + ["projection"] * 2 + ["total[L(M)]"]
+        assert total_calls["jacobian"] == ["L(M)"] * 10
 
 
 class TestOneCurvatureTensorPerPoint:
