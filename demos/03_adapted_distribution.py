@@ -11,8 +11,8 @@ import numpy as np
 
 from framelift.adapted import (
     S_components,
-    S_tensor,
     W_endo,
+    adapted_derivatives,
     adapted_frame,
     adapted_horizontal_lift,
     block_decompose,
@@ -31,18 +31,18 @@ geom = derive_geometry(phi)
 M, D = phi.source, geom.horizontal
 p = np.array([0.3, 0.2])
 t0 = p[0]
+gamma, P = christoffel(M, p), D.projector(p)  # built once at p, read by every kernel below
 
 print("== the distribution ==")
 print("projector onto the horizontal line field:")
-print(D.projector(p))
-print("defects:", {k: float(v) for k, v in projector_defects(M, D, p).items()})
+print(P)
+print("defects:", {k: float(v) for k, v in projector_defects(M, D, p, P).items()})
 
 print("\n== the difference tensor ==")
-S_ss = S_tensor(M, D, coordinate_field(1, 2), coordinate_field(1, 2), p)
-print("S_ds ds =", S_ss.components, "  closed form: (-e^{2t}, 0) =",
-      (-np.exp(2 * t0), 0.0))
-# S as one array with the index layout of the Christoffel symbols, built once at p
-S = S_components(M, D, p, christoffel(M, p), D.projector(p))
+_, [S_ss] = adapted_derivatives(M, D, np.array([0.0, 1.0]), [coordinate_field(1, 2)], p, gamma, P)
+print("S_ds ds =", S_ss, "  closed form: (-e^{2t}, 0) =", (-np.exp(2 * t0), 0.0))
+# S as one array with the index layout of the Christoffel symbols
+S = S_components(M, D, p, gamma, P)
 print("S as an endomorphism for the unit vertical direction:")
 e_s = np.array([0.0, np.exp(-t0)])
 print(christoffel_contract(S, e_s))
@@ -51,7 +51,7 @@ print("\n== torsion and block structure ==")
 td = torsion_TD(coordinate_field(0, 2), coordinate_field(1, 2), p, S)
 print("torsion of the two coordinate fields:", td.components,
       "(the two one-dimensional blocks are both integrable)")
-b = block_decompose(np.arange(4.0).reshape(2, 2), D.projector(p))
+b = block_decompose(np.arange(4.0).reshape(2, 2), P)
 print("block reassembly residual:",
       np.max(np.abs(b.reassemble() - np.arange(4.0).reshape(2, 2))))
 

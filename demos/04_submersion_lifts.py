@@ -27,6 +27,7 @@ from framelift.submersion import (
     lift_map,
     mean_curvature_fibers,
     second_fundamental_form,
+    second_fundamental_tensor,
     tension_field,
     vertical_basis,
 )
@@ -37,7 +38,10 @@ geom = derive_geometry(phi)
 M, D = phi.source, geom.horizontal
 p = sample_points(M, 5, 1)[0]
 u = adapted_frame(M, D, p)
-S = S_components(M, D, p, christoffel(M, p), D.projector(p))  # the difference tensor at p
+# Gamma, the horizontal projector, the difference tensor and the second fundamental
+# tensor at p, built once and read by every kernel below
+gamma, Pi = christoffel(M, p), D.projector(p)
+S, B = S_components(M, D, p, gamma, Pi), second_fundamental_tensor(phi, p)
 
 print("== the submersion ==")
 lam, defect = dilatation(geom, u)
@@ -45,7 +49,7 @@ print(f"dilatation {lam:.9f} with conformality defect {defect:.2e}")
 tau = tension_field(geom, p)
 gN = metric_eval(phi.target, phi.value(p))
 print(f"tension norm {float(np.sqrt(tau @ gN @ tau)):.2e} (harmonic)")
-H = mean_curvature_fibers(geom, u)
+H = mean_curvature_fibers(geom, u, gamma, Pi)
 g = metric_eval(M, p)
 print(f"fiber mean curvature {float(np.sqrt(H.components @ g @ H.components)):.2e} (geodesic fibers)")
 
@@ -56,40 +60,40 @@ print(f"mixed second fundamental form norm {float(np.sqrt(mixed @ gN @ mixed)):.
       "(not totally geodesic)")
 
 print("\n== the lifted frame ==")
-v = lift_map(geom, u)
+v = lift_map(geom, u, Pi)
 print("image frame Gram matrix (orthonormal because the dilatation is 1):")
 print(v.columns.T @ gN @ v.columns)
 
 print("\n== the lift differential against central differences ==")
 x = X.components
 t = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
-d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "horizontal-of-H", x, u, S)
+d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "horizontal-of-H", x, u, S, B, Pi)
 print(f"horizontal input:          residual {mok_norm(phi.target, d):.2e}")
 y = Y.components
 t = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
-d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "horizontal-of-V", y, u, S)
+d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "horizontal-of-V", y, u, S, B, Pi)
 print(f"vertical input:            residual {mok_norm(phi.target, d):.2e}")
 print("  (the image is the pushforward of minus the A-endomorphism,")
-print("   A_Y =", np.array2string(A_Y_endos(geom, [y], p, S)[0], precision=3), ")")
+print("   A_Y =", np.array2string(A_Y_endos([y], S, Pi)[0], precision=3), ")")
 blk = np.zeros((3, 3))
 blk[0, 1], blk[1, 0] = -1.0, 1.0
 P0 = u.columns @ blk @ u.columns.T @ g
 t = fundamental_vertical(P0, u)
-d = lift_differential_fd(geom, t) - lift_differential_formula(geom, "vertical", P0, u, S)
+d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "vertical", P0, u, S, B, Pi)
 print(f"fundamental vertical input: residual {mok_norm(phi.target, d):.2e}")
 
 print("\n== kernel and orthogonal distributions ==")
-Vb, Hb = lift_distributions(geom, u, S)
+Vb, Hb = lift_distributions(geom, u, gamma, Pi, S)
 print(f"dimensions: kernel {len(Vb)}, orthogonal {len(Hb)},",
       f"bundle {M.dim + 1}")
-worst = max(mok_norm(phi.target, lift_differential_fd(geom, w, check_tangency=False))
+worst = max(mok_norm(phi.target, lift_differential_fd(geom, w, Pi, check_tangency=False))
             for w in Vb)
 print(f"kernel basis killed by the differential to {worst:.2e}")
 cross = max(abs(mok_metric(M, a, b)) for a in Vb for b in Hb)
 print(f"cross Gram block {cross:.2e}")
 
 print("\n== measured conformality of the lift ==")
-Lam, defect = lift_conformality_measurement(geom, u, S)
+Lam, defect = lift_conformality_measurement(geom, u, gamma, Pi, S)
 print(f"lift dilatation estimate {Lam:.4f} with defect {defect:.3f}")
 print("the defect is far above threshold: the Hopf lift is not conformal,")
 print("exactly because the mixed second fundamental form is nonzero.")

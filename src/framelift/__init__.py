@@ -33,11 +33,10 @@ from .tangent import connection_map_K, tm_vertical_lift
 from .adapted import (
     DistributionSpec,
     S_components,
-    S_tensor,
     W_endo,
+    adapted_derivatives,
     adapted_horizontal_lift,
     block_decompose,
-    nabla_D,
     torsion_TD,
 )
 from .submersion import (

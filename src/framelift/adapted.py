@@ -79,15 +79,10 @@ class DistributionSpec:
     def projector(self, p: Array) -> Array:
         return np.asarray(self.projector_field(p), dtype=float)
 
-    def complement(self, p: Array) -> Array:
-        P = self.projector(p)
-        return np.eye(P.shape[-1]) - P
 
-
-def projector_defects(M: ChartManifold, D: DistributionSpec, p: Array) -> dict:
-    """Idempotency, g-self-adjointness and trace defects of the projector, one
-    value per point of a stack p (..., n)."""
-    P = D.projector(p)
+def projector_defects(M: ChartManifold, D: DistributionSpec, p: Array, P: Array) -> dict:
+    """Idempotency, g-self-adjointness and trace defects of the caller's projector values
+    P = ``D.projector(p)``, one value per point of a stack p (..., n)."""
     g = metric_eval(M, p)
     return {
         "idempotent": np.max(np.abs(P @ P - P), axis=(-2, -1)),
@@ -155,16 +150,13 @@ def block_decompose(P_value: Array, Pi: Array) -> BlockDecomposition:
     )
 
 
-def m_projection(
-    M: ChartManifold, D: DistributionSpec, p: Array, P_value: Array,
-    cfg: FDConfig = DEFAULT_FD,
-) -> Array:
+def m_projection(M: ChartManifold, p: Array, P_value: Array, Pi: Array) -> Array:
     """Off-diagonal (block-mixing) part of a g-skew endomorphism value, or of a
-    stack of values at a stack of points p; any value of the stack that is not
-    g-skew raises."""
+    stack of values at a stack of points p, for the caller's projector values Pi of D
+    there; any value of the stack that is not g-skew raises."""
     if (skew_defect(M, p, P_value) > 1e-6).any():
         raise ValueError("m_projection expects a g-skew endomorphism")
-    b = block_decompose(P_value, D.projector(p))
+    b = block_decompose(P_value, Pi)
     return b.off1 + b.off2
 
 
@@ -172,45 +164,33 @@ def m_projection(
 # the adapted connection and its tensors
 # ---------------------------------------------------------------------------
 
-def _projected_derivatives(
-    M: ChartManifold, D: DistributionSpec, X: VectorField, Y: VectorField,
-    p: Array, cfg: FDConfig,
+def adapted_derivatives(
+    M: ChartManifold, D: DistributionSpec, x: Array, Ys: Sequence[VectorField],
+    p: Array, gamma: Array, P: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[Array, Array]:
-    """nabla_X of D's and of the complement's part of Y at p, stacked (..., 2, n), and the
-    projectors P(p) and I - P(p), stacked (..., 2, n, n): d_X(part) + Gamma(X, part) of each,
-    as ``covariant_derivatives`` forms it, from P(p) and one stencil of both parts along X."""
-    def parts(q: Array) -> tuple[Array, Array]:
-        P = D.projector(q)
-        Ps = np.stack([P, np.eye(P.shape[-1]) - P], axis=-3)
-        return Ps, (Ps @ np.asarray(Y.eval(q), dtype=float)[..., None, :, None])[..., 0]
+    """(nabla^D_x Y, S_x Y) for each field Y of ``Ys`` along the vectors x at points p (..., n),
+    each stacked (len(Ys), ..., n), from Gamma(p) and P(p), ``gamma`` and ``P``, and one
+    stencil of D's and the complement's parts of every Y along x.
 
-    Ps, at_p = parts(p)
-    x = np.asarray(X.eval(p), dtype=float)
-    d = directional_diff(lambda q: parts(q)[1], p, x, cfg.step_h)
-    return d + np.einsum("...kij,...i,...aj->...ak", christoffel(M, p, cfg), x, at_p), Ps
-
-
-def nabla_D(
-    M: ChartManifold, D: DistributionSpec, X: VectorField, Y: VectorField,
-    p: Array, cfg: FDConfig = DEFAULT_FD,
-) -> TangentVector:
-    """Adapted connection: project, differentiate, project back on each block; at
-    points p (..., n) for fields that may carry coefficients per point."""
-    nab, Ps = _projected_derivatives(M, D, X, Y, p, cfg)
-    return TangentVector(p, (Ps @ nab[..., None]).sum(axis=-3)[..., 0])
-
-
-def S_tensor(
-    M: ChartManifold, D: DistributionSpec, X: VectorField, Y: VectorField,
-    p: Array, cfg: FDConfig = DEFAULT_FD,
-) -> TangentVector:
-    """Difference tensor S_X Y of the Levi-Civita and adapted connections.
-
-    Equals (nabla_X Y_top)_perp + (nabla_X Y_perp)_top; tensorial in both
-    arguments, g-skew in the second pair sense, and swaps D with D_perp.
+    nabla_x of each part is d_x(part) + Gamma(x, part), as ``covariant_derivatives`` forms
+    it.  The adapted connection projects each back on its own block; the difference tensor
+    S_x Y = (nabla_x Y_top)_perp + (nabla_x Y_perp)_top of the Levi-Civita and adapted
+    connections projects each on the other block: tensorial in both arguments, g-skew in
+    the second pair sense, and it swaps D with D_perp.
     """
-    nab, Ps = _projected_derivatives(M, D, X, Y, p, cfg)
-    return TangentVector(p, (Ps[..., ::-1, :, :] @ nab[..., None]).sum(axis=-3)[..., 0])
+    def parts(q: Array, Ps: Array) -> Array:  # [..., t, a, :] = part a of Y_t at q
+        ys = np.stack([np.asarray(Y.eval(q), dtype=float) for Y in Ys], axis=-2)
+        return (Ps[..., None, :, :, :] @ ys[..., :, None, :, None])[..., 0]
+
+    def blocks(P: Array) -> Array:
+        return np.stack([P, np.eye(P.shape[-1]) - P], axis=-3)
+
+    Ps = blocks(P)
+    d = directional_diff(lambda q: parts(q, blocks(D.projector(q))), p, x, cfg.step_h)
+    nab = (d + np.einsum("...kij,...i,...taj->...tak", gamma, x, parts(p, Ps)))[..., None]
+    # nabla^D projects each part back on its own block, S on the other
+    return tuple(np.moveaxis((Qs[..., None, :, :, :] @ nab).sum(axis=-3)[..., 0], -2, 0)
+                 for Qs in (Ps, Ps[..., ::-1, :, :]))
 
 
 def S_components(
@@ -224,7 +204,7 @@ def S_components(
     vector x.  Column j of S_{d_i} is Pc nabla_i(P e_j) + P nabla_i(Pc e_j).  With
     nabla_i(P e_j) = (d_i P) e_j + Gamma_i P e_j and d_i Pc = -d_i P this is
     Pc (d_i P + Gamma_i P) + P (Gamma_i Pc - d_i P), where d_i P is the central
-    difference of the projector that ``S_tensor`` takes.
+    difference of the projector that ``adapted_derivatives`` takes.
     """
     G = gamma.swapaxes(-3, -2)  # [..., i, k, j] = (Gamma_i)^k_j
     P = P[..., None, :, :]
@@ -525,7 +505,8 @@ def adapted_connection_audit(
     # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
     LQ, LP = L_P_applies(M, [(Q, xval), (P, yval)], p, onb, R, P_D, S, cfg)
     nab, nabD, LQm, LQp, LPm, LPp = _adapted_horizontal_lifts(M, D, [TangentVector(p, v) for v in (
-        covariant_derivative(M, X, Y, p, cfg).components, nabla_D(M, D, X, Y, p, cfg).components,
+        covariant_derivative(M, X, Y, p, cfg).components,
+        adapted_derivatives(M, D, xval, [Y], p, gamma, P_D, cfg)[0][0],
         LQ["printed"], LQ["flipped"], LP["printed"], LP["flipped"])], u, gamma, P_D, S)
 
     # hh: nabla_{X^{h,D}} Y^{h,D}

@@ -71,6 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def cmd_list() -> int:
     for e in entries():
         lam = e.expected_lambda if e.expected_lambda is not None else "non-constant"
@@ -151,13 +154,12 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "list":
         return cmd_list()
     if args.command == "verify":
         return cmd_verify(args)
-    ap.print_help()
+    _PARSER.print_help()
     return 2
 
 

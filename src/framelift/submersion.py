@@ -22,6 +22,7 @@ from .geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _christoffel_from,
     _difference,
     _directional_stencil,
     _g_norm,
@@ -29,6 +30,7 @@ from .geometry import (
     christoffel,
     christoffel_contract,
     directional_diff,
+    metric_derivative_eval,
     metric_eval,
     orthonormalizer,
 )
@@ -239,16 +241,15 @@ def second_fundamental_form(
     return _bilinear(second_fundamental_tensor(phi, X.base, cfg), X.components, Y.components)
 
 
-def A_Y_endos(
-    geom: SubmersionGeometry, ys: Sequence[Array], p: Array, S: Array, cfg: FDConfig = DEFAULT_FD,
-) -> list[Array]:
+def A_Y_endos(ys: Sequence[Array], S: Array, Pi_H: Array) -> list[Array]:
     """A_Y, an endomorphism of the horizontal space, for each vertical Y in ``ys``.
 
-    The caller's S = ``S_components`` of the horizontal distribution at p and one
-    projector pair at p serve the whole batch.  For points p (..., n) each y is a
-    vector per point, and a Y that is not vertical at any point raises.
+    The caller's S = ``S_components`` of the horizontal distribution and Pi_H =
+    ``D.projector`` at the points p (..., n) serve the whole batch, whose verticality
+    guard reads Pi_V = I - Pi_H.  Each y is a vector per point, and a Y that is not
+    vertical at any point raises.
     """
-    Pi_V, Pi_H = splitting_projectors(geom.phi, p, cfg)
+    Pi_V = np.eye(Pi_H.shape[-1]) - Pi_H
     out = []
     for y in ys:
         y = np.asarray(y, dtype=float)
@@ -261,7 +262,7 @@ def A_Y_endos(
 
 def A_identity_residuals(
     geom: SubmersionGeometry, xs: Sequence[Array], ys: Sequence[Array], p: Array, B: Array,
-    S: Array, cfg: FDConfig = DEFAULT_FD,
+    S: Array, Pi_H: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """Residuals of phi_* A_Y(X) = sign * Pi_phi(X, Y), horizontal X, vertical Y.
 
@@ -269,14 +270,14 @@ def A_identity_residuals(
     ("asserted") under the definitions used here (A via the difference
     tensor, the second fundamental form via the pullback connection); the
     printed sign +1 ("printed") is kept for diagnostics.  Both come from
-    one evaluation of J and of every A_Y (one ``A_Y_endos`` batch of the caller's S) and
+    one evaluation of J and of every A_Y (one ``A_Y_endos`` batch of the caller's S and Pi_H) and
     the caller's B = ``second_fundamental_tensor(phi, p)``, contracted for all pairs at once.  For
     points p (..., n) each x and y is a vector per point, and so is each residual.
     """
     phi = geom.phi
     J = differential_matrix(phi, p, cfg)
     gN = metric_eval(phi.target, phi.value(p))
-    A = np.asarray(A_Y_endos(geom, ys, p, S, cfg))  # (len(ys), ..., n, n)
+    A = np.asarray(A_Y_endos(ys, S, Pi_H))  # (len(ys), ..., n, n)
     x = np.asarray(xs, dtype=float)[:, None]  # (len(xs), 1, ..., n): pairs broadcast x-major
     lhs = (J @ (A @ x[..., None]))[..., 0]
     sff = _bilinear(B, x, np.asarray(ys, dtype=float))
@@ -342,34 +343,33 @@ def pushforward_endo(
 def _frame_jet(
     geom: SubmersionGeometry, u: Frame, dirs: Sequence[int], cfg: FDConfig,
     of: Callable[[Array, Array], Array] = lambda q, E: E,
-) -> tuple[Array, Array]:
-    """(Gamma, dF) at the adapted frames u: the source Christoffel symbols at u's base
-    points and dF[..., a, ...], the derivative along the column u[:, dirs[a]] of the
-    matrix field F(q) = of(q, E(q)) of the adapted frames E.  One stencil of F for
-    all directions: ``of`` takes points q (..., n) and frames E (..., n, n)."""
+) -> Array:
+    """dF[..., a, ...] at the adapted frames u: the derivative along the column
+    u[:, dirs[a]] of the matrix field F(q) = of(q, E(q)) of the adapted frames E.  One
+    stencil of F for all directions: ``of`` takes points q (..., n) and frames E (..., n, n)."""
     M, D = geom.phi.source, geom.horizontal
-    dF = directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), u.base[..., None, :],
-                          u.columns[..., :, list(dirs)].swapaxes(-1, -2), cfg.step_h)
-    return christoffel(M, u.base, cfg), dF
+    return directional_diff(lambda q: of(q, adapted_frame(M, D, q).columns), u.base[..., None, :],
+                            u.columns[..., :, list(dirs)].swapaxes(-1, -2), cfg.step_h)
 
 
 def div_bot(
-    geom: SubmersionGeometry, tops: Array, u: Frame, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, tops: Array, u: Frame, gamma: Array, Pi_H: Array,
+    cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Vertical divergence sum_A (nabla_{e_A} C(e_A))_perp of the horizontal endo field
     C = ``adapted_endo_field(geom, top=top)`` for each block of ``tops`` (T, k, k), at
     the adapted frames u, ``adapted_frame(M, D, p)``: (T, ..., n).  Blocks (T, ..., k, k)
     give a block per frame of a stack.
 
-    Linear in top, so one Christoffel evaluation and one stencil of C E over the
-    horizontal e_A serve every block; each stencil point forms C from the adapted
-    frame it has already built.
+    Linear in top, so the caller's Gamma and Pi_H at u's base points, ``gamma`` and
+    ``Pi_H``, and one stencil of C E over the horizontal e_A serve every block; each
+    stencil point forms C from the adapted frame it has already built.
     """
     M, k = geom.phi.source, geom.rank
     p, E = u.base, u.columns
     blk = np.moveaxis(_block_coefficients(M.dim, k, tops, None), 0, -3)  # (..., T, n, n)
-    Pi_V, _ = splitting_projectors(geom.phi, p, cfg)
-    gamma, dCE = _frame_jet(geom, u, range(k), cfg, lambda q, Eq: _adapted_endo(
+    Pi_V = np.eye(M.dim) - Pi_H
+    dCE = _frame_jet(geom, u, range(k), cfg, lambda q, Eq: _adapted_endo(
         M, blk[..., None, :, :, :], q[..., None, :], Eq[..., None, :, :]) @ Eq[..., None, :, :])
     CE = _adapted_endo(M, blk, p[..., None, :], E[..., None, :, :]) @ E[..., None, :, :k]
     # dCE[..., A, t, :, A] is the derivative of C e_A along e_A
@@ -406,10 +406,11 @@ def adapted_endo_field(
 # the lift to frame bundles
 # ---------------------------------------------------------------------------
 
-def lift_map(geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD) -> Frame:
-    """Push the first k frame vectors forward: a frame on the target (a stack for a stack)."""
+def lift_map(geom: SubmersionGeometry, u: Frame, Pi_H: Array, cfg: FDConfig = DEFAULT_FD) -> Frame:
+    """Push the first k frame vectors forward: a frame on the target (a stack for a stack).
+    The O(D) guard reads the caller's Pi_H = ``D.projector`` at u's base points."""
     phi, D = geom.phi, geom.horizontal
-    if od_membership_defect(phi.source, D, u, D.projector(u.base)) > 1e-6:
+    if od_membership_defect(phi.source, D, u, Pi_H) > 1e-6:
         raise ValueError("lift_map requires a frame adapted to the horizontal space")
     return Frame(*lift_map_raw(phi, geom.rank, u.base, u.columns, cfg))
 
@@ -420,13 +421,15 @@ def lift_map_raw(phi: SubmersionSpec, k: int, x: Array, E: Array, cfg: FDConfig)
 
 
 def lift_differential_fd(
-    geom: SubmersionGeometry, t: FrameTangent, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, t: FrameTangent, Pi_H: Array, cfg: FDConfig = DEFAULT_FD,
     check_tangency: bool = True,
 ) -> FrameTangent:
     """Central-difference differential of the lift along a frame tangent, or along a
     stack of them (``FrameTangent.stack`` puts many tangents at one frame in a
     stack): one ``lift_map_raw`` call on the two-point stencil of every
-    tangent.  Any tangent of a stack that leaves O(D) raises."""
+    tangent.  Any tangent of a stack that leaves O(D) raises; the tangency test
+    builds its own projectors, and the caller's Pi_H at t's base points serves only
+    the O(D) guard of ``lift_map`` there."""
     phi = geom.phi
     if check_tangency:
         resid = od_tangency_residual(phi.source, geom.horizontal, t, cfg)
@@ -438,15 +441,17 @@ def lift_differential_fd(
     (yp, ym), (Fp, Fm) = lift_map_raw(
         phi, geom.rank, np.stack([u.base + h * t.base_rate, u.base - h * t.base_rate]),
         np.stack([u.columns + h * t.frame_rate, u.columns - h * t.frame_rate]), cfg)
-    return FrameTangent(lift_map(geom, u, cfg), (yp - ym) / (2.0 * h), (Fp - Fm) / (2.0 * h))
+    return FrameTangent(lift_map(geom, u, Pi_H, cfg), (yp - ym) / (2.0 * h), (Fp - Fm) / (2.0 * h))
 
 
 def lift_differential_formula(
-    geom: SubmersionGeometry, case: str, value, u: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, case: str, value, u: Frame, S: Array, B: Array, Pi_H: Array,
+    cfg: FDConfig = DEFAULT_FD,
 ) -> FrameTangent:
     """Closed-form differential of the lift per input type, at the frame u or at a
-    stack of frames with one value each; S is ``S_components`` of the horizontal
-    distribution at u's base points, which the A-term contracts.
+    stack of frames with one value each, from the caller's values at u's base points:
+    S = ``S_components`` of the horizontal distribution, which the A-term contracts,
+    B = ``second_fundamental_tensor``, which (Pi_phi)_X reads, and Pi_H = ``D.projector``.
 
       horizontal-of-H: X in the horizontal space ->
           (phi_* X)^h + (phi_*(Pi_phi)_X)*
@@ -461,25 +466,24 @@ def lift_differential_formula(
     """
     phi = geom.phi
     p = u.base
-    v = lift_map(geom, u, cfg)
+    v = lift_map(geom, u, Pi_H, cfg)
     if case == "horizontal-of-H":
         X = TangentVector(p, value)
-        push = pushforward_endo(geom, p, Pi_X_endo(geom, X, second_fundamental_tensor(phi, p, cfg),
-                                                   cfg), cfg)
+        push = pushforward_endo(geom, p, Pi_X_endo(geom, X, B, cfg), cfg)
         return (horizontal_lift_frame(phi.target, differential(phi, X, cfg), v, cfg)
                 + fundamental_vertical(push, v))
     if case == "horizontal-of-V":
-        push = pushforward_endo(geom, p, A_Y_endos(geom, [value], p, S, cfg)[0], cfg)
+        push = pushforward_endo(geom, p, A_Y_endos([value], S, Pi_H)[0], cfg)
         return fundamental_vertical(-push, v)
     if case == "vertical":
-        _, Pi_H = splitting_projectors(phi, p, cfg)
         top = Pi_H @ np.asarray(value, dtype=float) @ Pi_H
         return fundamental_vertical(pushforward_endo(geom, p, top, cfg), v)
     raise ValueError(f"unknown case {case!r}")
 
 
 def lift_distributions(
-    geom: SubmersionGeometry, u: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, u: Frame, gamma: Array, Pi_H: Array, S: Array,
+    cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[list[FrameTangent], list[FrameTangent]]:
     """Kernel and Mok-orthogonal bases of the lift differential at u.
 
@@ -491,9 +495,10 @@ def lift_distributions(
     the corrected A-identity flips both, and the div-duality then closes
     the cross orthogonality exactly as before).  u is the adapted frame at
     its base points, ``adapted_frame(M, D, p)``, whose columns the bases
-    read, and S is ``S_components`` of D at u's base points, which W, the adapted
-    lifts and the A-corrections contract.  At a stack of frames each basis
-    tangent is a stack, one per frame.
+    read.  The caller's Gamma, Pi_H = ``D.projector`` and S = ``S_components`` at
+    u's base points serve the adapted lifts (with their one O(D) check), the
+    A-corrections and the divergences; W contracts S.  At a stack of frames each
+    basis tangent is a stack, one per frame.
     """
     phi = geom.phi
     M, D = phi.source, geom.horizontal
@@ -507,11 +512,10 @@ def lift_distributions(
     # of the W-preimages of the divergences, in that order, in one batch
     lifts = _adapted_horizontal_lifts(M, D, [TangentVector(p, x) for x in [
         *verticals, *(W_inverse_apply(Wm, Ep[..., :, a]) for a in range(k)),
-        *W_inverse_apply(Wm, div_bot(geom, tops, u, cfg))]], u,
-        christoffel(M, p, cfg), D.projector(p), S)
+        *W_inverse_apply(Wm, div_bot(geom, tops, u, gamma, Pi_H, cfg))]], u, gamma, Pi_H, S)
 
     V_basis = [lift + fundamental_vertical(A, u)
-               for lift, A in zip(lifts, A_Y_endos(geom, verticals, p, S, cfg))]
+               for lift, A in zip(lifts, A_Y_endos(verticals, S, Pi_H))]
     V_basis += [
         fundamental_vertical(_adapted_endo(M, _block_coefficients(n, k, None, b), p, Ep), u)
         for b in skew_basis(n - k)]
@@ -523,19 +527,18 @@ def lift_distributions(
 
 
 def fiber_second_fundamental_form(
-    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, u: Frame, gamma: Array, Pi_H: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Second fundamental form of the fibres on the vertical columns e_a of the adapted
     frames u, ``adapted_frame(M, D, p)``: F[..., a, b, :] = Pi_H (nabla_{e_a} e_b +
     nabla_{e_b} e_a) / 2 for a, b < n - k.
 
-    One Christoffel evaluation and one frame stencil over the vertical
-    directions.  Built from the frame alone, not from ``second_fundamental_tensor``,
-    so that the tension checks compare two constructions.
+    The caller's Gamma and Pi_H at u's base points, and one frame stencil over the
+    vertical directions.  Built from the frame alone, not from
+    ``second_fundamental_tensor``, so that the tension checks compare two constructions.
     """
     k, n = geom.rank, geom.phi.source.dim
-    _, Pi_H = splitting_projectors(geom.phi, u.base, cfg)
-    gamma, dE = _frame_jet(geom, u, range(k, n), cfg)
+    dE = _frame_jet(geom, u, range(k, n), cfg)
     E_V = u.columns[..., :, k:]
     nab = (dE[..., :, :, k:].swapaxes(-1, -2)  # [..., a, b, :] = nabla_{e_a} e_b
            + np.einsum("...mij,...ia,...jb->...abm", gamma, E_V, E_V))
@@ -543,20 +546,20 @@ def fiber_second_fundamental_form(
 
 
 def mean_curvature_fibers(
-    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, u: Frame, gamma: Array, Pi_H: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> TangentVector:
     """Mean curvature of the fibres at the adapted frames u: the trace of
-    ``fiber_second_fundamental_form``."""
-    F = fiber_second_fundamental_form(geom, u, cfg)
+    ``fiber_second_fundamental_form`` (Gamma and Pi_H at u's base points)."""
+    F = fiber_second_fundamental_form(geom, u, gamma, Pi_H, cfg)
     return TangentVector(u.base, np.trace(F, axis1=-3, axis2=-2))
 
 
 def fiber_second_fundamental_defect(
-    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, u: Frame, gamma: Array, Pi_H: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Largest g-norm of ``fiber_second_fundamental_form`` at the adapted frames u,
-    over its entries a <= b; one value per frame."""
-    F = fiber_second_fundamental_form(geom, u, cfg)
+    """Largest g-norm of ``fiber_second_fundamental_form`` at the adapted frames u
+    (Gamma and Pi_H at u's base points), over its entries a <= b; one value per frame."""
+    F = fiber_second_fundamental_form(geom, u, gamma, Pi_H, cfg)
     a, b = np.triu_indices(F.shape[-2])
     norms = _g_norm(metric_eval(geom.phi.source, u.base)[..., None, :, :], F[..., a, b, :])
     return np.max(norms, axis=-1, initial=0.0)
@@ -583,7 +586,8 @@ def tension_conformal_display(
     dlnlam = central_diff(lambda q: np.log(dilatation(geom, adapted_frame(M, D, q), cfg)[0]),
                           p, cfg.step_h)
     grad = np.linalg.solve(metric_eval(M, p), dlnlam[..., None])
-    H = mean_curvature_fibers(geom, adapted_frame(M, D, p), cfg).components
+    H = mean_curvature_fibers(geom, adapted_frame(M, D, p), christoffel(M, p, cfg), D.projector(p),
+                              cfg).components
     J = differential_matrix(phi, p, cfg)
     return (-0.5 * (M.dim - 2) * (J @ grad) - J @ H[..., None])[..., 0]
 
@@ -593,21 +597,22 @@ def tension_conformal_display(
 # ---------------------------------------------------------------------------
 
 def lift_conformality_measurement(
-    geom: SubmersionGeometry, u: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, u: Frame, gamma: Array, Pi_H: Array, S: Array,
+    cfg: FDConfig = DEFAULT_FD,
 ) -> tuple[Array, Array]:
     """(Lambda, defect) of the lift at the frame u, measured directly.
 
-    The orthogonal basis of ``lift_distributions`` (from S, ``S_components`` at u's
-    base points) is Mok-orthonormalized, pushed through the finite-difference lift
-    differential (one call for the whole basis), and its target Mok Gram matrix is
+    The orthogonal basis of ``lift_distributions`` (from the caller's Gamma, Pi_H and
+    S at u's base points) is Mok-orthonormalized, pushed through the finite-difference
+    lift differential (one call for the whole basis), and its target Mok Gram matrix is
     compared against Lambda times the identity.  At a stack of frames both have
     the frames' leading shape.
     """
     phi = geom.phi
-    _, H_basis = lift_distributions(geom, u, S, cfg)
+    _, H_basis = lift_distributions(geom, u, gamma, Pi_H, S, cfg)
     W_on = mok_orthonormalize(phi.source, H_basis, cfg)
     m = len(W_on)
-    imgs = lift_differential_fd(geom, FrameTangent.stack(W_on), cfg, check_tangency=False)
+    imgs = lift_differential_fd(geom, FrameTangent.stack(W_on), Pi_H, cfg, check_tangency=False)
     G = mok_gram(phi.target, [imgs[a] for a in range(m)], cfg)
     Lam = np.trace(G, axis1=-2, axis2=-1) / m
     defect = np.max(np.abs(G - Lam[..., None, None] * np.eye(m)), axis=(-2, -1))
@@ -691,7 +696,8 @@ def classify(
     the dilatations, the second fundamental tensor, the fibres' second
     fundamental form, the torsion of D and the lift's conformality are each
     evaluated once on it, and each defect is the worst over points and
-    frame pairs."""
+    frame pairs.  Gamma and D's projector at the points are built once: S, the
+    fibres' form and the lift measurement read them."""
     phi, M, D, k = geom.phi, geom.phi.source, geom.horizontal, geom.rank
     rep = ClassificationReport(name=phi.name)
     points = np.asarray(points, dtype=float)
@@ -710,7 +716,8 @@ def classify(
 
     # torsion T^D(e_a, e_b) on the horizontal pairs a < b, from the S that the lift
     # measurement reads too
-    S = S_components(M, D, points, christoffel(M, points, cfg), D.projector(points), cfg)
+    gamma, P = christoffel(M, points, cfg), D.projector(points)
+    S = S_components(M, D, points, gamma, P, cfg)
     a, b = np.triu_indices(k, 1)
     integ_defect = np.max(_g_norm(gp, _torsion(S, *(np.moveaxis(E[..., :, c], -1, 0) for c in (a, b)))),
                           initial=0.0)
@@ -723,7 +730,7 @@ def classify(
         rep.dilatation_constant = rep.dilatation_std < cfg.tol_fd1 * (1.0 + float(np.mean(lams)))
     rep.totally_geodesic_defect = tg_defect
     rep.totally_geodesic = decide(tg_defect, cfg)
-    rep.fibers_defect = np.max(fiber_second_fundamental_defect(geom, frames, cfg))
+    rep.fibers_defect = np.max(fiber_second_fundamental_defect(geom, frames, gamma, P, cfg))
     rep.fibers_totally_geodesic = decide(rep.fibers_defect, cfg)
     rep.h_integrability_defect = integ_defect
     rep.h_integrable = decide(integ_defect, cfg)
@@ -736,7 +743,7 @@ def classify(
     rep.lift_harmonic_morphism_predicted = lift_harmonic_morphism_rule(
         rep.harmonic_morphism, rep.totally_geodesic, rep.dilatation_constant)
 
-    Lams, lift_defects = lift_conformality_measurement(geom, frames, S, cfg)
+    Lams, lift_defects = lift_conformality_measurement(geom, frames, gamma, P, S, cfg)
     rep.lift_lambda_samples = Lams.tolist()
     rep.lift_lambda_std = float(np.std(Lams))
     rep.lift_defect_measured = np.max(lift_defects)
@@ -805,7 +812,10 @@ def lift_tension_direct(
     dF_q0 = _difference(F_q0, at_q0_norm, h)
     J_F, pushed = dF_q0[:m].T, dF_q0[m:]  # (tgt_dim, m) and row i: dF(E_i) at q0
     dW = _difference(_difference(F_inner, inner_norm, h), outer_norm, h2)
-    gamma_tgt = christoffel(tgt_total, y0, cfg_total)
+    # G(y0) of L(N) serves its Christoffel symbols and the norms below; the source side
+    # stays the generic ``christoffel``, whose domain errors the column reference shares
+    G_tgt = metric_eval(tgt_total, y0)
+    gamma_tgt = _christoffel_from(G_tgt, metric_derivative_eval(tgt_total, y0, cfg_total))
 
     tau = np.zeros(tgt_chart.dim)
     for i in range(m):
@@ -814,7 +824,6 @@ def lift_tension_direct(
         tau += dW[i] + christoffel_contract(gamma_tgt, J_F @ Ei) @ pushed[i]
         tau -= J_F @ nab
 
-    G_tgt = induced_metric_on_chart(tgt_chart, y0, cfg)
     span = J_F  # columns span the image tangent space
     A = span.T @ G_tgt @ span
     b = span.T @ G_tgt @ tau

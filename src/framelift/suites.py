@@ -51,15 +51,14 @@ from .frames import (
 )
 from .adapted import (
     S_components,
-    S_tensor,
     W_endo,
     _adapted_horizontal_lifts,
     adapted_connection_audit,
+    adapted_derivatives,
     adapted_frame,
     block_decompose,
     curvature_relation_residual,
     m_projection,
-    nabla_D,
     od_tangency_residual,
     projector_defects,
     reductive_split_defect,
@@ -419,14 +418,14 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # projector, blocks and m-projection, evaluated once on the stack of sample
     # points; per point, the draws are P and K
-    d = projector_defects(M, D, pts)
+    d = projector_defects(M, D, pts, Pi)
     checks.see("projector_invariants", d["idempotent"], d["self_adjoint"], d["trace"])
     P, K = np.moveaxis(rng.standard_normal((len(pts), 2, M.dim, M.dim)), 1, 0)
     b = block_decompose(P, Pi)
     checks.see("block_reassembly", np.max(np.abs(b.reassemble() - P), axis=(-2, -1)))
     g = metric_eval(M, pts)
-    m1 = m_projection(M, D, pts, np.linalg.solve(g, 0.5 * (K - K.swapaxes(-1, -2))), cfg)
-    m2 = m_projection(M, D, pts, m1, cfg)
+    m1 = m_projection(M, pts, np.linalg.solve(g, 0.5 * (K - K.swapaxes(-1, -2))), Pi)
+    m2 = m_projection(M, pts, m1, Pi)
     gm = g @ m1
     checks.see("m_projection", np.max(np.abs(m2 - m1), axis=(-2, -1)),
                np.max(np.abs(gm + gm.swapaxes(-1, -2)), axis=(-2, -1)))
@@ -446,20 +445,18 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     z, y, x = np.split(draws[:, 3 * m:], 3, axis=-1)
     g = metric_eval(M, few)
     Ytop = VectorField(eval=lambda q: (D.projector(q) @ (1.0 + 0.3 * q)[..., None])[..., 0])
-    nd = nabla_D(M, D, X, Ytop, few, cfg).components
+    # tensoriality: rescale Y by a function equal to 1 at each point.  The kernel reads X
+    # at the points only, where a rescaled X equals X bit for bit: one direction serves all
+    f = lambda q: 1.0 + ((q - few)[..., None, :] @ np.arange(1.0, n + 1.0)[:, None])[..., 0]
+    Ys = VectorField(eval=lambda q: f(q) * Y.eval(q))
+    xf = X.eval(few)
+    (nd, a, b, _), (_, s1, _, s2) = adapted_derivatives(
+        M, D, xf, [Ytop, Y, Z, Ys], few, gamma[:len(few)], Pi[:len(few)], cfg)
     _single(checks, "connection_preserves_blocks", "adapted connection maps sections of D into D",
-            _g_norm(g, (D.complement(few) @ nd[..., None])[..., 0]), cfg.tol_fd1)
-    lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), few, X.eval(few), cfg.step_h)
-    a = nabla_D(M, D, X, Y, few, cfg).components
-    b = nabla_D(M, D, X, Z, few, cfg).components
+            _g_norm(g, ((np.eye(n) - Pi[:len(few)]) @ nd[..., None])[..., 0]), cfg.tol_fd1)
+    lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), few, xf, cfg.step_h)
     _single(checks, "connection_metric_compatible", "adapted connection preserves the metric",
             np.abs(lhs - _pairing_at(g, a, Z.eval(few)) - _pairing_at(g, Y.eval(few), b)), cfg.tol_fd1)
-    # tensoriality: rescale fields by functions equal to 1 at each point
-    f = lambda q: 1.0 + ((q - few)[..., None, :] @ np.arange(1.0, n + 1.0)[:, None])[..., 0]
-    Xs = VectorField(eval=lambda q: f(q) * X.eval(q))
-    Ys = VectorField(eval=lambda q: f(q) * Y.eval(q))
-    s1 = S_tensor(M, D, X, Y, few, cfg).components
-    s2 = S_tensor(M, D, Xs, Ys, few, cfg).components
     _single(checks, "difference_tensorial", "difference tensor unchanged by unit-at-p rescalings",
             np.max(np.abs(s1 - s2), axis=-1), cfg.tol_fd1)
     # skew-symmetry of S in its last two slots
@@ -570,17 +567,18 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # second fundamental form symmetry, A-identity, Pi_X displays, evaluated once on
     # the stack of adapted frames at the first sample points.  Per point, the draws
-    # are (x, y) for the symmetry and X for the displays
+    # are (x, y) for the symmetry and X for the displays.  Gamma, Pi_H, S and B there
+    # are built once: every reader below takes them
     frames = frames[:len(few)]
     E = frames.columns
-    gamma, Pi = christoffel(M, few, cfg), D.projector(few)
-    S = S_components(M, D, few, gamma, Pi, cfg)  # every S reader below contracts it
+    gamma, Pi = christoffel(M, few, cfg), Pi_H[:len(few)]
+    S = S_components(M, D, few, gamma, Pi, cfg)
     x, y, w = np.moveaxis(rng.standard_normal((len(few), 3, M.dim)), 1, 0)
     B = second_fundamental_tensor(phi, few, cfg)
     checks.see("second_fundamental_symmetric", _g_norm(
         metric_eval(phi.target, phi.value(few)), _bilinear(B, x, y) - _bilinear(B, y, x)))
     readings = A_identity_residuals(geom, np.moveaxis(E[..., :, :k], -1, 0),
-                                    np.moveaxis(E[..., :, k:], -1, 0), few, B, S, cfg)
+                                    np.moveaxis(E[..., :, k:], -1, 0), few, B, S, Pi, cfg)
     checks.see("a_identity", *(r["asserted"] for r in readings))
     checks.see("a_identity_printed_sign", *(r["printed"] for r in readings))
     X = TangentVector(few, w)
@@ -596,12 +594,11 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_fd2)
 
     # pushforward of endomorphisms: identity and multiplicativity
-    p = pts[0]
-    Pi_V, Pi_H = splitting_projectors(phi, p, cfg)
+    p, Pi_p = pts[0], Pi_H[0]
     _single(checks, "pushforward_identity", "pushforward of the horizontal identity is the identity",
-            np.max(np.abs(pushforward_endo(geom, p, Pi_H, cfg) - np.eye(k))), cfg.tol_exact * 1e3)
-    P0 = Pi_H @ rng.standard_normal((M.dim, M.dim)) @ Pi_H
-    Q0 = Pi_H @ rng.standard_normal((M.dim, M.dim)) @ Pi_H
+            np.max(np.abs(pushforward_endo(geom, p, Pi_p, cfg) - np.eye(k))), cfg.tol_exact * 1e3)
+    P0 = Pi_p @ rng.standard_normal((M.dim, M.dim)) @ Pi_p
+    Q0 = Pi_p @ rng.standard_normal((M.dim, M.dim)) @ Pi_p
     lhs = pushforward_endo(geom, p, P0 @ Q0, cfg)
     rhs = pushforward_endo(geom, p, P0, cfg) @ pushforward_endo(geom, p, Q0, cfg)
     _single(checks, "pushforward_multiplicative", "pushforward respects composition",
@@ -613,20 +610,20 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     ys = np.moveaxis(E[..., :, k + np.arange(5) % (M.dim - k)], -1, 0)
     Cs = _adapted_endo(M, _block_coefficients(M.dim, k, tops, None), few, E)
     onb = [TangentVector(few, e) for e in np.moveaxis(E, -1, 0)]
-    duality = endo_inner(M, few, np.asarray(A_Y_endos(geom, ys, few, S, cfg)), Cs, onb) + _pairing_at(
-        metric_eval(M, few), ys, div_bot(geom, tops, frames, cfg))
+    duality = endo_inner(M, few, np.asarray(A_Y_endos(ys, S, Pi)), Cs, onb) + _pairing_at(
+        metric_eval(M, few), ys, div_bot(geom, tops, frames, gamma, Pi, cfg))
     _single(checks, "div_duality", "<A_X | C> = -g(X, vertical divergence of C)",
             np.ravel(np.abs(duality)), cfg.tol_fd2)
 
     # the lifted frame
-    v = lift_map(geom, frames[:3], cfg)
+    v = lift_map(geom, frames[:3], Pi[:3], cfg)
     G = v.columns.swapaxes(-1, -2) @ metric_eval(phi.target, v.base) @ v.columns
     _single(checks, "lifted_frame_gram", "lifted frame Gram equals the dilatation times identity",
             np.max(np.abs(G - lams[:3, None, None] * np.eye(k)), axis=(-2, -1)), cfg.tol_fd1)
 
-    # lift differential: formula vs finite differences, three input types, each
-    # evaluated once on the stack of frames; per point, the draws are the
-    # coefficients of x in the horizontal and of y in the vertical columns
+    # lift differential: formula vs finite differences, three input types on the stack
+    # of frames, all differenced in one call and normed in one; per point, the draws are
+    # the coefficients of x in the horizontal and of y in the vertical columns
     blk = np.zeros((M.dim, M.dim))
     if k >= 2:
         blk[0, 1], blk[1, 0] = 1.0, -1.0
@@ -638,20 +635,23 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     P0 = E @ blk @ E.swapaxes(-1, -2) @ metric_eval(M, few)
     tx, ty = _adapted_horizontal_lifts(M, D, [TangentVector(few, x), TangentVector(few, y)],
                                        frames, gamma, Pi, S)
-    for case, t, arg in (("horizontal-of-H", tx, x), ("horizontal-of-V", ty, y),
-                         ("vertical", fundamental_vertical(P0, frames), P0)):
-        d = lift_differential_fd(geom, t, cfg) - lift_differential_formula(geom, case, arg, frames, S, cfg)
+    cases = (("horizontal-of-H", tx, x), ("horizontal-of-V", ty, y),
+             ("vertical", fundamental_vertical(P0, frames), P0))
+    d = lift_differential_fd(geom, FrameTangent.stack([t for _, t, _ in cases]), Pi, cfg) - FrameTangent.stack(
+        [lift_differential_formula(geom, case, arg, frames, S, B, Pi, cfg) for case, _, arg in cases])
+    for (case, _, _), residual in zip(cases, mok_norm(phi.target, d, cfg)):
         _single(checks, f"differential.{case}", "lift differential formula matches central differences",
-                mok_norm(phi.target, d, cfg), cfg.tol_fd2)
+                residual, cfg.tol_fd2)
 
     # kernel / orthogonal distributions of the lift, evaluated once on the stack
     # of adapted frames at the sample points
     n = M.dim
-    Vb, Hb = lift_distributions(geom, frames, S, cfg)
+    Vb, Hb = lift_distributions(geom, frames, gamma, Pi, S, cfg)
     dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
     kernel = mok_norm(phi.target, lift_differential_fd(
-        geom, FrameTangent.stack(Vb), cfg, check_tangency=False), cfg)  # (len(Vb), len(few))
-    cross = np.abs([mok_metric(M, v, h, cfg) for v in Vb for h in Hb])
+        geom, FrameTangent.stack(Vb), Pi, cfg, check_tangency=False), cfg)  # (len(Vb), len(few))
+    cross = np.abs(mok_metric(M, FrameTangent.stack([v for v in Vb for _ in Hb]),
+                              FrameTangent.stack(Hb * len(Vb)), cfg))
     checks.see("dimension_identity", np.full(len(few), 0.0 if dims_ok else 1.0))
     checks.see("kernel_distribution", *kernel)
     checks.see("distribution_orthogonality", *cross)
@@ -731,7 +731,8 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         p0 = np.array(entry.tension_unit_at)
         y0 = phi.value(p0)
         tn = norm(phi.target, y0, tension_field(geom, p0, cfg))
-        H = mean_curvature_fibers(geom, adapted_frame(phi.source, geom.horizontal, p0), cfg)
+        H = mean_curvature_fibers(geom, adapted_frame(phi.source, geom.horizontal, p0),
+                                  christoffel(phi.source, p0, cfg), geom.horizontal.projector(p0), cfg)
         pushed = differential_matrix(phi, p0, cfg) @ H.components
         _single(checks, "tension_norm_one", "tension norm equals 1 at the warped origin",
                 abs(tn - 1.0), 5e-3)

@@ -66,6 +66,7 @@ from framelift.submersion import (
     lift_tension_direct,
     mean_curvature_fibers,
     differential_matrix,
+    second_fundamental_tensor,
     tension_field,
     vertical_basis,
 )
@@ -262,12 +263,12 @@ def test_criterion_06_divergence_lemma():
         for trial in range(5):
             top = rng.standard_normal((k, k))
             C = adapted_endo_field(geom, top=top)
-            [d] = div_bot(geom, top[None], u, CFG)
+            [d] = div_bot(geom, top[None], u, christoffel(M, p, CFG), D.projector(p), CFG)
             X = vb[trial % len(vb)]
             x = rng.standard_normal(M.dim)
             Xr = TangentVector(p, (np.eye(M.dim) - D.projector(p)) @ x)
             for V in (X, Xr):
-                [A] = A_Y_endos(geom, [V.components], p, S_at(M, D, p), CFG)
+                [A] = A_Y_endos([V.components], S_at(M, D, p), D.projector(p))
                 val = endo_inner(M, p, A, C.eval(p), onb)
                 worst = max(worst, abs(val + float(V.components @ g @ d)))
     ok = worst < 5e-4
@@ -328,14 +329,15 @@ def test_criterion_08_lift_differential_lemma():
             g = metric_eval(M, p)
             x = sum(c * b.components for c, b in
                     zip(rng.standard_normal(k), horizontal_basis(geom, p)))
+            S, B, Pi_H = S_at(M, D, p), second_fundamental_tensor(e.phi, p, CFG), D.projector(p)
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
-            d = lift_differential_fd(geom, t, CFG) - lift_differential_formula(
-                geom, "horizontal-of-H", x, u, S_at(M, D, p), CFG)
+            d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
+                geom, "horizontal-of-H", x, u, S, B, Pi_H, CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u, CFG)
-            d = lift_differential_fd(geom, t, CFG) - lift_differential_formula(
-                geom, "horizontal-of-V", y, u, S_at(M, D, p), CFG)
+            d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
+                geom, "horizontal-of-V", y, u, S, B, Pi_H, CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
@@ -344,8 +346,8 @@ def test_criterion_08_lift_differential_lemma():
                 blk[k, k + 1], blk[k + 1, k] = -1.0, 1.0
             P0 = u.columns @ blk @ u.columns.T @ g
             t = fundamental_vertical(P0, u)
-            d = lift_differential_fd(geom, t, CFG) - lift_differential_formula(
-                geom, "vertical", P0, u, S_at(M, D, p), CFG)
+            d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
+                geom, "vertical", P0, u, S, B, Pi_H, CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
     ok = worst < 5e-4
     report(8, "lift differential lemma", ok, f"(residual {worst:.3g})")
@@ -362,12 +364,14 @@ def test_criterion_09_lift_distributions():
         n, k = M.dim, geom.rank
         for p in sample_points(M, SEED, 2):
             u = adapted_frame(M, geom.horizontal, p)
-            Vb, Hb = lift_distributions(geom, u, S_at(M, geom.horizontal, p), CFG)
+            Pi_H = geom.horizontal.projector(p)
+            Vb, Hb = lift_distributions(geom, u, christoffel(M, p, CFG), Pi_H,
+                                        S_at(M, geom.horizontal, p), CFG)
             dims_ok = dims_ok and (len(Vb), len(Hb)) == (
                 (n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
             for v in Vb:
                 kern = max(kern, mok_norm(
-                    e.phi.target, lift_differential_fd(geom, v, CFG, check_tangency=False), CFG))
+                    e.phi.target, lift_differential_fd(geom, v, Pi_H, CFG, check_tangency=False), CFG))
             for v in Vb:
                 for h in Hb:
                     cross = max(cross, abs(mok_metric(M, v, h, CFG)))
@@ -467,7 +471,8 @@ def test_criterion_11_harmonic_morphism_theorem():
     tau = tension_field(geom4, p0, CFG)
     gN = metric_eval(e4.phi.target, e4.phi.value(p0))
     tn = float(np.sqrt(max(tau @ gN @ tau, 0.0)))
-    H = mean_curvature_fibers(geom4, adapted_frame(e4.phi.source, geom4.horizontal, p0), CFG)
+    H = mean_curvature_fibers(geom4, adapted_frame(e4.phi.source, geom4.horizontal, p0),
+                              christoffel(e4.phi.source, p0, CFG), geom4.horizontal.projector(p0), CFG)
     J = differential_matrix(e4.phi, p0, CFG)
     ph = J @ H.components
     hn = float(np.sqrt(max(ph @ gN @ ph, 0.0)))

@@ -9,18 +9,17 @@ from framelift.adapted import (
     DistributionSpec,
     L_P_applies,
     S_components,
-    S_tensor,
     W_endo,
     W_inverse_apply,
     adapted_chart,
     adapted_connection_audit,
+    adapted_derivatives,
     adapted_frame,
     adapted_horizontal_lift,
     block_decompose,
     curvature_RD_tensor,
     curvature_relation_residual,
     m_projection,
-    nabla_D,
     od_membership_defect,
     od_tangency_residual,
     projector_defects,
@@ -60,6 +59,16 @@ def S_along(M, D, x, p, cfg=DEFAULT_FD):
     return christoffel_contract(S_at(M, D, p, cfg), x)
 
 
+def nabla_D_of(M, D, X, Y, p):
+    """nabla^D_X Y at p, the first reading of ``adapted_derivatives`` from Gamma(p) and P(p)."""
+    return adapted_derivatives(M, D, X.eval(p), [Y], p, christoffel(M, p), D.projector(p))[0][0]
+
+
+def S_of(M, D, X, Y, p):
+    """S_X Y at p, the second reading of ``adapted_derivatives`` from Gamma(p) and P(p)."""
+    return adapted_derivatives(M, D, X.eval(p), [Y], p, christoffel(M, p), D.projector(p))[1][0]
+
+
 def flat_parallel_distribution(k: int, n: int) -> DistributionSpec:
     P = np.zeros((n, n))
     P[:k, :k] = np.eye(k)
@@ -87,7 +96,7 @@ class TestProjectors:
         e = get(eid)
         geom = derive_geometry(e.phi)
         for p in sample_points(e.phi.source, 2, 5):
-            d = projector_defects(e.phi.source, geom.horizontal, p)
+            d = projector_defects(e.phi.source, geom.horizontal, p, geom.horizontal.projector(p))
             assert d["idempotent"] < 1e-10
             assert d["self_adjoint"] < 1e-10
             assert d["trace"] < 1e-10
@@ -120,17 +129,18 @@ class TestBlocks:
         g = metric_eval(M3, p)
         K = rng.standard_normal((3, 3))
         skew = np.linalg.solve(g, 0.5 * (K - K.T))
-        m1 = m_projection(M3, D3, p, skew)
+        Pi = D3.projector(p)
+        m1 = m_projection(M3, p, skew, Pi)
         # idempotent, skew, and block-diagonal input maps to zero
-        assert np.max(np.abs(m_projection(M3, D3, p, m1) - m1)) < 1e-10
+        assert np.max(np.abs(m_projection(M3, p, m1, Pi) - m1)) < 1e-10
         assert np.max(np.abs(g @ m1 + (g @ m1).T)) < 1e-10
-        bd = block_decompose(skew, D3.projector(p))
-        assert np.max(np.abs(m_projection(M3, D3, p, skew - bd.off1 - bd.off2))) < 1e-10
+        bd = block_decompose(skew, Pi)
+        assert np.max(np.abs(m_projection(M3, p, skew - bd.off1 - bd.off2, Pi))) < 1e-10
 
     def test_m_projection_rejects_non_skew(self):
         p = sample_points(M3, 4, 1)[0]
         with pytest.raises(ValueError):
-            m_projection(M3, D3, p, np.eye(3))
+            m_projection(M3, p, np.eye(3), D3.projector(p))
 
 
 class TestAdaptedConnection:
@@ -141,7 +151,7 @@ class TestAdaptedConnection:
         Y = polynomial_vector_field(3, rng)
         p = np.array([0.1, -0.2, 0.3])
         from framelift.geometry import covariant_derivative
-        a = nabla_D(R3, D, X, Y, p).components
+        a = nabla_D_of(R3, D, X, Y, p)
         b = covariant_derivative(R3, X, Y, p).components
         assert np.max(np.abs(a - b)) < 1e-9
 
@@ -150,8 +160,8 @@ class TestAdaptedConnection:
         X = polynomial_vector_field(2, rng)
         Ytop = VectorField(eval=lambda q: D4.projector(q) @ np.array([1.0, 0.4]))
         for p in sample_points(M4, 5, 5):
-            out = nabla_D(M4, D4, X, Ytop, p).components
-            assert np.max(np.abs(D4.complement(p) @ out)) < 1e-6
+            out = nabla_D_of(M4, D4, X, Ytop, p)
+            assert np.max(np.abs((np.eye(2) - D4.projector(p)) @ out)) < 1e-6
 
 
 class TestDifferenceTensor:
@@ -160,15 +170,15 @@ class TestDifferenceTensor:
         rng = np.random.default_rng(4)
         X = polynomial_vector_field(3, rng)
         Y = polynomial_vector_field(3, rng)
-        out = S_tensor(R3, D, X, Y, np.array([0.2, 0.1, 0.0]))
-        assert np.max(np.abs(out.components)) < 1e-9
+        out = S_of(R3, D, X, Y, np.array([0.2, 0.1, 0.0]))
+        assert np.max(np.abs(out)) < 1e-9
 
     def test_warped_closed_form(self):
         # S_{ds} ds = -e^{2t} dt from the warped Christoffel symbols
         for t0 in (0.0, 0.3, -0.4):
             p = np.array([t0, 0.2])
-            out = S_tensor(M4, D4, coordinate_field(1, 2), coordinate_field(1, 2), p)
-            assert np.allclose(out.components, [-np.exp(2.0 * t0), 0.0], atol=1e-9)
+            out = S_of(M4, D4, coordinate_field(1, 2), coordinate_field(1, 2), p)
+            assert np.allclose(out, [-np.exp(2.0 * t0), 0.0], atol=1e-9)
 
     def test_swaps_blocks(self):
         rng = np.random.default_rng(5)
@@ -176,7 +186,7 @@ class TestDifferenceTensor:
             x = rng.standard_normal(3)
             Sx = S_along(M3, D3, x, p)
             Pi = D3.projector(p)
-            Pic = D3.complement(p)
+            Pic = np.eye(3) - Pi
             # S_x maps the distribution into the complement and back
             assert np.max(np.abs(Pi @ Sx @ Pi)) < 1e-8
             assert np.max(np.abs(Pic @ Sx @ Pic)) < 1e-8
@@ -197,7 +207,8 @@ def _example_distribution(eid: str):
 
 
 class TestBatchedS:
-    """S_components, contracted along a vector, and A_Y_endos against the field-level S_tensor."""
+    """S_components, contracted along a vector, and A_Y_endos against the field-level S of
+    ``adapted_derivatives``."""
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_columns_match_the_definition(self, eid):
@@ -208,7 +219,7 @@ class TestBatchedS:
             for x in [np.zeros(n), *rng.standard_normal((2, n))]:
                 Sx = S_along(M, D, x, p)
                 ref = np.column_stack([
-                    S_tensor(M, D, constant_field(x), constant_field(e), p).components
+                    S_of(M, D, constant_field(x), constant_field(e), p)
                     for e in np.eye(n)])
                 assert np.max(np.abs(Sx - ref)) <= 1e-9 * (1.0 + np.max(np.abs(ref)))
 
@@ -229,7 +240,7 @@ class TestBatchedS:
             Pi = D.projector(p)
             Y = (np.eye(M.dim) - Pi) @ rng.standard_normal(M.dim)
             loop = np.column_stack([S_along(M, D, e, p) @ Y for e in np.eye(M.dim)])
-            [got] = A_Y_endos(geom, [Y], p, S_at(M, D, p))
+            [got] = A_Y_endos([Y], S_at(M, D, p), Pi)
             assert np.max(np.abs(got - Pi @ loop @ Pi)) <= 1e-12
 
 
@@ -261,6 +272,22 @@ class TestSCallCount:
         counts.update(christoffel=0, projector=0)
         S_components(M3, D3, p, gamma, P)
         assert counts == {"christoffel": 0, "projector": 1}
+
+    def test_adapted_derivatives_of_many_fields(self, counts):
+        # one projector stencil along x for every field, and the caller's Gamma(p) and P(p);
+        # each field's readings equal a call for that field alone, bit for bit
+        p = sample_points(M3, 47, 4)
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((4, 3))
+        Ys = [polynomial_vector_field(3, rng) for _ in range(3)]
+        gamma, P = christoffel(M3, p), D3.projector(p)
+        counts.update(christoffel=0, projector=0)
+        nab, S = adapted_derivatives(M3, D3, x, Ys, p, gamma, P)
+        assert counts == {"christoffel": 0, "projector": 1}
+        assert nab.shape == S.shape == (3, 4, 3)
+        for Y, a, b in zip(Ys, nab, S):
+            one = adapted_derivatives(M3, D3, x, [Y], p, gamma, P)
+            assert np.array_equal(one[0][0], a) and np.array_equal(one[1][0], b)
 
     def test_W_endo(self, counts):
         p = sample_points(M3, 44, 1)[0]
@@ -325,8 +352,8 @@ class TestTorsion:
         p = np.array([0.2, -0.1])
         from framelift.geometry import lie_bracket
         td = torsion_TD(X, Y, p, S_at(M4, D4, p)).components
-        alt = (nabla_D(M4, D4, X, Y, p).components
-               - nabla_D(M4, D4, Y, X, p).components
+        alt = (nabla_D_of(M4, D4, X, Y, p)
+               - nabla_D_of(M4, D4, Y, X, p)
                - lie_bracket(X, Y, p).components)
         assert np.max(np.abs(td - alt)) < 1e-6
 

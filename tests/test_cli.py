@@ -12,6 +12,7 @@ from framelift.catalog import entries, get
 from framelift.cli import main, run
 from framelift.geometry import DomainError, sample_points
 from framelift.reporting import strip_wall_times
+from framelift.suites import SUITE_ORDER
 
 
 def run_cli(args, env_extra=None):
@@ -224,6 +225,24 @@ class TestInProcess:
         with pytest.raises(ValueError, match="^boom$") as info:
             main(["verify", "E1", "--suite", "core"])
         assert type(info.value) is ValueError and info.value.unit == ("E1", "core")
+
+    @pytest.mark.parametrize("env_seed, seed", [(None, 42), ("3", 3)])
+    def test_two_calls_share_no_state(self, tmp_path, monkeypatch, capsys, env_seed, seed):
+        # the parser is built once, at import: a second call without --seed or --suite
+        # gets the default seed (or FRAMELIFT_SEED) and every suite, as a fresh process does
+        monkeypatch.delenv("FRAMELIFT_SEED", raising=False)
+        env = {} if env_seed is None else {"FRAMELIFT_SEED": env_seed}
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        first, second, fresh = (tmp_path / f"{name}.json" for name in ("first", "second", "fresh"))
+        main(["verify", "E1", "--seed", "7", "--suite", "frame", "--json", str(first)])
+        code = main(["verify", "E1", "--json", str(second)])
+        proc = run_cli(["verify", "E1", "--json", str(fresh)], env)
+        assert code == proc.returncode, proc.stderr
+        doc = json.loads(second.read_text())
+        assert doc["config"]["seed"] == seed
+        assert {r["name"].split(".")[1] for r in doc["results"]} == set(SUITE_ORDER)
+        assert strip_wall_times(second.read_text()) == strip_wall_times(fresh.read_text())
 
     def test_report_schema(self, tmp_path, capsys):
         path = tmp_path / "r.json"

@@ -21,7 +21,6 @@ import framelift.tangent as tangent_module
 from framelift.adapted import (
     L_P_applies,
     S_components,
-    S_tensor,
     adapted_connection_audit,
     adapted_frame,
     torsion_TD,
@@ -89,6 +88,11 @@ def S_at(geom, p):
     """S_components of the horizontal distribution at the point or stack p."""
     M, D = geom.phi.source, geom.horizontal
     return S_components(M, D, p, christoffel(M, p), D.projector(p))
+
+
+def held(geom, p):
+    """Gamma and the horizontal projector at the point or stack p, as a caller holds them."""
+    return christoffel(geom.phi.source, p), geom.horizontal.projector(p)
 
 
 def rows_of(f, ps):
@@ -368,28 +372,27 @@ class TestDivBot:
         u = adapted_frame(M, geom.horizontal, sample_points(M, 69, 1)[0])
         top = np.random.default_rng(70).standard_normal((k, k))
         C = adapted_endo_field(geom, top=top)
-        Pi_V, _ = submersion_module.splitting_projectors(geom.phi, u.base)
-        gamma, dCE = _frame_jet(geom, u, range(k), geometry_module.DEFAULT_FD,
-                                lambda q, Eq: C.eval(q) @ Eq)
+        gamma, Pi_H = held(geom, u.base)
+        dCE = _frame_jet(geom, u, range(k), geometry_module.DEFAULT_FD, lambda q, Eq: C.eval(q) @ Eq)
         E = u.columns[:, :k]
-        want = Pi_V @ (np.einsum("aia->i", dCE[..., :k])
-                       + np.einsum("mij,ia,ja->m", gamma, E, C.eval(u.base) @ E))
-        assert np.array_equal(div_bot(geom, top[None], u)[0], want)
+        want = (np.eye(M.dim) - Pi_H) @ (np.einsum("aia->i", dCE[..., :k])
+                                         + np.einsum("mij,ia,ja->m", gamma, E, C.eval(u.base) @ E))
+        assert np.array_equal(div_bot(geom, top[None], u, gamma, Pi_H)[0], want)
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_blocks_per_frame_equal_one_call_per_frame(self, example):
         u, geom = frame_stack(example)
         tops = np.random.default_rng(111).standard_normal((4, 3, geom.rank, geom.rank))
-        got = div_bot(geom, tops, u)
+        got = div_bot(geom, tops, u, *held(geom, u.base))
         assert got.shape == (4, 3, geom.phi.source.dim)
         for i in range(3):
-            assert np.array_equal(got[:, i], div_bot(geom, tops[:, i], u[i]))
+            assert np.array_equal(got[:, i], div_bot(geom, tops[:, i], u[i], *held(geom, u.base[i])))
 
     def test_builds_one_adapted_frame_per_stencil(self, monkeypatch):
         M = E3_GEOM.phi.source
         u = adapted_frame(M, E3_GEOM.horizontal, sample_points(M, 71, 1)[0])
         frames = count_calls(monkeypatch, submersion_module, "adapted_frame")
-        div_bot(E3_GEOM, np.array([J2, 0.5 * J2]), u)
+        div_bot(E3_GEOM, np.array([J2, 0.5 * J2]), u, *held(E3_GEOM, u.base))
         assert len(frames) == 1  # the whole stencil over the k directions, for every block
 
 
@@ -755,7 +758,9 @@ class TestTorsionBatch:
         p = sample_points(M, 95, 1)[0]
         rng = np.random.default_rng(96)
         X, Y = (polynomial_vector_field(M.dim, rng) for _ in range(2))
-        want = S_tensor(M, D, Y, X, p).components - S_tensor(M, D, X, Y, p).components
+        SXY, SYX = (adapted_module.adapted_derivatives(M, D, F.eval(p), [G], p, *held(geom, p))[1][0]
+                    for F, G in ((X, Y), (Y, X)))
+        want = SYX - SXY
         assert np.max(np.abs(torsion_TD(X, Y, p, S_at(geom, p)).components - want)) < 1e-6
 
 
@@ -816,8 +821,9 @@ def horizontal(geom, E, c):
 def lift_differential_cases(geom, u, x, c, P):
     """The closed-form lift differential at u for each input type: x, the vertical
     vector with coefficients c and the endomorphism P."""
-    S = S_at(geom, u.base)
-    return [submersion_module.lift_differential_formula(geom, case, value, u, S) for case, value in (
+    S, B = S_at(geom, u.base), submersion_module.second_fundamental_tensor(geom.phi, u.base)
+    Pi_H = geom.horizontal.projector(u.base)
+    return [submersion_module.lift_differential_formula(geom, case, value, u, S, B, Pi_H) for case, value in (
         ("horizontal-of-H", x), ("horizontal-of-V", vertical(geom, u.columns, c)), ("vertical", P))]
 
 
@@ -924,23 +930,24 @@ FRAME_FUNCTIONS = {
         geom.phi.source, geom.horizontal, u, geom.horizontal.projector(u.base))),
     "adapted.od_tangency_residual": ([vectors()], lambda geom, u, x: adapted_module.od_tangency_residual(
         geom.phi.source, geom.horizontal, lifted(geom, u, x))),
-    "submersion.lift_map": ([], lambda geom, u: submersion_module.lift_map(geom, u)),
+    "submersion.lift_map": ([], lambda geom, u: submersion_module.lift_map(
+        geom, u, geom.horizontal.projector(u.base))),
     "submersion.lift_differential_fd": ([vectors()], lambda geom, u, x: submersion_module.lift_differential_fd(
-        geom, lifted(geom, u, x))),
+        geom, lifted(geom, u, x), geom.horizontal.projector(u.base))),
     "submersion.lift_distributions": ([], lambda geom, u: submersion_module.lift_distributions(
-        geom, u, S_at(geom, u.base))),
+        geom, u, *held(geom, u.base), S_at(geom, u.base))),
     "submersion.lift_conformality_measurement": ([], lambda geom, u: (
-        submersion_module.lift_conformality_measurement(geom, u, S_at(geom, u.base)))),
+        submersion_module.lift_conformality_measurement(geom, u, *held(geom, u.base), S_at(geom, u.base)))),
     "submersion.lift_differential_formula": ([vectors(), vectors(), endos()], lift_differential_cases),
     "submersion.dilatation": ([], lambda geom, u: submersion_module.dilatation(geom, u)),
     "submersion.div_bot": ([], lambda geom, u: np.moveaxis(
-        submersion_module.div_bot(geom, TOPS[geom.rank], u), 0, -2)),
+        submersion_module.div_bot(geom, TOPS[geom.rank], u, *held(geom, u.base)), 0, -2)),
     "submersion.fiber_second_fundamental_form": ([], lambda geom, u: (
-        submersion_module.fiber_second_fundamental_form(geom, u))),
+        submersion_module.fiber_second_fundamental_form(geom, u, *held(geom, u.base)))),
     "submersion.fiber_second_fundamental_defect": ([], lambda geom, u: (
-        submersion_module.fiber_second_fundamental_defect(geom, u))),
+        submersion_module.fiber_second_fundamental_defect(geom, u, *held(geom, u.base)))),
     "submersion.mean_curvature_fibers": ([], lambda geom, u: (
-        submersion_module.mean_curvature_fibers(geom, u))),
+        submersion_module.mean_curvature_fibers(geom, u, *held(geom, u.base)))),
     "frames.lc_connection_formula": ([], connection_lines),
     "frames.bracket_rhs": ([], lambda geom, u: bracket_readings(geom, u, frames_module.bracket_rhs)),
     "frames.bracket_residual": ([], lambda geom, u: bracket_readings(geom, u, frames_module.bracket_residual)),
@@ -995,16 +1002,16 @@ class TestFrameCallCounts:
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_lifts_check_membership_once_from_the_projector_they_share(self, monkeypatch, example):
         u, geom = frame_stack(example, 101)
-        D, S = geom.horizontal, S_at(geom, u.base)
+        D, S, (gamma, Pi_H) = geom.horizontal, S_at(geom, u.base), held(geom, u.base)
         projector_at_u = []
         geom = dataclasses.replace(geom, horizontal=dataclasses.replace(D, projector_field=lambda q: (
             projector_at_u.append(np.shape(q) == u.base.shape), D.projector_field(q))[1]))
         lifts = count_calls(monkeypatch, submersion_module, "_adapted_horizontal_lifts")
         checks = [count_calls(monkeypatch, module, "od_membership_defect")
                   for module in (adapted_module, submersion_module)]
-        submersion_module.lift_distributions(geom, u, S)
+        submersion_module.lift_distributions(geom, u, gamma, Pi_H, S)
         assert len(lifts) == sum(map(len, checks)) == 1
-        assert projector_at_u.count(True) == 1  # P(p) for the membership check
+        assert projector_at_u.count(True) == 0  # the membership check reads the caller's P(p)
 
     def test_audit_lifts_its_right_hand_sides_in_one_batch(self, monkeypatch):
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
@@ -1081,11 +1088,10 @@ POINT_FUNCTIONS = {
         submersion_module.second_fundamental_tensor(geom.phi, p))),
     "submersion.second_fundamental_form": ([vectors(), vectors()], lambda geom, p, x, y: (
         submersion_module.second_fundamental_form(geom.phi, TangentVector(p, x), TangentVector(p, y)))),
-    "submersion.A_Y_endos": ([], lambda geom, p: frame_pairs(
-        geom, p, lambda xs, ys: submersion_module.A_Y_endos(geom, ys, p, S_at(geom, p)))),
     "submersion.A_identity_residuals": ([], lambda geom, p: frame_pairs(geom, p, lambda xs, ys: [
         r[reading] for r in submersion_module.A_identity_residuals(
-            geom, xs, ys, p, submersion_module.second_fundamental_tensor(geom.phi, p), S_at(geom, p))
+            geom, xs, ys, p, submersion_module.second_fundamental_tensor(geom.phi, p), S_at(geom, p),
+            geom.horizontal.projector(p))
         for reading in ("asserted", "printed")])),
     "submersion.Pi_X_endo": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo(
         geom, TangentVector(p, x), submersion_module.second_fundamental_tensor(geom.phi, p))),
@@ -1137,17 +1143,20 @@ def g_skew(M, p, K):
     return np.linalg.solve(metric_eval(M, p), 0.5 * (K - K.swapaxes(-1, -2)))
 
 
-# The projector algebra that the adapted suite runs at its stack of sample points, in
-# the form of POINT_FUNCTIONS, on the horizontal distribution of each example.
+# The projector algebra that the adapted and lift suites run at their stacks of sample
+# points, in the form of POINT_FUNCTIONS, on the horizontal distribution of each example.
+# A_Y_endos reads S and the projector values only, as block_decompose reads the latter.
 PROJECTOR_FUNCTIONS = {
+    "submersion.A_Y_endos": ([], lambda geom, p: frame_pairs(
+        geom, p, lambda xs, ys: submersion_module.A_Y_endos(ys, S_at(geom, p), geom.horizontal.projector(p)))),
     "geometry.skew_defect": ([endos()], lambda geom, p, K: geometry_module.skew_defect(
         geom.phi.source, p, K)),
     "adapted.projector_defects": ([], lambda geom, p: list(adapted_module.projector_defects(
-        geom.phi.source, geom.horizontal, p).values())),
+        geom.phi.source, geom.horizontal, p, geom.horizontal.projector(p)).values())),
     "adapted.block_decompose": ([endos()], lambda geom, p, P: dataclasses.astuple(
         adapted_module.block_decompose(P, geom.horizontal.projector(p)))),
     "adapted.m_projection": ([endos()], lambda geom, p, K: adapted_module.m_projection(
-        geom.phi.source, geom.horizontal, p, g_skew(geom.phi.source, p, K))),
+        geom.phi.source, p, g_skew(geom.phi.source, p, K), geom.horizontal.projector(p))),
 }
 
 
@@ -1162,10 +1171,12 @@ def adapted_call(f):
     return lambda geom, p, *args: f(geom.phi.source, geom.horizontal, *args, p)
 
 
-def field_pair(f):
-    """f(M, D, X, Y, p) for the polynomial fields X, Y of coefficients per point."""
-    return lambda geom, p, cx, cy: f(geom.phi.source, geom.horizontal, *(
-        _polynomial_vector_field(c, geom.phi.source.dim) for c in (cx, cy)), p)
+def derivatives_along(geom, p, x, cy, cz):
+    """Both readings of ``adapted_derivatives`` along x for the polynomial fields Y, Z of
+    coefficients per point."""
+    M, D = geom.phi.source, geom.horizontal
+    return [np.moveaxis(a, 0, -2) for a in adapted_module.adapted_derivatives(
+        M, D, x, [_polynomial_vector_field(c, M.dim) for c in (cy, cz)], p, *held(geom, p))]
 
 
 def adapted_jet(geom, p):
@@ -1182,8 +1193,7 @@ def adapted_jet(geom, p):
 # ``test_the_table_lists_every_adapted_function_of_points`` keeps it complete.
 ADAPTED_FUNCTIONS = {
     "adapted.adapted_frame": ([], adapted_call(adapted_frame)),
-    "adapted.nabla_D": ([coefficients, coefficients], field_pair(adapted_module.nabla_D)),
-    "adapted.S_tensor": ([coefficients, coefficients], field_pair(S_tensor)),
+    "adapted.adapted_derivatives": ([vectors(), coefficients, coefficients], derivatives_along),
     "adapted.S_components": ([], S_at),
     "geometry.christoffel_contract@S": ([vectors()], lambda geom, p, x: christoffel_contract(S_at(geom, p), x)),
     "adapted.torsion_TD": ([vectors(), vectors()], lambda geom, p, x, y: torsion_TD(

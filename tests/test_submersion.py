@@ -91,6 +91,16 @@ def S_at(geom, p):
     return S_components(M, D, p, christoffel(M, p), D.projector(p))
 
 
+def Pi_at(geom, p):
+    """The horizontal projector at the point or stack p, as a caller holds it."""
+    return geom.horizontal.projector(p)
+
+
+def held(geom, p):
+    """Gamma and the horizontal projector at the point or stack p, as a caller holds them."""
+    return christoffel(geom.phi.source, p), Pi_at(geom, p)
+
+
 def stacked(p, value):
     """A copy of the constant ``value`` for each point of p (..., dim)."""
     return np.zeros(np.shape(p)[:-1] + (1,) * value.ndim) + value
@@ -256,7 +266,8 @@ class TestAEndomorphism:
         for eid in ("E1", "E2"):
             p = entry_point(eid)
             Y = vertical_basis(GEOM[eid], p)[0]
-            assert np.max(np.abs(A_Y_endos(GEOM[eid], [Y.components], p, S_at(GEOM[eid], p))[0])) < 1e-8
+            [A] = A_Y_endos([Y.components], S_at(GEOM[eid], p), Pi_at(GEOM[eid], p))
+            assert np.max(np.abs(A)) < 1e-8
 
     def test_identity_with_corrected_sign(self):
         for eid in ("E2", "E3", "E4"):
@@ -265,7 +276,7 @@ class TestAEndomorphism:
                 for Y in vertical_basis(GEOM[eid], p):
                     [res] = A_identity_residuals(GEOM[eid], [X.components], [Y.components], p,
                                                  second_fundamental_tensor(E[eid].phi, p),
-                                                 S_at(GEOM[eid], p))
+                                                 S_at(GEOM[eid], p), Pi_at(GEOM[eid], p))
                     assert res["asserted"] < 5e-4
 
     def test_printed_sign_fails_on_hopf(self):
@@ -274,13 +285,13 @@ class TestAEndomorphism:
         Y = vertical_basis(GEOM["E3"], p)[0]
         B = second_fundamental_tensor(E["E3"].phi, p)
         assert A_identity_residuals(GEOM["E3"], [X.components], [Y.components], p, B,
-                                    S_at(GEOM["E3"], p))[0]["printed"] > 0.1
+                                    S_at(GEOM["E3"], p), Pi_at(GEOM["E3"], p))[0]["printed"] > 0.1
 
     def test_rejects_horizontal_argument(self):
         p = entry_point("E3")
         X = horizontal_basis(GEOM["E3"], p)[0]
         with pytest.raises(ValueError):
-            A_Y_endos(GEOM["E3"], [X.components], p, S_at(GEOM["E3"], p))
+            A_Y_endos([X.components], S_at(GEOM["E3"], p), Pi_at(GEOM["E3"], p))
 
 
 class TestPiXEndo:
@@ -371,12 +382,14 @@ class TestDivergenceDuality:
     def test_constant_flat(self):
         geom = GEOM["E1"]
         u = framed(geom, np.array([0.2, -0.2, 0.4]))
-        assert np.max(np.abs(div_bot(geom, np.array([[[0.0, -1.0], [1.0, 0.0]]]), u))) < 1e-8
+        assert np.max(np.abs(div_bot(geom, np.array([[[0.0, -1.0], [1.0, 0.0]]]), u,
+                                     *held(geom, u.base)))) < 1e-8
 
     def test_product_constant_blocks(self):
         geom = GEOM["E2"]
         u = framed(geom, entry_point("E2"))
-        assert np.max(np.abs(div_bot(geom, np.array([[[0.3, -1.0], [1.0, 0.2]]]), u))) < 1e-7
+        assert np.max(np.abs(div_bot(geom, np.array([[[0.3, -1.0], [1.0, 0.2]]]), u,
+                                     *held(geom, u.base)))) < 1e-7
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_duality(self, eid):
@@ -393,9 +406,9 @@ class TestDivergenceDuality:
             for _ in range(5):
                 top = rng.standard_normal((k, k))
                 C = adapted_endo_field(geom, top=top)
-                [d] = div_bot(geom, top[None], u)
+                [d] = div_bot(geom, top[None], u, *held(geom, p))
                 X = vertical_basis(geom, p)[0]
-                [A] = A_Y_endos(geom, [X.components], p, S_at(geom, p))
+                [A] = A_Y_endos([X.components], S_at(geom, p), Pi_at(geom, p))
                 val = endo_inner(M, p, A, C.eval(p), onb)
                 assert abs(val + float(X.components @ g @ d)) < 5e-4
 
@@ -404,27 +417,27 @@ class TestLiftMap:
     def test_flat_identity_frame(self):
         p = np.array([0.1, 0.2, 0.3])
         u = adapted_frame(E["E1"].phi.source, GEOM["E1"].horizontal, p)
-        v = lift_map(GEOM["E1"], u)
+        v = lift_map(GEOM["E1"], u, Pi_at(GEOM["E1"], p))
         assert np.allclose(v.columns, np.eye(2))
         assert np.allclose(v.base, [0.1, 0.2])
 
     def test_scaling_frame(self):
         p = np.array([0.1, 0.2, 0.3])
         u = adapted_frame(E["E5"].phi.source, GEOM["E5"].horizontal, p)
-        v = lift_map(GEOM["E5"], u)
+        v = lift_map(GEOM["E5"], u, Pi_at(GEOM["E5"], p))
         assert np.allclose(v.columns, 2.0 * np.eye(2))
 
     def test_hopf_image_orthonormal(self):
         for p in sample_points(E["E3"].phi.source, 34, 3):
             u = adapted_frame(E["E3"].phi.source, GEOM["E3"].horizontal, p)
-            v = lift_map(GEOM["E3"], u)
+            v = lift_map(GEOM["E3"], u, Pi_at(GEOM["E3"], p))
             gN = metric_eval(E["E3"].phi.target, v.base)
             assert np.max(np.abs(v.columns.T @ gN @ v.columns - np.eye(2))) < 1e-6
 
     def test_rejects_unadapted(self):
         p = np.array([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
-            lift_map(GEOM["E3"], Frame(p, np.eye(3)))
+            lift_map(GEOM["E3"], Frame(p, np.eye(3)), Pi_at(GEOM["E3"], p))
 
 
 class TestLiftDifferential:
@@ -441,21 +454,22 @@ class TestLiftDifferential:
             x = sum(c * e.components for c, e in
                     zip(rng.standard_normal(k), horizontal_basis(geom, p)))
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
-            d = lift_differential_fd(geom, t) - lift_differential_formula(
-                geom, "horizontal-of-H", x, u, S_at(geom, p))
+            S, B, Pi_H = S_at(geom, p), second_fundamental_tensor(phi, p), Pi_at(geom, p)
+            d = lift_differential_fd(geom, t, Pi_H) - lift_differential_formula(
+                geom, "horizontal-of-H", x, u, S, B, Pi_H)
             assert mok_norm(phi.target, d) < 5e-4
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
-            d = lift_differential_fd(geom, t) - lift_differential_formula(
-                geom, "horizontal-of-V", y, u, S_at(geom, p))
+            d = lift_differential_fd(geom, t, Pi_H) - lift_differential_formula(
+                geom, "horizontal-of-V", y, u, S, B, Pi_H)
             assert mok_norm(phi.target, d) < 5e-4
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
                 blk[0, 1], blk[1, 0] = -1.0, 1.0
             P0 = u.columns @ blk @ u.columns.T @ g
             t = fundamental_vertical(P0, u)
-            d = lift_differential_fd(geom, t) - lift_differential_formula(
-                geom, "vertical", P0, u, S_at(geom, p))
+            d = lift_differential_fd(geom, t, Pi_H) - lift_differential_formula(
+                geom, "vertical", P0, u, S, B, Pi_H)
             assert mok_norm(phi.target, d) < 5e-4
 
     def test_totally_geodesic_pure_horizontal(self):
@@ -463,7 +477,8 @@ class TestLiftDifferential:
         p = np.array([0.4, -0.1, 0.2])
         u = adapted_frame(E["E1"].phi.source, geom.horizontal, p)
         x = np.array([1.0, 1.0, 0.0])
-        out = lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p))
+        out = lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p),
+                                        second_fundamental_tensor(geom.phi, p), Pi_at(geom, p))
         assert np.max(np.abs(out.frame_rate)) < 1e-10
         assert np.allclose(out.base_rate, [1.0, 1.0])
 
@@ -472,7 +487,8 @@ class TestLiftDifferential:
         p = entry_point("E2")
         u = adapted_frame(E["E2"].phi.source, geom.horizontal, p)
         y = vertical_basis(geom, p)[0].components
-        out = lift_differential_formula(geom, "horizontal-of-V", y, u, S_at(geom, p))
+        out = lift_differential_formula(geom, "horizontal-of-V", y, u, S_at(geom, p),
+                                        second_fundamental_tensor(geom.phi, p), Pi_at(geom, p))
         assert mok_norm(E["E2"].phi.target, out) < 1e-8
 
     def test_fd_rejects_non_tangent(self):
@@ -482,7 +498,7 @@ class TestLiftDifferential:
         from framelift.frames import FrameTangent
         bad = FrameTangent(u, np.zeros(3), np.eye(3))  # scaling: not tangent to O(D)
         with pytest.raises(ValueError):
-            lift_differential_fd(geom, bad)
+            lift_differential_fd(geom, bad, Pi_at(geom, p))
 
 
 class TestLiftDistributions:
@@ -494,12 +510,13 @@ class TestLiftDistributions:
         n, k = M.dim, geom.rank
         for p in sample_points(M, 37, 2):
             u = adapted_frame(M, geom.horizontal, p)
-            Vb, Hb = lift_distributions(geom, u, S_at(geom, p))
+            gamma, Pi_H = held(geom, p)
+            Vb, Hb = lift_distributions(geom, u, gamma, Pi_H, S_at(geom, p))
             assert (len(Vb), len(Hb)) == (
                 (n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
             for v in Vb:
                 assert mok_norm(phi.target,
-                                lift_differential_fd(geom, v, check_tangency=False)) < 5e-4
+                                lift_differential_fd(geom, v, Pi_H, check_tangency=False)) < 5e-4
             for v in Vb:
                 for h in Hb:
                     assert abs(mok_metric(M, v, h)) < 1e-6
@@ -532,7 +549,7 @@ class TestTension:
         phi = E["E4"].phi
         p = np.array([0.2, -0.3])
         tau = tension_field(GEOM["E4"], p)
-        H = mean_curvature_fibers(GEOM["E4"], framed(GEOM["E4"], p))
+        H = mean_curvature_fibers(GEOM["E4"], framed(GEOM["E4"], p), *held(GEOM["E4"], p))
         J = differential_matrix(phi, p)
         assert np.max(np.abs(tau + J @ H.components)) < 5e-4
 
@@ -566,18 +583,18 @@ class TestMeanCurvature:
     def test_totally_geodesic_fibers_zero(self):
         for eid in ("E1", "E2", "E5"):
             p = entry_point(eid)
-            H = mean_curvature_fibers(GEOM[eid], framed(GEOM[eid], p))
+            H = mean_curvature_fibers(GEOM[eid], framed(GEOM[eid], p), *held(GEOM[eid], p))
             assert np.max(np.abs(H.components)) < 1e-7
 
     def test_hopf_minimal_fibers(self):
         p = entry_point("E3")
-        H = mean_curvature_fibers(GEOM["E3"], framed(GEOM["E3"], p))
+        H = mean_curvature_fibers(GEOM["E3"], framed(GEOM["E3"], p), *held(GEOM["E3"], p))
         g = metric_eval(E["E3"].phi.source, p)
         assert float(np.sqrt(H.components @ g @ H.components)) < 5e-4
 
     def test_warped_unit_norm(self):
         p = np.array([0.0, 0.2])
-        H = mean_curvature_fibers(GEOM["E4"], framed(GEOM["E4"], p))
+        H = mean_curvature_fibers(GEOM["E4"], framed(GEOM["E4"], p), *held(GEOM["E4"], p))
         g = metric_eval(E["E4"].phi.source, p)
         assert abs(float(np.sqrt(H.components @ g @ H.components)) - 1.0) < 1e-6
         # direction: minus the horizontal coordinate vector
@@ -589,14 +606,16 @@ class TestConformalityMeasurement:
         for eid, expect in (("E1", 1.0), ("E2", 1.0), ("E5", 4.0)):
             p = entry_point(eid)
             u = adapted_frame(E[eid].phi.source, GEOM[eid].horizontal, p)
-            Lam, defect = lift_conformality_measurement(GEOM[eid], u, S_at(GEOM[eid], p))
+            Lam, defect = lift_conformality_measurement(GEOM[eid], u, *held(GEOM[eid], p),
+                                                        S_at(GEOM[eid], p))
             assert abs(Lam - expect) < 1e-6
             assert defect < 1e-6
 
     def test_hopf_nonconformal(self):
         p = entry_point("E3")
         u = adapted_frame(E["E3"].phi.source, GEOM["E3"].horizontal, p)
-        Lam, defect = lift_conformality_measurement(GEOM["E3"], u, S_at(GEOM["E3"], p))
+        Lam, defect = lift_conformality_measurement(GEOM["E3"], u, *held(GEOM["E3"], p),
+                                                    S_at(GEOM["E3"], p))
         assert defect > 0.01
 
     def test_warped_measures_conformal(self):
@@ -604,7 +623,8 @@ class TestConformalityMeasurement:
         # total geodesy: the measured lift dilatation is identically one
         p = entry_point("E4")
         u = adapted_frame(E["E4"].phi.source, GEOM["E4"].horizontal, p)
-        Lam, defect = lift_conformality_measurement(GEOM["E4"], u, S_at(GEOM["E4"], p))
+        Lam, defect = lift_conformality_measurement(GEOM["E4"], u, *held(GEOM["E4"], p),
+                                                    S_at(GEOM["E4"], p))
         assert abs(Lam - 1.0) < 1e-9
         assert defect < 1e-9
 
@@ -768,6 +788,17 @@ class TestLiftTensionDirect:
         dist = np.linalg.norm(got_F[:, None, :] - want_F[None, :, :], axis=-1)
         assert dist.min(axis=0).max() < 1e-13 and dist.min(axis=1).max() < 1e-13
 
+    @pytest.mark.parametrize("eid", ["E1", "E3"])
+    def test_reads_the_target_metric_once(self, monkeypatch, eid):
+        # 6 Mok Gram tables a call: 4 on the source total space (the frame at q0 and the
+        # metric there, its stencil and the outer stencil's frames) and 2 on L(N), G(y0)
+        # and its stencil.  G(y0) was built twice (7) when the Christoffel symbols and
+        # the norms each read it
+        x0 = np.array(E[eid].lift_tension_at) if eid == "E1" else entry_point(eid, seed=42)
+        grams = count_calls(monkeypatch, "_lift_gram", frames_module)
+        lift_tension_direct(GEOM[eid], x0)
+        assert len(grams) == 6
+
     def test_domain_error_matches_the_reference(self):
         # the coordinate stencil at step_h2 of the total space leaves R3 along the fibre
         # of E1, while the lift's stencils at step_h and the target stay inside
@@ -861,16 +892,19 @@ class TestPerPointCosts:
     @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
     def test_fiber_operators_take_one_frame_stencil_over_the_vertical_directions(
             self, monkeypatch, fn, geom):
-        # the fibre kernel, and each reduction through one kernel call; the frame
-        # at p is the caller's
+        # the fibre kernel, and each reduction through one kernel call; the frame,
+        # Gamma and the projector at p are the caller's
         M = geom.phi.source
         u = framed(geom, sample_points(M, 18, 1)[0])
+        gamma, Pi_H = held(geom, u.base)
         frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
         christoffels = self.christoffel_calls(monkeypatch)
+        projectors = count_calls(monkeypatch, "splitting_projectors", submersion_module)
         kernels = count_calls(monkeypatch, "fiber_second_fundamental_form", submersion_module)
-        fn(geom, u)
+        fn(geom, u, gamma, Pi_H)
         assert len(frames) == 1
-        assert len(christoffels) == 1
+        assert len(christoffels) == 0
+        assert len(projectors) == 0
         assert len(kernels) == (fn is not fiber_second_fundamental_form)
 
     def test_Pi_X_endo_alt_reads_the_projector_on_one_stencil_and_at_p(self, monkeypatch):
@@ -900,14 +934,15 @@ class TestPerPointCosts:
         pushforward_endo(geom, p, P0)
         assert len(spans) == 1  # Pi_V, Pi_H and the lift A (J A)^-1 read one span
 
-    def test_div_bot_evaluates_christoffel_once(self, monkeypatch):
+    def test_div_bot_reads_the_callers_christoffel(self, monkeypatch):
         geom = GEOM["E3"]
         u = framed(geom, sample_points(geom.phi.source, 19, 1)[0])
+        gamma, Pi_H = held(geom, u.base)
         christoffels = self.christoffel_calls(monkeypatch)
         frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
         tops = np.random.default_rng(19).standard_normal((5, 2, 2))
-        div_bot(geom, tops, u)
-        assert len(christoffels) == 1  # one per horizontal direction and block before
+        div_bot(geom, tops, u, gamma, Pi_H)
+        assert len(christoffels) == 0  # one per horizontal direction and block before, then one
         assert len(frames) == 1  # the stencil, for every block
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
@@ -915,11 +950,12 @@ class TestPerPointCosts:
         geom = GEOM[eid]
         u = framed(geom, sample_points(geom.phi.source, 26, 3))
         tops = np.random.default_rng(26).standard_normal((4, geom.rank, geom.rank))
-        batch = div_bot(geom, tops, u)
+        at_u = held(geom, u.base)
+        batch = div_bot(geom, tops, u, *at_u)
         assert batch.shape == (4, 3, geom.phi.source.dim)
         for top, d in zip(tops, batch):
-            assert np.array_equal(d, div_bot(geom, top[None], u)[0])
-        assert div_bot(geom, tops[:0], u).shape == (0, 3, geom.phi.source.dim)
+            assert np.array_equal(d, div_bot(geom, top[None], u, *at_u)[0])
+        assert div_bot(geom, tops[:0], u, *at_u).shape == (0, 3, geom.phi.source.dim)
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_classify_builds_one_frame_stack_and_one_second_fundamental_tensor(
@@ -946,24 +982,24 @@ class TestPerPointCosts:
         M = geom.phi.source
         p = sample_points(M, 20, 1)[0]
         u = adapted_frame(M, geom.horizontal, p)
-        S = S_at(geom, p)
+        S, (gamma, Pi_H) = S_at(geom, p), held(geom, p)
         calls = count_calls(monkeypatch, "S_components", submersion_module, adapted_module)
-        lift_distributions(geom, u, S)
+        lift_distributions(geom, u, gamma, Pi_H, S)
         assert len(calls) == 0
 
     def test_lift_distributions_checks_membership_once_and_batches_S(self, monkeypatch):
         # E3 (n = 3, k = 2) lifts 1 vertical, 2 horizontal and 1 divergence
-        # direction in one batch: one Christoffel for their horizontal parts and
-        # one in div; W, A and every S_X contract the caller's S
+        # direction in one batch: their horizontal parts and div read the caller's
+        # Gamma (one Christoffel each before); W, A and every S_X contract the caller's S
         geom = GEOM["E3"]
         M = geom.phi.source
         p = sample_points(M, 20, 1)[0]
-        u, S = adapted_frame(M, geom.horizontal, p), S_at(geom, p)
+        u, S, (gamma, Pi_H) = adapted_frame(M, geom.horizontal, p), S_at(geom, p), held(geom, p)
         christoffels = count_calls(monkeypatch, "christoffel", geometry_module, frames_module,
                                    adapted_module, submersion_module)
         memberships = count_calls(monkeypatch, "od_membership_defect", adapted_module)
-        lift_distributions(geom, u, S)
-        assert len(christoffels) == 1 + 1
+        lift_distributions(geom, u, gamma, Pi_H, S)
+        assert len(christoffels) == 0
         assert len(memberships) == 1
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
@@ -973,10 +1009,10 @@ class TestPerPointCosts:
         geom = GEOM[eid]
         M = geom.phi.source
         p = sample_points(M, 25, 3)
-        u, S = adapted_frame(M, geom.horizontal, p), S_at(geom, p)
+        u, S, (gamma, Pi_H) = adapted_frame(M, geom.horizontal, p), S_at(geom, p), held(geom, p)
         frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
         blocks = count_calls(monkeypatch, "div_bot", submersion_module)
-        lift_distributions(geom, u, S)
+        lift_distributions(geom, u, gamma, Pi_H, S)
         assert len(frames) == len(blocks) == 1
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
@@ -985,18 +1021,18 @@ class TestPerPointCosts:
         geom = GEOM[eid]
         M, D = geom.phi.source, geom.horizontal
         p = sample_points(M, 24, 1)[0]
-        u, S = adapted_frame(M, D, p), S_at(geom, p)
+        u, S, (gamma, Pi_H) = adapted_frame(M, D, p), S_at(geom, p), held(geom, p)
         n, k = M.dim, geom.rank
         Ep = u.columns
         Wm = W_endo(M, u, S)
         lift = lambda x: adapted_horizontal_lift(M, D, TangentVector(p, x), u)
-        Vb, Hb = lift_distributions(geom, u, S)
+        Vb, Hb = lift_distributions(geom, u, gamma, Pi_H, S)
         expect_V = [lift(Ep[:, k + j]) + fundamental_vertical(A, u)
-                    for j, A in enumerate(A_Y_endos(geom, Ep[:, k:].T, p, S))]
+                    for j, A in enumerate(A_Y_endos(Ep[:, k:].T, S, Pi_H))]
         expect_H = [lift(W_inverse_apply(Wm, Ep[:, a])) for a in range(k)]
         for c in skew_basis(k):
             C = adapted_endo_field(geom, top=c)
-            expect_H.append(lift(W_inverse_apply(Wm, div_bot(geom, c[None], u)[0]))
+            expect_H.append(lift(W_inverse_apply(Wm, div_bot(geom, c[None], u, gamma, Pi_H)[0]))
                             + fundamental_vertical(C.eval(p), u))
         assert len(Hb) == len(expect_H)
         for got, want in zip(Vb[:n - k] + Hb, expect_V + expect_H):
@@ -1009,12 +1045,12 @@ class TestPerPointCosts:
         M = geom.phi.source
         rng = np.random.default_rng(21)
         for p in sample_points(M, 21, 2):
-            Pi_V, _ = splitting_projectors(geom.phi, p)
+            Pi_V, Pi_H = splitting_projectors(geom.phi, p)
             ys = [Pi_V @ v for v in rng.standard_normal((3, M.dim))]
             S = S_at(geom, p)
-            batch = A_Y_endos(geom, ys, p, S)
+            batch = A_Y_endos(ys, S, Pi_H)
             for y, A in zip(ys, batch):
-                assert np.array_equal(A, A_Y_endos(geom, [y], p, S)[0])
+                assert np.array_equal(A, A_Y_endos([y], S, Pi_H)[0])
         if geom is GEOM_LINE:
             assert np.max(np.abs(batch[0])) > 1e-3  # the fibers bend, so A != 0
 
@@ -1023,9 +1059,9 @@ class TestPerPointCosts:
         p = sample_points(geom.phi.source, 22, 1)[0]
         E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
         B = second_fundamental_tensor(geom.phi, p)
-        S = S_at(geom, p)
-        batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p, B, S)
-        one = [A_identity_residuals(geom, [E[:, 0]], [E[:, j]], p, B, S)[0] for j in (1, 2)]
+        S, Pi_H = S_at(geom, p), Pi_at(geom, p)
+        batch = A_identity_residuals(geom, E[:, :1].T, E[:, 1:].T, p, B, S, Pi_H)
+        one = [A_identity_residuals(geom, [E[:, 0]], [E[:, j]], p, B, S, Pi_H)[0] for j in (1, 2)]
         assert batch == one
         assert max(r["asserted"] for r in batch) < 5e-4
 
@@ -1034,7 +1070,7 @@ class TestPerPointCosts:
         p = sample_points(geom.phi.source, 23, 1)[0]
         E = adapted_frame(geom.phi.source, geom.horizontal, p).columns
         with pytest.raises(ValueError, match="vertical"):
-            A_Y_endos(geom, [E[:, 2], E[:, 0]], p, S_at(geom, p))
+            A_Y_endos([E[:, 2], E[:, 0]], S_at(geom, p), Pi_at(geom, p))
 
 
 class TestOracleIndependence:
@@ -1047,15 +1083,17 @@ class TestOracleIndependence:
         p = sample_points(M, 29, 1)[0]
         u = framed(geom, p)
         x = np.random.default_rng(29).standard_normal(M.dim)
+        gamma, Pi_H = held(geom, p)
         tensors = count_calls(monkeypatch, "second_fundamental_tensor", submersion_module)
         Pi_X_endo_alt(geom, TangentVector(p, x))
-        lift_differential_fd(geom, adapted_horizontal_lift(M, D, TangentVector(p, x), u))
-        fiber_second_fundamental_form(geom, u)
-        mean_curvature_fibers(geom, u)
+        lift_differential_fd(geom, adapted_horizontal_lift(M, D, TangentVector(p, x), u), Pi_H)
+        fiber_second_fundamental_form(geom, u, gamma, Pi_H)
+        mean_curvature_fibers(geom, u, gamma, Pi_H)
         assert len(tensors) == 0
         tension_field(geom, p)
         assert len(tensors) == 1
-        Pi_X_endo(geom, TangentVector(p, x), submersion_module.second_fundamental_tensor(geom.phi, p))
+        B = submersion_module.second_fundamental_tensor(geom.phi, p)
+        Pi_X_endo(geom, TangentVector(p, x), B)
         assert len(tensors) == 2  # the formula reads the caller's tensor
-        lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p))
-        assert len(tensors) == 3  # and builds its own once, for its Pi_X_endo
+        lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p), B, Pi_H)
+        assert len(tensors) == 2  # and so does the lift differential, for its Pi_X_endo

@@ -256,23 +256,41 @@ def test_core_suite_runs_each_kernel_once_per_chart(monkeypatch):
     assert [np.shape(args[1]) for args in calls["curvature_tensor"]] == [(10, 3), (10, 2)]
 
 
-@pytest.mark.parametrize("suite, expected", [("suite_adapted", 21), ("suite_lift", 23)])
+@pytest.mark.parametrize("suite, expected", [
+    ("suite_adapted", 8), ("suite_lift", 3), ("suite_theorems", 3)])
 def test_adapted_and_lift_suites_split_each_stack_once(monkeypatch, suite, expected):
     # one E3 unit at seed 42; one point at a time, the field, torsion and curvature-relation
     # blocks of suite_adapted made 188 of its 199 splitting_projectors calls, and the
     # div-duality block of suite_lift 20 of its 50; with a stencil of S per reader
-    # (before S was built once per block) the suites made 34 each
+    # (before S was built once per block) the suites made 34 each.  With S built once
+    # per block but every kernel building its own Pi_H, they made 21, 23 and 8: now
+    # each block passes its Pi_H down, suite_lift slices it from its one split of the
+    # sample points, and suite_adapted's field block runs one derivative kernel
     calls = tally(monkeypatch, (submersion, suites), "splitting_projectors")
     getattr(suites, suite)(get("E3"), seed=42)
     assert len(calls) == expected
 
 
 def test_lift_suite_builds_the_second_fundamental_tensor_once_per_owner(monkeypatch):
-    # one E3 unit at seed 42: the suite's block and the lift differential formula build it on
-    # the stack of the first sample points; it built it 4 times there
+    # one E3 unit at seed 42: the suite's block builds it on the stack of the first sample
+    # points, and the lift differential formula reads it; it built it 4 times there, then
+    # twice (once more in the formula)
     calls = tally(monkeypatch, (submersion, suites), "second_fundamental_tensor")
     suites.suite_lift(get("E3"), seed=42)
-    assert [np.shape(args[1]) for args in calls] == [(5, 3), (5, 3)]
+    assert [np.shape(args[1]) for args in calls] == [(5, 3)]
+
+
+def test_lift_suite_differences_its_cases_and_pairs_its_bases_in_one_call_each(monkeypatch):
+    # one E3 unit at seed 42: the three input types of the lift differential on the 5
+    # frames in one lift_differential_fd call and one mok_norm, then the kernel basis
+    # (1 vector) in one of each; the Mok cross Gram of the 1 kernel and 3 orthogonal
+    # tangents in one mok_metric call (3 calls, one per pair, before)
+    calls = {name: tally(monkeypatch, [suites], name)
+             for name in ("lift_differential_fd", "mok_norm", "mok_metric")}
+    suites.suite_lift(get("E3"), seed=42)
+    assert [np.shape(args[1].base_rate) for args in calls["lift_differential_fd"]] == [(3, 5, 3), (1, 5, 3)]
+    assert [np.shape(args[1].base_rate) for args in calls["mok_norm"]] == [(3, 5, 2), (1, 5, 2)]
+    assert [np.shape(args[1].base_rate) for args in calls["mok_metric"]] == [(3, 5, 3)]
 
 
 def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
