@@ -46,6 +46,7 @@ from .frames import (
     LMChart,
     block_skew_basis,
     endo_covariant_derivative,
+    frame_diff,
     _horizontal_lift,
     fundamental_vertical,
     _case_fields,
@@ -429,15 +430,9 @@ def od_tangency_residual(
     M: ChartManifold, D: DistributionSpec, t: FrameTangent,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """Directional derivative of the O(D) membership constraints along t, its largest
-    entry: one residual per frame of a stack.  The constraints are evaluated
-    once, on the two-point stencil of every frame."""
-    c = od_constraints(M, D, D.rank)
-    u = t.at
-    h = cfg.step_h
-    plus, minus = c(np.stack([u.base + h * t.base_rate, u.base - h * t.base_rate]),
-                    np.stack([u.columns + h * t.frame_rate, u.columns - h * t.frame_rate]))
-    return np.max(np.abs((plus - minus) / (2.0 * h)), axis=-1)
+    """``frame_diff`` of the O(D) membership constraints along t, its largest entry: one
+    residual per frame of a stack."""
+    return np.max(np.abs(frame_diff(od_constraints(M, D, D.rank), t, cfg.step_h)), axis=-1)
 
 
 def adapted_chart(M: ChartManifold, D: DistributionSpec, name: str = "O(D)") -> FrameChart:

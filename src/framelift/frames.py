@@ -131,6 +131,19 @@ class FrameTangent:
                             np.stack([t.base_rate for t in ts]), np.stack([t.frame_rate for t in ts]))
 
 
+def frame_diff(f: Callable, t: FrameTangent, h: float):
+    """(f(u + h t) - f(u - h t)) / 2h, the step h t unnormalised, for each array f(x, E)
+    gives: one, a tuple, or a Frame's base and columns.  f is called once, on the
+    stencil (2, ...) of both ends."""
+    u = t.at
+    s = np.array([h, -h]).reshape((2,) + (1,) * u.base.ndim)
+    fs = f(u.base + s * t.base_rate, u.columns + s[..., None] * t.frame_rate)
+    diff = lambda a: (a[0] - a[1]) / (2.0 * h)
+    if isinstance(fs, np.ndarray):
+        return diff(fs)
+    return tuple(map(diff, (fs.base, fs.columns) if isinstance(fs, Frame) else fs))
+
+
 def _same_frame(u: Frame, v: Frame) -> None:
     if u is v:  # tangents from one chart Jacobian share its Frame
         return

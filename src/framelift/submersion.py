@@ -38,6 +38,7 @@ from .frames import (
     Frame,
     FrameTangent,
     LMChart,
+    frame_diff,
     fundamental_vertical,
     horizontal_lift_frame,
     induced_metric_on_chart,
@@ -425,23 +426,19 @@ def lift_differential_fd(
     check_tangency: bool = True,
 ) -> FrameTangent:
     """Central-difference differential of the lift along a frame tangent, or along a
-    stack of them (``FrameTangent.stack`` puts many tangents at one frame in a
-    stack): one ``lift_map_raw`` call on the two-point stencil of every
-    tangent.  Any tangent of a stack that leaves O(D) raises; the tangency test
-    builds its own projectors, and the caller's Pi_H at t's base points serves only
-    the O(D) guard of ``lift_map`` there."""
+    stack of them (``FrameTangent.stack`` puts many tangents at one frame in a stack),
+    by ``frame_diff`` of ``lift_map_raw``.  Any tangent of a stack that leaves O(D)
+    raises; the tangency test builds its own projectors, and the caller's Pi_H at t's
+    base points serves only the O(D) guard of ``lift_map`` there."""
     phi = geom.phi
     if check_tangency:
         resid = od_tangency_residual(phi.source, geom.horizontal, t, cfg)
         scale = 1.0 + np.linalg.norm(t.base_rate, axis=-1) + np.linalg.norm(t.frame_rate, axis=(-2, -1))
         if (resid > cfg.tol_fd1 * 100 * scale).any():
             raise ValueError("input is not tangent to the adapted frame bundle")
-    u = t.at
     h = cfg.step_h if phi.jacobian is not None else cfg.step_h2
-    (yp, ym), (Fp, Fm) = lift_map_raw(
-        phi, geom.rank, np.stack([u.base + h * t.base_rate, u.base - h * t.base_rate]),
-        np.stack([u.columns + h * t.frame_rate, u.columns - h * t.frame_rate]), cfg)
-    return FrameTangent(lift_map(geom, u, Pi_H, cfg), (yp - ym) / (2.0 * h), (Fp - Fm) / (2.0 * h))
+    dy, dF = frame_diff(lambda x, E: lift_map_raw(phi, geom.rank, x, E, cfg), t, h)
+    return FrameTangent(lift_map(geom, t.at, Pi_H, cfg), dy, dF)
 
 
 def lift_differential_formula(

@@ -37,6 +37,7 @@ from .frames import (
     _horizontal_lift,
     _lift_gram,
     _vertical_rate,
+    frame_diff,
     horizontal_lift_frame,
     vertical_part,
 )
@@ -82,14 +83,9 @@ def tm_map(phi: SubmersionSpec, Z: Frame, cfg: FDConfig = DEFAULT_FD) -> Frame:
 def phi_second_differential_fd(
     phi: SubmersionSpec, t: FrameTangent, cfg: FDConfig = DEFAULT_FD
 ) -> FrameTangent:
-    """Central-difference differential of the tangent-bundle map along t: one
-    ``tm_map`` call on the two ends of every point's step."""
-    Z = t.at
+    """``frame_diff`` of the tangent-bundle map ``tm_map`` along t."""
     h = cfg.step_h if phi.jacobian is not None else cfg.step_h2
-    s = np.array([h, -h]).reshape((2,) + (1,) * Z.base.ndim)
-    ends = tm_map(phi, Frame(Z.base + s * t.base_rate, Z.columns + s[..., None] * t.frame_rate), cfg)
-    return FrameTangent(tm_map(phi, Z, cfg), (ends.base[0] - ends.base[1]) / (2.0 * h),
-                        (ends.columns[0] - ends.columns[1]) / (2.0 * h))
+    return FrameTangent(tm_map(phi, t.at, cfg), *frame_diff(lambda x, E: tm_map(phi, Frame(x, E), cfg), t, h))
 
 
 def phi_second_differential_formula(
@@ -181,6 +177,5 @@ def pi_i_differential_fd(
 ) -> FrameTangent:
     """The same differential by central differences of (x, E) -> (x, E[:, i])."""
     u = t.at
-    h = cfg.step_h
-    rate = ((u.columns + h * t.frame_rate) - (u.columns - h * t.frame_rate))[..., :, i:i + 1] / (2.0 * h)
+    rate = frame_diff(lambda x, E: E[..., :, i:i + 1], t, cfg.step_h)
     return FrameTangent(Frame(u.base, u.columns[..., i:i + 1]), t.base_rate.copy(), rate)

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 import framelift.adapted as adapted_module
-import framelift.frames as frames_module
-import framelift.geometry as geometry_module
 from framelift.adapted import (
-    BlockDecomposition,
     DistributionSpec,
     L_P_applies,
     S_components,
@@ -248,32 +245,16 @@ class TestSCallCount:
     """S costs one projector stencil over the coordinate directions, from the caller's
     Gamma(p) and P(p); its readers take S from their caller."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        tally = {"christoffel": 0, "projector": 0}
-        christoffel = adapted_module.christoffel
-        projector = DistributionSpec.projector
+    KERNELS = ("christoffel", "DistributionSpec.projector")
 
-        def counting_christoffel(*args, **kwargs):
-            tally["christoffel"] += 1
-            return christoffel(*args, **kwargs)
-
-        def counting_projector(self, p):
-            tally["projector"] += 1
-            return projector(self, p)
-
-        monkeypatch.setattr(adapted_module, "christoffel", counting_christoffel)
-        monkeypatch.setattr(DistributionSpec, "projector", counting_projector)
-        return tally
-
-    def test_S_components(self, counts):
+    def test_S_components(self, calls):
         p = sample_points(M3, 43, 1)[0]
         gamma, P = christoffel(M3, p), D3.projector(p)
-        counts.update(christoffel=0, projector=0)
+        counted = calls(*self.KERNELS)
         S_components(M3, D3, p, gamma, P)
-        assert counts == {"christoffel": 0, "projector": 1}
+        assert counted.counts() == {"christoffel": 0, "DistributionSpec.projector": 1}
 
-    def test_adapted_derivatives_of_many_fields(self, counts):
+    def test_adapted_derivatives_of_many_fields(self, calls):
         # one projector stencil along x for every field, and the caller's Gamma(p) and P(p);
         # each field's readings equal a call for that field alone, bit for bit
         p = sample_points(M3, 47, 4)
@@ -281,58 +262,53 @@ class TestSCallCount:
         x = rng.standard_normal((4, 3))
         Ys = [polynomial_vector_field(3, rng) for _ in range(3)]
         gamma, P = christoffel(M3, p), D3.projector(p)
-        counts.update(christoffel=0, projector=0)
+        counted = calls(*self.KERNELS)
         nab, S = adapted_derivatives(M3, D3, x, Ys, p, gamma, P)
-        assert counts == {"christoffel": 0, "projector": 1}
+        assert counted.counts() == {"christoffel": 0, "DistributionSpec.projector": 1}
         assert nab.shape == S.shape == (3, 4, 3)
         for Y, a, b in zip(Ys, nab, S):
             one = adapted_derivatives(M3, D3, x, [Y], p, gamma, P)
             assert np.array_equal(one[0][0], a) and np.array_equal(one[1][0], b)
 
-    def test_W_endo(self, counts):
+    def test_W_endo(self, calls):
         p = sample_points(M3, 44, 1)[0]
         u = adapted_frame(M3, D3, p)
         S = S_at(M3, D3, p)
-        counts.update(christoffel=0, projector=0)
+        counted = calls(*self.KERNELS)
         W_endo(M3, u, S)
-        assert counts == {"christoffel": 0, "projector": 0}
+        assert counted.counts() == {"christoffel": 0, "DistributionSpec.projector": 0}
 
-    def test_L_P_applies_takes_S_from_its_caller(self, counts):
+    def test_L_P_applies_takes_S_from_its_caller(self, calls):
         p = sample_points(M3, 45, 1)[0]
         u = adapted_frame(M3, D3, p)
         onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
         P = EndomorphismField(eval=lambda q: q[..., :, None] * np.array([1.0, 0.0, -1.0]))
         R, P_D, S = curvature_tensor(M3, p), D3.projector(p), S_at(M3, D3, p)
-        counts.update(christoffel=0, projector=0)
+        counted = calls(*self.KERNELS)
         L_P_applies(M3, [(P, np.array([0.3, -0.2, 0.4])), (P, np.array([-0.1, 0.5, 0.2]))],
                     p, onb, R, P_D, S)
         # Gamma(p) serves every nabla_x P, and the caller's P(p) every block decomposition
-        assert counts == {"christoffel": 1, "projector": 0}
+        assert counted.counts() == {"christoffel": 1, "DistributionSpec.projector": 0}
 
-    def test_od_membership_defect_reads_no_projector(self, counts):
+    def test_od_membership_defect_reads_no_projector(self, calls):
         u = adapted_frame(M3, D3, sample_points(M3, 47, 1)[0])
         P = D3.projector(u.base)
-        counts.update(christoffel=0, projector=0)
+        counted = calls(*self.KERNELS)
         od_membership_defect(M3, D3, u, P)
-        assert counts["projector"] == 0  # the caller's P(p)
+        assert counted.counts()["DistributionSpec.projector"] == 0  # the caller's P(p)
 
-    def test_adapted_lifts_read_the_callers_christoffel(self, monkeypatch):
+    def test_adapted_lifts_read_the_callers_christoffel(self, calls):
         # a batch of 5 vectors at a stack of 10 frames: the plain lifts read the
         # caller's Gamma(p), the membership check its P(p) and every S_X its S
         pts = sample_points(M3, 48, 10)
         u = adapted_frame(M3, D3, pts)
         gamma, P = christoffel(M3, pts), D3.projector(pts)
         S = S_components(M3, D3, pts, gamma, P)
-        calls = []
-        for module in (geometry_module, frames_module, adapted_module):
-            def counting(*args, real=module.christoffel, **kwargs):
-                calls.append(1)
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, "christoffel", counting)
+        gammas = calls("christoffel")["christoffel"]
         xs = np.random.default_rng(48).standard_normal((5, 10, 3))
         adapted_module._adapted_horizontal_lifts(M3, D3, [TangentVector(pts, x) for x in xs], u,
                                                  gamma, P, S)
-        assert len(calls) == 0
+        assert len(gammas) == 0
 
 
 class TestTorsion:
@@ -424,28 +400,17 @@ class TestCurvatureRelation:
 class TestOneEvaluationPerReading:
     """Diagnostic readings come from the evaluation the asserted reading uses."""
 
-    def count(self, monkeypatch, name):
-        tally = []
-        real = getattr(adapted_module, name)
-
-        def counting(*args, **kwargs):
-            tally.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(adapted_module, name, counting)
-        return tally
-
-    def test_curvature_relation_assembles_RD_once(self, monkeypatch):
-        calls = self.count(monkeypatch, "curvature_RD_tensor")
+    def test_curvature_relation_assembles_RD_once(self, calls):
+        RDs = calls("curvature_RD_tensor")["curvature_RD_tensor"]
         rng = np.random.default_rng(21)
         x, y, z = rng.standard_normal((3, 2))
         p = np.array([0.1, -0.2])
         res = curvature_relation_residual(M4, D4, x, y, z, p, S_at(M4, D4, p))
-        assert len(calls) == 1
+        assert len(RDs) == 1
         assert set(res) == {"standard", "display"}
 
-    def test_adapted_audit_runs_the_oracle_once_per_case(self, monkeypatch):
-        calls = self.count(monkeypatch, "lc_total_space_oracle")
+    def test_adapted_audit_runs_the_oracle_once_per_case(self, calls):
+        oracles = calls("lc_total_space_oracle")["lc_total_space_oracle"]
         rng = np.random.default_rng(22)
         p = sample_points(M3, 46, 1)[0]
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -454,7 +419,7 @@ class TestOneEvaluationPerReading:
                       Q=adapted_endo_field(GEOM3, top=-1.3 * J))
         rows = adapted_connection_audit(M3, D3, adapted_frame(M3, D3, p), fields,
                                         curvature_tensor(M3, p))
-        assert len(calls) == 1  # one oracle call serves all four cases
+        assert len(oracles) == 1  # one oracle call serves all four cases
         assert [r["case"] for r in rows] == ["hh"] * 2 + ["hv"] * 3 + ["vh"] * 2 + ["vv"]
         assert sum(r["best_match"] for r in rows) == 4
 
@@ -499,39 +464,25 @@ class TestCurvatureRelationStencil:
             assert set(got) == set(ref)
             assert all(np.array_equal(got[r], ref[r]) for r in ref)
 
-    def test_halves_the_christoffel_calls_on_E3(self, monkeypatch):
-        tally = []
-        for module in (adapted_module, geometry_module):
-            def counting(*args, real=module.christoffel, **kwargs):
-                tally.append(1)
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, "christoffel", counting)
+    def test_halves_the_christoffel_calls_on_E3(self, calls):
         x, y, z = np.random.default_rng(48).standard_normal((3, M3.dim))
         p = sample_points(M3, 48, 1)[0]
         S = S_at(M3, D3, p)
-        tally.clear()
+        gammas = calls("christoffel")["christoffel"]
         curvature_relation_residual(M3, D3, x, y, z, p, S)
         # separate stencils: 1 + 2n for R, 2 + 4n for RD, 3 + 2n for nabla^D S
         # and 3 for S_x, S_y and S_{T^D}, i.e. 9 + 8n = 33 at n = 3
-        assert len(tally) <= (9 + 8 * M3.dim) // 2
+        assert len(gammas) <= (9 + 8 * M3.dim) // 2
 
-    def test_reads_christoffel_once_besides_its_two_stencils(self, monkeypatch):
-        tally = []
-        for module in (adapted_module, geometry_module):
-            def counting(*args, real=module.christoffel, **kwargs):
-                tally.append(np.shape(args[1]))
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, "christoffel", counting)
+    def test_reads_christoffel_once_besides_its_two_stencils(self, calls):
         x, y, z = np.random.default_rng(49).standard_normal((3, M3.dim))
         p = sample_points(M3, 49, 1)[0]
         S = S_at(M3, D3, p)
-        tally.clear()
+        gammas = calls("christoffel")["christoffel"]
         curvature_relation_residual(M3, D3, x, y, z, p, S)
         # Gamma(p) serves R and the jet, whose S at p is the caller's; then the
         # stencils of R and of the jet
-        assert sorted(tally) == [(2, 3, 3), (2, 3, 3), (3,)]
+        assert sorted(c.args[1].shape for c in gammas) == [(2, 3, 3), (2, 3, 3), (3,)]
 
 
 class TestW:

@@ -1,0 +1,110 @@
+"""The call budget of every (entry, suite) unit: how often each pinned kernel runs.
+
+Each unit runs once, at seed 42 and the default 10 samples, with the kernels its
+row names counted through ``budget``.  ``christoffel`` is pinned in every unit,
+so one redundant evaluation in a suite fails exactly that suite's rows.
+"""
+
+import numpy as np
+import pytest
+
+from framelift.catalog import get
+from framelift.frames import Frame, FrameTangent
+from framelift.geometry import sample_points
+from framelift.suites import SUITES
+
+
+def stack(call):
+    """The stack a call ran on: the shape of its first frame (columns) or frame tangent
+    (frame rate), else of its first array."""
+    frames = [a.columns if isinstance(a, Frame) else a.frame_rate
+              for a in call.args if isinstance(a, (Frame, FrameTangent))]
+    return (frames or [a for a in call.args if isinstance(a, np.ndarray)])[0].shape
+
+
+# A row's key is a name for ``budget``, read as the number of calls, or "name:reading".
+READINGS = {
+    "stacks": lambda calls, entry: [stack(c) for c in calls],
+    # the calls on the total space of a frame bundle, not on a base chart
+    "total": lambda calls, entry: sum(c.args[0].name.startswith("total[") for c in calls),
+    # for each call, whether it ran on the unit's whole stack of sample points
+    "samples": lambda calls, entry: [np.array_equal(c.args[1], sample_points(entry.phi.source, 42, 10))
+                                     for c in calls],
+}
+
+
+def frame_unit(n):
+    """Every oracle on L(M) (dim N = n + n^2): the one call of both connection audits on 3
+    frames and its projection onto O(M), then the adapted audit's and its projection onto
+    O(D), each reading the Christoffel symbols once; 2 chart Jacobians per oracle call and
+    for the one FD-bracket call of the 3 cases, and 4 for the oracle self-check's
+    induced metrics on the generic path, its one total-space ``christoffel``."""
+    N = n + n * n
+    return {"LMChart.jacobian": 10, "FrameChart.jacobian": 0, "christoffel:total": 1,
+            "frames._christoffel_from:stacks": [(3, N, N), (3, n, n), (N, N), (n, n)]}
+
+
+def tangent_unit(n, k):
+    """The lift block on the stack of 10 points; at each of 3 distribution points the
+    kernel x complement and kernel x displayed Sasaki-Mok tables (2(n-k) x 2k pairs) and
+    one stack of its 3(n-k) differenced kernel vectors; at pts[0] one horizontal lift
+    per frame column serves its differential and isometry rows."""
+    table = (2 * (n - k) * 2 * k, n, 1)
+    return {"suites.phi_second_differential_fd:stacks": [(10, n, 1)] * 2 + [(3 * (n - k), n, 1)] * 3,
+            "suites.mok_metric:stacks": [(10, n, 1)] + [table] * 6 + [(n, n), (n, 1)] * n,
+            "suites.horizontal_lift_frame:stacks": [(10, n, 1)] * 2 + [(n, n)] * n}
+
+
+BUDGET = {(f"E{i + 1}", suite): {"christoffel": n} for suite, row in {
+    "core": [8] * 5, "tangent": [47, 47, 47, 40, 47], "frame": [40] * 5,
+    "adapted": [7] * 5, "lift": [9] * 5, "theorems": [15, 8, 8, 11, 8]}.items() for i, n in enumerate(row)}
+for unit, pins in {
+    # the suite, the batch, and the curvature tensor's centre and stencil, on both charts
+    ("E3", "core"): {"curvature_tensor:stacks": [(10, 3), (10, 2)], "covariant_derivatives": 2,
+                     "lie_bracket": 2},
+    ("E1", "tangent"): tangent_unit(3, 2),
+    # S at the distribution points reads the projector there and on one stencil
+    ("E3", "tangent"): {**tangent_unit(3, 2), "S_components": 1, "splitting_projectors": 2,
+                        "covariant_derivatives": 0},
+    ("E4", "tangent"): tangent_unit(2, 1),
+    **{(eid, "frame"): frame_unit(2 if eid == "E4" else 3) for eid in ("E1", "E2", "E4", "E5")},
+    # one curvature tensor for all frames; the 3 bracket cases on the 10 frames in one
+    # FD-bracket call, 2 Mok lifts and 3 Mok products in the structural block
+    ("E3", "frame"): {**frame_unit(3), "frames.christoffel": 28, "suites.horizontal_lift_frame": 2,
+                      "suites.mok_metric": 3, "fd_bracket_on_chart": 1, "bracket_residual": 1,
+                      "lc_total_space_oracle": 2, "connection_audit": 1, "gauss_projection": 2},
+    # S on the sample stack and on the curvature jet's stencil
+    ("E3", "adapted"): {"splitting_projectors": 8, "S_components": 2},
+    # one split of the sample points and one S and B on the first 5; the three lift
+    # differential cases in one call and one Mok norm, then the kernel basis in one of
+    # each; the Mok cross Gram in one call
+    ("E3", "lift"): {"splitting_projectors": 3, "S_components": 1, "second_fundamental_tensor:stacks": [(5, 3)],
+                     "suites.lift_differential_fd:stacks": [(3, 5, 3, 3), (1, 5, 3, 3)],
+                     "suites.mok_norm:stacks": [(3, 5, 2, 2), (1, 5, 2, 2)],
+                     "suites.mok_metric:stacks": [(3, 5, 3, 3)]},
+    # classify's stack, for the torsion and the lift measurement
+    ("E3", "theorems"): {"splitting_projectors": 3, "S_components": 1},
+}.items():
+    BUDGET[unit].update(pins)
+for eid in ("E2", "E3"):  # one curvature tensor call, on the stack of all sample frames
+    BUDGET[eid, "frame"]["curvature_tensor:samples"] = [True]
+
+
+def test_the_table_has_every_unit():
+    assert set(BUDGET) == {(f"E{i}", s) for i in range(1, 6) for s in SUITES}
+
+
+UNITS = sorted(BUDGET, key=lambda u: (list(SUITES).index(u[1]), u[0]))
+
+
+@pytest.mark.parametrize("eid, suite", UNITS, ids=[f"{eid}-{suite}" for eid, suite in UNITS])
+def test_unit(calls, eid, suite):
+    expected = BUDGET[eid, suite]
+    counted = calls(*sorted({key.partition(":")[0] for key in expected}))
+    entry = get(eid)
+    SUITES[suite](entry, seed=42)
+    observed = {}
+    for key in expected:
+        name, _, reading = key.partition(":")
+        observed[key] = READINGS[reading](counted[name], entry) if reading else len(counted[name])
+    assert observed == expected

@@ -15,106 +15,111 @@ from framelift.reporting import strip_wall_times
 from framelift.suites import SUITE_ORDER
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("FRAMELIFT_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "framelift.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
-    return proc
+def python(*argv, env=None):
+    """A fresh Python process, with ``env`` added to the environment: (exit status, stdout,
+    stderr).  For what only a process shows: its exit status, a fresh import and the
+    FRAMELIFT_SEED it is started with."""
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, **(env or {})})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*args, env=None):
+    return python("-m", "framelift.cli", *args, env=env)
+
+
+@pytest.fixture
+def cli(capsys):
+    """``cli(*args)``: the process entry point ``run`` in this process, (exit status, stdout,
+    stderr) as ``run_cli`` gives them."""
+    def call(*args):
+        code = run(list(args))
+        return (code, *capsys.readouterr())
+    return call
 
 
 class TestList:
-    def test_lists_all_entries(self):
-        proc = run_cli(["list"])
-        assert proc.returncode == 0
+    def test_lists_all_entries(self, cli):
+        code, out, _ = cli("list")
+        assert code == 0
         for eid in ("E1", "E2", "E3", "E4", "E5"):
-            assert eid in proc.stdout
+            assert eid in out
         # every description starts at the same column, after lift_conformal=True or =False
-        lines = proc.stdout.splitlines()
+        lines = out.splitlines()
         starts = {line.index(e.description) for line, e in zip(lines, entries(), strict=True)}
-        assert len(starts) == 1, proc.stdout
+        assert len(starts) == 1, out
 
 
 class TestVerify:
-    def test_core_suite_passes(self):
-        proc = run_cli(["verify", "E1", "--suite", "core"])
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "failed" in proc.stdout
+    def test_core_suite_passes(self, cli):
+        code, out, err = cli("verify", "E1", "--suite", "core")
+        assert code == 0, out + err
+        assert "failed" in out
 
-    def test_theorems_suite_hopf(self):
+    def test_theorems_suite_hopf(self, cli):
         # the negative branch: non-conformal lift measured and predicted
-        proc = run_cli(["verify", "E3", "--suite", "theorems"])
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        code, out, err = cli("verify", "E3", "--suite", "theorems")
+        assert code == 0, out + err
 
-    def test_unknown_example_exit_2(self):
-        proc = run_cli(["verify", "bogus"])
-        assert proc.returncode == 2
+    @pytest.mark.parametrize("args", [["bogus"], ["E1", "--suite", "nonsense"],
+                                      ["E1", "--suite", "core", "--samples", "0"]],
+                             ids=["example", "suite", "samples"])
+    def test_unknown_or_bad_argument_exit_2(self, cli, args):
+        assert cli("verify", *args)[0] == 2
 
-    def test_unknown_suite_exit_2(self):
-        proc = run_cli(["verify", "E1", "--suite", "nonsense"])
-        assert proc.returncode == 2
-
-    def test_bad_samples_exit_2(self):
-        proc = run_cli(["verify", "E1", "--suite", "core", "--samples", "0"])
-        assert proc.returncode == 2
-
-    def test_bad_steps_exit_2(self):
+    def test_bad_steps_exit_2(self, cli):
         # NaN fails every comparison, so a NaN step once reached the suite and was
         # reported as a sample point outside the chart
         for steps in (["--h", "1e-3", "--h2", "1e-5"], ["--h", "nan"], ["--h", "inf", "--h2", "inf"]):
-            proc = run_cli(["verify", "E1", "--suite", "core", *steps])
-            assert proc.returncode == 2, steps
-            assert "step" in proc.stderr and "chart" not in proc.stderr, (steps, proc.stderr)
-            assert "Traceback" not in proc.stderr and proc.stdout == "", steps
+            code, out, err = cli("verify", "E1", "--suite", "core", *steps)
+            assert code == 2, steps
+            assert "step" in err and "chart" not in err, (steps, err)
+            assert "Traceback" not in err and out == "", steps
 
-    def test_missing_report_directory_exit_2_before_running(self, tmp_path):
+    def test_missing_report_directory_exit_2_before_running(self, cli, tmp_path):
         path = tmp_path / "missing" / "x.json"
-        proc = run_cli(["verify", "all", "--json", str(path)])
-        assert proc.returncode == 2
-        assert str(path) in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        code, out, err = cli("verify", "all", "--json", str(path))
+        assert code == 2
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_non_integer_env_seed_exit_2_with_reason(self):
-        proc = run_cli(["verify", "E1", "--suite", "core"], env_extra={"FRAMELIFT_SEED": "abc"})
-        assert proc.returncode == 2
-        assert "FRAMELIFT_SEED" in proc.stderr and "'abc'" in proc.stderr
-        assert proc.stdout == ""
+        code, out, err = run_cli("verify", "E1", "--suite", "core", env={"FRAMELIFT_SEED": "abc"})
+        assert code == 2
+        assert "FRAMELIFT_SEED" in err and "'abc'" in err
+        assert out == ""
 
     @pytest.mark.parametrize("args, env, source", [
         (["--seed", "-1"], None, "--seed"),
         ([], {"FRAMELIFT_SEED": "-3"}, "FRAMELIFT_SEED"),
     ])
-    def test_negative_seed_exit_2_with_one_line(self, args, env, source):
-        proc = run_cli(["verify", "E1", "--suite", "core", *args], env_extra=env)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.count("\n") == 1 and source in proc.stderr and "non-negative" in proc.stderr
-        assert proc.stdout == ""
+    def test_negative_seed_exit_2_with_one_line(self, cli, args, env, source):
+        argv = ["verify", "E1", "--suite", "core", *args]
+        code, out, err = run_cli(*argv, env=env) if env else cli(*argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and source in err and "non-negative" in err
+        assert out == ""
 
     @pytest.mark.parametrize("extra, where", [
         (["--h", "0.3", "--h2", "0.5"], "stencil leaves chart domain"),
         (["--seed", "5"], "outside chart domain of S2(1/2)"),
     ])
-    def test_domain_error_during_run_exit_2_with_message(self, extra, where):
+    def test_domain_error_during_run_exit_2_with_message(self, cli, extra, where):
         # seed 5 samples E3's target box outside the domain of S2(1/2)
-        proc = run_cli(["verify", "E3", "--suite", "core", *extra])
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "E3 suite core" in proc.stderr and where in proc.stderr
+        code, _, err = cli("verify", "E3", "--suite", "core", *extra)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "E3 suite core" in err and where in err
 
-    def test_domain_error_on_a_stack_names_one_point_and_its_index(self):
+    def test_domain_error_on_a_stack_names_one_point_and_its_index(self, cli):
         # the core suite checks the whole stack of sample points at once; the message
         # names the first point outside, and its place in the stack, not the stack
-        proc = run_cli(["verify", "E3", "--suite", "core", "--seed", "5"])
-        assert proc.returncode == 2
-        found = re.findall(r"point \[([^\]]*)\] \(index (\d+)\) outside chart domain of S2\(1/2\)",
-                           proc.stderr)
-        assert len(found) == 1 and proc.stderr.count("[") == 1
+        code, _, err = cli("verify", "E3", "--suite", "core", "--seed", "5")
+        assert code == 2
+        found = re.findall(r"point \[([^\]]*)\] \(index (\d+)\) outside chart domain of S2\(1/2\)", err)
+        assert len(found) == 1 and err.count("[") == 1
         coords, index = found[0]
         M = get("E3").phi.target
         point = sample_points(M, 5, 10)[int(index)]
@@ -124,40 +129,36 @@ class TestVerify:
     def test_warped_theorems_exit_1(self):
         # the warped entry is a genuine counterexample to the two-sided
         # conformality expectation, so its theorem suite reports failure
-        proc = run_cli(["verify", "E4", "--suite", "theorems"])
-        assert proc.returncode == 1
-        assert "conformality_two_sided" in proc.stdout
+        code, out, _ = run_cli("verify", "E4", "--suite", "theorems")
+        assert code == 1
+        assert "conformality_two_sided" in out
 
 
 class TestDeterminism:
     def test_identical_reports_for_identical_seeds(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
-            proc = run_cli(["verify", "E1", "--suite", "core",
-                            "--seed", "7", "--json", str(path)])
-            assert proc.returncode == 0
-        ra = strip_wall_times(a.read_text())
-        rb = strip_wall_times(b.read_text())
-        assert ra == rb
+            assert run_cli("verify", "E1", "--suite", "core", "--seed", "7", "--json", str(path))[0] == 0
+        assert strip_wall_times(a.read_text()) == strip_wall_times(b.read_text())
 
-    def test_seed_changes_report(self, tmp_path):
+    def test_seed_changes_report(self, cli, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli(["verify", "E1", "--suite", "core", "--seed", "7", "--json", str(a)])
-        run_cli(["verify", "E1", "--suite", "core", "--seed", "8", "--json", str(b)])
+        cli("verify", "E1", "--suite", "core", "--seed", "7", "--json", str(a))
+        cli("verify", "E1", "--suite", "core", "--seed", "8", "--json", str(b))
         assert json.loads(a.read_text())["config"]["seed"] == 7
         assert json.loads(b.read_text())["config"]["seed"] == 8
 
     def test_env_seed_override(self, tmp_path):
         path = tmp_path / "r.json"
-        proc = run_cli(["verify", "E1", "--suite", "core", "--json", str(path)],
-                       env_extra={"FRAMELIFT_SEED": "123"})
-        assert proc.returncode == 0
+        code, _, _ = run_cli("verify", "E1", "--suite", "core", "--json", str(path),
+                             env={"FRAMELIFT_SEED": "123"})
+        assert code == 0
         assert json.loads(path.read_text())["config"]["seed"] == 123
 
     def test_flag_beats_env(self, tmp_path):
         path = tmp_path / "r.json"
-        run_cli(["verify", "E1", "--suite", "core", "--seed", "5", "--json", str(path)],
-                env_extra={"FRAMELIFT_SEED": "123"})
+        run_cli("verify", "E1", "--suite", "core", "--seed", "5", "--json", str(path),
+                env={"FRAMELIFT_SEED": "123"})
         assert json.loads(path.read_text())["config"]["seed"] == 5
 
 
@@ -179,11 +180,10 @@ class TestStepRobustness:
         return out
 
     @pytest.mark.parametrize("h2", ["1e-3", "3e-3"])
-    def test_frame_suite_keeps_every_status(self, tmp_path, h2):
+    def test_frame_suite_keeps_every_status(self, cli, tmp_path, h2):
         path = tmp_path / "frame.json"
-        proc = run_cli(["verify", "all", "--suite", "frame", "--seed", "42", "--h2", h2,
-                        "--json", str(path)])
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        code, out, err = cli("verify", "all", "--suite", "frame", "--seed", "42", "--h2", h2, "--json", str(path))
+        assert code == 0, out + err
         golden = [r for r in json.loads(self.GOLDEN.read_text())["rows"] if ".frame." in r["name"]]
         assert self.statuses(json.loads(path.read_text())["results"]) == self.statuses(golden)
 
@@ -230,15 +230,14 @@ class TestInProcess:
     def test_two_calls_share_no_state(self, tmp_path, monkeypatch, capsys, env_seed, seed):
         # the parser is built once, at import: a second call without --seed or --suite
         # gets the default seed (or FRAMELIFT_SEED) and every suite, as a fresh process does
-        monkeypatch.delenv("FRAMELIFT_SEED", raising=False)
         env = {} if env_seed is None else {"FRAMELIFT_SEED": env_seed}
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         first, second, fresh = (tmp_path / f"{name}.json" for name in ("first", "second", "fresh"))
         main(["verify", "E1", "--seed", "7", "--suite", "frame", "--json", str(first)])
         code = main(["verify", "E1", "--json", str(second)])
-        proc = run_cli(["verify", "E1", "--json", str(fresh)], env)
-        assert code == proc.returncode, proc.stderr
+        fresh_code, _, err = run_cli("verify", "E1", "--json", str(fresh))
+        assert code == fresh_code, err
         doc = json.loads(second.read_text())
         assert doc["config"]["seed"] == seed
         assert {r["name"].split(".")[1] for r in doc["results"]} == set(SUITE_ORDER)
@@ -261,18 +260,14 @@ class TestInProcess:
 def test_import_leaves_scipy_linalg_unloaded():
     # the chart's matrix functions are numpy closed forms; scipy.linalg would
     # roughly double the import time of every process
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, framelift.cli; print('scipy.linalg' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    code, out, err = python("-c", "import sys, framelift.cli; print('scipy.linalg' in sys.modules)")
+    assert code == 0, err
+    assert out.strip() == "False"
 
 
 def test_import_and_a_run_leave_scipy_unloaded():
     # the library computes with numpy only; SciPy would cost every process its import
-    code = ("import sys, framelift.cli; framelift.cli.main(['verify', 'E1', '--suite', 'tangent']); "
-            "print('scipy' in sys.modules, file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "False"
+    code, _, err = python("-c", "import sys, framelift.cli; framelift.cli.main(['verify', 'E1', '--suite', "
+                          "'tangent']); print('scipy' in sys.modules, file=sys.stderr)")
+    assert code == 0, err
+    assert err.strip() == "False"

@@ -22,7 +22,6 @@ from framelift.frames import (
     LMChart,
     bracket_residual,
     connection_audit,
-    FrameChart,
     fd_bracket_on_chart,
     fundamental_vertical,
     gauss_projection,
@@ -55,6 +54,7 @@ from framelift.geometry import (
     sample_points,
 )
 from framelift.submersion import adapted_endo_field, derive_geometry
+from budget import recording
 from skew_charts import RatesChart, adapted_chart, om_chart
 
 R1 = euclidean_chart(1)
@@ -159,36 +159,24 @@ class TestMokMetric:
             t = FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2)))
             assert mok_metric(S2, t, t) > 0
 
-    def test_norm_evaluates_the_vertical_part_once(self, monkeypatch):
+    def test_norm_evaluates_the_vertical_part_once(self, calls):
         # the Mok metric pairs the vertical rates W = V E of the vertical parts V
         rng = np.random.default_rng(3)
         u = on_frame(S2, np.array([0.3, -0.1]))
         t = FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2)))
         twin = FrameTangent(u, t.base_rate.copy(), t.frame_rate.copy())
         want = float(np.sqrt(mok_metric(S2, t, twin)))  # two evaluations, same arithmetic
-        calls = []
-
-        def counting(*args, real=frames_module._vertical_rate, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(frames_module, "_vertical_rate", counting)
+        rates = calls("_vertical_rate")["_vertical_rate"]
         assert mok_norm(S2, t) == want
-        assert len(calls) == 1
+        assert len(rates) == 1
 
-    def test_metric_of_two_tangents_evaluates_christoffel_once(self, monkeypatch):
+    def test_metric_of_two_tangents_evaluates_christoffel_once(self, calls):
         rng = np.random.default_rng(4)
         u = on_frame(S2, np.array([0.3, -0.1]))
         s, t = (FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2))) for _ in range(2))
-        calls = []
-
-        def counting(*args, real=frames_module.christoffel, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(frames_module, "christoffel", counting)
+        gammas = calls("christoffel")["christoffel"]
         mok_metric(S2, s, t)
-        assert len(calls) == 1  # one Gamma serves both vertical parts
+        assert len(gammas) == 1  # one Gamma serves both vertical parts
 
 
 class TestOMChart:
@@ -366,19 +354,8 @@ class TestConnectionFormulas:
 class TestOneEvaluationPerCase:
     """Every reading of a case is judged against one finite-difference evaluation."""
 
-    def count(self, monkeypatch, name):
-        tally = []
-        real = getattr(frames_module, name)
-
-        def counting(*args, **kwargs):
-            tally.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(frames_module, name, counting)
-        return tally
-
     @pytest.mark.parametrize("bundle", ["L", "O"])
-    def test_connection_audit_runs_the_oracle_once_per_case(self, monkeypatch, bundle):
+    def test_connection_audit_runs_the_oracle_once_per_case(self, calls, bundle):
         rng = np.random.default_rng(19)
         X = polynomial_vector_field(2, rng)
         Y = polynomial_vector_field(2, rng)
@@ -386,11 +363,11 @@ class TestOneEvaluationPerCase:
             P, Q = polynomial_endo_field(2, rng), polynomial_endo_field(2, rng)
         else:
             P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
-        calls = self.count(monkeypatch, "lc_total_space_oracle")
+        oracles = calls("lc_total_space_oracle")["lc_total_space_oracle"]
         p = np.array([0.2, -0.1])
         rows = connection_audit(S2, on_frame(S2, p), {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
                                 curvature_tensor(S2, p))
-        assert len(calls) == 1  # one oracle call serves all four cases
+        assert len(oracles) == 1  # one oracle call serves all four cases
         readings = {}
         for r in rows:
             readings.setdefault(r["case"], []).append(r["reading"])
@@ -410,29 +387,22 @@ class TestOneEvaluationPerCase:
 
     def test_each_field_is_evaluated_once_at_the_centre(self):
         chart, q, pairs = lift_pairs("E3", "O", 24)
-        centre_calls = {}
-
-        def counted(name, F):
-            def field(u):
-                if u.base.shape == q.shape[:-1] + (chart.manifold.dim,):  # q's frame, not a stencil
-                    centre_calls[name] = centre_calls.get(name, 0) + 1
-                return F(u)
-
-            return field
-
+        seen = {name: [] for name in ("hX", "hY", "vP", "vQ")}
         (hX, hY), (_, vQ), (vP, _), _ = pairs
-        hX, hY, vP, vQ = (counted(name, F) for name, F in zip(("hX", "hY", "vP", "vQ"), (hX, hY, vP, vQ)))
+        hX, hY, vP, vQ = (recording(F, seen[name]) for name, F in zip(seen, (hX, hY, vP, vQ)))
         lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q)
-        assert centre_calls == {"hX": 1, "hY": 1, "vP": 1, "vQ": 1}
+        centre = q.shape[:-1] + (chart.manifold.dim,)  # q's frame, not a stencil
+        assert {name: [c.args[0].base.shape for c in s].count(centre) for name, s in seen.items()} == {
+            "hX": 1, "hY": 1, "vP": 1, "vQ": 1}
 
-    def test_bracket_readings_share_one_fd_bracket(self, monkeypatch):
+    def test_bracket_readings_share_one_fd_bracket(self, calls):
         rng = np.random.default_rng(20)
         X = polynomial_vector_field(2, rng)
         Q = polynomial_endo_field(2, rng)
-        calls = self.count(monkeypatch, "fd_bracket_on_chart")
+        brackets = calls("fd_bracket_on_chart")["fd_bracket_on_chart"]
         p = np.array([0.1, 0.3])
         [res] = bracket_residual(S2, LMChart(S2), [("hv", (X, Q))], on_frame(S2, p), curvature_tensor(S2, p))
-        assert len(calls) == 1
+        assert len(brackets) == 1
         assert set(res) == {"resolved", "literal"}
 
 
@@ -496,42 +466,14 @@ class TestGenericPathReference:
 class TestTwoChartJacobians:
     """Each point set goes through the chart once: J(q), and J on one joint stencil."""
 
-    def count(self, monkeypatch, chart):
-        tally = []
-        real = type(chart).jacobian
-
-        def counting(*args, **kwargs):
-            tally.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(type(chart), "jacobian", counting)
-        return tally
-
     @pytest.mark.parametrize("bundle", ["L", "O", "D"])
-    def test_oracle_of_four_pairs(self, monkeypatch, bundle):
+    @pytest.mark.parametrize("kernel", [lc_total_space_oracle, fd_bracket_on_chart])
+    def test_four_pairs(self, calls, kernel, bundle):
         chart, q, pairs = lift_pairs("E3", bundle, 42, count=3)
-        calls = self.count(monkeypatch, chart)
-        lc_total_space_oracle(chart, pairs, q)
-        assert len(calls) == 2
-
-    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
-    def test_fd_bracket(self, monkeypatch, bundle):
-        chart, q, pairs = lift_pairs("E3", bundle, 42, count=3)
-        calls = self.count(monkeypatch, chart)
-        fd_bracket_on_chart(chart, pairs, q)
-        assert len(calls) == 2
-
-    def test_frame_suite_unit(self, monkeypatch):
-        # E3 at seed 42: every oracle runs on L(M), so no O(M) or O(D) chart Jacobian is
-        # read (8 before, 22 when each chart field read its own); on L(M) the one oracle
-        # call of both connection audits, the adapted audit's and the one FD-bracket call
-        # of the three cases, 2 each, and the oracle self-check's induced metric on the
-        # generic path, 4
-        from framelift import suites
-        skew = self.count(monkeypatch, frames_module.om_chart(S2))
-        full = self.count(monkeypatch, LMChart(S2))
-        suites.suite_frame(get("E3"), seed=42)
-        assert len(skew) == 0 and len(full) == 10
+        name = "LMChart.jacobian" if bundle == "L" else "FrameChart.jacobian"
+        jacobians = calls(name)[name]
+        kernel(chart, pairs, q)
+        assert len(jacobians) == 2
 
 
 class TestRightInvariance:
@@ -648,17 +590,6 @@ class TestChartConversions:
 class TestNoReencoding:
     """The frame fields are read at the chart Jacobian's frames; only an audit's entry frame is encoded."""
 
-    def count(self, monkeypatch, owner, name):
-        tally = []
-        real = getattr(owner, name)
-
-        def counting(*args, **kwargs):
-            tally.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
-        return tally
-
     def lift_cases(self):
         """(frame field, chart, q, reference tangent at a frame) for X^h and P* on O(M) and
         the adapted X^h on O(D), E3."""
@@ -677,11 +608,9 @@ class TestNoReencoding:
             (aX, od, q_od, lambda u: adapted_horizontal_lift(M, D, TangentVector(u.base, X.eval(u.base)), u)),
         ]
 
-    def test_frame_fields_call_neither_encode_nor_logm(self, monkeypatch):
+    def test_frame_fields_call_neither_encode_nor_logm(self, calls):
         cases = self.lift_cases()
-        encodes = self.count(monkeypatch, FrameChart, "encode")
-        logms = self.count(monkeypatch, scipy.linalg, "logm")
-        log_rotations = self.count(monkeypatch, frames_module, "_log_rotation")
+        encodes, logms, log_rotations = calls("FrameChart.encode", "scipy.linalg.logm", "_log_rotation").values()
         for field, chart, q, _ in cases:
             assert frames_module._field_rates(chart, chart.jacobian(q), field).shape == q.shape
             [t] = lc_total_space_oracle(chart, [(field, field)], q)
@@ -689,13 +618,12 @@ class TestNoReencoding:
             assert b.frame_rate.shape == t.frame_rate.shape
         assert encodes == [] and logms == [] and log_rotations == []
 
-    def test_frame_fields_are_read_at_the_jacobians_frame(self, monkeypatch):
+    def test_frame_fields_are_read_at_the_jacobians_frame(self, calls):
         # each field builds its tangent at the frame jacobian(q) returns, which is the
         # frame decode(q) gives: the rates are unchanged, and nothing decodes
         cases = self.lift_cases()
         expected = [chart.tangent_to_chart(q, lift(chart.decode(q))) for _, chart, q, lift in cases]
-        jacobians = self.count(monkeypatch, FrameChart, "jacobian")
-        decodes = self.count(monkeypatch, FrameChart, "decode")
+        jacobians, decodes = calls("FrameChart.jacobian", "FrameChart.decode").values()
         for (field, chart, q, _), rates in zip(cases, expected):
             jacobians.clear()
             assert np.array_equal(frames_module._field_rates(chart, chart.jacobian(q), field), rates)
@@ -703,19 +631,18 @@ class TestNoReencoding:
             lc_total_space_oracle(chart, [(field, field)], q)
             assert len(jacobians) == 3 and decodes == []
 
-    def test_connection_audit_encodes_once(self, monkeypatch):
+    def test_connection_audit_encodes_once(self, calls):
         # the O(M) audit reads the L(M) oracle: no O(M) chart is entered, and its frames
         # are encoded once, on L(M)
         rng = np.random.default_rng(35)
         fields = dict(X=polynomial_vector_field(2, rng), Y=polynomial_vector_field(2, rng),
                       P=g_skew_endo_field(S2, rng), Q=g_skew_endo_field(S2, rng))
-        skew = [self.count(monkeypatch, FrameChart, name) for name in ("encode", "jacobian")]
-        encodes = self.count(monkeypatch, LMChart, "encode")
+        *skew, encodes = calls("FrameChart.encode", "FrameChart.jacobian", "LMChart.encode").values()
         p = np.array([0.2, -0.1])
         connection_audit(S2, on_frame(S2, p), {"O": fields}, curvature_tensor(S2, p))
         assert skew == [[], []] and len(encodes) == 1
 
-    def test_adapted_connection_audit_encodes_once(self, monkeypatch):
+    def test_adapted_connection_audit_encodes_once(self, calls):
         geom = derive_geometry(get("E3").phi)
         M, D = geom.phi.source, geom.horizontal
         rng = np.random.default_rng(36)
@@ -723,8 +650,7 @@ class TestNoReencoding:
         fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
                       P=adapted_endo_field(geom, top=0.8 * J),
                       Q=adapted_endo_field(geom, top=-1.3 * J))
-        skew = [self.count(monkeypatch, FrameChart, name) for name in ("encode", "jacobian")]
-        encodes = self.count(monkeypatch, LMChart, "encode")
+        *skew, encodes = calls("FrameChart.encode", "FrameChart.jacobian", "LMChart.encode").values()
         p = sample_points(M, 46, 1)[0]
         adapted_connection_audit(M, D, adapted_frame(M, D, p), fields, curvature_tensor(M, p))
         assert skew == [[], []] and len(encodes) == 1
@@ -750,7 +676,7 @@ def skew_chart_points(draw):
 
 
 class TestChartJacobianProperties:
-    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @settings(max_examples=60)
     @given(skew_chart_points())
     def test_jacobian_rows_are_central_differences_of_decode(self, chart_point):
         chart, q = chart_point
@@ -764,7 +690,7 @@ class TestChartJacobianProperties:
             assert np.max(np.abs(Jx[k] - (up.base - down.base) / (2 * h))) < 1e-7
             assert np.max(np.abs(JE[k] - (up.columns - down.columns) / (2 * h))) < 1e-7
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @settings(max_examples=60)
     @given(skew_chart_points())
     def test_encode_inverts_decode(self, chart_point):
         chart, q = chart_point
@@ -804,7 +730,7 @@ class TestSkewClosedForms:
         assert np.max(np.abs(log - A)) < 1e-12
         assert np.max(np.abs(log - scipy.linalg.logm(expA))) < 1e-12
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @settings(max_examples=150)
     @given(skew_points())
     def test_match_scipy(self, skew_point):
         self.check_against_scipy(*skew_point)
@@ -845,21 +771,13 @@ class TestNoScipyMatrixFunctions:
     """The chart's exp, Frechet rows and log come from one factorisation, not scipy.linalg."""
 
     @pytest.fixture
-    def eighs(self, monkeypatch):
+    def eighs(self, monkeypatch, calls):
         def forbidden(*args, **kwargs):
             raise AssertionError("scipy matrix function called")
 
         for name in ("expm", "expm_frechet", "logm"):
             monkeypatch.setattr(scipy.linalg, name, forbidden)
-        tally = []
-        eigh = np.linalg.eigh
-
-        def counting(*args, **kwargs):
-            tally.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        return tally
+        return calls("numpy.linalg.eigh")["numpy.linalg.eigh"]
 
     @pytest.mark.parametrize("example", ["E1", "E2", "E3", "E4", "E5"])
     @pytest.mark.parametrize("bundle", ["O", "D"])
@@ -986,7 +904,7 @@ class TestGaussProjection:
         gap = mok_norm(M, FrameTangent.stack([a - b for a, b in zip(projected, charted)]))
         assert np.max(gap) < self.GAP[bundle]
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @settings(max_examples=40)
     @given(st.sampled_from(["E1", "E2", "E3", "E4", "E5"]), st.sampled_from(["O", "D"]),
            st.integers(0, 10**6))
     def test_idempotent_self_adjoint_and_tangent(self, example, bundle, seed):

@@ -326,7 +326,7 @@ class TestEndoInner:
         b = endo_inner(S2, p, P, Q, onb2)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     def test_basis_independent_property(self, seed, n):
         # <P | Q> = tr(P^T g Q g^-1) over any g-orthonormal basis
@@ -370,7 +370,7 @@ def seed_lists(draw):
 
 
 class TestColumnGram:
-    @settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
     def test_matches_the_column_loop(self, seed, n, m):
         rng = np.random.default_rng(seed)
@@ -384,7 +384,7 @@ class TestColumnGram:
 class TestOrthonormalizer:
     """C B C^T = I from the Cholesky factor of the Gram matrix B, in the list's order."""
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @settings(max_examples=100)
     @given(seed_lists())
     def test_whitens_the_gram_matrix_and_matches_gram_schmidt(self, case):
         _, g, V = case
@@ -394,7 +394,7 @@ class TestOrthonormalizer:
         assert np.max(np.abs(C @ B @ C.T - np.eye(len(V)))) < 1e-12
         assert np.max(np.abs(C @ V - modified_gram_schmidt(V, g))) < 1e-12
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @settings(max_examples=100)
     @given(seed_lists(), st.integers(0, 2**32 - 1))
     def test_raises_on_a_rank_deficient_list(self, case, seed):
         M, g, V = case

@@ -16,7 +16,6 @@ import framelift.fields as fields_module
 import framelift.frames as frames_module
 import framelift.geometry as geometry_module
 import framelift.submersion as submersion_module
-import framelift.suites as suites_module
 import framelift.tangent as tangent_module
 from framelift.adapted import (
     L_P_applies,
@@ -76,6 +75,7 @@ from framelift.submersion import (
     div_bot,
     splitting_projectors,
 )
+from budget import recording
 from hopf_composite import hopf_composite, hopf_composite_jacobian
 from looping import per_point
 from skew_charts import adapted_chart, om_chart
@@ -135,19 +135,14 @@ class TestStencil:
     def test_a_point_outside_raises_from_one_predicate_call(self):
         S2 = CHARTS["S2"]
         calls = []
-
-        def counting(p):
-            calls.append(np.shape(p))
-            return S2.domain_predicate(p)
-
-        M = dataclasses.replace(S2, domain_predicate=counting)
+        M = dataclasses.replace(S2, domain_predicate=recording(S2.domain_predicate, calls))
         h = 1e-5
         p = np.array([2.0 - h / 2, 0.0])  # inside; only p + h e_0 leaves the chart
         assert M.contains(p)
         calls.clear()
         with pytest.raises(DomainError, match="stencil"):
             christoffel_derivative(M, p)
-        assert calls == [(2, 2, 2)]
+        assert [c.args[0].shape for c in calls] == [(2, 2, 2)]
 
     def test_total_space_stencil_leaving_the_chart_raises(self):
         chart = om_chart(get("E3").phi.source)
@@ -199,7 +194,7 @@ def assert_close_rows(batched, rows):
 
 
 class TestBatchedKernels:
-    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @settings(max_examples=40)
     @given(st.sampled_from(sorted(CHARTS)), st.integers(0, 10**6), st.integers(1, 6))
     def test_christoffel(self, name, seed, count):
         M = CHARTS[name]
@@ -208,7 +203,7 @@ class TestBatchedKernels:
         assume(len(ps) > 0)
         assert_close_rows(christoffel(M, ps), rows_of(lambda p: christoffel(M, p), ps))
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @settings(max_examples=40)
     @given(st.sampled_from(EXAMPLES), st.sampled_from(["L", "O", "D"]),
            st.integers(0, 10**6), st.integers(1, 4))
     def test_induced_metric(self, example, bundle, seed, count):
@@ -226,33 +221,16 @@ class TestBatchedKernels:
                           rows_of(lambda p: induced_metric_on_chart(chart, p), stencil))
 
 
-# The modules of the package that bind functions of the kernels; a count through each
-# binding of a name is a count of every call of it.
-PACKAGE_MODULES = (geometry_module, fields_module, catalog_module, frames_module, adapted_module,
-                   submersion_module, tangent_module, suites_module)
-
-
-def count_calls(monkeypatch, module, name):
-    tally = []
-
-    def counting(*args, real=getattr(module, name), **kwargs):
-        tally.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return tally
-
-
 class TestOneInducedMetricPerStencil:
     @pytest.mark.parametrize("example", EXAMPLES)
     @pytest.mark.parametrize("bundle", ["L", "O", "D"])
-    def test_total_space_christoffel_evaluates_the_metric_twice(self, monkeypatch, example, bundle):
+    def test_total_space_christoffel_evaluates_the_metric_twice(self, calls, example, bundle):
         chart = bundle_chart(example, bundle)
         q = bundle_points(chart, 66, 1)[0]
-        calls = count_calls(monkeypatch, frames_module, "induced_metric_on_chart")
+        metrics = calls("induced_metric_on_chart")["induced_metric_on_chart"]
         christoffel(total_space_manifold(chart), q,
                     dataclasses.replace(geometry_module.DEFAULT_FD, step_h=1e-4))
-        assert len(calls) == 2  # q, then the whole 2 dim-point stencil
+        assert len(metrics) == 2  # q, then the whole 2 dim-point stencil
 
 
 E3_GEOM = derive_geometry(get("E3").phi)
@@ -279,88 +257,20 @@ class TestLPairs:
             [want] = L_P_applies(M, [pair], p, onb, R, P_D, S)
             assert all(np.array_equal(got[k], want[k]) for k in want)
 
-    def test_audit_builds_one_S_batch_and_W_and_no_curvature_tensor(self, monkeypatch):
+    def test_audit_builds_one_S_batch_and_W_and_no_curvature_tensor(self, calls):
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
-        inside = []
-        counts = {"curvature_tensor": 0, "S_components": 0, "W_endo": 0}
-        S_points = []
-
-        def in_L(fn):
-            def wrapped(*args, **kwargs):
-                inside.append(1)
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    inside.pop()
-            return wrapped
-
-        def counted(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += bool(inside)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(adapted_module, "L_P_applies", in_L(adapted_module.L_P_applies))
-        monkeypatch.setattr(geometry_module, "curvature_tensor",
-                            counted("curvature_tensor", geometry_module.curvature_tensor))
-        monkeypatch.setattr(adapted_module, "W_endo", counted("W_endo", adapted_module.W_endo))
-        real_S, real_oracle = adapted_module.S_components, adapted_module.lc_total_space_oracle
-        in_oracle = []
-
-        def S_components(M, D, p, *args):
-            counts["S_components"] += bool(inside)
-            if not in_oracle:
-                S_points.append(np.array(p))
-            return real_S(M, D, p, *args)
-
-        def oracle(*args):
-            in_oracle.append(1)
-            try:
-                return real_oracle(*args)
-            finally:
-                in_oracle.pop()
-
-        monkeypatch.setattr(adapted_module, "S_components", S_components)
-        monkeypatch.setattr(adapted_module, "lc_total_space_oracle", oracle)
         u = adapted_frame(M, D, sample_points(M, 46, 1)[0])
-        adapted_connection_audit(M, D, u, self.fields(), curvature_tensor(M, u.base))
+        R = curvature_tensor(M, u.base)
+        counted = calls("L_P_applies", "lc_total_space_oracle", "curvature_tensor", "S_components", "W_endo")
+        adapted_connection_audit(M, D, u, self.fields(), R)
         # the caller's curvature tensor and S serve every pair, with one W
-        assert counts == {"curvature_tensor": 0, "S_components": 0, "W_endo": 1}
+        assert {name: sum("L_P_applies" in c.within for c in counted[name])
+                for name in ("curvature_tensor", "S_components", "W_endo")} == {
+            "curvature_tensor": 0, "S_components": 0, "W_endo": 1}
         # besides the oracle's fields' own lifts, one S at u serves L_P, the lifted
         # right-hand sides and the jet, whose stencil is the other build
-        assert [np.array_equal(q, u.base) for q in S_points] == [True, False]
-
-
-class TestOneSPerBlock:
-    """A block builds S once on the points it owns and every reader contracts it."""
-
-    @pytest.mark.parametrize("suite, builds", [
-        # the sample stack and the curvature jet's stencil
-        ("suite_adapted", 2),
-        # the stack of the first sample points
-        ("suite_lift", 1),
-        # classify's stack, for the torsion and the lift measurement
-        ("suite_theorems", 1),
-        # the distribution points
-        ("suite_tangent", 1),
-    ])
-    def test_one_unit_on_E3(self, monkeypatch, suite, builds):
-        tallies = [count_calls(monkeypatch, module, "S_components")
-                   for module in (adapted_module, submersion_module, suites_module)]
-        getattr(suites_module, suite)(get("E3"), seed=42)
-        assert sum(map(len, tallies)) == builds
-
-    def test_the_tangent_distributions_read_S(self, monkeypatch):
-        # one E3 unit at seed 42: the kernel's correction is S_Z e, so nothing differences
-        # an extension field.  Building each basis from a projected extension field, the
-        # unit made 9 covariant-derivative batches and 27 splitting_projectors calls; S
-        # takes the projector at the distribution points and on their stencil
-        tallies = {name: [count_calls(monkeypatch, module, name) for module in PACKAGE_MODULES
-                          if hasattr(module, name)]
-                   for name in ("covariant_derivatives", "splitting_projectors")}
-        suites_module.suite_tangent(get("E3"), seed=42)
-        assert {name: sum(map(len, t)) for name, t in tallies.items()} == {
-            "covariant_derivatives": 0, "splitting_projectors": 2}
+        assert [np.array_equal(c.args[2], u.base) for c in counted["S_components"]
+                if "lc_total_space_oracle" not in c.within] == [True, False]
 
 
 class TestDivBot:
@@ -388,10 +298,10 @@ class TestDivBot:
         for i in range(3):
             assert np.array_equal(got[:, i], div_bot(geom, tops[:, i], u[i], *held(geom, u.base[i])))
 
-    def test_builds_one_adapted_frame_per_stencil(self, monkeypatch):
+    def test_builds_one_adapted_frame_per_stencil(self, calls):
         M = E3_GEOM.phi.source
         u = adapted_frame(M, E3_GEOM.horizontal, sample_points(M, 71, 1)[0])
-        frames = count_calls(monkeypatch, submersion_module, "adapted_frame")
+        frames = calls("adapted_frame")["adapted_frame"]
         div_bot(E3_GEOM, np.array([J2, 0.5 * J2]), u, *held(E3_GEOM, u.base))
         assert len(frames) == 1  # the whole stencil over the k directions, for every block
 
@@ -450,13 +360,8 @@ class TestSplittingStack:
         vs = np.random.default_rng(76).standard_normal((4, M.dim))
         vs[2] = 0.0
         calls = []
-
-        def projector(q):
-            calls.append(np.shape(q))
-            return D.projector(q)
-
-        got = directional_diff(projector, p, vs, 1e-5)
-        assert calls == [(2, 4, M.dim)]  # one call on the whole stencil
+        got = directional_diff(recording(D.projector, calls), p, vs, 1e-5)
+        assert [c.args[0].shape for c in calls] == [(2, 4, M.dim)]  # one call on the whole stencil
         want = np.array([directional_diff(D.projector, p, v, 1e-5) for v in vs])
         assert np.array_equal(got, want)
         assert np.array_equal(got[2], np.zeros((M.dim, M.dim)))
@@ -493,7 +398,7 @@ class TestSplittingStack:
 class TestHopfQuotient:
     """hopf_map is z1/z2 in closed form; it equals the chart composite it replaced."""
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3))
     def test_equals_the_composite(self, x):
         x = np.array(x)
@@ -669,19 +574,9 @@ class TestChartFieldStack:
         assert np.array_equal(chart.encode(chart.decode(qs[1, 2])), qs[1, 2])
 
 
-def counted(f, tally):
-    def counting(q):
-        tally.append(np.shape(q))
-        return f(q)
-    return counting
-
-
-def counted_frames(F, tally):
-    """The frame field F, noting the base shape of every frame it is called at."""
-    def counting(u):
-        tally.append(u.base.shape)
-        return F(u)
-    return counting
+def base_shapes(calls):
+    """The base shape of the frame at which each recorded call of a frame field ran."""
+    return [c.args[0].base.shape for c in calls]
 
 
 class TestFieldCallCounts:
@@ -690,25 +585,25 @@ class TestFieldCallCounts:
         M = chart.manifold
         rng = np.random.default_rng(90)
         calls = []
-        hX, hY = (counted_frames(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
+        hX, hY = (recording(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
                   for _ in range(2))
-        vP, vQ = (counted_frames(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
+        vP, vQ = (recording(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
                   for _ in range(2))
         q = bundle_points(chart, 91, 1)[0]
         lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q)
         # each field at q's frame, then hY and vQ once on the stencil frames of both directions
-        assert sorted(calls) == sorted([(M.dim,)] * 4 + [(2, 2, M.dim)] * 2)
+        assert sorted(base_shapes(calls)) == sorted([(M.dim,)] * 4 + [(2, 2, M.dim)] * 2)
 
     def test_fd_bracket_makes_four_field_calls(self):
         chart = bundle_chart("E3", "O")
         M = chart.manifold
         rng = np.random.default_rng(90)
         calls = []
-        A = counted_frames(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
-        B = counted_frames(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
+        A = recording(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
+        B = recording(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
         fd_bracket_on_chart(chart, [(A, B)], bundle_points(chart, 91, 1)[0])
         # A and B at q's frame, B along a and A along b on the one stencil
-        assert calls == [(M.dim,), (M.dim,), (2, 1, M.dim), (2, 1, M.dim)]
+        assert base_shapes(calls) == [(M.dim,), (M.dim,), (2, 1, M.dim), (2, 1, M.dim)]
 
     def test_fd_bracket_of_three_cases_makes_eight_field_calls(self):
         # the frame suite's hh, hv and vv cases in one call: X^h, Y^h, Q* and P* once at
@@ -718,15 +613,15 @@ class TestFieldCallCounts:
         M = chart.manifold
         rng = np.random.default_rng(90)
         calls = []
-        hX, hY = (counted_frames(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
+        hX, hY = (recording(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
                   for _ in range(2))
-        vQ, vP = (counted_frames(lift_field(chart, "v", polynomial_endo_field(3, rng)), calls)
+        vQ, vP = (recording(lift_field(chart, "v", polynomial_endo_field(3, rng)), calls)
                   for _ in range(2))
         fd_bracket_on_chart(chart, [(hX, hY), (hX, vQ), (vP, vQ)], bundle_points(chart, 91, 1)[0])
-        assert sorted(calls) == sorted([(M.dim,)] * 4 + [(2, 1, M.dim)] * 2 + [(2, 2, M.dim)] * 2)
+        assert sorted(base_shapes(calls)) == sorted([(M.dim,)] * 4 + [(2, 1, M.dim)] * 2 + [(2, 2, M.dim)] * 2)
 
     @pytest.mark.parametrize("bundles,reads", [("L", 6), ("O", 6), ("LO", 9)], ids=["L", "O", "LO"])
-    def test_connection_audit_reads_each_frame_field_once(self, monkeypatch, bundles, reads):
+    def test_connection_audit_reads_each_frame_field_once(self, calls, bundles, reads):
         # X^h, Y^h, P*, Q* of each bundle at q, and the B fields Y^h and Q* on the stencil;
         # both bundles share X^h and Y^h.  Every read is on L(M): O(M) is its projection
         M = get("E2").phi.source
@@ -735,19 +630,19 @@ class TestFieldCallCounts:
         fields = {bundle: dict(X=X, Y=Y, P=g_skew_endo_field(M, rng) if bundle == "O" else polynomial_endo_field(3, rng),
                                Q=g_skew_endo_field(M, rng) if bundle == "O" else polynomial_endo_field(3, rng))
                   for bundle in bundles}
-        skew = count_calls(monkeypatch, frames_module.FrameChart, "jacobian")
-        calls = count_calls(monkeypatch, frames_module.LMChart, "_rates_at")
         p = sample_points(M, 93, 1)[0]
-        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), fields, curvature_tensor(M, p))
-        assert len(calls) == reads and skew == []
+        R = curvature_tensor(M, p)
+        counted = calls("FrameChart.jacobian", "LMChart._rates_at")
+        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), fields, R)
+        assert len(counted["LMChart._rates_at"]) == reads and counted["FrameChart.jacobian"] == []
 
     def test_lie_bracket_makes_four_field_calls(self):
         rng = np.random.default_rng(94)
         calls = []
-        X, Y = (VectorField(eval=counted(polynomial_vector_field(3, rng, exact_jacobian=False).eval,
-                                         calls)) for _ in range(2))
+        X, Y = (VectorField(eval=recording(polynomial_vector_field(3, rng, exact_jacobian=False).eval,
+                                           calls)) for _ in range(2))
         lie_bracket(X, Y, np.array([0.1, -0.2, 0.3]))
-        assert calls == [(3,), (3,), (2, 3), (2, 3)]
+        assert [c.args[0].shape for c in calls] == [(3,), (3,), (2, 3), (2, 3)]
 
 
 class TestTorsionBatch:
@@ -918,6 +813,8 @@ FRAME_FUNCTIONS = {
     "frames.mok_metric": ([vectors(), endos(), vectors(), endos()],
                           lambda geom, u, x, P, y, Q: frames_module.mok_metric(
                               geom.phi.source, tangent_at(geom, u, x, P), tangent_at(geom, u, y, Q))),
+    "frames.frame_diff": ([vectors(), endos()], lambda geom, u, x, P: frames_module.frame_diff(
+        lambda xs, Es: (metric_eval(geom.phi.source, xs), Es), tangent_at(geom, u, x, P), 1e-5)),
     "frames.mok_norm": ([vectors(), endos()], lambda geom, u, x, P: frames_module.mok_norm(
         geom.phi.source, tangent_at(geom, u, x, P))),
     "frames.mok_gram": ([vectors(4), endos(4)], lambda geom, u, xs, Ps: frames_module.mok_gram(
@@ -1000,50 +897,28 @@ class TestFrameStack:
 
 class TestFrameCallCounts:
     @pytest.mark.parametrize("example", EXAMPLES)
-    def test_lifts_check_membership_once_from_the_projector_they_share(self, monkeypatch, example):
+    def test_lifts_check_membership_once_from_the_projector_they_share(self, calls, example):
         u, geom = frame_stack(example, 101)
         D, S, (gamma, Pi_H) = geom.horizontal, S_at(geom, u.base), held(geom, u.base)
-        projector_at_u = []
-        geom = dataclasses.replace(geom, horizontal=dataclasses.replace(D, projector_field=lambda q: (
-            projector_at_u.append(np.shape(q) == u.base.shape), D.projector_field(q))[1]))
-        lifts = count_calls(monkeypatch, submersion_module, "_adapted_horizontal_lifts")
-        checks = [count_calls(monkeypatch, module, "od_membership_defect")
-                  for module in (adapted_module, submersion_module)]
+        projectors = []
+        geom = dataclasses.replace(geom, horizontal=dataclasses.replace(
+            D, projector_field=recording(D.projector_field, projectors)))
+        counted = calls("_adapted_horizontal_lifts", "od_membership_defect")
         submersion_module.lift_distributions(geom, u, gamma, Pi_H, S)
-        assert len(lifts) == sum(map(len, checks)) == 1
-        assert projector_at_u.count(True) == 0  # the membership check reads the caller's P(p)
+        assert [len(c) for c in counted.values()] == [1, 1]
+        # the membership check reads the caller's P(p)
+        assert [c.args[0].shape for c in projectors].count(u.base.shape) == 0
 
-    def test_audit_lifts_its_right_hand_sides_in_one_batch(self, monkeypatch):
+    def test_audit_lifts_its_right_hand_sides_in_one_batch(self, calls):
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
         u = adapted_frame(M, D, sample_points(M, 102, 1)[0])
-        at_u = []
-        real = adapted_module._adapted_horizontal_lifts
-
-        def counting(M, D, Xs, v, *args, **kwargs):
-            at_u.append(len(Xs)) if v is u else None  # the oracle's chart fields decode frames of their own
-            return real(M, D, Xs, v, *args, **kwargs)
-
-        monkeypatch.setattr(adapted_module, "_adapted_horizontal_lifts", counting)
+        lifts = calls("_adapted_horizontal_lifts")["_adapted_horizontal_lifts"]
         adapted_connection_audit(M, D, u, TestLPairs().fields(), curvature_tensor(M, u.base))
-        assert at_u == [6]
-
-    def test_frame_suite_runs_each_audit_once_on_its_stack_of_frames(self, monkeypatch):
-        # E3 at seed 42: the 3 bracket cases on all 10 frames in one FD-bracket call, the 2
-        # connection bundles on the first 3 in one audit and one oracle call, projected
-        # once onto O(M), and the adapted audit at 1, projected once onto O(D), with one
-        # curvature tensor call for all
-        names = ("fd_bracket_on_chart", "bracket_residual", "lc_total_space_oracle", "connection_audit",
-                 "gauss_projection", "curvature_tensor")
-        modules = (geometry_module, frames_module, adapted_module, suites_module)
-        tallies = {name: [count_calls(monkeypatch, module, name)
-                          for module in modules if hasattr(module, name)] for name in names}
-        suites_module.suite_frame(get("E3"), seed=42)
-        assert {name: sum(map(len, t)) for name, t in tallies.items()} == {
-            "fd_bracket_on_chart": 1, "bracket_residual": 1, "lc_total_space_oracle": 2,
-            "connection_audit": 1, "gauss_projection": 2, "curvature_tensor": 1}
+        # the oracle's chart fields decode frames of their own
+        assert [len(c.args[2]) for c in lifts if c.args[3] is u] == [6]
 
     @pytest.mark.parametrize("bundle", ["L", "O"])
-    def test_connection_audit_builds_one_basis_and_no_curvature_tensor(self, monkeypatch, bundle):
+    def test_connection_audit_builds_one_basis_and_no_curvature_tensor(self, calls, bundle):
         M = get("E2").phi.source
         rng = np.random.default_rng(103)
         endo = (lambda: g_skew_endo_field(M, rng)) if bundle == "O" else (
@@ -1052,11 +927,10 @@ class TestFrameCallCounts:
                       P=endo(), Q=endo())
         p = sample_points(M, 104, 1)[0]
         R = curvature_tensor(M, p)
-        calls = count_calls(monkeypatch, geometry_module, "curvature_tensor")
-        bases = count_calls(monkeypatch, frames_module, "orthonormal_basis")
+        counted = calls("curvature_tensor", "orthonormal_basis")
         frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), {bundle: fields}, R)
         # the caller's curvature tensor serves every case
-        assert len(calls) == 0 and len(bases) == 1
+        assert [len(c) for c in counted.values()] == [0, 1]
 
 
 def horizontal_endo(geom, p, P):

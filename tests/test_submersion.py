@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import framelift.adapted as adapted_module
-import framelift.frames as frames_module
 import framelift.submersion as submersion_module
 import framelift.suites as suites_module
 from framelift.adapted import (
@@ -16,7 +15,6 @@ from framelift.adapted import (
     adapted_horizontal_lift,
 )
 from framelift.catalog import euclidean_chart, get
-from framelift.fields import polynomial_vector_field
 from framelift.frames import (
     Frame,
     fundamental_vertical,
@@ -747,7 +745,7 @@ class TestLiftTensionDirect:
         assert lift_tension_direct(GEOM[eid], x0) == lift_tension_by_columns(GEOM[eid], x0)
 
     @pytest.mark.parametrize("eid", ["E1", "E3"])
-    def test_reads_the_chart_once_per_stencil(self, monkeypatch, eid):
+    def test_reads_the_chart_once_per_stencil(self, calls, eid):
         # 4 chart Jacobians (the frame at q0, the metric and its stencil in christoffel,
         # the frame on the outer stencil), 1 decode and 9 adapted frames; 19, 10 and 48
         # at E1's catalog point when each column was its own field.  E1's frame there is
@@ -772,14 +770,10 @@ class TestLiftTensionDirect:
         want_F = np.concatenate([q0[None], stencil(q0, np.eye(chart.dim), h).reshape(-1, chart.dim),
                                  stencil(q0, E0.T, h).reshape(-1, chart.dim),
                                  stencil(outer, E_out, h).reshape(-1, chart.dim)])
-        seen = {"jacobian": [], "decode": [], "adapted_frame": []}
-        for owner, name in ((frames_module.FrameChart, "jacobian"), (frames_module.FrameChart, "decode"),
-                            (adapted_module, "adapted_frame")):
-            def counting(*args, real=getattr(owner, name), name=name):
-                seen[name].append(args[2] if name == "adapted_frame" else args[1])
-                return real(*args)
-            monkeypatch.setattr(owner, name, counting)
+        counted = calls("FrameChart.jacobian", "FrameChart.decode", "adapted.adapted_frame")
         lift_tension_direct(geom, x0)
+        seen = {name.rpartition(".")[2]: [c.args[1 + name.startswith("adapted")] for c in record]
+                for name, record in counted.items()}
         assert [len(seen[k]) for k in ("jacobian", "decode", "adapted_frame")] == [4, 1, 9]
         for got, want in zip(seen["jacobian"], want_jacobian):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
@@ -789,13 +783,13 @@ class TestLiftTensionDirect:
         assert dist.min(axis=0).max() < 1e-13 and dist.min(axis=1).max() < 1e-13
 
     @pytest.mark.parametrize("eid", ["E1", "E3"])
-    def test_reads_the_target_metric_once(self, monkeypatch, eid):
+    def test_reads_the_target_metric_once(self, calls, eid):
         # 6 Mok Gram tables a call: 4 on the source total space (the frame at q0 and the
         # metric there, its stencil and the outer stencil's frames) and 2 on L(N), G(y0)
         # and its stencil.  G(y0) was built twice (7) when the Christoffel symbols and
         # the norms each read it
         x0 = np.array(E[eid].lift_tension_at) if eid == "E1" else entry_point(eid, seed=42)
-        grams = count_calls(monkeypatch, "_lift_gram", frames_module)
+        grams = calls("_lift_gram")["_lift_gram"]
         lift_tension_direct(GEOM[eid], x0)
         assert len(grams) == 6
 
@@ -868,82 +862,59 @@ class TestSeedFrame:
         assert np.array_equal(E, np.eye(3))
 
 
-def count_calls(monkeypatch, name, *modules):
-    """Tally the calls of ``name`` made through any of ``modules``."""
-    tally = []
-    for module in modules:
-        def counting(*args, real=getattr(module, name), **kwargs):
-            tally.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    return tally
-
-
 class TestPerPointCosts:
     """One adapted frame stencil over all directions, one Christoffel, one S per point."""
-
-    def christoffel_calls(self, monkeypatch):
-        return count_calls(monkeypatch, "christoffel", geometry_module, adapted_module,
-                           submersion_module)
 
     @pytest.mark.parametrize("fn", [fiber_second_fundamental_form,
                                     fiber_second_fundamental_defect, mean_curvature_fibers])
     @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
     def test_fiber_operators_take_one_frame_stencil_over_the_vertical_directions(
-            self, monkeypatch, fn, geom):
+            self, calls, fn, geom):
         # the fibre kernel, and each reduction through one kernel call; the frame,
         # Gamma and the projector at p are the caller's
         M = geom.phi.source
         u = framed(geom, sample_points(M, 18, 1)[0])
         gamma, Pi_H = held(geom, u.base)
-        frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
-        christoffels = self.christoffel_calls(monkeypatch)
-        projectors = count_calls(monkeypatch, "splitting_projectors", submersion_module)
-        kernels = count_calls(monkeypatch, "fiber_second_fundamental_form", submersion_module)
+        counted = calls("adapted_frame", "christoffel", "splitting_projectors", "fiber_second_fundamental_form")
         fn(geom, u, gamma, Pi_H)
-        assert len(frames) == 1
-        assert len(christoffels) == 0
-        assert len(projectors) == 0
-        assert len(kernels) == (fn is not fiber_second_fundamental_form)
+        assert list(counted.counts().values()) == [1, 0, 0, fn is not fiber_second_fundamental_form]
 
-    def test_Pi_X_endo_alt_reads_the_projector_on_one_stencil_and_at_p(self, monkeypatch):
+    def test_Pi_X_endo_alt_reads_the_projector_on_one_stencil_and_at_p(self, calls):
         geom = GEOM["E3"]
         p = sample_points(geom.phi.source, 32, 3)
-        projectors = count_calls(monkeypatch, "_horizontal_projector", submersion_module)
+        counted = calls("_horizontal_projector")
         Pi_X_endo_alt(geom, TangentVector(p, np.ones_like(p)))
-        assert len(projectors) == 2  # the stencil for every column, and Pi_H(p)
+        assert counted.counts() == {"_horizontal_projector": 2}  # the stencil for every column, and Pi_H(p)
 
-    def test_Pi_X_endo_builds_one_horizontal_span(self, monkeypatch):
+    def test_Pi_X_endo_builds_one_horizontal_span(self, calls):
         geom = GEOM["E3"]
         p = sample_points(geom.phi.source, 33, 5)
         X = TangentVector(p, np.ones_like(p))
-        spans = count_calls(monkeypatch, "_horizontal_span", submersion_module)
+        spans = calls("_horizontal_span")["_horizontal_span"]
         Pi_X_endo(geom, X, second_fundamental_tensor(geom.phi, p))
         assert len(spans) == 1  # Pi_H and the lift A (J A)^-1 read one span
         spans.clear()
         Pi_X_endo_alt(geom, X)
         assert len(spans) == 2  # the stencil for every column, and p
 
-    def test_pushforward_endo_builds_one_horizontal_span(self, monkeypatch):
+    def test_pushforward_endo_builds_one_horizontal_span(self, calls):
         geom = GEOM["E3"]
         p = sample_points(geom.phi.source, 34, 1)[0]
         _, Pi_H = splitting_projectors(geom.phi, p)
         P0 = Pi_H @ np.random.default_rng(34).standard_normal((3, 3)) @ Pi_H
-        spans = count_calls(monkeypatch, "_horizontal_span", submersion_module)
+        counted = calls("_horizontal_span")
         pushforward_endo(geom, p, P0)
-        assert len(spans) == 1  # Pi_V, Pi_H and the lift A (J A)^-1 read one span
+        assert counted.counts() == {"_horizontal_span": 1}  # Pi_V, Pi_H and the lift A (J A)^-1 read one span
 
-    def test_div_bot_reads_the_callers_christoffel(self, monkeypatch):
+    def test_div_bot_reads_the_callers_christoffel(self, calls):
         geom = GEOM["E3"]
         u = framed(geom, sample_points(geom.phi.source, 19, 1)[0])
         gamma, Pi_H = held(geom, u.base)
-        christoffels = self.christoffel_calls(monkeypatch)
-        frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
-        tops = np.random.default_rng(19).standard_normal((5, 2, 2))
-        div_bot(geom, tops, u, gamma, Pi_H)
-        assert len(christoffels) == 0  # one per horizontal direction and block before, then one
-        assert len(frames) == 1  # the stencil, for every block
+        counted = calls("christoffel", "adapted_frame")
+        div_bot(geom, np.random.default_rng(19).standard_normal((5, 2, 2)), u, gamma, Pi_H)
+        # one Christoffel per horizontal direction and block before, then one; one frame
+        # stencil for every block
+        assert counted.counts() == {"christoffel": 0, "adapted_frame": 1}
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_div_bot_blocks_equal_one_call_per_block(self, eid):
@@ -959,61 +930,28 @@ class TestPerPointCosts:
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_classify_builds_one_frame_stack_and_one_second_fundamental_tensor(
-            self, monkeypatch, eid):
+            self, calls, eid):
         geom = GEOM[eid]
         pts = sample_points(geom.phi.source, 27, 3)
-        at_points = []
-        real = submersion_module.adapted_frame
-
-        def counting(M, D, q):
-            at_points.append(np.shape(q) == pts.shape)
-            return real(M, D, q)
-
-        monkeypatch.setattr(submersion_module, "adapted_frame", counting)
-        tensors = count_calls(monkeypatch, "second_fundamental_tensor", submersion_module)
+        frames, tensors = calls("submersion.adapted_frame", "second_fundamental_tensor").values()
         classify(geom, pts)
-        assert at_points.count(True) == 1
-        # the other frames are the stencils of the fibre kernel and of div_bot
-        assert at_points.count(False) == 2
+        # the frames at the points, then the stencils of the fibre kernel and of div_bot
+        assert sorted(c.args[2].shape == pts.shape for c in frames) == [False, False, True]
         assert len(tensors) == 1
 
-    @pytest.mark.parametrize("geom", [GEOM["E3"], GEOM_LINE], ids=["E3", "line"])
-    def test_lift_distributions_read_the_callers_S(self, monkeypatch, geom):
-        M = geom.phi.source
-        p = sample_points(M, 20, 1)[0]
-        u = adapted_frame(M, geom.horizontal, p)
-        S, (gamma, Pi_H) = S_at(geom, p), held(geom, p)
-        calls = count_calls(monkeypatch, "S_components", submersion_module, adapted_module)
-        lift_distributions(geom, u, gamma, Pi_H, S)
-        assert len(calls) == 0
-
-    def test_lift_distributions_checks_membership_once_and_batches_S(self, monkeypatch):
-        # E3 (n = 3, k = 2) lifts 1 vertical, 2 horizontal and 1 divergence
-        # direction in one batch: their horizontal parts and div read the caller's
-        # Gamma (one Christoffel each before); W, A and every S_X contract the caller's S
-        geom = GEOM["E3"]
-        M = geom.phi.source
-        p = sample_points(M, 20, 1)[0]
-        u, S, (gamma, Pi_H) = adapted_frame(M, geom.horizontal, p), S_at(geom, p), held(geom, p)
-        christoffels = count_calls(monkeypatch, "christoffel", geometry_module, frames_module,
-                                   adapted_module, submersion_module)
-        memberships = count_calls(monkeypatch, "od_membership_defect", adapted_module)
-        lift_distributions(geom, u, gamma, Pi_H, S)
-        assert len(christoffels) == 0
-        assert len(memberships) == 1
-
-    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
-    def test_lift_distributions_read_their_frame_from_u(self, monkeypatch, eid):
-        # the only adapted frames are the stencil of the one div_bot call, for every
-        # so(k) direction
-        geom = GEOM[eid]
+    @pytest.mark.parametrize("geom", [*GEOM.values(), GEOM_LINE], ids=[*GEOM, "line"])
+    def test_lift_distributions_read_the_callers_values(self, calls, geom):
+        # one batch lifts the vertical, horizontal and divergence directions (E3: 1, 2 and
+        # 1): their horizontal parts and div read the caller's Gamma (one Christoffel each
+        # before), W, A and every S_X contract the caller's S, and the membership check
+        # runs once; the only adapted frames are the stencil of the one div_bot call, for
+        # every so(k) direction
         M = geom.phi.source
         p = sample_points(M, 25, 3)
-        u, S, (gamma, Pi_H) = adapted_frame(M, geom.horizontal, p), S_at(geom, p), held(geom, p)
-        frames = count_calls(monkeypatch, "adapted_frame", submersion_module)
-        blocks = count_calls(monkeypatch, "div_bot", submersion_module)
+        u, S, (gamma, Pi_H) = framed(geom, p), S_at(geom, p), held(geom, p)
+        counted = calls("S_components", "christoffel", "od_membership_defect", "adapted_frame", "div_bot")
         lift_distributions(geom, u, gamma, Pi_H, S)
-        assert len(frames) == len(blocks) == 1
+        assert list(counted.counts().values()) == [0, 0, 1, 1, 1]
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
     def test_lift_distributions_equal_the_per_vector_lifts(self, eid):
@@ -1077,14 +1015,14 @@ class TestOracleIndependence:
     """The cross-checks of nabla d(phi) build their own values, not the tensor they audit."""
 
     @pytest.mark.parametrize("eid", ["E3", "E4"])
-    def test_oracles_do_not_read_the_second_fundamental_tensor(self, monkeypatch, eid):
+    def test_oracles_do_not_read_the_second_fundamental_tensor(self, calls, eid):
         geom = GEOM[eid]
         M, D = geom.phi.source, geom.horizontal
         p = sample_points(M, 29, 1)[0]
         u = framed(geom, p)
         x = np.random.default_rng(29).standard_normal(M.dim)
         gamma, Pi_H = held(geom, p)
-        tensors = count_calls(monkeypatch, "second_fundamental_tensor", submersion_module)
+        tensors = calls("second_fundamental_tensor")["second_fundamental_tensor"]
         Pi_X_endo_alt(geom, TangentVector(p, x))
         lift_differential_fd(geom, adapted_horizontal_lift(M, D, TangentVector(p, x), u), Pi_H)
         fiber_second_fundamental_form(geom, u, gamma, Pi_H)

@@ -6,10 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import framelift.adapted as adapted_module
-import framelift.frames as frames_module
-import framelift.geometry as geometry
-import framelift.submersion as submersion
 import framelift.suites as suites
 from framelift.adapted import adapted_connection_audit, adapted_frame
 from framelift.catalog import get, sphere_chart
@@ -233,103 +229,6 @@ def suite_demo():
     assert point_loops(source, "suite_demo") == [3, 5, 8, 13, 16]
 
 
-def tally(monkeypatch, modules, name):
-    """Count the calls of ``name`` through each of its bindings in ``modules``."""
-    calls = []
-    for module in modules:
-        def counting(*args, real=getattr(module, name), **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-def test_core_suite_runs_each_kernel_once_per_chart(monkeypatch):
-    # one E3 unit at seed 42; one point at a time, the suite built the curvature
-    # tensor 3 times per point (60 in all) and ran 20 covariant-derivative batches
-    calls = {name: tally(monkeypatch, (geometry, suites), name)
-             for name in ("curvature_tensor", "covariant_derivatives", "christoffel", "lie_bracket")}
-    suites.suite_core(get("E3"), seed=42)
-    assert {name: len(c) for name, c in calls.items()} == {
-        "curvature_tensor": 2, "covariant_derivatives": 2, "lie_bracket": 2,
-        "christoffel": 2 * 4}  # the suite, the batch, and the curvature tensor's centre and stencil
-    assert [np.shape(args[1]) for args in calls["curvature_tensor"]] == [(10, 3), (10, 2)]
-
-
-@pytest.mark.parametrize("suite, expected", [
-    ("suite_adapted", 8), ("suite_lift", 3), ("suite_theorems", 3)])
-def test_adapted_and_lift_suites_split_each_stack_once(monkeypatch, suite, expected):
-    # one E3 unit at seed 42; one point at a time, the field, torsion and curvature-relation
-    # blocks of suite_adapted made 188 of its 199 splitting_projectors calls, and the
-    # div-duality block of suite_lift 20 of its 50; with a stencil of S per reader
-    # (before S was built once per block) the suites made 34 each.  With S built once
-    # per block but every kernel building its own Pi_H, they made 21, 23 and 8: now
-    # each block passes its Pi_H down, suite_lift slices it from its one split of the
-    # sample points, and suite_adapted's field block runs one derivative kernel
-    calls = tally(monkeypatch, (submersion, suites), "splitting_projectors")
-    getattr(suites, suite)(get("E3"), seed=42)
-    assert len(calls) == expected
-
-
-def test_lift_suite_builds_the_second_fundamental_tensor_once_per_owner(monkeypatch):
-    # one E3 unit at seed 42: the suite's block builds it on the stack of the first sample
-    # points, and the lift differential formula reads it; it built it 4 times there, then
-    # twice (once more in the formula)
-    calls = tally(monkeypatch, (submersion, suites), "second_fundamental_tensor")
-    suites.suite_lift(get("E3"), seed=42)
-    assert [np.shape(args[1]) for args in calls] == [(5, 3)]
-
-
-def test_lift_suite_differences_its_cases_and_pairs_its_bases_in_one_call_each(monkeypatch):
-    # one E3 unit at seed 42: the three input types of the lift differential on the 5
-    # frames in one lift_differential_fd call and one mok_norm, then the kernel basis
-    # (1 vector) in one of each; the Mok cross Gram of the 1 kernel and 3 orthogonal
-    # tangents in one mok_metric call (3 calls, one per pair, before)
-    calls = {name: tally(monkeypatch, [suites], name)
-             for name in ("lift_differential_fd", "mok_norm", "mok_metric")}
-    suites.suite_lift(get("E3"), seed=42)
-    assert [np.shape(args[1].base_rate) for args in calls["lift_differential_fd"]] == [(3, 5, 3), (1, 5, 3)]
-    assert [np.shape(args[1].base_rate) for args in calls["mok_norm"]] == [(3, 5, 2), (1, 5, 2)]
-    assert [np.shape(args[1].base_rate) for args in calls["mok_metric"]] == [(3, 5, 3)]
-
-
-def test_frame_suite_runs_its_structural_block_once_on_the_stack(monkeypatch):
-    # one E3 unit at seed 42; one point at a time, the block made 140 Christoffel
-    # evaluations in frames, 40 horizontal lifts and 30 Mok products; each audit takes
-    # the Mok norms of all its readings in one call (56 evaluations with one per reading).
-    # In frames: the structural block 6, the one FD-bracket call of the three cases 7,
-    # the one connection audit of both bundles 8, the adapted audit's oracle and norm 3,
-    # and the self-check's 4 induced metrics on L(M) (38 with an audit per bundle and
-    # a bracket call per case)
-    tallies = {}
-    for module, name in ((frames_module, "christoffel"), (suites, "horizontal_lift_frame"),
-                         (suites, "mok_metric")):
-        tally = tallies[name] = []
-
-        def counting(*args, real=getattr(module, name), tally=tally, **kwargs):
-            tally.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    suites.suite_frame(get("E3"), seed=42)
-    assert {name: len(t) for name, t in tallies.items()} == {
-        "christoffel": 28, "horizontal_lift_frame": 2, "mok_metric": 3}
-
-
-@pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
-def test_tangent_suite_differences_each_kernel_vector_once(monkeypatch, eid):
-    # each kind once on the stack of the 3 second-differential points, then at each of
-    # 2 points one stack of its 2(n-k) kernel vectors and n-k corrected
-    # constant-extension vectors: 12 vectors, each differenced once
-    calls = tally(monkeypatch, [suites], "phi_second_differential_fd")
-    phi = get(eid).phi
-    suites.suite_tangent(get(eid), samples=3)
-    stacks = [t.base_rate.shape[:-1] for _, t, *_ in calls]
-    corank = phi.source.dim - phi.target.dim
-    assert stacks == [(3,), (3,), (3 * corank,), (3 * corank,)]
-    assert sum(np.prod(s) for s in stacks) == 12
-
-
 @pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
 def test_tangent_distribution_dimensions_fail_on_a_dependent_kernel(monkeypatch, eid):
     # both lengths hold by construction; a kernel whose last vector repeats its first
@@ -350,72 +249,26 @@ def test_tangent_distribution_dimensions_fail_on_a_dependent_kernel(monkeypatch,
     assert dimensions_row() == (1.0, "fail")
 
 
-@pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
-def test_tangent_suite_pairs_each_table_in_one_sasaki_call(monkeypatch, eid):
-    # the lift block on the stack of 3 points; at each of 2 distribution points the
-    # kernel x complement and kernel x displayed tables; one frame-projection column each.
-    # The Sasaki-Mok metric is the Mok metric on one-column frames (the tangent bundle)
-    calls = tally(monkeypatch, [suites], "mok_metric")
-    n, k = get(eid).phi.source.dim, get(eid).phi.target.dim
-    suites.suite_tangent(get(eid), samples=3)
-    stacks = [s.base_rate.shape[:-1] for _, s, *_ in calls if s.frame_rate.shape[-1] == 1]
-    table = (2 * (n - k) * 2 * k,)
-    assert stacks == [(3,), table, table, table, table] + [()] * n
-
-
-@pytest.mark.parametrize("eid", ["E1", "E3", "E4"])
-def test_tangent_suite_lifts_each_frame_projection_column_once(monkeypatch, eid):
-    # the horizontal lift of a column serves its differential and its isometry rows; the
-    # lifts to the tangent bundle are lifts to one-column frames
-    lifts = tally(monkeypatch, [suites], "horizontal_lift_frame")
-    suites.suite_tangent(get(eid), seed=42)
-    n = get(eid).phi.source.dim
-    assert sum(u.columns.shape[-1] == n for _, _, u, *_ in lifts) == n
-
-
 class TestOneTotalSpaceChristoffelPerPoint:
     """The oracle differences the induced metric into Christoffel symbols once per point,
     or once for a stack of points, through the one kernel ``geometry._christoffel_from``,
     and reads the chart Jacobian twice: at the points and on one joint stencil.  Every
     oracle runs on L(M); the O(M) and O(D) values are one ``gauss_projection`` each, whose
-    Mok metric reads the base Christoffel symbols from the caller's g and dg."""
+    Mok metric reads the base Christoffel symbols from the caller's g and dg.  The frame
+    suite's counts are in ``test_call_budget``."""
 
     @pytest.fixture
-    def total_calls(self, monkeypatch):
+    def total_calls(self, calls):
         """Christoffel evaluations ("gamma": the kernel calls of the oracle and of the
         projection, and ``christoffel`` on a total space) and chart Jacobians ("jacobian",
         by chart)."""
-        calls = {"gamma": [], "jacobian": []}
-        real, kernel = geometry.christoffel, frames_module._christoffel_from
-        projecting = []
-
-        def counting(M, p, cfg=DEFAULT_FD):
-            if M.name.startswith("total["):
-                calls["gamma"].append(M.name)
-            return real(M, p, cfg)
-
-        def counting_kernel(g, dg):
-            calls["gamma"].append("projection" if projecting else "oracle")
-            return kernel(g, dg)
-
-        for module in (frames_module, adapted_module):
-            def projection(*args, real=module.gauss_projection):
-                projecting.append(1)
-                try:
-                    return real(*args)
-                finally:
-                    projecting.pop()
-
-            monkeypatch.setattr(module, "gauss_projection", projection)
-        monkeypatch.setattr(geometry, "christoffel", counting)
-        monkeypatch.setattr(frames_module, "_christoffel_from", counting_kernel)
-        for chart_class in (frames_module.FrameChart, frames_module.LMChart):
-            def jacobian(chart, *args, real=chart_class.jacobian, **kwargs):
-                calls["jacobian"].append(chart.name)
-                return real(chart, *args, **kwargs)
-
-            monkeypatch.setattr(chart_class, "jacobian", jacobian)
-        return calls
+        counted = calls("christoffel", "frames._christoffel_from", "gauss_projection",
+                        "FrameChart.jacobian", "LMChart.jacobian")
+        return lambda: {
+            "gamma": [c.args[0].name for c in counted["christoffel"] if c.args[0].name.startswith("total[")]
+            + ["projection" if "gauss_projection" in c.within else "oracle"
+               for c in counted["frames._christoffel_from"]],
+            "jacobian": [c.args[0].name for c in counted["FrameChart.jacobian"] + counted["LMChart.jacobian"]]}
 
     @pytest.mark.parametrize("bundle", ["L", "O"])
     def test_connection_audit(self, total_calls, bundle):
@@ -429,8 +282,8 @@ class TestOneTotalSpaceChristoffelPerPoint:
         p = np.array([0.2, -0.1])
         connection_audit(S2, Frame(p, reference_frame(S2, p)), {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
                          curvature_tensor(S2, p))
-        assert total_calls == {"gamma": ["oracle"] + ["projection"] * (bundle == "O"),
-                               "jacobian": ["L(M)"] * 2}
+        assert total_calls() == {"gamma": ["oracle"] + ["projection"] * (bundle == "O"),
+                                 "jacobian": ["L(M)"] * 2}
 
     def test_adapted_connection_audit(self, total_calls):
         e = get("E3")
@@ -443,32 +296,4 @@ class TestOneTotalSpaceChristoffelPerPoint:
         p = sample_points(M, 46, 1)[0]
         adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields,
                                  curvature_tensor(M, p))
-        assert total_calls == {"gamma": ["oracle", "projection"], "jacobian": ["L(M)"] * 2}
-
-    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
-    def test_frame_suite(self, total_calls, eid):
-        # one audit of both bundles on the stack of 3 frames, 1 adapted audit point, each
-        # projecting once, and 1 self-consistency point on the generic path; Jacobians, all
-        # on L(M): 2 per oracle call and for the one FD-bracket call of the 3 cases, and the
-        # self-consistency block's 4 induced metrics
-        suites.suite_frame(get(eid), samples=3)
-        assert sorted(total_calls["gamma"]) == ["oracle"] * 2 + ["projection"] * 2 + ["total[L(M)]"]
-        assert total_calls["jacobian"] == ["L(M)"] * 10
-
-
-class TestOneCurvatureTensorPerPoint:
-    """The frame suite builds the base curvature tensor of every sample point in one
-    call on their stack and hands it to the bracket, connection and adapted-connection
-    closed forms."""
-
-    @pytest.mark.parametrize("eid", ["E2", "E3"])
-    def test_frame_suite(self, monkeypatch, eid):
-        seen = []
-        for module in (geometry, suites, adapted_module, frames_module):
-            if hasattr(module, "curvature_tensor"):
-                def counting(M, p, *args, real=module.curvature_tensor, **kwargs):
-                    seen.append(np.asarray(p, dtype=float).tobytes())
-                    return real(M, p, *args, **kwargs)
-                monkeypatch.setattr(module, "curvature_tensor", counting)
-        suites.suite_frame(get(eid))
-        assert seen == [sample_points(get(eid).phi.source, 42, 10).tobytes()]
+        assert total_calls() == {"gamma": ["oracle", "projection"], "jacobian": ["L(M)"] * 2}

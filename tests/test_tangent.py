@@ -154,7 +154,7 @@ class TestOneColumnFrames:
     """TM is the bundle of one-column frames: the frame bundle's Mok metric on them is the
     Sasaki-Mok metric, and its Gram table pairs them the same way."""
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.sampled_from(["E1", "E2", "E3", "E4", "E5"]), st.integers(0, 2**32 - 1))
     def test_mok_metric_is_sasaki_mok_bit_for_bit(self, eid, seed):
         M = get(eid).phi.source
@@ -237,7 +237,7 @@ class TestSecondDifferential:
 
 
 class TestSasakiGram:
-    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.sampled_from(["E1", "E2", "E3", "E4", "E5"]), st.integers(0, 2**32 - 1))
     def test_one_column_lift_gram_is_pairwise_sasaki_mok(self, eid, seed):
         # the Mok lift Gram on frames of the single column Z is the Sasaki-Mok metric
