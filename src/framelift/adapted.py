@@ -377,8 +377,9 @@ def adapted_horizontal_lift(
     """Horizontal lift for the adapted connection: X^h + (S_X)*.
 
     Tangent to O(D) at adapted frames (checked by ``od_tangency_residual``).
-    Builds S at u's base points itself: the O(D) chart fields call it at chart
-    stencil points, which no caller holds an S for.
+    Builds S at u's base points itself, for a caller that holds none: it is
+    exported for use as a frame field; the package's own callers hold Gamma,
+    P and S and call ``_adapted_horizontal_lifts``.
     """
     P, gamma = D.projector(u.base), christoffel(M, u.base, cfg)
     return _adapted_horizontal_lifts(M, D, [X], u, gamma, P, S_components(M, D, u.base, gamma, P, cfg))[0]

@@ -37,7 +37,6 @@ from .geometry import (
     _christoffel_from,
     _difference,
     _directional_stencil,
-    _pairing_at,
     central_diff,
     christoffel,
     christoffel_contract,
@@ -211,21 +210,14 @@ def mok_metric(
     Horizontal and vertical parts are orthogonal; two vertical rates pair as
     sum_i g(W_s u_i, W_t u_i) over the frame columns, which on one-column
     frames is the Sasaki-Mok metric g(pi_* s, pi_* t) + g(K s, K t) of TM.
-    One Christoffel evaluation serves both vertical rates, and a tangent
-    paired with itself (``mok_norm``) has its vertical rate evaluated once.
+    The off-diagonal entry of ``mok_gram`` of (s, t).
     """
-    _same_frame(s.at, t.at)
-    u = s.at
-    g = metric_eval(M, u.base)
-    gamma = christoffel(M, u.base, cfg)
-    ws = _vertical_rate(gamma, s.base_rate, u.columns, s.frame_rate).swapaxes(-1, -2)
-    wt = ws if t is s else _vertical_rate(gamma, t.base_rate, u.columns, t.frame_rate).swapaxes(-1, -2)
-    return (_pairing_at(g, s.base_rate, t.base_rate)
-            + _pairing_at(g[..., None, :, :], ws, wt).sum(axis=-1))
+    return mok_gram(M, [s, t], cfg)[..., 0, 1]
 
 
 def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
-    return np.sqrt(np.maximum(mok_metric(M, t, t, cfg), 0.0))
+    """sqrt of the one entry of ``mok_gram`` of (t,): its vertical rate is evaluated once."""
+    return np.sqrt(np.maximum(mok_gram(M, [t], cfg)[..., 0, 0], 0.0))
 
 
 def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
@@ -233,8 +225,8 @@ def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
     """Gram matrix of tangents (X_a, Edot_a) to the bundle of n x m frames at (x, E).
 
     G = X g X^T + sum_i W g W^T over the m columns, W_a = Edot_a + Gamma(X_a) E
-    the vertical rate of ``mok_metric``: its table for m = n, and for the one
-    column E = Z the Sasaki-Mok table on TM.  Every argument may carry the
+    the vertical rate (``_vertical_rate``): the Mok table for m = n, and for the
+    one column E = Z the Sasaki-Mok table on TM.  Every argument may carry the
     leading axes of points x (..., n); so does G.
     """
     return _gram(metric_eval(M, x), christoffel(M, x, cfg), E, X, Edot)
@@ -292,29 +284,14 @@ def skew_basis(n: int) -> list[Array]:
 
 
 def block_skew_basis(n: int, k: int) -> list[Array]:
-    """Basis of so(k) + so(n-k) embedded block-diagonally in so(n)."""
-    out = []
-    for B in skew_basis(k):
-        M = np.zeros((n, n))
-        M[:k, :k] = B
-        out.append(M)
-    for B in skew_basis(n - k):
-        M = np.zeros((n, n))
-        M[k:, k:] = B
-        out.append(M)
-    return out
+    """Basis of so(k) + so(n-k) embedded block-diagonally in so(n): the ``skew_basis(n)``
+    matrices that leave the mixed block B[:k, k:] zero."""
+    return [B for B in skew_basis(n) if not B[:k, k:].any()]
 
 
 def offdiag_skew_basis(n: int, k: int) -> list[Array]:
-    """Basis of the complementary block (skew matrices mixing the two blocks)."""
-    out = []
-    for i in range(k):
-        for j in range(k, n):
-            B = np.zeros((n, n))
-            B[i, j] = 1.0
-            B[j, i] = -1.0
-            out.append(B)
-    return out
+    """Basis of the complementary block: the ``skew_basis(n)`` matrices mixing the two blocks."""
+    return [B for B in skew_basis(n) if B[:k, k:].any()]
 
 
 def _exp_frechet_skew(A: Array, basis: Sequence[Array]) -> tuple[Array, Array]:

@@ -36,11 +36,11 @@ from .frames import (
     Frame,
     FrameTangent,
     LMChart,
-    _lift_gram,
     bracket_residual,
     connection_audit,
     fundamental_vertical,
     horizontal_lift_frame,
+    mok_gram,
     mok_metric,
     mok_norm,
     om_chart,
@@ -234,25 +234,21 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     D = geom.horizontal
     dpts = pts[: max(2, samples // 3)]
     S = S_components(M, D, dpts, christoffel(M, dpts, cfg), D.projector(dpts), cfg)
-    I = np.eye(2 * n)
     for p, S_p in zip(dpts, S):
         Z = Frame(p, 0.7 * rng.standard_normal((n, 1)))
         Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p, cfg)
-        # the kernel vectors are independent: V^T G has full rank, G the Sasaki-Mok
-        # Gram matrix of the 2n chart directions
-        rates = np.array([np.concatenate([v.base_rate, v.frame_rate[:, 0]]) for v in Vb])
-        G = _lift_gram(M, p, Z.columns, I[:, :n], I[:, n:, None], cfg)
+        # one Sasaki-Mok Gram of kernel, complement and displayed vectors; the kernel
+        # vectors are independent: their own block has full rank
+        G, kv, kh = mok_gram(M, Vb + Hb + shown, cfg), len(Vb), len(Vb) + len(Hb)
         checks.see("distribution_dimensions", 0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
-                   and np.linalg.matrix_rank(rates @ G) == len(Vb) else 1.0)
+                   and np.linalg.matrix_rank(G[:kv, :kv]) == kv else 1.0)
         # both kernel readings share the vertical lifts e^v; only the corrected half differs
         half = len(Vb) // 2
         sizes = _tm_size(phi_second_differential_fd(phi, FrameTangent.stack(Vb + const_ext), cfg))
         checks.see("kernel_distribution", *sizes[:len(Vb)])
-        checks.see("distribution_orthogonality", *np.abs(mok_metric(
-            M, FrameTangent.stack([v for v in Vb for _ in Hb]), FrameTangent.stack(Hb * len(Vb)), cfg)))
+        checks.see("distribution_orthogonality", *np.abs(G[:kv, kv:kh]).ravel())
         # displayed orthogonal-side formula, reported against the complement
-        checks.see("displayed_h_vs_complement", *np.abs(mok_metric(
-            M, FrameTangent.stack(Vb * len(shown)), FrameTangent.stack([h for h in shown for _ in Vb]), cfg)))
+        checks.see("displayed_h_vs_complement", *np.abs(G[kh:, :kv]).ravel())
         checks.see("kernel_constant_extension", *sizes[:half], *sizes[len(Vb):])
     checks.row("kernel_distribution", "second differential kills the kernel basis", cfg.tol_fd2)
     checks.row("distribution_orthogonality", "kernel and complement are Sasaki-orthogonal",
@@ -650,8 +646,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
     kernel = mok_norm(phi.target, lift_differential_fd(
         geom, FrameTangent.stack(Vb), Pi, cfg, check_tangency=False), cfg)  # (len(Vb), len(few))
-    cross = np.abs(mok_metric(M, FrameTangent.stack([v for v in Vb for _ in Hb]),
-                              FrameTangent.stack(Hb * len(Vb)), cfg))
+    cross = np.abs(mok_gram(M, Vb + Hb, cfg)[:, :len(Vb), len(Vb):]).reshape(len(few), -1).T
     checks.see("dimension_identity", np.full(len(few), 0.0 if dims_ok else 1.0))
     checks.see("kernel_distribution", *kernel)
     checks.see("distribution_orthogonality", *cross)

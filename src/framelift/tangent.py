@@ -3,7 +3,7 @@
 A point (x, Z) of TM is the frame ``Frame(x, Z[..., None])`` of the one
 column Z and a tangent to TM is a ``FrameTangent`` at it, so the frame
 bundle's horizontal lift (``horizontal_lift_frame``, -Gamma_X Z) and Mok
-metric (``mok_metric``, the Sasaki-Mok metric on one column) serve TM.
+metric (``mok_gram``, the Sasaki-Mok metric on one column) serve TM.
 Here are the vertical lift, the Dombrowski connection map K splitting TTM,
 the second differential of a submersion between tangent bundles, the
 kernel/orthogonal distributions of that second differential, and the
@@ -29,13 +29,14 @@ from .geometry import (
     TangentVector,
     christoffel,
     christoffel_contract,
+    metric_eval,
     orthonormalizer,
 )
 from .frames import (
     Frame,
     FrameTangent,
+    _gram,
     _horizontal_lift,
-    _lift_gram,
     _vertical_rate,
     frame_diff,
     horizontal_lift_frame,
@@ -59,7 +60,7 @@ def tm_vertical_lift(X: TangentVector, Z: Frame) -> FrameTangent:
 
 def connection_map_K(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
     """Dombrowski connection map K(t) = Zdot + Gamma_xdot Z: the one column of the
-    vertical rate that ``mok_metric`` pairs."""
+    vertical rate that ``mok_gram`` pairs."""
     return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base, cfg), t.base_rate,
                                                    t.at.columns, t.frame_rate)[..., 0])
 
@@ -146,7 +147,7 @@ def tm_distributions(
 
     # the chart directions d_x (base rates) and d_Z (fiber rates) lifted at the column Z
     I = np.eye(2 * n)
-    G = _lift_gram(M, p, Z.columns, I[:, :n], I[:, n:, None], cfg)
+    G = _gram(metric_eval(M, p), gamma, Z.columns, I[:, :n], I[:, n:, None])
     Vmat = np.array([np.concatenate([v.base_rate, v.frame_rate[:, 0]]) for v in kernel])
     N = np.linalg.svd(Vmat @ G)[2][len(kernel):]  # rows span the null space of V^T G
     C = orthonormalizer(N @ G @ N.T) @ N

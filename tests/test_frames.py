@@ -216,6 +216,28 @@ class TestOMChart:
             chart.encode(Frame(np.zeros(2), np.eye(2)))  # not orthonormal for g = 4I
 
 
+class TestSkewBases:
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(n + 1)])
+    def test_block_and_mixed_bases_partition_so_n_in_order(self, n, k):
+        # so(k) + so(n-k) is E_ij - E_ji over the pairs i < j on one side of k, so(k)'s
+        # first; the mixed block is the pairs i < k <= j; both in lexicographic order
+        def generators(pairs):
+            out = []
+            for i, j in pairs:
+                B = np.zeros((n, n))
+                B[i, j], B[j, i] = 1.0, -1.0
+                out.append(B)
+            return out
+
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        block = generators([(i, j) for i, j in pairs if j < k] + [(i, j) for i, j in pairs if i >= k])
+        mixed = generators([(i, j) for i, j in pairs if i < k <= j])
+        for got, want in ((block_skew_basis(n, k), block), (offdiag_skew_basis(n, k), mixed)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(block) + len(mixed) == len(skew_basis(n)) == n * (n - 1) // 2
+
+
 class TestInducedMetric:
     def test_line_bundle_chart(self):
         chart = LMChart(R1)

@@ -12,7 +12,7 @@ differences of ``geometry`` and the frame-tangent difference ``frame_diff``.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "framelift"
+from scan import SRC, functions
 
 KERNELS = {"geometry.central_diff", "geometry._difference", "frames.frame_diff"}
 
@@ -26,16 +26,9 @@ def _twice_a_step(node: ast.AST) -> bool:
 def two_point_quotients(src: Path = SRC) -> set[str]:
     """``module.function`` (``module.Class.method``) of every top-level function or method
     of the package with a difference divided by twice a step, nested functions included."""
-    found = set()
-    for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            members = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
-            if isinstance(top, ast.ClassDef):
-                members = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
-            found |= {f"{path.stem}.{name}" for name, fn in members if any(
-                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and _twice_a_step(node.right)
-                and any(isinstance(sub, ast.Sub) for sub in ast.walk(node.left)) for node in ast.walk(fn))}
-    return found
+    return {f"{stem}.{name}" for stem, name, fn, _ in functions(src) if any(
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and _twice_a_step(node.right)
+        and any(isinstance(sub, ast.Sub) for sub in ast.walk(node.left)) for node in ast.walk(fn))}
 
 
 def test_every_two_point_quotient_is_a_kernel():

@@ -18,7 +18,7 @@ not a value that a caller may have computed already.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "framelift"
+from scan import SRC, functions
 
 ALLOWED = {
     "geometry.column_gram.B": "the second stack of the pairing; by default a stack pairs with "
@@ -49,38 +49,31 @@ def _tested_against_none(tree: ast.AST) -> set[str]:
 def two_path_parameters(src: Path = SRC) -> set[str]:
     """``module.function.parameter`` (``module.Class.parameter`` for ``__init__``) of
     every parameter of the package that gives its function a second path."""
-    functions = {}  # qualified name -> (function node, its None-defaulted parameters)
+    found = {}  # qualified name -> (function node, its None-defaulted parameters)
     counted = set()
-    for path in sorted(src.glob("*.py")):
-        module = ast.parse(path.read_text())
-        for top in module.body:
-            members = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
-            if isinstance(top, ast.ClassDef):
-                members = [(f"{top.name}.{f.name}" if f.name != "__init__" else top.name, f)
-                           for f in top.body if isinstance(f, ast.FunctionDef)]
-            for name, fn in members:
-                qualified = f"{path.stem}.{name}"
-                params = _none_defaults(fn)
-                functions[qualified] = (fn, params)
-                tested = _tested_against_none(fn)
-                if fn.name == "__init__":  # an attribute that holds a parameter, tested by any method
-                    tested |= {a.value.id for a in ast.walk(fn) if isinstance(a, ast.Assign)
-                               and isinstance(a.value, ast.Name) for t in a.targets
-                               if ast.unparse(t) in _tested_against_none(top)}
-                counted |= {f"{qualified}.{p}" for p in params if p in tested}
+    for stem, name, fn, cls in functions(src):
+        qualified = f"{stem}.{cls.name if fn.name == '__init__' else name}"
+        params = _none_defaults(fn)
+        found[qualified] = (fn, params)
+        tested = _tested_against_none(fn)
+        if fn.name == "__init__":  # an attribute that holds a parameter, tested by any method
+            tested |= {a.value.id for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                       and isinstance(a.value, ast.Name) for t in a.targets
+                       if ast.unparse(t) in _tested_against_none(cls)}
+        counted |= {f"{qualified}.{p}" for p in params if p in tested}
 
     def callees(name):
-        return [q for q in functions if q.rpartition(".")[2] == name]
+        return [q for q in found if q.rpartition(".")[2] == name]
 
     changed = True
     while changed:  # a parameter passed on to a counted parameter counts too
         changed = False
-        for qualified, (fn, params) in functions.items():
+        for qualified, (fn, params) in found.items():
             for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
                 if not isinstance(call.func, ast.Name):
                     continue
                 for callee in callees(call.func.id):
-                    target = functions[callee][0].args
+                    target = found[callee][0].args
                     slots = [a.arg for a in target.posonlyargs + target.args]
                     passed = list(zip(slots, call.args)) + [(k.arg, k.value) for k in call.keywords]
                     for slot, value in passed:

@@ -14,7 +14,7 @@ Two scans of ``src/framelift`` keep it so:
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "framelift"
+from scan import SRC, functions, members, modules
 
 SETTINGS = ("step", "tol", "scale")
 EXEMPT = {
@@ -23,31 +23,15 @@ EXEMPT = {
 }
 
 
-def _members(module: ast.Module):
-    """(qualified name, function node, is a method) of every top-level function and method."""
-    for top in module.body:
-        if isinstance(top, ast.FunctionDef):
-            yield top.name, top, False
-        elif isinstance(top, ast.ClassDef):
-            for f in top.body:
-                if isinstance(f, ast.FunctionDef):
-                    yield f"{top.name}.{f.name}", f, True
-
-
-def _modules(src: Path):
-    return [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
-
-
 def defaulted_settings(src: Path = SRC) -> set[str]:
     """``module.function.parameter`` of every step, tol or scale parameter with a default."""
     found = set()
-    for stem, module in _modules(src):
-        for name, fn, _ in _members(module):
-            args = fn.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):]
-            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            found |= {f"{stem}.{name}.{a.arg}" for a in defaulted if a.arg in SETTINGS}
+    for stem, name, fn, _ in functions(src):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found |= {f"{stem}.{name}.{a.arg}" for a in defaulted if a.arg in SETTINGS}
     return found
 
 
@@ -59,12 +43,12 @@ def calls_without_cfg(src: Path = SRC) -> list[str]:
     ``SubmersionSpec`` and ``VectorField``) is read as the method only on ``self`` or on
     a name ending in ``chart``, the package's names for chart objects.
     """
-    modules = _modules(src)
+    parsed = modules(src)
     slots: dict[str, int] = {}  # name -> the highest positional slot of its cfg
     fields = set()
-    for _, module in modules:
-        for name, fn, method in _members(module):
-            params = [a.arg for a in fn.args.posonlyargs + fn.args.args][int(method):]
+    for _, module in parsed:
+        for name, fn, owner in members(module):
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args][owner is not None:]
             if "cfg" in params:
                 short = name.rpartition(".")[2]
                 slots[short] = max(slots.get(short, 0), params.index("cfg"))
@@ -72,7 +56,7 @@ def calls_without_cfg(src: Path = SRC) -> list[str]:
                    for item in cls.body
                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
     missing = []
-    for stem, module in modules:
+    for stem, module in parsed:
         for call in (n for n in ast.walk(module) if isinstance(n, ast.Call)):
             if isinstance(call.func, ast.Name):
                 name = call.func.id
