@@ -1,8 +1,10 @@
 """Check reports and their serialization.
 
 Each residual check becomes one record: what was checked, the measured
-residual, the tolerance, and the verdict.  Audit records carry diagnostic
-comparisons and never affect an exit status.  Serialized reports are
+residual, the tolerance, and the verdict.  A suite emits each record with
+one ``Checks.row`` call that takes all of the record's evaluations.  Audit
+records carry diagnostic comparisons and never affect an exit status.
+Serialized reports are
 byte-identical across runs with the same configuration once wall times are
 stripped.
 """
@@ -35,42 +37,38 @@ class CheckReport:
 
 
 class Checks:
-    """The rows of one suite, accumulated evaluation by evaluation.
+    """The rows of one suite, each emitted from its evaluations in one call.
 
-    ``see(key, *values)`` folds evaluations into the worst residual of row
-    ``key``.  Each value is a number or an array whose leading axis indexes
-    evaluations, one per sample point or frame of a stack; the values
-    broadcast together, so arrays of unequal length raise ValueError, and
-    numbers alone make one evaluation.  The fold is a maximum, so the order
-    of the evaluations does not matter, and a NaN at any index sticks, so
-    the row fails.  ``row`` emits that row as a CheckReport named
-    ``<prefix>.<key>``, whose ``samples`` is the number of evaluations seen
-    for the key and whose ``wall_ms`` is the time since the previous row.
-    ``reports`` lists the emitted rows in order.
+    ``row(key, identity, tolerance, *values)`` emits row ``key`` as a
+    CheckReport named ``<prefix>.<key>`` whose residual is the worst of
+    ``values``.  Each value is a number or an array whose leading axis
+    indexes evaluations, one per sample point or frame of a stack; the
+    values broadcast together, so arrays of unequal length raise ValueError,
+    and numbers alone make one evaluation.  ``samples`` is the number of
+    evaluations, and a row without values raises ValueError.  The fold is a
+    maximum, so the order of the evaluations does not matter, and a NaN at
+    any index sticks, so the row fails.  ``wall_ms`` is the time since the
+    previous row, and ``reports`` lists the emitted rows in order.
     """
 
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.reports: list[CheckReport] = []
-        self._seen: dict[str, tuple[float, int]] = {}
         self._last = time.perf_counter()
 
-    def see(self, key: str, *values) -> None:
-        worst, count = self._seen.get(key, (0.0, 0))
-        shape = ()
+    def row(self, key: str, identity: str, tolerance: float, *values, kind: str = "assert",
+            invert: bool = False, inconclusive: bool = False) -> CheckReport:
+        """Emit row ``key`` from ``values``; ``invert`` asserts the residual EXCEEDS the tolerance."""
+        if not values:
+            raise ValueError(f"row {self.prefix}.{key} has no evaluations")
+        residual, shape = 0.0, ()
         for v in values:
             if isinstance(v, np.ndarray) and v.ndim:
                 shape = np.broadcast_shapes(shape, v.shape)
-                v = np.max(v, initial=worst)  # a NaN anywhere propagates
+                v = np.max(v, initial=residual)  # a NaN anywhere propagates
             v = float(v)
-            if v > worst or v != v:  # a NaN replaces the worst, and nothing replaces a NaN
-                worst = v
-        self._seen[key] = (worst, count + (shape[0] if shape else 1))
-
-    def row(self, key: str, identity: str, tolerance: float, kind: str = "assert",
-            invert: bool = False, inconclusive: bool = False) -> CheckReport:
-        """Emit row ``key``; ``invert`` asserts the residual EXCEEDS the tolerance."""
-        residual, samples = self._seen.pop(key, (0.0, 0))
+            if v > residual or v != v:  # a NaN replaces the worst, and nothing replaces a NaN
+                residual = v
         if inconclusive:
             status = "inconclusive"
         elif invert:
@@ -80,8 +78,8 @@ class Checks:
         now = time.perf_counter()
         report = CheckReport(
             name=f"{self.prefix}.{key}", identity=identity, residual=residual,
-            tolerance=float(tolerance), status=status, kind=kind, samples=samples,
-            wall_ms=(now - self._last) * 1000.0,
+            tolerance=float(tolerance), status=status, kind=kind,
+            samples=shape[0] if shape else 1, wall_ms=(now - self._last) * 1000.0,
         )
         self._last = now
         self.reports.append(report)

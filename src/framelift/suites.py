@@ -120,13 +120,6 @@ def _tm_size(t: FrameTangent):
     return np.max(np.abs(np.concatenate([t.base_rate, t.frame_rate[..., 0]], axis=-1)), axis=-1)
 
 
-def _single(checks: Checks, key: str, identity: str, residual, tolerance: float,
-            **kw) -> None:
-    """A row of the evaluations in one residual: a number, or a stack of them."""
-    checks.see(key, residual)
-    checks.row(key, identity, tolerance, **kw)
-
-
 def _pairing(M, Y: VectorField, Z: VectorField, q):
     """g(Y, Z) at points q (..., dim), rounded as y @ g @ z at each point."""
     return _pairing_at(metric_eval(M, q), Y.eval(q), Z.eval(q))
@@ -151,27 +144,26 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         exact = M.metric_derivative is not None
 
         gamma = christoffel(M, pts, cfg)
-        _single(checks, f"gamma_symmetry.{tag}", "Gamma^k_ij = Gamma^k_ji",
-                np.max(np.abs(gamma - gamma.swapaxes(-1, -2)), axis=(-3, -2, -1)), cfg.tol_exact)
+        checks.row(f"gamma_symmetry.{tag}", "Gamma^k_ij = Gamma^k_ji", cfg.tol_exact,
+                   np.max(np.abs(gamma - gamma.swapaxes(-1, -2)), axis=(-3, -2, -1)))
         lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), pts, X.eval(pts), cfg.step_h)
         nXY, nXZ, nYX = (v.components for v in covariant_derivatives(
             M, [(X, Y), (X, Z), (Y, X)], pts, cfg))
         g = metric_eval(M, pts)
-        _single(checks, f"metric_compatibility.{tag}", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
-                np.abs(lhs - _pairing_at(g, nXY, Z.eval(pts)) - _pairing_at(g, Y.eval(pts), nXZ)),
-                1e-8 if exact else cfg.tol_fd1)
-        _single(checks, f"torsion_free.{tag}", "nabla_X Y - nabla_Y X = [X, Y]",
-                _g_norm(g, nXY - nYX - lie_bracket(X, Y, pts, cfg).components), cfg.tol_fd1)
+        checks.row(f"metric_compatibility.{tag}", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
+                   1e-8 if exact else cfg.tol_fd1,
+                   np.abs(lhs - _pairing_at(g, nXY, Z.eval(pts)) - _pairing_at(g, Y.eval(pts), nXZ)))
+        checks.row(f"torsion_free.{tag}", "nabla_X Y - nabla_Y X = [X, Y]", cfg.tol_fd1,
+                   _g_norm(g, nXY - nYX - lie_bracket(X, Y, pts, cfg).components))
         R = curvature_tensor(M, pts, cfg)
         cyclic = sum(np.einsum("...ijkl,...i,...j,...k->...l", R, *xyz)
                      for xyz in ((x, y, z), (y, z, x), (z, x, y)))
-        _single(checks, f"bianchi_first.{tag}", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0",
-                _g_norm(g, cyclic), cfg.tol_fd1)
+        checks.row(f"bianchi_first.{tag}", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0", cfg.tol_fd1,
+                   _g_norm(g, cyclic))
         if exact:
-            _single(checks, f"metric_derivative_vs_fd.{tag}",
-                    "supplied d_k g_ij matches central differences", np.max(np.abs(
-                        central_diff(M.metric_field, pts, cfg.step_h) - M.metric_derivative(pts)),
-                        axis=(-3, -2, -1)), cfg.tol_fd1)
+            checks.row(f"metric_derivative_vs_fd.{tag}", "supplied d_k g_ij matches central differences",
+                       cfg.tol_fd1, np.max(np.abs(central_diff(M.metric_field, pts, cfg.step_h)
+                                                  - M.metric_derivative(pts)), axis=(-3, -2, -1)))
 
         # endomorphism inner product: basis independence
         p = pts[0]
@@ -180,9 +172,8 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         seeds = list(np.eye(n)[::-1] + 0.1 * rng2.standard_normal((n, n)))
         v1, v2 = (endo_inner(M, p, P, Q, onb)
                   for onb in (orthonormal_basis(M, p), gram_schmidt(M, p, seeds)))
-        _single(checks, f"endo_inner_basis_independent.{tag}",
-                "<P|Q> equal over two orthonormal bases", abs(v1 - v2),
-                cfg.tol_exact * max(1.0, abs(v1)))
+        checks.row(f"endo_inner_basis_independent.{tag}", "<P|Q> equal over two orthonormal bases",
+                   cfg.tol_exact * max(1.0, abs(v1)), abs(v1 - v2))
     return checks.reports
 
 
@@ -206,16 +197,15 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Z = Frame(pts, 0.7 * zf[..., None])
     v = tm_vertical_lift(TangentVector(pts, x), Z)
     h = horizontal_lift_frame(M, TangentVector(pts, x), Z, cfg)
-    checks.see("lift_identities", *(np.max(np.abs(d), axis=-1) for d in (
-        connection_map_K(M, v, cfg).components - x, connection_map_K(M, h, cfg).components,
-        h.base_rate - x, v.base_rate)))
-    checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact)
+    checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact,
+               *(np.max(np.abs(d), axis=-1) for d in (
+                   connection_map_K(M, v, cfg).components - x, connection_map_K(M, h, cfg).components,
+                   h.base_rate - x, v.base_rate)))
     t = FrameTangent(Z, base_rate, fiber_rate[..., None])
     hh, vv = tm_split(M, t, cfg)
-    _single(checks, "splitting_exact", "t = (pi_* t)^h + (K t)^v", _tm_size(hh + vv - t),
-            cfg.tol_exact)
-    _single(checks, "horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0",
-            np.abs(mok_metric(M, h, v, cfg)), cfg.tol_exact)
+    checks.row("splitting_exact", "t = (pi_* t)^h + (K t)^v", cfg.tol_exact, _tm_size(hh + vv - t))
+    checks.row("horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0", cfg.tol_exact,
+               np.abs(mok_metric(M, h, v, cfg)))
 
     # second differential: formula vs finite differences, each kind once on the stack;
     # per point, the draws are the fiber of Z and the vector X
@@ -224,58 +214,61 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         Z = Frame(pts, 0.7 * zf[..., None])
         X = TangentVector(pts, x)
         t = tm_vertical_lift(X, Z) if kind == "vertical" else horizontal_lift_frame(M, X, Z, cfg)
-        _single(checks, f"second_differential.{kind}",
-                "second differential formula matches central differences",
-                _tm_size(phi_second_differential_fd(phi, t, cfg)
-                         - phi_second_differential_formula(phi, kind, X, Z, cfg)), cfg.tol_fd2)
+        checks.row(f"second_differential.{kind}", "second differential formula matches central differences",
+                   cfg.tol_fd2, _tm_size(phi_second_differential_fd(phi, t, cfg)
+                                         - phi_second_differential_formula(phi, kind, X, Z, cfg)))
 
     # kernel/orthogonal distributions of the tangent-bundle map, point by point: the
-    # null space is per point.  S is built once on the distribution points
+    # null space is per point.  S is built once on the distribution points; each point
+    # gives one evaluation of each row, the worst of its values
     D = geom.horizontal
     dpts = pts[: max(2, samples // 3)]
     S = S_components(M, D, dpts, christoffel(M, dpts, cfg), D.projector(dpts), cfg)
+    dims, kernel, cross, shown_cross, const = [], [], [], [], []
     for p, S_p in zip(dpts, S):
         Z = Frame(p, 0.7 * rng.standard_normal((n, 1)))
         Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p, cfg)
         # one Sasaki-Mok Gram of kernel, complement and displayed vectors; the kernel
         # vectors are independent: their own block has full rank
         G, kv, kh = mok_gram(M, Vb + Hb + shown, cfg), len(Vb), len(Vb) + len(Hb)
-        checks.see("distribution_dimensions", 0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
-                   and np.linalg.matrix_rank(G[:kv, :kv]) == kv else 1.0)
+        dims.append(0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
+                    and np.linalg.matrix_rank(G[:kv, :kv]) == kv else 1.0)
         # both kernel readings share the vertical lifts e^v; only the corrected half differs
-        half = len(Vb) // 2
         sizes = _tm_size(phi_second_differential_fd(phi, FrameTangent.stack(Vb + const_ext), cfg))
-        checks.see("kernel_distribution", *sizes[:len(Vb)])
-        checks.see("distribution_orthogonality", *np.abs(G[:kv, kv:kh]).ravel())
+        kernel.append(np.max(sizes[:kv], initial=0.0))
+        cross.append(np.max(np.abs(G[:kv, kv:kh]), initial=0.0))
         # displayed orthogonal-side formula, reported against the complement
-        checks.see("displayed_h_vs_complement", *np.abs(G[kh:, :kv]).ravel())
-        checks.see("kernel_constant_extension", *sizes[:half], *sizes[len(Vb):])
-    checks.row("kernel_distribution", "second differential kills the kernel basis", cfg.tol_fd2)
+        shown_cross.append(np.max(np.abs(G[kh:, :kv]), initial=0.0))
+        const.append(np.max(np.concatenate([sizes[:kv // 2], sizes[kv:]]), initial=0.0))
+    checks.row("kernel_distribution", "second differential kills the kernel basis", cfg.tol_fd2,
+               np.array(kernel))
     checks.row("distribution_orthogonality", "kernel and complement are Sasaki-orthogonal",
-               cfg.tol_fd1)
-    checks.row("distribution_dimensions", "dim kernel = 2(n-k), dim complement = 2k", 0.5)
+               cfg.tol_fd1, np.array(cross))
+    checks.row("distribution_dimensions", "dim kernel = 2(n-k), dim complement = 2k", 0.5,
+               np.array(dims))
     checks.row("displayed_h_vs_complement", "displayed orthogonal-side formula vs kernel (diagnostic)",
-               cfg.tol_fd2, kind="audit")
+               cfg.tol_fd2, np.array(shown_cross), kind="audit")
     checks.row("kernel_constant_extension", "kernel formula under bare constant extension (diagnostic)",
-               cfg.tol_fd2, kind="audit")
+               cfg.tol_fd2, np.array(const), kind="audit")
 
     # frame-to-tangent-bundle projections are Riemannian submersions
     p = pts[0]
     u = Frame(p, reference_frame(M, p))
     rngp = _rng(seed, 4)
+    differential, isometry = [], []
     for i in range(n):
         x = rngp.standard_normal(n)
         P = rngp.standard_normal((n, n))
         th = horizontal_lift_frame(M, TangentVector(p, x), u, cfg)
         t = th + fundamental_vertical(P, u)
-        checks.see("frame_projection_differential",
-                   _tm_size(pi_i_differential(M, t, i, cfg) - pi_i_differential_fd(M, t, i, cfg)))
+        differential.append(_tm_size(pi_i_differential(M, t, i, cfg)
+                                     - pi_i_differential_fd(M, t, i, cfg)))
         ti = pi_i_differential(M, th, i, cfg)
-        checks.see("frame_projection_isometry",
-                   abs(mok_metric(M, th, th, cfg) - mok_metric(M, ti, ti, cfg)))
-    checks.row("frame_projection_differential", "column projection maps lifts to lifts", cfg.tol_fd1)
+        isometry.append(abs(mok_metric(M, th, th, cfg) - mok_metric(M, ti, ti, cfg)))
+    checks.row("frame_projection_differential", "column projection maps lifts to lifts", cfg.tol_fd1,
+               np.array(differential))
     checks.row("frame_projection_isometry", "column projection is isometric on horizontals",
-               cfg.tol_fd1)
+               cfg.tol_fd1, np.array(isometry))
     return checks.reports
 
 
@@ -303,24 +296,23 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     t = h + fundamental_vertical(P, frames)
     rec = (horizontal_lift_frame(M, TangentVector(pts, t.base_rate), frames, cfg)
            + fundamental_vertical(vertical_part(M, t, cfg), frames))
-    checks.see("decomposition_exact", np.max(np.abs(rec.frame_rate - t.frame_rate), axis=(-2, -1)),
+    checks.row("decomposition_exact", "t = (pi_* t)^h + V(t)*", cfg.tol_exact,
+               np.max(np.abs(rec.frame_rate - t.frame_rate), axis=(-2, -1)),
                np.max(np.abs(rec.base_rate - t.base_rate), axis=-1))
     skew = np.linalg.solve(metric_eval(M, pts), 0.5 * (K - K.swapaxes(-1, -2)))
-    checks.see("mok_block_orthogonal", np.abs(mok_metric(M, h, fundamental_vertical(skew, frames), cfg)))
+    checks.row("mok_block_orthogonal", "g_L(X^h, P*) = 0", cfg.tol_exact,
+               np.abs(mok_metric(M, h, fundamental_vertical(skew, frames), cfg)))
     # right invariance under a constant orthogonal matrix
     Q, _ = np.linalg.qr(Qd)
     s = h + fundamental_vertical(skew, frames)
     sk = FrameTangent(Frame(pts, frames.columns @ Q), s.base_rate, s.frame_rate @ Q)
-    checks.see("mok_right_invariant", np.abs(mok_metric(M, s, s, cfg) - mok_metric(M, sk, sk, cfg)))
+    checks.row("mok_right_invariant", "Mok norms invariant under constant right rotation",
+               cfg.tol_exact * 100, np.abs(mok_metric(M, s, s, cfg) - mok_metric(M, sk, sk, cfg)))
     # orthonormal chart round trip
     a = 0.4 * a
     _, a2 = chart.split(chart.encode(chart.decode(chart.join(pts, a))))
-    checks.see("om_chart_roundtrip", np.max(np.abs(a - a2), axis=-1))
-    checks.row("decomposition_exact", "t = (pi_* t)^h + V(t)*", cfg.tol_exact)
-    checks.row("mok_block_orthogonal", "g_L(X^h, P*) = 0", cfg.tol_exact)
-    checks.row("mok_right_invariant", "Mok norms invariant under constant right rotation",
-               cfg.tol_exact * 100)
-    checks.row("om_chart_roundtrip", "decode then encode returns the skew coordinates", 1e-10)
+    checks.row("om_chart_roundtrip", "decode then encode returns the skew coordinates", 1e-10,
+               np.max(np.abs(a - a2), axis=-1))
 
     # bracket identities against the finite-difference bracket, each on the stack of
     # sample frames; the base curvature tensors at the sample points serve the bracket,
@@ -334,10 +326,10 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     cases = (("hh", (X, Y), "[X^h, Y^h] = [X,Y]^h - R(X,Y)*"), ("hv", (X, Q), "[X^h, Q*] = (nabla_X Q)*"),
              ("vv", (P, Q), "[P*, Q*] = -[P,Q]*"))
     for (case, _, ident), res in zip(cases, bracket_residual(M, lm, [c[:2] for c in cases], frames, Rs, cfg)):
-        _single(checks, f"bracket.{case}", ident, res["resolved"], cfg.tol_fd2)
+        checks.row(f"bracket.{case}", ident, cfg.tol_fd2, res["resolved"])
         if case == "hv":
-            _single(checks, "bracket.hv_literal_sign", "[X^h, Q*] = -(nabla_X Q)* (diagnostic)",
-                    res["literal"][:2], cfg.tol_fd2, kind="audit")
+            checks.row("bracket.hv_literal_sign", "[X^h, Q*] = -(nabla_X Q)* (diagnostic)", cfg.tol_fd2,
+                       res["literal"][:2], kind="audit")
 
     # connection formulas against the total-space oracle, both bundles on the first three frames
     Qs = g_skew_endo_field(M, rng)
@@ -348,12 +340,12 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # bundle by bundle, asserted rows first, each group in case order
     for r in sorted(rows, key=lambda r: (r["bundle"], not r["asserted"])):
         if r["asserted"]:
-            _single(checks, f"connection.{r['bundle']}.{r['case']}",
-                    "closed-form connection matches total-space oracle", r["residual"], cfg.tol_fd2)
+            checks.row(f"connection.{r['bundle']}.{r['case']}",
+                       "closed-form connection matches total-space oracle", cfg.tol_fd2, r["residual"])
         else:
-            _single(checks, f"connection.{r['bundle']}.{r['case']}_literal",
-                    "displayed hv/vh term placement (diagnostic)", r["residual"], cfg.tol_fd2,
-                    kind="audit")
+            checks.row(f"connection.{r['bundle']}.{r['case']}_literal",
+                       "displayed hv/vh term placement (diagnostic)", cfg.tol_fd2, r["residual"],
+                       kind="audit")
 
     # oracle self-consistency on the full frame bundle's total space
     p = pts[0]
@@ -367,14 +359,13 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     br = lie_bracket(A, B, q, cfg_total).components
     tf = nAB - nBA - br
     Gq = metric_eval(total, q)
-    _single(checks, "oracle_torsion_free", "total-space oracle connection is torsion free",
-            _g_norm(Gq, tf), cfg.tol_fd2)
+    checks.row("oracle_torsion_free", "total-space oracle connection is torsion free", cfg.tol_fd2,
+               _g_norm(Gq, tf))
 
     lhs = directional_diff(lambda qq: _pairing(total, A, B, qq), q, C.eval(q), cfg_total.step_h)
-    _single(checks, "oracle_metric_compatible",
-            "total-space oracle connection preserves the induced metric",
-            abs(lhs - _pairing_at(Gq, nCA, B.eval(q)) - _pairing_at(Gq, A.eval(q), nCB)),
-            cfg.tol_fd2 * 10)
+    checks.row("oracle_metric_compatible", "total-space oracle connection preserves the induced metric",
+               cfg.tol_fd2 * 10,
+               abs(lhs - _pairing_at(Gq, nCA, B.eval(q)) - _pairing_at(Gq, A.eval(q), nCB)))
 
     # adapted-bundle connection displays: diagnostic table
     geom = derive_geometry(phi, cfg)
@@ -387,8 +378,8 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Qa = adapted_endo_field(geom, top=-1.3 * Ja)
     for r in adapted_connection_audit(M, geom.horizontal, u,
                                       dict(X=X, Y=Y, P=Pa, Q=Qa), Rs[0], cfg):
-        _single(checks, f"adapted_connection.{r['case']}.{'best' if r['best_match'] else 'alt'}",
-                r["reading"], r["residual"], cfg.tol_fd2, kind="audit")
+        checks.row(f"adapted_connection.{r['case']}.{'best' if r['best_match'] else 'alt'}",
+                   r["reading"], cfg.tol_fd2, r["residual"], kind="audit")
     return checks.reports
 
 
@@ -415,21 +406,19 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # projector, blocks and m-projection, evaluated once on the stack of sample
     # points; per point, the draws are P and K
     d = projector_defects(M, D, pts, Pi)
-    checks.see("projector_invariants", d["idempotent"], d["self_adjoint"], d["trace"])
+    checks.row("projector_invariants", "projector idempotent, self-adjoint, trace k", cfg.tol_exact * 100,
+               d["idempotent"], d["self_adjoint"], d["trace"])
     P, K = np.moveaxis(rng.standard_normal((len(pts), 2, M.dim, M.dim)), 1, 0)
     b = block_decompose(P, Pi)
-    checks.see("block_reassembly", np.max(np.abs(b.reassemble() - P), axis=(-2, -1)))
+    checks.row("block_reassembly", "top + bot + off-blocks reassemble the endomorphism",
+               cfg.tol_exact * 100, np.max(np.abs(b.reassemble() - P), axis=(-2, -1)))
     g = metric_eval(M, pts)
     m1 = m_projection(M, pts, np.linalg.solve(g, 0.5 * (K - K.swapaxes(-1, -2))), Pi)
     m2 = m_projection(M, pts, m1, Pi)
     gm = g @ m1
-    checks.see("m_projection", np.max(np.abs(m2 - m1), axis=(-2, -1)),
+    checks.row("m_projection", "block-mixing projection idempotent and skew", cfg.tol_exact * 100,
+               np.max(np.abs(m2 - m1), axis=(-2, -1)),
                np.max(np.abs(gm + gm.swapaxes(-1, -2)), axis=(-2, -1)))
-    checks.row("projector_invariants", "projector idempotent, self-adjoint, trace k",
-               cfg.tol_exact * 100)
-    checks.row("block_reassembly", "top + bot + off-blocks reassemble the endomorphism",
-               cfg.tol_exact * 100)
-    checks.row("m_projection", "block-mixing projection idempotent and skew", cfg.tol_exact * 100)
 
     # the adapted connection and its difference tensor, once on the stack of the first
     # sample points; per point, the draws are the coefficients of X, Y and Z, then the
@@ -448,43 +437,43 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     xf = X.eval(few)
     (nd, a, b, _), (_, s1, _, s2) = adapted_derivatives(
         M, D, xf, [Ytop, Y, Z, Ys], few, gamma[:len(few)], Pi[:len(few)], cfg)
-    _single(checks, "connection_preserves_blocks", "adapted connection maps sections of D into D",
-            _g_norm(g, ((np.eye(n) - Pi[:len(few)]) @ nd[..., None])[..., 0]), cfg.tol_fd1)
+    checks.row("connection_preserves_blocks", "adapted connection maps sections of D into D", cfg.tol_fd1,
+               _g_norm(g, ((np.eye(n) - Pi[:len(few)]) @ nd[..., None])[..., 0]))
     lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), few, xf, cfg.step_h)
-    _single(checks, "connection_metric_compatible", "adapted connection preserves the metric",
-            np.abs(lhs - _pairing_at(g, a, Z.eval(few)) - _pairing_at(g, Y.eval(few), b)), cfg.tol_fd1)
-    _single(checks, "difference_tensorial", "difference tensor unchanged by unit-at-p rescalings",
-            np.max(np.abs(s1 - s2), axis=-1), cfg.tol_fd1)
+    checks.row("connection_metric_compatible", "adapted connection preserves the metric", cfg.tol_fd1,
+               np.abs(lhs - _pairing_at(g, a, Z.eval(few)) - _pairing_at(g, Y.eval(few), b)))
+    checks.row("difference_tensorial", "difference tensor unchanged by unit-at-p rescalings", cfg.tol_fd1,
+               np.max(np.abs(s1 - s2), axis=-1))
     # skew-symmetry of S in its last two slots
     Sx = christoffel_contract(S[:len(few)], x)
-    _single(checks, "difference_skew", "g(S_X Y, Z) + g(Y, S_X Z) = 0", np.abs(
-        _pairing_at(g, (Sx @ y[..., None])[..., 0], z) + _pairing_at(g, y, (Sx @ z[..., None])[..., 0])),
-        cfg.tol_fd1)
+    checks.row("difference_skew", "g(S_X Y, Z) + g(Y, S_X Z) = 0", cfg.tol_fd1, np.abs(
+        _pairing_at(g, (Sx @ y[..., None])[..., 0], z) + _pairing_at(g, y, (Sx @ z[..., None])[..., 0])))
 
     # torsion restricted to the distribution detects integrability, on each pair of
     # horizontal columns of the adapted frames at the first sample points; a zero per
     # point counts the points when D has no pair
     u = adapted_frame(M, D, pts)
     hb = u.columns[:len(few), :, :D.rank]
-    integ = "torsion_integrable" if entry.h_integrable else "torsion_nonintegrable"
-    checks.see(integ, np.zeros(len(few)), *(_g_norm(g, torsion_TD(
+    torsions = (np.zeros(len(few)), *(_g_norm(g, torsion_TD(
         constant_field(hb[..., i]), constant_field(hb[..., j]), few, S[:len(few)]).components)
         for i, j in zip(*np.triu_indices(D.rank, 1))))
     if entry.h_integrable:
-        checks.row(integ, "adapted torsion vanishes on the distribution", cfg.tol_fd1)
+        checks.row("torsion_integrable", "adapted torsion vanishes on the distribution", cfg.tol_fd1,
+                   *torsions)
     else:
-        checks.row(integ, "adapted torsion detects non-integrability (> 0.1)", 0.1, invert=True)
+        checks.row("torsion_nonintegrable", "adapted torsion detects non-integrability (> 0.1)", 0.1,
+                   *torsions, invert=True)
 
     # curvature relation between the two connections, once on the stack of the first
     # three sample points; per point, the draws are x, y and z
     three = pts[:3]
     x, y, z = np.moveaxis(rng.standard_normal((len(three), 3, n)), 1, 0)
     res = curvature_relation_residual(M, D, x, y, z, three, S[:len(three)], cfg)
-    _single(checks, "curvature_relation", "R = RD + antisymmetrized nabla S + S_torsion + [S,S]",
-            res["standard"], cfg.tol_fd2)
-    _single(checks, "curvature_relation_display_convention",
-            "same relation with the displayed nabla-S convention (diagnostic)", res["display"],
-            cfg.tol_fd2, kind="audit")
+    checks.row("curvature_relation", "R = RD + antisymmetrized nabla S + S_torsion + [S,S]", cfg.tol_fd2,
+               res["standard"])
+    checks.row("curvature_relation_display_convention",
+               "same relation with the displayed nabla-S convention (diagnostic)", cfg.tol_fd2,
+               res["display"], kind="audit")
 
     # W endomorphism: defining identity and positivity, evaluated once on the
     # stack of adapted frames at the sample points; per point, the draws are
@@ -494,8 +483,9 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     g = metric_eval(M, pts)
     tx1, ty1, tx2, ty2, t = _adapted_horizontal_lifts(
         M, D, [TangentVector(pts, v) for v in (x1, y1, x2, y2, x)], u, gamma, Pi, S)
-    w_lemma = [np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(M, ta, tb, cfg))
-               for a, b, ta, tb in ((x1, y1, tx1, ty1), (x2, y2, tx2, ty2))]
+    w_lemma = np.concatenate([
+        np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(M, ta, tb, cfg))
+        for a, b, ta, tb in ((x1, y1, tx1, ty1), (x2, y2, tx2, ty2))])
     W_onb = np.linalg.inv(u.columns) @ Wm @ u.columns
     w_positive = 1.0 - np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.swapaxes(-1, -2))), axis=-1)
     t2 = (horizontal_lift_frame(M, TangentVector(pts, x), u, cfg)
@@ -503,20 +493,15 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     frame_gap = np.max(np.abs(t.frame_rate - t2.frame_rate), axis=(-2, -1))
     base_gap = np.max(np.abs(t.base_rate - t2.base_rate), axis=-1)
     tangency = od_tangency_residual(M, D, t, cfg)
-    checks.see("w_lemma", w_lemma[0])
-    checks.see("w_lemma", w_lemma[1])
-    checks.see("w_positive", w_positive)
-    checks.see("lift_difference_identity", frame_gap, base_gap)
-    checks.see("lift_tangency", tangency)
-    checks.row("w_lemma", "g(X, W Y) equals the Mok product of adapted lifts", cfg.tol_fd1)
-    checks.row("w_positive", "W has eigenvalues at least 1", cfg.tol_exact * 100)
-    checks.row("lift_difference_identity", "adapted lift = plain lift + (S_X)* exactly",
-               cfg.tol_exact)
-    checks.row("lift_tangency", "adapted lift is tangent to the adapted bundle", cfg.tol_fd1)
+    checks.row("w_lemma", "g(X, W Y) equals the Mok product of adapted lifts", cfg.tol_fd1, w_lemma)
+    checks.row("w_positive", "W has eigenvalues at least 1", cfg.tol_exact * 100, w_positive)
+    checks.row("lift_difference_identity", "adapted lift = plain lift + (S_X)* exactly", cfg.tol_exact,
+               frame_gap, base_gap)
+    checks.row("lift_tangency", "adapted lift is tangent to the adapted bundle", cfg.tol_fd1, tangency)
 
     # reductive block algebra
-    _single(checks, "reductive_split", "[block-diagonal, block-mixing] stays block-mixing",
-            reductive_split_defect(M.dim, D.rank, _rng(seed, 8)), 1e-12)
+    checks.row("reductive_split", "[block-diagonal, block-mixing] stays block-mixing", 1e-12,
+               reductive_split_defect(M.dim, D.rank, _rng(seed, 8)))
     return checks.reports
 
 
@@ -540,26 +525,23 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # evaluated once on the stack of sample points
     if phi.jacobian is not None:
         fd = central_diff(phi.map, pts, cfg.step_h).swapaxes(-1, -2)
-        checks.see("jacobian_vs_fd", np.max(np.abs(fd - phi.jacobian(pts)), axis=(-2, -1)))
+        checks.row("jacobian_vs_fd", "exact Jacobian matches central differences", cfg.tol_fd1,
+                   np.max(np.abs(fd - phi.jacobian(pts)), axis=(-2, -1)))
     Pi_V, Pi_H = splitting_projectors(phi, pts, cfg)
     J = differential_matrix(phi, pts, cfg)
-    checks.see("splitting_projectors", np.max(np.abs(Pi_V + Pi_H - np.eye(M.dim)), axis=(-2, -1)),
-               np.max(np.abs(J @ Pi_V), axis=(-2, -1)), np.max(np.abs(Pi_H @ Pi_V), axis=(-2, -1)))
-    if phi.jacobian is not None:
-        checks.row("jacobian_vs_fd", "exact Jacobian matches central differences", cfg.tol_fd1)
     checks.row("splitting_projectors", "projectors sum to the identity and kill the kernel",
-               cfg.tol_exact * 1e3)
+               cfg.tol_exact * 1e3, np.max(np.abs(Pi_V + Pi_H - np.eye(M.dim)), axis=(-2, -1)),
+               np.max(np.abs(J @ Pi_V), axis=(-2, -1)), np.max(np.abs(Pi_H @ Pi_V), axis=(-2, -1)))
 
     # dilatation against the catalog value, read from the adapted frames at the
     # sample points; every block below reads the frames at the first of them
     frames = adapted_frame(M, D, pts)
     lams, defects = dilatation(geom, frames, cfg)
-    checks.see("conformality_defect", defects)
     if entry.expected_lambda is not None:
-        checks.see("dilatation_value", np.abs(lams - entry.expected_lambda))
-    checks.row("dilatation_value", "dilatation matches the catalog value", cfg.tol_fd1)
+        checks.row("dilatation_value", "dilatation matches the catalog value", cfg.tol_fd1,
+                   np.abs(lams - entry.expected_lambda))
     checks.row("conformality_defect", "horizontal Gram matrix proportional to the identity",
-               cfg.tol_fd1)
+               cfg.tol_fd1, defects)
 
     # second fundamental form symmetry, A-identity, Pi_X displays, evaluated once on
     # the stack of adapted frames at the first sample points.  Per point, the draws
@@ -571,34 +553,30 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     S = S_components(M, D, few, gamma, Pi, cfg)
     x, y, w = np.moveaxis(rng.standard_normal((len(few), 3, M.dim)), 1, 0)
     B = second_fundamental_tensor(phi, few, cfg)
-    checks.see("second_fundamental_symmetric", _g_norm(
-        metric_eval(phi.target, phi.value(few)), _bilinear(B, x, y) - _bilinear(B, y, x)))
+    checks.row("second_fundamental_symmetric", "second fundamental form symmetric in its arguments",
+               cfg.tol_fd2, _g_norm(metric_eval(phi.target, phi.value(few)),
+                                    _bilinear(B, x, y) - _bilinear(B, y, x)))
     readings = A_identity_residuals(geom, np.moveaxis(E[..., :, :k], -1, 0),
                                     np.moveaxis(E[..., :, k:], -1, 0), few, B, S, Pi, cfg)
-    checks.see("a_identity", *(r["asserted"] for r in readings))
-    checks.see("a_identity_printed_sign", *(r["printed"] for r in readings))
+    checks.row("a_identity", "pushforward of A_Y(X) is minus the mixed second fundamental form",
+               cfg.tol_fd2, *(r["asserted"] for r in readings))
+    checks.row("a_identity_printed_sign", "same identity with a plus sign (diagnostic)", cfg.tol_fd2,
+               *(r["printed"] for r in readings), kind="audit")
     X = TangentVector(few, w)
     displays = Pi_X_endo(geom, X, B, cfg) - Pi_X_endo_alt(geom, X, cfg)
-    checks.see("pi_x_displays_agree", np.max(np.abs(displays), axis=(-2, -1)))
-    checks.row("second_fundamental_symmetric",
-               "second fundamental form symmetric in its arguments", cfg.tol_fd2)
-    checks.row("a_identity", "pushforward of A_Y(X) is minus the mixed second fundamental form",
-               cfg.tol_fd2)
-    checks.row("a_identity_printed_sign", "same identity with a plus sign (diagnostic)",
-               cfg.tol_fd2, kind="audit")
     checks.row("pi_x_displays_agree", "two constructions of the horizontal second-form endo agree",
-               cfg.tol_fd2)
+               cfg.tol_fd2, np.max(np.abs(displays), axis=(-2, -1)))
 
     # pushforward of endomorphisms: identity and multiplicativity
     p, Pi_p = pts[0], Pi_H[0]
-    _single(checks, "pushforward_identity", "pushforward of the horizontal identity is the identity",
-            np.max(np.abs(pushforward_endo(geom, p, Pi_p, cfg) - np.eye(k))), cfg.tol_exact * 1e3)
+    checks.row("pushforward_identity", "pushforward of the horizontal identity is the identity",
+               cfg.tol_exact * 1e3, np.max(np.abs(pushforward_endo(geom, p, Pi_p, cfg) - np.eye(k))))
     P0 = Pi_p @ rng.standard_normal((M.dim, M.dim)) @ Pi_p
     Q0 = Pi_p @ rng.standard_normal((M.dim, M.dim)) @ Pi_p
     lhs = pushforward_endo(geom, p, P0 @ Q0, cfg)
     rhs = pushforward_endo(geom, p, P0, cfg) @ pushforward_endo(geom, p, Q0, cfg)
-    _single(checks, "pushforward_multiplicative", "pushforward respects composition",
-            np.max(np.abs(lhs - rhs)), cfg.tol_exact * 1e4)
+    checks.row("pushforward_multiplicative", "pushforward respects composition", cfg.tol_exact * 1e4,
+               np.max(np.abs(lhs - rhs)))
 
     # divergence duality, once on the stack of adapted frames at the first sample points:
     # five random blocks per point, block t against A of vertical column t mod (n - k)
@@ -608,14 +586,14 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     onb = [TangentVector(few, e) for e in np.moveaxis(E, -1, 0)]
     duality = endo_inner(M, few, np.asarray(A_Y_endos(ys, S, Pi)), Cs, onb) + _pairing_at(
         metric_eval(M, few), ys, div_bot(geom, tops, frames, gamma, Pi, cfg))
-    _single(checks, "div_duality", "<A_X | C> = -g(X, vertical divergence of C)",
-            np.ravel(np.abs(duality)), cfg.tol_fd2)
+    checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2,
+               np.ravel(np.abs(duality)))
 
     # the lifted frame
     v = lift_map(geom, frames[:3], Pi[:3], cfg)
     G = v.columns.swapaxes(-1, -2) @ metric_eval(phi.target, v.base) @ v.columns
-    _single(checks, "lifted_frame_gram", "lifted frame Gram equals the dilatation times identity",
-            np.max(np.abs(G - lams[:3, None, None] * np.eye(k)), axis=(-2, -1)), cfg.tol_fd1)
+    checks.row("lifted_frame_gram", "lifted frame Gram equals the dilatation times identity", cfg.tol_fd1,
+               np.max(np.abs(G - lams[:3, None, None] * np.eye(k)), axis=(-2, -1)))
 
     # lift differential: formula vs finite differences, three input types on the stack
     # of frames, all differenced in one call and normed in one; per point, the draws are
@@ -628,7 +606,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     coefficients = rng.standard_normal((len(few), M.dim, 1))
     x = (E[..., :, :k] @ coefficients[:, :k])[..., 0]
     y = (E[..., :, k:] @ coefficients[:, k:])[..., 0]
-    P0 = E @ blk @ E.swapaxes(-1, -2) @ metric_eval(M, few)
+    P0 = _adapted_endo(M, blk, few, E)
     tx, ty = _adapted_horizontal_lifts(M, D, [TangentVector(few, x), TangentVector(few, y)],
                                        frames, gamma, Pi, S)
     cases = (("horizontal-of-H", tx, x), ("horizontal-of-V", ty, y),
@@ -636,8 +614,8 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     d = lift_differential_fd(geom, FrameTangent.stack([t for _, t, _ in cases]), Pi, cfg) - FrameTangent.stack(
         [lift_differential_formula(geom, case, arg, frames, S, B, Pi, cfg) for case, _, arg in cases])
     for (case, _, _), residual in zip(cases, mok_norm(phi.target, d, cfg)):
-        _single(checks, f"differential.{case}", "lift differential formula matches central differences",
-                residual, cfg.tol_fd2)
+        checks.row(f"differential.{case}", "lift differential formula matches central differences",
+                   cfg.tol_fd2, residual)
 
     # kernel / orthogonal distributions of the lift, evaluated once on the stack
     # of adapted frames at the sample points
@@ -646,15 +624,11 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
     kernel = mok_norm(phi.target, lift_differential_fd(
         geom, FrameTangent.stack(Vb), Pi, cfg, check_tangency=False), cfg)  # (len(Vb), len(few))
-    cross = np.abs(mok_gram(M, Vb + Hb, cfg)[:, :len(Vb), len(Vb):]).reshape(len(few), -1).T
-    checks.see("dimension_identity", np.full(len(few), 0.0 if dims_ok else 1.0))
-    checks.see("kernel_distribution", *kernel)
-    checks.see("distribution_orthogonality", *cross)
-    checks.row("kernel_distribution", "lift differential kills the kernel basis", cfg.tol_fd2)
-    checks.row("distribution_orthogonality",
-               "kernel and orthogonal bases have zero Mok cross Gram", cfg.tol_fd1)
-    checks.row("dimension_identity",
-               "kernel and orthogonal dimensions sum to the bundle dimension", 0.5)
+    checks.row("kernel_distribution", "lift differential kills the kernel basis", cfg.tol_fd2, *kernel)
+    checks.row("distribution_orthogonality", "kernel and orthogonal bases have zero Mok cross Gram",
+               cfg.tol_fd1, np.abs(mok_gram(M, Vb + Hb, cfg)[:, :len(Vb), len(Vb):]))
+    checks.row("dimension_identity", "kernel and orthogonal dimensions sum to the bundle dimension",
+               0.5, np.full(len(few), 0.0 if dims_ok else 1.0))
     return checks.reports
 
 
@@ -671,8 +645,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     rep = classify(geom, pts, cfg)
 
     def verdict(key: str, identity: str, got, expect) -> None:
-        checks.see(key, 0.0 if got is expect else 1.0)
-        checks.row(key, identity, 0.5, inconclusive=got is None)
+        checks.row(key, identity, 0.5, 0.0 if got is expect else 1.0, inconclusive=got is None)
 
     flags = [
         ("horizontally_conformal", rep.horizontally_conformal, True if entry.expected_lambda is not None else None),
@@ -686,28 +659,26 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             verdict(f"flag.{name}", f"measured {name} verdict matches the catalog", got, expect)
 
     if entry.expected_lambda is not None:
-        _single(checks, "dilatation_constant", "dilatation constant at the catalog value",
-                np.abs(np.asarray(rep.dilatation_samples) - entry.expected_lambda),
-                cfg.tol_fd1 * (1 + entry.expected_lambda))
+        checks.row("dilatation_constant", "dilatation constant at the catalog value",
+                   cfg.tol_fd1 * (1 + entry.expected_lambda),
+                   np.abs(np.asarray(rep.dilatation_samples) - entry.expected_lambda))
 
     # two-sided conformality of the lift
     if entry.lift_conformal:
-        _single(checks, "lift_defect_small", "measured lift conformality defect below 5e-3",
-                rep.lift_defect_measured, 5e-3)
-        _single(checks, "lift_lambda_constant", "lift dilatation constant (std below 1e-4)",
-                rep.lift_lambda_std, 1e-4)
-        _single(checks, "lift_lambda_matches_base",
-                "lift dilatation equals base dilatation along the projection",
-                rep.lift_lambda_vs_base_max, 1e-4)
+        checks.row("lift_defect_small", "measured lift conformality defect below 5e-3", 5e-3,
+                   rep.lift_defect_measured)
+        checks.row("lift_lambda_constant", "lift dilatation constant (std below 1e-4)", 1e-4,
+                   rep.lift_lambda_std)
+        checks.row("lift_lambda_matches_base", "lift dilatation equals base dilatation along the projection",
+                   1e-4, rep.lift_lambda_vs_base_max)
         if entry.expected_big_lambda is not None:
-            _single(checks, "lift_lambda_value", "lift dilatation matches the catalog value",
-                    np.abs(np.asarray(rep.lift_lambda_samples) - entry.expected_big_lambda),
-                    1e-4 * (1 + entry.expected_big_lambda))
+            checks.row("lift_lambda_value", "lift dilatation matches the catalog value",
+                       1e-4 * (1 + entry.expected_big_lambda),
+                       np.abs(np.asarray(rep.lift_lambda_samples) - entry.expected_big_lambda))
     else:
-        checks.see("lift_defect_large", rep.lift_defect_measured,
-                   np.max(rep.lift_lambda_samples) - np.min(rep.lift_lambda_samples))
         checks.row("lift_defect_large", "measured lift conformality defect above 0.01", 0.01,
-                   invert=True)
+                   rep.lift_defect_measured,
+                   np.max(rep.lift_lambda_samples) - np.min(rep.lift_lambda_samples), invert=True)
 
     verdict("conformality_two_sided", "predicted and measured lift conformality agree",
             rep.verdicts_agree, True)
@@ -720,8 +691,8 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # tension magnitude expectations
     if entry.tension_zero:
-        _single(checks, "tension_zero", "tension field vanishes for the Hopf fibration",
-                rep.tension_max, cfg.tol_fd2)
+        checks.row("tension_zero", "tension field vanishes for the Hopf fibration", cfg.tol_fd2,
+                   rep.tension_max)
     if entry.tension_unit_at is not None:
         p0 = np.array(entry.tension_unit_at)
         y0 = phi.value(p0)
@@ -729,31 +700,27 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         H = mean_curvature_fibers(geom, adapted_frame(phi.source, geom.horizontal, p0),
                                   christoffel(phi.source, p0, cfg), geom.horizontal.projector(p0), cfg)
         pushed = differential_matrix(phi, p0, cfg) @ H.components
-        _single(checks, "tension_norm_one", "tension norm equals 1 at the warped origin",
-                abs(tn - 1.0), 5e-3)
-        _single(checks, "tension_equals_fiber_curvature",
-                "tension norm equals pushed mean-curvature norm",
-                abs(tn - norm(phi.target, y0, pushed)), 5e-3)
+        checks.row("tension_norm_one", "tension norm equals 1 at the warped origin", 5e-3, abs(tn - 1.0))
+        checks.row("tension_equals_fiber_curvature", "tension norm equals pushed mean-curvature norm",
+                   5e-3, abs(tn - norm(phi.target, y0, pushed)))
 
     # the two tension displays agree on constant-dilatation entries
     if entry.expected_lambda is not None:
         two = pts[:2]
         d = tension_field(geom, two, cfg) - tension_conformal_display(geom, two, cfg)
-        _single(checks, "tension_displays_agree", "trace form of the tension matches the conformal form",
-                _g_norm(metric_eval(phi.target, phi.value(two)), d), cfg.tol_fd2)
+        checks.row("tension_displays_agree", "trace form of the tension matches the conformal form",
+                   cfg.tol_fd2, _g_norm(metric_eval(phi.target, phi.value(two)), d))
 
     # direct total-space tension of the lift at one point (4-8 ms on any catalog entry,
     # 2-vCPU x86_64 Xeon, one BLAS thread)
     if entry.lift_tension_at is not None:
         res = lift_tension_direct(geom, np.array(entry.lift_tension_at), cfg)
-        _single(checks, "lift_tension_direct",
-                "ambient tension of the lift into the full frame bundle", res["ambient"], 1e-3)
-        _single(checks, "lift_tension_tangential",
-                "image-tangential tension of the lift (diagnostic)", res["tangential"], 1e-3,
-                kind="audit")
-        _single(checks, "lift_tension_normal",
-                "normal component equals the image curvature (diagnostic)",
-                abs(res["normal"] - entry.lift_tension_normal), 1e-3, kind="audit")
+        checks.row("lift_tension_direct", "ambient tension of the lift into the full frame bundle", 1e-3,
+                   res["ambient"])
+        checks.row("lift_tension_tangential", "image-tangential tension of the lift (diagnostic)", 1e-3,
+                   res["tangential"], kind="audit")
+        checks.row("lift_tension_normal", "normal component equals the image curvature (diagnostic)", 1e-3,
+                   abs(res["normal"] - entry.lift_tension_normal), kind="audit")
     return checks.reports
 
 

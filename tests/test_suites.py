@@ -1,6 +1,9 @@
 """The check accumulator, and what the suites report through it."""
 
 import ast
+import dataclasses
+import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import framelift.suites as suites
 from framelift.adapted import adapted_connection_audit, adapted_frame
 from framelift.catalog import get, sphere_chart
+from framelift.cli import main
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import Frame, connection_audit, reference_frame
 from framelift.geometry import DEFAULT_FD, curvature_tensor, sample_points
@@ -19,89 +23,76 @@ NAN = float("nan")
 
 
 class TestChecks:
-    def test_row_reports_the_worst_value_and_the_see_count(self):
+    def test_row_reports_the_worst_value_and_the_evaluation_count(self):
         checks = Checks("E0.demo")
-        checks.see("a", 1e-9, 3e-9)
-        checks.see("a", 2e-9)
-        r = checks.row("a", "some identity", 1e-8)
+        r = checks.row("a", "some identity", 1e-8, np.array([1e-9, 3e-9, 2e-9]))
         assert (r.name, r.identity, r.residual, r.samples, r.status) == (
-            "E0.demo.a", "some identity", 3e-9, 2, "pass")
+            "E0.demo.a", "some identity", 3e-9, 3, "pass")
         assert r.wall_ms >= 0.0
         assert checks.reports == [r]
 
     def test_rows_are_independent_and_emitted_in_order(self):
         checks = Checks("E0.demo")
-        checks.see("a", 2.0)
-        checks.see("b", 0.5)
-        a = checks.row("a", "big", 1.0)
-        b = checks.row("b", "small", 1.0, kind="audit")
+        a = checks.row("a", "big", 1.0, 2.0)
+        b = checks.row("b", "small", 1.0, 0.5, kind="audit")
         assert [r.name for r in checks.reports] == ["E0.demo.a", "E0.demo.b"]
         assert (a.status, b.status, b.kind, b.samples) == ("fail", "pass", "audit", 1)
 
     def test_invert_and_inconclusive(self):
         checks = Checks("E0.demo")
-        checks.see("big", 0.3)
-        checks.see("flag", 1.0)
-        assert checks.row("big", "exceeds 0.1", 0.1, invert=True).status == "pass"
-        assert checks.row("flag", "verdict", 0.5, inconclusive=True).status == "inconclusive"
+        assert checks.row("big", "exceeds 0.1", 0.1, 0.3, invert=True).status == "pass"
+        assert checks.row("flag", "verdict", 0.5, 1.0, inconclusive=True).status == "inconclusive"
 
-    def test_a_row_without_evaluations_reports_zero_samples(self):
-        r = Checks("E0.demo").row("a", "nothing seen", 1.0)
-        assert (r.residual, r.samples) == (0.0, 0)
+    def test_a_row_without_evaluations_raises(self):
+        checks = Checks("E0.demo")
+        with pytest.raises(ValueError, match="E0.demo.a"):
+            checks.row("a", "nothing seen", 1.0)
+        assert checks.reports == []
 
-    @pytest.mark.parametrize("calls, evaluations", [
-        ([(NAN,), (1e-9,)], 2),
-        ([(1e-9,), (NAN,)], 2),
-        ([(1e-9,), (NAN,), (2e-9,)], 3),
-        ([(1e-9, NAN, 2e-9)], 1),
-        ([(NAN, 1e-9)], 1),
-        ([(np.array([1e-9, NAN, 2e-9]),)], 3),
-        ([(np.array([NAN, 1e-9]),), (3e-9,)], 3),
-        ([(2e-9,), (np.array([1e-9, 1e-9]), np.array([3e-9, NAN]))], 3),
-        ([(np.array([NAN]),), (np.array([5.0, 1e-9]),)], 3),
-    ], ids=["first", "later", "then-finite", "inside-one-call", "first-of-one-call",
+    @pytest.mark.parametrize("values, evaluations", [
+        ((np.array([NAN, 1e-9]),), 2),
+        ((np.array([1e-9, NAN]),), 2),
+        ((np.array([1e-9, NAN]), 2e-9), 2),
+        ((1e-9, NAN, 2e-9), 1),
+        ((NAN, 1e-9), 1),
+        ((np.array([1e-9, NAN, 2e-9]),), 3),
+        ((np.array([NAN, 1e-9]), 3e-9), 2),
+        ((2e-9, np.array([1e-9, 1e-9]), np.array([3e-9, NAN])), 2),
+        ((np.array([NAN]), np.array([5.0, 1e-9])), 2),
+    ], ids=["first", "later", "then-finite", "inside-numbers", "first-of-numbers",
             "inside-a-stack", "first-of-a-stack", "last-of-a-second-stack", "before-a-larger-stack"])
     @pytest.mark.parametrize("invert", [False, True])
-    def test_a_nan_sticks_and_fails_the_row(self, calls, evaluations, invert):
-        checks = Checks("E0.demo")
-        for values in calls:
-            checks.see("a", *values)
-        r = checks.row("a", "some identity", 1e-8, invert=invert)
+    def test_a_nan_sticks_and_fails_the_row(self, values, evaluations, invert):
+        r = Checks("E0.demo").row("a", "some identity", 1e-8, *values, invert=invert)
         assert np.isnan(r.residual) and r.status == "fail"
         assert r.samples == evaluations
 
     def test_a_stack_counts_one_evaluation_per_index_and_reports_its_max(self):
-        checks = Checks("E0.demo")
-        checks.see("a", np.array([1e-9, 4e-9, 2e-9]))
-        r = checks.row("a", "some identity", 1e-8)
+        r = Checks("E0.demo").row("a", "some identity", 1e-8, np.array([1e-9, 4e-9, 2e-9]))
         assert (r.residual, r.samples, r.status) == (4e-9, 3, "pass")
         assert type(r.residual) is float
 
     def test_stacks_broadcast_per_evaluation(self):
-        checks = Checks("E0.demo")
-        checks.see("a", np.array([1e-9, 2e-9]), np.array([3e-9, 1e-9]), 5e-10)
-        checks.see("a", np.array([[1e-9], [6e-9]]))  # trailing axes are values of one evaluation
-        r = checks.row("a", "some identity", 1e-8)
-        assert (r.residual, r.samples) == (6e-9, 4)
+        # trailing axes are values of one evaluation
+        r = Checks("E0.demo").row("a", "some identity", 1e-8, np.array([1e-9, 2e-9]),
+                                  np.array([3e-9, 1e-9]), 5e-10, np.array([[1e-9], [6e-9]]))
+        assert (r.residual, r.samples) == (6e-9, 2)
 
     def test_the_fold_is_order_free(self):
         values = np.array([3e-9, -1.0, 7e-9, 2e-9])
-        stacked, one_by_one = Checks("E0.demo"), Checks("E0.demo")
-        stacked.see("a", values)
-        for v in values[::-1]:
-            one_by_one.see("a", v)
-        a, b = stacked.row("a", "x", 1.0), one_by_one.row("a", "x", 1.0)
+        checks = Checks("E0.demo")
+        a, b = checks.row("a", "x", 1.0, values), checks.row("b", "x", 1.0, values[::-1])
+        c = checks.row("c", "x", 1.0, *values[::-1])
         assert (a.residual, a.samples) == (b.residual, b.samples) == (7e-9, 4)
+        assert (c.residual, c.samples) == (7e-9, 1)
 
     def test_stacks_of_unequal_length_raise(self):
         with pytest.raises(ValueError):
-            Checks("E0.demo").see("a", np.zeros(3), np.zeros(4))
+            Checks("E0.demo").row("a", "x", 1.0, np.zeros(3), np.zeros(4))
 
-    @pytest.mark.parametrize("values", [(1e-9,), (1e-9, 2e-9), (np.float64(1e-9), np.array(2e-9)), ()])
+    @pytest.mark.parametrize("values", [(1e-9,), (1e-9, 2e-9), (np.float64(1e-9), np.array(2e-9))])
     def test_numbers_alone_are_one_evaluation(self, values):
-        checks = Checks("E0.demo")
-        checks.see("a", *values)
-        assert checks.row("a", "x", 1.0).samples == 1
+        assert Checks("E0.demo").row("a", "x", 1.0, *values).samples == 1
 
 
 def test_a_nan_at_a_later_sample_fails_its_suite_row(monkeypatch):
@@ -127,8 +118,12 @@ def test_a_nan_at_a_later_sample_fails_its_suite_row(monkeypatch):
 
 @pytest.mark.parametrize("suite, name, expected", [
     ("tangent", "kernel_distribution", 3),     # max(2, 10 // 3) points
+    ("tangent", "distribution_orthogonality", 3),
+    ("tangent", "frame_projection_differential", 3),  # one per column of E1's 3-frame
     ("adapted", "difference_skew", 5),          # max(3, 10 // 2) points
+    ("adapted", "w_lemma", 20),                 # two (x, y) pairs at each of 10 points
     ("lift", "div_duality", 25),                # 5 points, 5 trials each
+    ("lift", "a_identity", 5),                  # max(3, 10 // 2) points
 ])
 def test_samples_counts_the_evaluations_of_the_row(suite, name, expected):
     entry = get("E1")
@@ -136,47 +131,23 @@ def test_samples_counts_the_evaluations_of_the_row(suite, name, expected):
     assert rows[f"E1.{suite}.{name}"].samples == expected
 
 
-def _fold_only(statements) -> bool:
-    """Whether every statement only feeds ``checks.see``: a call of it, or an ``if`` or
-    ``for`` whose branches hold nothing else."""
-    return all(
-        (isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)
-         and ast.unparse(s.value.func) == "checks.see")
-        or (isinstance(s, (ast.If, ast.For)) and _fold_only(s.body) and _fold_only(s.orelse))
-        for s in statements)
+def test_an_entry_without_a_catalog_dilatation_has_no_dilatation_row():
+    # E3 without a catalog dilatation has nothing to compare its dilatation with
+    rows = suites.suite_lift(dataclasses.replace(get("E3"), expected_lambda=None))
+    names = [r.name for r in rows]
+    assert "E3.lift.dilatation_value" not in names
+    assert "E3.lift.conformality_defect" in names
 
 
-def fold_only_loops(source: str) -> list[int]:
-    """The line of every ``for`` statement in source whose body only feeds ``checks.see``."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.For) and _fold_only(node.body))
-
-
-def test_no_suite_loop_only_feeds_the_accumulator():
-    # a stacked result goes to one see call, which counts one evaluation per index
-    lines = fold_only_loops(Path(suites.__file__).read_text())
-    assert not lines, f"suites.py lines {lines}: pass the stack to checks.see instead of a loop"
-
-
-def test_the_loop_scan_sees_each_kind_of_fold_only_loop():
-    source = '''
-for i in range(3):
-    checks.see("a", res[i])
-for r in rows:
-    if r:
-        checks.see("b", r)
-    else:
-        checks.see("c", r)
-for i in range(2):
-    for r in rows:
-        checks.see("d", r[i])
-for p in pts:
-    v = f(p)
-    checks.see("e", v)
-for key in keys:
-    checks.row(key, "identity", 1.0)
-'''
-    assert fold_only_loops(source) == [2, 4, 9, 10]
+def test_the_report_rows_are_evaluated_and_named_once(tmp_path):
+    path = tmp_path / "report.json"
+    main(["verify", "all", "--seed", "42", "--json", str(path)])
+    rows = json.loads(path.read_text())["results"]
+    assert min(r["samples"] for r in rows) >= 1
+    # the adapted connection audit names two hv readings alike
+    repeated = sorted(name for name, count in Counter(r["name"] for r in rows).items() if count > 1)
+    assert repeated == [f"E{k}.frame.adapted_connection.hv.alt" for k in range(1, 6)]
+    assert len(rows) == len(set(r["name"] for r in rows)) + 5
 
 
 def point_loops(source: str, function: str) -> list[int]:
