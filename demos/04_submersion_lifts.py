@@ -28,6 +28,7 @@ from framelift.submersion import (
     mean_curvature_fibers,
     second_fundamental_form,
     second_fundamental_tensor,
+    splitting,
     tension_field,
     vertical_basis,
 )
@@ -38,9 +39,11 @@ geom = derive_geometry(phi)
 M, D = phi.source, geom.horizontal
 p = sample_points(M, 5, 1)[0]
 u = adapted_frame(M, D, p)
-# Gamma, the horizontal projector, the difference tensor and the second fundamental
-# tensor at p, built once and read by every kernel below
-gamma, Pi = christoffel(M, p), D.projector(p)
+# Gamma, the split (the differential, its horizontal lift and the horizontal projector),
+# the difference tensor and the second fundamental tensor at p, built once and read by
+# every kernel below
+gamma, split = christoffel(M, p), splitting(phi, p)
+Pi = split[2]
 S, B = S_components(M, D, p, gamma, Pi), second_fundamental_tensor(phi, p)
 
 print("== the submersion ==")
@@ -67,11 +70,11 @@ print(v.columns.T @ gN @ v.columns)
 print("\n== the lift differential against central differences ==")
 x = X.components
 t = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
-d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "horizontal-of-H", x, u, S, B, Pi)
+d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "horizontal-of-H", x, u, S, B, split)
 print(f"horizontal input:          residual {mok_norm(phi.target, d):.2e}")
 y = Y.components
 t = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
-d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "horizontal-of-V", y, u, S, B, Pi)
+d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "horizontal-of-V", y, u, S, B, split)
 print(f"vertical input:            residual {mok_norm(phi.target, d):.2e}")
 print("  (the image is the pushforward of minus the A-endomorphism,")
 print("   A_Y =", np.array2string(A_Y_endos([y], S, Pi)[0], precision=3), ")")
@@ -79,7 +82,7 @@ blk = np.zeros((3, 3))
 blk[0, 1], blk[1, 0] = -1.0, 1.0
 P0 = u.columns @ blk @ u.columns.T @ g
 t = fundamental_vertical(P0, u)
-d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "vertical", P0, u, S, B, Pi)
+d = lift_differential_fd(geom, t, Pi) - lift_differential_formula(geom, "vertical", P0, u, S, B, split)
 print(f"fundamental vertical input: residual {mok_norm(phi.target, d):.2e}")
 
 print("\n== kernel and orthogonal distributions ==")

@@ -111,27 +111,30 @@ def _horizontal_span(phi: SubmersionSpec, p: Array, cfg: FDConfig) -> tuple[Arra
     return J, np.linalg.solve(metric_eval(phi.source, p), J.swapaxes(-1, -2))
 
 
-def splitting_projectors(
-    phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
-) -> tuple[Array, Array]:
-    """(Pi_V, Pi_H): g-orthogonal projectors onto ker d(phi) and its complement,
-    at points p (..., n), each (..., n, n).
-
-    d(phi) is rank deficient when the smallest eigenvalue of the k x k SPD
-    matrix J g^-1 J^T is not above k eps times its largest; any such point
-    of the stack raises.
-    """
-    Pi_H = _horizontal_projector(*_horizontal_span(phi, p, cfg))
-    return np.eye(phi.source.dim) - Pi_H, Pi_H
+Split = tuple[Array, Array, Array]  # (J, L, Pi_H), as ``splitting`` returns them
 
 
-def _horizontal_projector(J: Array, A: Array) -> Array:
-    """Pi_H = A (J A)^-1 J from the span (J, A), with the rank check of ``splitting_projectors``."""
+def splitting(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Split:
+    """(J, L, Pi_H) at points p (..., n) from one span: the differential, its horizontal
+    lift L = A (J A)^-1 for A = g^-1 J^T, and the g-orthogonal projector Pi_H = A (J A)^-1 J
+    onto the complement of ker d(phi).  d(phi) is rank deficient where the smallest
+    eigenvalue of the k x k SPD matrix J A is not above k eps times its largest; any such
+    point of the stack raises.  A slice of the three arrays splits a subset of p."""
+    J, A = _horizontal_span(phi, p, cfg)
     JA = J @ A
     eig = np.linalg.eigvalsh(JA)  # ascending
     if not (eig[..., 0] > JA.shape[-1] * np.finfo(float).eps * eig[..., -1]).all():
         raise ValueError("differential is rank deficient at a sample point")
-    return A @ np.linalg.solve(JA, J)
+    return J, A @ np.linalg.inv(JA), A @ np.linalg.solve(JA, J)
+
+
+def splitting_projectors(
+    phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
+) -> tuple[Array, Array]:
+    """(Pi_V, Pi_H): g-orthogonal projectors onto ker d(phi) and its complement,
+    at points p (..., n), each (..., n, n), from ``splitting``."""
+    Pi_H = splitting(phi, p, cfg)[2]
+    return np.eye(phi.source.dim) - Pi_H, Pi_H
 
 
 @dataclass(frozen=True)
@@ -288,57 +291,50 @@ def A_identity_residuals(
                             printed.reshape(-1, *printed.shape[2:]))]
 
 
-def Pi_X_endo(
-    geom: SubmersionGeometry, X: TangentVector, B: Array, cfg: FDConfig = DEFAULT_FD,
-) -> Array:
+def Pi_X_endo(split: Split, x: Array, B: Array) -> Array:
     """(Pi_phi)_X: the endomorphism of the horizontal space with
-    phi_*((Pi_phi)_X Y) = Pi_phi(X, Y), L B(X, Pi_H .) for the horizontal lift L
-    of d(phi) = A (J A)^-1, with Pi_H from the same span; a stack for a stack of X.
-    ``B`` is ``second_fundamental_tensor(phi, X.base)``."""
-    phi, p = geom.phi, X.base
-    J, A = _horizontal_span(phi, p, cfg)
-    B_X = (X.components[..., None, None, :] @ B)[..., 0, :]
-    return A @ np.linalg.inv(J @ A) @ B_X @ _horizontal_projector(J, A)
+    phi_*((Pi_phi)_X Y) = Pi_phi(X, Y), L B(X, Pi_H .) for the caller's
+    split = (J, L, Pi_H), ``splitting`` at the points of x, and B =
+    ``second_fundamental_tensor`` there; a stack for a stack of x."""
+    _, L, Pi_H = split
+    B_X = (np.asarray(x, dtype=float)[..., None, None, :] @ B)[..., 0, :]
+    return L @ B_X @ Pi_H
 
 
 def Pi_X_endo_alt(
-    geom: SubmersionGeometry, X: TangentVector, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, X: TangentVector, split: Split, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """Cross-check variant: lift(nabla^phi_X phi_* Y) - (nabla_X Y)^top for the fields
-    Y = Pi_H d_j, the columns of Pi_H, all at once: one stencil of Pi_H and J Pi_H and
-    one value of each at p, each from one span; a stack for a stack of X."""
+    Y = Pi_H d_j, the columns of Pi_H, all at once: one ``splitting`` on the stencil of
+    Pi_H and J Pi_H along X, and the caller's split = ``splitting`` at X's base points
+    for the values there; a stack for a stack of X."""
     phi, p, x = geom.phi, X.base, X.components
     n = phi.source.dim
 
     def Y_and_pushed(q: Array) -> Array:
-        J, A = _horizontal_span(phi, q, cfg)
-        Pi_H = _horizontal_projector(J, A)
+        J, _, Pi_H = splitting(phi, q, cfg)
         return np.concatenate([Pi_H, J @ Pi_H], axis=-2)
 
     d = directional_diff(Y_and_pushed, p, x, cfg.step_h)
-    J, A = _horizontal_span(phi, p, cfg)
-    Pi_H = _horizontal_projector(J, A)
+    J, L, Pi_H = split
     gx = christoffel_contract(christoffel(phi.source, p, cfg), x)
     gxN = christoffel_contract(christoffel(phi.target, phi.value(p), cfg), (J @ x[..., None])[..., 0])
-    first = A @ np.linalg.inv(J @ A) @ (d[..., n:, :] + gxN @ J @ Pi_H)
+    first = L @ (d[..., n:, :] + gxN @ J @ Pi_H)
     nab = d[..., :n, :] + gx @ Pi_H
     return (first - Pi_H @ nab) @ Pi_H
 
 
-def pushforward_endo(
-    geom: SubmersionGeometry, p: Array, P0: Array, cfg: FDConfig = DEFAULT_FD,
-) -> Array:
+def pushforward_endo(split: Split, P0: Array) -> Array:
     """phi_* P0 on the target, by conjugation with the horizontal isomorphism: J P0 L
-    for the horizontal lift L = A (J A)^-1, with Pi_V = I - Pi_H from the same span."""
-    phi = geom.phi
-    J, A = _horizontal_span(phi, p, cfg)
-    Pi_H = _horizontal_projector(J, A)
-    Pi_V = np.eye(phi.source.dim) - Pi_H
+    for the caller's split = (J, L, Pi_H), ``splitting`` at P0's points.  P0 must be
+    an endomorphism of the horizontal space, which Pi_V = I - Pi_H checks."""
+    J, L, Pi_H = split
+    Pi_V = np.eye(Pi_H.shape[-1]) - Pi_H
     P0 = np.asarray(P0, dtype=float)
     scale = 1.0 + float(np.max(np.abs(P0)))
     if np.max(np.abs(P0 @ Pi_V)) > 1e-6 * scale or np.max(np.abs(Pi_V @ P0 @ Pi_H)) > 1e-6 * scale:
         raise ValueError("pushforward_endo expects an endomorphism of the horizontal space")
-    return J @ P0 @ (A @ np.linalg.inv(J @ A))
+    return J @ P0 @ L
 
 
 def _frame_jet(
@@ -442,13 +438,14 @@ def lift_differential_fd(
 
 
 def lift_differential_formula(
-    geom: SubmersionGeometry, case: str, value, u: Frame, S: Array, B: Array, Pi_H: Array,
-    cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, case: str, value, u: Frame, S: Array, B: Array,
+    split: Split, cfg: FDConfig = DEFAULT_FD,
 ) -> FrameTangent:
     """Closed-form differential of the lift per input type, at the frame u or at a
     stack of frames with one value each, from the caller's values at u's base points:
     S = ``S_components`` of the horizontal distribution, which the A-term contracts,
-    B = ``second_fundamental_tensor``, which (Pi_phi)_X reads, and Pi_H = ``D.projector``.
+    B = ``second_fundamental_tensor``, which (Pi_phi)_X reads, and split = (J, L, Pi_H)
+    = ``splitting``, whose J pushes X forward and conjugates every endomorphism.
 
       horizontal-of-H: X in the horizontal space ->
           (phi_* X)^h + (phi_*(Pi_phi)_X)*
@@ -461,20 +458,17 @@ def lift_differential_formula(
     -phi_*(nabla_X Y) survives); the finite-difference differential
     confirms it.
     """
-    phi = geom.phi
-    p = u.base
+    J, _, Pi_H = split
     v = lift_map(geom, u, Pi_H, cfg)
     if case == "horizontal-of-H":
-        X = TangentVector(p, value)
-        push = pushforward_endo(geom, p, Pi_X_endo(geom, X, B, cfg), cfg)
-        return (horizontal_lift_frame(phi.target, differential(phi, X, cfg), v, cfg)
-                + fundamental_vertical(push, v))
+        x = np.asarray(value, dtype=float)
+        pushed = TangentVector(v.base, (J @ x[..., None])[..., 0])
+        return (horizontal_lift_frame(geom.phi.target, pushed, v, cfg)
+                + fundamental_vertical(pushforward_endo(split, Pi_X_endo(split, x, B)), v))
     if case == "horizontal-of-V":
-        push = pushforward_endo(geom, p, A_Y_endos([value], S, Pi_H)[0], cfg)
-        return fundamental_vertical(-push, v)
+        return fundamental_vertical(-pushforward_endo(split, A_Y_endos([value], S, Pi_H)[0]), v)
     if case == "vertical":
-        top = Pi_H @ np.asarray(value, dtype=float) @ Pi_H
-        return fundamental_vertical(pushforward_endo(geom, p, top, cfg), v)
+        return fundamental_vertical(pushforward_endo(split, Pi_H @ np.asarray(value, dtype=float) @ Pi_H), v)
     raise ValueError(f"unknown case {case!r}")
 
 

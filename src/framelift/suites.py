@@ -87,7 +87,7 @@ from .submersion import (
     mean_curvature_fibers,
     pushforward_endo,
     second_fundamental_tensor,
-    splitting_projectors,
+    splitting,
     tension_conformal_display,
     tension_field,
 )
@@ -251,24 +251,22 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks.row("kernel_constant_extension", "kernel formula under bare constant extension (diagnostic)",
                cfg.tol_fd2, np.array(const), kind="audit")
 
-    # frame-to-tangent-bundle projections are Riemannian submersions
+    # frame-to-tangent-bundle projections are Riemannian submersions, once on n copies of
+    # the frame at the first sample point, copy i for column i; per copy, the draws are
+    # the vector x and the endomorphism P
     p = pts[0]
-    u = Frame(p, reference_frame(M, p))
-    rngp = _rng(seed, 4)
-    differential, isometry = [], []
-    for i in range(n):
-        x = rngp.standard_normal(n)
-        P = rngp.standard_normal((n, n))
-        th = horizontal_lift_frame(M, TangentVector(p, x), u, cfg)
-        t = th + fundamental_vertical(P, u)
-        differential.append(_tm_size(pi_i_differential(M, t, i, cfg)
-                                     - pi_i_differential_fd(M, t, i, cfg)))
-        ti = pi_i_differential(M, th, i, cfg)
-        isometry.append(abs(mok_metric(M, th, th, cfg) - mok_metric(M, ti, ti, cfg)))
+    u = Frame(np.tile(p, (n, 1)), np.tile(reference_frame(M, p), (n, 1, 1)))
+    x, P = np.split(_rng(seed, 4).standard_normal((n, n + n * n)), [n], axis=-1)
+    th = horizontal_lift_frame(M, TangentVector(u.base, x), u, cfg)
+    t = th + fundamental_vertical(P.reshape(n, n, n), u)
+    cols = np.arange(n)
+    differential = _tm_size(pi_i_differential(M, t, cols, cfg) - pi_i_differential_fd(M, t, cols, cfg))
+    ti = pi_i_differential(M, th, cols, cfg)
+    isometry = np.abs(mok_metric(M, th, th, cfg) - mok_metric(M, ti, ti, cfg))
     checks.row("frame_projection_differential", "column projection maps lifts to lifts", cfg.tol_fd1,
-               np.array(differential))
+               differential)
     checks.row("frame_projection_isometry", "column projection is isometric on horizontals",
-               cfg.tol_fd1, np.array(isometry))
+               cfg.tol_fd1, isometry)
     return checks.reports
 
 
@@ -522,13 +520,13 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     k = geom.rank
 
     # differential: exact Jacobian against central differences, and the splitting,
-    # evaluated once on the stack of sample points
+    # evaluated once on the stack of sample points; every block below slices its split
     if phi.jacobian is not None:
         fd = central_diff(phi.map, pts, cfg.step_h).swapaxes(-1, -2)
         checks.row("jacobian_vs_fd", "exact Jacobian matches central differences", cfg.tol_fd1,
                    np.max(np.abs(fd - phi.jacobian(pts)), axis=(-2, -1)))
-    Pi_V, Pi_H = splitting_projectors(phi, pts, cfg)
-    J = differential_matrix(phi, pts, cfg)
+    J, _, Pi_H = split = splitting(phi, pts, cfg)
+    Pi_V = np.eye(M.dim) - Pi_H
     checks.row("splitting_projectors", "projectors sum to the identity and kill the kernel",
                cfg.tol_exact * 1e3, np.max(np.abs(Pi_V + Pi_H - np.eye(M.dim)), axis=(-2, -1)),
                np.max(np.abs(J @ Pi_V), axis=(-2, -1)), np.max(np.abs(Pi_H @ Pi_V), axis=(-2, -1)))
@@ -545,11 +543,12 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # second fundamental form symmetry, A-identity, Pi_X displays, evaluated once on
     # the stack of adapted frames at the first sample points.  Per point, the draws
-    # are (x, y) for the symmetry and X for the displays.  Gamma, Pi_H, S and B there
-    # are built once: every reader below takes them
+    # are (x, y) for the symmetry and X for the displays.  Gamma, the split, S and B
+    # there are built once: every reader below takes them
     frames = frames[:len(few)]
     E = frames.columns
-    gamma, Pi = christoffel(M, few, cfg), Pi_H[:len(few)]
+    split_few = tuple(a[:len(few)] for a in split)
+    gamma, Pi = christoffel(M, few, cfg), split_few[2]
     S = S_components(M, D, few, gamma, Pi, cfg)
     x, y, w = np.moveaxis(rng.standard_normal((len(few), 3, M.dim)), 1, 0)
     B = second_fundamental_tensor(phi, few, cfg)
@@ -562,19 +561,19 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_fd2, *(r["asserted"] for r in readings))
     checks.row("a_identity_printed_sign", "same identity with a plus sign (diagnostic)", cfg.tol_fd2,
                *(r["printed"] for r in readings), kind="audit")
-    X = TangentVector(few, w)
-    displays = Pi_X_endo(geom, X, B, cfg) - Pi_X_endo_alt(geom, X, cfg)
+    displays = Pi_X_endo(split_few, w, B) - Pi_X_endo_alt(geom, TangentVector(few, w), split_few, cfg)
     checks.row("pi_x_displays_agree", "two constructions of the horizontal second-form endo agree",
                cfg.tol_fd2, np.max(np.abs(displays), axis=(-2, -1)))
 
-    # pushforward of endomorphisms: identity and multiplicativity
-    p, Pi_p = pts[0], Pi_H[0]
+    # pushforward of endomorphisms at the first sample point: identity and multiplicativity
+    split_p = tuple(a[0] for a in split)
+    Pi_p = split_p[2]
     checks.row("pushforward_identity", "pushforward of the horizontal identity is the identity",
-               cfg.tol_exact * 1e3, np.max(np.abs(pushforward_endo(geom, p, Pi_p, cfg) - np.eye(k))))
+               cfg.tol_exact * 1e3, np.max(np.abs(pushforward_endo(split_p, Pi_p) - np.eye(k))))
     P0 = Pi_p @ rng.standard_normal((M.dim, M.dim)) @ Pi_p
     Q0 = Pi_p @ rng.standard_normal((M.dim, M.dim)) @ Pi_p
-    lhs = pushforward_endo(geom, p, P0 @ Q0, cfg)
-    rhs = pushforward_endo(geom, p, P0, cfg) @ pushforward_endo(geom, p, Q0, cfg)
+    lhs = pushforward_endo(split_p, P0 @ Q0)
+    rhs = pushforward_endo(split_p, P0) @ pushforward_endo(split_p, Q0)
     checks.row("pushforward_multiplicative", "pushforward respects composition", cfg.tol_exact * 1e4,
                np.max(np.abs(lhs - rhs)))
 
@@ -612,7 +611,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     cases = (("horizontal-of-H", tx, x), ("horizontal-of-V", ty, y),
              ("vertical", fundamental_vertical(P0, frames), P0))
     d = lift_differential_fd(geom, FrameTangent.stack([t for _, t, _ in cases]), Pi, cfg) - FrameTangent.stack(
-        [lift_differential_formula(geom, case, arg, frames, S, B, Pi, cfg) for case, _, arg in cases])
+        [lift_differential_formula(geom, case, arg, frames, S, B, split_few, cfg) for case, _, arg in cases])
     for (case, _, _), residual in zip(cases, mok_norm(phi.target, d, cfg)):
         checks.row(f"differential.{case}", "lift differential formula matches central differences",
                    cfg.tol_fd2, residual)

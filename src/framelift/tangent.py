@@ -158,25 +158,29 @@ def tm_distributions(
 # the frame-to-tangent-bundle projections
 # ---------------------------------------------------------------------------
 
+def _column(E: Array, i: int | Array) -> Array:
+    """Column i of the frames E, (..., n, 1): i is an int, or one index per frame of a stack."""
+    return np.take_along_axis(E, np.broadcast_to(np.asarray(i)[..., None, None], E.shape[:-1] + (1,)), -1)
+
+
 def pi_i_differential(
-    M: ChartManifold, t: FrameTangent, i: int, cfg: FDConfig = DEFAULT_FD
+    M: ChartManifold, t: FrameTangent, i: int | Array, cfg: FDConfig = DEFAULT_FD
 ) -> FrameTangent:
-    """Differential of the i-th column projection of the frame bundle into TM.
+    """Differential of the i-th column projection of the frame bundle into TM; i is an
+    int, or one column index per frame of a stack.
 
     Horizontal lifts map to horizontal lifts at the i-th frame vector and
     fundamental verticals of P map to vertical lifts of P(u_i).
     """
-    u = t.at
-    Z = Frame(u.base, u.columns[..., i:i + 1])
-    hor = horizontal_lift_frame(M, TangentVector(u.base, t.base_rate), Z, cfg)
-    ver = tm_vertical_lift(TangentVector(u.base, (vertical_part(M, t, cfg) @ Z.columns)[..., 0]), Z)
+    Z = Frame(t.at.base, _column(t.at.columns, i))
+    hor = horizontal_lift_frame(M, TangentVector(Z.base, t.base_rate), Z, cfg)
+    ver = tm_vertical_lift(TangentVector(Z.base, (vertical_part(M, t, cfg) @ Z.columns)[..., 0]), Z)
     return hor + ver
 
 
 def pi_i_differential_fd(
-    M: ChartManifold, t: FrameTangent, i: int, cfg: FDConfig = DEFAULT_FD
+    M: ChartManifold, t: FrameTangent, i: int | Array, cfg: FDConfig = DEFAULT_FD
 ) -> FrameTangent:
     """The same differential by central differences of (x, E) -> (x, E[:, i])."""
-    u = t.at
-    rate = frame_diff(lambda x, E: E[..., :, i:i + 1], t, cfg.step_h)
-    return FrameTangent(Frame(u.base, u.columns[..., i:i + 1]), t.base_rate.copy(), rate)
+    rate = frame_diff(lambda x, E: _column(E, i), t, cfg.step_h)
+    return FrameTangent(Frame(t.at.base, _column(t.at.columns, i)), t.base_rate.copy(), rate)

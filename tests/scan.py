@@ -3,7 +3,8 @@
 ``functions(src)`` yields every top-level function and method of the modules in
 ``src`` (``src/framelift`` by default), parsed once per call: the module's stem,
 the qualified name (``function`` or ``Class.method``), the function node and the
-node of its class, None for a function.
+node of its class, None for a function.  ``readers(name, src)`` names the functions
+that call or name ``name``.
 """
 
 import ast
@@ -35,3 +36,11 @@ def functions(src: Path = SRC):
     for stem, module in modules(src):
         for name, fn, cls in members(module):
             yield stem, name, fn, cls
+
+
+def readers(name: str, src: Path = SRC) -> set[str]:
+    """``module.function`` (``module.Class.method``) of every top-level function or method
+    in src that calls or names ``name``, nested functions included."""
+    return {f"{stem}.{qualified}" for stem, qualified, fn, _ in functions(src) if any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name) for node in ast.walk(fn))}

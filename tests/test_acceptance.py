@@ -67,6 +67,7 @@ from framelift.submersion import (
     mean_curvature_fibers,
     differential_matrix,
     second_fundamental_tensor,
+    splitting,
     tension_field,
     vertical_basis,
 )
@@ -330,14 +331,15 @@ def test_criterion_08_lift_differential_lemma():
             x = sum(c * b.components for c, b in
                     zip(rng.standard_normal(k), horizontal_basis(geom, p)))
             S, B, Pi_H = S_at(M, D, p), second_fundamental_tensor(e.phi, p, CFG), D.projector(p)
+            split = splitting(e.phi, p, CFG)
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
-                geom, "horizontal-of-H", x, u, S, B, Pi_H, CFG)
+                geom, "horizontal-of-H", x, u, S, B, split, CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u, CFG)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
-                geom, "horizontal-of-V", y, u, S, B, Pi_H, CFG)
+                geom, "horizontal-of-V", y, u, S, B, split, CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
@@ -347,7 +349,7 @@ def test_criterion_08_lift_differential_lemma():
             P0 = u.columns @ blk @ u.columns.T @ g
             t = fundamental_vertical(P0, u)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
-                geom, "vertical", P0, u, S, B, Pi_H, CFG)
+                geom, "vertical", P0, u, S, B, split, CFG)
             worst = max(worst, mok_norm(e.phi.target, d, CFG))
     ok = worst < 5e-4
     report(8, "lift differential lemma", ok, f"(residual {worst:.3g})")

@@ -10,29 +10,18 @@ K, the one column of the vertical rate on TM.  ``mok_metric``, ``mok_norm`` and
 every table read ``mok_gram``.
 """
 
-import ast
-from pathlib import Path
-
-from scan import SRC, functions
+from scan import readers
 
 READERS = {"frames._vertical_part", "frames._gram", "tangent.connection_map_K"}
 
 
-def vertical_rate_readers(src: Path = SRC) -> set[str]:
-    """``module.function`` (``module.Class.method``) of every top-level function or method
-    of the package that calls or names ``_vertical_rate``, nested functions included."""
-    return {f"{stem}.{name}" for stem, name, fn, _ in functions(src) if any(
-        (isinstance(node, ast.Name) and node.id == "_vertical_rate")
-        or (isinstance(node, ast.Attribute) and node.attr == "_vertical_rate") for node in ast.walk(fn))}
-
-
 def test_every_reader_of_the_vertical_rate_is_a_pairing_kernel():
-    extra = sorted(vertical_rate_readers() - READERS)
+    extra = sorted(readers("_vertical_rate") - READERS)
     assert not extra, "these functions read the vertical rate; pair tangents with mok_gram: " + ", ".join(extra)
 
 
 def test_every_reader_still_reads_the_vertical_rate():
-    assert READERS == vertical_rate_readers()
+    assert READERS == readers("_vertical_rate")
 
 
 def test_the_scan_sees_a_second_pairing(tmp_path):
@@ -63,5 +52,5 @@ class Bundle:
 def reads_the_gram(M, s, t, cfg):
     return mok_gram(M, [s, t], cfg)[..., 0, 1]
 ''')
-    assert vertical_rate_readers(tmp_path) == {
+    assert readers("_vertical_rate", tmp_path) == {
         "m.pairing", "m.through_the_module", "m.nested", "m.handed_on", "m.Bundle.metric"}

@@ -717,8 +717,8 @@ def lift_differential_cases(geom, u, x, c, P):
     """The closed-form lift differential at u for each input type: x, the vertical
     vector with coefficients c and the endomorphism P."""
     S, B = S_at(geom, u.base), submersion_module.second_fundamental_tensor(geom.phi, u.base)
-    Pi_H = geom.horizontal.projector(u.base)
-    return [submersion_module.lift_differential_formula(geom, case, value, u, S, B, Pi_H) for case, value in (
+    split = submersion_module.splitting(geom.phi, u.base)
+    return [submersion_module.lift_differential_formula(geom, case, value, u, S, B, split) for case, value in (
         ("horizontal-of-H", x), ("horizontal-of-V", vertical(geom, u.columns, c)), ("vertical", P))]
 
 
@@ -732,6 +732,11 @@ def vectors(*shape):
 
 def endos(*shape):
     return lambda geom, rng: rng.standard_normal((3, *shape) + (geom.phi.source.dim,) * 2)
+
+
+def columns(geom, rng):
+    """A frame column index at each of 3 frames."""
+    return rng.integers(geom.phi.source.dim, size=3)
 
 
 def audit_fields(geom, bundle):
@@ -853,12 +858,13 @@ FRAME_FUNCTIONS = {
     "frames.fd_bracket_on_chart": ([], lambda geom, u: od_oracle(geom, u, frames_module.fd_bracket_on_chart)),
     "frames.gauss_projection": ([vectors(), endos()], lambda geom, u, x, P: projected(geom, u, tangent_at(geom, u, x, P))),
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
-    "tangent.pi_i_differential": ([vectors(), endos()], lambda geom, u, x, P: [
+    # each column of every frame, then one column per frame
+    "tangent.pi_i_differential": ([vectors(), endos(), columns], lambda geom, u, x, P, c: [
         tangent_module.pi_i_differential(geom.phi.source, tangent_at(geom, u, x, P), i)
-        for i in range(geom.phi.source.dim)]),
-    "tangent.pi_i_differential_fd": ([vectors(), endos()], lambda geom, u, x, P: [
+        for i in [*range(geom.phi.source.dim), c]]),
+    "tangent.pi_i_differential_fd": ([vectors(), endos(), columns], lambda geom, u, x, P, c: [
         tangent_module.pi_i_differential_fd(geom.phi.source, tangent_at(geom, u, x, P), i)
-        for i in range(geom.phi.source.dim)]),
+        for i in [*range(geom.phi.source.dim), c]]),
 }
 STACKED = sorted(name for name, case in FRAME_FUNCTIONS.items() if not isinstance(case, str))
 
@@ -955,6 +961,7 @@ POINT_FUNCTIONS = {
         geom.phi, p)),
     "submersion.differential": ([vectors()], lambda geom, p, x: submersion_module.differential(
         geom.phi, TangentVector(p, x))),
+    "submersion.splitting": ([], lambda geom, p: submersion_module.splitting(geom.phi, p)),
     "submersion.splitting_projectors": ([], lambda geom, p: splitting_projectors(geom.phi, p)),
     "submersion.horizontal_basis": ([], lambda geom, p: submersion_module.horizontal_basis(geom, p)),
     "submersion.vertical_basis": ([], lambda geom, p: submersion_module.vertical_basis(geom, p)),
@@ -968,11 +975,9 @@ POINT_FUNCTIONS = {
             geom.horizontal.projector(p))
         for reading in ("asserted", "printed")])),
     "submersion.Pi_X_endo": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo(
-        geom, TangentVector(p, x), submersion_module.second_fundamental_tensor(geom.phi, p))),
+        submersion_module.splitting(geom.phi, p), x, submersion_module.second_fundamental_tensor(geom.phi, p))),
     "submersion.Pi_X_endo_alt": ([vectors()], lambda geom, p, x: submersion_module.Pi_X_endo_alt(
-        geom, TangentVector(p, x))),
-    "submersion.pushforward_endo": ([endos()], lambda geom, p, P: submersion_module.pushforward_endo(
-        geom, p, horizontal_endo(geom, p, P))),
+        geom, TangentVector(p, x), submersion_module.splitting(geom.phi, p))),
     "submersion.tension_field": ([], lambda geom, p: submersion_module.tension_field(geom, p)),
     "submersion.tension_conformal_display": ([], lambda geom, p: (
         submersion_module.tension_conformal_display(geom, p))),
@@ -1019,10 +1024,13 @@ def g_skew(M, p, K):
 
 # The projector algebra that the adapted and lift suites run at their stacks of sample
 # points, in the form of POINT_FUNCTIONS, on the horizontal distribution of each example.
-# A_Y_endos reads S and the projector values only, as block_decompose reads the latter.
+# A_Y_endos reads S and the projector values only, as block_decompose reads the latter,
+# and pushforward_endo reads the split.
 PROJECTOR_FUNCTIONS = {
     "submersion.A_Y_endos": ([], lambda geom, p: frame_pairs(
         geom, p, lambda xs, ys: submersion_module.A_Y_endos(ys, S_at(geom, p), geom.horizontal.projector(p)))),
+    "submersion.pushforward_endo": ([endos()], lambda geom, p, P: submersion_module.pushforward_endo(
+        submersion_module.splitting(geom.phi, p), horizontal_endo(geom, p, P))),
     "geometry.skew_defect": ([endos()], lambda geom, p, K: geometry_module.skew_defect(
         geom.phi.source, p, K)),
     "adapted.projector_defects": ([], lambda geom, p: list(adapted_module.projector_defects(

@@ -65,6 +65,7 @@ from framelift.submersion import (
     pushforward_endo,
     second_fundamental_form,
     second_fundamental_tensor,
+    splitting,
     splitting_projectors,
     tension_conformal_display,
     tension_field,
@@ -73,6 +74,7 @@ from framelift.submersion import (
 from framelift.suites import suite_theorems
 from lift_tension import lift_tension_by_columns
 from pullback import horizontal_lift_matrix, pullback_connection
+from scan import readers
 
 E = {eid: get(eid) for eid in ("E1", "E2", "E3", "E4", "E5")}
 GEOM = {eid: derive_geometry(e.phi) for eid, e in E.items()}
@@ -92,6 +94,11 @@ def S_at(geom, p):
 def Pi_at(geom, p):
     """The horizontal projector at the point or stack p, as a caller holds it."""
     return geom.horizontal.projector(p)
+
+
+def split_at(geom, p):
+    """(J, L, Pi_H) of the submersion at the point or stack p, as a caller holds them."""
+    return splitting(geom.phi, p)
 
 
 def held(geom, p):
@@ -145,6 +152,15 @@ class TestSplitting:
             assert np.max(np.abs(Pi_V + Pi_H - np.eye(E[eid].phi.source.dim))) < 1e-12
             J = differential_matrix(E[eid].phi, p)
             assert np.max(np.abs(J @ Pi_V)) < 1e-12
+
+    def test_the_split_lifts_the_differential_onto_the_horizontal_space(self):
+        for eid in E:
+            phi, p = E[eid].phi, entry_point(eid)
+            J, L, Pi_H = splitting(phi, p)
+            assert np.array_equal(J, differential_matrix(phi, p))
+            assert np.array_equal(Pi_H, splitting_projectors(phi, p)[1])
+            assert np.max(np.abs(J @ L - np.eye(phi.target.dim))) < 1e-12
+            assert np.max(np.abs(L @ J - Pi_H)) < 1e-12
 
     def test_hopf_fiber_dimension(self):
         p = entry_point("E3")
@@ -297,9 +313,8 @@ class TestPiXEndo:
         rng = np.random.default_rng(28)
         for eid in ("E1", "E2", "E5"):
             p = entry_point(eid)
-            X = TangentVector(p, rng.standard_normal(3))
             B = second_fundamental_tensor(E[eid].phi, p)
-            assert np.max(np.abs(Pi_X_endo(GEOM[eid], X, B))) < 1e-7
+            assert np.max(np.abs(Pi_X_endo(split_at(GEOM[eid], p), rng.standard_normal(3), B))) < 1e-7
 
     def test_displays_agree(self):
         rng = np.random.default_rng(29)
@@ -307,8 +322,9 @@ class TestPiXEndo:
             p = entry_point(eid)
             n = E[eid].phi.source.dim
             X = TangentVector(p, rng.standard_normal(n))
-            a = Pi_X_endo(GEOM[eid], X, second_fundamental_tensor(E[eid].phi, p))
-            b = Pi_X_endo_alt(GEOM[eid], X)
+            split = split_at(GEOM[eid], p)
+            a = Pi_X_endo(split, X.components, second_fundamental_tensor(E[eid].phi, p))
+            b = Pi_X_endo_alt(GEOM[eid], X, split)
             assert np.max(np.abs(a - b)) < 5e-4
 
     @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
@@ -335,45 +351,43 @@ class TestPiXEndo:
                 cols.append(horizontal_lift_matrix(phi, p) @ pullback_connection(phi, X, pushed)
                             - Pi_H @ nab)
             want = np.stack(cols, axis=-1) @ Pi_H
-            assert np.max(np.abs(Pi_X_endo_alt(GEOM[eid], X) - want)) < 1e-9
+            assert np.max(np.abs(Pi_X_endo_alt(GEOM[eid], X, splitting(phi, p)) - want)) < 1e-9
 
     def test_linearity(self):
         p = entry_point("E3")
         x, y = np.random.default_rng(30).standard_normal((2, 3))
-        B = second_fundamental_tensor(E["E3"].phi, p)
-        a = Pi_X_endo(GEOM["E3"], TangentVector(p, x), B)
-        b = Pi_X_endo(GEOM["E3"], TangentVector(p, y), B)
-        c = Pi_X_endo(GEOM["E3"], TangentVector(p, 2.0 * x - 0.5 * y), B)
+        B, split = second_fundamental_tensor(E["E3"].phi, p), split_at(GEOM["E3"], p)
+        a = Pi_X_endo(split, x, B)
+        b = Pi_X_endo(split, y, B)
+        c = Pi_X_endo(split, 2.0 * x - 0.5 * y, B)
         assert np.max(np.abs(c - (2.0 * a - 0.5 * b))) < 1e-6
 
 
 class TestPushforward:
     def test_identity(self):
-        p = entry_point("E3")
-        _, Pi_H = splitting_projectors(E["E3"].phi, p)
-        out = pushforward_endo(GEOM["E3"], p, Pi_H)
+        split = split_at(GEOM["E3"], entry_point("E3"))
+        out = pushforward_endo(split, split[2])
         assert np.max(np.abs(out - np.eye(2))) < 1e-10
 
     def test_diagonal_scaling_commutes(self):
         p = np.array([0.1, 0.2, 0.3])
         P0 = np.diag([0.5, 2.0, 0.0])
-        out = pushforward_endo(GEOM["E5"], p, P0)
+        out = pushforward_endo(split_at(GEOM["E5"], p), P0)
         assert np.allclose(out, np.diag([0.5, 2.0]), atol=1e-12)
 
     def test_multiplicative(self):
         rng = np.random.default_rng(31)
-        p = entry_point("E3")
-        _, Pi_H = splitting_projectors(E["E3"].phi, p)
+        split = split_at(GEOM["E3"], entry_point("E3"))
+        Pi_H = split[2]
         P0 = Pi_H @ rng.standard_normal((3, 3)) @ Pi_H
         Q0 = Pi_H @ rng.standard_normal((3, 3)) @ Pi_H
-        lhs = pushforward_endo(GEOM["E3"], p, P0 @ Q0)
-        rhs = pushforward_endo(GEOM["E3"], p, P0) @ pushforward_endo(GEOM["E3"], p, Q0)
+        lhs = pushforward_endo(split, P0 @ Q0)
+        rhs = pushforward_endo(split, P0) @ pushforward_endo(split, Q0)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_rejects_vertical_component(self):
-        p = entry_point("E3")
         with pytest.raises(ValueError):
-            pushforward_endo(GEOM["E3"], p, np.eye(3))
+            pushforward_endo(split_at(GEOM["E3"], entry_point("E3")), np.eye(3))
 
 
 class TestDivergenceDuality:
@@ -453,13 +467,14 @@ class TestLiftDifferential:
                     zip(rng.standard_normal(k), horizontal_basis(geom, p)))
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
             S, B, Pi_H = S_at(geom, p), second_fundamental_tensor(phi, p), Pi_at(geom, p)
+            split = split_at(geom, p)
             d = lift_differential_fd(geom, t, Pi_H) - lift_differential_formula(
-                geom, "horizontal-of-H", x, u, S, B, Pi_H)
+                geom, "horizontal-of-H", x, u, S, B, split)
             assert mok_norm(phi.target, d) < 5e-4
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
             d = lift_differential_fd(geom, t, Pi_H) - lift_differential_formula(
-                geom, "horizontal-of-V", y, u, S, B, Pi_H)
+                geom, "horizontal-of-V", y, u, S, B, split)
             assert mok_norm(phi.target, d) < 5e-4
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
@@ -467,7 +482,7 @@ class TestLiftDifferential:
             P0 = u.columns @ blk @ u.columns.T @ g
             t = fundamental_vertical(P0, u)
             d = lift_differential_fd(geom, t, Pi_H) - lift_differential_formula(
-                geom, "vertical", P0, u, S, B, Pi_H)
+                geom, "vertical", P0, u, S, B, split)
             assert mok_norm(phi.target, d) < 5e-4
 
     def test_totally_geodesic_pure_horizontal(self):
@@ -476,7 +491,7 @@ class TestLiftDifferential:
         u = adapted_frame(E["E1"].phi.source, geom.horizontal, p)
         x = np.array([1.0, 1.0, 0.0])
         out = lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p),
-                                        second_fundamental_tensor(geom.phi, p), Pi_at(geom, p))
+                                        second_fundamental_tensor(geom.phi, p), split_at(geom, p))
         assert np.max(np.abs(out.frame_rate)) < 1e-10
         assert np.allclose(out.base_rate, [1.0, 1.0])
 
@@ -486,7 +501,7 @@ class TestLiftDifferential:
         u = adapted_frame(E["E2"].phi.source, geom.horizontal, p)
         y = vertical_basis(geom, p)[0].components
         out = lift_differential_formula(geom, "horizontal-of-V", y, u, S_at(geom, p),
-                                        second_fundamental_tensor(geom.phi, p), Pi_at(geom, p))
+                                        second_fundamental_tensor(geom.phi, p), split_at(geom, p))
         assert mok_norm(E["E2"].phi.target, out) < 1e-8
 
     def test_fd_rejects_non_tangent(self):
@@ -879,32 +894,39 @@ class TestPerPointCosts:
         fn(geom, u, gamma, Pi_H)
         assert list(counted.counts().values()) == [1, 0, 0, fn is not fiber_second_fundamental_form]
 
-    def test_Pi_X_endo_alt_reads_the_projector_on_one_stencil_and_at_p(self, calls):
+    def test_Pi_X_endo_alt_splits_once_on_its_stencil(self, calls):
         geom = GEOM["E3"]
         p = sample_points(geom.phi.source, 32, 3)
-        counted = calls("_horizontal_projector")
-        Pi_X_endo_alt(geom, TangentVector(p, np.ones_like(p)))
-        assert counted.counts() == {"_horizontal_projector": 2}  # the stencil for every column, and Pi_H(p)
+        split = split_at(geom, p)
+        counted = calls("splitting")
+        Pi_X_endo_alt(geom, TangentVector(p, np.ones_like(p)), split)
+        # the stencil for every column; the values at p are the caller's
+        assert [c.args[1].shape for c in counted["splitting"]] == [(2, 3, 3)]
 
-    def test_Pi_X_endo_builds_one_horizontal_span(self, calls):
-        geom = GEOM["E3"]
-        p = sample_points(geom.phi.source, 33, 5)
-        X = TangentVector(p, np.ones_like(p))
-        spans = calls("_horizontal_span")["_horizontal_span"]
-        Pi_X_endo(geom, X, second_fundamental_tensor(geom.phi, p))
-        assert len(spans) == 1  # Pi_H and the lift A (J A)^-1 read one span
-        spans.clear()
-        Pi_X_endo_alt(geom, X)
-        assert len(spans) == 2  # the stencil for every column, and p
+    def test_the_horizontal_span_has_two_readers(self):
+        # the split, which every closed form reads from its caller, and the seed frame
+        assert readers("_horizontal_span") == {"submersion.splitting", "submersion.derive_geometry"}
 
-    def test_pushforward_endo_builds_one_horizontal_span(self, calls):
-        geom = GEOM["E3"]
-        p = sample_points(geom.phi.source, 34, 1)[0]
-        _, Pi_H = splitting_projectors(geom.phi, p)
-        P0 = Pi_H @ np.random.default_rng(34).standard_normal((3, 3)) @ Pi_H
-        counted = calls("_horizontal_span")
-        pushforward_endo(geom, p, P0)
-        assert counted.counts() == {"_horizontal_span": 1}  # Pi_V, Pi_H and the lift A (J A)^-1 read one span
+    def test_the_reader_scan_sees_a_second_home_of_the_span(self, tmp_path):
+        (tmp_path / "m.py").write_text('''
+def splitting(phi, p, cfg):
+    J, A = _horizontal_span(phi, p, cfg)
+    return J, A @ np.linalg.inv(J @ A), A @ np.linalg.solve(J @ A, J)
+
+def pushforward_endo(geom, p, P0, cfg):
+    J, A = _horizontal_span(geom.phi, p, cfg)
+    return J @ P0 @ A @ np.linalg.inv(J @ A)
+
+def derive_geometry(phi, cfg):
+    def seed_frame(q):
+        return submersion._horizontal_span(phi, q, cfg)[1]
+    return seed_frame
+
+def Pi_X_endo(split, x, B):
+    _, L, Pi_H = split
+    return L @ (x @ B) @ Pi_H
+''')
+        assert readers("_horizontal_span", tmp_path) == {"m.splitting", "m.pushforward_endo", "m.derive_geometry"}
 
     def test_div_bot_reads_the_callers_christoffel(self, calls):
         geom = GEOM["E3"]
@@ -1022,8 +1044,9 @@ class TestOracleIndependence:
         u = framed(geom, p)
         x = np.random.default_rng(29).standard_normal(M.dim)
         gamma, Pi_H = held(geom, p)
+        split = split_at(geom, p)
         tensors = calls("second_fundamental_tensor")["second_fundamental_tensor"]
-        Pi_X_endo_alt(geom, TangentVector(p, x))
+        Pi_X_endo_alt(geom, TangentVector(p, x), split)
         lift_differential_fd(geom, adapted_horizontal_lift(M, D, TangentVector(p, x), u), Pi_H)
         fiber_second_fundamental_form(geom, u, gamma, Pi_H)
         mean_curvature_fibers(geom, u, gamma, Pi_H)
@@ -1031,7 +1054,7 @@ class TestOracleIndependence:
         tension_field(geom, p)
         assert len(tensors) == 1
         B = submersion_module.second_fundamental_tensor(geom.phi, p)
-        Pi_X_endo(geom, TangentVector(p, x), B)
+        Pi_X_endo(split, x, B)
         assert len(tensors) == 2  # the formula reads the caller's tensor
-        lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p), B, Pi_H)
+        lift_differential_formula(geom, "horizontal-of-H", x, u, S_at(geom, p), B, split)
         assert len(tensors) == 2  # and so does the lift differential, for its Pi_X_endo

@@ -169,10 +169,16 @@ def point_loops(source: str, function: str) -> list[int]:
         isinstance(name, ast.Name) and name.id in points for name in ast.walk(node.iter)))
 
 
-@pytest.mark.parametrize("suite", ["suite_core", "suite_frame", "suite_adapted", "suite_lift"])
+# The one suite that still loops over points, and the number of its loops: the tangent
+# suite's distribution block builds the kernel's null space at each of its 3 points
+POINT_LOOPS = {"suite_tangent": 1}
+
+
+@pytest.mark.parametrize("suite", [f.__name__ for f in suites.SUITES.values()])
 def test_suite_runs_no_loop_over_its_sample_points(suite):
     lines = point_loops(Path(suites.__file__).read_text(), suite)
-    assert not lines, f"suites.py lines {lines}: run the block once on the stack of points"
+    assert len(lines) == POINT_LOOPS.get(suite, 0), (
+        f"suites.py lines {lines}: run the block once on the stack of points")
 
 
 def test_the_point_loop_scan_sees_each_loop_over_the_sample_points():
