@@ -12,7 +12,7 @@ coordinates restricted to the block-diagonal subalgebra so(k) + so(n-k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,9 +62,8 @@ class DistributionSpec:
     """A rank-k distribution via its g-orthogonal projector field.
 
     ``seed_frame`` maps p to an (n, n) matrix whose first k columns span D
-    and whose other n-k columns span its orthogonal complement.  It is
-    required wherever a smooth adapted frame field is built; the catalog
-    always provides it.
+    and whose other n-k columns span its orthogonal complement; it is
+    required, as every adapted frame is built from it.
 
     Both fields take points with leading axes, p of shape (..., n), and
     return (..., n, n), as the fields of a ``ChartManifold`` do; a stack's
@@ -75,7 +74,7 @@ class DistributionSpec:
 
     rank: int
     projector_field: Callable[[Array], Array]
-    seed_frame: Optional[Callable[[Array], Array]] = None
+    seed_frame: Callable[[Array], Array]
 
     def projector(self, p: Array) -> Array:
         return np.asarray(self.projector_field(p), dtype=float)
@@ -102,8 +101,6 @@ def adapted_frame(M: ChartManifold, D: DistributionSpec, p: Array) -> Frame:
     one stencil of the whole frame over their directions and read their
     columns from it.
     """
-    if D.seed_frame is None:
-        raise ValueError("adapted frame requires a seed frame")
     p = np.asarray(p, dtype=float)
     V = np.asarray(D.seed_frame(p), dtype=float).swapaxes(-1, -2)  # rows: the seed vectors
     E = orthonormalizer(V @ metric_eval(M, p) @ V.swapaxes(-1, -2)) @ V  # rows: the frame

@@ -65,10 +65,9 @@ from .adapted import (
 class SubmersionSpec:
     """A coordinate submersion between two charts.
 
-    ``jacobian`` (target_dim, source_dim) is used exactly when present and
-    replaced by central differences otherwise.  ``vertical_fields`` are
-    smooth fields spanning the kernel of the differential; the catalog
-    always provides them.
+    ``jacobian`` (target_dim, source_dim) is the exact differential and
+    ``vertical_fields`` are smooth fields spanning its kernel; both are
+    required, as the horizontal splitting and the adapted seed frame read them.
 
     ``map``, ``jacobian`` and the fields' ``eval`` take points with leading
     axes, p of shape (..., source_dim), and return their value per point with
@@ -80,47 +79,36 @@ class SubmersionSpec:
     source: ChartManifold
     target: ChartManifold
     map: Callable[[Array], Array]
-    jacobian: Optional[Callable[[Array], Array]] = None
-    vertical_fields: Optional[Sequence[VectorField]] = None
+    jacobian: Callable[[Array], Array]
+    vertical_fields: Sequence[VectorField]
     name: str = ""
 
     def value(self, p: Array) -> Array:
         return np.asarray(self.map(p), dtype=float)
 
 
-def differential_matrix(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
+def differential_matrix(phi: SubmersionSpec, p: Array) -> Array:
     """Jacobian d(phi) at points p (..., source_dim), shape (..., target_dim, source_dim)."""
-    if phi.jacobian is not None:
-        return np.asarray(phi.jacobian(p), dtype=float)
-    return central_diff(phi.map, p, cfg.step_h).swapaxes(-1, -2)
+    return np.asarray(phi.jacobian(p), dtype=float)
 
 
-def differential(phi: SubmersionSpec, X: TangentVector, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
-    """Pushforward of a tangent vector, or of a stack of them."""
-    p = X.base
-    if not phi.source.contains(p):
-        raise ValueError("point outside source domain")
-    J = differential_matrix(phi, p, cfg)
-    return TangentVector(phi.value(p), (J @ X.components[..., None])[..., 0])
-
-
-def _horizontal_span(phi: SubmersionSpec, p: Array, cfg: FDConfig) -> tuple[Array, Array]:
+def _horizontal_span(phi: SubmersionSpec, p: Array) -> tuple[Array, Array]:
     """(J, A) at points p: the differential and A = g^-1 J^T, whose columns span
     the horizontal space."""
-    J = differential_matrix(phi, p, cfg)
+    J = differential_matrix(phi, p)
     return J, np.linalg.solve(metric_eval(phi.source, p), J.swapaxes(-1, -2))
 
 
 Split = tuple[Array, Array, Array]  # (J, L, Pi_H), as ``splitting`` returns them
 
 
-def splitting(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Split:
+def splitting(phi: SubmersionSpec, p: Array) -> Split:
     """(J, L, Pi_H) at points p (..., n) from one span: the differential, its horizontal
     lift L = A (J A)^-1 for A = g^-1 J^T, and the g-orthogonal projector Pi_H = A (J A)^-1 J
     onto the complement of ker d(phi).  d(phi) is rank deficient where the smallest
     eigenvalue of the k x k SPD matrix J A is not above k eps times its largest; any such
     point of the stack raises.  A slice of the three arrays splits a subset of p."""
-    J, A = _horizontal_span(phi, p, cfg)
+    J, A = _horizontal_span(phi, p)
     JA = J @ A
     eig = np.linalg.eigvalsh(JA)  # ascending
     if not (eig[..., 0] > JA.shape[-1] * np.finfo(float).eps * eig[..., -1]).all():
@@ -128,12 +116,10 @@ def splitting(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD) -> Spli
     return J, A @ np.linalg.inv(JA), A @ np.linalg.solve(JA, J)
 
 
-def splitting_projectors(
-    phi: SubmersionSpec, p: Array, cfg: FDConfig = DEFAULT_FD
-) -> tuple[Array, Array]:
+def splitting_projectors(phi: SubmersionSpec, p: Array) -> tuple[Array, Array]:
     """(Pi_V, Pi_H): g-orthogonal projectors onto ker d(phi) and its complement,
     at points p (..., n), each (..., n, n), from ``splitting``."""
-    Pi_H = splitting(phi, p, cfg)[2]
+    Pi_H = splitting(phi, p)[2]
     return np.eye(phi.source.dim) - Pi_H, Pi_H
 
 
@@ -149,28 +135,22 @@ class SubmersionGeometry:
         return self.horizontal.rank
 
 
-def derive_geometry(phi: SubmersionSpec, cfg: FDConfig = DEFAULT_FD) -> SubmersionGeometry:
+def derive_geometry(phi: SubmersionSpec) -> SubmersionGeometry:
     """Build the horizontal DistributionSpec: the projector and the seed frame.
 
     The seed frame at q is g^-1 J^T (one solve) followed by the kernel fields.
     Both take points with leading axes, as ``SubmersionSpec`` does.
     """
-    k = phi.target.dim
 
     def projector(q: Array) -> Array:
-        return splitting_projectors(phi, q, cfg)[1]
+        return splitting_projectors(phi, q)[1]
 
     def seed_frame(q: Array) -> Array:
-        _, A = _horizontal_span(phi, q, cfg)
-        if phi.vertical_fields is not None:
-            vertical = [np.asarray(f.eval(q), dtype=float)[..., None] for f in phi.vertical_fields]
-        else:
-            # project the last n-k coordinate directions; adequate only when
-            # they stay independent over the sampling region
-            vertical = [splitting_projectors(phi, q, cfg)[0][..., k:]]
+        _, A = _horizontal_span(phi, q)
+        vertical = [np.asarray(f.eval(q), dtype=float)[..., None] for f in phi.vertical_fields]
         return np.concatenate([A, *vertical], axis=-1)
 
-    horizontal = DistributionSpec(rank=k, projector_field=projector, seed_frame=seed_frame)
+    horizontal = DistributionSpec(rank=phi.target.dim, projector_field=projector, seed_frame=seed_frame)
     return SubmersionGeometry(phi=phi, horizontal=horizontal)
 
 
@@ -185,9 +165,7 @@ def vertical_basis(geom: SubmersionGeometry, p: Array) -> list[TangentVector]:
     return [TangentVector(p, E[..., :, a]) for a in range(geom.rank, geom.phi.source.dim)]
 
 
-def dilatation(
-    geom: SubmersionGeometry, u: Frame, cfg: FDConfig = DEFAULT_FD,
-) -> tuple[Array, Array]:
+def dilatation(geom: SubmersionGeometry, u: Frame) -> tuple[Array, Array]:
     """(lambda, defect): g_N(phi_* X, phi_* Y) = lambda g_M(X, Y) on horizontals.
 
     lambda is the mean of the horizontal Gram diagonal; the defect is the
@@ -198,7 +176,7 @@ def dilatation(
     with lambda <= 0 raises.
     """
     phi, k, p = geom.phi, geom.rank, u.base
-    JE = differential_matrix(phi, p, cfg) @ u.columns[..., :, :k]
+    JE = differential_matrix(phi, p) @ u.columns[..., :, :k]
     G = JE.swapaxes(-1, -2) @ metric_eval(phi.target, phi.value(p)) @ JE  # Gram of the pushed E_H
     lam = np.trace(G, axis1=-2, axis2=-1) / k
     defect = np.max(np.abs(G - lam[..., None, None] * np.eye(k)), axis=(-2, -1))
@@ -218,8 +196,8 @@ def second_fundamental_tensor(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEF
     pairs, (Pi_phi)_X, the A-identity, the tension field and ``classify``.
     """
     p = np.asarray(p, dtype=float)
-    J = differential_matrix(phi, p, cfg)
-    dJ = central_diff(lambda q: differential_matrix(phi, q, cfg), p, cfg.step_h)  # [..., i, c, j]
+    J = differential_matrix(phi, p)
+    dJ = central_diff(lambda q: differential_matrix(phi, q), p, cfg.step_h)  # [..., i, c, j]
     gamma_N = christoffel(phi.target, phi.value(p), cfg)
     pulled = J.swapaxes(-1, -2)[..., None, :, :] @ gamma_N @ J[..., None, :, :]
     return (dJ.swapaxes(-3, -2) + pulled
@@ -266,7 +244,7 @@ def A_Y_endos(ys: Sequence[Array], S: Array, Pi_H: Array) -> list[Array]:
 
 def A_identity_residuals(
     geom: SubmersionGeometry, xs: Sequence[Array], ys: Sequence[Array], p: Array, B: Array,
-    S: Array, Pi_H: Array, cfg: FDConfig = DEFAULT_FD,
+    S: Array, Pi_H: Array,
 ) -> list[dict[str, Array]]:
     """Residuals of phi_* A_Y(X) = sign * Pi_phi(X, Y), horizontal X, vertical Y.
 
@@ -279,7 +257,7 @@ def A_identity_residuals(
     points p (..., n) each x and y is a vector per point, and so is each residual.
     """
     phi = geom.phi
-    J = differential_matrix(phi, p, cfg)
+    J = differential_matrix(phi, p)
     gN = metric_eval(phi.target, phi.value(p))
     A = np.asarray(A_Y_endos(ys, S, Pi_H))  # (len(ys), ..., n, n)
     x = np.asarray(xs, dtype=float)[:, None]  # (len(xs), 1, ..., n): pairs broadcast x-major
@@ -312,7 +290,7 @@ def Pi_X_endo_alt(
     n = phi.source.dim
 
     def Y_and_pushed(q: Array) -> Array:
-        J, _, Pi_H = splitting(phi, q, cfg)
+        J, _, Pi_H = splitting(phi, q)
         return np.concatenate([Pi_H, J @ Pi_H], axis=-2)
 
     d = directional_diff(Y_and_pushed, p, x, cfg.step_h)
@@ -403,17 +381,17 @@ def adapted_endo_field(
 # the lift to frame bundles
 # ---------------------------------------------------------------------------
 
-def lift_map(geom: SubmersionGeometry, u: Frame, Pi_H: Array, cfg: FDConfig = DEFAULT_FD) -> Frame:
+def lift_map(geom: SubmersionGeometry, u: Frame, Pi_H: Array) -> Frame:
     """Push the first k frame vectors forward: a frame on the target (a stack for a stack).
     The O(D) guard reads the caller's Pi_H = ``D.projector`` at u's base points."""
     phi, D = geom.phi, geom.horizontal
     if od_membership_defect(phi.source, D, u, Pi_H) > 1e-6:
         raise ValueError("lift_map requires a frame adapted to the horizontal space")
-    return Frame(*lift_map_raw(phi, geom.rank, u.base, u.columns, cfg))
+    return Frame(*lift_map_raw(phi, geom.rank, u.base, u.columns))
 
 
-def lift_map_raw(phi: SubmersionSpec, k: int, x: Array, E: Array, cfg: FDConfig) -> tuple[Array, Array]:
-    J = differential_matrix(phi, x, cfg)
+def lift_map_raw(phi: SubmersionSpec, k: int, x: Array, E: Array) -> tuple[Array, Array]:
+    J = differential_matrix(phi, x)
     return phi.value(x), J @ E[..., :, :k]
 
 
@@ -432,9 +410,8 @@ def lift_differential_fd(
         scale = 1.0 + np.linalg.norm(t.base_rate, axis=-1) + np.linalg.norm(t.frame_rate, axis=(-2, -1))
         if (resid > cfg.tol_fd1 * 100 * scale).any():
             raise ValueError("input is not tangent to the adapted frame bundle")
-    h = cfg.step_h if phi.jacobian is not None else cfg.step_h2
-    dy, dF = frame_diff(lambda x, E: lift_map_raw(phi, geom.rank, x, E, cfg), t, h)
-    return FrameTangent(lift_map(geom, t.at, Pi_H, cfg), dy, dF)
+    dy, dF = frame_diff(lambda x, E: lift_map_raw(phi, geom.rank, x, E), t, cfg.step_h)
+    return FrameTangent(lift_map(geom, t.at, Pi_H), dy, dF)
 
 
 def lift_differential_formula(
@@ -459,7 +436,7 @@ def lift_differential_formula(
     confirms it.
     """
     J, _, Pi_H = split
-    v = lift_map(geom, u, Pi_H, cfg)
+    v = lift_map(geom, u, Pi_H)
     if case == "horizontal-of-H":
         x = np.asarray(value, dtype=float)
         pushed = TangentVector(v.base, (J @ x[..., None])[..., 0])
@@ -574,12 +551,11 @@ def tension_conformal_display(
     phi = geom.phi
     M, D = phi.source, geom.horizontal
     p = np.asarray(p, dtype=float)
-    dlnlam = central_diff(lambda q: np.log(dilatation(geom, adapted_frame(M, D, q), cfg)[0]),
-                          p, cfg.step_h)
+    dlnlam = central_diff(lambda q: np.log(dilatation(geom, adapted_frame(M, D, q))[0]), p, cfg.step_h)
     grad = np.linalg.solve(metric_eval(M, p), dlnlam[..., None])
     H = mean_curvature_fibers(geom, adapted_frame(M, D, p), christoffel(M, p, cfg), D.projector(p),
                               cfg).components
-    J = differential_matrix(phi, p, cfg)
+    J = differential_matrix(phi, p)
     return (-0.5 * (M.dim - 2) * (J @ grad) - J @ H[..., None])[..., 0]
 
 
@@ -694,7 +670,7 @@ def classify(
     points = np.asarray(points, dtype=float)
     frames = adapted_frame(M, D, points)
     E = frames.columns
-    lams, defects = dilatation(geom, frames, cfg)
+    lams, defects = dilatation(geom, frames)
     gy = metric_eval(phi.target, phi.value(points))
     gp = metric_eval(M, points)
 
@@ -775,7 +751,7 @@ def lift_tension_direct(
 
     def F(q: Array) -> Array:
         u = src_chart.decode(q)
-        y, Fm = lift_map_raw(phi, k, u.base, u.columns, cfg)
+        y, Fm = lift_map_raw(phi, k, u.base, u.columns)
         return tgt_chart.join(y, Fm)
 
     q0 = src_chart.join(x0, np.zeros(src_chart.dim - M.dim))

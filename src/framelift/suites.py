@@ -186,7 +186,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks = Checks(f"{entry.id}.tangent")
     phi = entry.phi
     M = phi.source
-    geom = derive_geometry(phi, cfg)
+    geom = derive_geometry(phi)
     pts = sample_points(M, seed, samples)
     rng = _rng(seed, 3)
     n, k = M.dim, phi.target.dim
@@ -366,7 +366,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                abs(lhs - _pairing_at(Gq, nCA, B.eval(q)) - _pairing_at(Gq, A.eval(q), nCB)))
 
     # adapted-bundle connection displays: diagnostic table
-    geom = derive_geometry(phi, cfg)
+    geom = derive_geometry(phi)
     u = adapted_frame(M, geom.horizontal, p)
     k = geom.rank
     Ja = np.zeros((k, k))
@@ -390,7 +390,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks = Checks(f"{entry.id}.adapted")
     phi = entry.phi
     M = phi.source
-    geom = derive_geometry(phi, cfg)
+    geom = derive_geometry(phi)
     D = geom.horizontal
     pts = sample_points(M, seed, samples)
     few = pts[: max(3, samples // 2)]
@@ -512,7 +512,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     checks = Checks(f"{entry.id}.lift")
     phi = entry.phi
     M = phi.source
-    geom = derive_geometry(phi, cfg)
+    geom = derive_geometry(phi)
     D = geom.horizontal
     pts = sample_points(M, seed, samples)
     few = pts[: max(3, samples // 2)]
@@ -521,11 +521,10 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # differential: exact Jacobian against central differences, and the splitting,
     # evaluated once on the stack of sample points; every block below slices its split
-    if phi.jacobian is not None:
-        fd = central_diff(phi.map, pts, cfg.step_h).swapaxes(-1, -2)
-        checks.row("jacobian_vs_fd", "exact Jacobian matches central differences", cfg.tol_fd1,
-                   np.max(np.abs(fd - phi.jacobian(pts)), axis=(-2, -1)))
-    J, _, Pi_H = split = splitting(phi, pts, cfg)
+    fd = central_diff(phi.map, pts, cfg.step_h).swapaxes(-1, -2)
+    checks.row("jacobian_vs_fd", "exact Jacobian matches central differences", cfg.tol_fd1,
+               np.max(np.abs(fd - phi.jacobian(pts)), axis=(-2, -1)))
+    J, _, Pi_H = split = splitting(phi, pts)
     Pi_V = np.eye(M.dim) - Pi_H
     checks.row("splitting_projectors", "projectors sum to the identity and kill the kernel",
                cfg.tol_exact * 1e3, np.max(np.abs(Pi_V + Pi_H - np.eye(M.dim)), axis=(-2, -1)),
@@ -534,7 +533,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # dilatation against the catalog value, read from the adapted frames at the
     # sample points; every block below reads the frames at the first of them
     frames = adapted_frame(M, D, pts)
-    lams, defects = dilatation(geom, frames, cfg)
+    lams, defects = dilatation(geom, frames)
     if entry.expected_lambda is not None:
         checks.row("dilatation_value", "dilatation matches the catalog value", cfg.tol_fd1,
                    np.abs(lams - entry.expected_lambda))
@@ -556,7 +555,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                cfg.tol_fd2, _g_norm(metric_eval(phi.target, phi.value(few)),
                                     _bilinear(B, x, y) - _bilinear(B, y, x)))
     readings = A_identity_residuals(geom, np.moveaxis(E[..., :, :k], -1, 0),
-                                    np.moveaxis(E[..., :, k:], -1, 0), few, B, S, Pi, cfg)
+                                    np.moveaxis(E[..., :, k:], -1, 0), few, B, S, Pi)
     checks.row("a_identity", "pushforward of A_Y(X) is minus the mixed second fundamental form",
                cfg.tol_fd2, *(r["asserted"] for r in readings))
     checks.row("a_identity_printed_sign", "same identity with a plus sign (diagnostic)", cfg.tol_fd2,
@@ -589,7 +588,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                np.ravel(np.abs(duality)))
 
     # the lifted frame
-    v = lift_map(geom, frames[:3], Pi[:3], cfg)
+    v = lift_map(geom, frames[:3], Pi[:3])
     G = v.columns.swapaxes(-1, -2) @ metric_eval(phi.target, v.base) @ v.columns
     checks.row("lifted_frame_gram", "lifted frame Gram equals the dilatation times identity", cfg.tol_fd1,
                np.max(np.abs(G - lams[:3, None, None] * np.eye(k)), axis=(-2, -1)))
@@ -639,7 +638,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                    seed: int = 42, samples: int = 10) -> list[CheckReport]:
     checks = Checks(f"{entry.id}.theorems")
     phi = entry.phi
-    geom = derive_geometry(phi, cfg)
+    geom = derive_geometry(phi)
     pts = sample_points(phi.source, seed, max(3, samples // 2))
     rep = classify(geom, pts, cfg)
 
@@ -698,7 +697,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         tn = norm(phi.target, y0, tension_field(geom, p0, cfg))
         H = mean_curvature_fibers(geom, adapted_frame(phi.source, geom.horizontal, p0),
                                   christoffel(phi.source, p0, cfg), geom.horizontal.projector(p0), cfg)
-        pushed = differential_matrix(phi, p0, cfg) @ H.components
+        pushed = differential_matrix(phi, p0) @ H.components
         checks.row("tension_norm_one", "tension norm equals 1 at the warped origin", 5e-3, abs(tn - 1.0))
         checks.row("tension_equals_fiber_curvature", "tension norm equals pushed mean-curvature norm",
                    5e-3, abs(tn - norm(phi.target, y0, pushed)))

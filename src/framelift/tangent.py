@@ -76,17 +76,16 @@ def tm_split(M: ChartManifold, t: FrameTangent,
 # the second differential of a submersion
 # ---------------------------------------------------------------------------
 
-def tm_map(phi: SubmersionSpec, Z: Frame, cfg: FDConfig = DEFAULT_FD) -> Frame:
+def tm_map(phi: SubmersionSpec, Z: Frame) -> Frame:
     """The induced map of tangent bundles: (x, Z) -> (phi(x), dphi Z)."""
-    return Frame(phi.value(Z.base), differential_matrix(phi, Z.base, cfg) @ Z.columns)
+    return Frame(phi.value(Z.base), differential_matrix(phi, Z.base) @ Z.columns)
 
 
 def phi_second_differential_fd(
     phi: SubmersionSpec, t: FrameTangent, cfg: FDConfig = DEFAULT_FD
 ) -> FrameTangent:
     """``frame_diff`` of the tangent-bundle map ``tm_map`` along t."""
-    h = cfg.step_h if phi.jacobian is not None else cfg.step_h2
-    return FrameTangent(tm_map(phi, t.at, cfg), *frame_diff(lambda x, E: tm_map(phi, Frame(x, E), cfg), t, h))
+    return FrameTangent(tm_map(phi, t.at), *frame_diff(lambda x, E: tm_map(phi, Frame(x, E)), t, cfg.step_h))
 
 
 def phi_second_differential_formula(
@@ -100,7 +99,7 @@ def phi_second_differential_formula(
     """
     if not np.array_equal(X.base, Z.base):
         raise ValueError("vector and bundle point have different base points")
-    J = differential_matrix(phi, Z.base, cfg)
+    J = differential_matrix(phi, Z.base)
     img = Frame(phi.value(Z.base), J @ Z.columns)
     pushed = TangentVector(img.base, (J @ X.components[..., None])[..., 0])
     if kind == "vertical":

@@ -39,7 +39,7 @@ def lift_tension_by_columns(geom, x0, cfg=DEFAULT_FD):
 
     def F(q):
         u = src_chart.decode(q)
-        y, Fm = lift_map_raw(phi, k, u.base, u.columns, cfg)
+        y, Fm = lift_map_raw(phi, k, u.base, u.columns)
         return tgt_chart.join(y, Fm)
 
     q0 = src_chart.join(x0, np.zeros(src_chart.dim - M.dim))

@@ -26,15 +26,15 @@ def pullback_connection(phi, X, W, cfg=DEFAULT_FD):
     """
     p = X.base
     dW = directional_diff(W, p, X.components, cfg.step_h)
-    J = differential_matrix(phi, p, cfg)
+    J = differential_matrix(phi, p)
     gx = christoffel_contract(christoffel(phi.target, phi.value(p), cfg),
                               (J @ X.components[..., None])[..., 0])
     return dW + (gx @ np.asarray(W(p), dtype=float)[..., None])[..., 0]
 
 
-def horizontal_lift_matrix(phi, p, cfg=DEFAULT_FD):
+def horizontal_lift_matrix(phi, p):
     """Right inverse A (J A)^-1 of d(phi) = J with image in the horizontal space,
     spanned by the columns of A = g^-1 J^T."""
-    J = differential_matrix(phi, p, cfg)
+    J = differential_matrix(phi, p)
     A = np.linalg.solve(metric_eval(phi.source, p), J.swapaxes(-1, -2))
     return A @ np.linalg.inv(J @ A)

@@ -176,7 +176,7 @@ def test_criterion_03_connection_formulas():
     # the adapted-bundle displays are audited, never asserted
     from framelift.adapted import adapted_connection_audit
     e = get("E3")
-    geom = derive_geometry(e.phi, CFG)
+    geom = derive_geometry(e.phi)
     p = sample_points(e.phi.source, SEED, 1)[0]
     u = adapted_frame(e.phi.source, geom.horizontal, p)
     Xa = polynomial_vector_field(3, rng)
@@ -203,7 +203,7 @@ def S_at(M, D, p):
 
 def test_criterion_04_adapted_lemma():
     e = get("E4")
-    geom = derive_geometry(e.phi, CFG)
+    geom = derive_geometry(e.phi)
     M, D = e.phi.source, geom.horizontal
     rng = np.random.default_rng([SEED, 104])
     ident = 0.0
@@ -230,7 +230,7 @@ def test_criterion_05_w_lemma():
     min_eig = 1.0
     for eid in ("E3", "E4"):
         e = get(eid)
-        geom = derive_geometry(e.phi, CFG)
+        geom = derive_geometry(e.phi)
         M, D = e.phi.source, geom.horizontal
         for p in sample_points(M, SEED, 10):
             u = adapted_frame(M, D, p)
@@ -253,7 +253,7 @@ def test_criterion_06_divergence_lemma():
     rng = np.random.default_rng([SEED, 106])
     worst = 0.0
     for e in entries():
-        geom = derive_geometry(e.phi, CFG)
+        geom = derive_geometry(e.phi)
         M, D = e.phi.source, geom.horizontal
         k = geom.rank
         p = sample_points(M, SEED, 1)[0]
@@ -322,7 +322,7 @@ def test_criterion_08_lift_differential_lemma():
     worst = 0.0
     for eid in ("E2", "E3", "E4"):
         e = get(eid)
-        geom = derive_geometry(e.phi, CFG)
+        geom = derive_geometry(e.phi)
         M, D = e.phi.source, geom.horizontal
         k = geom.rank
         for p in sample_points(M, SEED, 3):
@@ -331,7 +331,7 @@ def test_criterion_08_lift_differential_lemma():
             x = sum(c * b.components for c, b in
                     zip(rng.standard_normal(k), horizontal_basis(geom, p)))
             S, B, Pi_H = S_at(M, D, p), second_fundamental_tensor(e.phi, p, CFG), D.projector(p)
-            split = splitting(e.phi, p, CFG)
+            split = splitting(e.phi, p)
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
                 geom, "horizontal-of-H", x, u, S, B, split, CFG)
@@ -361,7 +361,7 @@ def test_criterion_09_lift_distributions():
     cross = 0.0
     dims_ok = True
     for e in entries():
-        geom = derive_geometry(e.phi, CFG)
+        geom = derive_geometry(e.phi)
         M = e.phi.source
         n, k = M.dim, geom.rank
         for p in sample_points(M, SEED, 2):
@@ -387,7 +387,7 @@ def test_criterion_09_lift_distributions():
 
 def _classification(eid):
     e = get(eid)
-    geom = derive_geometry(e.phi, CFG)
+    geom = derive_geometry(e.phi)
     pts = sample_points(e.phi.source, SEED, 5)
     return e, classify(geom, pts, CFG)
 
@@ -459,7 +459,7 @@ def test_criterion_11_harmonic_morphism_theorem():
 
     # tension magnitudes
     e3 = get("E3")
-    geom3 = derive_geometry(e3.phi, CFG)
+    geom3 = derive_geometry(e3.phi)
     tau_hopf = 0.0
     for p in sample_points(e3.phi.source, SEED, 5):
         tau = tension_field(geom3, p, CFG)
@@ -468,21 +468,21 @@ def test_criterion_11_harmonic_morphism_theorem():
     details.append(f"|tau|(E3)={tau_hopf:.3g}")
 
     e4 = get("E4")
-    geom4 = derive_geometry(e4.phi, CFG)
+    geom4 = derive_geometry(e4.phi)
     p0 = np.array([0.0, 0.25])
     tau = tension_field(geom4, p0, CFG)
     gN = metric_eval(e4.phi.target, e4.phi.value(p0))
     tn = float(np.sqrt(max(tau @ gN @ tau, 0.0)))
     H = mean_curvature_fibers(geom4, adapted_frame(e4.phi.source, geom4.horizontal, p0),
                               christoffel(e4.phi.source, p0, CFG), geom4.horizontal.projector(p0), CFG)
-    J = differential_matrix(e4.phi, p0, CFG)
+    J = differential_matrix(e4.phi, p0)
     ph = J @ H.components
     hn = float(np.sqrt(max(ph @ gN @ ph, 0.0)))
     details.append(f"|tau|(E4)={tn:.6f} |push H|={hn:.6f}")
 
     # direct tension of the lift on the smallest example
     e1 = get("E1")
-    geom1 = derive_geometry(e1.phi, CFG)
+    geom1 = derive_geometry(e1.phi)
     res = lift_tension_direct(geom1, np.array([0.2, -0.3, 0.4]), CFG)
     details.append(f"lift tension(E1): ambient={res['ambient']:.6f} "
                    f"tangential={res['tangential']:.3g} normal={res['normal']:.6f}")

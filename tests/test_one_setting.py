@@ -1,6 +1,6 @@
 """One home per setting: every difference step and tolerance comes from ``FDConfig``.
 
-Two scans of ``src/framelift`` keep it so:
+Three scans of ``src/framelift`` keep it so:
 
 - no function has a ``step``, ``tol`` or ``scale`` parameter with a default, a
   second place where a step or a tolerance could be set (``EXEMPT`` lists the
@@ -8,7 +8,11 @@ Two scans of ``src/framelift`` keep it so:
 - every call to a package function or chart method that takes ``cfg`` passes
   one.  A call that fell back to ``DEFAULT_FD`` would difference at the default
   step whatever config the run was given, so a step sweep would read its row as
-  independent of h.
+  independent of h;
+- no function or method, nested ones included, has a ``cfg`` parameter that its body
+  never reads: a function takes ``FDConfig`` exactly when it differences or grades a
+  residual, or passes the config to one that does (``UNREAD_EXEMPT`` lists the three
+  ``LMChart`` methods that keep ``FrameChart``'s signature).
 """
 
 import ast
@@ -20,6 +24,12 @@ SETTINGS = ("step", "tol", "scale")
 EXEMPT = {
     "catalog.sphere_chart.scale": "the sphere's size, a geometric input with two values in use "
                                   "(1 and 1/4), not a difference step or a tolerance",
+}
+UNREAD_EXEMPT = {
+    name: "keeps FrameChart's signature, because the oracle calls chart.jacobian(q, cfg) on "
+          "either chart; LMChart's Jacobian is constant, so it differences nothing"
+    for name in ("frames.LMChart.jacobian", "frames.LMChart.chart_to_tangents",
+                 "frames.LMChart.tangent_to_chart")
 }
 
 
@@ -78,6 +88,19 @@ def calls_without_cfg(src: Path = SRC) -> list[str]:
     return missing
 
 
+def unread_cfg(src: Path = SRC) -> set[str]:
+    """``module.function`` (``module.Class.method``, ``module.function.nested``) of every
+    function with a ``cfg`` parameter whose body names no ``cfg``."""
+    found = set()
+    for stem, name, fn, _ in functions(src):
+        for f in (n for n in ast.walk(fn) if isinstance(n, ast.FunctionDef)):
+            args = f.args
+            if "cfg" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] and not any(
+                    isinstance(n, ast.Name) and n.id == "cfg" for s in f.body for n in ast.walk(s)):
+                found.add(f"{stem}.{name}" + ("" if f is fn else f".{f.name}"))
+    return found
+
+
 def test_no_step_tol_or_scale_parameter_has_a_default():
     extra = sorted(defaulted_settings() - set(EXEMPT))
     assert not extra, ("a step or a tolerance is set by FDConfig alone, and a scale with one "
@@ -91,6 +114,15 @@ def test_every_exempt_setting_is_still_a_parameter():
 def test_every_call_to_a_function_of_cfg_passes_cfg():
     missing = calls_without_cfg()
     assert not missing, "these calls would difference at DEFAULT_FD: " + ", ".join(missing)
+
+
+def test_every_cfg_parameter_is_read():
+    extra = sorted(unread_cfg() - set(UNREAD_EXEMPT))
+    assert not extra, "these functions take a cfg that they never read: " + ", ".join(extra)
+
+
+def test_every_exempt_unread_cfg_is_still_unread():
+    assert set(UNREAD_EXEMPT) <= unread_cfg()
 
 
 def test_the_scans_see_each_kind_of_setting_and_call(tmp_path):
@@ -118,6 +150,13 @@ def field_or_method(phi, chart, src_chart, cfg):
     return phi.jacobian(1), chart.jacobian(1), src_chart.jacobian(1, cfg)
 
 later = lambda p: g(p)
+
+def unread(p, cfg):
+    def inner(q, cfg):
+        return q
+    return inner(p, DEFAULT_FD), p.cfg
 ''')
     assert defaulted_settings(tmp_path) == {"m.f.step", "m.g.tol", "m.g.scale"}
     assert set(calls_without_cfg(tmp_path)) == {"m:6 f", "m:16 jacobian", "m:22 jacobian", "m:24 g"}
+    assert unread_cfg(tmp_path) == {"m.f", "m.g", "m.Chart.jacobian", "m.Chart.rates", "m.unread",
+                                    "m.unread.inner"}

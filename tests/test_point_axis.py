@@ -372,7 +372,8 @@ class TestSplittingStack:
             source=euclidean_chart(3), target=euclidean_chart(2),
             map=lambda p: np.stack([p[..., 0], 0.5 * p[..., 1] ** 2], axis=-1),
             jacobian=lambda p: np.eye(2, 3) * np.stack(
-                [np.ones(p.shape[:-1]), p[..., 1]], axis=-1)[..., :, None])
+                [np.ones(p.shape[:-1]), p[..., 1]], axis=-1)[..., :, None],
+            vertical_fields=[constant_field(np.array([0.0, 0.0, 1.0]))])
         ps = np.array([[0.1, 0.5, 0.2], [0.3, 0.0, -0.1], [0.2, -0.4, 0.3]])
         for p in ps[[0, 2]]:
             splitting_projectors(phi, p)
@@ -380,14 +381,13 @@ class TestSplittingStack:
         with pytest.raises(ValueError, match="rank deficient"):
             splitting_projectors(phi, ps)
 
-    @pytest.mark.parametrize("vertical_fields", [[], None], ids=["empty", "projected"])
-    def test_k_equals_n_builds_its_seed_frame(self, vertical_fields):
+    def test_k_equals_n_builds_its_seed_frame(self):
         # the plane scaling of TestDilatation::test_composition_law: no kernel
         R2 = euclidean_chart(2)
         scale = SubmersionSpec(source=R2, target=euclidean_chart(2, half_width=3.5),
                                map=lambda p: 2.0 * p,
                                jacobian=lambda p: np.zeros(p.shape[:-1] + (1, 1)) + 2.0 * np.eye(2),
-                               vertical_fields=vertical_fields)
+                               vertical_fields=[])
         D = derive_geometry(scale).horizontal
         ps = stencil_points(R2, 77)
         assert D.seed_frame(ps).shape == (2, 3, 2, 2)
@@ -959,8 +959,6 @@ def frame_pairs(geom, p, f):
 POINT_FUNCTIONS = {
     "submersion.differential_matrix": ([], lambda geom, p: submersion_module.differential_matrix(
         geom.phi, p)),
-    "submersion.differential": ([vectors()], lambda geom, p, x: submersion_module.differential(
-        geom.phi, TangentVector(p, x))),
     "submersion.splitting": ([], lambda geom, p: submersion_module.splitting(geom.phi, p)),
     "submersion.splitting_projectors": ([], lambda geom, p: splitting_projectors(geom.phi, p)),
     "submersion.horizontal_basis": ([], lambda geom, p: submersion_module.horizontal_basis(geom, p)),
@@ -982,7 +980,7 @@ POINT_FUNCTIONS = {
     "submersion.tension_conformal_display": ([], lambda geom, p: (
         submersion_module.tension_conformal_display(geom, p))),
     "submersion.lift_map_raw": ([endos()], lambda geom, p, E: submersion_module.lift_map_raw(
-        geom.phi, geom.rank, p, E, geometry_module.DEFAULT_FD)),
+        geom.phi, geom.rank, p, E)),
     "submersion.lift_tension_direct": ("the ambient tension of the lift at one point, "
                                        "through two total-space charts (4-8 ms a call on "
                                        "a 2-vCPU x86_64 Xeon, one BLAS thread)"),

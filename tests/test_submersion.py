@@ -8,6 +8,7 @@ import framelift.adapted as adapted_module
 import framelift.submersion as submersion_module
 import framelift.suites as suites_module
 from framelift.adapted import (
+    DistributionSpec,
     S_components,
     W_endo,
     W_inverse_apply,
@@ -46,7 +47,6 @@ from framelift.submersion import (
     adapted_endo_field,
     classify,
     derive_geometry,
-    differential,
     differential_matrix,
     dilatation,
     div_bot,
@@ -116,24 +116,35 @@ def entry_point(eid, seed=21, idx=0):
 
 
 class TestDifferential:
-    def test_identity_map(self):
-        R2 = euclidean_chart(2)
-        ident = SubmersionSpec(source=R2, target=R2, map=lambda p: p.copy())
-        X = TangentVector(np.array([0.1, 0.2]), np.array([1.0, -1.0]))
-        out = differential(ident, X)
-        assert np.allclose(out.components, X.components, atol=1e-9)
-
-    def test_scaling(self):
-        X = TangentVector(np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
-        out = differential(E["E5"].phi, X)
-        assert np.allclose(out.components, [2.0, 4.0])
-
     def test_fd_vs_exact_jacobian_hopf(self):
         from framelift.geometry import central_diff
         phi = E["E3"].phi
         for p in sample_points(phi.source, 22, 5):
             fd = central_diff(phi.map, p, 1e-5).T
             assert np.max(np.abs(fd - phi.jacobian(p))) < 1e-6
+
+
+class TestSpecsAreComplete:
+    """A submersion's exact Jacobian and kernel fields, and a distribution's seed frame,
+    are required: no construction falls back to differences or projected coordinates."""
+
+    @pytest.mark.parametrize("missing", ["jacobian", "vertical_fields"])
+    def test_a_submersion_without_its_exact_inputs_is_refused(self, missing):
+        R2 = euclidean_chart(2)
+        given = {"jacobian": lambda p: stacked(p, np.eye(2)), "vertical_fields": []}
+        del given[missing]
+        with pytest.raises(TypeError, match=missing):
+            SubmersionSpec(source=R2, target=R2, map=lambda p: p.copy(), **given)
+
+    def test_a_distribution_without_a_seed_frame_is_refused(self):
+        with pytest.raises(TypeError, match="seed_frame"):
+            DistributionSpec(rank=1, projector_field=lambda p: stacked(p, np.diag([1.0, 0.0])))
+
+    def test_only_the_name_has_a_default(self):
+        def defaulted(cls):
+            return [f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+
+        assert (defaulted(SubmersionSpec), defaulted(DistributionSpec)) == (["name"], [])
 
 
 class TestSplitting:
@@ -539,7 +550,7 @@ class TestTension:
     def test_identity_map_zero(self):
         R2 = euclidean_chart(2)
         ident = SubmersionSpec(source=R2, target=R2, map=lambda p: p.copy(),
-                               vertical_fields=[])
+                               jacobian=lambda p: stacked(p, np.eye(2)), vertical_fields=[])
         p = np.array([0.3, 0.1])
         assert np.max(np.abs(tension_field(derive_geometry(ident), p))) < 1e-8
 
@@ -836,9 +847,11 @@ GEOM_LINE = derive_geometry(LINE)
 
 
 def rows_jacobian(rows):
+    # the kernel of two rows in R^3 is spanned by their cross product
     return SubmersionSpec(source=euclidean_chart(3), target=euclidean_chart(2),
                           map=lambda p: p @ np.array(rows).T,
-                          jacobian=lambda p: stacked(p, np.array(rows, dtype=float)))
+                          jacobian=lambda p: stacked(p, np.array(rows, dtype=float)),
+                          vertical_fields=[constant_field(np.cross(*np.array(rows, dtype=float)))])
 
 
 class TestSplittingRankCheck:
@@ -864,17 +877,6 @@ class TestSplittingRankCheck:
         with pytest.raises(ValueError, match="rank deficient"):
             splitting_projectors(rows_jacobian([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                                  np.zeros(3))
-
-
-class TestSeedFrame:
-    def test_without_vertical_fields_the_kernel_is_projected(self):
-        # the last n-k coordinate directions, projected onto the kernel
-        phi = SubmersionSpec(source=euclidean_chart(3), target=euclidean_chart(2),
-                             map=lambda p: p[..., :2].copy(),
-                             jacobian=lambda p: stacked(p, np.eye(2, 3)))
-        p = np.array([0.1, 0.2, 0.3])
-        E = adapted_frame(phi.source, derive_geometry(phi).horizontal, p).columns
-        assert np.array_equal(E, np.eye(3))
 
 
 class TestPerPointCosts:
@@ -909,17 +911,17 @@ class TestPerPointCosts:
 
     def test_the_reader_scan_sees_a_second_home_of_the_span(self, tmp_path):
         (tmp_path / "m.py").write_text('''
-def splitting(phi, p, cfg):
-    J, A = _horizontal_span(phi, p, cfg)
+def splitting(phi, p):
+    J, A = _horizontal_span(phi, p)
     return J, A @ np.linalg.inv(J @ A), A @ np.linalg.solve(J @ A, J)
 
-def pushforward_endo(geom, p, P0, cfg):
-    J, A = _horizontal_span(geom.phi, p, cfg)
+def pushforward_endo(geom, p, P0):
+    J, A = _horizontal_span(geom.phi, p)
     return J @ P0 @ A @ np.linalg.inv(J @ A)
 
-def derive_geometry(phi, cfg):
+def derive_geometry(phi):
     def seed_frame(q):
-        return submersion._horizontal_span(phi, q, cfg)[1]
+        return submersion._horizontal_span(phi, q)[1]
     return seed_frame
 
 def Pi_X_endo(split, x, B):

@@ -139,6 +139,14 @@ def test_an_entry_without_a_catalog_dilatation_has_no_dilatation_row():
     assert "E3.lift.conformality_defect" in names
 
 
+@pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+def test_every_entry_checks_its_exact_jacobian_against_differences(eid):
+    # every submersion carries an exact Jacobian, so no entry goes without the row
+    rows = {r.name: r for r in suites.suite_lift(get(eid), samples=3)}
+    row = rows[f"{eid}.lift.jacobian_vs_fd"]
+    assert (row.status, row.samples) == ("pass", 3)
+
+
 def test_the_report_rows_are_evaluated_and_named_once(tmp_path):
     path = tmp_path / "report.json"
     main(["verify", "all", "--seed", "42", "--json", str(path)])

@@ -184,7 +184,7 @@ class TestSecondDifferential:
     def test_identity_map(self):
         from framelift.submersion import SubmersionSpec
         ident = SubmersionSpec(source=R2, target=R2, map=lambda p: p.copy(),
-                               jacobian=lambda p: np.eye(2))
+                               jacobian=lambda p: np.eye(2), vertical_fields=[])
         Z = tm_point(np.array([0.2, 0.3]), np.array([0.5, -0.5]))
         t = tm_tangent(Z, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         out = phi_second_differential_fd(ident, t)
