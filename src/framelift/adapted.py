@@ -241,7 +241,7 @@ def _GD_S_jet(
         return np.stack([gamma - S, S], axis=-4)
 
     def at(q: Array) -> Array:
-        gamma_q = christoffel(M, q, cfg)
+        gamma_q = christoffel(M, q)
         return GD_S(gamma_q, S_components(M, D, q, gamma_q, D.projector(q), cfg))
 
     return tuple(np.moveaxis(a, -4, 0) for a in (GD_S(gamma, S), central_diff(at, p, cfg.step_h2)))
@@ -286,7 +286,7 @@ def curvature_relation_residual(
     contracts.  Gamma(p) serves R and the jet: three Christoffel evaluations in
     all, with the stencils of R and of the jet.
     """
-    gamma = christoffel(M, p, cfg)
+    gamma = christoffel(M, p)
     R = connection_curvature(gamma, christoffel_derivative(M, p, cfg))
     lhs = np.einsum("...ijkl,...i,...j,...k->...l", R, x, y, z)
     jet = _GD_S_jet(M, D, p, gamma, S, cfg)
@@ -350,7 +350,7 @@ def L_P_applies(
     RPs = curvature_R_P(M, p, np.array([np.asarray(P.eval(p), dtype=float) for P, _ in pairs]),
                         onb, R, cfg)
     signs = {"printed": -1.0, "flipped": +1.0}
-    gamma = christoffel(M, p, cfg)
+    gamma = christoffel(M, p)
     u = Frame(p, np.column_stack([e.components for e in onb]))
     SE = _S_of_columns(S, u.columns)
     W = W_endo(M, u, S)
@@ -378,7 +378,7 @@ def adapted_horizontal_lift(
     exported for use as a frame field; the package's own callers hold Gamma,
     P and S and call ``_adapted_horizontal_lifts``.
     """
-    P, gamma = D.projector(u.base), christoffel(M, u.base, cfg)
+    P, gamma = D.projector(u.base), christoffel(M, u.base)
     return _adapted_horizontal_lifts(M, D, [X], u, gamma, P, S_components(M, D, u.base, gamma, P, cfg))[0]
 
 
@@ -463,11 +463,11 @@ def adapted_connection_audit(
     onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
     cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
 
-    gamma, P_D = christoffel(M, p, cfg), D.projector(p)
+    gamma, P_D = christoffel(M, p), D.projector(p)
     S = S_components(M, D, p, gamma, P_D, cfg)
 
-    def extension(M: ChartManifold, X: TangentVector, v: Frame, cfg: FDConfig) -> FrameTangent:
-        gamma_v = christoffel(M, v.base, cfg)
+    def extension(M: ChartManifold, X: TangentVector, v: Frame) -> FrameTangent:
+        gamma_v = christoffel(M, v.base)
         return _S_lifts([X], v, gamma_v, S_components(M, D, v.base, gamma_v, D.projector(v.base), cfg))[0]
 
     def nabla_D_endo(x: Array, E: EndomorphismField) -> Array:
@@ -484,9 +484,9 @@ def adapted_connection_audit(
 
     rows: list[dict] = []
     differences: list[FrameTangent] = []
-    oracle = lc_total_space_oracle(chart, _case_fields(M, cases, cfg, extension), chart.encode(u), cfg)
+    oracle = lc_total_space_oracle(chart, _case_fields(M, cases, extension), chart.encode(u), cfg)
     oracle = dict(zip(("hh", "hv", "vh", "vv"), gauss_projection(
-        M, oracle, metric_eval(M, p), metric_derivative_eval(M, p, cfg), P_D,
+        M, oracle, metric_eval(M, p), metric_derivative_eval(M, p), P_D,
         central_diff(D.projector, p, cfg.step_h), D.rank)))
 
     def case_rows(case, readings):
@@ -528,7 +528,7 @@ def adapted_connection_audit(
         ("-1/2 [P,Q]*", fundamental_vertical(-0.5 * (Pval @ Qval - Qval @ Pval), u)),
     ])
 
-    for r, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences), cfg)):
+    for r, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences))):
         r["residual"] = residual
     best: dict = {}
     for r in rows:

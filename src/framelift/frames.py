@@ -154,11 +154,9 @@ def _same_frame(u: Frame, v: Frame) -> None:
 # lifts, vertical vectors, Mok metric
 # ---------------------------------------------------------------------------
 
-def horizontal_lift_frame(
-    M: ChartManifold, X: TangentVector, u: Frame, cfg: FDConfig = DEFAULT_FD
-) -> FrameTangent:
+def horizontal_lift_frame(M: ChartManifold, X: TangentVector, u: Frame) -> FrameTangent:
     """Horizontal lift of X at the frame u, or at a stack of them: parallel transport of the columns."""
-    return _horizontal_lift(christoffel(M, u.base, cfg), X, u)
+    return _horizontal_lift(christoffel(M, u.base), X, u)
 
 
 def _horizontal_lift(gamma: Array, X: TangentVector, u: Frame) -> FrameTangent:
@@ -178,14 +176,12 @@ def fundamental_vertical(P_value: Array, u: Frame) -> FrameTangent:
     return FrameTangent(u, np.zeros(u.base.shape), P_value @ u.columns)
 
 
-def vertical_part(
-    M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD
-) -> Array:
+def vertical_part(M: ChartManifold, t: FrameTangent) -> Array:
     """Endomorphism value V with t = horizontal lift of base_rate + V*.
 
     The decomposition is exact: V = W E^{-1} for the vertical rate W.
     """
-    return _vertical_part(christoffel(M, t.at.base, cfg), t)
+    return _vertical_part(christoffel(M, t.at.base), t)
 
 
 def _vertical_part(gamma: Array, t: FrameTangent) -> Array:
@@ -201,9 +197,7 @@ def _vertical_rate(gamma: Array, xdot: Array, E: Array, Edot: Array) -> Array:
     return Edot + christoffel_contract(gamma, xdot) @ E
 
 
-def mok_metric(
-    M: ChartManifold, s: FrameTangent, t: FrameTangent, cfg: FDConfig = DEFAULT_FD
-) -> Array:
+def mok_metric(M: ChartManifold, s: FrameTangent, t: FrameTangent) -> Array:
     """Diagonal (Mok) metric on the frame bundle: a scalar at one frame, one value
     per frame, of the frames' leading shape, at a stack.
 
@@ -212,16 +206,15 @@ def mok_metric(
     frames is the Sasaki-Mok metric g(pi_* s, pi_* t) + g(K s, K t) of TM.
     The off-diagonal entry of ``mok_gram`` of (s, t).
     """
-    return mok_gram(M, [s, t], cfg)[..., 0, 1]
+    return mok_gram(M, [s, t])[..., 0, 1]
 
 
-def mok_norm(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
+def mok_norm(M: ChartManifold, t: FrameTangent) -> Array:
     """sqrt of the one entry of ``mok_gram`` of (t,): its vertical rate is evaluated once."""
-    return np.sqrt(np.maximum(mok_gram(M, [t], cfg)[..., 0, 0], 0.0))
+    return np.sqrt(np.maximum(mok_gram(M, [t])[..., 0, 0], 0.0))
 
 
-def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
-               cfg: FDConfig = DEFAULT_FD) -> Array:
+def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array) -> Array:
     """Gram matrix of tangents (X_a, Edot_a) to the bundle of n x m frames at (x, E).
 
     G = X g X^T + sum_i W g W^T over the m columns, W_a = Edot_a + Gamma(X_a) E
@@ -229,7 +222,7 @@ def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array,
     one column E = Z the Sasaki-Mok table on TM.  Every argument may carry the
     leading axes of points x (..., n); so does G.
     """
-    return _gram(metric_eval(M, x), christoffel(M, x, cfg), E, X, Edot)
+    return _gram(metric_eval(M, x), christoffel(M, x), E, X, Edot)
 
 
 def _gram(g: Array, gamma: Array, E: Array, X: Array, Edot: Array) -> Array:
@@ -239,9 +232,7 @@ def _gram(g: Array, gamma: Array, E: Array, X: Array, Edot: Array) -> Array:
     return 0.5 * (G + G.swapaxes(-1, -2))
 
 
-def mok_gram(
-    M: ChartManifold, basis: Sequence[FrameTangent], cfg: FDConfig = DEFAULT_FD
-) -> Array:
+def mok_gram(M: ChartManifold, basis: Sequence[FrameTangent]) -> Array:
     """Mok Gram matrix of tangents attached to one frame (or to one stack of frames,
     (..., m, m)), in one pass (``_lift_gram``).  Raises ValueError when the
     tangents are attached to different frames."""
@@ -249,15 +240,13 @@ def mok_gram(
     for t in basis[1:]:
         _same_frame(u, t.at)
     return _lift_gram(M, u.base, u.columns, np.stack([t.base_rate for t in basis], axis=-2),
-                      np.stack([t.frame_rate for t in basis], axis=-3), cfg)
+                      np.stack([t.frame_rate for t in basis], axis=-3))
 
 
-def mok_orthonormalize(
-    M: ChartManifold, basis: Sequence[FrameTangent], cfg: FDConfig = DEFAULT_FD
-) -> list[FrameTangent]:
+def mok_orthonormalize(M: ChartManifold, basis: Sequence[FrameTangent]) -> list[FrameTangent]:
     """Gram-Schmidt in the Mok metric, deterministic in the given order: one
     ``mok_gram`` and its ``orthonormalizer``, which raises on a degenerate input."""
-    C = orthonormalizer(mok_gram(M, basis, cfg))
+    C = orthonormalizer(mok_gram(M, basis))
     X = np.stack([t.base_rate for t in basis], axis=-2)
     F = np.stack([t.frame_rate for t in basis], axis=-3)
     F = F.reshape(F.shape[:-2] + (-1,))
@@ -501,12 +490,16 @@ def induced_metric_on_chart(chart, q: Array, cfg: FDConfig = DEFAULT_FD) -> Arra
     from the chart Jacobian: row a of J is the tangent of direction a.
     """
     u, Jx, JE = chart.jacobian(q, cfg)
-    return _lift_gram(chart.manifold, u.base, u.columns, Jx, JE, cfg)
+    return _lift_gram(chart.manifold, u.base, u.columns, Jx, JE)
 
 
 def total_space_manifold(chart, cfg: FDConfig = DEFAULT_FD) -> ChartManifold:
-    """The frame-bundle total space as a ChartManifold with the induced metric."""
+    """The frame-bundle total space as a ChartManifold with the induced metric, and the
+    jets it has no closed form for, derived from that metric: ``metric_derivative`` is one
+    stencil-domain check and the central differences of the metric at ``total_space_cfg``'s
+    step, ``orthonormal_frame`` the coordinate basis orthonormalised in the metric."""
     base = chart.manifold
+    h = total_space_cfg(cfg).step_h
 
     def predicate(q: Array) -> Array:
         x, fibre = chart.split(q)
@@ -516,12 +509,22 @@ def total_space_manifold(chart, cfg: FDConfig = DEFAULT_FD) -> ChartManifold:
             inside = np.linalg.norm(fibre, axis=-1) < 2.0
         return base.domain_predicate(x) & inside
 
-    return ChartManifold(
+    def metric(q: Array) -> Array:
+        return induced_metric_on_chart(chart, q, cfg)
+
+    def metric_derivative(q: Array) -> Array:
+        _check_stencil(total, q, h)
+        return central_diff(metric, q, h)
+
+    total = ChartManifold(
         dim=chart.dim,
-        metric_field=lambda q: induced_metric_on_chart(chart, q, cfg),
+        metric_field=metric,
+        metric_derivative=metric_derivative,
+        orthonormal_frame=lambda q: orthonormalizer(metric(q)).swapaxes(-1, -2),
         domain_predicate=predicate,
         name=f"total[{chart.name}]",
     )
+    return total
 
 
 def total_space_cfg(cfg: FDConfig) -> FDConfig:
@@ -557,8 +560,8 @@ def lc_total_space_oracle(
     coords = np.broadcast_to(np.eye(K).reshape((K,) + (1,) * (q.ndim - 1) + (K,)), (K,) + q.shape)
     at_q, dB, Js, norm = _field_differences(chart, J, [(B, A) for A, B in pairs], q, h, coords, cfg)
     (u, Jx, JE), us = J, Js[0][:, :K]
-    dG = _difference(_lift_gram(chart.manifold, us.base, us.columns, Jx, Js[2][:, :K], cfg), norm, h)
-    gamma = _christoffel_from(_lift_gram(chart.manifold, u.base, u.columns, Jx, JE, cfg),
+    dG = _difference(_lift_gram(chart.manifold, us.base, us.columns, Jx, Js[2][:, :K]), norm, h)
+    gamma = _christoffel_from(_lift_gram(chart.manifold, u.base, u.columns, Jx, JE),
                               np.moveaxis(dG, 0, -3))
     return chart._tangents_at(J, np.array([
         dB[id(B), id(A)] + np.einsum("...kij,...i,...j->...k", gamma, at_q[id(A)], at_q[id(B)])
@@ -678,7 +681,7 @@ def lc_connection_formula(
     """
     p = u.base
     onb = orthonormal_basis(M, p)
-    gamma = christoffel(M, p, cfg)
+    gamma = christoffel(M, p)
 
     def lines(case: str, inputs: tuple) -> dict[str, FrameTangent]:
         if case == "hh":
@@ -730,13 +733,13 @@ def bracket_rhs(
         X, Y = inputs
         br = lie_bracket(X, Y, p, cfg)
         Rxy = np.einsum("...ijkl,...i,...j->...lk", R, X.eval(p), Y.eval(p))
-        return {"resolved": horizontal_lift_frame(M, br, u, cfg)
+        return {"resolved": horizontal_lift_frame(M, br, u)
                 + (-1.0) * fundamental_vertical(Rxy, u)}
     if case == "hv":
         X, Q = inputs
         nq = fundamental_vertical(
             endo_covariant_derivative(Q, np.asarray(X.eval(p), dtype=float), p,
-                                      christoffel(M, p, cfg), cfg), u)
+                                      christoffel(M, p), cfg), u)
         return {"resolved": nq, "literal": -1.0 * nq}
     if case == "vv":
         P, Q = inputs
@@ -746,14 +749,14 @@ def bracket_rhs(
     raise ValueError(f"unknown case {case!r}")
 
 
-def _case_fields(M: ChartManifold, cases: Sequence[tuple[str, tuple]], cfg: FDConfig,
+def _case_fields(M: ChartManifold, cases: Sequence[tuple[str, tuple]],
                  horizontal: Callable = horizontal_lift_frame) -> list[tuple]:
-    """The frame fields (A, B) of each (case, inputs): ``horizontal(M, X, u, cfg)`` of a
+    """The frame fields (A, B) of each (case, inputs): ``horizontal(M, X, u)`` of a
     vector field ("h"), the fundamental vertical of an endomorphism field ("v").  A field
     that several cases share is built once, so the oracle evaluates and differences it once."""
     for case in {case for case, _ in cases} - {"hh", "hv", "vh", "vv"}:
         raise ValueError(f"unknown case {case!r}")
-    lift = {"h": lambda X: lambda u: horizontal(M, X.at(u.base), u, cfg),
+    lift = {"h": lambda X: lambda u: horizontal(M, X.at(u.base), u),
             "v": lambda P: lambda u: fundamental_vertical(P.eval(u.base), u)}
     made = {(kind, id(F)): lift[kind](F) for case, AB in cases for kind, F in zip(case, AB)}
     return [tuple(made[kind, id(F)] for kind, F in zip(case, AB)) for case, AB in cases]
@@ -771,10 +774,10 @@ def bracket_residual(
     each (case, inputs) of ``cases``: one value per frame of u.  One ``fd_bracket_on_chart``
     call serves every case, reading and frame, and one ``mok_norm`` measures the stack of
     their differences; ``R`` is as in ``bracket_rhs``."""
-    fds = fd_bracket_on_chart(chart, _case_fields(M, cases, cfg), chart.encode(u), cfg)
+    fds = fd_bracket_on_chart(chart, _case_fields(M, cases), chart.encode(u), cfg)
     rhs = [bracket_rhs(M, case, inputs, u, R, cfg) for case, inputs in cases]
     norms = iter(mok_norm(M, FrameTangent.stack([fd - line for fd, lines in zip(fds, rhs)
-                                                 for line in lines.values()]), cfg))
+                                                 for line in lines.values()])))
     return [{reading: next(norms) for reading in lines} for lines in rhs]
 
 
@@ -797,12 +800,12 @@ def connection_audit(
     chart = LMChart(M)
     cases = {bundle: [("hh", (f["X"], f["Y"])), ("hv", (f["X"], f["Q"])), ("vh", (f["P"], f["Y"])),
                       ("vv", (f["P"], f["Q"]))] for bundle, f in fields.items()}
-    values = iter(lc_total_space_oracle(chart, _case_fields(M, sum(cases.values(), []), cfg),
+    values = iter(lc_total_space_oracle(chart, _case_fields(M, sum(cases.values(), [])),
                                         chart.encode(u), cfg))
     oracles = {bundle: [next(values) for _ in bundle_cases] for bundle, bundle_cases in cases.items()}
     if "O" in oracles:  # O(M) is O(D) of D = TM
         oracles["O"] = gauss_projection(M, oracles["O"], metric_eval(M, u.base), metric_derivative_eval(
-            M, u.base, cfg), np.eye(M.dim), np.zeros((M.dim,) * 3), M.dim)
+            M, u.base), np.eye(M.dim), np.zeros((M.dim,) * 3), M.dim)
     rows, differences = [], []
     for bundle, bundle_cases in cases.items():
         lines = lc_connection_formula(M, bundle, bundle_cases, u, R, cfg)
@@ -811,6 +814,6 @@ def connection_audit(
                 rows.append({"bundle": bundle, "case": case, "reading": reading,
                              "asserted": reading == "resolved"})
                 differences.append(oracle - line)
-    for row, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences), cfg)):
+    for row, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences))):
         row["residual"] = residual
     return rows

@@ -9,8 +9,8 @@ axes after the point axes.  A finite-difference stencil is such a stack,
 so ``central_diff`` evaluates all 2 dim points of a derivative, and
 ``directional_diff`` a field along all its m directions, in one call.
 One point (dim,) runs the same code as a stack, and so do the
-connection, curvature and Lie brackets, with second-order central
-differences wherever an exact derivative is not supplied.
+connection, curvature and Lie brackets, from the chart's exact metric
+derivative and second-order central differences of the symbols and fields.
 """
 
 from __future__ import annotations
@@ -74,25 +74,23 @@ class ChartManifold:
         Chart dimension.
     metric_field : callable
         Points (..., dim) -> symmetric positive-definite g_ij, (..., dim, dim).
-    metric_derivative : callable, optional
-        Points -> D[..., k, i, j] = d_k g_ij, (..., dim, dim, dim).  When
-        given it is used instead of differencing ``metric_field``.
+    metric_derivative : callable
+        Points -> D[..., k, i, j] = d_k g_ij, (..., dim, dim, dim).
+    orthonormal_frame : callable
+        Reference orthonormal frame field, points -> (..., dim, dim)
+        matrices whose columns are g-orthonormal.
     domain_predicate : callable
         Points -> bool per point, shape (...), True on the chart domain.
     domain_sampler : callable, optional
         (seed, count) -> (count, dim) array of interior points.
-    orthonormal_frame : callable, optional
-        Exact reference orthonormal frame field, points -> (..., dim, dim)
-        matrices whose columns are g-orthonormal.  Defaults to Gram-Schmidt
-        of the coordinate basis.
     """
 
     dim: int
     metric_field: Callable[[Array], Array]
-    metric_derivative: Optional[Callable[[Array], Array]] = None
+    metric_derivative: Callable[[Array], Array]
+    orthonormal_frame: Callable[[Array], Array]
     domain_predicate: Callable[[Array], bool] = _always
     domain_sampler: Optional[Callable[[int, int], Array]] = None
-    orthonormal_frame: Optional[Callable[[Array], Array]] = None
     name: str = ""
 
     def contains(self, p: Array) -> bool:
@@ -281,25 +279,22 @@ def metric_eval(M: ChartManifold, p: Array) -> Array:
     return np.asarray(M.metric_field(p), dtype=float)
 
 
-def metric_derivative_eval(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """d_k g_ij at points p, [..., k, i, j]: exact when supplied, else central differences."""
-    if M.metric_derivative is not None:
-        return np.asarray(M.metric_derivative(p), dtype=float)
-    _check_stencil(M, p, cfg.step_h)
-    return central_diff(M.metric_field, p, cfg.step_h)
+def metric_derivative_eval(M: ChartManifold, p: Array) -> Array:
+    """d_k g_ij at points p, [..., k, i, j], from the chart's ``metric_derivative``."""
+    return np.asarray(M.metric_derivative(p), dtype=float)
 
 
 def norm(M: ChartManifold, p: Array, x: Array) -> float:
     return float(_g_norm(metric_eval(M, p), x))
 
 
-def christoffel(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
+def christoffel(M: ChartManifold, p: Array) -> Array:
     """Levi-Civita Christoffel symbols at points p (..., dim), G[..., k, i, j] = Gamma^k_ij.
 
     Symmetric in (i, j) by construction.
     """
     p = np.asarray(p, dtype=float)
-    return _christoffel_from(metric_eval(M, p), metric_derivative_eval(M, p, cfg))
+    return _christoffel_from(metric_eval(M, p), metric_derivative_eval(M, p))
 
 
 def _christoffel_from(g: Array, dg: Array) -> Array:
@@ -318,15 +313,10 @@ def christoffel_contract(gamma: Array, x: Array) -> Array:
 
 
 def christoffel_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
-    """d_m Gamma^k_ij by central differences, D[..., m, k, i, j] at points p (..., dim):
-    one ``christoffel`` call on the whole stencil.
-
-    Uses step_h when the metric derivative is exact (the symbols are then
-    analytic) and step_h2 otherwise.
-    """
-    h = cfg.step_h if M.metric_derivative is not None else cfg.step_h2
-    _check_stencil(M, p, h)
-    return central_diff(lambda q: christoffel(M, q, cfg), p, h)
+    """d_m Gamma^k_ij by central differences at step_h, D[..., m, k, i, j] at points
+    p (..., dim): one ``christoffel`` call on the whole stencil."""
+    _check_stencil(M, p, cfg.step_h)
+    return central_diff(lambda q: christoffel(M, q), p, cfg.step_h)
 
 
 def field_derivative(X: VectorField, p: Array, v: Array, h: float) -> Array:
@@ -352,7 +342,7 @@ def covariant_derivatives(
     X of all its pairs at every point.
     """
     p = _check_domain(M, p)
-    gamma = christoffel(M, p, cfg)
+    gamma = christoffel(M, p)
     at_p = {id(F.eval): F for pair in pairs for F in pair}  # this call's fields by id(eval)
     at_p = {key: np.asarray(F.eval(p), dtype=float) for key, F in at_p.items()}
     dY: dict[int, Array] = {}
@@ -393,7 +383,7 @@ def curvature_tensor(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> 
     Assembled tensorially from Gamma and its central differences; no field
     extensions are involved.
     """
-    return connection_curvature(christoffel(M, p, cfg), christoffel_derivative(M, p, cfg))
+    return connection_curvature(christoffel(M, p), christoffel_derivative(M, p, cfg))
 
 
 def connection_curvature(G: Array, dG: Array) -> Array:
@@ -488,11 +478,9 @@ def orthonormal_basis(M: ChartManifold, p: Array) -> list[TangentVector]:
 
 
 def reference_frame(M: ChartManifold, p: Array) -> Array:
-    """Reference orthonormal frame at points p (..., dim) as matrices of column vectors
-    (exact frame field if available, else the coordinate basis orthonormalised)."""
-    if M.orthonormal_frame is not None:
-        return np.asarray(M.orthonormal_frame(p), dtype=float)
-    return orthonormalizer(metric_eval(M, p)).swapaxes(-1, -2)
+    """Reference orthonormal frame at points p (..., dim) as matrices of column vectors,
+    from the chart's ``orthonormal_frame``."""
+    return np.asarray(M.orthonormal_frame(p), dtype=float)
 
 
 def orthonormality_defect(M: ChartManifold, p: Array, basis: Sequence[TangentVector]) -> float:

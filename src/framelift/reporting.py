@@ -86,9 +86,10 @@ class Checks:
         return report
 
 
-def _fmt(x: float) -> float:
-    """Round to 6 significant digits for stable, diff-able output."""
-    return float(f"{x:.6g}")
+def _fmt(x: float) -> float | None:
+    """Round to 6 significant digits for stable, diff-able output; a non-finite value,
+    which JSON has no number for, becomes None (null)."""
+    return float(f"{x:.6g}") if np.isfinite(x) else None
 
 
 def report_to_dict(r: CheckReport) -> dict:
@@ -118,7 +119,7 @@ def reports_to_json(cfg: FDConfig, seed: int, samples: int, results: list[CheckR
         },
         "results": [report_to_dict(r) for r in results],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def strip_wall_times(serialized: str) -> str:
@@ -126,7 +127,7 @@ def strip_wall_times(serialized: str) -> str:
     doc = json.loads(serialized)
     for r in doc.get("results", []):
         r.pop("wall_ms", None)
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def summarize(results: list[CheckReport]) -> tuple[int, int, int]:

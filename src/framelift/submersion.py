@@ -32,7 +32,7 @@ from .geometry import (
     directional_diff,
     metric_derivative_eval,
     metric_eval,
-    orthonormalizer,
+    reference_frame,
 )
 from .frames import (
     Frame,
@@ -41,11 +41,9 @@ from .frames import (
     frame_diff,
     fundamental_vertical,
     horizontal_lift_frame,
-    induced_metric_on_chart,
     mok_gram,
     mok_orthonormalize,
     skew_basis,
-    total_space_cfg,
     total_space_manifold,
 )
 from .adapted import (
@@ -198,10 +196,10 @@ def second_fundamental_tensor(phi: SubmersionSpec, p: Array, cfg: FDConfig = DEF
     p = np.asarray(p, dtype=float)
     J = differential_matrix(phi, p)
     dJ = central_diff(lambda q: differential_matrix(phi, q), p, cfg.step_h)  # [..., i, c, j]
-    gamma_N = christoffel(phi.target, phi.value(p), cfg)
+    gamma_N = christoffel(phi.target, phi.value(p))
     pulled = J.swapaxes(-1, -2)[..., None, :, :] @ gamma_N @ J[..., None, :, :]
     return (dJ.swapaxes(-3, -2) + pulled
-            - np.einsum("...cm,...mij->...cij", J, christoffel(phi.source, p, cfg)))
+            - np.einsum("...cm,...mij->...cij", J, christoffel(phi.source, p)))
 
 
 def _bilinear(B: Array, x: Array, y: Array) -> Array:
@@ -295,8 +293,8 @@ def Pi_X_endo_alt(
 
     d = directional_diff(Y_and_pushed, p, x, cfg.step_h)
     J, L, Pi_H = split
-    gx = christoffel_contract(christoffel(phi.source, p, cfg), x)
-    gxN = christoffel_contract(christoffel(phi.target, phi.value(p), cfg), (J @ x[..., None])[..., 0])
+    gx = christoffel_contract(christoffel(phi.source, p), x)
+    gxN = christoffel_contract(christoffel(phi.target, phi.value(p)), (J @ x[..., None])[..., 0])
     first = L @ (d[..., n:, :] + gxN @ J @ Pi_H)
     nab = d[..., :n, :] + gx @ Pi_H
     return (first - Pi_H @ nab) @ Pi_H
@@ -415,8 +413,7 @@ def lift_differential_fd(
 
 
 def lift_differential_formula(
-    geom: SubmersionGeometry, case: str, value, u: Frame, S: Array, B: Array,
-    split: Split, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, case: str, value, u: Frame, S: Array, B: Array, split: Split,
 ) -> FrameTangent:
     """Closed-form differential of the lift per input type, at the frame u or at a
     stack of frames with one value each, from the caller's values at u's base points:
@@ -440,7 +437,7 @@ def lift_differential_formula(
     if case == "horizontal-of-H":
         x = np.asarray(value, dtype=float)
         pushed = TangentVector(v.base, (J @ x[..., None])[..., 0])
-        return (horizontal_lift_frame(geom.phi.target, pushed, v, cfg)
+        return (horizontal_lift_frame(geom.phi.target, pushed, v)
                 + fundamental_vertical(pushforward_endo(split, Pi_X_endo(split, x, B)), v))
     if case == "horizontal-of-V":
         return fundamental_vertical(-pushforward_endo(split, A_Y_endos([value], S, Pi_H)[0]), v)
@@ -553,7 +550,7 @@ def tension_conformal_display(
     p = np.asarray(p, dtype=float)
     dlnlam = central_diff(lambda q: np.log(dilatation(geom, adapted_frame(M, D, q))[0]), p, cfg.step_h)
     grad = np.linalg.solve(metric_eval(M, p), dlnlam[..., None])
-    H = mean_curvature_fibers(geom, adapted_frame(M, D, p), christoffel(M, p, cfg), D.projector(p),
+    H = mean_curvature_fibers(geom, adapted_frame(M, D, p), christoffel(M, p), D.projector(p),
                               cfg).components
     J = differential_matrix(phi, p)
     return (-0.5 * (M.dim - 2) * (J @ grad) - J @ H[..., None])[..., 0]
@@ -577,10 +574,10 @@ def lift_conformality_measurement(
     """
     phi = geom.phi
     _, H_basis = lift_distributions(geom, u, gamma, Pi_H, S, cfg)
-    W_on = mok_orthonormalize(phi.source, H_basis, cfg)
+    W_on = mok_orthonormalize(phi.source, H_basis)
     m = len(W_on)
     imgs = lift_differential_fd(geom, FrameTangent.stack(W_on), Pi_H, cfg, check_tangency=False)
-    G = mok_gram(phi.target, [imgs[a] for a in range(m)], cfg)
+    G = mok_gram(phi.target, [imgs[a] for a in range(m)])
     Lam = np.trace(G, axis1=-2, axis2=-1) / m
     defect = np.max(np.abs(G - Lam[..., None, None] * np.eye(m)), axis=(-2, -1))
     return Lam, defect
@@ -683,7 +680,7 @@ def classify(
 
     # torsion T^D(e_a, e_b) on the horizontal pairs a < b, from the S that the lift
     # measurement reads too
-    gamma, P = christoffel(M, points, cfg), D.projector(points)
+    gamma, P = christoffel(M, points), D.projector(points)
     S = S_components(M, D, points, gamma, P, cfg)
     a, b = np.triu_indices(k, 1)
     integ_defect = np.max(_g_norm(gp, _torsion(S, *(np.moveaxis(E[..., :, c], -1, 0) for c in (a, b)))),
@@ -757,16 +754,11 @@ def lift_tension_direct(
     q0 = src_chart.join(x0, np.zeros(src_chart.dim - M.dim))
     m = src_chart.dim
 
-    def on_frame(q: Array) -> Array:
-        # columns: the coordinate basis orthonormalised in the induced metric
-        return orthonormalizer(induced_metric_on_chart(src_chart, q, cfg)).swapaxes(-1, -2)
-
-    cfg_total = total_space_cfg(cfg)
-    E0 = on_frame(q0)
-    gamma_src = christoffel(src_total, q0, cfg_total)
+    E0 = reference_frame(src_total, q0)
+    gamma_src = christoffel(src_total, q0)
     # E_i at q0 +- h2 E0_i/|E0_i| is column i of the frame at row i of the outer stencil
     outer, outer_norm = _directional_stencil(q0, E0.T, h2)
-    E_out = np.diagonal(on_frame(outer), axis1=1, axis2=3).swapaxes(-1, -2)  # (2, m, m)
+    E_out = np.diagonal(reference_frame(src_total, outer), axis1=1, axis2=3).swapaxes(-1, -2)  # (2, m, m)
     dE = _difference(E_out, outer_norm, h2)  # row i: d(E_i) along E0_i
     # F at q0, on the stencil of the coordinate directions (J_F) and of the E0_i at q0,
     # and on the stencil of each E_i at the outer points, in one call
@@ -782,7 +774,7 @@ def lift_tension_direct(
     # G(y0) of L(N) serves its Christoffel symbols and the norms below; the source side
     # stays the generic ``christoffel``, whose domain errors the column reference shares
     G_tgt = metric_eval(tgt_total, y0)
-    gamma_tgt = _christoffel_from(G_tgt, metric_derivative_eval(tgt_total, y0, cfg_total))
+    gamma_tgt = _christoffel_from(G_tgt, metric_derivative_eval(tgt_total, y0))
 
     tau = np.zeros(tgt_chart.dim)
     for i in range(m):

@@ -141,17 +141,15 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         draws = _rng(seed, 1).standard_normal((len(pts), 3 * m + 3 * n))
         X, Y, Z = (_polynomial_vector_field(draws[:, i * m:(i + 1) * m], n) for i in range(3))
         x, y, z = np.split(draws[:, 3 * m:], 3, axis=-1)
-        exact = M.metric_derivative is not None
 
-        gamma = christoffel(M, pts, cfg)
+        gamma = christoffel(M, pts)
         checks.row(f"gamma_symmetry.{tag}", "Gamma^k_ij = Gamma^k_ji", cfg.tol_exact,
                    np.max(np.abs(gamma - gamma.swapaxes(-1, -2)), axis=(-3, -2, -1)))
         lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), pts, X.eval(pts), cfg.step_h)
         nXY, nXZ, nYX = (v.components for v in covariant_derivatives(
             M, [(X, Y), (X, Z), (Y, X)], pts, cfg))
         g = metric_eval(M, pts)
-        checks.row(f"metric_compatibility.{tag}", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)",
-                   1e-8 if exact else cfg.tol_fd1,
+        checks.row(f"metric_compatibility.{tag}", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)", 1e-8,
                    np.abs(lhs - _pairing_at(g, nXY, Z.eval(pts)) - _pairing_at(g, Y.eval(pts), nXZ)))
         checks.row(f"torsion_free.{tag}", "nabla_X Y - nabla_Y X = [X, Y]", cfg.tol_fd1,
                    _g_norm(g, nXY - nYX - lie_bracket(X, Y, pts, cfg).components))
@@ -160,10 +158,9 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                      for xyz in ((x, y, z), (y, z, x), (z, x, y)))
         checks.row(f"bianchi_first.{tag}", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0", cfg.tol_fd1,
                    _g_norm(g, cyclic))
-        if exact:
-            checks.row(f"metric_derivative_vs_fd.{tag}", "supplied d_k g_ij matches central differences",
-                       cfg.tol_fd1, np.max(np.abs(central_diff(M.metric_field, pts, cfg.step_h)
-                                                  - M.metric_derivative(pts)), axis=(-3, -2, -1)))
+        checks.row(f"metric_derivative_vs_fd.{tag}", "supplied d_k g_ij matches central differences",
+                   cfg.tol_fd1, np.max(np.abs(central_diff(M.metric_field, pts, cfg.step_h)
+                                              - M.metric_derivative(pts)), axis=(-3, -2, -1)))
 
         # endomorphism inner product: basis independence
         p = pts[0]
@@ -196,16 +193,16 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     zf, x, base_rate, fiber_rate = np.split(rng.standard_normal((len(pts), 4 * n)), 4, axis=-1)
     Z = Frame(pts, 0.7 * zf[..., None])
     v = tm_vertical_lift(TangentVector(pts, x), Z)
-    h = horizontal_lift_frame(M, TangentVector(pts, x), Z, cfg)
+    h = horizontal_lift_frame(M, TangentVector(pts, x), Z)
     checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact,
                *(np.max(np.abs(d), axis=-1) for d in (
-                   connection_map_K(M, v, cfg).components - x, connection_map_K(M, h, cfg).components,
+                   connection_map_K(M, v).components - x, connection_map_K(M, h).components,
                    h.base_rate - x, v.base_rate)))
     t = FrameTangent(Z, base_rate, fiber_rate[..., None])
-    hh, vv = tm_split(M, t, cfg)
+    hh, vv = tm_split(M, t)
     checks.row("splitting_exact", "t = (pi_* t)^h + (K t)^v", cfg.tol_exact, _tm_size(hh + vv - t))
     checks.row("horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0", cfg.tol_exact,
-               np.abs(mok_metric(M, h, v, cfg)))
+               np.abs(mok_metric(M, h, v)))
 
     # second differential: formula vs finite differences, each kind once on the stack;
     # per point, the draws are the fiber of Z and the vector X
@@ -213,7 +210,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         zf, x = np.split(rng.standard_normal((len(pts), 2 * n)), 2, axis=-1)
         Z = Frame(pts, 0.7 * zf[..., None])
         X = TangentVector(pts, x)
-        t = tm_vertical_lift(X, Z) if kind == "vertical" else horizontal_lift_frame(M, X, Z, cfg)
+        t = tm_vertical_lift(X, Z) if kind == "vertical" else horizontal_lift_frame(M, X, Z)
         checks.row(f"second_differential.{kind}", "second differential formula matches central differences",
                    cfg.tol_fd2, _tm_size(phi_second_differential_fd(phi, t, cfg)
                                          - phi_second_differential_formula(phi, kind, X, Z, cfg)))
@@ -223,14 +220,14 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # gives one evaluation of each row, the worst of its values
     D = geom.horizontal
     dpts = pts[: max(2, samples // 3)]
-    S = S_components(M, D, dpts, christoffel(M, dpts, cfg), D.projector(dpts), cfg)
+    S = S_components(M, D, dpts, christoffel(M, dpts), D.projector(dpts), cfg)
     dims, kernel, cross, shown_cross, const = [], [], [], [], []
     for p, S_p in zip(dpts, S):
         Z = Frame(p, 0.7 * rng.standard_normal((n, 1)))
-        Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p, cfg)
+        Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p)
         # one Sasaki-Mok Gram of kernel, complement and displayed vectors; the kernel
         # vectors are independent: their own block has full rank
-        G, kv, kh = mok_gram(M, Vb + Hb + shown, cfg), len(Vb), len(Vb) + len(Hb)
+        G, kv, kh = mok_gram(M, Vb + Hb + shown), len(Vb), len(Vb) + len(Hb)
         dims.append(0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
                     and np.linalg.matrix_rank(G[:kv, :kv]) == kv else 1.0)
         # both kernel readings share the vertical lifts e^v; only the corrected half differs
@@ -257,12 +254,12 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     p = pts[0]
     u = Frame(np.tile(p, (n, 1)), np.tile(reference_frame(M, p), (n, 1, 1)))
     x, P = np.split(_rng(seed, 4).standard_normal((n, n + n * n)), [n], axis=-1)
-    th = horizontal_lift_frame(M, TangentVector(u.base, x), u, cfg)
+    th = horizontal_lift_frame(M, TangentVector(u.base, x), u)
     t = th + fundamental_vertical(P.reshape(n, n, n), u)
     cols = np.arange(n)
-    differential = _tm_size(pi_i_differential(M, t, cols, cfg) - pi_i_differential_fd(M, t, cols, cfg))
-    ti = pi_i_differential(M, th, cols, cfg)
-    isometry = np.abs(mok_metric(M, th, th, cfg) - mok_metric(M, ti, ti, cfg))
+    differential = _tm_size(pi_i_differential(M, t, cols) - pi_i_differential_fd(M, t, cols, cfg))
+    ti = pi_i_differential(M, th, cols)
+    isometry = np.abs(mok_metric(M, th, th) - mok_metric(M, ti, ti))
     checks.row("frame_projection_differential", "column projection maps lifts to lifts", cfg.tol_fd1,
                differential)
     checks.row("frame_projection_isometry", "column projection is isometric on horizontals",
@@ -290,22 +287,22 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     x, P, K, Qd, a = np.split(rng.standard_normal((len(pts), n + 3 * n * n + len(chart.basis))),
                               np.cumsum([n, n * n, n * n, n * n]), axis=-1)
     P, K, Qd = (m.reshape(-1, n, n) for m in (P, K, Qd))
-    h = horizontal_lift_frame(M, TangentVector(pts, x), frames, cfg)
+    h = horizontal_lift_frame(M, TangentVector(pts, x), frames)
     t = h + fundamental_vertical(P, frames)
-    rec = (horizontal_lift_frame(M, TangentVector(pts, t.base_rate), frames, cfg)
-           + fundamental_vertical(vertical_part(M, t, cfg), frames))
+    rec = (horizontal_lift_frame(M, TangentVector(pts, t.base_rate), frames)
+           + fundamental_vertical(vertical_part(M, t), frames))
     checks.row("decomposition_exact", "t = (pi_* t)^h + V(t)*", cfg.tol_exact,
                np.max(np.abs(rec.frame_rate - t.frame_rate), axis=(-2, -1)),
                np.max(np.abs(rec.base_rate - t.base_rate), axis=-1))
     skew = np.linalg.solve(metric_eval(M, pts), 0.5 * (K - K.swapaxes(-1, -2)))
     checks.row("mok_block_orthogonal", "g_L(X^h, P*) = 0", cfg.tol_exact,
-               np.abs(mok_metric(M, h, fundamental_vertical(skew, frames), cfg)))
+               np.abs(mok_metric(M, h, fundamental_vertical(skew, frames))))
     # right invariance under a constant orthogonal matrix
     Q, _ = np.linalg.qr(Qd)
     s = h + fundamental_vertical(skew, frames)
     sk = FrameTangent(Frame(pts, frames.columns @ Q), s.base_rate, s.frame_rate @ Q)
     checks.row("mok_right_invariant", "Mok norms invariant under constant right rotation",
-               cfg.tol_exact * 100, np.abs(mok_metric(M, s, s, cfg) - mok_metric(M, sk, sk, cfg)))
+               cfg.tol_exact * 100, np.abs(mok_metric(M, s, s) - mok_metric(M, sk, sk)))
     # orthonormal chart round trip
     a = 0.4 * a
     _, a2 = chart.split(chart.encode(chart.decode(chart.join(pts, a))))
@@ -398,7 +395,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # the difference tensor S at the sample points, built once: every block below
     # contracts it, at the first sample points its leading rows
-    gamma, Pi = christoffel(M, pts, cfg), D.projector(pts)
+    gamma, Pi = christoffel(M, pts), D.projector(pts)
     S = S_components(M, D, pts, gamma, Pi, cfg)
 
     # projector, blocks and m-projection, evaluated once on the stack of sample
@@ -482,11 +479,11 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     tx1, ty1, tx2, ty2, t = _adapted_horizontal_lifts(
         M, D, [TangentVector(pts, v) for v in (x1, y1, x2, y2, x)], u, gamma, Pi, S)
     w_lemma = np.concatenate([
-        np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(M, ta, tb, cfg))
+        np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(M, ta, tb))
         for a, b, ta, tb in ((x1, y1, tx1, ty1), (x2, y2, tx2, ty2))])
     W_onb = np.linalg.inv(u.columns) @ Wm @ u.columns
     w_positive = 1.0 - np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.swapaxes(-1, -2))), axis=-1)
-    t2 = (horizontal_lift_frame(M, TangentVector(pts, x), u, cfg)
+    t2 = (horizontal_lift_frame(M, TangentVector(pts, x), u)
           + fundamental_vertical(christoffel_contract(S, x), u))
     frame_gap = np.max(np.abs(t.frame_rate - t2.frame_rate), axis=(-2, -1))
     base_gap = np.max(np.abs(t.base_rate - t2.base_rate), axis=-1)
@@ -547,7 +544,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     frames = frames[:len(few)]
     E = frames.columns
     split_few = tuple(a[:len(few)] for a in split)
-    gamma, Pi = christoffel(M, few, cfg), split_few[2]
+    gamma, Pi = christoffel(M, few), split_few[2]
     S = S_components(M, D, few, gamma, Pi, cfg)
     x, y, w = np.moveaxis(rng.standard_normal((len(few), 3, M.dim)), 1, 0)
     B = second_fundamental_tensor(phi, few, cfg)
@@ -610,8 +607,8 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     cases = (("horizontal-of-H", tx, x), ("horizontal-of-V", ty, y),
              ("vertical", fundamental_vertical(P0, frames), P0))
     d = lift_differential_fd(geom, FrameTangent.stack([t for _, t, _ in cases]), Pi, cfg) - FrameTangent.stack(
-        [lift_differential_formula(geom, case, arg, frames, S, B, split_few, cfg) for case, _, arg in cases])
-    for (case, _, _), residual in zip(cases, mok_norm(phi.target, d, cfg)):
+        [lift_differential_formula(geom, case, arg, frames, S, B, split_few) for case, _, arg in cases])
+    for (case, _, _), residual in zip(cases, mok_norm(phi.target, d)):
         checks.row(f"differential.{case}", "lift differential formula matches central differences",
                    cfg.tol_fd2, residual)
 
@@ -621,10 +618,10 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Vb, Hb = lift_distributions(geom, frames, gamma, Pi, S, cfg)
     dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
     kernel = mok_norm(phi.target, lift_differential_fd(
-        geom, FrameTangent.stack(Vb), Pi, cfg, check_tangency=False), cfg)  # (len(Vb), len(few))
+        geom, FrameTangent.stack(Vb), Pi, cfg, check_tangency=False))  # (len(Vb), len(few))
     checks.row("kernel_distribution", "lift differential kills the kernel basis", cfg.tol_fd2, *kernel)
     checks.row("distribution_orthogonality", "kernel and orthogonal bases have zero Mok cross Gram",
-               cfg.tol_fd1, np.abs(mok_gram(M, Vb + Hb, cfg)[:, :len(Vb), len(Vb):]))
+               cfg.tol_fd1, np.abs(mok_gram(M, Vb + Hb)[:, :len(Vb), len(Vb):]))
     checks.row("dimension_identity", "kernel and orthogonal dimensions sum to the bundle dimension",
                0.5, np.full(len(few), 0.0 if dims_ok else 1.0))
     return checks.reports
@@ -696,7 +693,7 @@ def suite_theorems(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         y0 = phi.value(p0)
         tn = norm(phi.target, y0, tension_field(geom, p0, cfg))
         H = mean_curvature_fibers(geom, adapted_frame(phi.source, geom.horizontal, p0),
-                                  christoffel(phi.source, p0, cfg), geom.horizontal.projector(p0), cfg)
+                                  christoffel(phi.source, p0), geom.horizontal.projector(p0), cfg)
         pushed = differential_matrix(phi, p0) @ H.components
         checks.row("tension_norm_one", "tension norm equals 1 at the warped origin", 5e-3, abs(tn - 1.0))
         checks.row("tension_equals_fiber_curvature", "tension norm equals pushed mean-curvature norm",

@@ -58,18 +58,17 @@ def tm_vertical_lift(X: TangentVector, Z: Frame) -> FrameTangent:
     return FrameTangent(Z, np.zeros_like(X.components), X.components[..., None].copy())
 
 
-def connection_map_K(M: ChartManifold, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
+def connection_map_K(M: ChartManifold, t: FrameTangent) -> TangentVector:
     """Dombrowski connection map K(t) = Zdot + Gamma_xdot Z: the one column of the
     vertical rate that ``mok_gram`` pairs."""
-    return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base, cfg), t.base_rate,
+    return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base), t.base_rate,
                                                    t.at.columns, t.frame_rate)[..., 0])
 
 
-def tm_split(M: ChartManifold, t: FrameTangent,
-             cfg: FDConfig = DEFAULT_FD) -> tuple[FrameTangent, FrameTangent]:
+def tm_split(M: ChartManifold, t: FrameTangent) -> tuple[FrameTangent, FrameTangent]:
     """Exact splitting into horizontal and vertical lifts of pi_* t and K(t)."""
-    return (horizontal_lift_frame(M, TangentVector(t.at.base, t.base_rate), t.at, cfg),
-            tm_vertical_lift(connection_map_K(M, t, cfg), t.at))
+    return (horizontal_lift_frame(M, TangentVector(t.at.base, t.base_rate), t.at),
+            tm_vertical_lift(connection_map_K(M, t), t.at))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ def phi_second_differential_formula(
     if kind == "vertical":
         return tm_vertical_lift(pushed, img)
     if kind == "horizontal":
-        out = horizontal_lift_frame(phi.target, pushed, img, cfg)
+        out = horizontal_lift_frame(phi.target, pushed, img)
         corr = second_fundamental_form(phi, X, TangentVector(Z.base, Z.vector(0)), cfg)
         return out + tm_vertical_lift(TangentVector(img.base, corr), img)
     raise ValueError(f"unknown kind {kind!r}")
@@ -116,7 +115,7 @@ def phi_second_differential_formula(
 # ---------------------------------------------------------------------------
 
 def tm_distributions(
-    geom: SubmersionGeometry, Z: Frame, S: Array, cfg: FDConfig = DEFAULT_FD,
+    geom: SubmersionGeometry, Z: Frame, S: Array,
 ) -> tuple[list[FrameTangent], list[FrameTangent], list[FrameTangent], list[FrameTangent]]:
     """(kernel, complement, kernel_constant_extension, displayed_h) of the tangent-bundle
     map at the one-column frame Z, from S = ``S_components`` at Z's base point and one
@@ -133,7 +132,7 @@ def tm_distributions(
     M, p, k = geom.phi.source, Z.base, geom.rank
     n = M.dim
     E = adapted_frame(M, geom.horizontal, p).columns
-    gamma = christoffel(M, p, cfg)
+    gamma = christoffel(M, p)
     SE = christoffel_contract(S, Z.vector(0)) @ E  # columns S_Z e over the adapted frame
     # Pi_H Gamma_Z e: the first k coefficients of Gamma_Z e in the adapted frame
     PGE = E[:, :k] @ np.linalg.solve(E, christoffel_contract(gamma, Z.vector(0)) @ E[:, k:])[:k]
@@ -162,9 +161,7 @@ def _column(E: Array, i: int | Array) -> Array:
     return np.take_along_axis(E, np.broadcast_to(np.asarray(i)[..., None, None], E.shape[:-1] + (1,)), -1)
 
 
-def pi_i_differential(
-    M: ChartManifold, t: FrameTangent, i: int | Array, cfg: FDConfig = DEFAULT_FD
-) -> FrameTangent:
+def pi_i_differential(M: ChartManifold, t: FrameTangent, i: int | Array) -> FrameTangent:
     """Differential of the i-th column projection of the frame bundle into TM; i is an
     int, or one column index per frame of a stack.
 
@@ -172,8 +169,8 @@ def pi_i_differential(
     fundamental verticals of P map to vertical lifts of P(u_i).
     """
     Z = Frame(t.at.base, _column(t.at.columns, i))
-    hor = horizontal_lift_frame(M, TangentVector(Z.base, t.base_rate), Z, cfg)
-    ver = tm_vertical_lift(TangentVector(Z.base, (vertical_part(M, t, cfg) @ Z.columns)[..., 0]), Z)
+    hor = horizontal_lift_frame(M, TangentVector(Z.base, t.base_rate), Z)
+    ver = tm_vertical_lift(TangentVector(Z.base, (vertical_part(M, t) @ Z.columns)[..., 0]), Z)
     return hor + ver
 
 

@@ -53,7 +53,7 @@ def lift_tension_by_columns(geom, x0, cfg=DEFAULT_FD):
     E0 = on_frame(q0)
     J_F = central_diff(F, q0, cfg.step_h).T  # (tgt_dim, m)
     y0 = F(q0)
-    gamma_tgt = christoffel(tgt_total, y0, cfg_total)
+    gamma_tgt = christoffel(tgt_total, y0)
 
     E_fields = [VectorField(eval=lambda q, i=i: on_frame(q)[..., :, i]) for i in range(m)]
     nabs = covariant_derivatives(

@@ -27,7 +27,7 @@ def pullback_connection(phi, X, W, cfg=DEFAULT_FD):
     p = X.base
     dW = directional_diff(W, p, X.components, cfg.step_h)
     J = differential_matrix(phi, p)
-    gx = christoffel_contract(christoffel(phi.target, phi.value(p), cfg),
+    gx = christoffel_contract(christoffel(phi.target, phi.value(p)),
                               (J @ X.components[..., None])[..., 0])
     return dW + (gx @ np.asarray(W(p), dtype=float)[..., None])[..., 0]
 

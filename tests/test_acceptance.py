@@ -93,7 +93,7 @@ def test_criterion_01_core_calculus():
     for M in (get("E1").phi.source, get("E1").phi.target, sphere_chart(2)):
         rng = np.random.default_rng([SEED, 101])
         for p in sample_points(M, SEED, 20):
-            gamma = christoffel(M, p, CFG)
+            gamma = christoffel(M, p)
             worst = max(worst, float(np.max(np.abs(gamma - gamma.transpose(0, 2, 1)))))
             X = polynomial_vector_field(M.dim, rng)
             Y = polynomial_vector_field(M.dim, rng)
@@ -198,7 +198,7 @@ def test_criterion_03_connection_formulas():
 
 def S_at(M, D, p):
     """S_components of D at p, from Gamma(p) and P(p)."""
-    return S_components(M, D, p, christoffel(M, p, CFG), D.projector(p), CFG)
+    return S_components(M, D, p, christoffel(M, p), D.projector(p), CFG)
 
 
 def test_criterion_04_adapted_lemma():
@@ -212,7 +212,7 @@ def test_criterion_04_adapted_lemma():
         u = adapted_frame(M, D, p)
         x = rng.standard_normal(2)
         t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
-        t2 = horizontal_lift_frame(M, TangentVector(p, x), u, CFG) + fundamental_vertical(
+        t2 = horizontal_lift_frame(M, TangentVector(p, x), u) + fundamental_vertical(
             christoffel_contract(S_at(M, D, p), x), u)
         ident = max(ident,
                     float(np.max(np.abs(t.frame_rate - t2.frame_rate))),
@@ -239,7 +239,7 @@ def test_criterion_05_w_lemma():
             x, y = rng.standard_normal((2, M.dim))
             tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
             ty = adapted_horizontal_lift(M, D, TangentVector(p, y), u, CFG)
-            worst = max(worst, abs(float(x @ g @ (W @ y)) - mok_metric(M, tx, ty, CFG)))
+            worst = max(worst, abs(float(x @ g @ (W @ y)) - mok_metric(M, tx, ty)))
             W_onb = np.linalg.inv(u.columns) @ W @ u.columns
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.T)))))
     ok = worst < 1e-6 and min_eig > 0.0
@@ -264,7 +264,7 @@ def test_criterion_06_divergence_lemma():
         for trial in range(5):
             top = rng.standard_normal((k, k))
             C = adapted_endo_field(geom, top=top)
-            [d] = div_bot(geom, top[None], u, christoffel(M, p, CFG), D.projector(p), CFG)
+            [d] = div_bot(geom, top[None], u, christoffel(M, p), D.projector(p), CFG)
             X = vb[trial % len(vb)]
             x = rng.standard_normal(M.dim)
             Xr = TangentVector(p, (np.eye(M.dim) - D.projector(p)) @ x)
@@ -288,7 +288,7 @@ def test_criterion_07_tangent_bundle_lemmas():
             X = TangentVector(p, rng.standard_normal(n))
             for kind in ("vertical", "horizontal"):
                 t = (tm_vertical_lift(X, Z) if kind == "vertical"
-                     else horizontal_lift_frame(phi.source, X, Z, CFG))
+                     else horizontal_lift_frame(phi.source, X, Z))
                 d = phi_second_differential_fd(phi, t, CFG) - phi_second_differential_formula(
                     phi, kind, X, Z, CFG)
                 worst = max(worst, float(np.max(np.abs(d.base_rate))),
@@ -300,13 +300,13 @@ def test_criterion_07_tangent_bundle_lemmas():
         Z = Frame(p, rng.standard_normal((3, 1)))
         x = rng.standard_normal(3)
         v = tm_vertical_lift(TangentVector(p, x), Z)
-        h = horizontal_lift_frame(flat, TangentVector(p, x), Z, CFG)
+        h = horizontal_lift_frame(flat, TangentVector(p, x), Z)
         exact = max(exact,
-                    float(np.max(np.abs(connection_map_K(flat, v, CFG).components - x))),
-                    float(np.max(np.abs(connection_map_K(flat, h, CFG).components))),
+                    float(np.max(np.abs(connection_map_K(flat, v).components - x))),
+                    float(np.max(np.abs(connection_map_K(flat, h).components))),
                     float(np.max(np.abs(h.base_rate - x))))
         t = FrameTangent(Z, rng.standard_normal(3), rng.standard_normal((3, 1)))
-        hh, vv = tm_split(flat, t, CFG)
+        hh, vv = tm_split(flat, t)
         rec = hh + vv
         exact = max(exact, float(np.max(np.abs(rec.base_rate - t.base_rate))),
                     float(np.max(np.abs(rec.frame_rate - t.frame_rate))))
@@ -334,13 +334,13 @@ def test_criterion_08_lift_differential_lemma():
             split = splitting(e.phi, p)
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
-                geom, "horizontal-of-H", x, u, S, B, split, CFG)
-            worst = max(worst, mok_norm(e.phi.target, d, CFG))
+                geom, "horizontal-of-H", x, u, S, B, split)
+            worst = max(worst, mok_norm(e.phi.target, d))
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u, CFG)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
-                geom, "horizontal-of-V", y, u, S, B, split, CFG)
-            worst = max(worst, mok_norm(e.phi.target, d, CFG))
+                geom, "horizontal-of-V", y, u, S, B, split)
+            worst = max(worst, mok_norm(e.phi.target, d))
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
                 blk[0, 1], blk[1, 0] = -1.0, 1.0
@@ -349,8 +349,8 @@ def test_criterion_08_lift_differential_lemma():
             P0 = u.columns @ blk @ u.columns.T @ g
             t = fundamental_vertical(P0, u)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
-                geom, "vertical", P0, u, S, B, split, CFG)
-            worst = max(worst, mok_norm(e.phi.target, d, CFG))
+                geom, "vertical", P0, u, S, B, split)
+            worst = max(worst, mok_norm(e.phi.target, d))
     ok = worst < 5e-4
     report(8, "lift differential lemma", ok, f"(residual {worst:.3g})")
     assert worst < 5e-4
@@ -367,16 +367,16 @@ def test_criterion_09_lift_distributions():
         for p in sample_points(M, SEED, 2):
             u = adapted_frame(M, geom.horizontal, p)
             Pi_H = geom.horizontal.projector(p)
-            Vb, Hb = lift_distributions(geom, u, christoffel(M, p, CFG), Pi_H,
+            Vb, Hb = lift_distributions(geom, u, christoffel(M, p), Pi_H,
                                         S_at(M, geom.horizontal, p), CFG)
             dims_ok = dims_ok and (len(Vb), len(Hb)) == (
                 (n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
             for v in Vb:
                 kern = max(kern, mok_norm(
-                    e.phi.target, lift_differential_fd(geom, v, Pi_H, CFG, check_tangency=False), CFG))
+                    e.phi.target, lift_differential_fd(geom, v, Pi_H, CFG, check_tangency=False)))
             for v in Vb:
                 for h in Hb:
-                    cross = max(cross, abs(mok_metric(M, v, h, CFG)))
+                    cross = max(cross, abs(mok_metric(M, v, h)))
     ok = kern < 5e-4 and cross < 1e-6 and dims_ok
     report(9, "lift kernel and orthogonal distributions", ok,
            f"(kernel {kern:.3g}, cross {cross:.3g}, dims {'exact' if dims_ok else 'WRONG'})")
@@ -474,7 +474,7 @@ def test_criterion_11_harmonic_morphism_theorem():
     gN = metric_eval(e4.phi.target, e4.phi.value(p0))
     tn = float(np.sqrt(max(tau @ gN @ tau, 0.0)))
     H = mean_curvature_fibers(geom4, adapted_frame(e4.phi.source, geom4.horizontal, p0),
-                              christoffel(e4.phi.source, p0, CFG), geom4.horizontal.projector(p0), CFG)
+                              christoffel(e4.phi.source, p0), geom4.horizontal.projector(p0), CFG)
     J = differential_matrix(e4.phi, p0)
     ph = J @ H.components
     hn = float(np.sqrt(max(ph @ gN @ ph, 0.0)))

@@ -48,7 +48,7 @@ R3 = euclidean_chart(3)
 
 def S_at(M, D, p, cfg=DEFAULT_FD):
     """S_components of D at the point or stack p, from Gamma(p) and P(p)."""
-    return S_components(M, D, p, christoffel(M, p, cfg), D.projector(p), cfg)
+    return S_components(M, D, p, christoffel(M, p), D.projector(p), cfg)
 
 
 def S_along(M, D, x, p, cfg=DEFAULT_FD):
@@ -431,7 +431,7 @@ class TestCurvatureRelationStencil:
     def separate_stencils(M, D, x, y, z, p, cfg=DEFAULT_FD):
         """The relation residual with GD and S differenced on separate stencils."""
         def GD_at(q):
-            return christoffel(M, q, cfg) - S_at(M, D, q, cfg)
+            return christoffel(M, q) - S_at(M, D, q, cfg)
 
         GD, S = GD_at(p), S_at(M, D, p, cfg)
         dGD = central_diff(per_point(GD_at), p, cfg.step_h2)

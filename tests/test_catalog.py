@@ -40,8 +40,6 @@ class TestChartData:
     def test_metric_derivatives_match_fd(self, eid):
         e = get(eid)
         for M in (e.phi.source, e.phi.target):
-            if M.metric_derivative is None:
-                continue
             for p in sample_points(M, 50, 5):
                 fd = central_diff(M.metric_field, p, 1e-5)
                 assert np.max(np.abs(fd - M.metric_derivative(p))) < 1e-6
@@ -50,8 +48,6 @@ class TestChartData:
     def test_frames_orthonormal(self, eid):
         e = get(eid)
         for M in (e.phi.source, e.phi.target):
-            if M.orthonormal_frame is None:
-                continue
             for p in sample_points(M, 51, 5):
                 E = M.orthonormal_frame(p)
                 g = metric_eval(M, p)

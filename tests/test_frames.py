@@ -42,6 +42,8 @@ from framelift.frames import (
 )
 from framelift.geometry import (
     DEFAULT_FD,
+    DomainError,
+    FDConfig,
     TangentVector,
     VectorField,
     central_diff,
@@ -51,6 +53,7 @@ from framelift.geometry import (
     lie_bracket,
     metric_derivative_eval,
     metric_eval,
+    orthonormalizer,
     sample_points,
 )
 from framelift.submersion import adapted_endo_field, derive_geometry
@@ -448,7 +451,7 @@ def lift_pairs(example, bundle, seed, count=None):
         if k >= 2:
             Ja[0, 1], Ja[1, 0] = -1.0, 1.0
         P, Q = adapted_endo_field(geom, top=0.8 * Ja), adapted_endo_field(geom, top=-1.3 * Ja)
-        horizontal = lambda M, X, v, cfg: adapted_horizontal_lift(M, D, X, v, cfg)  # noqa: E731
+        horizontal = lambda M, X, v: adapted_horizontal_lift(M, D, X, v)  # noqa: E731
     elif bundle == "O":
         chart, u = om_chart(M), Frame(pts, reference_frame(M, pts))
         P, Q = g_skew_endo_field(M, rng), g_skew_endo_field(M, rng)
@@ -456,7 +459,7 @@ def lift_pairs(example, bundle, seed, count=None):
         chart, u = LMChart(M), Frame(pts, reference_frame(M, pts))
         P, Q = polynomial_endo_field(M.dim, rng), polynomial_endo_field(M.dim, rng)
     cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
-    return chart, chart.encode(u), frames_module._case_fields(M, cases, DEFAULT_FD, horizontal)
+    return chart, chart.encode(u), frames_module._case_fields(M, cases, horizontal)
 
 
 class TestGenericPathReference:
@@ -530,6 +533,39 @@ def bundle_chart_point(example, bundle):
 
 
 EXAMPLE_BUNDLES = [(e, b) for e in ("E1", "E2", "E3", "E4", "E5") for b in ("L", "O", "D")]
+
+
+class TestTotalSpaceJets:
+    """A total space has no closed-form jets: ``total_space_manifold`` derives its metric
+    derivative, at step_h2, and its orthonormal frame from the induced metric."""
+
+    CFG = FDConfig(step_h=2e-5, step_h2=3e-4)
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_metric_derivative_differences_the_metric_at_step_h2(self, bundle):
+        chart, q = bundle_chart_point("E3", bundle)
+        total = total_space_manifold(chart, self.CFG)
+        assert np.array_equal(total.metric_derivative(q), central_diff(total.metric_field, q, self.CFG.step_h2))
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_orthonormal_frame_orthonormalises_the_coordinate_basis(self, bundle):
+        chart, q = bundle_chart_point("E3", bundle)
+        total = total_space_manifold(chart, self.CFG)
+        assert np.array_equal(total.orthonormal_frame(q),
+                              orthonormalizer(total.metric_field(q)).swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    def test_metric_derivative_raises_where_its_stencil_leaves_the_chart(self, bundle):
+        chart, q = bundle_chart_point("E3", bundle)
+        x, h, n = chart.split(q)[0], self.CFG.step_h2, chart.manifold.dim
+        if bundle == "L":  # det E = h > 0, and the stencil steps E[-1, -1] to 0
+            q = chart.join(x, np.diag([1.0] * (n - 1) + [h]))
+        else:  # |a| < 2, and the stencil steps a[0] past 2
+            q = chart.join(x, np.eye(len(chart.basis))[0] * (2.0 - h / 2))
+        total = total_space_manifold(chart, self.CFG)
+        assert total.contains(q)
+        with pytest.raises(DomainError, match="stencil"):
+            total.metric_derivative(q)
 
 
 class TestOnePassAssembly:
@@ -621,9 +657,9 @@ class TestNoReencoding:
         M = om.manifold
         D = derive_geometry(get("E3").phi).horizontal
         X, P = polynomial_vector_field(M.dim, rng), g_skew_endo_field(M, rng)
-        [(hX, vP)] = frames_module._case_fields(M, [("hv", (X, P))], DEFAULT_FD)
+        [(hX, vP)] = frames_module._case_fields(M, [("hv", (X, P))])
         [(aX, _)] = frames_module._case_fields(
-            M, [("hv", (X, P))], DEFAULT_FD, lambda M, X, v, cfg: adapted_horizontal_lift(M, D, X, v, cfg))
+            M, [("hv", (X, P))], lambda M, X, v: adapted_horizontal_lift(M, D, X, v))
         return [
             (hX, om, q_om, lambda u: horizontal_lift_frame(M, TangentVector(u.base, X.eval(u.base)), u)),
             (vP, om, q_om, lambda u: fundamental_vertical(P.eval(u.base), u)),
@@ -868,9 +904,9 @@ def extended_lift(geom):
     """X^h + (S_X)* at any frame of L(M): the adapted horizontal lift without its O(D) guard."""
     D = geom.horizontal
 
-    def lift(M, X, v, cfg):
-        gamma = christoffel(M, v.base, cfg)
-        S = adapted_module.S_components(M, D, v.base, gamma, D.projector(v.base), cfg)
+    def lift(M, X, v):
+        gamma = christoffel(M, v.base)
+        S = adapted_module.S_components(M, D, v.base, gamma, D.projector(v.base))
         return adapted_module._S_lifts([X], v, gamma, S)[0]
 
     return lift
@@ -916,12 +952,12 @@ class TestGaussProjection:
             J = rotation_generator(k)
             P, Q = adapted_endo_field(geom, top=0.8 * J), adapted_endo_field(geom, top=-1.3 * J)
             chart, extension = adapted_chart(M, geom.horizontal), extended_lift(geom)
-            lift = lambda M, X, v, cfg: adapted_horizontal_lift(M, geom.horizontal, X, v, cfg)  # noqa: E731
+            lift = lambda M, X, v: adapted_horizontal_lift(M, geom.horizontal, X, v)  # noqa: E731
         cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
         lm = LMChart(M)
         projected = gauss_projection(M, lc_total_space_oracle(
-            lm, frames_module._case_fields(M, cases, DEFAULT_FD, extension), lm.encode(u)), *data)
-        charted = lc_total_space_oracle(chart, frames_module._case_fields(M, cases, DEFAULT_FD, lift),
+            lm, frames_module._case_fields(M, cases, extension), lm.encode(u)), *data)
+        charted = lc_total_space_oracle(chart, frames_module._case_fields(M, cases, lift),
                                         chart.encode(u))
         gap = mok_norm(M, FrameTangent.stack([a - b for a, b in zip(projected, charted)]))
         assert np.max(gap) < self.GAP[bundle]
@@ -966,7 +1002,7 @@ class TestGaussProjection:
             h = horizontal_lift_frame(M, x, u)
         else:
             P = adapted_endo_field(geom, top=rotation_generator(k), bot=rotation_generator(n - k)).eval(u.base)
-            h = extended_lift(geom)(M, x, u, DEFAULT_FD)
+            h = extended_lift(geom)(M, x, u)
         ts = [h, fundamental_vertical(P, u), h + fundamental_vertical(P, u)]
         for t, pt in zip(ts, gauss_projection(M, ts, *data)):
             assert np.max(mok_norm(M, pt - t)) < tol * (1.0 + np.max(mok_norm(M, t)))

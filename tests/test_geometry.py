@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelift.catalog import euclidean_chart, sphere_chart, warped_plane_chart
+from framelift.catalog import euclidean_chart, get, sphere_chart, warped_plane_chart
 from framelift.fields import polynomial_vector_field
 from framelift.geometry import (
     DEFAULT_FD,
@@ -14,7 +14,9 @@ from framelift.geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    central_diff,
     christoffel,
+    christoffel_derivative,
     column_gram,
     coordinate_field,
     covariant_derivative,
@@ -108,12 +110,26 @@ class TestChristoffel:
             G = christoffel(S2, p)
             assert np.max(np.abs(G - G.transpose(0, 2, 1))) == 0.0
 
-    def test_fd_matches_exact_derivative(self):
-        # strip the supplied derivative and compare pure finite differences
-        import dataclasses
-        S2fd = dataclasses.replace(S2, metric_derivative=None)
-        p = np.array([0.3, -0.2])
-        assert np.max(np.abs(christoffel(S2, p) - christoffel(S2fd, p))) < 1e-9
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E3", "E4", "E5"])
+    def test_derivative_differences_at_step_h_alone(self, eid):
+        # the symbols are analytic on every chart, so their one difference step is step_h
+        for M in (get(eid).phi.source, get(eid).phi.target):
+            pts = sample_points(M, 44, 3)
+            dG = christoffel_derivative(M, pts, FDConfig(step_h=2e-5, step_h2=1e-4))
+            assert np.array_equal(christoffel_derivative(M, pts, FDConfig(step_h=2e-5, step_h2=3e-4)), dG)
+            assert np.array_equal(central_diff(lambda q: christoffel(M, q), pts, 2e-5), dG)
+
+
+class TestChartIsComplete:
+    """A chart carries its metric derivative and an orthonormal frame: nothing differences
+    the metric or orthonormalises the coordinate basis in their place."""
+
+    @pytest.mark.parametrize("missing", ["metric_derivative", "orthonormal_frame", "both"])
+    def test_a_chart_without_its_jets_is_refused(self, missing):
+        jets = {name: getattr(R2, name) for name in ("metric_derivative", "orthonormal_frame")
+                if name != missing and missing != "both"}
+        with pytest.raises(TypeError):
+            ChartManifold(2, R2.metric_field, **jets)
 
 
 class TestCovariantDerivative:
@@ -268,9 +284,12 @@ class TestGramSchmidt:
         assert np.max(np.abs(E.T @ g @ E - np.eye(2))) < 1e-12
 
 
-# a constant metric whose reference frame is not diagonal
+# a constant metric whose reference frame, its coordinate basis orthonormalised, is not diagonal
 SKEWED = np.array([[2.0, 1.0], [1.0, 3.0]])
-SKEWED_PLANE = ChartManifold(dim=2, metric_field=lambda p: np.zeros(p.shape[:-1] + (2, 2)) + SKEWED)
+SKEWED_PLANE = ChartManifold(dim=2, metric_field=lambda p: np.zeros(p.shape[:-1] + (2, 2)) + SKEWED,
+                             metric_derivative=lambda p: np.zeros(p.shape[:-1] + (2, 2, 2)),
+                             orthonormal_frame=lambda p: np.zeros(p.shape[:-1] + (2, 2))
+                             + orthonormalizer(SKEWED).T)
 
 
 class TestOrthonormalBasisStack:
@@ -342,10 +361,12 @@ class TestEndoInner:
 
 
 def random_metric(rng, n):
-    """A constant, well-conditioned metric on R^n as a chart."""
+    """A constant, well-conditioned metric on R^n as a chart, its coordinate basis
+    orthonormalised as the reference frame."""
     A = rng.standard_normal((n, n))
     g = np.eye(n) + 0.3 * A @ A.T / n
-    return ChartManifold(dim=n, metric_field=lambda _p: g), g
+    return ChartManifold(dim=n, metric_field=lambda _p: g, metric_derivative=lambda _p: np.zeros((n, n, n)),
+                         orthonormal_frame=lambda _p: orthonormalizer(g).T), g
 
 
 def modified_gram_schmidt(V, g):

@@ -49,6 +49,7 @@ from framelift.frames import (
 )
 from framelift.geometry import (
     DomainError,
+    FDConfig,
     TangentVector,
     VectorField,
     central_diff,
@@ -149,11 +150,10 @@ class TestStencil:
         x = sample_points(chart.manifold, 64, 1)[0]
         a = np.zeros(len(chart.basis))
         a[0] = 2.0 - 1e-5  # |a| < 2, but the step_h2 stencil crosses it
-        total = total_space_manifold(chart)
+        total = total_space_manifold(chart, FDConfig(step_h2=1e-4))
         assert total.contains(chart.join(x, a))
         with pytest.raises(DomainError, match="stencil"):
-            christoffel(total, chart.join(x, a), dataclasses.replace(geometry_module.DEFAULT_FD,
-                                                                      step_h=1e-4))
+            christoffel(total, chart.join(x, a))
 
     @pytest.mark.parametrize("a0,match", [(2.0 - 1e-5, "stencil"), (2.5, "outside chart domain")])
     def test_oracle_raises_where_the_total_space_christoffel_raises(self, a0, match):
@@ -161,7 +161,7 @@ class TestStencil:
         q = chart.join(sample_points(chart.manifold, 64, 1)[0], np.eye(len(chart.basis))[0] * a0)
         vP = lift_field(chart, "v", g_skew_endo_field(chart.manifold, np.random.default_rng(64)))
         with pytest.raises(DomainError, match=match) as generic:
-            christoffel(total_space_manifold(chart), q, frames_module.total_space_cfg(geometry_module.DEFAULT_FD))
+            christoffel(total_space_manifold(chart), q)
         with pytest.raises(DomainError, match=match) as oracle:
             lc_total_space_oracle(chart, [(vP, vP)], q)
         assert str(oracle.value) == str(generic.value)
@@ -228,8 +228,7 @@ class TestOneInducedMetricPerStencil:
         chart = bundle_chart(example, bundle)
         q = bundle_points(chart, 66, 1)[0]
         metrics = calls("induced_metric_on_chart")["induced_metric_on_chart"]
-        christoffel(total_space_manifold(chart), q,
-                    dataclasses.replace(geometry_module.DEFAULT_FD, step_h=1e-4))
+        christoffel(total_space_manifold(chart, FDConfig(step_h2=1e-4)), q)
         assert len(metrics) == 2  # q, then the whole 2 dim-point stencil
 
 
@@ -426,7 +425,7 @@ def lift_field(chart, kind, F, horizontal=frames_module.horizontal_lift_frame):
     (``horizontal``), the fundamental vertical of an endomorphism field for "v"."""
     case = kind + kind
     return frames_module._case_fields(
-        chart.manifold, [(case, (F, F))], geometry_module.DEFAULT_FD, horizontal)[0][0]
+        chart.manifold, [(case, (F, F))], horizontal)[0][0]
 
 
 def skew_blocks(geom):
@@ -471,7 +470,7 @@ FIELD_CONSTRUCTORS = {
     "frames._case_fields(adapted h)": lambda ex, rng: on_bundle(
         ex, "D", lambda chart: lift_field(
             chart, "h", polynomial_vector_field(source_dim(ex), rng),
-            lambda M, X, v, cfg: adapted_module.adapted_horizontal_lift(M, GEOMS[ex].horizontal, X, v, cfg))),
+            lambda M, X, v: adapted_module.adapted_horizontal_lift(M, GEOMS[ex].horizontal, X, v))),
 }
 
 
@@ -798,7 +797,7 @@ def od_oracle(geom, u, of):
     P, Q = skew_blocks(geom), skew_blocks(geom)
     pairs = frames_module._case_fields(
         M, [("hh", (f["X"], f["Y"])), ("hv", (f["X"], Q)), ("vh", (P, f["Y"])), ("vv", (P, Q))],
-        geometry_module.DEFAULT_FD, lambda M, X, v, cfg: adapted_module.adapted_horizontal_lift(M, D, X, v, cfg))
+        lambda M, X, v: adapted_module.adapted_horizontal_lift(M, D, X, v))
     return of(chart, pairs, chart.encode(u))
 
 

@@ -17,7 +17,7 @@ from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomia
 from framelift.frames import Frame, connection_audit, reference_frame
 from framelift.geometry import DEFAULT_FD, curvature_tensor, sample_points
 from framelift.submersion import adapted_endo_field, derive_geometry
-from framelift.reporting import Checks
+from framelift.reporting import Checks, reports_to_json, strip_wall_times
 
 NAN = float("nan")
 
@@ -101,9 +101,9 @@ def test_a_nan_at_a_later_sample_fails_its_suite_row(monkeypatch):
     real = suites.christoffel
     calls = []
 
-    def christoffel(M, p, cfg=DEFAULT_FD):
+    def christoffel(M, p):
         calls.append(p)
-        gamma = real(M, p, cfg)
+        gamma = real(M, p)
         if len(calls) == 1:
             gamma[1] = np.nan
         return gamma
@@ -114,6 +114,22 @@ def test_a_nan_at_a_later_sample_fails_its_suite_row(monkeypatch):
     assert [len(p) for p in calls] == [3, 3]
     assert np.isnan(row.residual) and row.status == "fail"
     assert rows["E1.core.gamma_symmetry.tgt"].status == "pass"
+
+
+def test_a_nan_row_is_written_as_strict_json_with_a_null_residual():
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    checks = Checks("E0.demo")
+    checks.row("finite", "x", 1.0, 0.5)
+    checks.row("nan", "x", 1.0, np.array([0.1, NAN]))
+    text = reports_to_json(DEFAULT_FD, 42, 2, checks.reports)
+    finite, nan = json.loads(text, parse_constant=refuse)["results"]
+    assert (finite["residual"], finite["status"]) == (0.5, "pass")
+    assert (nan["residual"], nan["status"]) == (None, "fail")
+    stripped = strip_wall_times(text)
+    assert json.loads(stripped, parse_constant=refuse)["results"][1]["residual"] is None
+    assert strip_wall_times(stripped) == stripped
 
 
 @pytest.mark.parametrize("suite, name, expected", [
