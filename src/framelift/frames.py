@@ -13,9 +13,9 @@ metric here are its horizontal lift and Sasaki-Mok metric (``framelift.tangent``
 A field on the total space is a frame field, a function Frame ->
 FrameTangent that takes stacks of frames, as the horizontal lift, the
 fundamental vertical and the adapted horizontal lift are.  The oracle and
-the finite-difference bracket read such fields through two chart
-Jacobians per point set: J(q) at the points, and J on one stencil that
-serves every difference.
+the finite-difference bracket read each as its chart field
+q -> tangent_to_chart(q, F(decode(q))) and run ``geometry``'s
+``covariant_derivatives`` and ``lie_brackets`` on the total space.
 """
 
 from __future__ import annotations
@@ -32,19 +32,19 @@ from .geometry import (
     EndomorphismField,
     FDConfig,
     TangentVector,
-    _check_domain,
+    VectorField,
     _check_stencil,
     _christoffel_from,
-    _difference,
-    _directional_stencil,
     central_diff,
     christoffel,
     christoffel_contract,
     column_gram,
     covariant_derivative,
+    covariant_derivatives,
     curvature_R_P,
     directional_diff,
     lie_bracket,
+    lie_brackets,
     metric_derivative_eval,
     metric_eval,
     orthonormal_basis,
@@ -144,7 +144,7 @@ def frame_diff(f: Callable, t: FrameTangent, h: float):
 
 
 def _same_frame(u: Frame, v: Frame) -> None:
-    if u is v:  # tangents from one chart Jacobian share its Frame
+    if u is v:  # tangents from one chart_to_tangents call share its Frame
         return
     if np.max(np.abs(u.base - v.base)) > 1e-9 or np.max(np.abs(u.columns - v.columns)) > 1e-9:
         raise ValueError("frame tangents are attached to different frames")
@@ -449,29 +449,24 @@ class LMChart:
         return self.join(u.base, u.columns)
 
     def jacobian(self, q: Array, cfg: FDConfig = DEFAULT_FD) -> tuple[Frame, Array, Array]:
-        """decode(q) and the constant J: the chart rates are (xdot, vec(Edot)) themselves.
-        JE is a read-only view with q's leading axes, as a ``FrameChart``'s JE has them."""
+        """decode(q) and the constant J, the same at every point: the chart rates are
+        (xdot, vec(Edot)) themselves, so Jx is dim x n and JE dim x n x n."""
         n = self.manifold.dim
-        JE = np.eye(self.dim)[:, n:].reshape(self.dim, n, n)
-        return self.decode(q), np.eye(self.dim, n), np.broadcast_to(JE, np.shape(q)[:-1] + JE.shape)
+        return self.decode(q), np.eye(self.dim, n), np.eye(self.dim)[:, n:].reshape(self.dim, n, n)
 
     def chart_to_tangents(self, q: Array, qdots: Array, cfg: FDConfig = DEFAULT_FD) -> list[FrameTangent]:
-        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q)."""
-        return self._tangents_at((self.decode(q),), qdots)
+        """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q):
+        each row split as (xdot, Edot)."""
+        u = self.decode(q)
+        return [FrameTangent(u, *self.split(qdot)) for qdot in np.asarray(qdots, dtype=float)]
 
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
         return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
 
     def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
-        return self._rates_at((self.decode(q),), t)
-
-    def _tangents_at(self, J: tuple, qdots: Array) -> list[FrameTangent]:
-        """Frame tangents at the frames of J = jacobian(q): each row of ``qdots`` split as (xdot, Edot)."""
-        return [FrameTangent(J[0], *self.split(qdot)) for qdot in np.asarray(qdots, dtype=float)]
-
-    def _rates_at(self, J: tuple, t: FrameTangent) -> Array:
-        """Chart rates of t at the frames of J = jacobian(q): (xdot, vec(Edot)) themselves."""
-        _same_frame(J[0], t.at)
+        """Chart rates of t at decode(q): (xdot, vec(Edot)) themselves.  Raises if t is
+        attached to another frame."""
+        _same_frame(self.decode(q), t.at)
         return self.join(t.base_rate, t.frame_rate)
 
 
@@ -542,30 +537,13 @@ def lc_total_space_oracle(
     """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair
     of frame fields (Frame -> FrameTangent, as the lifts are), at chart points q (..., dim).
 
-    Brute force on the Mok metric G of ``induced_metric_on_chart``, differenced at
-    ``total_space_cfg``'s step h, from two chart Jacobians.  J(q) gives G(q), every
-    field's chart rates at q (``_rates_at``) and the read-back of the results.  J on one
-    stencil gives dG and each distinct B along the distinct A directions it is paired
-    with: the points q +- h e_k of ``central_diff`` and q +- h a/|a| of
-    ``directional_diff``.  With Gamma from ``geometry``'s one formula, nabla_A B =
-    dB(a) + Gamma(a, b) is, bit for bit, ``covariant_derivatives`` on
-    ``total_space_manifold`` with the chart fields q -> tangent_to_chart(q, F(decode(q))),
-    and raises the same ``DomainError``s.  The audits run it on L(M) only.
+    Brute force on the Mok metric of ``induced_metric_on_chart``: ``covariant_derivatives``
+    on ``total_space_manifold`` at ``total_space_cfg``, on the chart fields of the pairs
+    (``_chart_fields``), read back as frame tangents at decode(q).  The audits run it on
+    L(M) only.
     """
-    total, h = total_space_manifold(chart, cfg), total_space_cfg(cfg).step_h
-    q = _check_domain(total, q)
-    _check_stencil(total, q, h)
-    J = chart.jacobian(q, cfg)
-    K = chart.dim  # the stencil's first K directions are e_k, for dG
-    coords = np.broadcast_to(np.eye(K).reshape((K,) + (1,) * (q.ndim - 1) + (K,)), (K,) + q.shape)
-    at_q, dB, Js, norm = _field_differences(chart, J, [(B, A) for A, B in pairs], q, h, coords, cfg)
-    (u, Jx, JE), us = J, Js[0][:, :K]
-    dG = _difference(_lift_gram(chart.manifold, us.base, us.columns, Jx, Js[2][:, :K]), norm, h)
-    gamma = _christoffel_from(_lift_gram(chart.manifold, u.base, u.columns, Jx, JE),
-                              np.moveaxis(dG, 0, -3))
-    return chart._tangents_at(J, np.array([
-        dB[id(B), id(A)] + np.einsum("...kij,...i,...j->...k", gamma, at_q[id(A)], at_q[id(B)])
-        for A, B in pairs]))
+    return chart.chart_to_tangents(q, [v.components for v in covariant_derivatives(
+        total_space_manifold(chart, cfg), _chart_fields(chart, pairs, cfg), q, total_space_cfg(cfg))], cfg)
 
 
 def gauss_projection(
@@ -594,7 +572,7 @@ def gauss_projection(
     GN = _gram(g, _christoffel_from(g, dg), u.columns, xdot, Edot) @ N
     Pi = N @ np.linalg.solve(N.swapaxes(-1, -2) @ GN, GN.swapaxes(-1, -2))
     v = np.array([lm.join(t.base_rate, t.frame_rate) for t in ts])
-    return lm._tangents_at((u,), (Pi @ v[..., None])[..., 0])
+    return [FrameTangent(u, *lm.split(rates)) for rates in (Pi @ v[..., None])[..., 0]]
 
 
 def fd_bracket_on_chart(
@@ -604,38 +582,18 @@ def fd_bracket_on_chart(
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
     """Finite-difference Lie brackets [A, B] = dB(a) - dA(b), one per (A, B) pair of frame
-    fields, at chart points q (..., dim), at ``total_space_cfg``'s step: ``lie_bracket`` on
-    their chart rates, from J(q) and one J on the stencil along every field's rates."""
-    q = np.asarray(q, dtype=float)
-    J = chart.jacobian(q, cfg)
-    needs = [need for A, B in pairs for need in ((B, A), (A, B))]
-    _, d, _, _ = _field_differences(chart, J, needs, q, total_space_cfg(cfg).step_h, np.zeros((0,) + q.shape), cfg)
-    return chart._tangents_at(J, np.array([d[id(B), id(A)] - d[id(A), id(B)] for A, B in pairs]))
+    fields, at chart points q (..., dim): ``lie_brackets`` on their chart fields
+    (``_chart_fields``) at ``total_space_cfg``, read back as frame tangents at decode(q)."""
+    return chart.chart_to_tangents(q, [v.components for v in lie_brackets(
+        _chart_fields(chart, pairs, cfg), q, total_space_cfg(cfg))], cfg)
 
 
-def _field_differences(chart, J: tuple, needs: Sequence[tuple], q: Array, h: float, lead: Array,
-                       cfg: FDConfig) -> tuple[dict, dict, tuple, Array]:
-    """For (F, G) pairs of frame fields, F to be differenced along G: the chart rates at q of
-    each field, by id, at the frames of J = jacobian(q), each difference, by (id(F), id(G)),
-    from one J on the stencil of the ``lead`` directions (K, ..., dim) and of every G, each
-    F read once on its rows, and that J and the lead directions' norms."""
-    fields = {id(F): F for pair in needs for F in pair}
-    at_q = {key: _field_rates(chart, J, F) for key, F in fields.items()}
-    along = list(dict.fromkeys(id(G) for _, G in needs))
-    pts, norm = _directional_stencil(q, np.concatenate([lead, [at_q[key] for key in along]]), h)
-    Js, K, d = chart.jacobian(pts, cfg), len(lead), {}
-    for key in dict.fromkeys(id(F) for F, _ in needs):
-        rows = list(dict.fromkeys(K + along.index(id(G)) for F, G in needs if id(F) == key))
-        d.update(zip([(key, along[r - K]) for r in rows], _difference(
-            _field_rates(chart, Js, fields[key], np.s_[:, rows]), norm[rows], h)))
-    return at_q, d, Js, norm[:K]
-
-
-def _field_rates(chart, J: tuple, F: Callable[[Frame], FrameTangent], rows=...) -> Array:
-    """Chart rates of the frame field F at the frames of the chart Jacobian J, or at its ``rows``."""
-    u, Jx, JE = J
-    J = (u[rows], Jx, JE[rows])
-    return chart._rates_at(J, F(J[0]))
+def _chart_fields(chart, pairs: Sequence[tuple], cfg: FDConfig) -> list[tuple[VectorField, VectorField]]:
+    """The pairs of frame fields as pairs of chart fields q -> tangent_to_chart(q, F(decode(q))),
+    one ``VectorField`` per distinct frame field, so each is evaluated and differenced once."""
+    made = {id(F): VectorField(eval=lambda q, F=F: chart.tangent_to_chart(q, F(chart.decode(q)), cfg))
+            for pair in pairs for F in pair}
+    return [(made[id(A)], made[id(B)]) for A, B in pairs]
 
 
 # ---------------------------------------------------------------------------

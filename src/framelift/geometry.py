@@ -300,7 +300,7 @@ def christoffel(M: ChartManifold, p: Array) -> Array:
 def _christoffel_from(g: Array, dg: Array) -> Array:
     """Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_mi - d_m g_ij) from the metric g (..., n, n)
     and its derivatives dg[..., k, i, j] = d_k g_ij: the one formula behind ``christoffel``
-    and the total-space oracle (``frames.lc_total_space_oracle``)."""
+    and ``frames.gauss_projection``."""
     d_i = dg.swapaxes(-3, -2)  # [m, i, j] = d_i g_mj
     bracket = d_i + d_i.swapaxes(-2, -1) - dg
     return 0.5 * np.einsum("...km,...mij->...kij", np.linalg.inv(g), bracket)
@@ -327,32 +327,40 @@ def field_derivative(X: VectorField, p: Array, v: Array, h: float) -> Array:
     return directional_diff(X.eval, p, v, h)
 
 
+def _field_differences(needs: Sequence[tuple[VectorField, VectorField]], p: Array,
+                       h: float) -> tuple[dict, dict]:
+    """For (X, Y) pairs of fields, Y to be differenced along X: the value at p of each
+    distinct field (by identity of its ``eval``), by id(eval), and each dY(x), by
+    (id(Y.eval), id(X.eval)).  Each field is evaluated at p once, and each Y is
+    differenced once, along the distinct X of all its pairs at every point."""
+    at_p = {id(F.eval): F for pair in needs for F in pair}
+    at_p = {key: np.asarray(F.eval(p), dtype=float) for key, F in at_p.items()}
+    d: dict[tuple[int, int], Array] = {}
+    for Y in {id(Y.eval): Y for _, Y in needs}.values():
+        along = list(dict.fromkeys(id(X.eval) for X, Yi in needs if Yi.eval is Y.eval))
+        d.update(zip([(id(Y.eval), key) for key in along],
+                     field_derivative(Y, p, np.array([at_p[key] for key in along]), h)))
+    return at_p, d
+
+
 def covariant_derivatives(
     M: ChartManifold,
     pairs: Sequence[tuple[VectorField, VectorField]],
     p: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[TangentVector]:
-    """(nabla_X Y)(p) for the Levi-Civita connection, one per (X, Y) pair, at
-    points p (..., dim).
+    """(nabla_X Y)(p) = dY(x) + Gamma(x, y) for the Levi-Civita connection, one per
+    (X, Y) pair, at points p (..., dim).
 
     The Christoffel symbols at p are evaluated once and contracted for
-    every pair, each distinct field (by identity of its ``eval``) is
-    evaluated at p once, and each distinct Y is differenced once, along the
-    X of all its pairs at every point.
+    every pair, and ``_field_differences`` evaluates each distinct field at
+    p once and differences each distinct Y once, along the X of all its pairs.
     """
     p = _check_domain(M, p)
     gamma = christoffel(M, p)
-    at_p = {id(F.eval): F for pair in pairs for F in pair}  # this call's fields by id(eval)
-    at_p = {key: np.asarray(F.eval(p), dtype=float) for key, F in at_p.items()}
-    dY: dict[int, Array] = {}
-    for Y in {id(Y.eval): Y for _, Y in pairs}.values():
-        idx = [i for i, (_, Yi) in enumerate(pairs) if Yi.eval is Y.eval]
-        xs = np.array([at_p[id(pairs[i][0].eval)] for i in idx])
-        dY.update(zip(idx, field_derivative(Y, p, xs, cfg.step_h)))
-    return [TangentVector(p, dY[i] + np.einsum("...kij,...i,...j->...k", gamma, at_p[id(X.eval)],
-                                               at_p[id(Y.eval)]))
-            for i, (X, Y) in enumerate(pairs)]
+    at_p, dY = _field_differences(pairs, p, cfg.step_h)
+    return [TangentVector(p, dY[id(Y.eval), id(X.eval)] + np.einsum(
+        "...kij,...i,...j->...k", gamma, at_p[id(X.eval)], at_p[id(Y.eval)])) for X, Y in pairs]
 
 
 def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Array,
@@ -361,19 +369,22 @@ def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Ar
     return covariant_derivatives(M, [(X, Y)], p, cfg)[0]
 
 
-def lie_bracket(
-    X: VectorField,
-    Y: VectorField,
+def lie_brackets(
+    pairs: Sequence[tuple[VectorField, VectorField]],
     p: Array,
     cfg: FDConfig = DEFAULT_FD,
-) -> TangentVector:
-    """[X, Y](p) = dY(X) - dX(Y), by central differences of the components: two
-    field values at p and one stencil of each field."""
+) -> list[TangentVector]:
+    """[X, Y](p) = dY(x) - dX(y), one per (X, Y) pair, by central differences of the
+    components: ``_field_differences`` evaluates each distinct field at p once and
+    differences it once, along every field it is paired with."""
     p = np.asarray(p, dtype=float)
-    x = np.asarray(X.eval(p), dtype=float)
-    y = np.asarray(Y.eval(p), dtype=float)
-    return TangentVector(p, field_derivative(Y, p, x, cfg.step_h)
-                         - field_derivative(X, p, y, cfg.step_h))
+    _, d = _field_differences([need for X, Y in pairs for need in ((X, Y), (Y, X))], p, cfg.step_h)
+    return [TangentVector(p, d[id(Y.eval), id(X.eval)] - d[id(X.eval), id(Y.eval)]) for X, Y in pairs]
+
+
+def lie_bracket(X: VectorField, Y: VectorField, p: Array, cfg: FDConfig = DEFAULT_FD) -> TangentVector:
+    """[X, Y](p): the one-pair case of ``lie_brackets``."""
+    return lie_brackets([(X, Y)], p, cfg)[0]
 
 
 def curvature_tensor(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:

@@ -3,8 +3,8 @@
 ``framelift`` reads O(M) and O(D) through L(M) and ``frames.gauss_projection``; its
 ``FrameChart`` decodes, encodes and differentiates frames only.  ``RatesChart`` adds
 the conversions between chart rates and frame tangents that ``lc_total_space_oracle``
-and ``fd_bracket_on_chart`` read on a chart, so that the tests can run both on O(M) and
-O(D) and compare the projected L(M) oracle with them.
+and ``fd_bracket_on_chart`` read a chart through, so that the tests can run both on O(M)
+and O(D) and compare the projected L(M) oracle with them.
 """
 
 import numpy as np
@@ -20,31 +20,20 @@ class RatesChart(FrameChart):
     def chart_to_tangents(self, q, qdots, cfg=DEFAULT_FD):
         """Frame tangents of the chart rates in the rows of ``qdots``, all at decode(q): qdot @ J.
         At points q (..., dim) a row has q's shape and gives one tangent per point, bit for bit."""
-        return self._tangents_at(self.jacobian(q, cfg), qdots)
+        u, Jx, JE = self.jacobian(q, cfg)
+        JE = JE.reshape(JE.shape[:-2] + (-1,))
+        return [FrameTangent(u, qdot @ Jx, (qdot[..., None, :] @ JE)[..., 0, :].reshape(u.columns.shape))
+                for qdot in np.asarray(qdots, dtype=float)]
 
     def chart_to_tangent(self, q, qdot, cfg=DEFAULT_FD):
         return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
 
     def tangent_to_chart(self, q, t, cfg=DEFAULT_FD):
-        """Chart rates at q of a frame tangent at decode(q), by least squares against J.
-
-        Errors if t is attached to another frame or is not tangent to the chart.
-        """
-        return self._rates_at(self.jacobian(q, cfg), t)
-
-    def _tangents_at(self, J, qdots):
-        """``chart_to_tangents`` from the chart Jacobian J = jacobian(q) the caller holds."""
-        u, Jx, JE = J
-        JE = JE.reshape(JE.shape[:-2] + (-1,))
-        return [FrameTangent(u, qdot @ Jx, (qdot[..., None, :] @ JE)[..., 0, :].reshape(u.columns.shape))
-                for qdot in np.asarray(qdots, dtype=float)]
-
-    def _rates_at(self, J, t):
-        """Chart rates of the tangent t at the frames of the chart Jacobian J = jacobian(q),
-        points q (..., dim): least squares against J's near-orthonormal skew rows by one
-        stacked normal-equations ``solve``.  Raises if t is attached to other frames or if
-        any point's t is not tangent to the chart."""
-        u, _, JE = J
+        """Chart rates at points q (..., dim) of a frame tangent at decode(q): least squares
+        against J's near-orthonormal skew rows by one stacked normal-equations ``solve``.
+        Raises if t is attached to other frames or if any point's t is not tangent to the
+        chart."""
+        u, _, JE = self.jacobian(q, cfg)
         _same_frame(u, t.at)
         n = self.manifold.dim
         rhs = t.frame_rate - np.einsum("...a,...aij->...ij", t.base_rate, JE[..., :n, :, :])

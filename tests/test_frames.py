@@ -45,12 +45,9 @@ from framelift.geometry import (
     DomainError,
     FDConfig,
     TangentVector,
-    VectorField,
     central_diff,
     christoffel,
-    covariant_derivatives,
     curvature_tensor,
-    lie_bracket,
     metric_derivative_eval,
     metric_eval,
     orthonormalizer,
@@ -462,43 +459,31 @@ def lift_pairs(example, bundle, seed, count=None):
     return chart, chart.encode(u), frames_module._case_fields(M, cases, horizontal)
 
 
-class TestGenericPathReference:
-    """The oracle and the FD bracket read the frame fields through two chart Jacobians;
-    ``covariant_derivatives`` and ``lie_bracket`` on the total-space chart, with the chart
-    fields q -> tangent_to_chart(q, F(decode(q))), stay their reference, bit for bit."""
+class TestOneCovariantDerivative:
+    """The oracle and the FD bracket compute no derivative themselves: each call is one
+    ``geometry.covariant_derivatives`` or ``geometry.lie_brackets`` on the total space.  The
+    oracle reads L(M)'s chart Jacobian twice, in the induced metric of its total-space
+    ``christoffel``: at the points and on one stencil.  The bracket reads none, since L(M)'s
+    chart rates are the frame fields' rates themselves."""
 
-    @pytest.mark.parametrize("seed", [42, 1])
-    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
-    @pytest.mark.parametrize("example", ["E1", "E2", "E3", "E4", "E5"])
-    def test_oracle_and_bracket_equal_the_generic_path(self, example, bundle, seed):
-        chart, q, pairs = lift_pairs(example, bundle, seed, count=3)
-        cfg_total = total_space_cfg(DEFAULT_FD)
-        rates = {id(F): VectorField(eval=lambda qq, F=F: chart.tangent_to_chart(qq, F(chart.decode(qq))))
-                 for pair in pairs for F in pair}
-        fields = [(rates[id(A)], rates[id(B)]) for A, B in pairs]
-        generic = chart.chart_to_tangents(q, [v.components for v in covariant_derivatives(
-            total_space_manifold(chart), fields, q, cfg_total)])
-        for got, ref in zip(lc_total_space_oracle(chart, pairs, q), generic):
-            assert np.array_equal(got.base_rate, ref.base_rate)
-            assert np.array_equal(got.frame_rate, ref.frame_rate)
-        # one call for the four pairs, each bracket as the generic path's
-        for got, (a, b) in zip(fd_bracket_on_chart(chart, pairs, q), fields):
-            ref = chart.chart_to_tangent(q, lie_bracket(a, b, q, cfg_total).components)
-            assert np.array_equal(got.base_rate, ref.base_rate)
-            assert np.array_equal(got.frame_rate, ref.frame_rate)
+    def test_the_oracle_is_one_covariant_derivatives_call_on_the_total_space(self, calls):
+        chart, q, pairs = lift_pairs("E3", "L", 42, count=3)
+        counted = calls("covariant_derivatives", "LMChart.jacobian")
+        lc_total_space_oracle(chart, pairs, q)
+        assert [(c.args[0].name, len(c.args[1]), c.args[3]) for c in counted["covariant_derivatives"]] == [
+            ("total[L(M)]", 4, total_space_cfg(DEFAULT_FD))]
+        assert len(counted["LMChart.jacobian"]) == 2
 
+    def test_the_bracket_is_one_lie_brackets_call(self, calls):
+        chart, q, pairs = lift_pairs("E3", "L", 42, count=3)
+        counted = calls("lie_brackets", "LMChart.jacobian")
+        fd_bracket_on_chart(chart, pairs, q)
+        assert [(len(c.args[0]), c.args[2]) for c in counted["lie_brackets"]] == [(4, total_space_cfg(DEFAULT_FD))]
+        assert counted["LMChart.jacobian"] == []
 
-class TestTwoChartJacobians:
-    """Each point set goes through the chart once: J(q), and J on one joint stencil."""
-
-    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
-    @pytest.mark.parametrize("kernel", [lc_total_space_oracle, fd_bracket_on_chart])
-    def test_four_pairs(self, calls, kernel, bundle):
-        chart, q, pairs = lift_pairs("E3", bundle, 42, count=3)
-        name = "LMChart.jacobian" if bundle == "L" else "FrameChart.jacobian"
-        jacobians = calls(name)[name]
-        kernel(chart, pairs, q)
-        assert len(jacobians) == 2
+    def test_the_fused_path_is_gone(self):
+        assert not hasattr(frames_module, "_field_differences") and not hasattr(frames_module, "_field_rates")
+        assert not hasattr(LMChart, "_tangents_at") and not hasattr(LMChart, "_rates_at")
 
 
 class TestRightInvariance:
@@ -613,7 +598,7 @@ class TestOnePassAssembly:
 
 
 class TestChartConversions:
-    """Both conversions read one chart Jacobian J(q) and invert each other."""
+    """The two conversions invert each other at one point and reject tangents they cannot convert."""
 
     @pytest.mark.parametrize("example,bundle", EXAMPLE_BUNDLES)
     def test_tangent_to_chart_inverts_chart_to_tangents(self, example, bundle):
@@ -645,8 +630,14 @@ class TestChartConversions:
                 chart.tangent_to_chart(q, chart.chart_to_tangent(other, rates))
 
 
+def chart_field(chart, F):
+    """The chart field q -> tangent_to_chart(q, F(decode(q))) through which the oracle reads F."""
+    [(field, _)] = frames_module._chart_fields(chart, [(F, F)], DEFAULT_FD)
+    return field
+
+
 class TestNoReencoding:
-    """The frame fields are read at the chart Jacobian's frames; only an audit's entry frame is encoded."""
+    """The frame fields are read at the decoded frames; only an audit's entry frame is encoded."""
 
     def lift_cases(self):
         """(frame field, chart, q, reference tangent at a frame) for X^h and P* on O(M) and
@@ -670,24 +661,25 @@ class TestNoReencoding:
         cases = self.lift_cases()
         encodes, logms, log_rotations = calls("FrameChart.encode", "scipy.linalg.logm", "_log_rotation").values()
         for field, chart, q, _ in cases:
-            assert frames_module._field_rates(chart, chart.jacobian(q), field).shape == q.shape
+            assert chart_field(chart, field).eval(q).shape == q.shape
             [t] = lc_total_space_oracle(chart, [(field, field)], q)
             [b] = fd_bracket_on_chart(chart, [(field, field)], q)
             assert b.frame_rate.shape == t.frame_rate.shape
         assert encodes == [] and logms == [] and log_rotations == []
 
-    def test_frame_fields_are_read_at_the_jacobians_frame(self, calls):
-        # each field builds its tangent at the frame jacobian(q) returns, which is the
-        # frame decode(q) gives: the rates are unchanged, and nothing decodes
+    def test_frame_fields_are_read_at_the_decoded_frame(self, calls):
+        # each chart field builds its tangent at the frame decode(q) gives: the rates are
+        # the lift's, and the oracle decodes once per field read, at q and on one stencil
         cases = self.lift_cases()
         expected = [chart.tangent_to_chart(q, lift(chart.decode(q))) for _, chart, q, lift in cases]
-        jacobians, decodes = calls("FrameChart.jacobian", "FrameChart.decode").values()
+        decodes = calls("FrameChart.decode")["FrameChart.decode"]
         for (field, chart, q, _), rates in zip(cases, expected):
-            jacobians.clear()
-            assert np.array_equal(frames_module._field_rates(chart, chart.jacobian(q), field), rates)
-            assert len(jacobians) == 1
+            decodes.clear()
+            assert np.array_equal(chart_field(chart, field).eval(q), rates)
+            assert [c.args[1].shape for c in decodes] == [q.shape]
+            decodes.clear()
             lc_total_space_oracle(chart, [(field, field)], q)
-            assert len(jacobians) == 3 and decodes == []
+            assert [c.args[1].shape for c in decodes] == [q.shape, (2, 1) + q.shape]
 
     def test_connection_audit_encodes_once(self, calls):
         # the O(M) audit reads the L(M) oracle: no O(M) chart is entered, and its frames
@@ -1038,10 +1030,6 @@ class TestLMChartStandsAlone:
         x = sample_points(M, 46, 3)
         q = chart.join(x, reference_frame(M, x) + 0.3 * rng.standard_normal((3, M.dim, M.dim)))
         qdots = rng.standard_normal((4,) + q.shape)
-        J = chart.jacobian(q)
-        for got, ref in zip(chart._tangents_at(J, qdots), RatesChart._tangents_at(chart, J, qdots)):
-            assert np.array_equal(got.base_rate, ref.base_rate)
-            assert np.array_equal(got.frame_rate, ref.frame_rate)
         for got, ref in zip(chart.chart_to_tangents(q, qdots), RatesChart.chart_to_tangents(chart, q, qdots)):
             assert np.array_equal(got.base_rate, ref.base_rate)
             assert np.array_equal(got.frame_rate, ref.frame_rate)

@@ -12,7 +12,7 @@ Three scans of ``src/framelift`` keep it so:
 - no function or method, nested ones included, has a ``cfg`` parameter that its body
   never reads: a function takes ``FDConfig`` exactly when it differences or grades a
   residual, or passes the config to one that does (``UNREAD_EXEMPT`` lists the three
-  ``LMChart`` methods that keep ``FrameChart``'s signature).
+  ``LMChart`` methods that keep the signature of a chart whose Jacobian is differenced).
 """
 
 import ast
@@ -26,8 +26,9 @@ EXEMPT = {
                                   "(1 and 1/4), not a difference step or a tolerance",
 }
 UNREAD_EXEMPT = {
-    name: "keeps FrameChart's signature, because the oracle calls chart.jacobian(q, cfg) on "
-          "either chart; LMChart's Jacobian is constant, so it differences nothing"
+    name: "keeps the signature of a chart whose Jacobian is differenced: induced_metric_on_chart "
+          "calls chart.jacobian(q, cfg), and the oracle and the FD bracket call the conversions "
+          "with cfg, on any chart; LMChart's Jacobian is constant, so it differences nothing"
     for name in ("frames.LMChart.jacobian", "frames.LMChart.chart_to_tangents",
                  "frames.LMChart.tangent_to_chart")
 }

@@ -413,11 +413,11 @@ def on_base(example, *fields):
 
 def on_bundle(example, bundle, field):
     """(points, chart rates) for the frame field ``field(chart)`` on a bundle chart of the
-    example, read at the chart Jacobian's frames as the oracle reads it."""
+    example, read through its chart field as the oracle reads it."""
     chart = bundle_chart(example, bundle)
     F = field(chart)
-    return [(bundle_points(chart, 84, 6).reshape(2, 3, chart.dim),
-             lambda q: frames_module._field_rates(chart, chart.jacobian(q), F))]
+    [(chart_field, _)] = frames_module._chart_fields(chart, [(F, F)], geometry_module.DEFAULT_FD)
+    return [(bundle_points(chart, 84, 6).reshape(2, 3, chart.dim), chart_field.eval)]
 
 
 def lift_field(chart, kind, F, horizontal=frames_module.horizontal_lift_frame):
@@ -546,7 +546,7 @@ class TestFieldStack:
 
 class TestChartFieldStack:
     @pytest.mark.parametrize("bundle", ["O", "D"])
-    def test_rates_at_raises_when_one_point_is_not_tangent(self, bundle):
+    def test_tangent_to_chart_raises_when_one_point_is_not_tangent(self, bundle):
         chart = bundle_chart("E3", bundle)
         qs = bundle_points(chart, 88, 3)
 
@@ -556,8 +556,7 @@ class TestChartFieldStack:
             return FrameTangent(u, np.zeros(u.base.shape), rate)
 
         def rates_at(q, *bad):
-            J = chart.jacobian(q)
-            return chart._rates_at(J, tangent_at(J[0], *bad))
+            return chart.tangent_to_chart(q, tangent_at(chart.decode(q), *bad))
 
         with pytest.raises(ValueError, match="not tangent"):
             rates_at(qs)
@@ -631,9 +630,9 @@ class TestFieldCallCounts:
                   for bundle in bundles}
         p = sample_points(M, 93, 1)[0]
         R = curvature_tensor(M, p)
-        counted = calls("FrameChart.jacobian", "LMChart._rates_at")
+        counted = calls("FrameChart.jacobian", "LMChart.tangent_to_chart")
         frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), fields, R)
-        assert len(counted["LMChart._rates_at"]) == reads and counted["FrameChart.jacobian"] == []
+        assert len(counted["LMChart.tangent_to_chart"]) == reads and counted["FrameChart.jacobian"] == []
 
     def test_lie_bracket_makes_four_field_calls(self):
         rng = np.random.default_rng(94)
@@ -641,7 +640,8 @@ class TestFieldCallCounts:
         X, Y = (VectorField(eval=recording(polynomial_vector_field(3, rng, exact_jacobian=False).eval,
                                            calls)) for _ in range(2))
         lie_bracket(X, Y, np.array([0.1, -0.2, 0.3]))
-        assert [c.args[0].shape for c in calls] == [(3,), (3,), (2, 3), (2, 3)]
+        # X and Y at p, then each on the stencil of its one direction
+        assert [c.args[0].shape for c in calls] == [(3,), (3,), (2, 1, 3), (2, 1, 3)]
 
 
 class TestTorsionBatch:

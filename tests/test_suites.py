@@ -252,17 +252,16 @@ def test_tangent_distribution_dimensions_fail_on_a_dependent_kernel(monkeypatch,
 
 class TestOneTotalSpaceChristoffelPerPoint:
     """The oracle differences the induced metric into Christoffel symbols once per point,
-    or once for a stack of points, through the one kernel ``geometry._christoffel_from``,
-    and reads the chart Jacobian twice: at the points and on one joint stencil.  Every
-    oracle runs on L(M); the O(M) and O(D) values are one ``gauss_projection`` each, whose
-    Mok metric reads the base Christoffel symbols from the caller's g and dg.  The frame
+    or once for a stack of points, by one ``christoffel`` on the total space, whose induced
+    metric reads the chart Jacobian twice: at the points and on one stencil.  Every oracle
+    runs on L(M); the O(M) and O(D) values are one ``gauss_projection`` each, whose Mok
+    metric reads the base Christoffel symbols from the caller's g and dg.  The frame
     suite's counts are in ``test_call_budget``."""
 
     @pytest.fixture
     def total_calls(self, calls):
-        """Christoffel evaluations ("gamma": the kernel calls of the oracle and of the
-        projection, and ``christoffel`` on a total space) and chart Jacobians ("jacobian",
-        by chart)."""
+        """Christoffel evaluations ("gamma": ``christoffel`` on a total space, and the kernel
+        calls of ``frames``, the projection's) and chart Jacobians ("jacobian", by chart)."""
         counted = calls("christoffel", "frames._christoffel_from", "gauss_projection",
                         "FrameChart.jacobian", "LMChart.jacobian")
         return lambda: {
@@ -283,7 +282,7 @@ class TestOneTotalSpaceChristoffelPerPoint:
         p = np.array([0.2, -0.1])
         connection_audit(S2, Frame(p, reference_frame(S2, p)), {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
                          curvature_tensor(S2, p))
-        assert total_calls() == {"gamma": ["oracle"] + ["projection"] * (bundle == "O"),
+        assert total_calls() == {"gamma": ["total[L(M)]"] + ["projection"] * (bundle == "O"),
                                  "jacobian": ["L(M)"] * 2}
 
     def test_adapted_connection_audit(self, total_calls):
@@ -297,4 +296,4 @@ class TestOneTotalSpaceChristoffelPerPoint:
         p = sample_points(M, 46, 1)[0]
         adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields,
                                  curvature_tensor(M, p))
-        assert total_calls() == {"gamma": ["oracle", "projection"], "jacobian": ["L(M)"] * 2}
+        assert total_calls() == {"gamma": ["total[L(M)]", "projection"], "jacobian": ["L(M)"] * 2}
