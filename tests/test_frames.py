@@ -45,9 +45,11 @@ from framelift.geometry import (
     DomainError,
     FDConfig,
     TangentVector,
+    VectorField,
     central_diff,
     christoffel,
     curvature_tensor,
+    directional_diff,
     metric_derivative_eval,
     metric_eval,
     orthonormalizer,
@@ -459,31 +461,82 @@ def lift_pairs(example, bundle, seed, count=None):
     return chart, chart.encode(u), frames_module._case_fields(M, cases, horizontal)
 
 
+class TestGenericPathReference:
+    """The oracle and the FD bracket equal the textbook formulas on the chart fields
+    q -> tangent_to_chart(q, F(decode(q))), bit for bit: nabla_A B = dB(a) + Gamma(a, b)
+    and [A, B] = dB(a) - dA(b), each pair on its own fields, one difference stencil per
+    derivative and the total space's ``christoffel``.  The oracle's sharing of fields and
+    stencils between pairs changes no bit."""
+
+    @pytest.mark.parametrize("seed", [42, 1])
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    @pytest.mark.parametrize("example", ["E1", "E2", "E3", "E4", "E5"])
+    def test_oracle_and_bracket_equal_the_generic_path(self, example, bundle, seed):
+        chart, q, pairs = lift_pairs(example, bundle, seed, count=3)
+        h = total_space_cfg(DEFAULT_FD).step_h
+        gamma = christoffel(total_space_manifold(chart), q)
+        for (A, B), nabla, bracket in zip(pairs, lc_total_space_oracle(chart, pairs, q),
+                                          fd_bracket_on_chart(chart, pairs, q)):
+            a, b = (VectorField(eval=lambda qq, F=F: chart.tangent_to_chart(qq, F(chart.decode(qq))))
+                    for F in (A, B))
+            x, y = a.eval(q), b.eval(q)
+            dBa, dAb = directional_diff(b.eval, q, x, h), directional_diff(a.eval, q, y, h)
+            for got, rates in ((nabla, dBa + np.einsum("...kij,...i,...j->...k", gamma, x, y)),
+                               (bracket, dBa - dAb)):
+                ref = chart.chart_to_tangent(q, rates)
+                assert np.array_equal(got.base_rate, ref.base_rate)
+                assert np.array_equal(got.frame_rate, ref.frame_rate)
+
+
 class TestOneCovariantDerivative:
     """The oracle and the FD bracket compute no derivative themselves: each call is one
-    ``geometry.covariant_derivatives`` or ``geometry.lie_brackets`` on the total space.  The
-    oracle reads L(M)'s chart Jacobian twice, in the induced metric of its total-space
-    ``christoffel``: at the points and on one stencil.  The bracket reads none, since L(M)'s
-    chart rates are the frame fields' rates themselves."""
+    ``geometry.covariant_derivatives`` or ``geometry.lie_brackets`` on the total space."""
 
     def test_the_oracle_is_one_covariant_derivatives_call_on_the_total_space(self, calls):
         chart, q, pairs = lift_pairs("E3", "L", 42, count=3)
-        counted = calls("covariant_derivatives", "LMChart.jacobian")
+        counted = calls("covariant_derivatives")["covariant_derivatives"]
         lc_total_space_oracle(chart, pairs, q)
-        assert [(c.args[0].name, len(c.args[1]), c.args[3]) for c in counted["covariant_derivatives"]] == [
+        assert [(c.args[0].name, len(c.args[1]), c.args[3]) for c in counted] == [
             ("total[L(M)]", 4, total_space_cfg(DEFAULT_FD))]
-        assert len(counted["LMChart.jacobian"]) == 2
 
     def test_the_bracket_is_one_lie_brackets_call(self, calls):
         chart, q, pairs = lift_pairs("E3", "L", 42, count=3)
-        counted = calls("lie_brackets", "LMChart.jacobian")
+        counted = calls("lie_brackets")["lie_brackets"]
         fd_bracket_on_chart(chart, pairs, q)
-        assert [(len(c.args[0]), c.args[2]) for c in counted["lie_brackets"]] == [(4, total_space_cfg(DEFAULT_FD))]
-        assert counted["LMChart.jacobian"] == []
+        assert [(len(c.args[0]), c.args[2]) for c in counted] == [(4, total_space_cfg(DEFAULT_FD))]
 
     def test_the_fused_path_is_gone(self):
         assert not hasattr(frames_module, "_field_differences") and not hasattr(frames_module, "_field_rates")
         assert not hasattr(LMChart, "_tangents_at") and not hasattr(LMChart, "_rates_at")
+
+
+class TestTwoChartJacobians:
+    """The chart Jacobians that one call on the four pairs of ``lift_pairs`` reads.  On L(M),
+    where the audits run both, the oracle reads 2, in the induced metric of its total-space
+    ``christoffel``: at the points and on one stencil.  The bracket reads none, since L(M)'s
+    chart rates are the frame fields' rates themselves.  On the O(M) and O(D) charts, which
+    only the tests run them on, every chart conversion reads J(q) too: each of the 4
+    distinct fields at q and on each of its stencils, and the read-back at q."""
+
+    JACOBIANS = {
+        ("lc_total_space_oracle", "L"): 2,
+        ("fd_bracket_on_chart", "L"): 0,
+        # induced metric 2 + fields at q 4 + stencils of the 2 distinct B 2 + read-back 1
+        ("lc_total_space_oracle", "O"): 9,
+        ("lc_total_space_oracle", "D"): 9,
+        # fields at q 4 + one stencil of each field 4 + read-back 1
+        ("fd_bracket_on_chart", "O"): 9,
+        ("fd_bracket_on_chart", "D"): 9,
+    }
+
+    @pytest.mark.parametrize("bundle", ["L", "O", "D"])
+    @pytest.mark.parametrize("kernel", [lc_total_space_oracle, fd_bracket_on_chart])
+    def test_four_pairs(self, calls, kernel, bundle):
+        chart, q, pairs = lift_pairs("E3", bundle, 42, count=3)
+        name = "LMChart.jacobian" if bundle == "L" else "FrameChart.jacobian"
+        jacobians = calls(name)[name]
+        kernel(chart, pairs, q)
+        assert len(jacobians) == self.JACOBIANS[kernel.__name__, bundle]
 
 
 class TestRightInvariance:
