@@ -7,7 +7,10 @@ composed with a flat projection.  Each entry carries exact metric
 derivatives, an exact Jacobian, smooth vertical fields, expected flags,
 a sampling box away from chart singularities, and the point checks that the
 theorems suite makes on it: a vanishing tension, or a chart point at which
-to measure the tension or the lift's tension.
+to measure the tension or the lift's tension.  Four of the five (E1, E2, E4,
+E5) are one construction, ``coordinate_projection``.  The lift's expected
+flags are not declared: ``CatalogEntry`` reads them from the prediction rules
+of ``submersion`` applied to the entry's own flags.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .geometry import (
     Array, ChartManifold, VectorField, _norm2, _stack, box_sampler, coordinate_field,
 )
-from .submersion import SubmersionSpec, lift_conformal_rule
+from .submersion import SubmersionSpec, lift_conformal_rule, lift_harmonic_morphism_rule
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +141,6 @@ def warped_plane_chart(name: str = "warped") -> ChartManifold:
     )
 
 
-def line_chart(name: str = "R") -> ChartManifold:
-    return euclidean_chart(1, half_width=1.5, name=name)
-
-
 # ---------------------------------------------------------------------------
 # the Hopf map in stereographic charts
 # ---------------------------------------------------------------------------
@@ -209,7 +208,9 @@ def hopf_vertical_field() -> VectorField:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A charted submersion with its expected geometric flags."""
+    """A charted submersion with its expected geometric flags.  The lift's flags are
+    the ``submersion`` prediction rules on them, a catalog dilatation making the map
+    horizontally conformal with that constant."""
 
     id: str
     phi: SubmersionSpec
@@ -218,7 +219,6 @@ class CatalogEntry:
     fibers_totally_geodesic: bool
     h_integrable: bool
     harmonic_morphism: bool
-    lift_conformal: bool
     expected_big_lambda: Optional[float]
     description: str = ""
     # point checks of suites.suite_theorems; the default adds no row
@@ -227,33 +227,42 @@ class CatalogEntry:
     lift_tension_at: Optional[tuple[float, ...]] = None  # chart point for lift_tension_direct
     lift_tension_normal: Optional[float] = None  # its expected normal part, set with the point
 
-    def __post_init__(self):
-        # a catalog dilatation makes the map horizontally conformal with that constant
+    @property
+    def lift_conformal(self) -> bool:
         lam_const = self.expected_lambda is not None
-        if self.lift_conformal != lift_conformal_rule(lam_const, lam_const, self.totally_geodesic):
-            raise ValueError(f"entry {self.id}: lift_conformal flag inconsistent with the "
-                             "rule of submersion.lift_conformal_rule")
+        return lift_conformal_rule(lam_const, lam_const, self.totally_geodesic)
+
+    @property
+    def lift_harmonic_morphism(self) -> bool:
+        return lift_harmonic_morphism_rule(self.harmonic_morphism, self.totally_geodesic,
+                                           self.expected_lambda is not None)
+
+
+def coordinate_projection(source: ChartManifold, target: ChartManifold, factor: float,
+                          name: str) -> SubmersionSpec:
+    """p -> factor * (p_1, ..., p_k) onto the first k = target.dim coordinates, with the
+    constant Jacobian factor * [I_k 0] and the coordinate fields k, ..., n - 1 as kernel."""
+    k, n = target.dim, source.dim
+    J = factor * np.eye(k, n)
+    return SubmersionSpec(
+        source=source, target=target,
+        map=lambda p: factor * p[..., :k],
+        jacobian=lambda p: _stack(p, J),
+        vertical_fields=[coordinate_field(i, n) for i in range(k, n)],
+        name=name,
+    )
 
 
 def _build_entries() -> list[CatalogEntry]:
     out = []
 
     # E1: flat projection of R^3 onto R^2
-    src = euclidean_chart(3, name="R3")
-    tgt = euclidean_chart(2, name="R2")
-    J1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     out.append(CatalogEntry(
         id="E1",
-        phi=SubmersionSpec(
-            source=src, target=tgt,
-            map=lambda p: p[..., :2].copy(),
-            jacobian=lambda p: _stack(p, J1),
-            vertical_fields=[coordinate_field(2, 3)],
-            name="flat-projection",
-        ),
+        phi=coordinate_projection(euclidean_chart(3, name="R3"), euclidean_chart(2, name="R2"),
+                                  1.0, "flat-projection"),
         expected_lambda=1.0, totally_geodesic=True, fibers_totally_geodesic=True,
-        h_integrable=True, harmonic_morphism=True, lift_conformal=True,
-        expected_big_lambda=1.0,
+        h_integrable=True, harmonic_morphism=True, expected_big_lambda=1.0,
         description="orthogonal projection of flat 3-space onto a flat plane",
         # the image of the lift is R^2 times a circle of radius sqrt(2) in the flat
         # fibre of L(R^2), so the lift's tension is that circle's curvature vector:
@@ -262,80 +271,51 @@ def _build_entries() -> list[CatalogEntry]:
     ))
 
     # E2: product projection of S^2 x S^1 onto S^2
-    src = product_sphere_circle_chart()
-    tgt = sphere_chart(2, scale=1.0, box=0.5, name="S2")
-    J2 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     out.append(CatalogEntry(
         id="E2",
-        phi=SubmersionSpec(
-            source=src, target=tgt,
-            map=lambda p: p[..., :2].copy(),
-            jacobian=lambda p: _stack(p, J2),
-            vertical_fields=[coordinate_field(2, 3)],
-            name="product",
-        ),
+        phi=coordinate_projection(product_sphere_circle_chart(),
+                                  sphere_chart(2, scale=1.0, box=0.5, name="S2"), 1.0, "product"),
         expected_lambda=1.0, totally_geodesic=True, fibers_totally_geodesic=True,
-        h_integrable=True, harmonic_morphism=True, lift_conformal=True,
-        expected_big_lambda=1.0,
+        h_integrable=True, harmonic_morphism=True, expected_big_lambda=1.0,
         description="projection of the metric product sphere-times-circle onto the sphere",
     ))
 
     # E3: Hopf fibration S^3 -> S^2(1/2)
-    src = sphere_chart(3, scale=1.0, box=0.4, name="S3")
-    tgt = sphere_chart(2, scale=0.25, box=1.5, name="S2(1/2)")
     out.append(CatalogEntry(
         id="E3",
         phi=SubmersionSpec(
-            source=src, target=tgt,
+            source=sphere_chart(3, scale=1.0, box=0.4, name="S3"),
+            target=sphere_chart(2, scale=0.25, box=1.5, name="S2(1/2)"),
             map=hopf_map,
             jacobian=hopf_jacobian,
             vertical_fields=[hopf_vertical_field()],
             name="hopf",
         ),
         expected_lambda=1.0, totally_geodesic=False, fibers_totally_geodesic=True,
-        h_integrable=False, harmonic_morphism=True, lift_conformal=False,
-        expected_big_lambda=None,
+        h_integrable=False, harmonic_morphism=True, expected_big_lambda=None,
         description="Hopf fibration of the round 3-sphere over the half-radius 2-sphere",
         tension_zero=True,
     ))
 
     # E4: warped plane onto its base line
-    src = warped_plane_chart()
-    tgt = line_chart()
-    J4 = np.array([[1.0, 0.0]])
     out.append(CatalogEntry(
         id="E4",
-        phi=SubmersionSpec(
-            source=src, target=tgt,
-            map=lambda p: p[..., :1].copy(),
-            jacobian=lambda p: _stack(p, J4),
-            vertical_fields=[coordinate_field(1, 2)],
-            name="warped",
-        ),
+        phi=coordinate_projection(warped_plane_chart(), euclidean_chart(1, name="R"), 1.0, "warped"),
         expected_lambda=1.0, totally_geodesic=False, fibers_totally_geodesic=False,
-        h_integrable=True, harmonic_morphism=False, lift_conformal=False,
-        expected_big_lambda=None,
+        h_integrable=True, harmonic_morphism=False, expected_big_lambda=None,
         description="warped product projecting onto the base; fibers are not minimal",
         tension_unit_at=(0.0, 0.25),
     ))
 
     # E5: homothety (factor 2) composed with the flat projection
-    src = euclidean_chart(3, name="R3")
-    tgt = euclidean_chart(2, half_width=3.5, name="R2")
     c = 2.0
-    J5 = c * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     out.append(CatalogEntry(
         id="E5",
-        phi=SubmersionSpec(
-            source=src, target=tgt,
-            map=lambda p: c * p[..., :2],
-            jacobian=lambda p: _stack(p, J5),
-            vertical_fields=[coordinate_field(2, 3)],
-            name="homothety-projection",
-        ),
+        phi=coordinate_projection(euclidean_chart(3, name="R3"),
+                                  euclidean_chart(2, half_width=3.5, name="R2"), c,
+                                  "homothety-projection"),
         expected_lambda=c * c, totally_geodesic=True, fibers_totally_geodesic=True,
-        h_integrable=True, harmonic_morphism=True, lift_conformal=True,
-        expected_big_lambda=c * c,
+        h_integrable=True, harmonic_morphism=True, expected_big_lambda=c * c,
         description="scaling homothety after the flat projection; dilatation 4",
     ))
     return out

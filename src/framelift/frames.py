@@ -21,7 +21,7 @@ q -> tangent_to_chart(q, F(decode(q))) and run ``geometry``'s
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -309,11 +309,11 @@ def _exp_frechet_skew(A: Array, basis: Sequence[Array]) -> tuple[Array, Array]:
     return expA, (U @ (F * (Uh @ B @ U)) @ Uh).real
 
 
-def _log_rotation(R: Array, tol: float) -> Array:
+def _log_rotation(R: Array) -> Array:
     """Principal log of a rotation R: with C = (I + R)^-1 (I - R), its Cayley transform,
     and 1j C = U diag(mu) U*, log R = U diag(2j arctan(mu)) U* (one solve and one eigh,
     the idiom of ``_exp_frechet_skew``).  A half-turn has no unique principal log: raises
-    ValueError when I + R is singular or an eigenvalue angle is within ``tol`` of pi."""
+    ValueError when I + R is singular or an eigenvalue angle is within 1e-8 of pi."""
     half_turn = "frame rotation has an eigenvalue angle at pi: no unique principal log"
     I = np.eye(R.shape[-1])
     try:
@@ -322,7 +322,7 @@ def _log_rotation(R: Array, tol: float) -> Array:
         raise ValueError(half_turn) from None
     mu, U = np.linalg.eigh(1j * C)
     theta = 2.0 * np.arctan(mu)
-    if not np.abs(theta).max() <= np.pi - tol:  # also rejects a NaN angle
+    if not np.abs(theta).max() <= np.pi - 1e-8:  # also rejects a NaN angle
         raise ValueError(half_turn)
     return -((U * theta[..., None, :]) @ U.conj().swapaxes(-1, -2)).imag  # Re(U diag(1j theta) U*)
 
@@ -330,23 +330,19 @@ def _log_rotation(R: Array, tol: float) -> Array:
 class FrameChart:
     """Chart (x, a) on a subbundle of O(M): u = E_ref(x) exp(A(a)).
 
-    ``basis`` spans the allowed skew directions: all of so(n) for O(M), the
-    block-diagonal subalgebra for an adapted bundle.  Valid near a = 0.
+    ``basis`` spans the allowed skew directions and ``reference`` gives E_ref:
+    all of so(n) and the manifold's frame for O(M), the block-diagonal
+    subalgebra and the adapted frame for an adapted bundle.  Valid near a = 0.
     exp(A), its Frechet derivatives and the log in ``encode`` are closed
     forms for skew A, one Hermitian eigendecomposition each.  Two users are
     left: the ``om_chart_roundtrip`` row tests the chart, and
     ``submersion.lift_tension_direct`` differences the lift map on ``adapted_chart``.
     """
 
-    def __init__(
-        self,
-        M: ChartManifold,
-        basis: Optional[Sequence[Array]] = None,
-        reference: Optional[Callable[[Array], Array]] = None,
-        name: str = "O(M)",
-    ):
+    def __init__(self, M: ChartManifold, basis: Sequence[Array], reference: Callable[[Array], Array],
+                 name: str = "O(M)"):
         self.manifold = M
-        self.basis = list(basis) if basis is not None else skew_basis(M.dim)
+        self.basis = list(basis)
         self._reference = reference
         self.name = name
         self.dim = M.dim + len(self.basis)
@@ -370,10 +366,8 @@ class FrameChart:
         return A.reshape(A.shape[:-2] + (n * n,)) @ np.reshape(self.basis, (-1, n * n)).T / 2.0
 
     def reference(self, x: Array) -> Array:
-        """Reference frame at base points x (..., n); a callable ``reference`` must take them too."""
-        if self._reference is not None:
-            return np.asarray(self._reference(x), dtype=float)
-        return reference_frame(self.manifold, x)
+        """Reference frame at base points x (..., n); the callable ``reference`` must take them too."""
+        return np.asarray(self._reference(x), dtype=float)
 
     def reference_derivative(self, x: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
         return central_diff(self.reference, x, cfg.step_h)
@@ -397,7 +391,7 @@ class FrameChart:
         R = np.linalg.solve(self.reference(u.base), u.columns)
         if np.max(np.abs(R.swapaxes(-1, -2) @ R - np.eye(self.manifold.dim))) > 1e-6:
             raise ValueError("frame is not orthonormal for this chart")
-        A = _log_rotation(R, 1e-8)
+        A = _log_rotation(R)
         a = self.coords_from_skew(A)
         if np.max(np.abs(self.skew_from_coords(a) - A)) > 1e-8:
             raise ValueError("frame rotation leaves the chart's skew directions")
@@ -471,7 +465,7 @@ class LMChart:
 
 
 def om_chart(M: ChartManifold, name: str = "O(M)") -> FrameChart:
-    return FrameChart(M, basis=skew_basis(M.dim), name=name)
+    return FrameChart(M, basis=skew_basis(M.dim), reference=lambda x: reference_frame(M, x), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ derivative and second-order central differences of the symbols and fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -33,23 +33,21 @@ class FDConfig:
 
     ``step_h`` differentiates analytic inputs; ``step_h2`` differentiates
     quantities that are themselves finite-difference results (one more
-    level of noise).  ``tol_exact``/``tol_fd1``/``tol_fd2`` grade checks by
-    how many difference levels feed them.
+    level of noise).  The constants ``tol_exact``/``tol_fd1``/``tol_fd2`` grade
+    checks by how many difference levels feed them.
     """
 
     step_h: float = 1e-5
     step_h2: float = 1e-4
-    tol_exact: float = 1e-10
-    tol_fd1: float = 1e-6
-    tol_fd2: float = 5e-4
+    tol_exact: ClassVar[float] = 1e-10
+    tol_fd1: ClassVar[float] = 1e-6
+    tol_fd2: ClassVar[float] = 5e-4
 
     def __post_init__(self):
         if not (0.0 < self.step_h < np.inf and 0.0 < self.step_h2 < np.inf):  # also rejects NaN
             raise ValueError("finite-difference steps must be positive and finite")
         if self.step_h2 < self.step_h:
             raise ValueError("step_h2 must be >= step_h")
-        if not (0.0 <= self.tol_exact <= self.tol_fd1 <= self.tol_fd2):
-            raise ValueError("tolerances must satisfy tol_exact <= tol_fd1 <= tol_fd2")
 
 
 DEFAULT_FD = FDConfig()

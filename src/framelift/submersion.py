@@ -597,7 +597,7 @@ def lift_harmonic_morphism_rule(harmonic_morphism: Optional[bool], totally_geode
                                 dilatation_constant: Optional[bool]) -> Optional[bool]:
     """The prediction that the lift is a harmonic morphism: a harmonic morphism,
     totally geodesic and of constant dilatation; None when any flag is None.
-    ``classify`` calls it with measured flags, ``suite_theorems`` with the catalog's."""
+    ``classify`` calls it with measured flags, ``CatalogEntry`` with the catalog's."""
     if None in (harmonic_morphism, totally_geodesic, dilatation_constant):
         return None
     return harmonic_morphism and totally_geodesic and dilatation_constant

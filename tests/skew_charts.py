@@ -11,7 +11,7 @@ import numpy as np
 
 from framelift.adapted import adapted_frame
 from framelift.frames import FrameChart, FrameTangent, _same_frame, block_skew_basis, skew_basis
-from framelift.geometry import DEFAULT_FD
+from framelift.geometry import DEFAULT_FD, reference_frame
 
 
 class RatesChart(FrameChart):
@@ -50,7 +50,7 @@ class RatesChart(FrameChart):
 
 def om_chart(M, name="O(M)"):
     """``frames.om_chart`` with the tangent conversions."""
-    return RatesChart(M, basis=skew_basis(M.dim), name=name)
+    return RatesChart(M, basis=skew_basis(M.dim), reference=lambda x: reference_frame(M, x), name=name)
 
 
 def adapted_chart(M, D, name="O(D)"):

@@ -5,6 +5,7 @@ import pytest
 
 from framelift.catalog import (
     CatalogEntry,
+    coordinate_projection,
     entries,
     euclidean_chart,
     get,
@@ -14,6 +15,7 @@ from framelift.catalog import (
     warped_plane_chart,
 )
 from framelift.geometry import central_diff, metric_eval, sample_points
+from framelift.submersion import lift_conformal_rule, lift_harmonic_morphism_rule
 
 
 class TestRegistry:
@@ -30,9 +32,29 @@ class TestRegistry:
             get("bogus")
 
     def test_flag_consistency_enforced(self):
-        e = get("E1")
-        with pytest.raises(ValueError):
-            dataclasses.replace(e, lift_conformal=False)
+        # the lift flags are read from the rules, so no entry can declare one
+        with pytest.raises(TypeError):
+            dataclasses.replace(get("E1"), lift_conformal=False)
+        for e in entries():
+            lam_const = e.expected_lambda is not None
+            assert e.lift_conformal is lift_conformal_rule(lam_const, lam_const, e.totally_geodesic)
+            assert e.lift_harmonic_morphism is lift_harmonic_morphism_rule(
+                e.harmonic_morphism, e.totally_geodesic, lam_const)
+
+
+class TestCoordinateProjection:
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    @pytest.mark.parametrize("n, k", [(3, 2), (2, 1), (4, 2)])
+    def test_map_jacobian_and_kernel_fields(self, n, k, factor):
+        phi = coordinate_projection(euclidean_chart(n), euclidean_chart(k), factor, "projection")
+        p = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 5, n))
+        J = phi.jacobian(p)
+        V = np.stack([v.eval(p) for v in phi.vertical_fields], axis=-1)
+        assert np.array_equal(phi.value(p), factor * p[..., :k])
+        assert J.shape == (2, 5, k, n)
+        assert np.array_equal(J, np.broadcast_to(factor * np.eye(k, n), J.shape))
+        assert np.array_equal(V, np.broadcast_to(np.eye(n)[:, k:], V.shape))
+        assert np.array_equal(J @ V, np.zeros((2, 5, k, n - k)))
 
 
 class TestChartData:

@@ -829,7 +829,7 @@ class TestSkewClosedForms:
         assert L.shape == (len(basis),) + A.shape
         for B, LB in zip(basis, L):
             assert np.max(np.abs(LB - scipy.linalg.expm_frechet(A, B, compute_expm=False))) < 1e-13
-        log = frames_module._log_rotation(expA, 1e-8)
+        log = frames_module._log_rotation(expA)
         assert np.max(np.abs(log - A)) < 1e-12
         assert np.max(np.abs(log - scipy.linalg.logm(expA))) < 1e-12
 
@@ -860,7 +860,7 @@ class TestSkewClosedForms:
     def test_half_turn_within_tol_raises_value_error(self, R):
         # I + R singular or an angle within tol of pi: a ValueError, not a LinAlgError
         with pytest.raises(ValueError, match="eigenvalue angle at pi") as raised:
-            frames_module._log_rotation(R, 1e-8)
+            frames_module._log_rotation(R)
         assert not isinstance(raised.value, np.linalg.LinAlgError)
 
     def test_exp_does_not_depend_on_the_basis(self):

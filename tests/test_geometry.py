@@ -59,8 +59,10 @@ class TestFDConfig:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             FDConfig(step_h=1e-4, step_h2=1e-5)
-        with pytest.raises(ValueError):
-            FDConfig(tol_exact=1.0, tol_fd1=1e-6)
+        # the tolerances are constants of the class, in order, and no instance sets one
+        assert FDConfig.tol_exact <= FDConfig.tol_fd1 <= FDConfig.tol_fd2
+        with pytest.raises(TypeError):
+            FDConfig(tol_fd1=1e-7)
 
     @pytest.mark.parametrize("steps", [
         {"step_h": np.nan}, {"step_h2": np.nan}, {"step_h": np.nan, "step_h2": np.nan},

@@ -28,10 +28,6 @@ from scan import SRC, functions, modules
 ALLOWED = {
     "geometry.column_gram.B": "the second stack of the pairing; by default a stack pairs with "
                               "itself (the Gram matrices of W and of the Mok metric)",
-    "frames.FrameChart.basis": "the skew directions of the chart: all of so(n) on O(M), the "
-                               "block-diagonal subalgebra on O(D)",
-    "frames.FrameChart.reference": "the reference frame of the chart: the manifold's on O(M), "
-                                   "the adapted frame on O(D)",
     "geometry.VectorField.jacobian": "the total-space fields of the oracle self-check and "
                                      "suite_adapted's Ytop and Ys have no closed-form Jacobian; "
                                      "they are differenced by design",

@@ -732,23 +732,23 @@ class TestLiftRules:
             assert rule(*flags) is want, flags
 
     def test_each_rule_is_the_one_that_catalog_classify_and_suite_read(self, monkeypatch):
-        # patching a rule's code changes every binding of it: the catalog validation,
-        # classify's prediction and suite_theorems' expectation all follow
+        # patching a rule's code changes every binding of it: the catalog's lift flags,
+        # classify's prediction and suite_theorems' expectation (the catalog's) all follow
         e, geom = E["E1"], GEOM["E1"]
         pts = sample_points(e.phi.source, 42, 3)
         before = classify(geom, pts)
+        assert e.lift_conformal is True and e.lift_harmonic_morphism is True
         assert before.lift_conformal_predicted is True
         assert before.lift_harmonic_morphism_predicted is True
         row = "E1.theorems.lift_harmonic_morphism"
         assert {r.name: r.status for r in suite_theorems(e, seed=42, samples=6)}[row] == "pass"
 
         monkeypatch.setattr(lift_conformal_rule, "__code__", _negated_rule.__code__)
-        with pytest.raises(ValueError, match="lift_conformal"):
-            dataclasses.replace(e)
-        assert dataclasses.replace(e, lift_conformal=False).lift_conformal is False
+        assert e.lift_conformal is False
         assert classify(geom, pts).lift_conformal_predicted is False
 
         monkeypatch.setattr(lift_harmonic_morphism_rule, "__code__", _negated_rule.__code__)
+        assert e.lift_harmonic_morphism is False
         assert classify(geom, pts).lift_harmonic_morphism_predicted is False
         monkeypatch.setattr(suites_module, "classify", lambda *args: before)  # the measured side fixed
         assert {r.name: r.status for r in suite_theorems(e, seed=42, samples=6)}[row] == "fail"
