@@ -26,31 +26,32 @@ from framelift.frames import (
     reference_frame,
     vertical_part,
 )
-from framelift.geometry import TangentVector, curvature_tensor
+from framelift.geometry import TangentVector, christoffel, curvature_tensor, metric_eval
 
 S2 = sphere_chart(2)
 p = np.array([0.25, -0.15])
 u = Frame(p, reference_frame(S2, p))
+g, gamma = metric_eval(S2, p), christoffel(S2, p)  # the base jet at p, read by every kernel below
 print("an orthonormal frame at", p)
 print(u.columns)
 
 print("\n== the exact horizontal/vertical splitting ==")
 rng = np.random.default_rng(1)
 t = FrameTangent(u, rng.standard_normal(2), rng.standard_normal((2, 2)))
-V = vertical_part(S2, t)
-rec = horizontal_lift_frame(S2, TangentVector(p, t.base_rate), u) + fundamental_vertical(V, u)
+V = vertical_part(gamma, t)
+rec = horizontal_lift_frame(gamma, TangentVector(p, t.base_rate), u) + fundamental_vertical(V, u)
 print("reconstruction residual:",
       np.max(np.abs(rec.frame_rate - t.frame_rate)))
 
 print("\n== the Mok metric ==")
 x = np.array([1.0, -0.5])
-th = horizontal_lift_frame(S2, TangentVector(p, x), u)
+th = horizontal_lift_frame(gamma, TangentVector(p, x), u)
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 tv = fundamental_vertical(u.columns @ J @ np.linalg.inv(u.columns), u)
 print("horizontal norm^2 equals the base norm^2:",
-      mok_metric(S2, th, th))
-print("horizontal-vertical product (always zero):", mok_metric(S2, th, tv))
-print("vertical norm^2 of the rotation generator:", mok_metric(S2, tv, tv))
+      mok_metric(g, gamma, th, th))
+print("horizontal-vertical product (always zero):", mok_metric(g, gamma, th, tv))
+print("vertical norm^2 of the rotation generator:", mok_metric(g, gamma, tv, tv))
 
 print("\n== the induced total-space metric ==")
 chart = om_chart(S2)
@@ -71,12 +72,12 @@ cases = (
     ("vv", (P, Q), "[P*, Q*]   = -[P,Q]*"),
 )
 brackets = {}  # one finite-difference bracket call serves the three cases
-for (case, _, label), res in zip(cases, bracket_residual(S2, lm, [c[:2] for c in cases], u, R)):
+for (case, _, label), res in zip(cases, bracket_residual(S2, lm, [c[:2] for c in cases], u, g, gamma, R)):
     brackets[case] = res
     print(f"bracket {case}: {label:<38s} residual {res['resolved']:.2e}")
 print(f"(the opposite sign for the hv bracket misses by {brackets['hv']['literal']:.2f})")
 
 print("\nconnection formulas against the oracle:")
-for row in connection_audit(S2, u, {"L": dict(X=X, Y=Y, P=P, Q=Q)}, R):
+for row in connection_audit(S2, u, {"L": dict(X=X, Y=Y, P=P, Q=Q)}, g, gamma, R):
     mark = "  " if row["asserted"] else "  [displayed reading]"
     print(f"  L({row['case']}) {row['reading']:<9s} residual {row['residual']:.2e}{mark}")

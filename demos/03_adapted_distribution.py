@@ -22,7 +22,7 @@ from framelift.adapted import (
     torsion_TD,
 )
 from framelift.catalog import get
-from framelift.geometry import TangentVector, christoffel, christoffel_contract, coordinate_field
+from framelift.geometry import TangentVector, christoffel, christoffel_contract, coordinate_field, metric_eval
 from framelift.submersion import derive_geometry
 
 entry = get("E4")
@@ -57,7 +57,7 @@ print("block reassembly residual:",
 
 print("\n== the W endomorphism ==")
 u = adapted_frame(M, D, p)
-W = W_endo(M, u, S)
+W = W_endo(metric_eval(M, p), u, S)
 print("W in the adapted orthonormal frame (closed form diag(1, 3)):")
 print(np.linalg.inv(u.columns) @ W @ u.columns)
 

@@ -20,7 +20,6 @@ from .geometry import (
     Array,
     ChartManifold,
     DEFAULT_FD,
-    EndomorphismField,
     FDConfig,
     TangentVector,
     VectorField,
@@ -47,8 +46,8 @@ from .frames import (
     block_skew_basis,
     endo_covariant_derivative,
     frame_diff,
-    _horizontal_lift,
     fundamental_vertical,
+    horizontal_lift_frame,
     _case_fields,
     gauss_projection,
     lc_total_space_oracle,
@@ -309,16 +308,16 @@ def curvature_relation_residual(
 # the W endomorphism and L_P
 # ---------------------------------------------------------------------------
 
-def W_endo(M: ChartManifold, u: Frame, S: Array) -> Array:
+def W_endo(g: Array, u: Frame, S: Array) -> Array:
     """W(X) = X + sum_i <S_{e_i} | S_X> e_i as a chart matrix at u's base point, over the
-    g-orthonormal columns e_i of the frame u, from S = ``S_components`` at u's base
-    points; (..., n, n) for a stack of frames.
+    g-orthonormal columns e_i of the frame u, from the metric g and S = ``S_components``
+    at u's base points; (..., n, n) for a stack of frames.
 
     g-self-adjoint and positive definite (identity plus a Gram matrix), so
     always invertible; reduces to the identity when D is parallel.
     """
     E = u.columns
-    G = column_gram(metric_eval(M, u.base), _S_of_columns(S, E))  # G[i, j] = <S_{e_i} | S_{e_j}>
+    G = column_gram(g, _S_of_columns(S, E))  # G[i, j] = <S_{e_i} | S_{e_j}>
     return E @ (np.eye(E.shape[-1]) + G) @ np.linalg.inv(E)
 
 
@@ -333,30 +332,28 @@ def W_inverse_apply(W_matrix: Array, v: Array) -> Array:
 
 
 def L_P_applies(
-    M: ChartManifold, pairs: Sequence[tuple[EndomorphismField, Array]], p: Array,
+    g: Array, pairs: Sequence[tuple[Array, Array, Array]], p: Array,
     onb: Sequence[TangentVector], R: Array, P_D: Array, S: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """L_P(x) = W^{-1}( R_P(x) + sign * sum_i <(nabla_x P)_m | S_{e_i}> e_i ), by m-sign,
-    for each (P, x) pair.
+    for each (P(p), (nabla_x P)(p), x) of values in ``pairs``, which the caller computes
+    once for every reader (``endo_covariant_derivative``).
 
     The defining display carries sign -1 ("printed"); the total-space
     oracle on the adapted bundle matches the connection lines only with +1
     ("flipped"; see the adapted connection audit).  Both come from one
-    assembly of R_P, nabla_x P, S and W.  Every pair shares the curvature
-    tensor ``R = curvature_tensor(M, p)``, D's projector ``P_D = D.projector(p)``,
-    ``S = S_components(...)`` at p, one Christoffel evaluation and one W.
+    assembly of R_P, nabla_x P, S and W.  Every pair shares the caller's metric g,
+    curvature tensor ``R = curvature_tensor(M, p)``, D's projector
+    ``P_D = D.projector(p)`` and ``S = S_components(...)`` at p, and one W.
     """
-    g = metric_eval(M, p)
-    RPs = curvature_R_P(M, p, np.array([np.asarray(P.eval(p), dtype=float) for P, _ in pairs]),
-                        onb, R, cfg)
+    RPs = curvature_R_P(g, np.array([np.asarray(P, dtype=float) for P, _, _ in pairs]), onb, R, cfg)
     signs = {"printed": -1.0, "flipped": +1.0}
-    gamma = christoffel(M, p)
     u = Frame(p, np.column_stack([e.components for e in onb]))
     SE = _S_of_columns(S, u.columns)
-    W = W_endo(M, u, S)
+    W = W_endo(g, u, S)
     out = []
-    for (P, x), RP in zip(pairs, RPs):
-        b = block_decompose(endo_covariant_derivative(P, x, p, gamma, cfg), P_D)
+    for (_, nabla_P, x), RP in zip(pairs, RPs):
+        b = block_decompose(nabla_P, P_D)
         # sum_i <(nabla_x P)_m | S_{e_i}> e_i
         m_part = u.columns @ column_gram(g, [(b.off1 + b.off2) @ u.columns], SE)[0]
         out.append({name: W_inverse_apply(W, RP @ x + sign * m_part) for name, sign in signs.items()})
@@ -398,7 +395,7 @@ def _adapted_horizontal_lifts(
 def _S_lifts(Xs: Sequence[TangentVector], u: Frame, gamma: Array, S: Array) -> list[FrameTangent]:
     """X^h + (S_X)* of each X in ``Xs`` at the frames u, adapted or not, from Gamma and S
     at u's base points: the adapted horizontal lift, extended to all of L(M)."""
-    return [_horizontal_lift(gamma, X, u) + fundamental_vertical(christoffel_contract(S, X.components), u)
+    return [horizontal_lift_frame(gamma, X, u) + fundamental_vertical(christoffel_contract(S, X.components), u)
             for X in Xs]
 
 
@@ -444,7 +441,7 @@ def adapted_chart(M: ChartManifold, D: DistributionSpec, name: str = "O(D)") -> 
 
 
 def adapted_connection_audit(
-    M: ChartManifold, D: DistributionSpec, u: Frame, fields: dict, R: Array,
+    M: ChartManifold, D: DistributionSpec, u: Frame, fields: dict, g: Array, gamma: Array, R: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Audit of the adapted-bundle connection displays against the O(D) oracle.
@@ -453,9 +450,10 @@ def adapted_connection_audit(
     lift types, so plausible readings are evaluated against one oracle
     evaluation per point and the best-matching reading is flagged per case.
     The O(D) oracle is the ``gauss_projection`` of the L(M) oracle on X^h + (S_X)*
-    (``_S_lifts``) and P*.  ``R`` is ``curvature_tensor(M, u.base)``, for the L_P
-    lines.  S at u's base point is built once and serves L_P, the lifted right-hand
-    sides and the RD jet; one ``mok_norm`` of the stacked differences gives every residual.
+    (``_S_lifts``) and P*.  g, gamma and ``R = curvature_tensor(M, u.base)`` are the
+    caller's at u's base point.  S, P, Q, nabla_X Q and nabla_Y P there are built once
+    and serve L_P, the lifted right-hand sides and the RD jet; one ``mok_norm`` of the
+    stacked differences gives every residual.
     """
     chart = LMChart(M)
     X, Y, P, Q = fields["X"], fields["Y"], fields["P"], fields["Q"]
@@ -463,30 +461,28 @@ def adapted_connection_audit(
     onb = [TangentVector(p, u.columns[:, i]) for i in range(M.dim)]
     cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
 
-    gamma, P_D = christoffel(M, p), D.projector(p)
+    P_D = D.projector(p)
     S = S_components(M, D, p, gamma, P_D, cfg)
 
     def extension(M: ChartManifold, X: TangentVector, v: Frame) -> FrameTangent:
         gamma_v = christoffel(M, v.base)
         return _S_lifts([X], v, gamma_v, S_components(M, D, v.base, gamma_v, D.projector(v.base), cfg))[0]
 
-    def nabla_D_endo(x: Array, E: EndomorphismField) -> Array:
-        b = block_decompose(endo_covariant_derivative(E, x, p, gamma, cfg), P_D)
-        return b.top + b.bot
-
     xval = np.asarray(X.eval(p), dtype=float)
     yval = np.asarray(Y.eval(p), dtype=float)
     Pval = np.asarray(P.eval(p), dtype=float)
     Qval = np.asarray(Q.eval(p), dtype=float)
+    nQ = endo_covariant_derivative(Q, xval, p, Qval, gamma, cfg)
+    nP = endo_covariant_derivative(P, yval, p, Pval, gamma, cfg)
 
     RDxy = curvature_RD_tensor(_GD_S_jet(M, D, p, gamma, S, cfg))
     RD_endo = np.einsum("ijkl,i,j->lk", RDxy, xval, yval)
 
     rows: list[dict] = []
     differences: list[FrameTangent] = []
-    oracle = lc_total_space_oracle(chart, _case_fields(M, cases, extension), chart.encode(u), cfg)
+    oracle = lc_total_space_oracle(chart, _case_fields(M, cases, extension), u, cfg)
     oracle = dict(zip(("hh", "hv", "vh", "vv"), gauss_projection(
-        M, oracle, metric_eval(M, p), metric_derivative_eval(M, p), P_D,
+        M, oracle, g, gamma, metric_derivative_eval(M, p), P_D,
         central_diff(D.projector, p, cfg.step_h), D.rank)))
 
     def case_rows(case, readings):
@@ -496,7 +492,7 @@ def adapted_connection_audit(
 
     # the right-hand sides' vectors, lifted in one batch: nabla_X Y and nablaD_X Y
     # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
-    LQ, LP = L_P_applies(M, [(Q, xval), (P, yval)], p, onb, R, P_D, S, cfg)
+    LQ, LP = L_P_applies(g, [(Qval, nQ, xval), (Pval, nP, yval)], p, onb, R, P_D, S, cfg)
     nab, nabD, LQm, LQp, LPm, LPp = _adapted_horizontal_lifts(M, D, [TangentVector(p, v) for v in (
         covariant_derivative(M, X, Y, p, cfg).components,
         adapted_derivatives(M, D, xval, [Y], p, gamma, P_D, cfg)[0][0],
@@ -509,11 +505,12 @@ def adapted_connection_audit(
     ])
 
     # hv: nabla_{X^{h,D}} Q*, with both m-term signs inside L
-    nQ = fundamental_vertical(nabla_D_endo(xval, Q), u)
+    b = block_decompose(nQ, P_D)
+    nDQ = fundamental_vertical(b.top + b.bot, u)
     half_LQp = 0.5 * LQp
     case_rows("hv", [
-        ("1/2 L-_Q(X)^{h,D} + (nablaD_X Q)* (printed m-sign)", 0.5 * LQm + nQ),
-        ("1/2 L+_Q(X)^{h,D} + (nablaD_X Q)* (flipped m-sign)", half_LQp + nQ),
+        ("1/2 L-_Q(X)^{h,D} + (nablaD_X Q)* (printed m-sign)", 0.5 * LQm + nDQ),
+        ("1/2 L+_Q(X)^{h,D} + (nablaD_X Q)* (flipped m-sign)", half_LQp + nDQ),
         ("1/2 L+_Q(X)^{h,D}", half_LQp),
     ])
 
@@ -528,7 +525,7 @@ def adapted_connection_audit(
         ("-1/2 [P,Q]*", fundamental_vertical(-0.5 * (Pval @ Qval - Qval @ Pval), u)),
     ])
 
-    for r, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences))):
+    for r, residual in zip(rows, mok_norm(g, gamma, FrameTangent.stack(differences))):
         r["residual"] = residual
     best: dict = {}
     for r in rows:

@@ -14,8 +14,9 @@ A field on the total space is a frame field, a function Frame ->
 FrameTangent that takes stacks of frames, as the horizontal lift, the
 fundamental vertical and the adapted horizontal lift are.  The oracle and
 the finite-difference bracket read each as its chart field
-q -> tangent_to_chart(q, F(decode(q))) and run ``geometry``'s
-``covariant_derivatives`` and ``lie_brackets`` on the total space.
+q -> field_to_chart(q, F), run ``geometry``'s ``covariant_derivatives`` and
+``lie_brackets`` on the total space at encode(u) and answer at the frames u
+themselves.  The pairing and the lifts read the caller's g and Gamma.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from .geometry import (
     TangentVector,
     VectorField,
     _check_stencil,
-    _christoffel_from,
     central_diff,
     christoffel,
     christoffel_contract,
     column_gram,
-    covariant_derivative,
     covariant_derivatives,
     curvature_R_P,
     directional_diff,
@@ -154,13 +153,9 @@ def _same_frame(u: Frame, v: Frame) -> None:
 # lifts, vertical vectors, Mok metric
 # ---------------------------------------------------------------------------
 
-def horizontal_lift_frame(M: ChartManifold, X: TangentVector, u: Frame) -> FrameTangent:
-    """Horizontal lift of X at the frame u, or at a stack of them: parallel transport of the columns."""
-    return _horizontal_lift(christoffel(M, u.base), X, u)
-
-
-def _horizontal_lift(gamma: Array, X: TangentVector, u: Frame) -> FrameTangent:
-    """``horizontal_lift_frame`` from the Christoffel symbols ``gamma`` at u's base points."""
+def horizontal_lift_frame(gamma: Array, X: TangentVector, u: Frame) -> FrameTangent:
+    """Horizontal lift of X at the frame u, or at a stack of them: parallel transport of the
+    columns, from the Christoffel symbols ``gamma`` at u's base points."""
     if not np.array_equal(np.asarray(X.base, dtype=float), u.base):
         raise ValueError("vector and frame are based at different points")
     return FrameTangent(u, X.components.copy(), -christoffel_contract(gamma, X.components) @ u.columns)
@@ -176,16 +171,12 @@ def fundamental_vertical(P_value: Array, u: Frame) -> FrameTangent:
     return FrameTangent(u, np.zeros(u.base.shape), P_value @ u.columns)
 
 
-def vertical_part(M: ChartManifold, t: FrameTangent) -> Array:
-    """Endomorphism value V with t = horizontal lift of base_rate + V*.
+def vertical_part(gamma: Array, t: FrameTangent) -> Array:
+    """Endomorphism value V with t = horizontal lift of base_rate + V*, from the Christoffel
+    symbols ``gamma`` at t's base points.
 
     The decomposition is exact: V = W E^{-1} for the vertical rate W.
     """
-    return _vertical_part(christoffel(M, t.at.base), t)
-
-
-def _vertical_part(gamma: Array, t: FrameTangent) -> Array:
-    """``vertical_part`` from the Christoffel symbols ``gamma`` at t's base points."""
     return _vertical_rate(gamma, t.base_rate, t.at.columns, t.frame_rate) @ np.linalg.inv(t.at.columns)
 
 
@@ -197,7 +188,7 @@ def _vertical_rate(gamma: Array, xdot: Array, E: Array, Edot: Array) -> Array:
     return Edot + christoffel_contract(gamma, xdot) @ E
 
 
-def mok_metric(M: ChartManifold, s: FrameTangent, t: FrameTangent) -> Array:
+def mok_metric(g: Array, gamma: Array, s: FrameTangent, t: FrameTangent) -> Array:
     """Diagonal (Mok) metric on the frame bundle: a scalar at one frame, one value
     per frame, of the frames' leading shape, at a stack.
 
@@ -206,47 +197,45 @@ def mok_metric(M: ChartManifold, s: FrameTangent, t: FrameTangent) -> Array:
     frames is the Sasaki-Mok metric g(pi_* s, pi_* t) + g(K s, K t) of TM.
     The off-diagonal entry of ``mok_gram`` of (s, t).
     """
-    return mok_gram(M, [s, t])[..., 0, 1]
+    return mok_gram(g, gamma, [s, t])[..., 0, 1]
 
 
-def mok_norm(M: ChartManifold, t: FrameTangent) -> Array:
+def mok_norm(g: Array, gamma: Array, t: FrameTangent) -> Array:
     """sqrt of the one entry of ``mok_gram`` of (t,): its vertical rate is evaluated once."""
-    return np.sqrt(np.maximum(mok_gram(M, [t])[..., 0, 0], 0.0))
+    return np.sqrt(np.maximum(mok_gram(g, gamma, [t])[..., 0, 0], 0.0))
 
 
-def _lift_gram(M: ChartManifold, x: Array, E: Array, X: Array, Edot: Array) -> Array:
-    """Gram matrix of tangents (X_a, Edot_a) to the bundle of n x m frames at (x, E).
+def _gram(g: Array, gamma: Array, E: Array, X: Array, Edot: Array) -> Array:
+    """Gram matrix of tangents (X_a, Edot_a) to the bundle of n x m frames at (x, E), from the
+    metric g and the Christoffel symbols gamma at the base points x.
 
     G = X g X^T + sum_i W g W^T over the m columns, W_a = Edot_a + Gamma(X_a) E
     the vertical rate (``_vertical_rate``): the Mok table for m = n, and for the
     one column E = Z the Sasaki-Mok table on TM.  Every argument may carry the
     leading axes of points x (..., n); so does G.
     """
-    return _gram(metric_eval(M, x), christoffel(M, x), E, X, Edot)
-
-
-def _gram(g: Array, gamma: Array, E: Array, X: Array, Edot: Array) -> Array:
-    """``_lift_gram`` from the metric g and the Christoffel symbols gamma at the base points."""
     W = _vertical_rate(gamma[..., None, :, :, :], X, E[..., None, :, :], Edot)
     G = X @ g @ X.swapaxes(-1, -2) + column_gram(g, W)
     return 0.5 * (G + G.swapaxes(-1, -2))
 
 
-def mok_gram(M: ChartManifold, basis: Sequence[FrameTangent]) -> Array:
+def mok_gram(g: Array, gamma: Array, basis: Sequence[FrameTangent]) -> Array:
     """Mok Gram matrix of tangents attached to one frame (or to one stack of frames,
-    (..., m, m)), in one pass (``_lift_gram``).  Raises ValueError when the
-    tangents are attached to different frames."""
+    (..., m, m)), in one pass (``_gram``), from the metric g and the Christoffel symbols
+    gamma at the frames' base points; a stack of copies of those frames, as
+    ``FrameTangent.stack`` builds, reads them by broadcasting.  Raises ValueError when
+    the tangents are attached to different frames."""
     u = basis[0].at
     for t in basis[1:]:
         _same_frame(u, t.at)
-    return _lift_gram(M, u.base, u.columns, np.stack([t.base_rate for t in basis], axis=-2),
-                      np.stack([t.frame_rate for t in basis], axis=-3))
+    return _gram(g, gamma, u.columns, np.stack([t.base_rate for t in basis], axis=-2),
+                 np.stack([t.frame_rate for t in basis], axis=-3))
 
 
-def mok_orthonormalize(M: ChartManifold, basis: Sequence[FrameTangent]) -> list[FrameTangent]:
+def mok_orthonormalize(g: Array, gamma: Array, basis: Sequence[FrameTangent]) -> list[FrameTangent]:
     """Gram-Schmidt in the Mok metric, deterministic in the given order: one
     ``mok_gram`` and its ``orthonormalizer``, which raises on a degenerate input."""
-    C = orthonormalizer(mok_gram(M, basis))
+    C = orthonormalizer(mok_gram(g, gamma, basis))
     X = np.stack([t.base_rate for t in basis], axis=-2)
     F = np.stack([t.frame_rate for t in basis], axis=-3)
     F = F.reshape(F.shape[:-2] + (-1,))
@@ -457,10 +446,12 @@ class LMChart:
     def chart_to_tangent(self, q: Array, qdot: Array, cfg: FDConfig = DEFAULT_FD) -> FrameTangent:
         return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
 
-    def tangent_to_chart(self, q: Array, t: FrameTangent, cfg: FDConfig = DEFAULT_FD) -> Array:
-        """Chart rates of t at decode(q): (xdot, vec(Edot)) themselves.  Raises if t is
-        attached to another frame."""
-        _same_frame(self.decode(q), t.at)
+    def field_to_chart(self, q: Array, F: Callable[[Frame], FrameTangent], cfg: FDConfig = DEFAULT_FD) -> Array:
+        """Chart rates of the frame field F at decode(q), the one frame F is handed:
+        (xdot, vec(Edot)) themselves.  Raises if F's tangent is attached to another frame."""
+        u = self.decode(q)
+        t = F(u)
+        _same_frame(u, t.at)
         return self.join(t.base_rate, t.frame_rate)
 
 
@@ -475,11 +466,12 @@ def om_chart(M: ChartManifold, name: str = "O(M)") -> FrameChart:
 def induced_metric_on_chart(chart, q: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
     """Mok metric in the chart coordinates of the total space at points q (..., dim).
 
-    The Mok Gram (``_lift_gram``) of the coordinate directions, read straight
-    from the chart Jacobian: row a of J is the tangent of direction a.
+    The Mok Gram (``_gram``) of the coordinate directions, read straight from the
+    chart Jacobian: row a of J is the tangent of direction a.
     """
     u, Jx, JE = chart.jacobian(q, cfg)
-    return _lift_gram(chart.manifold, u.base, u.columns, Jx, JE)
+    M = chart.manifold
+    return _gram(metric_eval(M, u.base), christoffel(M, u.base), u.columns, Jx, JE)
 
 
 def total_space_manifold(chart, cfg: FDConfig = DEFAULT_FD) -> ChartManifold:
@@ -523,25 +515,26 @@ def total_space_cfg(cfg: FDConfig) -> FDConfig:
 
 
 def lc_total_space_oracle(
-    chart,
-    pairs: Sequence[tuple[Callable[[Frame], FrameTangent], Callable[[Frame], FrameTangent]]],
-    q: Array,
+    chart, pairs: Sequence[tuple[Callable[[Frame], FrameTangent], Callable[[Frame], FrameTangent]]], u: Frame,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
     """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair
-    of frame fields (Frame -> FrameTangent, as the lifts are), at chart points q (..., dim).
+    of frame fields (Frame -> FrameTangent, as the lifts are), at the frame u or at a
+    stack of frames.
 
     Brute force on the Mok metric of ``induced_metric_on_chart``: ``covariant_derivatives``
-    on ``total_space_manifold`` at ``total_space_cfg``, on the chart fields of the pairs
-    (``_chart_fields``), read back as frame tangents at decode(q).  The audits run it on
-    L(M) only.
+    on ``total_space_manifold`` at ``total_space_cfg``, at the chart points encode(u), on
+    the chart fields of the pairs (``_chart_fields``), read back as frame tangents at u
+    itself (``_tangents_at``).  The audits run it on L(M) only.
     """
-    return chart.chart_to_tangents(q, [v.components for v in covariant_derivatives(
-        total_space_manifold(chart, cfg), _chart_fields(chart, pairs, cfg), q, total_space_cfg(cfg))], cfg)
+    q = chart.encode(u)
+    return _tangents_at(chart, u, q, covariant_derivatives(
+        total_space_manifold(chart, cfg), _chart_fields(chart, pairs, cfg), q, total_space_cfg(cfg)), cfg)
 
 
 def gauss_projection(
-    M: ChartManifold, ts: Sequence[FrameTangent], g: Array, dg: Array, P: Array, dP: Array, k: int,
+    M: ChartManifold, ts: Sequence[FrameTangent], g: Array, gamma: Array, dg: Array, P: Array, dP: Array,
+    k: int,
 ) -> list[FrameTangent]:
     """Mok-orthogonal tangential parts on O(D) of the tangents ts to L(M) at frames u of O(D),
     the orthonormal frames whose first k columns span D; O(M) is O(D) of D = TM (k = n,
@@ -549,7 +542,7 @@ def gauss_projection(
     along each chart direction have the null space T_u O(D): its n + dim so(k) + dim
     so(n-k) singular vectors N, from one SVD, give the projection N (N^T G N)^-1 N^T G for
     L(M)'s Mok metric G.  The Levi-Civita connection of O(D) is the projection of L(M)'s
-    (the Gauss formula; do Carmo, *Riemannian Geometry*, ch. 6).  g, P and their
+    (the Gauss formula; do Carmo, *Riemannian Geometry*, ch. 6).  g, Gamma, P and the
     derivatives dg, dP [..., k, i, j] at u's base points serve every tangent.
     """
     lm, u = LMChart(M), ts[0].at
@@ -563,31 +556,37 @@ def gauss_projection(
                         P_ @ Edot[..., k:] + Pdot @ E[..., k:]], axis=-1)
     null = n + (k * (k - 1) + (n - k) * (n - k - 1)) // 2
     N = np.linalg.svd(C.reshape(C.shape[:-2] + (-1,)), full_matrices=False)[0][..., -null:]
-    GN = _gram(g, _christoffel_from(g, dg), u.columns, xdot, Edot) @ N
+    GN = _gram(g, gamma, u.columns, xdot, Edot) @ N
     Pi = N @ np.linalg.solve(N.swapaxes(-1, -2) @ GN, GN.swapaxes(-1, -2))
     v = np.array([lm.join(t.base_rate, t.frame_rate) for t in ts])
     return [FrameTangent(u, *lm.split(rates)) for rates in (Pi @ v[..., None])[..., 0]]
 
 
 def fd_bracket_on_chart(
-    chart,
-    pairs: Sequence[tuple[Callable[[Frame], FrameTangent], Callable[[Frame], FrameTangent]]],
-    q: Array,
+    chart, pairs: Sequence[tuple[Callable[[Frame], FrameTangent], Callable[[Frame], FrameTangent]]], u: Frame,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
     """Finite-difference Lie brackets [A, B] = dB(a) - dA(b), one per (A, B) pair of frame
-    fields, at chart points q (..., dim): ``lie_brackets`` on their chart fields
-    (``_chart_fields``) at ``total_space_cfg``, read back as frame tangents at decode(q)."""
-    return chart.chart_to_tangents(q, [v.components for v in lie_brackets(
-        _chart_fields(chart, pairs, cfg), q, total_space_cfg(cfg))], cfg)
+    fields, at the frame u or a stack of frames: ``lie_brackets`` on their chart fields
+    (``_chart_fields``) at ``total_space_cfg``, at the chart points encode(u), read back as
+    frame tangents at u itself (``_tangents_at``)."""
+    q = chart.encode(u)
+    return _tangents_at(chart, u, q, lie_brackets(_chart_fields(chart, pairs, cfg), q, total_space_cfg(cfg)), cfg)
 
 
 def _chart_fields(chart, pairs: Sequence[tuple], cfg: FDConfig) -> list[tuple[VectorField, VectorField]]:
-    """The pairs of frame fields as pairs of chart fields q -> tangent_to_chart(q, F(decode(q))),
-    one ``VectorField`` per distinct frame field, so each is evaluated and differenced once."""
-    made = {id(F): VectorField(eval=lambda q, F=F: chart.tangent_to_chart(q, F(chart.decode(q)), cfg))
-            for pair in pairs for F in pair}
+    """The pairs of frame fields as pairs of chart fields q -> field_to_chart(q, F), F read
+    at the one frame decode(q), one ``VectorField`` per distinct frame field, so each is
+    evaluated and differenced once."""
+    made = {id(F): VectorField(eval=lambda q, F=F: chart.field_to_chart(q, F, cfg)) for pair in pairs for F in pair}
     return [(made[id(A)], made[id(B)]) for A, B in pairs]
+
+
+def _tangents_at(chart, u: Frame, q: Array, vs: Sequence[TangentVector], cfg: FDConfig) -> list[FrameTangent]:
+    """The chart vectors vs at q = encode(u) as frame tangents at u itself, the frame object
+    the caller holds: decode(q) is u, exactly on L(M) and to roundoff on a ``FrameChart``."""
+    return [FrameTangent(u, t.base_rate, t.frame_rate)
+            for t in chart.chart_to_tangents(q, [v.components for v in vs], cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -595,28 +594,24 @@ def _chart_fields(chart, pairs: Sequence[tuple], cfg: FDConfig) -> list[tuple[Ve
 # ---------------------------------------------------------------------------
 
 def endo_covariant_derivative(
-    Q: EndomorphismField, x: Array, p: Array, gamma: Array, cfg: FDConfig = DEFAULT_FD,
+    Q: EndomorphismField, x: Array, p: Array, Qp: Array, gamma: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
     """(nabla_x Q) at p as a matrix: directional derivative plus [Gamma_x, Q], from the
-    Christoffel symbols ``gamma`` at p; a stack for points p (..., n) and directions
-    x (..., n), from one stencil of Q."""
+    caller's value Qp = Q(p) and Christoffel symbols ``gamma`` at p; a stack for points
+    p (..., n) and directions x (..., n), from one stencil of Q."""
     dQ = directional_diff(Q.eval, p, x, cfg.step_h)
     gx = christoffel_contract(gamma, x)
-    Qp = np.asarray(Q.eval(p), dtype=float)
+    Qp = np.asarray(Qp, dtype=float)
     return dQ + gx @ Qp - Qp @ gx
 
 
 def lc_connection_formula(
-    M: ChartManifold,
-    bundle: str,
-    cases: Sequence[tuple[str, tuple]],
-    u: Frame,
-    R: Array,
-    cfg: FDConfig = DEFAULT_FD,
-) -> list[dict[str, FrameTangent]]:
-    """Closed-form right-hand sides for the Mok Levi-Civita connection, one dict
-    per (case, inputs) of ``cases`` at the frame u, or at a stack of frames with
-    ``R`` of the same leading axes.
+    M: ChartManifold, cases: dict[str, Sequence[tuple[str, tuple]]], u: Frame, g: Array, gamma: Array,
+    R: Array, cfg: FDConfig = DEFAULT_FD,
+) -> dict[str, list[dict[str, FrameTangent]]]:
+    """Closed-form right-hand sides for the Mok Levi-Civita connection, one dict per
+    (case, inputs) of each bundle's ``cases``, "L" for L(M) and "O" for O(M), at the
+    frame u, or at a stack of frames with g, gamma and R of the same leading axes.
 
     Cases (first argument differentiates the second):
       hh: nabla_{X^h} Y^h   = (nabla_X Y)^h - 1/2 R(X,Y)*
@@ -628,27 +623,30 @@ def lc_connection_formula(
     case and, for hv and vh, "literal", which moves the (nabla Q)* term from
     the hv to the vh line, the reading in which those display lines are
     usually typeset.  The total-space oracle adjudicates; the audit suite
-    asserts "resolved".  Every case reads ``R = curvature_tensor(M, u.base)``
-    and one orthonormal basis and one Christoffel evaluation at u's base point.
+    asserts "resolved".  Every case reads the caller's metric g, Christoffel
+    symbols gamma and ``R = curvature_tensor(M, u.base)`` at u's base points and one
+    orthonormal basis there; one ``covariant_derivatives`` call serves the hh case
+    of every bundle.
     """
     p = u.base
     onb = orthonormal_basis(M, p)
-    gamma = christoffel(M, p)
+    nablas = iter(covariant_derivatives(
+        M, [inputs for bundle_cases in cases.values() for case, inputs in bundle_cases if case == "hh"], p, cfg))
 
-    def lines(case: str, inputs: tuple) -> dict[str, FrameTangent]:
+    def lines(bundle: str, case: str, inputs: tuple) -> dict[str, FrameTangent]:
         if case == "hh":
             X, Y = inputs
-            nab = covariant_derivative(M, X, Y, p, cfg)
             Rxy = np.einsum("...ijkl,...i,...j->...lk", R, X.eval(p), Y.eval(p))
-            return {"resolved": _horizontal_lift(gamma, nab, u)
+            return {"resolved": horizontal_lift_frame(gamma, next(nablas), u)
                     + (-0.5) * fundamental_vertical(Rxy, u)}
         if case in ("hv", "vh"):
             A, B = inputs
             E, v = (B, A.eval(p)) if case == "hv" else (A, B.eval(p))
             v = np.asarray(v, dtype=float)
-            RE = curvature_R_P(M, p, np.asarray(E.eval(p), dtype=float), onb, R, cfg)
-            base = 0.5 * _horizontal_lift(gamma, TangentVector(p, (RE @ v[..., None])[..., 0]), u)
-            with_term = base + fundamental_vertical(endo_covariant_derivative(E, v, p, gamma, cfg), u)
+            Ep = np.asarray(E.eval(p), dtype=float)
+            RE = curvature_R_P(g, Ep, onb, R, cfg)
+            base = 0.5 * horizontal_lift_frame(gamma, TangentVector(p, (RE @ v[..., None])[..., 0]), u)
+            with_term = base + fundamental_vertical(endo_covariant_derivative(E, v, p, Ep, gamma, cfg), u)
             if case == "hv":
                 return {"resolved": with_term, "literal": base}
             return {"resolved": base, "literal": with_term}
@@ -661,16 +659,12 @@ def lc_connection_formula(
             return {"resolved": fundamental_vertical(-0.5 * (Pu @ Qu - Qu @ Pu), u)}
         raise ValueError(f"unknown case {case!r}")
 
-    return [lines(case, inputs) for case, inputs in cases]
+    return {bundle: [lines(bundle, case, inputs) for case, inputs in bundle_cases]
+            for bundle, bundle_cases in cases.items()}
 
 
 def bracket_rhs(
-    M: ChartManifold,
-    case: str,
-    inputs: tuple,
-    u: Frame,
-    R: Array,
-    cfg: FDConfig = DEFAULT_FD,
+    case: str, inputs: tuple, u: Frame, gamma: Array, R: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> dict[str, FrameTangent]:
     """Closed-form bracket identities on the frame bundle, by reading.
 
@@ -678,20 +672,20 @@ def bracket_rhs(
       hv: [X^h, Q*]  = (nabla_X Q)*        ("literal" flips the sign)
       vv: [P*, Q*]   = -[P,Q]*
 
-    ``R = curvature_tensor(M, u.base)`` serves the hh line; u may be a stack of frames.
+    The caller's Christoffel symbols gamma and ``R = curvature_tensor(M, u.base)`` at
+    u's base points serve the lines; u may be a stack of frames.
     """
     p = u.base
     if case == "hh":
         X, Y = inputs
         br = lie_bracket(X, Y, p, cfg)
         Rxy = np.einsum("...ijkl,...i,...j->...lk", R, X.eval(p), Y.eval(p))
-        return {"resolved": horizontal_lift_frame(M, br, u)
+        return {"resolved": horizontal_lift_frame(gamma, br, u)
                 + (-1.0) * fundamental_vertical(Rxy, u)}
     if case == "hv":
         X, Q = inputs
         nq = fundamental_vertical(
-            endo_covariant_derivative(Q, np.asarray(X.eval(p), dtype=float), p,
-                                      christoffel(M, p), cfg), u)
+            endo_covariant_derivative(Q, np.asarray(X.eval(p), dtype=float), p, Q.eval(p), gamma, cfg), u)
         return {"resolved": nq, "literal": -1.0 * nq}
     if case == "vv":
         P, Q = inputs
@@ -702,10 +696,12 @@ def bracket_rhs(
 
 
 def _case_fields(M: ChartManifold, cases: Sequence[tuple[str, tuple]],
-                 horizontal: Callable = horizontal_lift_frame) -> list[tuple]:
-    """The frame fields (A, B) of each (case, inputs): ``horizontal(M, X, u)`` of a
-    vector field ("h"), the fundamental vertical of an endomorphism field ("v").  A field
-    that several cases share is built once, so the oracle evaluates and differences it once."""
+                 horizontal: Callable = lambda M, X, u: horizontal_lift_frame(christoffel(M, u.base), X, u),
+                 ) -> list[tuple]:
+    """The frame fields (A, B) of each (case, inputs): ``horizontal(M, X, u)`` of a vector
+    field ("h"), by default its lift by Gamma at the frames u it is handed, the fundamental
+    vertical of an endomorphism field ("v").  A field that several cases share is built
+    once, so the oracle evaluates and differences it once."""
     for case in {case for case, _ in cases} - {"hh", "hv", "vh", "vv"}:
         raise ValueError(f"unknown case {case!r}")
     lift = {"h": lambda X: lambda u: horizontal(M, X.at(u.base), u),
@@ -715,57 +711,51 @@ def _case_fields(M: ChartManifold, cases: Sequence[tuple[str, tuple]],
 
 
 def bracket_residual(
-    M: ChartManifold,
-    chart,
-    cases: Sequence[tuple[str, tuple]],
-    u: Frame,
-    R: Array,
+    M: ChartManifold, chart, cases: Sequence[tuple[str, tuple]], u: Frame, g: Array, gamma: Array, R: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict[str, Array]]:
     """Mok norm of (finite-difference bracket) - (closed-form right side), by reading, for
     each (case, inputs) of ``cases``: one value per frame of u.  One ``fd_bracket_on_chart``
     call serves every case, reading and frame, and one ``mok_norm`` measures the stack of
-    their differences; ``R`` is as in ``bracket_rhs``."""
-    fds = fd_bracket_on_chart(chart, _case_fields(M, cases), chart.encode(u), cfg)
-    rhs = [bracket_rhs(M, case, inputs, u, R, cfg) for case, inputs in cases]
-    norms = iter(mok_norm(M, FrameTangent.stack([fd - line for fd, lines in zip(fds, rhs)
-                                                 for line in lines.values()])))
+    their differences, from the caller's metric g and Christoffel symbols gamma at u's base
+    points; gamma and ``R`` serve ``bracket_rhs``."""
+    fds = fd_bracket_on_chart(chart, _case_fields(M, cases), u, cfg)
+    rhs = [bracket_rhs(case, inputs, u, gamma, R, cfg) for case, inputs in cases]
+    norms = iter(mok_norm(g, gamma, FrameTangent.stack([fd - line for fd, lines in zip(fds, rhs)
+                                                        for line in lines.values()])))
     return [{reading: next(norms) for reading in lines} for lines in rhs]
 
 
 def connection_audit(
-    M: ChartManifold,
-    u: Frame,
-    fields: dict,
-    R: Array,
-    cfg: FDConfig = DEFAULT_FD,
+    M: ChartManifold, u: Frame, fields: dict, g: Array, gamma: Array, R: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Audit table comparing the connection formulas against the oracle.
 
     ``fields`` maps a bundle, "L" or "O", to its X, Y (vector fields) and P, Q
-    (endomorphism fields, g-skew on O(M)) at the orthonormal frames u; ``R`` is
-    ``curvature_tensor(M, u.base)``.  One L(M) oracle call serves every bundle,
-    case and frame, and O(M) takes its ``gauss_projection``.  Each reading of each
-    case is a row, bundle by bundle, its residual one value per frame from one
-    ``mok_norm``; the "literal" hv/vh rows are unasserted diagnostics.
+    (endomorphism fields, g-skew on O(M)) at the orthonormal frames u; g, gamma and
+    ``R = curvature_tensor(M, u.base)`` are the caller's metric, Christoffel symbols
+    and curvature at u's base points.  One L(M) oracle call serves every bundle, case
+    and frame, O(M) takes its ``gauss_projection``, and one ``lc_connection_formula``
+    call gives every line.  Each reading of each case is a row, bundle by bundle, its
+    residual one value per frame from one ``mok_norm``; the "literal" hv/vh rows are
+    unasserted diagnostics.
     """
     chart = LMChart(M)
     cases = {bundle: [("hh", (f["X"], f["Y"])), ("hv", (f["X"], f["Q"])), ("vh", (f["P"], f["Y"])),
                       ("vv", (f["P"], f["Q"]))] for bundle, f in fields.items()}
-    values = iter(lc_total_space_oracle(chart, _case_fields(M, sum(cases.values(), [])),
-                                        chart.encode(u), cfg))
+    values = iter(lc_total_space_oracle(chart, _case_fields(M, sum(cases.values(), [])), u, cfg))
     oracles = {bundle: [next(values) for _ in bundle_cases] for bundle, bundle_cases in cases.items()}
     if "O" in oracles:  # O(M) is O(D) of D = TM
-        oracles["O"] = gauss_projection(M, oracles["O"], metric_eval(M, u.base), metric_derivative_eval(
-            M, u.base), np.eye(M.dim), np.zeros((M.dim,) * 3), M.dim)
+        oracles["O"] = gauss_projection(M, oracles["O"], g, gamma, metric_derivative_eval(M, u.base),
+                                        np.eye(M.dim), np.zeros((M.dim,) * 3), M.dim)
     rows, differences = [], []
+    lines = lc_connection_formula(M, cases, u, g, gamma, R, cfg)
     for bundle, bundle_cases in cases.items():
-        lines = lc_connection_formula(M, bundle, bundle_cases, u, R, cfg)
-        for (case, _), oracle, rhs in zip(bundle_cases, oracles[bundle], lines):
+        for (case, _), oracle, rhs in zip(bundle_cases, oracles[bundle], lines[bundle]):
             for reading, line in rhs.items():
                 rows.append({"bundle": bundle, "case": case, "reading": reading,
                              "asserted": reading == "resolved"})
                 differences.append(oracle - line)
-    for row, residual in zip(rows, mok_norm(M, FrameTangent.stack(differences))):
+    for row, residual in zip(rows, mok_norm(g, gamma, FrameTangent.stack(differences))):
         row["residual"] = residual
     return rows

@@ -408,20 +408,19 @@ def connection_curvature(G: Array, dG: Array) -> Array:
 
 
 def curvature_R_P(
-    M: ChartManifold,
-    p: Array,
+    g: Array,
     P: Array,
     onb: Sequence[TangentVector],
     R: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> Array:
-    """R_P = sum_i R(e_i, P(e_i)) over a g-orthonormal basis, as an endomorphism value at p.
+    """R_P = sum_i R(e_i, P(e_i)) over a g-orthonormal basis at p, an endomorphism value there.
 
     ``P`` is the endomorphism value (matrix) at p, or a stack (..., n, n) of
-    them, all served by ``R = curvature_tensor(M, p)``.  At points p (..., n)
-    the basis, R and P carry the same leading axes.
+    them, all served by the caller's metric g and ``R = curvature_tensor(M, p)``
+    at p.  At points p (..., n) the basis, g, R and P carry the same leading axes.
     """
-    if orthonormality_defect(M, p, onb) > cfg.tol_exact * 100:
+    if orthonormality_defect(g, onb) > cfg.tol_exact * 100:
         raise ValueError("basis is not g-orthonormal at the base point")
     P = np.asarray(P, dtype=float)
     out = np.zeros(P.shape)
@@ -492,9 +491,8 @@ def reference_frame(M: ChartManifold, p: Array) -> Array:
     return np.asarray(M.orthonormal_frame(p), dtype=float)
 
 
-def orthonormality_defect(M: ChartManifold, p: Array, basis: Sequence[TangentVector]) -> float:
-    """max |E^T g E - I| over the basis columns E, the worst at points p (..., dim)."""
-    g = metric_eval(M, p)
+def orthonormality_defect(g: Array, basis: Sequence[TangentVector]) -> float:
+    """max |E^T g E - I| over the basis columns E, g the metric at their points: the worst of a stack."""
     E = np.stack([e.components for e in basis], axis=-1)
     return float(np.max(np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(len(basis)))))
 

@@ -437,7 +437,7 @@ def lift_differential_formula(
     if case == "horizontal-of-H":
         x = np.asarray(value, dtype=float)
         pushed = TangentVector(v.base, (J @ x[..., None])[..., 0])
-        return (horizontal_lift_frame(geom.phi.target, pushed, v)
+        return (horizontal_lift_frame(christoffel(geom.phi.target, v.base), pushed, v)
                 + fundamental_vertical(pushforward_endo(split, Pi_X_endo(split, x, B)), v))
     if case == "horizontal-of-V":
         return fundamental_vertical(-pushforward_endo(split, A_Y_endos([value], S, Pi_H)[0]), v)
@@ -469,7 +469,7 @@ def lift_distributions(
     M, D = phi.source, geom.horizontal
     p, Ep = u.base, u.columns
     n, k = M.dim, D.rank
-    Wm = W_endo(M, u, S)
+    Wm = W_endo(metric_eval(M, p), u, S)
 
     verticals = np.moveaxis(Ep[..., :, k:], -1, 0)
     tops = np.reshape(skew_basis(k), (-1, k, k))
@@ -574,10 +574,11 @@ def lift_conformality_measurement(
     """
     phi = geom.phi
     _, H_basis = lift_distributions(geom, u, gamma, Pi_H, S, cfg)
-    W_on = mok_orthonormalize(phi.source, H_basis)
+    W_on = mok_orthonormalize(metric_eval(phi.source, u.base), gamma, H_basis)
     m = len(W_on)
     imgs = lift_differential_fd(geom, FrameTangent.stack(W_on), Pi_H, cfg, check_tangency=False)
-    G = mok_gram(phi.target, [imgs[a] for a in range(m)])
+    y = imgs.at.base[0]
+    G = mok_gram(metric_eval(phi.target, y), christoffel(phi.target, y), [imgs[a] for a in range(m)])
     Lam = np.trace(G, axis1=-2, axis2=-1) / m
     defect = np.max(np.abs(G - Lam[..., None, None] * np.eye(m)), axis=(-2, -1))
     return Lam, defect

@@ -20,6 +20,8 @@ from .geometry import (
     central_diff,
     christoffel,
     christoffel_contract,
+    christoffel_derivative,
+    connection_curvature,
     constant_field,
     covariant_derivatives,
     curvature_tensor,
@@ -188,11 +190,13 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     n, k = M.dim, phi.target.dim
 
     # lifts and the splitting, once on the stack of sample points; per point, the
-    # draws are the fiber of Z, the vector x and the two rates of t
+    # draws are the fiber of Z, the vector x and the two rates of t.  Every block below
+    # reads the base jet at the sample points, or its leading rows
+    g, gamma = metric_eval(M, pts), christoffel(M, pts)
     zf, x, base_rate, fiber_rate = np.split(rng.standard_normal((len(pts), 4 * n)), 4, axis=-1)
     Z = Frame(pts, 0.7 * zf[..., None])
     v = tm_vertical_lift(TangentVector(pts, x), Z)
-    h = horizontal_lift_frame(M, TangentVector(pts, x), Z)
+    h = horizontal_lift_frame(gamma, TangentVector(pts, x), Z)
     checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact,
                *(np.max(np.abs(d), axis=-1) for d in (
                    connection_map_K(M, v).components - x, connection_map_K(M, h).components,
@@ -201,7 +205,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     hh, vv = tm_split(M, t)
     checks.row("splitting_exact", "t = (pi_* t)^h + (K t)^v", cfg.tol_exact, _tm_size(hh + vv - t))
     checks.row("horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0", cfg.tol_exact,
-               np.abs(mok_metric(M, h, v)))
+               np.abs(mok_metric(g, gamma, h, v)))
 
     # second differential: formula vs finite differences, each kind once on the stack;
     # per point, the draws are the fiber of Z and the vector X
@@ -209,7 +213,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         zf, x = np.split(rng.standard_normal((len(pts), 2 * n)), 2, axis=-1)
         Z = Frame(pts, 0.7 * zf[..., None])
         X = TangentVector(pts, x)
-        t = tm_vertical_lift(X, Z) if kind == "vertical" else horizontal_lift_frame(M, X, Z)
+        t = tm_vertical_lift(X, Z) if kind == "vertical" else horizontal_lift_frame(gamma, X, Z)
         checks.row(f"second_differential.{kind}", "second differential formula matches central differences",
                    cfg.tol_fd2, _tm_size(phi_second_differential_fd(phi, t, cfg)
                                          - phi_second_differential_formula(phi, kind, X, Z, cfg)))
@@ -219,14 +223,14 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # gives one evaluation of each row, the worst of its values
     D = geom.horizontal
     dpts = pts[: max(2, samples // 3)]
-    S = S_components(M, D, dpts, christoffel(M, dpts), D.projector(dpts), cfg)
+    S = S_components(M, D, dpts, gamma[:len(dpts)], D.projector(dpts), cfg)
     dims, kernel, cross, shown_cross, const = [], [], [], [], []
-    for p, S_p in zip(dpts, S):
+    for p, g_p, gamma_p, S_p in zip(dpts, g, gamma, S):
         Z = Frame(p, 0.7 * rng.standard_normal((n, 1)))
         Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p)
         # one Sasaki-Mok Gram of kernel, complement and displayed vectors; the kernel
         # vectors are independent: their own block has full rank
-        G, kv, kh = mok_gram(M, Vb + Hb + shown), len(Vb), len(Vb) + len(Hb)
+        G, kv, kh = mok_gram(g_p, gamma_p, Vb + Hb + shown), len(Vb), len(Vb) + len(Hb)
         dims.append(0.0 if (len(Vb), len(Hb)) == (2 * (n - k), 2 * k)
                     and np.linalg.matrix_rank(G[:kv, :kv]) == kv else 1.0)
         # both kernel readings share the vertical lifts e^v; only the corrected half differs
@@ -253,12 +257,12 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     p = pts[0]
     u = Frame(np.tile(p, (n, 1)), np.tile(reference_frame(M, p), (n, 1, 1)))
     x, P = np.split(_rng(seed, 4).standard_normal((n, n + n * n)), [n], axis=-1)
-    th = horizontal_lift_frame(M, TangentVector(u.base, x), u)
+    th = horizontal_lift_frame(gamma[0], TangentVector(u.base, x), u)
     t = th + fundamental_vertical(P.reshape(n, n, n), u)
     cols = np.arange(n)
     differential = _tm_size(pi_i_differential(M, t, cols) - pi_i_differential_fd(M, t, cols, cfg))
     ti = pi_i_differential(M, th, cols)
-    isometry = np.abs(mok_metric(M, th, th) - mok_metric(M, ti, ti))
+    isometry = np.abs(mok_metric(g[0], gamma[0], th, th) - mok_metric(g[0], gamma[0], ti, ti))
     checks.row("frame_projection_differential", "column projection maps lifts to lifts", cfg.tol_fd1,
                differential)
     checks.row("frame_projection_isometry", "column projection is isometric on horizontals",
@@ -286,22 +290,25 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     x, P, K, Qd, a = np.split(rng.standard_normal((len(pts), n + 3 * n * n + len(chart.basis))),
                               np.cumsum([n, n * n, n * n, n * n]), axis=-1)
     P, K, Qd = (m.reshape(-1, n, n) for m in (P, K, Qd))
-    h = horizontal_lift_frame(M, TangentVector(pts, x), frames)
+    # the base jet at the sample points, built once: every block below reads it, the
+    # connection audits at the first sample points its leading rows
+    g, gamma = metric_eval(M, pts), christoffel(M, pts)
+    h = horizontal_lift_frame(gamma, TangentVector(pts, x), frames)
     t = h + fundamental_vertical(P, frames)
-    rec = (horizontal_lift_frame(M, TangentVector(pts, t.base_rate), frames)
-           + fundamental_vertical(vertical_part(M, t), frames))
+    rec = (horizontal_lift_frame(gamma, TangentVector(pts, t.base_rate), frames)
+           + fundamental_vertical(vertical_part(gamma, t), frames))
     checks.row("decomposition_exact", "t = (pi_* t)^h + V(t)*", cfg.tol_exact,
                np.max(np.abs(rec.frame_rate - t.frame_rate), axis=(-2, -1)),
                np.max(np.abs(rec.base_rate - t.base_rate), axis=-1))
-    skew = np.linalg.solve(metric_eval(M, pts), 0.5 * (K - K.swapaxes(-1, -2)))
+    skew = np.linalg.solve(g, 0.5 * (K - K.swapaxes(-1, -2)))
     checks.row("mok_block_orthogonal", "g_L(X^h, P*) = 0", cfg.tol_exact,
-               np.abs(mok_metric(M, h, fundamental_vertical(skew, frames))))
+               np.abs(mok_metric(g, gamma, h, fundamental_vertical(skew, frames))))
     # right invariance under a constant orthogonal matrix
     Q, _ = np.linalg.qr(Qd)
     s = h + fundamental_vertical(skew, frames)
     sk = FrameTangent(Frame(pts, frames.columns @ Q), s.base_rate, s.frame_rate @ Q)
     checks.row("mok_right_invariant", "Mok norms invariant under constant right rotation",
-               cfg.tol_exact * 100, np.abs(mok_metric(M, s, s) - mok_metric(M, sk, sk)))
+               cfg.tol_exact * 100, np.abs(mok_metric(g, gamma, s, s) - mok_metric(g, gamma, sk, sk)))
     # orthonormal chart round trip
     a = 0.4 * a
     _, a2 = chart.split(chart.encode(chart.decode(chart.join(pts, a))))
@@ -309,9 +316,9 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                np.max(np.abs(a - a2), axis=-1))
 
     # bracket identities against the finite-difference bracket, each on the stack of
-    # sample frames; the base curvature tensors at the sample points serve the bracket,
-    # connection and adapted audits
-    Rs = curvature_tensor(M, pts, cfg)
+    # sample frames; the base curvature tensors at the sample points, from the jet's
+    # Gamma, serve the bracket, connection and adapted audits
+    Rs = connection_curvature(gamma, christoffel_derivative(M, pts, cfg))
     lm = LMChart(M)
     X = polynomial_vector_field(M.dim, rng)
     Y = polynomial_vector_field(M.dim, rng)
@@ -319,7 +326,8 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     P = polynomial_endo_field(M.dim, rng)
     cases = (("hh", (X, Y), "[X^h, Y^h] = [X,Y]^h - R(X,Y)*"), ("hv", (X, Q), "[X^h, Q*] = (nabla_X Q)*"),
              ("vv", (P, Q), "[P*, Q*] = -[P,Q]*"))
-    for (case, _, ident), res in zip(cases, bracket_residual(M, lm, [c[:2] for c in cases], frames, Rs, cfg)):
+    residuals = bracket_residual(M, lm, [c[:2] for c in cases], frames, g, gamma, Rs, cfg)
+    for (case, _, ident), res in zip(cases, residuals):
         checks.row(f"bracket.{case}", ident, cfg.tol_fd2, res["resolved"])
         if case == "hv":
             checks.row("bracket.hv_literal_sign", "[X^h, Q*] = -(nabla_X Q)* (diagnostic)", cfg.tol_fd2,
@@ -330,7 +338,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Ps = g_skew_endo_field(M, rng)
     few = min(3, samples)
     rows = connection_audit(M, frames[:few], {"L": dict(X=X, Y=Y, P=P, Q=Q), "O": dict(X=X, Y=Y, P=Ps, Q=Qs)},
-                            Rs[:few], cfg)
+                            g[:few], gamma[:few], Rs[:few], cfg)
     # bundle by bundle, asserted rows first, each group in case order
     for r in sorted(rows, key=lambda r: (r["bundle"], not r["asserted"])):
         if r["asserted"]:
@@ -371,7 +379,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Pa = adapted_endo_field(geom, top=0.8 * Ja)
     Qa = adapted_endo_field(geom, top=-1.3 * Ja)
     for r in adapted_connection_audit(M, geom.horizontal, u,
-                                      dict(X=X, Y=Y, P=Pa, Q=Qa), Rs[0], cfg):
+                                      dict(X=X, Y=Y, P=Pa, Q=Qa), g[0], gamma[0], Rs[0], cfg):
         checks.row(f"adapted_connection.{r['case']}.{'best' if r['best_match'] else 'alt'}",
                    r["reading"], cfg.tol_fd2, r["residual"], kind="audit")
     return checks.reports
@@ -392,7 +400,7 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     few = pts[: max(3, samples // 2)]
     rng = _rng(seed, 7)
 
-    # the metric and the difference tensor S at the sample points, built once: every
+    # the base jet and the difference tensor S at the sample points, built once: every
     # block below reads them, at the first sample points their leading rows
     g, gamma, Pi = metric_eval(M, pts), christoffel(M, pts), D.projector(pts)
     S = S_components(M, D, pts, gamma, Pi, cfg)
@@ -472,15 +480,15 @@ def suite_adapted(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     # stack of adapted frames at the sample points; per point, the draws are
     # two (x, y) pairs for the W lemma and one x for the lift identities
     x1, y1, x2, y2, x = np.moveaxis(rng.standard_normal((len(pts), 5, M.dim)), 1, 0)
-    Wm = W_endo(M, u, S)
+    Wm = W_endo(g, u, S)
     tx1, ty1, tx2, ty2, t = _adapted_horizontal_lifts(
         M, D, [TangentVector(pts, v) for v in (x1, y1, x2, y2, x)], u, gamma, Pi, S)
     w_lemma = np.concatenate([
-        np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(M, ta, tb))
+        np.abs(_pairing_at(g, a, (Wm @ b[..., None])[..., 0]) - mok_metric(g, gamma, ta, tb))
         for a, b, ta, tb in ((x1, y1, tx1, ty1), (x2, y2, tx2, ty2))])
     W_onb = np.linalg.inv(u.columns) @ Wm @ u.columns
     w_positive = 1.0 - np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.swapaxes(-1, -2))), axis=-1)
-    t2 = (horizontal_lift_frame(M, TangentVector(pts, x), u)
+    t2 = (horizontal_lift_frame(gamma, TangentVector(pts, x), u)
           + fundamental_vertical(christoffel_contract(S, x), u))
     frame_gap = np.max(np.abs(t.frame_rate - t2.frame_rate), axis=(-2, -1))
     base_gap = np.max(np.abs(t.base_rate - t2.base_rate), axis=-1)
@@ -536,12 +544,12 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # second fundamental form symmetry, A-identity, Pi_X displays, evaluated once on
     # the stack of adapted frames at the first sample points.  Per point, the draws
-    # are (x, y) for the symmetry and X for the displays.  Gamma, the split, S and B
+    # are (x, y) for the symmetry and X for the displays.  g, Gamma, the split, S and B
     # there are built once: every reader below takes them
     frames = frames[:len(few)]
     E = frames.columns
     split_few = tuple(a[:len(few)] for a in split)
-    gamma, Pi = christoffel(M, few), split_few[2]
+    g, gamma, Pi = metric_eval(M, few), christoffel(M, few), split_few[2]
     S = S_components(M, D, few, gamma, Pi, cfg)
     x, y, w = np.moveaxis(rng.standard_normal((len(few), 3, M.dim)), 1, 0)
     B = second_fundamental_tensor(phi, few, cfg)
@@ -577,7 +585,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Cs = _adapted_endo(M, _block_coefficients(M.dim, k, tops, None), few, E)
     onb = [TangentVector(few, e) for e in np.moveaxis(E, -1, 0)]
     duality = endo_inner(M, few, np.asarray(A_Y_endos(ys, S, Pi)), Cs, onb) + _pairing_at(
-        metric_eval(M, few), ys, div_bot(geom, tops, frames, gamma, Pi, cfg))
+        g, ys, div_bot(geom, tops, frames, gamma, Pi, cfg))
     checks.row("div_duality", "<A_X | C> = -g(X, vertical divergence of C)", cfg.tol_fd2,
                np.ravel(np.abs(duality)))
 
@@ -589,7 +597,10 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
 
     # lift differential: formula vs finite differences, three input types on the stack
     # of frames, all differenced in one call and normed in one; per point, the draws are
-    # the coefficients of x in the horizontal and of y in the vertical columns
+    # the coefficients of x in the horizontal and of y in the vertical columns.  The
+    # target jet at the lifted frames' base points phi(few) serves both Mok norms below
+    images = phi.value(few)
+    g_t, gamma_t = metric_eval(phi.target, images), christoffel(phi.target, images)
     blk = np.zeros((M.dim, M.dim))
     if k >= 2:
         blk[0, 1], blk[1, 0] = 1.0, -1.0
@@ -605,7 +616,7 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
              ("vertical", fundamental_vertical(P0, frames), P0))
     d = lift_differential_fd(geom, FrameTangent.stack([t for _, t, _ in cases]), Pi, cfg) - FrameTangent.stack(
         [lift_differential_formula(geom, case, arg, frames, S, B, split_few) for case, _, arg in cases])
-    for (case, _, _), residual in zip(cases, mok_norm(phi.target, d)):
+    for (case, _, _), residual in zip(cases, mok_norm(g_t, gamma_t, d)):
         checks.row(f"differential.{case}", "lift differential formula matches central differences",
                    cfg.tol_fd2, residual)
 
@@ -614,11 +625,11 @@ def suite_lift(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     n = M.dim
     Vb, Hb = lift_distributions(geom, frames, gamma, Pi, S, cfg)
     dims_ok = (len(Vb), len(Hb)) == ((n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
-    kernel = mok_norm(phi.target, lift_differential_fd(
+    kernel = mok_norm(g_t, gamma_t, lift_differential_fd(
         geom, FrameTangent.stack(Vb), Pi, cfg, check_tangency=False))  # (len(Vb), len(few))
     checks.row("kernel_distribution", "lift differential kills the kernel basis", cfg.tol_fd2, *kernel)
     checks.row("distribution_orthogonality", "kernel and orthogonal bases have zero Mok cross Gram",
-               cfg.tol_fd1, np.abs(mok_gram(M, Vb + Hb)[:, :len(Vb), len(Vb):]))
+               cfg.tol_fd1, np.abs(mok_gram(g, gamma, Vb + Hb)[:, :len(Vb), len(Vb):]))
     checks.row("dimension_identity", "kernel and orthogonal dimensions sum to the bundle dimension",
                0.5, np.full(len(few), 0.0 if dims_ok else 1.0))
     return checks.reports

@@ -36,7 +36,6 @@ from .frames import (
     Frame,
     FrameTangent,
     _gram,
-    _horizontal_lift,
     _vertical_rate,
     frame_diff,
     horizontal_lift_frame,
@@ -67,7 +66,7 @@ def connection_map_K(M: ChartManifold, t: FrameTangent) -> TangentVector:
 
 def tm_split(M: ChartManifold, t: FrameTangent) -> tuple[FrameTangent, FrameTangent]:
     """Exact splitting into horizontal and vertical lifts of pi_* t and K(t)."""
-    return (horizontal_lift_frame(M, TangentVector(t.at.base, t.base_rate), t.at),
+    return (horizontal_lift_frame(christoffel(M, t.at.base), TangentVector(t.at.base, t.base_rate), t.at),
             tm_vertical_lift(connection_map_K(M, t), t.at))
 
 
@@ -104,7 +103,7 @@ def phi_second_differential_formula(
     if kind == "vertical":
         return tm_vertical_lift(pushed, img)
     if kind == "horizontal":
-        out = horizontal_lift_frame(phi.target, pushed, img)
+        out = horizontal_lift_frame(christoffel(phi.target, img.base), pushed, img)
         corr = second_fundamental_form(phi, X, TangentVector(Z.base, Z.vector(0)), cfg)
         return out + tm_vertical_lift(TangentVector(img.base, corr), img)
     raise ValueError(f"unknown kind {kind!r}")
@@ -137,7 +136,7 @@ def tm_distributions(
     # Pi_H Gamma_Z e: the first k coefficients of Gamma_Z e in the adapted frame
     PGE = E[:, :k] @ np.linalg.solve(E, christoffel_contract(gamma, Z.vector(0)) @ E[:, k:])[:k]
     ver, hor = ((lambda x: tm_vertical_lift(TangentVector(p, x), Z)),
-                (lambda x: _horizontal_lift(gamma, TangentVector(p, x), Z)))
+                (lambda x: horizontal_lift_frame(gamma, TangentVector(p, x), Z)))
     V, H = E[:, k:].T, E[:, :k].T
     kernel = [ver(e) for e in V] + [hor(e) + ver(s) for e, s in zip(V, SE[:, k:].T)]
     constant = [hor(e) + ver(c) for e, c in zip(V, PGE.T)]
@@ -169,8 +168,9 @@ def pi_i_differential(M: ChartManifold, t: FrameTangent, i: int | Array) -> Fram
     fundamental verticals of P map to vertical lifts of P(u_i).
     """
     Z = Frame(t.at.base, _column(t.at.columns, i))
-    hor = horizontal_lift_frame(M, TangentVector(Z.base, t.base_rate), Z)
-    ver = tm_vertical_lift(TangentVector(Z.base, (vertical_part(M, t) @ Z.columns)[..., 0]), Z)
+    gamma = christoffel(M, Z.base)
+    hor = horizontal_lift_frame(gamma, TangentVector(Z.base, t.base_rate), Z)
+    ver = tm_vertical_lift(TangentVector(Z.base, (vertical_part(gamma, t) @ Z.columns)[..., 0]), Z)
     return hor + ver
 
 

@@ -2,9 +2,9 @@
 
 ``framelift`` reads O(M) and O(D) through L(M) and ``frames.gauss_projection``; its
 ``FrameChart`` decodes, encodes and differentiates frames only.  ``RatesChart`` adds
-the conversions between chart rates and frame tangents that ``lc_total_space_oracle``
-and ``fd_bracket_on_chart`` read a chart through, so that the tests can run both on O(M)
-and O(D) and compare the projected L(M) oracle with them.
+the conversions between chart rates and frame fields or tangents that
+``lc_total_space_oracle`` and ``fd_bracket_on_chart`` read a chart through, so that the
+tests can run both on O(M) and O(D) and compare the projected L(M) oracle with them.
 """
 
 import numpy as np
@@ -28,13 +28,15 @@ class RatesChart(FrameChart):
     def chart_to_tangent(self, q, qdot, cfg=DEFAULT_FD):
         return self.chart_to_tangents(q, np.asarray(qdot)[None], cfg)[0]
 
-    def tangent_to_chart(self, q, t, cfg=DEFAULT_FD):
-        """Chart rates at points q (..., dim) of a frame tangent at decode(q): least squares
-        against J's near-orthonormal skew rows by one stacked normal-equations ``solve``.
-        Raises if t is attached to other frames or if any point's t is not tangent to the
-        chart."""
-        u, _, JE = self.jacobian(q, cfg)
+    def field_to_chart(self, q, F, cfg=DEFAULT_FD):
+        """Chart rates at points q (..., dim) of the frame field F, read at the one frame
+        decode(q): least squares against J's near-orthonormal skew rows by one stacked
+        normal-equations ``solve``.  Raises if F's tangent is attached to other frames or if
+        any point's tangent is not tangent to the chart."""
+        u = self.decode(q)
+        t = F(u)
         _same_frame(u, t.at)
+        _, _, JE = self.jacobian(q, cfg)
         n = self.manifold.dim
         rhs = t.frame_rate - np.einsum("...a,...aij->...ij", t.base_rate, JE[..., :n, :, :])
         rhs = rhs.reshape(rhs.shape[:-2] + (n * n,))

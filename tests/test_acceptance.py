@@ -78,6 +78,7 @@ from framelift.tangent import (
     tm_split,
     tm_vertical_lift,
 )
+from jets import jet
 from looping import per_point
 
 CFG = FDConfig()
@@ -145,7 +146,7 @@ def test_criterion_02_bracket_formulas():
     for p in sample_points(S2, SEED, 10):
         u = Frame(p, reference_frame(S2, p))
         R = curvature_tensor(S2, p, CFG)
-        for (case, _), res in zip(cases, bracket_residual(S2, chart, cases, u, R, CFG)):
+        for (case, _), res in zip(cases, bracket_residual(S2, chart, cases, u, *jet(S2, p), R, CFG)):
             worst[case] = max(worst[case], res["resolved"])
     ok = all(w < 5e-4 for w in worst.values())
     report(2, "bracket formulas", ok,
@@ -169,7 +170,7 @@ def test_criterion_03_connection_formulas():
             R = curvature_tensor(M, p, CFG)
             # every case on L(M), the vv case on O(M): the "resolved" readings
             rows = connection_audit(M, u, {"L": dict(X=X, Y=Y, P=P, Q=Q), "O": dict(X=X, Y=Y, P=Ps, Q=Qs)},
-                                    R, CFG)
+                                    *jet(M, p), R, CFG)
             worst = max(worst, *(r["residual"] for r in rows
                                  if r["asserted"] and (r["bundle"] == "L" or r["case"] == "vv")))
 
@@ -185,7 +186,7 @@ def test_criterion_03_connection_formulas():
     Pa = adapted_endo_field(geom, top=0.7 * J)
     Qa = adapted_endo_field(geom, top=-1.1 * J)
     rows = adapted_connection_audit(e.phi.source, geom.horizontal, u,
-                                    dict(X=Xa, Y=Ya, P=Pa, Q=Qa),
+                                    dict(X=Xa, Y=Ya, P=Pa, Q=Qa), *jet(e.phi.source, p),
                                     curvature_tensor(e.phi.source, p, CFG), CFG)
     assert rows and any(r["best_match"] for r in rows)
     best = {r["case"]: f"{r['reading']} [{r['residual']:.2g}]"
@@ -212,7 +213,7 @@ def test_criterion_04_adapted_lemma():
         u = adapted_frame(M, D, p)
         x = rng.standard_normal(2)
         t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
-        t2 = horizontal_lift_frame(M, TangentVector(p, x), u) + fundamental_vertical(
+        t2 = horizontal_lift_frame(christoffel(M, p), TangentVector(p, x), u) + fundamental_vertical(
             christoffel_contract(S_at(M, D, p), x), u)
         ident = max(ident,
                     float(np.max(np.abs(t.frame_rate - t2.frame_rate))),
@@ -234,12 +235,12 @@ def test_criterion_05_w_lemma():
         M, D = e.phi.source, geom.horizontal
         for p in sample_points(M, SEED, 10):
             u = adapted_frame(M, D, p)
-            W = W_endo(M, u, S_at(M, D, p))
             g = metric_eval(M, p)
+            W = W_endo(g, u, S_at(M, D, p))
             x, y = rng.standard_normal((2, M.dim))
             tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
             ty = adapted_horizontal_lift(M, D, TangentVector(p, y), u, CFG)
-            worst = max(worst, abs(float(x @ g @ (W @ y)) - mok_metric(M, tx, ty)))
+            worst = max(worst, abs(float(x @ g @ (W @ y)) - mok_metric(g, christoffel(M, p), tx, ty)))
             W_onb = np.linalg.inv(u.columns) @ W @ u.columns
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.T)))))
     ok = worst < 1e-6 and min_eig > 0.0
@@ -288,7 +289,7 @@ def test_criterion_07_tangent_bundle_lemmas():
             X = TangentVector(p, rng.standard_normal(n))
             for kind in ("vertical", "horizontal"):
                 t = (tm_vertical_lift(X, Z) if kind == "vertical"
-                     else horizontal_lift_frame(phi.source, X, Z))
+                     else horizontal_lift_frame(christoffel(phi.source, Z.base), X, Z))
                 d = phi_second_differential_fd(phi, t, CFG) - phi_second_differential_formula(
                     phi, kind, X, Z, CFG)
                 worst = max(worst, float(np.max(np.abs(d.base_rate))),
@@ -300,7 +301,7 @@ def test_criterion_07_tangent_bundle_lemmas():
         Z = Frame(p, rng.standard_normal((3, 1)))
         x = rng.standard_normal(3)
         v = tm_vertical_lift(TangentVector(p, x), Z)
-        h = horizontal_lift_frame(flat, TangentVector(p, x), Z)
+        h = horizontal_lift_frame(christoffel(flat, Z.base), TangentVector(p, x), Z)
         exact = max(exact,
                     float(np.max(np.abs(connection_map_K(flat, v).components - x))),
                     float(np.max(np.abs(connection_map_K(flat, h).components))),
@@ -335,12 +336,12 @@ def test_criterion_08_lift_differential_lemma():
             t = adapted_horizontal_lift(M, D, TangentVector(p, x), u, CFG)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
                 geom, "horizontal-of-H", x, u, S, B, split)
-            worst = max(worst, mok_norm(e.phi.target, d))
+            worst = max(worst, mok_norm(*jet(e.phi.target, d.at.base), d))
             y = vertical_basis(geom, p)[0].components
             t = adapted_horizontal_lift(M, D, TangentVector(p, y), u, CFG)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
                 geom, "horizontal-of-V", y, u, S, B, split)
-            worst = max(worst, mok_norm(e.phi.target, d))
+            worst = max(worst, mok_norm(*jet(e.phi.target, d.at.base), d))
             blk = np.zeros((M.dim, M.dim))
             if k >= 2:
                 blk[0, 1], blk[1, 0] = -1.0, 1.0
@@ -350,7 +351,7 @@ def test_criterion_08_lift_differential_lemma():
             t = fundamental_vertical(P0, u)
             d = lift_differential_fd(geom, t, Pi_H, CFG) - lift_differential_formula(
                 geom, "vertical", P0, u, S, B, split)
-            worst = max(worst, mok_norm(e.phi.target, d))
+            worst = max(worst, mok_norm(*jet(e.phi.target, d.at.base), d))
     ok = worst < 5e-4
     report(8, "lift differential lemma", ok, f"(residual {worst:.3g})")
     assert worst < 5e-4
@@ -372,11 +373,11 @@ def test_criterion_09_lift_distributions():
             dims_ok = dims_ok and (len(Vb), len(Hb)) == (
                 (n - k) + (n - k) * (n - k - 1) // 2, k + k * (k - 1) // 2)
             for v in Vb:
-                kern = max(kern, mok_norm(
-                    e.phi.target, lift_differential_fd(geom, v, Pi_H, CFG, check_tangency=False)))
+                d = lift_differential_fd(geom, v, Pi_H, CFG, check_tangency=False)
+                kern = max(kern, mok_norm(*jet(e.phi.target, d.at.base), d))
             for v in Vb:
                 for h in Hb:
-                    cross = max(cross, abs(mok_metric(M, v, h)))
+                    cross = max(cross, abs(mok_metric(*jet(M, p), v, h)))
     ok = kern < 5e-4 and cross < 1e-6 and dims_ok
     report(9, "lift kernel and orthogonal distributions", ok,
            f"(kernel {kern:.3g}, cross {cross:.3g}, dims {'exact' if dims_ok else 'WRONG'})")

@@ -25,7 +25,7 @@ from framelift.adapted import (
 )
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
-from framelift.frames import fundamental_vertical, horizontal_lift_frame, mok_metric
+from framelift.frames import endo_covariant_derivative, fundamental_vertical, horizontal_lift_frame, mok_metric
 from framelift.geometry import (
     DEFAULT_FD,
     EndomorphismField,
@@ -64,6 +64,12 @@ def nabla_D_of(M, D, X, Y, p):
 def S_of(M, D, X, Y, p):
     """S_X Y at p, the second reading of ``adapted_derivatives`` from Gamma(p) and P(p)."""
     return adapted_derivatives(M, D, X.eval(p), [Y], p, christoffel(M, p), D.projector(p))[1][0]
+
+
+def LP_pairs(M, pairs, p):
+    """The (P(p), (nabla_x P)(p), x) values that ``L_P_applies`` reads, of each (P, x) at p."""
+    gamma = christoffel(M, p)
+    return [(P.eval(p), endo_covariant_derivative(P, x, p, P.eval(p), gamma), x) for P, x in pairs]
 
 
 def flat_parallel_distribution(k: int, n: int) -> DistributionSpec:
@@ -273,9 +279,9 @@ class TestSCallCount:
     def test_W_endo(self, calls):
         p = sample_points(M3, 44, 1)[0]
         u = adapted_frame(M3, D3, p)
-        S = S_at(M3, D3, p)
+        g, S = metric_eval(M3, p), S_at(M3, D3, p)
         counted = calls(*self.KERNELS)
-        W_endo(M3, u, S)
+        W_endo(g, u, S)
         assert counted.counts() == {"christoffel": 0, "DistributionSpec.projector": 0}
 
     def test_L_P_applies_takes_S_from_its_caller(self, calls):
@@ -284,11 +290,11 @@ class TestSCallCount:
         onb = [TangentVector(p, u.columns[:, i]) for i in range(M3.dim)]
         P = EndomorphismField(eval=lambda q: q[..., :, None] * np.array([1.0, 0.0, -1.0]))
         R, P_D, S = curvature_tensor(M3, p), D3.projector(p), S_at(M3, D3, p)
+        pairs = LP_pairs(M3, [(P, np.array([0.3, -0.2, 0.4])), (P, np.array([-0.1, 0.5, 0.2]))], p)
         counted = calls(*self.KERNELS)
-        L_P_applies(M3, [(P, np.array([0.3, -0.2, 0.4])), (P, np.array([-0.1, 0.5, 0.2]))],
-                    p, onb, R, P_D, S)
-        # Gamma(p) serves every nabla_x P, and the caller's P(p) every block decomposition
-        assert counted.counts() == {"christoffel": 1, "DistributionSpec.projector": 0}
+        L_P_applies(metric_eval(M3, p), pairs, p, onb, R, P_D, S)
+        # the caller's nabla_x P and P(p) serve every block decomposition
+        assert counted.counts() == {"christoffel": 0, "DistributionSpec.projector": 0}
 
     def test_od_membership_defect_reads_no_projector(self, calls):
         u = adapted_frame(M3, D3, sample_points(M3, 47, 1)[0])
@@ -417,8 +423,8 @@ class TestOneEvaluationPerReading:
         fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
                       P=adapted_endo_field(GEOM3, top=0.8 * J),
                       Q=adapted_endo_field(GEOM3, top=-1.3 * J))
-        rows = adapted_connection_audit(M3, D3, adapted_frame(M3, D3, p), fields,
-                                        curvature_tensor(M3, p))
+        rows = adapted_connection_audit(M3, D3, adapted_frame(M3, D3, p), fields, metric_eval(M3, p),
+                                        christoffel(M3, p), curvature_tensor(M3, p))
         assert len(oracles) == 1  # one oracle call serves all four cases
         assert [r["case"] for r in rows] == ["hh"] * 2 + ["hv"] * 3 + ["vh"] * 2 + ["vv"]
         assert sum(r["best_match"] for r in rows) == 4
@@ -491,14 +497,14 @@ class TestW:
         geom = derive_geometry(e1.phi)
         p = np.array([0.3, 0.1, 0.0])
         u = adapted_frame(e1.phi.source, geom.horizontal, p)
-        W = W_endo(e1.phi.source, u, S_at(e1.phi.source, geom.horizontal, p))
+        W = W_endo(metric_eval(e1.phi.source, p), u, S_at(e1.phi.source, geom.horizontal, p))
         assert np.allclose(W, np.eye(3), atol=1e-10)
 
     def test_warped_closed_form(self):
         # W = diag(1, 3) in the orthonormal frame (unit horizontal, unit vertical)
         p = np.array([0.4, -0.2])
         u = adapted_frame(M4, D4, p)
-        W = W_endo(M4, u, S_at(M4, D4, p))
+        W = W_endo(metric_eval(M4, p), u, S_at(M4, D4, p))
         W_onb = np.linalg.inv(u.columns) @ W @ u.columns
         assert np.allclose(W_onb, np.diag([1.0, 3.0]), atol=1e-8)
 
@@ -510,17 +516,17 @@ class TestW:
         rng = np.random.default_rng(13)
         for p in sample_points(M, 13, 3):
             u = adapted_frame(M, D, p)
-            W = W_endo(M, u, S_at(M, D, p))
             g = metric_eval(M, p)
+            W = W_endo(g, u, S_at(M, D, p))
             x, y = rng.standard_normal((2, M.dim))
             tx = adapted_horizontal_lift(M, D, TangentVector(p, x), u)
             ty = adapted_horizontal_lift(M, D, TangentVector(p, y), u)
-            assert abs(float(x @ g @ (W @ y)) - mok_metric(M, tx, ty)) < 1e-6
+            assert abs(float(x @ g @ (W @ y)) - mok_metric(g, christoffel(M, p), tx, ty)) < 1e-6
 
     def test_positive_definite_and_inverse(self):
         p = sample_points(M3, 14, 1)[0]
         u = adapted_frame(M3, D3, p)
-        W = W_endo(M3, u, S_at(M3, D3, p))
+        W = W_endo(metric_eval(M3, p), u, S_at(M3, D3, p))
         W_onb = np.linalg.inv(u.columns) @ W @ u.columns
         assert float(np.min(np.linalg.eigvalsh(0.5 * (W_onb + W_onb.T)))) >= 1.0 - 1e-10
         v = np.array([0.3, -0.8, 0.5])
@@ -535,8 +541,8 @@ class TestLP:
         J = np.zeros((3, 3))
         J[0, 1], J[1, 0] = -1.0, 1.0
         P = EndomorphismField(eval=lambda q: np.zeros(q.shape[:-1] + J.shape) + J)
-        out = L_P_applies(R3, [(P, np.array([1.0, -1.0, 0.5]))], p, onb, curvature_tensor(R3, p),
-                          D.projector(p), S_at(R3, D, p))[0]
+        out = L_P_applies(metric_eval(R3, p), LP_pairs(R3, [(P, np.array([1.0, -1.0, 0.5]))], p), p, onb,
+                          curvature_tensor(R3, p), D.projector(p), S_at(R3, D, p))[0]
         assert max(np.max(np.abs(v)) for v in out.values()) < 1e-9
 
     def test_reduces_to_R_P_when_S_vanishes(self):
@@ -552,13 +558,13 @@ class TestLP:
         P = adapted_endo_field(geom, top=J)
         x = np.array([0.5, 0.2, -0.3])
         R = curvature_tensor(M, p)
-        got = L_P_applies(M, [(P, x)], p, onb, R, D.projector(p), S_at(M, D, p))[0]["printed"]
-        expect = curvature_R_P(M, p, P.eval(p), onb, R) @ x
+        g = metric_eval(M, p)
+        got = L_P_applies(g, LP_pairs(M, [(P, x)], p), p, onb, R, D.projector(p), S_at(M, D, p))[0]["printed"]
+        expect = curvature_R_P(g, P.eval(p), onb, R) @ x
         assert np.max(np.abs(got - expect)) < 1e-6
 
     def test_componentwise_reassembly(self):
         # the operator agrees with assembling its pieces by hand on E4
-        from framelift.frames import endo_covariant_derivative
         from framelift.geometry import curvature_R_P
         p = np.array([0.2, 0.4])
         u = adapted_frame(M4, D4, p)
@@ -568,9 +574,9 @@ class TestLP:
         P = Sfield  # any smooth g-skew field with nonzero m-part derivative
         x = np.array([0.7, -0.2])
         R = curvature_tensor(M4, p)
-        got = L_P_applies(M4, [(P, x)], p, onb, R, D4.projector(p), S_at(M4, D4, p))[0]["printed"]
-        RP = curvature_R_P(M4, p, P.eval(p), onb, R)
-        nP = endo_covariant_derivative(P, x, p, christoffel(M4, p))
+        got = L_P_applies(g, LP_pairs(M4, [(P, x)], p), p, onb, R, D4.projector(p), S_at(M4, D4, p))[0]["printed"]
+        RP = curvature_R_P(g, P.eval(p), onb, R)
+        nP = endo_covariant_derivative(P, x, p, P.eval(p), christoffel(M4, p))
         b = block_decompose(nP, D4.projector(p))
         nPm = b.off1 + b.off2
         vec = RP @ x
@@ -578,7 +584,7 @@ class TestLP:
             Se = S_along(M4, D4, e.components, p)
             coef = sum(float((nPm @ f.components) @ g @ (Se @ f.components)) for f in onb)
             vec = vec - coef * e.components
-        W = W_endo(M4, u, S_at(M4, D4, p))
+        W = W_endo(g, u, S_at(M4, D4, p))
         assert np.max(np.abs(got - W_inverse_apply(W, vec))) < 1e-9
 
 
@@ -590,7 +596,7 @@ class TestAdaptedLift:
         u = adapted_frame(e1.phi.source, geom.horizontal, p)
         X = TangentVector(p, np.array([0.4, 0.5, 0.6]))
         a = adapted_horizontal_lift(e1.phi.source, geom.horizontal, X, u)
-        b = horizontal_lift_frame(e1.phi.source, X, u)
+        b = horizontal_lift_frame(christoffel(e1.phi.source, p), X, u)
         assert np.max(np.abs(a.frame_rate - b.frame_rate)) < 1e-12
 
     def test_difference_identity_exact(self):
@@ -599,7 +605,7 @@ class TestAdaptedLift:
             u = adapted_frame(M4, D4, p)
             x = rng.standard_normal(2)
             t = adapted_horizontal_lift(M4, D4, TangentVector(p, x), u)
-            t2 = horizontal_lift_frame(M4, TangentVector(p, x), u) + \
+            t2 = horizontal_lift_frame(christoffel(M4, p), TangentVector(p, x), u) + \
                 fundamental_vertical(S_along(M4, D4, x, p), u)
             assert np.max(np.abs(t.frame_rate - t2.frame_rate)) == 0.0
 

@@ -215,13 +215,13 @@ class TestCurvatureRP:
         p = np.array([0.1, 0.2])
         onb = orthonormal_basis(R2, p)
         P = np.array([[0.0, -1.0], [1.0, 0.0]])
-        out = curvature_R_P(R2, p, P, onb, curvature_tensor(R2, p)) @ np.array([1.0, 1.0])
+        out = curvature_R_P(metric_eval(R2, p), P, onb, curvature_tensor(R2, p)) @ np.array([1.0, 1.0])
         assert np.max(np.abs(out)) < 1e-12
 
     def test_zero_endomorphism(self):
         p = np.array([0.2, -0.3])
         onb = orthonormal_basis(S2, p)
-        out = curvature_R_P(S2, p, np.zeros((2, 2)), onb, curvature_tensor(S2, p)) @ np.array([1.0, 0.0])
+        out = curvature_R_P(metric_eval(S2, p), np.zeros((2, 2)), onb, curvature_tensor(S2, p)) @ np.array([1.0, 0.0])
         assert np.max(np.abs(out)) < 1e-12
 
     def test_sphere_rotation_generator(self):
@@ -233,7 +233,7 @@ class TestCurvatureRP:
         Jmat = np.array([[0.0, -1.0], [1.0, 0.0]])
         J = E @ Jmat @ E.T @ g
         X = TangentVector(p, np.array([0.7, -0.4]))
-        got = curvature_R_P(S2, p, J, onb, curvature_tensor(S2, p)) @ X.components
+        got = curvature_R_P(g, J, onb, curvature_tensor(S2, p)) @ X.components
         expect = 2.0 * np.einsum("ijkl,i,j,k->l", curvature_tensor(S2, p), onb[0].components,
                                  onb[1].components, X.components)
         assert np.max(np.abs(got - expect)) < 1e-6
@@ -242,7 +242,7 @@ class TestCurvatureRP:
         p = np.array([0.2, 0.0])
         bad = [TangentVector(p, np.array([1.0, 0.0])), TangentVector(p, np.array([1.0, 1.0]))]
         with pytest.raises(ValueError):
-            curvature_R_P(S2, p, np.eye(2), bad, curvature_tensor(S2, p))
+            curvature_R_P(metric_eval(S2, p), np.eye(2), bad, curvature_tensor(S2, p))
 
 
 class TestLieBracket:
@@ -302,15 +302,15 @@ class TestOrthonormalBasisStack:
             assert np.array_equal(e.components,
                                   np.array([orthonormal_basis(SKEWED_PLANE, p)[i].components for p in ps]))
         assert np.allclose(stacked[0].components, [1.0 / np.sqrt(2.0), 0.0])
-        assert orthonormality_defect(SKEWED_PLANE, ps, stacked) < 1e-14
+        assert orthonormality_defect(metric_eval(SKEWED_PLANE, ps), stacked) < 1e-14
 
     def test_defect_of_a_stack_is_its_worst_point(self):
         ps = np.array([[0.1, 0.2], [-0.3, 0.4]])
         onb = orthonormal_basis(SKEWED_PLANE, ps[1])
         basis = [TangentVector(ps, np.stack([np.eye(2)[i], e.components])) for i, e in enumerate(onb)]
-        assert orthonormality_defect(SKEWED_PLANE, ps[1], onb) < 1e-14
+        assert orthonormality_defect(metric_eval(SKEWED_PLANE, ps[1]), onb) < 1e-14
         # the coordinate basis at the first point is off by SKEWED - I, at most 2
-        assert orthonormality_defect(SKEWED_PLANE, ps, basis) == 2.0
+        assert orthonormality_defect(metric_eval(SKEWED_PLANE, ps), basis) == 2.0
 
 
 class TestEndoInner:

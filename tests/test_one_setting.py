@@ -30,7 +30,7 @@ UNREAD_EXEMPT = {
           "calls chart.jacobian(q, cfg), and the oracle and the FD bracket call the conversions "
           "with cfg, on any chart; LMChart's Jacobian is constant, so it differences nothing"
     for name in ("frames.LMChart.jacobian", "frames.LMChart.chart_to_tangents",
-                 "frames.LMChart.tangent_to_chart")
+                 "frames.LMChart.field_to_chart")
 }
 
 

@@ -42,6 +42,7 @@ from framelift.frames import (
     Frame,
     FrameTangent,
     LMChart,
+    endo_covariant_derivative,
     fd_bracket_on_chart,
     induced_metric_on_chart,
     lc_total_space_oracle,
@@ -78,6 +79,7 @@ from framelift.submersion import (
 )
 from budget import recording
 from hopf_composite import hopf_composite, hopf_composite_jacobian
+from jets import jet
 from looping import per_point
 from skew_charts import adapted_chart, om_chart
 
@@ -162,8 +164,9 @@ class TestStencil:
         vP = lift_field(chart, "v", g_skew_endo_field(chart.manifold, np.random.default_rng(64)))
         with pytest.raises(DomainError, match=match) as generic:
             christoffel(total_space_manifold(chart), q)
+        u = chart.decode(q)
         with pytest.raises(DomainError, match=match) as oracle:
-            lc_total_space_oracle(chart, [(vP, vP)], q)
+            lc_total_space_oracle(chart, [(vP, vP)], u)
         assert str(oracle.value) == str(generic.value)
 
 
@@ -249,11 +252,13 @@ class TestLPairs:
         u = adapted_frame(M, D, sample_points(M, 68, 1)[0])
         p = u.base
         onb = [TangentVector(p, e) for e in u.columns.T]
-        pairs = [(f["Q"], f["X"].eval(p)), (f["P"], f["Y"].eval(p))]
+        g, gamma = jet(M, p)
+        pairs = [(E.eval(p), endo_covariant_derivative(E, x, p, E.eval(p), gamma), x)
+                 for E, x in ((f["Q"], f["X"].eval(p)), (f["P"], f["Y"].eval(p)))]
         R = curvature_tensor(M, p)
         P_D, S = D.projector(p), S_at(E3_GEOM, p)
-        for got, pair in zip(L_P_applies(M, pairs, p, onb, R, P_D, S), pairs):
-            [want] = L_P_applies(M, [pair], p, onb, R, P_D, S)
+        for got, pair in zip(L_P_applies(g, pairs, p, onb, R, P_D, S), pairs):
+            [want] = L_P_applies(g, [pair], p, onb, R, P_D, S)
             assert all(np.array_equal(got[k], want[k]) for k in want)
 
     def test_audit_builds_one_S_batch_and_W_and_no_curvature_tensor(self, calls):
@@ -261,7 +266,7 @@ class TestLPairs:
         u = adapted_frame(M, D, sample_points(M, 46, 1)[0])
         R = curvature_tensor(M, u.base)
         counted = calls("L_P_applies", "lc_total_space_oracle", "curvature_tensor", "S_components", "W_endo")
-        adapted_connection_audit(M, D, u, self.fields(), R)
+        adapted_connection_audit(M, D, u, self.fields(), *jet(M, u.base), R)
         # the caller's curvature tensor and S serve every pair, with one W
         assert {name: sum("L_P_applies" in c.within for c in counted[name])
                 for name in ("curvature_tensor", "S_components", "W_endo")} == {
@@ -420,12 +425,13 @@ def on_bundle(example, bundle, field):
     return [(bundle_points(chart, 84, 6).reshape(2, 3, chart.dim), chart_field.eval)]
 
 
-def lift_field(chart, kind, F, horizontal=frames_module.horizontal_lift_frame):
+def lift_field(chart, kind, F, *horizontal):
     """The frame field ``frames._case_fields`` makes of F: its horizontal lift for kind "h"
-    (``horizontal``), the fundamental vertical of an endomorphism field for "v"."""
+    (``_case_fields``' own, or the one ``horizontal`` names), the fundamental vertical of
+    an endomorphism field for "v"."""
     case = kind + kind
     return frames_module._case_fields(
-        chart.manifold, [(case, (F, F))], horizontal)[0][0]
+        chart.manifold, [(case, (F, F))], *horizontal)[0][0]
 
 
 def skew_blocks(geom):
@@ -546,7 +552,7 @@ class TestFieldStack:
 
 class TestChartFieldStack:
     @pytest.mark.parametrize("bundle", ["O", "D"])
-    def test_tangent_to_chart_raises_when_one_point_is_not_tangent(self, bundle):
+    def test_field_to_chart_raises_when_one_point_is_not_tangent(self, bundle):
         chart = bundle_chart("E3", bundle)
         qs = bundle_points(chart, 88, 3)
 
@@ -556,7 +562,7 @@ class TestChartFieldStack:
             return FrameTangent(u, np.zeros(u.base.shape), rate)
 
         def rates_at(q, *bad):
-            return chart.tangent_to_chart(q, tangent_at(chart.decode(q), *bad))
+            return chart.field_to_chart(q, lambda u: tangent_at(u, *bad))
 
         with pytest.raises(ValueError, match="not tangent"):
             rates_at(qs)
@@ -587,8 +593,8 @@ class TestFieldCallCounts:
                   for _ in range(2))
         vP, vQ = (recording(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
                   for _ in range(2))
-        q = bundle_points(chart, 91, 1)[0]
-        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], q)
+        u = chart.decode(bundle_points(chart, 91, 1)[0])
+        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], u)
         # each field at q's frame, then hY and vQ once on the stencil frames of both directions
         assert sorted(base_shapes(calls)) == sorted([(M.dim,)] * 4 + [(2, 2, M.dim)] * 2)
 
@@ -599,7 +605,7 @@ class TestFieldCallCounts:
         calls = []
         A = recording(lift_field(chart, "h", polynomial_vector_field(3, rng)), calls)
         B = recording(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
-        fd_bracket_on_chart(chart, [(A, B)], bundle_points(chart, 91, 1)[0])
+        fd_bracket_on_chart(chart, [(A, B)], chart.decode(bundle_points(chart, 91, 1)[0]))
         # A and B at q's frame, B along a and A along b on the one stencil
         assert base_shapes(calls) == [(M.dim,), (M.dim,), (2, 1, M.dim), (2, 1, M.dim)]
 
@@ -615,7 +621,7 @@ class TestFieldCallCounts:
                   for _ in range(2))
         vQ, vP = (recording(lift_field(chart, "v", polynomial_endo_field(3, rng)), calls)
                   for _ in range(2))
-        fd_bracket_on_chart(chart, [(hX, hY), (hX, vQ), (vP, vQ)], bundle_points(chart, 91, 1)[0])
+        fd_bracket_on_chart(chart, [(hX, hY), (hX, vQ), (vP, vQ)], chart.decode(bundle_points(chart, 91, 1)[0]))
         assert sorted(base_shapes(calls)) == sorted([(M.dim,)] * 4 + [(2, 1, M.dim)] * 2 + [(2, 2, M.dim)] * 2)
 
     @pytest.mark.parametrize("bundles,reads", [("L", 6), ("O", 6), ("LO", 9)], ids=["L", "O", "LO"])
@@ -630,9 +636,9 @@ class TestFieldCallCounts:
                   for bundle in bundles}
         p = sample_points(M, 93, 1)[0]
         R = curvature_tensor(M, p)
-        counted = calls("FrameChart.jacobian", "LMChart.tangent_to_chart")
-        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), fields, R)
-        assert len(counted["LMChart.tangent_to_chart"]) == reads and counted["FrameChart.jacobian"] == []
+        counted = calls("FrameChart.jacobian", "LMChart.field_to_chart")
+        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), fields, *jet(M, p), R)
+        assert len(counted["LMChart.field_to_chart"]) == reads and counted["FrameChart.jacobian"] == []
 
     def test_lie_bracket_makes_four_field_calls(self):
         rng = np.random.default_rng(94)
@@ -698,7 +704,7 @@ def lifted(geom, u, x):
 def tangent_at(geom, u, x, P):
     """X^h + P* at u, for a frame or a stack."""
     M = geom.phi.source
-    return (frames_module.horizontal_lift_frame(M, TangentVector(u.base, x), u)
+    return (frames_module.horizontal_lift_frame(christoffel(M, u.base), TangentVector(u.base, x), u)
             + frames_module.fundamental_vertical(P, u))
 
 
@@ -760,17 +766,19 @@ def bracket_readings(geom, u, of):
     cases at once) for each bracket case at u."""
     M, R = geom.phi.source, curvature_tensor(geom.phi.source, u.base)
     cases = audit_cases(geom, "L", ("hh", "hv", "vv"))
-    readings = (of(M, LMChart(M), cases, u, R) if of is frames_module.bracket_residual
-                else [of(M, case, inputs, u, R) for case, inputs in cases])
+    g, gamma = jet(M, u.base)
+    readings = (of(M, LMChart(M), cases, u, g, gamma, R) if of is frames_module.bracket_residual
+                else [of(case, inputs, u, gamma, R) for case, inputs in cases])
     return [value for lines in readings for value in lines.values()]
 
 
 def connection_lines(geom, u):
     """Every closed-form connection line at u, on L(M) and O(M)."""
     M = geom.phi.source
-    return [t for bundle in ("L", "O") for d in frames_module.lc_connection_formula(
-        M, bundle, audit_cases(geom, bundle, ("hh", "hv", "vh", "vv")), u, curvature_tensor(M, u.base))
-        for t in d.values()]
+    lines = frames_module.lc_connection_formula(
+        M, {bundle: audit_cases(geom, bundle, ("hh", "hv", "vh", "vv")) for bundle in ("L", "O")}, u,
+        *jet(M, u.base), curvature_tensor(M, u.base))
+    return [t for bundle in ("L", "O") for d in lines[bundle] for t in d.values()]
 
 
 def connection_residuals(geom, u):
@@ -778,27 +786,27 @@ def connection_residuals(geom, u):
     M = geom.phi.source
     R = curvature_tensor(M, u.base)
     return [r["residual"] for bundle, v in (("L", u), ("O", Frame(u.base, reference_frame(M, u.base))))
-            for r in frames_module.connection_audit(M, v, {bundle: audit_fields(geom, bundle)}, R)]
+            for r in frames_module.connection_audit(M, v, {bundle: audit_fields(geom, bundle)}, *jet(M, u.base), R)]
 
 
 def projected(geom, u, t):
     """``gauss_projection`` of the tangent t at the adapted frames u onto O(D)."""
     M, D, p = geom.phi.source, geom.horizontal, u.base
-    return frames_module.gauss_projection(M, [t], metric_eval(M, p), geometry_module.metric_derivative_eval(M, p),
+    return frames_module.gauss_projection(M, [t], *jet(M, p), geometry_module.metric_derivative_eval(M, p),
                                           D.projector(p), central_diff(D.projector, p, geometry_module.DEFAULT_FD.step_h), geom.rank)
 
 
 def od_oracle(geom, u, of):
     """``of`` (``lc_total_space_oracle`` or ``fd_bracket_on_chart``) on the audits' four pairs
-    of frame fields on O(D), adapted lifts and block-diagonal verticals, at the chart
-    points of the adapted frames u."""
+    of frame fields on O(D), adapted lifts and block-diagonal verticals, at the adapted
+    frames u."""
     M, D = geom.phi.source, geom.horizontal
     chart, f = adapted_chart(M, D), audit_fields(geom, "L")
     P, Q = skew_blocks(geom), skew_blocks(geom)
     pairs = frames_module._case_fields(
         M, [("hh", (f["X"], f["Y"])), ("hv", (f["X"], Q)), ("vh", (P, f["Y"])), ("vv", (P, Q))],
         lambda M, X, v: adapted_module.adapted_horizontal_lift(M, D, X, v))
-    return of(chart, pairs, chart.encode(u))
+    return of(chart, pairs, u)
 
 
 # Every public function of a frame or a frame tangent, by module.  A function that
@@ -810,22 +818,23 @@ ONE_FRAME_AUDIT = ("audits one frame against the total-space oracle, which encod
                    "chart point; its closed forms differentiate fields at one point")
 FRAME_FUNCTIONS = {
     "frames.horizontal_lift_frame": ([vectors()], lambda geom, u, x: frames_module.horizontal_lift_frame(
-        geom.phi.source, TangentVector(u.base, x), u)),
+        christoffel(geom.phi.source, u.base), TangentVector(u.base, x), u)),
     "frames.fundamental_vertical": ([endos()], lambda geom, u, P: frames_module.fundamental_vertical(P, u)),
     "frames.vertical_part": ([vectors(), endos()], lambda geom, u, x, P: frames_module.vertical_part(
-        geom.phi.source, tangent_at(geom, u, x, P))),
+        christoffel(geom.phi.source, u.base), tangent_at(geom, u, x, P))),
     "frames.mok_metric": ([vectors(), endos(), vectors(), endos()],
                           lambda geom, u, x, P, y, Q: frames_module.mok_metric(
-                              geom.phi.source, tangent_at(geom, u, x, P), tangent_at(geom, u, y, Q))),
+                              *jet(geom.phi.source, u.base), tangent_at(geom, u, x, P), tangent_at(geom, u, y, Q))),
     "frames.frame_diff": ([vectors(), endos()], lambda geom, u, x, P: frames_module.frame_diff(
         lambda xs, Es: (metric_eval(geom.phi.source, xs), Es), tangent_at(geom, u, x, P), 1e-5)),
     "frames.mok_norm": ([vectors(), endos()], lambda geom, u, x, P: frames_module.mok_norm(
-        geom.phi.source, tangent_at(geom, u, x, P))),
+        *jet(geom.phi.source, u.base), tangent_at(geom, u, x, P))),
     "frames.mok_gram": ([vectors(4), endos(4)], lambda geom, u, xs, Ps: frames_module.mok_gram(
-        geom.phi.source, [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
+        *jet(geom.phi.source, u.base), [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
     "frames.mok_orthonormalize": ([vectors(4), endos(4)], lambda geom, u, xs, Ps: frames_module.mok_orthonormalize(
-        geom.phi.source, [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
-    "adapted.W_endo": ([], lambda geom, u: adapted_module.W_endo(geom.phi.source, u, S_at(geom, u.base))),
+        *jet(geom.phi.source, u.base), [tangent_at(geom, u, xs[..., a, :], Ps[..., a, :, :]) for a in range(4)])),
+    "adapted.W_endo": ([], lambda geom, u: adapted_module.W_endo(
+        metric_eval(geom.phi.source, u.base), u, S_at(geom, u.base))),
     "adapted.adapted_horizontal_lift": ([vectors()], lifted),
     "adapted.od_membership_defect": ([], lambda geom, u: adapted_module.od_membership_defect(
         geom.phi.source, geom.horizontal, u, geom.horizontal.projector(u.base))),
@@ -918,7 +927,7 @@ class TestFrameCallCounts:
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
         u = adapted_frame(M, D, sample_points(M, 102, 1)[0])
         lifts = calls("_adapted_horizontal_lifts")["_adapted_horizontal_lifts"]
-        adapted_connection_audit(M, D, u, TestLPairs().fields(), curvature_tensor(M, u.base))
+        adapted_connection_audit(M, D, u, TestLPairs().fields(), *jet(M, u.base), curvature_tensor(M, u.base))
         # the oracle's chart fields decode frames of their own
         assert [len(c.args[2]) for c in lifts if c.args[3] is u] == [6]
 
@@ -933,7 +942,7 @@ class TestFrameCallCounts:
         p = sample_points(M, 104, 1)[0]
         R = curvature_tensor(M, p)
         counted = calls("curvature_tensor", "orthonormal_basis")
-        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), {bundle: fields}, R)
+        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), {bundle: fields}, *jet(M, p), R)
         # the caller's curvature tensor serves every case
         assert [len(c) for c in counted.values()] == [0, 1]
 
@@ -999,8 +1008,9 @@ def R_P_values(geom, p, P, Ps):
     """R_P at p for one endomorphism value per point, and for a stack of 4 per point."""
     M = geom.phi.source
     onb, R = orthonormal_basis(M, p), curvature_tensor(M, p)
-    return [curvature_R_P(M, p, P, onb, R),
-            np.moveaxis(curvature_R_P(M, p, np.moveaxis(Ps, -3, 0), onb, R), 0, -3)]
+    g = metric_eval(M, p)
+    return [curvature_R_P(g, P, onb, R),
+            np.moveaxis(curvature_R_P(g, np.moveaxis(Ps, -3, 0), onb, R), 0, -3)]
 
 
 # The chart calculus that the frame audits run at their stack of base points, in the
@@ -1125,9 +1135,9 @@ STACKED_IN_TM = sorted(name for name, case in TANGENT_FUNCTIONS.items() if not i
 # the horizontal lift and the Mok metric, which is the Sasaki-Mok metric there.
 ONE_COLUMN_FUNCTIONS = {
     "frames.horizontal_lift_frame@TM": ([vectors(), vectors()], lambda geom, p, x, z: (
-        frames_module.horizontal_lift_frame(geom.phi.source, TangentVector(p, x), tm_point(p, z)))),
+        frames_module.horizontal_lift_frame(christoffel(geom.phi.source, p), TangentVector(p, x), tm_point(p, z)))),
     "frames.mok_metric@TM": ([vectors(3), vectors(2)], lambda geom, p, r, w: frames_module.mok_metric(
-        geom.phi.source, tm_tangent(p, r), tm_tangent(p, np.concatenate([r[..., :1, :], w], axis=-2)))),
+        *jet(geom.phi.source, p), tm_tangent(p, r), tm_tangent(p, np.concatenate([r[..., :1, :], w], axis=-2)))),
 }
 
 

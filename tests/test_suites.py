@@ -15,7 +15,7 @@ from framelift.catalog import get, sphere_chart
 from framelift.cli import main
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import Frame, connection_audit, reference_frame
-from framelift.geometry import DEFAULT_FD, curvature_tensor, sample_points
+from framelift.geometry import DEFAULT_FD, christoffel, curvature_tensor, metric_eval, sample_points
 from framelift.submersion import adapted_endo_field, derive_geometry
 from framelift.reporting import Checks, reports_to_json, strip_wall_times
 
@@ -255,19 +255,19 @@ class TestOneTotalSpaceChristoffelPerPoint:
     or once for a stack of points, by one ``christoffel`` on the total space, whose induced
     metric reads the chart Jacobian twice: at the points and on one stencil.  Every oracle
     runs on L(M); the O(M) and O(D) values are one ``gauss_projection`` each, whose Mok
-    metric reads the base Christoffel symbols from the caller's g and dg.  The frame
-    suite's counts are in ``test_call_budget``."""
+    metric reads the caller's base metric and Christoffel symbols and evaluates none.  The
+    frame suite's counts are in ``test_call_budget``."""
 
     @pytest.fixture
     def total_calls(self, calls):
-        """Christoffel evaluations ("gamma": ``christoffel`` on a total space, and the kernel
-        calls of ``frames``, the projection's) and chart Jacobians ("jacobian", by chart)."""
-        counted = calls("christoffel", "frames._christoffel_from", "gauss_projection",
+        """Christoffel evaluations ("gamma": ``christoffel`` on a total space, and any
+        evaluation of the kernel inside the projection) and chart Jacobians ("jacobian",
+        by chart)."""
+        counted = calls("christoffel", "_christoffel_from", "gauss_projection",
                         "FrameChart.jacobian", "LMChart.jacobian")
         return lambda: {
             "gamma": [c.args[0].name for c in counted["christoffel"] if c.args[0].name.startswith("total[")]
-            + ["projection" if "gauss_projection" in c.within else "oracle"
-               for c in counted["frames._christoffel_from"]],
+            + ["projection" for c in counted["_christoffel_from"] if "gauss_projection" in c.within],
             "jacobian": [c.args[0].name for c in counted["FrameChart.jacobian"] + counted["LMChart.jacobian"]]}
 
     @pytest.mark.parametrize("bundle", ["L", "O"])
@@ -281,9 +281,8 @@ class TestOneTotalSpaceChristoffelPerPoint:
             P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
         p = np.array([0.2, -0.1])
         connection_audit(S2, Frame(p, reference_frame(S2, p)), {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
-                         curvature_tensor(S2, p))
-        assert total_calls() == {"gamma": ["total[L(M)]"] + ["projection"] * (bundle == "O"),
-                                 "jacobian": ["L(M)"] * 2}
+                         metric_eval(S2, p), christoffel(S2, p), curvature_tensor(S2, p))
+        assert total_calls() == {"gamma": ["total[L(M)]"], "jacobian": ["L(M)"] * 2}
 
     def test_adapted_connection_audit(self, total_calls):
         e = get("E3")
@@ -295,5 +294,5 @@ class TestOneTotalSpaceChristoffelPerPoint:
                       Q=adapted_endo_field(geom, top=-1.3 * J))
         p = sample_points(M, 46, 1)[0]
         adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields,
-                                 curvature_tensor(M, p))
-        assert total_calls() == {"gamma": ["total[L(M)]", "projection"], "jacobian": ["L(M)"] * 2}
+                                 metric_eval(M, p), christoffel(M, p), curvature_tensor(M, p))
+        assert total_calls() == {"gamma": ["total[L(M)]"], "jacobian": ["L(M)"] * 2}
