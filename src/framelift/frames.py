@@ -177,15 +177,24 @@ def vertical_part(gamma: Array, t: FrameTangent) -> Array:
 
     The decomposition is exact: V = W E^{-1} for the vertical rate W.
     """
-    return _vertical_rate(gamma, t.base_rate, t.at.columns, t.frame_rate) @ np.linalg.inv(t.at.columns)
+    W = _vertical_rate(gamma, t.base_rate[..., None, :], t.at.columns, t.frame_rate[..., None, :, :])
+    return W[..., 0, :, :] @ np.linalg.inv(t.at.columns)
 
 
 def _vertical_rate(gamma: Array, xdot: Array, E: Array, Edot: Array) -> Array:
-    """W = Edot + Gamma_xdot E of the tangent (xdot, Edot) at the frames E, zero on
+    """W = Edot + Gamma_xdot E of the tangents (xdot, Edot) at the frames E, zero on
     horizontal lifts, from the Christoffel symbols ``gamma`` at the frames' base points:
     V E for the vertical part V on square frames, and the connection map K as its one
-    column on the tangent bundle."""
-    return Edot + christoffel_contract(gamma, xdot) @ E
+    column on the tangent bundle.  The tangents at each frame are the rows t of xdot
+    (..., T, n) and Edot (..., T, n, m), and so are their W.
+
+    Defined as Edot + einsum("...kij,...ti,...jc->...tkc", gamma, xdot, E): Gamma_i E is
+    built once per frame, and the rows xdot times it, flattened to (n, n m), are one matmul.
+    """
+    n, m = E.shape[-2:]
+    GE = gamma.swapaxes(-3, -2) @ E[..., None, :, :]  # [i, k, c] = Gamma^k_ij E^j_c
+    W = xdot @ GE.reshape(GE.shape[:-3] + (n, n * m))
+    return Edot + W.reshape(W.shape[:-1] + (n, m))
 
 
 def mok_metric(g: Array, gamma: Array, s: FrameTangent, t: FrameTangent) -> Array:
@@ -210,11 +219,11 @@ def _gram(g: Array, gamma: Array, E: Array, X: Array, Edot: Array) -> Array:
     metric g and the Christoffel symbols gamma at the base points x.
 
     G = X g X^T + sum_i W g W^T over the m columns, W_a = Edot_a + Gamma(X_a) E
-    the vertical rate (``_vertical_rate``): the Mok table for m = n, and for the
-    one column E = Z the Sasaki-Mok table on TM.  Every argument may carry the
-    leading axes of points x (..., n); so does G.
+    the vertical rate (``_vertical_rate``, from one Gamma E per frame for every a): the
+    Mok table for m = n, and for the one column E = Z the Sasaki-Mok table on TM.  Every
+    argument may carry the leading axes of points x (..., n); so does G.
     """
-    W = _vertical_rate(gamma[..., None, :, :, :], X, E[..., None, :, :], Edot)
+    W = _vertical_rate(gamma, X, E, Edot)
     G = X @ g @ X.swapaxes(-1, -2) + column_gram(g, W)
     return 0.5 * (G + G.swapaxes(-1, -2))
 
@@ -548,7 +557,9 @@ def gauss_projection(
     lm, u = LMChart(M), ts[0].at
     n = u.base.shape[-1]
     xdot, Edot = lm.split(np.eye(lm.dim))  # row a: chart direction a as a tangent
-    gdot, Pdot = (np.einsum("ak,...kij->...aij", xdot, d) for d in (dg, dP))
+    # einsum("ak,...kij->...aij", xdot, d) of each derivative d, flattened to (n, n n)
+    gdot, Pdot = ((xdot @ d.reshape(d.shape[:-2] + (n * n,))).reshape(d.shape[:-3] + (len(xdot), n, n))
+                  for d in (dg, dP))
     g_, P_, E = g[..., None, :, :], P[..., None, :, :], u.columns[..., None, :, :]
     A = Edot.swapaxes(-1, -2) @ g_ @ E
     C = np.concatenate([A + A.swapaxes(-1, -2) + E.swapaxes(-1, -2) @ gdot @ E,

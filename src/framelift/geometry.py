@@ -298,16 +298,21 @@ def christoffel(M: ChartManifold, p: Array) -> Array:
 def _christoffel_from(g: Array, dg: Array) -> Array:
     """Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_mi - d_m g_ij) from the metric g (..., n, n)
     and its derivatives dg[..., k, i, j] = d_k g_ij: the one formula behind ``christoffel``
-    and ``frames.gauss_projection``."""
+    and ``frames.gauss_projection``.  Defined as 0.5 * einsum("...km,...mij->...kij", inv(g),
+    bracket); contracted as one matmul of g^-1 with the bracket's (i, j) axes flattened."""
+    n = g.shape[-1]
     d_i = dg.swapaxes(-3, -2)  # [m, i, j] = d_i g_mj
     bracket = d_i + d_i.swapaxes(-2, -1) - dg
-    return 0.5 * np.einsum("...km,...mij->...kij", np.linalg.inv(g), bracket)
+    G = np.linalg.inv(g) @ bracket.reshape(bracket.shape[:-2] + (n * n,))
+    return 0.5 * G.reshape(G.shape[:-1] + (n, n))
 
 
 def christoffel_contract(gamma: Array, x: Array) -> Array:
     """Matrix (Gamma_x)^k_j = Gamma^k_ij x^i, acting on tangent components; one
-    per vector of x (..., dim), for symbols at one point or per point (..., dim, dim, dim)."""
-    return np.einsum("...kij,...i->...kj", gamma, x)
+    per vector of x (..., dim), for symbols at one point or per point (..., dim, dim, dim).
+    Defined as einsum("...kij,...i->...kj", gamma, x); contracted as the row x times
+    each matrix Gamma^k."""
+    return (x[..., None, None, :] @ gamma)[..., 0, :]
 
 
 def christoffel_derivative(M: ChartManifold, p: Array, cfg: FDConfig = DEFAULT_FD) -> Array:
@@ -353,12 +358,14 @@ def covariant_derivatives(
     The Christoffel symbols at p are evaluated once and contracted for
     every pair, and ``_field_differences`` evaluates each distinct field at
     p once and differences each distinct Y once, along the X of all its pairs.
+    Gamma(x, y) is defined as einsum("...kij,...i,...j->...k", gamma, x, y) and
+    contracted as ``christoffel_contract(gamma, x)`` times y.
     """
     p = _check_domain(M, p)
     gamma = christoffel(M, p)
     at_p, dY = _field_differences(pairs, p, cfg.step_h)
-    return [TangentVector(p, dY[id(Y.eval), id(X.eval)] + np.einsum(
-        "...kij,...i,...j->...k", gamma, at_p[id(X.eval)], at_p[id(Y.eval)])) for X, Y in pairs]
+    return [TangentVector(p, dY[id(Y.eval), id(X.eval)] + (christoffel_contract(
+        gamma, at_p[id(X.eval)]) @ at_p[id(Y.eval)][..., None])[..., 0]) for X, Y in pairs]
 
 
 def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Array,
@@ -419,15 +426,18 @@ def curvature_R_P(
     ``P`` is the endomorphism value (matrix) at p, or a stack (..., n, n) of
     them, all served by the caller's metric g and ``R = curvature_tensor(M, p)``
     at p.  At points p (..., n) the basis, g, R and P carry the same leading axes.
+
+    Defined as einsum("...ijkl,...ai,...aj->...lk", R, E, P E) for the basis vectors e_a,
+    the rows of E; contracted as sum_a e_a (P e_a)^T, flattened, times R read as a
+    matrix of its flattened (i, j) and (k, l) axes.
     """
     if orthonormality_defect(g, onb) > cfg.tol_exact * 100:
         raise ValueError("basis is not g-orthonormal at the base point")
-    P = np.asarray(P, dtype=float)
-    out = np.zeros(P.shape)
-    for e in onb:
-        Pe = (P @ e.components[..., None])[..., 0]
-        out += np.einsum("...ijkl,...i,...j->...lk", R, e.components, Pe)
-    return out
+    n = R.shape[-1]
+    E = np.stack([e.components for e in onb], axis=-2)
+    EPE = E.swapaxes(-1, -2) @ (E @ np.asarray(P, dtype=float).swapaxes(-1, -2))
+    out = EPE.reshape(EPE.shape[:-2] + (1, n * n)) @ R.reshape(R.shape[:-4] + (n * n, n * n))
+    return out.reshape(out.shape[:-2] + (n, n)).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -780,7 +780,7 @@ def lift_tension_direct(
     tau = np.zeros(tgt_chart.dim)
     for i in range(m):
         Ei = E0[:, i]
-        nab = dE[i] + np.einsum("...kij,...i,...j->...k", gamma_src, Ei, Ei)
+        nab = dE[i] + (christoffel_contract(gamma_src, Ei) @ Ei[..., None])[..., 0]  # Gamma(E_i, E_i)
         tau += dW[i] + christoffel_contract(gamma_tgt, J_F @ Ei) @ pushed[i]
         tau -= J_F @ nab
 

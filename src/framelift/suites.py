@@ -155,8 +155,11 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
         checks.row(f"torsion_free.{tag}", "nabla_X Y - nabla_Y X = [X, Y]", cfg.tol_fd1,
                    _g_norm(g, nXY - nYX - lie_bracket(X, Y, pts, cfg).components))
         R = curvature_tensor(M, pts, cfg)
-        cyclic = sum(np.einsum("...ijkl,...i,...j,...k->...l", R, *xyz)
-                     for xyz in ((x, y, z), (y, z, x), (z, x, y)))
+        # the cyclic sum of einsum("...ijkl,...i,...j,...k->...l", R, x, y, z): the cyclic sum
+        # of x (x) y (x) z, flattened, times R with its (i, j, k) axes flattened
+        xyz = sum(a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
+                  for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+        cyclic = (xyz.reshape(-1, 1, n ** 3) @ R.reshape(-1, n ** 3, n))[:, 0]
         checks.row(f"bianchi_first.{tag}", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0", cfg.tol_fd1,
                    _g_norm(g, cyclic))
         checks.row(f"metric_derivative_vs_fd.{tag}", "supplied d_k g_ij matches central differences",
@@ -227,7 +230,7 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     dims, kernel, cross, shown_cross, const = [], [], [], [], []
     for p, g_p, gamma_p, S_p in zip(dpts, g, gamma, S):
         Z = Frame(p, 0.7 * rng.standard_normal((n, 1)))
-        Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p)
+        Vb, Hb, const_ext, shown = tm_distributions(geom, Z, S_p, g_p, gamma_p)
         # one Sasaki-Mok Gram of kernel, complement and displayed vectors; the kernel
         # vectors are independent: their own block has full rank
         G, kv, kh = mok_gram(g_p, gamma_p, Vb + Hb + shown), len(Vb), len(Vb) + len(Hb)

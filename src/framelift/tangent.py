@@ -29,7 +29,6 @@ from .geometry import (
     TangentVector,
     christoffel,
     christoffel_contract,
-    metric_eval,
     orthonormalizer,
 )
 from .frames import (
@@ -60,8 +59,8 @@ def tm_vertical_lift(X: TangentVector, Z: Frame) -> FrameTangent:
 def connection_map_K(M: ChartManifold, t: FrameTangent) -> TangentVector:
     """Dombrowski connection map K(t) = Zdot + Gamma_xdot Z: the one column of the
     vertical rate that ``mok_gram`` pairs."""
-    return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base), t.base_rate,
-                                                   t.at.columns, t.frame_rate)[..., 0])
+    return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base), t.base_rate[..., None, :],
+                                                   t.at.columns, t.frame_rate[..., None, :, :])[..., 0, :, 0])
 
 
 def tm_split(M: ChartManifold, t: FrameTangent) -> tuple[FrameTangent, FrameTangent]:
@@ -114,11 +113,11 @@ def phi_second_differential_formula(
 # ---------------------------------------------------------------------------
 
 def tm_distributions(
-    geom: SubmersionGeometry, Z: Frame, S: Array,
+    geom: SubmersionGeometry, Z: Frame, S: Array, g: Array, gamma: Array,
 ) -> tuple[list[FrameTangent], list[FrameTangent], list[FrameTangent], list[FrameTangent]]:
     """(kernel, complement, kernel_constant_extension, displayed_h) of the tangent-bundle
-    map at the one-column frame Z, from S = ``S_components`` at Z's base point and one
-    adapted frame and one Christoffel evaluation there.
+    map at the one-column frame Z, from the caller's S = ``S_components``, metric g and
+    Christoffel symbols gamma at Z's base point, and one adapted frame there.
 
     S_Z swaps the vertical space V and the horizontal space H; for vertical e, S_Z e is
     the horizontal part of nabla_Z of any vertical extension of e.  The kernel is
@@ -131,7 +130,6 @@ def tm_distributions(
     M, p, k = geom.phi.source, Z.base, geom.rank
     n = M.dim
     E = adapted_frame(M, geom.horizontal, p).columns
-    gamma = christoffel(M, p)
     SE = christoffel_contract(S, Z.vector(0)) @ E  # columns S_Z e over the adapted frame
     # Pi_H Gamma_Z e: the first k coefficients of Gamma_Z e in the adapted frame
     PGE = E[:, :k] @ np.linalg.solve(E, christoffel_contract(gamma, Z.vector(0)) @ E[:, k:])[:k]
@@ -144,7 +142,7 @@ def tm_distributions(
 
     # the chart directions d_x (base rates) and d_Z (fiber rates) lifted at the column Z
     I = np.eye(2 * n)
-    G = _gram(metric_eval(M, p), gamma, Z.columns, I[:, :n], I[:, n:, None])
+    G = _gram(g, gamma, Z.columns, I[:, :n], I[:, n:, None])
     Vmat = np.array([np.concatenate([v.base_rate, v.frame_rate[:, 0]]) for v in kernel])
     N = np.linalg.svd(Vmat @ G)[2][len(kernel):]  # rows span the null space of V^T G
     C = orthonormalizer(N @ G @ N.T) @ N

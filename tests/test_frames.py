@@ -18,6 +18,8 @@ from framelift.catalog import euclidean_chart, get, sphere_chart
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
 from framelift.frames import (
     Frame,
+    _gram,
+    _vertical_rate,
     FrameTangent,
     LMChart,
     bracket_residual,
@@ -58,6 +60,7 @@ from framelift.geometry import (
 from framelift.submersion import adapted_endo_field, derive_geometry
 from budget import recording
 from jets import jet
+from roundoff import LEADING, assert_rows, roundoff
 from skew_charts import RatesChart, adapted_chart, om_chart
 
 R1 = euclidean_chart(1)
@@ -186,6 +189,54 @@ class TestMokMetric:
         gammas = calls("christoffel")["christoffel"]
         mok_metric(g, gamma, s, t)
         assert len(gammas) == 0  # the caller's Gamma serves both vertical parts
+
+
+class TestMatmulVerticalRate:
+    """The vertical rate and the Mok Gram against their einsum definitions, to the
+    reordered-sum bound ``roundoff``: Gamma E is built once per frame and serves the T
+    tangents there, whose rates are the rows of one matmul.  A stack of frames' rows equal
+    row-by-row calls bit for bit."""
+
+    @staticmethod
+    def draws(shape, n, m, T, seed=45):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal(shape + (n, n))
+        g = np.eye(n) + 0.3 * A @ A.swapaxes(-1, -2) / n
+        gamma, E = rng.standard_normal(shape + (n, n, n)), rng.standard_normal(shape + (n, m))
+        return g, gamma, E, rng.standard_normal(shape + (T, n)), rng.standard_normal(shape + (T, n, m))
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_vertical_rate(self, shape, n, m):
+        _, gamma, E, X, Edot = self.draws(shape, n, m, T=4)
+        want = Edot + np.einsum("...kij,...ti,...jc->...tkc", gamma, X, E)
+        bound = roundoff(n * n, np.abs(Edot) + np.einsum("...kij,...ti,...jc->...tkc",
+                                                         np.abs(gamma), np.abs(X), np.abs(E)))
+        assert np.all(np.abs(_vertical_rate(gamma, X, E, Edot) - want) <= bound)
+        assert_rows(_vertical_rate, shape, gamma, X, E, Edot)
+
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("n, m", [(3, 3), (3, 1)])
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_gram_reads_one_gamma_per_frame_for_T_tangents(self, shape, n, m, T):
+        g, gamma, E, X, Edot = self.draws(shape, n, m, T)
+        W = Edot + np.einsum("...kij,...ti,...jc->...tkc", gamma, X, E)
+        G = X @ g @ X.swapaxes(-1, -2) + np.einsum("...akc,...kl,...blc->...ab", W, g, W)
+        # W's own bound propagates through the pairing, whose sum takes n n m terms
+        W_abs = np.abs(Edot) + np.einsum("...kij,...ti,...jc->...tkc", np.abs(gamma), np.abs(X), np.abs(E))
+        magnitude = (np.abs(X) @ np.abs(g) @ np.abs(X).swapaxes(-1, -2)
+                     + np.einsum("...akc,...kl,...blc->...ab", W_abs, np.abs(g), W_abs))
+        got, want = _gram(g, gamma, E, X, Edot), 0.5 * (G + G.swapaxes(-1, -2))
+        assert np.all(np.abs(got - want) <= roundoff(2 * n * n + n * n * m, magnitude))
+        assert_rows(_gram, shape, g, gamma, E, X, Edot)
+
+    @pytest.mark.parametrize("shape", LEADING[1:])
+    def test_gram_of_directions_shared_by_every_frame(self, shape):
+        # gauss_projection's chart directions: one (T, n) stack of rates at every frame
+        g, gamma, E, X, Edot = self.draws(shape, 3, 3, T=12)
+        shared = _gram(g, gamma, E, X[(0,) * len(shape)], Edot[(0,) * len(shape)])
+        each = _gram(g, gamma, E, *(np.broadcast_to(a[(0,) * len(shape)], a.shape) for a in (X, Edot)))
+        assert np.array_equal(shared, each)
 
 
 class TestOMChart:
@@ -488,7 +539,9 @@ class TestGenericPathReference:
             a, b = (VectorField(eval=lambda qq, F=F: chart.field_to_chart(qq, F)) for F in (A, B))
             x, y = a.eval(q), b.eval(q)
             dBa, dAb = directional_diff(b.eval, q, x, h), directional_diff(a.eval, q, y, h)
-            for got, rates in ((nabla, dBa + np.einsum("...kij,...i,...j->...k", gamma, x, y)),
+            # Gamma(a, b) = einsum("...kij,...i,...j->...k", gamma, x, y), as Gamma_x times y
+            gxy = ((x[..., None, None, :] @ gamma)[..., 0, :] @ y[..., None])[..., 0]
+            for got, rates in ((nabla, dBa + gxy),
                                (bracket, dBa - dAb)):
                 ref = chart.chart_to_tangent(q, rates)
                 assert np.array_equal(got.base_rate, ref.base_rate)

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelift.catalog import euclidean_chart, get, sphere_chart, warped_plane_chart
-from framelift.fields import polynomial_vector_field
+from framelift.fields import (
+    DEFAULT_SCALE,
+    _polynomial_vector_field,
+    polynomial_endo_field,
+    polynomial_vector_field,
+)
 from framelift.geometry import (
     DEFAULT_FD,
     ChartManifold,
@@ -14,10 +19,13 @@ from framelift.geometry import (
     FDConfig,
     TangentVector,
     VectorField,
+    _christoffel_from,
     central_diff,
     christoffel,
+    christoffel_contract,
     christoffel_derivative,
     column_gram,
+    constant_field,
     coordinate_field,
     covariant_derivative,
     covariant_derivatives,
@@ -32,6 +40,7 @@ from framelift.geometry import (
     orthonormalizer,
     sample_points,
 )
+from roundoff import LEADING, assert_rows, roundoff
 
 R2 = euclidean_chart(2)
 R3 = euclidean_chart(3)
@@ -439,3 +448,106 @@ class TestSampling:
     def test_in_domain(self):
         for p in sample_points(S2, 9, 25):
             assert S2.contains(p)
+
+
+# ---------------------------------------------------------------------------
+# the matmul contractions against their einsum definitions
+# ---------------------------------------------------------------------------
+
+
+class TestMatmulContractions:
+    """Each Christoffel contraction is a matmul over flattened axes.  It agrees with its
+    einsum definition to the reordered-sum bound ``roundoff``, and a stack's rows equal
+    row-by-row calls bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 12])
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_christoffel_contract(self, shape, n):
+        rng = np.random.default_rng(45)
+        gamma, x = rng.standard_normal(shape + (n, n, n)), rng.standard_normal(shape + (n,))
+        want = np.einsum("...kij,...i->...kj", gamma, x)
+        bound = roundoff(n, np.einsum("...kij,...i->...kj", np.abs(gamma), np.abs(x)))
+        assert np.all(np.abs(christoffel_contract(gamma, x) - want) <= bound)
+        assert_rows(christoffel_contract, shape, gamma, x)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_christoffel_from_the_metric_jet(self, shape, n):
+        rng = np.random.default_rng(46)
+        A = rng.standard_normal(shape + (n, n))
+        g = np.eye(n) + 0.3 * A @ A.swapaxes(-1, -2) / n
+        dg = rng.standard_normal(shape + (n, n, n))
+        dg = dg + dg.swapaxes(-1, -2)
+        d_i = dg.swapaxes(-3, -2)
+        bracket, ginv = d_i + d_i.swapaxes(-2, -1) - dg, np.linalg.inv(g)
+        want = 0.5 * np.einsum("...km,...mij->...kij", ginv, bracket)
+        bound = roundoff(n, 0.5 * np.einsum("...km,...mij->...kij", np.abs(ginv), np.abs(bracket)))
+        assert np.all(np.abs(_christoffel_from(g, dg) - want) <= bound)
+        assert_rows(_christoffel_from, shape, g, dg)
+
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_covariant_derivative_of_constant_fields_is_gamma_x_y(self, shape):
+        # constant fields have an exact zero derivative, so nabla_X Y is Gamma(x, y) alone
+        M = get("E3").phi.source
+        n = M.dim
+        rng = np.random.default_rng(47)
+        p = sample_points(M, 47, int(np.prod(shape))).reshape(shape + (n,))
+        x, y = rng.standard_normal((2,) + shape + (n,))
+        gamma = christoffel(M, p)
+        got = covariant_derivative(M, constant_field(x), constant_field(y), p).components
+        want = np.einsum("...kij,...i,...j->...k", gamma, x, y)
+        bound = roundoff(n * n, np.einsum("...kij,...i,...j->...k", np.abs(gamma), np.abs(x), np.abs(y)))
+        assert np.all(np.abs(got - want) <= bound)
+        assert_rows(lambda p, x, y: covariant_derivative(
+            M, constant_field(x), constant_field(y), p).components, shape, p, x, y)
+
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_curvature_R_P(self, shape):
+        n = 3
+        rng = np.random.default_rng(48)
+        A = rng.standard_normal(shape + (n, n))
+        g = np.eye(n) + 0.3 * A @ A.swapaxes(-1, -2) / n
+        E = orthonormalizer(g)  # rows: a g-orthonormal basis
+        R, P = rng.standard_normal(shape + (n,) * 4), rng.standard_normal(shape + (n, n))
+        onb = [TangentVector(np.zeros(shape + (n,)), E[..., a, :]) for a in range(n)]
+        PE = E @ P.swapaxes(-1, -2)  # rows P e_a
+        want = np.einsum("...ijkl,...ai,...aj->...lk", R, E, PE)
+        bound = roundoff(n * n + 2 * n, np.einsum("...ijkl,...ai,...aj->...lk", np.abs(R), np.abs(E),
+                                                   np.abs(E) @ np.abs(P).swapaxes(-1, -2)))
+        assert np.all(np.abs(curvature_R_P(g, P, onb, R) - want) <= bound)
+        assert_rows(lambda g, P, R, E: curvature_R_P(g, P, [TangentVector(np.zeros(e.shape), e)
+                                                             for e in np.moveaxis(E, -2, 0)], R),
+                    shape, g, P, R, E)
+
+    @pytest.mark.parametrize("per_point", [False, True])
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_polynomial_fields(self, shape, per_point):
+        n = 3
+        rng = np.random.default_rng(49)
+        p = rng.standard_normal(shape + (n,))
+        draws = rng.standard_normal((shape if per_point else ()) + (n + n**2 + n**3,))
+        X = _polynomial_vector_field(draws, n)
+        c0 = draws[..., :n]
+        c1 = DEFAULT_SCALE * draws[..., n:n + n**2].reshape(draws.shape[:-1] + (n, n))
+        c2 = DEFAULT_SCALE * draws[..., n + n**2:].reshape(draws.shape[:-1] + (n,) * 3)
+        c2 = 0.5 * (c2 + c2.swapaxes(-1, -2))
+        signed, absolute = (c2, p), (np.abs(c2), np.abs(p))
+        quad, quad_abs = (np.einsum("...ijk,...j,...k->...i", c, q, q) for c, q in (signed, absolute))
+        linear, linear_abs = (np.einsum("...ijk,...k->...ij", c, q) for c, q in (signed, absolute))
+        c1p_abs = (np.abs(c1) @ np.abs(p)[..., None])[..., 0]
+        assert np.all(np.abs(X.eval(p) - (c0 + (c1 @ p[..., None])[..., 0] + 0.5 * quad))
+                      <= roundoff(n * n, np.abs(c0) + c1p_abs + 0.5 * quad_abs))
+        assert np.all(np.abs(X.jacobian(p) - (c1 + linear)) <= roundoff(n, np.abs(c1) + linear_abs))
+        if per_point:  # row i of the points takes the field of draws i
+            assert_rows(lambda d, q: _polynomial_vector_field(d, n).eval(q), shape, draws, p)
+            assert_rows(lambda d, q: _polynomial_vector_field(d, n).jacobian(q), shape, draws, p)
+        else:
+            assert_rows(X.eval, shape, p)
+            assert_rows(X.jacobian, shape, p)
+
+        P = polynomial_endo_field(n, np.random.default_rng(50))
+        again = np.random.default_rng(50)  # the same coefficients, drawn again
+        d0, d1 = again.standard_normal((n, n)), DEFAULT_SCALE * again.standard_normal((n, n, n))
+        bound = roundoff(n, np.abs(d0) + np.einsum("ijk,...k->...ij", np.abs(d1), np.abs(p)))
+        assert np.all(np.abs(P.eval(p) - (d0 + np.einsum("ijk,...k->...ij", d1, p))) <= bound)
+        assert_rows(P.eval, shape, p)

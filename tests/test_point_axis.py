@@ -518,10 +518,12 @@ class TestFieldStack:
         d0, d1 = rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, n, n))
         k0, k1 = rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, n, n))
         for p in sample_points(M, 87, 5):
-            assert np.array_equal(X.eval(p), c0 + c1 @ p + 0.5 * np.einsum("ijk,j,k->i", c2, p, p))
-            assert np.array_equal(X.jacobian(p), c1 + np.einsum("ijk,k->ij", c2, p))
-            assert np.array_equal(P.eval(p), d0 + np.einsum("ijk,k->ij", d1, p))
-            Kp = k0 + np.einsum("ijk,k->ij", k1, p)
+            # c p = einsum("ijk,k->ij", c, p), as the matmul of c's rows (i, j) with p
+            c2p, d1p, k1p = ((c.reshape(n * n, n) @ p).reshape(n, n) for c in (c2, d1, k1))
+            assert np.array_equal(X.eval(p), c0 + c1 @ p + 0.5 * (c2p @ p))
+            assert np.array_equal(X.jacobian(p), c1 + c2p)
+            assert np.array_equal(P.eval(p), d0 + d1p)
+            Kp = k0 + k1p
             assert np.array_equal(K.eval(p), np.linalg.solve(metric_eval(M, p), 0.5 * (Kp - Kp.T)))
 
     @pytest.mark.parametrize("example", EXAMPLES)

@@ -256,10 +256,12 @@ class TestSasakiGram:
         assert np.array_equal(table.reshape(4, 4), pairwise)
 
 
-def distribution_S(geom, p):
-    """S = ``S_components`` at one point p, as a caller of ``tm_distributions`` builds it."""
+def distribution_jet(geom, p):
+    """(S, g, Gamma) at one point p: ``S_components``, the metric and the Christoffel
+    symbols, as a caller of ``tm_distributions`` builds them."""
     M, D = geom.phi.source, geom.horizontal
-    return S_components(M, D, p, christoffel(M, p), D.projector(p))
+    g, gamma = jet(M, p)
+    return S_components(M, D, p, gamma, D.projector(p)), g, gamma
 
 
 def field_level_bases(geom, Z):
@@ -301,7 +303,7 @@ class TestDistributions:
         n, k = e.phi.source.dim, e.phi.target.dim
         for p in sample_points(e.phi.source, 7, 2):
             Z = tm_point(p, 0.5 * rng.standard_normal(n))
-            Vb, Hb, const_ext, shown = tm_distributions(geom, Z, distribution_S(geom, p))
+            Vb, Hb, const_ext, shown = tm_distributions(geom, Z, *distribution_jet(geom, p))
             assert (len(Vb), len(Hb), len(const_ext), len(shown)) == (2 * (n - k), 2 * k, n - k, 2 * k)
             for v in Vb:
                 img = phi_second_differential_fd(e.phi, v)
@@ -319,7 +321,7 @@ class TestDistributions:
         rng = np.random.default_rng(12)
         for p in sample_points(M, 13, 3):
             Z = tm_point(p, 0.7 * rng.standard_normal(M.dim))
-            Vb, _, const_ext, shown = tm_distributions(geom, Z, distribution_S(geom, p))
+            Vb, _, const_ext, shown = tm_distributions(geom, Z, *distribution_jet(geom, p))
             for got, want in zip((Vb, const_ext, shown), field_level_bases(geom, Z)):
                 assert np.max(np.abs(rates(got) - rates(want))) <= 1e-9 * np.max(np.abs(rates(want)))
 
@@ -327,7 +329,7 @@ class TestDistributions:
         # kernel of the flat projection: vertical and horizontal lifts of e3
         geom = derive_geometry(get("E1").phi)
         p = np.array([0.1, 0.2, 0.3])
-        Vb, *_ = tm_distributions(geom, tm_point(p, np.array([0.4, 0.5, 0.6])), distribution_S(geom, p))
+        Vb, *_ = tm_distributions(geom, tm_point(p, np.array([0.4, 0.5, 0.6])), *distribution_jet(geom, p))
         span = rates(Vb).T
         expect_a = np.concatenate([np.zeros(3), [0, 0, 1.0]])
         expect_b = np.concatenate([[0, 0, 1.0], np.zeros(3)])
