@@ -42,8 +42,9 @@ print("\n== covariant derivative ==")
 rng = np.random.default_rng(0)
 X = polynomial_vector_field(2, rng)
 Y = polynomial_vector_field(2, rng)
-nXY = covariant_derivative(S2, X, Y, p)
-nYX = covariant_derivative(S2, Y, X, p)
+gamma = christoffel(S2, p)
+nXY = covariant_derivative(S2, X, Y, p, gamma)
+nYX = covariant_derivative(S2, Y, X, p, gamma)
 br = lie_bracket(X, Y, p)
 print("torsion residual |nabla_X Y - nabla_Y X - [X,Y]| =",
       np.max(np.abs(nXY.components - nYX.components - br.components)))

@@ -24,6 +24,7 @@ from framelift.frames import (
     mok_metric,
     om_chart,
     reference_frame,
+    total_space_christoffel,
     vertical_part,
 )
 from framelift.geometry import TangentVector, christoffel, curvature_tensor, metric_eval
@@ -78,6 +79,6 @@ for (case, _, label), res in zip(cases, bracket_residual(S2, lm, [c[:2] for c in
 print(f"(the opposite sign for the hv bracket misses by {brackets['hv']['literal']:.2f})")
 
 print("\nconnection formulas against the oracle:")
-for row in connection_audit(S2, u, {"L": dict(X=X, Y=Y, P=P, Q=Q)}, g, gamma, R):
+for row in connection_audit(S2, u, {"L": dict(X=X, Y=Y, P=P, Q=Q)}, g, gamma, R, total_space_christoffel(lm, u)):
     mark = "  " if row["asserted"] else "  [displayed reading]"
     print(f"  L({row['case']}) {row['reading']:<9s} residual {row['residual']:.2e}{mark}")

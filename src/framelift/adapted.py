@@ -442,7 +442,7 @@ def adapted_chart(M: ChartManifold, D: DistributionSpec, name: str = "O(D)") -> 
 
 def adapted_connection_audit(
     M: ChartManifold, D: DistributionSpec, u: Frame, fields: dict, g: Array, gamma: Array, R: Array,
-    cfg: FDConfig = DEFAULT_FD,
+    gamma_total: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Audit of the adapted-bundle connection displays against the O(D) oracle.
 
@@ -450,8 +450,9 @@ def adapted_connection_audit(
     lift types, so plausible readings are evaluated against one oracle
     evaluation per point and the best-matching reading is flagged per case.
     The O(D) oracle is the ``gauss_projection`` of the L(M) oracle on X^h + (S_X)*
-    (``_S_lifts``) and P*.  g, gamma and ``R = curvature_tensor(M, u.base)`` are the
-    caller's at u's base point.  S, P, Q, nabla_X Q and nabla_Y P there are built once
+    (``_S_lifts``) and P*.  g, gamma (also for nabla_X Y) and ``R = curvature_tensor(M,
+    u.base)`` are the caller's at u's base point, gamma_total the oracle's at u
+    (``total_space_christoffel``).  S, P, Q, nabla_X Q and nabla_Y P there are built once
     and serve L_P, the lifted right-hand sides and the RD jet; one ``mok_norm`` of the
     stacked differences gives every residual.
     """
@@ -480,7 +481,7 @@ def adapted_connection_audit(
 
     rows: list[dict] = []
     differences: list[FrameTangent] = []
-    oracle = lc_total_space_oracle(chart, _case_fields(M, cases, extension), u, cfg)
+    oracle = lc_total_space_oracle(chart, _case_fields(M, cases, extension), u, gamma_total, cfg)
     oracle = dict(zip(("hh", "hv", "vh", "vv"), gauss_projection(
         M, oracle, g, gamma, metric_derivative_eval(M, p), P_D,
         central_diff(D.projector, p, cfg.step_h), D.rank)))
@@ -494,7 +495,7 @@ def adapted_connection_audit(
     # for hh, L_Q(X) for hv and L_P(Y) for vh, each with both m-term signs
     LQ, LP = L_P_applies(g, [(Qval, nQ, xval), (Pval, nP, yval)], p, onb, R, P_D, S, cfg)
     nab, nabD, LQm, LQp, LPm, LPp = _adapted_horizontal_lifts(M, D, [TangentVector(p, v) for v in (
-        covariant_derivative(M, X, Y, p, cfg).components,
+        covariant_derivative(M, X, Y, p, gamma, cfg).components,
         adapted_derivatives(M, D, xval, [Y], p, gamma, P_D, cfg)[0][0],
         LQ["printed"], LQ["flipped"], LP["printed"], LP["flipped"])], u, gamma, P_D, S)
 

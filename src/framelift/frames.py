@@ -14,9 +14,10 @@ A field on the total space is a frame field, a function Frame ->
 FrameTangent that takes stacks of frames, as the horizontal lift, the
 fundamental vertical and the adapted horizontal lift are.  The oracle and
 the finite-difference bracket read each as its chart field
-q -> field_to_chart(q, F), run ``geometry``'s ``covariant_derivatives`` and
-``lie_brackets`` on the total space at encode(u) and answer at the frames u
-themselves.  The pairing and the lifts read the caller's g and Gamma.
+q -> field_to_chart(q, F), run ``geometry``'s ``covariant_derivatives`` and ``lie_brackets``
+on the total space at encode(u) and answer at the frames u themselves.  The pairing and
+the lifts read the caller's g and Gamma, the oracle its total-space Gamma
+(``total_space_christoffel``, built once by the block that owns the frames).
 """
 
 from __future__ import annotations
@@ -523,9 +524,15 @@ def total_space_cfg(cfg: FDConfig) -> FDConfig:
     return replace(cfg, step_h=cfg.step_h2)
 
 
+def total_space_christoffel(chart, u: Frame, cfg: FDConfig = DEFAULT_FD) -> Array:
+    """Christoffel symbols of the induced Mok metric at encode(u), for the frame u or a stack
+    of frames, on the generic path: ``christoffel`` on ``total_space_manifold``."""
+    return christoffel(total_space_manifold(chart, cfg), chart.encode(u))
+
+
 def lc_total_space_oracle(
     chart, pairs: Sequence[tuple[Callable[[Frame], FrameTangent], Callable[[Frame], FrameTangent]]], u: Frame,
-    cfg: FDConfig = DEFAULT_FD,
+    gamma_total: Array, cfg: FDConfig = DEFAULT_FD,
 ) -> list[FrameTangent]:
     """Levi-Civita covariant derivatives nabla_A B on the total space, one per (A, B) pair
     of frame fields (Frame -> FrameTangent, as the lifts are), at the frame u or at a
@@ -534,11 +541,12 @@ def lc_total_space_oracle(
     Brute force on the Mok metric of ``induced_metric_on_chart``: ``covariant_derivatives``
     on ``total_space_manifold`` at ``total_space_cfg``, at the chart points encode(u), on
     the chart fields of the pairs (``_chart_fields``), read back as frame tangents at u
-    itself (``_tangents_at``).  The audits run it on L(M) only.
+    itself (``_tangents_at``), from the caller's ``gamma_total = total_space_christoffel(chart,
+    u, cfg)``.  The audits run it on L(M) only.
     """
-    q = chart.encode(u)
+    q, total = chart.encode(u), total_space_manifold(chart, cfg)
     return _tangents_at(chart, u, q, covariant_derivatives(
-        total_space_manifold(chart, cfg), _chart_fields(chart, pairs, cfg), q, total_space_cfg(cfg)), cfg)
+        total, _chart_fields(chart, pairs, cfg), q, gamma_total, total_space_cfg(cfg)), cfg)
 
 
 def gauss_projection(
@@ -641,8 +649,8 @@ def lc_connection_formula(
     """
     p = u.base
     onb = orthonormal_basis(M, p)
-    nablas = iter(covariant_derivatives(
-        M, [inputs for bundle_cases in cases.values() for case, inputs in bundle_cases if case == "hh"], p, cfg))
+    hh = [inputs for bundle_cases in cases.values() for case, inputs in bundle_cases if case == "hh"]
+    nablas = iter(covariant_derivatives(M, hh, p, gamma, cfg))
 
     def lines(bundle: str, case: str, inputs: tuple) -> dict[str, FrameTangent]:
         if case == "hh":
@@ -738,23 +746,24 @@ def bracket_residual(
 
 
 def connection_audit(
-    M: ChartManifold, u: Frame, fields: dict, g: Array, gamma: Array, R: Array, cfg: FDConfig = DEFAULT_FD,
+    M: ChartManifold, u: Frame, fields: dict, g: Array, gamma: Array, R: Array, gamma_total: Array,
+    cfg: FDConfig = DEFAULT_FD,
 ) -> list[dict]:
     """Audit table comparing the connection formulas against the oracle.
 
     ``fields`` maps a bundle, "L" or "O", to its X, Y (vector fields) and P, Q
     (endomorphism fields, g-skew on O(M)) at the orthonormal frames u; g, gamma and
     ``R = curvature_tensor(M, u.base)`` are the caller's metric, Christoffel symbols
-    and curvature at u's base points.  One L(M) oracle call serves every bundle, case
-    and frame, O(M) takes its ``gauss_projection``, and one ``lc_connection_formula``
-    call gives every line.  Each reading of each case is a row, bundle by bundle, its
-    residual one value per frame from one ``mok_norm``; the "literal" hv/vh rows are
-    unasserted diagnostics.
+    and curvature at u's base points, gamma_total the oracle's (``total_space_christoffel``).
+    One L(M) oracle call serves every bundle, case and frame, O(M) takes its
+    ``gauss_projection``, and one ``lc_connection_formula`` call gives every line.  Each
+    reading of each case is a row, bundle by bundle, its residual one value per frame
+    from one ``mok_norm``; the "literal" hv/vh rows are unasserted diagnostics.
     """
     chart = LMChart(M)
     cases = {bundle: [("hh", (f["X"], f["Y"])), ("hv", (f["X"], f["Q"])), ("vh", (f["P"], f["Y"])),
                       ("vv", (f["P"], f["Q"]))] for bundle, f in fields.items()}
-    values = iter(lc_total_space_oracle(chart, _case_fields(M, sum(cases.values(), [])), u, cfg))
+    values = iter(lc_total_space_oracle(chart, _case_fields(M, sum(cases.values(), [])), u, gamma_total, cfg))
     oracles = {bundle: [next(values) for _ in bundle_cases] for bundle, bundle_cases in cases.items()}
     if "O" in oracles:  # O(M) is O(D) of D = TM
         oracles["O"] = gauss_projection(M, oracles["O"], g, gamma, metric_derivative_eval(M, u.base),

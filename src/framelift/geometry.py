@@ -334,15 +334,24 @@ def _field_differences(needs: Sequence[tuple[VectorField, VectorField]], p: Arra
                        h: float) -> tuple[dict, dict]:
     """For (X, Y) pairs of fields, Y to be differenced along X: the value at p of each
     distinct field (by identity of its ``eval``), by id(eval), and each dY(x), by
-    (id(Y.eval), id(X.eval)).  Each field is evaluated at p once, and each Y is
-    differenced once, along the distinct X of all its pairs at every point."""
-    at_p = {id(F.eval): F for pair in needs for F in pair}
-    at_p = {key: np.asarray(F.eval(p), dtype=float) for key, F in at_p.items()}
+    (id(Y.eval), id(X.eval)).  Each field is evaluated once, and each Y is differenced
+    once, along the distinct X of all its pairs at every point: a direction, or a field
+    with a Jacobian, at p, any other Y on one stack (1 + 2m, ..., dim) of p and its stencil."""
+    fields = {id(F.eval): F for pair in needs for F in pair}
+    directions = {id(X.eval) for X, _ in needs}
+    at_p = {key: np.asarray(F.eval(p), dtype=float) for key, F in fields.items()
+            if key in directions or F.jacobian is not None}
     d: dict[tuple[int, int], Array] = {}
-    for Y in {id(Y.eval): Y for _, Y in needs}.values():
+    for key, Y in {id(Y.eval): Y for _, Y in needs}.items():
         along = list(dict.fromkeys(id(X.eval) for X, Yi in needs if Yi.eval is Y.eval))
-        d.update(zip([(id(Y.eval), key) for key in along],
-                     field_derivative(Y, p, np.array([at_p[key] for key in along]), h)))
+        v = np.array([at_p[a] for a in along])
+        if key in at_p:
+            dY = field_derivative(Y, p, v, h)
+        else:  # a stack's rows equal the calls at p and on the stencil
+            pts, norm = _directional_stencil(p, v, h)
+            fs = _on_stencil(Y.eval, np.concatenate([p[None], pts.reshape((-1,) + p.shape)]))
+            at_p[key], dY = fs[0], _difference(fs[1:].reshape(pts.shape[:-1] + fs.shape[p.ndim:]), norm, h)
+        d.update(zip([(key, a) for a in along], dY))
     return at_p, d
 
 
@@ -350,28 +359,27 @@ def covariant_derivatives(
     M: ChartManifold,
     pairs: Sequence[tuple[VectorField, VectorField]],
     p: Array,
+    gamma: Array,
     cfg: FDConfig = DEFAULT_FD,
 ) -> list[TangentVector]:
     """(nabla_X Y)(p) = dY(x) + Gamma(x, y) for the Levi-Civita connection, one per
-    (X, Y) pair, at points p (..., dim).
+    (X, Y) pair, at points p (..., dim), from the caller's ``gamma = christoffel(M, p)``.
 
-    The Christoffel symbols at p are evaluated once and contracted for
-    every pair, and ``_field_differences`` evaluates each distinct field at
-    p once and differences each distinct Y once, along the X of all its pairs.
-    Gamma(x, y) is defined as einsum("...kij,...i,...j->...k", gamma, x, y) and
+    Gamma is contracted for every pair, and ``_field_differences`` evaluates each
+    distinct field once and differences each distinct Y once, along the X of all its
+    pairs.  Gamma(x, y) is defined as einsum("...kij,...i,...j->...k", gamma, x, y) and
     contracted as ``christoffel_contract(gamma, x)`` times y.
     """
     p = _check_domain(M, p)
-    gamma = christoffel(M, p)
     at_p, dY = _field_differences(pairs, p, cfg.step_h)
     return [TangentVector(p, dY[id(Y.eval), id(X.eval)] + (christoffel_contract(
         gamma, at_p[id(X.eval)]) @ at_p[id(Y.eval)][..., None])[..., 0]) for X, Y in pairs]
 
 
-def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Array,
+def covariant_derivative(M: ChartManifold, X: VectorField, Y: VectorField, p: Array, gamma: Array,
                          cfg: FDConfig = DEFAULT_FD) -> TangentVector:
-    """(nabla_X Y)(p): the one-pair case of ``covariant_derivatives``."""
-    return covariant_derivatives(M, [(X, Y)], p, cfg)[0]
+    """(nabla_X Y)(p) from the caller's Gamma at p: the one-pair case of ``covariant_derivatives``."""
+    return covariant_derivatives(M, [(X, Y)], p, gamma, cfg)[0]
 
 
 def lie_brackets(

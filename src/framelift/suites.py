@@ -48,6 +48,7 @@ from .frames import (
     om_chart,
     reference_frame,
     total_space_cfg,
+    total_space_christoffel,
     total_space_manifold,
     vertical_part,
 )
@@ -148,7 +149,7 @@ def suite_core(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                    np.max(np.abs(gamma - gamma.swapaxes(-1, -2)), axis=(-3, -2, -1)))
         lhs = directional_diff(lambda q: _pairing(M, Y, Z, q), pts, X.eval(pts), cfg.step_h)
         nXY, nXZ, nYX = (v.components for v in covariant_derivatives(
-            M, [(X, Y), (X, Z), (Y, X)], pts, cfg))
+            M, [(X, Y), (X, Z), (Y, X)], pts, gamma, cfg))
         g = metric_eval(M, pts)
         checks.row(f"metric_compatibility.{tag}", "X g(Y,Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)", 1e-8,
                    np.abs(lhs - _pairing_at(g, nXY, Z.eval(pts)) - _pairing_at(g, Y.eval(pts), nXZ)))
@@ -202,10 +203,10 @@ def suite_tangent(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     h = horizontal_lift_frame(gamma, TangentVector(pts, x), Z)
     checks.row("lift_identities", "K(X^v)=X, K(X^h)=0, pi(X^h)=X, pi(X^v)=0", cfg.tol_exact,
                *(np.max(np.abs(d), axis=-1) for d in (
-                   connection_map_K(M, v).components - x, connection_map_K(M, h).components,
+                   connection_map_K(gamma, v).components - x, connection_map_K(gamma, h).components,
                    h.base_rate - x, v.base_rate)))
     t = FrameTangent(Z, base_rate, fiber_rate[..., None])
-    hh, vv = tm_split(M, t)
+    hh, vv = tm_split(gamma, t)
     checks.row("splitting_exact", "t = (pi_* t)^h + (K t)^v", cfg.tol_exact, _tm_size(hh + vv - t))
     checks.row("horizontal_vertical_orthogonal", "g_TM(X^h, Y^v) = 0", cfg.tol_exact,
                np.abs(mok_metric(g, gamma, h, v)))
@@ -336,12 +337,16 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
             checks.row("bracket.hv_literal_sign", "[X^h, Q*] = -(nabla_X Q)* (diagnostic)", cfg.tol_fd2,
                        res["literal"][:2], kind="audit")
 
-    # connection formulas against the total-space oracle, both bundles on the first three frames
+    # connection formulas against the total-space oracle, both bundles on the first three frames;
+    # L(M)'s total-space Gamma is built once, there and at the adapted frame at pts[0]
     Qs = g_skew_endo_field(M, rng)
     Ps = g_skew_endo_field(M, rng)
-    few = min(3, samples)
+    few, p, geom = min(3, samples), pts[0], derive_geometry(phi)
+    u = adapted_frame(M, geom.horizontal, p)
+    gamma_total = total_space_christoffel(lm, Frame(np.vstack([pts[:few], p]),
+                                                    np.concatenate([frames.columns[:few], u.columns[None]])), cfg)
     rows = connection_audit(M, frames[:few], {"L": dict(X=X, Y=Y, P=P, Q=Q), "O": dict(X=X, Y=Y, P=Ps, Q=Qs)},
-                            g[:few], gamma[:few], Rs[:few], cfg)
+                            g[:few], gamma[:few], Rs[:few], gamma_total[:few], cfg)
     # bundle by bundle, asserted rows first, each group in case order
     for r in sorted(rows, key=lambda r: (r["bundle"], not r["asserted"])):
         if r["asserted"]:
@@ -353,14 +358,13 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                        kind="audit")
 
     # oracle self-consistency on the full frame bundle's total space
-    p = pts[0]
     total = total_space_manifold(lm, cfg)
     cfg_total = total_space_cfg(cfg)
     q = lm.encode(frames[0])
     rngt = _rng(seed, 6)
     A, B, C = (polynomial_vector_field(total.dim, rngt, exact_jacobian=False) for _ in range(3))
     nAB, nBA, nCA, nCB = (v.components for v in covariant_derivatives(
-        total, [(A, B), (B, A), (C, A), (C, B)], q, cfg_total))
+        total, [(A, B), (B, A), (C, A), (C, B)], q, gamma_total[0], cfg_total))
     br = lie_bracket(A, B, q, cfg_total).components
     tf = nAB - nBA - br
     Gq = metric_eval(total, q)
@@ -373,8 +377,6 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
                abs(lhs - _pairing_at(Gq, nCA, B.eval(q)) - _pairing_at(Gq, A.eval(q), nCB)))
 
     # adapted-bundle connection displays: diagnostic table
-    geom = derive_geometry(phi)
-    u = adapted_frame(M, geom.horizontal, p)
     k = geom.rank
     Ja = np.zeros((k, k))
     if k >= 2:
@@ -382,7 +384,7 @@ def suite_frame(entry: CatalogEntry, cfg: FDConfig = DEFAULT_FD,
     Pa = adapted_endo_field(geom, top=0.8 * Ja)
     Qa = adapted_endo_field(geom, top=-1.3 * Ja)
     for r in adapted_connection_audit(M, geom.horizontal, u,
-                                      dict(X=X, Y=Y, P=Pa, Q=Qa), g[0], gamma[0], Rs[0], cfg):
+                                      dict(X=X, Y=Y, P=Pa, Q=Qa), g[0], gamma[0], Rs[0], gamma_total[few], cfg):
         checks.row(f"adapted_connection.{r['case']}.{'best' if r['best_match'] else 'alt'}",
                    r["reading"], cfg.tol_fd2, r["residual"], kind="audit")
     return checks.reports

@@ -56,17 +56,17 @@ def tm_vertical_lift(X: TangentVector, Z: Frame) -> FrameTangent:
     return FrameTangent(Z, np.zeros_like(X.components), X.components[..., None].copy())
 
 
-def connection_map_K(M: ChartManifold, t: FrameTangent) -> TangentVector:
-    """Dombrowski connection map K(t) = Zdot + Gamma_xdot Z: the one column of the
-    vertical rate that ``mok_gram`` pairs."""
-    return TangentVector(t.at.base, _vertical_rate(christoffel(M, t.at.base), t.base_rate[..., None, :],
-                                                   t.at.columns, t.frame_rate[..., None, :, :])[..., 0, :, 0])
+def connection_map_K(gamma: Array, t: FrameTangent) -> TangentVector:
+    """Dombrowski connection map K(t) = Zdot + Gamma_xdot Z, from the Christoffel symbols
+    ``gamma`` at t's base points: the one column of the vertical rate that ``mok_gram`` pairs."""
+    return TangentVector(t.at.base, _vertical_rate(gamma, t.base_rate[..., None, :], t.at.columns,
+                                                   t.frame_rate[..., None, :, :])[..., 0, :, 0])
 
 
-def tm_split(M: ChartManifold, t: FrameTangent) -> tuple[FrameTangent, FrameTangent]:
-    """Exact splitting into horizontal and vertical lifts of pi_* t and K(t)."""
-    return (horizontal_lift_frame(christoffel(M, t.at.base), TangentVector(t.at.base, t.base_rate), t.at),
-            tm_vertical_lift(connection_map_K(M, t), t.at))
+def tm_split(gamma: Array, t: FrameTangent) -> tuple[FrameTangent, FrameTangent]:
+    """Exact splitting into horizontal and vertical lifts of pi_* t and K(t), by gamma at t's base."""
+    return (horizontal_lift_frame(gamma, TangentVector(t.at.base, t.base_rate), t.at),
+            tm_vertical_lift(connection_map_K(gamma, t), t.at))
 
 
 # ---------------------------------------------------------------------------

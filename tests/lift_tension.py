@@ -57,7 +57,8 @@ def lift_tension_by_columns(geom, x0, cfg=DEFAULT_FD):
 
     E_fields = [VectorField(eval=lambda q, i=i: on_frame(q)[..., :, i]) for i in range(m)]
     nabs = covariant_derivatives(
-        src_total, [(constant_field(E0[:, i]), Ei) for i, Ei in enumerate(E_fields)], q0, cfg_total)
+        src_total, [(constant_field(E0[:, i]), Ei) for i, Ei in enumerate(E_fields)], q0,
+        christoffel(src_total, q0), cfg_total)
     tau = np.zeros(tgt_chart.dim)
     for i, (Ei, nab) in enumerate(zip(E_fields, nabs)):
         Ei_val = E0[:, i]

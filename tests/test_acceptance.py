@@ -37,6 +37,7 @@ from framelift.frames import (
     mok_metric,
     mok_norm,
     reference_frame,
+    total_space_christoffel,
 )
 from framelift.geometry import (
     FDConfig,
@@ -105,13 +106,13 @@ def test_criterion_01_core_calculus():
 
             lhs = directional_diff(per_point(gYZ), p, X.eval(p), CFG.step_h)[0]
             g = metric_eval(M, p)
-            nXY = covariant_derivative(M, X, Y, p, CFG).components
-            nXZ = covariant_derivative(M, X, Z, p, CFG).components
+            nXY = covariant_derivative(M, X, Y, p, gamma, CFG).components
+            nXZ = covariant_derivative(M, X, Z, p, gamma, CFG).components
             worst = max(worst, abs(lhs - float(nXY @ g @ Z.eval(p)) - float(Y.eval(p) @ g @ nXZ)))
 
             br = lie_bracket(X, Y, p, CFG).components
-            tf = (covariant_derivative(M, X, Y, p, CFG).components
-                  - covariant_derivative(M, Y, X, p, CFG).components - br)
+            tf = (covariant_derivative(M, X, Y, p, gamma, CFG).components
+                  - covariant_derivative(M, Y, X, p, gamma, CFG).components - br)
             worst = max(worst, float(np.sqrt(max(tf @ g @ tf, 0.0))))
 
             x, y, z = (rng.standard_normal(M.dim) for _ in range(3))
@@ -170,7 +171,7 @@ def test_criterion_03_connection_formulas():
             R = curvature_tensor(M, p, CFG)
             # every case on L(M), the vv case on O(M): the "resolved" readings
             rows = connection_audit(M, u, {"L": dict(X=X, Y=Y, P=P, Q=Q), "O": dict(X=X, Y=Y, P=Ps, Q=Qs)},
-                                    *jet(M, p), R, CFG)
+                                    *jet(M, p), R, total_space_christoffel(LMChart(M), u, CFG), CFG)
             worst = max(worst, *(r["residual"] for r in rows
                                  if r["asserted"] and (r["bundle"] == "L" or r["case"] == "vv")))
 
@@ -187,7 +188,8 @@ def test_criterion_03_connection_formulas():
     Qa = adapted_endo_field(geom, top=-1.1 * J)
     rows = adapted_connection_audit(e.phi.source, geom.horizontal, u,
                                     dict(X=Xa, Y=Ya, P=Pa, Q=Qa), *jet(e.phi.source, p),
-                                    curvature_tensor(e.phi.source, p, CFG), CFG)
+                                    curvature_tensor(e.phi.source, p, CFG),
+                                    total_space_christoffel(LMChart(e.phi.source), u, CFG), CFG)
     assert rows and any(r["best_match"] for r in rows)
     best = {r["case"]: f"{r['reading']} [{r['residual']:.2g}]"
             for r in rows if r["best_match"]}
@@ -303,11 +305,11 @@ def test_criterion_07_tangent_bundle_lemmas():
         v = tm_vertical_lift(TangentVector(p, x), Z)
         h = horizontal_lift_frame(christoffel(flat, Z.base), TangentVector(p, x), Z)
         exact = max(exact,
-                    float(np.max(np.abs(connection_map_K(flat, v).components - x))),
-                    float(np.max(np.abs(connection_map_K(flat, h).components))),
+                    float(np.max(np.abs(connection_map_K(christoffel(flat, p), v).components - x))),
+                    float(np.max(np.abs(connection_map_K(christoffel(flat, p), h).components))),
                     float(np.max(np.abs(h.base_rate - x))))
         t = FrameTangent(Z, rng.standard_normal(3), rng.standard_normal((3, 1)))
-        hh, vv = tm_split(flat, t)
+        hh, vv = tm_split(christoffel(flat, p), t)
         rec = hh + vv
         exact = max(exact, float(np.max(np.abs(rec.base_rate - t.base_rate))),
                     float(np.max(np.abs(rec.frame_rate - t.frame_rate))))

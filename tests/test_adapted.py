@@ -25,7 +25,14 @@ from framelift.adapted import (
 )
 from framelift.catalog import euclidean_chart, get
 from framelift.fields import polynomial_vector_field
-from framelift.frames import endo_covariant_derivative, fundamental_vertical, horizontal_lift_frame, mok_metric
+from framelift.frames import (
+    LMChart,
+    endo_covariant_derivative,
+    fundamental_vertical,
+    horizontal_lift_frame,
+    mok_metric,
+    total_space_christoffel,
+)
 from framelift.geometry import (
     DEFAULT_FD,
     EndomorphismField,
@@ -155,7 +162,7 @@ class TestAdaptedConnection:
         p = np.array([0.1, -0.2, 0.3])
         from framelift.geometry import covariant_derivative
         a = nabla_D_of(R3, D, X, Y, p)
-        b = covariant_derivative(R3, X, Y, p).components
+        b = covariant_derivative(R3, X, Y, p, christoffel(R3, p)).components
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_preserves_distribution(self):
@@ -423,8 +430,9 @@ class TestOneEvaluationPerReading:
         fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
                       P=adapted_endo_field(GEOM3, top=0.8 * J),
                       Q=adapted_endo_field(GEOM3, top=-1.3 * J))
-        rows = adapted_connection_audit(M3, D3, adapted_frame(M3, D3, p), fields, metric_eval(M3, p),
-                                        christoffel(M3, p), curvature_tensor(M3, p))
+        u = adapted_frame(M3, D3, p)
+        rows = adapted_connection_audit(M3, D3, u, fields, metric_eval(M3, p), christoffel(M3, p),
+                                        curvature_tensor(M3, p), total_space_christoffel(LMChart(M3), u))
         assert len(oracles) == 1  # one oracle call serves all four cases
         assert [r["case"] for r in rows] == ["hh"] * 2 + ["hv"] * 3 + ["vh"] * 2 + ["vv"]
         assert sum(r["best_match"] for r in rows) == 4

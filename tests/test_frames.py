@@ -39,6 +39,7 @@ from framelift.frames import (
     reference_frame,
     skew_basis,
     total_space_cfg,
+    total_space_christoffel,
     total_space_manifold,
     vertical_part,
 )
@@ -393,7 +394,7 @@ class TestConnectionFormulas:
         u = on_frame(R2, p)
         out = lc_connection_formula(R2, {"L": [("hh", (self.X, self.Y))]}, u, *jet(R2, p),
                                     curvature_tensor(R2, p))["L"][0]["resolved"]
-        nab = covariant_derivative(R2, self.X, self.Y, p)
+        nab = covariant_derivative(R2, self.X, self.Y, p, christoffel(R2, p))
         expect = horizontal_lift_frame(christoffel(R2, p), nab, u)
         assert mok_norm(*jet(R2, p), out - expect) < 1e-12
 
@@ -410,8 +411,9 @@ class TestConnectionFormulas:
 
     def resolved(self, M, p, case):
         """The audit's "resolved" residual of one case on L(M) at the reference frame at p."""
-        rows = connection_audit(M, on_frame(M, p), {"L": dict(X=self.X, Y=self.Y, P=self.P, Q=self.Q)},
-                                *jet(M, p), curvature_tensor(M, p))
+        u = on_frame(M, p)
+        rows = connection_audit(M, u, {"L": dict(X=self.X, Y=self.Y, P=self.P, Q=self.Q)},
+                                *jet(M, p), curvature_tensor(M, p), total_space_christoffel(LMChart(M), u))
         [res] = [r["residual"] for r in rows if r["case"] == case and r["reading"] == "resolved"]
         return res
 
@@ -425,7 +427,8 @@ class TestConnectionFormulas:
     def test_audit_table_shape(self):
         u = on_frame(S2, np.array([0.2, 0.2]))
         rows = connection_audit(S2, u, {"L": dict(X=self.X, Y=self.Y, P=self.P, Q=self.Q)},
-                                *jet(S2, u.base), curvature_tensor(S2, u.base))
+                                *jet(S2, u.base), curvature_tensor(S2, u.base),
+                                total_space_christoffel(LMChart(S2), u))
         cases = {(r["case"], r["reading"]) for r in rows}
         assert ("hh", "resolved") in cases
         assert ("hv", "literal") in cases
@@ -446,8 +449,9 @@ class TestOneEvaluationPerCase:
             P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
         oracles = calls("lc_total_space_oracle")["lc_total_space_oracle"]
         p = np.array([0.2, -0.1])
-        rows = connection_audit(S2, on_frame(S2, p), {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
-                                *jet(S2, p), curvature_tensor(S2, p))
+        u = on_frame(S2, p)
+        rows = connection_audit(S2, u, {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
+                                *jet(S2, p), curvature_tensor(S2, p), total_space_christoffel(LMChart(S2), u))
         assert len(oracles) == 1  # one oracle call serves all four cases
         readings = {}
         for r in rows:
@@ -459,22 +463,26 @@ class TestOneEvaluationPerCase:
     @pytest.mark.parametrize("bundle", ["L", "O", "D"])
     def test_batched_oracle_equals_one_pair_calls(self, bundle):
         chart, u, pairs = lift_pairs("E3", bundle, 42)
-        batched = lc_total_space_oracle(chart, pairs, u)
+        gamma_total = total_space_christoffel(chart, u)
+        batched = lc_total_space_oracle(chart, pairs, u, gamma_total)
         assert len(batched) == 4
         for pair, t in zip(pairs, batched):
-            [one] = lc_total_space_oracle(chart, [pair], u)
+            [one] = lc_total_space_oracle(chart, [pair], u, gamma_total)
             assert np.array_equal(t.base_rate, one.base_rate)
             assert np.array_equal(t.frame_rate, one.frame_rate)
 
     def test_each_field_is_evaluated_once_at_the_centre(self):
+        # the directions hX and vP at the centre alone; hY and vQ, differenced along both,
+        # once on the stack of the centre and its stencil, 1 + 2 * 2 frames
         chart, u, pairs = lift_pairs("E3", "O", 24)
         seen = {name: [] for name in ("hX", "hY", "vP", "vQ")}
         (hX, hY), (_, vQ), (vP, _), _ = pairs
         hX, hY, vP, vQ = (recording(F, seen[name]) for name, F in zip(seen, (hX, hY, vP, vQ)))
-        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], u)
+        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], u, total_space_christoffel(chart, u))
         centre = u.base.shape  # u's own base points, not a stencil
-        assert {name: [c.args[0].base.shape for c in s].count(centre) for name, s in seen.items()} == {
-            "hX": 1, "hY": 1, "vP": 1, "vQ": 1}
+        assert {name: [c.args[0].base.shape for c in s] for name, s in seen.items()} == {
+            "hX": [centre], "hY": [(5,) + centre], "vP": [centre], "vQ": [(5,) + centre]}
+        assert all(np.array_equal(c.args[0].base[0], u.base) for c in seen["hY"] + seen["vQ"])
 
     def test_bracket_readings_share_one_fd_bracket(self, calls):
         rng = np.random.default_rng(20)
@@ -534,7 +542,8 @@ class TestGenericPathReference:
         q = chart.encode(u)
         h = total_space_cfg(DEFAULT_FD).step_h
         gamma = christoffel(total_space_manifold(chart), q)
-        for (A, B), nabla, bracket in zip(pairs, lc_total_space_oracle(chart, pairs, u),
+        assert np.array_equal(total_space_christoffel(chart, u), gamma)
+        for (A, B), nabla, bracket in zip(pairs, lc_total_space_oracle(chart, pairs, u, gamma),
                                           fd_bracket_on_chart(chart, pairs, u)):
             a, b = (VectorField(eval=lambda qq, F=F: chart.field_to_chart(qq, F)) for F in (A, B))
             x, y = a.eval(q), b.eval(q)
@@ -554,10 +563,11 @@ class TestOneCovariantDerivative:
 
     def test_the_oracle_is_one_covariant_derivatives_call_on_the_total_space(self, calls):
         chart, u, pairs = lift_pairs("E3", "L", 42, count=3)
+        gamma_total = total_space_christoffel(chart, u)
         counted = calls("covariant_derivatives")["covariant_derivatives"]
-        lc_total_space_oracle(chart, pairs, u)
-        assert [(c.args[0].name, len(c.args[1]), c.args[3]) for c in counted] == [
-            ("total[L(M)]", 4, total_space_cfg(DEFAULT_FD))]
+        lc_total_space_oracle(chart, pairs, u, gamma_total)
+        assert [(c.args[0].name, len(c.args[1]), c.args[3] is gamma_total, c.args[4]) for c in counted] == [
+            ("total[L(M)]", 4, True, total_space_cfg(DEFAULT_FD))]
 
     def test_the_bracket_is_one_lie_brackets_call(self, calls):
         chart, u, pairs = lift_pairs("E3", "L", 42, count=3)
@@ -571,19 +581,20 @@ class TestOneCovariantDerivative:
 
 
 class TestTwoChartJacobians:
-    """The chart Jacobians that one call on the four pairs of ``lift_pairs`` reads.  On L(M),
-    where the audits run both, the oracle reads 2, in the induced metric of its total-space
-    ``christoffel``: at the points and on one stencil.  The bracket reads none, since L(M)'s
-    chart rates are the frame fields' rates themselves.  On the O(M) and O(D) charts, which
-    only the tests run them on, every chart conversion reads J(q) too: each of the 4
-    distinct fields at q and on each of its stencils, and the read-back at q."""
+    """The chart Jacobians that one call on the four pairs of ``lift_pairs`` reads.  The
+    oracle's total-space Christoffel symbols are its caller's: ``total_space_christoffel``
+    reads 2, in the induced metric at the points and on one stencil.  On L(M), where the
+    audits run them, the oracle and the bracket then read none, since L(M)'s chart rates
+    are the frame fields' rates themselves.  On the O(M) and O(D) charts, which only the
+    tests run them on, every chart conversion reads J(q): each field at q or on the one
+    stack of q and its stencil, and the read-back at q."""
 
     JACOBIANS = {
-        ("lc_total_space_oracle", "L"): 2,
+        ("lc_total_space_oracle", "L"): 0,
         ("fd_bracket_on_chart", "L"): 0,
-        # induced metric 2 + fields at q 4 + stencils of the 2 distinct B 2 + read-back 1
-        ("lc_total_space_oracle", "O"): 9,
-        ("lc_total_space_oracle", "D"): 9,
+        # the 2 directions at q 2 + the 2 differenced fields on q and their stencil 2 + read-back 1
+        ("lc_total_space_oracle", "O"): 5,
+        ("lc_total_space_oracle", "D"): 5,
         # fields at q 4 + one stencil of each field 4 + read-back 1
         ("fd_bracket_on_chart", "O"): 9,
         ("fd_bracket_on_chart", "D"): 9,
@@ -595,7 +606,10 @@ class TestTwoChartJacobians:
         chart, u, pairs = lift_pairs("E3", bundle, 42, count=3)
         name = "LMChart.jacobian" if bundle == "L" else "FrameChart.jacobian"
         jacobians = calls(name)[name]
-        kernel(chart, pairs, u)
+        gamma_total = (total_space_christoffel(chart, u),) if kernel is lc_total_space_oracle else ()
+        assert len(jacobians) == 2 * len(gamma_total)
+        jacobians.clear()
+        kernel(chart, pairs, u, *gamma_total)
         assert len(jacobians) == self.JACOBIANS[kernel.__name__, bundle]
 
 
@@ -775,12 +789,13 @@ class TestNoReencoding:
         # entry frame once, and nothing else is encoded
         cases = self.lift_cases()
         frames = [chart.decode(q) for _, chart, q, _ in cases]
+        gammas = [total_space_christoffel(chart, u) for (_, chart, _, _), u in zip(cases, frames)]
         encodes, logms, log_rotations = calls("FrameChart.encode", "scipy.linalg.logm", "_log_rotation").values()
-        for (field, chart, q, _), u in zip(cases, frames):
+        for (field, chart, q, _), u, gamma_total in zip(cases, frames, gammas):
             before = len(encodes)
             assert chart_field(chart, field).eval(q).shape == q.shape
             assert len(encodes) == before
-            [t] = lc_total_space_oracle(chart, [(field, field)], u)
+            [t] = lc_total_space_oracle(chart, [(field, field)], u, gamma_total)
             [b] = fd_bracket_on_chart(chart, [(field, field)], u)
             assert b.frame_rate.shape == t.frame_rate.shape
         assert [c.args[1] for c in encodes] == [u for u in frames for _ in range(2)]
@@ -797,8 +812,9 @@ class TestNoReencoding:
             decodes.clear()
             assert np.array_equal(chart_field(chart, field).eval(q), rates)
             assert [c.args[1].shape for c in decodes] == [q.shape]
+            gamma_total = total_space_christoffel(chart, u)
             decodes.clear()
-            lc_total_space_oracle(chart, [(field, field)], u)
+            lc_total_space_oracle(chart, [(field, field)], u, gamma_total)
             assert [c.args[1].shape for c in decodes] == [q.shape, (2, 1) + q.shape]
 
     def test_connection_audit_encodes_once(self, calls):
@@ -807,9 +823,11 @@ class TestNoReencoding:
         rng = np.random.default_rng(35)
         fields = dict(X=polynomial_vector_field(2, rng), Y=polynomial_vector_field(2, rng),
                       P=g_skew_endo_field(S2, rng), Q=g_skew_endo_field(S2, rng))
-        *skew, encodes = calls("FrameChart.encode", "FrameChart.jacobian", "LMChart.encode").values()
         p = np.array([0.2, -0.1])
-        connection_audit(S2, on_frame(S2, p), {"O": fields}, *jet(S2, p), curvature_tensor(S2, p))
+        u = on_frame(S2, p)
+        gamma_total = total_space_christoffel(LMChart(S2), u)  # the caller's, encoded by its builder
+        *skew, encodes = calls("FrameChart.encode", "FrameChart.jacobian", "LMChart.encode").values()
+        connection_audit(S2, u, {"O": fields}, *jet(S2, p), curvature_tensor(S2, p), gamma_total)
         assert skew == [[], []] and len(encodes) == 1
 
     def test_adapted_connection_audit_encodes_once(self, calls):
@@ -820,9 +838,11 @@ class TestNoReencoding:
         fields = dict(X=polynomial_vector_field(3, rng), Y=polynomial_vector_field(3, rng),
                       P=adapted_endo_field(geom, top=0.8 * J),
                       Q=adapted_endo_field(geom, top=-1.3 * J))
-        *skew, encodes = calls("FrameChart.encode", "FrameChart.jacobian", "LMChart.encode").values()
         p = sample_points(M, 46, 1)[0]
-        adapted_connection_audit(M, D, adapted_frame(M, D, p), fields, *jet(M, p), curvature_tensor(M, p))
+        u = adapted_frame(M, D, p)
+        gamma_total = total_space_christoffel(LMChart(M), u)  # the caller's, encoded by its builder
+        *skew, encodes = calls("FrameChart.encode", "FrameChart.jacobian", "LMChart.encode").values()
+        adapted_connection_audit(M, D, u, fields, *jet(M, p), curvature_tensor(M, p), gamma_total)
         assert skew == [[], []] and len(encodes) == 1
 
 
@@ -1069,8 +1089,9 @@ class TestGaussProjection:
         cases = [("hh", (X, Y)), ("hv", (X, Q)), ("vh", (P, Y)), ("vv", (P, Q))]
         lm = LMChart(M)
         projected = gauss_projection(M, lc_total_space_oracle(
-            lm, frames_module._case_fields(M, cases, extension), u), *data)
-        charted = lc_total_space_oracle(chart, frames_module._case_fields(M, cases, lift), u)
+            lm, frames_module._case_fields(M, cases, extension), u, total_space_christoffel(lm, u)), *data)
+        charted = lc_total_space_oracle(chart, frames_module._case_fields(M, cases, lift), u,
+                                        total_space_christoffel(chart, u))
         gap = mok_norm(*data[:2], FrameTangent.stack([a - b for a, b in zip(projected, charted)]))
         assert np.max(gap) < self.GAP[bundle]
 

@@ -20,6 +20,7 @@ from framelift.geometry import (
     TangentVector,
     VectorField,
     _christoffel_from,
+    _field_differences,
     central_diff,
     christoffel,
     christoffel_contract,
@@ -31,6 +32,7 @@ from framelift.geometry import (
     covariant_derivatives,
     curvature_R_P,
     curvature_tensor,
+    directional_diff,
     endo_inner,
     gram_schmidt,
     lie_bracket,
@@ -40,6 +42,7 @@ from framelift.geometry import (
     orthonormalizer,
     sample_points,
 )
+from budget import recording
 from roundoff import LEADING, assert_rows, roundoff
 
 R2 = euclidean_chart(2)
@@ -146,17 +149,19 @@ class TestChartIsComplete:
 class TestCovariantDerivative:
     def test_flat_coordinate_fields(self):
         p = np.array([0.4, 0.1])
-        out = covariant_derivative(R2, coordinate_field(0, 2), coordinate_field(1, 2), p)
+        out = covariant_derivative(R2, coordinate_field(0, 2), coordinate_field(1, 2), p, christoffel(R2, p))
         assert np.max(np.abs(out.components)) == 0.0
 
     def test_flat_linear_field(self):
         # nabla_{d1} (x1 d2) = d2
         Y = VectorField(eval=lambda q: np.stack([0.0 * q[..., 0], q[..., 0]], axis=-1))
-        out = covariant_derivative(R2, coordinate_field(0, 2), Y, np.array([0.7, -0.2]))
+        p = np.array([0.7, -0.2])
+        out = covariant_derivative(R2, coordinate_field(0, 2), Y, p, christoffel(R2, p))
         assert np.allclose(out.components, [0.0, 1.0], atol=1e-10)
 
     def test_sphere_origin_reduces_to_flat_derivative(self):
-        out = covariant_derivative(S2, coordinate_field(0, 2), coordinate_field(0, 2), np.zeros(2))
+        out = covariant_derivative(S2, coordinate_field(0, 2), coordinate_field(0, 2), np.zeros(2),
+                                   christoffel(S2, np.zeros(2)))
         assert np.max(np.abs(out.components)) < 1e-14
 
     def test_tensorial_in_direction(self):
@@ -166,8 +171,8 @@ class TestCovariantDerivative:
         f = lambda q: 1.0 + 2.0 * (q[0] - p[0]) - (q[1] - p[1])
         X = polynomial_vector_field(2, rng, exact_jacobian=False)
         Xs = VectorField(eval=lambda q: f(q) * X.eval(q))
-        a = covariant_derivative(S2, X, Y, p).components
-        b = covariant_derivative(S2, Xs, Y, p).components
+        a = covariant_derivative(S2, X, Y, p, christoffel(S2, p)).components
+        b = covariant_derivative(S2, Xs, Y, p, christoffel(S2, p)).components
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -180,12 +185,66 @@ class TestCovariantDerivative:
         pairs = [(fields[0], fields[1]), (fields[1], fields[0]),
                  (fields[2], fields[3]), (fields[3], fields[2])]
         cfg = DEFAULT_FD if step is None else replace(DEFAULT_FD, step_h=step)
-        batched = covariant_derivatives(S2, pairs, p, cfg)
+        batched = covariant_derivatives(S2, pairs, p, christoffel(S2, p), cfg)
         assert len(batched) == len(pairs)
         for (X, Y), v in zip(pairs, batched):
-            one = covariant_derivative(S2, X, Y, p, cfg)
+            one = covariant_derivative(S2, X, Y, p, christoffel(S2, p), cfg)
             assert np.array_equal(v.base, one.base)
             assert np.array_equal(v.components, one.components)
+
+class TestOneEvaluationOfADifferencedField:
+    """A field that ``covariant_derivatives`` differences, that has no Jacobian and that no
+    pair takes as its direction is evaluated once, on one stack (1 + 2m, ..., dim) of the
+    points and their stencil along its m directions, whose rows equal the calls at the
+    points and on the stencil."""
+
+    def fields(self, n, seed):
+        """X with an exact Jacobian and W without, both directions; Y, differenced along both,
+        without a Jacobian; W is differenced too, along X."""
+        rng = np.random.default_rng(seed)
+        X = polynomial_vector_field(n, rng)
+        W, Y = (polynomial_vector_field(n, rng, exact_jacobian=False) for _ in range(2))
+        return X, W, Y
+
+    @pytest.mark.parametrize("shape", LEADING)
+    def test_the_field_is_evaluated_once(self, shape):
+        M = get("E3").phi.source
+        p = sample_points(M, 105, int(np.prod(shape))).reshape(shape + (M.dim,))
+        X, W, Y = self.fields(M.dim, 106)
+        seen = {"W": [], "Y": []}
+        W, Y = (VectorField(eval=recording(F.eval, seen[name])) for name, F in (("W", W), ("Y", Y)))
+        covariant_derivatives(M, [(X, Y), (W, Y), (X, W)], p, christoffel(M, p))
+        # Y once, on p and the stencil of its 2 directions; the direction W at p, then on its stencil
+        assert {name: [c.args[0].shape for c in calls] for name, calls in seen.items()} == {
+            "W": [p.shape, (2, 1) + p.shape], "Y": [(5,) + p.shape]}
+
+    @pytest.mark.parametrize("example", ["E1", "E2", "E3", "E4", "E5"])
+    def test_values_and_derivatives_equal_the_separate_calls(self, example):
+        M = get(example).phi.source
+        p = sample_points(M, 107, 6).reshape(2, 3, M.dim)
+        X, W, Y = self.fields(M.dim, 108)
+        h = DEFAULT_FD.step_h
+        at_p, d = _field_differences([(X, Y), (W, Y), (X, W)], p, h)
+        y = Y.eval(p)
+        directions = np.array([X.eval(p), W.eval(p)])
+        assert np.array_equal(at_p[id(Y.eval)], y)
+        for key, dY in zip((id(X.eval), id(W.eval)), directional_diff(Y.eval, p, directions, h)):
+            assert np.array_equal(d[id(Y.eval), key], dY)
+        gamma = christoffel(M, p)
+        for F, nabla in zip((X, W), covariant_derivatives(M, [(X, Y), (W, Y)], p, gamma)):
+            x = F.eval(p)
+            want = directional_diff(Y.eval, p, x, h) + (christoffel_contract(gamma, x) @ y[..., None])[..., 0]
+            assert np.array_equal(nabla.components, want)
+
+    def test_a_domain_error_names_its_point(self):
+        # p lies inside the unit-sphere chart's disc |p| < 2, its stencil along e_0 does not
+        h = DEFAULT_FD.step_h
+        p = np.array([2.0 - 0.5 * h, 0.0])
+        Y = VectorField(eval=lambda q: metric_eval(S2, q)[..., 0])
+        with pytest.raises(DomainError) as merged:
+            covariant_derivatives(S2, [(coordinate_field(0, 2), Y)], p, christoffel(S2, p))
+        assert f"point {p + h * np.eye(2)[0]} " in str(merged.value)
+
 
 class TestCurvature:
     """R(X, Y)Z contracted from the curvature tensor."""
@@ -494,12 +553,12 @@ class TestMatmulContractions:
         p = sample_points(M, 47, int(np.prod(shape))).reshape(shape + (n,))
         x, y = rng.standard_normal((2,) + shape + (n,))
         gamma = christoffel(M, p)
-        got = covariant_derivative(M, constant_field(x), constant_field(y), p).components
+        got = covariant_derivative(M, constant_field(x), constant_field(y), p, gamma).components
         want = np.einsum("...kij,...i,...j->...k", gamma, x, y)
         bound = roundoff(n * n, np.einsum("...kij,...i,...j->...k", np.abs(gamma), np.abs(x), np.abs(y)))
         assert np.all(np.abs(got - want) <= bound)
         assert_rows(lambda p, x, y: covariant_derivative(
-            M, constant_field(x), constant_field(y), p).components, shape, p, x, y)
+            M, constant_field(x), constant_field(y), p, christoffel(M, p)).components, shape, p, x, y)
 
     @pytest.mark.parametrize("shape", LEADING)
     def test_curvature_R_P(self, shape):

@@ -3,8 +3,9 @@
 The frame, lift and tangent suites run once on E3 under ``sys.setprofile``.  Each
 package function that runs inside an oracle is recorded, and so is each one that runs
 inside a closed form.  The oracles are the total-space Levi-Civita oracle (through
-``connection_audit`` on L(M) and O(M) and through ``adapted_connection_audit`` on O(D)),
-the FD bracket and the three differentials by ``frame_diff``.  The closed forms are the
+``connection_audit`` on L(M) and O(M) and through ``adapted_connection_audit`` on O(D))
+with the total-space Christoffel symbols that its caller builds for it, the FD bracket
+and the three differentials by ``frame_diff``.  The closed forms are the
 formulas that rows compare against them.  A frame field that the caller passes to an
 oracle is the caller's input, so the calls made inside it are not the oracle's: the
 adapted horizontal lift of O(D), X^h + (S_X)*, calls ``S_components``.
@@ -20,7 +21,8 @@ import sys
 from framelift.catalog import get
 from framelift.suites import SUITES
 
-ORACLES = {"frames.lc_total_space_oracle", "frames.fd_bracket_on_chart", "submersion.lift_differential_fd",
+ORACLES = {"frames.lc_total_space_oracle", "frames.total_space_christoffel", "frames.fd_bracket_on_chart",
+           "submersion.lift_differential_fd",
            "tangent.pi_i_differential_fd", "tangent.phi_second_differential_fd"}
 CLOSED_FORMS = {"frames.lc_connection_formula", "frames.bracket_rhs", "geometry.curvature_R_P",
                 "adapted.L_P_applies", "adapted.S_components", "submersion.lift_differential_formula",

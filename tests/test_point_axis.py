@@ -46,6 +46,7 @@ from framelift.frames import (
     fd_bracket_on_chart,
     induced_metric_on_chart,
     lc_total_space_oracle,
+    total_space_christoffel,
     total_space_manifold,
 )
 from framelift.geometry import (
@@ -166,7 +167,7 @@ class TestStencil:
             christoffel(total_space_manifold(chart), q)
         u = chart.decode(q)
         with pytest.raises(DomainError, match=match) as oracle:
-            lc_total_space_oracle(chart, [(vP, vP)], u)
+            lc_total_space_oracle(chart, [(vP, vP)], u, total_space_christoffel(chart, u))
         assert str(oracle.value) == str(generic.value)
 
 
@@ -266,7 +267,7 @@ class TestLPairs:
         u = adapted_frame(M, D, sample_points(M, 46, 1)[0])
         R = curvature_tensor(M, u.base)
         counted = calls("L_P_applies", "lc_total_space_oracle", "curvature_tensor", "S_components", "W_endo")
-        adapted_connection_audit(M, D, u, self.fields(), *jet(M, u.base), R)
+        adapted_connection_audit(M, D, u, self.fields(), *jet(M, u.base), R, total_space_christoffel(LMChart(M), u))
         # the caller's curvature tensor and S serve every pair, with one W
         assert {name: sum("L_P_applies" in c.within for c in counted[name])
                 for name in ("curvature_tensor", "S_components", "W_endo")} == {
@@ -586,7 +587,7 @@ def base_shapes(calls):
 
 
 class TestFieldCallCounts:
-    def test_oracle_of_four_pairs_makes_six_field_calls(self):
+    def test_oracle_of_four_pairs_makes_four_field_calls(self):
         chart = bundle_chart("E3", "O")
         M = chart.manifold
         rng = np.random.default_rng(90)
@@ -596,9 +597,11 @@ class TestFieldCallCounts:
         vP, vQ = (recording(lift_field(chart, "v", g_skew_endo_field(M, rng)), calls)
                   for _ in range(2))
         u = chart.decode(bundle_points(chart, 91, 1)[0])
-        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], u)
-        # each field at q's frame, then hY and vQ once on the stencil frames of both directions
-        assert sorted(base_shapes(calls)) == sorted([(M.dim,)] * 4 + [(2, 2, M.dim)] * 2)
+        gamma_total = total_space_christoffel(chart, u)
+        lc_total_space_oracle(chart, [(hX, hY), (hX, vQ), (vP, hY), (vP, vQ)], u, gamma_total)
+        # the directions hX and vP at q's frame, then hY and vQ once each on the stack of
+        # q's frame and the stencil frames of both directions, 1 + 2 * 2
+        assert sorted(base_shapes(calls)) == sorted([(M.dim,)] * 2 + [(5, M.dim)] * 2)
 
     def test_fd_bracket_makes_four_field_calls(self):
         chart = bundle_chart("E3", "O")
@@ -626,10 +629,11 @@ class TestFieldCallCounts:
         fd_bracket_on_chart(chart, [(hX, hY), (hX, vQ), (vP, vQ)], chart.decode(bundle_points(chart, 91, 1)[0]))
         assert sorted(base_shapes(calls)) == sorted([(M.dim,)] * 4 + [(2, 1, M.dim)] * 2 + [(2, 2, M.dim)] * 2)
 
-    @pytest.mark.parametrize("bundles,reads", [("L", 6), ("O", 6), ("LO", 9)], ids=["L", "O", "LO"])
+    @pytest.mark.parametrize("bundles,reads", [("L", 4), ("O", 4), ("LO", 6)], ids=["L", "O", "LO"])
     def test_connection_audit_reads_each_frame_field_once(self, calls, bundles, reads):
-        # X^h, Y^h, P*, Q* of each bundle at q, and the B fields Y^h and Q* on the stencil;
-        # both bundles share X^h and Y^h.  Every read is on L(M): O(M) is its projection
+        # the directions X^h and P* of each bundle at q, and the B fields Y^h and Q* once on
+        # the stack of q and their stencil; both bundles share X^h and Y^h.  Every read is
+        # on L(M): O(M) is its projection
         M = get("E2").phi.source
         rng = np.random.default_rng(92)
         X, Y = polynomial_vector_field(3, rng), polynomial_vector_field(3, rng)
@@ -639,7 +643,8 @@ class TestFieldCallCounts:
         p = sample_points(M, 93, 1)[0]
         R = curvature_tensor(M, p)
         counted = calls("FrameChart.jacobian", "LMChart.field_to_chart")
-        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), fields, *jet(M, p), R)
+        u = Frame(p, reference_frame(M, p))
+        frames_module.connection_audit(M, u, fields, *jet(M, p), R, total_space_christoffel(LMChart(M), u))
         assert len(counted["LMChart.field_to_chart"]) == reads and counted["FrameChart.jacobian"] == []
 
     def test_lie_bracket_makes_four_field_calls(self):
@@ -788,7 +793,8 @@ def connection_residuals(geom, u):
     M = geom.phi.source
     R = curvature_tensor(M, u.base)
     return [r["residual"] for bundle, v in (("L", u), ("O", Frame(u.base, reference_frame(M, u.base))))
-            for r in frames_module.connection_audit(M, v, {bundle: audit_fields(geom, bundle)}, *jet(M, u.base), R)]
+            for r in frames_module.connection_audit(M, v, {bundle: audit_fields(geom, bundle)}, *jet(M, u.base), R,
+                                                    total_space_christoffel(LMChart(M), v))]
 
 
 def projected(geom, u, t):
@@ -864,7 +870,9 @@ FRAME_FUNCTIONS = {
     "frames.bracket_rhs": ([], lambda geom, u: bracket_readings(geom, u, frames_module.bracket_rhs)),
     "frames.bracket_residual": ([], lambda geom, u: bracket_readings(geom, u, frames_module.bracket_residual)),
     "frames.connection_audit": ([], connection_residuals),
-    "frames.lc_total_space_oracle": ([], lambda geom, u: od_oracle(geom, u, frames_module.lc_total_space_oracle)),
+    "frames.total_space_christoffel": ([], lambda geom, u: total_space_christoffel(LMChart(geom.phi.source), u)),
+    "frames.lc_total_space_oracle": ([], lambda geom, u: od_oracle(geom, u, lambda chart, pairs, u: (
+        lc_total_space_oracle(chart, pairs, u, total_space_christoffel(chart, u))))),
     "frames.fd_bracket_on_chart": ([], lambda geom, u: od_oracle(geom, u, frames_module.fd_bracket_on_chart)),
     "frames.gauss_projection": ([vectors(), endos()], lambda geom, u, x, P: projected(geom, u, tangent_at(geom, u, x, P))),
     "adapted.adapted_connection_audit": ONE_FRAME_AUDIT,
@@ -929,7 +937,8 @@ class TestFrameCallCounts:
         M, D = E3_GEOM.phi.source, E3_GEOM.horizontal
         u = adapted_frame(M, D, sample_points(M, 102, 1)[0])
         lifts = calls("_adapted_horizontal_lifts")["_adapted_horizontal_lifts"]
-        adapted_connection_audit(M, D, u, TestLPairs().fields(), *jet(M, u.base), curvature_tensor(M, u.base))
+        adapted_connection_audit(M, D, u, TestLPairs().fields(), *jet(M, u.base), curvature_tensor(M, u.base),
+                                 total_space_christoffel(LMChart(M), u))
         # the oracle's chart fields decode frames of their own
         assert [len(c.args[2]) for c in lifts if c.args[3] is u] == [6]
 
@@ -944,7 +953,9 @@ class TestFrameCallCounts:
         p = sample_points(M, 104, 1)[0]
         R = curvature_tensor(M, p)
         counted = calls("curvature_tensor", "orthonormal_basis")
-        frames_module.connection_audit(M, Frame(p, reference_frame(M, p)), {bundle: fields}, *jet(M, p), R)
+        u = Frame(p, reference_frame(M, p))
+        frames_module.connection_audit(M, u, {bundle: fields}, *jet(M, p), R,
+                                       total_space_christoffel(LMChart(M), u))
         # the caller's curvature tensor serves every case
         assert [len(c) for c in counted.values()] == [0, 1]
 
@@ -1019,7 +1030,7 @@ def R_P_values(geom, p, P, Ps):
 # form of POINT_FUNCTIONS, on the source chart of each example.
 CALCULUS_FUNCTIONS = {
     "geometry.covariant_derivatives": ([], lambda geom, p: covariant_derivatives(
-        geom.phi.source, calculus_pairs(geom.phi.source), p)),
+        geom.phi.source, calculus_pairs(geom.phi.source), p, christoffel(geom.phi.source, p))),
     "geometry.curvature_tensor": ([], lambda geom, p: curvature_tensor(geom.phi.source, p)),
     "geometry.curvature_R_P": ([endos(), endos(4)], R_P_values),
     "geometry.orthonormal_basis": ([], lambda geom, p: orthonormal_basis(geom.phi.source, p)),
@@ -1121,9 +1132,9 @@ TANGENT_FUNCTIONS = {
     "tangent.tm_vertical_lift": ([vectors(), vectors()], lambda geom, p, x, z: (
         tangent_module.tm_vertical_lift(TangentVector(p, x), tm_point(p, z)))),
     "tangent.connection_map_K": ([vectors(3)], lambda geom, p, r: (
-        tangent_module.connection_map_K(geom.phi.source, tm_tangent(p, r)))),
+        tangent_module.connection_map_K(christoffel(geom.phi.source, p), tm_tangent(p, r)))),
     "tangent.tm_split": ([vectors(3)], lambda geom, p, r: tangent_module.tm_split(
-        geom.phi.source, tm_tangent(p, r))),
+        christoffel(geom.phi.source, p), tm_tangent(p, r))),
     "tangent.tm_map": ([vectors()], lambda geom, p, z: tangent_module.tm_map(geom.phi, tm_point(p, z))),
     "tangent.phi_second_differential_fd": ([vectors(3)], lambda geom, p, r: (
         tangent_module.phi_second_differential_fd(geom.phi, tm_tangent(p, r)))),

@@ -14,7 +14,7 @@ from framelift.adapted import adapted_connection_audit, adapted_frame
 from framelift.catalog import get, sphere_chart
 from framelift.cli import main
 from framelift.fields import g_skew_endo_field, polynomial_endo_field, polynomial_vector_field
-from framelift.frames import Frame, connection_audit, reference_frame
+from framelift.frames import Frame, LMChart, connection_audit, reference_frame, total_space_christoffel
 from framelift.geometry import DEFAULT_FD, christoffel, curvature_tensor, metric_eval, sample_points
 from framelift.submersion import adapted_endo_field, derive_geometry
 from framelift.reporting import Checks, reports_to_json, strip_wall_times
@@ -251,9 +251,10 @@ def test_tangent_distribution_dimensions_fail_on_a_dependent_kernel(monkeypatch,
 
 
 class TestOneTotalSpaceChristoffelPerPoint:
-    """The oracle differences the induced metric into Christoffel symbols once per point,
-    or once for a stack of points, by one ``christoffel`` on the total space, whose induced
-    metric reads the chart Jacobian twice: at the points and on one stencil.  Every oracle
+    """The oracle reads Christoffel symbols that its caller differences from the induced
+    metric once per point, or once for a stack of points, by ``total_space_christoffel``:
+    one ``christoffel`` on the total space, whose induced metric reads the chart Jacobian
+    twice, at the points and on one stencil.  Every oracle
     runs on L(M); the O(M) and O(D) values are one ``gauss_projection`` each, whose Mok
     metric reads the caller's base metric and Christoffel symbols and evaluates none.  The
     frame suite's counts are in ``test_call_budget``."""
@@ -280,8 +281,9 @@ class TestOneTotalSpaceChristoffelPerPoint:
         else:
             P, Q = g_skew_endo_field(S2, rng), g_skew_endo_field(S2, rng)
         p = np.array([0.2, -0.1])
-        connection_audit(S2, Frame(p, reference_frame(S2, p)), {bundle: dict(X=X, Y=Y, P=P, Q=Q)},
-                         metric_eval(S2, p), christoffel(S2, p), curvature_tensor(S2, p))
+        u = Frame(p, reference_frame(S2, p))
+        connection_audit(S2, u, {bundle: dict(X=X, Y=Y, P=P, Q=Q)}, metric_eval(S2, p), christoffel(S2, p),
+                         curvature_tensor(S2, p), total_space_christoffel(LMChart(S2), u))
         assert total_calls() == {"gamma": ["total[L(M)]"], "jacobian": ["L(M)"] * 2}
 
     def test_adapted_connection_audit(self, total_calls):
@@ -293,6 +295,7 @@ class TestOneTotalSpaceChristoffelPerPoint:
                       P=adapted_endo_field(geom, top=0.8 * J),
                       Q=adapted_endo_field(geom, top=-1.3 * J))
         p = sample_points(M, 46, 1)[0]
-        adapted_connection_audit(M, geom.horizontal, adapted_frame(M, geom.horizontal, p), fields,
-                                 metric_eval(M, p), christoffel(M, p), curvature_tensor(M, p))
+        u = adapted_frame(M, geom.horizontal, p)
+        adapted_connection_audit(M, geom.horizontal, u, fields, metric_eval(M, p), christoffel(M, p),
+                                 curvature_tensor(M, p), total_space_christoffel(LMChart(M), u))
         assert total_calls() == {"gamma": ["total[L(M)]"], "jacobian": ["L(M)"] * 2}

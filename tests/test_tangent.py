@@ -91,19 +91,19 @@ class TestLifts:
         p = np.array([0.4, -0.2])
         Z = tm_point(p, np.array([0.3, 0.8]))
         h = horizontal_lift_frame(christoffel(S2, Z.base), TangentVector(p, np.array([1.0, -1.0])), Z)
-        assert np.max(np.abs(connection_map_K(S2, h).components)) < 1e-14
+        assert np.max(np.abs(connection_map_K(christoffel(S2, p), h).components)) < 1e-14
 
     def test_K_recovers_vertical(self):
         p = np.array([0.4, -0.2])
         Z = tm_point(p, np.array([0.3, 0.8]))
         x = np.array([0.6, 0.5])
         v = tm_vertical_lift(TangentVector(p, x), Z)
-        assert np.allclose(connection_map_K(S2, v).components, x)
+        assert np.allclose(connection_map_K(christoffel(S2, p), v).components, x)
 
     def test_K_flat_is_fiber_rate(self):
         Z = tm_point(np.zeros(2), np.ones(2))
         t = tm_tangent(Z, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        assert np.allclose(connection_map_K(R2, t).components, [3.0, 4.0])
+        assert np.allclose(connection_map_K(christoffel(R2, Z.base), t).components, [3.0, 4.0])
 
     def test_K_of_field_differential(self):
         # K applied to the differential of a section recovers its derivative
@@ -113,15 +113,16 @@ class TestLifts:
             x = rng.standard_normal(2)
             zr = directional_diff(per_point(Zf.eval), p, x, 1e-5)
             t = tm_tangent(tm_point(p, Zf.eval(p)), x, zr)
-            got = connection_map_K(S2, t).components
-            expect = covariant_derivative(S2, VectorField(eval=lambda q: x), Zf, p).components
+            gamma = christoffel(S2, p)
+            got = connection_map_K(gamma, t).components
+            expect = covariant_derivative(S2, VectorField(eval=lambda q: x), Zf, p, gamma).components
             assert np.max(np.abs(got - expect)) < 1e-7
 
     def test_splitting_exact(self):
         p = np.array([0.2, 0.5])
         Z = tm_point(p, np.array([-0.4, 0.9]))
         t = tm_tangent(Z, np.array([1.2, -0.7]), np.array([0.3, 0.8]))
-        h, v = tm_split(S2, t)
+        h, v = tm_split(christoffel(S2, p), t)
         rec = h + v
         assert np.max(np.abs(rec.base_rate - t.base_rate)) == 0.0
         assert np.max(np.abs(rec.frame_rate[..., 0] - t.frame_rate[..., 0])) < 1e-15
@@ -163,7 +164,7 @@ class TestOneColumnFrames:
         p = sample_points(M, seed % 1000, 1)[0]
         Z = tm_point(p, rng.standard_normal(M.dim))
         s, t = (tm_tangent(Z, *rng.standard_normal((2, M.dim))) for _ in range(2))
-        Ks, Kt = connection_map_K(M, s).components, connection_map_K(M, t).components
+        Ks, Kt = (connection_map_K(christoffel(M, p), r).components for r in (s, t))
         g = metric_eval(M, p)
         G = mok_gram(*jet(M, p), [s, t])
         assert mok_metric(*jet(M, p), s, t) == G[0, 1]
@@ -281,7 +282,7 @@ def field_level_bases(geom, Z):
         lifts = (lambda e: tm_vertical_lift(e, Z)), (lambda e: horizontal_lift_frame(christoffel(M, Z.base), e, Z))
         same, other = lifts[part], lifts[1 - part]
         nabs = covariant_derivatives(
-            M, [(constant_field(Z.vector(0)), extend(e.components)) for e in basis], p)
+            M, [(constant_field(Z.vector(0)), extend(e.components)) for e in basis], p, christoffel(M, p))
         return [same(e) for e in basis] + [other(e) + same(TangentVector(p, Pi @ nab.components))
                                            for e, nab in zip(basis, nabs)]
 
